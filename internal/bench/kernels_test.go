@@ -14,6 +14,9 @@ import (
 func TestKernelsSmoke(t *testing.T) {
 	sizes := []int{8, 48}
 	workers := []int{1, 2}
+	// The default is GOMAXPROCS, so the value Kernels must restore is
+	// whatever this host started with.
+	before := matrix.KernelWorkers()
 	rep := Kernels(sizes, workers)
 	wantKernels := []string{"dd-naive", "dd-tiled", "dd-nt", "dd-tn", "sd", "ds"}
 	// Six single-path kernels plus one dd-par point per worker count at each
@@ -56,8 +59,8 @@ func TestKernelsSmoke(t *testing.T) {
 	if seen["dd-par"] != len(sizes)*len(workers) {
 		t.Errorf("dd-par measured %d times, want %d", seen["dd-par"], len(sizes)*len(workers))
 	}
-	if matrix.KernelWorkers() != 1 {
-		t.Errorf("Kernels left kernel workers at %d", matrix.KernelWorkers())
+	if got := matrix.KernelWorkers(); got != before {
+		t.Errorf("Kernels left kernel workers at %d, want %d restored", got, before)
 	}
 
 	var buf bytes.Buffer

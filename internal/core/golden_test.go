@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"dmac/internal/dep"
@@ -141,5 +142,75 @@ func TestGoldenEstimatorAtPaperShape(t *testing.T) {
 	}
 	if w != matrix.DenseMemBytes(17770, 200) {
 		t.Errorf("dense estimate mismatch: %d", w)
+	}
+}
+
+// pageRankIteration builds one iteration of Code 2 over session variables
+// link, rank and D — the program behind Figure 8.
+func pageRankIteration() *expr.Program {
+	const n = 1000
+	p := expr.NewProgram()
+	link := p.Var("link", n, n, 0.01)
+	rank := p.Var("rank", 1, n, 1)
+	d := p.Var("D", 1, n, 1)
+	walked := p.Scalar(matrix.ScalarMul, p.Mul(rank, link), 0.85)
+	teleport := p.Scalar(matrix.ScalarMul, d, 0.15)
+	p.Assign("rank", p.Add(walked, teleport))
+	return p
+}
+
+// TestGoldenLiveAfter pins the live set after every stage of the two golden
+// plans, checked by hand against their op lists: a value is live iff a later
+// stage reads it, it is an instance of an assigned matrix (newH = m7, newW =
+// m12; new rank = m6), or it is a cacheable instance of a variable the
+// program leaves alone (V = m0; link = m0, D = m2).
+func TestGoldenLiveAfter(t *testing.T) {
+	cases := []struct {
+		name string
+		prog *expr.Program
+		vars map[string][]dep.Scheme
+		want [][]string // index = stage
+	}{
+		{
+			name: "gnmf",
+			prog: gnmfFullIteration(),
+			vars: map[string][]dep.Scheme{"V": {dep.Col}, "W": {dep.Row}, "H": {dep.Col}},
+			want: [][]string{
+				nil,
+				{"m0(c)", "m1(r)", "m1ᵀ(c)", "m2(c)"},
+				{"m0(c)", "m1(r)", "m4(c)", "m2(c)", "m6(c)", "m1(b)"},
+				{"m0(c)", "m1(r)", "m7(c)", "m7ᵀ(r)", "m1(b)"},
+				{"m0(c)", "m7(c)", "m7ᵀ(r)", "m10(c)", "m11(r)"},
+				{"m0(c)", "m7(c)", "m7ᵀ(r)", "m12(r)"},
+			},
+		},
+		{
+			name: "pagerank",
+			prog: pageRankIteration(),
+			vars: map[string][]dep.Scheme{"link": {dep.Col}, "rank": {dep.Broadcast}, "D": {dep.Broadcast}},
+			want: [][]string{
+				nil,
+				{"m0(c)", "m2(b)", "m4(c)", "m2(r)", "m5(r)"},
+				{"m0(c)", "m2(b)", "m2(r)", "m6(r)"},
+			},
+		},
+	}
+	for _, c := range cases {
+		plan, err := Generate(c.prog, Config{Workers: 4, Vars: c.vars})
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if plan.Stages != len(c.want)-1 {
+			t.Fatalf("%s: %d stages, want %d\n%s", c.name, plan.Stages, len(c.want)-1, plan)
+		}
+		for stage, want := range c.want {
+			var got []string
+			for _, id := range plan.LiveAfter(stage) {
+				got = append(got, plan.Value(id).String())
+			}
+			if !slices.Equal(got, want) {
+				t.Errorf("%s: LiveAfter(%d) = %q, want %q\n%s", c.name, stage, got, want, plan)
+			}
+		}
 	}
 }

@@ -170,6 +170,51 @@ func (p *Plan) CommOps() int {
 	return n
 }
 
+// LiveAfter returns, in ascending ID order, the values materialized by stages
+// up to and including stage that anything after that stage can still read: an
+// input of an operator in a later stage, or a value the session keeps when
+// the run ends — every instance of an assigned matrix, and every
+// scheme-carrying, untransposed instance of an input variable the program
+// does not reassign (the instances a run caches back into the session). It is
+// the set a run restored to the end of stage needs in order to finish exactly
+// as an uninterrupted one would; every other value is dead by then.
+func (p *Plan) LiveAfter(stage int) []ValueID {
+	assigned := make(map[string]bool)
+	kept := make(map[dep.MatrixID]bool)
+	for _, a := range p.Program.Assignments() {
+		assigned[a.Name] = true
+		kept[a.Ref.Node.ID] = true
+	}
+	cached := make(map[dep.MatrixID]bool)
+	produced := make([]bool, len(p.Values))
+	read := make([]bool, len(p.Values))
+	for _, op := range p.Ops {
+		if (op.Kind == OpLoad || op.Kind == OpVar) && !assigned[op.Node.Name] {
+			cached[op.Node.ID] = true
+		}
+		if op.Stage <= stage {
+			if op.Output >= 0 {
+				produced[op.Output] = true
+			}
+			continue
+		}
+		for _, id := range op.Inputs {
+			read[id] = true
+		}
+	}
+	var live []ValueID
+	for _, v := range p.Values {
+		if !produced[v.ID] {
+			continue
+		}
+		if read[v.ID] || kept[v.Matrix] ||
+			(cached[v.Matrix] && !v.Transposed && v.Scheme != dep.SchemeNone) {
+			live = append(live, v.ID)
+		}
+	}
+	return live
+}
+
 // finalizeFlexible pins any still-flexible value to its first allowed scheme
 // (CPMM outputs default to Row when no consumer constrained them).
 func (p *Plan) finalizeFlexible() {

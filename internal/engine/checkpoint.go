@@ -9,16 +9,19 @@ import (
 	"path/filepath"
 	"time"
 
+	"dmac/internal/core"
 	"dmac/internal/dep"
 	"dmac/internal/dist"
+	"dmac/internal/matrix"
 	"dmac/internal/mio"
 	"dmac/internal/obs"
 )
 
 // CheckpointPolicy decides when the engine snapshots the live values of a run
-// to disk. Both triggers may be combined; a policy with neither never writes
-// (but SetCheckpoint still enables checkpoint-aware recovery, which then
-// degrades to full lineage replay).
+// (core.Plan.LiveAfter: what a restore can still read) to disk. Both triggers
+// may be combined; a policy with neither never writes (but SetCheckpoint
+// still enables checkpoint-aware recovery, which then degrades to full
+// lineage replay).
 type CheckpointPolicy struct {
 	// Interval checkpoints after every Interval-th completed stage. 0
 	// disables the fixed-interval trigger.
@@ -26,9 +29,10 @@ type CheckpointPolicy struct {
 	// CostModel checkpoints after a stage once the modelled cost of
 	// recomputing the stages since the last checkpoint (their attributed
 	// FLOPs and communication, priced by the cluster's cost model) exceeds
-	// the modelled cost of writing the snapshot. This is the dependency-cost
-	// analogue of the classic checkpoint-interval rule: pay the write when a
-	// failure would cost more than the write does.
+	// the modelled cost of writing the snapshot — the bytes of the live
+	// grids no earlier snapshot of the run already holds. This is the
+	// dependency-cost analogue of the classic checkpoint-interval rule: pay
+	// the write when a failure would cost more than the write does.
 	CostModel bool
 	// WriteBytesPerSec is the modelled checkpoint write bandwidth the cost
 	// model prices the snapshot against. Defaults to 200 MB/s.
@@ -56,8 +60,10 @@ func (p CheckpointPolicy) Validate() error {
 	return nil
 }
 
-// manifestVersion versions the checkpoint manifest schema.
-const manifestVersion = 1
+// manifestVersion versions the checkpoint manifest schema. Version 2 lets a
+// value's File name a grid file of an earlier snapshot of the same run and
+// lets several values name one file.
+const manifestVersion = 2
 
 // ckptManifest is the manifest of one checkpoint: which values (and driver
 // scalars) the snapshot holds, identified by plan value ID, and the stage the
@@ -73,9 +79,13 @@ type ckptManifest struct {
 	Scalars map[string]float64 `json:"scalars,omitempty"`
 }
 
-// ckptValue locates one snapshotted plan value inside the checkpoint
-// directory. The grid file carries its own per-block CRC32C (mio version 2);
-// Scheme and Trans restore the value's placement and lazy-transpose state.
+// ckptValue locates one snapshotted plan value. File is relative to the
+// snapshot's directory: a bare name for a grid this snapshot wrote, a
+// "../ckpt-…/" path for one an earlier snapshot of the run wrote. Values that
+// share a grid (partition, broadcast, extract and lazy-transpose outputs
+// alias their operand's blocks) name the same file. The grid file carries its
+// own per-block CRC32C (mio version 2); Scheme and Trans restore the value's
+// placement and lazy-transpose state.
 type ckptValue struct {
 	ID     int    `json:"id"`
 	File   string `json:"file"`
@@ -101,7 +111,14 @@ type checkpointer struct {
 	seq    int
 
 	// Per-run state, reset by beginRun.
-	written     []writtenCkpt
+	written []writtenCkpt
+	// dirs lists every snapshot directory the run created, manifest or not,
+	// for the next run to remove.
+	dirs []string
+	// files maps each grid a manifest of this run names to its file, relative
+	// to dir. Materialized grids are immutable, so identity is content: a
+	// grid is written once per run and later manifests point back at it.
+	files       map[*matrix.Grid]string
 	sinceLast   int
 	pendingCost float64
 	bytes       int64
@@ -114,14 +131,22 @@ type checkpointer struct {
 	testPreRestore func()
 }
 
-// beginRun resets the per-run state. Earlier runs' checkpoints stay on disk
-// but are no longer restore candidates: they describe a different plan's
-// values.
+// beginRun resets the per-run state and removes the previous run's snapshot
+// directories: they describe a different execution's values, so no later run
+// can restore from them, and left in place they grow the directory without
+// bound.
 func (c *checkpointer) beginRun() {
 	if c == nil {
 		return
 	}
+	for _, dir := range c.dirs {
+		// A directory that cannot be removed only wastes space: seq is
+		// monotone, so no later snapshot reuses its name.
+		_ = os.RemoveAll(dir)
+	}
+	c.dirs = c.dirs[:0]
 	c.written = c.written[:0]
+	c.files = make(map[*matrix.Grid]string)
 	c.sinceLast, c.pendingCost = 0, 0
 	c.bytes, c.seconds, c.replayed = 0, 0, 0
 }
@@ -133,17 +158,30 @@ func (c *checkpointer) noteStage(modelCost float64) {
 	c.pendingCost += modelCost
 }
 
-// shouldCheckpoint applies the policy given the estimated snapshot size.
-func (c *checkpointer) shouldCheckpoint(estBytes int64) bool {
+// shouldCheckpoint applies the policy to a snapshot of the given live values.
+func (c *checkpointer) shouldCheckpoint(live []liveValue) bool {
 	if c.policy.Interval > 0 && c.sinceLast >= c.policy.Interval {
 		return true
 	}
-	if c.policy.CostModel {
-		if c.pendingCost > float64(estBytes)/c.policy.WriteBytesPerSec {
-			return true
+	return c.policy.CostModel &&
+		c.pendingCost > float64(c.unwrittenBytes(live))/c.policy.WriteBytesPerSec
+}
+
+// unwrittenBytes prices the snapshot the checkpointer is deciding about: the
+// footprint of the live grids no manifest of this run names yet, each shared
+// grid counted once.
+func (c *checkpointer) unwrittenBytes(live []liveValue) int64 {
+	var total int64
+	seen := make(map[*matrix.Grid]bool)
+	for _, v := range live {
+		g := v.dm.Grid
+		if _, ok := c.files[g]; ok || seen[g] {
+			continue
 		}
+		seen[g] = true
+		total += g.MemBytes()
 	}
-	return false
+	return total
 }
 
 // SetCheckpoint attaches a checkpoint directory and policy to the engine.
@@ -166,30 +204,35 @@ func (e *Engine) SetCheckpoint(dir string, policy CheckpointPolicy) error {
 	return nil
 }
 
-// estimateLiveBytes prices the snapshot the checkpointer is deciding about:
-// the footprint of every currently materialized value.
-func estimateLiveBytes(vals []*dist.DistMatrix) int64 {
-	var total int64
-	for _, dm := range vals {
-		if dm != nil {
-			total += dm.Bytes()
-		}
-	}
-	return total
+// liveValue is one member of a snapshot: a plan value and its materialization.
+type liveValue struct {
+	id core.ValueID
+	dm *dist.DistMatrix
 }
 
-// writeCheckpoint snapshots every materialized value (and the driver scalars)
-// to a fresh checkpoint directory. Block files use the checksummed grid
-// format; the manifest is written last via an atomic rename, so the
-// checkpoint becomes visible only complete. A write failure is not a run
-// failure — the half-written directory simply never gets a manifest and the
-// run continues with one fewer restore candidate (traced and counted).
-func (e *Engine) writeCheckpoint(st *execState, stage int) {
+// liveAfter pairs the plan's live set after stage with the run's values.
+func (st *execState) liveAfter(stage int) []liveValue {
+	ids := st.plan.LiveAfter(stage)
+	live := make([]liveValue, len(ids))
+	for i, id := range ids {
+		live[i] = liveValue{id: id, dm: st.vals[id]}
+	}
+	return live
+}
+
+// writeCheckpoint snapshots the given live values (and the driver scalars) to
+// a fresh checkpoint directory. Grids no earlier snapshot of the run holds are
+// written in the checksummed grid format; the rest are referenced where they
+// lie. The manifest is written last via an atomic rename, so the checkpoint
+// becomes visible only complete. A write failure is not a run failure — the
+// half-written directory simply never gets a manifest and the run continues
+// with one fewer restore candidate (traced and counted).
+func (e *Engine) writeCheckpoint(st *execState, stage int, live []liveValue) {
 	c := e.ckpt
 	span := e.tracer.Start("ckpt", "write", e.tracer.Scope(),
 		obs.Int64("stage", int64(stage)), obs.Int64("seq", int64(c.seq)))
 	start := time.Now()
-	n, err := e.writeCheckpointFiles(st, stage)
+	n, err := e.writeCheckpointFiles(st, stage, live)
 	sec := time.Since(start).Seconds()
 	if err != nil {
 		e.tracer.End(span, obs.String("error", err.Error()))
@@ -216,12 +259,15 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-func (e *Engine) writeCheckpointFiles(st *execState, stage int) (int64, error) {
+// writeCheckpointFiles returns the bytes it newly put on disk.
+func (e *Engine) writeCheckpointFiles(st *execState, stage int, live []liveValue) (int64, error) {
 	c := e.ckpt
-	dir := filepath.Join(c.dir, fmt.Sprintf("ckpt-%06d-stage%d", c.seq, stage))
+	name := fmt.Sprintf("ckpt-%06d-stage%d", c.seq, stage)
+	dir := filepath.Join(c.dir, name)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return 0, err
 	}
+	c.dirs = append(c.dirs, dir)
 	man := ckptManifest{
 		Version: manifestVersion,
 		Seq:     c.seq,
@@ -233,26 +279,31 @@ func (e *Engine) writeCheckpointFiles(st *execState, stage int) (int64, error) {
 		man.Scalars[k] = v
 	}
 	var total int64
-	for id, dm := range st.vals {
-		if dm == nil {
-			continue
+	// fresh holds the grids this snapshot writes. They join c.files only once
+	// the manifest is in place: a later manifest must never point into a
+	// directory that has none.
+	fresh := make(map[*matrix.Grid]string)
+	for _, v := range live {
+		g := v.dm.Grid
+		file, ok := c.files[g]
+		if !ok {
+			file, ok = fresh[g]
 		}
-		name := fmt.Sprintf("v%04d.dmgr", id)
-		f, err := os.Create(filepath.Join(dir, name))
+		if !ok {
+			file = filepath.Join(name, fmt.Sprintf("v%04d.dmgr", v.id))
+			n, err := writeGridFile(filepath.Join(c.dir, file), g)
+			total += n
+			if err != nil {
+				return total, err
+			}
+			fresh[g] = file
+		}
+		ref, err := filepath.Rel(name, file)
 		if err != nil {
 			return total, err
 		}
-		cw := &countingWriter{w: f}
-		err = mio.WriteGridChecked(cw, dm.Grid)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return total, err
-		}
-		total += cw.n
 		man.Values = append(man.Values, ckptValue{
-			ID: id, File: name, Scheme: int(dm.Scheme), Trans: dm.Trans(),
+			ID: int(v.id), File: ref, Scheme: int(v.dm.Scheme), Trans: v.dm.Trans(),
 		})
 	}
 	blob, err := json.Marshal(&man)
@@ -267,15 +318,36 @@ func (e *Engine) writeCheckpointFiles(st *execState, stage int) (int64, error) {
 		return total, err
 	}
 	total += int64(len(blob))
+	for g, file := range fresh {
+		c.files[g] = file
+	}
 	c.written = append(c.written, writtenCkpt{seq: c.seq, stage: stage, dir: dir})
 	c.seq++
 	return total, nil
 }
 
+// writeGridFile writes one grid in the checksummed format and returns the
+// bytes written.
+func writeGridFile(path string, g *matrix.Grid) (int64, error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return 0, err
+	}
+	cw := &countingWriter{w: f}
+	err = mio.WriteGridChecked(cw, g)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return cw.n, err
+}
+
 // loadCheckpoint validates one restore candidate from disk: the manifest must
-// parse, match the running plan, and every value file must read back through
-// the checksummed decoder (a truncated file, a flipped bit, or a deleted
-// directory all fail here). On success it returns the reconstructed values.
+// parse, match the running plan, and every file it names — in its own
+// directory or an earlier snapshot's — must read back through the checksummed
+// decoder (a truncated file, a flipped bit, or a deleted directory all fail
+// here). Each file is read once and its grid shared by the values naming it,
+// as they shared it when snapshotted. On success it returns the reconstructed
+// values.
 func (e *Engine) loadCheckpoint(w writtenCkpt, sig string) (*ckptManifest, map[int]*dist.DistMatrix, error) {
 	blob, err := os.ReadFile(filepath.Join(w.dir, "manifest.json"))
 	if err != nil {
@@ -292,15 +364,20 @@ func (e *Engine) loadCheckpoint(w writtenCkpt, sig string) (*ckptManifest, map[i
 		return nil, nil, fmt.Errorf("manifest describes a different run (stage %d, sig %q)", man.Stage, man.PlanSig)
 	}
 	restored := make(map[int]*dist.DistMatrix, len(man.Values))
+	grids := make(map[string]*matrix.Grid)
 	for _, v := range man.Values {
-		f, err := os.Open(filepath.Join(w.dir, v.File))
-		if err != nil {
-			return nil, nil, fmt.Errorf("value %d: %w", v.ID, err)
-		}
-		g, err := mio.ReadGrid(f)
-		f.Close()
-		if err != nil {
-			return nil, nil, fmt.Errorf("value %d: %w", v.ID, err)
+		g, ok := grids[v.File]
+		if !ok {
+			f, err := os.Open(filepath.Join(w.dir, v.File))
+			if err != nil {
+				return nil, nil, fmt.Errorf("value %d: %w", v.ID, err)
+			}
+			g, err = mio.ReadGrid(f)
+			f.Close()
+			if err != nil {
+				return nil, nil, fmt.Errorf("value %d: %w", v.ID, err)
+			}
+			grids[v.File] = g
 		}
 		restored[v.ID] = dist.NewDistMatrixView(g, dep.Scheme(v.Scheme), v.Trans)
 	}
@@ -314,13 +391,18 @@ func (e *Engine) loadCheckpoint(w writtenCkpt, sig string) (*ckptManifest, map[i
 // snapshot and the failed stage (no fault injection: replayed ops re-run
 // deterministically, their communication and arithmetic charged as
 // recomputation cost). With no valid checkpoint it replays the full lineage —
-// every stage before the failure. It returns how many stages were replayed.
+// every stage before the failure. The value table is rebuilt from the
+// snapshot and the replay alone — nothing computed before the failure
+// survives in memory — so a value the snapshot wrongly left out fails the
+// run instead of being silently served. It returns how many stages were
+// replayed.
 func (e *Engine) restoreAndReplay(ctx context.Context, st *execState, failStage int) (int, error) {
 	c := e.ckpt
 	if c.testPreRestore != nil {
 		c.testPreRestore()
 	}
 	from := -1
+	var vals map[int]*dist.DistMatrix
 	for i := len(c.written) - 1; i >= 0; i-- {
 		w := c.written[i]
 		if w.stage >= failStage {
@@ -336,14 +418,15 @@ func (e *Engine) restoreAndReplay(ctx context.Context, st *execState, failStage 
 			continue
 		}
 		e.tracer.End(vspan)
-		for id, dm := range restored {
-			st.vals[id] = dm
-		}
+		vals = restored
 		for k, v := range man.Scalars {
 			e.scalars[k] = v
 		}
 		from = w.stage
 		break
+	}
+	for id := range st.vals {
+		st.vals[id] = vals[id]
 	}
 	span := e.tracer.Start("ckpt", "restore", e.tracer.Scope(),
 		obs.Int64("fail_stage", int64(failStage)), obs.Int64("from_stage", int64(from)))

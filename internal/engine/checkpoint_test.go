@@ -46,27 +46,7 @@ func ckptStages(t *testing.T) []int {
 // disables checkpointing entirely), and returns the run metrics.
 func runGNMFCheckpointed(t *testing.T, dir string, policy CheckpointPolicy, faultStage int, tamper func(*checkpointer)) (Metrics, *Engine) {
 	t.Helper()
-	cfg := testConfig()
-	if faultStage > 0 {
-		cfg.Faults = dist.FaultPlan{Events: []dist.FaultEvent{
-			{Stage: faultStage, Worker: 1, Attempt: 0, Kind: dist.FaultKillBoundary},
-		}}
-	}
-	e := New(DMac, cfg, tBS)
-	bindGNMF(t, e)
-	if dir != "" {
-		if err := e.SetCheckpoint(dir, policy); err != nil {
-			t.Fatal(err)
-		}
-		if tamper != nil {
-			e.ckpt.testPreRestore = func() { tamper(e.ckpt) }
-		}
-	}
-	m, err := e.Run(gnmfProgram(0.3), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return m, e
+	return gnmfApp.run(t, dir, policy, faultStage, tamper)
 }
 
 // wantGNMF returns the fault-free, checkpoint-free result the recovery tests

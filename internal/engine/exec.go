@@ -57,7 +57,8 @@ type execStats struct {
 // deadline aborts cleanly with the context's error (mid-stage, the executor's
 // workers observe the same context between block tasks). With a checkpointer
 // attached (SetCheckpoint), the policy is consulted after every completed
-// stage and selected snapshots of the live values are written to disk.
+// stage and selected snapshots of the values still live after it are written
+// to disk.
 func (e *Engine) execute(ctx context.Context, plan *core.Plan, sig string, params map[string]float64) (execStats, error) {
 	st := &execState{
 		plan:    plan,
@@ -106,8 +107,8 @@ func (e *Engine) execute(ctx context.Context, plan *core.Plan, sig string, param
 		}
 		if e.ckpt != nil {
 			e.ckpt.noteStage(e.modelCost(netBefore, e.cluster.Net().Snapshot()))
-			if e.ckpt.shouldCheckpoint(estimateLiveBytes(st.vals)) {
-				e.writeCheckpoint(st, s)
+			if live := st.liveAfter(s); e.ckpt.shouldCheckpoint(live) {
+				e.writeCheckpoint(st, s, live)
 			}
 		}
 	}

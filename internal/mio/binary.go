@@ -9,6 +9,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"sync"
 
 	"dmac/internal/matrix"
 )
@@ -68,19 +69,31 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // runtime uses it to verify blocks at shuffle hand-off without serializing
 // them to disk.
 func BlockChecksum(b matrix.Block) uint32 {
-	h := crc32.New(castagnoli)
-	// writeBlock only fails on writer errors; a hash never errors.
-	_ = writeBlock(h, b)
-	return h.Sum32()
+	scratch := encScratch.Get().(*[encChunkBytes]byte)
+	defer encScratch.Put(scratch)
+	cw := crcWriter{w: io.Discard}
+	// writeBlock only fails on writer errors; Discard never errors.
+	_ = writeBlock(&cw, scratch[:], b)
+	return cw.sum
 }
 
 // EncodeBlock returns the binary encoding of one block (kind byte plus
 // payload) — the bytes a shuffle hand-off of the block would move, and the
 // bytes BlockChecksum covers.
 func EncodeBlock(b matrix.Block) []byte {
-	var buf bytes.Buffer
-	_ = writeBlock(&buf, b)
+	scratch := encScratch.Get().(*[encChunkBytes]byte)
+	defer encScratch.Put(scratch)
+	buf := bytes.NewBuffer(make([]byte, 0, encodedLen(b)))
+	_ = writeBlock(buf, scratch[:], b)
 	return buf.Bytes()
+}
+
+// encodedLen returns the length of a block's binary encoding.
+func encodedLen(b matrix.Block) int {
+	if t, ok := b.(*matrix.CSCBlock); ok {
+		return 1 + 8 + 4*len(t.ColPtr) + 4*len(t.RowIdx) + 8*len(t.Values)
+	}
+	return 1 + 8*b.Rows()*b.Cols()
 }
 
 // ChecksumBytes returns the CRC32C of raw bytes, matching BlockChecksum over
@@ -107,23 +120,31 @@ func writeGrid(w io.Writer, g *matrix.Grid, version uint64) error {
 	if _, err := bw.WriteString(binaryMagic); err != nil {
 		return err
 	}
+	var word [8]byte
 	hdr := []uint64{version, uint64(g.Rows()), uint64(g.Cols()), uint64(g.BlockSize())}
 	for _, v := range hdr {
-		if err := binary.Write(bw, binary.LittleEndian, v); err != nil {
+		binary.LittleEndian.PutUint64(word[:], v)
+		if _, err := bw.Write(word[:]); err != nil {
 			return err
 		}
 	}
+	scratch := encScratch.Get().(*[encChunkBytes]byte)
+	defer encScratch.Put(scratch)
+	cw := crcWriter{w: bw}
 	for bi := 0; bi < g.BlockRows(); bi++ {
 		for bj := 0; bj < g.BlockCols(); bj++ {
-			if version == binaryVersionChecked {
-				h := crc32.New(castagnoli)
-				if err := writeBlock(io.MultiWriter(bw, h), g.Block(bi, bj)); err != nil {
+			if version != binaryVersionChecked {
+				if err := writeBlock(bw, scratch[:], g.Block(bi, bj)); err != nil {
 					return err
 				}
-				if err := binary.Write(bw, binary.LittleEndian, h.Sum32()); err != nil {
-					return err
-				}
-			} else if err := writeBlock(bw, g.Block(bi, bj)); err != nil {
+				continue
+			}
+			cw.sum = 0
+			if err := writeBlock(&cw, scratch[:], g.Block(bi, bj)); err != nil {
+				return err
+			}
+			binary.LittleEndian.PutUint32(word[:4], cw.sum)
+			if _, err := bw.Write(word[:4]); err != nil {
 				return err
 			}
 		}
@@ -131,34 +152,79 @@ func writeGrid(w io.Writer, g *matrix.Grid, version uint64) error {
 	return bw.Flush()
 }
 
-func writeBlock(w io.Writer, b matrix.Block) error {
-	switch t := b.(type) {
-	case *matrix.DenseBlock:
-		if _, err := w.Write([]byte{0}); err != nil {
-			return err
-		}
-		return binary.Write(w, binary.LittleEndian, t.Data)
-	case *matrix.CSCBlock:
-		if _, err := w.Write([]byte{1}); err != nil {
-			return err
-		}
-		if err := binary.Write(w, binary.LittleEndian, uint64(t.NNZ())); err != nil {
-			return err
-		}
-		if err := binary.Write(w, binary.LittleEndian, t.ColPtr); err != nil {
-			return err
-		}
-		if err := binary.Write(w, binary.LittleEndian, t.RowIdx); err != nil {
-			return err
-		}
-		return binary.Write(w, binary.LittleEndian, t.Values)
-	default:
+// crcWriter passes writes through to w and keeps their running CRC32C.
+type crcWriter struct {
+	w   io.Writer
+	sum uint32
+}
+
+func (c *crcWriter) Write(p []byte) (int, error) {
+	c.sum = crc32.Update(c.sum, castagnoli, p)
+	return c.w.Write(p)
+}
+
+// encChunkBytes sizes the pooled scratch buffer payloads are encoded through:
+// large enough that the per-Write overhead vanishes, small enough to stay in
+// L1/L2 whatever the block size.
+const encChunkBytes = 32 << 10
+
+var encScratch = sync.Pool{New: func() any { return new([encChunkBytes]byte) }}
+
+// writeBlock encodes one block (kind byte plus payload). Payload slices are
+// converted a chunk at a time through buf (an encScratch buffer), so encoding
+// allocates nothing however large the block is.
+func writeBlock(w io.Writer, buf []byte, b matrix.Block) error {
+	t, ok := b.(*matrix.CSCBlock)
+	if !ok {
 		// Unknown implementations serialize densely.
-		if _, err := w.Write([]byte{0}); err != nil {
+		buf[0] = 0
+		if _, err := w.Write(buf[:1]); err != nil {
 			return err
 		}
-		return binary.Write(w, binary.LittleEndian, b.Dense().Data)
+		return writeFloat64s(w, buf, b.Dense().Data)
 	}
+	buf[0] = 1
+	binary.LittleEndian.PutUint64(buf[1:], uint64(t.NNZ()))
+	if _, err := w.Write(buf[:9]); err != nil {
+		return err
+	}
+	if err := writeInt32s(w, buf, t.ColPtr); err != nil {
+		return err
+	}
+	if err := writeInt32s(w, buf, t.RowIdx); err != nil {
+		return err
+	}
+	return writeFloat64s(w, buf, t.Values)
+}
+
+// writeFloat64s writes vals little-endian, len(buf)/8 at a time through buf.
+func writeFloat64s(w io.Writer, buf []byte, vals []float64) error {
+	for len(vals) > 0 {
+		n := minInt(len(vals), len(buf)/8)
+		for i, v := range vals[:n] {
+			binary.LittleEndian.PutUint64(buf[8*i:], math.Float64bits(v))
+		}
+		if _, err := w.Write(buf[:8*n]); err != nil {
+			return err
+		}
+		vals = vals[n:]
+	}
+	return nil
+}
+
+// writeInt32s is writeFloat64s for int32s.
+func writeInt32s(w io.Writer, buf []byte, vals []int32) error {
+	for len(vals) > 0 {
+		n := minInt(len(vals), len(buf)/4)
+		for i, v := range vals[:n] {
+			binary.LittleEndian.PutUint32(buf[4*i:], uint32(v))
+		}
+		if _, err := w.Write(buf[:4*n]); err != nil {
+			return err
+		}
+		vals = vals[n:]
+	}
+	return nil
 }
 
 // ReadGrid deserializes a grid written by WriteGrid or WriteGridChecked
