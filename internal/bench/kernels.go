@@ -20,11 +20,15 @@ import (
 // KernelPoint is one (kernel, block size) measurement.
 type KernelPoint struct {
 	// Kernel names the measured path: dd-naive (pre-tiling ikj baseline),
-	// dd-tiled, dd-nt / dd-tn (fused transpose GEMM), sd / ds (sparse-dense
-	// at ~5% density), dd-par (tiled kernel at Workers kernel workers),
-	// dd-strassen (Strassen recursion, eligible sizes only).
+	// dd-tiled, dd-nt / dd-tn (fused transpose GEMM), sd / ds (square
+	// sparse-dense at ~5% density), ds-tn / sd-nt / ds-rowvec (the thin
+	// sparse-dense shapes that run: GNMF's W^T V and V H^T at k = 64 and
+	// PageRank's rank vector, at 1% density), dd-par (tiled kernel at
+	// Workers kernel workers), dd-strassen (Strassen recursion, eligible
+	// sizes only).
 	Kernel string `json:"kernel"`
-	// Size is the square block side.
+	// Size is the square block side; the thin shapes are Size-sided in
+	// their long dimensions.
 	Size int `json:"size"`
 	// Workers is the kernel worker count of a dd-par point; zero elsewhere
 	// (those paths are measured at one worker).
@@ -53,18 +57,28 @@ type KernelReport struct {
 // kernelSparsity is the density of the sparse operands in the sd/ds paths.
 const kernelSparsity = 0.05
 
-// randDense returns a deterministic random dense block.
-func randDense(rng *rand.Rand, n int) *matrix.DenseBlock {
-	d := matrix.NewDense(n, n)
+// The thin sparse-dense points take the shape of the products the paper's
+// workloads run (the same cases as matrix's BenchmarkMulAddDSTN/SDNT/
+// DSRowVec): a thinRank-row dense factor, or a single row vector, against a
+// square CSC block at thinSparsity.
+const (
+	thinRank     = 64
+	thinSparsity = 0.01
+)
+
+// randDense returns a deterministic random rows x cols dense block.
+func randDense(rng *rand.Rand, rows, cols int) *matrix.DenseBlock {
+	d := matrix.NewDense(rows, cols)
 	for i := range d.Data {
 		d.Data[i] = rng.Float64()*2 - 1
 	}
 	return d
 }
 
-// randSparse returns a deterministic random CSC block at kernelSparsity.
-func randSparse(rng *rand.Rand, n int) *matrix.CSCBlock {
-	nnz := int(kernelSparsity * float64(n) * float64(n))
+// randSparse returns a deterministic random n x n CSC block at the given
+// density.
+func randSparse(rng *rand.Rand, n int, density float64) *matrix.CSCBlock {
+	nnz := max(1, int(density*float64(n)*float64(n)))
 	coords := make([]matrix.Coord, 0, nnz)
 	for k := 0; k < nnz; k++ {
 		coords = append(coords, matrix.Coord{
@@ -123,20 +137,28 @@ func Kernels(sizes []int, workerCounts []int) *KernelReport {
 	rep := &KernelReport{GoOS: runtime.GOOS, GoArch: runtime.GOARCH, NumCPU: runtime.NumCPU()}
 	for _, n := range sizes {
 		rng := rand.New(rand.NewSource(int64(n)))
-		a := randDense(rng, n)
-		b := randDense(rng, n)
-		sa := randSparse(rng, n)
-		sb := randSparse(rng, n)
+		a := randDense(rng, n, n)
+		b := randDense(rng, n, n)
+		sa := randSparse(rng, n, kernelSparsity)
+		sb := randSparse(rng, n, kernelSparsity)
+		thin := randSparse(rng, n, thinSparsity)
+		w := randDense(rng, n, thinRank) // read transposed: W^T is thinRank x n
+		h := randDense(rng, thinRank, n) // read transposed: H^T is n x thinRank
+		rank := randDense(rng, 1, n)
 		dst := matrix.NewDense(n, n)
 		denseFLOPs := 2 * float64(n) * float64(n) * float64(n)
 		sparseFLOPs := 2 * float64(sa.NNZ()) * float64(n)
-		mulTrans := func(x, y matrix.Block, xT, yT bool) func() {
+		thinFLOPs := 2 * float64(thin.NNZ()) * thinRank
+		mulTransInto := func(dst *matrix.DenseBlock, x, y matrix.Block, xT, yT bool) func() {
 			return func() {
 				dst.Zero()
 				if err := matrix.MulAddTransInto(dst, x, y, xT, yT); err != nil {
 					panic(err)
 				}
 			}
+		}
+		mulTrans := func(x, y matrix.Block, xT, yT bool) func() {
+			return mulTransInto(dst, x, y, xT, yT)
 		}
 		runs := []struct {
 			kernel string
@@ -152,6 +174,9 @@ func Kernels(sizes []int, workerCounts []int) *KernelReport {
 			{"dd-tn", denseFLOPs, mulTrans(a, b, true, false)},
 			{"sd", sparseFLOPs, mulTrans(sa, b, false, false)},
 			{"ds", 2 * float64(sb.NNZ()) * float64(n), mulTrans(a, sb, false, false)},
+			{"ds-tn", thinFLOPs, mulTransInto(matrix.NewDense(thinRank, n), w, thin, true, false)},
+			{"sd-nt", thinFLOPs, mulTransInto(matrix.NewDense(n, thinRank), thin, h, false, true)},
+			{"ds-rowvec", 2 * float64(thin.NNZ()), mulTransInto(matrix.NewDense(1, n), rank, thin, false, false)},
 		}
 		var naiveNs, tiledNs float64
 		for _, r := range runs {

@@ -18,8 +18,8 @@ func TestKernelsSmoke(t *testing.T) {
 	// whatever this host started with.
 	before := matrix.KernelWorkers()
 	rep := Kernels(sizes, workers)
-	wantKernels := []string{"dd-naive", "dd-tiled", "dd-nt", "dd-tn", "sd", "ds"}
-	// Six single-path kernels plus one dd-par point per worker count at each
+	wantKernels := []string{"dd-naive", "dd-tiled", "dd-nt", "dd-tn", "sd", "ds", "ds-tn", "sd-nt", "ds-rowvec"}
+	// Nine single-path kernels plus one dd-par point per worker count at each
 	// size; no dd-strassen below the eligibility floor.
 	if got, want := len(rep.Points), len(sizes)*(len(wantKernels)+len(workers)); got != want {
 		t.Fatalf("%d points, want %d", got, want)

@@ -1,0 +1,8 @@
+//go:build !amd64
+
+package matrix
+
+// axpyAVX is never called when gemmHaveAVX is false.
+func axpyAVX(alpha float64, x, y *float64, n int) {
+	panic("matrix: axpyAVX without AVX support")
+}

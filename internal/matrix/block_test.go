@@ -388,3 +388,84 @@ func TestBinOpScalarOpStrings(t *testing.T) {
 		}
 	}
 }
+
+// apply is the per-cell definition of the binary operators: the reference
+// the per-operator loops of applyInto are held to.
+func (op BinOp) apply(a, b float64) float64 {
+	switch op {
+	case OpAdd:
+		return a + b
+	case OpSub:
+		return a - b
+	case OpCellMul:
+		return a * b
+	case OpCellDiv:
+		return a / b
+	default:
+		panic("matrix: unknown BinOp")
+	}
+}
+
+// apply is the per-cell definition of the scalar operators.
+func (op ScalarOp) apply(x, c float64) float64 {
+	switch op {
+	case ScalarMul:
+		return x * c
+	case ScalarAdd:
+		return x + c
+	case ScalarSub:
+		return x - c
+	case ScalarDiv:
+		return x / c
+	case ScalarRSub:
+		return c - x
+	case ScalarRDiv:
+		return c / x
+	default:
+		panic("matrix: unknown ScalarOp")
+	}
+}
+
+// TestOperatorLoopsMatchPerCell checks every operator's block loop against
+// its per-cell definition, bit for bit, on dense and sparse operands.
+func TestOperatorLoopsMatchPerCell(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	a, b := randDense(rng, 9, 7), randDense(rng, 9, 7)
+	b.Data[3] = 0 // a division by zero must come out the same too
+	for _, op := range []BinOp{OpAdd, OpSub, OpCellMul, OpCellDiv} {
+		got, err := Cellwise(op, a, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		into := NewDense(9, 7)
+		if err := CellwiseInto(into, op, a, b); err != nil {
+			t.Fatal(err)
+		}
+		for i := range a.Data {
+			want := math.Float64bits(op.apply(a.Data[i], b.Data[i]))
+			if g := got.(*DenseBlock).Data[i]; math.Float64bits(g) != want || math.Float64bits(into.Data[i]) != want {
+				t.Fatalf("op %v cell %d: Cellwise %v, CellwiseInto %v, per-cell %v", op, i, g, into.Data[i], op.apply(a.Data[i], b.Data[i]))
+			}
+		}
+	}
+	s := randSparse(rng, 9, 7, 0.4)
+	for _, op := range []ScalarOp{ScalarMul, ScalarAdd, ScalarSub, ScalarDiv, ScalarRSub, ScalarRDiv} {
+		for _, blk := range []Block{a, s} {
+			got := Scalar(op, blk, 2.5)
+			if got.IsSparse() != (blk.IsSparse() && op.SparsityPreserving(2.5)) {
+				t.Fatalf("op %v: result sparse=%v", op, got.IsSparse())
+			}
+			for i := 0; i < 9; i++ {
+				for j := 0; j < 7; j++ {
+					want := op.apply(blk.At(i, j), 2.5)
+					if blk.IsSparse() && got.IsSparse() && blk.At(i, j) == 0 {
+						want = 0 // cells outside the pattern are not computed
+					}
+					if g := got.At(i, j); math.Float64bits(g) != math.Float64bits(want) {
+						t.Fatalf("op %v sparse=%v at (%d,%d): got %v, per-cell %v", op, blk.IsSparse(), i, j, g, want)
+					}
+				}
+			}
+		}
+	}
+}

@@ -7,14 +7,14 @@ import (
 
 // FuzzMulKernels drives the full multiply surface — serial and parallel
 // classical, Strassen, every transpose combination, dense and sparse
-// operands — from one fuzzed seed and checks each result against the generic
-// oracle. The parallel-vs-serial comparison is exact (bit identity is the
+// operands (square and thin, at 30 % and 1 % density) — from one fuzzed seed
+// and checks each result against the generic oracle. The parallel-vs-serial comparison is exact (bit identity is the
 // kernel's contract); Strassen is held to its 1e-9 contract.
 func FuzzMulKernels(f *testing.F) {
 	for seed := int64(0); seed < 12; seed++ {
 		f.Add(seed)
 	}
-	dims := []int{1, 2, 3, 17, 31, 33, 64, 65, 97, 130}
+	dims := []int{1, 2, 3, 17, 31, 33, 64, 65, 97, 130, 200}
 	f.Fuzz(func(t *testing.T, seed int64) {
 		defer SetKernelWorkers(SetKernelWorkers(1))
 		rng := rand.New(rand.NewSource(seed))
@@ -30,14 +30,36 @@ func FuzzMulKernels(f *testing.F) {
 		if bT {
 			br, bc = p, m
 		}
+		aSparse, bSparse := rng.Intn(4) == 0, rng.Intn(4) == 0
+		if (aSparse || bSparse) && rng.Intn(2) == 0 {
+			// Sparse products run thin in practice (a rank vector, a k-wide
+			// factor): pin one dimension to a thin size and redo the shapes.
+			thin := []int{1, 2, 3, 4, 64}[rng.Intn(5)]
+			switch rng.Intn(3) {
+			case 0:
+				n = thin
+			case 1:
+				m = thin
+			default:
+				p = thin
+			}
+			ar, ac, br, bc = n, m, m, p
+			if aT {
+				ar, ac = m, n
+			}
+			if bT {
+				br, bc = p, m
+			}
+		}
+		density := []float64{0.3, 0.01}[rng.Intn(2)]
 		var a, b Block
-		if rng.Intn(4) == 0 {
-			a = randSparse(rng, ar, ac, 0.3)
+		if aSparse {
+			a = randSparse(rng, ar, ac, density)
 		} else {
 			a = randDense(rng, ar, ac)
 		}
-		if rng.Intn(4) == 0 {
-			b = randSparse(rng, br, bc, 0.3)
+		if bSparse {
+			b = randSparse(rng, br, bc, density)
 		} else {
 			b = randDense(rng, br, bc)
 		}
@@ -50,6 +72,20 @@ func FuzzMulKernels(f *testing.F) {
 		}
 		if !Equal(serial, want, 1e-9) {
 			t.Fatalf("serial kernel differs from oracle (%dx%dx%d aT=%v bT=%v)", n, m, p, aT, bT)
+		}
+
+		// The one-pass sparse x dense kernels are held to the loops they
+		// replaced bit for bit, not just to the oracle's tolerance.
+		if aSparse != bSparse {
+			ref := NewDense(n, p)
+			if aSparse {
+				refMulAddSD(ref, a.(*CSCBlock), b.(*DenseBlock), aT, bT)
+			} else {
+				refMulAddDS(ref, a.(*DenseBlock), b.(*CSCBlock), aT, bT)
+			}
+			if i := sameBits(serial.Data, ref.Data); i >= 0 {
+				t.Fatalf("sparse kernel not bit-identical to its reference loop at %d (%dx%dx%d aT=%v bT=%v aSparse=%v density=%v)", i, n, m, p, aT, bT, aSparse, density)
+			}
 		}
 
 		SetKernelWorkers(2 + rng.Intn(6))

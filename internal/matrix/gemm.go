@@ -24,7 +24,7 @@ import "sync"
 //
 // Above gemmParMin flops the MC-strip loop is partitioned across the shared
 // kernel worker pool (parallel.go): the packed B strip is shared read-only,
-// every participant packs A strips into its own arena, and strips write
+// every strip packs A into an arena it holds for that strip, and strips write
 // disjoint result rows, so the parallel kernel is race-free and bit-identical
 // to the serial one at every worker count (the k-panel loop — the only loop
 // whose order reaches the floating-point accumulation — stays serial).
@@ -52,8 +52,8 @@ const (
 
 // Pack-buffer arenas. The A and B halves are pooled separately because the
 // parallel kernel shares one packed B strip across all participants while
-// every participant packs A strips into its own arena; sync.Pool hands each
-// Get an exclusive buffer, which is exactly the per-worker ownership the
+// every strip packs A into its own arena; sync.Pool hands each
+// Get an exclusive buffer, which is exactly the per-strip ownership the
 // race-free packing needs. Steady-state multiplications allocate nothing.
 var gemmABufPool = sync.Pool{
 	New: func() any {
@@ -115,11 +115,13 @@ func gemmStrided(c []float64, ldc, n, p int, a []float64, lda int, aT bool, b []
 			gemmPackB(bbuf, b, ldb, bT, k0, kw, j0, jw)
 			if parallel {
 				k0, j0, kw, jw := k0, j0, kw, jw
-				parallelStrips(iStrips, workers, func(s int, abuf []float64) {
+				parallelStrips(iStrips, workers, func(s int) {
+					abufp := gemmABufPool.Get().(*[]float64)
 					i0 := s * gemmMC
 					iw := min(gemmMC, n-i0)
-					gemmPackA(abuf, a, lda, aT, i0, iw, k0, kw)
-					gemmMacro(c, ldc, i0, j0, iw, jw, kw, abuf, bbuf)
+					gemmPackA(*abufp, a, lda, aT, i0, iw, k0, kw)
+					gemmMacro(c, ldc, i0, j0, iw, jw, kw, *abufp, bbuf)
+					gemmABufPool.Put(abufp)
 				})
 				continue
 			}

@@ -1,6 +1,9 @@
 package matrix
 
-import "fmt"
+import (
+	"fmt"
+	"sync/atomic"
+)
 
 // Grid is a logical matrix partitioned into square blocks of side BlockSize
 // (trailing blocks are ragged). Grid is the first level of the two-level
@@ -13,6 +16,11 @@ type Grid struct {
 	brows      int
 	bcols      int
 	blocks     []Block
+	// nnz memoises NNZ() as count+1 (0: not counted yet). Blocks in a grid
+	// are immutable apart from SetBlock and Set, which reset it, so the
+	// accounting paths that ask for NNZ on every operator scan each dense
+	// payload once per grid instead of once per call.
+	nnz atomic.Int64
 }
 
 // NewGrid creates a rows x cols grid with the given block size. All blocks
@@ -60,7 +68,7 @@ func FromDense(rows, cols, blockSize int, data []float64) *Grid {
 	for i := 0; i < rows; i++ {
 		for j := 0; j < cols; j++ {
 			if v := data[i*cols+j]; v != 0 {
-				g.Set(i, j, v)
+				g.blocks[(i/blockSize)*g.bcols+j/blockSize].(*DenseBlock).Set(i%blockSize, j%blockSize, v)
 			}
 		}
 	}
@@ -135,6 +143,7 @@ func (g *Grid) SetBlock(bi, bj int, b Block) {
 		panic(fmt.Sprintf("matrix: block (%d,%d) must be %dx%d, got %dx%d", bi, bj, r, c, b.Rows(), b.Cols()))
 	}
 	g.blocks[bi*g.bcols+bj] = b
+	g.nnz.Store(0)
 }
 
 // At returns the element at global coordinates (i, j).
@@ -150,14 +159,22 @@ func (g *Grid) Set(i, j int, v float64) {
 		panic("matrix: Set on a sparse block; rebuild with FromCoords")
 	}
 	d.Set(i%g.bs, j%g.bs, v)
+	g.nnz.Store(0)
 }
 
-// NNZ returns the total number of stored non-zero elements.
+// NNZ returns the total number of stored non-zero elements. The count is
+// memoised until the next SetBlock or Set; code that writes into a block's
+// payload behind the grid's back (only legal while it alone holds the grid)
+// must do so before the first NNZ call.
 func (g *Grid) NNZ() int {
+	if v := g.nnz.Load(); v > 0 {
+		return int(v - 1)
+	}
 	n := 0
 	for _, b := range g.blocks {
 		n += b.NNZ()
 	}
+	g.nnz.Store(int64(n) + 1)
 	return n
 }
 

@@ -2,6 +2,7 @@ package matrix
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -222,5 +223,71 @@ func TestQuickGridTranspose(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestGridNNZMemoInvalidation checks that every way of changing a grid's
+// contents through the Grid API drops the memoised count.
+func TestGridNNZMemoInvalidation(t *testing.T) {
+	g := NewDenseGrid(5, 5, 2)
+	if got := g.NNZ(); got != 0 {
+		t.Fatalf("empty grid NNZ = %d", got)
+	}
+	g.Set(4, 4, 3)
+	if got := g.NNZ(); got != 1 {
+		t.Fatalf("NNZ after Set = %d, want 1", got)
+	}
+	g.Set(4, 4, 0)
+	if got := g.NNZ(); got != 0 {
+		t.Fatalf("NNZ after Set to zero = %d, want 0", got)
+	}
+	g.SetBlock(0, 1, NewCSC(2, 2, []Coord{{0, 0, 1}, {1, 1, 2}}))
+	if got := g.NNZ(); got != 2 {
+		t.Fatalf("NNZ after SetBlock = %d, want 2", got)
+	}
+	g.SetBlock(0, 1, NewCSCEmpty(2, 2))
+	if got := g.NNZ(); got != 0 {
+		t.Fatalf("NNZ after SetBlock(empty) = %d, want 0", got)
+	}
+	// Derived grids start uncounted rather than inheriting a stale memo.
+	g.Set(0, 0, 7)
+	if c := g.Clone(); c.NNZ() != 1 || g.Transpose().NNZ() != 1 {
+		t.Fatalf("derived grids miscount: clone %d", c.NNZ())
+	}
+	c := g.Clone()
+	c.Set(1, 1, 1)
+	if g.NNZ() != 1 || c.NNZ() != 2 {
+		t.Fatalf("clone shares the memo: %d, %d", g.NNZ(), c.NNZ())
+	}
+}
+
+// TestGridNNZConcurrent has many goroutines ask an uncounted grid for its
+// NNZ at once, the way parallel operators charge FLOPs against a shared
+// operand; under -race it pins the memo as race-free.
+func TestGridNNZConcurrent(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	data := make([]float64, 40*30)
+	want := 0
+	for i := range data {
+		if rng.Intn(3) == 0 {
+			data[i] = rng.NormFloat64()
+			want++
+		}
+	}
+	for round := 0; round < 20; round++ {
+		g := FromDense(40, 30, 7, data)
+		var wg sync.WaitGroup
+		for w := 0; w < 8; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for k := 0; k < 5; k++ {
+					if got := g.NNZ(); got != want {
+						t.Errorf("NNZ = %d, want %d", got, want)
+					}
+				}
+			}()
+		}
+		wg.Wait()
 	}
 }

@@ -1,6 +1,10 @@
 package matrix
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+	"sync"
+)
 
 // Block multiplication kernels. MulAddInto is the In-Place primitive of
 // Section 5.3: all block products contributing to the same result block are
@@ -11,9 +15,24 @@ import "fmt"
 //
 // Every kernel additionally exists in transpose-fused form: MulAddTransInto
 // computes dst += op(a)*op(b) where either operand may be logically
-// transposed, reading the transposed operand by stride (dense) or by
-// reinterpreting CSC as CSR (sparse) instead of materializing a transposed
-// copy. The dense x dense path runs the register-tiled GEMM in gemm.go.
+// transposed. No transposed block is ever allocated: a sparse operand is
+// transposed by reinterpreting CSC as CSR, a dense one while it is packed
+// into pooled scratch. The dense x dense path runs the register-tiled GEMM
+// in gemm.go.
+//
+// The sparse x dense and dense x sparse kernels follow one rule: stream the
+// CSC operand once per block product, and make every stored non-zero one
+// contiguous axpy y[0:w] += v * x[0:w] over all w lanes of the dense side
+// (the result's columns when the sparse operand is on the left, its rows
+// when it is on the right). Whatever is not contiguous as stored — a
+// transposed dense operand, or dst itself when its columns are the lanes —
+// is transposed into scratch once per product rather than read by stride
+// once per non-zero. A product large enough is cut into strips of disjoint
+// result rows (sparse left) or columns (sparse right) run on the kernel
+// worker pool (parallel.go). None of this reorders a sum: each result
+// element receives exactly the floating-point operations of the plain loop
+// nests kept as references in mul_sparse_test.go, at every worker count and
+// with the assembly axpy on or off.
 
 // MulAddInto computes dst += a * b. dst must be an owned dense block of
 // shape a.Rows() x b.Cols().
@@ -23,8 +42,8 @@ func MulAddInto(dst *DenseBlock, a, b Block) error {
 
 // MulAddTransInto computes dst += op(a) * op(b), where op(x) is x when the
 // corresponding flag is false and the transpose of x when true. dst must be
-// an owned dense block of the logical result shape. Transposed operands are
-// read in place — no transposed block is allocated on any path.
+// an owned dense block of the logical result shape. No transposed block is
+// allocated on any path.
 func MulAddTransInto(dst *DenseBlock, a, b Block, aT, bT bool) error {
 	n, m := transDims(a, aT)
 	mb, p := transDims(b, bT)
@@ -91,96 +110,299 @@ func MulAddNaive(dst, a, b *DenseBlock) {
 	}
 }
 
-// mulAddSD computes dst += op(A)*op(B) with sparse A (CSC) and dense B.
-// Untransposed, column k of A pairs with row k of B: dst[i,:] += A[i,k]*B[k,:].
-// With aT, stored column i of A is logical row i: dst[i,:] += A[k,i]*opB[k,:].
-// With bT, row k of op(B) is stored column k of B, read by stride.
-func mulAddSD(dst *DenseBlock, a *CSCBlock, b *DenseBlock, aT, bT bool) {
-	p := dst.cols
-	ldb := b.cols
-	if aT {
-		// op(A)[i,k] = A[k,i]: enumerate stored column i; entries are (k, av).
-		for i := 0; i < a.cols; i++ {
-			drow := dst.Data[i*p : (i+1)*p]
-			for idx := a.ColPtr[i]; idx < a.ColPtr[i+1]; idx++ {
-				k := int(a.RowIdx[idx])
-				av := a.Values[idx]
-				if bT {
-					for j := 0; j < p; j++ {
-						drow[j] += av * b.Data[j*ldb+k]
-					}
-				} else {
-					brow := b.Data[k*ldb : k*ldb+p]
-					for j, bv := range brow {
-						drow[j] += av * bv
-					}
-				}
-			}
-		}
+// Sparse x dense tuning constants.
+const (
+	// spMinStrip is the fewest result rows (sparse x dense) or columns
+	// (dense x sparse) worth a participant of its own; strips are a multiple
+	// of eight so that neighbours do not share a cache line of dst.
+	spMinStrip = 16
+	// spParMin is the multiply-add count (stored non-zeros x lanes) below
+	// which one product is not fanned out: a strip sweep costs a few
+	// microseconds of hand-off, which a product under ~50 us does not repay.
+	spParMin = 1 << 18
+	// dsRowDotMax is the largest row count n of op(A) for which an
+	// untransposed dense x CSC product runs as n row-dot passes over the CSC
+	// operand instead of packing a transposed A panel for one lane-wide
+	// pass: below five lanes an axpy is all call overhead. PageRank's 1 x N
+	// rank vector sits on this side, GNMF's 64 x N factors on the other.
+	dsRowDotMax = 4
+	// dsColTile is how many result columns the dense x CSC kernel
+	// accumulates before adding them into dst, so that dst is written a
+	// cache line per row at a time rather than one strided element.
+	dsColTile = 8
+	// spPanel is how many rows of a transposed dense operand a scatter packs
+	// at a time: the rows are consumed in order, so scratch stays a few
+	// hundred KB whatever the block size.
+	spPanel = 256
+)
+
+// spScratchPools holds the scratch the sparse x dense kernels pack into
+// (transposed panels, column accumulators), one pool per power-of-two
+// capacity so that a small request never draws, outgrows and drops a large
+// buffer. Steady-state products allocate nothing.
+var spScratchPools [bits.UintSize]sync.Pool
+
+// spScratch returns a pooled buffer of n elements with unspecified contents;
+// hand it back with spScratchPut.
+func spScratch(n int) *[]float64 {
+	class := bits.Len(uint(max(n, 1) - 1)) // smallest class with 1<<class >= n
+	if bp, _ := spScratchPools[class].Get().(*[]float64); bp != nil {
+		*bp = (*bp)[:n]
+		return bp
+	}
+	buf := make([]float64, n, 1<<class)
+	return &buf
+}
+
+func spScratchPut(bp *[]float64) {
+	spScratchPools[bits.Len(uint(cap(*bp)))-1].Put(bp)
+}
+
+// spStrips cuts the total result rows or columns of one sparse x dense
+// product carrying madds multiply-adds into equal strips, at most one per
+// kernel worker, and returns the strip size and count; a count of one means
+// the product stays on the caller.
+func spStrips(total, madds int) (step, strips int) {
+	strips = min(KernelWorkers(), total/spMinStrip)
+	if strips < 2 || madds < spParMin {
+		return total, 1
+	}
+	step = ((total+strips-1)/strips + 7) &^ 7
+	return step, (total + step - 1) / step
+}
+
+// axpy computes y[0:len(x)] += alpha * x; y must be at least as long as x.
+func axpy(alpha float64, x, y []float64) {
+	if gemmHaveAVX && len(x) >= 4 && len(y) >= len(x) {
+		axpyAVX(alpha, &x[0], &y[0], len(x))
 		return
 	}
-	for k := 0; k < a.cols; k++ {
-		for idx := a.ColPtr[k]; idx < a.ColPtr[k+1]; idx++ {
-			i := int(a.RowIdx[idx])
-			av := a.Values[idx]
-			drow := dst.Data[i*p : (i+1)*p]
-			if bT {
-				for j := 0; j < p; j++ {
-					drow[j] += av * b.Data[j*ldb+k]
-				}
+	axpyGo(alpha, x, y)
+}
+
+// axpyGo is the portable axpy; axpyAVX matches it bit for bit.
+func axpyGo(alpha float64, x, y []float64) {
+	y = y[:len(x)]
+	for i, xv := range x {
+		y[i] += alpha * xv
+	}
+}
+
+// axpyNZ is axpy skipping the lanes where x is zero: the dense x CSC^T
+// product has always left a result element untouched when its op(A) factor
+// is zero, which is observable (0 * Inf, -0 + 0) and so kept.
+func axpyNZ(alpha float64, x, y []float64) {
+	y = y[:len(x)]
+	for i, xv := range x {
+		if xv != 0 {
+			y[i] += alpha * xv
+		}
+	}
+}
+
+// packTrans writes the transpose of the rw x cw window at (r0, c0) of the
+// row-major matrix src (leading dimension ld) into buf: buf[c*rw+r] =
+// src[(r0+r)*ld+c0+c]. Eight source rows are read as streams at a time, so
+// the reads are sequential whatever ld is and every store fills one whole
+// cache line of buf.
+func packTrans(buf, src []float64, ld, r0, rw, c0, cw int) {
+	r := 0
+	for ; r+8 <= rw; r += 8 {
+		var s [8][]float64
+		for k := range s {
+			base := (r0+r+k)*ld + c0
+			s[k] = src[base : base+cw]
+		}
+		for c := range s[0] {
+			q := (*[8]float64)(buf[c*rw+r:])
+			q[0], q[1], q[2], q[3] = s[0][c], s[1][c], s[2][c], s[3][c]
+			q[4], q[5], q[6], q[7] = s[4][c], s[5][c], s[6][c], s[7][c]
+		}
+	}
+	for ; r < rw; r++ {
+		base := (r0+r)*ld + c0
+		for c, v := range src[base : base+cw] {
+			buf[c*rw+r] = v
+		}
+	}
+}
+
+// unpackTrans is the inverse of packTrans: dst[(r0+r)*ld+c0+c] = buf[c*rw+r].
+func unpackTrans(dst, buf []float64, ld, r0, rw, c0, cw int) {
+	for r := 0; r < rw; r++ {
+		base := (r0+r)*ld + c0
+		row := dst[base : base+cw]
+		for c := range row {
+			row[c] = buf[c*rw+r]
+		}
+	}
+}
+
+// cscRowRange narrows the stored entries [lo, hi) of one CSC column, whose
+// row indices ascend, to those with a row index in [r0, r1).
+func cscRowRange(rowIdx []int32, lo, hi, r0, r1 int32) (int32, int32) {
+	first := func(lo, hi, r int32) int32 {
+		for lo < hi {
+			mid := lo + (hi-lo)/2
+			if rowIdx[mid] < r {
+				lo = mid + 1
 			} else {
-				brow := b.Data[k*ldb : k*ldb+p]
-				for j, bv := range brow {
-					drow[j] += av * bv
-				}
+				hi = mid
+			}
+		}
+		return lo
+	}
+	// A strip at either edge of the block keeps that end of every column:
+	// one comparison instead of a search.
+	if lo < hi && rowIdx[lo] < r0 {
+		lo = first(lo, hi, r0)
+	}
+	if lo < hi && rowIdx[hi-1] >= r1 {
+		hi = first(lo, hi, r1)
+	}
+	return lo, hi
+}
+
+// mulAddSD computes dst += op(A)*op(B) with sparse A (CSC) and dense B. A is
+// streamed once and every stored non-zero does one axpy over the p result
+// columns: dst[i,:] += op(A)[i,k] * op(B)[k,:], in ascending k for each i.
+// Strips own disjoint result rows.
+func mulAddSD(dst *DenseBlock, a *CSCBlock, b *DenseBlock, aT, bT bool) {
+	n, p := dst.rows, dst.cols
+	if len(a.Values) == 0 || p == 0 {
+		return
+	}
+	step, strips := spStrips(n, len(a.Values)*p)
+	if !aT {
+		if strips == 1 {
+			mulAddSDScatter(dst, a, b, bT, 0, n)
+			return
+		}
+		parallelStrips(strips, strips, func(s int) {
+			mulAddSDScatter(dst, a, b, bT, s*step, min(n, (s+1)*step))
+		})
+		return
+	}
+	// The gather reads rows of op(B) in the order of A's row indices, so all
+	// of a transposed B is packed up front and shared by the strips.
+	x := b.Data
+	if bT {
+		xp := spScratch(len(b.Data))
+		defer spScratchPut(xp)
+		packTrans(*xp, b.Data, b.cols, 0, p, 0, b.cols)
+		x = *xp
+	}
+	if strips == 1 {
+		mulAddSDGather(dst, a, x, 0, n)
+		return
+	}
+	parallelStrips(strips, strips, func(s int) {
+		mulAddSDGather(dst, a, x, s*step, min(n, (s+1)*step))
+	})
+}
+
+// mulAddSDGather is the aT form of mulAddSD for result rows [i0, i1), with x
+// holding op(B) row-major: stored column i of A is logical row i of op(A),
+// so each column of the range gathers into its own row of dst.
+func mulAddSDGather(dst *DenseBlock, a *CSCBlock, x []float64, i0, i1 int) {
+	p := dst.cols
+	for c := i0; c < i1; c++ {
+		y := dst.Data[c*p : (c+1)*p]
+		for idx := a.ColPtr[c]; idx < a.ColPtr[c+1]; idx++ {
+			r := int(a.RowIdx[idx])
+			axpy(a.Values[idx], x[r*p:(r+1)*p], y)
+		}
+	}
+}
+
+// mulAddSDScatter is the untransposed-A form of mulAddSD for result rows
+// [i0, i1): stored column k of A scatters row k of op(B) into the rows of
+// dst it names, of which the strip takes those in its range. Rows of op(B)
+// are needed in order, so a transposed B is packed spPanel rows at a time.
+func mulAddSDScatter(dst *DenseBlock, a *CSCBlock, b *DenseBlock, bT bool, i0, i1 int) {
+	p := dst.cols
+	whole := i0 == 0 && i1 == dst.rows
+	var panel []float64
+	if bT {
+		pp := spScratch(min(spPanel, a.cols) * p)
+		defer spScratchPut(pp)
+		panel = *pp
+	}
+	for c0 := 0; c0 < a.cols; c0 += spPanel {
+		cw := min(spPanel, a.cols-c0)
+		if a.ColPtr[c0] == a.ColPtr[c0+cw] {
+			continue
+		}
+		x := panel
+		if bT {
+			packTrans(panel, b.Data, b.cols, 0, p, c0, cw)
+		} else {
+			x = b.Data[c0*p:]
+		}
+		for c := 0; c < cw; c++ {
+			lo, hi := a.ColPtr[c0+c], a.ColPtr[c0+c+1]
+			if !whole {
+				lo, hi = cscRowRange(a.RowIdx, lo, hi, int32(i0), int32(i1))
+			}
+			xr := x[c*p : (c+1)*p]
+			for idx := lo; idx < hi; idx++ {
+				r := int(a.RowIdx[idx])
+				axpy(a.Values[idx], xr, dst.Data[r*p:(r+1)*p])
 			}
 		}
 	}
 }
 
-// mulAddDS computes dst += op(A)*op(B) with dense A and sparse B (CSC).
-// Untransposed, the result is built row-by-row: dst[i,j] is the dot product
-// of dense row i with stored column j of B, so dst is written with unit
-// stride (the old kernel scattered down dst columns, thrashing the cache).
-// With bT, op(B) is the CSR view of B: stored column k of B lists the
-// (j, bv) pairs of logical row k, giving a row-major saxpy.
+// mulAddDS computes dst += op(A)*op(B) with dense A and sparse B (CSC). B is
+// streamed once and every stored non-zero does one axpy over the n result
+// rows, against a contiguous row of op(A)^T: A's own rows when aT, a packed
+// transpose otherwise. Only an untransposed A of at most dsRowDotMax rows is
+// too thin for that and takes row-dot passes. Strips own disjoint result
+// columns.
 func mulAddDS(dst *DenseBlock, a *DenseBlock, b *CSCBlock, aT, bT bool) {
-	n := dst.rows
-	p := dst.cols
-	lda := a.cols
-	if bT {
-		// op(B)[k,j] = B[j,k]: stored column k of B holds row k of op(B).
-		for i := 0; i < n; i++ {
-			drow := dst.Data[i*p : (i+1)*p]
-			for k := 0; k < b.cols; k++ {
-				var av float64
-				if aT {
-					av = a.Data[k*lda+i]
-				} else {
-					av = a.Data[i*lda+k]
-				}
-				if av == 0 {
-					continue
-				}
-				for idx := b.ColPtr[k]; idx < b.ColPtr[k+1]; idx++ {
-					drow[b.RowIdx[idx]] += av * b.Values[idx]
-				}
-			}
-		}
+	n, p := dst.rows, dst.cols
+	if !aT && !bT && n <= dsRowDotMax {
+		mulAddDSRowDot(dst, a, b)
 		return
 	}
-	for i := 0; i < n; i++ {
-		drow := dst.Data[i*p : (i+1)*p]
-		if aT {
-			for j := 0; j < b.cols; j++ {
-				s := 0.0
-				for idx := b.ColPtr[j]; idx < b.ColPtr[j+1]; idx++ {
-					s += a.Data[int(b.RowIdx[idx])*lda+i] * b.Values[idx]
-				}
-				drow[j] += s
-			}
-			continue
+	if n == 0 || (bT && len(b.Values) == 0) {
+		return
+	}
+	step, strips := spStrips(p, len(b.Values)*n)
+	if bT {
+		if strips == 1 {
+			mulAddDSScatter(dst, a, aT, b, 0, p)
+			return
 		}
+		parallelStrips(strips, strips, func(s int) {
+			mulAddDSScatter(dst, a, aT, b, s*step, min(p, (s+1)*step))
+		})
+		return
+	}
+	// The gather reads rows of op(A)^T in the order of B's row indices, so
+	// all of an untransposed A is packed up front and shared by the strips.
+	x := a.Data
+	if !aT {
+		xp := spScratch(len(a.Data))
+		defer spScratchPut(xp)
+		packTrans(*xp, a.Data, a.cols, 0, n, 0, a.cols)
+		x = *xp
+	}
+	if strips == 1 {
+		mulAddDSGather(dst, x, b, 0, p)
+		return
+	}
+	parallelStrips(strips, strips, func(s int) {
+		mulAddDSGather(dst, x, b, s*step, min(p, (s+1)*step))
+	})
+}
+
+// mulAddDSRowDot computes dst += A*B row by row: dst[i,j] gains the dot
+// product of dense row i with stored column j of B, one pass over B per row.
+func mulAddDSRowDot(dst *DenseBlock, a *DenseBlock, b *CSCBlock) {
+	p, lda := dst.cols, a.cols
+	for i := 0; i < dst.rows; i++ {
+		drow := dst.Data[i*p : (i+1)*p]
 		arow := a.Data[i*lda : (i+1)*lda]
 		for j := 0; j < b.cols; j++ {
 			s := 0.0
@@ -188,6 +410,105 @@ func mulAddDS(dst *DenseBlock, a *DenseBlock, b *CSCBlock, aT, bT bool) {
 				s += arow[b.RowIdx[idx]] * b.Values[idx]
 			}
 			drow[j] += s
+		}
+	}
+}
+
+// mulAddDSGather is the untransposed-B form of mulAddDS for result columns
+// [j0, j1), with x holding op(A)^T row-major (n lanes a row): stored column
+// j of B gathers result column j in an accumulator that starts at zero,
+// takes B[k,j]*opA[:,k] in ascending k and is added into dst once — the
+// operations of a row-dot, lane-parallel.
+func mulAddDSGather(dst *DenseBlock, x []float64, b *CSCBlock, j0, j1 int) {
+	n, p := dst.rows, dst.cols
+	accp := spScratch(dsColTile * n)
+	defer spScratchPut(accp)
+	acc := *accp
+	for c0 := j0; c0 < j1; c0 += dsColTile {
+		cw := min(dsColTile, j1-c0)
+		clear(acc[:cw*n])
+		for c := 0; c < cw; c++ {
+			y := acc[c*n : (c+1)*n]
+			for idx := b.ColPtr[c0+c]; idx < b.ColPtr[c0+c+1]; idx++ {
+				r := int(b.RowIdx[idx])
+				axpy(b.Values[idx], x[r*n:(r+1)*n], y)
+			}
+		}
+		addTile(dst.Data[c0:], p, acc, n, cw)
+	}
+}
+
+// mulAddDSScatter is the bT form of mulAddDS for result columns [j0, j1):
+// stored column k of B lists the (j, bv) pairs of row k of op(B) and
+// scatters opA[:,k]*bv into the columns of dst it names, skipping zero
+// factors of op(A) as the i-k-j loop nest does. The strip's columns of dst
+// are transposed into scratch and back so that each is contiguous; rows of
+// op(A)^T are needed in order, so an untransposed A is packed spPanel rows
+// at a time.
+func mulAddDSScatter(dst *DenseBlock, a *DenseBlock, aT bool, b *CSCBlock, j0, j1 int) {
+	n, p := dst.rows, dst.cols
+	whole := j0 == 0 && j1 == p
+	tp := spScratch((j1 - j0) * n)
+	defer spScratchPut(tp)
+	t := *tp
+	packTrans(t, dst.Data, p, 0, n, j0, j1-j0)
+	var panel []float64
+	if !aT {
+		pp := spScratch(min(spPanel, b.cols) * n)
+		defer spScratchPut(pp)
+		panel = *pp
+	}
+	for c0 := 0; c0 < b.cols; c0 += spPanel {
+		cw := min(spPanel, b.cols-c0)
+		if b.ColPtr[c0] == b.ColPtr[c0+cw] {
+			continue
+		}
+		x := panel
+		if !aT {
+			packTrans(panel, a.Data, a.cols, 0, n, c0, cw)
+		} else {
+			x = a.Data[c0*n:]
+		}
+		for c := 0; c < cw; c++ {
+			lo, hi := b.ColPtr[c0+c], b.ColPtr[c0+c+1]
+			if !whole {
+				lo, hi = cscRowRange(b.RowIdx, lo, hi, int32(j0), int32(j1))
+			}
+			xr := x[c*n : (c+1)*n]
+			for idx := lo; idx < hi; idx++ {
+				r := int(b.RowIdx[idx]) - j0
+				axpyNZ(b.Values[idx], xr, t[r*n:(r+1)*n])
+			}
+		}
+	}
+	unpackTrans(dst.Data, t, p, 0, n, j0, j1-j0)
+}
+
+// addTile adds the cw accumulated columns of acc (n lanes each, column c at
+// acc[c*n:]) into the n x cw window of d (leading dimension ld) they belong
+// to: d[i*ld+c] += acc[c*n+i].
+func addTile(d []float64, ld int, acc []float64, n, cw int) {
+	if cw == dsColTile {
+		a0 := acc[:n]
+		a1, a2, a3 := acc[n:][:n], acc[2*n:][:n], acc[3*n:][:n]
+		a4, a5, a6, a7 := acc[4*n:][:n], acc[5*n:][:n], acc[6*n:][:n], acc[7*n:][:n]
+		for i, v := range a0 {
+			q := (*[dsColTile]float64)(d[i*ld:])
+			q[0] += v
+			q[1] += a1[i]
+			q[2] += a2[i]
+			q[3] += a3[i]
+			q[4] += a4[i]
+			q[5] += a5[i]
+			q[6] += a6[i]
+			q[7] += a7[i]
+		}
+		return
+	}
+	for i := 0; i < n; i++ {
+		row := d[i*ld : i*ld+cw]
+		for c := range row {
+			row[c] += acc[c*n+i]
 		}
 	}
 }

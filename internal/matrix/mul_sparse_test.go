@@ -1,0 +1,413 @@
+package matrix
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"os"
+	"testing"
+)
+
+// TestMain lets CI run the package once more with the assembly kernels off
+// (DMAC_MATRIX_NOASM=1 go test ./internal/matrix): the override exists only
+// in the test binary.
+func TestMain(m *testing.M) {
+	if os.Getenv("DMAC_MATRIX_NOASM") != "" {
+		gemmHaveAVX = false
+	}
+	os.Exit(m.Run())
+}
+
+// refMulAddSD is the sparse x dense kernel as it stood before the one-pass
+// rewrite, kept as the bit-for-bit reference of mulAddSD.
+func refMulAddSD(dst *DenseBlock, a *CSCBlock, b *DenseBlock, aT, bT bool) {
+	p := dst.cols
+	ldb := b.cols
+	if aT {
+		// op(A)[i,k] = A[k,i]: enumerate stored column i; entries are (k, av).
+		for i := 0; i < a.cols; i++ {
+			drow := dst.Data[i*p : (i+1)*p]
+			for idx := a.ColPtr[i]; idx < a.ColPtr[i+1]; idx++ {
+				k := int(a.RowIdx[idx])
+				av := a.Values[idx]
+				if bT {
+					for j := 0; j < p; j++ {
+						drow[j] += av * b.Data[j*ldb+k]
+					}
+				} else {
+					brow := b.Data[k*ldb : k*ldb+p]
+					for j, bv := range brow {
+						drow[j] += av * bv
+					}
+				}
+			}
+		}
+		return
+	}
+	for k := 0; k < a.cols; k++ {
+		for idx := a.ColPtr[k]; idx < a.ColPtr[k+1]; idx++ {
+			i := int(a.RowIdx[idx])
+			av := a.Values[idx]
+			drow := dst.Data[i*p : (i+1)*p]
+			if bT {
+				for j := 0; j < p; j++ {
+					drow[j] += av * b.Data[j*ldb+k]
+				}
+			} else {
+				brow := b.Data[k*ldb : k*ldb+p]
+				for j, bv := range brow {
+					drow[j] += av * bv
+				}
+			}
+		}
+	}
+}
+
+// refMulAddDS is the dense x sparse kernel as it stood before the one-pass
+// rewrite, kept as the bit-for-bit reference of mulAddDS.
+func refMulAddDS(dst *DenseBlock, a *DenseBlock, b *CSCBlock, aT, bT bool) {
+	n := dst.rows
+	p := dst.cols
+	lda := a.cols
+	if bT {
+		// op(B)[k,j] = B[j,k]: stored column k of B holds row k of op(B).
+		for i := 0; i < n; i++ {
+			drow := dst.Data[i*p : (i+1)*p]
+			for k := 0; k < b.cols; k++ {
+				var av float64
+				if aT {
+					av = a.Data[k*lda+i]
+				} else {
+					av = a.Data[i*lda+k]
+				}
+				if av == 0 {
+					continue
+				}
+				for idx := b.ColPtr[k]; idx < b.ColPtr[k+1]; idx++ {
+					drow[b.RowIdx[idx]] += av * b.Values[idx]
+				}
+			}
+		}
+		return
+	}
+	for i := 0; i < n; i++ {
+		drow := dst.Data[i*p : (i+1)*p]
+		if aT {
+			for j := 0; j < b.cols; j++ {
+				s := 0.0
+				for idx := b.ColPtr[j]; idx < b.ColPtr[j+1]; idx++ {
+					s += a.Data[int(b.RowIdx[idx])*lda+i] * b.Values[idx]
+				}
+				drow[j] += s
+			}
+			continue
+		}
+		arow := a.Data[i*lda : (i+1)*lda]
+		for j := 0; j < b.cols; j++ {
+			s := 0.0
+			for idx := b.ColPtr[j]; idx < b.ColPtr[j+1]; idx++ {
+				s += arow[b.RowIdx[idx]] * b.Values[idx]
+			}
+			drow[j] += s
+		}
+	}
+}
+
+// sparseWithGaps is randSparse with every third stored column left empty.
+func sparseWithGaps(rng *rand.Rand, rows, cols int, density float64) *CSCBlock {
+	var coords []Coord
+	for i := 0; i < rows; i++ {
+		for j := 0; j < cols; j++ {
+			if j%3 != 1 && rng.Float64() < density {
+				coords = append(coords, Coord{Row: i, Col: j, Val: rng.NormFloat64()})
+			}
+		}
+	}
+	return NewCSC(rows, cols, coords)
+}
+
+// spOperands builds op-shaped operands for an n x m times m x p product with
+// the sparse one on the given side. special plants zeros and negative zeros
+// in the dense operand and an infinity in the sparse one, the values on which
+// a skipped or reordered operation would show.
+func spOperands(rng *rand.Rand, sparseLeft bool, n, m, p int, aT, bT bool, density float64, special bool) (a, b Block) {
+	ar, ac := n, m
+	if aT {
+		ar, ac = m, n
+	}
+	br, bc := m, p
+	if bT {
+		br, bc = p, m
+	}
+	dense := func(r, c int) *DenseBlock {
+		d := randDense(rng, r, c)
+		if special {
+			for i := range d.Data {
+				switch rng.Intn(6) {
+				case 0:
+					d.Data[i] = 0
+				case 1:
+					d.Data[i] = math.Copysign(0, -1)
+				}
+			}
+		}
+		return d
+	}
+	sparse := func(r, c int) *CSCBlock {
+		s := sparseWithGaps(rng, r, c, density)
+		if special && len(s.Values) > 0 {
+			s.Values[rng.Intn(len(s.Values))] = math.Inf(1)
+			s.Values[rng.Intn(len(s.Values))] = 0
+		}
+		return s
+	}
+	if sparseLeft {
+		return sparse(ar, ac), dense(br, bc)
+	}
+	return dense(ar, ac), sparse(br, bc)
+}
+
+func sameBits(x, y []float64) int {
+	for i := range x {
+		if math.Float64bits(x[i]) != math.Float64bits(y[i]) {
+			return i
+		}
+	}
+	return -1
+}
+
+// TestSparseDenseBitIdentical holds the one-pass sparse x dense kernels to
+// the loops they replaced, bit for bit: every operand order, transpose flag,
+// thin and ragged shape, empty columns and blocks, a non-zero dst on entry,
+// the assembly axpy on and off, and worker counts that cut the lanes into
+// one to seven strips (the 200-deep shapes clear spParMin).
+func TestSparseDenseBitIdentical(t *testing.T) {
+	defer SetKernelWorkers(SetKernelWorkers(1))
+	defer func(v bool) { gemmHaveAVX = v }(gemmHaveAVX)
+	haveAVX := gemmHaveAVX
+	shapes := [][3]int{
+		{1, 7, 6}, {2, 7, 37}, {3, 33, 5}, {5, 7, 1}, {4, 9, 4},
+		{1, 200, 150}, {2, 200, 65}, {3, 200, 150}, {5, 200, 37},
+		{64, 200, 150}, {65, 200, 150}, {150, 200, 64}, {150, 200, 65},
+		{64, 33, 6}, {37, 200, 70}, {150, 7, 150},
+	}
+	type variant struct {
+		density float64
+		special bool
+	}
+	variants := []variant{{0.3, false}, {0.3, true}, {0, false}}
+	rng := rand.New(rand.NewSource(14))
+	var fanned [2]bool // a sparse-left, a sparse-right product was cut into strips
+	defer func() {
+		if !fanned[0] || !fanned[1] {
+			t.Errorf("no product of the table cleared spParMin (sparse left: %v, right: %v): the strips went untested", fanned[0], fanned[1])
+		}
+	}()
+	for _, sh := range shapes {
+		n, m, p := sh[0], sh[1], sh[2]
+		for _, sparseLeft := range []bool{true, false} {
+			for flags := 0; flags < 4; flags++ {
+				aT, bT := flags&1 != 0, flags&2 != 0
+				for _, v := range variants {
+					a, b := spOperands(rng, sparseLeft, n, m, p, aT, bT, v.density, v.special)
+					entry := randDense(rng, n, p)
+					if v.special {
+						entry.Data[rng.Intn(len(entry.Data))] = math.Copysign(0, -1)
+						entry.Data[rng.Intn(len(entry.Data))] = 0
+					}
+					SetKernelWorkers(7)
+					if sparseLeft {
+						_, strips := spStrips(n, a.NNZ()*p)
+						fanned[0] = fanned[0] || strips > 1
+					} else if !(n <= dsRowDotMax && !aT && !bT) {
+						_, strips := spStrips(p, b.NNZ()*n)
+						fanned[1] = fanned[1] || strips > 1
+					}
+					want := entry.Clone().(*DenseBlock)
+					if sparseLeft {
+						refMulAddSD(want, a.(*CSCBlock), b.(*DenseBlock), aT, bT)
+					} else {
+						refMulAddDS(want, a.(*DenseBlock), b.(*CSCBlock), aT, bT)
+					}
+					for _, avx := range []bool{false, true} {
+						if avx && !haveAVX {
+							continue
+						}
+						gemmHaveAVX = avx
+						for _, workers := range []int{1, 2, 3, 7} {
+							SetKernelWorkers(workers)
+							got := entry.Clone().(*DenseBlock)
+							if err := MulAddTransInto(got, a, b, aT, bT); err != nil {
+								t.Fatal(err)
+							}
+							if i := sameBits(got.Data, want.Data); i >= 0 {
+								t.Fatalf("%dx%dx%d sparseLeft=%v aT=%v bT=%v density=%v special=%v avx=%v workers=%d: element %d is %v, reference %v",
+									n, m, p, sparseLeft, aT, bT, v.density, v.special, avx, workers, i, got.Data[i], want.Data[i])
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSparseDenseConcurrentCallers drives the lane strips of both kernels
+// from several goroutines at once, as the executor's block tasks do; under
+// -race it pins the pooled scratch and the strip ownership as race-free.
+func TestSparseDenseConcurrentCallers(t *testing.T) {
+	defer SetKernelWorkers(SetKernelWorkers(4))
+	rng := rand.New(rand.NewSource(15))
+	const n, m, p = 64, 200, 180
+	type product struct {
+		a, b   Block
+		aT, bT bool
+		want   *DenseBlock
+	}
+	var products []product
+	for flags := 0; flags < 4; flags++ {
+		aT, bT := flags&1 != 0, flags&2 != 0
+		for _, sparseLeft := range []bool{true, false} {
+			a, b := spOperands(rng, sparseLeft, n, m, p, aT, bT, 0.3, false)
+			want := NewDense(n, p)
+			if sparseLeft {
+				refMulAddSD(want, a.(*CSCBlock), b.(*DenseBlock), aT, bT)
+			} else {
+				refMulAddDS(want, a.(*DenseBlock), b.(*CSCBlock), aT, bT)
+			}
+			products = append(products, product{a, b, aT, bT, want})
+		}
+	}
+	const callers = 8
+	errs := make(chan string, callers)
+	for g := 0; g < callers; g++ {
+		go func(g int) {
+			for r := 0; r < len(products); r++ {
+				pr := products[(g+r)%len(products)]
+				got := NewDense(n, p)
+				if err := MulAddTransInto(got, pr.a, pr.b, pr.aT, pr.bT); err != nil {
+					errs <- err.Error()
+					return
+				}
+				if i := sameBits(got.Data, pr.want.Data); i >= 0 {
+					errs <- fmt.Sprintf("aT=%v bT=%v: element %d differs under concurrent callers", pr.aT, pr.bT, i)
+					return
+				}
+			}
+			errs <- ""
+		}(g)
+	}
+	for g := 0; g < callers; g++ {
+		if msg := <-errs; msg != "" {
+			t.Error(msg)
+		}
+	}
+}
+
+// TestSparseDenseAllocFree verifies that steady-state sparse x dense products
+// allocate nothing on the caller's own strip: packed panels, the transposed
+// dst and the column accumulators all come from spScratchPool. (A fanned-out
+// product additionally allocates its strip job, like the GEMM's.)
+func TestSparseDenseAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	defer SetKernelWorkers(SetKernelWorkers(1))
+	rng := rand.New(rand.NewSource(16))
+	for _, sh := range [][3]int{{64, 300, 300}, {1, 300, 300}, {300, 300, 64}} {
+		n, m, p := sh[0], sh[1], sh[2]
+		for _, sparseLeft := range []bool{true, false} {
+			for flags := 0; flags < 4; flags++ {
+				aT, bT := flags&1 != 0, flags&2 != 0
+				a, b := spOperands(rng, sparseLeft, n, m, p, aT, bT, 0.05, false)
+				dst := NewDense(n, p)
+				run := func() {
+					if err := MulAddTransInto(dst, a, b, aT, bT); err != nil {
+						t.Fatal(err)
+					}
+				}
+				run() // grow the pooled scratch
+				if allocs := testing.AllocsPerRun(10, run); allocs != 0 {
+					t.Errorf("%dx%dx%d sparseLeft=%v aT=%v bT=%v: %v allocs per product, want 0", n, m, p, sparseLeft, aT, bT, allocs)
+				}
+			}
+		}
+	}
+}
+
+// gnmfShape is the thin product the paper's GNMF spends its time in at
+// Netflix/10 with k = 64: a 64-row factor against a 1632-wide ratings block
+// at 1 % density. dmacbench -kernels times the same shapes (ds-tn, sd-nt,
+// ds-rowvec).
+const (
+	gnmfK       = 64
+	gnmfBlock   = 1632
+	gnmfDensity = 0.01
+)
+
+func benchSparse(rng *rand.Rand, rows, cols int, density float64) *CSCBlock {
+	nnz := int(density * float64(rows) * float64(cols))
+	coords := make([]Coord, nnz)
+	for i := range coords {
+		coords[i] = Coord{Row: rng.Intn(rows), Col: rng.Intn(cols), Val: rng.NormFloat64()}
+	}
+	return NewCSC(rows, cols, coords)
+}
+
+func benchMulAdd(b *testing.B, dst *DenseBlock, x, y Block, xT, yT bool) {
+	nnz := x.NNZ()
+	if y.IsSparse() {
+		nnz = y.NNZ()
+	}
+	lanes := dst.rows
+	if x.IsSparse() {
+		lanes = dst.cols
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := MulAddTransInto(dst, x, y, xT, yT); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(2*float64(nnz)*float64(lanes)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+}
+
+// BenchmarkMulAddDSTN is GNMF's W^T %*% V block product.
+func BenchmarkMulAddDSTN(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	w := randDense(rng, gnmfBlock, gnmfK)
+	v := benchSparse(rng, gnmfBlock, gnmfBlock, gnmfDensity)
+	benchMulAdd(b, NewDense(gnmfK, gnmfBlock), w, v, true, false)
+}
+
+// BenchmarkMulAddSDNT is GNMF's V %*% H^T block product.
+func BenchmarkMulAddSDNT(b *testing.B) {
+	rng := rand.New(rand.NewSource(2))
+	v := benchSparse(rng, gnmfBlock, gnmfBlock, gnmfDensity)
+	h := randDense(rng, gnmfK, gnmfBlock)
+	benchMulAdd(b, NewDense(gnmfBlock, gnmfK), v, h, false, true)
+}
+
+// BenchmarkMulAddDSRowVec is PageRank's rank %*% link block product.
+func BenchmarkMulAddDSRowVec(b *testing.B) {
+	rng := rand.New(rand.NewSource(3))
+	rank := randDense(rng, 1, gnmfBlock)
+	link := benchSparse(rng, gnmfBlock, gnmfBlock, gnmfDensity)
+	benchMulAdd(b, NewDense(1, gnmfBlock), rank, link, false, false)
+}
+
+// BenchmarkMulAddDSNN and BenchmarkMulAddSDNN are the square untransposed
+// products dmacbench -kernels has always timed as ds and sd.
+func BenchmarkMulAddDSNN(b *testing.B) {
+	rng := rand.New(rand.NewSource(4))
+	a := randDense(rng, 512, 512)
+	s := benchSparse(rng, 512, 512, 0.05)
+	benchMulAdd(b, NewDense(512, 512), a, s, false, false)
+}
+
+func BenchmarkMulAddSDNN(b *testing.B) {
+	rng := rand.New(rand.NewSource(5))
+	s := benchSparse(rng, 512, 512, 0.05)
+	d := randDense(rng, 512, 512)
+	benchMulAdd(b, NewDense(512, 512), s, d, false, false)
+}

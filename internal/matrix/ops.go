@@ -29,16 +29,27 @@ func (op BinOp) String() string {
 	}
 }
 
-func (op BinOp) apply(a, b float64) float64 {
+// applyInto computes dst[i] = a[i] op b[i] with one tight loop per operator:
+// the operator is decided once per block, not once per cell.
+func (op BinOp) applyInto(dst, a, b []float64) {
+	a, b = a[:len(dst)], b[:len(dst)]
 	switch op {
 	case OpAdd:
-		return a + b
+		for i := range dst {
+			dst[i] = a[i] + b[i]
+		}
 	case OpSub:
-		return a - b
+		for i := range dst {
+			dst[i] = a[i] - b[i]
+		}
 	case OpCellMul:
-		return a * b
+		for i := range dst {
+			dst[i] = a[i] * b[i]
+		}
 	case OpCellDiv:
-		return a / b
+		for i := range dst {
+			dst[i] = a[i] / b[i]
+		}
 	default:
 		panic("matrix: unknown BinOp")
 	}
@@ -59,9 +70,7 @@ func Cellwise(op BinOp, a, b Block) (Block, error) {
 	}
 	da, db := a.Dense(), b.Dense()
 	out := NewDense(a.Rows(), a.Cols())
-	for i, av := range da.Data {
-		out.Data[i] = op.apply(av, db.Data[i])
-	}
+	op.applyInto(out.Data, da.Data, db.Data)
 	return out, nil
 }
 
@@ -99,9 +108,7 @@ func CellwiseInto(dst *DenseBlock, op BinOp, a, b Block) error {
 		return err
 	}
 	da, db := a.Dense(), b.Dense()
-	for i, av := range da.Data {
-		dst.Data[i] = op.apply(av, db.Data[i])
-	}
+	op.applyInto(dst.Data, da.Data, db.Data)
 	return nil
 }
 
@@ -139,20 +146,35 @@ func (op ScalarOp) String() string {
 	}
 }
 
-func (op ScalarOp) apply(x, c float64) float64 {
+// applyInto computes dst[i] = x[i] op c (c op x[i] for the reversed
+// operators) with one tight loop per operator; dst may alias x.
+func (op ScalarOp) applyInto(dst, x []float64, c float64) {
+	x = x[:len(dst)]
 	switch op {
 	case ScalarMul:
-		return x * c
+		for i := range dst {
+			dst[i] = x[i] * c
+		}
 	case ScalarAdd:
-		return x + c
+		for i := range dst {
+			dst[i] = x[i] + c
+		}
 	case ScalarSub:
-		return x - c
+		for i := range dst {
+			dst[i] = x[i] - c
+		}
 	case ScalarDiv:
-		return x / c
+		for i := range dst {
+			dst[i] = x[i] / c
+		}
 	case ScalarRSub:
-		return c - x
+		for i := range dst {
+			dst[i] = c - x[i]
+		}
 	case ScalarRDiv:
-		return c / x
+		for i := range dst {
+			dst[i] = c / x[i]
+		}
 	default:
 		panic("matrix: unknown ScalarOp")
 	}
@@ -179,16 +201,12 @@ func (op ScalarOp) SparsityPreserving(c float64) bool {
 func Scalar(op ScalarOp, a Block, c float64) Block {
 	if s, ok := a.(*CSCBlock); ok && op.SparsityPreserving(c) {
 		out := s.Clone().(*CSCBlock)
-		for i := range out.Values {
-			out.Values[i] = op.apply(out.Values[i], c)
-		}
+		op.applyInto(out.Values, out.Values, c)
 		return out
 	}
 	d := a.Dense()
 	out := NewDense(a.Rows(), a.Cols())
-	for i, v := range d.Data {
-		out.Data[i] = op.apply(v, c)
-	}
+	op.applyInto(out.Data, d.Data, c)
 	return out
 }
 

@@ -6,10 +6,11 @@ import (
 	"sync/atomic"
 )
 
-// Intra-op parallelism for the dense kernels.
+// Intra-op parallelism for the block kernels.
 //
-// One multiply is split into independent MC-strip tasks (disjoint result
-// rows) executed by a single shared worker pool. The pool is bounded and
+// One multiply is split into independent strip tasks (the packed GEMM's MC
+// row strips, the sparse x dense kernels' lane strips: always disjoint result
+// rows or columns) executed by a single shared worker pool. The pool is bounded and
 // long-lived: goroutines are spawned lazily up to the requested worker count
 // and then reused for every subsequent kernel call, so steady-state
 // multiplications start no goroutines. The submitting goroutine always
@@ -17,18 +18,18 @@ import (
 // when kernels nest under the block executor's own task pool: a busy pool
 // merely means the caller computes its strips itself.
 //
-// Each participant acquires its own A pack buffer for the duration of one
-// job (per-worker arenas), so the pooled packing stays race-free while the
-// shared packed-B strip is read-only. Strips own disjoint destination rows
-// and the k-panel loop stays serial in the caller, so every output element
-// accumulates its products in exactly the serial order: results are
-// bit-identical to the single-worker kernel at every worker count.
+// Every strip takes the scratch it packs into from a sync.Pool for the
+// duration of that strip, so the pooled packing stays race-free while shared
+// operands are read-only. Strips own disjoint destination elements and no
+// strip boundary cuts a summation, so every output element accumulates its
+// products in exactly the serial order: results are bit-identical to the
+// single-worker kernel at every worker count.
 
 // maxKernelWorkers bounds the shared pool. It intentionally exceeds any real
 // core count so worker-scaling experiments can oversubscribe a small machine.
 const maxKernelWorkers = 64
 
-// kernelWorkers is the target intra-op parallelism of one dense multiply.
+// kernelWorkers is the target intra-op parallelism of one block multiply.
 var kernelWorkers atomic.Int32
 
 func init() {
@@ -45,7 +46,7 @@ func clampWorkers(n int) int {
 	return n
 }
 
-// SetKernelWorkers sets the number of workers one dense multiply is split
+// SetKernelWorkers sets the number of workers one block multiply is split
 // across (clamped to [1, 64]) and returns the previous value. The default is
 // GOMAXPROCS. One worker selects the serial kernel; results are bit-identical
 // at every setting.
@@ -53,7 +54,7 @@ func SetKernelWorkers(n int) int {
 	return int(kernelWorkers.Swap(int32(clampWorkers(n))))
 }
 
-// KernelWorkers returns the current intra-op parallelism of dense multiplies.
+// KernelWorkers returns the current intra-op parallelism of block multiplies.
 func KernelWorkers() int { return int(kernelWorkers.Load()) }
 
 // stripJob is one parallel strip sweep: tasks [0, n) claimed off an atomic
@@ -63,24 +64,17 @@ type stripJob struct {
 	n    int32
 	next atomic.Int32
 	wg   sync.WaitGroup
-	// fn computes strip i using a participant-owned A pack buffer.
-	fn func(i int, abuf []float64)
+	// fn computes strip i.
+	fn func(i int)
 }
 
-// run claims strips until the job is exhausted. The buffer is acquired only
-// after winning a first strip, so a stale pickup of a finished job touches no
-// pool state.
+// run claims strips until the job is exhausted; a stale pickup of a finished
+// job claims nothing and so touches no state.
 func (j *stripJob) run() {
-	i := j.next.Add(1) - 1
-	if i >= j.n {
-		return
-	}
-	abufp := gemmABufPool.Get().(*[]float64)
-	for ; i < j.n; i = j.next.Add(1) - 1 {
-		j.fn(int(i), *abufp)
+	for i := j.next.Add(1) - 1; i < j.n; i = j.next.Add(1) - 1 {
+		j.fn(int(i))
 		j.wg.Done()
 	}
-	gemmABufPool.Put(abufp)
 }
 
 var (
@@ -110,11 +104,11 @@ func ensureGemmWorkers(n int) {
 	}
 }
 
-// parallelStrips runs fn(i, abuf) for every strip i in [0, n) across at most
+// parallelStrips runs fn(i) for every strip i in [0, n) across at most
 // `workers` participants and blocks until all strips completed. Helper
 // pickups are best-effort (non-blocking sends): under pool contention the
 // caller simply computes more strips itself.
-func parallelStrips(n, workers int, fn func(i int, abuf []float64)) {
+func parallelStrips(n, workers int, fn func(i int)) {
 	j := &stripJob{n: int32(n), fn: fn}
 	j.wg.Add(n)
 	helpers := workers - 1
