@@ -23,12 +23,19 @@ type KernelPoint struct {
 	// dd-tiled, dd-nt / dd-tn (fused transpose GEMM), sd / ds (square
 	// sparse-dense at ~5% density), ds-tn / sd-nt / ds-rowvec (the thin
 	// sparse-dense shapes that run: GNMF's W^T V and V H^T at k = 64 and
-	// PageRank's rank vector, at 1% density), dd-par (tiled kernel at
-	// Workers kernel workers), dd-strassen (Strassen recursion, eligible
-	// sizes only).
+	// PageRank's rank vector, at 1% density), ds-rowvec-hyper (the rank
+	// vector against each block of a block row of a partitioned graph in
+	// turn: hyperBlocks products an op, ~1.25 stored entries a column),
+	// ss-tn (sparse A^T B at ~5%: one Size-sided block product) and
+	// ss-tn-b32 (the same product cut into 32-wide blocks, as the server's
+	// gram job runs it: (Size/32)^3 block products an op), csc-build (matrix.FromCoords over a Size-node graph of 8 edges a node
+	// in 32-wide blocks; GFLOPS holds 1e9 coordinates/s), dd-par (tiled
+	// kernel at Workers kernel workers), dd-strassen (Strassen recursion,
+	// eligible sizes only).
 	Kernel string `json:"kernel"`
 	// Size is the square block side; the thin shapes are Size-sided in
-	// their long dimensions.
+	// their long dimensions, and ss-tn-b32 and csc-build cut a Size-sided
+	// matrix into blocks.
 	Size int `json:"size"`
 	// Workers is the kernel worker count of a dd-par point; zero elsewhere
 	// (those paths are measured at one worker).
@@ -37,7 +44,8 @@ type KernelPoint struct {
 	Reps int `json:"reps"`
 	// NsPerOp is the mean wall time of one block multiplication.
 	NsPerOp float64 `json:"ns_per_op"`
-	// GFLOPS is the achieved throughput (effective flops for sparse paths).
+	// GFLOPS is the achieved throughput (effective flops for sparse paths:
+	// two per multiply-add the stored entries call for).
 	GFLOPS float64 `json:"gflops"`
 	// Speedup is the ratio of a baseline's NsPerOp to this point's at the
 	// same size: the dd-naive baseline for the dense tiled kernels, the
@@ -66,6 +74,20 @@ const (
 	thinSparsity = 0.01
 )
 
+// The hypersparse points take the shapes a block partition leaves (the same
+// cases as matrix's BenchmarkNewCSC/FromCoords and the serve_mix and
+// pagerank_wire workloads): hyperPerCol stored entries a column is an
+// 8-edges-a-node graph cut 6 x 6, and serveBlock is dmacserve's block size.
+// A PageRank step walks every block of the graph once, so the row-vector
+// point walks hyperBlocks distinct blocks an op: one block repeated would
+// let the branch predictor learn its column lengths, which a run never can.
+const (
+	hyperPerCol = 1.25
+	hyperBlocks = 8
+	graphDegree = 8
+	serveBlock  = 32
+)
+
 // randDense returns a deterministic random rows x cols dense block.
 func randDense(rng *rand.Rand, rows, cols int) *matrix.DenseBlock {
 	d := matrix.NewDense(rows, cols)
@@ -86,6 +108,49 @@ func randSparse(rng *rand.Rand, n int, density float64) *matrix.CSCBlock {
 		})
 	}
 	return matrix.NewCSC(n, n, coords)
+}
+
+// ssTNMulAdds counts the multiply-adds of a^T * b: every pair of stored
+// entries that share a row.
+func ssTNMulAdds(a, b *matrix.CSCBlock) float64 {
+	perRow := make([]int, a.Rows())
+	for _, r := range a.RowIdx {
+		perRow[r]++
+	}
+	n := 0
+	for _, r := range b.RowIdx {
+		n += perRow[r]
+	}
+	return float64(n)
+}
+
+// gramBlocked returns dst += a^T * b as the engine runs it on grids: one
+// block product per (result block, inner block) triple.
+func gramBlocked(dst, a, b *matrix.Grid) func() {
+	return func() {
+		for i := 0; i < dst.BlockRows(); i++ {
+			for j := 0; j < dst.BlockCols(); j++ {
+				d := dst.Block(i, j).(*matrix.DenseBlock)
+				d.Zero()
+				for k := 0; k < a.BlockRows(); k++ {
+					if err := matrix.MulAddTransInto(d, a.Block(k, i), b.Block(k, j), true, false); err != nil {
+						panic(err)
+					}
+				}
+			}
+		}
+	}
+}
+
+// graphCoords lists graphDegree random out-edges for each of n nodes.
+func graphCoords(rng *rand.Rand, n int) []matrix.Coord {
+	coords := make([]matrix.Coord, 0, n*graphDegree)
+	for i := 0; i < n; i++ {
+		for k := 0; k < graphDegree; k++ {
+			coords = append(coords, matrix.Coord{Row: i, Col: rng.Intn(n), Val: 1})
+		}
+	}
+	return coords
 }
 
 // measure times f adaptively: repetitions are scaled so each measurement
@@ -145,7 +210,9 @@ func Kernels(sizes []int, workerCounts []int) *KernelReport {
 		w := randDense(rng, n, thinRank) // read transposed: W^T is thinRank x n
 		h := randDense(rng, thinRank, n) // read transposed: H^T is n x thinRank
 		rank := randDense(rng, 1, n)
+		edges := graphCoords(rng, n)
 		dst := matrix.NewDense(n, n)
+		ssFLOPs := 2 * ssTNMulAdds(sa, sb)
 		denseFLOPs := 2 * float64(n) * float64(n) * float64(n)
 		sparseFLOPs := 2 * float64(sa.NNZ()) * float64(n)
 		thinFLOPs := 2 * float64(thin.NNZ()) * thinRank
@@ -159,6 +226,13 @@ func Kernels(sizes []int, workerCounts []int) *KernelReport {
 		}
 		mulTrans := func(x, y matrix.Block, xT, yT bool) func() {
 			return mulTransInto(dst, x, y, xT, yT)
+		}
+		var hyperProducts []func()
+		hyperNNZ := 0
+		for i := 0; i < hyperBlocks; i++ {
+			blk := randSparse(rng, n, hyperPerCol/float64(n))
+			hyperProducts = append(hyperProducts, mulTransInto(matrix.NewDense(1, n), rank, blk, false, false))
+			hyperNNZ += blk.NNZ()
 		}
 		runs := []struct {
 			kernel string
@@ -177,6 +251,15 @@ func Kernels(sizes []int, workerCounts []int) *KernelReport {
 			{"ds-tn", thinFLOPs, mulTransInto(matrix.NewDense(thinRank, n), w, thin, true, false)},
 			{"sd-nt", thinFLOPs, mulTransInto(matrix.NewDense(n, thinRank), thin, h, false, true)},
 			{"ds-rowvec", 2 * float64(thin.NNZ()), mulTransInto(matrix.NewDense(1, n), rank, thin, false, false)},
+			{"ds-rowvec-hyper", 2 * float64(hyperNNZ), func() {
+				for _, product := range hyperProducts {
+					product()
+				}
+			}},
+			{"ss-tn", ssFLOPs, mulTrans(sa, sb, true, false)},
+			{"ss-tn-b32", ssFLOPs, gramBlocked(matrix.NewDenseGrid(n, n, serveBlock),
+				matrix.FromCoords(n, n, serveBlock, sa.Coords()), matrix.FromCoords(n, n, serveBlock, sb.Coords()))},
+			{"csc-build", float64(len(edges)), func() { matrix.FromCoords(n, n, serveBlock, edges) }},
 		}
 		var naiveNs, tiledNs float64
 		for _, r := range runs {

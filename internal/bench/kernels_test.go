@@ -12,15 +12,16 @@ import (
 // report shape: every kernel at every size, speedups on the dense tiled
 // paths, a dd-par point per worker count, and a JSON round trip.
 func TestKernelsSmoke(t *testing.T) {
-	sizes := []int{8, 48}
+	sizes := []int{8, 16, 48}
 	workers := []int{1, 2}
 	// The default is GOMAXPROCS, so the value Kernels must restore is
 	// whatever this host started with.
 	before := matrix.KernelWorkers()
 	rep := Kernels(sizes, workers)
-	wantKernels := []string{"dd-naive", "dd-tiled", "dd-nt", "dd-tn", "sd", "ds", "ds-tn", "sd-nt", "ds-rowvec"}
-	// Nine single-path kernels plus one dd-par point per worker count at each
-	// size; no dd-strassen below the eligibility floor.
+	wantKernels := []string{"dd-naive", "dd-tiled", "dd-nt", "dd-tn", "sd", "ds", "ds-tn", "sd-nt", "ds-rowvec",
+		"ds-rowvec-hyper", "ss-tn", "ss-tn-b32", "csc-build"}
+	// Thirteen single-path kernels plus one dd-par point per worker count at
+	// each size; no dd-strassen below the eligibility floor.
 	if got, want := len(rep.Points), len(sizes)*(len(wantKernels)+len(workers)); got != want {
 		t.Fatalf("%d points, want %d", got, want)
 	}
@@ -30,7 +31,10 @@ func TestKernelsSmoke(t *testing.T) {
 		if p.NsPerOp <= 0 || p.Reps <= 0 {
 			t.Errorf("%s/%d: non-positive timing %v reps %d", p.Kernel, p.Size, p.NsPerOp, p.Reps)
 		}
-		if p.GFLOPS <= 0 {
+		// Two 5 % blocks of side 8 hold three entries each and need not share
+		// a row: ss-tn has work to rate from 16 up.
+		ssNoWork := (p.Kernel == "ss-tn" || p.Kernel == "ss-tn-b32") && p.Size < 16
+		if p.GFLOPS <= 0 && !ssNoWork {
 			t.Errorf("%s/%d: non-positive GFLOPS", p.Kernel, p.Size)
 		}
 		switch p.Kernel {

@@ -7,9 +7,11 @@ import (
 
 // FuzzMulKernels drives the full multiply surface — serial and parallel
 // classical, Strassen, every transpose combination, dense and sparse
-// operands (square and thin, at 30 % and 1 % density) — from one fuzzed seed
-// and checks each result against the generic oracle. The parallel-vs-serial comparison is exact (bit identity is the
-// kernel's contract); Strassen is held to its 1e-9 contract.
+// operands (square and thin, at 30 % and 1 % density and at about one stored
+// entry per block) — from one fuzzed seed and checks each result against the
+// generic oracle. The parallel-vs-serial comparison is exact (bit identity is
+// the kernel's contract), as is every sparse kernel's against the loop it
+// replaced; Strassen is held to its 1e-9 contract.
 func FuzzMulKernels(f *testing.F) {
 	for seed := int64(0); seed < 12; seed++ {
 		f.Add(seed)
@@ -51,15 +53,21 @@ func FuzzMulKernels(f *testing.F) {
 				br, bc = p, m
 			}
 		}
-		density := []float64{0.3, 0.01}[rng.Intn(2)]
+		density := []float64{0.3, 0.01, 0}[rng.Intn(3)]
+		sparse := func(r, c int) *CSCBlock {
+			if density == 0 {
+				return randSparse(rng, r, c, 1/float64(r*c)) // one entry per block
+			}
+			return randSparse(rng, r, c, density)
+		}
 		var a, b Block
 		if aSparse {
-			a = randSparse(rng, ar, ac, density)
+			a = sparse(ar, ac)
 		} else {
 			a = randDense(rng, ar, ac)
 		}
 		if bSparse {
-			b = randSparse(rng, br, bc, density)
+			b = sparse(br, bc)
 		} else {
 			b = randDense(rng, br, bc)
 		}
@@ -74,17 +82,20 @@ func FuzzMulKernels(f *testing.F) {
 			t.Fatalf("serial kernel differs from oracle (%dx%dx%d aT=%v bT=%v)", n, m, p, aT, bT)
 		}
 
-		// The one-pass sparse x dense kernels are held to the loops they
-		// replaced bit for bit, not just to the oracle's tolerance.
-		if aSparse != bSparse {
+		// The sparse kernels are held to the loops they replaced bit for
+		// bit, not just to the oracle's tolerance.
+		if aSparse || bSparse {
 			ref := NewDense(n, p)
-			if aSparse {
+			switch {
+			case aSparse && bSparse:
+				refMulAddSS(ref, a.(*CSCBlock), b.(*CSCBlock), aT, bT)
+			case aSparse:
 				refMulAddSD(ref, a.(*CSCBlock), b.(*DenseBlock), aT, bT)
-			} else {
+			default:
 				refMulAddDS(ref, a.(*DenseBlock), b.(*CSCBlock), aT, bT)
 			}
 			if i := sameBits(serial.Data, ref.Data); i >= 0 {
-				t.Fatalf("sparse kernel not bit-identical to its reference loop at %d (%dx%dx%d aT=%v bT=%v aSparse=%v density=%v)", i, n, m, p, aT, bT, aSparse, density)
+				t.Fatalf("sparse kernel not bit-identical to its reference loop at %d (%dx%dx%d aT=%v bT=%v aSparse=%v bSparse=%v density=%v)", i, n, m, p, aT, bT, aSparse, bSparse, density)
 			}
 		}
 

@@ -76,7 +76,9 @@ func FromDense(rows, cols, blockSize int, data []float64) *Grid {
 }
 
 // FromCoords builds a sparse grid from a coordinate list addressed in global
-// (matrix-level) indices.
+// (matrix-level) indices. The coordinates are bucketed per block by a count
+// and a fill pass, each block's keeping their input order, and every block is
+// built by NewCSC.
 func FromCoords(rows, cols, blockSize int, coords []Coord) *Grid {
 	g := &Grid{
 		rows:  rows,
@@ -85,20 +87,32 @@ func FromCoords(rows, cols, blockSize int, coords []Coord) *Grid {
 		brows: blocksFor(rows, blockSize),
 		bcols: blocksFor(cols, blockSize),
 	}
-	perBlock := make([][]Coord, g.brows*g.bcols)
+	// next[k+1] is the fill cursor of block k into local; after the fill it
+	// is the end of block k, the start of block k+1.
+	next := make([]int, g.brows*g.bcols+1)
 	for _, c := range coords {
 		if c.Row < 0 || c.Row >= rows || c.Col < 0 || c.Col >= cols {
 			panic(fmt.Sprintf("matrix: coord (%d,%d) outside %dx%d matrix", c.Row, c.Col, rows, cols))
 		}
+		next[(c.Row/blockSize)*g.bcols+c.Col/blockSize+1]++
+	}
+	start := 0
+	for k := 1; k < len(next); k++ {
+		start, next[k] = start+next[k], start
+	}
+	local := make([]Coord, len(coords))
+	for _, c := range coords {
 		bi, bj := c.Row/blockSize, c.Col/blockSize
-		idx := bi*g.bcols + bj
-		perBlock[idx] = append(perBlock[idx], Coord{Row: c.Row % blockSize, Col: c.Col % blockSize, Val: c.Val})
+		k := bi*g.bcols + bj + 1
+		local[next[k]] = Coord{Row: c.Row - bi*blockSize, Col: c.Col - bj*blockSize, Val: c.Val}
+		next[k]++
 	}
 	g.blocks = make([]Block, g.brows*g.bcols)
 	for bi := 0; bi < g.brows; bi++ {
 		for bj := 0; bj < g.bcols; bj++ {
 			r, c := g.BlockDims(bi, bj)
-			g.blocks[bi*g.bcols+bj] = NewCSC(r, c, perBlock[bi*g.bcols+bj])
+			k := bi*g.bcols + bj
+			g.blocks[k] = NewCSC(r, c, local[next[k]:next[k+1]])
 		}
 	}
 	return g

@@ -33,6 +33,18 @@ import (
 // element receives exactly the floating-point operations of the plain loop
 // nests kept as references in mul_sparse_test.go, at every worker count and
 // with the assembly axpy on or off.
+//
+// A block partition leaves CSC blocks with a stored entry or two per column,
+// and for those a second rule holds: a path costs what the block stores, not
+// what it could — no branch per column or column pair. The sparse x sparse
+// A^T*B (mulAddSSTN) and the row-vector product (mulAddDSRowDotFlat)
+// walk the stored entries once; the sums they form are again exactly those of
+// the loops they replaced (refMulAddSS, refMulAddDSRowDot), with one
+// exception no value depends on: both accumulate in a scratch row where the
+// loops used a register, and when two NaNs of different payloads meet in a
+// sum the payload that survives follows the operand order the compiler gave
+// the add, which differs between the two (and, for the loops themselves,
+// between a plain and a -race build). NaN results are NaN in the same cells.
 
 // MulAddInto computes dst += a * b. dst must be an owned dense block of
 // shape a.Rows() x b.Cols().
@@ -124,8 +136,18 @@ const (
 	// untransposed dense x CSC product runs as n row-dot passes over the CSC
 	// operand instead of packing a transposed A panel for one lane-wide
 	// pass: below five lanes an axpy is all call overhead. PageRank's 1 x N
-	// rank vector sits on this side, GNMF's 64 x N factors on the other.
+	// rank vector sits on this side — in one of the row-dot's two forms, see
+	// dsRowDotFlat — and GNMF's 64 x N factors on the other.
 	dsRowDotMax = 4
+	// dsRowDotFlat is the average number of stored entries per column of the
+	// CSC operand below which a row-dot walks the entries flat (a mark array
+	// carries the column boundaries) instead of column by column. A column
+	// loop that runs 0-3 times mispredicts its exit on almost every column
+	// and that is then the whole cost; from a few entries a column up it
+	// accumulates in a register and skips the flat walk's accumulator row.
+	// dmacbench -kernels pins the two sides: ds-rowvec-hyper (~1.25 entries
+	// a column, a block-partitioned graph) and ds-rowvec (10 a column).
+	dsRowDotFlat = 4
 	// dsColTile is how many result columns the dense x CSC kernel
 	// accumulates before adding them into dst, so that dst is written a
 	// cache line per row at a time rather than one strided element.
@@ -136,27 +158,36 @@ const (
 	spPanel = 256
 )
 
-// spScratchPools holds the scratch the sparse x dense kernels pack into
-// (transposed panels, column accumulators), one pool per power-of-two
-// capacity so that a small request never draws, outgrows and drops a large
-// buffer. Steady-state products allocate nothing.
-var spScratchPools [bits.UintSize]sync.Pool
+// scratchPools holds pooled scratch slices of one element type, one pool per
+// power-of-two capacity so that a small request never draws, outgrows and
+// drops a large buffer.
+type scratchPools[T any] [bits.UintSize]sync.Pool
 
-// spScratch returns a pooled buffer of n elements with unspecified contents;
-// hand it back with spScratchPut.
-func spScratch(n int) *[]float64 {
+// get returns a pooled buffer of n elements with unspecified contents; hand
+// it back with put.
+func (sp *scratchPools[T]) get(n int) *[]T {
 	class := bits.Len(uint(max(n, 1) - 1)) // smallest class with 1<<class >= n
-	if bp, _ := spScratchPools[class].Get().(*[]float64); bp != nil {
+	if bp, _ := sp[class].Get().(*[]T); bp != nil {
 		*bp = (*bp)[:n]
 		return bp
 	}
-	buf := make([]float64, n, 1<<class)
+	buf := make([]T, n, 1<<class)
 	return &buf
 }
 
-func spScratchPut(bp *[]float64) {
-	spScratchPools[bits.Len(uint(cap(*bp)))-1].Put(bp)
+func (sp *scratchPools[T]) put(bp *[]T) {
+	sp[bits.Len(uint(cap(*bp)))-1].Put(bp)
 }
+
+// The sparse kernels' scratch: spScratchPools the float64 buffers they pack
+// into and accumulate in (transposed panels, column and row accumulators, a
+// row view's values), spIndexPools the int32 ones (a row view's pointers and
+// column indices, column-boundary marks, the CSC builder's counters).
+// Steady-state products allocate nothing.
+var (
+	spScratchPools scratchPools[float64]
+	spIndexPools   scratchPools[int32]
+)
 
 // spStrips cuts the total result rows or columns of one sparse x dense
 // product carrying madds multiply-adds into equal strips, at most one per
@@ -287,8 +318,8 @@ func mulAddSD(dst *DenseBlock, a *CSCBlock, b *DenseBlock, aT, bT bool) {
 	// of a transposed B is packed up front and shared by the strips.
 	x := b.Data
 	if bT {
-		xp := spScratch(len(b.Data))
-		defer spScratchPut(xp)
+		xp := spScratchPools.get(len(b.Data))
+		defer spScratchPools.put(xp)
 		packTrans(*xp, b.Data, b.cols, 0, p, 0, b.cols)
 		x = *xp
 	}
@@ -324,8 +355,8 @@ func mulAddSDScatter(dst *DenseBlock, a *CSCBlock, b *DenseBlock, bT bool, i0, i
 	whole := i0 == 0 && i1 == dst.rows
 	var panel []float64
 	if bT {
-		pp := spScratch(min(spPanel, a.cols) * p)
-		defer spScratchPut(pp)
+		pp := spScratchPools.get(min(spPanel, a.cols) * p)
+		defer spScratchPools.put(pp)
 		panel = *pp
 	}
 	for c0 := 0; c0 < a.cols; c0 += spPanel {
@@ -383,8 +414,8 @@ func mulAddDS(dst *DenseBlock, a *DenseBlock, b *CSCBlock, aT, bT bool) {
 	// all of an untransposed A is packed up front and shared by the strips.
 	x := a.Data
 	if !aT {
-		xp := spScratch(len(a.Data))
-		defer spScratchPut(xp)
+		xp := spScratchPools.get(len(a.Data))
+		defer spScratchPools.put(xp)
 		packTrans(*xp, a.Data, a.cols, 0, n, 0, a.cols)
 		x = *xp
 	}
@@ -399,8 +430,15 @@ func mulAddDS(dst *DenseBlock, a *DenseBlock, b *CSCBlock, aT, bT bool) {
 
 // mulAddDSRowDot computes dst += A*B row by row: dst[i,j] gains the dot
 // product of dense row i with stored column j of B, one pass over B per row.
+// Each dot starts at zero, takes its products in stored order and is added
+// into dst once. A B of fewer than dsRowDotFlat stored entries per column
+// takes the flat form, which does the same without a loop per column.
 func mulAddDSRowDot(dst *DenseBlock, a *DenseBlock, b *CSCBlock) {
 	p, lda := dst.cols, a.cols
+	if len(b.Values) < dsRowDotFlat*p {
+		mulAddDSRowDotFlat(dst, a, b)
+		return
+	}
 	for i := 0; i < dst.rows; i++ {
 		drow := dst.Data[i*p : (i+1)*p]
 		arow := a.Data[i*lda : (i+1)*lda]
@@ -414,6 +452,42 @@ func mulAddDSRowDot(dst *DenseBlock, a *DenseBlock, b *CSCBlock) {
 	}
 }
 
+// mulAddDSRowDotFlat is mulAddDSRowDot for a B whose columns hold next to
+// nothing: mark[idx] counts the columns that begin at stored entry idx (empty
+// ones included), so a running sum of it is the column of each entry and one
+// walk over the entries, with no branch per column, accumulates every dot in
+// a row that started at zero. Columns that end the block empty land on
+// mark[nnz], which is never read. The results are those of the column loop
+// bit for bit, except for which payload a sum of two different NaNs keeps (see
+// the file comment).
+func mulAddDSRowDotFlat(dst *DenseBlock, a *DenseBlock, b *CSCBlock) {
+	p, lda, nnz := dst.cols, a.cols, len(b.Values)
+	mp := spIndexPools.get(nnz + 1)
+	defer spIndexPools.put(mp)
+	mark := *mp
+	clear(mark)
+	for _, start := range b.ColPtr[1:] {
+		mark[start]++
+	}
+	accp := spScratchPools.get(p)
+	defer spScratchPools.put(accp)
+	acc := *accp
+	rowIdx := b.RowIdx[:nnz]
+	for i := 0; i < dst.rows; i++ {
+		arow := a.Data[i*lda : (i+1)*lda]
+		clear(acc)
+		j := int32(0)
+		for idx, v := range b.Values {
+			j += mark[idx]
+			acc[j] += arow[rowIdx[idx]] * v
+		}
+		drow := dst.Data[i*p : (i+1)*p]
+		for j, s := range acc {
+			drow[j] += s
+		}
+	}
+}
+
 // mulAddDSGather is the untransposed-B form of mulAddDS for result columns
 // [j0, j1), with x holding op(A)^T row-major (n lanes a row): stored column
 // j of B gathers result column j in an accumulator that starts at zero,
@@ -421,8 +495,8 @@ func mulAddDSRowDot(dst *DenseBlock, a *DenseBlock, b *CSCBlock) {
 // operations of a row-dot, lane-parallel.
 func mulAddDSGather(dst *DenseBlock, x []float64, b *CSCBlock, j0, j1 int) {
 	n, p := dst.rows, dst.cols
-	accp := spScratch(dsColTile * n)
-	defer spScratchPut(accp)
+	accp := spScratchPools.get(dsColTile * n)
+	defer spScratchPools.put(accp)
 	acc := *accp
 	for c0 := j0; c0 < j1; c0 += dsColTile {
 		cw := min(dsColTile, j1-c0)
@@ -448,14 +522,14 @@ func mulAddDSGather(dst *DenseBlock, x []float64, b *CSCBlock, j0, j1 int) {
 func mulAddDSScatter(dst *DenseBlock, a *DenseBlock, aT bool, b *CSCBlock, j0, j1 int) {
 	n, p := dst.rows, dst.cols
 	whole := j0 == 0 && j1 == p
-	tp := spScratch((j1 - j0) * n)
-	defer spScratchPut(tp)
+	tp := spScratchPools.get((j1 - j0) * n)
+	defer spScratchPools.put(tp)
 	t := *tp
 	packTrans(t, dst.Data, p, 0, n, j0, j1-j0)
 	var panel []float64
 	if !aT {
-		pp := spScratch(min(spPanel, b.cols) * n)
-		defer spScratchPut(pp)
+		pp := spScratchPools.get(min(spPanel, b.cols) * n)
+		defer spScratchPools.put(pp)
 		panel = *pp
 	}
 	for c0 := 0; c0 < b.cols; c0 += spPanel {
@@ -518,8 +592,8 @@ func addTile(d []float64, ld int, acc []float64, n, cw int) {
 //
 //	NN: for every stored B[k,j], scatter column k of A into dst column j.
 //	NT: outer products — column k of A times column k of B (CSR row of opB).
-//	TN: dst[i,j] is the merge-dot of stored columns A[:,i] and B[:,j], whose
-//	    row indices are sorted, so the intersection is a linear merge.
+//	TN: stored column i of A is logical row i of op(A); chase its (k, av)
+//	    entries into row k of B, read from a row view (mulAddSSTN).
 //	TT: stored column i of A is logical row i of op(A); chase its (k, av)
 //	    entries into stored column k of B (logical row k of op(B)).
 func mulAddSS(dst *DenseBlock, a, b *CSCBlock, aT, bT bool) {
@@ -547,28 +621,7 @@ func mulAddSS(dst *DenseBlock, a, b *CSCBlock, aT, bT bool) {
 			}
 		}
 	case aT && !bT:
-		for i := 0; i < a.cols; i++ {
-			drow := dst.Data[i*p : (i+1)*p]
-			for j := 0; j < b.cols; j++ {
-				ka, kb := a.ColPtr[i], b.ColPtr[j]
-				ea, eb := a.ColPtr[i+1], b.ColPtr[j+1]
-				s := 0.0
-				for ka < ea && kb < eb {
-					ra, rb := a.RowIdx[ka], b.RowIdx[kb]
-					switch {
-					case ra == rb:
-						s += a.Values[ka] * b.Values[kb]
-						ka++
-						kb++
-					case ra < rb:
-						ka++
-					default:
-						kb++
-					}
-				}
-				drow[j] += s
-			}
-		}
+		mulAddSSTN(dst, a, b)
 	default: // aT && bT
 		for i := 0; i < a.cols; i++ {
 			drow := dst.Data[i*p : (i+1)*p]
@@ -579,6 +632,60 @@ func mulAddSS(dst *DenseBlock, a, b *CSCBlock, aT, bT bool) {
 					drow[b.RowIdx[kb]] += av * b.Values[kb]
 				}
 			}
+		}
+	}
+}
+
+// mulAddSSTN computes dst += A^T*B for sparse A and B. dst[i,j] is the dot
+// product of stored columns A[:,i] and B[:,j] over the rows k both hold; the
+// other three forms find those pairs by chasing one operand's entries into a
+// stored column of the other, and here that column would be row k of B, which
+// CSC does not store. Merging every column pair instead costs cols_a * cols_b
+// merges whatever the blocks hold — a thousand per product of two 32-wide
+// blocks to perform a few dozen multiply-adds — so B's rows are first laid
+// out once (a counting pass into pooled scratch), and row i of the result is
+// then the row-wise product: every stored (k, av) of A[:,i], in ascending k,
+// adds av * B[k,:] into an accumulator row that started at zero, and the row
+// is added into dst over all its columns — the sums, and the += 0 on cells
+// no pair reaches, of the merge kept as refMulAddSS in mul_sparse_test.go
+// (NaN payloads aside, see the file comment).
+func mulAddSSTN(dst *DenseBlock, a, b *CSCBlock) {
+	n, p, m, nnz := dst.rows, dst.cols, b.rows, len(b.Values)
+	// Row view of B: row k holds (col[x], val[x]) for x in [ptr[k], ptr[k+1]).
+	// Counts are taken two slots up so that, after the prefix sum, ptr[k+1]
+	// is the fill cursor of row k and ends as the start of row k+1.
+	ip := spIndexPools.get(m + 2 + nnz)
+	defer spIndexPools.put(ip)
+	ptr, col := (*ip)[:m+2], (*ip)[m+2:]
+	vp := spScratchPools.get(nnz + p)
+	defer spScratchPools.put(vp)
+	val, acc := (*vp)[:nnz], (*vp)[nnz:]
+	clear(ptr)
+	for _, k := range b.RowIdx {
+		ptr[k+2]++
+	}
+	for k := 2; k < len(ptr); k++ {
+		ptr[k] += ptr[k-1]
+	}
+	for j := 0; j < p; j++ {
+		for idx := b.ColPtr[j]; idx < b.ColPtr[j+1]; idx++ {
+			x := ptr[b.RowIdx[idx]+1]
+			ptr[b.RowIdx[idx]+1] = x + 1
+			col[x], val[x] = int32(j), b.Values[idx]
+		}
+	}
+	clear(acc)
+	for i := 0; i < n; i++ {
+		for idx := a.ColPtr[i]; idx < a.ColPtr[i+1]; idx++ {
+			k, av := a.RowIdx[idx], a.Values[idx]
+			for x := ptr[k]; x < ptr[k+1]; x++ {
+				acc[col[x]] += av * val[x]
+			}
+		}
+		drow := dst.Data[i*p : (i+1)*p]
+		for j, s := range acc {
+			drow[j] += s
+			acc[j] = 0
 		}
 	}
 }

@@ -90,18 +90,29 @@ func refMulAddDS(dst *DenseBlock, a *DenseBlock, b *CSCBlock, aT, bT bool) {
 		}
 		return
 	}
+	if !aT {
+		refMulAddDSRowDot(dst, a, b)
+		return
+	}
 	for i := 0; i < n; i++ {
 		drow := dst.Data[i*p : (i+1)*p]
-		if aT {
-			for j := 0; j < b.cols; j++ {
-				s := 0.0
-				for idx := b.ColPtr[j]; idx < b.ColPtr[j+1]; idx++ {
-					s += a.Data[int(b.RowIdx[idx])*lda+i] * b.Values[idx]
-				}
-				drow[j] += s
+		for j := 0; j < b.cols; j++ {
+			s := 0.0
+			for idx := b.ColPtr[j]; idx < b.ColPtr[j+1]; idx++ {
+				s += a.Data[int(b.RowIdx[idx])*lda+i] * b.Values[idx]
 			}
-			continue
+			drow[j] += s
 		}
+	}
+}
+
+// refMulAddDSRowDot is the row-vector x CSC kernel as it stood before the
+// flat walk, one register-accumulated dot per column whatever the column
+// holds, kept as the bit-for-bit reference of both forms of mulAddDSRowDot.
+func refMulAddDSRowDot(dst *DenseBlock, a *DenseBlock, b *CSCBlock) {
+	p, lda := dst.cols, a.cols
+	for i := 0; i < dst.rows; i++ {
+		drow := dst.Data[i*p : (i+1)*p]
 		arow := a.Data[i*lda : (i+1)*lda]
 		for j := 0; j < b.cols; j++ {
 			s := 0.0
@@ -109,6 +120,70 @@ func refMulAddDS(dst *DenseBlock, a *DenseBlock, b *CSCBlock, aT, bT bool) {
 				s += arow[b.RowIdx[idx]] * b.Values[idx]
 			}
 			drow[j] += s
+		}
+	}
+}
+
+// refMulAddSS is the sparse x sparse kernel as it stood before the row-wise
+// TN form: NN, NT and TT are the loops mulAddSS still runs, TN is the
+// merge-dot of every column pair. Kept as the bit-for-bit reference.
+func refMulAddSS(dst *DenseBlock, a, b *CSCBlock, aT, bT bool) {
+	p := dst.cols
+	switch {
+	case !aT && !bT:
+		for j := 0; j < b.cols; j++ {
+			for idx := b.ColPtr[j]; idx < b.ColPtr[j+1]; idx++ {
+				k := int(b.RowIdx[idx])
+				bv := b.Values[idx]
+				for ka := a.ColPtr[k]; ka < a.ColPtr[k+1]; ka++ {
+					dst.Data[int(a.RowIdx[ka])*p+j] += a.Values[ka] * bv
+				}
+			}
+		}
+	case !aT && bT:
+		for k := 0; k < a.cols; k++ {
+			for ka := a.ColPtr[k]; ka < a.ColPtr[k+1]; ka++ {
+				i := int(a.RowIdx[ka])
+				av := a.Values[ka]
+				drow := dst.Data[i*p : (i+1)*p]
+				for kb := b.ColPtr[k]; kb < b.ColPtr[k+1]; kb++ {
+					drow[b.RowIdx[kb]] += av * b.Values[kb]
+				}
+			}
+		}
+	case aT && !bT:
+		for i := 0; i < a.cols; i++ {
+			drow := dst.Data[i*p : (i+1)*p]
+			for j := 0; j < b.cols; j++ {
+				ka, kb := a.ColPtr[i], b.ColPtr[j]
+				ea, eb := a.ColPtr[i+1], b.ColPtr[j+1]
+				s := 0.0
+				for ka < ea && kb < eb {
+					ra, rb := a.RowIdx[ka], b.RowIdx[kb]
+					switch {
+					case ra == rb:
+						s += a.Values[ka] * b.Values[kb]
+						ka++
+						kb++
+					case ra < rb:
+						ka++
+					default:
+						kb++
+					}
+				}
+				drow[j] += s
+			}
+		}
+	default: // aT && bT
+		for i := 0; i < a.cols; i++ {
+			drow := dst.Data[i*p : (i+1)*p]
+			for ka := a.ColPtr[i]; ka < a.ColPtr[i+1]; ka++ {
+				k := int(a.RowIdx[ka])
+				av := a.Values[ka]
+				for kb := b.ColPtr[k]; kb < b.ColPtr[k+1]; kb++ {
+					drow[b.RowIdx[kb]] += av * b.Values[kb]
+				}
+			}
 		}
 	}
 }
@@ -306,7 +381,7 @@ func TestSparseDenseConcurrentCallers(t *testing.T) {
 
 // TestSparseDenseAllocFree verifies that steady-state sparse x dense products
 // allocate nothing on the caller's own strip: packed panels, the transposed
-// dst and the column accumulators all come from spScratchPool. (A fanned-out
+// dst and the column accumulators all come from spScratchPools. (A fanned-out
 // product additionally allocates its strip job, like the GEMM's.)
 func TestSparseDenseAllocFree(t *testing.T) {
 	if raceEnabled {
@@ -331,6 +406,237 @@ func TestSparseDenseAllocFree(t *testing.T) {
 					t.Errorf("%dx%dx%d sparseLeft=%v aT=%v bT=%v: %v allocs per product, want 0", n, m, p, sparseLeft, aT, bT, allocs)
 				}
 			}
+		}
+	}
+}
+
+// posInf is a variable so that posInf - posInf is computed when the test runs
+// and yields the NaN the hardware makes of an invalid operation.
+var posInf = math.Inf(1)
+
+// hyperSparse returns a rows x cols CSC block with about perCol stored entries
+// in each column but every third, which stays empty, and — when special —
+// zeros and infinities of both signs and a NaN among its values. The NaN is
+// the hardware's default one, the same that Inf*0 and Inf-Inf produce inside a
+// kernel, so every NaN in play has one bit pattern: which payload the sum of
+// two different NaNs keeps follows the operand order the compiler picked for
+// the add, and the kernels that accumulate in a scratch row are not held to
+// their references on that. hyperSparse costs O(entries), not O(cells), so
+// that the wide shapes stay cheap under -race.
+func hyperSparse(rng *rand.Rand, rows, cols int, perCol float64, special bool) *CSCBlock {
+	var coords []Coord
+	for j := 0; j < cols && rows > 0; j++ {
+		if j%3 == 1 {
+			continue
+		}
+		k := int(perCol)
+		if rng.Float64() < perCol-float64(k) {
+			k++
+		}
+		for ; k > 0; k-- {
+			coords = append(coords, Coord{Row: rng.Intn(rows), Col: j, Val: rng.NormFloat64()})
+		}
+	}
+	s := NewCSC(rows, cols, coords)
+	if special {
+		for _, v := range []float64{0, math.Copysign(0, -1), posInf, -posInf, posInf - posInf} {
+			if len(s.Values) > 0 {
+				s.Values[rng.Intn(len(s.Values))] = v
+			}
+		}
+	}
+	return s
+}
+
+// dstOnEntry returns a random n x p result block with zeros of both signs
+// planted in it: the cells on which a skipped "+= 0" would show.
+func dstOnEntry(rng *rand.Rand, n, p int) *DenseBlock {
+	d := randDense(rng, n, p)
+	for i := range d.Data {
+		switch rng.Intn(5) {
+		case 0:
+			d.Data[i] = 0
+		case 1:
+			d.Data[i] = math.Copysign(0, -1)
+		}
+	}
+	return d
+}
+
+// TestSparseSparseBitIdentical holds mulAddSS to the loops kept as
+// refMulAddSS, bit for bit, in all four transpose forms: block widths around
+// the server's 32 and the paper workloads' 145 and 1632, ragged edge blocks,
+// empty columns, an all-empty operand, one block as both operands, from under
+// one stored entry a column to 30 % of the cells, zeros of both signs in dst
+// on entry and signed zeros, infinities and NaNs among the stored values.
+func TestSparseSparseBitIdentical(t *testing.T) {
+	shapes := [][3]int{
+		{1, 1, 1}, {2, 3, 2}, {1, 40, 33}, {31, 32, 31}, {32, 32, 32}, {33, 32, 31},
+		{32, 17, 32}, {17, 32, 9}, {145, 60, 145}, {145, 145, 145}, {32, 1632, 32},
+		{1632, 48, 32}, {32, 48, 1632},
+	}
+	// Stored entries per column; from 1 up, a share of the cells in percent.
+	fills := []float64{0, 0.7, 5, 30}
+	rng := rand.New(rand.NewSource(15))
+	for _, sh := range shapes {
+		n, m, p := sh[0], sh[1], sh[2]
+		for flags := 0; flags < 4; flags++ {
+			aT, bT := flags&1 != 0, flags&2 != 0
+			ar, ac, br, bc := n, m, m, p
+			if aT {
+				ar, ac = m, n
+			}
+			if bT {
+				br, bc = p, m
+			}
+			for _, fill := range fills {
+				for _, special := range []bool{false, true} {
+					perCol := func(rows int) float64 {
+						if fill >= 1 {
+							return fill / 100 * float64(rows)
+						}
+						return fill
+					}
+					a := hyperSparse(rng, ar, ac, perCol(ar), special)
+					operands := [][2]*CSCBlock{
+						{a, hyperSparse(rng, br, bc, perCol(br), special)},
+						{a, NewCSCEmpty(br, bc)},
+					}
+					if ar == br && ac == bc {
+						operands = append(operands, [2]*CSCBlock{a, a})
+					}
+					for _, op := range operands {
+						entry := dstOnEntry(rng, n, p)
+						want := entry.Clone().(*DenseBlock)
+						refMulAddSS(want, op[0], op[1], aT, bT)
+						if err := MulAddTransInto(entry, op[0], op[1], aT, bT); err != nil {
+							t.Fatal(err)
+						}
+						if i := sameBits(entry.Data, want.Data); i >= 0 {
+							t.Fatalf("%dx%dx%d aT=%v bT=%v fill=%v special=%v self=%v nnz=%d,%d: element %d is %v, reference %v",
+								n, m, p, aT, bT, fill, special, op[0] == op[1], op[0].NNZ(), op[1].NNZ(), i, entry.Data[i], want.Data[i])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestRowVecBitIdentical holds both forms of mulAddDSRowDot to the column
+// loop kept as refMulAddDSRowDot, bit for bit, for every row count that takes
+// the row-dot path and on both sides of the dsRowDotFlat crossover.
+func TestRowVecBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	var flat, byColumn bool
+	for n := 1; n <= dsRowDotMax; n++ {
+		for _, sh := range [][2]int{{1, 1}, {5, 2}, {40, 31}, {32, 32}, {32, 33}, {200, 145}, {1632, 1632}, {7, 300}} {
+			m, p := sh[0], sh[1]
+			for _, perCol := range []float64{0, 0.7, 1.25, dsRowDotFlat - 0.5, dsRowDotFlat + 0.5, 10, 0.3 * float64(m)} {
+				for _, special := range []bool{false, true} {
+					b := hyperSparse(rng, m, p, perCol, special)
+					if b.NNZ() >= dsRowDotFlat*p {
+						byColumn = true
+					} else {
+						flat = true
+					}
+					a := dstOnEntry(rng, n, m) // zeros of both signs in the vector too
+					entry := dstOnEntry(rng, n, p)
+					want := entry.Clone().(*DenseBlock)
+					refMulAddDSRowDot(want, a, b)
+					if err := MulAddInto(entry, a, b); err != nil {
+						t.Fatal(err)
+					}
+					if i := sameBits(entry.Data, want.Data); i >= 0 {
+						t.Fatalf("%dx%dx%d perCol=%v special=%v nnz=%d: element %d is %v, reference %v",
+							n, m, p, perCol, special, b.NNZ(), i, entry.Data[i], want.Data[i])
+					}
+				}
+			}
+		}
+	}
+	if !flat || !byColumn {
+		t.Errorf("the table ran flat=%v byColumn=%v: one form of the row-dot went untested", flat, byColumn)
+	}
+}
+
+// TestSparseSparseConcurrentCallers runs the TN product and both forms of the
+// row-vector product from several goroutines that share one CSC operand, as
+// the executor's block tasks share a grid's blocks; under -race it pins the
+// operand as read-only and the pooled row view, marks and accumulators as
+// private to a call.
+func TestSparseSparseConcurrentCallers(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	const m, p = 96, 80
+	hyper := hyperSparse(rng, m, p, 1.25, false)
+	filled := hyperSparse(rng, m, p, 10, false)
+	rank := randDense(rng, 2, m)
+	wantGram := NewDense(p, p)
+	refMulAddSS(wantGram, hyper, hyper, true, false)
+	wantCross := NewDense(p, p)
+	refMulAddSS(wantCross, hyper, filled, true, false)
+	wantHyper, wantFilled := NewDense(2, p), NewDense(2, p)
+	refMulAddDSRowDot(wantHyper, rank, hyper)
+	refMulAddDSRowDot(wantFilled, rank, filled)
+	products := []struct {
+		a, b Block
+		aT   bool
+		want *DenseBlock
+	}{
+		{hyper, hyper, true, wantGram},
+		{hyper, filled, true, wantCross},
+		{rank, hyper, false, wantHyper},
+		{rank, filled, false, wantFilled},
+	}
+	const callers = 8
+	errs := make(chan string, callers)
+	for g := 0; g < callers; g++ {
+		go func(g int) {
+			for r := 0; r < 4*len(products); r++ {
+				pr := products[(g+r)%len(products)]
+				got := NewDense(pr.want.rows, pr.want.cols)
+				if err := MulAddTransInto(got, pr.a, pr.b, pr.aT, false); err != nil {
+					errs <- err.Error()
+					return
+				}
+				if i := sameBits(got.Data, pr.want.Data); i >= 0 {
+					errs <- fmt.Sprintf("product %d: element %d differs under concurrent callers", (g+r)%len(products), i)
+					return
+				}
+			}
+			errs <- ""
+		}(g)
+	}
+	for g := 0; g < callers; g++ {
+		if msg := <-errs; msg != "" {
+			t.Error(msg)
+		}
+	}
+}
+
+// TestSparseSparseAllocFree verifies that steady-state sparse x sparse and
+// row-vector products allocate nothing: the row view, the marks and the
+// accumulators are pooled like the sparse x dense scratch.
+func TestSparseSparseAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	rng := rand.New(rand.NewSource(18))
+	const m, p = 300, 280
+	hyper := hyperSparse(rng, m, p, 1.25, false)
+	filled := hyperSparse(rng, m, p, 10, false)
+	rank := randDense(rng, 1, m)
+	gram, vec := NewDense(p, p), NewDense(1, p)
+	for name, run := range map[string]func() error{
+		"ss-tn":          func() error { return MulAddTransInto(gram, hyper, filled, true, false) },
+		"rowvec flat":    func() error { return MulAddInto(vec, rank, hyper) },
+		"rowvec columns": func() error { return MulAddInto(vec, rank, filled) },
+	} {
+		if err := run(); err != nil { // grow the pooled scratch
+			t.Fatal(err)
+		}
+		if allocs := testing.AllocsPerRun(10, func() { _ = run() }); allocs != 0 {
+			t.Errorf("%s: %v allocs per product, want 0", name, allocs)
 		}
 	}
 }
@@ -394,6 +700,58 @@ func BenchmarkMulAddDSRowVec(b *testing.B) {
 	rank := randDense(rng, 1, gnmfBlock)
 	link := benchSparse(rng, gnmfBlock, gnmfBlock, gnmfDensity)
 	benchMulAdd(b, NewDense(1, gnmfBlock), rank, link, false, false)
+}
+
+// BenchmarkMulAddDSRowVecHyper is pagerank_wire's rank %*% link block product:
+// a 10 606-wide block of a 60 000-node graph cut 6 x 6, 1.26 stored entries a
+// column, the six blocks of a block row in turn.
+func BenchmarkMulAddDSRowVecHyper(b *testing.B) {
+	const n, blocks = 10606, 6
+	rng := rand.New(rand.NewSource(6))
+	rank := randDense(rng, 1, n)
+	var links [blocks]*CSCBlock
+	nnz := 0
+	for i := range links {
+		links[i] = hyperSparse(rng, n, n, 1.26, false)
+		nnz += links[i].NNZ()
+	}
+	dst := NewDense(1, n)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, link := range links {
+			if err := MulAddInto(dst, rank, link); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(2*float64(nnz)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+}
+
+// BenchmarkMulAddSSTN is serve_mix's gram job, t(V) %*% V with V 512 x 128 at
+// 5 % in 32-wide blocks: 256 block products of about 50 stored entries each.
+func BenchmarkMulAddSSTN(b *testing.B) {
+	const rows, cols, bs = 512, 128, 32
+	rng := rand.New(rand.NewSource(7))
+	coords := make([]Coord, rows*cols/20)
+	for i := range coords {
+		coords[i] = Coord{Row: rng.Intn(rows), Col: rng.Intn(cols), Val: rng.NormFloat64()}
+	}
+	v := FromCoords(rows, cols, bs, coords)
+	dst := NewDense(bs, bs)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for bi := 0; bi < v.BlockCols(); bi++ {
+			for bj := 0; bj < v.BlockCols(); bj++ {
+				for bk := 0; bk < v.BlockRows(); bk++ {
+					if err := MulAddTransInto(dst, v.Block(bk, bi), v.Block(bk, bj), true, false); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		}
+	}
+	products := v.BlockCols() * v.BlockCols() * v.BlockRows()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(products), "ns/product")
 }
 
 // BenchmarkMulAddDSNN and BenchmarkMulAddSDNN are the square untransposed

@@ -26,40 +26,78 @@ type Coord struct {
 	Val      float64
 }
 
-// NewCSC builds a CSC block from unordered coordinates. Duplicate (row, col)
-// pairs are summed. Zero-valued coordinates are kept (callers that want them
-// dropped should filter first); this keeps the builder deterministic.
+// NewCSC builds a CSC block from unordered coordinates. Zero-valued
+// coordinates are kept (callers that want them dropped should filter first);
+// this keeps the builder deterministic. Duplicate (row, col) pairs are summed
+// in the order coords lists them: first + second, then + third, and so on.
+//
+// The build is two stable counting passes over the coordinates, by row and
+// then by column, so it costs O(len(coords) + rows + cols) whatever their
+// order and writes RowIdx and Values at their final size.
 func NewCSC(rows, cols int, coords []Coord) *CSCBlock {
+	b := &CSCBlock{rows: rows, cols: cols, ColPtr: make([]int32, cols+1)}
+	if len(coords) == 0 {
+		return b
+	}
+	// Scratch: the fill cursor of every row and of every column, and the
+	// coordinates' positions in row order.
+	ip := spIndexPools.get(rows + 1 + cols + len(coords))
+	defer spIndexPools.put(ip)
+	rowNext, colNext, byRow := (*ip)[:rows+1], (*ip)[rows+1:rows+1+cols], (*ip)[rows+1+cols:]
+	clear(rowNext)
 	for _, c := range coords {
 		if c.Row < 0 || c.Row >= rows || c.Col < 0 || c.Col >= cols {
 			panic(fmt.Sprintf("matrix: coord (%d,%d) outside %dx%d block", c.Row, c.Col, rows, cols))
 		}
+		rowNext[c.Row+1]++
+		b.ColPtr[c.Col+1]++
 	}
-	sorted := make([]Coord, len(coords))
-	copy(sorted, coords)
-	sort.Slice(sorted, func(i, j int) bool {
-		if sorted[i].Col != sorted[j].Col {
-			return sorted[i].Col < sorted[j].Col
-		}
-		return sorted[i].Row < sorted[j].Row
-	})
-	b := &CSCBlock{rows: rows, cols: cols, ColPtr: make([]int32, cols+1)}
-	for i := 0; i < len(sorted); {
-		j := i + 1
-		v := sorted[i].Val
-		for j < len(sorted) && sorted[j].Row == sorted[i].Row && sorted[j].Col == sorted[i].Col {
-			v += sorted[j].Val
-			j++
-		}
-		b.RowIdx = append(b.RowIdx, int32(sorted[i].Row))
-		b.Values = append(b.Values, v)
-		b.ColPtr[sorted[i].Col+1]++
-		i = j
+	for r := 0; r < rows; r++ {
+		rowNext[r+1] += rowNext[r]
 	}
 	for c := 0; c < cols; c++ {
 		b.ColPtr[c+1] += b.ColPtr[c]
 	}
+	copy(colNext, b.ColPtr)
+	for i, c := range coords {
+		byRow[rowNext[c.Row]] = int32(i)
+		rowNext[c.Row]++
+	}
+	// In row order, the entry a column received last has the largest row so
+	// far: the same row again is the same cell again, in input order.
+	b.RowIdx = make([]int32, len(coords))
+	b.Values = make([]float64, len(coords))
+	dups := 0
+	for _, i := range byRow {
+		c := coords[i]
+		x := colNext[c.Col]
+		if x > b.ColPtr[c.Col] && b.RowIdx[x-1] == int32(c.Row) {
+			b.Values[x-1] += c.Val
+			dups++
+			continue
+		}
+		b.RowIdx[x], b.Values[x] = int32(c.Row), c.Val
+		colNext[c.Col] = x + 1
+	}
+	if dups > 0 {
+		b.closeGaps(colNext, len(coords)-dups)
+	}
 	return b
+}
+
+// closeGaps finishes a build in which duplicates left column j holding
+// [ColPtr[j], end[j]) of its reserved range, n entries in all: the columns
+// are moved together into exactly-sized arrays.
+func (s *CSCBlock) closeGaps(end []int32, n int) {
+	rowIdx, values := make([]int32, 0, n), make([]float64, 0, n)
+	for j, e := range end {
+		lo := s.ColPtr[j]
+		s.ColPtr[j] = int32(len(rowIdx))
+		rowIdx = append(rowIdx, s.RowIdx[lo:e]...)
+		values = append(values, s.Values[lo:e]...)
+	}
+	s.ColPtr[s.cols] = int32(n)
+	s.RowIdx, s.Values = rowIdx, values
 }
 
 // NewCSCEmpty returns an all-zero sparse block.

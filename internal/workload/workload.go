@@ -92,17 +92,14 @@ func PowerLawGraph(seed int64, nodes int, avgDegree float64, blockSize int) *mat
 		sum += d
 	}
 	scale := avgDegree * float64(nodes) / sum
-	var coords []matrix.Coord
-	targets := make(map[int]bool)
+	// Rounding and the floor of one edge add under one edge a node to the
+	// avgDegree x nodes the scaled degrees sum to.
+	coords := make([]matrix.Coord, 0, int(avgDegree*float64(nodes))+nodes)
 	for i := 0; i < nodes; i++ {
-		deg := int(raw[i]*scale + 0.5)
-		if deg < 1 {
-			deg = 1
-		}
-		if deg > nodes-1 {
-			deg = nodes - 1
-		}
-		clear(targets)
+		deg := min(max(int(raw[i]*scale+0.5), 1), nodes-1)
+		// A map per node: clear costs a map's capacity, which never shrinks,
+		// so one shared map would pay for the largest hub at every later node.
+		targets := make(map[int]bool, deg)
 		for len(targets) < deg {
 			j := rng.Intn(nodes)
 			if j == i || targets[j] {
@@ -120,7 +117,7 @@ func PowerLawGraph(seed int64, nodes int, avgDegree float64, blockSize int) *mat
 func RowNormalize(g *matrix.Grid) *matrix.Grid {
 	rows, cols := g.Rows(), g.Cols()
 	sums := make([]float64, rows)
-	var coords []matrix.Coord
+	coords := make([]matrix.Coord, 0, g.NNZ())
 	for bi := 0; bi < g.BlockRows(); bi++ {
 		for bj := 0; bj < g.BlockCols(); bj++ {
 			r0, c0 := bi*g.BlockSize(), bj*g.BlockSize()

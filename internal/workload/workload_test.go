@@ -2,6 +2,8 @@ package workload
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"dmac/internal/matrix"
@@ -108,6 +110,74 @@ func TestPowerLawGraphProperties(t *testing.T) {
 	}
 	if float64(maxDeg) < 3*avgDeg {
 		t.Errorf("max degree %d shows no power-law skew (avg %v)", maxDeg, avgDeg)
+	}
+}
+
+// refPowerLawGraph is PowerLawGraph as it stood while one map, cleared per
+// node, held the targets: the generator the faster one must reproduce edge
+// for edge.
+func refPowerLawGraph(seed int64, nodes int, avgDegree float64, blockSize int) *matrix.Grid {
+	const alpha = 2.1
+	rng := rand.New(rand.NewSource(seed))
+	raw := make([]float64, nodes)
+	var sum float64
+	maxDeg := float64(nodes-1) / 4
+	if maxDeg < 1 {
+		maxDeg = 1
+	}
+	for i := range raw {
+		d := math.Pow(1/(1-rng.Float64()), 1/(alpha-1))
+		if d > maxDeg {
+			d = maxDeg
+		}
+		raw[i] = d
+		sum += d
+	}
+	scale := avgDegree * float64(nodes) / sum
+	var coords []matrix.Coord
+	targets := make(map[int]bool)
+	for i := 0; i < nodes; i++ {
+		deg := int(raw[i]*scale + 0.5)
+		if deg < 1 {
+			deg = 1
+		}
+		if deg > nodes-1 {
+			deg = nodes - 1
+		}
+		clear(targets)
+		for len(targets) < deg {
+			j := rng.Intn(nodes)
+			if j == i || targets[j] {
+				continue
+			}
+			targets[j] = true
+			coords = append(coords, matrix.Coord{Row: i, Col: j, Val: 1})
+		}
+	}
+	return matrix.FromCoords(nodes, nodes, blockSize, coords)
+}
+
+// TestPowerLawGraphMatchesReference pins the graph of every seed the
+// benchmark draws, at the sizes of its serve_mix jobs and of pagerank_wire:
+// the same stored entries in the same blocks, so the same comm_bytes.
+func TestPowerLawGraphMatchesReference(t *testing.T) {
+	for _, sz := range [][2]int{{1, 4}, {2, 4}, {1024, 32}, {60000, 10606}} {
+		nodes, bs := sz[0], sz[1]
+		seeds := int64(10)
+		if testing.Short() && nodes > 1024 {
+			seeds = 2 // the reference generator takes ~2 s a graph at 60 000 nodes
+		}
+		for seed := int64(1); seed <= seeds; seed++ {
+			got, want := PowerLawGraph(seed, nodes, 8, bs), refPowerLawGraph(seed, nodes, 8, bs)
+			for bi := 0; bi < want.BlockRows(); bi++ {
+				for bj := 0; bj < want.BlockCols(); bj++ {
+					g, w := got.Block(bi, bj).(*matrix.CSCBlock), want.Block(bi, bj).(*matrix.CSCBlock)
+					if !slices.Equal(g.ColPtr, w.ColPtr) || !slices.Equal(g.RowIdx, w.RowIdx) || !slices.Equal(g.Values, w.Values) {
+						t.Fatalf("%d nodes, seed %d: block (%d,%d) differs from the reference generator's", nodes, seed, bi, bj)
+					}
+				}
+			}
+		}
 	}
 }
 
