@@ -31,14 +31,18 @@ type KernelPoint struct {
 	// gram job runs it: (Size/32)^3 block products an op), csc-build (matrix.FromCoords over a Size-node graph of 8 edges a node
 	// in 32-wide blocks; GFLOPS holds 1e9 coordinates/s), dd-par (tiled
 	// kernel at Workers kernel workers), dd-strassen (Strassen recursion,
-	// eligible sizes only).
+	// eligible sizes only). Two dense points have a fixed shape and appear
+	// once a report, whatever sizes it covers: dd-thin (GNMF's H*H^T on
+	// Netflix/10, thinRank x thinDepth times its own transpose: one
+	// thinRank-sided result block, at Workers kernel workers) and dd-ragged
+	// (a raggedSide cube: one row and one column past the register tiles).
 	Kernel string `json:"kernel"`
 	// Size is the square block side; the thin shapes are Size-sided in
 	// their long dimensions, and ss-tn-b32 and csc-build cut a Size-sided
-	// matrix into blocks.
+	// matrix into blocks. thinDepth for dd-thin, raggedSide for dd-ragged.
 	Size int `json:"size"`
-	// Workers is the kernel worker count of a dd-par point; zero elsewhere
-	// (those paths are measured at one worker).
+	// Workers is the kernel worker count of a dd-par or dd-thin point; zero
+	// elsewhere (those paths are measured at one worker).
 	Workers int `json:"workers,omitempty"`
 	// Reps is the number of timed repetitions.
 	Reps int `json:"reps"`
@@ -49,17 +53,21 @@ type KernelPoint struct {
 	GFLOPS float64 `json:"gflops"`
 	// Speedup is the ratio of a baseline's NsPerOp to this point's at the
 	// same size: the dd-naive baseline for the dense tiled kernels, the
-	// one-worker dd-par point for the worker curve, and dd-tiled (classical)
-	// for dd-strassen — so a dd-strassen speedup above 1 marks the crossover.
+	// one-worker dd-par point for the worker curve (the one-worker dd-thin
+	// point for dd-thin), and dd-tiled (classical) for dd-strassen — so a
+	// dd-strassen speedup above 1 marks the crossover.
 	Speedup float64 `json:"speedup,omitempty"`
 }
 
 // KernelReport is the full microbenchmark output.
 type KernelReport struct {
-	GoOS   string        `json:"goos"`
-	GoArch string        `json:"goarch"`
-	NumCPU int           `json:"num_cpu"`
-	Points []KernelPoint `json:"points"`
+	GoOS   string `json:"goos"`
+	GoArch string `json:"goarch"`
+	NumCPU int    `json:"num_cpu"`
+	// GemmKernel is the dense micro-kernel the matrix package selected on
+	// this CPU (matrix.GemmKernel): every dd-* point ran through it.
+	GemmKernel string        `json:"gemm_kernel"`
+	Points     []KernelPoint `json:"points"`
 }
 
 // kernelSparsity is the density of the sparse operands in the sd/ds paths.
@@ -72,6 +80,14 @@ const kernelSparsity = 0.05
 const (
 	thinRank     = 64
 	thinSparsity = 0.01
+)
+
+// The fixed-shape dense points (the same cases as matrix's
+// BenchmarkMulAddDDThin and BenchmarkMulAddDDRagged): thinDepth is the block
+// size sched.ChooseBlockSize gives the gnmf workload.
+const (
+	thinDepth  = 1632
+	raggedSide = 513
 )
 
 // The hypersparse points take the shapes a block partition leaves (the same
@@ -199,7 +215,15 @@ func Kernels(sizes []int, workerCounts []int) *KernelReport {
 		workerCounts = []int{1}
 	}
 	defer matrix.SetKernelWorkers(matrix.SetKernelWorkers(1))
-	rep := &KernelReport{GoOS: runtime.GOOS, GoArch: runtime.GOARCH, NumCPU: runtime.NumCPU()}
+	rep := &KernelReport{GoOS: runtime.GOOS, GoArch: runtime.GOARCH, NumCPU: runtime.NumCPU(), GemmKernel: matrix.GemmKernel()}
+	mulTransInto := func(dst *matrix.DenseBlock, x, y matrix.Block, xT, yT bool) func() {
+		return func() {
+			dst.Zero()
+			if err := matrix.MulAddTransInto(dst, x, y, xT, yT); err != nil {
+				panic(err)
+			}
+		}
+	}
 	for _, n := range sizes {
 		rng := rand.New(rand.NewSource(int64(n)))
 		a := randDense(rng, n, n)
@@ -216,14 +240,6 @@ func Kernels(sizes []int, workerCounts []int) *KernelReport {
 		denseFLOPs := 2 * float64(n) * float64(n) * float64(n)
 		sparseFLOPs := 2 * float64(sa.NNZ()) * float64(n)
 		thinFLOPs := 2 * float64(thin.NNZ()) * thinRank
-		mulTransInto := func(dst *matrix.DenseBlock, x, y matrix.Block, xT, yT bool) func() {
-			return func() {
-				dst.Zero()
-				if err := matrix.MulAddTransInto(dst, x, y, xT, yT); err != nil {
-					panic(err)
-				}
-			}
-		}
 		mulTrans := func(x, y matrix.Block, xT, yT bool) func() {
 			return mulTransInto(dst, x, y, xT, yT)
 		}
@@ -319,12 +335,33 @@ func Kernels(sizes []int, workerCounts []int) *KernelReport {
 			})
 		}
 	}
+	// The fixed-shape dense points.
+	rng := rand.New(rand.NewSource(thinDepth))
+	h := randDense(rng, thinRank, thinDepth)
+	thinProduct := mulTransInto(matrix.NewDense(thinRank, thinRank), h, h, false, true)
+	thinOneNs, _ := measure(thinProduct) // the worker curve's base
+	for _, wk := range workerCounts {
+		matrix.SetKernelWorkers(wk)
+		ns, reps := measure(thinProduct)
+		matrix.SetKernelWorkers(1)
+		rep.Points = append(rep.Points, KernelPoint{
+			Kernel: "dd-thin", Size: thinDepth, Workers: wk, Reps: reps, NsPerOp: ns,
+			GFLOPS:  2 * thinRank * thinRank * thinDepth / ns,
+			Speedup: thinOneNs / ns,
+		})
+	}
+	ra, rb := randDense(rng, raggedSide, raggedSide), randDense(rng, raggedSide, raggedSide)
+	ns, reps := measure(mulTransInto(matrix.NewDense(raggedSide, raggedSide), ra, rb, false, false))
+	rep.Points = append(rep.Points, KernelPoint{
+		Kernel: "dd-ragged", Size: raggedSide, Reps: reps, NsPerOp: ns,
+		GFLOPS: 2 * raggedSide * raggedSide * raggedSide / ns,
+	})
 	return rep
 }
 
 // WriteKernels renders the report as an aligned text table.
 func WriteKernels(w io.Writer, r *KernelReport) {
-	fmt.Fprintf(w, "Kernel microbenchmarks (%s/%s, %d CPU)\n", r.GoOS, r.GoArch, r.NumCPU)
+	fmt.Fprintf(w, "Kernel microbenchmarks (%s/%s, %d CPU, GEMM micro-kernel %s)\n", r.GoOS, r.GoArch, r.NumCPU, r.GemmKernel)
 	rows := make([][]string, 0, len(r.Points))
 	for _, p := range r.Points {
 		speedup := "-"

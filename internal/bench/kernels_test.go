@@ -21,8 +21,9 @@ func TestKernelsSmoke(t *testing.T) {
 	wantKernels := []string{"dd-naive", "dd-tiled", "dd-nt", "dd-tn", "sd", "ds", "ds-tn", "sd-nt", "ds-rowvec",
 		"ds-rowvec-hyper", "ss-tn", "ss-tn-b32", "csc-build"}
 	// Thirteen single-path kernels plus one dd-par point per worker count at
-	// each size; no dd-strassen below the eligibility floor.
-	if got, want := len(rep.Points), len(sizes)*(len(wantKernels)+len(workers)); got != want {
+	// each size; no dd-strassen below the eligibility floor. Then the
+	// fixed-shape points: dd-thin per worker count and one dd-ragged.
+	if got, want := len(rep.Points), len(sizes)*(len(wantKernels)+len(workers))+len(workers)+1; got != want {
 		t.Fatalf("%d points, want %d", got, want)
 	}
 	seen := map[string]int{}
@@ -38,7 +39,7 @@ func TestKernelsSmoke(t *testing.T) {
 			t.Errorf("%s/%d: non-positive GFLOPS", p.Kernel, p.Size)
 		}
 		switch p.Kernel {
-		case "dd-tiled", "dd-nt", "dd-tn", "dd-par", "dd-strassen":
+		case "dd-tiled", "dd-nt", "dd-tn", "dd-par", "dd-strassen", "dd-thin":
 			if p.Speedup <= 0 {
 				t.Errorf("%s/%d: speedup not set", p.Kernel, p.Size)
 			}
@@ -47,9 +48,9 @@ func TestKernelsSmoke(t *testing.T) {
 				t.Errorf("%s/%d: unexpected speedup %v", p.Kernel, p.Size, p.Speedup)
 			}
 		}
-		if p.Kernel == "dd-par" {
+		if p.Kernel == "dd-par" || p.Kernel == "dd-thin" {
 			if p.Workers != 1 && p.Workers != 2 {
-				t.Errorf("dd-par/%d: unexpected worker count %d", p.Size, p.Workers)
+				t.Errorf("%s/%d: unexpected worker count %d", p.Kernel, p.Size, p.Workers)
 			}
 		} else if p.Workers != 0 {
 			t.Errorf("%s/%d: unexpected workers %d", p.Kernel, p.Size, p.Workers)
@@ -63,6 +64,12 @@ func TestKernelsSmoke(t *testing.T) {
 	if seen["dd-par"] != len(sizes)*len(workers) {
 		t.Errorf("dd-par measured %d times, want %d", seen["dd-par"], len(sizes)*len(workers))
 	}
+	if seen["dd-thin"] != len(workers) || seen["dd-ragged"] != 1 {
+		t.Errorf("fixed-shape points: dd-thin measured %d times, dd-ragged %d, want %d and 1", seen["dd-thin"], seen["dd-ragged"], len(workers))
+	}
+	if rep.GemmKernel == "" {
+		t.Error("report does not name the GEMM micro-kernel")
+	}
 	if got := matrix.KernelWorkers(); got != before {
 		t.Errorf("Kernels left kernel workers at %d, want %d restored", got, before)
 	}
@@ -75,7 +82,7 @@ func TestKernelsSmoke(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
 		t.Fatal(err)
 	}
-	if len(back.Points) != len(rep.Points) || back.GoArch != rep.GoArch {
+	if len(back.Points) != len(rep.Points) || back.GoArch != rep.GoArch || back.GemmKernel != rep.GemmKernel {
 		t.Error("JSON round trip lost data")
 	}
 	WriteKernels(&buf, rep) // must not panic

@@ -1,7 +1,7 @@
 // AVX axpy micro-kernel for the sparse x dense kernels (see mul.go). Guarded
-// at runtime by gemmHaveAVX; the pure-Go axpyGo is the fallback.
+// at runtime by cpu.avx (cpuFeatures); the pure-Go axpyGo is the fallback.
 //
-// Like gemmMicroAVX it uses separate VMULPD+VADDPD (no FMA): each lane
+// Like the GEMM micro-kernels it uses separate VMULPD+VADDPD (no FMA): each lane
 // performs exactly the scalar loop's mul-then-add with the same rounding, so
 // AVX and fallback results are bit-identical.
 

@@ -9,9 +9,11 @@ import (
 // classical, Strassen, every transpose combination, dense and sparse
 // operands (square and thin, at 30 % and 1 % density and at about one stored
 // entry per block) — from one fuzzed seed and checks each result against the
-// generic oracle. The parallel-vs-serial comparison is exact (bit identity is
-// the kernel's contract), as is every sparse kernel's against the loop it
-// replaced; Strassen is held to its 1e-9 contract.
+// generic oracle, with the GEMM micro-kernel drawn from those the CPU offers.
+// The parallel-vs-serial comparison is exact (bit identity is the kernel's
+// contract), as is every sparse kernel's against the loop it replaced and the
+// drawn micro-kernel's against the pure-Go one; Strassen is held to its 1e-9
+// contract.
 func FuzzMulKernels(f *testing.F) {
 	for seed := int64(0); seed < 12; seed++ {
 		f.Add(seed)
@@ -20,6 +22,9 @@ func FuzzMulKernels(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64) {
 		defer SetKernelWorkers(SetKernelWorkers(1))
 		rng := rand.New(rand.NewSource(seed))
+		kernels := gemmKernelsFor(cpu)
+		defer func(k gemmKernel) { gemmKern = k }(gemmKern)
+		gemmKern = kernels[rng.Intn(len(kernels))]
 		n := dims[rng.Intn(len(dims))]
 		m := dims[rng.Intn(len(dims))]
 		p := dims[rng.Intn(len(dims))]
@@ -83,8 +88,19 @@ func FuzzMulKernels(f *testing.F) {
 		}
 
 		// The sparse kernels are held to the loops they replaced bit for
-		// bit, not just to the oracle's tolerance.
-		if aSparse || bSparse {
+		// bit, not just to the oracle's tolerance, and the drawn GEMM
+		// micro-kernel to the pure-Go one.
+		if !aSparse && !bSparse {
+			ref := NewDense(n, p)
+			withGemmKernel(gemmGoKernel, func() {
+				if err := MulAddTransInto(ref, a, b, aT, bT); err != nil {
+					t.Fatalf("pure-Go kernel: %v", err)
+				}
+			})
+			if i := sameBits(serial.Data, ref.Data); i >= 0 {
+				t.Fatalf("micro-kernel %s not bit-identical to the pure-Go one at %d (%dx%dx%d aT=%v bT=%v)", gemmKern.name, i, n, m, p, aT, bT)
+			}
+		} else {
 			ref := NewDense(n, p)
 			switch {
 			case aSparse && bSparse:

@@ -6,43 +6,71 @@ import "sync"
 //
 // The kernel follows the classic three-level blocking scheme (Goto/BLIS):
 // the k dimension is split into panels of gemmKC, the result columns into
-// strips of gemmNC and the result rows into strips of gemmMC, so that the
-// packed B panel (gemmKC x gemmNR micro-panels) stays L1-resident and the
-// packed A strip (gemmMC x gemmKC) stays L2-resident while the micro-kernel
-// sweeps it. The innermost unit is a 2x4 register accumulator block
-// (gemmMR x gemmNR): eight scalar accumulators that touch dst exactly once
-// per (i,k,j) macro-tile, removing the load/store-per-element traffic of the
-// naive ikj loop. 2x4 is chosen for amd64's sixteen XMM registers: the eight
-// accumulators plus two A values and four B values (fourteen live floats)
-// fit without spilling, whereas a 4x4 block's sixteen accumulators alone
-// force spill traffic into every iteration of the k loop.
+// strips of gemmNC and the result rows into strips of at most gemmMC, and
+// both operands are packed once per strip into micro-panels (A in mr-row
+// panels, B in nr-column panels, k-major, zero-padded) that the micro-kernel
+// streams through sequentially. The micro-kernel holds an mr x nr tile of
+// partial sums in registers for a whole k panel and touches dst once per
+// tile and panel.
+//
+// The tile is sized to the machine, not fixed: one gemmKernel descriptor
+// {mr, nr, fn} is chosen at init from what the CPU and OS offer (8x16 on
+// AVX-512, 4x8 on AVX, the pure-Go loop elsewhere), and the packers, the
+// macro loop and the tests take mr and nr from it. The sizing rule is
+// accumulators >= add latency x add ports: every accumulator register is one
+// dependent chain of adds, an add takes 4 cycles and two can start per
+// cycle, so fewer than 8 independent chains leave the adders idle. The tile
+// is then made as large as the register file allows, because an mr x nr
+// tile does mr*nr multiply-adds per mr+nr loads.
+//
+// Three things decide the bits of a result and are the same for every
+// kernel, tile size and worker count:
+//
+//   - gemmKC: an element's products are summed k-ascending into an
+//     accumulator that starts at zero for each k panel, and each panel's
+//     sum is added into dst in panel order. Changing the panel depth
+//     regroups the sum.
+//   - the routing predicate n*m*p < gemmSmall: small products run
+//     mulAddSmallStrided, which adds each product straight into dst.
+//   - multiply, round, then add: no kernel fuses the two (no FMA).
+//
+// Everything else — mr, nr, gemmMC, gemmNC, how many strips run at once — only
+// decides which elements are computed together, never how one is summed.
 //
 // Operand transposition is absorbed entirely by the packing routines: a
 // transposed operand is read with swapped strides while being packed, so the
 // NT/TN/TT variants run the exact same micro-kernel as NN and never
-// materialize a transposed copy.
+// materialize a transposed copy. A packer either copies runs of mr (nr)
+// contiguous elements or, when the micro-panel's short side runs down the
+// operand's columns, transposes with packTrans (row streams in, whole cache
+// lines out).
 //
 // Above gemmParMin flops the MC-strip loop is partitioned across the shared
-// kernel worker pool (parallel.go): the packed B strip is shared read-only,
+// kernel worker pool (parallel.go): the packed B panels are shared read-only,
 // every strip packs A into an arena it holds for that strip, and strips write
 // disjoint result rows, so the parallel kernel is race-free and bit-identical
-// to the serial one at every worker count (the k-panel loop — the only loop
-// whose order reaches the floating-point accumulation — stays serial).
+// to the serial one at every worker count (every strip takes its k panels in
+// ascending order — the only order that reaches the floating-point
+// accumulation). The strip height follows the worker count (gemmStripRows),
+// so a product with few result rows — GNMF's 64x1632 * 1632x64 — still cuts
+// into one strip per worker.
 const (
-	// gemmMR x gemmNR is the register accumulator block of the micro-kernel.
-	gemmMR = 2
-	gemmNR = 4
-	// gemmKC is the k-panel depth: one packed B micro-panel is
-	// gemmKC*gemmNR*8 = 8 KiB, comfortably L1-resident.
+	// gemmKC is the k-panel depth. Part of the numerical contract (see
+	// above); at 256 a packed 16-column B micro-panel is 32 KiB and an
+	// 8-row A micro-panel 16 KiB.
 	gemmKC = 256
-	// gemmMC rows of packed A per strip: gemmMC*gemmKC*8 = 128 KiB, sized
-	// for L2.
+	// gemmMC is the most rows of packed A per strip: gemmMC*gemmKC*8 = 128
+	// KiB, sized for L2. A multiple of every kernel's mr.
 	gemmMC = 64
 	// gemmNC columns of packed B per strip: bounds the packed B buffer at
-	// gemmKC*gemmNC*8 = 1 MiB.
+	// gemmKC*gemmNC*8 = 1 MiB. A multiple of every kernel's nr.
 	gemmNC = 512
+	// gemmTileMax bounds mr*nr over all kernels: the scratch tile a ragged
+	// edge is computed in.
+	gemmTileMax = 8 * 16
 	// gemmSmall is the flop threshold (n*m*p) below which the packing
 	// overhead does not pay off and a plain strided triple loop is used.
+	// Part of the numerical contract (see above).
 	gemmSmall = 32 * 32 * 32
 	// gemmParMin is the flop threshold (n*m*p) below which one multiply is
 	// not worth fanning out across the worker pool: under ~2 Mflop the
@@ -50,14 +78,46 @@ const (
 	gemmParMin = 128 * 128 * 128
 )
 
+// cpuFeatures is what detectCPU found: the vector widths the CPU implements
+// and the OS preserves. Every assembly kernel of the package is gated on it.
+type cpuFeatures struct {
+	avx    bool // 256-bit YMM instructions (gemmMicroAVX, axpyAVX)
+	avx512 bool // 512-bit ZMM instructions (gemmMicroAVX512)
+}
+
+// cpu is read-only outside tests.
+var cpu = detectCPU()
+
+// gemmKernel describes one register micro-kernel: fn computes
+// c[0:mr, 0:nr] += Ap * Bp over kw k steps, where c has leading dimension
+// ldc, Ap is a packed mr-row A micro-panel and Bp a packed nr-column B
+// micro-panel (see gemmPackA, gemmPackB). All kernels are bit-identical.
+type gemmKernel struct {
+	name   string
+	mr, nr int
+	fn     func(c []float64, ldc int, ap, bp []float64, kw int)
+}
+
+// gemmGoKernel is the portable micro-kernel.
+var gemmGoKernel = gemmKernel{name: "go-2x4", mr: gemmGoMR, nr: gemmGoNR, fn: gemmMicroGo}
+
+// gemmKern is the micro-kernel every packed product runs: the fastest the
+// CPU offers. Read-only outside tests.
+var gemmKern = gemmKernelsFor(cpu)[0]
+
+// GemmKernel names the micro-kernel in use, for benchmark reports:
+// "avx512-8x16", "avx-4x8" or "go-2x4".
+func GemmKernel() string { return gemmKern.name }
+
 // Pack-buffer arenas. The A and B halves are pooled separately because the
 // parallel kernel shares one packed B strip across all participants while
 // every strip packs A into its own arena; sync.Pool hands each
 // Get an exclusive buffer, which is exactly the per-strip ownership the
-// race-free packing needs. Steady-state multiplications allocate nothing.
+// race-free packing needs. The A arena carries the strip's scratch tile
+// behind the packed panels. Steady-state multiplications allocate nothing.
 var gemmABufPool = sync.Pool{
 	New: func() any {
-		buf := make([]float64, gemmMC*gemmKC)
+		buf := make([]float64, gemmMC*gemmKC+gemmTileMax)
 		return &buf
 	},
 }
@@ -94,41 +154,62 @@ func mulAddDDTrans(dst, a, b *DenseBlock, aT, bT bool) {
 	gemmStrided(dst.Data, dst.cols, n, p, a.Data, a.cols, aT, b.Data, b.cols, bT, m, KernelWorkers())
 }
 
+// gemmStripRows returns the height of one MC strip for a product of n result
+// rows run by the given number of workers with an mr-row micro-kernel: the
+// rows are shared out evenly in whole micro-panels, up to gemmMC a strip. One
+// worker gets min(n, gemmMC) rows a strip rounded up to mr.
+func gemmStripRows(n, workers, mr int) int {
+	perWorker := (n + workers - 1) / workers
+	return min(gemmMC, roundUp(perWorker, mr))
+}
+
+// roundUp returns x rounded up to a multiple of m.
+func roundUp(x, m int) int { return (x + m - 1) / m * m }
+
 // gemmStrided is the packed tiled kernel over raw strided storage:
 // C[0:n, 0:p] (leading dimension ldc) += op(A) * op(B), where op(A) is n x m
 // read from a/lda (transposed when aT) and op(B) is m x p from b/ldb. It is
 // shared by the block entry point above and by Strassen's quadrant views,
 // which are strided sub-matrices with ld > cols.
+//
+// For each strip of gemmNC result columns the B arena takes as many k panels
+// as fit (one for a full strip, all seven of a 64-column 1632-deep product)
+// and the row strips then run through those panels in k order, so the
+// workers meet once per arena fill, not once per panel.
 func gemmStrided(c []float64, ldc, n, p int, a []float64, lda int, aT bool, b []float64, ldb int, bT bool, m, workers int) {
+	kern := gemmKern
+	if n*m*p < gemmParMin {
+		workers = 1
+	}
+	mc := gemmStripRows(n, workers, kern.mr)
+	iStrips := (n + mc - 1) / mc
+	parallel := workers > 1 && iStrips > 1
 	bbufp := gemmBBufPool.Get().(*[]float64)
 	bbuf := *bbufp
-	iStrips := (n + gemmMC - 1) / gemmMC
-	parallel := workers > 1 && iStrips > 1 && n*m*p >= gemmParMin
 	var abufp *[]float64
 	if !parallel {
 		abufp = gemmABufPool.Get().(*[]float64)
 	}
-	for k0 := 0; k0 < m; k0 += gemmKC {
-		kw := min(gemmKC, m-k0)
-		for j0 := 0; j0 < p; j0 += gemmNC {
-			jw := min(gemmNC, p-j0)
-			gemmPackB(bbuf, b, ldb, bT, k0, kw, j0, jw)
+	for j0 := 0; j0 < p; j0 += gemmNC {
+		jw := min(gemmNC, p-j0)
+		jwPacked := roundUp(jw, kern.nr)
+		depth := len(bbuf) / (gemmKC * jwPacked) * gemmKC // k steps of packed B the arena holds
+		for k0 := 0; k0 < m; k0 += depth {
+			kd := min(depth, m-k0)
+			for k := 0; k < kd; k += gemmKC {
+				gemmPackB(bbuf[k*jwPacked:], kern.nr, b, ldb, bT, k0+k, min(gemmKC, kd-k), j0, jw)
+			}
 			if parallel {
-				k0, j0, kw, jw := k0, j0, kw, jw
+				k0, j0 := k0, j0 // the loop variables would move to the heap for the serial path too
 				parallelStrips(iStrips, workers, func(s int) {
 					abufp := gemmABufPool.Get().(*[]float64)
-					i0 := s * gemmMC
-					iw := min(gemmMC, n-i0)
-					gemmPackA(*abufp, a, lda, aT, i0, iw, k0, kw)
-					gemmMacro(c, ldc, i0, j0, iw, jw, kw, *abufp, bbuf)
+					gemmStrip(kern, c, ldc, s*mc, min(mc, n-s*mc), j0, jw, a, lda, aT, k0, kd, *abufp, bbuf)
 					gemmABufPool.Put(abufp)
 				})
 				continue
 			}
-			for i0 := 0; i0 < n; i0 += gemmMC {
-				iw := min(gemmMC, n-i0)
-				gemmPackA(*abufp, a, lda, aT, i0, iw, k0, kw)
-				gemmMacro(c, ldc, i0, j0, iw, jw, kw, *abufp, bbuf)
+			for i0 := 0; i0 < n; i0 += mc {
+				gemmStrip(kern, c, ldc, i0, min(mc, n-i0), j0, jw, a, lda, aT, k0, kd, *abufp, bbuf)
 			}
 		}
 	}
@@ -136,6 +217,18 @@ func gemmStrided(c []float64, ldc, n, p int, a []float64, lda int, aT bool, b []
 		gemmABufPool.Put(abufp)
 	}
 	gemmBBufPool.Put(bbufp)
+}
+
+// gemmStrip adds to result rows [i0, i0+iw) of the column strip [j0, j0+jw)
+// the k steps [k0, k0+kd), one gemmKC panel after the other; bbuf holds the
+// packed B panels of those steps back to back.
+func gemmStrip(kern gemmKernel, c []float64, ldc, i0, iw, j0, jw int, a []float64, lda int, aT bool, k0, kd int, abuf, bbuf []float64) {
+	jwPacked := roundUp(jw, kern.nr)
+	for k := 0; k < kd; k += gemmKC {
+		kw := min(gemmKC, kd-k)
+		gemmPackA(abuf, kern.mr, a, lda, aT, i0, iw, k0+k, kw)
+		gemmMacro(kern, c, ldc, i0, j0, iw, jw, kw, abuf, bbuf[k*jwPacked:])
+	}
 }
 
 // mulAddDDSmall is the unpacked fallback for shapes too small to amortize
@@ -178,124 +271,115 @@ func mulAddSmallStrided(c []float64, ldc, n, m, p int, a []float64, lda int, aT 
 }
 
 // gemmPackA packs the iw x kw strip of op(A) starting at (i0, k0) into
-// micro-panels of gemmMR rows, k-major within a panel:
-// buf[panel*gemmMR*kw + k*gemmMR + r] = op(A)[i0+panel*gemmMR+r, k0+k],
+// micro-panels of mr rows, k-major within a panel:
+// buf[panel*mr*kw + k*mr + r] = op(A)[i0+panel*mr+r, k0+k],
 // where op(A) is read from the strided storage a with leading dimension lda
 // (swapped strides when aT). Ragged panels are zero-padded so the
 // micro-kernel never branches on row count.
-func gemmPackA(buf []float64, a []float64, lda int, aT bool, i0, iw, k0, kw int) {
-	for ip := 0; ip < iw; ip += gemmMR {
-		panel := buf[(ip/gemmMR)*gemmMR*kw:]
-		ir := min(gemmMR, iw-ip)
-		if aT {
-			// op(A)[i,k] = A[k,i]: one stored row feeds one k slot.
-			for k := 0; k < kw; k++ {
-				row := a[(k0+k)*lda+i0+ip:]
-				for r := 0; r < ir; r++ {
-					panel[k*gemmMR+r] = row[r]
-				}
-				for r := ir; r < gemmMR; r++ {
-					panel[k*gemmMR+r] = 0
-				}
-			}
-			continue
-		}
-		for r := 0; r < ir; r++ {
-			row := a[(i0+ip+r)*lda+k0:]
-			for k := 0; k < kw; k++ {
-				panel[k*gemmMR+r] = row[k]
-			}
-		}
-		for r := ir; r < gemmMR; r++ {
-			for k := 0; k < kw; k++ {
-				panel[k*gemmMR+r] = 0
-			}
-		}
-	}
+func gemmPackA(buf []float64, mr int, a []float64, lda int, aT bool, i0, iw, k0, kw int) {
+	gemmPack(buf, mr, a, lda, !aT, i0, iw, k0, kw)
 }
 
 // gemmPackB packs the kw x jw strip of op(B) starting at (k0, j0) into
-// micro-panels of gemmNR columns, k-major within a panel:
-// buf[panel*gemmNR*kw + k*gemmNR + c] = op(B)[k0+k, j0+panel*gemmNR+c],
+// micro-panels of nr columns, k-major within a panel:
+// buf[panel*nr*kw + k*nr + c] = op(B)[k0+k, j0+panel*nr+c],
 // reading the strided storage b with leading dimension ldb.
-func gemmPackB(buf []float64, b []float64, ldb int, bT bool, k0, kw, j0, jw int) {
-	for jp := 0; jp < jw; jp += gemmNR {
-		panel := buf[(jp/gemmNR)*gemmNR*kw:]
-		jr := min(gemmNR, jw-jp)
-		if bT {
-			// op(B)[k,j] = B[j,k]: one stored row feeds one column slot.
-			for c := 0; c < jr; c++ {
-				row := b[(j0+jp+c)*ldb+k0:]
-				for k := 0; k < kw; k++ {
-					panel[k*gemmNR+c] = row[k]
-				}
-			}
-			for c := jr; c < gemmNR; c++ {
-				for k := 0; k < kw; k++ {
-					panel[k*gemmNR+c] = 0
-				}
-			}
-			continue
+func gemmPackB(buf []float64, nr int, b []float64, ldb int, bT bool, k0, kw, j0, jw int) {
+	gemmPack(buf, nr, b, ldb, bT, j0, jw, k0, kw)
+}
+
+// gemmPack is both packers. A micro-panel holds w lanes (rows of op(A),
+// columns of op(B)) side by side for each of kw k steps:
+// buf[panel*w*kw + k*w + l] = lane l0+panel*w+l at step k0+k, zero for lanes
+// at or beyond lw. With lanesAreRows a lane is a stored row of src and the
+// panel is its transpose (packTrans: w row streams in, whole cache lines
+// out); otherwise a lane is a stored column, step k is a stored row, and the
+// w lanes of one step are contiguous in src.
+func gemmPack(buf []float64, w int, src []float64, ld int, lanesAreRows bool, l0, lw, k0, kw int) {
+	if ragged := lw % w; ragged != 0 {
+		clear(buf[(lw-ragged)*kw : (lw-ragged+w)*kw])
+	}
+	if lanesAreRows {
+		for lp := 0; lp < lw; lp += w {
+			packTransLd(buf[lp*kw:], w, src, ld, l0+lp, min(w, lw-lp), k0, kw)
 		}
-		for k := 0; k < kw; k++ {
-			row := b[(k0+k)*ldb:]
-			for c := 0; c < jr; c++ {
-				panel[k*gemmNR+c] = row[j0+jp+c]
-			}
-			for c := jr; c < gemmNR; c++ {
-				panel[k*gemmNR+c] = 0
-			}
+		return
+	}
+	// Step by step, so that src is read a whole row at a time.
+	for k := 0; k < kw; k++ {
+		row := src[(k0+k)*ld+l0:][:lw]
+		for lp := 0; lp < lw; lp += w {
+			copy(buf[lp*kw+k*w:], row[lp:min(lp+w, lw)])
 		}
 	}
 }
 
 // gemmMacro sweeps the packed strips with the register micro-kernel. The
 // B micro-panel is held innermost-loop-invariant (L1) while A micro-panels
-// stream from the packed L2 strip.
-func gemmMacro(c []float64, ldc, i0, j0, iw, jw, kw int, abuf, bbuf []float64) {
-	for jp := 0; jp < jw; jp += gemmNR {
-		jr := min(gemmNR, jw-jp)
-		bp := bbuf[(jp/gemmNR)*gemmNR*kw : (jp/gemmNR+1)*gemmNR*kw]
-		for ip := 0; ip < iw; ip += gemmMR {
-			ir := min(gemmMR, iw-ip)
-			ap := abuf[(ip/gemmMR)*gemmMR*kw : (ip/gemmMR+1)*gemmMR*kw]
+// stream from the packed L2 strip. A ragged tile runs the same kernel into
+// the scratch tile behind abuf's panels and adds the live corner into c: the
+// packed panels are zero-padded, and 0 + acc is acc bit for bit (an
+// accumulator that starts at +0 is never -0).
+func gemmMacro(kern gemmKernel, c []float64, ldc, i0, j0, iw, jw, kw int, abuf, bbuf []float64) {
+	mr, nr := kern.mr, kern.nr
+	tile := abuf[len(abuf)-gemmTileMax:][:mr*nr]
+	for jp := 0; jp < jw; jp += nr {
+		jr := min(nr, jw-jp)
+		bp := bbuf[jp*kw : (jp+nr)*kw]
+		for ip := 0; ip < iw; ip += mr {
+			ir := min(mr, iw-ip)
+			ap := abuf[ip*kw : (ip+mr)*kw]
 			ci := (i0+ip)*ldc + j0 + jp
-			if ir == gemmMR && jr == gemmNR {
-				if gemmHaveAVX {
-					gemmMicroAVX(&c[ci], ldc, &ap[0], &bp[0], kw)
-				} else {
-					gemmMicro2x4(c[ci:], ldc, ap, bp, kw)
+			if ir == mr && jr == nr {
+				kern.fn(c[ci:], ldc, ap, bp, kw)
+				continue
+			}
+			clear(tile)
+			kern.fn(tile, nr, ap, bp, kw)
+			for i := 0; i < ir; i++ {
+				crow := c[ci+i*ldc : ci+i*ldc+jr]
+				for j, t := range tile[i*nr : i*nr+jr] {
+					crow[j] += t
 				}
-			} else {
-				gemmMicroEdge(c[ci:], ldc, ir, jr, ap, bp, kw)
 			}
 		}
 	}
 }
 
-// gemmMicro2x4 accumulates a full 2x4 tile: c[0:2, 0:4] += Ap * Bp over kw,
-// with the eight partial sums held in registers for the whole k loop. The k
-// loop is unrolled twice; the array-pointer conversions replace the eight
-// per-iteration bounds checks with one check per packed panel load.
-func gemmMicro2x4(c []float64, ldc int, ap, bp []float64, kw int) {
+// gemmGoMR x gemmGoNR is the pure-Go micro-kernel's tile: eight scalar
+// accumulators, two A values and four B values fit amd64's sixteen XMM
+// registers without spilling (a loop nest over an accumulator array, which
+// the compiler keeps in memory, measured half as fast).
+const (
+	gemmGoMR = 2
+	gemmGoNR = 4
+)
+
+// gemmMicroGo is the portable micro-kernel and the definition the assembly
+// ones are held to: each of the tile's partial sums starts at zero, takes
+// its kw products in k order, each rounded before it is added (the
+// conversions forbid the compiler a fused multiply-add), and is added into c
+// once. The array-pointer conversions replace the per-element bounds checks
+// with one check per packed panel load.
+func gemmMicroGo(c []float64, ldc int, ap, bp []float64, kw int) {
 	var c00, c01, c02, c03 float64
 	var c10, c11, c12, c13 float64
 	for k := 0; k < kw; k++ {
-		a := (*[gemmMR]float64)(ap[gemmMR*k:])
-		b := (*[gemmNR]float64)(bp[gemmNR*k:])
+		a := (*[gemmGoMR]float64)(ap[gemmGoMR*k:])
+		b := (*[gemmGoNR]float64)(bp[gemmGoNR*k:])
 		a0, a1 := a[0], a[1]
 		b0, b1, b2, b3 := b[0], b[1], b[2], b[3]
-		c00 += a0 * b0
-		c01 += a0 * b1
-		c02 += a0 * b2
-		c03 += a0 * b3
-		c10 += a1 * b0
-		c11 += a1 * b1
-		c12 += a1 * b2
-		c13 += a1 * b3
+		c00 += float64(a0 * b0)
+		c01 += float64(a0 * b1)
+		c02 += float64(a0 * b2)
+		c03 += float64(a0 * b3)
+		c10 += float64(a1 * b0)
+		c11 += float64(a1 * b1)
+		c12 += float64(a1 * b2)
+		c13 += float64(a1 * b3)
 	}
-	r0 := (*[gemmNR]float64)(c)
-	r1 := (*[gemmNR]float64)(c[ldc:])
+	r0 := (*[gemmGoNR]float64)(c)
+	r1 := (*[gemmGoNR]float64)(c[ldc:])
 	r0[0] += c00
 	r0[1] += c01
 	r0[2] += c02
@@ -304,31 +388,4 @@ func gemmMicro2x4(c []float64, ldc int, ap, bp []float64, kw int) {
 	r1[1] += c11
 	r1[2] += c12
 	r1[3] += c13
-}
-
-// gemmMicroEdge handles ragged tiles (fewer than gemmMR rows or gemmNR
-// columns): the packed panels are zero-padded so it can accumulate a full
-// gemmMR x gemmNR tile locally and write back only the live ir x jr corner.
-func gemmMicroEdge(c []float64, ldc, ir, jr int, ap, bp []float64, kw int) {
-	var t [gemmMR * gemmNR]float64
-	ap = ap[:gemmMR*kw]
-	bp = bp[:gemmNR*kw]
-	for k := 0; k < kw; k++ {
-		b0 := bp[gemmNR*k]
-		b1 := bp[gemmNR*k+1]
-		b2 := bp[gemmNR*k+2]
-		b3 := bp[gemmNR*k+3]
-		for i := 0; i < gemmMR; i++ {
-			av := ap[gemmMR*k+i]
-			t[gemmNR*i] += av * b0
-			t[gemmNR*i+1] += av * b1
-			t[gemmNR*i+2] += av * b2
-			t[gemmNR*i+3] += av * b3
-		}
-	}
-	for i := 0; i < ir; i++ {
-		for j := 0; j < jr; j++ {
-			c[i*ldc+j] += t[gemmNR*i+j]
-		}
-	}
 }

@@ -2,11 +2,9 @@
 
 package matrix
 
-// gemmHaveAVX is false on architectures without the assembly micro-kernel;
-// the pure-Go gemmMicro2x4 runs everywhere.
-var gemmHaveAVX = false
+// detectCPU finds no vector features on architectures without assembly
+// kernels.
+func detectCPU() cpuFeatures { return cpuFeatures{} }
 
-// gemmMicroAVX is never called when gemmHaveAVX is false.
-func gemmMicroAVX(c *float64, ldc int, ap, bp *float64, kw int) {
-	panic("matrix: gemmMicroAVX without AVX support")
-}
+// gemmKernelsFor lists the pure-Go micro-kernel: the only one here.
+func gemmKernelsFor(cpuFeatures) []gemmKernel { return []gemmKernel{gemmGoKernel} }

@@ -3,6 +3,7 @@ package matrix
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -89,33 +90,93 @@ func TestMulAddTransAccumulates(t *testing.T) {
 	}
 }
 
-// TestGemmAVXMatchesGo requires the assembly micro-kernel and the pure-Go
-// fallback to be bit-identical: the AVX path uses separate mul/add with the
-// scalar kernel's operation order, so every output element must match exactly.
-func TestGemmAVXMatchesGo(t *testing.T) {
-	if !gemmHaveAVX {
-		t.Skip("no AVX support on this machine")
+// withGemmKernel runs f with kern as the micro-kernel of every packed
+// product.
+func withGemmKernel(kern gemmKernel, f func()) {
+	defer func(k gemmKernel) { gemmKern = k }(gemmKern)
+	gemmKern = kern
+	f()
+}
+
+// plantSpecials overwrites a few random cells of d with zeros and infinities
+// of both signs and the hardware's default NaN (see hyperSparse for why that
+// one).
+func plantSpecials(rng *rand.Rand, d *DenseBlock) {
+	for _, v := range []float64{0, math.Copysign(0, -1), posInf, -posInf, posInf - posInf} {
+		d.Data[rng.Intn(len(d.Data))] = v
 	}
-	rng := rand.New(rand.NewSource(99))
-	for _, dims := range [][3]int{{40, 40, 40}, {70, 69, 65}, {64, 256, 512}} {
-		n, m, p := dims[0], dims[1], dims[2]
-		a := randDense(rng, n, m)
-		b := randDense(rng, m, p)
-		avx := NewDense(n, p)
-		if err := MulAddTransInto(avx, a, b, false, false); err != nil {
-			t.Fatal(err)
+}
+
+// TestGemmKernelsBitIdentical holds every micro-kernel the CPU offers to the
+// pure-Go one, bit for bit, through the packed path (gemmStrided, whatever
+// the size): all four transpose forms, result shapes ragged against every
+// tile in both dimensions, k depths that cross the gemmKC panels and leave
+// tails for the unrolled k loops, a non-zero dst with zeros of both signs,
+// specials among the operands, and worker counts that cut the rows into one
+// to seven strips.
+func TestGemmKernelsBitIdentical(t *testing.T) {
+	kernels := gemmKernelsFor(cpu)
+	for _, k := range kernels {
+		t.Logf("micro-kernel %s (%dx%d)", k.name, k.mr, k.nr)
+	}
+	dims := []int{1, 2, 3, 7, 8, 9, 15, 16, 17, 31, 33, 63, 65}
+	depths := []int{1, 255, 256, 257, 513}
+	var shapes [][3]int
+	for i, n := range dims {
+		for j, p := range dims {
+			shapes = append(shapes, [3]int{n, depths[(i+j)%len(depths)], p})
 		}
-		gemmHaveAVX = false
-		goDst := NewDense(n, p)
-		err := MulAddTransInto(goDst, a, b, false, false)
-		gemmHaveAVX = true
-		if err != nil {
-			t.Fatal(err)
+	}
+	// Large enough to fan out (gemmParMin), GNMF's thin H*H^T among them.
+	thin := [3]int{64, 1632, 64}
+	shapes = append(shapes, thin, [3]int{65, 513, 65}, [3]int{129, 257, 131}, [3]int{200, 256, 48})
+	if thin[0]*thin[1]*thin[2] < gemmParMin {
+		t.Errorf("%v is below gemmParMin: it would not fan out", thin)
+	}
+	for _, k := range kernels {
+		if mc := gemmStripRows(thin[0], 2, k.mr); mc >= thin[0] {
+			t.Errorf("%s: two workers get strips of %d rows on %v: one strip, one core", k.name, mc, thin)
 		}
-		for i := range avx.Data {
-			if avx.Data[i] != goDst.Data[i] {
-				t.Fatalf("%dx%dx%d: AVX and Go kernels differ at %d: %g vs %g",
-					n, m, p, i, avx.Data[i], goDst.Data[i])
+		if mc := gemmStripRows(thin[0], 1, k.mr); mc != gemmMC {
+			t.Errorf("%s: one worker gets strips of %d rows, want gemmMC", k.name, mc)
+		}
+	}
+	rng := rand.New(rand.NewSource(16))
+	for si, sh := range shapes {
+		n, m, p := sh[0], sh[1], sh[2]
+		for flags := 0; flags < 4; flags++ {
+			aT, bT := flags&1 != 0, flags&2 != 0
+			ar, ac := n, m
+			if aT {
+				ar, ac = m, n
+			}
+			br, bc := m, p
+			if bT {
+				br, bc = p, m
+			}
+			a, b := randDense(rng, ar, ac), randDense(rng, br, bc)
+			special := (si+flags)%2 == 1
+			if special {
+				plantSpecials(rng, a)
+				plantSpecials(rng, b)
+			}
+			entry := dstOnEntry(rng, n, p)
+			run := func(kern gemmKernel, workers int) *DenseBlock {
+				got := entry.Clone().(*DenseBlock)
+				withGemmKernel(kern, func() {
+					gemmStrided(got.Data, p, n, p, a.Data, ac, aT, b.Data, bc, bT, m, workers)
+				})
+				return got
+			}
+			want := run(gemmGoKernel, 1)
+			for _, kern := range kernels {
+				for _, workers := range []int{1, 2, 3, 7} {
+					got := run(kern, workers)
+					if i := sameBits(got.Data, want.Data); i >= 0 {
+						t.Fatalf("%s %dx%dx%d aT=%v bT=%v special=%v workers=%d: element %d is %v, pure-Go kernel %v",
+							kern.name, n, m, p, aT, bT, special, workers, i, got.Data[i], want.Data[i])
+					}
+				}
 			}
 		}
 	}
@@ -127,17 +188,20 @@ func TestMulAddTransIntoAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
 	}
+	defer SetKernelWorkers(SetKernelWorkers(1)) // a fanned-out product allocates its strip job
 	rng := rand.New(rand.NewSource(3))
-	a := randDense(rng, 96, 96)
-	b := randDense(rng, 96, 96)
-	dst := NewDense(96, 96)
-	if avg := testing.AllocsPerRun(10, func() {
-		dst.Zero()
-		if err := MulAddTransInto(dst, a, b, false, false); err != nil {
-			t.Fatal(err)
+	for _, n := range []int{96, 97} { // whole tiles only; ragged edges through the scratch tile
+		a := randDense(rng, n, n)
+		b := randDense(rng, n, n)
+		dst := NewDense(n, n)
+		if avg := testing.AllocsPerRun(10, func() {
+			dst.Zero()
+			if err := MulAddTransInto(dst, a, b, false, false); err != nil {
+				t.Fatal(err)
+			}
+		}); avg != 0 {
+			t.Errorf("dense %dx%d MulAddTransInto allocates %v times per op, want 0", n, n, avg)
 		}
-	}); avg != 0 {
-		t.Errorf("dense MulAddTransInto allocates %v times per op, want 0", avg)
 	}
 }
 
@@ -212,6 +276,60 @@ func BenchmarkMulAddDDTransposed(b *testing.B) {
 	}
 }
 
+// benchGemmShape measures dst += op(x) * op(y) for an n x m x p product.
+func benchGemmShape(b *testing.B, n, m, p int, aT, bT bool) {
+	rng := rand.New(rand.NewSource(1))
+	ar, ac := n, m
+	if aT {
+		ar, ac = m, n
+	}
+	br, bc := m, p
+	if bT {
+		br, bc = p, m
+	}
+	x, y := randDense(rng, ar, ac), randDense(rng, br, bc)
+	dst := NewDense(n, p)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dst.Zero()
+		if err := MulAddTransInto(dst, x, y, aT, bT); err != nil {
+			b.Fatal(err)
+		}
+	}
+	gf := 2 * float64(n) * float64(m) * float64(p) * float64(b.N) / b.Elapsed().Seconds() / 1e9
+	b.ReportMetric(gf, "GFLOPS")
+}
+
+// BenchmarkMulAddDDThin is GNMF's H*H^T at k = 64 on Netflix/10: one 64 x 64
+// result block from a 1632-deep product, which only fans out because the
+// strip height follows the worker count. Run it with -cpu 1,2.
+func BenchmarkMulAddDDThin(b *testing.B) {
+	defer SetKernelWorkers(SetKernelWorkers(runtime.GOMAXPROCS(0)))
+	benchGemmShape(b, 64, 1632, 64, false, true)
+}
+
+// BenchmarkMulAddDDRagged measures shapes the register tile pads: a row
+// vector and three rows against a 512-wide block, and cubes one past a tile
+// multiple.
+func BenchmarkMulAddDDRagged(b *testing.B) {
+	for _, sh := range [][3]int{{1, 512, 512}, {3, 512, 512}, {33, 33, 33}, {513, 513, 513}} {
+		b.Run(itoa(sh[0])+"x"+itoa(sh[1])+"x"+itoa(sh[2]), func(b *testing.B) {
+			benchGemmShape(b, sh[0], sh[1], sh[2], false, false)
+		})
+	}
+}
+
+// BenchmarkMulAddDDKernels measures one 512-cube on every micro-kernel the
+// CPU offers, at one kernel worker: the comparison a tile earns its place by.
+func BenchmarkMulAddDDKernels(b *testing.B) {
+	defer SetKernelWorkers(SetKernelWorkers(1))
+	for _, kern := range gemmKernelsFor(cpu) {
+		b.Run(kern.name, func(b *testing.B) {
+			withGemmKernel(kern, func() { benchGemmShape(b, 512, 512, 512, false, false) })
+		})
+	}
+}
+
 func sizeName(n int) string {
 	return "n" + itoa(n)
 }
@@ -230,64 +348,60 @@ func itoa(n int) string {
 	return string(buf[i:])
 }
 
-// TestGemmPackRoundTrip checks the packing layouts directly: every packed
-// element must equal the corresponding op(x) element, with zero padding.
+// TestGemmPackRoundTrip checks the packing layouts directly, at every
+// kernel's mr and nr: every packed element must equal the corresponding
+// op(x) element of the window, with zero padding beyond it, whatever the
+// buffer held before.
 func TestGemmPackRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	a := randDense(rng, 11, 9)
-	for _, aT := range []bool{false, true} {
-		rows, cols := transDims(a, aT)
-		iw, kw := rows, cols
-		buf := make([]float64, ((iw+gemmMR-1)/gemmMR)*gemmMR*kw)
-		gemmPackA(buf, a.Data, a.cols, aT, 0, iw, 0, kw)
-		at := func(i, k int) float64 {
-			if aT {
-				return a.At(k, i)
-			}
-			return a.At(i, k)
-		}
-		for ip := 0; ip < iw; ip += gemmMR {
-			panel := buf[(ip/gemmMR)*gemmMR*kw:]
-			for k := 0; k < kw; k++ {
-				for r := 0; r < gemmMR; r++ {
-					want := 0.0
-					if ip+r < iw {
-						want = at(ip+r, k)
+	src := randDense(rng, 37, 41)
+	const l0, k0 = 2, 3 // window origin: lanes from l0, k steps from k0
+	for _, kern := range gemmKernelsFor(cpu) {
+		for _, w := range []int{kern.mr, kern.nr} {
+			for _, trans := range []bool{false, true} {
+				// As A: lanes are rows of op(A); as B: columns of op(B).
+				for _, asA := range []bool{true, false} {
+					rows, cols := transDims(src, trans)
+					lanes, steps := rows, cols
+					if !asA {
+						lanes, steps = cols, rows
 					}
-					if panel[k*gemmMR+r] != want {
-						t.Fatalf("aT=%v: packed A panel %d mismatch at k=%d r=%d", aT, ip/gemmMR, k, r)
+					lw, kw := lanes-l0, steps-k0
+					buf := make([]float64, roundUp(lw, w)*kw)
+					for i := range buf {
+						buf[i] = -1
 					}
-				}
-			}
-		}
-	}
-	b := randDense(rng, 9, 13)
-	for _, bT := range []bool{false, true} {
-		rows, cols := transDims(b, bT)
-		kw, jw := rows, cols
-		buf := make([]float64, ((jw+gemmNR-1)/gemmNR)*gemmNR*kw)
-		gemmPackB(buf, b.Data, b.cols, bT, 0, kw, 0, jw)
-		bt := func(k, j int) float64 {
-			if bT {
-				return b.At(j, k)
-			}
-			return b.At(k, j)
-		}
-		for jp := 0; jp < jw; jp += gemmNR {
-			panel := buf[(jp/gemmNR)*gemmNR*kw:]
-			for k := 0; k < kw; k++ {
-				for c := 0; c < gemmNR; c++ {
-					want := 0.0
-					if jp+c < jw {
-						want = bt(k, jp+c)
+					var at func(l, k int) float64 // op(x) at lane l, step k
+					if asA {
+						gemmPackA(buf, w, src.Data, src.cols, trans, l0, lw, k0, kw)
+						at = func(l, k int) float64 { return opAt(src, trans, l, k) }
+					} else {
+						gemmPackB(buf, w, src.Data, src.cols, trans, k0, kw, l0, lw)
+						at = func(l, k int) float64 { return opAt(src, trans, k, l) }
 					}
-					if panel[k*gemmNR+c] != want {
-						t.Fatalf("bT=%v: packed B panel %d mismatch at k=%d c=%d", bT, jp/gemmNR, k, c)
+					for i, got := range buf {
+						panel, k, l := i/(w*kw), i%(w*kw)/w, i%w
+						want := 0.0
+						if lane := panel*w + l; lane < lw {
+							want = at(l0+lane, k0+k)
+						}
+						if got != want {
+							t.Fatalf("%s w=%d asA=%v trans=%v: panel %d step %d lane %d holds %v, want %v",
+								kern.name, w, asA, trans, panel, k, l, got, want)
+						}
 					}
 				}
 			}
 		}
 	}
+}
+
+// opAt returns op(d)[i, j].
+func opAt(d *DenseBlock, trans bool, i, j int) float64 {
+	if trans {
+		return d.At(j, i)
+	}
+	return d.At(i, j)
 }
 
 // TestMulAddDDSmallNaNSafe: the tiled kernel must propagate NaN/Inf like the

@@ -204,7 +204,7 @@ func spStrips(total, madds int) (step, strips int) {
 
 // axpy computes y[0:len(x)] += alpha * x; y must be at least as long as x.
 func axpy(alpha float64, x, y []float64) {
-	if gemmHaveAVX && len(x) >= 4 && len(y) >= len(x) {
+	if cpu.avx && len(x) >= 4 && len(y) >= len(x) {
 		axpyAVX(alpha, &x[0], &y[0], len(x))
 		return
 	}
@@ -233,27 +233,39 @@ func axpyNZ(alpha float64, x, y []float64) {
 
 // packTrans writes the transpose of the rw x cw window at (r0, c0) of the
 // row-major matrix src (leading dimension ld) into buf: buf[c*rw+r] =
-// src[(r0+r)*ld+c0+c]. Eight source rows are read as streams at a time, so
-// the reads are sequential whatever ld is and every store fills one whole
-// cache line of buf.
+// src[(r0+r)*ld+c0+c].
 func packTrans(buf, src []float64, ld, r0, rw, c0, cw int) {
+	packTransLd(buf, rw, src, ld, r0, rw, c0, cw)
+}
+
+// packTransLd is packTrans into a buffer of leading dimension ldb >= rw:
+// buf[c*ldb+r] = src[(r0+r)*ld+c0+c]. Eight source rows (then four) are read
+// as streams at a time, so the reads are sequential whatever ld is and every
+// store fills one whole cache line of buf (half of one).
+func packTransLd(buf []float64, ldb int, src []float64, ld, r0, rw, c0, cw int) {
+	// row returns source row r of the window; re-slicing to cw lets the
+	// compiler drop the bounds checks of the column loops.
+	row := func(r int) []float64 { return src[(r0+r)*ld+c0:][:cw] }
 	r := 0
 	for ; r+8 <= rw; r += 8 {
-		var s [8][]float64
-		for k := range s {
-			base := (r0+r+k)*ld + c0
-			s[k] = src[base : base+cw]
+		s0, s1, s2, s3 := row(r), row(r+1), row(r+2), row(r+3)
+		s4, s5, s6, s7 := row(r+4), row(r+5), row(r+6), row(r+7)
+		for c, o := 0, r; c < cw; c, o = c+1, o+ldb {
+			q := (*[8]float64)(buf[o:])
+			q[0], q[1], q[2], q[3] = s0[c], s1[c], s2[c], s3[c]
+			q[4], q[5], q[6], q[7] = s4[c], s5[c], s6[c], s7[c]
 		}
-		for c := range s[0] {
-			q := (*[8]float64)(buf[c*rw+r:])
-			q[0], q[1], q[2], q[3] = s[0][c], s[1][c], s[2][c], s[3][c]
-			q[4], q[5], q[6], q[7] = s[4][c], s[5][c], s[6][c], s[7][c]
+	}
+	for ; r+4 <= rw; r += 4 {
+		s0, s1, s2, s3 := row(r), row(r+1), row(r+2), row(r+3)
+		for c, o := 0, r; c < cw; c, o = c+1, o+ldb {
+			q := (*[4]float64)(buf[o:])
+			q[0], q[1], q[2], q[3] = s0[c], s1[c], s2[c], s3[c]
 		}
 	}
 	for ; r < rw; r++ {
-		base := (r0+r)*ld + c0
-		for c, v := range src[base : base+cw] {
-			buf[c*rw+r] = v
+		for c, v := range row(r) {
+			buf[c*ldb+r] = v
 		}
 	}
 }

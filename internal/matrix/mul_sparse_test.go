@@ -13,7 +13,8 @@ import (
 // in the test binary.
 func TestMain(m *testing.M) {
 	if os.Getenv("DMAC_MATRIX_NOASM") != "" {
-		gemmHaveAVX = false
+		cpu = cpuFeatures{}
+		gemmKern = gemmKernelsFor(cpu)[0]
 	}
 	os.Exit(m.Run())
 }
@@ -258,8 +259,8 @@ func sameBits(x, y []float64) int {
 // one to seven strips (the 200-deep shapes clear spParMin).
 func TestSparseDenseBitIdentical(t *testing.T) {
 	defer SetKernelWorkers(SetKernelWorkers(1))
-	defer func(v bool) { gemmHaveAVX = v }(gemmHaveAVX)
-	haveAVX := gemmHaveAVX
+	defer func(f cpuFeatures) { cpu = f }(cpu)
+	haveAVX := cpu.avx
 	shapes := [][3]int{
 		{1, 7, 6}, {2, 7, 37}, {3, 33, 5}, {5, 7, 1}, {4, 9, 4},
 		{1, 200, 150}, {2, 200, 65}, {3, 200, 150}, {5, 200, 37},
@@ -308,7 +309,7 @@ func TestSparseDenseBitIdentical(t *testing.T) {
 						if avx && !haveAVX {
 							continue
 						}
-						gemmHaveAVX = avx
+						cpu.avx = avx
 						for _, workers := range []int{1, 2, 3, 7} {
 							SetKernelWorkers(workers)
 							got := entry.Clone().(*DenseBlock)

@@ -49,7 +49,8 @@ func (f UFunc) String() string {
 // Valid reports whether f is a known function.
 func (f UFunc) Valid() bool { return f >= FuncSigmoid && f <= FuncSign }
 
-// Apply evaluates the function at x.
+// Apply evaluates the function at x: the per-cell definition that
+// applyInto's loops are held to.
 func (f UFunc) Apply(x float64) float64 {
 	switch f {
 	case FuncSigmoid:
@@ -87,21 +88,59 @@ func (f UFunc) SparsityPreserving() bool {
 	}
 }
 
+// applyInto computes dst[i] = f(src[i]) with one tight loop per function:
+// the function is decided once per block, not once per cell. Each loop body
+// is Apply's case for that function, so the results are Apply's bit for bit.
+// dst and src may be the same slice.
+func (f UFunc) applyInto(dst, src []float64) {
+	src = src[:len(dst)]
+	switch f {
+	case FuncSigmoid:
+		for i, x := range src {
+			dst[i] = 1 / (1 + math.Exp(-x))
+		}
+	case FuncExp:
+		for i, x := range src {
+			dst[i] = math.Exp(x)
+		}
+	case FuncLog:
+		for i, x := range src {
+			dst[i] = math.Log(x)
+		}
+	case FuncSqrt:
+		for i, x := range src {
+			dst[i] = math.Sqrt(x)
+		}
+	case FuncAbs:
+		for i, x := range src {
+			dst[i] = math.Abs(x)
+		}
+	case FuncSign:
+		for i, x := range src {
+			switch {
+			case x > 0:
+				dst[i] = 1
+			case x < 0:
+				dst[i] = -1
+			default:
+				dst[i] = 0
+			}
+		}
+	default:
+		panic("matrix: unknown UFunc")
+	}
+}
+
 // ApplyBlock returns a new block with f applied to every cell. Sparse blocks
 // stay sparse when f preserves zeros; otherwise the result densifies.
 func ApplyBlock(f UFunc, b Block) Block {
 	if s, ok := b.(*CSCBlock); ok && f.SparsityPreserving() {
 		out := s.Clone().(*CSCBlock)
-		for i := range out.Values {
-			out.Values[i] = f.Apply(out.Values[i])
-		}
+		f.applyInto(out.Values, out.Values)
 		return out
 	}
-	d := b.Dense()
 	out := NewDense(b.Rows(), b.Cols())
-	for i, v := range d.Data {
-		out.Data[i] = f.Apply(v)
-	}
+	f.applyInto(out.Data, b.Dense().Data)
 	return out
 }
 

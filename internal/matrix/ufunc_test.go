@@ -101,3 +101,62 @@ func TestApplyGrid(t *testing.T) {
 		}
 	}
 }
+
+// TestUFuncLoopsMatchPerCell checks every function's block loop against its
+// per-cell definition, bit for bit, on dense and sparse operands: random
+// values of both signs (log and sqrt of a negative are NaN), zeros and
+// infinities of both signs, NaN, denormals, and arguments at which exp
+// overflows and underflows.
+func TestUFuncLoopsMatchPerCell(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	specials := []float64{
+		0, math.Copysign(0, -1), posInf, -posInf, posInf - posInf, math.NaN(),
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 1e-310, -1e-310,
+		math.MaxFloat64, -math.MaxFloat64, 709.9, -745.2, 1, -1,
+	}
+	d := randDense(rng, 13, 11)
+	for i := range d.Data {
+		d.Data[i] *= 40
+	}
+	for i, v := range specials {
+		d.Data[(i*7)%len(d.Data)] = v
+	}
+	var coords []Coord
+	for i, v := range d.Data {
+		if i%3 != 0 {
+			coords = append(coords, Coord{Row: i / d.cols, Col: i % d.cols, Val: v})
+		}
+	}
+	s := NewCSC(d.rows, d.cols, coords)
+	for _, f := range []UFunc{FuncSigmoid, FuncExp, FuncLog, FuncSqrt, FuncAbs, FuncSign} {
+		for _, b := range []Block{d, s} {
+			got := ApplyBlock(f, b)
+			if wantSparse := b.IsSparse() && f.SparsityPreserving(); got.IsSparse() != wantSparse {
+				t.Fatalf("%s: sparse result %v, want %v", f, got.IsSparse(), wantSparse)
+			}
+			for i := 0; i < b.Rows(); i++ {
+				for j := 0; j < b.Cols(); j++ {
+					x := b.At(i, j)
+					if g, w := got.At(i, j), f.Apply(x); math.Float64bits(g) != math.Float64bits(w) {
+						t.Fatalf("%s(%v) at (%d,%d) sparse=%v: loop gives %v (%#x), per cell %v (%#x)",
+							f, x, i, j, b.IsSparse(), g, math.Float64bits(g), w, math.Float64bits(w))
+					}
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkApplyBlock measures the element-wise functions on a dense block
+// of the server's gram job size.
+func BenchmarkApplyBlock(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	d := randDense(rng, 256, 256)
+	for _, f := range []UFunc{FuncSigmoid, FuncExp, FuncSqrt, FuncAbs, FuncSign} {
+		b.Run(f.String(), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				ApplyBlock(f, d)
+			}
+		})
+	}
+}
