@@ -25,7 +25,7 @@ func main() {
 	workers := flag.Int("workers", 4, "cluster workers")
 	k := flag.Int("k", 32, "factor size / rank where applicable")
 	timeout := flag.Duration("timeout", 0, "deadline for the whole run (0 = none); the engine aborts cleanly between stages and block tasks")
-	checkpointDir := flag.String("checkpoint-dir", "", "checkpoint session values into this directory (interval 1); recovery after injected or simulated failures restores snapshots instead of replaying lineage")
+	checkpointDir := flag.String("checkpoint-dir", "", "snapshot each run's live values into this directory after every stage but the last, in the background; recovery after injected or simulated failures restores the newest snapshot instead of replaying lineage (restore points of the running iteration: the next one removes them)")
 	noRewrite := flag.Bool("no-rewrite", false, "disable the algebraic rewrite pass (chain reordering, transpose pushdown, identity folding) that runs before planning")
 	tracePath := flag.String("trace", "", "write a Chrome trace JSON of the run to this path")
 	metricsPath := flag.String("metrics-out", "", "write the metrics registry dump to this path")

@@ -10,6 +10,7 @@ import (
 	"dmac/internal/dist"
 	"dmac/internal/engine"
 	"dmac/internal/matrix"
+	"dmac/internal/obs"
 	"dmac/internal/workload"
 )
 
@@ -26,6 +27,12 @@ type CheckpointSweepRow struct {
 	StagesReplayed int
 	// CheckpointKB is the durability cost: snapshot bytes written.
 	CheckpointKB float64
+	// ReferencedKB is what the snapshots left to the session: the footprint
+	// of the live grids they named by variable instead of writing.
+	ReferencedKB float64
+	// BusySec is the time the background writer spent writing; WaitSec the
+	// part of it the run was blocked on, the rest having overlapped compute.
+	BusySec, WaitSec float64
 	// RecoveryBytes is the communication spent re-partitioning the dead
 	// worker's blocks.
 	RecoveryBytes int64
@@ -86,6 +93,8 @@ func CheckpointSweep(ctx context.Context, dir string, intervals []int, iters int
 		cfg.Faults = faults
 		e := engine.New(engine.DMac, cfg, chaosBlockSize)
 		e.SetBaseContext(ctx)
+		reg := obs.NewRegistry()
+		e.SetObserver(nil, reg)
 		if interval > 0 {
 			sub := filepath.Join(dir, fmt.Sprintf("interval-%d", interval))
 			if err := e.SetCheckpoint(sub, engine.CheckpointPolicy{Interval: interval}); err != nil {
@@ -103,6 +112,9 @@ func CheckpointSweep(ctx context.Context, dir string, intervals []int, iters int
 			Retries:        t.Retries,
 			StagesReplayed: t.StagesReplayed,
 			CheckpointKB:   float64(t.CheckpointBytes) / 1e3,
+			ReferencedKB:   float64(reg.Counter("ckpt.session_ref.bytes").Value()) / 1e3,
+			BusySec:        t.CheckpointSeconds,
+			WaitSec:        t.CheckpointWaitSeconds,
 			RecoveryBytes:  t.RecoveryBytes,
 			ModelSec:       t.ModelSeconds,
 			Match:          gok && matrix.GridEqual(got, wantRank, 0),
@@ -125,10 +137,13 @@ func WriteCheckpointSweep(w io.Writer, killStage int, rows []CheckpointSweepRow)
 			fmt.Sprintf("%d", r.Retries),
 			fmt.Sprintf("%d", r.StagesReplayed),
 			fmt.Sprintf("%.1f", r.CheckpointKB),
+			fmt.Sprintf("%.1f", r.ReferencedKB),
+			fmt.Sprintf("%.4f", r.BusySec),
+			fmt.Sprintf("%.4f", r.WaitSec),
 			fmt.Sprintf("%d", r.RecoveryBytes),
 			fmt.Sprintf("%.4f", r.ModelSec),
 			fmt.Sprintf("%v", r.Match),
 		})
 	}
-	writeTable(w, []string{"interval", "retries", "replayed", "ckpt KB", "recovery B", "model s", "bit-identical"}, out)
+	writeTable(w, []string{"interval", "retries", "replayed", "ckpt KB", "session KB", "busy s", "wait s", "recovery B", "model s", "bit-identical"}, out)
 }

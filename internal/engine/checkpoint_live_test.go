@@ -163,11 +163,13 @@ func readManifests(t *testing.T, c *checkpointer) []ckptManifest {
 	return mans
 }
 
-// TestSnapshotIsLiveSetWithSharedFiles pins what a snapshot holds: exactly
-// the plan's live set after its stage, values that alias one grid naming one
-// file, a grid already on disk referenced in the earlier snapshot's directory
-// instead of rewritten, and Metrics.CheckpointBytes equal to the bytes the
-// run newly put on disk.
+// TestSnapshotIsLiveSetWithSharedFiles pins what a snapshot holds (manifest
+// v3): exactly the plan's live set after its stage; a value whose grid the
+// session holds named by variable and not written; values that alias one grid
+// naming one file; a grid already on disk referenced in the earlier
+// snapshot's directory instead of rewritten; no snapshot after the last
+// stage; the files on disk exactly the files named; and
+// Metrics.CheckpointBytes equal to the bytes the run newly put on disk.
 func TestSnapshotIsLiveSetWithSharedFiles(t *testing.T) {
 	for _, a := range ckptApps {
 		dir := t.TempDir()
@@ -181,13 +183,28 @@ func TestSnapshotIsLiveSetWithSharedFiles(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		named := map[string]bool{} // files any manifest names, relative to dir
+		named := map[string]bool{}      // files any manifest names, relative to dir
+		sessionVars := map[string]int{} // values named by session variable
 		shared, backRefs := 0, 0
-		for i, man := range readManifests(t, e.ckpt) {
+		mans := readManifests(t, e.ckpt)
+		for i, man := range mans {
+			if man.Version != 3 {
+				t.Errorf("%s: manifest version %d, want 3", a.name, man.Version)
+			}
 			var ids []core.ValueID
 			inSnapshot := map[string]int{}
 			for _, v := range man.Values {
 				ids = append(ids, core.ValueID(v.ID))
+				if (v.File == "") == (v.Var == "") {
+					t.Errorf("%s: value %d names file %q and variable %q, want exactly one", a.name, v.ID, v.File, v.Var)
+				}
+				if v.Var != "" {
+					if _, bound := fresh.vars[v.Var]; !bound {
+						t.Errorf("%s: value %d names %q, not a session variable", a.name, v.ID, v.Var)
+					}
+					sessionVars[v.Var]++
+					continue
+				}
 				inSnapshot[v.File]++
 				if strings.HasPrefix(v.File, "..") {
 					backRefs++
@@ -204,11 +221,26 @@ func TestSnapshotIsLiveSetWithSharedFiles(t *testing.T) {
 				}
 			}
 		}
-		if a.name == "gnmf" && shared == 0 {
-			t.Errorf("%s: no two values of a snapshot share a file; H and Hᵀ alias one grid", a.name)
+		if stages := a.stagesOf(t); len(mans) != len(stages)-1 || mans[len(mans)-1].Stage != stages[len(stages)-2] {
+			t.Errorf("%s: %d snapshots over stages %v, want one after every stage but the last", a.name, len(mans), stages)
 		}
-		if backRefs == 0 {
-			t.Errorf("%s: no manifest references an earlier snapshot's file", a.name)
+		switch a.name {
+		case "gnmf":
+			if shared == 0 {
+				t.Errorf("%s: no two values of a snapshot share a file; H and Hᵀ alias one grid", a.name)
+			}
+			if backRefs == 0 {
+				t.Errorf("%s: no manifest references an earlier snapshot's file", a.name)
+			}
+			if sessionVars["V"] == 0 {
+				t.Errorf("%s: no manifest names V in the session (named: %v)", a.name, sessionVars)
+			}
+		case "pagerank":
+			// The only grid PageRank's snapshots share is the link matrix,
+			// which the session holds.
+			if sessionVars["link"] == 0 {
+				t.Errorf("%s: no manifest names link in the session (named: %v)", a.name, sessionVars)
+			}
 		}
 
 		var onDisk int64

@@ -83,11 +83,16 @@ type Metrics struct {
 	// RecoveryBytes is the share of CommBytes spent re-partitioning dead
 	// workers' blocks across survivors after failures.
 	RecoveryBytes int64
-	// CheckpointBytes and CheckpointSeconds are the durability cost of the
-	// run: bytes written to checkpoint snapshots and the measured wall time
-	// spent writing them (zero without SetCheckpoint).
-	CheckpointBytes   int64
-	CheckpointSeconds float64
+	// CheckpointBytes and CheckpointSeconds are the durability work of the
+	// run: bytes written to checkpoint snapshots and the time the background
+	// writer was busy writing them (zero without SetCheckpoint). The writer
+	// overlaps the stages that follow a snapshot, so CheckpointSeconds is not
+	// time the run lost; CheckpointWaitSeconds is — the time the run was
+	// blocked waiting for the writer (before a restore, before the next
+	// snapshot, before returning).
+	CheckpointBytes       int64
+	CheckpointSeconds     float64
+	CheckpointWaitSeconds float64
 	// StagesReplayed counts stages re-executed during checkpoint-aware
 	// recovery: after a worker failure the run restores the newest valid
 	// snapshot and replays only the stages after it, so this is the
@@ -156,6 +161,7 @@ func (m *Metrics) Add(other Metrics) {
 	m.Shuffles += other.Shuffles
 	m.CheckpointBytes += other.CheckpointBytes
 	m.CheckpointSeconds += other.CheckpointSeconds
+	m.CheckpointWaitSeconds += other.CheckpointWaitSeconds
 	m.StagesReplayed += other.StagesReplayed
 	m.CorruptionsInjected += other.CorruptionsInjected
 	m.CorruptionsDetected += other.CorruptionsDetected
@@ -414,7 +420,10 @@ func New(planner Planner, cfg dist.Config, blockSize int) *Engine {
 // Close releases the engine's transport resources (TCP connections and
 // heartbeat loops when worker addresses are configured; a no-op for the
 // in-process data plane).
-func (e *Engine) Close() error { return e.cluster.Close() }
+func (e *Engine) Close() error {
+	e.joinSnapshot()
+	return e.cluster.Close()
+}
 
 // SetObserver attaches a span tracer and a metrics registry to the engine,
 // its cluster, and its local executor. Either may be nil to disable that
@@ -741,14 +750,15 @@ func (e *Engine) metricsDelta(before, after dist.Snapshot, wall float64, stages 
 		Retries:       after.Retries - before.Retries,
 		RecoveryBytes: after.RecoveryBytes - before.RecoveryBytes,
 
-		CheckpointBytes:     stats.checkpointBytes,
-		CheckpointSeconds:   stats.checkpointSeconds,
-		StagesReplayed:      stats.stagesReplayed,
-		CorruptionsInjected: after.CorruptionsInjected - before.CorruptionsInjected,
-		CorruptionsDetected: after.CorruptionsDetected - before.CorruptionsDetected,
-		WireBytes:           after.WireBytes - before.WireBytes,
-		WireFrames:          after.WireFrames - before.WireFrames,
-		NetDropsInjected:    after.NetDropsInjected - before.NetDropsInjected,
-		NetDelaysInjected:   after.NetDelaysInjected - before.NetDelaysInjected,
+		CheckpointBytes:       stats.checkpointBytes,
+		CheckpointSeconds:     stats.checkpointSeconds,
+		CheckpointWaitSeconds: stats.checkpointWaitSeconds,
+		StagesReplayed:        stats.stagesReplayed,
+		CorruptionsInjected:   after.CorruptionsInjected - before.CorruptionsInjected,
+		CorruptionsDetected:   after.CorruptionsDetected - before.CorruptionsDetected,
+		WireBytes:             after.WireBytes - before.WireBytes,
+		WireFrames:            after.WireFrames - before.WireFrames,
+		NetDropsInjected:      after.NetDropsInjected - before.NetDropsInjected,
+		NetDelaysInjected:     after.NetDelaysInjected - before.NetDelaysInjected,
 	}
 }

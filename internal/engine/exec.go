@@ -35,10 +35,11 @@ type execState struct {
 // execStats is what execute reports beyond success: per-stage wall time and
 // the durability counters of the run.
 type execStats struct {
-	stageWall         map[int]float64
-	checkpointBytes   int64
-	checkpointSeconds float64
-	stagesReplayed    int
+	stageWall             map[int]float64
+	checkpointBytes       int64
+	checkpointSeconds     float64
+	checkpointWaitSeconds float64
+	stagesReplayed        int
 }
 
 // execute materializes a validated plan on the cluster stage by stage, then
@@ -57,9 +58,12 @@ type execStats struct {
 // deadline aborts cleanly with the context's error (mid-stage, the executor's
 // workers observe the same context between block tasks). With a checkpointer
 // attached (SetCheckpoint), the policy is consulted after every completed
-// stage and selected snapshots of the values still live after it are written
-// to disk.
-func (e *Engine) execute(ctx context.Context, plan *core.Plan, sig string, params map[string]float64) (execStats, error) {
+// stage but the last — the ladder only restores snapshots taken before the
+// failed stage, so one taken after the last could never be read — and
+// selected snapshots of the values still live are handed to the background
+// writer; whichever way execute returns, it first waits for the one in
+// flight.
+func (e *Engine) execute(ctx context.Context, plan *core.Plan, sig string, params map[string]float64) (stats execStats, err error) {
 	st := &execState{
 		plan:    plan,
 		sig:     sig,
@@ -83,9 +87,19 @@ func (e *Engine) execute(ctx context.Context, plan *core.Plan, sig string, param
 			st.valueStage[op.Output] = op.Stage
 		}
 	}
+	e.joinSnapshot()
 	e.ckpt.beginRun()
-	stats := execStats{stageWall: make(map[int]float64, len(st.stages))}
-	for _, s := range st.stages {
+	stats.stageWall = make(map[int]float64, len(st.stages))
+	if e.ckpt != nil {
+		defer func() {
+			e.joinSnapshot()
+			stats.checkpointBytes = e.ckpt.bytes
+			stats.checkpointSeconds = e.ckpt.seconds
+			stats.checkpointWaitSeconds = e.ckpt.waitSeconds
+			stats.stagesReplayed = e.ckpt.replayed
+		}()
+	}
+	for i, s := range st.stages {
 		if err := ctx.Err(); err != nil {
 			return stats, fmt.Errorf("engine: run cancelled before stage %d: %w", s, err)
 		}
@@ -105,17 +119,12 @@ func (e *Engine) execute(ctx context.Context, plan *core.Plan, sig string, param
 			e.metrics.HistogramVec("engine.stage.seconds", obs.SecondsBuckets, "stage").
 				With(strconv.Itoa(s)).Observe(stats.stageWall[s])
 		}
-		if e.ckpt != nil {
+		if e.ckpt != nil && i < len(st.stages)-1 {
 			e.ckpt.noteStage(e.modelCost(netBefore, e.cluster.Net().Snapshot()))
-			if live := st.liveAfter(s); e.ckpt.shouldCheckpoint(live) {
-				e.writeCheckpoint(st, s, live)
+			if live := e.liveAfter(st, s); e.shouldCheckpoint(live) {
+				e.startSnapshot(st, s, span, live)
 			}
 		}
-	}
-	if e.ckpt != nil {
-		stats.checkpointBytes = e.ckpt.bytes
-		stats.checkpointSeconds = e.ckpt.seconds
-		stats.stagesReplayed = e.ckpt.replayed
 	}
 	e.cacheLeafInstances(plan, st.vals)
 	return stats, e.commitAssignments(plan, st.vals)

@@ -163,16 +163,22 @@ func (c *crcWriter) Write(p []byte) (int, error) {
 	return c.w.Write(p)
 }
 
-// encChunkBytes sizes the pooled scratch buffer payloads are encoded through:
-// large enough that the per-Write overhead vanishes, small enough to stay in
-// L1/L2 whatever the block size.
+// encChunkBytes sizes the pooled scratch buffer block headers — and, on a
+// big-endian host, payloads — are encoded through: large enough that the
+// per-Write overhead vanishes, small enough to stay in L1/L2 whatever the
+// block size.
 const encChunkBytes = 32 << 10
 
 var encScratch = sync.Pool{New: func() any { return new([encChunkBytes]byte) }}
 
-// writeBlock encodes one block (kind byte plus payload). Payload slices are
-// converted a chunk at a time through buf (an encScratch buffer), so encoding
-// allocates nothing however large the block is.
+// nativePieceBytes bounds one Write of a payload's own bytes (see native.go):
+// a checksummed stream reads every piece twice, once for the CRC and once for
+// the copy or system call behind it, and the second read should hit cache.
+const nativePieceBytes = 256 << 10
+
+// writeBlock encodes one block (kind byte plus payload) through buf, an
+// encScratch buffer, so encoding allocates nothing however large the block
+// is.
 func writeBlock(w io.Writer, buf []byte, b matrix.Block) error {
 	t, ok := b.(*matrix.CSCBlock)
 	if !ok {
@@ -197,8 +203,13 @@ func writeBlock(w io.Writer, buf []byte, b matrix.Block) error {
 	return writeFloat64s(w, buf, t.Values)
 }
 
-// writeFloat64s writes vals little-endian, len(buf)/8 at a time through buf.
+// writeFloat64s writes vals little-endian: their own bytes where the host
+// stores them that way, else converted len(buf)/8 at a time through buf. The
+// stream is the same byte for byte.
 func writeFloat64s(w io.Writer, buf []byte, vals []float64) error {
+	if nativeLE {
+		return writePieces(w, float64Bytes(vals))
+	}
 	for len(vals) > 0 {
 		n := minInt(len(vals), len(buf)/8)
 		for i, v := range vals[:n] {
@@ -214,6 +225,9 @@ func writeFloat64s(w io.Writer, buf []byte, vals []float64) error {
 
 // writeInt32s is writeFloat64s for int32s.
 func writeInt32s(w io.Writer, buf []byte, vals []int32) error {
+	if nativeLE {
+		return writePieces(w, int32Bytes(vals))
+	}
 	for len(vals) > 0 {
 		n := minInt(len(vals), len(buf)/4)
 		for i, v := range vals[:n] {
@@ -223,6 +237,18 @@ func writeInt32s(w io.Writer, buf []byte, vals []int32) error {
 			return err
 		}
 		vals = vals[n:]
+	}
+	return nil
+}
+
+// writePieces writes p at most nativePieceBytes at a time.
+func writePieces(w io.Writer, p []byte) error {
+	for len(p) > 0 {
+		n := minInt(len(p), nativePieceBytes)
+		if _, err := w.Write(p[:n]); err != nil {
+			return err
+		}
+		p = p[n:]
 	}
 	return nil
 }

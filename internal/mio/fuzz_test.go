@@ -12,7 +12,9 @@ import (
 // and random garbage must all produce an error or a valid grid — never a
 // panic, and never an allocation the input does not pay for (the reader
 // bounds header-implied allocations and grows payload buffers incrementally).
-// Valid inputs that parse must re-encode and re-parse to the same matrix.
+// Valid inputs that parse must re-encode — to the same bytes whether the
+// encoder hands out the payload's own memory or converts it through scratch —
+// and re-parse to the same matrix.
 func FuzzReadGrid(f *testing.F) {
 	// Seed corpus: valid v1 and v2 streams over sparse, dense and mixed
 	// grids, plus systematic truncations and bit flips of one of them.
@@ -62,6 +64,14 @@ func FuzzReadGrid(f *testing.F) {
 		var buf bytes.Buffer
 		if err := WriteGridChecked(&buf, g); err != nil {
 			t.Fatalf("re-encode: %v", err)
+		}
+		var portable bytes.Buffer
+		forcePortable(t)
+		if err := WriteGridChecked(&portable, g); err != nil {
+			t.Fatalf("re-encode, portable path: %v", err)
+		}
+		if !bytes.Equal(buf.Bytes(), portable.Bytes()) {
+			t.Fatal("host and portable encoders disagree")
 		}
 		g2, err := ReadGrid(&buf)
 		if err != nil {

@@ -54,8 +54,14 @@ type Options struct {
 	// JobCacheBytes bounds the built-input cache (default 64 MiB).
 	JobCacheBytes int64
 	// CheckpointDir, when set, gives every engine slot a per-stage
-	// checkpoint under CheckpointDir/slot-N. A forced shutdown then leaves
-	// each interrupted job's newest snapshot flushed on disk.
+	// checkpoint under CheckpointDir/slot-N: a job that loses a worker
+	// restores its newest snapshot instead of replaying its lineage.
+	// Snapshots are written beside the stages that follow them and finished
+	// before the run returns, cancelled or not, so a forced shutdown leaves
+	// each interrupted job's newest snapshot complete on disk. They are the
+	// running job's restore points, not exports — values the session still
+	// holds are named in them, not written — and the slot removes them when
+	// its next run (or, after a restart, its engine) begins.
 	CheckpointDir string
 	// DisableRewrite turns off the algebraic rewrite pass that every engine
 	// slot otherwise runs before planning (escape hatch for A/B runs and
