@@ -28,10 +28,10 @@ type KernelPoint struct {
 	// turn: hyperBlocks products an op, ~1.25 stored entries a column),
 	// ss-tn (sparse A^T B at ~5%: one Size-sided block product) and
 	// ss-tn-b32 (the same product cut into 32-wide blocks, as the server's
-	// gram job runs it: (Size/32)^3 block products an op), csc-build (matrix.FromCoords over a Size-node graph of 8 edges a node
-	// in 32-wide blocks; GFLOPS holds 1e9 coordinates/s), dd-par (tiled
-	// kernel at Workers kernel workers), dd-strassen (Strassen recursion,
-	// eligible sizes only). Two dense points have a fixed shape and appear
+	// gram job runs it: (Size/32)^3 block products an op), csc-build
+	// (matrix.FromCoords over a Size-node graph of 8 edges a node in 32-wide
+	// blocks; GFLOPS holds 1e9 coordinates/s), dd-par (tiled kernel at
+	// Workers kernel workers). Two dense points have a fixed shape and appear
 	// once a report, whatever sizes it covers: dd-thin (GNMF's H*H^T on
 	// Netflix/10, thinRank x thinDepth times its own transpose: one
 	// thinRank-sided result block, at Workers kernel workers) and dd-ragged
@@ -53,9 +53,8 @@ type KernelPoint struct {
 	GFLOPS float64 `json:"gflops"`
 	// Speedup is the ratio of a baseline's NsPerOp to this point's at the
 	// same size: the dd-naive baseline for the dense tiled kernels, the
-	// one-worker dd-par point for the worker curve (the one-worker dd-thin
-	// point for dd-thin), and dd-tiled (classical) for dd-strassen — so a
-	// dd-strassen speedup above 1 marks the crossover.
+	// one-worker dd-tiled point for the worker curve (the one-worker dd-thin
+	// point for dd-thin).
 	Speedup float64 `json:"speedup,omitempty"`
 }
 
@@ -207,9 +206,8 @@ func measure(f func()) (nsPerOp float64, reps int) {
 // Kernels runs the kernel microbenchmark suite over the given square block
 // sizes and returns the report. The single-path kernels are measured at one
 // kernel worker; every count in workerCounts adds a dd-par point per size
-// (the multi-core speedup curve), and eligible sizes add a dd-strassen point
-// whose speedup against dd-tiled is the classical-vs-Strassen crossover
-// table. A nil workerCounts measures the worker curve at 1 only.
+// (the multi-core speedup curve). A nil workerCounts measures the worker
+// curve at 1 only.
 func Kernels(sizes []int, workerCounts []int) *KernelReport {
 	if len(workerCounts) == 0 {
 		workerCounts = []int{1}
@@ -313,24 +311,6 @@ func Kernels(sizes []int, workerCounts []int) *KernelReport {
 				Reps:    reps,
 				NsPerOp: ns,
 				GFLOPS:  denseFLOPs / ns,
-				Speedup: tiledNs / ns,
-			})
-		}
-		// Crossover table: the Strassen recursion against the classical tiled
-		// kernel, at the sizes where the recursion is eligible at all.
-		if matrix.StrassenOK(n, n, n) {
-			ns, reps := measure(func() {
-				dst.Zero()
-				if err := matrix.MulAddTransAlgoInto(dst, a, b, false, false, matrix.MulStrassen); err != nil {
-					panic(err)
-				}
-			})
-			rep.Points = append(rep.Points, KernelPoint{
-				Kernel:  "dd-strassen",
-				Size:    n,
-				Reps:    reps,
-				NsPerOp: ns,
-				GFLOPS:  denseFLOPs / ns, // classical-equivalent throughput
 				Speedup: tiledNs / ns,
 			})
 		}

@@ -21,8 +21,8 @@ func TestKernelsSmoke(t *testing.T) {
 	wantKernels := []string{"dd-naive", "dd-tiled", "dd-nt", "dd-tn", "sd", "ds", "ds-tn", "sd-nt", "ds-rowvec",
 		"ds-rowvec-hyper", "ss-tn", "ss-tn-b32", "csc-build"}
 	// Thirteen single-path kernels plus one dd-par point per worker count at
-	// each size; no dd-strassen below the eligibility floor. Then the
-	// fixed-shape points: dd-thin per worker count and one dd-ragged.
+	// each size. Then the fixed-shape points: dd-thin per worker count and
+	// one dd-ragged.
 	if got, want := len(rep.Points), len(sizes)*(len(wantKernels)+len(workers))+len(workers)+1; got != want {
 		t.Fatalf("%d points, want %d", got, want)
 	}
@@ -39,7 +39,7 @@ func TestKernelsSmoke(t *testing.T) {
 			t.Errorf("%s/%d: non-positive GFLOPS", p.Kernel, p.Size)
 		}
 		switch p.Kernel {
-		case "dd-tiled", "dd-nt", "dd-tn", "dd-par", "dd-strassen", "dd-thin":
+		case "dd-tiled", "dd-nt", "dd-tn", "dd-par", "dd-thin":
 			if p.Speedup <= 0 {
 				t.Errorf("%s/%d: speedup not set", p.Kernel, p.Size)
 			}
@@ -86,25 +86,4 @@ func TestKernelsSmoke(t *testing.T) {
 		t.Error("JSON round trip lost data")
 	}
 	WriteKernels(&buf, rep) // must not panic
-}
-
-// TestKernelsStrassenPoint checks that an eligible size emits the Strassen
-// crossover point and an ineligible one does not.
-func TestKernelsStrassenPoint(t *testing.T) {
-	if testing.Short() {
-		t.Skip("1024-block strassen measurement in -short mode")
-	}
-	rep := Kernels([]int{1024}, []int{1})
-	found := false
-	for _, p := range rep.Points {
-		if p.Kernel == "dd-strassen" {
-			found = true
-			if p.Speedup <= 0 {
-				t.Errorf("dd-strassen speedup not set")
-			}
-		}
-	}
-	if !found {
-		t.Fatal("no dd-strassen point at size 1024")
-	}
 }

@@ -6,7 +6,6 @@ import (
 
 	"dmac/internal/dep"
 	"dmac/internal/expr"
-	"dmac/internal/matrix"
 )
 
 // ValueID identifies a physical matrix instance in a plan: one logical
@@ -113,9 +112,6 @@ type Op struct {
 	Node *expr.Node
 	// Strategy is the chosen execution strategy for OpCompute.
 	Strategy Strategy
-	// MulAlgo is the multiply algorithm the cost model picked for an
-	// OpCompute multiplication (classical unless Strassen prices cheaper).
-	MulAlgo matrix.MulAlgo
 	// Inputs are the physical values consumed (empty for leaves).
 	Inputs []ValueID
 	// InDeps records the dependency type satisfied on each input edge of an
@@ -269,11 +265,6 @@ func (p *Plan) String() string {
 		fmt.Fprintf(&b, "%3d [s%d] %-9s", i, op.Stage, op.Kind)
 		if op.Kind == OpCompute {
 			fmt.Fprintf(&b, " %-7s %s", op.Strategy, op.Node.Label())
-			// Classical is the default; only a non-default pick is printed, so
-			// golden plans without Strassen-eligible shapes are unchanged.
-			if op.MulAlgo != matrix.MulClassical {
-				fmt.Fprintf(&b, " [%s]", op.MulAlgo)
-			}
 		} else if op.Node != nil {
 			fmt.Fprintf(&b, " %s", op.Node.Label())
 		}

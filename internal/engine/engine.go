@@ -347,20 +347,18 @@ func (e *Engine) rewritten(p *expr.Program) *expr.Program {
 
 // planSignature captures everything outside the program that plan
 // generation depends on: the cached schemes of the variables the program
-// reads, the worker count, the ablation flags, whether (and under which rule
-// version) the rewrite pass canonicalized the program, and the inputs of the
-// multiply-algorithm pick — block size and kernel worker count — so a plan
-// whose operators were priced for one kernel configuration can never be
-// served under another.
+// reads, the worker count, the ablation flags, and whether (and under which
+// rule version) the rewrite pass canonicalized the program. Nothing about the
+// host or the kernels enters it: a plan is a function of the program, the
+// workers and the cached schemes.
 func (e *Engine) planSignature(p *expr.Program) string {
 	rw := 0
 	if e.rewriter != nil {
 		rw = rewrite.Version
 	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "w=%d;pu=%v;ra=%v;cp=%v;rw=%d;bs=%d;kw=%d;",
-		e.cluster.Workers(), e.disablePullUp, e.disableReassign, e.disableCPMM, rw,
-		e.blockSize, matrix.KernelWorkers())
+	fmt.Fprintf(&b, "w=%d;pu=%v;ra=%v;cp=%v;rw=%d;",
+		e.cluster.Workers(), e.disablePullUp, e.disableReassign, e.disableCPMM, rw)
 	for _, n := range p.Nodes() {
 		if n.Kind != expr.KindLoad && n.Kind != expr.KindVar {
 			continue
@@ -540,8 +538,6 @@ func (e *Engine) planConfig() core.Config {
 		DisablePullUp:   e.disablePullUp,
 		DisableReassign: e.disableReassign,
 		DisableCPMM:     e.disableCPMM,
-		BlockSize:       e.blockSize,
-		Cores:           matrix.KernelWorkers(),
 	}
 }
 

@@ -244,9 +244,6 @@ func (e *Engine) opSpan(plan *core.Plan, stage int, op *core.Op) obs.SpanID {
 	}
 	if op.Kind == core.OpCompute {
 		attrs = append(attrs, obs.String("strategy", op.Strategy.String()))
-		if op.Node != nil && op.Node.Kind == expr.KindMul {
-			attrs = append(attrs, obs.String("mul_algo", op.MulAlgo.String()))
-		}
 	}
 	for j, d := range op.InDeps {
 		if d != dep.NoDependency {
@@ -389,7 +386,7 @@ func (e *Engine) compute(ctx context.Context, plan *core.Plan, op *core.Op, vals
 		if op.Strategy == core.CPMM {
 			outScheme = plan.Value(op.Output).Scheme
 		}
-		return e.cluster.MultiplyAlgo(ctx, in(0), in(1), strat, op.MulAlgo, outScheme, op.Stage)
+		return e.cluster.Multiply(ctx, in(0), in(1), strat, outScheme, op.Stage)
 	case expr.KindCell:
 		return e.cluster.Cellwise(n.BinOp, in(0), in(1))
 	case expr.KindScalar:

@@ -5,7 +5,6 @@ import (
 	"math"
 	"time"
 
-	"dmac/internal/core"
 	"dmac/internal/dep"
 	"dmac/internal/dist"
 	"dmac/internal/expr"
@@ -79,11 +78,7 @@ func (e *Engine) runLocal(p *expr.Program, params map[string]float64) (Metrics, 
 			ra, rb := n.Inputs[0], n.Inputs[1]
 			a, b := fusedOperand(ra), fusedOperand(rb)
 			net.AddFLOPs(localMulFLOPs(a, b, ra.Transposed))
-			// The local engine makes the same per-operator algorithm pick the
-			// distributed planner records on its plan ops.
-			algo := core.ChooseMulAlgo(n.Rows, ra.Cols(), n.Cols,
-				ra.Node.Sparsity, rb.Node.Sparsity, e.blockSize, matrix.KernelWorkers())
-			g, err := exec.MulTransAlgo(a, b, ra.Transposed, rb.Transposed, localMulStrategy, algo)
+			g, err := exec.MulTrans(a, b, ra.Transposed, rb.Transposed, localMulStrategy)
 			if err != nil {
 				return Metrics{}, err
 			}

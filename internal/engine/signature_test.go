@@ -1,11 +1,13 @@
 package engine
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"dmac/internal/dist"
 	"dmac/internal/expr"
+	"dmac/internal/matrix"
 	"dmac/internal/rewrite"
 	"dmac/internal/workload"
 )
@@ -109,5 +111,65 @@ func TestPlanSignatureEncodesRewriter(t *testing.T) {
 	on.SetRewriter(rewrite.New())
 	if off.planSignature(p) == on.planSignature(p) {
 		t.Fatalf("plan signatures identical with and without rewriter: %q", off.planSignature(p))
+	}
+}
+
+// TestSignaturePrefixEncodesKernelVersion: the shared-cache key prefix must
+// carry the multiply-kernel generation so entries from a previous kernel
+// generation can never be served.
+func TestSignaturePrefixEncodesKernelVersion(t *testing.T) {
+	prefix := SignaturePrefix()
+	if !strings.Contains(prefix, fmt.Sprintf(";mk%d|", matrix.KernelVersion)) {
+		t.Fatalf("prefix %q does not encode kernel version %d", prefix, matrix.KernelVersion)
+	}
+	sig := ProgramSignature(signatureProgram())
+	pc := NewPlanCache(8)
+	e := New(DMac, dist.Config{Workers: 2}, 4)
+	plan, err := e.Plan(signatureProgram())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pc.Put(sig, plan)
+	// A key minted under a different kernel generation must miss.
+	legacy := strings.Replace(sig, prefix, fmt.Sprintf("ps1;rw%d;mk%d|", rewrite.Version, matrix.KernelVersion-1), 1)
+	if legacy == sig || pc.Get(legacy) != nil {
+		t.Fatalf("foreign kernel-version key %q hit the cache", legacy)
+	}
+}
+
+// TestPlanIndependentOfKernelConfig: a plan is a function of the program, the
+// workers and the cached schemes (Algorithm 1). Neither the block size nor
+// the kernel worker count of the host may reach the plan or its cache key,
+// even for a dense product whose blocks are as large as the kernels get.
+// Plan only; nothing runs.
+func TestPlanIndependentOfKernelConfig(t *testing.T) {
+	defer matrix.SetKernelWorkers(matrix.KernelWorkers())
+	prog := func() *expr.Program {
+		p := expr.NewProgram()
+		p.Assign("out", p.Mul(p.Var("A", 8192, 8192, 1), p.Var("B", 8192, 8192, 1)))
+		return p
+	}
+	var sig0, plan0 string
+	for _, kw := range []int{1, 8} {
+		for _, bs := range []int{512, 4096} {
+			matrix.SetKernelWorkers(kw)
+			e := New(DMac, dist.Config{Workers: 2}, bs)
+			p := prog()
+			pl, err := e.Plan(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sig, text := e.planSignature(p), pl.String()
+			if sig0 == "" {
+				sig0, plan0 = sig, text
+				continue
+			}
+			if sig != sig0 {
+				t.Errorf("kernel workers %d, block size %d: plan signature %q, want %q", kw, bs, sig, sig0)
+			}
+			if text != plan0 {
+				t.Errorf("kernel workers %d, block size %d: plan\n%s\nwant\n%s", kw, bs, text, plan0)
+			}
+		}
 	}
 }

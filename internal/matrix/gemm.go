@@ -148,7 +148,7 @@ func mulAddDDTrans(dst, a, b *DenseBlock, aT, bT bool) {
 		return
 	}
 	if n*m*p < gemmSmall {
-		mulAddDDSmall(dst, a, b, aT, bT)
+		mulAddSmallStrided(dst.Data, dst.cols, n, m, p, a.Data, a.cols, aT, b.Data, b.cols, bT)
 		return
 	}
 	gemmStrided(dst.Data, dst.cols, n, p, a.Data, a.cols, aT, b.Data, b.cols, bT, m, KernelWorkers())
@@ -168,9 +168,8 @@ func roundUp(x, m int) int { return (x + m - 1) / m * m }
 
 // gemmStrided is the packed tiled kernel over raw strided storage:
 // C[0:n, 0:p] (leading dimension ldc) += op(A) * op(B), where op(A) is n x m
-// read from a/lda (transposed when aT) and op(B) is m x p from b/ldb. It is
-// shared by the block entry point above and by Strassen's quadrant views,
-// which are strided sub-matrices with ld > cols.
+// read from a/lda (transposed when aT) and op(B) is m x p from b/ldb. The
+// worker count is an argument so the tests can pin it.
 //
 // For each strip of gemmNC result columns the B arena takes as many k panels
 // as fit (one for a full strip, all seven of a 64-column 1632-deep product)
@@ -231,17 +230,9 @@ func gemmStrip(kern gemmKernel, c []float64, ldc, i0, iw, j0, jw int, a []float6
 	}
 }
 
-// mulAddDDSmall is the unpacked fallback for shapes too small to amortize
-// packing: the seed ikj loop generalized to strided (transposed) reads,
-// minus the per-element zero test.
-func mulAddDDSmall(dst, a, b *DenseBlock, aT, bT bool) {
-	n, m := transDims(a, aT)
-	_, p := transDims(b, bT)
-	mulAddSmallStrided(dst.Data, dst.cols, n, m, p, a.Data, a.cols, aT, b.Data, b.cols, bT)
-}
-
-// mulAddSmallStrided is the strided triple loop over raw storage, shared by
-// the small-block fallback and Strassen's peeling leaves.
+// mulAddSmallStrided is the unpacked fallback for shapes too small to
+// amortize packing: the seed ikj loop generalized to strided (transposed)
+// reads, minus the per-element zero test.
 func mulAddSmallStrided(c []float64, ldc, n, m, p int, a []float64, lda int, aT bool, b []float64, ldb int, bT bool) {
 	ra, ca := lda, 1
 	if aT {

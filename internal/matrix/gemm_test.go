@@ -24,9 +24,8 @@ var gemmDims = []int{0, 1, 2, 3, 5, 17, 33, 40, 69, 70}
 
 // TestMulAddTransDifferential fuzzes every kernel path (DD tiled and small,
 // SD, DS, SS, each under all four transpose combinations) against the generic
-// oracle on random shapes and densities, rotating the kernel worker count and
-// the multiply algorithm so the parallel and Strassen dispatch paths see the
-// same shape soup as the serial classical one.
+// oracle on random shapes and densities, rotating the kernel worker count so
+// the parallel dispatch paths see the same shape soup as the serial one.
 func TestMulAddTransDifferential(t *testing.T) {
 	defer SetKernelWorkers(SetKernelWorkers(1))
 	rng := rand.New(rand.NewSource(42))
@@ -55,9 +54,8 @@ func TestMulAddTransDifferential(t *testing.T) {
 		a := mk(ar, ac, aKind)
 		b := mk(br, bc, bKind)
 		SetKernelWorkers([]int{1, 2, 4}[rng.Intn(3)])
-		algo := MulAlgo(rng.Intn(2))
 		dst := NewDense(n, p)
-		if err := MulAddTransAlgoInto(dst, a, b, aT, bT, algo); err != nil {
+		if err := MulAddTransInto(dst, a, b, aT, bT); err != nil {
 			t.Fatalf("iter %d (%dx%dx%d aT=%v bT=%v): %v", iter, n, m, p, aT, bT, err)
 		}
 		want := refMulTrans(a, b, aT, bT)

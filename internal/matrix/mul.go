@@ -46,6 +46,11 @@ import (
 // the add, which differs between the two (and, for the loops themselves,
 // between a plain and a -race build). NaN results are NaN in the same cells.
 
+// KernelVersion identifies the numeric behavior of the multiply kernels. It
+// is folded into plan-cache signatures so cached plans never cross-serve
+// across kernel generations (v1: serial tiled GEMM; v2: parallel strips).
+const KernelVersion = 2
+
 // MulAddInto computes dst += a * b. dst must be an owned dense block of
 // shape a.Rows() x b.Cols().
 func MulAddInto(dst *DenseBlock, a, b Block) error {

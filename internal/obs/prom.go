@@ -127,68 +127,81 @@ func writeHistogramSamples(w io.Writer, name string, labels map[string]string, h
 // WritePrometheus renders the snapshot in the Prometheus text exposition
 // format: one "# TYPE" header per family followed by its samples, families
 // sorted by exposition name, children in the snapshot's (deterministic)
-// order.
+// order. Two families that map to one exposition name (a gauge and a
+// histogram registered under the same dotted name, say) are an error,
+// reported before anything is written: a scrape that silently kept one of
+// them would hide the other for good.
 func WritePrometheus(w io.Writer, snap MetricsSnapshot) error {
 	type family struct {
 		kind  string // "counter" | "gauge" | "histogram"
 		write func(io.Writer, string) error
 	}
 	families := make(map[string]family)
+	var collision error
+	add := func(name, kind string, write func(io.Writer, string) error) {
+		if prev, ok := families[name]; ok && collision == nil {
+			collision = fmt.Errorf("obs: %s is both a %s and a %s", name, prev.kind, kind)
+		}
+		families[name] = family{kind: kind, write: write}
+	}
 
 	for name, v := range snap.Counters {
 		v := v
-		families[promName(name)+"_total"] = family{kind: "counter", write: func(w io.Writer, n string) error {
+		add(promName(name)+"_total", "counter", func(w io.Writer, n string) error {
 			_, err := fmt.Fprintf(w, "%s %d\n", n, v)
 			return err
-		}}
+		})
 	}
 	for name, children := range snap.CounterVecs {
 		children := children
-		families[promName(name)+"_total"] = family{kind: "counter", write: func(w io.Writer, n string) error {
+		add(promName(name)+"_total", "counter", func(w io.Writer, n string) error {
 			for _, ch := range children {
 				if _, err := fmt.Fprintf(w, "%s%s %d\n", n, promLabels(ch.Labels), ch.Value); err != nil {
 					return err
 				}
 			}
 			return nil
-		}}
+		})
 	}
 	for name, v := range snap.Gauges {
 		v := v
-		families[promName(name)] = family{kind: "gauge", write: func(w io.Writer, n string) error {
+		add(promName(name), "gauge", func(w io.Writer, n string) error {
 			_, err := fmt.Fprintf(w, "%s %s\n", n, promFloat(v))
 			return err
-		}}
+		})
 	}
 	for name, children := range snap.GaugeVecs {
 		children := children
-		families[promName(name)] = family{kind: "gauge", write: func(w io.Writer, n string) error {
+		add(promName(name), "gauge", func(w io.Writer, n string) error {
 			for _, ch := range children {
 				if _, err := fmt.Fprintf(w, "%s%s %s\n", n, promLabels(ch.Labels), promFloat(ch.Value)); err != nil {
 					return err
 				}
 			}
 			return nil
-		}}
+		})
 	}
 	for name, hs := range snap.Histograms {
 		hs := hs
-		families[promName(name)] = family{kind: "histogram", write: func(w io.Writer, n string) error {
+		add(promName(name), "histogram", func(w io.Writer, n string) error {
 			return writeHistogramSamples(w, n, nil, hs)
-		}}
+		})
 	}
 	for name, children := range snap.HistogramVecs {
 		children := children
-		families[promName(name)] = family{kind: "histogram", write: func(w io.Writer, n string) error {
+		add(promName(name), "histogram", func(w io.Writer, n string) error {
 			for _, ch := range children {
 				if err := writeHistogramSamples(w, n, ch.Labels, ch.Hist); err != nil {
 					return err
 				}
 			}
 			return nil
-		}}
+		})
 	}
 
+	if collision != nil {
+		return collision
+	}
 	names := make([]string, 0, len(families))
 	for n := range families {
 		names = append(names, n)

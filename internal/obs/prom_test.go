@@ -73,7 +73,7 @@ func TestPromLabelEscaping(t *testing.T) {
 func TestPromNameSanitization(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("serve.admit.rejected.queue-full").Inc()
-	r.Gauge("kernel.mul.gflops").Set(1.5)
+	r.Gauge("kernel.workers").Set(1.5)
 	var buf bytes.Buffer
 	if err := WritePrometheus(&buf, r.Snapshot()); err != nil {
 		t.Fatal(err)
@@ -81,11 +81,47 @@ func TestPromNameSanitization(t *testing.T) {
 	out := buf.String()
 	for _, want := range []string{
 		"dmac_serve_admit_rejected_queue_full_total 1",
-		"dmac_kernel_mul_gflops 1.5",
+		"dmac_kernel_workers 1.5",
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("missing %q in:\n%s", want, out)
 		}
+	}
+}
+
+// TestWritePrometheusRejectsNameCollision: two families that land on one
+// exposition name are an error and nothing is written, whichever kinds they
+// are; the same dotted name as a counter and a gauge is no collision, because
+// the counter gets its _total suffix.
+func TestWritePrometheusRejectsNameCollision(t *testing.T) {
+	for name, fill := range map[string]func(r *Registry){
+		"gauge+histogram": func(r *Registry) {
+			r.Gauge("kernel.mul.gflops").Set(1.5)
+			r.Histogram("kernel.mul.gflops", GFLOPSBuckets).Observe(1.5)
+		},
+		"counter+countervec": func(r *Registry) {
+			r.Counter("jobs").Inc()
+			r.CounterVec("jobs", "tenant").With("a").Inc()
+		},
+		"sanitized": func(r *Registry) {
+			r.Gauge("queue.depth").Set(1)
+			r.Gauge("queue_depth").Set(2)
+		},
+	} {
+		r := NewRegistry()
+		fill(r)
+		var buf bytes.Buffer
+		if err := WritePrometheus(&buf, r.Snapshot()); err == nil {
+			t.Errorf("%s: no error; wrote:\n%s", name, buf.String())
+		} else if buf.Len() != 0 {
+			t.Errorf("%s: wrote %d bytes before failing with %v", name, buf.Len(), err)
+		}
+	}
+	r := NewRegistry()
+	r.Counter("jobs").Inc()
+	r.Gauge("jobs").Set(3)
+	if err := WritePrometheus(&bytes.Buffer{}, r.Snapshot()); err != nil {
+		t.Errorf("counter and gauge of one name: %v", err)
 	}
 }
 

@@ -1,7 +1,9 @@
 package sched
 
 import (
+	"bytes"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"dmac/internal/matrix"
@@ -76,7 +78,8 @@ func TestMulTransShapeErrors(t *testing.T) {
 }
 
 // TestMulTransKernelMetrics: a multiply with a registry attached must record
-// the kernel counters and the achieved-GFLOPs gauge/histogram.
+// the kernel counters, the achieved-GFLOPs histogram and the worker gauge,
+// and export them all.
 func TestMulTransKernelMetrics(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	a := randGrid(rng, 20, 20, 5, 1)
@@ -94,29 +97,36 @@ func TestMulTransKernelMetrics(t *testing.T) {
 	if got := snap.Counters["kernel.mul.flops"]; got <= 0 {
 		t.Errorf("kernel.mul.flops = %d, want > 0", got)
 	}
-	if got, ok := snap.Gauges["kernel.mul.gflops"]; !ok || got <= 0 {
-		t.Errorf("kernel.mul.gflops gauge = %v (present=%v), want > 0", got, ok)
-	}
-	cs := snap.CounterVecs["kernel.strategy.count"]
-	if len(cs) != 1 || cs[0].Labels["strategy"] != "classical" || cs[0].Value != 1 {
-		t.Errorf("kernel.strategy.count = %+v, want one classical=1 child", cs)
+	if h := snap.Histograms["kernel.mul.gflops"]; h.Count != 1 || h.Sum <= 0 {
+		t.Errorf("kernel.mul.gflops histogram count = %d, sum = %v, want one positive observation", h.Count, h.Sum)
 	}
 	if got, ok := snap.Gauges["kernel.workers"]; !ok || got < 1 {
 		t.Errorf("kernel.workers gauge = %v (present=%v), want >= 1", got, ok)
 	}
 
-	// An explicit Strassen dispatch lands under its own strategy label even
-	// when the shape falls back to the classical kernels.
-	if _, err := e.MulTransAlgo(a, b, false, false, InPlace, matrix.MulStrassen); err != nil {
+	// What the executor recorded must survive the Prometheus exposition: one
+	// family per snapshot entry, of the snapshot's kind. Two metrics sharing
+	// an exposition name would fail the write or drop a family here.
+	var buf bytes.Buffer
+	if err := obs.WritePrometheus(&buf, snap); err != nil {
 		t.Fatal(err)
 	}
-	snap = reg.Snapshot()
-	strategies := map[string]int64{}
-	for _, c := range snap.CounterVecs["kernel.strategy.count"] {
-		strategies[c.Labels["strategy"]] = c.Value
+	out := buf.String()
+	expect := func(name, suffix, kind string) {
+		t.Helper()
+		line := "# TYPE dmac_" + strings.ReplaceAll(name, ".", "_") + suffix + " " + kind + "\n"
+		if !strings.Contains(out, line) {
+			t.Errorf("exposition lacks %q:\n%s", line, out)
+		}
 	}
-	if strategies["classical"] != 1 || strategies["strassen"] != 1 {
-		t.Errorf("kernel.strategy.count children = %v, want classical=1 strassen=1", strategies)
+	for name := range snap.Counters {
+		expect(name, "_total", "counter")
+	}
+	for name := range snap.Gauges {
+		expect(name, "", "gauge")
+	}
+	for name := range snap.Histograms {
+		expect(name, "", "histogram")
 	}
 }
 

@@ -234,20 +234,10 @@ func (e *Executor) Mul(a, b *matrix.Grid, strategy MulStrategy) (*matrix.Grid, e
 // according to the aT/bT flags. Transposition is fused into the block
 // kernels: logical block (bi, bk) of a transposed grid is stored block
 // (bk, bi) read by stride, so no transposed grid or block is ever
-// materialized on the multiply path. Block products run the classical tiled
-// kernel; MulTransAlgo selects per-operator algorithms.
+// materialized on the multiply path. When a metrics registry is attached the
+// achieved GFLOPS of the whole multiply is recorded under kernel.mul.* and
+// the current intra-op parallelism under the kernel.workers gauge.
 func (e *Executor) MulTrans(a, b *matrix.Grid, aT, bT bool, strategy MulStrategy) (*matrix.Grid, error) {
-	return e.MulTransAlgo(a, b, aT, bT, strategy, matrix.MulClassical)
-}
-
-// MulTransAlgo is MulTrans with an explicit multiply algorithm (the planner's
-// per-operator pick): every block product dispatches through the algorithm,
-// with Strassen silently falling back to classical on ineligible shapes.
-// When a metrics registry is attached the achieved GFLOPS of the whole
-// multiply is recorded under kernel.mul.*, the algorithm under
-// kernel.strategy.count{strategy}, and the current intra-op parallelism under
-// the kernel.workers gauge.
-func (e *Executor) MulTransAlgo(a, b *matrix.Grid, aT, bT bool, strategy MulStrategy, algo matrix.MulAlgo) (*matrix.Grid, error) {
 	aRows, aCols := gridDims(a, aT)
 	bRows, bCols := gridDims(b, bT)
 	if aCols != bRows {
@@ -264,9 +254,9 @@ func (e *Executor) MulTransAlgo(a, b *matrix.Grid, aT, bT bool, strategy MulStra
 	var out *matrix.Grid
 	switch strategy {
 	case InPlace:
-		out = e.mulInPlace(a, b, aT, bT, algo)
+		out = e.mulInPlace(a, b, aT, bT)
 	case Buffer:
-		out = e.mulBuffer(a, b, aT, bT, algo)
+		out = e.mulBuffer(a, b, aT, bT)
 	default:
 		return nil, fmt.Errorf("sched: unknown multiplication strategy %d", strategy)
 	}
@@ -275,12 +265,9 @@ func (e *Executor) MulTransAlgo(a, b *matrix.Grid, aT, bT bool, strategy MulStra
 		flops := mulWorkFLOPs(a, b, aCols)
 		m.Counter("kernel.mul.count").Inc()
 		m.Counter("kernel.mul.flops").Add(int64(flops))
-		m.CounterVec("kernel.strategy.count", "strategy").With(algo.String()).Inc()
 		m.Gauge("kernel.workers").Set(float64(matrix.KernelWorkers()))
 		if elapsed > 0 && flops > 0 {
-			gf := flops / elapsed / 1e9
-			m.Gauge("kernel.mul.gflops").Set(gf)
-			m.Histogram("kernel.mul.gflops", obs.GFLOPSBuckets).Observe(gf)
+			m.Histogram("kernel.mul.gflops", obs.GFLOPSBuckets).Observe(flops / elapsed / 1e9)
 		}
 	}
 	return out, nil
@@ -310,7 +297,7 @@ func mulWorkFLOPs(a, b *matrix.Grid, inner int) float64 {
 
 // mulInPlace: one task per result block; each task accumulates its full
 // inner-dimension sum into a single owned block.
-func (e *Executor) mulInPlace(a, b *matrix.Grid, aT, bT bool, algo matrix.MulAlgo) *matrix.Grid {
+func (e *Executor) mulInPlace(a, b *matrix.Grid, aT, bT bool) *matrix.Grid {
 	aRows, _ := gridDims(a, aT)
 	_, bCols := gridDims(b, bT)
 	out := matrix.NewGrid(aRows, bCols, a.BlockSize())
@@ -326,7 +313,7 @@ func (e *Executor) mulInPlace(a, b *matrix.Grid, aT, bT bool, algo matrix.MulAlg
 		for k := 0; k < inner; k++ {
 			// Accumulate directly into the result block: no intermediate
 			// product blocks exist at any point.
-			if err := matrix.MulAddTransAlgoInto(dst, gridBlock(a, bi, k, aT), gridBlock(b, k, bj, bT), aT, bT, algo); err != nil {
+			if err := matrix.MulAddTransInto(dst, gridBlock(a, bi, k, aT), gridBlock(b, k, bj, bT), aT, bT); err != nil {
 				panic(err) // shapes were validated by MulTrans
 			}
 		}
@@ -349,7 +336,7 @@ func gridBlock(g *matrix.Grid, bi, bj int, t bool) matrix.Block {
 
 // mulBuffer: one task per (bi, k, bj) block product; all intermediate blocks
 // are buffered and aggregated afterwards.
-func (e *Executor) mulBuffer(a, b *matrix.Grid, aT, bT bool, algo matrix.MulAlgo) *matrix.Grid {
+func (e *Executor) mulBuffer(a, b *matrix.Grid, aT, bT bool) *matrix.Grid {
 	aRows, _ := gridDims(a, aT)
 	_, bCols := gridDims(b, bT)
 	out := matrix.NewGrid(aRows, bCols, a.BlockSize())
@@ -366,7 +353,7 @@ func (e *Executor) mulBuffer(a, b *matrix.Grid, aT, bT bool, algo matrix.MulAlgo
 		r, c := out.BlockDims(bi, bj)
 		prod := matrix.NewDense(r, c)
 		e.mem.Add(prod.MemBytes())
-		if err := matrix.MulAddTransAlgoInto(prod, gridBlock(a, bi, k, aT), gridBlock(b, k, bj, bT), aT, bT, algo); err != nil {
+		if err := matrix.MulAddTransInto(prod, gridBlock(a, bi, k, aT), gridBlock(b, k, bj, bT), aT, bT); err != nil {
 			panic(err)
 		}
 		intermediates[idx] = prod

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -75,8 +76,13 @@ func (s *Service) Handler() http.Handler {
 		writeJSON(w, http.StatusOK, s.SLO())
 	})
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
+		var buf bytes.Buffer
+		if err := obs.WritePrometheus(&buf, s.opts.Metrics.Snapshot()); err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+			return
+		}
 		w.Header().Set("Content-Type", obs.PrometheusContentType)
-		_ = obs.WritePrometheus(w, s.opts.Metrics.Snapshot())
+		_, _ = w.Write(buf.Bytes()) // fails only when the scraper has gone away
 	})
 	mux.HandleFunc("GET /v1/stats", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, s.Stats())
