@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"time"
 
 	"dmac/internal/dep"
 	"dmac/internal/matrix"
@@ -101,7 +102,9 @@ func (c *Cluster) Multiply(ctx context.Context, a, b *DistMatrix, strategy MulSt
 		// each output block to the block's owner.
 		workers := int64(c.AliveWorkers())
 		out.Scheme = outScheme
+		sent := time.Now()
 		wire, werr := c.transport.Scatter(ctx, "cpmm-shuffle", stage, c.scatterXfers(out, int(workers)))
+		wireS := time.Since(sent).Seconds()
 		if err := c.commFailure(werr, stage); err != nil {
 			return nil, err
 		}
@@ -110,7 +113,7 @@ func (c *Cluster) Multiply(ctx context.Context, a, b *DistMatrix, strategy MulSt
 			obs.String("strategy", "CPMM"), obs.String("to_scheme", outScheme.String()),
 			obs.Int64("workers", workers))
 		c.verifyTransfer(out, stage, "cpmm-shuffle")
-		c.chargeWire(stage, "cpmm-shuffle", wire)
+		c.chargeWire(stage, "cpmm-shuffle", wire, wireS)
 	}
 	return out, nil
 }
@@ -174,14 +177,16 @@ func (c *Cluster) Apply(f matrix.UFunc, a *DistMatrix) (*DistMatrix, error) {
 // aggregate operator; on the wire it gathers one aggregate frame per alive
 // worker.
 func (c *Cluster) collect(ctx context.Context, stage int) error {
+	sent := time.Now()
 	wire, err := c.transport.Collect(ctx, stage, c.aliveList())
+	wireS := time.Since(sent).Seconds()
 	if err := c.commFailure(err, stage); err != nil {
 		return err
 	}
 	bytes := 8 * int64(c.AliveWorkers())
 	c.net.AddComm(stage, bytes)
 	c.traceComm(stage, "collect", bytes)
-	c.chargeWire(stage, "collect", wire)
+	c.chargeWire(stage, "collect", wire, wireS)
 	return nil
 }
 

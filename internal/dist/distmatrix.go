@@ -3,6 +3,7 @@ package dist
 import (
 	"context"
 	"fmt"
+	"time"
 
 	"dmac/internal/dep"
 	"dmac/internal/matrix"
@@ -210,7 +211,9 @@ func (c *Cluster) Partition(ctx context.Context, m *DistMatrix, scheme dep.Schem
 	out := &DistMatrix{Grid: m.Grid, Scheme: scheme, trans: m.trans}
 	// Destinations are the owners under the new scheme — where the shuffle
 	// puts each block.
+	sent := time.Now()
 	wire, err := c.transport.Scatter(ctx, "partition", stage, c.scatterXfers(out, 1))
+	wireS := time.Since(sent).Seconds()
 	if err := c.commFailure(err, stage); err != nil {
 		return nil, err
 	}
@@ -218,7 +221,7 @@ func (c *Cluster) Partition(ctx context.Context, m *DistMatrix, scheme dep.Schem
 	c.traceComm(stage, "partition", m.Bytes(),
 		obs.String("from_scheme", m.Scheme.String()), obs.String("to_scheme", scheme.String()))
 	c.verifyTransfer(m, stage, "partition")
-	c.chargeWire(stage, "partition", wire)
+	c.chargeWire(stage, "partition", wire, wireS)
 	return out, nil
 }
 
@@ -228,7 +231,9 @@ func (c *Cluster) Partition(ctx context.Context, m *DistMatrix, scheme dep.Schem
 // once and the alive workers forward it around the ring, so no single link
 // carries the whole fan-out.
 func (c *Cluster) Broadcast(ctx context.Context, m *DistMatrix, stage int) (*DistMatrix, error) {
+	sent := time.Now()
 	wire, err := c.transport.Ring(ctx, "broadcast", stage, m.ringXfers(), c.aliveList())
+	wireS := time.Since(sent).Seconds()
 	if err := c.commFailure(err, stage); err != nil {
 		return nil, err
 	}
@@ -237,7 +242,7 @@ func (c *Cluster) Broadcast(ctx context.Context, m *DistMatrix, stage int) (*Dis
 	c.traceComm(stage, "broadcast", replicas*m.Bytes(),
 		obs.String("from_scheme", m.Scheme.String()), obs.Int64("replicas", replicas))
 	c.verifyTransfer(m, stage, "broadcast")
-	c.chargeWire(stage, "broadcast", wire)
+	c.chargeWire(stage, "broadcast", wire, wireS)
 	return &DistMatrix{Grid: m.Grid, Scheme: dep.Broadcast, trans: m.trans}, nil
 }
 
@@ -274,7 +279,9 @@ func (c *Cluster) Transpose(m *DistMatrix) *DistMatrix {
 func (c *Cluster) ShuffleTranspose(ctx context.Context, m *DistMatrix, stage int) (*DistMatrix, error) {
 	// The move set is m's blocks re-homed under the transposed placement.
 	view := &DistMatrix{Grid: m.Grid, Scheme: m.Scheme.Opposite(), trans: !m.trans}
+	sent := time.Now()
 	wire, err := c.transport.Scatter(ctx, "shuffle-transpose", stage, c.scatterXfers(view, 1))
+	wireS := time.Since(sent).Seconds()
 	if err := c.commFailure(err, stage); err != nil {
 		return nil, err
 	}
@@ -282,7 +289,7 @@ func (c *Cluster) ShuffleTranspose(ctx context.Context, m *DistMatrix, stage int
 	c.traceComm(stage, "shuffle-transpose", m.Bytes(),
 		obs.String("from_scheme", m.Scheme.String()))
 	c.verifyTransfer(m, stage, "shuffle-transpose")
-	c.chargeWire(stage, "shuffle-transpose", wire)
+	c.chargeWire(stage, "shuffle-transpose", wire, wireS)
 	c.addFLOPs(stage, float64(m.Grid.NNZ()))
 	if m.trans {
 		// The stored grid already is the transpose of the view; the shuffle

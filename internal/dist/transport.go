@@ -210,9 +210,11 @@ func (m *DistMatrix) ringXfers() []BlockXfer {
 
 // chargeWire records measured wire traffic alongside the model: NetStats
 // wire totals, a "net" trace event, and the net.* labeled metric families.
-// The in-process transport reports zero and charges nothing, so modelled
-// accounting stays byte-for-byte what it was before transports existed.
-func (c *Cluster) chargeWire(stage int, op string, w Wire) {
+// seconds is the wall time of the transport call that moved it, so a trace
+// tells a slow scatter from a slow ring. The in-process transport reports
+// zero and charges nothing, so modelled accounting stays byte-for-byte what
+// it was before transports existed.
+func (c *Cluster) chargeWire(stage int, op string, w Wire, seconds float64) {
 	if w.Bytes == 0 && w.Frames == 0 {
 		return
 	}
@@ -221,11 +223,13 @@ func (c *Cluster) chargeWire(stage int, op string, w Wire) {
 		tr.Event("net", op, tr.Scope(),
 			obs.Int64("stage", int64(stage)),
 			obs.Int64("wire_bytes", w.Bytes),
-			obs.Int64("frames", w.Frames))
+			obs.Int64("frames", w.Frames),
+			obs.Float64("wire_s", seconds))
 	}
 	if m := c.metrics.Load(); m != nil {
 		m.CounterVec("net.wire.bytes", "op").With(op).Add(w.Bytes)
 		m.CounterVec("net.wire.frames", "op").With(op).Add(w.Frames)
+		m.HistogramVec("net.wire.seconds", obs.SecondsBuckets, "op").With(op).Observe(seconds)
 	}
 }
 

@@ -14,16 +14,28 @@
 // retransmit, so every block hand-off is integrity-checked on the wire
 // exactly as the model's verifyTransfer checks it in the simulation.
 //
+// The data plane is a pipeline. A sender hands a frame's header bytes and
+// the blocks' own memory to one vectored write; a receiver reads each block
+// body straight into the buffer its store then owns; the coordinator drives
+// its destinations side by side with a window of un-acknowledged PUTs on each
+// connection.
+//
 // Broadcasts are rings: the coordinator sends each block once to the first
-// hop and every hop forwards to the next, reporting the bytes it relayed in
-// its ack, so the coordinator's Wire total covers the whole ring without any
-// single link carrying the full fan-out.
+// hop and every hop forwards the bytes to the next as they arrive, reporting
+// the bytes it relayed in its ack, so the coordinator's Wire total covers the
+// whole ring without any single link carrying the full fan-out.
 package transport
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
+	"net"
+	"time"
+
+	"dmac/internal/matrix"
+	"dmac/internal/mio"
 )
 
 // Frame types.
@@ -54,161 +66,165 @@ const (
 	fPong
 )
 
-// maxFrame bounds a frame's length field; anything larger is a corrupt or
-// hostile stream and aborts the connection.
-const maxFrame = 1 << 30
+const (
+	// maxFrame bounds a frame's length field; anything larger is a corrupt
+	// or hostile stream and aborts the connection.
+	maxFrame = 1 << 30
+	// frameHdrLen is the length prefix plus the type byte.
+	frameHdrLen = 5
+	// smallPayload is the largest payload of any frame that carries no block
+	// (the fRingOK totals) and the size of the fixed fields ahead of a block
+	// (a PUT's stage, coordinates and CRC; a ring block's coordinates, CRC
+	// and length).
+	smallPayload = 16
+	// linkReadBuf sizes a connection's buffered reader: frame headers and
+	// acknowledgements come through it several to a read, block bodies larger
+	// than it are read past it into their own buffers.
+	linkReadBuf = 4096
+)
 
-// writeFrame writes one frame and returns the bytes put on the wire
-// (header + type + payload).
-func writeFrame(w io.Writer, typ byte, payload []byte) (int64, error) {
-	var hdr [5]byte
-	binary.LittleEndian.PutUint32(hdr[:4], uint32(1+len(payload)))
-	hdr[4] = typ
-	if _, err := w.Write(hdr[:]); err != nil {
-		return 0, err
-	}
-	if len(payload) > 0 {
-		if _, err := w.Write(payload); err != nil {
-			return 0, err
-		}
-	}
-	return int64(5 + len(payload)), nil
+// seconds converts a configured timeout.
+func seconds(s float64) time.Duration { return time.Duration(s * float64(time.Second)) }
+
+// link is one framed connection. It is used by one goroutine at a time: the
+// holder of the peer or forward mutex, or the connection's serve loop.
+type link struct {
+	conn net.Conn
+	br   *bufio.Reader
+	wbuf [frameHdrLen + smallPayload]byte // one outgoing block-less frame
+	rbuf [smallPayload]byte               // the fixed fields last read
+	hdr  []byte                           // a hop's rebuilt RING header
+	vec  net.Buffers                      // a block's fields plus its first bytes, forwarded in one write
 }
 
-// readFrame reads one frame and returns its type, payload, and size on the
-// wire.
-func readFrame(r io.Reader) (byte, []byte, int64, error) {
-	var hdr [5]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, nil, 0, err
+func newLink(conn net.Conn) *link {
+	return &link{conn: conn, br: bufio.NewReaderSize(conn, linkReadBuf)}
+}
+
+// writeFrame writes one block-less frame (payload at most smallPayload bytes)
+// in a single write and returns the bytes put on the wire.
+func (l *link) writeFrame(typ byte, payload []byte) (int64, error) {
+	binary.LittleEndian.PutUint32(l.wbuf[:4], uint32(1+len(payload)))
+	l.wbuf[4] = typ
+	n := frameHdrLen + copy(l.wbuf[frameHdrLen:], payload)
+	_, err := l.conn.Write(l.wbuf[:n])
+	return int64(n), err
+}
+
+// readHeader reads a frame's length and type and returns the type and the
+// payload length that follows.
+func (l *link) readHeader() (typ byte, payload int, err error) {
+	if _, err := io.ReadFull(l.br, l.rbuf[:frameHdrLen]); err != nil {
+		return 0, 0, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[:4])
+	n := binary.LittleEndian.Uint32(l.rbuf[:4])
 	if n < 1 || n > maxFrame {
-		return 0, nil, 0, fmt.Errorf("transport: frame length %d out of range", n)
+		return 0, 0, fmt.Errorf("transport: frame length %d out of range", n)
 	}
-	payload := make([]byte, n-1)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	return l.rbuf[4], int(n - 1), nil
+}
+
+// readFields reads n (at most smallPayload) bytes into the link's scratch;
+// the slice is good until the next readHeader or readFields.
+func (l *link) readFields(n int) ([]byte, error) {
+	if n > smallPayload {
+		return nil, fmt.Errorf("transport: %d-byte payload on a frame that carries no block", n)
+	}
+	_, err := io.ReadFull(l.br, l.rbuf[:n])
+	return l.rbuf[:n], err
+}
+
+// readFrame reads one block-less frame — every reply is one — and returns its
+// type, payload and size on the wire.
+func (l *link) readFrame() (byte, []byte, int64, error) {
+	typ, n, err := l.readHeader()
+	if err != nil {
 		return 0, nil, 0, err
 	}
-	return hdr[4], payload, int64(5 + len(payload)), nil
+	payload, err := l.readFields(n)
+	return typ, payload, int64(frameHdrLen + n), err
 }
 
-// putPayload encodes an fPut payload.
-func putPayload(stage, bi, bj int, crc uint32, enc []byte) []byte {
-	p := make([]byte, 16+len(enc))
-	binary.LittleEndian.PutUint32(p[0:4], uint32(stage))
-	binary.LittleEndian.PutUint32(p[4:8], uint32(bi))
-	binary.LittleEndian.PutUint32(p[8:12], uint32(bj))
-	binary.LittleEndian.PutUint32(p[12:16], crc)
-	copy(p[16:], enc)
-	return p
+// frameOut assembles one outgoing PUT or RING frame for a vectored write:
+// every header byte of the frame is in hdr, the blocks' bytes stay where they
+// are, and bufs lists runs of hdr and views of block memory in wire order.
+type frameOut struct {
+	hdr  []byte
+	bufs net.Buffers
+	out  net.Buffers // bufs as WriteTo consumes it; a field so the call allocates nothing
+	run  int         // start of the header run not yet listed in bufs
+	body int         // block bytes listed in bufs
 }
 
-// parsePut decodes an fPut payload.
-func parsePut(p []byte) (stage, bi, bj int, crc uint32, enc []byte, err error) {
-	if len(p) < 16 {
-		return 0, 0, 0, 0, nil, fmt.Errorf("transport: put frame too short (%d bytes)", len(p))
-	}
-	return int(binary.LittleEndian.Uint32(p[0:4])),
-		int(binary.LittleEndian.Uint32(p[4:8])),
-		int(binary.LittleEndian.Uint32(p[8:12])),
-		binary.LittleEndian.Uint32(p[12:16]),
-		p[16:], nil
-}
+// putHdrCap is the header of a PUT: frame header, fixed fields, block head.
+const putHdrCap = frameHdrLen + smallPayload + mio.BlockHeadLen
 
-// ringBlock is one block of a ring frame in its wire form.
-type ringBlock struct {
-	bi, bj int
-	crc    uint32
-	enc    []byte
-}
-
-// ringPayload encodes an fRing payload: the remaining hop addresses and the
-// block set.
-func ringPayload(stage int, hops []string, blocks []ringBlock) []byte {
-	n := 4 + 2
+// ringHdrCap is the most header bytes a RING of the given hops and block
+// count needs.
+func ringHdrCap(hops []string, blocks int) int {
+	n := frameHdrLen + 4 + 2 + 4 + blocks*(smallPayload+mio.BlockHeadLen)
 	for _, h := range hops {
 		n += 2 + len(h)
 	}
-	n += 4
-	for _, b := range blocks {
-		n += 16 + len(b.enc)
-	}
-	p := make([]byte, 0, n)
-	var u4 [4]byte
-	var u2 [2]byte
-	binary.LittleEndian.PutUint32(u4[:], uint32(stage))
-	p = append(p, u4[:]...)
-	binary.LittleEndian.PutUint16(u2[:], uint16(len(hops)))
-	p = append(p, u2[:]...)
-	for _, h := range hops {
-		binary.LittleEndian.PutUint16(u2[:], uint16(len(h)))
-		p = append(p, u2[:]...)
-		p = append(p, h...)
-	}
-	binary.LittleEndian.PutUint32(u4[:], uint32(len(blocks)))
-	p = append(p, u4[:]...)
-	for _, b := range blocks {
-		binary.LittleEndian.PutUint32(u4[:], uint32(b.bi))
-		p = append(p, u4[:]...)
-		binary.LittleEndian.PutUint32(u4[:], uint32(b.bj))
-		p = append(p, u4[:]...)
-		binary.LittleEndian.PutUint32(u4[:], b.crc)
-		p = append(p, u4[:]...)
-		binary.LittleEndian.PutUint32(u4[:], uint32(len(b.enc)))
-		p = append(p, u4[:]...)
-		p = append(p, b.enc...)
-	}
-	return p
+	return n
 }
 
-// parseRing decodes an fRing payload.
-func parseRing(p []byte) (stage int, hops []string, blocks []ringBlock, err error) {
-	bad := func() (int, []string, []ringBlock, error) {
-		return 0, nil, nil, fmt.Errorf("transport: malformed ring frame")
+// begin starts a frame whose header bytes total at most hdrCap. The capacity
+// is reserved now, so runs already listed in bufs never move.
+func (f *frameOut) begin(typ byte, hdrCap int) {
+	if cap(f.hdr) < hdrCap {
+		f.hdr = make([]byte, 0, hdrCap)
 	}
-	if len(p) < 6 {
-		return bad()
+	f.hdr = append(f.hdr[:0], 0, 0, 0, 0, typ)
+	f.bufs, f.run, f.body = f.bufs[:0], 0, 0
+}
+
+func (f *frameOut) u16(v int) { f.hdr = binary.LittleEndian.AppendUint16(f.hdr, uint16(v)) }
+func (f *frameOut) u32(v int) { f.hdr = binary.LittleEndian.AppendUint32(f.hdr, uint32(v)) }
+
+// str appends a u16 length and the string (a hop address).
+func (f *frameOut) str(s string) {
+	f.u16(len(s))
+	f.hdr = append(f.hdr, s...)
+}
+
+// block appends one block: its coordinates, the CRC32C of its encoding, the
+// encoding's length where the frame carries several (RING), and the encoding.
+func (f *frameOut) block(bi, bj int, b matrix.Block, withLen bool) {
+	f.u32(bi)
+	f.u32(bj)
+	f.u32(int(mio.BlockChecksum(b)))
+	lenAt := len(f.hdr)
+	if withLen {
+		f.u32(0)
 	}
-	stage = int(binary.LittleEndian.Uint32(p[0:4]))
-	nh := int(binary.LittleEndian.Uint16(p[4:6]))
-	off := 6
-	for i := 0; i < nh; i++ {
-		if off+2 > len(p) {
-			return bad()
-		}
-		l := int(binary.LittleEndian.Uint16(p[off : off+2]))
-		off += 2
-		if off+l > len(p) {
-			return bad()
-		}
-		hops = append(hops, string(p[off:off+l]))
-		off += l
+	run := len(f.bufs)
+	f.bufs = append(f.bufs, nil) // the header run ending in this block's head, set below
+	headLen, bufs, n := mio.BlockSegments(b, f.hdr[len(f.hdr):len(f.hdr)+mio.BlockHeadLen], f.bufs)
+	f.hdr = f.hdr[:len(f.hdr)+headLen]
+	if withLen {
+		binary.LittleEndian.PutUint32(f.hdr[lenAt:], uint32(n))
 	}
-	if off+4 > len(p) {
-		return bad()
+	bufs[run] = f.hdr[f.run:]
+	f.bufs, f.run = bufs, len(f.hdr)
+	f.body += n - headLen
+}
+
+// writeTo fills in the frame length and sends the frame — in one vectored
+// write when w is a TCP connection — returning the bytes put on the wire.
+func (f *frameOut) writeTo(w io.Writer) (int64, error) {
+	if f.run < len(f.hdr) {
+		f.bufs = append(f.bufs, f.hdr[f.run:])
+		f.run = len(f.hdr)
 	}
-	nb := int(binary.LittleEndian.Uint32(p[off : off+4]))
-	off += 4
-	for i := 0; i < nb; i++ {
-		if off+16 > len(p) {
-			return bad()
-		}
-		b := ringBlock{
-			bi:  int(binary.LittleEndian.Uint32(p[off : off+4])),
-			bj:  int(binary.LittleEndian.Uint32(p[off+4 : off+8])),
-			crc: binary.LittleEndian.Uint32(p[off+8 : off+12]),
-		}
-		l := int(binary.LittleEndian.Uint32(p[off+12 : off+16]))
-		off += 16
-		if off+l > len(p) {
-			return bad()
-		}
-		b.enc = p[off : off+l]
-		off += l
-		blocks = append(blocks, b)
+	total := len(f.hdr) + f.body
+	if total-4 > maxFrame {
+		return 0, fmt.Errorf("transport: %d-byte frame exceeds the %d-byte limit", total-4, maxFrame)
 	}
-	return stage, hops, blocks, nil
+	binary.LittleEndian.PutUint32(f.hdr[:4], uint32(total-4))
+	f.out = f.bufs
+	_, err := f.out.WriteTo(w)
+	return int64(total), err
 }
 
 // u32Payload encodes a single u32 (fHello worker index, fCollect stage).

@@ -4,13 +4,11 @@ import (
 	"context"
 	"fmt"
 	"net"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"dmac/internal/dist"
-	"dmac/internal/mio"
 	"dmac/internal/obs"
 	"dmac/internal/retry"
 )
@@ -55,6 +53,12 @@ func (c Config) withDefaults() Config {
 // receiver answers badCRC before the transfer is abandoned.
 const crcRetries = 3
 
+// putWindow is how many PUT frames a connection may carry un-acknowledged.
+// The worker answers each with a five-byte frame and never stops reading to
+// do so — a full window of answers cannot fill a socket buffer — so sender
+// and receiver cannot block on each other's writes.
+const putWindow = 8
+
 // peer is the coordinator's view of one worker: its operation connection
 // (frames serialized under mu), and the liveness verdict maintained by the
 // heartbeat loop.
@@ -62,8 +66,9 @@ type peer struct {
 	index int
 	addr  string
 
-	mu   sync.Mutex // serializes frames on conn and guards conn itself
-	conn net.Conn
+	mu   sync.Mutex // serializes frames on link and guards link and out
+	link *link      // nil until dialed and after a failure
+	out  frameOut   // the PUT or RING frame being sent
 
 	contacted atomic.Bool // ever successfully contacted (gates heartbeat death)
 	dead      atomic.Bool
@@ -136,23 +141,31 @@ func (t *TCP) Close() error {
 	t.once.Do(func() { close(t.done) })
 	for _, p := range t.peers {
 		p.mu.Lock()
-		if p.conn != nil {
-			p.conn.Close()
-			p.conn = nil
-		}
+		p.dropLocked()
 		p.mu.Unlock()
 	}
 	return nil
 }
 
-// deadline is the per-frame I/O deadline: IOTimeout from now, tightened by
-// the context's own deadline when that is nearer.
-func (t *TCP) deadline(ctx context.Context) time.Time {
-	d := time.Now().Add(time.Duration(t.cfg.IOTimeoutSec * float64(time.Second)))
+// ioTimeout is the per-frame I/O budget.
+func (t *TCP) ioTimeout() time.Duration { return seconds(t.cfg.IOTimeoutSec) }
+
+// deadline is the I/O deadline of budget from now, tightened by the context's
+// own deadline when that is nearer.
+func deadline(ctx context.Context, budget time.Duration) time.Time {
+	d := time.Now().Add(budget)
 	if cd, ok := ctx.Deadline(); ok && cd.Before(d) {
 		d = cd
 	}
 	return d
+}
+
+// ringBudget is how long the sender of a RING waits for its acknowledgement
+// when hops hops are still to be reached: the acknowledgement covers every
+// one of them, so each gets an I/O budget, plus one for the sender's own
+// link.
+func ringBudget(hops int, ioTimeout time.Duration) time.Duration {
+	return time.Duration(hops+1) * ioTimeout
 }
 
 // dialPolicy is the jittered dial backoff; the seed is the peer index so
@@ -161,30 +174,31 @@ func dialPolicy(worker int) retry.Policy {
 	return retry.Policy{BaseSec: 0.05, CapSec: 0.5, Jitter: 0.2, MaxAttempts: 4, Seed: int64(worker)}
 }
 
-// connLocked returns the peer's operation connection, dialing (with retry and
+// linkLocked returns the peer's operation connection, dialing (with retry and
 // a hello exchange announcing the worker's index) on first use. Wire bytes of
 // the hello are added to w. Caller holds p.mu.
-func (t *TCP) connLocked(ctx context.Context, p *peer, w *dist.Wire) (net.Conn, error) {
+func (t *TCP) linkLocked(ctx context.Context, p *peer, w *dist.Wire) (*link, error) {
 	if p.dead.Load() {
 		return nil, p.downErr()
 	}
-	if p.conn != nil {
-		return p.conn, nil
+	if p.link != nil {
+		return p.link, nil
 	}
 	attempts := 0
 	err := retry.Do(ctx, dialPolicy(p.index), func(ctx context.Context) error {
 		attempts++
-		conn, err := net.DialTimeout("tcp", p.addr, time.Duration(t.cfg.DialTimeoutSec*float64(time.Second)))
+		conn, err := net.DialTimeout("tcp", p.addr, seconds(t.cfg.DialTimeoutSec))
 		if err != nil {
 			return err
 		}
-		conn.SetDeadline(t.deadline(ctx))
-		sent, err := writeFrame(conn, fHello, u32Payload(p.index))
+		l := newLink(conn)
+		conn.SetDeadline(deadline(ctx, t.ioTimeout()))
+		sent, err := l.writeFrame(fHello, u32Payload(p.index))
 		if err != nil {
 			conn.Close()
 			return err
 		}
-		typ, _, got, err := readFrame(conn)
+		typ, _, got, err := l.readFrame()
 		if err != nil || typ != fHelloOK {
 			conn.Close()
 			if err == nil {
@@ -194,7 +208,7 @@ func (t *TCP) connLocked(ctx context.Context, p *peer, w *dist.Wire) (net.Conn, 
 		}
 		w.Bytes += sent + got
 		w.Frames += 2
-		p.conn = conn
+		p.link = l
 		p.contacted.Store(true)
 		return nil
 	})
@@ -202,14 +216,14 @@ func (t *TCP) connLocked(ctx context.Context, p *peer, w *dist.Wire) (net.Conn, 
 	if err != nil {
 		return nil, err
 	}
-	return p.conn, nil
+	return p.link, nil
 }
 
 // dropLocked discards the peer's broken connection. Caller holds p.mu.
 func (p *peer) dropLocked() {
-	if p.conn != nil {
-		p.conn.Close()
-		p.conn = nil
+	if p.link != nil {
+		p.link.conn.Close()
+		p.link = nil
 	}
 }
 
@@ -218,78 +232,135 @@ func peerDown(p *peer, err error) error {
 	return &dist.PeerDown{Worker: p.index, Addr: p.addr, Err: err}
 }
 
-// Scatter delivers each transfer's block to its destination worker as a PUT
-// frame, retransmitting on a badCRC answer.
-func (t *TCP) Scatter(ctx context.Context, op string, stage int, xfers []dist.BlockXfer) (dist.Wire, error) {
+// eachPeer runs f(0..n-1) side by side, one goroutine per destination (the
+// caller's own for the last), and returns the summed traffic with the error
+// of the lowest index that failed, so a failure reads the same whatever order
+// the destinations finished in.
+func eachPeer(n int, f func(i int) (dist.Wire, error)) (dist.Wire, error) {
+	wires := make([]dist.Wire, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n-1; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			wires[i], errs[i] = f(i)
+		}()
+	}
+	if n > 0 {
+		wires[n-1], errs[n-1] = f(n - 1)
+	}
+	wg.Wait()
 	var w dist.Wire
-	byDest := make(map[int][]dist.BlockXfer)
+	var first error
+	for i := range wires {
+		w.Bytes += wires[i].Bytes
+		w.Frames += wires[i].Frames
+		if first == nil {
+			first = errs[i]
+		}
+	}
+	return w, first
+}
+
+// Scatter delivers each transfer's block to its destination worker as a PUT
+// frame, all destinations at once, retransmitting on a badCRC answer.
+func (t *TCP) Scatter(ctx context.Context, op string, stage int, xfers []dist.BlockXfer) (dist.Wire, error) {
+	byDest := make([][]dist.BlockXfer, len(t.peers))
 	for _, x := range xfers {
+		if x.To < 0 || x.To >= len(t.peers) {
+			return dist.Wire{}, fmt.Errorf("transport: scatter to unknown worker %d", x.To)
+		}
 		byDest[x.To] = append(byDest[x.To], x)
 	}
 	dests := make([]int, 0, len(byDest))
-	for d := range byDest {
-		dests = append(dests, d)
-	}
-	sort.Ints(dests)
-	for _, d := range dests {
-		if d < 0 || d >= len(t.peers) {
-			return w, fmt.Errorf("transport: scatter to unknown worker %d", d)
+	for d, xs := range byDest {
+		if len(xs) > 0 {
+			dests = append(dests, d)
 		}
-		if err := t.putAll(ctx, t.peers[d], stage, byDest[d], &w); err != nil {
-			return w, err
+	}
+	return eachPeer(len(dests), func(i int) (dist.Wire, error) {
+		return t.putAll(ctx, t.peers[dests[i]], stage, byDest[dests[i]])
+	})
+}
+
+// sentPut is one PUT on the wire awaiting its answer: the transfer's index
+// and how many times it has been sent before.
+type sentPut struct{ idx, resends int }
+
+// putAll sends one destination's blocks over its connection, keeping up to
+// putWindow PUTs un-acknowledged. Answers arrive in the order the frames were
+// sent; a badCRC answer puts that block, alone, back on the wire.
+func (t *TCP) putAll(ctx context.Context, p *peer, stage int, xfers []dist.BlockXfer) (w dist.Wire, err error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	l, err := t.linkLocked(ctx, p, &w)
+	if err != nil {
+		return w, peerDown(p, err)
+	}
+	// fail abandons the connection with the transfer: answers may still be
+	// owed on it, and a later operation must not read them as its own.
+	fail := func(err error) (dist.Wire, error) {
+		p.dropLocked()
+		return w, peerDown(p, err)
+	}
+	var window [putWindow]sentPut // a ring: head is the oldest of n un-acknowledged PUTs
+	head, n := 0, 0
+	send := func(s sentPut) error {
+		x := xfers[s.idx]
+		p.out.begin(fPut, putHdrCap)
+		p.out.u32(stage)
+		p.out.block(x.Bi, x.Bj, x.Block, false)
+		l.conn.SetDeadline(deadline(ctx, t.ioTimeout()))
+		sent, err := p.out.writeTo(l.conn)
+		if err != nil {
+			return err
+		}
+		w.Bytes += sent
+		w.Frames++
+		window[(head+n)%putWindow] = s
+		n++
+		return nil
+	}
+	for next := 0; next < len(xfers) || n > 0; {
+		for ; next < len(xfers) && n < putWindow; next++ {
+			if err := ctx.Err(); err != nil {
+				if n > 0 {
+					p.dropLocked()
+				}
+				return w, err
+			}
+			if err := send(sentPut{idx: next}); err != nil {
+				return fail(err)
+			}
+		}
+		l.conn.SetDeadline(deadline(ctx, t.ioTimeout()))
+		typ, _, got, err := l.readFrame()
+		if err != nil {
+			return fail(err)
+		}
+		w.Bytes += got
+		w.Frames++
+		s := window[head]
+		head, n = (head+1)%putWindow, n-1
+		switch {
+		case typ == fPutOK:
+		case typ != fPutBadCRC:
+			return fail(fmt.Errorf("transport: put answered with frame type %d", typ))
+		case s.resends == crcRetries:
+			x := xfers[s.idx]
+			return fail(fmt.Errorf("transport: block (%d,%d) rejected %d times by CRC", x.Bi, x.Bj, crcRetries+1))
+		default:
+			// Damaged in transit; the same block goes again and the
+			// retransmitted bytes are honestly part of the wire total.
+			t.count("net.crc.retransmits", 1)
+			s.resends++
+			if err := send(s); err != nil {
+				return fail(err)
+			}
 		}
 	}
 	return w, nil
-}
-
-// putAll sends one destination's blocks over its connection.
-func (t *TCP) putAll(ctx context.Context, p *peer, stage int, xfers []dist.BlockXfer, w *dist.Wire) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	conn, err := t.connLocked(ctx, p, w)
-	if err != nil {
-		return peerDown(p, err)
-	}
-	for _, x := range xfers {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		enc := mio.EncodeBlock(x.Block)
-		crc := mio.ChecksumBytes(enc)
-		payload := putPayload(stage, x.Bi, x.Bj, crc, enc)
-		accepted := false
-		for try := 0; try <= crcRetries; try++ {
-			conn.SetDeadline(t.deadline(ctx))
-			sent, err := writeFrame(conn, fPut, payload)
-			if err != nil {
-				p.dropLocked()
-				return peerDown(p, err)
-			}
-			typ, _, got, err := readFrame(conn)
-			if err != nil {
-				p.dropLocked()
-				return peerDown(p, err)
-			}
-			w.Bytes += sent + got
-			w.Frames += 2
-			if typ == fPutOK {
-				accepted = true
-				break
-			}
-			if typ != fPutBadCRC {
-				p.dropLocked()
-				return peerDown(p, fmt.Errorf("transport: put answered with frame type %d", typ))
-			}
-			// Damaged in transit; the same payload goes again and the
-			// retransmitted bytes are honestly part of the wire total.
-			t.count("net.crc.retransmits", 1)
-		}
-		if !accepted {
-			p.dropLocked()
-			return peerDown(p, fmt.Errorf("transport: block (%d,%d) rejected %d times by CRC", x.Bi, x.Bj, crcRetries+1))
-		}
-	}
-	return nil
 }
 
 // Ring replicates the blocks onto every hop by ring forwarding: one RING
@@ -301,20 +372,14 @@ func (t *TCP) Ring(ctx context.Context, op string, stage int, blocks []dist.Bloc
 	if len(hops) == 0 || len(blocks) == 0 {
 		return w, nil
 	}
-	rbs := make([]ringBlock, 0, len(blocks))
-	for _, x := range blocks {
-		enc := mio.EncodeBlock(x.Block)
-		rbs = append(rbs, ringBlock{bi: x.Bi, bj: x.Bj, crc: mio.ChecksumBytes(enc), enc: enc})
-	}
-	rest := make([]string, 0, len(hops)-1)
-	for _, h := range hops[1:] {
+	for _, h := range hops {
 		if h < 0 || h >= len(t.peers) {
 			return w, fmt.Errorf("transport: ring through unknown worker %d", h)
 		}
-		rest = append(rest, t.peers[h].addr)
 	}
-	if first := hops[0]; first < 0 || first >= len(t.peers) {
-		return w, fmt.Errorf("transport: ring through unknown worker %d", first)
+	rest := make([]string, 0, len(hops)-1)
+	for _, h := range hops[1:] {
+		rest = append(rest, t.peers[h].addr)
 	}
 	p := t.peers[hops[0]]
 
@@ -326,24 +391,29 @@ func (t *TCP) Ring(ctx context.Context, op string, stage int, blocks []dist.Bloc
 	err := func() error {
 		p.mu.Lock()
 		defer p.mu.Unlock()
-		conn, err := t.connLocked(ctx, p, &w)
+		l, err := t.linkLocked(ctx, p, &w)
 		if err != nil {
 			return peerDown(p, err)
 		}
-		// The whole ring must finish before the first hop acks; give the
-		// round-trip one I/O budget per hop.
-		ringDeadline := time.Now().Add(time.Duration(float64(len(hops)) * t.cfg.IOTimeoutSec * float64(time.Second)))
-		if cd, ok := ctx.Deadline(); ok && cd.Before(ringDeadline) {
-			ringDeadline = cd
+		p.out.begin(fRing, ringHdrCap(rest, len(blocks)))
+		p.out.u32(stage)
+		p.out.u16(len(rest))
+		for _, h := range rest {
+			p.out.str(h)
 		}
-		conn.SetDeadline(ringDeadline)
-		sent, err := writeFrame(conn, fRing, ringPayload(stage, rest, rbs))
+		p.out.u32(len(blocks))
+		for _, x := range blocks {
+			p.out.block(x.Bi, x.Bj, x.Block, true)
+		}
+		// The whole ring must finish before the first hop acks.
+		l.conn.SetDeadline(deadline(ctx, ringBudget(len(hops), t.ioTimeout())))
+		sent, err := p.out.writeTo(l.conn)
 		if err != nil {
 			p.dropLocked()
 			ringBroke = true
 			return err
 		}
-		typ, payload, got, err := readFrame(conn)
+		typ, payload, got, err := l.readFrame()
 		if err != nil {
 			p.dropLocked()
 			ringBroke = true
@@ -388,70 +458,62 @@ func (t *TCP) blameRing(ctx context.Context, hops []int, cause error) error {
 	return peerDown(t.peers[hops[0]], cause)
 }
 
-// ping does one PING round-trip on the peer's operation connection.
-func (t *TCP) ping(ctx context.Context, p *peer) error {
+// roundTrip sends one block-less request on the peer's operation connection
+// and returns the answer's payload with the traffic of the exchange (and of
+// the hello, if the connection was dialed for it). Any failure, a wrong
+// answer type included, drops the connection.
+func (t *TCP) roundTrip(ctx context.Context, p *peer, req byte, payload []byte, want byte) ([]byte, dist.Wire, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	var scratch dist.Wire
-	conn, err := t.connLocked(ctx, p, &scratch)
+	var w dist.Wire
+	l, err := t.linkLocked(ctx, p, &w)
 	if err != nil {
-		return err
+		return nil, w, err
 	}
-	conn.SetDeadline(t.deadline(ctx))
-	if _, err := writeFrame(conn, fPing, nil); err != nil {
-		p.dropLocked()
-		return err
-	}
-	typ, _, _, err := readFrame(conn)
+	l.conn.SetDeadline(deadline(ctx, t.ioTimeout()))
+	sent, err := l.writeFrame(req, payload)
 	if err != nil {
 		p.dropLocked()
-		return err
+		return nil, w, err
 	}
-	if typ != fPong {
+	typ, reply, got, err := l.readFrame()
+	if err != nil {
 		p.dropLocked()
-		return fmt.Errorf("transport: ping answered with frame type %d", typ)
+		return nil, w, err
 	}
-	return nil
+	if typ != want {
+		p.dropLocked()
+		return nil, w, fmt.Errorf("transport: frame type %d answered with frame type %d (%d bytes)", req, typ, len(reply))
+	}
+	w.Bytes += sent + got
+	w.Frames += 2
+	return reply, w, nil
 }
 
-// Collect fetches each worker's 8-byte stage aggregate.
+// ping does one PING round-trip on the peer's operation connection.
+func (t *TCP) ping(ctx context.Context, p *peer) error {
+	_, _, err := t.roundTrip(ctx, p, fPing, nil, fPong)
+	return err
+}
+
+// Collect fetches each worker's 8-byte stage aggregate, all workers at once.
 func (t *TCP) Collect(ctx context.Context, stage int, workers []int) (dist.Wire, error) {
-	var w dist.Wire
 	for _, wk := range workers {
 		if wk < 0 || wk >= len(t.peers) {
-			return w, fmt.Errorf("transport: collect from unknown worker %d", wk)
-		}
-		p := t.peers[wk]
-		if err := func() error {
-			p.mu.Lock()
-			defer p.mu.Unlock()
-			conn, err := t.connLocked(ctx, p, &w)
-			if err != nil {
-				return peerDown(p, err)
-			}
-			conn.SetDeadline(t.deadline(ctx))
-			sent, err := writeFrame(conn, fCollect, u32Payload(stage))
-			if err != nil {
-				p.dropLocked()
-				return peerDown(p, err)
-			}
-			typ, payload, got, err := readFrame(conn)
-			if err != nil {
-				p.dropLocked()
-				return peerDown(p, err)
-			}
-			if typ != fCollectOK || len(payload) != 8 {
-				p.dropLocked()
-				return peerDown(p, fmt.Errorf("transport: collect answered with frame type %d (%d bytes)", typ, len(payload)))
-			}
-			w.Bytes += sent + got
-			w.Frames += 2
-			return nil
-		}(); err != nil {
-			return w, err
+			return dist.Wire{}, fmt.Errorf("transport: collect from unknown worker %d", wk)
 		}
 	}
-	return w, nil
+	return eachPeer(len(workers), func(i int) (dist.Wire, error) {
+		p := t.peers[workers[i]]
+		agg, w, err := t.roundTrip(ctx, p, fCollect, u32Payload(stage), fCollectOK)
+		if err == nil && len(agg) != 8 {
+			err = fmt.Errorf("transport: %d-byte collect answer", len(agg))
+		}
+		if err != nil {
+			return w, peerDown(p, err)
+		}
+		return w, nil
+	})
 }
 
 // heartbeat is one peer's liveness loop: a PING on a dedicated connection
@@ -461,15 +523,17 @@ func (t *TCP) Collect(ctx context.Context, stage int, workers []int) (dist.Wire,
 // its own connection and is deliberately not part of any collective's Wire
 // measurement.
 func (t *TCP) heartbeat(p *peer) {
-	interval := time.Duration(t.cfg.HeartbeatIntervalSec * float64(time.Second))
+	interval := seconds(t.cfg.HeartbeatIntervalSec)
 	ticker := time.NewTicker(interval)
 	defer ticker.Stop()
-	var conn net.Conn
-	defer func() {
-		if conn != nil {
-			conn.Close()
+	var l *link
+	drop := func() {
+		if l != nil {
+			l.conn.Close()
+			l = nil
 		}
-	}()
+	}
+	defer drop()
 	misses := 0
 	for {
 		select {
@@ -481,23 +545,21 @@ func (t *TCP) heartbeat(p *peer) {
 			return
 		}
 		ok := func() bool {
-			if conn == nil {
-				c, err := net.DialTimeout("tcp", p.addr, time.Duration(t.cfg.DialTimeoutSec*float64(time.Second)))
+			if l == nil {
+				c, err := net.DialTimeout("tcp", p.addr, seconds(t.cfg.DialTimeoutSec))
 				if err != nil {
 					return false
 				}
-				conn = c
+				l = newLink(c)
 			}
-			conn.SetDeadline(time.Now().Add(interval))
-			if _, err := writeFrame(conn, fPing, nil); err != nil {
-				conn.Close()
-				conn = nil
+			l.conn.SetDeadline(time.Now().Add(interval))
+			if _, err := l.writeFrame(fPing, nil); err != nil {
+				drop()
 				return false
 			}
-			typ, _, _, err := readFrame(conn)
+			typ, _, _, err := l.readFrame()
 			if err != nil || typ != fPong {
-				conn.Close()
-				conn = nil
+				drop()
 				return false
 			}
 			return true

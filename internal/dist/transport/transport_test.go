@@ -11,6 +11,7 @@ import (
 	"dmac/internal/dist"
 	"dmac/internal/matrix"
 	"dmac/internal/mio"
+	"dmac/internal/obs"
 )
 
 // startWorker spins up one worker endpoint on loopback and returns it with
@@ -146,43 +147,20 @@ func TestCollect(t *testing.T) {
 	}
 }
 
-// badCRCServer accepts one connection and answers the hello normally, then
-// answers the first `rejects` PUT frames with badCRC before accepting.
+// badCRCServer is a fake peer that answers the first `rejects` PUT frames
+// with badCRC before accepting.
 func badCRCServer(t *testing.T, rejects int) string {
 	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ln.Close() })
-	go func() {
-		conn, err := ln.Accept()
-		if err != nil {
-			return
+	left := rejects // PUTs arrive on the one operation connection
+	return fakePeer(t, func(conn net.Conn, typ byte, _ []byte) bool {
+		if typ == fPut && left > 0 {
+			left--
+			refWriteFrame(conn, fPutBadCRC, nil)
+		} else if typ == fPut {
+			refWriteFrame(conn, fPutOK, nil)
 		}
-		defer conn.Close()
-		left := rejects
-		for {
-			typ, _, _, err := readFrame(conn)
-			if err != nil {
-				return
-			}
-			switch typ {
-			case fHello:
-				writeFrame(conn, fHelloOK, nil)
-			case fPing:
-				writeFrame(conn, fPong, nil)
-			case fPut:
-				if left > 0 {
-					left--
-					writeFrame(conn, fPutBadCRC, nil)
-				} else {
-					writeFrame(conn, fPutOK, nil)
-				}
-			}
-		}
-	}()
-	return ln.Addr().String()
+		return true
+	})
 }
 
 func TestPutRetransmitsOnBadCRC(t *testing.T) {
@@ -222,10 +200,10 @@ func TestWorkerAnswersBadCRCToCorruptFrame(t *testing.T) {
 	enc := mio.EncodeBlock(testBlock(9))
 	crc := mio.ChecksumBytes(enc)
 	enc[len(enc)-1] ^= 0x40 // flip a bit after checksumming: damage in transit
-	if _, err := writeFrame(conn, fPut, putPayload(1, 0, 0, crc, enc)); err != nil {
+	if _, err := refWriteFrame(conn, fPut, putPayload(1, 0, 0, crc, enc)); err != nil {
 		t.Fatal(err)
 	}
-	typ, _, _, err := readFrame(conn)
+	typ, _, _, err := refReadFrame(conn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,5 +367,64 @@ func TestTCPClusterChargesMatchModel(t *testing.T) {
 	}
 	if wired.TransportName() != "tcp" {
 		t.Errorf("TransportName = %q, want tcp", wired.TransportName())
+	}
+}
+
+// TestClusterTimesEachTransportCall: the cluster times every transport call
+// and exports it per collective — a net.wire.seconds{op} histogram and a
+// wire_s attribute on the "net" trace event — so a trace can tell a slow
+// scatter from a slow ring. The in-process transport moves nothing and
+// records neither.
+func TestClusterTimesEachTransportCall(t *testing.T) {
+	addrs := make([]string, 3)
+	for i := range addrs {
+		_, addrs[i] = startWorker(t, WorkerConfig{})
+	}
+	run := func(c *dist.Cluster) ([]obs.Span, obs.MetricsSnapshot) {
+		tracer, reg := obs.NewTracer(), obs.NewRegistry()
+		c.SetObserver(tracer, reg)
+		ctx := context.Background()
+		m := dist.NewDistMatrix(matrix.NewDenseGrid(9, 9, 3), dep.SchemeNone)
+		if _, err := c.Partition(ctx, m, dep.Row, 1); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 2; i++ {
+			if _, err := c.Broadcast(ctx, m, 2); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return tracer.Spans(), reg.Snapshot()
+	}
+
+	wired := dist.NewCluster(dist.Config{WorkerAddrs: addrs, LocalParallelism: 1})
+	wired.SetTransport(fastTCP(t, addrs...))
+	spans, snap := run(wired)
+	calls := map[string]int64{}
+	for _, h := range snap.HistogramVecs["net.wire.seconds"] {
+		calls[h.Labels["op"]] = h.Hist.Count
+		if h.Hist.Sum <= 0 {
+			t.Errorf("net.wire.seconds{op=%s} sums to %g s, want a positive time", h.Labels["op"], h.Hist.Sum)
+		}
+	}
+	if calls["partition"] != 1 || calls["broadcast"] != 2 || len(calls) != 2 {
+		t.Errorf("net.wire.seconds observations by op = %v, want partition:1 broadcast:2", calls)
+	}
+	events := 0
+	for _, s := range spans {
+		if s.Cat != "net" {
+			continue
+		}
+		events++
+		if a, ok := s.Attr("wire_s"); !ok || a.Float <= 0 {
+			t.Errorf("net event %q carries wire_s = %v (present %v), want a positive time", s.Name, a.Float, ok)
+		}
+	}
+	if events != 3 {
+		t.Errorf("%d net trace events, want 3", events)
+	}
+
+	_, snap = run(dist.NewCluster(dist.Config{Workers: 3, LocalParallelism: 1}))
+	if hs := snap.HistogramVecs["net.wire.seconds"]; len(hs) != 0 {
+		t.Errorf("in-process transport recorded wire time: %v", hs)
 	}
 }

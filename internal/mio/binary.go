@@ -88,6 +88,36 @@ func EncodeBlock(b matrix.Block) []byte {
 	return buf.Bytes()
 }
 
+// BlockHeadLen is the most head bytes BlockSegments writes: the kind byte and
+// a CSC block's entry count.
+const BlockHeadLen = 9
+
+// BlockSegments returns the binary encoding of b — the bytes EncodeBlock
+// returns and BlockChecksum covers — in pieces for a vectored write: the first
+// headLen bytes are encoded into head (at least BlockHeadLen long), the rest
+// are appended to segs in stream order, and n is the length of the whole
+// encoding. On a little-endian host the appended segments are the block's own
+// arrays, so nothing is copied; they alias the block, are read-only, and are
+// dead once b is next written. A big-endian host gets headLen 0 and one
+// segment holding the encoded copy.
+func BlockSegments(b matrix.Block, head []byte, segs [][]byte) (headLen int, out [][]byte, n int) {
+	if !nativeLE {
+		enc := EncodeBlock(b)
+		return 0, append(segs, enc), len(enc)
+	}
+	t, ok := b.(*matrix.CSCBlock)
+	if !ok {
+		// Unknown implementations serialize densely, as in writeBlock.
+		head[0] = 0
+		data := float64Bytes(b.Dense().Data)
+		return 1, append(segs, data), 1 + len(data)
+	}
+	head[0] = 1
+	binary.LittleEndian.PutUint64(head[1:], uint64(t.NNZ()))
+	segs = append(segs, int32Bytes(t.ColPtr), int32Bytes(t.RowIdx), float64Bytes(t.Values))
+	return BlockHeadLen, segs, encodedLen(b)
+}
+
 // encodedLen returns the length of a block's binary encoding.
 func encodedLen(b matrix.Block) int {
 	if t, ok := b.(*matrix.CSCBlock); ok {

@@ -77,6 +77,15 @@ func testEncoderMatchesEncodingBinary(t *testing.T) {
 					t.Errorf("grid %d block (%d,%d): EncodeBlock buffer len %d cap %d, want presized exactly",
 						gi, bi, bj, len(got), cap(got))
 				}
+				// The segmented form is the same bytes, cut for a vectored
+				// write.
+				head := make([]byte, BlockHeadLen)
+				headLen, segs, n := BlockSegments(blk, head, nil)
+				pieces := append(head[:headLen:headLen], bytes.Join(segs, nil)...)
+				if !bytes.Equal(pieces, want.Bytes()) || n != want.Len() {
+					t.Errorf("grid %d block (%d,%d): BlockSegments (%d bytes, reported %d) differs from the encoding (%d bytes)",
+						gi, bi, bj, len(pieces), n, want.Len())
+				}
 				if BlockChecksum(blk) != ChecksumBytes(want.Bytes()) {
 					t.Errorf("grid %d block (%d,%d): BlockChecksum differs from the reference encoding's CRC", gi, bi, bj)
 				}
