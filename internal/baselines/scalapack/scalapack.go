@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"time"
 
+	"dmac/internal/cost"
 	"dmac/internal/matrix"
 	"dmac/internal/sched"
 )
@@ -30,15 +31,11 @@ type Config struct {
 	// ProcRows x ProcCols is the process grid (P x Q). The paper uses 8
 	// nodes x 8 processes = 64 processes, an 8x8 grid.
 	ProcRows, ProcCols int
-	// FlopsPerSecPerProc is the modelled throughput of one process.
-	// Defaults to 2 GFLOP/s.
-	FlopsPerSecPerProc float64
-	// BandwidthBytesPerSec is the aggregate interconnect bandwidth.
-	// Defaults to 1 GiB/s.
-	BandwidthBytesPerSec float64
-	// MsgLatencySec is the fixed cost per MPI broadcast step. Defaults to
-	// 1 ms.
-	MsgLatencySec float64
+	// Rates price the model: a process computes at the per-thread flop rate
+	// and every MPI broadcast step pays the per-event latency. Unset rates
+	// take cost.Production's, except the latency, which defaults to 1 ms (a
+	// message, not a Spark stage).
+	Rates cost.Rates
 	// LocalParallelism bounds the threads used for the real computation
 	// (not part of the model). Defaults to the number of processes.
 	LocalParallelism int
@@ -51,15 +48,9 @@ func (c Config) withDefaults() Config {
 	if c.ProcCols <= 0 {
 		c.ProcCols = 8
 	}
-	if c.FlopsPerSecPerProc <= 0 {
-		c.FlopsPerSecPerProc = 2e9
-	}
-	if c.BandwidthBytesPerSec <= 0 {
-		c.BandwidthBytesPerSec = 1 << 30
-	}
-	if c.MsgLatencySec <= 0 {
-		c.MsgLatencySec = 1e-3
-	}
+	defaults := cost.Production()
+	defaults.ShuffleLatencySec = 1e-3
+	c.Rates = c.Rates.Or(defaults)
 	if c.LocalParallelism <= 0 {
 		c.LocalParallelism = c.ProcRows * c.ProcCols
 	}
@@ -110,22 +101,18 @@ func Multiply(a, b *matrix.Grid, cfg Config) (Result, error) {
 	wall := time.Since(start).Seconds()
 
 	p, q := cfg.ProcRows, cfg.ProcCols
-	procs := float64(p * q)
-	m, k, n := float64(a.Rows()), float64(a.Cols()), float64(b.Cols())
-	flops := 2 * m * k * n
+	flops := cost.DenseMulFLOPs(a.Rows(), a.Cols(), b.Cols())
 	// SUMMA communication volume: every A panel is broadcast across its
 	// process row (q-1 copies), every B panel across its process column
-	// (p-1 copies). Dense element size is 8 bytes.
-	bytesA := int64(8*m*k) * int64(q-1)
-	bytesB := int64(8*k*n) * int64(p-1)
+	// (p-1 copies), at the dense footprint whatever the input's sparsity.
+	bytesA := matrix.DenseMemBytes(a.Rows(), a.Cols()) * int64(q-1)
+	bytesB := matrix.DenseMemBytes(b.Rows(), b.Cols()) * int64(p-1)
 	panels := a.BlockCols()
 	if panels < 1 {
 		panels = 1
 	}
 	messages := panels * (p + q)
-	model := flops/(procs*cfg.FlopsPerSecPerProc) +
-		float64(bytesA+bytesB)/cfg.BandwidthBytesPerSec +
-		float64(messages)*cfg.MsgLatencySec
+	model := cfg.Rates.ComputeSec(flops, p*q, 1) + cfg.Rates.NetworkSec(bytesA+bytesB, messages)
 	return Result{
 		Grid:         grid,
 		CommBytes:    bytesA + bytesB,

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"dmac/internal/cost"
 	"dmac/internal/matrix"
 )
 
@@ -90,7 +91,9 @@ func TestConfigDefaults(t *testing.T) {
 	if cfg.ProcRows != 8 || cfg.ProcCols != 8 {
 		t.Errorf("default grid %dx%d", cfg.ProcRows, cfg.ProcCols)
 	}
-	if cfg.FlopsPerSecPerProc <= 0 || cfg.BandwidthBytesPerSec <= 0 || cfg.MsgLatencySec <= 0 || cfg.LocalParallelism != 64 {
+	want := cost.Production()
+	want.ShuffleLatencySec = 1e-3 // a message, not a Spark stage
+	if cfg.Rates != want || cfg.LocalParallelism != 64 {
 		t.Errorf("defaults incomplete: %+v", cfg)
 	}
 }

@@ -15,6 +15,7 @@ import (
 	"fmt"
 
 	"dmac/internal/baselines/scalapack"
+	"dmac/internal/cost"
 	"dmac/internal/matrix"
 )
 
@@ -83,14 +84,14 @@ func Multiply(a, b *matrix.Grid, cfg Config) (Result, error) {
 	}
 	// Redistribution moves the dense footprint of both operands in, and the
 	// result out (SciDB stores arrays densely chunked for these operators).
-	denseBytes := func(r, c int) int64 { return 8 * int64(r) * int64(c) }
-	redist := denseBytes(a.Rows(), a.Cols()) + denseBytes(b.Rows(), b.Cols()) + denseBytes(a.Rows(), b.Cols())
+	redist := matrix.DenseMemBytes(a.Rows(), a.Cols()) + matrix.DenseMemBytes(b.Rows(), b.Cols()) + matrix.DenseMemBytes(a.Rows(), b.Cols())
 	chunks := chunksOf(a.Rows(), a.Cols(), cfg.ChunkSize) +
 		chunksOf(b.Rows(), b.Cols(), cfg.ChunkSize) +
 		chunksOf(a.Rows(), b.Cols(), cfg.ChunkSize)
-	model := inner.ModelSeconds +
-		float64(redist)/cfg.RedistBandwidthBytesPerSec +
-		float64(chunks)*cfg.ChunkOverheadSec
+	// The redistribution path is a network of its own: slower, and taxed per
+	// chunk instead of per shuffle.
+	storage := cost.Rates{BandwidthBytesPerSec: cfg.RedistBandwidthBytesPerSec, ShuffleLatencySec: cfg.ChunkOverheadSec}
+	model := inner.ModelSeconds + storage.NetworkSec(redist, chunks)
 	return Result{
 		Grid:         inner.Grid,
 		CommBytes:    redist + inner.CommBytes,

@@ -28,18 +28,9 @@ const (
 	DefaultLocalParallelism = 8
 )
 
-// Time-model calibration constants (see dist.ScaledConfig for the
-// rationale). All engines and all baselines use the same constants, so
-// every comparison is internally consistent.
-var scaledDefaults = dist.ScaledConfig(DefaultWorkers, DefaultLocalParallelism)
-
-// Calibrated constants shared with the Table 4 baselines.
-var (
-	ModelFlopsPerSecPerThread = scaledDefaults.FlopsPerSecPerThread
-	ModelBandwidthBytesPerSec = scaledDefaults.BandwidthBytesPerSec
-	ModelShuffleLatencySec    = scaledDefaults.ShuffleLatencySec
-)
-
+// clusterConfig puts every engine of the harness under cost.Scaled's rates;
+// the baselines and Figure 8 price with the same ones, so every comparison is
+// internally consistent.
 func clusterConfig(workers int) dist.Config {
 	return dist.ScaledConfig(workers, DefaultLocalParallelism)
 }

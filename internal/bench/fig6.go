@@ -52,8 +52,9 @@ func Fig6(iterations, scaleDenominator, k int) (*Fig6Result, error) {
 			accTime += m.ModelSeconds
 			accBytes += m.CommBytes
 			points = append(points, Fig6Point{Iteration: i + 1, AccTimeSec: accTime, AccCommGB: gb(accBytes)})
-			cfg := e.Cluster().Config()
-			commTime += float64(m.CommBytes)/cfg.BandwidthBytesPerSec + float64(m.CommEvents)*cfg.ShuffleLatencySec
+			for _, s := range m.PerStage {
+				commTime += s.NetworkSeconds
+			}
 			totalTime += m.ModelSeconds
 		}
 		switch planner {

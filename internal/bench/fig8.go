@@ -5,6 +5,7 @@ import (
 	"io"
 	"time"
 
+	"dmac/internal/cost"
 	"dmac/internal/sched"
 	"dmac/internal/workload"
 )
@@ -63,10 +64,8 @@ func Fig8(graphName string, scaleDenominator int, blockSizes []int) ([]Fig8Point
 		if eff > slots {
 			eff = slots
 		}
-		// Work estimate from the actual structure: each non-zero of the left
-		// operand meets avgDegree matches on the right.
-		flops := 2 * float64(adj.NNZ()) * spec.AvgDegree()
-		model := flops/(float64(eff)*ModelFlopsPerSecPerThread) +
+		// Each non-zero of the left operand meets avgDegree matches on the right.
+		model := cost.Scaled().ComputeSec(cost.MulFLOPsPerRow(adj.NNZ(), spec.AvgDegree()), eff, 1) +
 			float64(tasks)*fig8TaskOverheadSec/float64(slots)
 		points = append(points, Fig8Point{BlockSize: bs, WallSec: wall, ModelSec: model, PeakMem: mem.Peak()})
 	}

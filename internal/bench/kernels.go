@@ -9,6 +9,7 @@ import (
 	"runtime"
 	"time"
 
+	"dmac/internal/cost"
 	"dmac/internal/matrix"
 )
 
@@ -235,7 +236,7 @@ func Kernels(sizes []int, workerCounts []int) *KernelReport {
 		edges := graphCoords(rng, n)
 		dst := matrix.NewDense(n, n)
 		ssFLOPs := 2 * ssTNMulAdds(sa, sb)
-		denseFLOPs := 2 * float64(n) * float64(n) * float64(n)
+		denseFLOPs := cost.DenseMulFLOPs(n, n, n)
 		sparseFLOPs := 2 * float64(sa.NNZ()) * float64(n)
 		thinFLOPs := 2 * float64(thin.NNZ()) * thinRank
 		mulTrans := func(x, y matrix.Block, xT, yT bool) func() {

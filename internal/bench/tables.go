@@ -6,6 +6,7 @@ import (
 
 	"dmac/internal/baselines/scalapack"
 	"dmac/internal/baselines/scidb"
+	"dmac/internal/cost"
 	"dmac/internal/engine"
 	"dmac/internal/expr"
 	"dmac/internal/matrix"
@@ -72,14 +73,7 @@ func Table4(scaleDenominator int) ([]Table4Row, error) {
 		v := makeV(sparse)
 		// ScaLAPACK, with the same calibrated time-model constants as the
 		// engines so the four systems are directly comparable.
-		slCfg := scalapack.Config{
-			ProcRows:             8,
-			ProcCols:             8,
-			LocalParallelism:     DefaultLocalParallelism,
-			FlopsPerSecPerProc:   ModelFlopsPerSecPerThread,
-			BandwidthBytesPerSec: ModelBandwidthBytesPerSec,
-			MsgLatencySec:        ModelShuffleLatencySec,
-		}
+		slCfg := scalapack.Config{ProcRows: 8, ProcCols: 8, LocalParallelism: DefaultLocalParallelism, Rates: cost.Scaled()}
 		slRes, err := scalapack.Multiply(v, h, slCfg)
 		if err != nil {
 			return nil, fmt.Errorf("bench: table4 scalapack: %w", err)

@@ -4,6 +4,7 @@ import (
 	"slices"
 	"testing"
 
+	"dmac/internal/cost"
 	"dmac/internal/dep"
 	"dmac/internal/expr"
 	"dmac/internal/matrix"
@@ -135,8 +136,8 @@ func TestGoldenEstimatorAtPaperShape(t *testing.T) {
 	// |Wᵀ| (dense 200 x 17770) is far smaller than |WᵀV| (dense 200 x
 	// 480189): that inequality is what makes RMM1 optimal for the first
 	// multiplication (Section 4.2.4).
-	w := SizeBytes(17770, 200, 1)
-	wtv := SizeBytes(200, 480189, 1)
+	w := cost.SizeBytes(17770, 200, 1)
+	wtv := cost.SizeBytes(200, 480189, 1)
 	if w >= wtv {
 		t.Errorf("|W| = %d should be below |WᵀV| = %d", w, wtv)
 	}

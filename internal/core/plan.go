@@ -1,3 +1,11 @@
+// Package core implements the paper's primary contribution: the
+// dependency-oriented cost model (Section 4.1), the execution-plan
+// generation algorithm with its two heuristics (Section 4.2), and the stage
+// scheduler (Section 5.2). The worst-case matrix size |A| the cost model
+// multiplies (Section 5.1) comes from internal/cost. It also contains the
+// SystemML-S baseline planner used for the controlled comparison of
+// Section 6: the same strategy space and the same runtime, but no
+// matrix-dependency analysis.
 package core
 
 import (

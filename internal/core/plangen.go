@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"dmac/internal/cost"
 	"dmac/internal/dep"
 	"dmac/internal/expr"
 )
@@ -161,20 +162,20 @@ func (g *gen) emit(n *expr.Node) error {
 	// Equation 1: select the strategy with minimum total communication.
 	best, bestCost := -1, int64(-1)
 	for i, c := range cands {
-		cost := c.outCost
+		total := c.outCost
 		for slot, scheme := range c.ins {
 			in := n.Inputs[slot]
 			r := req{
 				matrix:     in.Node.ID,
 				transposed: in.Transposed,
 				scheme:     scheme,
-				size:       NodeSize(in.Node),
+				size:       cost.SizeBytes(in.Node.Rows, in.Node.Cols, in.Node.Sparsity),
 			}
 			_, _, _, inCost := g.bestDep(r)
-			cost += inCost
+			total += inCost
 		}
-		if best == -1 || cost < bestCost {
-			best, bestCost = i, cost
+		if best == -1 || total < bestCost {
+			best, bestCost = i, total
 		}
 	}
 	chosen := cands[best]
@@ -193,7 +194,7 @@ func (g *gen) emit(n *expr.Node) error {
 			matrix:     in.Node.ID,
 			transposed: in.Transposed,
 			scheme:     scheme,
-			size:       NodeSize(in.Node),
+			size:       cost.SizeBytes(in.Node.Rows, in.Node.Cols, in.Node.Sparsity),
 		}
 		vid, dtype := g.materialize(r)
 		op.Inputs = append(op.Inputs, vid)

@@ -4,9 +4,9 @@ import (
 	"strings"
 	"testing"
 
+	"dmac/internal/cost"
 	"dmac/internal/dep"
 	"dmac/internal/expr"
-	"dmac/internal/matrix"
 )
 
 // Netflix-shaped GNMF dimensions (V = movies x users, Section 6.2).
@@ -42,24 +42,6 @@ func gnmfConfig() Config {
 	}
 }
 
-func TestSizeBytes(t *testing.T) {
-	// Sparse branch below the threshold.
-	if got, want := SizeBytes(1000, 1000, 0.01), matrix.SparseMemBytes(1000, 10000); got != want {
-		t.Errorf("sparse SizeBytes = %d, want %d", got, want)
-	}
-	// Dense branch at or above the threshold.
-	if got, want := SizeBytes(100, 100, 1), matrix.DenseMemBytes(100, 100); got != want {
-		t.Errorf("dense SizeBytes = %d, want %d", got, want)
-	}
-	// Clamping.
-	if SizeBytes(10, 10, -1) != SizeBytes(10, 10, 0) {
-		t.Error("negative sparsity not clamped")
-	}
-	if SizeBytes(10, 10, 2) != SizeBytes(10, 10, 1) {
-		t.Error("sparsity > 1 not clamped")
-	}
-}
-
 func TestGenerateGNMFPlanIsValidAndCheap(t *testing.T) {
 	prog := gnmfHUpdate()
 	plan, err := Generate(prog, gnmfConfig())
@@ -87,8 +69,8 @@ func TestGenerateGNMFPlanIsValidAndCheap(t *testing.T) {
 	}
 	// The only heavy communication DMac needs is broadcasting Wᵀ (N x |W|)
 	// and WᵀW; everything else rides on dependencies.
-	wBytes := SizeBytes(gnmfRows, gnmfK, 1)
-	wtwBytes := SizeBytes(gnmfK, gnmfK, 1)
+	wBytes := cost.SizeBytes(gnmfRows, gnmfK, 1)
+	wtwBytes := cost.SizeBytes(gnmfK, gnmfK, 1)
 	maxExpected := int64(4)*(wBytes+wtwBytes) + 1024
 	if dm > maxExpected {
 		t.Errorf("DMac comm %d exceeds expected bound %d\n%s", dm, maxExpected, plan)
@@ -296,7 +278,7 @@ func TestPullUpBroadcastHeuristic(t *testing.T) {
 		t.Errorf("pull-up broadcast not applied: partitions=%d broadcasts=%d extracts=%d\n%s",
 			partitions, broadcasts, extracts, plan)
 	}
-	aBytes := SizeBytes(5000, 5000, 1)
+	aBytes := cost.SizeBytes(5000, 5000, 1)
 	// Total comm on A should be N|A| (one broadcast), not N|A| + |A|.
 	var aComm int64
 	for _, op := range plan.Ops {

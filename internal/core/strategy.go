@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"dmac/internal/cost"
 	"dmac/internal/dep"
 	"dmac/internal/expr"
 )
@@ -84,7 +85,7 @@ type candidate struct {
 // candidatesFor enumerates the execution strategies of a compute node.
 // workers is N; outSize is the worst-case |C| of the node's output.
 func candidatesFor(n *expr.Node, workers int) []candidate {
-	outSize := NodeSize(n)
+	outSize := cost.SizeBytes(n.Rows, n.Cols, n.Sparsity)
 	switch n.Kind {
 	case expr.KindMul:
 		return []candidate{

@@ -17,6 +17,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"dmac/internal/cost"
 	"dmac/internal/obs"
 	"dmac/internal/sched"
 )
@@ -27,12 +28,9 @@ type Config struct {
 	Workers int
 	// LocalParallelism is the number of threads per worker (L).
 	LocalParallelism int
-	// BandwidthBytesPerSec is the aggregate network bandwidth used to turn
-	// shuffled bytes into modelled time. Defaults to 1 GiB/s.
-	BandwidthBytesPerSec float64
-	// ShuffleLatencySec is the fixed cost per communication operation
-	// (job/stage setup in Spark terms). Defaults to 50 ms.
-	ShuffleLatencySec float64
+	// Rates turn the arithmetic performed and the bytes moved into modelled
+	// time. Unset rates take cost.Production's.
+	cost.Rates
 	// PaceCommLatencySec, when positive, spends this much wall-clock time on
 	// every communication primitive in addition to charging the model. The
 	// default (0) keeps runs model-only and as fast as the arithmetic allows,
@@ -41,9 +39,6 @@ type Config struct {
 	// like a real cluster's shuffles — and an engine pool's capacity scales
 	// with its slot count instead of the host's core count.
 	PaceCommLatencySec float64
-	// FlopsPerSecPerThread is the modelled arithmetic throughput of one
-	// worker thread. Defaults to 2 GFLOP/s.
-	FlopsPerSecPerThread float64
 	// Stragglers injects slow workers: worker index -> slowdown factor
 	// (>= 1). Because stages are un-interleaved (Section 5.2), a stage
 	// finishes only when its slowest worker does, so the modelled compute
@@ -106,15 +101,7 @@ func (c Config) withDefaults() Config {
 	if c.LocalParallelism <= 0 {
 		c.LocalParallelism = 8
 	}
-	if c.BandwidthBytesPerSec <= 0 {
-		c.BandwidthBytesPerSec = 1 << 30
-	}
-	if c.ShuffleLatencySec <= 0 {
-		c.ShuffleLatencySec = 0.05
-	}
-	if c.FlopsPerSecPerThread <= 0 {
-		c.FlopsPerSecPerThread = 2e9
-	}
+	c.Rates = c.Rates.Or(cost.Production())
 	if c.MaxStageRetries <= 0 {
 		c.MaxStageRetries = c.Workers + 2
 	}
@@ -139,21 +126,11 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// ScaledConfig returns a configuration calibrated for reduced-scale
-// reproductions of the paper's experiments. Scaled-down datasets shrink
-// arithmetic much faster than fixed per-shuffle overheads, so with
-// production constants every run would be pure latency; a deliberately slow
-// modelled core (50 MFLOP/s per thread) and a 0.1 ms shuffle setup restore
-// the paper's full-scale compute/communication balance. Use the same
-// configuration for every engine being compared.
+// ScaledConfig returns a configuration for reduced-scale reproductions of
+// the paper's experiments: the given shape under cost.Scaled's rates. Use the
+// same configuration for every engine being compared.
 func ScaledConfig(workers, localParallelism int) Config {
-	return Config{
-		Workers:              workers,
-		LocalParallelism:     localParallelism,
-		FlopsPerSecPerThread: 5e7,
-		BandwidthBytesPerSec: 1 << 30,
-		ShuffleLatencySec:    1e-4,
-	}
+	return Config{Workers: workers, LocalParallelism: localParallelism, Rates: cost.Scaled()}
 }
 
 // Cluster is a simulated cluster: local parallel execution plus an
@@ -285,17 +262,6 @@ func (c *Cluster) addFLOPs(stage int, f float64) { c.net.AddStageFLOPs(stage, f)
 
 // Config returns the effective configuration.
 func (c *Cluster) Config() Config { return c.cfg }
-
-// ModelTimeSec converts the accumulated statistics into modelled execution
-// seconds: compute spread over all threads plus network transfer and
-// per-shuffle latency.
-func (c *Cluster) ModelTimeSec() float64 {
-	s := c.net.Snapshot()
-	compute := s.FLOPs * c.cfg.MaxSlowdown() /
-		(float64(c.cfg.Workers*c.cfg.LocalParallelism) * c.cfg.FlopsPerSecPerThread)
-	network := float64(s.Bytes)/c.cfg.BandwidthBytesPerSec + float64(s.CommEvents)*c.cfg.ShuffleLatencySec
-	return compute + network + s.StallSec
-}
 
 // NetStats accumulates communication and compute statistics. All methods
 // are safe for concurrent use.

@@ -6,6 +6,7 @@ import (
 	"math"
 	"time"
 
+	"dmac/internal/cost"
 	"dmac/internal/dep"
 	"dmac/internal/matrix"
 	"dmac/internal/obs"
@@ -42,21 +43,6 @@ func (s MulStrategy) String() string {
 	}
 }
 
-// mulFLOPs estimates the arithmetic of a product from the operands' actual
-// non-zero structure. Dimensions are logical, so transpose views cost the
-// same as their materialized counterparts.
-func mulFLOPs(a, b *DistMatrix) float64 {
-	an, bn := float64(a.Grid.NNZ()), float64(b.Grid.NNZ())
-	inner := float64(a.Cols())
-	if inner == 0 {
-		return 0
-	}
-	// 2 multiply-adds per (nnz_A, matching row of B) pair; for sparse B the
-	// matching density is nnz_B / inner per column of A.
-	perRowB := bn / inner
-	return 2 * an * math.Max(perRowB, 1)
-}
-
 // Multiply runs a distributed multiplication with the given strategy and
 // the classical block kernel. The operand schemes must match the strategy's
 // requirements; the output scheme for CPMM is outScheme (Row or Col),
@@ -77,7 +63,7 @@ func (c *Cluster) Multiply(ctx context.Context, a, b *DistMatrix, strategy MulSt
 		return nil, fmt.Errorf("dist: %s requires schemes (%s,%s), got (%s,%s)",
 			strategy, want[0], want[1], a.Scheme, b.Scheme)
 	}
-	c.addFLOPs(stage, mulFLOPs(a, b))
+	c.addFLOPs(stage, cost.MulFLOPs(a.Grid.NNZ(), b.Grid.NNZ(), a.Cols()))
 	if err := c.opFault(); err != nil {
 		return nil, err
 	}
@@ -130,7 +116,7 @@ func (c *Cluster) Cellwise(op matrix.BinOp, a, b *DistMatrix) (*DistMatrix, erro
 	if err := c.opFault(); err != nil {
 		return nil, err
 	}
-	c.addFLOPs(c.stage(), float64(a.Rows())*float64(a.Cols()))
+	c.addFLOPs(c.stage(), cost.CellwiseFLOPs(a.Rows(), a.Cols()))
 	// Cell-wise ops commute with transposition: two views in the same
 	// orientation combine on their stored grids and stay a view. Mixed
 	// orientations force the view side to materialize first.
@@ -154,7 +140,7 @@ func (c *Cluster) Scalar(op matrix.ScalarOp, a *DistMatrix, v float64) (*DistMat
 	if err := c.opFault(); err != nil {
 		return nil, err
 	}
-	c.addFLOPs(c.stage(), float64(a.Grid.NNZ()))
+	c.addFLOPs(c.stage(), cost.ScalarFLOPs(float64(a.Grid.NNZ())))
 	// Scalar ops are element-local, so a transpose view passes through.
 	return &DistMatrix{Grid: c.exec.Scalar(op, a.Grid, v), Scheme: a.Scheme, trans: a.trans}, nil
 }
@@ -168,7 +154,7 @@ func (c *Cluster) Apply(f matrix.UFunc, a *DistMatrix) (*DistMatrix, error) {
 	if err := c.opFault(); err != nil {
 		return nil, err
 	}
-	c.addFLOPs(c.stage(), 4*float64(a.Rows())*float64(a.Cols())) // transcendental-ish cost
+	c.addFLOPs(c.stage(), cost.UFuncFLOPs(a.Rows(), a.Cols()))
 	// Element-wise functions commute with transposition as well.
 	return &DistMatrix{Grid: c.exec.Apply(f, a.Grid), Scheme: a.Scheme, trans: a.trans}, nil
 }
@@ -193,7 +179,7 @@ func (c *Cluster) collect(ctx context.Context, stage int) error {
 // Sum computes the sum of all cells: local partials plus a tiny driver
 // collect (8 bytes per alive worker).
 func (c *Cluster) Sum(ctx context.Context, a *DistMatrix, stage int) (float64, error) {
-	c.addFLOPs(stage, float64(a.Grid.NNZ()))
+	c.addFLOPs(stage, cost.SumFLOPs(float64(a.Grid.NNZ())))
 	if err := c.collect(ctx, stage); err != nil {
 		return 0, err
 	}
@@ -202,7 +188,7 @@ func (c *Cluster) Sum(ctx context.Context, a *DistMatrix, stage int) (float64, e
 
 // Norm2 computes the Frobenius norm with the same collect cost as Sum.
 func (c *Cluster) Norm2(ctx context.Context, a *DistMatrix, stage int) (float64, error) {
-	c.addFLOPs(stage, 2*float64(a.Grid.NNZ()))
+	c.addFLOPs(stage, cost.Norm2FLOPs(float64(a.Grid.NNZ())))
 	if err := c.collect(ctx, stage); err != nil {
 		return 0, err
 	}

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"dmac/internal/cost"
 	"dmac/internal/dep"
 	"dmac/internal/matrix"
 )
@@ -259,29 +260,33 @@ func TestAggregates(t *testing.T) {
 	}
 }
 
+// modelSec prices a cluster's accumulated statistics the way the engine
+// prices a run.
+func modelSec(c *Cluster) float64 {
+	cfg, s := c.Config(), c.Net().Snapshot()
+	return cfg.Rates.ComputeSec(s.FLOPs, cfg.Workers*cfg.LocalParallelism, cfg.MaxSlowdown()) +
+		cfg.Rates.NetworkSec(s.Bytes, s.CommEvents) + s.StallSec
+}
+
 func TestModelTime(t *testing.T) {
 	c := NewCluster(Config{
-		Workers:              4,
-		LocalParallelism:     2,
-		BandwidthBytesPerSec: 1000,
-		ShuffleLatencySec:    0.5,
-		FlopsPerSecPerThread: 100,
+		Workers:          4,
+		LocalParallelism: 2,
+		Rates:            cost.Rates{BandwidthBytesPerSec: 1000, ShuffleLatencySec: 0.5, FlopsPerSecPerThread: 100},
 	})
 	c.Net().AddComm(1, 2000) // 2 s transfer + 0.5 s latency
 	c.Net().AddFLOPs(1600)   // 1600 / (4*2*100) = 2 s
 	want := 2.0 + 0.5 + 2.0
-	if got := c.ModelTimeSec(); math.Abs(got-want) > 1e-9 {
-		t.Errorf("ModelTimeSec = %v, want %v", got, want)
+	if got := modelSec(c); math.Abs(got-want) > 1e-9 {
+		t.Errorf("model time = %v, want %v", got, want)
 	}
 }
 
 func TestStragglerInjection(t *testing.T) {
 	base := Config{
-		Workers:              4,
-		LocalParallelism:     2,
-		BandwidthBytesPerSec: 1000,
-		ShuffleLatencySec:    0.5,
-		FlopsPerSecPerThread: 100,
+		Workers:          4,
+		LocalParallelism: 2,
+		Rates:            cost.Rates{BandwidthBytesPerSec: 1000, ShuffleLatencySec: 0.5, FlopsPerSecPerThread: 100},
 	}
 	if got := base.withDefaults().MaxSlowdown(); got != 1 {
 		t.Errorf("no stragglers: slowdown = %v", got)
@@ -296,10 +301,10 @@ func TestStragglerInjection(t *testing.T) {
 	}
 	// Compute triples; network is unaffected.
 	want := 3*2.0 + 2.0 + 0.5
-	if got := c1.ModelTimeSec(); math.Abs(got-want) > 1e-9 {
+	if got := modelSec(c1); math.Abs(got-want) > 1e-9 {
 		t.Errorf("straggler model time = %v, want %v", got, want)
 	}
-	if got := c0.ModelTimeSec(); math.Abs(got-(2.0+2.5)) > 1e-9 {
+	if got := modelSec(c0); math.Abs(got-(2.0+2.5)) > 1e-9 {
 		t.Errorf("baseline model time = %v", got)
 	}
 	// Out-of-range worker indices and sub-1 factors are ignored.
@@ -335,16 +340,23 @@ func TestMulFLOPsEstimates(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	dense := randGrid(rng, 10, 10, 5, 1)
 	sparse := randGrid(rng, 10, 10, 5, 0.1)
-	dm := func(g *matrix.Grid) *DistMatrix { return NewDistMatrix(g, dep.Row) }
-	dd := mulFLOPs(dm(dense), dm(dense))
+	// What Multiply charges for a product, read back from the cluster's books.
+	mulFLOPs := func(a, b *matrix.Grid) float64 {
+		c := testCluster()
+		if _, err := c.Multiply(context.Background(), NewDistMatrix(a, dep.Row), NewDistMatrix(b, dep.Broadcast), RMM2, dep.Row, 1); err != nil {
+			t.Fatal(err)
+		}
+		return c.Net().Snapshot().FLOPs
+	}
+	dd := mulFLOPs(dense, dense)
 	if want := 2.0 * 100 * 10; math.Abs(dd-want) > 1 {
 		t.Errorf("dense-dense FLOPs = %v, want %v", dd, want)
 	}
-	sd := mulFLOPs(dm(sparse), dm(dense))
+	sd := mulFLOPs(sparse, dense)
 	if sd >= dd {
 		t.Errorf("sparse-dense FLOPs %v should be below dense-dense %v", sd, dd)
 	}
-	if mulFLOPs(dm(sparse), dm(sparse)) <= 0 && sparse.NNZ() > 0 {
+	if mulFLOPs(sparse, sparse) <= 0 && sparse.NNZ() > 0 {
 		t.Error("sparse-sparse FLOPs should be positive")
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"dmac/internal/cost"
 	"dmac/internal/dep"
 	"dmac/internal/matrix"
 	"dmac/internal/obs"
@@ -269,7 +270,7 @@ func (c *Cluster) Extract(m *DistMatrix, scheme dep.Scheme) (*DistMatrix, error)
 // charged here, when the transpose logically happens, so stage accounting is
 // independent of whether the view is ever realized.
 func (c *Cluster) Transpose(m *DistMatrix) *DistMatrix {
-	c.addFLOPs(c.stage(), float64(m.Grid.NNZ()))
+	c.addFLOPs(c.stage(), cost.TransposeFLOPs(float64(m.Grid.NNZ())))
 	return &DistMatrix{Grid: m.Grid, Scheme: m.Scheme.Opposite(), trans: !m.trans}
 }
 
@@ -290,7 +291,7 @@ func (c *Cluster) ShuffleTranspose(ctx context.Context, m *DistMatrix, stage int
 		obs.String("from_scheme", m.Scheme.String()))
 	c.verifyTransfer(m, stage, "shuffle-transpose")
 	c.chargeWire(stage, "shuffle-transpose", wire, wireS)
-	c.addFLOPs(stage, float64(m.Grid.NNZ()))
+	c.addFLOPs(stage, cost.TransposeFLOPs(float64(m.Grid.NNZ())))
 	if m.trans {
 		// The stored grid already is the transpose of the view; the shuffle
 		// materializes it as-is.

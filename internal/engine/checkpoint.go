@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"dmac/internal/core"
+	"dmac/internal/cost"
 	"dmac/internal/dep"
 	"dmac/internal/dist"
 	"dmac/internal/matrix"
@@ -38,32 +39,19 @@ type CheckpointPolicy struct {
 	// FLOPs and communication, priced by the cluster's cost model) exceeds
 	// the modelled cost of writing the snapshot — the bytes of the live
 	// grids that neither the session nor an earlier snapshot of the run
-	// already holds. This is the dependency-cost analogue of the classic
-	// checkpoint-interval rule: pay the write when a failure would cost more
-	// than the write does.
+	// already holds, at the cost model's storage rate. This is the
+	// dependency-cost analogue of the classic checkpoint-interval rule: pay
+	// the write when a failure would cost more than the write does.
 	CostModel bool
-	// WriteBytesPerSec is the modelled checkpoint write bandwidth the cost
-	// model prices the snapshot against. Defaults to 200 MB/s.
-	WriteBytesPerSec float64
 }
 
 // Enabled reports whether the policy ever triggers a write.
 func (p CheckpointPolicy) Enabled() bool { return p.Interval > 0 || p.CostModel }
 
-func (p CheckpointPolicy) withDefaults() CheckpointPolicy {
-	if p.WriteBytesPerSec <= 0 {
-		p.WriteBytesPerSec = 200e6
-	}
-	return p
-}
-
 // Validate rejects policies that would behave silently oddly.
 func (p CheckpointPolicy) Validate() error {
 	if p.Interval < 0 {
 		return fmt.Errorf("engine: checkpoint Interval %d is negative", p.Interval)
-	}
-	if p.WriteBytesPerSec < 0 {
-		return fmt.Errorf("engine: checkpoint WriteBytesPerSec %v is negative", p.WriteBytesPerSec)
 	}
 	return nil
 }
@@ -219,7 +207,7 @@ func (e *Engine) shouldCheckpoint(live []liveValue) bool {
 		return false
 	}
 	e.joinSnapshot() // snapshotBytes reads files
-	return c.pendingCost > float64(c.snapshotBytes(live))/c.policy.WriteBytesPerSec
+	return c.pendingCost > cost.WriteSec(c.snapshotBytes(live))
 }
 
 // manifestBytesPerValue is what one value costs in manifest.json, roughly —
@@ -271,7 +259,7 @@ func (e *Engine) SetCheckpoint(dir string, policy CheckpointPolicy) error {
 			return fmt.Errorf("engine: checkpoint dir: %w", err)
 		}
 	}
-	e.ckpt = &checkpointer{dir: dir, policy: policy.withDefaults()}
+	e.ckpt = &checkpointer{dir: dir, policy: policy}
 	return nil
 }
 

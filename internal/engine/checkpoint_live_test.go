@@ -86,7 +86,12 @@ func (a ckptApp) stagesOf(t *testing.T) []int {
 // no checkpointer), and tamper hooked in right before the recovery ladder.
 func (a ckptApp) run(t *testing.T, dir string, policy CheckpointPolicy, faultStage int, tamper func(*checkpointer)) (Metrics, *Engine) {
 	t.Helper()
-	cfg := testConfig()
+	return a.runOn(t, testConfig(), dir, policy, faultStage, tamper)
+}
+
+// runOn is run on a cluster of the given configuration.
+func (a ckptApp) runOn(t *testing.T, cfg dist.Config, dir string, policy CheckpointPolicy, faultStage int, tamper func(*checkpointer)) (Metrics, *Engine) {
+	t.Helper()
 	if faultStage > 0 {
 		cfg.Faults = dist.FaultPlan{Events: []dist.FaultEvent{
 			{Stage: faultStage, Worker: 1, Attempt: 0, Kind: dist.FaultKillBoundary},

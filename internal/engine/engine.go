@@ -682,14 +682,8 @@ func (e *Engine) metricsDelta(before, after dist.Snapshot, wall float64, stages 
 	events := after.CommEvents - before.CommEvents
 	flops := after.FLOPs - before.FLOPs
 	stall := after.StallSec - before.StallSec
-	threads := float64(cfg.Workers * cfg.LocalParallelism)
-	computeSec := func(f float64) float64 {
-		return f * cfg.MaxSlowdown() / (threads * cfg.FlopsPerSecPerThread)
-	}
-	networkSec := func(b int64, ev int) float64 {
-		return float64(b)/cfg.BandwidthBytesPerSec + float64(ev)*cfg.ShuffleLatencySec
-	}
-	model := computeSec(flops) + networkSec(bytes, events) + stall
+	threads, slowdown := cfg.Workers*cfg.LocalParallelism, cfg.MaxSlowdown()
+	model := cfg.Rates.ComputeSec(flops, threads, slowdown) + cfg.Rates.NetworkSec(bytes, events) + stall
 	stageBytes := make(map[int]int64)
 	for k, v := range after.StageBytes {
 		if d := v - before.StageBytes[k]; d > 0 {
@@ -724,8 +718,8 @@ func (e *Engine) metricsDelta(before, after dist.Snapshot, wall float64, stages 
 		perStage = append(perStage, StageMetrics{
 			Stage:          k,
 			WallSeconds:    stageWall[k],
-			ComputeSeconds: computeSec(df),
-			NetworkSeconds: networkSec(db, de),
+			ComputeSeconds: cfg.Rates.ComputeSec(df, threads, slowdown),
+			NetworkSeconds: cfg.Rates.NetworkSec(db, de),
 			CommBytes:      db,
 			CommEvents:     de,
 			FLOPs:          df,

@@ -120,7 +120,9 @@ func (e *Engine) execute(ctx context.Context, plan *core.Plan, sig string, param
 				With(strconv.Itoa(s)).Observe(stats.stageWall[s])
 		}
 		if e.ckpt != nil && i < len(st.stages)-1 {
-			e.ckpt.noteStage(e.modelCost(netBefore, e.cluster.Net().Snapshot()))
+			cfg, net := e.cluster.Config(), e.cluster.Net().Snapshot()
+			e.ckpt.noteStage(cfg.Rates.ComputeSec(net.FLOPs-netBefore.FLOPs, cfg.Workers*cfg.LocalParallelism, cfg.MaxSlowdown()) +
+				cfg.Rates.NetworkSec(net.Bytes-netBefore.Bytes, net.CommEvents-netBefore.CommEvents))
 			if live := e.liveAfter(st, s); e.shouldCheckpoint(live) {
 				e.startSnapshot(st, s, span, live)
 			}
@@ -128,18 +130,6 @@ func (e *Engine) execute(ctx context.Context, plan *core.Plan, sig string, param
 	}
 	e.cacheLeafInstances(plan, st.vals)
 	return stats, e.commitAssignments(plan, st.vals)
-}
-
-// modelCost prices a NetStats delta with the cluster's cost model: modelled
-// compute seconds plus modelled network seconds — what re-running the work
-// the delta describes would cost.
-func (e *Engine) modelCost(before, after dist.Snapshot) float64 {
-	cfg := e.cluster.Config()
-	threads := float64(cfg.Workers * cfg.LocalParallelism)
-	compute := (after.FLOPs - before.FLOPs) * cfg.MaxSlowdown() / (threads * cfg.FlopsPerSecPerThread)
-	network := float64(after.Bytes-before.Bytes)/cfg.BandwidthBytesPerSec +
-		float64(after.CommEvents-before.CommEvents)*cfg.ShuffleLatencySec
-	return compute + network
 }
 
 // runStage executes one stage's ops, retrying on injected worker failures

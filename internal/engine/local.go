@@ -5,6 +5,7 @@ import (
 	"math"
 	"time"
 
+	"dmac/internal/cost"
 	"dmac/internal/dep"
 	"dmac/internal/dist"
 	"dmac/internal/expr"
@@ -33,7 +34,7 @@ func (e *Engine) runLocal(p *expr.Program, params map[string]float64) (Metrics, 
 	operand := func(r expr.Ref) *matrix.Grid {
 		g := results[r.Node.ID]
 		if r.Transposed {
-			net.AddFLOPs(float64(g.NNZ()))
+			net.AddFLOPs(cost.TransposeFLOPs(float64(g.NNZ())))
 			return exec.Transpose(g)
 		}
 		return g
@@ -46,7 +47,7 @@ func (e *Engine) runLocal(p *expr.Program, params map[string]float64) (Metrics, 
 	fusedOperand := func(r expr.Ref) *matrix.Grid {
 		g := results[r.Node.ID]
 		if r.Transposed {
-			net.AddFLOPs(float64(g.NNZ()))
+			net.AddFLOPs(cost.TransposeFLOPs(float64(g.NNZ())))
 		}
 		return g
 	}
@@ -77,7 +78,7 @@ func (e *Engine) runLocal(p *expr.Program, params map[string]float64) (Metrics, 
 		case expr.KindMul:
 			ra, rb := n.Inputs[0], n.Inputs[1]
 			a, b := fusedOperand(ra), fusedOperand(rb)
-			net.AddFLOPs(localMulFLOPs(a, b, ra.Transposed))
+			net.AddFLOPs(cost.MulFLOPs(a.NNZ(), b.NNZ(), ra.Cols()))
 			g, err := exec.MulTrans(a, b, ra.Transposed, rb.Transposed, localMulStrategy)
 			if err != nil {
 				return Metrics{}, err
@@ -85,7 +86,7 @@ func (e *Engine) runLocal(p *expr.Program, params map[string]float64) (Metrics, 
 			results[n.ID] = g
 		case expr.KindCell:
 			a, b := operand(n.Inputs[0]), operand(n.Inputs[1])
-			net.AddFLOPs(float64(a.Rows()) * float64(a.Cols()))
+			net.AddFLOPs(cost.CellwiseFLOPs(a.Rows(), a.Cols()))
 			g, err := exec.Cellwise(n.BinOp, a, b)
 			if err != nil {
 				return Metrics{}, err
@@ -101,19 +102,19 @@ func (e *Engine) runLocal(p *expr.Program, params map[string]float64) (Metrics, 
 				c = v
 			}
 			a := operand(n.Inputs[0])
-			net.AddFLOPs(float64(a.NNZ()))
+			net.AddFLOPs(cost.ScalarFLOPs(float64(a.NNZ())))
 			results[n.ID] = exec.Scalar(n.ScalarOp, a, c)
 		case expr.KindUFunc:
 			a := operand(n.Inputs[0])
-			net.AddFLOPs(4 * float64(a.Rows()) * float64(a.Cols()))
+			net.AddFLOPs(cost.UFuncFLOPs(a.Rows(), a.Cols()))
 			results[n.ID] = exec.Apply(n.UFunc, a)
 		case expr.KindSum:
 			a := operand(n.Inputs[0])
-			net.AddFLOPs(float64(a.NNZ()))
+			net.AddFLOPs(cost.SumFLOPs(float64(a.NNZ())))
 			e.scalars[scalarNameFor(p, n)] = matrix.SumGrid(a)
 		case expr.KindNorm2:
 			a := operand(n.Inputs[0])
-			net.AddFLOPs(2 * float64(a.NNZ()))
+			net.AddFLOPs(cost.Norm2FLOPs(float64(a.NNZ())))
 			e.scalars[scalarNameFor(p, n)] = math.Sqrt(matrix.FrobeniusSqGrid(a))
 		case expr.KindValue:
 			a := operand(n.Inputs[0])
@@ -147,19 +148,4 @@ func scalarNameFor(p *expr.Program, n *expr.Node) string {
 		}
 	}
 	return fmt.Sprintf("m%d", n.ID)
-}
-
-// localMulFLOPs estimates the multiply's arithmetic; the inner dimension is
-// the logical one, so a fused transposed left operand costs the same as a
-// materialized transpose would.
-func localMulFLOPs(a, b *matrix.Grid, aT bool) float64 {
-	an, bn := float64(a.NNZ()), float64(b.NNZ())
-	inner := float64(a.Cols())
-	if aT {
-		inner = float64(a.Rows())
-	}
-	if inner == 0 {
-		return 0
-	}
-	return 2 * an * math.Max(bn/inner, 1)
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"dmac/internal/dist"
+	"dmac/internal/expr"
 	"dmac/internal/matrix"
 	"dmac/internal/obs"
 )
@@ -294,5 +295,38 @@ func BenchmarkRunTracing(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// TestLocalKernelFlopsMatchCharges: the scheduler's kernel.mul.flops and the
+// engine's Metrics.FLOPs price a multiply with the same function, so on a
+// program of multiplications alone — hypersparse ones, where the right
+// operand stores a fractional number of elements per row — the two agree.
+func TestLocalKernelFlopsMatchCharges(t *testing.T) {
+	diagonals := func(nnz int) *matrix.Grid {
+		coords := make([]matrix.Coord, nnz)
+		for i := range coords {
+			coords[i] = matrix.Coord{Row: i % 16, Col: (i + i/16) % 16, Val: 1}
+		}
+		return matrix.FromCoords(16, 16, tBS, coords)
+	}
+	e := New(Local, testConfig(), tBS)
+	reg := obs.NewRegistry()
+	e.SetObserver(nil, reg)
+	for name, g := range map[string]*matrix.Grid{"A": diagonals(32), "B": diagonals(24)} {
+		if err := e.Bind(name, g); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p := expr.NewProgram()
+	A := p.Var("A", 16, 16, 32.0/256)
+	B := p.Var("B", 16, 16, 24.0/256)
+	p.Assign("C", p.Mul(p.Mul(A, B), B)) // 2*32*1.5, then a dense left operand
+	m, err := e.Run(p, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := reg.Snapshot().Counters["kernel.mul.flops"]; m.FLOPs <= 0 || float64(got) != m.FLOPs {
+		t.Errorf("kernel.mul.flops = %d, Metrics.FLOPs = %v: the multiply share of a run's charges and the kernel metric disagree", got, m.FLOPs)
 	}
 }

@@ -8,20 +8,18 @@ import (
 
 	"dmac/internal/core"
 	"dmac/internal/expr"
-	"dmac/internal/matrix"
 	"dmac/internal/rewrite"
 )
 
 // signaturePrefix versions every program signature. The "ps" component is
 // the serialization format; the "rw" component is the rewrite-pass rule
-// version (rewrite.Version); the "mk" component is the multiply-kernel
-// generation (matrix.KernelVersion), which plans depend on through the
-// per-operator algorithm pick. Because the shared plan cache keys on the
+// version (rewrite.Version). Because the shared plan cache keys on the
 // signature of the canonical *rewritten* program, a binary with a different
-// rewrite-rule set or kernel generation must never be served an entry
-// produced under the old one — bumping any component makes every stale key
-// miss.
-var signaturePrefix = fmt.Sprintf("ps1;rw%d;mk%d|", rewrite.Version, matrix.KernelVersion)
+// rewrite-rule set must never be served an entry produced under the old one
+// — bumping either component makes every stale key miss. The multiply-kernel
+// generation is deliberately absent: a plan is a function of the program,
+// the workers and the cached schemes, not of how a block product is computed.
+var signaturePrefix = fmt.Sprintf("ps1;rw%d|", rewrite.Version)
 
 // SignaturePrefix returns the version prefix of every ProgramSignature;
 // exported for cache-invalidation regression tests.

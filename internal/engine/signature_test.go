@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"fmt"
 	"strings"
 	"testing"
 
@@ -111,29 +110,6 @@ func TestPlanSignatureEncodesRewriter(t *testing.T) {
 	on.SetRewriter(rewrite.New())
 	if off.planSignature(p) == on.planSignature(p) {
 		t.Fatalf("plan signatures identical with and without rewriter: %q", off.planSignature(p))
-	}
-}
-
-// TestSignaturePrefixEncodesKernelVersion: the shared-cache key prefix must
-// carry the multiply-kernel generation so entries from a previous kernel
-// generation can never be served.
-func TestSignaturePrefixEncodesKernelVersion(t *testing.T) {
-	prefix := SignaturePrefix()
-	if !strings.Contains(prefix, fmt.Sprintf(";mk%d|", matrix.KernelVersion)) {
-		t.Fatalf("prefix %q does not encode kernel version %d", prefix, matrix.KernelVersion)
-	}
-	sig := ProgramSignature(signatureProgram())
-	pc := NewPlanCache(8)
-	e := New(DMac, dist.Config{Workers: 2}, 4)
-	plan, err := e.Plan(signatureProgram())
-	if err != nil {
-		t.Fatal(err)
-	}
-	pc.Put(sig, plan)
-	// A key minted under a different kernel generation must miss.
-	legacy := strings.Replace(sig, prefix, fmt.Sprintf("ps1;rw%d;mk%d|", rewrite.Version, matrix.KernelVersion-1), 1)
-	if legacy == sig || pc.Get(legacy) != nil {
-		t.Fatalf("foreign kernel-version key %q hit the cache", legacy)
 	}
 }
 

@@ -229,24 +229,6 @@ func TestMemBytes(t *testing.T) {
 	}
 }
 
-func TestGridMemBytesMatchesEq2Shape(t *testing.T) {
-	// Eq. 2: smaller blocks duplicate the column-pointer array, so memory
-	// must be monotonically non-increasing in the block size.
-	rows, cols, s := 10000, 10000, 0.001
-	prev := int64(math.MaxInt64)
-	for _, bs := range []int{100, 500, 1000, 5000, 10000} {
-		m := GridMemBytes(rows, cols, s, bs, true)
-		if m > prev {
-			t.Errorf("GridMemBytes increased from %d to %d at bs=%d", prev, m, bs)
-		}
-		prev = m
-	}
-	// Dense accounting ignores the block size.
-	if GridMemBytes(100, 100, 1, 10, false) != DenseMemBytes(100, 100) {
-		t.Error("dense GridMemBytes should equal DenseMemBytes")
-	}
-}
-
 func TestScalarOpsSparsityPreservation(t *testing.T) {
 	s := NewCSC(3, 3, []Coord{{0, 0, 2}, {2, 2, 4}})
 	mul := Scalar(ScalarMul, s, 3)

@@ -35,18 +35,3 @@ func TransMemBytes(b Block) int64 {
 	}
 	return b.MemBytes()
 }
-
-// GridMemBytes returns the total footprint of an M x N matrix with sparsity
-// s partitioned into m x m blocks, following Eq. 2 of the paper: the row
-// index and value arrays are invariant under partitioning, while every block
-// column contributes its own column pointer entry.
-func GridMemBytes(rows, cols int, sparsity float64, blockSize int, sparse bool) int64 {
-	if !sparse {
-		return DenseMemBytes(rows, cols)
-	}
-	blockRows := int64(blocksFor(rows, blockSize))
-	nnz := int64(sparsity * float64(rows) * float64(cols))
-	// Each of the blockRows block-rows stores a pointer array across all cols.
-	colPtrBytes := 4 * blockRows * (int64(cols) + int64(blocksFor(cols, blockSize)))
-	return colPtrBytes + 12*nnz
-}

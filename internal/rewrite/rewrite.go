@@ -31,7 +31,7 @@ import (
 	"fmt"
 	"math"
 
-	"dmac/internal/core"
+	"dmac/internal/cost"
 	"dmac/internal/dep"
 	"dmac/internal/expr"
 	"dmac/internal/matrix"
@@ -180,7 +180,7 @@ func (rw *Rewriter) rewriteOnce(src *expr.Program) (res *Result, err error) {
 					Node:       fmt.Sprintf("m%d", n.ID),
 					Detail:     fmt.Sprintf("dropped unreachable %s", n.Label()),
 					FLOPsSaved: nodeFlops(n),
-					BytesSaved: core.NodeSize(n),
+					BytesSaved: cost.SizeBytes(n.Rows, n.Cols, n.Sparsity),
 				})
 			}
 			continue
@@ -219,31 +219,37 @@ func ProgramCost(p *expr.Program) float64 {
 		c += nodeFlops(n) + nodeBytes(n)
 		for _, in := range n.Inputs {
 			if in.Transposed {
-				c += nnzEst(in.Node)
+				c += transReadFlops(in.Node)
 			}
 		}
 	}
 	for _, a := range p.Assignments() {
 		if a.Ref.Transposed {
-			c += nnzEst(a.Ref.Node)
+			c += transReadFlops(a.Ref.Node)
 		}
 	}
 	return c
 }
 
+// nodeFlops predicts a node's arithmetic from its shape alone: per-element
+// coefficients apply to the full cell count, the worst case of the stored
+// elements the executor will find and charge.
 func nodeFlops(n *expr.Node) float64 {
 	switch n.Kind {
 	case expr.KindLoad, expr.KindVar:
 		return 0
 	case expr.KindMul:
-		return 2 * float64(n.Rows) * float64(n.Inputs[0].Cols()) * float64(n.Cols)
+		return cost.DenseMulFLOPs(n.Rows, n.Inputs[0].Cols(), n.Cols)
+	case expr.KindCell:
+		return cost.CellwiseFLOPs(n.Rows, n.Cols)
 	case expr.KindUFunc:
-		return 4 * elems(n)
-	case expr.KindSum, expr.KindValue, expr.KindNorm2:
-		in := n.Inputs[0]
-		return float64(in.Rows()) * float64(in.Cols())
-	default: // KindCell, KindScalar
-		return elems(n)
+		return cost.UFuncFLOPs(n.Rows, n.Cols)
+	case expr.KindNorm2:
+		return cost.Norm2FLOPs(cost.EstNNZ(n.Inputs[0].Node.Rows, n.Inputs[0].Node.Cols, 1))
+	case expr.KindSum, expr.KindValue: // value() is a one-cell sum
+		return cost.SumFLOPs(cost.EstNNZ(n.Inputs[0].Node.Rows, n.Inputs[0].Node.Cols, 1))
+	default: // KindScalar
+		return cost.ScalarFLOPs(cost.EstNNZ(n.Rows, n.Cols, 1))
 	}
 }
 
@@ -254,15 +260,16 @@ func nodeBytes(n *expr.Node) float64 {
 	case expr.KindMul:
 		// Fixed dense worst case: chain-reorder comparisons must not depend
 		// on the (refinable) sparsity estimate of interior products.
-		return float64(core.SizeBytes(n.Rows, n.Cols, 1))
+		return float64(cost.SizeBytes(n.Rows, n.Cols, 1))
 	default:
-		return float64(core.NodeSize(n))
+		return float64(cost.SizeBytes(n.Rows, n.Cols, n.Sparsity))
 	}
 }
 
-func elems(n *expr.Node) float64 { return float64(n.Rows) * float64(n.Cols) }
-
-func nnzEst(n *expr.Node) float64 { return n.Sparsity * float64(n.Rows) * float64(n.Cols) }
+// transReadFlops is the predicted charge of one transposed read of n.
+func transReadFlops(n *expr.Node) float64 {
+	return cost.TransposeFLOPs(cost.EstNNZ(n.Rows, n.Cols, n.Sparsity))
+}
 
 // useRec is one read of a node's value: by an operator (consumer != nil) or
 // by an assignment (consumer == nil).
@@ -377,16 +384,16 @@ func (ps *pass) analyze() {
 // the product's transpose, while each operand's read flips orientation.
 func (ps *pass) pushdownGain(n *expr.Node) float64 {
 	a, b := n.Inputs[0], n.Inputs[1]
-	gain := float64(len(ps.uses[n.ID])) * nnzEst(n)
+	gain := float64(len(ps.uses[n.ID])) * transReadFlops(n)
 	if a.Transposed {
-		gain += nnzEst(a.Node)
+		gain += transReadFlops(a.Node)
 	} else {
-		gain -= nnzEst(a.Node)
+		gain -= transReadFlops(a.Node)
 	}
 	if b.Transposed {
-		gain += nnzEst(b.Node)
+		gain += transReadFlops(b.Node)
 	} else {
-		gain -= nnzEst(b.Node)
+		gain -= transReadFlops(b.Node)
 	}
 	return gain
 }
@@ -487,7 +494,7 @@ func (ps *pass) flatten(n *expr.Node) []expr.Ref {
 // the worst-case dense footprint of the intermediate. All terms are exact
 // integers in float64, so comparisons are deterministic.
 func mulCostParts(m, k, n int) (flops, bytes float64) {
-	return 2 * float64(m) * float64(k) * float64(n), float64(core.SizeBytes(m, n, 1))
+	return cost.DenseMulFLOPs(m, k, n), float64(cost.SizeBytes(m, n, 1))
 }
 
 func mulCost(m, k, n int) float64 {
@@ -519,10 +526,10 @@ func (ps *pass) emitChain(head *expr.Node, ops []expr.Ref) expr.Ref {
 	for i, r := range ops {
 		dims[i+1] = r.Cols()
 	}
-	cost := make([][]float64, k)
+	dp := make([][]float64, k)
 	split := make([][]int, k)
-	for i := range cost {
-		cost[i] = make([]float64, k)
+	for i := range dp {
+		dp[i] = make([]float64, k)
 		split[i] = make([]int, k)
 	}
 	for length := 2; length <= k; length++ {
@@ -530,17 +537,17 @@ func (ps *pass) emitChain(head *expr.Node, ops []expr.Ref) expr.Ref {
 			j := i + length - 1
 			best := math.Inf(1)
 			for s := i; s < j; s++ {
-				c := cost[i][s] + cost[s+1][j] + mulCost(dims[i], dims[s+1], dims[j+1])
+				c := dp[i][s] + dp[s+1][j] + mulCost(dims[i], dims[s+1], dims[j+1])
 				if c < best {
 					best = c
 					split[i][j] = s
 				}
 			}
-			cost[i][j] = best
+			dp[i][j] = best
 		}
 	}
 	origFlops, origBytes := ps.chainParts(head)
-	if cost[0][k-1] >= origFlops+origBytes {
+	if dp[0][k-1] >= origFlops+origBytes {
 		return ps.emitOrigChain(head)
 	}
 	var bestFlops, bestBytes float64
@@ -613,7 +620,7 @@ func (ps *pass) emitCell(op matrix.BinOp, a, b expr.Ref, baseline float64) expr.
 		// generic saturating sum.
 		if s := math.Min(a.Node.Sparsity, b.Node.Sparsity); s < r.Node.Sparsity {
 			old := r.Node.Sparsity
-			sizeAt := func(sp float64) int64 { return core.SizeBytes(r.Node.Rows, r.Node.Cols, sp) }
+			sizeAt := func(sp float64) int64 { return cost.SizeBytes(r.Node.Rows, r.Node.Cols, sp) }
 			r.Node.Sparsity = s
 			// Record only a genuine refinement over the source node's
 			// estimate; a re-pass re-deriving the same value stays silent.
@@ -653,7 +660,7 @@ func (ps *pass) refineMul(m expr.Ref, baseline float64) {
 	}
 	n.Sparsity = s
 	if s < baseline {
-		sizeAt := func(sp float64) int64 { return core.SizeBytes(n.Rows, n.Cols, sp) }
+		sizeAt := func(sp float64) int64 { return cost.SizeBytes(n.Rows, n.Cols, sp) }
 		ps.record(Decision{
 			Rule:       RuleSparsity,
 			Node:       m.String(),
@@ -671,8 +678,8 @@ func (ps *pass) emitScalar(n *expr.Node) expr.Ref {
 			Rule:       RuleFoldIdentity,
 			Node:       fmt.Sprintf("m%d", n.ID),
 			Detail:     fmt.Sprintf("folded %s", n.Label()),
-			FLOPsSaved: elems(n),
-			BytesSaved: core.NodeSize(n),
+			FLOPsSaved: nodeFlops(n),
+			BytesSaved: cost.SizeBytes(n.Rows, n.Cols, n.Sparsity),
 		})
 		return mapped
 	}
@@ -700,9 +707,9 @@ func isIdentityScalar(op matrix.ScalarOp, c float64) bool {
 // folded value inherits that transposed read (there are len(uses) of them,
 // versus the single one the folded node paid for).
 func (ps *pass) foldGain(n *expr.Node) float64 {
-	gain := elems(n) + float64(core.NodeSize(n))
+	gain := nodeFlops(n) + nodeBytes(n)
 	if in := n.Inputs[0]; in.Transposed {
-		gain += (1 - float64(len(ps.uses[n.ID]))) * nnzEst(in.Node)
+		gain += (1 - float64(len(ps.uses[n.ID]))) * transReadFlops(in.Node)
 	}
 	return gain
 }

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"dmac/internal/cost"
 	"dmac/internal/matrix"
 	"dmac/internal/obs"
 )
@@ -74,6 +75,34 @@ func TestMulTransShapeErrors(t *testing.T) {
 	}
 	if _, err := e.MulTrans(a, b, true, false, InPlace); err != nil {
 		t.Errorf("t(a)*b should be valid: %v", err)
+	}
+}
+
+// TestKernelMulFlopsMatchModel: kernel.mul.flops is the cost model's multiply
+// estimate for the same operands, fractional row density included — on a
+// sparse x sparse product whose right operand stores 1.5 elements per row, an
+// integer nnz(B)/inner would count 1 and report two thirds of the model.
+func TestKernelMulFlopsMatchModel(t *testing.T) {
+	diagonals := func(n, nnz int) *matrix.Grid {
+		coords := make([]matrix.Coord, nnz)
+		for i := range coords {
+			coords[i] = matrix.Coord{Row: i % n, Col: (i + i/n) % n, Val: 1}
+		}
+		return matrix.FromCoords(n, n, 5, coords)
+	}
+	a, b := diagonals(10, 20), diagonals(10, 15)
+	if a.NNZ() != 20 || b.NNZ() != 15 {
+		t.Fatalf("operands store %d and %d elements, want 20 and 15", a.NNZ(), b.NNZ())
+	}
+	e := NewExecutor(2, nil)
+	reg := obs.NewRegistry()
+	e.SetObserver(nil, reg)
+	if _, err := e.MulTrans(a, b, false, false, InPlace); err != nil {
+		t.Fatal(err)
+	}
+	got, want := reg.Snapshot().Counters["kernel.mul.flops"], cost.MulFLOPs(a.NNZ(), b.NNZ(), 10)
+	if got != 60 || want != 60 { // 2 * 20 * 1.5
+		t.Errorf("kernel.mul.flops = %d, cost.MulFLOPs = %v, want 60 for both", got, want)
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"dmac/internal/cost"
 	"dmac/internal/matrix"
 	"dmac/internal/obs"
 )
@@ -262,7 +263,7 @@ func (e *Executor) MulTrans(a, b *matrix.Grid, aT, bT bool, strategy MulStrategy
 	}
 	if m != nil {
 		elapsed := time.Since(start).Seconds()
-		flops := mulWorkFLOPs(a, b, aCols)
+		flops := cost.MulFLOPs(a.NNZ(), b.NNZ(), aCols)
 		m.Counter("kernel.mul.count").Inc()
 		m.Counter("kernel.mul.flops").Add(int64(flops))
 		m.Gauge("kernel.workers").Set(float64(matrix.KernelWorkers()))
@@ -279,20 +280,6 @@ func gridDims(g *matrix.Grid, t bool) (rows, cols int) {
 		return g.Cols(), g.Rows()
 	}
 	return g.Rows(), g.Cols()
-}
-
-// mulWorkFLOPs estimates the multiply's floating-point work with the
-// sparsity model of Section 5.1: each stored element of a meets roughly
-// nnz(b)/inner stored elements of b, at a multiply-add (2 flops) each.
-func mulWorkFLOPs(a, b *matrix.Grid, inner int) float64 {
-	if inner <= 0 {
-		return 0
-	}
-	per := b.NNZ() / inner
-	if per < 1 {
-		per = 1
-	}
-	return 2 * float64(a.NNZ()) * float64(per)
 }
 
 // mulInPlace: one task per result block; each task accumulates its full

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"sync"
 
+	"dmac/internal/cost"
 	"dmac/internal/expr"
 	"dmac/internal/matrix"
 )
@@ -91,7 +92,7 @@ func (b *BuiltJob) EstimatedBytes(blockSize int) int64 {
 		if n.Kind == expr.KindLoad || n.Kind == expr.KindVar || n.Kind.IsAggregate() {
 			continue
 		}
-		perIter += matrix.GridMemBytes(n.Rows, n.Cols, n.Sparsity, blockSize, n.Sparsity < 0.5)
+		perIter += cost.GridBytes(n.Rows, n.Cols, n.Sparsity, blockSize)
 	}
 	return total + 2*perIter
 }
