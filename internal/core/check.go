@@ -141,6 +141,12 @@ func (p *Plan) checkOpSchemes(i int, op *Op) error {
 		if op.Node == nil {
 			return fmt.Errorf("core: compute op %d has no node", i)
 		}
+		if len(op.Inputs) != len(op.Node.Inputs) {
+			return fmt.Errorf("core: compute op %d reads %d values, its node %d", i, len(op.Inputs), len(op.Node.Inputs))
+		}
+		if op.InPlace >= len(op.Inputs) || (op.InPlace >= 0 && !op.Node.Kind.IsCellwise()) {
+			return fmt.Errorf("core: compute op %d overwrites input %d", i, op.InPlace)
+		}
 		if op.Node.Kind.IsAggregate() {
 			if op.Output >= 0 || op.ScalarName == "" {
 				return fmt.Errorf("core: aggregate op %d malformed", i)

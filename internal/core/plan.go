@@ -134,6 +134,9 @@ type Op struct {
 	// Stage is the un-interleaved stage index (1-based), assigned by
 	// AssignStages.
 	Stage int
+	// InPlace is the index into Inputs of the value a cell-wise OpCompute may
+	// overwrite with its result, -1 for none (see licenseInPlace).
+	InPlace int
 }
 
 // Plan is an executable plan: operators in execution order over a store of
@@ -263,8 +266,49 @@ func (p *Plan) AssignStages() int {
 	return maxStage
 }
 
+// licenseInPlace decides, once per plan, which cell-wise operators may write
+// their result into the blocks of an input instead of fresh ones. An input
+// qualifies when it is the untransposed result of a multiplication of the
+// operator's own stage, this read is the only one in the plan, and the
+// program assigns its matrix to no variable. Such a value is dead the moment
+// the operator has read it: no later stage reads it, so no snapshot holds it
+// and the session never sees it; and it is dense, as every product is. A
+// retry of the stage runs the multiplication again before the operator. The
+// first qualifying input wins.
+func (p *Plan) licenseInPlace() {
+	reads := make([]int, len(p.Values))
+	producer := make([]*Op, len(p.Values))
+	for _, op := range p.Ops {
+		op.InPlace = -1
+		for _, id := range op.Inputs {
+			reads[id]++
+		}
+		if op.Output >= 0 {
+			producer[op.Output] = op
+		}
+	}
+	assigned := make(map[dep.MatrixID]bool)
+	for _, a := range p.Program.Assignments() {
+		assigned[a.Ref.Node.ID] = true
+	}
+	for _, op := range p.Ops {
+		if op.Kind != OpCompute || !op.Node.Kind.IsCellwise() {
+			continue
+		}
+		for i, id := range op.Inputs {
+			v, from := p.Values[id], producer[id]
+			if from.Kind == OpCompute && from.Node.Kind == expr.KindMul && from.Stage == op.Stage &&
+				!v.Transposed && reads[id] == 1 && !assigned[v.Matrix] {
+				op.InPlace = i
+				break
+			}
+		}
+	}
+}
+
 // String renders the plan as a table: one operator per line with its stage,
-// strategy, inputs, dependency types and communication estimate.
+// strategy, inputs, dependency types, communication estimate and the input
+// it overwrites.
 func (p *Plan) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "plan: %d ops, %d values, %d stages, est. comm %d bytes\n",
@@ -295,6 +339,9 @@ func (p *Plan) String() string {
 		if op.CommBytes > 0 {
 			fmt.Fprintf(&b, "  [comm %d]", op.CommBytes)
 		}
+		if op.InPlace >= 0 {
+			fmt.Fprintf(&b, "  [in-place m%d]", p.Values[op.Inputs[op.InPlace]].Matrix)
+		}
 		b.WriteByte('\n')
 	}
 	return b.String()
@@ -313,6 +360,9 @@ func (p *Plan) DOT() string {
 		label := op.Kind.String()
 		if op.Kind == OpCompute {
 			label = fmt.Sprintf("%s\\n%s", op.Node.Label(), op.Strategy)
+		}
+		if op.InPlace >= 0 {
+			label += fmt.Sprintf("\\nin-place m%d", p.Values[op.Inputs[op.InPlace]].Matrix)
 		}
 		style := ""
 		if op.CommBytes == 0 && op.Kind != OpLoad && op.Kind != OpVar {

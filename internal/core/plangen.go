@@ -76,6 +76,7 @@ func generate(p *expr.Program, cfg Config, baseline bool) (*Plan, error) {
 	}
 	g.plan.finalizeFlexible()
 	g.plan.AssignStages()
+	g.plan.licenseInPlace()
 	return g.plan, nil
 }
 

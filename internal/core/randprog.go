@@ -45,9 +45,26 @@ func RandomProgram(rng *rand.Rand) (*expr.Program, map[string][]dep.Scheme) {
 		return r
 	}
 
+	// link applies one random cell-wise operator to a: binary against a
+	// same-shaped value when the pool has one, otherwise (or by choice) a
+	// scalar operator or an element-wise function defined everywhere.
+	link := func(a expr.Ref) expr.Ref {
+		if rng.Intn(2) == 0 {
+			for try := 0; try < 20; try++ {
+				if b := pick(); a.Rows() == b.Rows() && a.Cols() == b.Cols() {
+					return []func(a, b expr.Ref) expr.Ref{p.Add, p.Sub, p.CellMul}[rng.Intn(3)](a, b)
+				}
+			}
+		}
+		if rng.Intn(2) == 0 {
+			return p.Func([]matrix.UFunc{matrix.FuncSigmoid, matrix.FuncAbs, matrix.FuncSign}[rng.Intn(3)], a)
+		}
+		return p.Scalar([]matrix.ScalarOp{matrix.ScalarMul, matrix.ScalarAdd, matrix.ScalarRSub}[rng.Intn(3)], a, rng.NormFloat64())
+	}
+
 	nOps := 4 + rng.Intn(10)
 	for i := 0; i < nOps; i++ {
-		switch rng.Intn(5) {
+		switch rng.Intn(6) {
 		case 0, 1: // multiplication: find a compatible pair
 			var a, b expr.Ref
 			found := false
@@ -80,6 +97,23 @@ func RandomProgram(rng *rand.Rand) (*expr.Program, map[string][]dep.Scheme) {
 			pool = append(pool, p.Scalar(ops[rng.Intn(len(ops))], pick(), rng.NormFloat64()))
 		case 4: // aggregate
 			p.Sum(fmt.Sprintf("s%d", i), pick())
+		case 5: // a tree of cell-wise operators, what the rewriter fuses
+			// Interior values mostly have this one reader; one in four joins
+			// the pool, where a second reader keeps it out of a fused tree.
+			v := link(pick())
+			for n := 1 + rng.Intn(4); n > 0; n-- {
+				if rng.Intn(4) == 0 {
+					pool = append(pool, v)
+				}
+				if rng.Intn(3) == 0 { // a second branch under the next link
+					if w := link(pick()); w.Rows() == v.Rows() && w.Cols() == v.Cols() {
+						v = p.CellMul(v, w)
+						continue
+					}
+				}
+				v = link(v)
+			}
+			pool = append(pool, v)
 		}
 	}
 	// Assign the last few values so the program has outputs.

@@ -25,7 +25,8 @@ const (
 	// aggregation of per-worker partial results; the aggregated output can
 	// be produced with either one-dimensional scheme (r|c).
 	CPMM
-	// CellRow runs a cell-wise or scalar operator on row-aligned operands.
+	// CellRow runs a cell-wise operator — binary, scalar, element-wise
+	// function or a fused tree of them — on row-aligned operands.
 	CellRow
 	// CellCol runs it on column-aligned operands.
 	CellCol
@@ -93,17 +94,20 @@ func candidatesFor(n *expr.Node, workers int) []candidate {
 			{strategy: RMM2, ins: []dep.Scheme{dep.Row, dep.Broadcast}, outSchemes: []dep.Scheme{dep.Row}},
 			{strategy: CPMM, ins: []dep.Scheme{dep.Col, dep.Row}, outSchemes: []dep.Scheme{dep.Row, dep.Col}, outCost: int64(workers) * outSize},
 		}
-	case expr.KindCell:
-		return []candidate{
-			{strategy: CellRow, ins: []dep.Scheme{dep.Row, dep.Row}, outSchemes: []dep.Scheme{dep.Row}},
-			{strategy: CellCol, ins: []dep.Scheme{dep.Col, dep.Col}, outSchemes: []dep.Scheme{dep.Col}},
-			{strategy: CellBcast, ins: []dep.Scheme{dep.Broadcast, dep.Broadcast}, outSchemes: []dep.Scheme{dep.Broadcast}},
+	case expr.KindCell, expr.KindScalar, expr.KindUFunc, expr.KindFused:
+		// Every input of a cell-wise operator — one, two, or the k of a
+		// fused tree — on one scheme.
+		all := func(s dep.Scheme) []dep.Scheme {
+			ins := make([]dep.Scheme, len(n.Inputs))
+			for i := range ins {
+				ins[i] = s
+			}
+			return ins
 		}
-	case expr.KindScalar, expr.KindUFunc:
 		return []candidate{
-			{strategy: CellRow, ins: []dep.Scheme{dep.Row}, outSchemes: []dep.Scheme{dep.Row}},
-			{strategy: CellCol, ins: []dep.Scheme{dep.Col}, outSchemes: []dep.Scheme{dep.Col}},
-			{strategy: CellBcast, ins: []dep.Scheme{dep.Broadcast}, outSchemes: []dep.Scheme{dep.Broadcast}},
+			{strategy: CellRow, ins: all(dep.Row), outSchemes: []dep.Scheme{dep.Row}},
+			{strategy: CellCol, ins: all(dep.Col), outSchemes: []dep.Scheme{dep.Col}},
+			{strategy: CellBcast, ins: all(dep.Broadcast), outSchemes: []dep.Scheme{dep.Broadcast}},
 		}
 	case expr.KindSum, expr.KindValue, expr.KindNorm2:
 		return []candidate{

@@ -1,6 +1,10 @@
 package cost
 
-import "math"
+import (
+	"math"
+
+	"dmac/internal/matrix"
+)
 
 // MulFLOPs estimates a product's arithmetic with the sparsity model of
 // Section 5.1 from the operands' stored-element counts: B's nnzB elements
@@ -45,6 +49,20 @@ func UFuncFLOPs(rows, cols int) float64 { return 4 * float64(rows) * float64(col
 
 // ScalarFLOPs: a matrix-scalar operator costs 1 per element.
 func ScalarFLOPs(elems float64) float64 { return elems }
+
+// CellLinkFLOPs prices one link of a cell-wise tree over a rows x cols matrix
+// as the single operator it is; elems is the element count of a scalar link's
+// operand. A fused operator costs the sum over its links.
+func CellLinkFLOPs(kind matrix.CellLinkKind, rows, cols int, elems float64) float64 {
+	switch kind {
+	case matrix.LinkBin:
+		return CellwiseFLOPs(rows, cols)
+	case matrix.LinkScalar:
+		return ScalarFLOPs(elems)
+	default:
+		return UFuncFLOPs(rows, cols)
+	}
+}
 
 // SumFLOPs: summing a matrix costs 1 per element.
 func SumFLOPs(elems float64) float64 { return elems }

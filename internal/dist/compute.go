@@ -104,11 +104,26 @@ func (c *Cluster) Multiply(ctx context.Context, a, b *DistMatrix, strategy MulSt
 	return out, nil
 }
 
-// Cellwise runs a cell-wise binary operator on two identically-placed
-// matrices; no communication.
-func (c *Cluster) Cellwise(op matrix.BinOp, a, b *DistMatrix) (*DistMatrix, error) {
-	if a.Scheme != b.Scheme {
-		return nil, fmt.Errorf("dist: cellwise on mismatched schemes %s vs %s", a.Scheme, b.Scheme)
+// Cells evaluates a cell-wise tree over identically placed matrices — a single
+// cell-wise, scalar or element-wise function operator is a tree of one link —
+// with no communication; the result keeps the inputs' scheme. The tree's
+// parameters must be bound. It charges the current stage, link by link, what
+// the operators cost one at a time (cost.CellLinkFLOPs, a scalar link over
+// the stored elements of its operand).
+//
+// overwrite names the input whose blocks receive the result, -1 for none. The
+// caller vouches that nothing else can reach that matrix and must drop it.
+func (c *Cluster) Cells(t *matrix.CellTree, ins []*DistMatrix, overwrite int) (*DistMatrix, error) {
+	if len(ins) == 0 {
+		return nil, fmt.Errorf("dist: cellwise without inputs")
+	}
+	a := ins[0]
+	mixed := false
+	for _, b := range ins[1:] {
+		if a.Scheme != b.Scheme {
+			return nil, fmt.Errorf("dist: cellwise on mismatched schemes %s vs %s", a.Scheme, b.Scheme)
+		}
+		mixed = mixed || a.trans != b.trans
 	}
 	if !a.Scheme.Valid() {
 		return nil, fmt.Errorf("dist: cellwise on scheme %s", a.Scheme)
@@ -116,47 +131,24 @@ func (c *Cluster) Cellwise(op matrix.BinOp, a, b *DistMatrix) (*DistMatrix, erro
 	if err := c.opFault(); err != nil {
 		return nil, err
 	}
-	c.addFLOPs(c.stage(), cost.CellwiseFLOPs(a.Rows(), a.Cols()))
-	// Cell-wise ops commute with transposition: two views in the same
-	// orientation combine on their stored grids and stay a view. Mixed
-	// orientations force the view side to materialize first.
-	if a.trans != b.trans {
-		c.MaterializedGrid(a)
-		c.MaterializedGrid(b)
+	// Cell-wise operators commute with transposition: views in one
+	// orientation combine on their stored grids and the result stays a view.
+	// Mixed orientations force the views to materialize first.
+	grids := make([]*matrix.Grid, len(ins))
+	for i, m := range ins {
+		if mixed {
+			c.MaterializedGrid(m)
+		}
+		grids[i] = m.Grid
 	}
-	grid, err := c.exec.Cellwise(op, a.Grid, b.Grid)
+	grid, nnz, err := c.exec.Cells(t, grids, overwrite)
 	if err != nil {
 		return nil, err
 	}
+	for j, l := range t.Links {
+		c.addFLOPs(c.stage(), cost.CellLinkFLOPs(l.Kind, a.Rows(), a.Cols(), float64(nnz[j])))
+	}
 	return &DistMatrix{Grid: grid, Scheme: a.Scheme, trans: a.trans}, nil
-}
-
-// Scalar runs a matrix-scalar operator; the scheme is preserved and no
-// communication happens.
-func (c *Cluster) Scalar(op matrix.ScalarOp, a *DistMatrix, v float64) (*DistMatrix, error) {
-	if !a.Scheme.Valid() {
-		return nil, fmt.Errorf("dist: scalar op on scheme %s", a.Scheme)
-	}
-	if err := c.opFault(); err != nil {
-		return nil, err
-	}
-	c.addFLOPs(c.stage(), cost.ScalarFLOPs(float64(a.Grid.NNZ())))
-	// Scalar ops are element-local, so a transpose view passes through.
-	return &DistMatrix{Grid: c.exec.Scalar(op, a.Grid, v), Scheme: a.Scheme, trans: a.trans}, nil
-}
-
-// Apply evaluates a named element-wise function locally; the scheme is
-// preserved and no communication happens.
-func (c *Cluster) Apply(f matrix.UFunc, a *DistMatrix) (*DistMatrix, error) {
-	if !a.Scheme.Valid() {
-		return nil, fmt.Errorf("dist: ufunc on scheme %s", a.Scheme)
-	}
-	if err := c.opFault(); err != nil {
-		return nil, err
-	}
-	c.addFLOPs(c.stage(), cost.UFuncFLOPs(a.Rows(), a.Cols()))
-	// Element-wise functions commute with transposition as well.
-	return &DistMatrix{Grid: c.exec.Apply(f, a.Grid), Scheme: a.Scheme, trans: a.trans}, nil
 }
 
 // collect charges a tiny driver collect (8 bytes per alive worker) for an

@@ -2,6 +2,7 @@ package dist
 
 import (
 	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -196,6 +197,16 @@ func TestMultiplySchemeValidation(t *testing.T) {
 	}
 }
 
+// oneLink is the tree of a single operator over its inputs.
+func oneLink(l matrix.CellLink) *matrix.CellTree {
+	l.A = matrix.CellInput(0)
+	inputs := 1
+	if l.Kind == matrix.LinkBin {
+		l.B, inputs = matrix.CellInput(1), 2
+	}
+	return &matrix.CellTree{Inputs: inputs, Links: []matrix.CellLink{l}}
+}
+
 func TestCellwiseAndScalar(t *testing.T) {
 	c := testCluster()
 	rng := rand.New(rand.NewSource(7))
@@ -203,7 +214,10 @@ func TestCellwiseAndScalar(t *testing.T) {
 	gb := randGrid(rng, 9, 9, 3, 1)
 	a := NewDistMatrix(ga, dep.Col)
 	b := NewDistMatrix(gb, dep.Col)
-	out, err := c.Cellwise(matrix.OpCellMul, a, b)
+	mul := oneLink(matrix.CellLink{Kind: matrix.LinkBin, BinOp: matrix.OpCellMul})
+	add := oneLink(matrix.CellLink{Kind: matrix.LinkBin, BinOp: matrix.OpAdd})
+	double := oneLink(matrix.CellLink{Kind: matrix.LinkScalar, ScalarOp: matrix.ScalarMul, Const: 2})
+	out, err := c.Cells(mul, []*DistMatrix{a, b}, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,21 +231,105 @@ func TestCellwiseAndScalar(t *testing.T) {
 	if got := c.Net().Snapshot().Bytes; got != 0 {
 		t.Errorf("cellwise moved %d bytes", got)
 	}
-	if _, err := c.Cellwise(matrix.OpAdd, a, NewDistMatrix(gb, dep.Row)); err == nil {
+	if _, err := c.Cells(add, []*DistMatrix{a, NewDistMatrix(gb, dep.Row)}, -1); err == nil {
 		t.Error("mismatched schemes must fail")
 	}
-	if _, err := c.Cellwise(matrix.OpAdd, NewDistMatrix(ga, dep.SchemeNone), NewDistMatrix(gb, dep.SchemeNone)); err == nil {
+	if _, err := c.Cells(add, []*DistMatrix{NewDistMatrix(ga, dep.SchemeNone), NewDistMatrix(gb, dep.SchemeNone)}, -1); err == nil {
 		t.Error("hash scheme cellwise must fail")
 	}
-	sc, err := c.Scalar(matrix.ScalarMul, a, 2)
+	if _, err := c.Cells(add, []*DistMatrix{a, NewDistMatrix(randGrid(rng, 9, 8, 3, 1), dep.Col)}, -1); !errors.Is(err, matrix.ErrShape) {
+		t.Errorf("mismatched shapes: %v, want ErrShape", err)
+	}
+	sc, err := c.Cells(double, []*DistMatrix{a}, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !matrix.GridEqual(sc.Grid, matrix.ScalarGrid(matrix.ScalarMul, ga, 2), 0) {
 		t.Error("scalar result wrong")
 	}
-	if _, err := c.Scalar(matrix.ScalarMul, NewDistMatrix(ga, dep.SchemeNone), 2); err == nil {
+	if _, err := c.Cells(double, []*DistMatrix{NewDistMatrix(ga, dep.SchemeNone)}, -1); err == nil {
 		t.Error("scalar on hash scheme must fail")
+	}
+
+	// A tree charges what its operators cost one at a time, in link order,
+	// and the result is theirs composed: sqrt(|a * b|) + 2a.
+	tree := &matrix.CellTree{Inputs: 3, Links: []matrix.CellLink{
+		{Kind: matrix.LinkBin, BinOp: matrix.OpCellMul, A: matrix.CellInput(0), B: matrix.CellInput(1)},
+		{Kind: matrix.LinkFunc, UFunc: matrix.FuncAbs, A: matrix.CellValue(0)},
+		{Kind: matrix.LinkFunc, UFunc: matrix.FuncSqrt, A: matrix.CellValue(1)},
+		{Kind: matrix.LinkScalar, ScalarOp: matrix.ScalarMul, Const: 2, A: matrix.CellInput(2)},
+		{Kind: matrix.LinkBin, BinOp: matrix.OpAdd, A: matrix.CellValue(2), B: matrix.CellValue(3)},
+	}}
+	before := c.Net().Snapshot().FLOPs
+	fused, err := c.Cells(tree, []*DistMatrix{a, b, a}, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantFLOPs := cost.CellwiseFLOPs(9, 9) + 2*cost.UFuncFLOPs(9, 9) + cost.ScalarFLOPs(float64(ga.NNZ())) + cost.CellwiseFLOPs(9, 9)
+	if got := c.Net().Snapshot().FLOPs - before; got != wantFLOPs {
+		t.Errorf("tree charged %v flops, its links one at a time %v", got, wantFLOPs)
+	}
+	ref, _ := matrix.CellwiseGrid(matrix.OpAdd,
+		matrix.ApplyGrid(matrix.FuncSqrt, matrix.ApplyGrid(matrix.FuncAbs, want)),
+		matrix.ScalarGrid(matrix.ScalarMul, ga, 2))
+	if !matrix.GridEqual(fused.Grid, ref, 0) {
+		t.Error("tree result differs from its links composed")
+	}
+	if got, scan := fused.Grid.NNZ(), matrix.ScalarGrid(matrix.ScalarMul, fused.Grid, 1).NNZ(); got != scan {
+		t.Errorf("seeded NNZ %d, a scan counts %d", got, scan)
+	}
+}
+
+// Views in one orientation combine on their stored grids and stay a view;
+// mixed orientations materialize, whatever the number of inputs.
+func TestCellsTransposeViews(t *testing.T) {
+	c := testCluster()
+	rng := rand.New(rand.NewSource(8))
+	ga, gb, gc := randGrid(rng, 6, 9, 3, 1), randGrid(rng, 6, 9, 3, 1), randGrid(rng, 9, 6, 3, 1)
+	tree := &matrix.CellTree{Inputs: 3, Links: []matrix.CellLink{
+		{Kind: matrix.LinkBin, BinOp: matrix.OpCellMul, A: matrix.CellInput(0), B: matrix.CellInput(1)},
+		{Kind: matrix.LinkBin, BinOp: matrix.OpSub, A: matrix.CellValue(0), B: matrix.CellInput(2)},
+	}}
+	prod, _ := matrix.CellwiseGrid(matrix.OpCellMul, ga, gb)
+	want, _ := matrix.CellwiseGrid(matrix.OpSub, prod.Transpose(), gc)
+
+	view := func(g *matrix.Grid) *DistMatrix { return c.Transpose(NewDistMatrix(g, dep.Row)) }
+	mixed, err := c.Cells(tree, []*DistMatrix{view(ga), view(gb), NewDistMatrix(gc, dep.Col)}, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mixed.Trans() || !matrix.GridEqual(mixed.Grid, want, 0) {
+		t.Errorf("mixed orientations: view=%v, or wrong result", mixed.Trans())
+	}
+	same, err := c.Cells(tree, []*DistMatrix{view(ga), view(gb), view(gc.Transpose())}, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !same.Trans() || same.Scheme != dep.Col || !matrix.GridEqual(c.MaterializedGrid(same), want, 0) {
+		t.Errorf("one orientation: view=%v scheme=%s, or wrong result", same.Trans(), same.Scheme)
+	}
+}
+
+// An armed task kill surfaces from the cell-wise operator, before it computes
+// or charges anything, and is consumed by it.
+func TestCellsConsumesTaskFault(t *testing.T) {
+	c := chaosCluster(FaultPlan{Events: []FaultEvent{{Stage: 2, Worker: 1, Attempt: 0, Kind: FaultKillTask}}})
+	if err := c.BeginStage(2, 0); err != nil {
+		t.Fatal(err)
+	}
+	g := randGrid(rand.New(rand.NewSource(9)), 6, 6, 3, 1)
+	in := []*DistMatrix{NewDistMatrix(g, dep.Row)}
+	sqrt := oneLink(matrix.CellLink{Kind: matrix.LinkFunc, UFunc: matrix.FuncAbs})
+	_, err := c.Cells(sqrt, in, -1)
+	var wf *WorkerFailure
+	if !errors.As(err, &wf) || wf.Worker != 1 || wf.Kind != FaultKillTask {
+		t.Fatalf("Cells = %v, want worker-1 task kill", err)
+	}
+	if got := c.Net().Snapshot().FLOPs; got != 0 {
+		t.Errorf("failed operator charged %v flops", got)
+	}
+	if _, err := c.Cells(sqrt, in, -1); err != nil {
+		t.Errorf("fault fired twice: %v", err)
 	}
 }
 

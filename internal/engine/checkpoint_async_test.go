@@ -10,6 +10,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"dmac/internal/dist"
 	"dmac/internal/expr"
@@ -38,20 +39,24 @@ func (a ckptApp) observed(t *testing.T, cfg dist.Config) (*Engine, *obs.Tracer, 
 	return e, tr, reg
 }
 
-// holdSnapshot makes the writer hold the snapshot taken after stage until the
-// engine goroutine waits for it: the run goes on beside a write that has not
-// begun, and its first join of that snapshot certainly blocks.
-func holdSnapshot(c *checkpointer, stage int) {
-	release := make(chan struct{})
-	suffix := fmt.Sprintf("-stage%d", stage)
+// holdSnapshot makes the writer hold the snapshot taken after each of stages
+// until the engine goroutine waits for it: the run goes on beside a write that
+// has not begun, and its first join of that snapshot certainly blocks.
+func holdSnapshot(c *checkpointer, stages ...int) {
+	release := make(map[int]chan struct{}, len(stages))
+	for _, stage := range stages {
+		release[stage] = make(chan struct{})
+	}
 	c.testWriteGate = func(dir string) {
-		if strings.HasSuffix(dir, suffix) {
-			<-release
+		for stage, ch := range release {
+			if strings.HasSuffix(dir, fmt.Sprintf("-stage%d", stage)) {
+				<-ch
+			}
 		}
 	}
 	c.testPreWait = func(waitingFor int) {
-		if waitingFor == stage {
-			close(release)
+		if ch, ok := release[waitingFor]; ok {
+			close(ch)
 		}
 	}
 }
@@ -276,38 +281,59 @@ func paramProgram() *expr.Program {
 // However a run ends — success, a failed stage, cancellation — the snapshot
 // in flight is finished, not abandoned, and no goroutine of the run is left:
 // Run never returns with a writer behind it. Each case holds a snapshot until
-// the run's last join, the one on execute's way out.
+// the run's last join, the one on execute's way out. The cancellation comes
+// from the engine goroutine itself, as it waits for the first snapshot, so
+// the boundary that observes it — the one before stage 3 — is not a race.
 func TestNoGoroutineOutlivesRun(t *testing.T) {
-	settled := func() int {
-		n := runtime.NumGoroutine()
-		for i := 0; i < 1000; i++ { // a goroutine that has returned is counted until it is descheduled
-			runtime.Gosched()
-			n = min(n, runtime.NumGoroutine())
+	// leftBehind returns the stack of a goroutine other than this one that is
+	// still inside the engine or its grid I/O once Run has returned, or "".
+	// Counting goroutines instead would also count the executor's and the
+	// kernels' pool workers, which are past their last wg.Done but not yet
+	// descheduled when Run returns. The writer goroutine has signalled its
+	// exit by then (closing its done channel is its last act) and may still
+	// be returning, so the check polls, yielding, up to a deadline; a
+	// goroutine that is really left — blocked on the gate, say — never goes.
+	leftBehind := func() string {
+		buf := make([]byte, 1<<20)
+		for deadline := time.Now().Add(10 * time.Second); ; runtime.Gosched() {
+			var left string
+			stacks := strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n")
+			for _, g := range stacks[1:] { // the first is the caller's
+				g, _, _ = strings.Cut(g, "\ncreated by ") // frames only, not who started it
+				if strings.Contains(g, "dmac/internal/engine.") || strings.Contains(g, "dmac/internal/mio.") {
+					left = g
+				}
+			}
+			if left == "" || time.Now().After(deadline) {
+				return left
+			}
 		}
-		return n
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	for _, tc := range []struct {
 		name     string
 		prog     *expr.Program
-		hold     int // the snapshot after this stage stays unwritten until the run returns
-		atGate   func()
+		hold     []int // the snapshots after these stages stay unwritten until waited for, the last until the run returns
+		atWait   func(waitingFor int)
 		want     func(err error) bool
 		wantSnap int64
 	}{
-		{"success", pageRankProgram(), 2, func() {}, func(err error) bool { return err == nil }, 2},
-		{"failed stage", paramProgram(), 1, func() {},
+		{"success", pageRankProgram(), []int{2}, func(int) {}, func(err error) bool { return err == nil }, 2},
+		{"failed stage", paramProgram(), []int{1}, func(int) {},
 			func(err error) bool { return err != nil && strings.Contains(err.Error(), "missing parameter") }, 1},
-		{"cancelled", pageRankProgram(), 1, cancel, func(err error) bool { return errors.Is(err, context.Canceled) }, 1},
+		{"cancelled", pageRankProgram(), []int{1, 2}, func(waitingFor int) {
+			if waitingFor == 1 {
+				cancel()
+			}
+		}, func(err error) bool { return errors.Is(err, context.Canceled) }, 2},
 	} {
-		before := settled()
 		e, _, reg := pageRankApp.observed(t, testConfig())
-		holdSnapshot(e.ckpt, tc.hold)
-		hold := e.ckpt.testWriteGate
-		e.ckpt.testWriteGate = func(dir string) {
-			tc.atGate()
-			hold(dir)
+		holdSnapshot(e.ckpt, tc.hold...)
+		release := e.ckpt.testPreWait
+		e.ckpt.testPreWait = func(waitingFor int) {
+			tc.atWait(waitingFor)
+			release(waitingFor)
 		}
 		_, err := e.RunCtx(ctx, tc.prog, nil)
 		if !tc.want(err) {
@@ -316,8 +342,8 @@ func TestNoGoroutineOutlivesRun(t *testing.T) {
 		if e.ckpt.inflight != nil {
 			t.Errorf("%s: Run returned with a snapshot in flight", tc.name)
 		}
-		if after := settled(); after > before {
-			t.Errorf("%s: %d goroutines before the run, %d after", tc.name, before, after)
+		if g := leftBehind(); g != "" {
+			t.Errorf("%s: a goroutine of the run outlives it:\n%s", tc.name, g)
 		}
 		// Every snapshot that reached the writer is complete on disk.
 		if got := reg.Counter("ckpt.write.count").Value(); got != tc.wantSnap {

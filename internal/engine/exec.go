@@ -234,6 +234,13 @@ func (e *Engine) opSpan(plan *core.Plan, stage int, op *core.Op) obs.SpanID {
 	}
 	if op.Kind == core.OpCompute {
 		attrs = append(attrs, obs.String("strategy", op.Strategy.String()))
+		if t := op.Node.Cells(); t != nil {
+			inPlace := int64(0)
+			if op.InPlace >= 0 {
+				inPlace = 1
+			}
+			attrs = append(attrs, obs.Int64("links", int64(len(t.Links))), obs.Int64("in_place", inPlace))
+		}
 	}
 	for j, d := range op.InDeps {
 		if d != dep.NoDependency {
@@ -377,20 +384,22 @@ func (e *Engine) compute(ctx context.Context, plan *core.Plan, op *core.Op, vals
 			outScheme = plan.Value(op.Output).Scheme
 		}
 		return e.cluster.Multiply(ctx, in(0), in(1), strat, outScheme, op.Stage)
-	case expr.KindCell:
-		return e.cluster.Cellwise(n.BinOp, in(0), in(1))
-	case expr.KindScalar:
-		c := n.Const
-		if n.Param != "" {
-			v, ok := params[n.Param]
-			if !ok {
-				return nil, fmt.Errorf("missing parameter %q", n.Param)
-			}
-			c = v
+	case expr.KindCell, expr.KindScalar, expr.KindUFunc, expr.KindFused:
+		tree, err := n.Cells().Bind(params)
+		if err != nil {
+			return nil, err
 		}
-		return e.cluster.Scalar(n.ScalarOp, in(0), c)
-	case expr.KindUFunc:
-		return e.cluster.Apply(n.UFunc, in(0))
+		ins := make([]*dist.DistMatrix, len(op.Inputs))
+		for i := range ins {
+			ins[i] = in(i)
+		}
+		out, err := e.cluster.Cells(tree, ins, op.InPlace)
+		if err == nil && op.InPlace >= 0 {
+			// The input's blocks now hold the result: nothing may reach
+			// them under the old identity.
+			vals[op.Inputs[op.InPlace]] = nil
+		}
+		return out, err
 	case expr.KindSum:
 		v, err := e.cluster.Sum(ctx, in(0), op.Stage)
 		if err != nil {

@@ -84,30 +84,23 @@ func (e *Engine) runLocal(p *expr.Program, params map[string]float64) (Metrics, 
 				return Metrics{}, err
 			}
 			results[n.ID] = g
-		case expr.KindCell:
-			a, b := operand(n.Inputs[0]), operand(n.Inputs[1])
-			net.AddFLOPs(cost.CellwiseFLOPs(a.Rows(), a.Cols()))
-			g, err := exec.Cellwise(n.BinOp, a, b)
+		case expr.KindCell, expr.KindScalar, expr.KindUFunc, expr.KindFused:
+			tree, err := n.Cells().Bind(params)
+			if err != nil {
+				return Metrics{}, fmt.Errorf("engine: %w", err)
+			}
+			ins := make([]*matrix.Grid, len(n.Inputs))
+			for i, r := range n.Inputs {
+				ins[i] = operand(r)
+			}
+			g, nnz, err := exec.Cells(tree, ins, -1)
 			if err != nil {
 				return Metrics{}, err
 			}
-			results[n.ID] = g
-		case expr.KindScalar:
-			c := n.Const
-			if n.Param != "" {
-				v, ok := params[n.Param]
-				if !ok {
-					return Metrics{}, fmt.Errorf("engine: missing parameter %q", n.Param)
-				}
-				c = v
+			for j, l := range tree.Links {
+				net.AddFLOPs(cost.CellLinkFLOPs(l.Kind, n.Rows, n.Cols, float64(nnz[j])))
 			}
-			a := operand(n.Inputs[0])
-			net.AddFLOPs(cost.ScalarFLOPs(float64(a.NNZ())))
-			results[n.ID] = exec.Scalar(n.ScalarOp, a, c)
-		case expr.KindUFunc:
-			a := operand(n.Inputs[0])
-			net.AddFLOPs(cost.UFuncFLOPs(a.Rows(), a.Cols()))
-			results[n.ID] = exec.Apply(n.UFunc, a)
+			results[n.ID] = g
 		case expr.KindSum:
 			a := operand(n.Inputs[0])
 			net.AddFLOPs(cost.SumFLOPs(float64(a.NNZ())))

@@ -8,6 +8,7 @@ import (
 
 	"dmac/internal/core"
 	"dmac/internal/expr"
+	"dmac/internal/matrix"
 	"dmac/internal/rewrite"
 )
 
@@ -54,6 +55,19 @@ func ProgramSignature(p *expr.Program) string {
 			fmt.Fprintf(&b, ":%d:%g:%q", int(n.ScalarOp), n.Const, n.Param)
 		case expr.KindUFunc:
 			fmt.Fprintf(&b, ":%d", int(n.UFunc))
+		case expr.KindFused:
+			// Link by link: kind, operator, scalar payload and operands
+			// (i: input, l: link).
+			for _, l := range n.Tree.Links {
+				fmt.Fprintf(&b, ":%d.%d.%d.%d.%g.%q", int(l.Kind), int(l.BinOp), int(l.ScalarOp), int(l.UFunc), l.Const, l.Param)
+				for _, a := range []matrix.CellArg{l.A, l.B} {
+					if a.Link {
+						fmt.Fprintf(&b, ".l%d", a.Idx)
+					} else {
+						fmt.Fprintf(&b, ".i%d", a.Idx)
+					}
+				}
+			}
 		}
 		b.WriteByte('(')
 		for i, in := range n.Inputs {

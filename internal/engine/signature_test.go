@@ -56,6 +56,45 @@ func TestProgramSignatureVersionPrefix(t *testing.T) {
 	}
 }
 
+// The signature of a fused operator spells its tree out. Two programs that
+// differ only inside one — a constant, an operator, the name of a parameter,
+// which operand a link reads — must not share a plan-cache key, or one job
+// would run with the other's arithmetic.
+func TestProgramSignatureEncodesFusedTree(t *testing.T) {
+	build := func(edit func(t *matrix.CellTree)) *expr.Program {
+		tree := &matrix.CellTree{Inputs: 2, Links: []matrix.CellLink{
+			{Kind: matrix.LinkScalar, ScalarOp: matrix.ScalarMul, Const: 0.85, A: matrix.CellInput(0)},
+			{Kind: matrix.LinkScalar, ScalarOp: matrix.ScalarMul, Param: "teleport", A: matrix.CellInput(1)},
+			{Kind: matrix.LinkBin, BinOp: matrix.OpAdd, A: matrix.CellValue(0), B: matrix.CellValue(1)},
+			{Kind: matrix.LinkFunc, UFunc: matrix.FuncAbs, A: matrix.CellValue(2)},
+		}}
+		edit(tree)
+		p := expr.NewProgram()
+		p.Assign("out", p.Fused(tree, p.Var("A", 12, 8, 1), p.Var("B", 12, 8, 1)))
+		return p
+	}
+	base := ProgramSignature(build(func(*matrix.CellTree) {}))
+	if again := ProgramSignature(build(func(*matrix.CellTree) {})); again != base {
+		t.Fatalf("identical rebuilds differ:\n%s\n%s", base, again)
+	}
+	for name, edit := range map[string]func(t *matrix.CellTree){
+		"constant":        func(t *matrix.CellTree) { t.Links[0].Const = 0.9 },
+		"scalar operator": func(t *matrix.CellTree) { t.Links[0].ScalarOp = matrix.ScalarDiv },
+		"parameter name":  func(t *matrix.CellTree) { t.Links[1].Param = "damping" },
+		"parameter bound": func(t *matrix.CellTree) { t.Links[1].Param, t.Links[1].Const = "", 0.15 },
+		"binary operator": func(t *matrix.CellTree) { t.Links[2].BinOp = matrix.OpSub },
+		"function":        func(t *matrix.CellTree) { t.Links[3].UFunc = matrix.FuncSqrt },
+		"operand":         func(t *matrix.CellTree) { t.Links[0].A, t.Links[1].A = matrix.CellInput(1), matrix.CellInput(0) },
+		"operand order": func(t *matrix.CellTree) {
+			t.Links[2].A, t.Links[2].B = matrix.CellValue(1), matrix.CellValue(0)
+		},
+	} {
+		if got := ProgramSignature(build(edit)); got == base {
+			t.Errorf("a different %s leaves the signature unchanged: %s", name, got)
+		}
+	}
+}
+
 // Two engines sharing one PlanCache, one with the rewriter attached and one
 // without, must never cross-serve plans: the planSignature embeds whether
 // the rewrite pass ran, so the same program yields distinct cache keys.

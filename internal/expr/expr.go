@@ -53,6 +53,11 @@ const (
 	KindValue
 	// KindNorm2 reduces a matrix to its Frobenius (2-)norm (driver scalar).
 	KindNorm2
+	// KindFused is a tree of cell-wise, scalar and element-wise function
+	// operators over k same-shaped inputs, evaluated as one operator: what
+	// the rewriter makes of KindCell/KindScalar/KindUFunc nodes whose
+	// intermediate values nothing else reads.
+	KindFused
 )
 
 // String names the node kind.
@@ -76,9 +81,17 @@ func (k Kind) String() string {
 		return "value"
 	case KindNorm2:
 		return "norm2"
+	case KindFused:
+		return "fused"
 	default:
 		return fmt.Sprintf("Kind(%d)", int(k))
 	}
+}
+
+// IsCellwise reports whether the kind computes each cell of its result from
+// the same cell of its inputs: the operators a CellTree is made of.
+func (k Kind) IsCellwise() bool {
+	return k == KindCell || k == KindScalar || k == KindUFunc || k == KindFused
 }
 
 // IsAggregate reports whether the kind produces a driver-side scalar rather
@@ -107,8 +120,12 @@ type Node struct {
 	// Param names a dynamic scalar parameter for KindScalar (e.g. alpha in
 	// conjugate gradient); the value is supplied at execution time.
 	Param string
+	// Tree is the operator tree of a KindFused node over Inputs; its named
+	// parameters are still unbound.
+	Tree *matrix.CellTree
 	// Inputs are the operand references (one for KindScalar and aggregates,
-	// two for KindMul/KindCell, none for leaves).
+	// two for KindMul/KindCell, one per tree input for KindFused, none for
+	// leaves).
 	Inputs []Ref
 	// Rows, Cols are the inferred result dimensions.
 	Rows, Cols int
@@ -136,6 +153,8 @@ func (n *Node) Label() string {
 		return fmt.Sprintf("%s %s(%s)", n.Inputs[0], n.ScalarOp, c)
 	case KindUFunc:
 		return fmt.Sprintf("%s(%s)", n.UFunc, n.Inputs[0])
+	case KindFused:
+		return n.Tree.Format(func(i int) string { return n.Inputs[i].String() })
 	case KindSum:
 		return fmt.Sprintf("sum(%s)", n.Inputs[0])
 	case KindValue:
@@ -145,6 +164,26 @@ func (n *Node) Label() string {
 	default:
 		return n.Kind.String()
 	}
+}
+
+// Cells returns the node's computation as a cell-wise tree over Inputs: the
+// tree of a KindFused node, a tree of one link for the other cell-wise kinds,
+// nil for every other kind.
+func (n *Node) Cells() *matrix.CellTree {
+	link := matrix.CellLink{A: matrix.CellInput(0)}
+	switch n.Kind {
+	case KindFused:
+		return n.Tree
+	case KindCell:
+		link.Kind, link.BinOp, link.B = matrix.LinkBin, n.BinOp, matrix.CellInput(1)
+	case KindScalar:
+		link.Kind, link.ScalarOp, link.Const, link.Param = matrix.LinkScalar, n.ScalarOp, n.Const, n.Param
+	case KindUFunc:
+		link.Kind, link.UFunc = matrix.LinkFunc, n.UFunc
+	default:
+		return nil
+	}
+	return &matrix.CellTree{Inputs: len(n.Inputs), Links: []matrix.CellLink{link}}
 }
 
 // Ref is a reference to a node's result, possibly transposed. Transposition

@@ -136,6 +136,51 @@ func (p *Program) Func(f matrix.UFunc, a Ref) Ref {
 	return p.add(&Node{Kind: KindUFunc, UFunc: f, Inputs: []Ref{a}, Rows: a.Rows(), Cols: a.Cols(), Sparsity: s})
 }
 
+// Fused appends a tree of cell-wise operators over same-shaped inputs as one
+// operator. The worst-case sparsity follows the tree link by link with the
+// rules of the single operators.
+func (p *Program) Fused(t *matrix.CellTree, inputs ...Ref) Ref {
+	if err := t.Validate(); err != nil {
+		panic(fmt.Sprintf("expr: %v", err))
+	}
+	if len(inputs) != t.Inputs {
+		panic(fmt.Sprintf("expr: cell tree over %d inputs given %d", t.Inputs, len(inputs)))
+	}
+	for _, in := range inputs[1:] {
+		if in.Rows() != inputs[0].Rows() || in.Cols() != inputs[0].Cols() {
+			panic(fmt.Sprintf("expr: fused shape mismatch %dx%d vs %dx%d", inputs[0].Rows(), inputs[0].Cols(), in.Rows(), in.Cols()))
+		}
+	}
+	sp := make([]float64, len(t.Links))
+	arg := func(a matrix.CellArg) float64 {
+		if a.Link {
+			return sp[a.Idx]
+		}
+		return inputs[a.Idx].Node.Sparsity
+	}
+	for j, l := range t.Links {
+		switch {
+		case l.Kind == matrix.LinkBin:
+			sp[j] = clampSparsity(arg(l.A) + arg(l.B))
+		case l.ZeroPreserving():
+			sp[j] = arg(l.A)
+		default:
+			sp[j] = 1
+		}
+	}
+	return p.add(&Node{Kind: KindFused, Tree: t, Inputs: inputs, Rows: inputs[0].Rows(), Cols: inputs[0].Cols(), Sparsity: sp[len(sp)-1]})
+}
+
+// AppendCopy appends a copy of n, a matrix-valued node of any program — its
+// operator, payload, shape and sparsity estimate as they stand — reading
+// inputs in place of n's own. It is how a pass that re-emits a program keeps
+// the nodes it does not touch; Validate checks the result like any other.
+func (p *Program) AppendCopy(n *Node, inputs ...Ref) Ref {
+	c := *n
+	c.Inputs = inputs
+	return p.add(&c)
+}
+
 // Sum appends a driver-side reduction of a to the sum of its cells and binds
 // it to the named scalar output.
 func (p *Program) Sum(name string, a Ref) *Node {
@@ -215,6 +260,21 @@ func (p *Program) Validate() error {
 			a, b := n.Inputs[0], n.Inputs[1]
 			if a.Rows() != b.Rows() || a.Cols() != b.Cols() {
 				return fmt.Errorf("expr: node %d: cell op shapes %dx%d vs %dx%d", i, a.Rows(), a.Cols(), b.Rows(), b.Cols())
+			}
+		case KindFused:
+			if n.Tree == nil {
+				return fmt.Errorf("expr: node %d: fused node has no tree", i)
+			}
+			if err := n.Tree.Validate(); err != nil {
+				return fmt.Errorf("expr: node %d: %w", i, err)
+			}
+			if len(n.Inputs) != n.Tree.Inputs {
+				return fmt.Errorf("expr: node %d: tree over %d inputs has %d", i, n.Tree.Inputs, len(n.Inputs))
+			}
+			for _, in := range n.Inputs[1:] {
+				if a := n.Inputs[0]; a.Rows() != in.Rows() || a.Cols() != in.Cols() {
+					return fmt.Errorf("expr: node %d: fused shapes %dx%d vs %dx%d", i, a.Rows(), a.Cols(), in.Rows(), in.Cols())
+				}
 			}
 		case KindScalar, KindUFunc, KindSum, KindValue, KindNorm2:
 			if len(n.Inputs) != 1 {

@@ -1,6 +1,7 @@
 package matrix
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -283,8 +284,15 @@ func TestCellwiseShapeError(t *testing.T) {
 	if _, err := Cellwise(OpAdd, a, b); err == nil {
 		t.Error("expected shape error")
 	}
-	if err := CellwiseInto(NewDense(2, 2), OpAdd, a, b); err == nil {
-		t.Error("expected shape error from CellwiseInto")
+	add := binTree(OpAdd)
+	if _, err := add.EvalBlock([]Block{a, b}, nil, nil); !errors.Is(err, ErrShape) {
+		t.Errorf("EvalBlock on mismatched inputs: %v, want ErrShape", err)
+	}
+	if _, err := add.EvalBlock([]Block{a, a}, NewDense(2, 3), nil); !errors.Is(err, ErrShape) {
+		t.Errorf("EvalBlock into a mismatched destination: %v, want ErrShape", err)
+	}
+	if _, err := add.EvalBlock([]Block{a}, nil, nil); !errors.Is(err, ErrShape) {
+		t.Errorf("EvalBlock with a missing input: %v, want ErrShape", err)
 	}
 }
 
@@ -326,16 +334,25 @@ func TestCellwiseMixedDensities(t *testing.T) {
 	}
 }
 
-func TestCellwiseInto(t *testing.T) {
+// binTree is the tree of one binary operator over two inputs.
+func binTree(op BinOp) *CellTree {
+	return &CellTree{Inputs: 2, Links: []CellLink{{Kind: LinkBin, BinOp: op, A: CellInput(0), B: CellInput(1)}}}
+}
+
+func TestEvalBlockInto(t *testing.T) {
 	a := NewDenseData(2, 2, []float64{1, 2, 3, 4})
 	b := NewDenseData(2, 2, []float64{4, 3, 2, 1})
 	dst := NewDense(2, 2)
-	if err := CellwiseInto(dst, OpAdd, a, b); err != nil {
+	got, err := binTree(OpAdd).EvalBlock([]Block{a, b}, dst, nil)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if got != Block(dst) {
+		t.Fatal("EvalBlock did not return the destination it was given")
 	}
 	for _, v := range dst.Data {
 		if v != 5 {
-			t.Fatalf("CellwiseInto result = %v, want all 5", dst.Data)
+			t.Fatalf("EvalBlock result = %v, want all 5", dst.Data)
 		}
 	}
 }
@@ -419,14 +436,29 @@ func TestOperatorLoopsMatchPerCell(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// The evaluator's three ways of producing the same block: fresh,
+		// into a destination, and over the second operand.
+		fresh, err := binTree(op).EvalBlock([]Block{a, b}, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
 		into := NewDense(9, 7)
-		if err := CellwiseInto(into, op, a, b); err != nil {
+		if _, err := binTree(op).EvalBlock([]Block{a, b}, into, nil); err != nil {
+			t.Fatal(err)
+		}
+		over := b.Clone().(*DenseBlock)
+		if _, err := binTree(op).EvalBlock([]Block{a, over}, over, nil); err != nil {
 			t.Fatal(err)
 		}
 		for i := range a.Data {
 			want := math.Float64bits(op.apply(a.Data[i], b.Data[i]))
-			if g := got.(*DenseBlock).Data[i]; math.Float64bits(g) != want || math.Float64bits(into.Data[i]) != want {
-				t.Fatalf("op %v cell %d: Cellwise %v, CellwiseInto %v, per-cell %v", op, i, g, into.Data[i], op.apply(a.Data[i], b.Data[i]))
+			for leg, g := range map[string]float64{
+				"Cellwise": got.(*DenseBlock).Data[i], "EvalBlock": fresh.(*DenseBlock).Data[i],
+				"EvalBlock into": into.Data[i], "EvalBlock in place": over.Data[i],
+			} {
+				if math.Float64bits(g) != want {
+					t.Fatalf("op %v cell %d: %s %v, per-cell %v", op, i, leg, g, op.apply(a.Data[i], b.Data[i]))
+				}
 			}
 		}
 	}

@@ -192,6 +192,12 @@ func (g *Grid) NNZ() int {
 	return n
 }
 
+// SeedNNZ records n as the grid's stored-element count, sparing the first
+// NNZ call its scan. It is for a producer that counted the blocks as it wrote
+// them, after its last SetBlock; a later SetBlock or Set resets the count
+// like any other.
+func (g *Grid) SeedNNZ(n int) { g.nnz.Store(int64(n) + 1) }
+
 // MemBytes returns the total block memory footprint.
 func (g *Grid) MemBytes() int64 {
 	var m int64

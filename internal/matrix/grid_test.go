@@ -259,6 +259,21 @@ func TestGridNNZMemoInvalidation(t *testing.T) {
 	if g.NNZ() != 1 || c.NNZ() != 2 {
 		t.Fatalf("clone shares the memo: %d, %d", g.NNZ(), c.NNZ())
 	}
+	// A seeded count is served without a scan (the wrong number shows it) and
+	// is dropped like a counted one.
+	c.SeedNNZ(40)
+	if got := c.NNZ(); got != 40 {
+		t.Fatalf("NNZ after SeedNNZ(40) = %d", got)
+	}
+	c.SetBlock(0, 0, NewDense(2, 2))
+	if got := c.NNZ(); got != 0 {
+		t.Fatalf("NNZ after SeedNNZ and SetBlock = %d, want a fresh count of 0", got)
+	}
+	c.SeedNNZ(40)
+	c.Set(1, 1, 1)
+	if got := c.NNZ(); got != 1 {
+		t.Fatalf("NNZ after SeedNNZ and Set = %d, want a fresh count of 1", got)
+	}
 }
 
 // TestGridNNZConcurrent has many goroutines ask an uncounted grid for its

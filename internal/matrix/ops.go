@@ -98,20 +98,6 @@ func cellMulSparse(a, b *CSCBlock) *CSCBlock {
 	return out
 }
 
-// CellwiseInto applies op element-wise into an owned dense destination:
-// dst = a op b. The destination must have the operand shape.
-func CellwiseInto(dst *DenseBlock, op BinOp, a, b Block) error {
-	if err := checkSameShape(a, b); err != nil {
-		return err
-	}
-	if err := checkSameShape(dst, a); err != nil {
-		return err
-	}
-	da, db := a.Dense(), b.Dense()
-	op.applyInto(dst.Data, da.Data, db.Data)
-	return nil
-}
-
 // ScalarOp identifies an operation between a block and a scalar constant
 // (the unary operator of Section 3.1).
 type ScalarOp int

@@ -69,7 +69,7 @@ func TestDifferentialRewriteEquivalence(t *testing.T) {
 		seeds = 25
 	}
 	rw := rewrite.New()
-	var rewritesSeen, corruptionsSeen int
+	var rewritesSeen, fusedSeen, corruptionsSeen int
 	for seed := int64(0); seed < seeds; seed++ {
 		rng := rand.New(rand.NewSource(seed + 4200))
 		prog, _ := core.RandomProgram(rng)
@@ -97,6 +97,11 @@ func TestDifferentialRewriteEquivalence(t *testing.T) {
 			}
 		}
 		rewritesSeen += len(res.Decisions)
+		for _, n := range res.Program.Nodes() {
+			if n.Kind == expr.KindFused {
+				fusedSeen++
+			}
+		}
 
 		var outs, scalars []string
 		for _, a := range prog.Assignments() {
@@ -192,6 +197,9 @@ func TestDifferentialRewriteEquivalence(t *testing.T) {
 	// The property must not be vacuous: rewrites and corruptions both fired.
 	if rewritesSeen == 0 {
 		t.Error("no rewrite ever applied across all seeds")
+	}
+	if fusedSeen < int(seeds)/2 {
+		t.Errorf("only %d fused operators across %d seeds: the generator no longer exercises cell-wise fusion", fusedSeen, seeds)
 	}
 	if corruptionsSeen == 0 {
 		t.Error("no corruption ever injected across the fault subset")

@@ -17,7 +17,10 @@
 //   - sparsity refinement: multiplication and cell-product outputs get
 //     tighter sparsity estimates than the builder's worst case, propagated
 //     through downstream operators so the planner sizes intermediates (and
-//     picks dense vs sparse kernels) from better estimates.
+//     picks dense vs sparse kernels) from better estimates;
+//   - cell-wise fusion: a tree of cell-wise, scalar and element-wise function
+//     operators whose intermediate values nothing else reads becomes one
+//     operator (fuse.go), so the intermediates are never materialized.
 //
 // Every structural rule is gated on the pass's own cost model (ProgramCost)
 // being non-increasing, and the differential harness in this package proves
@@ -41,7 +44,7 @@ import (
 // plan-cache signatures: bumping it invalidates every cached plan generated
 // under older rules, so a binary with new rewrites can never be served a
 // stale plan keyed by a pre-rewrite canonical form.
-const Version = 1
+const Version = 2
 
 // Rule names used in decisions, metrics counters and span events.
 const (
@@ -50,6 +53,7 @@ const (
 	RuleFoldIdentity      = "fold-identity"
 	RuleDeadCode          = "dead-code"
 	RuleSparsity          = "sparsity-refine"
+	RuleFuseCellwise      = "fuse-cellwise"
 )
 
 // Config disables individual rule families (all enabled by default); used by
@@ -126,7 +130,9 @@ func (r *Result) BytesSaved() int64 {
 // identity folding connects a product directly to a consuming product), and
 // iterating is what makes Rewrite itself a fixed point. Termination is
 // guaranteed — every structural rule strictly shrinks the program or its
-// cost — but a defensive cap bounds the loop regardless.
+// cost — but a defensive cap bounds the loop regardless. Cell-wise fusion runs
+// once on the converged program: it exposes nothing to the other rules, and
+// they see through a fused node no more than the planner does.
 func (rw *Rewriter) Rewrite(src *expr.Program) (*Result, error) {
 	res, err := rw.rewriteOnce(src)
 	if err != nil {
@@ -141,10 +147,16 @@ func (rw *Rewriter) Rewrite(src *expr.Program) (*Result, error) {
 			break
 		}
 		res.Program = next.Program
-		res.CostAfter = next.CostAfter
 		res.Decisions = append(res.Decisions, next.Decisions...)
 	}
-	res.Changed = FormatProgram(src) != FormatProgram(res.Program)
+	fused, decisions, err := fuseCellwise(res.Program)
+	if err != nil {
+		return nil, err
+	}
+	res.Program = fused
+	res.Decisions = append(res.Decisions, decisions...)
+	res.CostAfter = ProgramCost(fused)
+	res.Changed = FormatProgram(src) != FormatProgram(fused)
 	return res, nil
 }
 
@@ -244,6 +256,13 @@ func nodeFlops(n *expr.Node) float64 {
 		return cost.CellwiseFLOPs(n.Rows, n.Cols)
 	case expr.KindUFunc:
 		return cost.UFuncFLOPs(n.Rows, n.Cols)
+	case expr.KindFused:
+		// The sum of its links, each priced as the single operator.
+		var f float64
+		for _, l := range n.Tree.Links {
+			f += cost.CellLinkFLOPs(l.Kind, n.Rows, n.Cols, cost.EstNNZ(n.Rows, n.Cols, 1))
+		}
+		return f
 	case expr.KindNorm2:
 		return cost.Norm2FLOPs(cost.EstNNZ(n.Inputs[0].Node.Rows, n.Inputs[0].Node.Cols, 1))
 	case expr.KindSum, expr.KindValue: // value() is a one-cell sum
@@ -426,24 +445,32 @@ func (ps *pass) emit(n *expr.Node) expr.Ref {
 		out = ps.emitScalar(n)
 	case expr.KindUFunc:
 		out = ps.out.Func(n.UFunc, ps.mapRef(n.Inputs[0]))
-	case expr.KindSum, expr.KindValue, expr.KindNorm2:
-		name := ps.scalarName[n.ID]
-		in := ps.mapRef(n.Inputs[0])
-		var node *expr.Node
-		switch n.Kind {
-		case expr.KindSum:
-			node = ps.out.Sum(name, in)
-		case expr.KindValue:
-			node = ps.out.Value(name, in)
-		default:
-			node = ps.out.Norm2(name, in)
+	case expr.KindFused:
+		ins := make([]expr.Ref, len(n.Inputs))
+		for i, in := range n.Inputs {
+			ins[i] = ps.mapRef(in)
 		}
-		out = expr.Ref{Node: node}
+		out = ps.out.Fused(n.Tree, ins...)
+		out.Node.Sparsity = n.Sparsity
+	case expr.KindSum, expr.KindValue, expr.KindNorm2:
+		out = appendAggregate(ps.out, n.Kind, ps.scalarName[n.ID], ps.mapRef(n.Inputs[0]))
 	default:
 		panic(fmt.Sprintf("rewrite: unknown node kind %v", n.Kind))
 	}
 	ps.mapped[n.ID] = out
 	return out
+}
+
+// appendAggregate appends the aggregate of kind k over in, bound to name.
+func appendAggregate(out *expr.Program, k expr.Kind, name string, in expr.Ref) expr.Ref {
+	switch k {
+	case expr.KindSum:
+		return expr.Ref{Node: out.Sum(name, in)}
+	case expr.KindValue:
+		return expr.Ref{Node: out.Value(name, in)}
+	default:
+		return expr.Ref{Node: out.Norm2(name, in)}
+	}
 }
 
 func (ps *pass) emitMul(n *expr.Node) expr.Ref {

@@ -366,54 +366,75 @@ func (e *Executor) mulBuffer(a, b *matrix.Grid, aT, bT bool) *matrix.Grid {
 	return out
 }
 
-// Cellwise applies op element-wise to two grids in parallel.
-func (e *Executor) Cellwise(op matrix.BinOp, a, b *matrix.Grid) (*matrix.Grid, error) {
-	if a.Rows() != b.Rows() || a.Cols() != b.Cols() || a.BlockSize() != b.BlockSize() {
-		return nil, fmt.Errorf("%w: %dx%d/bs=%d vs %dx%d/bs=%d", matrix.ErrShape,
-			a.Rows(), a.Cols(), a.BlockSize(), b.Rows(), b.Cols(), b.BlockSize())
+// Cells evaluates a cell-wise tree over grids of one shape and block size, one
+// task and one pass per block (matrix.CellTree.EvalBlock). It is the only
+// entry point for cell-wise work: a single +, *c or sigmoid is a tree of one
+// link. The tree's parameters must be bound.
+//
+// overwrite names the input whose blocks receive the result in place, -1 for
+// none: the caller must own that grid outright and drop it afterwards. Only
+// blocks evaluated densely are reused; any other gets a fresh block.
+//
+// The result's NNZ is counted by the tasks as they write and seeded into the
+// grid. nnz has an entry per link: for a scalar link, the stored elements of
+// its operand (what cost.ScalarFLOPs charges).
+func (e *Executor) Cells(t *matrix.CellTree, ins []*matrix.Grid, overwrite int) (out *matrix.Grid, nnz []int64, err error) {
+	if err := t.Validate(); err != nil {
+		return nil, nil, err
 	}
-	out := matrix.NewGrid(a.Rows(), a.Cols(), a.BlockSize())
+	if len(ins) != t.Inputs {
+		return nil, nil, fmt.Errorf("%w: cell tree over %d inputs given %d grids", matrix.ErrShape, t.Inputs, len(ins))
+	}
+	for _, l := range t.Links {
+		if l.Param != "" {
+			return nil, nil, fmt.Errorf("sched: cell tree parameter %q is unbound", l.Param)
+		}
+	}
+	a := ins[0]
+	for _, b := range ins[1:] {
+		if a.Rows() != b.Rows() || a.Cols() != b.Cols() || a.BlockSize() != b.BlockSize() {
+			return nil, nil, fmt.Errorf("%w: %dx%d/bs=%d vs %dx%d/bs=%d", matrix.ErrShape,
+				a.Rows(), a.Cols(), a.BlockSize(), b.Rows(), b.Cols(), b.BlockSize())
+		}
+	}
+	out = matrix.NewGrid(a.Rows(), a.Cols(), a.BlockSize())
+	counts := make([]atomic.Int64, len(t.Links)+1)
 	bcols := a.BlockCols()
-	err := e.ForEachErr(a.BlockRows()*bcols, func(idx int) error {
+	err = e.ForEachErr(a.BlockRows()*bcols, func(idx int) error {
 		bi, bj := idx/bcols, idx%bcols
-		blk, err := matrix.Cellwise(op, a.Block(bi, bj), b.Block(bi, bj))
+		blocks := make([]matrix.Block, len(ins))
+		for i, g := range ins {
+			blocks[i] = g.Block(bi, bj)
+		}
+		var dst *matrix.DenseBlock
+		if overwrite >= 0 {
+			dst, _ = blocks[overwrite].(*matrix.DenseBlock)
+		}
+		local := make([]int64, len(counts))
+		blk, err := t.EvalBlock(blocks, dst, local)
 		if err != nil {
 			return err
 		}
-		e.mem.Add(blk.MemBytes())
+		if dst == nil || blk != matrix.Block(dst) {
+			e.mem.Add(blk.MemBytes())
+		}
+		for j, n := range local {
+			if n != 0 {
+				counts[j].Add(n)
+			}
+		}
 		out.SetBlock(bi, bj, blk)
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return out, nil
-}
-
-// Scalar applies a block-scalar operation to every block in parallel.
-func (e *Executor) Scalar(op matrix.ScalarOp, a *matrix.Grid, c float64) *matrix.Grid {
-	out := matrix.NewGrid(a.Rows(), a.Cols(), a.BlockSize())
-	bcols := a.BlockCols()
-	e.ForEach(a.BlockRows()*bcols, func(idx int) {
-		bi, bj := idx/bcols, idx%bcols
-		blk := matrix.Scalar(op, a.Block(bi, bj), c)
-		e.mem.Add(blk.MemBytes())
-		out.SetBlock(bi, bj, blk)
-	})
-	return out
-}
-
-// Apply evaluates a named element-wise function on every block in parallel.
-func (e *Executor) Apply(f matrix.UFunc, a *matrix.Grid) *matrix.Grid {
-	out := matrix.NewGrid(a.Rows(), a.Cols(), a.BlockSize())
-	bcols := a.BlockCols()
-	e.ForEach(a.BlockRows()*bcols, func(idx int) {
-		bi, bj := idx/bcols, idx%bcols
-		blk := matrix.ApplyBlock(f, a.Block(bi, bj))
-		e.mem.Add(blk.MemBytes())
-		out.SetBlock(bi, bj, blk)
-	})
-	return out
+	nnz = make([]int64, len(t.Links))
+	for j := range nnz {
+		nnz[j] = counts[j].Load()
+	}
+	out.SeedNNZ(int(counts[len(t.Links)].Load()))
+	return out, nnz, nil
 }
 
 // Transpose transposes a grid in parallel (a purely local operation: this is

@@ -1,6 +1,9 @@
 package sched
 
 import (
+	"errors"
+	"fmt"
+	"math"
 	"math/rand"
 	"sync/atomic"
 	"testing"
@@ -108,7 +111,9 @@ func TestCellwiseAndScalarParallel(t *testing.T) {
 	a := randGrid(rng, 15, 15, 4, 1)
 	b := randGrid(rng, 15, 15, 4, 1)
 	e := NewExecutor(4, nil)
-	got, err := e.Cellwise(matrix.OpCellMul, a, b)
+	mul := &matrix.CellTree{Inputs: 2, Links: []matrix.CellLink{
+		{Kind: matrix.LinkBin, BinOp: matrix.OpCellMul, A: matrix.CellInput(0), B: matrix.CellInput(1)}}}
+	got, _, err := e.Cells(mul, []*matrix.Grid{a, b}, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,13 +121,131 @@ func TestCellwiseAndScalarParallel(t *testing.T) {
 	if !matrix.GridEqual(got, want, 0) {
 		t.Error("parallel cellwise differs from sequential")
 	}
-	if _, err := e.Cellwise(matrix.OpAdd, a, matrix.NewDenseGrid(15, 14, 4)); err == nil {
-		t.Error("expected shape error")
+	if _, _, err := e.Cells(mul, []*matrix.Grid{a, matrix.NewDenseGrid(15, 14, 4)}, -1); !errors.Is(err, matrix.ErrShape) {
+		t.Errorf("mismatched shapes: %v, want ErrShape", err)
 	}
-	sc := e.Scalar(matrix.ScalarMul, a, 3)
+	if _, _, err := e.Cells(mul, []*matrix.Grid{a, matrix.NewDenseGrid(15, 15, 5)}, -1); !errors.Is(err, matrix.ErrShape) {
+		t.Errorf("mismatched block sizes: %v, want ErrShape", err)
+	}
+	if _, _, err := e.Cells(mul, []*matrix.Grid{a}, -1); !errors.Is(err, matrix.ErrShape) {
+		t.Errorf("missing input: %v, want ErrShape", err)
+	}
+	triple := &matrix.CellTree{Inputs: 1, Links: []matrix.CellLink{
+		{Kind: matrix.LinkScalar, ScalarOp: matrix.ScalarMul, Const: 3, A: matrix.CellInput(0)}}}
+	sc, nnz, err := e.Cells(triple, []*matrix.Grid{a}, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	wantSc := matrix.ScalarGrid(matrix.ScalarMul, a, 3)
 	if !matrix.GridEqual(sc, wantSc, 0) {
 		t.Error("parallel scalar differs from sequential")
+	}
+	if nnz[0] != int64(a.NNZ()) {
+		t.Errorf("scalar link read %d stored elements, the grid holds %d", nnz[0], a.NNZ())
+	}
+	named := &matrix.CellTree{Inputs: 1, Links: []matrix.CellLink{
+		{Kind: matrix.LinkScalar, ScalarOp: matrix.ScalarMul, Param: "alpha", A: matrix.CellInput(0)}}}
+	if _, _, err := e.Cells(named, []*matrix.Grid{a}, -1); err == nil {
+		t.Error("an unbound parameter must fail")
+	}
+}
+
+// TestCellsOverwrite: the result lands in the blocks of the licensed input
+// where they are dense and in fresh blocks where they are not, is the same
+// either way, and no other input is touched.
+func TestCellsOverwrite(t *testing.T) {
+	rng := rand.New(rand.NewSource(34))
+	tree := &matrix.CellTree{Inputs: 3, Links: []matrix.CellLink{
+		{Kind: matrix.LinkBin, BinOp: matrix.OpCellMul, A: matrix.CellInput(0), B: matrix.CellInput(1)},
+		{Kind: matrix.LinkBin, BinOp: matrix.OpCellDiv, A: matrix.CellValue(0), B: matrix.CellInput(2)},
+	}}
+	e := NewExecutor(3, nil)
+	for _, mixed := range []bool{false, true} {
+		a, b := randGrid(rng, 15, 11, 4, 1), randGrid(rng, 15, 11, 4, 1)
+		target := randGrid(rng, 15, 11, 4, 1)
+		if mixed {
+			sp := randGrid(rng, 15, 11, 4, 0.3)
+			target.SetBlock(0, 0, sp.Block(0, 0))
+			target.SetBlock(3, 2, sp.Block(3, 2))
+		}
+		keepA, keepTarget := a.Clone(), target.Clone()
+		want, _, err := e.Cells(tree, []*matrix.Grid{a, b, target}, -1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !matrix.GridEqual(target, keepTarget, 0) {
+			t.Fatal("an evaluation without a licence wrote an input")
+		}
+		memBefore := e.Mem().Current()
+		got, _, err := e.Cells(tree, []*matrix.Grid{a, b, target}, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for bi := 0; bi < got.BlockRows(); bi++ {
+			for bj := 0; bj < got.BlockCols(); bj++ {
+				g, w := got.Block(bi, bj).Dense(), want.Block(bi, bj).Dense()
+				for i := range g.Data {
+					if math.Float64bits(g.Data[i]) != math.Float64bits(w.Data[i]) {
+						t.Fatalf("mixed=%v block (%d,%d) cell %d: in place %v, fresh %v", mixed, bi, bj, i, g.Data[i], w.Data[i])
+					}
+				}
+				reused := got.Block(bi, bj) == target.Block(bi, bj)
+				if dense := !keepTarget.Block(bi, bj).IsSparse(); reused != dense {
+					t.Errorf("mixed=%v block (%d,%d): reused=%v, input dense=%v", mixed, bi, bj, reused, dense)
+				}
+			}
+		}
+		if !mixed && e.Mem().Current() != memBefore {
+			t.Errorf("in-place evaluation accounted %d new bytes", e.Mem().Current()-memBefore)
+		}
+		if !matrix.GridEqual(a, keepA, 0) {
+			t.Error("in-place evaluation wrote an input it had no licence for")
+		}
+		if got.NNZ() != want.NNZ() {
+			t.Errorf("seeded NNZ %d in place, %d fresh", got.NNZ(), want.NNZ())
+		}
+	}
+}
+
+// TestCellsSeedsNNZ: the count the block tasks seed into the result is the
+// count a scan finds — dense, sparse, mixed and ragged grids, results that
+// stay sparse and results that densify — and a later SetBlock drops it.
+func TestCellsSeedsNNZ(t *testing.T) {
+	rng := rand.New(rand.NewSource(35))
+	abs := &matrix.CellTree{Inputs: 1, Links: []matrix.CellLink{
+		{Kind: matrix.LinkFunc, UFunc: matrix.FuncAbs, A: matrix.CellInput(0)}}}
+	prodPlus := &matrix.CellTree{Inputs: 2, Links: []matrix.CellLink{
+		{Kind: matrix.LinkBin, BinOp: matrix.OpCellMul, A: matrix.CellInput(0), B: matrix.CellInput(1)},
+		{Kind: matrix.LinkScalar, ScalarOp: matrix.ScalarAdd, Const: 1, A: matrix.CellValue(0)},
+		{Kind: matrix.LinkFunc, UFunc: matrix.FuncSign, A: matrix.CellValue(1)}}}
+	e := NewExecutor(3, nil)
+	for _, shape := range [][3]int{{16, 16, 4}, {15, 11, 4}, {1, 37, 8}, {9, 9, 16}} {
+		rows, cols, bs := shape[0], shape[1], shape[2]
+		for _, sparsity := range []float64{1, 0.4, 0.02} {
+			a, b := randGrid(rng, rows, cols, bs, sparsity), randGrid(rng, rows, cols, bs, 0.5)
+			if sparsity < 1 {
+				a.SetBlock(0, 0, a.Block(0, 0).Dense()) // one dense block among the sparse
+			}
+			for name, run := range map[string]func() (*matrix.Grid, []int64, error){
+				"abs":          func() (*matrix.Grid, []int64, error) { return e.Cells(abs, []*matrix.Grid{a}, -1) },
+				"sign(a*b+1)":  func() (*matrix.Grid, []int64, error) { return e.Cells(prodPlus, []*matrix.Grid{a, b}, -1) },
+				"sign(a*a+1)!": func() (*matrix.Grid, []int64, error) { return e.Cells(prodPlus, []*matrix.Grid{a.Clone(), a}, 0) },
+			} {
+				got, _, err := run()
+				if err != nil {
+					t.Fatal(err)
+				}
+				label := fmt.Sprintf("%s on %dx%d/bs=%d sparsity %v", name, rows, cols, bs, sparsity)
+				if seeded, scan := got.NNZ(), got.Clone().NNZ(); seeded != scan {
+					t.Errorf("%s: seeded NNZ %d, a scan counts %d", label, seeded, scan)
+				}
+				r, c := got.BlockDims(0, 0)
+				got.SetBlock(0, 0, matrix.NewCSCEmpty(r, c))
+				if after, scan := got.NNZ(), got.Clone().NNZ(); after != scan {
+					t.Errorf("%s: NNZ %d after SetBlock, a scan counts %d", label, after, scan)
+				}
+			}
+		}
 	}
 }
 
