@@ -66,8 +66,12 @@ type KernelReport struct {
 	NumCPU int    `json:"num_cpu"`
 	// GemmKernel is the dense micro-kernel the matrix package selected on
 	// this CPU (matrix.GemmKernel): every dd-* point ran through it.
-	GemmKernel string        `json:"gemm_kernel"`
-	Points     []KernelPoint `json:"points"`
+	GemmKernel string `json:"gemm_kernel"`
+	// KernelVersion is the kernels' arithmetic generation
+	// (matrix.KernelVersion): points of two versions time different
+	// arithmetic.
+	KernelVersion int           `json:"kernel_version"`
+	Points        []KernelPoint `json:"points"`
 }
 
 // kernelSparsity is the density of the sparse operands in the sd/ds paths.
@@ -214,7 +218,7 @@ func Kernels(sizes []int, workerCounts []int) *KernelReport {
 		workerCounts = []int{1}
 	}
 	defer matrix.SetKernelWorkers(matrix.SetKernelWorkers(1))
-	rep := &KernelReport{GoOS: runtime.GOOS, GoArch: runtime.GOARCH, NumCPU: runtime.NumCPU(), GemmKernel: matrix.GemmKernel()}
+	rep := &KernelReport{GoOS: runtime.GOOS, GoArch: runtime.GOARCH, NumCPU: runtime.NumCPU(), GemmKernel: matrix.GemmKernel(), KernelVersion: matrix.KernelVersion}
 	mulTransInto := func(dst *matrix.DenseBlock, x, y matrix.Block, xT, yT bool) func() {
 		return func() {
 			dst.Zero()
@@ -342,7 +346,7 @@ func Kernels(sizes []int, workerCounts []int) *KernelReport {
 
 // WriteKernels renders the report as an aligned text table.
 func WriteKernels(w io.Writer, r *KernelReport) {
-	fmt.Fprintf(w, "Kernel microbenchmarks (%s/%s, %d CPU, GEMM micro-kernel %s)\n", r.GoOS, r.GoArch, r.NumCPU, r.GemmKernel)
+	fmt.Fprintf(w, "Kernel microbenchmarks (%s/%s, %d CPU, GEMM micro-kernel %s, kernel version %d)\n", r.GoOS, r.GoArch, r.NumCPU, r.GemmKernel, r.KernelVersion)
 	rows := make([][]string, 0, len(r.Points))
 	for _, p := range r.Points {
 		speedup := "-"

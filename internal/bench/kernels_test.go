@@ -70,6 +70,9 @@ func TestKernelsSmoke(t *testing.T) {
 	if rep.GemmKernel == "" {
 		t.Error("report does not name the GEMM micro-kernel")
 	}
+	if rep.KernelVersion != matrix.KernelVersion {
+		t.Errorf("report records kernel version %d, want %d", rep.KernelVersion, matrix.KernelVersion)
+	}
 	if got := matrix.KernelWorkers(); got != before {
 		t.Errorf("Kernels left kernel workers at %d, want %d restored", got, before)
 	}
@@ -82,7 +85,7 @@ func TestKernelsSmoke(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
 		t.Fatal(err)
 	}
-	if len(back.Points) != len(rep.Points) || back.GoArch != rep.GoArch || back.GemmKernel != rep.GemmKernel {
+	if len(back.Points) != len(rep.Points) || back.GoArch != rep.GoArch || back.GemmKernel != rep.GemmKernel || back.KernelVersion != rep.KernelVersion {
 		t.Error("JSON round trip lost data")
 	}
 	WriteKernels(&buf, rep) // must not panic

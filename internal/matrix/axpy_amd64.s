@@ -1,9 +1,10 @@
 // AVX axpy micro-kernel for the sparse x dense kernels (see mul.go). Guarded
 // at runtime by cpu.avx (cpuFeatures); the pure-Go axpyGo is the fallback.
 //
-// Like the GEMM micro-kernels it uses separate VMULPD+VADDPD (no FMA): each lane
-// performs exactly the scalar loop's mul-then-add with the same rounding, so
-// AVX and fallback results are bit-identical.
+// Unlike the GEMM micro-kernels it uses separate VMULPD+VADDPD (no FMA), the
+// sparse kernels' side of the rule in mul.go: each lane performs exactly the
+// scalar loop's mul-then-add with the same rounding, so AVX and fallback
+// results are bit-identical.
 
 #include "textflag.h"
 

@@ -1,6 +1,9 @@
 package matrix
 
-import "sync"
+import (
+	"math"
+	"sync"
+)
 
 // Cache-blocked, register-tiled dense GEMM (the DD branch of MulAddTransInto).
 //
@@ -15,13 +18,15 @@ import "sync"
 //
 // The tile is sized to the machine, not fixed: one gemmKernel descriptor
 // {mr, nr, fn} is chosen at init from what the CPU and OS offer (8x16 on
-// AVX-512, 4x8 on AVX, the pure-Go loop elsewhere), and the packers, the
-// macro loop and the tests take mr and nr from it. The sizing rule is
-// accumulators >= add latency x add ports: every accumulator register is one
-// dependent chain of adds, an add takes 4 cycles and two can start per
-// cycle, so fewer than 8 independent chains leave the adders idle. The tile
-// is then made as large as the register file allows, because an mr x nr
-// tile does mr*nr multiply-adds per mr+nr loads.
+// AVX-512, 4x8 on AVX with FMA3, the pure-Go loop elsewhere), and the
+// packers, the macro loop and the tests take mr and nr from it. The sizing
+// rule is accumulators >= FMA latency x FMA ports: every accumulator register
+// is one dependent chain of fused multiply-adds, an FMA takes 4 cycles and
+// two can start per cycle, so fewer than 8 independent chains leave the FMA
+// units idle. The tile is then made as large as the register file allows,
+// because an mr x nr tile does mr*nr multiply-adds per mr+nr loads; past
+// 8x16 that stops paying (an 8x24 AVX-512 tile measured no faster, see
+// gemm_amd64.s).
 //
 // Three things decide the bits of a result and are the same for every
 // kernel, tile size and worker count:
@@ -31,8 +36,11 @@ import "sync"
 //     sum is added into dst in panel order. Changing the panel depth
 //     regroups the sum.
 //   - the routing predicate n*m*p < gemmSmall: small products run
-//     mulAddSmallStrided, which adds each product straight into dst.
-//   - multiply, round, then add: no kernel fuses the two (no FMA).
+//     mulAddSmallStrided, which fuses each product straight into dst.
+//   - fused multiply-add: every product term of a dense x dense multiply is
+//     added with one rounding (math.FMA, VFMADD231PD), in the tiles and in
+//     the small loop alike (KernelVersion 3). The sparse kernels of mul.go
+//     are the other side of the rule: multiply, round, then add.
 //
 // Everything else — mr, nr, gemmMC, gemmNC, how many strips run at once — only
 // decides which elements are computed together, never how one is summed.
@@ -81,8 +89,9 @@ const (
 // cpuFeatures is what detectCPU found: the vector widths the CPU implements
 // and the OS preserves. Every assembly kernel of the package is gated on it.
 type cpuFeatures struct {
-	avx    bool // 256-bit YMM instructions (gemmMicroAVX, axpyAVX)
-	avx512 bool // 512-bit ZMM instructions (gemmMicroAVX512)
+	avx    bool // 256-bit YMM instructions (axpyAVX)
+	fma    bool // FMA3 on YMM registers (gemmMicroAVX)
+	avx512 bool // 512-bit ZMM instructions, fused multiply-add included (gemmMicroAVX512)
 }
 
 // cpu is read-only outside tests.
@@ -232,7 +241,7 @@ func gemmStrip(kern gemmKernel, c []float64, ldc, i0, iw, j0, jw int, a []float6
 
 // mulAddSmallStrided is the unpacked fallback for shapes too small to
 // amortize packing: the seed ikj loop generalized to strided (transposed)
-// reads, minus the per-element zero test.
+// reads, minus the per-element zero test, each product fused into dst.
 func mulAddSmallStrided(c []float64, ldc, n, m, p int, a []float64, lda int, aT bool, b []float64, ldb int, bT bool) {
 	ra, ca := lda, 1
 	if aT {
@@ -250,11 +259,11 @@ func mulAddSmallStrided(c []float64, ldc, n, m, p int, a []float64, lda int, aT 
 			if cb == 1 {
 				brow := b[bbase : bbase+p]
 				for j, bv := range brow {
-					drow[j] += av * bv
+					drow[j] = math.FMA(av, bv, drow[j])
 				}
 			} else {
 				for j := 0; j < p; j++ {
-					drow[j] += av * b[bbase+j*cb]
+					drow[j] = math.FMA(av, b[bbase+j*cb], drow[j])
 				}
 			}
 		}
@@ -309,8 +318,9 @@ func gemmPack(buf []float64, w int, src []float64, ld int, lanesAreRows bool, l0
 // B micro-panel is held innermost-loop-invariant (L1) while A micro-panels
 // stream from the packed L2 strip. A ragged tile runs the same kernel into
 // the scratch tile behind abuf's panels and adds the live corner into c: the
-// packed panels are zero-padded, and 0 + acc is acc bit for bit (an
-// accumulator that starts at +0 is never -0).
+// packed panels are zero-padded, and the tile starts at -0, for which
+// -0 + acc is acc bit for bit. (+0 would not do: a fused step whose exact
+// result underflows leaves an accumulator of -0.)
 func gemmMacro(kern gemmKernel, c []float64, ldc, i0, j0, iw, jw, kw int, abuf, bbuf []float64) {
 	mr, nr := kern.mr, kern.nr
 	tile := abuf[len(abuf)-gemmTileMax:][:mr*nr]
@@ -325,7 +335,9 @@ func gemmMacro(kern gemmKernel, c []float64, ldc, i0, j0, iw, jw, kw int, abuf, 
 				kern.fn(c[ci:], ldc, ap, bp, kw)
 				continue
 			}
-			clear(tile)
+			for i := range tile {
+				tile[i] = negZero
+			}
 			kern.fn(tile, nr, ap, bp, kw)
 			for i := 0; i < ir; i++ {
 				crow := c[ci+i*ldc : ci+i*ldc+jr]
@@ -336,6 +348,10 @@ func gemmMacro(kern gemmKernel, c []float64, ldc, i0, j0, iw, jw, kw int, abuf, 
 		}
 	}
 }
+
+// negZero is -0, the additive identity of IEEE 754 arithmetic: -0 + x is x
+// for every x, -0 included.
+var negZero = math.Copysign(0, -1)
 
 // gemmGoMR x gemmGoNR is the pure-Go micro-kernel's tile: eight scalar
 // accumulators, two A values and four B values fit amd64's sixteen XMM
@@ -348,10 +364,12 @@ const (
 
 // gemmMicroGo is the portable micro-kernel and the definition the assembly
 // ones are held to: each of the tile's partial sums starts at zero, takes
-// its kw products in k order, each rounded before it is added (the
-// conversions forbid the compiler a fused multiply-add), and is added into c
-// once. The array-pointer conversions replace the per-element bounds checks
-// with one check per packed panel load.
+// its kw products in k order, each fused into it with one rounding
+// (math.FMA), and is added into c once. math.FMA is one instruction on
+// amd64 with FMA3 and on arm64; on an x86 without FMA3 it is a software
+// routine, slow but with the same bits. The array-pointer conversions
+// replace the per-element bounds checks with one check per packed panel
+// load.
 func gemmMicroGo(c []float64, ldc int, ap, bp []float64, kw int) {
 	var c00, c01, c02, c03 float64
 	var c10, c11, c12, c13 float64
@@ -360,14 +378,14 @@ func gemmMicroGo(c []float64, ldc int, ap, bp []float64, kw int) {
 		b := (*[gemmGoNR]float64)(bp[gemmGoNR*k:])
 		a0, a1 := a[0], a[1]
 		b0, b1, b2, b3 := b[0], b[1], b[2], b[3]
-		c00 += float64(a0 * b0)
-		c01 += float64(a0 * b1)
-		c02 += float64(a0 * b2)
-		c03 += float64(a0 * b3)
-		c10 += float64(a1 * b0)
-		c11 += float64(a1 * b1)
-		c12 += float64(a1 * b2)
-		c13 += float64(a1 * b3)
+		c00 = math.FMA(a0, b0, c00)
+		c01 = math.FMA(a0, b1, c01)
+		c02 = math.FMA(a0, b2, c02)
+		c03 = math.FMA(a0, b3, c03)
+		c10 = math.FMA(a1, b0, c10)
+		c11 = math.FMA(a1, b1, c11)
+		c12 = math.FMA(a1, b2, c12)
+		c13 = math.FMA(a1, b3, c13)
 	}
 	r0 := (*[gemmGoNR]float64)(c)
 	r1 := (*[gemmGoNR]float64)(c[ldc:])

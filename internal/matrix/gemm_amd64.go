@@ -22,6 +22,7 @@ func detectCPU() cpuFeatures {
 }
 
 const (
+	cpuidFMA     = 1 << 12 // CPUID.1:ECX
 	cpuidOSXSAVE = 1 << 27 // CPUID.1:ECX
 	cpuidAVX     = 1 << 28 // CPUID.1:ECX
 	cpuidAVX512F = 1 << 16 // CPUID.(7,0):EBX
@@ -32,10 +33,13 @@ const (
 // decodeCPU turns the raw probe results into features. A vector width counts
 // only when the CPU has the instructions and the OS saves the registers they
 // use across context switches: XCR0 bits 1-2 for any YMM instruction, bits
-// 5-7 on top for any ZMM one.
+// 5-7 on top for any ZMM one. FMA3 is a YMM extension of its own (AVX-only
+// parts such as Sandy and Ivy Bridge lack it), so it needs the YMM check too;
+// AVX-512F carries the ZMM fused multiply-add itself.
 func decodeCPU(leaf1ECX, leaf7EBX, xcr0 uint32) cpuFeatures {
 	var f cpuFeatures
 	f.avx = leaf1ECX&(cpuidOSXSAVE|cpuidAVX) == cpuidOSXSAVE|cpuidAVX && xcr0&xcr0YMM == xcr0YMM
+	f.fma = f.avx && leaf1ECX&cpuidFMA != 0
 	f.avx512 = f.avx && leaf7EBX&cpuidAVX512F != 0 && xcr0&xcr0ZMM == xcr0ZMM
 	return f
 }
@@ -55,7 +59,7 @@ func gemmKernelsFor(f cpuFeatures) []gemmKernel {
 	if f.avx512 {
 		ks = append(ks, gemmKernel{name: "avx512-8x16", mr: 8, nr: 16, fn: gemmMicroAVX512})
 	}
-	if f.avx {
+	if f.fma {
 		ks = append(ks, gemmKernel{name: "avx-4x8", mr: 4, nr: 8, fn: gemmMicroAVX})
 	}
 	return append(ks, gemmGoKernel)

@@ -1,20 +1,24 @@
 // CPU feature probes and the assembly micro-kernels of the packed GEMM (see
 // gemm.go): an 8x16 tile on AVX-512 (sixteen ZMM accumulators) and a 4x8 tile
-// on AVX (eight YMM accumulators). Which one runs is decided once, in
-// gemm_amd64.go, from the probes below.
+// on AVX with FMA3 (eight YMM accumulators). Which one runs is decided once,
+// in gemm_amd64.go, from the probes below.
 //
 // Both tiles compute, for every result element, exactly what the pure-Go
-// gemmMicroGo computes: acc = 0; acc += a[k]*b[k] for k ascending, the
-// product rounded before the add (separate VMULPD and VADDPD, never FMA);
-// then c += acc. So the results are bit-identical whichever kernel runs.
-// Multiplies take the A value as first source, adds the accumulator (c in
-// the write-back): when two different NaNs meet the first source's payload
-// survives, so the two tiles agree on that too.
+// gemmMicroGo computes: acc = 0; acc = fma(a[k], b[k], acc) for k ascending,
+// one rounding per step (VFMADD231PD, as math.FMA); then c += acc in the
+// write-back, the only separate add of a tile. So the results are
+// bit-identical whichever kernel runs. A NaN payload is the one exception:
+// when two different NaNs meet, the fused instruction and math.FMA may keep
+// different ones; the cells that are NaN are the same (see
+// TestGemmFusedReference).
 //
-// A k step issues one multiply and one add per accumulator and nothing else
-// on the floating-point ports. The accumulators are independent chains of
-// adds; with at least (add latency x add ports) = 4 x 2 of them no add waits
-// for the previous one and the step runs at the ports' throughput.
+// A k step issues one fused multiply-add per accumulator and nothing else on
+// the floating-point ports. The accumulators are independent chains of FMAs;
+// with at least (FMA latency x FMA ports) = 4 x 2 of them no FMA waits for
+// the previous one and the step runs at the ports' throughput. A wider 8x24
+// AVX-512 tile (24 accumulators) measured no faster than 8x16 (48-60 vs
+// 54-62 GFLOP/s on one core of a Xeon with two FMA ports), so the tile stays
+// 8x16.
 
 #include "textflag.h"
 
@@ -40,13 +44,12 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-8
 	RET
 
 // One row of the 4x8 tile for the B row held in Y8:Y9: broadcast the row's A
-// value, multiply, add into the row's two accumulators.
+// value and fuse its products into the row's two accumulators
+// (acc += a * b, rounded once).
 #define ROW4x8(aoff, acc0, acc1) \
 	VBROADCASTSD aoff(SI), Y10; \
-	VMULPD       Y8, Y10, Y11; \
-	VADDPD       Y11, acc0, acc0; \
-	VMULPD       Y9, Y10, Y12; \
-	VADDPD       Y12, acc1, acc1
+	VFMADD231PD  Y8, Y10, acc0; \
+	VFMADD231PD  Y9, Y10, acc1
 
 // One k step of the 4x8 tile: 4 packed A values at aoff(SI), 8 packed B
 // values at boff(BX).
@@ -73,7 +76,8 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-8
 // c[0:4, 0:8] += Ap * Bp over kw, with Ap a packed 4-row panel (k-major,
 // stride 4) and Bp a packed 8-column panel (k-major, stride 8). Row r
 // accumulates in Y(2r):Y(2r+1). The caller guarantees kw >= 1 and that all
-// four result rows of eight are in bounds.
+// four result rows of eight are in bounds, and that the CPU has FMA3
+// (cpuFeatures.fma).
 TEXT ·gemmMicroAVX(SB), NOSPLIT, $0-88
 	MOVQ c_base+0(FP), DI
 	MOVQ ldc+24(FP), DX
@@ -127,10 +131,8 @@ done4x8:
 // One row of the 8x16 tile for the B row held in Z16:Z17.
 #define ROW8x16(aoff, acc0, acc1) \
 	VBROADCASTSD aoff(SI), Z18; \
-	VMULPD       Z16, Z18, Z19; \
-	VADDPD       Z19, acc0, acc0; \
-	VMULPD       Z17, Z18, Z20; \
-	VADDPD       Z20, acc1, acc1
+	VFMADD231PD  Z16, Z18, acc0; \
+	VFMADD231PD  Z17, Z18, acc1
 
 // One k step of the 8x16 tile: 8 packed A values at aoff(SI), 16 packed B
 // values at boff(BX).
@@ -162,7 +164,7 @@ done4x8:
 // stride 8) and Bp a packed 16-column panel (k-major, stride 16). Row r
 // accumulates in Z(2r):Z(2r+1). The caller guarantees kw >= 1, that all
 // eight result rows of sixteen are in bounds, and that the OS saves ZMM
-// state (cpuFeatures.avx512).
+// state (cpuFeatures.avx512; AVX-512F includes the ZMM fused multiply-add).
 TEXT ·gemmMicroAVX512(SB), NOSPLIT, $0-88
 	MOVQ c_base+0(FP), DI
 	MOVQ ldc+24(FP), DX

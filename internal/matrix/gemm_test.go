@@ -180,6 +180,195 @@ func TestGemmKernelsBitIdentical(t *testing.T) {
 	}
 }
 
+// refGemm is the dense x dense contract as a plain loop over op(A) and
+// op(B): with packed, each element's products go k-ascending into an
+// accumulator that starts at zero for each gemmKC panel and every panel sum
+// is added into dst (the tiled path); without, they go straight into dst
+// (mulAddSmallStrided). fused picks the arithmetic of one step: math.FMA
+// (KernelVersion 3) or the product rounded, then added (version 2, kept here
+// as the reference TestGemmFusedErrorBound measures the change against).
+func refGemm(dst, a, b *DenseBlock, aT, bT, packed, fused bool) {
+	n, m := transDims(a, aT)
+	_, p := transDims(b, bT)
+	step := func(x, y, acc float64) float64 {
+		if fused {
+			return math.FMA(x, y, acc)
+		}
+		return acc + float64(x*y)
+	}
+	for i := 0; i < n; i++ {
+		for j := 0; j < p; j++ {
+			d := &dst.Data[i*p+j]
+			for k0 := 0; k0 < m; k0 += gemmKC {
+				acc := 0.0
+				if !packed {
+					acc = *d
+				}
+				for k := k0; k < min(k0+gemmKC, m); k++ {
+					acc = step(opAt(a, aT, i, k), opAt(b, bT, k, j), acc)
+				}
+				if packed {
+					*d += acc
+				} else {
+					*d = acc
+				}
+			}
+		}
+	}
+}
+
+// plantFusedSpecials plants plantSpecials' values and subnormals of both
+// signs, the range in which one rounding instead of two shows most.
+func plantFusedSpecials(rng *rand.Rand, d *DenseBlock) {
+	plantSpecials(rng, d)
+	for _, v := range []float64{math.SmallestNonzeroFloat64, -3 * math.SmallestNonzeroFloat64, math.Float64frombits(0x000fffffffffffff), -0x1p-1070} {
+		d.Data[rng.Intn(len(d.Data))] = v
+	}
+}
+
+// sameBitsOrNaN is sameBits up to NaN payloads: the first index at which x
+// and y differ by bit pattern and are not both NaN, or -1.
+func sameBitsOrNaN(x, y []float64) int {
+	for i := range x {
+		if math.Float64bits(x[i]) != math.Float64bits(y[i]) && !(math.IsNaN(x[i]) && math.IsNaN(y[i])) {
+			return i
+		}
+	}
+	return -1
+}
+
+// TestGemmFusedReference holds every micro-kernel the CPU offers, at 1, 2, 3
+// and 7 workers, to refGemm's fused loop bit for bit, and MulAddTransInto to
+// it on both sides of the gemmSmall routing: all four transpose forms, tiles
+// ragged in both dimensions, k = 1 and depths around the gemmKC panels, a
+// non-zero dst, and zeros, infinities, the hardware's default NaN and
+// subnormals among the operands. The one stated exception is a NaN's
+// payload: when two different NaNs meet, which one survives follows the
+// operand order of the instruction that met them, which the tiles and the
+// compiled loop need not share; a last pass plants NaNs of their own
+// payloads and holds the kernels to the same NaN cells and the same bits
+// everywhere else.
+func TestGemmFusedReference(t *testing.T) {
+	defer SetKernelWorkers(SetKernelWorkers(1))
+	kernels := gemmKernelsFor(cpu)
+	dims := []int{1, 3, 7, 8, 9, 16, 17, 33, 65}
+	depths := []int{1, 255, 256, 257, 513}
+	var shapes [][3]int
+	for i, n := range dims {
+		for j, p := range dims {
+			shapes = append(shapes, [3]int{n, depths[(i+j)%len(depths)], p})
+		}
+	}
+	shapes = append(shapes, [3]int{64, 1632, 64}, [3]int{129, 257, 131}, [3]int{20, 20, 20}, [3]int{5, 513, 3})
+	rng := rand.New(rand.NewSource(28))
+	for si, sh := range shapes {
+		n, m, p := sh[0], sh[1], sh[2]
+		for flags := 0; flags < 4; flags++ {
+			aT, bT := flags&1 != 0, flags&2 != 0
+			ar, ac := n, m
+			if aT {
+				ar, ac = m, n
+			}
+			br, bc := m, p
+			if bT {
+				br, bc = p, m
+			}
+			a, b := randDense(rng, ar, ac), randDense(rng, br, bc)
+			payloads := si%7 == 3
+			switch {
+			case payloads:
+				a.Data[rng.Intn(len(a.Data))] = math.Float64frombits(0x7ff8000000000abc)
+				b.Data[rng.Intn(len(b.Data))] = math.Float64frombits(0xfff0000000000def)
+				plantFusedSpecials(rng, a)
+			case (si+flags)%2 == 1:
+				plantFusedSpecials(rng, a)
+				plantFusedSpecials(rng, b)
+			}
+			same := sameBits
+			if payloads {
+				same = sameBitsOrNaN
+			}
+			entry := dstOnEntry(rng, n, p)
+			entry.Data[rng.Intn(len(entry.Data))] = -0x1p-1060
+			check := func(what string, got *DenseBlock, packed bool) {
+				want := entry.Clone().(*DenseBlock)
+				refGemm(want, a, b, aT, bT, packed, true)
+				if i := same(got.Data, want.Data); i >= 0 {
+					t.Fatalf("%s %dx%dx%d aT=%v bT=%v payloads=%v: element %d is %v (%#x), fused reference %v (%#x)",
+						what, n, m, p, aT, bT, payloads, i, got.Data[i], math.Float64bits(got.Data[i]), want.Data[i], math.Float64bits(want.Data[i]))
+				}
+			}
+			for _, kern := range kernels {
+				for _, workers := range []int{1, 2, 3, 7} {
+					got := entry.Clone().(*DenseBlock)
+					withGemmKernel(kern, func() {
+						gemmStrided(got.Data, p, n, p, a.Data, ac, aT, b.Data, bc, bT, m, workers)
+					})
+					check(kern.name+" workers="+itoa(workers), got, true)
+				}
+			}
+			SetKernelWorkers([]int{1, 2, 3, 7}[si%4])
+			got := entry.Clone().(*DenseBlock)
+			if err := MulAddTransInto(got, a, b, aT, bT); err != nil {
+				t.Fatal(err)
+			}
+			check("MulAddTransInto", got, n*m*p >= gemmSmall)
+		}
+	}
+}
+
+// TestGemmFusedErrorBound measures KernelVersion 3 against version 2, the
+// product rounded before it is added (refGemm unfused): per element the two
+// differ by at most 2·k·ε·Σ|a_ik·b_kj|, twice the first-order bound each
+// keeps to the exact sum. And they must differ somewhere on every shape deep
+// enough to round, or the fused arithmetic is not what ran.
+func TestGemmFusedErrorBound(t *testing.T) {
+	defer SetKernelWorkers(SetKernelWorkers(2))
+	const eps = 0x1p-52
+	rng := rand.New(rand.NewSource(29))
+	for _, sh := range [][3]int{{1, 1, 1}, {9, 7, 5}, {20, 20, 20}, {33, 255, 17}, {65, 513, 64}, {64, 1632, 64}, {129, 257, 131}} {
+		n, m, p := sh[0], sh[1], sh[2]
+		for flags := 0; flags < 4; flags++ {
+			aT, bT := flags&1 != 0, flags&2 != 0
+			ar, ac := n, m
+			if aT {
+				ar, ac = m, n
+			}
+			br, bc := m, p
+			if bT {
+				br, bc = p, m
+			}
+			a, b := randDense(rng, ar, ac), randDense(rng, br, bc)
+			v3 := NewDense(n, p)
+			if err := MulAddTransInto(v3, a, b, aT, bT); err != nil {
+				t.Fatal(err)
+			}
+			v2 := NewDense(n, p)
+			refGemm(v2, a, b, aT, bT, n*m*p >= gemmSmall, false)
+			differ := 0
+			for i := 0; i < n; i++ {
+				for j := 0; j < p; j++ {
+					abs := 0.0
+					for k := 0; k < m; k++ {
+						abs += math.Abs(opAt(a, aT, i, k) * opAt(b, bT, k, j))
+					}
+					x, y := v3.Data[i*p+j], v2.Data[i*p+j]
+					if d := math.Abs(x - y); d > 2*float64(m)*eps*abs {
+						t.Fatalf("%dx%dx%d aT=%v bT=%v: element (%d,%d) is %v in v3, %v in v2: |diff| %g over the bound %g",
+							n, m, p, aT, bT, i, j, x, y, d, 2*float64(m)*eps*abs)
+					}
+					if x != y {
+						differ++
+					}
+				}
+			}
+			if m >= 255 && differ == 0 {
+				t.Errorf("%dx%dx%d aT=%v bT=%v: v3 equals v2 in every element; the kernel does not fuse", n, m, p, aT, bT)
+			}
+		}
+	}
+}
+
 // TestMulAddTransIntoAllocFree verifies the steady-state dense multiply
 // allocates nothing: the packing buffers come from the pool.
 func TestMulAddTransIntoAllocFree(t *testing.T) {

@@ -32,7 +32,10 @@ import (
 // worker pool (parallel.go). None of this reorders a sum: each result
 // element receives exactly the floating-point operations of the plain loop
 // nests kept as references in mul_sparse_test.go, at every worker count and
-// with the assembly axpy on or off.
+// with the assembly axpy on or off. Each product term is rounded before it
+// is added — float64(x*y), which forbids a compiler the fused multiply-add
+// it would otherwise emit on arm64 — so the sparse kernels give the same
+// bits on every architecture; only the dense x dense GEMM fuses (gemm.go).
 //
 // A block partition leaves CSC blocks with a stored entry or two per column,
 // and for those a second rule holds: a path costs what the block stores, not
@@ -46,10 +49,13 @@ import (
 // the add, which differs between the two (and, for the loops themselves,
 // between a plain and a -race build). NaN results are NaN in the same cells.
 
-// KernelVersion identifies the numeric behavior of the multiply kernels. It
-// is folded into plan-cache signatures so cached plans never cross-serve
-// across kernel generations (v1: serial tiled GEMM; v2: parallel strips).
-const KernelVersion = 2
+// KernelVersion identifies the arithmetic of the multiply kernels: results
+// are bit-identical across kernels, worker counts and transports of one
+// version and agree within rounding error across versions. v1: serial tiled
+// GEMM; v2: parallel strips; v3: every dense x dense product term is a fused
+// multiply-add, every sparse one is multiplied, rounded, then added. No plan
+// reads it; benchmark reports record it beside the micro-kernel's name.
+const KernelVersion = 3
 
 // MulAddInto computes dst += a * b. dst must be an owned dense block of
 // shape a.Rows() x b.Cols().
@@ -108,8 +114,9 @@ func Mul(a, b Block) (*DenseBlock, error) {
 }
 
 // MulAddNaive is the pre-tiling dense x dense kernel (ikj loop order with a
-// per-element zero test). It is kept as the reference baseline for the kernel
-// microbenchmarks; production code dispatches through MulAddTransInto.
+// per-element zero test, multiply, round, then add, as the seed had it). It
+// is kept as the reference baseline for the kernel microbenchmarks;
+// production code dispatches through MulAddTransInto.
 func MulAddNaive(dst, a, b *DenseBlock) {
 	m, p := a.cols, b.cols
 	for i := 0; i < a.rows; i++ {
@@ -121,7 +128,7 @@ func MulAddNaive(dst, a, b *DenseBlock) {
 			}
 			brow := b.Data[k*p : (k+1)*p]
 			for j, bv := range brow {
-				drow[j] += av * bv
+				drow[j] += float64(av * bv)
 			}
 		}
 	}
@@ -220,7 +227,7 @@ func axpy(alpha float64, x, y []float64) {
 func axpyGo(alpha float64, x, y []float64) {
 	y = y[:len(x)]
 	for i, xv := range x {
-		y[i] += alpha * xv
+		y[i] += float64(alpha * xv)
 	}
 }
 
@@ -231,7 +238,7 @@ func axpyNZ(alpha float64, x, y []float64) {
 	y = y[:len(x)]
 	for i, xv := range x {
 		if xv != 0 {
-			y[i] += alpha * xv
+			y[i] += float64(alpha * xv)
 		}
 	}
 }
@@ -462,7 +469,7 @@ func mulAddDSRowDot(dst *DenseBlock, a *DenseBlock, b *CSCBlock) {
 		for j := 0; j < b.cols; j++ {
 			s := 0.0
 			for idx := b.ColPtr[j]; idx < b.ColPtr[j+1]; idx++ {
-				s += arow[b.RowIdx[idx]] * b.Values[idx]
+				s += float64(arow[b.RowIdx[idx]] * b.Values[idx])
 			}
 			drow[j] += s
 		}
@@ -496,7 +503,7 @@ func mulAddDSRowDotFlat(dst *DenseBlock, a *DenseBlock, b *CSCBlock) {
 		j := int32(0)
 		for idx, v := range b.Values {
 			j += mark[idx]
-			acc[j] += arow[rowIdx[idx]] * v
+			acc[j] += float64(arow[rowIdx[idx]] * v)
 		}
 		drow := dst.Data[i*p : (i+1)*p]
 		for j, s := range acc {
@@ -622,7 +629,7 @@ func mulAddSS(dst *DenseBlock, a, b *CSCBlock, aT, bT bool) {
 				k := int(b.RowIdx[idx])
 				bv := b.Values[idx]
 				for ka := a.ColPtr[k]; ka < a.ColPtr[k+1]; ka++ {
-					dst.Data[int(a.RowIdx[ka])*p+j] += a.Values[ka] * bv
+					dst.Data[int(a.RowIdx[ka])*p+j] += float64(a.Values[ka] * bv)
 				}
 			}
 		}
@@ -633,7 +640,7 @@ func mulAddSS(dst *DenseBlock, a, b *CSCBlock, aT, bT bool) {
 				av := a.Values[ka]
 				drow := dst.Data[i*p : (i+1)*p]
 				for kb := b.ColPtr[k]; kb < b.ColPtr[k+1]; kb++ {
-					drow[b.RowIdx[kb]] += av * b.Values[kb]
+					drow[b.RowIdx[kb]] += float64(av * b.Values[kb])
 				}
 			}
 		}
@@ -646,7 +653,7 @@ func mulAddSS(dst *DenseBlock, a, b *CSCBlock, aT, bT bool) {
 				k := int(a.RowIdx[ka])
 				av := a.Values[ka]
 				for kb := b.ColPtr[k]; kb < b.ColPtr[k+1]; kb++ {
-					drow[b.RowIdx[kb]] += av * b.Values[kb]
+					drow[b.RowIdx[kb]] += float64(av * b.Values[kb])
 				}
 			}
 		}
@@ -696,7 +703,7 @@ func mulAddSSTN(dst *DenseBlock, a, b *CSCBlock) {
 		for idx := a.ColPtr[i]; idx < a.ColPtr[i+1]; idx++ {
 			k, av := a.RowIdx[idx], a.Values[idx]
 			for x := ptr[k]; x < ptr[k+1]; x++ {
-				acc[col[x]] += av * val[x]
+				acc[col[x]] += float64(av * val[x])
 			}
 		}
 		drow := dst.Data[i*p : (i+1)*p]
@@ -731,7 +738,7 @@ func mulAddGenericTrans(dst *DenseBlock, a, b Block, aT, bT bool) {
 				continue
 			}
 			for j := 0; j < p; j++ {
-				dst.Data[i*p+j] += av * bt(k, j)
+				dst.Data[i*p+j] += float64(av * bt(k, j))
 			}
 		}
 	}

@@ -33,12 +33,12 @@ func refMulAddSD(dst *DenseBlock, a *CSCBlock, b *DenseBlock, aT, bT bool) {
 				av := a.Values[idx]
 				if bT {
 					for j := 0; j < p; j++ {
-						drow[j] += av * b.Data[j*ldb+k]
+						drow[j] += float64(av * b.Data[j*ldb+k])
 					}
 				} else {
 					brow := b.Data[k*ldb : k*ldb+p]
 					for j, bv := range brow {
-						drow[j] += av * bv
+						drow[j] += float64(av * bv)
 					}
 				}
 			}
@@ -52,12 +52,12 @@ func refMulAddSD(dst *DenseBlock, a *CSCBlock, b *DenseBlock, aT, bT bool) {
 			drow := dst.Data[i*p : (i+1)*p]
 			if bT {
 				for j := 0; j < p; j++ {
-					drow[j] += av * b.Data[j*ldb+k]
+					drow[j] += float64(av * b.Data[j*ldb+k])
 				}
 			} else {
 				brow := b.Data[k*ldb : k*ldb+p]
 				for j, bv := range brow {
-					drow[j] += av * bv
+					drow[j] += float64(av * bv)
 				}
 			}
 		}
@@ -85,7 +85,7 @@ func refMulAddDS(dst *DenseBlock, a *DenseBlock, b *CSCBlock, aT, bT bool) {
 					continue
 				}
 				for idx := b.ColPtr[k]; idx < b.ColPtr[k+1]; idx++ {
-					drow[b.RowIdx[idx]] += av * b.Values[idx]
+					drow[b.RowIdx[idx]] += float64(av * b.Values[idx])
 				}
 			}
 		}
@@ -100,7 +100,7 @@ func refMulAddDS(dst *DenseBlock, a *DenseBlock, b *CSCBlock, aT, bT bool) {
 		for j := 0; j < b.cols; j++ {
 			s := 0.0
 			for idx := b.ColPtr[j]; idx < b.ColPtr[j+1]; idx++ {
-				s += a.Data[int(b.RowIdx[idx])*lda+i] * b.Values[idx]
+				s += float64(a.Data[int(b.RowIdx[idx])*lda+i] * b.Values[idx])
 			}
 			drow[j] += s
 		}
@@ -118,7 +118,7 @@ func refMulAddDSRowDot(dst *DenseBlock, a *DenseBlock, b *CSCBlock) {
 		for j := 0; j < b.cols; j++ {
 			s := 0.0
 			for idx := b.ColPtr[j]; idx < b.ColPtr[j+1]; idx++ {
-				s += arow[b.RowIdx[idx]] * b.Values[idx]
+				s += float64(arow[b.RowIdx[idx]] * b.Values[idx])
 			}
 			drow[j] += s
 		}
@@ -137,7 +137,7 @@ func refMulAddSS(dst *DenseBlock, a, b *CSCBlock, aT, bT bool) {
 				k := int(b.RowIdx[idx])
 				bv := b.Values[idx]
 				for ka := a.ColPtr[k]; ka < a.ColPtr[k+1]; ka++ {
-					dst.Data[int(a.RowIdx[ka])*p+j] += a.Values[ka] * bv
+					dst.Data[int(a.RowIdx[ka])*p+j] += float64(a.Values[ka] * bv)
 				}
 			}
 		}
@@ -148,7 +148,7 @@ func refMulAddSS(dst *DenseBlock, a, b *CSCBlock, aT, bT bool) {
 				av := a.Values[ka]
 				drow := dst.Data[i*p : (i+1)*p]
 				for kb := b.ColPtr[k]; kb < b.ColPtr[k+1]; kb++ {
-					drow[b.RowIdx[kb]] += av * b.Values[kb]
+					drow[b.RowIdx[kb]] += float64(av * b.Values[kb])
 				}
 			}
 		}
@@ -163,7 +163,7 @@ func refMulAddSS(dst *DenseBlock, a, b *CSCBlock, aT, bT bool) {
 					ra, rb := a.RowIdx[ka], b.RowIdx[kb]
 					switch {
 					case ra == rb:
-						s += a.Values[ka] * b.Values[kb]
+						s += float64(a.Values[ka] * b.Values[kb])
 						ka++
 						kb++
 					case ra < rb:
@@ -182,7 +182,7 @@ func refMulAddSS(dst *DenseBlock, a, b *CSCBlock, aT, bT bool) {
 				k := int(a.RowIdx[ka])
 				av := a.Values[ka]
 				for kb := b.ColPtr[k]; kb < b.ColPtr[k+1]; kb++ {
-					drow[b.RowIdx[kb]] += av * b.Values[kb]
+					drow[b.RowIdx[kb]] += float64(av * b.Values[kb])
 				}
 			}
 		}

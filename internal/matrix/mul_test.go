@@ -12,7 +12,7 @@ func refMul(a, b Block) *DenseBlock {
 		for j := 0; j < b.Cols(); j++ {
 			s := 0.0
 			for k := 0; k < a.Cols(); k++ {
-				s += a.At(i, k) * b.At(k, j)
+				s += float64(a.At(i, k) * b.At(k, j))
 			}
 			out.Set(i, j, s)
 		}

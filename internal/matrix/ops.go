@@ -230,19 +230,20 @@ func Sum(b Block) float64 {
 	}
 }
 
-// FrobeniusSq returns the squared Frobenius norm (sum of squared cells).
+// FrobeniusSq returns the squared Frobenius norm (sum of squared cells). Each
+// square is rounded before it is added, on every architecture (see mul.go).
 func FrobeniusSq(b Block) float64 {
 	switch t := b.(type) {
 	case *DenseBlock:
 		s := 0.0
 		for _, v := range t.Data {
-			s += v * v
+			s += float64(v * v)
 		}
 		return s
 	case *CSCBlock:
 		s := 0.0
 		for _, v := range t.Values {
-			s += v * v
+			s += float64(v * v)
 		}
 		return s
 	default:
@@ -250,7 +251,7 @@ func FrobeniusSq(b Block) float64 {
 		for i := 0; i < b.Rows(); i++ {
 			for j := 0; j < b.Cols(); j++ {
 				v := b.At(i, j)
-				s += v * v
+				s += float64(v * v)
 			}
 		}
 		return s
