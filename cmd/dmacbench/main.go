@@ -7,11 +7,9 @@
 //	dmacbench -exp all
 //	dmacbench -exp fig6 -iters 10
 //	dmacbench -exp fig8 -graph LiveJournal
-//	dmacbench -chaos
 //	dmacbench -trace out.json -metrics-out metrics.json
 //	dmacbench -kernels -kernel-sizes 64,128,256,512 -kernel-workers 1,2,4,8 -kernels-out BENCH_kernels.json
-//	dmacbench -serve -serve-tenants 3 -serve-jobs 8 -serve-out BENCH_serve.json
-//	dmacbench -serve -open-loop -serve-out BENCH_autoscale.json
+//	dmacbench -open-loop -serve-out BENCH_autoscale.json
 package main
 
 import (
@@ -28,15 +26,12 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: fig6 | fig7 | fig8 | fig9a | fig9b | fig10ab | fig10cd | table3 | table4 | ablation | chaos | checkpoint | rewrite | all")
+	exp := flag.String("exp", "all", "experiment: fig6 | fig7 | fig8 | fig9a | fig9b | fig10ab | fig10cd | table3 | table4 | ablation | checkpoint | all")
 	iters := flag.Int("iters", 10, "iterations for iterative workloads")
 	scale := flag.Int("scale", 40, "Netflix scale denominator for fig6/table4")
 	graph := flag.String("graph", "soc-pokec", "graph for fig8")
-	chaos := flag.Bool("chaos", false, "run only the fault-injection chaos sweep")
-	chaosCorrupt := flag.Bool("chaos-corrupt", false, "with -chaos, restrict the sweep to fault plans that inject block corruption (the CI smoke configuration)")
-	chaosWire := flag.Bool("chaos-wire", false, "with -chaos, route every faulted cell over a real loopback TCP data plane (in-process workers), so fault plans exercise the wire transport")
-	checkpointDir := flag.String("checkpoint-dir", "", "checkpoint directory for the chaos sweep and the checkpoint experiment (default: a temp dir for the checkpoint experiment, disabled for chaos)")
-	timeout := flag.Duration("timeout", 0, "deadline for the chaos sweep and checkpoint experiment (0 = none); runs abort cleanly between stages and block tasks")
+	checkpointDir := flag.String("checkpoint-dir", "", "checkpoint directory for the checkpoint experiment (default: a temp dir)")
+	timeout := flag.Duration("timeout", 0, "deadline for the open-loop ramp and the checkpoint experiment (0 = none); runs abort cleanly between stages and block tasks")
 	tracePath := flag.String("trace", "", "run a traced workload and write Chrome trace JSON to this path (skips -exp)")
 	traceApp := flag.String("trace-app", "pagerank", "application the -trace run executes: pagerank | gnmf | linreg")
 	metricsPath := flag.String("metrics-out", "", "with -trace, also write the metrics registry dump to this path")
@@ -44,32 +39,12 @@ func main() {
 	kernelSizes := flag.String("kernel-sizes", "64,128,256,512", "comma-separated square block sizes for -kernels")
 	kernelWorkers := flag.String("kernel-workers", "1,2,4,8", "comma-separated kernel worker counts for the -kernels multi-core curve")
 	kernelsOut := flag.String("kernels-out", "", "with -kernels, also write the report JSON to this path")
-	serveMode := flag.Bool("serve", false, "run only the closed-loop serve load benchmark (K tenants x M jobs against an in-process job service)")
-	serveTenants := flag.Int("serve-tenants", 3, "with -serve, concurrent tenants (K)")
-	serveJobs := flag.Int("serve-jobs", 8, "with -serve, jobs per tenant (M)")
-	serveSlots := flag.Int("serve-slots", 3, "with -serve, engine pool size")
-	serveSeed := flag.Int64("serve-seed", 1, "with -serve, workload-mix seed")
-	serveOut := flag.String("serve-out", "", "with -serve, also write the report JSON to this path")
-	openLoop := flag.Bool("open-loop", false, "with -serve, run the open-loop (Poisson-arrival) autoscaler ramp instead of the closed-loop load: warm -> 10x surge -> cool, autoscaled vs fixed 1-slot pool")
+	openLoop := flag.Bool("open-loop", false, "run only the open-loop (Poisson-arrival) autoscaler ramp against an in-process job service: warm -> 10x surge -> cool, autoscaled vs fixed 1-slot pool")
+	serveSeed := flag.Int64("serve-seed", 1, "with -open-loop, arrival-process seed")
+	serveOut := flag.String("serve-out", "", "with -open-loop, also write the report JSON to this path")
 	surgeFactor := flag.Float64("surge-factor", 10, "with -open-loop, surge-to-base arrival-rate ratio")
 	openLoopMax := flag.Int("open-loop-max-slots", 6, "with -open-loop, autoscaled pool upper bound")
-	rewriteOut := flag.String("rewrite-out", "", "with -exp rewrite, also write the A/B report JSON to this path")
 	flag.Parse()
-
-	// Validate the sweep's fault plans up front: a malformed plan should die
-	// with a descriptive error here, not as silently odd fault behaviour
-	// deep inside a run.
-	for _, cp := range bench.ChaosPlans() {
-		if err := cp.Plan.Validate(); err != nil {
-			log.Fatalf("fault plan %s: %v", cp.Name, err)
-		}
-	}
-	chaosOpts := bench.ChaosOptions{
-		CheckpointDir: *checkpointDir,
-		CorruptOnly:   *chaosCorrupt,
-		Timeout:       *timeout,
-		Wire:          *chaosWire,
-	}
 
 	w := os.Stdout
 	if *kernels {
@@ -84,7 +59,7 @@ func main() {
 		}
 		return
 	}
-	if *serveMode && *openLoop {
+	if *openLoop {
 		opts := bench.OpenLoopOptions{
 			Seed:        *serveSeed,
 			SurgeFactor: *surgeFactor,
@@ -95,27 +70,6 @@ func main() {
 			return os.WriteFile(path, data, 0o644)
 		}); err != nil {
 			log.Fatalf("open-loop: %v", err)
-		}
-		return
-	}
-	if *serveMode {
-		opts := bench.ServeOptions{
-			Tenants:       *serveTenants,
-			JobsPerTenant: *serveJobs,
-			Slots:         *serveSlots,
-			Seed:          *serveSeed,
-			Timeout:       *timeout,
-		}
-		if err := bench.Serve(w, opts, *serveOut, func(path string, data []byte) error {
-			return os.WriteFile(path, data, 0o644)
-		}); err != nil {
-			log.Fatalf("serve: %v", err)
-		}
-		return
-	}
-	if *chaos {
-		if err := bench.Chaos(w, chaosOpts); err != nil {
-			log.Fatalf("chaos: %v", err)
 		}
 		return
 	}
@@ -200,14 +154,6 @@ func main() {
 		}
 		bench.WriteTable4(w, rows)
 		return nil
-	})
-	run("chaos", func() error {
-		return bench.Chaos(w, chaosOpts)
-	})
-	run("rewrite", func() error {
-		return bench.Rewrite(w, 3, *rewriteOut, func(path string, data []byte) error {
-			return os.WriteFile(path, data, 0o644)
-		})
 	})
 	run("checkpoint", func() error {
 		dir := *checkpointDir

@@ -94,7 +94,7 @@ func Multiply(a, b *matrix.Grid, cfg Config) (Result, error) {
 	start := time.Now()
 	da, db := densify(a), densify(b)
 	exec := sched.NewExecutor(cfg.LocalParallelism, nil)
-	grid, err := exec.Mul(da, db, sched.InPlace)
+	grid, err := exec.MulTrans(da, db, false, false, sched.InPlace)
 	if err != nil {
 		return Result{}, err
 	}

@@ -43,7 +43,7 @@ type CheckpointSweepRow struct {
 }
 
 // CheckpointSweep measures recovery cost against checkpoint interval: the
-// chaos harness's PageRank workload runs under a fixed FaultPlan (a boundary
+// chaos sweep's PageRank workload runs under a fixed FaultPlan (a boundary
 // kill of worker 1 at the last stage of the iteration plan) once per
 // interval, checkpointing into its own subdirectory of dir. It returns the
 // rows and the stage the kill targets. Interval 0 is the lineage-only
@@ -53,13 +53,13 @@ func CheckpointSweep(ctx context.Context, dir string, intervals []int, iters int
 		ctx = context.Background()
 	}
 	runPR := func(e *engine.Engine) (*apps.Result, error) {
-		adj := workload.PowerLawGraph(2, 28, 3, chaosBlockSize)
+		adj := workload.PowerLawGraph(2, 28, 3, smallBlockSize)
 		return apps.PageRank(e, adj, iters, 11)
 	}
 	// Fault-free baseline: reference ranks, plus the stage structure the
 	// kill must target. Iteration plans can differ while session schemes
 	// stabilize, so the kill targets the last stage every iteration has.
-	base := newEngine(engine.DMac, DefaultWorkers, chaosBlockSize)
+	base := newEngine(engine.DMac, DefaultWorkers, smallBlockSize)
 	base.SetBaseContext(ctx)
 	bres, err := runPR(base)
 	if err != nil {
@@ -91,7 +91,7 @@ func CheckpointSweep(ctx context.Context, dir string, intervals []int, iters int
 		}
 		cfg := clusterConfig(DefaultWorkers)
 		cfg.Faults = faults
-		e := engine.New(engine.DMac, cfg, chaosBlockSize)
+		e := engine.New(engine.DMac, cfg, smallBlockSize)
 		e.SetBaseContext(ctx)
 		reg := obs.NewRegistry()
 		e.SetObserver(nil, reg)

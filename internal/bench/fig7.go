@@ -52,7 +52,7 @@ func Fig7(scales map[string]int) ([]Fig7Row, error) {
 			exec := sched.NewExecutor(DefaultLocalParallelism, mem)
 			// The inputs are resident during the multiplication.
 			mem.Add(2 * gen.Adjacency.MemBytes())
-			if _, err := exec.Mul(gen.Adjacency, gen.Adjacency, strategy); err != nil {
+			if _, err := exec.MulTrans(gen.Adjacency, gen.Adjacency, false, false, strategy); err != nil {
 				return nil, fmt.Errorf("bench: fig7 %s %s: %w", spec.Name, strategy, err)
 			}
 			if strategy == sched.InPlace {

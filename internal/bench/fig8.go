@@ -53,7 +53,7 @@ func Fig8(graphName string, scaleDenominator int, blockSizes []int) ([]Fig8Point
 		exec := sched.NewExecutor(DefaultLocalParallelism, mem)
 		mem.Add(2 * adj.MemBytes())
 		start := time.Now()
-		out, err := exec.Mul(adj, adj, sched.InPlace)
+		out, err := exec.MulTrans(adj, adj, false, false, sched.InPlace)
 		if err != nil {
 			return nil, 0, fmt.Errorf("bench: fig8 bs=%d: %w", bs, err)
 		}

@@ -14,15 +14,15 @@ import (
 )
 
 // Kernel microbenchmarks: single-block multiplication throughput for every
-// local kernel path, against the pre-tiling naive kernel as baseline. The
-// emitted BENCH_kernels.json is the repository's kernel perf trajectory —
-// later PRs regenerate it and diff the numbers.
+// local kernel path, and the dense kernel's speedup over kernel worker
+// counts. The emitted BENCH_kernels.json is the repository's kernel perf
+// trajectory — later PRs regenerate it and diff the numbers.
 
 // KernelPoint is one (kernel, block size) measurement.
 type KernelPoint struct {
-	// Kernel names the measured path: dd-naive (pre-tiling ikj baseline),
-	// dd-tiled, dd-nt / dd-tn (fused transpose GEMM), sd / ds (square
-	// sparse-dense at ~5% density), ds-tn / sd-nt / ds-rowvec (the thin
+	// Kernel names the measured path: dd-tiled, dd-nt / dd-tn (fused
+	// transpose GEMM), sd / ds (square sparse-dense at ~5% density),
+	// ds-tn / sd-nt / ds-rowvec (the thin
 	// sparse-dense shapes that run: GNMF's W^T V and V H^T at k = 64 and
 	// PageRank's rank vector, at 1% density), ds-rowvec-hyper (the rank
 	// vector against each block of a block row of a partitioned graph in
@@ -52,10 +52,9 @@ type KernelPoint struct {
 	// GFLOPS is the achieved throughput (effective flops for sparse paths:
 	// two per multiply-add the stored entries call for).
 	GFLOPS float64 `json:"gflops"`
-	// Speedup is the ratio of a baseline's NsPerOp to this point's at the
-	// same size: the dd-naive baseline for the dense tiled kernels, the
-	// one-worker dd-tiled point for the worker curve (the one-worker dd-thin
-	// point for dd-thin).
+	// Speedup is set on the worker curves only: the one-worker dd-tiled
+	// point's NsPerOp over this dd-par point's at the same size, and the
+	// one-worker dd-thin measurement's over this dd-thin point's.
 	Speedup float64 `json:"speedup,omitempty"`
 }
 
@@ -258,10 +257,6 @@ func Kernels(sizes []int, workerCounts []int) *KernelReport {
 			flops  float64
 			f      func()
 		}{
-			{"dd-naive", denseFLOPs, func() {
-				dst.Zero()
-				matrix.MulAddNaive(dst, a, b)
-			}},
 			{"dd-tiled", denseFLOPs, mulTrans(a, b, false, false)},
 			{"dd-nt", denseFLOPs, mulTrans(a, b, false, true)},
 			{"dd-tn", denseFLOPs, mulTrans(a, b, true, false)},
@@ -280,28 +275,19 @@ func Kernels(sizes []int, workerCounts []int) *KernelReport {
 				matrix.FromCoords(n, n, serveBlock, sa.Coords()), matrix.FromCoords(n, n, serveBlock, sb.Coords()))},
 			{"csc-build", float64(len(edges)), func() { matrix.FromCoords(n, n, serveBlock, edges) }},
 		}
-		var naiveNs, tiledNs float64
+		var tiledNs float64
 		for _, r := range runs {
 			ns, reps := measure(r.f)
-			pt := KernelPoint{
+			if r.kernel == "dd-tiled" {
+				tiledNs = ns
+			}
+			rep.Points = append(rep.Points, KernelPoint{
 				Kernel:  r.kernel,
 				Size:    n,
 				Reps:    reps,
 				NsPerOp: ns,
 				GFLOPS:  r.flops / ns,
-			}
-			switch r.kernel {
-			case "dd-naive":
-				naiveNs = ns
-			case "dd-tiled", "dd-nt", "dd-tn":
-				if r.kernel == "dd-tiled" {
-					tiledNs = ns
-				}
-				if naiveNs > 0 && ns > 0 {
-					pt.Speedup = naiveNs / ns
-				}
-			}
-			rep.Points = append(rep.Points, pt)
+			})
 		}
 		// Worker curve: the same tiled multiply at each kernel worker count,
 		// speedup against the one-worker dd-tiled measurement above.

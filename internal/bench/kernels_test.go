@@ -9,8 +9,8 @@ import (
 )
 
 // TestKernelsSmoke runs the microbenchmark suite at tiny sizes and checks
-// report shape: every kernel at every size, speedups on the dense tiled
-// paths, a dd-par point per worker count, and a JSON round trip.
+// report shape: every kernel at every size, a dd-par point per worker count,
+// speedups on the two worker curves only, and a JSON round trip.
 func TestKernelsSmoke(t *testing.T) {
 	sizes := []int{8, 16, 48}
 	workers := []int{1, 2}
@@ -18,9 +18,9 @@ func TestKernelsSmoke(t *testing.T) {
 	// whatever this host started with.
 	before := matrix.KernelWorkers()
 	rep := Kernels(sizes, workers)
-	wantKernels := []string{"dd-naive", "dd-tiled", "dd-nt", "dd-tn", "sd", "ds", "ds-tn", "sd-nt", "ds-rowvec",
+	wantKernels := []string{"dd-tiled", "dd-nt", "dd-tn", "sd", "ds", "ds-tn", "sd-nt", "ds-rowvec",
 		"ds-rowvec-hyper", "ss-tn", "ss-tn-b32", "csc-build"}
-	// Thirteen single-path kernels plus one dd-par point per worker count at
+	// Twelve single-path kernels plus one dd-par point per worker count at
 	// each size. Then the fixed-shape points: dd-thin per worker count and
 	// one dd-ragged.
 	if got, want := len(rep.Points), len(sizes)*(len(wantKernels)+len(workers))+len(workers)+1; got != want {
@@ -39,7 +39,7 @@ func TestKernelsSmoke(t *testing.T) {
 			t.Errorf("%s/%d: non-positive GFLOPS", p.Kernel, p.Size)
 		}
 		switch p.Kernel {
-		case "dd-tiled", "dd-nt", "dd-tn", "dd-par", "dd-thin":
+		case "dd-par", "dd-thin":
 			if p.Speedup <= 0 {
 				t.Errorf("%s/%d: speedup not set", p.Kernel, p.Size)
 			}

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -18,7 +19,7 @@ import (
 	"dmac/internal/workload"
 )
 
-// Open-loop load ramp for the elastic autoscaler: unlike the closed-loop
+// Open-loop load ramp for the elastic autoscaler: unlike a closed-loop
 // generator (which politely slows down when the service is saturated, so a
 // too-small pool just lowers throughput), an open-loop generator submits on a
 // Poisson arrival process whose rate does not care how the service is doing —
@@ -60,7 +61,7 @@ func (o OpenLoopOptions) withDefaults() OpenLoopOptions {
 		o.Workers = DefaultWorkers
 	}
 	if o.BlockSize <= 0 {
-		o.BlockSize = chaosBlockSize
+		o.BlockSize = smallBlockSize
 	}
 	if o.Seed == 0 {
 		o.Seed = 1
@@ -472,6 +473,16 @@ func RunOpenLoop(opts OpenLoopOptions) (*OpenLoopReport, error) {
 	rep.AutoHeldSLO = auto.SLOHeld
 	rep.FixedViolatedSLO = !fixed.SLOHeld
 	return rep, nil
+}
+
+func percentile(xs []float64, p float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	i := int(p * float64(len(s)-1))
+	return s[i]
 }
 
 func maxf(a, b float64) float64 {

@@ -125,18 +125,28 @@ func TestDifferentialEnginesUnderChaos(t *testing.T) {
 		}
 
 		ref := runOne(Local, dist.FaultPlan{})
-		for planName, faults := range differentialPlans() {
-			for _, planner := range []Planner{DMac, SystemMLS} {
+		for _, planner := range []Planner{DMac, SystemMLS} {
+			clean := runOne(planner, dist.FaultPlan{})
+			for planName, faults := range differentialPlans() {
 				label := fmt.Sprintf("seed %d %s/%s", seed, planner, planName)
-				got := runOne(planner, faults)
+				got := clean
+				if planName != "no-faults" {
+					got = runOne(planner, faults)
+				}
 				for name, g := range ref.grids {
 					if !matrix.GridEqual(got.grids[name], g, 1e-9) {
 						t.Errorf("%s: output %s differs from local reference", label, name)
+					}
+					if !matrix.GridEqual(got.grids[name], clean.grids[name], 0) {
+						t.Errorf("%s: output %s moved relative to the fault-free run", label, name)
 					}
 				}
 				for name, v := range ref.scalars {
 					if d := got.scalars[name] - v; math.Abs(d) > 1e-9*(1+math.Abs(v)) {
 						t.Errorf("%s: scalar %s = %v, local %v", label, name, got.scalars[name], v)
+					}
+					if math.Float64bits(got.scalars[name]) != math.Float64bits(clean.scalars[name]) {
+						t.Errorf("%s: scalar %s = %v, fault-free %v", label, name, got.scalars[name], clean.scalars[name])
 					}
 				}
 				if got.total.CorruptionsInjected != got.total.CorruptionsDetected {

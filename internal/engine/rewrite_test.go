@@ -94,6 +94,106 @@ func TestEngineRewriterEquivalence(t *testing.T) {
 	}
 }
 
+// The rewriter's A/B at sizes where reordering pays. On the small
+// rewriteWorkload it saves FLOPs and bytes but raises modelled seconds (the
+// rewriter is plan-blind), so the model-seconds gain is asserted here only:
+// on a left-associated chain whose interior explodes, and on a product read
+// only transposed, FLOPs and ModelSeconds fall and the predicted FLOP saving
+// is within 2x of the measured one. Gram and a GNMF H-update have no
+// structural rewrite, so their FLOPs must not move. Outputs always agree.
+func TestRewriterSavingsAtScale(t *testing.T) {
+	type leaf struct {
+		name       string
+		rows, cols int
+		sparsity   float64
+	}
+	cases := []struct {
+		name       string
+		bs         int
+		structural bool
+		leaves     []leaf
+		build      func(p *expr.Program, v map[string]expr.Ref)
+	}{
+		{"matrix-chain", 32, true, []leaf{{"A", 768, 24, 1}, {"B", 24, 768, 1}, {"C", 768, 24, 1}, {"D", 24, 96, 1}},
+			func(p *expr.Program, v map[string]expr.Ref) {
+				p.Assign("out", p.Mul(p.Mul(p.Mul(v["A"], v["B"]), v["C"]), v["D"]))
+			}},
+		{"transpose-pushdown", 32, true, []leaf{{"A", 512, 32, 1}, {"B", 32, 512, 1}, {"C", 512, 64, 1}},
+			func(p *expr.Program, v map[string]expr.Ref) {
+				p.Assign("out", p.Mul(p.Mul(v["A"], v["B"]).T(), v["C"]))
+			}},
+		{"gram", 32, false, []leaf{{"V", 512, 96, 0.1}},
+			func(p *expr.Program, v map[string]expr.Ref) {
+				g := p.Mul(v["V"].T(), v["V"])
+				p.Sum("gram_sum", g)
+				p.Assign("G", g)
+			}},
+		{"gnmf-micro", 16, false, []leaf{{"V", 160, 240, 0.05}, {"W", 160, 12, 1}, {"H", 12, 240, 1}},
+			func(p *expr.Program, v map[string]expr.Ref) {
+				w, h := v["W"], v["H"]
+				den := p.Mul(p.Mul(w.T(), w), h)
+				p.Assign("H", p.CellDiv(p.CellMul(h, p.Mul(w.T(), v["V"])), den))
+			}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func(on bool) (*Engine, Metrics, *obs.Registry) {
+				p := expr.NewProgram()
+				refs := map[string]expr.Ref{}
+				reg := obs.NewRegistry()
+				e := New(DMac, dist.ScaledConfig(4, 8), tc.bs)
+				t.Cleanup(func() { e.Close() })
+				e.SetObserver(nil, reg)
+				if on {
+					e.SetRewriter(rewrite.New())
+				}
+				for i, l := range tc.leaves {
+					refs[l.name] = p.Var(l.name, l.rows, l.cols, l.sparsity)
+					g := workload.DenseRandom(301+int64(i), l.rows, l.cols, tc.bs)
+					if l.sparsity < 1 {
+						g = workload.SparseUniform(301+int64(i), l.rows, l.cols, tc.bs, l.sparsity)
+					}
+					if err := e.Bind(l.name, g); err != nil {
+						t.Fatal(err)
+					}
+				}
+				tc.build(p, refs)
+				m, err := e.Run(p, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return e, m, reg
+			}
+			offE, off, _ := run(false)
+			onE, on, reg := run(true)
+			for _, name := range []string{"out", "G", "H"} {
+				if a, ok := offE.Grid(name); ok {
+					if b, ok := onE.Grid(name); !ok || !matrix.GridEqual(a, b, 1e-9) {
+						t.Errorf("output %s differs with the rewriter on", name)
+					}
+				}
+			}
+			if !tc.structural {
+				if on.FLOPs != off.FLOPs {
+					t.Errorf("FLOPs moved on a structurally fixed program: %g -> %g", off.FLOPs, on.FLOPs)
+				}
+				return
+			}
+			if on.FLOPs >= off.FLOPs || on.ModelSeconds >= off.ModelSeconds {
+				t.Errorf("rewrite did not pay: FLOPs %g -> %g, model s %g -> %g", off.FLOPs, on.FLOPs, off.ModelSeconds, on.ModelSeconds)
+			}
+			snap := reg.Snapshot()
+			if snap.Counters["rewrite.applied"] == 0 {
+				t.Error("no rewrites recorded")
+			}
+			meas := off.FLOPs - on.FLOPs
+			if pred := float64(snap.Counters["rewrite.predicted.flops_saved"]); pred < 0.5*meas || pred > 2*meas {
+				t.Errorf("predicted FLOP saving %g far from measured %g", pred, meas)
+			}
+		})
+	}
+}
+
 // Rewriting is memoized per program pointer: a second run of the same
 // *expr.Program must not re-run the pass, and SetRewriter/Reset clear the
 // memo.

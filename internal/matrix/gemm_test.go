@@ -425,8 +425,7 @@ func benchGemm(b *testing.B, n int, f func(dst, x, y *DenseBlock)) {
 	b.ReportMetric(gf, "GFLOPS")
 }
 
-// BenchmarkMulAddDD measures the tiled dense kernel; compare against
-// BenchmarkMulAddDDNaive (the pre-tiling seed kernel) at the same size.
+// BenchmarkMulAddDD measures the tiled dense kernel.
 func BenchmarkMulAddDD(b *testing.B) {
 	for _, n := range []int{256, 512, 1024} {
 		b.Run(sizeName(n), func(b *testing.B) {
@@ -434,16 +433,6 @@ func BenchmarkMulAddDD(b *testing.B) {
 				if err := MulAddTransInto(dst, x, y, false, false); err != nil {
 					b.Fatal(err)
 				}
-			})
-		})
-	}
-}
-
-func BenchmarkMulAddDDNaive(b *testing.B) {
-	for _, n := range []int{256, 512, 1024} {
-		b.Run(sizeName(n), func(b *testing.B) {
-			benchGemm(b, n, func(dst, x, y *DenseBlock) {
-				MulAddNaive(dst, x, y)
 			})
 		})
 	}

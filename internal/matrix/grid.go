@@ -300,7 +300,7 @@ func MulGrid(a, b *Grid) (*Grid, error) {
 		for bj := 0; bj < b.bcols; bj++ {
 			dst := out.Block(bi, bj).(*DenseBlock)
 			for bk := 0; bk < a.bcols; bk++ {
-				if err := MulAddInto(dst, a.Block(bi, bk), b.Block(bk, bj)); err != nil {
+				if err := MulAddTransInto(dst, a.Block(bi, bk), b.Block(bk, bj), false, false); err != nil {
 					return nil, err
 				}
 			}

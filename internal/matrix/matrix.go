@@ -28,7 +28,7 @@ var (
 //
 // Implementations are DenseBlock and CSCBlock. Blocks are immutable from the
 // point of view of shared readers; only kernels that document in-place
-// semantics (e.g. MulAddInto) mutate a block, and they require exclusive
+// semantics (e.g. MulAddTransInto) mutate a block, and they require exclusive
 // ownership of the destination.
 type Block interface {
 	// Rows returns the number of rows in the block.
@@ -58,13 +58,6 @@ type Block interface {
 func checkSameShape(a, b Block) error {
 	if a.Rows() != b.Rows() || a.Cols() != b.Cols() {
 		return fmt.Errorf("%w: %dx%d vs %dx%d", ErrShape, a.Rows(), a.Cols(), b.Rows(), b.Cols())
-	}
-	return nil
-}
-
-func checkMulShape(a, b Block) error {
-	if a.Cols() != b.Rows() {
-		return fmt.Errorf("%w: %dx%d * %dx%d", ErrShape, a.Rows(), a.Cols(), b.Rows(), b.Cols())
 	}
 	return nil
 }

@@ -6,19 +6,19 @@ import (
 	"sync"
 )
 
-// Block multiplication kernels. MulAddInto is the In-Place primitive of
+// Block multiplication kernels. MulAddTransInto is the In-Place primitive of
 // Section 5.3: all block products contributing to the same result block are
 // accumulated directly into that block, so no intermediate buffers are
 // allocated. The kernels specialize on the four density combinations; every
 // multiplication result is dense, matching the worst-case sparsity estimate
 // of Section 5.1 (multiplication output sparsity = 1).
 //
-// Every kernel additionally exists in transpose-fused form: MulAddTransInto
-// computes dst += op(a)*op(b) where either operand may be logically
-// transposed. No transposed block is ever allocated: a sparse operand is
-// transposed by reinterpreting CSC as CSR, a dense one while it is packed
-// into pooled scratch. The dense x dense path runs the register-tiled GEMM
-// in gemm.go.
+// Every kernel is transpose-fused: MulAddTransInto computes
+// dst += op(a)*op(b) where either operand may be logically transposed, and
+// a plain product passes false, false. No transposed block is ever
+// allocated: a sparse operand is transposed by reinterpreting CSC as CSR, a
+// dense one while it is packed into pooled scratch. The dense x dense path
+// runs the register-tiled GEMM in gemm.go.
 //
 // The sparse x dense and dense x sparse kernels follow one rule: stream the
 // CSC operand once per block product, and make every stored non-zero one
@@ -57,12 +57,6 @@ import (
 // reads it; benchmark reports record it beside the micro-kernel's name.
 const KernelVersion = 3
 
-// MulAddInto computes dst += a * b. dst must be an owned dense block of
-// shape a.Rows() x b.Cols().
-func MulAddInto(dst *DenseBlock, a, b Block) error {
-	return MulAddTransInto(dst, a, b, false, false)
-}
-
 // MulAddTransInto computes dst += op(a) * op(b), where op(x) is x when the
 // corresponding flag is false and the transpose of x when true. dst must be
 // an owned dense block of the logical result shape. No transposed block is
@@ -99,39 +93,6 @@ func MulAddTransInto(dst *DenseBlock, a, b Block, aT, bT bool) error {
 		mulAddGenericTrans(dst, a, b, aT, bT)
 	}
 	return nil
-}
-
-// Mul allocates and returns a * b as a dense block.
-func Mul(a, b Block) (*DenseBlock, error) {
-	if err := checkMulShape(a, b); err != nil {
-		return nil, err
-	}
-	dst := NewDense(a.Rows(), b.Cols())
-	if err := MulAddInto(dst, a, b); err != nil {
-		return nil, err
-	}
-	return dst, nil
-}
-
-// MulAddNaive is the pre-tiling dense x dense kernel (ikj loop order with a
-// per-element zero test, multiply, round, then add, as the seed had it). It
-// is kept as the reference baseline for the kernel microbenchmarks;
-// production code dispatches through MulAddTransInto.
-func MulAddNaive(dst, a, b *DenseBlock) {
-	m, p := a.cols, b.cols
-	for i := 0; i < a.rows; i++ {
-		arow := a.Data[i*m : (i+1)*m]
-		drow := dst.Data[i*p : (i+1)*p]
-		for k, av := range arow {
-			if av == 0 {
-				continue
-			}
-			brow := b.Data[k*p : (k+1)*p]
-			for j, bv := range brow {
-				drow[j] += float64(av * bv)
-			}
-		}
-	}
 }
 
 // Sparse x dense tuning constants.

@@ -545,7 +545,7 @@ func TestRowVecBitIdentical(t *testing.T) {
 					entry := dstOnEntry(rng, n, p)
 					want := entry.Clone().(*DenseBlock)
 					refMulAddDSRowDot(want, a, b)
-					if err := MulAddInto(entry, a, b); err != nil {
+					if err := MulAddTransInto(entry, a, b, false, false); err != nil {
 						t.Fatal(err)
 					}
 					if i := sameBits(entry.Data, want.Data); i >= 0 {
@@ -630,8 +630,8 @@ func TestSparseSparseAllocFree(t *testing.T) {
 	gram, vec := NewDense(p, p), NewDense(1, p)
 	for name, run := range map[string]func() error{
 		"ss-tn":          func() error { return MulAddTransInto(gram, hyper, filled, true, false) },
-		"rowvec flat":    func() error { return MulAddInto(vec, rank, hyper) },
-		"rowvec columns": func() error { return MulAddInto(vec, rank, filled) },
+		"rowvec flat":    func() error { return MulAddTransInto(vec, rank, hyper, false, false) },
+		"rowvec columns": func() error { return MulAddTransInto(vec, rank, filled, false, false) },
 	} {
 		if err := run(); err != nil { // grow the pooled scratch
 			t.Fatal(err)
@@ -720,7 +720,7 @@ func BenchmarkMulAddDSRowVecHyper(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, link := range links {
-			if err := MulAddInto(dst, rank, link); err != nil {
+			if err := MulAddTransInto(dst, rank, link, false, false); err != nil {
 				b.Fatal(err)
 			}
 		}

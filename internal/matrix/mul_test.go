@@ -20,6 +20,12 @@ func refMul(a, b Block) *DenseBlock {
 	return out
 }
 
+// mulBlocks returns a * b in a fresh dense block.
+func mulBlocks(a, b Block) (*DenseBlock, error) {
+	dst := NewDense(a.Rows(), b.Cols())
+	return dst, MulAddTransInto(dst, a, b, false, false)
+}
+
 func TestMulKernelsAgainstReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	da := randDense(rng, 7, 5)
@@ -37,7 +43,7 @@ func TestMulKernelsAgainstReference(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			got, err := Mul(c.a, c.b)
+			got, err := mulBlocks(c.a, c.b)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -53,7 +59,7 @@ func TestMulAddIntoAccumulates(t *testing.T) {
 	a := NewDenseData(2, 2, []float64{1, 0, 0, 1})
 	b := NewDenseData(2, 2, []float64{1, 2, 3, 4})
 	dst := NewDenseData(2, 2, []float64{10, 10, 10, 10})
-	if err := MulAddInto(dst, a, b); err != nil {
+	if err := MulAddTransInto(dst, a, b, false, false); err != nil {
 		t.Fatal(err)
 	}
 	want := []float64{11, 12, 13, 14}
@@ -65,10 +71,10 @@ func TestMulAddIntoAccumulates(t *testing.T) {
 }
 
 func TestMulShapeErrors(t *testing.T) {
-	if _, err := Mul(NewDense(2, 3), NewDense(2, 3)); err == nil {
+	if _, err := mulBlocks(NewDense(2, 3), NewDense(2, 3)); err == nil {
 		t.Error("expected inner-dimension mismatch error")
 	}
-	if err := MulAddInto(NewDense(3, 3), NewDense(2, 3), NewDense(3, 2)); err == nil {
+	if err := MulAddTransInto(NewDense(3, 3), NewDense(2, 3), NewDense(3, 2), false, false); err == nil {
 		t.Error("expected destination shape error")
 	}
 }
@@ -80,14 +86,14 @@ func TestMulIdentity(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		id.Set(i, i, 1)
 	}
-	got, err := Mul(a, id)
+	got, err := mulBlocks(a, id)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !Equal(got, a, 1e-12) {
 		t.Error("A * I != A")
 	}
-	got2, err := Mul(id, a)
+	got2, err := mulBlocks(id, a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,11 +122,11 @@ func quickBlocks(seed int64) (Block, Block, Block) {
 func TestPropertyTransposeOfProduct(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {
 		a, b, _ := quickBlocks(seed)
-		ab, err := Mul(a, b)
+		ab, err := mulBlocks(a, b)
 		if err != nil {
 			t.Fatal(err)
 		}
-		btat, err := Mul(b.Transpose(), a.Transpose())
+		btat, err := mulBlocks(b.Transpose(), a.Transpose())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -134,19 +140,19 @@ func TestPropertyTransposeOfProduct(t *testing.T) {
 func TestPropertyMulAssociative(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {
 		a, b, c := quickBlocks(seed)
-		ab, err := Mul(a, b)
+		ab, err := mulBlocks(a, b)
 		if err != nil {
 			t.Fatal(err)
 		}
-		abc1, err := Mul(ab, c)
+		abc1, err := mulBlocks(ab, c)
 		if err != nil {
 			t.Fatal(err)
 		}
-		bc, err := Mul(b, c)
+		bc, err := mulBlocks(b, c)
 		if err != nil {
 			t.Fatal(err)
 		}
-		abc2, err := Mul(a, bc)
+		abc2, err := mulBlocks(a, bc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -168,12 +174,12 @@ func TestPropertyMulDistributive(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		lhs, err := Mul(a, bc)
+		lhs, err := mulBlocks(a, bc)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ab, _ := Mul(a, b)
-		ac, _ := Mul(a, c)
+		ab, _ := mulBlocks(a, b)
+		ac, _ := mulBlocks(a, c)
 		rhs, err := Cellwise(OpAdd, ab, ac)
 		if err != nil {
 			t.Fatal(err)

@@ -224,15 +224,11 @@ func (s MulStrategy) String() string {
 	}
 }
 
-// Mul multiplies two grids with the chosen aggregation strategy. Both grids
-// must share a block size. The result is a dense grid (worst-case sparsity
-// of a product is 1, Section 5.1).
-func (e *Executor) Mul(a, b *matrix.Grid, strategy MulStrategy) (*matrix.Grid, error) {
-	return e.MulTrans(a, b, false, false, strategy)
-}
-
-// MulTrans multiplies op(a) * op(b), where op(x) is x or its transpose
-// according to the aT/bT flags. Transposition is fused into the block
+// MulTrans multiplies op(a) * op(b) with the chosen aggregation strategy,
+// where op(x) is x or its transpose according to the aT/bT flags; a plain
+// product passes false, false. Both grids must share a block size. The
+// result is a dense grid (worst-case sparsity of a product is 1, Section
+// 5.1). Transposition is fused into the block
 // kernels: logical block (bi, bk) of a transposed grid is stored block
 // (bk, bi) read by stride, so no transposed grid or block is ever
 // materialized on the multiply path. When a metrics registry is attached the

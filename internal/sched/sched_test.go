@@ -61,7 +61,7 @@ func TestMulStrategiesMatchReference(t *testing.T) {
 	}
 	for _, s := range []MulStrategy{InPlace, Buffer} {
 		e := NewExecutor(4, nil)
-		got, err := e.Mul(a, b, s)
+		got, err := e.MulTrans(a, b, false, false, s)
 		if err != nil {
 			t.Fatalf("%v: %v", s, err)
 		}
@@ -73,13 +73,13 @@ func TestMulStrategiesMatchReference(t *testing.T) {
 
 func TestMulErrors(t *testing.T) {
 	e := NewExecutor(2, nil)
-	if _, err := e.Mul(matrix.NewDenseGrid(2, 3, 2), matrix.NewDenseGrid(2, 3, 2), InPlace); err == nil {
+	if _, err := e.MulTrans(matrix.NewDenseGrid(2, 3, 2), matrix.NewDenseGrid(2, 3, 2), false, false, InPlace); err == nil {
 		t.Error("expected inner-dimension error")
 	}
-	if _, err := e.Mul(matrix.NewDenseGrid(2, 3, 2), matrix.NewDenseGrid(3, 2, 3), InPlace); err == nil {
+	if _, err := e.MulTrans(matrix.NewDenseGrid(2, 3, 2), matrix.NewDenseGrid(3, 2, 3), false, false, InPlace); err == nil {
 		t.Error("expected block-size error")
 	}
-	if _, err := e.Mul(matrix.NewDenseGrid(2, 3, 2), matrix.NewDenseGrid(3, 2, 2), MulStrategy(42)); err == nil {
+	if _, err := e.MulTrans(matrix.NewDenseGrid(2, 3, 2), matrix.NewDenseGrid(3, 2, 2), false, false, MulStrategy(42)); err == nil {
 		t.Error("expected unknown-strategy error")
 	}
 }
@@ -93,12 +93,12 @@ func TestInPlaceUsesLessPeakMemoryThanBuffer(t *testing.T) {
 
 	memIP := NewMemTracker()
 	eIP := NewExecutor(2, memIP)
-	if _, err := eIP.Mul(a, b, InPlace); err != nil {
+	if _, err := eIP.MulTrans(a, b, false, false, InPlace); err != nil {
 		t.Fatal(err)
 	}
 	memBuf := NewMemTracker()
 	eBuf := NewExecutor(2, memBuf)
-	if _, err := eBuf.Mul(a, b, Buffer); err != nil {
+	if _, err := eBuf.MulTrans(a, b, false, false, Buffer); err != nil {
 		t.Fatal(err)
 	}
 	if memIP.Peak() >= memBuf.Peak() {
@@ -389,11 +389,11 @@ func TestQuickStrategiesAgree(t *testing.T) {
 		a := randGrid(rng, n, m, bs, 0.5)
 		b := randGrid(rng, m, p, bs, 0.5)
 		e := NewExecutor(3, nil)
-		r1, err := e.Mul(a, b, InPlace)
+		r1, err := e.MulTrans(a, b, false, false, InPlace)
 		if err != nil {
 			return false
 		}
-		r2, err := e.Mul(a, b, Buffer)
+		r2, err := e.MulTrans(a, b, false, false, Buffer)
 		if err != nil {
 			return false
 		}
