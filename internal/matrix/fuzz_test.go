@@ -17,6 +17,13 @@ func FuzzMulKernels(f *testing.F) {
 	for seed := int64(0); seed < 12; seed++ {
 		f.Add(seed)
 	}
+	// GNMF's thin products at 32 and 64 lanes: W^T*V (dense A transposed,
+	// sparse B) at n x m x p = 64x200x64, 64x200x200 and 32x97x33, and V*H^T
+	// (sparse A, dense B transposed) at 33x130x64, 65x2x64, 2x200x32 and
+	// 2x17x32.
+	for _, seed := range []int64{1584, 2823, 1503, 321, 818, 1601, 2565} {
+		f.Add(seed)
+	}
 	dims := []int{1, 2, 3, 17, 31, 33, 64, 65, 97, 130, 200}
 	f.Fuzz(func(t *testing.T, seed int64) {
 		defer SetKernelWorkers(SetKernelWorkers(1))
@@ -40,7 +47,7 @@ func FuzzMulKernels(f *testing.F) {
 		if (aSparse || bSparse) && rng.Intn(2) == 0 {
 			// Sparse products run thin in practice (a rank vector, a k-wide
 			// factor): pin one dimension to a thin size and redo the shapes.
-			thin := []int{1, 2, 3, 4, 64}[rng.Intn(5)]
+			thin := []int{1, 2, 3, 4, 32, 64}[rng.Intn(6)]
 			switch rng.Intn(3) {
 			case 0:
 				n = thin

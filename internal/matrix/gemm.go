@@ -50,8 +50,8 @@ import (
 // NT/TN/TT variants run the exact same micro-kernel as NN and never
 // materialize a transposed copy. A packer either copies runs of mr (nr)
 // contiguous elements or, when the micro-panel's short side runs down the
-// operand's columns, transposes with packTrans (row streams in, whole cache
-// lines out).
+// operand's columns, transposes with packTransLd (row streams in, whole cache
+// lines out; 8x8 blocks through registers on AVX-512).
 //
 // Above gemmParMin flops the MC-strip loop is partitioned across the shared
 // kernel worker pool (parallel.go): the packed B panels are shared read-only,
@@ -91,7 +91,7 @@ const (
 type cpuFeatures struct {
 	avx    bool // 256-bit YMM instructions (axpyAVX)
 	fma    bool // FMA3 on YMM registers (gemmMicroAVX)
-	avx512 bool // 512-bit ZMM instructions, fused multiply-add included (gemmMicroAVX512)
+	avx512 bool // 512-bit ZMM instructions, fused multiply-add included (gemmMicroAVX512, sparse_amd64.s)
 }
 
 // cpu is read-only outside tests.

@@ -525,45 +525,58 @@ func itoa(n int) string {
 }
 
 // TestGemmPackRoundTrip checks the packing layouts directly, at every
-// kernel's mr and nr: every packed element must equal the corresponding
-// op(x) element of the window, with zero padding beyond it, whatever the
-// buffer held before.
+// kernel's mr and nr and every feature level (featureLevels: the transposing
+// packer in Go and in 8x8 AVX-512 blocks): every packed element must equal
+// the corresponding op(x) element of the window, with zero padding beyond
+// it, whatever the buffer held before. The windows start at several origins
+// and leave every remainder of lanes and k steps against the 8x8 blocks.
 func TestGemmPackRoundTrip(t *testing.T) {
+	defer func(f cpuFeatures) { cpu = f }(cpu)
+	levels := featureLevels()
 	rng := rand.New(rand.NewSource(5))
 	src := randDense(rng, 37, 41)
-	const l0, k0 = 2, 3 // window origin: lanes from l0, k steps from k0
-	for _, kern := range gemmKernelsFor(cpu) {
-		for _, w := range []int{kern.mr, kern.nr} {
-			for _, trans := range []bool{false, true} {
-				// As A: lanes are rows of op(A); as B: columns of op(B).
-				for _, asA := range []bool{true, false} {
-					rows, cols := transDims(src, trans)
-					lanes, steps := rows, cols
-					if !asA {
-						lanes, steps = cols, rows
-					}
-					lw, kw := lanes-l0, steps-k0
-					buf := make([]float64, roundUp(lw, w)*kw)
-					for i := range buf {
-						buf[i] = -1
-					}
-					var at func(l, k int) float64 // op(x) at lane l, step k
-					if asA {
-						gemmPackA(buf, w, src.Data, src.cols, trans, l0, lw, k0, kw)
-						at = func(l, k int) float64 { return opAt(src, trans, l, k) }
-					} else {
-						gemmPackB(buf, w, src.Data, src.cols, trans, k0, kw, l0, lw)
-						at = func(l, k int) float64 { return opAt(src, trans, k, l) }
-					}
-					for i, got := range buf {
-						panel, k, l := i/(w*kw), i%(w*kw)/w, i%w
-						want := 0.0
-						if lane := panel*w + l; lane < lw {
-							want = at(l0+lane, k0+k)
-						}
-						if got != want {
-							t.Fatalf("%s w=%d asA=%v trans=%v: panel %d step %d lane %d holds %v, want %v",
-								kern.name, w, asA, trans, panel, k, l, got, want)
+	kernels := gemmKernelsFor(cpu)
+	// Window origin and its far edge's distance from the source's: lanes
+	// from l0, k steps from k0.
+	windows := [][4]int{{0, 0, 0, 0}, {2, 3, 0, 0}, {7, 9, 3, 5}, {1, 0, 6, 17}, {8, 16, 13, 1}}
+	for _, f := range levels {
+		cpu = f
+		for _, kern := range kernels {
+			for _, w := range []int{kern.mr, kern.nr} {
+				for _, trans := range []bool{false, true} {
+					// As A: lanes are rows of op(A); as B: columns of op(B).
+					for _, asA := range []bool{true, false} {
+						for _, win := range windows {
+							l0, k0 := win[0], win[1]
+							rows, cols := transDims(src, trans)
+							lanes, steps := rows, cols
+							if !asA {
+								lanes, steps = cols, rows
+							}
+							lw, kw := lanes-l0-win[2], steps-k0-win[3]
+							buf := make([]float64, roundUp(lw, w)*kw)
+							for i := range buf {
+								buf[i] = -1
+							}
+							var at func(l, k int) float64 // op(x) at lane l, step k
+							if asA {
+								gemmPackA(buf, w, src.Data, src.cols, trans, l0, lw, k0, kw)
+								at = func(l, k int) float64 { return opAt(src, trans, l, k) }
+							} else {
+								gemmPackB(buf, w, src.Data, src.cols, trans, k0, kw, l0, lw)
+								at = func(l, k int) float64 { return opAt(src, trans, k, l) }
+							}
+							for i, got := range buf {
+								panel, k, l := i/(w*kw), i%(w*kw)/w, i%w
+								want := 0.0
+								if lane := panel*w + l; lane < lw {
+									want = at(l0+lane, k0+k)
+								}
+								if got != want {
+									t.Fatalf("%s cpu=%+v w=%d asA=%v trans=%v window=%v: panel %d step %d lane %d holds %v, want %v",
+										kern.name, f, w, asA, trans, win, panel, k, l, got, want)
+								}
+							}
 						}
 					}
 				}

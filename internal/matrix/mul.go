@@ -24,7 +24,13 @@ import (
 // CSC operand once per block product, and make every stored non-zero one
 // contiguous axpy y[0:w] += v * x[0:w] over all w lanes of the dense side
 // (the result's columns when the sparse operand is on the left, its rows
-// when it is on the right). Whatever is not contiguous as stored — a
+// when it is on the right). Where a lane vector y of the result — a row of
+// dst, a column accumulator — can take all its non-zeros from one list of
+// (index, value) entries in ascending index, it gathers them: from a stored
+// column of the CSC block, or from a row of its row view (rowView), laid out
+// by one counting pass. The other forms, and thin ones for which the view
+// costs more than it saves, sweep the stored columns and scatter each entry
+// into the lane vector it names. Whatever is not contiguous as stored — a
 // transposed dense operand, or dst itself when its columns are the lanes —
 // is transposed into scratch once per product rather than read by stride
 // once per non-zero. A product large enough is cut into strips of disjoint
@@ -32,10 +38,12 @@ import (
 // worker pool (parallel.go). None of this reorders a sum: each result
 // element receives exactly the floating-point operations of the plain loop
 // nests kept as references in mul_sparse_test.go, at every worker count and
-// with the assembly axpy on or off. Each product term is rounded before it
-// is added — float64(x*y), which forbids a compiler the fused multiply-add
-// it would otherwise emit on arm64 — so the sparse kernels give the same
-// bits on every architecture; only the dense x dense GEMM fuses (gemm.go).
+// with the assembly on or off. Each product term is rounded before it is
+// added — float64(x*y), which forbids a compiler the fused multiply-add it
+// would otherwise emit on arm64 — so the sparse kernels give the same bits
+// on every architecture; only the dense x dense GEMM fuses (gemm.go). On
+// AVX-512 a whole entry list runs in registers (gather), and the transposes
+// move 8x8 blocks through registers (packTransLd, addTile); sparse_amd64.s.
 //
 // A block partition leaves CSC blocks with a stored entry or two per column,
 // and for those a second rule holds: a path costs what the block stores, not
@@ -102,9 +110,29 @@ const (
 	// of eight so that neighbours do not share a cache line of dst.
 	spMinStrip = 16
 	// spParMin is the multiply-add count (stored non-zeros x lanes) below
-	// which one product is not fanned out: a strip sweep costs a few
-	// microseconds of hand-off, which a product under ~50 us does not repay.
-	spParMin = 1 << 18
+	// which one product is not fanned out. With the lanes in registers a
+	// second worker first pays around 2M: a 64-lane W^T*V against a
+	// 1632-wide block takes the same time at one and two workers at 1.7M
+	// (GNMF's 1 %) and a third less from 2.1M up (BenchmarkMulAddGNMFBlocks
+	// and a density sweep, 2-vCPU AVX-512 host). V*H^T, whose row view is
+	// built on one worker before the strips start, gained nothing from a
+	// second up to 13M.
+	spParMin = 1 << 21
+	// spScatterParMin is spParMin for the column sweeps (mulAddSDScatter,
+	// mulAddDSScatter), whose axpys load and store their result lanes once an
+	// entry: there a second worker pays from 2^18, as before the register
+	// gather. On a gnmf block A*V^T runs a quarter faster on two workers at
+	// 64 lanes (1.7M; medians 1.8 and 1.35 ms) and a sixth at 16 (0.43M), and
+	// V*w at one to three lanes a fifth to two fifths faster at 30 % density
+	// (BenchmarkMulAddSparseLanes and a density sweep).
+	spScatterParMin = 1 << 18
+	// sdRowViewMin is the fewest lanes for which an untransposed sparse x
+	// dense product walks a row view of A (newRowView) instead of sweeping its
+	// columns: building the view costs about what a one-lane sweep does. On a
+	// gnmf block V*w and V*H^T ran up to 20 % slower through the view at one
+	// and two lanes, and run 5-18 % faster at four and 15-49 % from eight
+	// (BenchmarkMulAddSparseLanes, 2-vCPU AVX-512 host).
+	sdRowViewMin = 4
 	// dsRowDotMax is the largest row count n of op(A) for which an
 	// untransposed dense x CSC product runs as n row-dot passes over the CSC
 	// operand instead of packing a transposed A panel for one lane-wide
@@ -125,8 +153,11 @@ const (
 	// accumulates before adding them into dst, so that dst is written a
 	// cache line per row at a time rather than one strided element.
 	dsColTile = 8
-	// spPanel is how many rows of a transposed dense operand a scatter packs
-	// at a time: the rows are consumed in order, so scratch stays a few
+	// spPanelBytes bounds the panel of a dense operand a row-view product
+	// reads at a time (spPanelRows).
+	spPanelBytes = 1 << 19
+	// spPanel is how many rows of a transposed dense operand a column sweep
+	// packs at a time: the rows are consumed in order, so scratch stays a few
 	// hundred KB whatever the block size.
 	spPanel = 256
 )
@@ -153,7 +184,7 @@ func (sp *scratchPools[T]) put(bp *[]T) {
 }
 
 // The sparse kernels' scratch: spScratchPools the float64 buffers they pack
-// into and accumulate in (transposed panels, column and row accumulators, a
+// into and accumulate in (transposed operands, column and row accumulators, a
 // row view's values), spIndexPools the int32 ones (a row view's pointers and
 // column indices, column-boundary marks, the CSC builder's counters).
 // Steady-state products allocate nothing.
@@ -165,10 +196,10 @@ var (
 // spStrips cuts the total result rows or columns of one sparse x dense
 // product carrying madds multiply-adds into equal strips, at most one per
 // kernel worker, and returns the strip size and count; a count of one means
-// the product stays on the caller.
-func spStrips(total, madds int) (step, strips int) {
+// the product stays on the caller, as it does below parMin multiply-adds.
+func spStrips(total, madds, parMin int) (step, strips int) {
 	strips = min(KernelWorkers(), total/spMinStrip)
-	if strips < 2 || madds < spParMin {
+	if strips < 2 || madds < parMin {
 		return total, 1
 	}
 	step = ((total+strips-1)/strips + 7) &^ 7
@@ -204,6 +235,36 @@ func axpyNZ(alpha float64, x, y []float64) {
 	}
 }
 
+// gather adds a list of entries into the lane vector y, w = len(y) lanes:
+// entry e adds vals[e] * x[rows[e]*w:][:w], in list order, each product
+// rounded before it is added — the axpy sequence, which it runs where
+// AVX-512 is missing. With fromZero every lane starts at +0 instead of at
+// y's contents. On AVX-512 the lanes stay in registers for the whole list
+// (gatherAVX512), so y is read at most and written once instead of once an
+// entry; each lane sees the same operations in the same order.
+func gather(y, x []float64, rows []int32, vals []float64, fromZero bool) {
+	w := len(y)
+	if len(rows) == 0 || w == 0 {
+		if fromZero {
+			clear(y)
+		}
+		return
+	}
+	vals = vals[:len(rows)]
+	if cpu.avx512 {
+		if !gatherAVX512(&y[0], &x[0], &rows[0], &vals[0], len(rows), w, len(x)/w, !fromZero) {
+			panic("matrix: sparse index outside its dense operand")
+		}
+		return
+	}
+	if fromZero {
+		clear(y)
+	}
+	for e, r := range rows {
+		axpy(vals[e], x[int(r)*w:(int(r)+1)*w], y)
+	}
+}
+
 // packTrans writes the transpose of the rw x cw window at (r0, c0) of the
 // row-major matrix src (leading dimension ld) into buf: buf[c*rw+r] =
 // src[(r0+r)*ld+c0+c].
@@ -212,10 +273,33 @@ func packTrans(buf, src []float64, ld, r0, rw, c0, cw int) {
 }
 
 // packTransLd is packTrans into a buffer of leading dimension ldb >= rw:
-// buf[c*ldb+r] = src[(r0+r)*ld+c0+c]. Eight source rows (then four) are read
-// as streams at a time, so the reads are sequential whatever ld is and every
-// store fills one whole cache line of buf (half of one).
+// buf[c*ldb+r] = src[(r0+r)*ld+c0+c]. On AVX-512 the window's whole 8x8
+// blocks are transposed in registers (packTransAVX512) and packTransGo
+// writes the ragged edges.
 func packTransLd(buf []float64, ldb int, src []float64, ld, r0, rw, c0, cw int) {
+	if !cpu.avx512 || rw < 8 || cw < 8 {
+		packTransGo(buf, ldb, src, ld, r0, rw, c0, cw)
+		return
+	}
+	r8, c8 := rw&^7, cw&^7
+	_ = buf[(c8-1)*ldb+r8-1] // the last element the blocks write
+	_ = src[(r0+r8-1)*ld+c0+c8-1]
+	for r := 0; r < r8; r += 8 {
+		packTransAVX512(&buf[r], ldb, &src[(r0+r)*ld+c0], ld, c8/8)
+	}
+	if c8 < cw {
+		packTransGo(buf[c8*ldb:], ldb, src, ld, r0, r8, c0+c8, cw-c8)
+	}
+	if r8 < rw {
+		packTransGo(buf[r8:], ldb, src, ld, r0+r8, rw-r8, c0, cw)
+	}
+}
+
+// packTransGo is packTransLd in Go and its definition. Eight source rows
+// (then four) are read as streams at a time, so the reads are sequential
+// whatever ld is and every store fills one whole cache line of buf (half of
+// one).
+func packTransGo(buf []float64, ldb int, src []float64, ld, r0, rw, c0, cw int) {
 	// row returns source row r of the window; re-slicing to cw lets the
 	// compiler drop the bounds checks of the column loops.
 	row := func(r int) []float64 { return src[(r0+r)*ld+c0:][:cw] }
@@ -254,6 +338,64 @@ func unpackTrans(dst, buf []float64, ld, r0, rw, c0, cw int) {
 	}
 }
 
+// rowView is a run of a CSC block's stored columns laid out by rows in
+// pooled scratch: row k holds (col[x], val[x]) for x in [ptr[k], ptr[k+1]),
+// in ascending column — the order in which a sweep over the stored columns
+// meets them. Hand the scratch back with release.
+type rowView struct {
+	ptr, col []int32
+	val      []float64
+	ip       *[]int32
+	vp       *[]float64
+}
+
+// newRowView lays the stored columns [c0, c1) of a out by rows, column
+// indices counted from c0: one counting pass over their row indices and one
+// fill pass over their entries.
+func newRowView(a *CSCBlock, c0, c1 int) rowView {
+	lo, hi := a.ColPtr[c0], a.ColPtr[c1]
+	m, nnz := a.rows, int(hi-lo)
+	ip := spIndexPools.get(m + 2 + nnz)
+	vp := spScratchPools.get(nnz)
+	ptr, col, val := (*ip)[:m+2], (*ip)[m+2:], *vp
+	// Counts are taken two slots up so that, after the prefix sum, ptr[k+1]
+	// is the fill cursor of row k and ends as the start of row k+1.
+	clear(ptr)
+	for _, k := range a.RowIdx[lo:hi] {
+		ptr[k+2]++
+	}
+	for k := 2; k < len(ptr); k++ {
+		ptr[k] += ptr[k-1]
+	}
+	for j := c0; j < c1; j++ {
+		for idx := a.ColPtr[j]; idx < a.ColPtr[j+1]; idx++ {
+			k := a.RowIdx[idx]
+			x := ptr[k+1]
+			ptr[k+1] = x + 1
+			col[x], val[x] = int32(j-c0), a.Values[idx]
+		}
+	}
+	return rowView{ptr: ptr[:m+1], col: col, val: val, ip: ip, vp: vp}
+}
+
+func (v rowView) release() {
+	spIndexPools.put(v.ip)
+	spScratchPools.put(v.vp)
+}
+
+// spPanelRows is how many rows of a dense operand, lanes wide, a row-view
+// product packs and reads at a time: spPanelBytes of them, at least eight,
+// and all of them if there are fewer. A row of the view reads the rows of
+// the dense operand its entries name, anywhere in the panel, so the panel
+// has to stay in a core's cache beside dst: a one-block 1777 x 48 018 V*H^T
+// at k = 64 took 19 ms in 1 MB panels and 13.5 ms in 512 KB ones (2 MB of
+// L2 a core), and read from one 24.6 MB pack it cost the whole one-block
+// GNMF a tenth of its kernel GFLOP/s. GNMF's 1632-wide blocks at k = 64
+// take two panels, as fast as one.
+func spPanelRows(rows, lanes int) int {
+	return min(rows, max(8, spPanelBytes/(8*lanes)))
+}
+
 // cscRowRange narrows the stored entries [lo, hi) of one CSC column, whose
 // row indices ascend, to those with a row index in [r0, r1).
 func cscRowRange(rowIdx []int32, lo, hi, r0, r1 int32) (int32, int32) {
@@ -279,62 +421,91 @@ func cscRowRange(rowIdx []int32, lo, hi, r0, r1 int32) (int32, int32) {
 	return lo, hi
 }
 
-// mulAddSD computes dst += op(A)*op(B) with sparse A (CSC) and dense B. A is
-// streamed once and every stored non-zero does one axpy over the p result
-// columns: dst[i,:] += op(A)[i,k] * op(B)[k,:], in ascending k for each i.
-// Strips own disjoint result rows.
+// mulAddSD computes dst += op(A)*op(B) with sparse A (CSC) and dense B:
+// dst[i,:] += op(A)[i,k] * op(B)[k,:] in ascending k for each i. Row i of
+// op(A) is stored column i of A when aT, and row i of A's row view
+// otherwise; each gathers into dst's row i from the rows of op(B), read
+// row-major (a transposed B packed once). The row view is built and op(B)
+// packed panel by panel of A's columns (spPanelRows), each panel's entries
+// of a row following the previous panel's. Below sdRowViewMin lanes an
+// untransposed A is swept by columns instead (mulAddSDScatter). Strips own
+// disjoint result rows.
 func mulAddSD(dst *DenseBlock, a *CSCBlock, b *DenseBlock, aT, bT bool) {
 	n, p := dst.rows, dst.cols
 	if len(a.Values) == 0 || p == 0 {
 		return
 	}
-	step, strips := spStrips(n, len(a.Values)*p)
-	if !aT {
-		if strips == 1 {
-			mulAddSDScatter(dst, a, b, bT, 0, n)
+	if !aT && p < sdRowViewMin {
+		if step, strips := spStrips(n, len(a.Values)*p, spScatterParMin); strips > 1 {
+			parallelStrips(strips, strips, func(s int) {
+				mulAddSDScatter(dst, a, b, bT, s*step, min(n, (s+1)*step))
+			})
 			return
 		}
+		mulAddSDScatter(dst, a, b, bT, 0, n)
+		return
+	}
+	if aT {
+		x := b.Data
+		if bT {
+			xp := spScratchPools.get(len(b.Data))
+			defer spScratchPools.put(xp)
+			packTrans(*xp, b.Data, b.cols, 0, p, 0, b.cols)
+			x = *xp
+		}
+		mulAddSDRows(dst, x, a.ColPtr, a.RowIdx, a.Values)
+		return
+	}
+	panel := spPanelRows(a.cols, p)
+	var xp *[]float64
+	if bT {
+		xp = spScratchPools.get(panel * p)
+		defer spScratchPools.put(xp)
+	}
+	for c0 := 0; c0 < a.cols; c0 += panel {
+		c1 := min(a.cols, c0+panel)
+		if a.ColPtr[c0] == a.ColPtr[c1] {
+			continue
+		}
+		x := b.Data[c0*p : c1*p]
+		if bT {
+			x = (*xp)[:(c1-c0)*p]
+			packTrans(x, b.Data, b.cols, 0, p, c0, c1-c0)
+		}
+		rv := newRowView(a, c0, c1)
+		mulAddSDRows(dst, x, rv.ptr, rv.col, rv.val)
+		rv.release()
+	}
+}
+
+// mulAddSDRows gathers into every row i of dst the entries (idx[e], val[e]),
+// e in [ptr[i], ptr[i+1]), from x, which holds rows of op(B) row-major, in
+// strips of rows.
+func mulAddSDRows(dst *DenseBlock, x []float64, ptr, idx []int32, val []float64) {
+	n := dst.rows
+	if step, strips := spStrips(n, len(val)*dst.cols, spParMin); strips > 1 {
 		parallelStrips(strips, strips, func(s int) {
-			mulAddSDScatter(dst, a, b, bT, s*step, min(n, (s+1)*step))
+			mulAddSDStrip(dst, x, ptr, idx, val, s*step, min(n, (s+1)*step))
 		})
 		return
 	}
-	// The gather reads rows of op(B) in the order of A's row indices, so all
-	// of a transposed B is packed up front and shared by the strips.
-	x := b.Data
-	if bT {
-		xp := spScratchPools.get(len(b.Data))
-		defer spScratchPools.put(xp)
-		packTrans(*xp, b.Data, b.cols, 0, p, 0, b.cols)
-		x = *xp
-	}
-	if strips == 1 {
-		mulAddSDGather(dst, a, x, 0, n)
-		return
-	}
-	parallelStrips(strips, strips, func(s int) {
-		mulAddSDGather(dst, a, x, s*step, min(n, (s+1)*step))
-	})
+	mulAddSDStrip(dst, x, ptr, idx, val, 0, n)
 }
 
-// mulAddSDGather is the aT form of mulAddSD for result rows [i0, i1), with x
-// holding op(B) row-major: stored column i of A is logical row i of op(A),
-// so each column of the range gathers into its own row of dst.
-func mulAddSDGather(dst *DenseBlock, a *CSCBlock, x []float64, i0, i1 int) {
+// mulAddSDStrip is mulAddSDRows for result rows [i0, i1).
+func mulAddSDStrip(dst *DenseBlock, x []float64, ptr, idx []int32, val []float64, i0, i1 int) {
 	p := dst.cols
-	for c := i0; c < i1; c++ {
-		y := dst.Data[c*p : (c+1)*p]
-		for idx := a.ColPtr[c]; idx < a.ColPtr[c+1]; idx++ {
-			r := int(a.RowIdx[idx])
-			axpy(a.Values[idx], x[r*p:(r+1)*p], y)
-		}
+	for i := i0; i < i1; i++ {
+		lo, hi := ptr[i], ptr[i+1]
+		gather(dst.Data[i*p:(i+1)*p], x, idx[lo:hi], val[lo:hi], false)
 	}
 }
 
-// mulAddSDScatter is the untransposed-A form of mulAddSD for result rows
-// [i0, i1): stored column k of A scatters row k of op(B) into the rows of
-// dst it names, of which the strip takes those in its range. Rows of op(B)
-// are needed in order, so a transposed B is packed spPanel rows at a time.
+// mulAddSDScatter is the untransposed-A form of mulAddSD below sdRowViewMin
+// lanes, for result rows [i0, i1): stored column k of A scatters row k of
+// op(B) into the rows of dst it names, of which the strip takes those in its
+// range. Rows of op(B) are needed in order, so a transposed B is packed
+// spPanel rows at a time.
 func mulAddSDScatter(dst *DenseBlock, a *CSCBlock, b *DenseBlock, bT bool, i0, i1 int) {
 	p := dst.cols
 	whole := i0 == 0 && i1 == dst.rows
@@ -369,12 +540,14 @@ func mulAddSDScatter(dst *DenseBlock, a *CSCBlock, b *DenseBlock, bT bool, i0, i
 	}
 }
 
-// mulAddDS computes dst += op(A)*op(B) with dense A and sparse B (CSC). B is
-// streamed once and every stored non-zero does one axpy over the n result
-// rows, against a contiguous row of op(A)^T: A's own rows when aT, a packed
-// transpose otherwise. Only an untransposed A of at most dsRowDotMax rows is
-// too thin for that and takes row-dot passes. Strips own disjoint result
-// columns.
+// mulAddDS computes dst += op(A)*op(B) with dense A and sparse B (CSC). Every
+// stored non-zero does one axpy over the n result rows, against a contiguous
+// row of op(A)^T — A's own rows when aT, a transpose packed otherwise. An
+// untransposed B gathers result column j from its stored column j
+// (mulAddDSGather); a transposed one scatters stored column k into the
+// result columns it names (mulAddDSScatter). Only an untransposed A of at
+// most dsRowDotMax rows is too thin for that and takes row-dot passes.
+// Strips own disjoint result columns.
 func mulAddDS(dst *DenseBlock, a *DenseBlock, b *CSCBlock, aT, bT bool) {
 	n, p := dst.rows, dst.cols
 	if !aT && !bT && n <= dsRowDotMax {
@@ -384,15 +557,14 @@ func mulAddDS(dst *DenseBlock, a *DenseBlock, b *CSCBlock, aT, bT bool) {
 	if n == 0 || (bT && len(b.Values) == 0) {
 		return
 	}
-	step, strips := spStrips(p, len(b.Values)*n)
 	if bT {
-		if strips == 1 {
-			mulAddDSScatter(dst, a, aT, b, 0, p)
+		if step, strips := spStrips(p, len(b.Values)*n, spScatterParMin); strips > 1 {
+			parallelStrips(strips, strips, func(s int) {
+				mulAddDSScatter(dst, a, aT, b, s*step, min(p, (s+1)*step))
+			})
 			return
 		}
-		parallelStrips(strips, strips, func(s int) {
-			mulAddDSScatter(dst, a, aT, b, s*step, min(p, (s+1)*step))
-		})
+		mulAddDSScatter(dst, a, aT, b, 0, p)
 		return
 	}
 	// The gather reads rows of op(A)^T in the order of B's row indices, so
@@ -404,13 +576,14 @@ func mulAddDS(dst *DenseBlock, a *DenseBlock, b *CSCBlock, aT, bT bool) {
 		packTrans(*xp, a.Data, a.cols, 0, n, 0, a.cols)
 		x = *xp
 	}
-	if strips == 1 {
-		mulAddDSGather(dst, x, b, 0, p)
+	if step, strips := spStrips(p, len(b.Values)*n, spParMin); strips > 1 {
+		x := x // captured by reference, the reassigned x would move to the heap on the serial path too
+		parallelStrips(strips, strips, func(s int) {
+			mulAddDSGather(dst, x, b, s*step, min(p, (s+1)*step))
+		})
 		return
 	}
-	parallelStrips(strips, strips, func(s int) {
-		mulAddDSGather(dst, x, b, s*step, min(p, (s+1)*step))
-	})
+	mulAddDSGather(dst, x, b, 0, p)
 }
 
 // mulAddDSRowDot computes dst += A*B row by row: dst[i,j] gains the dot
@@ -485,13 +658,9 @@ func mulAddDSGather(dst *DenseBlock, x []float64, b *CSCBlock, j0, j1 int) {
 	acc := *accp
 	for c0 := j0; c0 < j1; c0 += dsColTile {
 		cw := min(dsColTile, j1-c0)
-		clear(acc[:cw*n])
 		for c := 0; c < cw; c++ {
-			y := acc[c*n : (c+1)*n]
-			for idx := b.ColPtr[c0+c]; idx < b.ColPtr[c0+c+1]; idx++ {
-				r := int(b.RowIdx[idx])
-				axpy(b.Values[idx], x[r*n:(r+1)*n], y)
-			}
+			lo, hi := b.ColPtr[c0+c], b.ColPtr[c0+c+1]
+			gather(acc[c*n:(c+1)*n], x, b.RowIdx[lo:hi], b.Values[lo:hi], true)
 		}
 		addTile(dst.Data[c0:], p, acc, n, cw)
 	}
@@ -503,7 +672,9 @@ func mulAddDSGather(dst *DenseBlock, x []float64, b *CSCBlock, j0, j1 int) {
 // factors of op(A) as the i-k-j loop nest does. The strip's columns of dst
 // are transposed into scratch and back so that each is contiguous; rows of
 // op(A)^T are needed in order, so an untransposed A is packed spPanel rows
-// at a time.
+// at a time. (Walking a row view of B instead, as mulAddSD does, made A*V^T
+// on a gnmf block 30-160 % slower at every lane count: the axpys still go
+// through memory, and the view costs what they do.)
 func mulAddDSScatter(dst *DenseBlock, a *DenseBlock, aT bool, b *CSCBlock, j0, j1 int) {
 	n, p := dst.rows, dst.cols
 	whole := j0 == 0 && j1 == p
@@ -545,15 +716,28 @@ func mulAddDSScatter(dst *DenseBlock, a *DenseBlock, aT bool, b *CSCBlock, j0, j
 
 // addTile adds the cw accumulated columns of acc (n lanes each, column c at
 // acc[c*n:]) into the n x cw window of d (leading dimension ld) they belong
-// to: d[i*ld+c] += acc[c*n+i].
+// to: d[i*ld+c] += acc[c*n+i]. On AVX-512 a full tile's rows go through
+// addTileAVX512 eight at a time and addTileGo adds the last n%8.
 func addTile(d []float64, ld int, acc []float64, n, cw int) {
+	i0 := 0
+	if cw == dsColTile && n >= 8 && cpu.avx512 {
+		i0 = n &^ 7
+		_ = d[(i0-1)*ld+dsColTile-1] // the last element the blocks write
+		_ = acc[(dsColTile-1)*n+i0-1]
+		addTileAVX512(&d[0], ld, &acc[0], n, i0/8)
+	}
+	addTileGo(d, ld, acc, n, cw, i0)
+}
+
+// addTileGo is addTile in Go for rows [i0, n), and its definition.
+func addTileGo(d []float64, ld int, acc []float64, n, cw, i0 int) {
 	if cw == dsColTile {
 		a0 := acc[:n]
 		a1, a2, a3 := acc[n:][:n], acc[2*n:][:n], acc[3*n:][:n]
 		a4, a5, a6, a7 := acc[4*n:][:n], acc[5*n:][:n], acc[6*n:][:n], acc[7*n:][:n]
-		for i, v := range a0 {
+		for i := i0; i < n; i++ {
 			q := (*[dsColTile]float64)(d[i*ld:])
-			q[0] += v
+			q[0] += a0[i]
 			q[1] += a1[i]
 			q[2] += a2[i]
 			q[3] += a3[i]
@@ -564,7 +748,7 @@ func addTile(d []float64, ld int, acc []float64, n, cw int) {
 		}
 		return
 	}
-	for i := 0; i < n; i++ {
+	for i := i0; i < n; i++ {
 		row := d[i*ld : i*ld+cw]
 		for c := range row {
 			row[c] += acc[c*n+i]
@@ -628,37 +812,20 @@ func mulAddSS(dst *DenseBlock, a, b *CSCBlock, aT, bT bool) {
 // CSC does not store. Merging every column pair instead costs cols_a * cols_b
 // merges whatever the blocks hold — a thousand per product of two 32-wide
 // blocks to perform a few dozen multiply-adds — so B's rows are first laid
-// out once (a counting pass into pooled scratch), and row i of the result is
-// then the row-wise product: every stored (k, av) of A[:,i], in ascending k,
-// adds av * B[k,:] into an accumulator row that started at zero, and the row
-// is added into dst over all its columns — the sums, and the += 0 on cells
-// no pair reaches, of the merge kept as refMulAddSS in mul_sparse_test.go
-// (NaN payloads aside, see the file comment).
+// out once (newRowView), and row i of the result is then the row-wise
+// product: every stored (k, av) of A[:,i], in ascending k, adds av * B[k,:]
+// into an accumulator row that started at zero, and the row is added into
+// dst over all its columns — the sums, and the += 0 on cells no pair
+// reaches, of the merge kept as refMulAddSS in mul_sparse_test.go (NaN
+// payloads aside, see the file comment).
 func mulAddSSTN(dst *DenseBlock, a, b *CSCBlock) {
-	n, p, m, nnz := dst.rows, dst.cols, b.rows, len(b.Values)
-	// Row view of B: row k holds (col[x], val[x]) for x in [ptr[k], ptr[k+1]).
-	// Counts are taken two slots up so that, after the prefix sum, ptr[k+1]
-	// is the fill cursor of row k and ends as the start of row k+1.
-	ip := spIndexPools.get(m + 2 + nnz)
-	defer spIndexPools.put(ip)
-	ptr, col := (*ip)[:m+2], (*ip)[m+2:]
-	vp := spScratchPools.get(nnz + p)
-	defer spScratchPools.put(vp)
-	val, acc := (*vp)[:nnz], (*vp)[nnz:]
-	clear(ptr)
-	for _, k := range b.RowIdx {
-		ptr[k+2]++
-	}
-	for k := 2; k < len(ptr); k++ {
-		ptr[k] += ptr[k-1]
-	}
-	for j := 0; j < p; j++ {
-		for idx := b.ColPtr[j]; idx < b.ColPtr[j+1]; idx++ {
-			x := ptr[b.RowIdx[idx]+1]
-			ptr[b.RowIdx[idx]+1] = x + 1
-			col[x], val[x] = int32(j), b.Values[idx]
-		}
-	}
+	n, p := dst.rows, dst.cols
+	rv := newRowView(b, 0, b.cols)
+	defer rv.release()
+	ptr, col, val := rv.ptr, rv.col, rv.val
+	accp := spScratchPools.get(p)
+	defer spScratchPools.put(accp)
+	acc := *accp
 	clear(acc)
 	for i := 0; i < n; i++ {
 		for idx := a.ColPtr[i]; idx < a.ColPtr[i+1]; idx++ {

@@ -252,20 +252,59 @@ func sameBits(x, y []float64) int {
 	return -1
 }
 
+// featureLevels lists the CPU feature sets a test forces in turn so that
+// every fallback of the sparse kernels runs: none (the Go loops), AVX alone
+// (axpyAVX under the Go gather and transposes) and, on top, AVX-512 (the
+// register gather and transposes), each only where the host has it.
+func featureLevels() []cpuFeatures {
+	levels := []cpuFeatures{{}}
+	if cpu.avx {
+		levels = append(levels, cpuFeatures{avx: true, fma: cpu.fma})
+	}
+	if cpu.avx512 {
+		levels = append(levels, cpu)
+	}
+	return levels
+}
+
+// spFanOut returns how many strips MulAddTransInto cuts a sparse x dense
+// product into at the current kernel worker count, with nnz stored entries in
+// its sparse operand, and whether its kernel sweeps the stored columns
+// (spScatterParMin) rather than gathering (spParMin).
+func spFanOut(sparseLeft, aT, bT bool, n, p, nnz int) (strips int, sweep bool) {
+	total, lanes := n, p
+	if !sparseLeft {
+		total, lanes = p, n
+	}
+	sweep = sparseLeft && !aT && p < sdRowViewMin || !sparseLeft && bT
+	parMin := spParMin
+	if sweep {
+		parMin = spScatterParMin
+	}
+	_, strips = spStrips(total, nnz*lanes, parMin)
+	return strips, sweep
+}
+
 // TestSparseDenseBitIdentical holds the one-pass sparse x dense kernels to
 // the loops they replaced, bit for bit: every operand order, transpose flag,
 // thin and ragged shape, empty columns and blocks, a non-zero dst on entry,
-// the assembly axpy on and off, and worker counts that cut the lanes into
-// one to seven strips (the 200-deep shapes clear spParMin).
+// every feature level (featureLevels), and worker counts that cut the lanes
+// into one to seven strips. Every product that clears its kernel's fan-out
+// threshold (spFanOut) runs at all those worker counts: among them the
+// column sweeps' of the 200-deep shapes and of the three-lane 2000 x 300
+// one, and the gathers' of the last two shapes, with GNMF's W^T*V
+// at 64 lanes and V*H^T at 32.
 func TestSparseDenseBitIdentical(t *testing.T) {
 	defer SetKernelWorkers(SetKernelWorkers(1))
 	defer func(f cpuFeatures) { cpu = f }(cpu)
-	haveAVX := cpu.avx
+	levels := featureLevels()
 	shapes := [][3]int{
 		{1, 7, 6}, {2, 7, 37}, {3, 33, 5}, {5, 7, 1}, {4, 9, 4},
 		{1, 200, 150}, {2, 200, 65}, {3, 200, 150}, {5, 200, 37},
 		{64, 200, 150}, {65, 200, 150}, {150, 200, 64}, {150, 200, 65},
 		{64, 33, 6}, {37, 200, 70}, {150, 7, 150},
+		{2000, 300, 3},
+		{64, 256, 656}, {1300, 256, 32},
 	}
 	type variant struct {
 		density float64
@@ -273,10 +312,15 @@ func TestSparseDenseBitIdentical(t *testing.T) {
 	}
 	variants := []variant{{0.3, false}, {0.3, true}, {0, false}}
 	rng := rand.New(rand.NewSource(14))
-	var fanned [2]bool // a sparse-left, a sparse-right product was cut into strips
+	// The most strips a product was cut into, by sparse side and kernel kind.
+	fanned := map[[2]bool]int{}
 	defer func() {
-		if !fanned[0] || !fanned[1] {
-			t.Errorf("no product of the table cleared spParMin (sparse left: %v, right: %v): the strips went untested", fanned[0], fanned[1])
+		for _, left := range []bool{true, false} {
+			for _, sweep := range []bool{true, false} {
+				if k := fanned[[2]bool{left, sweep}]; k < 4 {
+					t.Errorf("sparseLeft=%v sweep=%v: the table cut a product into at most %d strips; up to four went untested", left, sweep, k)
+				}
+			}
 		}
 	}()
 	for _, sh := range shapes {
@@ -291,13 +335,19 @@ func TestSparseDenseBitIdentical(t *testing.T) {
 						entry.Data[rng.Intn(len(entry.Data))] = math.Copysign(0, -1)
 						entry.Data[rng.Intn(len(entry.Data))] = 0
 					}
+					ws := []int{1}
 					SetKernelWorkers(7)
-					if sparseLeft {
-						_, strips := spStrips(n, a.NNZ()*p)
-						fanned[0] = fanned[0] || strips > 1
-					} else if !(n <= dsRowDotMax && !aT && !bT) {
-						_, strips := spStrips(p, b.NNZ()*n)
-						fanned[1] = fanned[1] || strips > 1
+					nnz := a.NNZ()
+					if !sparseLeft {
+						nnz = b.NNZ()
+					}
+					if sparseLeft || !(n <= dsRowDotMax && !aT && !bT) {
+						strips, sweep := spFanOut(sparseLeft, aT, bT, n, p, nnz)
+						key := [2]bool{sparseLeft, sweep}
+						fanned[key] = max(fanned[key], strips)
+						if strips > 1 {
+							ws = []int{1, 2, 3, 4, 7}
+						}
 					}
 					want := entry.Clone().(*DenseBlock)
 					if sparseLeft {
@@ -305,20 +355,17 @@ func TestSparseDenseBitIdentical(t *testing.T) {
 					} else {
 						refMulAddDS(want, a.(*DenseBlock), b.(*CSCBlock), aT, bT)
 					}
-					for _, avx := range []bool{false, true} {
-						if avx && !haveAVX {
-							continue
-						}
-						cpu.avx = avx
-						for _, workers := range []int{1, 2, 3, 7} {
+					for _, f := range levels {
+						cpu = f
+						for _, workers := range ws {
 							SetKernelWorkers(workers)
 							got := entry.Clone().(*DenseBlock)
 							if err := MulAddTransInto(got, a, b, aT, bT); err != nil {
 								t.Fatal(err)
 							}
 							if i := sameBits(got.Data, want.Data); i >= 0 {
-								t.Fatalf("%dx%dx%d sparseLeft=%v aT=%v bT=%v density=%v special=%v avx=%v workers=%d: element %d is %v, reference %v",
-									n, m, p, sparseLeft, aT, bT, v.density, v.special, avx, workers, i, got.Data[i], want.Data[i])
+								t.Fatalf("%dx%dx%d sparseLeft=%v aT=%v bT=%v density=%v special=%v cpu=%+v workers=%d: element %d is %v, reference %v",
+									n, m, p, sparseLeft, aT, bT, v.density, v.special, f, workers, i, got.Data[i], want.Data[i])
 							}
 						}
 					}
@@ -328,31 +375,112 @@ func TestSparseDenseBitIdentical(t *testing.T) {
 	}
 }
 
+// TestSparseDenseLanesBitIdentical holds the register gather, the row views
+// and the vector transposes to the reference loops, bit for bit, at every
+// lane count from 1 to 130: both sides of the 8-, 32- and 64-lane register
+// passes and every masked tail of one to seven lanes. The lanes are the
+// result's columns in the four sparse x dense forms and its rows in the four
+// dense x sparse ones (A*S from five rows up; below, the row-dot runs). At
+// GNMF's 32 and 64 lanes and at 130 the inner dimension also runs two and a
+// half row-view panels deep (spPanelRows). The operands and dst on entry
+// carry zeros of both signs, infinities, subnormals and the default NaN
+// (see hyperSparse), and every feature level runs (featureLevels).
+func TestSparseDenseLanesBitIdentical(t *testing.T) {
+	defer SetKernelWorkers(SetKernelWorkers(1))
+	defer func(f cpuFeatures) { cpu = f }(cpu)
+	levels := featureLevels()
+	rng := rand.New(rand.NewSource(19))
+	plant := func(vals []float64) {
+		for _, v := range []float64{0, math.Copysign(0, -1), posInf, -posInf, posInf - posInf, math.SmallestNonzeroFloat64, -0x1p-1030} {
+			if len(vals) > 0 {
+				vals[rng.Intn(len(vals))] = v
+			}
+		}
+	}
+	const other = 11   // the result's other side
+	var cases [][2]int // lanes, inner dimension
+	for lanes := 1; lanes <= 130; lanes++ {
+		cases = append(cases, [2]int{lanes, 29})
+	}
+	for _, lanes := range []int{32, 64, 130} {
+		cases = append(cases, [2]int{lanes, 2*spPanelRows(1<<30, lanes) + 5})
+	}
+	for _, c := range cases {
+		lanes, depth := c[0], c[1]
+		for _, sparseLeft := range []bool{true, false} {
+			n, p := other, lanes
+			if !sparseLeft {
+				n, p = lanes, other
+			}
+			for flags := 0; flags < 4; flags++ {
+				aT, bT := flags&1 != 0, flags&2 != 0
+				a, b := spOperands(rng, sparseLeft, n, depth, p, aT, bT, 0.3, true)
+				entry := dstOnEntry(rng, n, p)
+				plant(entry.Data)
+				want := entry.Clone().(*DenseBlock)
+				if sparseLeft {
+					plant(a.(*CSCBlock).Values)
+					plant(b.(*DenseBlock).Data)
+					refMulAddSD(want, a.(*CSCBlock), b.(*DenseBlock), aT, bT)
+				} else {
+					plant(a.(*DenseBlock).Data)
+					plant(b.(*CSCBlock).Values)
+					refMulAddDS(want, a.(*DenseBlock), b.(*CSCBlock), aT, bT)
+				}
+				for _, f := range levels {
+					cpu = f
+					got := entry.Clone().(*DenseBlock)
+					if err := MulAddTransInto(got, a, b, aT, bT); err != nil {
+						t.Fatal(err)
+					}
+					if i := sameBits(got.Data, want.Data); i >= 0 {
+						t.Fatalf("%d lanes %dx%dx%d sparseLeft=%v aT=%v bT=%v cpu=%+v: element %d is %v, reference %v",
+							lanes, n, depth, p, sparseLeft, aT, bT, f, i, got.Data[i], want.Data[i])
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestSparseDenseConcurrentCallers drives the lane strips of both kernels
 // from several goroutines at once, as the executor's block tasks do; under
-// -race it pins the pooled scratch and the strip ownership as race-free.
+// -race it pins the pooled scratch, the shared packed operands and row views
+// and the strip ownership as race-free. Every product is cut into strips:
+// all eight forms at 64 x 656, and the thin column sweep of V*w at three
+// lanes.
 func TestSparseDenseConcurrentCallers(t *testing.T) {
 	defer SetKernelWorkers(SetKernelWorkers(4))
 	rng := rand.New(rand.NewSource(15))
-	const n, m, p = 64, 200, 180
 	type product struct {
 		a, b   Block
 		aT, bT bool
 		want   *DenseBlock
 	}
 	var products []product
+	add := func(sparseLeft, aT, bT bool, n, m, p int) {
+		a, b := spOperands(rng, sparseLeft, n, m, p, aT, bT, 0.3, false)
+		want := NewDense(n, p)
+		nnz := a.NNZ()
+		if sparseLeft {
+			refMulAddSD(want, a.(*CSCBlock), b.(*DenseBlock), aT, bT)
+		} else {
+			nnz = b.NNZ()
+			refMulAddDS(want, a.(*DenseBlock), b.(*CSCBlock), aT, bT)
+		}
+		if strips, _ := spFanOut(sparseLeft, aT, bT, n, p, nnz); strips < 2 {
+			t.Fatalf("%dx%dx%d aT=%v bT=%v sparseLeft=%v: %d stored entries run in one strip", n, m, p, aT, bT, sparseLeft, nnz)
+		}
+		products = append(products, product{a, b, aT, bT, want})
+	}
 	for flags := 0; flags < 4; flags++ {
 		aT, bT := flags&1 != 0, flags&2 != 0
 		for _, sparseLeft := range []bool{true, false} {
-			a, b := spOperands(rng, sparseLeft, n, m, p, aT, bT, 0.3, false)
-			want := NewDense(n, p)
-			if sparseLeft {
-				refMulAddSD(want, a.(*CSCBlock), b.(*DenseBlock), aT, bT)
-			} else {
-				refMulAddDS(want, a.(*DenseBlock), b.(*CSCBlock), aT, bT)
-			}
-			products = append(products, product{a, b, aT, bT, want})
+			add(sparseLeft, aT, bT, 64, 256, 656)
 		}
+	}
+	for _, bT := range []bool{false, true} {
+		add(true, false, bT, 2000, 300, 3)
 	}
 	const callers = 8
 	errs := make(chan string, callers)
@@ -360,7 +488,7 @@ func TestSparseDenseConcurrentCallers(t *testing.T) {
 		go func(g int) {
 			for r := 0; r < len(products); r++ {
 				pr := products[(g+r)%len(products)]
-				got := NewDense(n, p)
+				got := NewDense(pr.want.rows, pr.want.cols)
 				if err := MulAddTransInto(got, pr.a, pr.b, pr.aT, pr.bT); err != nil {
 					errs <- err.Error()
 					return
@@ -381,16 +509,20 @@ func TestSparseDenseConcurrentCallers(t *testing.T) {
 }
 
 // TestSparseDenseAllocFree verifies that steady-state sparse x dense products
-// allocate nothing on the caller's own strip: packed panels, the transposed
-// dst and the column accumulators all come from spScratchPools. (A fanned-out
-// product additionally allocates its strip job, like the GEMM's.)
+// allocate nothing on the caller's own strip: packed operands, row views, the
+// transposed dst and the column accumulators all come from the scratch
+// pools, on the register gather's passes (64, 32, 8 lanes and a masked tail)
+// as on its fallback, and on the thin column sweep. (A fanned-out product
+// additionally allocates its strip job, like the GEMM's.)
 func TestSparseDenseAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
 	}
 	defer SetKernelWorkers(SetKernelWorkers(1))
+	defer func(f cpuFeatures) { cpu = f }(cpu)
+	levels := featureLevels()
 	rng := rand.New(rand.NewSource(16))
-	for _, sh := range [][3]int{{64, 300, 300}, {1, 300, 300}, {300, 300, 64}} {
+	for _, sh := range [][3]int{{64, 300, 300}, {1, 300, 300}, {300, 300, 64}, {32, 300, 45}, {300, 300, 32}, {300, 300, 2}} {
 		n, m, p := sh[0], sh[1], sh[2]
 		for _, sparseLeft := range []bool{true, false} {
 			for flags := 0; flags < 4; flags++ {
@@ -402,9 +534,12 @@ func TestSparseDenseAllocFree(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				run() // grow the pooled scratch
-				if allocs := testing.AllocsPerRun(10, run); allocs != 0 {
-					t.Errorf("%dx%dx%d sparseLeft=%v aT=%v bT=%v: %v allocs per product, want 0", n, m, p, sparseLeft, aT, bT, allocs)
+				for _, f := range levels {
+					cpu = f
+					run() // grow the pooled scratch
+					if allocs := testing.AllocsPerRun(10, run); allocs != 0 {
+						t.Errorf("%dx%dx%d sparseLeft=%v aT=%v bT=%v cpu=%+v: %v allocs per product, want 0", n, m, p, sparseLeft, aT, bT, f, allocs)
+					}
 				}
 			}
 		}
@@ -693,6 +828,87 @@ func BenchmarkMulAddSDNT(b *testing.B) {
 	v := benchSparse(rng, gnmfBlock, gnmfBlock, gnmfDensity)
 	h := randDense(rng, gnmfK, gnmfBlock)
 	benchMulAdd(b, NewDense(gnmfBlock, gnmfK), v, h, false, true)
+}
+
+// BenchmarkMulAddGNMFBlocks times the four block products of a GNMF
+// iteration — W^T*V, V*H^T, (W^T*W)*H and H*H^T — on one block of each
+// GNMF workload of the benchmark ledger: gnmf (Netflix/10, block 1632, k =
+// 64) and gnmf_ckpt (Netflix/40, block 408, k = 32), both at 1 % density, at
+// one and two kernel workers: whether a second worker pays on these thin
+// products is what spParMin and gemmParMin decide.
+func BenchmarkMulAddGNMFBlocks(b *testing.B) {
+	for _, sh := range []struct {
+		name     string
+		block, k int
+	}{{"gnmf", gnmfBlock, gnmfK}, {"gnmf_ckpt", 408, 32}} {
+		rng := rand.New(rand.NewSource(int64(sh.block)))
+		bs, k := sh.block, sh.k
+		v := benchSparse(rng, bs, bs, gnmfDensity)
+		w, h, wtw := randDense(rng, bs, k), randDense(rng, k, bs), randDense(rng, k, k)
+		sparseFLOPs, denseFLOPs := 2*float64(v.NNZ()*k), 2*float64(k*k*bs)
+		for _, pr := range []struct {
+			name   string
+			dst    *DenseBlock
+			x, y   Block
+			xT, yT bool
+			flops  float64
+		}{
+			{"WtV", NewDense(k, bs), w, v, true, false, sparseFLOPs},
+			{"VHt", NewDense(bs, k), v, h, false, true, sparseFLOPs},
+			{"WtWH", NewDense(k, bs), wtw, h, false, false, denseFLOPs},
+			{"HHt", NewDense(k, k), h, h, false, true, denseFLOPs},
+		} {
+			for _, workers := range []int{1, 2} {
+				b.Run(fmt.Sprintf("%s/%s/workers=%d", sh.name, pr.name, workers), func(b *testing.B) {
+					defer SetKernelWorkers(SetKernelWorkers(workers))
+					for i := 0; i < b.N; i++ {
+						if err := MulAddTransInto(pr.dst, pr.x, pr.y, pr.xT, pr.yT); err != nil {
+							b.Fatal(err)
+						}
+					}
+					b.ReportMetric(pr.flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+				})
+			}
+		}
+	}
+}
+
+// BenchmarkMulAddSparseLanes times the sparse x dense forms at lane counts
+// from one up to GNMF's k on one gnmf block (1632², 1 %), at one and two
+// kernel workers: V*w and V^T*r of the regressions and SVD are sd-nn and
+// sd-tn at one lane, GNMF's V*H^T and W^T*V are sd-nt and ds-tn at 64, and
+// ds-nt is A*V^T. Which algorithm a form takes at a given lane count
+// (sdRowViewMin) is read off here.
+func BenchmarkMulAddSparseLanes(b *testing.B) {
+	rng := rand.New(rand.NewSource(8))
+	v := benchSparse(rng, gnmfBlock, gnmfBlock, gnmfDensity)
+	for _, form := range []struct {
+		name       string
+		sparseLeft bool
+		aT, bT     bool
+	}{
+		{"sd-nn", true, false, false}, {"sd-tn", true, true, false}, {"sd-nt", true, false, true},
+		{"ds-tn", false, true, false}, {"ds-nt", false, false, true},
+	} {
+		for _, lanes := range []int{1, 2, 4, 8, 16, 64} {
+			// The dense operand is stored lanes x 1632 when it is a
+			// transposed right operand or an untransposed left one.
+			d := randDense(rng, gnmfBlock, lanes)
+			if form.sparseLeft && form.bT || !form.sparseLeft && !form.aT {
+				d = randDense(rng, lanes, gnmfBlock)
+			}
+			x, y, dst := Block(v), Block(d), NewDense(gnmfBlock, lanes)
+			if !form.sparseLeft {
+				x, y, dst = d, v, NewDense(lanes, gnmfBlock)
+			}
+			for _, workers := range []int{1, 2} {
+				b.Run(fmt.Sprintf("%s/lanes=%d/workers=%d", form.name, lanes, workers), func(b *testing.B) {
+					defer SetKernelWorkers(SetKernelWorkers(workers))
+					benchMulAdd(b, dst, x, y, form.aT, form.bT)
+				})
+			}
+		}
+	}
 }
 
 // BenchmarkMulAddDSRowVec is PageRank's rank %*% link block product.

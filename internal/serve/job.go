@@ -141,6 +141,16 @@ type job struct {
 	metrics engine.Metrics
 }
 
+// releaseInputs drops the job's references to its inputs and program at its
+// terminal transition, under the service mutex. Only runJob reads them, while
+// the job itself stays in the service's table for its status, result and
+// trace: holding on would keep every input reachable for the life of the
+// service, long after the job cache evicted it.
+func (j *job) releaseInputs() {
+	j.built = nil
+	j.spec.Program, j.spec.Inputs = nil, nil
+}
+
 func (j *job) status() JobStatus {
 	st := JobStatus{
 		ID:       j.id,

@@ -663,6 +663,7 @@ func (s *Service) finishJob(j *job, slot *engineSlot, state State, runErr error,
 	j.metrics = total
 	j.iterations = iters
 	j.finished = time.Now()
+	j.releaseInputs()
 	switch state {
 	case StateDone:
 		s.cCompleted.Inc()
@@ -947,6 +948,7 @@ func (s *Service) Cancel(id string) (JobStatus, error) {
 		j.canceled = true
 		j.err = context.Canceled
 		j.finished = time.Now()
+		j.releaseInputs()
 		s.cCanceled.Inc()
 		s.vFinished.With(j.spec.Tenant, j.spec.Workload, string(StateCanceled)).Inc()
 		s.gQueueDepth.Set(float64(s.q.size))
@@ -1014,6 +1016,7 @@ func (s *Service) Stop(ctx context.Context) error {
 			j.canceled = true
 			j.err = fmt.Errorf("serve: shed at shutdown: %w", context.Canceled)
 			j.finished = time.Now()
+			j.releaseInputs()
 			s.cCanceled.Inc()
 			s.vFinished.With(j.spec.Tenant, j.spec.Workload, string(StateCanceled)).Inc()
 			s.tenantGaugesLocked(j.spec.Tenant, ts)

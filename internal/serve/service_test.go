@@ -453,6 +453,79 @@ func TestProgrammaticJob(t *testing.T) {
 	}
 }
 
+// TestTerminalJobReleasesInputs: a job drops its inputs and program at every
+// terminal transition — finished, canceled while queued, shed by a forced
+// stop — while its status, result and trace still read back.
+func TestTerminalJobReleasesInputs(t *testing.T) {
+	opts := testOptions()
+	opts.Slots = 1
+	opts.DefaultQuota = TenantQuota{MaxConcurrent: 1, MaxQueued: 100}
+	s := newTestService(t, opts)
+	released := func(id string) bool {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		j := s.jobs[id]
+		return j.built == nil && j.spec.Inputs == nil && j.spec.Program == nil
+	}
+	built, err := workload.DefaultRegistry().Build("gram", 8, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done, err := s.Submit(JobSpec{Tenant: "t", Program: built.Program, Inputs: built.Inputs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	if fin, err := s.Wait(ctx, done.ID); err != nil || fin.State != StateDone {
+		t.Fatalf("%v / %+v", err, fin)
+	}
+	if !released(done.ID) {
+		t.Error("a finished job still holds its inputs")
+	}
+	if st, err := s.Status(done.ID); err != nil || st.State != StateDone || st.Iterations != 1 {
+		t.Errorf("status after release: %+v, %v", st, err)
+	}
+	if res, err := s.Result(done.ID); err != nil || res.Grids["G"] == nil {
+		t.Errorf("result after release: %+v, %v", res, err)
+	}
+	if spans, err := s.JobTrace(done.ID); err != nil || len(spans) == 0 {
+		t.Errorf("trace after release: %d spans, %v", len(spans), err)
+	}
+
+	// One slot, one running job per tenant: the first slow job runs, the
+	// rest queue.
+	slow := workload.Params{"nodes": 256, "iters": 500, "seed": 8}
+	var ids []string
+	for i := 0; i < 3; i++ {
+		st, err := s.Submit(JobSpec{Tenant: "t", Workload: "pagerank", Params: slow})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, st.ID)
+	}
+	if st, err := s.Cancel(ids[2]); err != nil || st.State != StateCanceled {
+		t.Fatalf("cancel of a queued job: %+v, %v", st, err)
+	}
+	if !released(ids[2]) {
+		t.Error("a job canceled while queued still holds its inputs")
+	}
+	stopCtx, stopCancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer stopCancel()
+	if err := s.Stop(stopCtx); err == nil {
+		t.Fatal("forced stop should report shed/canceled jobs")
+	}
+	for _, id := range ids[:2] {
+		st, err := s.Status(id)
+		if err != nil || !st.State.Terminal() {
+			t.Errorf("job %s after forced stop: %+v, %v", id, st, err)
+		}
+		if !released(id) {
+			t.Errorf("job %s (%s) still holds its inputs after a forced stop", id, st.State)
+		}
+	}
+}
+
 // TestJobRootSpans: every job emits a serve/job root span, the engine's run
 // spans are parented under it, and the whole tree lands in the flight
 // recorder under the job's ID.
