@@ -9,7 +9,6 @@
 //	dmacbench -exp fig8 -graph LiveJournal
 //	dmacbench -trace out.json -metrics-out metrics.json
 //	dmacbench -kernels -kernel-sizes 64,128,256,512 -kernel-workers 1,2,4,8 -kernels-out BENCH_kernels.json
-//	dmacbench -open-loop -serve-out BENCH_autoscale.json
 package main
 
 import (
@@ -31,7 +30,7 @@ func main() {
 	scale := flag.Int("scale", 40, "Netflix scale denominator for fig6/table4")
 	graph := flag.String("graph", "soc-pokec", "graph for fig8")
 	checkpointDir := flag.String("checkpoint-dir", "", "checkpoint directory for the checkpoint experiment (default: a temp dir)")
-	timeout := flag.Duration("timeout", 0, "deadline for the open-loop ramp and the checkpoint experiment (0 = none); runs abort cleanly between stages and block tasks")
+	timeout := flag.Duration("timeout", 0, "deadline for the checkpoint experiment (0 = none); runs abort cleanly between stages and block tasks")
 	tracePath := flag.String("trace", "", "run a traced workload and write Chrome trace JSON to this path (skips -exp)")
 	traceApp := flag.String("trace-app", "pagerank", "application the -trace run executes: pagerank | gnmf | linreg")
 	metricsPath := flag.String("metrics-out", "", "with -trace, also write the metrics registry dump to this path")
@@ -39,11 +38,6 @@ func main() {
 	kernelSizes := flag.String("kernel-sizes", "64,128,256,512", "comma-separated square block sizes for -kernels")
 	kernelWorkers := flag.String("kernel-workers", "1,2,4,8", "comma-separated kernel worker counts for the -kernels multi-core curve")
 	kernelsOut := flag.String("kernels-out", "", "with -kernels, also write the report JSON to this path")
-	openLoop := flag.Bool("open-loop", false, "run only the open-loop (Poisson-arrival) autoscaler ramp against an in-process job service: warm -> 10x surge -> cool, autoscaled vs fixed 1-slot pool")
-	serveSeed := flag.Int64("serve-seed", 1, "with -open-loop, arrival-process seed")
-	serveOut := flag.String("serve-out", "", "with -open-loop, also write the report JSON to this path")
-	surgeFactor := flag.Float64("surge-factor", 10, "with -open-loop, surge-to-base arrival-rate ratio")
-	openLoopMax := flag.Int("open-loop-max-slots", 6, "with -open-loop, autoscaled pool upper bound")
 	flag.Parse()
 
 	w := os.Stdout
@@ -56,20 +50,6 @@ func main() {
 	if *tracePath != "" {
 		if err := runTraced(w, *traceApp, *tracePath, *metricsPath, *iters, *scale); err != nil {
 			log.Fatalf("trace: %v", err)
-		}
-		return
-	}
-	if *openLoop {
-		opts := bench.OpenLoopOptions{
-			Seed:        *serveSeed,
-			SurgeFactor: *surgeFactor,
-			MaxSlots:    *openLoopMax,
-			Timeout:     *timeout,
-		}
-		if err := bench.OpenLoop(w, opts, *serveOut, func(path string, data []byte) error {
-			return os.WriteFile(path, data, 0o644)
-		}); err != nil {
-			log.Fatalf("open-loop: %v", err)
 		}
 		return
 	}

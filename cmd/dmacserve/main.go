@@ -4,7 +4,6 @@
 // Usage:
 //
 //	dmacserve -addr :8421 -slots 4 -workers 4
-//	dmacserve -autoscale -min-slots 1 -max-slots 8 -autoscale-target 1.0
 //	curl -s localhost:8421/v1/jobs -d '{"tenant":"alice","workload":"pagerank","params":{"nodes":256,"iters":5}}'
 //	curl -s localhost:8421/v1/jobs/job-000001?include=result
 //	curl -s localhost:8421/v1/stats
@@ -38,7 +37,6 @@ import (
 	"syscall"
 	"time"
 
-	"dmac/internal/autoscale"
 	"dmac/internal/dist"
 	"dmac/internal/engine"
 	"dmac/internal/obs"
@@ -57,16 +55,7 @@ func run() int {
 	workers := flag.Int("workers", 4, "simulated cluster workers per engine slot")
 	workerAddrs := flag.String("worker-addrs", "", "comma-separated dmacworker addresses; when set, the data plane is real TCP to these workers (list order is worker index) and -workers is ignored")
 	blockSize := flag.Int("block", 64, "block size for served jobs")
-	paceComm := flag.Duration("pace-comm", 0, "spend this much wall-clock time per communication primitive (real-time shuffle emulation; 0 disables) so job durations behave like a real cluster's")
-	slots := flag.Int("slots", 2, "initial engine pool size = max concurrently running jobs")
-	autoscaleOn := flag.Bool("autoscale", false, "enable the model-based elastic autoscaler (pool resizes within [-min-slots, -max-slots])")
-	minSlots := flag.Int("min-slots", 1, "autoscaler lower pool bound")
-	maxSlots := flag.Int("max-slots", 8, "autoscaler upper pool bound")
-	asTarget := flag.Float64("autoscale-target", 1.0, "autoscaler queue-wait objective in seconds (the latency SLO the pool defends)")
-	asUtil := flag.Float64("autoscale-util", 0.7, "autoscaler target per-slot utilization (lower = more headroom)")
-	asInterval := flag.Duration("autoscale-interval", 2*time.Second, "autoscaler reconciliation period")
-	asUpCooldown := flag.Duration("autoscale-up-cooldown", time.Second, "minimum gap between grow decisions")
-	asDownCooldown := flag.Duration("autoscale-down-cooldown", 30*time.Second, "minimum gap between the last scale decision and a shrink")
+	slots := flag.Int("slots", 2, "engine pool size = max concurrently running jobs")
 	queueCap := flag.Int("queue", 32, "admission queue capacity across all tenants")
 	maxConcurrent := flag.Int("tenant-concurrent", 2, "default per-tenant concurrent-job quota")
 	maxQueued := flag.Int("tenant-queued", 8, "default per-tenant queued-job quota")
@@ -103,23 +92,9 @@ func run() int {
 	}
 
 	cluster := dist.ScaledConfig(*workers, 8)
-	cluster.PaceCommLatencySec = paceComm.Seconds()
 	if *workerAddrs != "" {
 		cluster.WorkerAddrs = strings.Split(*workerAddrs, ",")
 		logger.Info("wire data plane enabled", "workers", len(cluster.WorkerAddrs))
-	}
-
-	var asCfg *autoscale.Config
-	if *autoscaleOn {
-		asCfg = &autoscale.Config{
-			Min:                *minSlots,
-			Max:                *maxSlots,
-			TargetQueueWaitSec: *asTarget,
-			TargetUtilization:  *asUtil,
-			Interval:           *asInterval,
-			ScaleUpCooldown:    *asUpCooldown,
-			ScaleDownCooldown:  *asDownCooldown,
-		}
 	}
 
 	registry := obs.NewRegistry()
@@ -137,7 +112,6 @@ func run() int {
 		Logger:             logger,
 		SLO:                serve.SLOConfig{Objective: *sloObjective, LatencySec: *sloLatency},
 		FlightRecorderJobs: *flightJobs,
-		Autoscale:          asCfg,
 	})
 	if err != nil {
 		logger.Error("dmacserve startup failed", "err", err.Error())
@@ -179,7 +153,7 @@ func run() int {
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.Serve(ln) }()
 	logger.Info("dmacserve serving", "addr", ln.Addr().String(), "planner", planner.String(),
-		"slots", *slots, "workers", *workers, "block", *blockSize, "autoscale", *autoscaleOn)
+		"slots", *slots, "workers", *workers, "block", *blockSize)
 
 	exit := 0
 	sigCh := make(chan os.Signal, 1)

@@ -28,9 +28,8 @@ const (
 	DefaultLocalParallelism = 8
 )
 
-// smallBlockSize keeps the checkpoint sweep's and the open-loop ramp's
-// datasets multi-block, so every scheme and strategy runs while runs stay
-// fast.
+// smallBlockSize keeps the checkpoint sweep's datasets multi-block, so every
+// scheme and strategy runs while runs stay fast.
 const smallBlockSize = 8
 
 // clusterConfig puts every engine of the harness under cost.Scaled's rates;

@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"dmac/internal/cost"
 	"dmac/internal/obs"
@@ -31,14 +30,6 @@ type Config struct {
 	// Rates turn the arithmetic performed and the bytes moved into modelled
 	// time. Unset rates take cost.Production's.
 	cost.Rates
-	// PaceCommLatencySec, when positive, spends this much wall-clock time on
-	// every communication primitive in addition to charging the model. The
-	// default (0) keeps runs model-only and as fast as the arithmetic allows,
-	// which is what the figure reproductions want; serving benches and demos
-	// turn pacing on so a job's wall time is dominated by genuine waiting —
-	// like a real cluster's shuffles — and an engine pool's capacity scales
-	// with its slot count instead of the host's core count.
-	PaceCommLatencySec float64
 	// Stragglers injects slow workers: worker index -> slowdown factor
 	// (>= 1). Because stages are un-interleaved (Section 5.2), a stage
 	// finishes only when its slowest worker does, so the modelled compute
@@ -239,9 +230,6 @@ func (c *Cluster) Metrics() *obs.Registry { return c.metrics.Load() }
 // code path that charges communication to NetStats, with the same byte
 // count, so trace totals and network totals agree exactly.
 func (c *Cluster) traceComm(stage int, name string, bytes int64, attrs ...obs.Attr) {
-	if c.cfg.PaceCommLatencySec > 0 {
-		time.Sleep(time.Duration(c.cfg.PaceCommLatencySec * float64(time.Second)))
-	}
 	if tr := c.tracer.Load(); tr.Enabled() {
 		base := []obs.Attr{obs.Int64("stage", int64(stage)), obs.Int64("bytes", bytes)}
 		tr.Event("comm", name, tr.Scope(), append(base, attrs...)...)

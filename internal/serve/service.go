@@ -11,7 +11,6 @@ import (
 	"sync"
 	"time"
 
-	"dmac/internal/autoscale"
 	"dmac/internal/dist"
 	"dmac/internal/engine"
 	"dmac/internal/matrix"
@@ -27,14 +26,9 @@ type Options struct {
 	Planner   engine.Planner
 	Cluster   dist.Config
 	BlockSize int
-	// Slots is the initial engine-pool size: the maximum number of
-	// concurrently running jobs until a Resize (default 2). With Autoscale
-	// set it is clamped into [Autoscale.Min, Autoscale.Max].
+	// Slots is the engine-pool size: the maximum number of concurrently
+	// running jobs (default 2). NewService builds the pool once.
 	Slots int
-	// Autoscale, when non-nil, attaches the model-based elastic autoscaler:
-	// a reconciliation loop that resizes the pool within the configured
-	// bounds against the latency target. See internal/autoscale.
-	Autoscale *autoscale.Config
 	// QueueCapacity bounds the admission queue across all tenants
 	// (default 16). Submissions beyond it are rejected, never buffered.
 	QueueCapacity int
@@ -107,14 +101,11 @@ func (o Options) withDefaults() Options {
 
 // engineSlot is one reusable engine plus its private tracer (a tracer's
 // active scope is a single slot of state, so concurrent jobs must not share
-// one). A draining slot is retiring from a shrink: it finishes its current
-// job — never canceled mid-run — and is removed and closed at the terminal
-// transition instead of returning to the free list.
+// one).
 type engineSlot struct {
-	id       int
-	e        *engine.Engine
-	tracer   *obs.Tracer
-	draining bool
+	id     int
+	e      *engine.Engine
+	tracer *obs.Tracer
 }
 
 // Service is the multi-tenant job service. See the package comment for the
@@ -128,34 +119,17 @@ type Service struct {
 	slo      *sloTracker
 	flight   *flightRecorder
 
-	scaler *autoscale.Controller
-
 	mu        sync.Mutex
 	cond      *sync.Cond
 	q         queue
 	jobs      map[string]*job
 	tenants   map[string]*tenantState
 	freeSlots []*engineSlot
-	slots     []*engineSlot // all live slots, draining included
+	slots     []*engineSlot
 	running   int
 	nextID    int64
 	draining  bool
 	closed    bool
-
-	// Dynamic-pool state. desiredSlots is the Resize target: the dispatcher
-	// constructs slots lazily up to it when runnable work is queued.
-	// drainingSlots counts the busy slots marked for retirement.
-	desiredSlots  int
-	drainingSlots int
-	nextSlotID    int
-
-	// Capacity-model calibration, maintained at every terminal transition:
-	// runSecEWMA is the mean per-job run time, bytesPerSecEWMA the rate one
-	// slot retires the planner's estimated bytes (linking the admission
-	// price to wall time). queuedEstBytes is the model-priced backlog.
-	runSecEWMA      float64
-	bytesPerSecEWMA float64
-	queuedEstBytes  int64
 
 	wg             sync.WaitGroup
 	dispatcherDone chan struct{}
@@ -171,7 +145,7 @@ type Service struct {
 	cCanceled    *obs.Counter
 	cRejected    *obs.Counter
 	rejectedByRC map[string]*obs.Counter
-	vSlots       *obs.GaugeVec // state: total | free | draining | desired
+	vSlots       *obs.GaugeVec // state: total | free
 
 	// labeled metric families (per-tenant exposition via /metrics)
 	vSubmitted  *obs.CounterVec   // tenant, workload
@@ -191,26 +165,10 @@ var latencyBounds = []float64{
 	0.25, 0.5, 1, 2.5, 5, 10, 30, 60,
 }
 
-// NewService builds the engine pool and starts the dispatcher (and, with
-// Options.Autoscale set, the autoscale controller).
+// NewService builds the engine pool, Options.Slots engines with IDs
+// 0…Slots−1, and starts the dispatcher.
 func NewService(opts Options) (*Service, error) {
 	opts = opts.withDefaults()
-	if opts.Autoscale != nil {
-		cfg := *opts.Autoscale
-		if cfg.Min <= 0 {
-			cfg.Min = 1
-		}
-		if cfg.Max < cfg.Min {
-			cfg.Max = cfg.Min
-		}
-		if opts.Slots < cfg.Min {
-			opts.Slots = cfg.Min
-		}
-		if opts.Slots > cfg.Max {
-			opts.Slots = cfg.Max
-		}
-		opts.Autoscale = &cfg
-	}
 	s := &Service{
 		opts:           opts,
 		shared:         engine.NewPlanCache(opts.PlanCacheCap),
@@ -251,9 +209,8 @@ func NewService(opts Options) (*Service, error) {
 	s.vJobGFLOPS = m.HistogramVec("serve.tenant.job.gflops", obs.GFLOPSBuckets, "tenant")
 	s.vSlots = m.GaugeVec("serve.slots", "state")
 
-	s.desiredSlots = opts.Slots
-	for i := 0; i < opts.Slots; i++ {
-		slot, err := s.newSlot()
+	for id := 0; id < opts.Slots; id++ {
+		slot, err := s.newSlot(id)
 		if err != nil {
 			return nil, err
 		}
@@ -261,21 +218,13 @@ func NewService(opts Options) (*Service, error) {
 		s.freeSlots = append(s.freeSlots, slot)
 	}
 	s.slotGaugesLocked()
-	if opts.Autoscale != nil {
-		s.scaler = autoscale.New(*opts.Autoscale, s, m)
-		s.scaler.Start()
-	}
 	go s.dispatcher()
 	return s, nil
 }
 
-// newSlot constructs one engine slot with a fresh monotonic ID (so a slot
-// grown after a shrink never inherits a retired slot's checkpoint directory).
-// Called under the service mutex after construction; during NewService the
-// service is not yet shared.
-func (s *Service) newSlot() (*engineSlot, error) {
-	id := s.nextSlotID
-	s.nextSlotID++
+// newSlot constructs engine slot id, checkpointing under slot-<id> when
+// Options.CheckpointDir is set.
+func (s *Service) newSlot(id int) (*engineSlot, error) {
 	e := engine.New(s.opts.Planner, s.opts.Cluster, s.opts.BlockSize)
 	tr := obs.NewTracer()
 	e.SetObserver(tr, s.opts.Metrics)
@@ -293,17 +242,11 @@ func (s *Service) newSlot() (*engineSlot, error) {
 	return &engineSlot{id: id, e: e, tracer: tr}, nil
 }
 
-// activeSlotsLocked is the pool capacity ignoring slots already draining
-// away.
-func (s *Service) activeSlotsLocked() int { return len(s.slots) - s.drainingSlots }
-
-// slotGaugesLocked refreshes the serve.slots{state} gauge family after any
-// pool-shape change.
+// slotGaugesLocked refreshes the serve.slots{state} gauge family after a
+// slot is leased or returned.
 func (s *Service) slotGaugesLocked() {
 	s.vSlots.With("total").Set(float64(len(s.slots)))
 	s.vSlots.With("free").Set(float64(len(s.freeSlots)))
-	s.vSlots.With("draining").Set(float64(s.drainingSlots))
-	s.vSlots.With("desired").Set(float64(s.desiredSlots))
 }
 
 // Registry returns the service's workload registry.
@@ -391,14 +334,14 @@ func (s *Service) Submit(spec JobSpec) (JobStatus, error) {
 	if ts.queued >= ts.quota.MaxQueued {
 		return JobStatus{}, s.rejectLocked(spec.Tenant, ts, "tenant_quota", &Rejection{
 			Reason:     fmt.Sprintf("tenant has %d jobs queued (quota %d)", ts.queued, ts.quota.MaxQueued),
-			RetryAfter: s.retryAfterLocked(),
+			RetryAfter: retryAfter(s.q.size),
 			Retryable:  true,
 		})
 	}
 	if s.q.size >= s.opts.QueueCapacity {
 		return JobStatus{}, s.rejectLocked(spec.Tenant, ts, "queue_full", &Rejection{
 			Reason:     fmt.Sprintf("admission queue full (%d)", s.q.size),
-			RetryAfter: s.retryAfterLocked(),
+			RetryAfter: retryAfter(s.q.size),
 			Retryable:  true,
 		})
 	}
@@ -416,7 +359,6 @@ func (s *Service) Submit(spec JobSpec) (JobStatus, error) {
 	}
 	s.jobs[j.id] = j
 	s.q.push(j)
-	s.queuedEstBytes += j.estBytes
 	ts.queued++
 	ts.submitted++
 	s.cSubmitted.Inc()
@@ -475,14 +417,10 @@ func (s *Service) buildSpec(spec JobSpec) (*workload.BuiltJob, error) {
 	return b, nil
 }
 
-// dispatchableLocked reports whether capacity (a free slot, or headroom to
-// lazily construct one under the desired size) and a runnable queued job
+// dispatchableLocked reports whether a free slot and a runnable queued job
 // exist right now.
 func (s *Service) dispatchableLocked() bool {
-	if s.q.size == 0 {
-		return false
-	}
-	if len(s.freeSlots) == 0 && s.activeSlotsLocked() >= s.desiredSlots {
+	if s.q.size == 0 || len(s.freeSlots) == 0 {
 		return false
 	}
 	for p := range s.q.levels {
@@ -493,31 +431,6 @@ func (s *Service) dispatchableLocked() bool {
 		}
 	}
 	return false
-}
-
-// leaseSlotLocked returns a slot for the next runnable job: a free one, or —
-// when the pool is below its desired size — a lazily constructed one. This
-// is the grow half of Resize: declaring a larger pool is O(1) and engines
-// only materialize when runnable work actually needs them.
-func (s *Service) leaseSlotLocked() *engineSlot {
-	if n := len(s.freeSlots); n > 0 {
-		slot := s.freeSlots[n-1]
-		s.freeSlots = s.freeSlots[:n-1]
-		return slot
-	}
-	slot, err := s.newSlot()
-	if err != nil {
-		// Construction failed (e.g. checkpoint directory): stop growing at
-		// the size that worked rather than retrying every dispatch.
-		s.logger.Error("slot construction failed, pinning pool size",
-			"err", err.Error(), "slots", len(s.slots))
-		s.desiredSlots = s.activeSlotsLocked()
-		s.slotGaugesLocked()
-		return nil
-	}
-	s.slots = append(s.slots, slot)
-	s.logger.Info("slot grown", "slot", slot.id, "slots_total", len(s.slots), "slots_desired", s.desiredSlots)
-	return slot
 }
 
 // dispatcher is the single scheduling goroutine: it leases slots to runnable
@@ -533,10 +446,8 @@ func (s *Service) dispatcher() {
 		if s.closed {
 			return
 		}
-		slot := s.leaseSlotLocked()
-		if slot == nil {
-			continue
-		}
+		slot := s.freeSlots[len(s.freeSlots)-1]
+		s.freeSlots = s.freeSlots[:len(s.freeSlots)-1]
 		j := s.q.pop(func(j *job) bool {
 			return s.tenants[j.spec.Tenant].canRun(j.estBytes)
 		})
@@ -544,7 +455,6 @@ func (s *Service) dispatcher() {
 		ts.queued--
 		ts.running++
 		ts.runningBytes += j.estBytes
-		s.queuedEstBytes -= j.estBytes
 		j.state = StateRunning
 		j.started = time.Now()
 		s.running++
@@ -681,38 +591,10 @@ func (s *Service) finishJob(j *job, slot *engineSlot, state State, runErr error,
 		s.cFailed.Inc()
 	}
 	s.running--
-	var toClose *engineSlot
-	if slot.draining {
-		// The drain protocol's last step: the slot finished (or failed) its
-		// job untouched by the shrink and only now leaves the pool.
-		s.drainingSlots--
-		s.removeSlotLocked(slot)
-		toClose = slot
-		s.logger.Info("slot retired after drain", "slot", slot.id, "slots_total", len(s.slots))
-	} else {
-		s.freeSlots = append(s.freeSlots, slot)
-	}
+	s.freeSlots = append(s.freeSlots, slot)
 	s.gRunning.Set(float64(s.running))
 	s.slotGaugesLocked()
 	runSec := j.finished.Sub(j.started).Seconds()
-	// Calibrate the capacity model: the observed service time and the rate
-	// this job retired its admission price (estimated bytes per second).
-	// New evidence at 0.3 weight smooths single-job noise while tracking a
-	// workload-mix shift within a handful of completions.
-	if runSec > 0 {
-		if s.runSecEWMA == 0 {
-			s.runSecEWMA = runSec
-		} else {
-			s.runSecEWMA = 0.3*runSec + 0.7*s.runSecEWMA
-		}
-		if bps := float64(j.estBytes) / runSec; bps > 0 {
-			if s.bytesPerSecEWMA == 0 {
-				s.bytesPerSecEWMA = bps
-			} else {
-				s.bytesPerSecEWMA = 0.3*bps + 0.7*s.bytesPerSecEWMA
-			}
-		}
-	}
 	s.hRunSeconds.Observe(runSec)
 	s.vFinished.With(j.spec.Tenant, j.spec.Workload, string(state)).Inc()
 	s.vRunSeconds.With(j.spec.Tenant, j.spec.Workload).Observe(runSec)
@@ -725,9 +607,6 @@ func (s *Service) finishJob(j *job, slot *engineSlot, state State, runErr error,
 	latency := j.finished.Sub(j.submitted).Seconds()
 	s.cond.Broadcast()
 	s.mu.Unlock()
-	if toClose != nil {
-		toClose.e.Close()
-	}
 	// Canceled jobs are client decisions, not service failures; only done and
 	// failed jobs consume SLO budget.
 	if state != StateCanceled {
@@ -745,142 +624,6 @@ func (s *Service) finishJob(j *job, slot *engineSlot, state State, runErr error,
 		s.logger.Info("job finished", logAttrs...)
 	}
 	close(j.done)
-}
-
-// removeSlotLocked deletes a slot from the live pool (it must not be on the
-// free list). The caller closes the engine outside the service mutex.
-func (s *Service) removeSlotLocked(slot *engineSlot) {
-	for i, sl := range s.slots {
-		if sl == slot {
-			s.slots = append(s.slots[:i], s.slots[i+1:]...)
-			return
-		}
-	}
-}
-
-// Resize sets the engine-pool size to n. Growing is lazy: the desired size
-// rises immediately and the dispatcher constructs engines only when runnable
-// work needs them (a pending grow also shrinks the Retry-After hint quota
-// rejections advertise). Shrinking is graceful: free slots close immediately
-// and busy slots are marked draining — each finishes (or checkpoint-flushes)
-// its current job, is never canceled by the resize, and leaves the pool only
-// at its terminal transition. A later grow reclaims draining slots before
-// constructing new ones. Resize is safe to call concurrently with Submit,
-// Cancel and Stop; resizing a stopped or stopping service is an error.
-func (s *Service) Resize(n int) error {
-	if n < 1 {
-		return fmt.Errorf("serve: resize to %d slots (minimum 1)", n)
-	}
-	var toClose []*engineSlot
-	s.mu.Lock()
-	if s.closed || s.draining {
-		s.mu.Unlock()
-		return fmt.Errorf("serve: resize on a stopping service")
-	}
-	from := s.activeSlotsLocked()
-	s.desiredSlots = n
-	if n >= from {
-		// Grow: reclaim draining slots first — their engines are warm and
-		// possibly mid-job; undraining is free — then leave the rest to
-		// lazy construction.
-		for _, sl := range s.slots {
-			if from >= n {
-				break
-			}
-			if sl.draining {
-				sl.draining = false
-				s.drainingSlots--
-				from++
-			}
-		}
-		s.cond.Broadcast()
-	} else {
-		excess := from - n
-		// Free slots retire immediately: nothing is running on them.
-		for excess > 0 && len(s.freeSlots) > 0 {
-			sl := s.freeSlots[len(s.freeSlots)-1]
-			s.freeSlots = s.freeSlots[:len(s.freeSlots)-1]
-			s.removeSlotLocked(sl)
-			toClose = append(toClose, sl)
-			excess--
-		}
-		// Any remaining excess is busy (the free list is empty): mark slots
-		// draining, newest first. They finish their jobs untouched.
-		for i := len(s.slots) - 1; i >= 0 && excess > 0; i-- {
-			if sl := s.slots[i]; !sl.draining {
-				sl.draining = true
-				s.drainingSlots++
-				excess--
-			}
-		}
-	}
-	s.slotGaugesLocked()
-	s.logger.Info("pool resized", "desired", n,
-		"slots_total", len(s.slots), "slots_free", len(s.freeSlots), "slots_draining", s.drainingSlots)
-	s.mu.Unlock()
-	for _, sl := range toClose {
-		sl.e.Close()
-	}
-	return nil
-}
-
-// Observe implements autoscale.Pool: one snapshot of the signals the
-// capacity model consumes. (Quantiles and burn rates come from the
-// concurrency-safe metric handles, not the service mutex.)
-func (s *Service) Observe() autoscale.Signals {
-	p99 := s.hQueueWait.Quantile(0.99)
-	burn := s.slo.maxFastBurn()
-	submitted := s.cSubmitted.Value()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return autoscale.Signals{
-		SlotsTotal:       len(s.slots),
-		SlotsFree:        len(s.freeSlots),
-		SlotsDraining:    s.drainingSlots,
-		QueueDepth:       s.q.size,
-		Running:          s.running,
-		Submitted:        submitted,
-		QueueWaitP99Sec:  p99,
-		MeanRunSec:       s.runSecEWMA,
-		QueuedEstBytes:   s.queuedEstBytes,
-		ModelBytesPerSec: s.bytesPerSecEWMA,
-		FastBurnRate:     burn,
-	}
-}
-
-// AutoscaleStatus returns the attached controller's state, or nil when the
-// service runs a fixed pool.
-func (s *Service) AutoscaleStatus() *autoscale.Status {
-	if s.scaler == nil {
-		return nil
-	}
-	st := s.scaler.Status()
-	return &st
-}
-
-// AutoscaleDecisions returns the controller's recorded grow/shrink trace
-// (nil without autoscaling).
-func (s *Service) AutoscaleDecisions() []autoscale.Decision {
-	if s.scaler == nil {
-		return nil
-	}
-	return s.scaler.Decisions()
-}
-
-// retryAfterLocked is the advertised backoff on a retryable rejection. The
-// static estimate grows with the backlog; but when a scale-up is already
-// pending (the desired pool exceeds the live one), capacity is about to
-// arrive and quoting the static figure would hold clients off exactly when
-// the grown pool wants their retries — so the hint shrinks instead.
-func (s *Service) retryAfterLocked() time.Duration {
-	d := retryAfter(s.q.size)
-	if s.desiredSlots > len(s.slots) {
-		d /= 4
-		if d < 50*time.Millisecond {
-			d = 50 * time.Millisecond
-		}
-	}
-	return d
 }
 
 // Status returns a snapshot of the job.
@@ -940,7 +683,6 @@ func (s *Service) Cancel(id string) (JobStatus, error) {
 	switch j.state {
 	case StateQueued:
 		s.q.remove(j)
-		s.queuedEstBytes -= j.estBytes
 		ts := s.tenants[j.spec.Tenant]
 		ts.queued--
 		ts.completed++
@@ -975,14 +717,9 @@ func (s *Service) Cancel(id string) (JobStatus, error) {
 // checkpoint directory have already flushed a per-stage snapshot of whatever
 // they were computing, so a forced stop loses at most the stages after the
 // newest checkpoint. Stop returns nil on a clean drain and an error naming
-// the shed/canceled jobs otherwise.
+// the shed/canceled jobs otherwise. Stop waits for the dispatcher and every
+// job goroutine to exit, then closes every slot's engine.
 func (s *Service) Stop(ctx context.Context) error {
-	// Halt the autoscaler before taking the service mutex: its tick may be
-	// inside Observe/Resize waiting on that same mutex, and once we drain
-	// there is nothing left to scale.
-	if s.scaler != nil {
-		s.scaler.Stop()
-	}
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -1008,7 +745,6 @@ func (s *Service) Stop(ctx context.Context) error {
 	var doneCh []chan struct{}
 	if s.q.size > 0 || s.running > 0 {
 		for _, j := range s.q.drain() {
-			s.queuedEstBytes -= j.estBytes
 			ts := s.tenants[j.spec.Tenant]
 			ts.queued--
 			ts.completed++

@@ -2,7 +2,13 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"net/http/httptest"
+	"runtime"
+	"sort"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -568,5 +574,151 @@ func TestJobRootSpans(t *testing.T) {
 		if tr.Len() != 0 {
 			t.Errorf("slot tracer retains %d spans after drain", tr.Len())
 		}
+	}
+}
+
+// TestStatsExposeSlots pins the pool shape the service reports: /v1/stats
+// has exactly the keys below, slots_total and slots_free among them and both
+// Slots whenever no job runs; /metrics has exactly the total and free
+// children of dmac_serve_slots.
+func TestStatsExposeSlots(t *testing.T) {
+	const statsKeys = "canceled completed draining failed job_cache plan_cache " +
+		"queue_depth queue_wait_count queue_wait_p50_sec queue_wait_p95_sec queue_wait_p99_sec queue_wait_sum_sec " +
+		"rejected run_count run_p50_sec run_p95_sec run_p99_sec run_sum_sec running " +
+		"slots_free slots_total submitted tenants uptime_sec"
+	opts := testOptions()
+	opts.Metrics = obs.NewRegistry()
+	s := newTestService(t, opts)
+	h := s.Handler()
+	get := func(path string) string {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
+		if rec.Code != 200 {
+			t.Fatalf("GET %s: %d", path, rec.Code)
+		}
+		return rec.Body.String()
+	}
+	check := func(when string) {
+		t.Helper()
+		var st map[string]any
+		if err := json.Unmarshal([]byte(get("/v1/stats")), &st); err != nil {
+			t.Fatal(err)
+		}
+		want := float64(opts.Slots)
+		if st["slots_total"] != want || st["slots_free"] != want {
+			t.Errorf("%s: slots_total %v slots_free %v, want %v/%v", when, st["slots_total"], st["slots_free"], want, want)
+		}
+		keys := make([]string, 0, len(st))
+		for k := range st {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		if got := strings.Join(keys, " "); got != statsKeys {
+			t.Errorf("%s: /v1/stats keys\n got %s\nwant %s", when, got, statsKeys)
+		}
+		var samples []string
+		for _, line := range strings.Split(get("/metrics"), "\n") {
+			if strings.HasPrefix(line, "dmac_serve_slots{") {
+				samples = append(samples, line)
+			}
+		}
+		sort.Strings(samples)
+		n := strconv.Itoa(opts.Slots)
+		wantSamples := []string{`dmac_serve_slots{state="free"} ` + n, `dmac_serve_slots{state="total"} ` + n}
+		if strings.Join(samples, "\n") != strings.Join(wantSamples, "\n") {
+			t.Errorf("%s: dmac_serve_slots samples %q, want %q", when, samples, wantSamples)
+		}
+	}
+	check("idle")
+	runJobToDone(t, s, "t")
+	check("after a job")
+}
+
+// TestNoGoroutineOutlivesStop: once Stop returns, no goroutine of the service
+// is left — not the dispatcher, not a job's runner, not the drain-deadline
+// watcher — whether the drain was clean or forced a running, checkpointing
+// job to cancel.
+func TestNoGoroutineOutlivesStop(t *testing.T) {
+	// leftBehind returns the stack of a goroutine other than this one that is
+	// still inside the service, or "". Frames are matched, not the "created
+	// by" line, and the check polls, yielding, up to a deadline: a goroutine
+	// that has signalled its exit may still be returning, while one that is
+	// really left never goes.
+	leftBehind := func() string {
+		buf := make([]byte, 1<<20)
+		for deadline := time.Now().Add(10 * time.Second); ; runtime.Gosched() {
+			var left string
+			stacks := strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n")
+			for _, g := range stacks[1:] { // the first is the caller's
+				g, _, _ = strings.Cut(g, "\ncreated by ")
+				if strings.Contains(g, "dmac/internal/serve.") {
+					left = g
+				}
+			}
+			if left == "" || time.Now().After(deadline) {
+				return left
+			}
+		}
+	}
+	newService := func() *Service {
+		opts := testOptions()
+		opts.Slots = 1
+		opts.CheckpointDir = t.TempDir()
+		opts.DefaultQuota = TenantQuota{MaxConcurrent: 1, MaxQueued: 100}
+		return newTestService(t, opts)
+	}
+	submit := func(s *Service, params workload.Params) string {
+		t.Helper()
+		st, err := s.Submit(JobSpec{Tenant: "t", Workload: "pagerank", Params: params})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st.ID
+	}
+
+	// A clean drain: every admitted job finishes before Stop returns.
+	s := newService()
+	for i := 0; i < 3; i++ {
+		submit(s, workload.Params{"nodes": 32, "iters": 3, "seed": float64(i)})
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	if err := s.Stop(ctx); err != nil {
+		t.Fatalf("clean drain: %v", err)
+	}
+	if g := leftBehind(); g != "" {
+		t.Errorf("after a clean drain, a goroutine outlives Stop:\n%s", g)
+	}
+
+	// A forced stop: the drain deadline has already passed, so Stop sheds the
+	// queued job and cancels the running one at once.
+	s = newService()
+	slow := workload.Params{"nodes": 256, "iters": 500, "seed": 8}
+	running, queued := submit(s, slow), submit(s, slow)
+	for deadline := time.Now().Add(30 * time.Second); ; runtime.Gosched() {
+		st, err := s.Status(running)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.State == StateRunning {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("job never started: %s", st.State)
+		}
+	}
+	expired, expire := context.WithCancel(context.Background())
+	expire()
+	if err := s.Stop(expired); err == nil {
+		t.Fatal("forced stop reported a clean drain")
+	}
+	for _, id := range []string{running, queued} {
+		if st, err := s.Status(id); err != nil || st.State != StateCanceled {
+			t.Errorf("job %s after forced stop: %+v, %v", id, st, err)
+		}
+	}
+	if g := leftBehind(); g != "" {
+		t.Errorf("after a forced stop, a goroutine outlives Stop:\n%s", g)
 	}
 }

@@ -15,8 +15,7 @@ import (
 // observed bad fraction to the budgeted bad fraction (1 - objective). A burn
 // rate of 1 consumes the error budget exactly at the sustainable pace;
 // multi-window burn rates (fast 5m window for pages, slow 1h window for
-// tickets) are the standard SRE alerting signal and the input the roadmap's
-// elastic autoscaler consumes.
+// tickets) are the standard SRE alerting signal.
 
 // SLOConfig is one tenant's service-level objectives. Zero values fall back
 // to the service default (Options.SLO), whose own zero values fall back to
@@ -155,36 +154,6 @@ type TenantSLO struct {
 // SLOSnapshot is the /v1/slo response body.
 type SLOSnapshot struct {
 	Tenants map[string]TenantSLO `json:"tenants"`
-}
-
-// maxFastBurn is the worst per-tenant burn rate over the fast (5m) window —
-// the autoscaler's SLO-escalation signal. Zero until any tenant records a
-// terminal job in the window.
-func (t *sloTracker) maxFastBurn() float64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	nowEpoch := t.now().Unix() / sloBucketSec
-	fast := sloWindows[0]
-	var worst float64
-	for _, s := range t.tenants {
-		var count, bad int64
-		for i := range s.buckets {
-			b := &s.buckets[i]
-			if b.epoch <= nowEpoch-int64(fast.Buckets) || b.epoch > nowEpoch {
-				continue
-			}
-			count += b.count
-			bad += b.errors + b.slow
-		}
-		if count == 0 {
-			continue
-		}
-		burn := (float64(bad) / float64(count)) / (1 - s.cfg.Objective)
-		if burn > worst {
-			worst = burn
-		}
-	}
-	return worst
 }
 
 // snapshot aggregates every tenant's windows as of now.

@@ -1,10 +1,6 @@
 package serve
 
-import (
-	"time"
-
-	"dmac/internal/autoscale"
-)
+import "time"
 
 // CacheStats summarizes one shared cache for /v1/stats.
 type CacheStats struct {
@@ -28,18 +24,11 @@ type TenantStats struct {
 type Stats struct {
 	UptimeSec float64 `json:"uptime_sec"`
 	Draining  bool    `json:"draining"`
-	// Pool shape: live slots (draining included), idle slots, slots
-	// retiring after a shrink, and the Resize target the dispatcher grows
-	// toward. Exposed whether or not autoscaling is enabled.
-	SlotsTotal    int `json:"slots_total"`
-	SlotsFree     int `json:"slots_free"`
-	SlotsDraining int `json:"slots_draining"`
-	SlotsDesired  int `json:"slots_desired"`
-	QueueDepth    int `json:"queue_depth"`
-	Running       int `json:"running"`
-	// QueuedEstBytes prices the backlog with the planner's block memory
-	// model (the sum of queued jobs' admission estimates).
-	QueuedEstBytes int64 `json:"queued_est_bytes"`
+	// Pool shape: the Options.Slots engines and how many of them are idle.
+	SlotsTotal int `json:"slots_total"`
+	SlotsFree  int `json:"slots_free"`
+	QueueDepth int `json:"queue_depth"`
+	Running    int `json:"running"`
 
 	Submitted int64 `json:"submitted"`
 	Completed int64 `json:"completed"`
@@ -68,18 +57,12 @@ type Stats struct {
 	PlanCache CacheStats             `json:"plan_cache"`
 	JobCache  CacheStats             `json:"job_cache"`
 	Tenants   map[string]TenantStats `json:"tenants"`
-
-	// Autoscale is the controller's state when -autoscale is on.
-	Autoscale *autoscale.Status `json:"autoscale,omitempty"`
 }
 
 // Stats snapshots the service for /v1/stats and the bench load generator.
 func (s *Service) Stats() Stats {
 	ph, pm, pe := s.shared.Stats()
 	jh, jm, je, jb := s.jobCache.stats()
-	// Controller status is read before s.mu: the controller's Tick may hold
-	// its own lock while calling Observe/Resize, which take s.mu.
-	as := s.AutoscaleStatus()
 	st := Stats{
 		UptimeSec: time.Since(s.start).Seconds(),
 		PlanCache: CacheStats{Hits: ph, Misses: pm, Entries: pe},
@@ -103,17 +86,13 @@ func (s *Service) Stats() Stats {
 		RunP95Sec:       s.hRunSeconds.Quantile(0.95),
 		RunP99Sec:       s.hRunSeconds.Quantile(0.99),
 	}
-	st.Autoscale = as
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st.Draining = s.draining
 	st.SlotsTotal = len(s.slots)
 	st.SlotsFree = len(s.freeSlots)
-	st.SlotsDraining = s.drainingSlots
-	st.SlotsDesired = s.desiredSlots
 	st.QueueDepth = s.q.size
 	st.Running = s.running
-	st.QueuedEstBytes = s.queuedEstBytes
 	for name, ts := range s.tenants {
 		st.Tenants[name] = TenantStats{
 			Queued:       ts.queued,
