@@ -7,7 +7,6 @@
 //	dmacbench -exp all
 //	dmacbench -exp fig6 -iters 10
 //	dmacbench -exp fig8 -graph LiveJournal
-//	dmacbench -trace out.json -metrics-out metrics.json
 //	dmacbench -kernels -kernel-sizes 64,128,256,512 -kernel-workers 1,2,4,8 -kernels-out BENCH_kernels.json
 package main
 
@@ -31,9 +30,6 @@ func main() {
 	graph := flag.String("graph", "soc-pokec", "graph for fig8")
 	checkpointDir := flag.String("checkpoint-dir", "", "checkpoint directory for the checkpoint experiment (default: a temp dir)")
 	timeout := flag.Duration("timeout", 0, "deadline for the checkpoint experiment (0 = none); runs abort cleanly between stages and block tasks")
-	tracePath := flag.String("trace", "", "run a traced workload and write Chrome trace JSON to this path (skips -exp)")
-	traceApp := flag.String("trace-app", "pagerank", "application the -trace run executes: pagerank | gnmf | linreg")
-	metricsPath := flag.String("metrics-out", "", "with -trace, also write the metrics registry dump to this path")
 	kernels := flag.Bool("kernels", false, "run only the local kernel microbenchmarks")
 	kernelSizes := flag.String("kernel-sizes", "64,128,256,512", "comma-separated square block sizes for -kernels")
 	kernelWorkers := flag.String("kernel-workers", "1,2,4,8", "comma-separated kernel worker counts for the -kernels multi-core curve")
@@ -44,12 +40,6 @@ func main() {
 	if *kernels {
 		if err := runKernels(w, *kernelSizes, *kernelWorkers, *kernelsOut); err != nil {
 			log.Fatalf("kernels: %v", err)
-		}
-		return
-	}
-	if *tracePath != "" {
-		if err := runTraced(w, *traceApp, *tracePath, *metricsPath, *iters, *scale); err != nil {
-			log.Fatalf("trace: %v", err)
 		}
 		return
 	}
@@ -225,40 +215,4 @@ func runKernels(w io.Writer, sizesCSV, workersCSV, outPath string) error {
 		return err
 	}
 	return f.Close()
-}
-
-// runTraced executes one traced workload and writes the Chrome trace JSON
-// (and optionally the metrics dump), then prints the timeline report.
-func runTraced(w io.Writer, app, tracePath, metricsPath string, iters, scale int) error {
-	res, err := bench.TracedRun(app, iters, scale, 0)
-	if err != nil {
-		return err
-	}
-	tf, err := os.Create(tracePath)
-	if err != nil {
-		return err
-	}
-	defer tf.Close()
-	var mf *os.File
-	if metricsPath != "" {
-		if mf, err = os.Create(metricsPath); err != nil {
-			return err
-		}
-		defer mf.Close()
-	}
-	var mw io.Writer
-	if mf != nil {
-		mw = mf
-	}
-	fmt.Fprintf(w, "traced %s: %d comm events, %.3f MB\n\n", app, res.Net.CommEvents, float64(res.Net.Bytes)/1e6)
-	if err := res.WriteTraceArtifacts(tf, mw, w); err != nil {
-		return err
-	}
-	if err := tf.Close(); err != nil {
-		return err
-	}
-	if mf != nil {
-		return mf.Close()
-	}
-	return nil
 }

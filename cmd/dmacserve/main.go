@@ -65,8 +65,8 @@ func run() int {
 	noRewrite := flag.Bool("no-rewrite", false, "disable the algebraic rewrite pass that every engine slot runs before planning")
 	checkpointDir := flag.String("checkpoint-dir", "", "per-slot per-stage checkpoints under this directory (forced shutdowns leave flushed snapshots)")
 	metricsPath := flag.String("metrics-out", "", "write the final metrics + SLO dump to this path on exit (every exit path)")
-	sloObjective := flag.Float64("slo-objective", 0, "default per-tenant SLO good-job objective, e.g. 0.99 (0 uses the built-in default)")
-	sloLatency := flag.Float64("slo-latency", 0, "default per-tenant end-to-end latency objective in seconds (0 uses the built-in default)")
+	sloObjective := flag.Float64("slo-objective", 0, "every tenant's SLO good-job objective, e.g. 0.99 (0 uses the built-in default)")
+	sloLatency := flag.Float64("slo-latency", 0, "every tenant's end-to-end latency objective in seconds (0 uses the built-in default)")
 	flightJobs := flag.Int("flight-jobs", 0, "flight recorder capacity in completed job traces (0 uses the built-in default)")
 	logLevel := flag.String("log-level", "info", "log level: debug | info | warn | error")
 	flag.Parse()

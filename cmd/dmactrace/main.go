@@ -1,52 +1,36 @@
-// dmactrace inspects DMac execution traces. In analyze mode it loads a
-// Chrome trace_event JSON file written by `dmacbench -trace` (or any engine
-// run with a tracer attached) and prints the per-stage timeline: wall time
-// per stage, compute vs communication split, the dominant communication
-// pattern, and the longest spans. In record mode it runs one of the bundled
-// applications with tracing on and writes the trace itself.
+// dmactrace inspects DMac execution traces. It loads a Chrome trace_event
+// JSON file written by `dmacrun -trace` (or any engine run with a tracer
+// attached) and prints the per-stage timeline: wall time per stage, compute
+// vs communication split, the dominant communication pattern, and the
+// longest spans.
 //
 // Usage:
 //
 //	dmactrace -in trace.json
 //	dmactrace -in trace.json -stages
-//	dmactrace -app pagerank -iters 5 -out trace.json -metrics-out metrics.json
 package main
 
 import (
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"os"
 
-	"dmac/internal/bench"
 	"dmac/internal/obs"
 )
 
 func main() {
-	in := flag.String("in", "", "analyze: Chrome trace JSON file to load")
-	stagesOnly := flag.Bool("stages", false, "analyze: print only the per-stage table")
-	app := flag.String("app", "", "record: application to trace: pagerank | gnmf | linreg")
-	iters := flag.Int("iters", 5, "record: iterations")
-	scale := flag.Int("scale", 40, "record: dataset scale denominator")
-	workers := flag.Int("workers", 0, "record: cluster workers (0 = default)")
-	out := flag.String("out", "", "record: write Chrome trace JSON to this path")
-	metricsOut := flag.String("metrics-out", "", "record: write metrics dump to this path")
+	in := flag.String("in", "", "Chrome trace JSON file to load")
+	stagesOnly := flag.Bool("stages", false, "print only the per-stage table")
 	flag.Parse()
 
-	switch {
-	case *in != "":
-		if err := analyze(*in, *stagesOnly); err != nil {
-			log.Fatal(err)
-		}
-	case *app != "":
-		if err := record(*app, *out, *metricsOut, *iters, *scale, *workers); err != nil {
-			log.Fatal(err)
-		}
-	default:
-		fmt.Fprintln(os.Stderr, "dmactrace: need -in <trace.json> (analyze) or -app <name> (record)")
+	if *in == "" {
+		fmt.Fprintln(os.Stderr, "dmactrace: need -in <trace.json>")
 		flag.Usage()
 		os.Exit(2)
+	}
+	if err := analyze(*in, *stagesOnly); err != nil {
+		log.Fatal(err)
 	}
 }
 
@@ -70,46 +54,5 @@ func analyze(path string, stagesOnly bool) error {
 		return nil
 	}
 	obs.WriteTimeline(os.Stdout, spans)
-	return nil
-}
-
-// record runs one traced application and writes the requested artifacts.
-func record(app, out, metricsOut string, iters, scale, workers int) error {
-	res, err := bench.TracedRun(app, iters, scale, workers)
-	if err != nil {
-		return err
-	}
-	var tw, mw *os.File
-	if out != "" {
-		if tw, err = os.Create(out); err != nil {
-			return err
-		}
-		defer tw.Close()
-	}
-	if metricsOut != "" {
-		if mw, err = os.Create(metricsOut); err != nil {
-			return err
-		}
-		defer mw.Close()
-	}
-	// A nil *os.File must reach WriteTraceArtifacts as a nil interface.
-	var traceW, metricsW io.Writer
-	if tw != nil {
-		traceW = tw
-	}
-	if mw != nil {
-		metricsW = mw
-	}
-	if err := res.WriteTraceArtifacts(traceW, metricsW, os.Stdout); err != nil {
-		return err
-	}
-	if tw != nil {
-		if err := tw.Close(); err != nil {
-			return err
-		}
-	}
-	if mw != nil {
-		return mw.Close()
-	}
 	return nil
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"dmac/internal/matrix"
 	"dmac/internal/sched"
 	"dmac/internal/workload"
 )
@@ -82,15 +81,4 @@ func WriteFig7(w io.Writer, rows []Fig7Row) {
 		}
 	}
 	writeTable(w, []string{"graph", "nodes", "edges", "in-place GB", "buffer GB", "buffer/in-place"}, table)
-}
-
-// Fig7DenseProductBytes reports the dense footprint of the product for a
-// scaled graph, used in reports to show why Buffer fails on Wikipedia.
-func Fig7DenseProductBytes(name string, denom int) int64 {
-	spec, ok := workload.GraphByName(name)
-	if !ok {
-		return 0
-	}
-	n := spec.ScaledNodes(denom)
-	return matrix.DenseMemBytes(n, n)
 }

@@ -166,17 +166,6 @@ func (p *Plan) TotalCommBytes() int64 {
 	return t
 }
 
-// CommOps counts operators that move data across the cluster.
-func (p *Plan) CommOps() int {
-	n := 0
-	for _, op := range p.Ops {
-		if op.CommBytes > 0 {
-			n++
-		}
-	}
-	return n
-}
-
 // LiveAfter returns, in ascending ID order, the values materialized by stages
 // up to and including stage that anything after that stage can still read: an
 // input of an operator in a later stage, or a value the session keeps when

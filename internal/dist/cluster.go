@@ -44,11 +44,6 @@ type Config struct {
 	// failures before the run fails. Defaults to Workers + 2, enough to
 	// lose every expendable worker one retry at a time.
 	MaxStageRetries int
-	// RetryBackoffBaseSec is the modelled backoff before the first stage
-	// retry; it doubles per attempt. Defaults to 50 ms.
-	RetryBackoffBaseSec float64
-	// RetryBackoffCapSec caps the exponential backoff. Defaults to 1 s.
-	RetryBackoffCapSec float64
 	// WorkerAddrs lists the TCP addresses of external worker processes
 	// (dmacworker). Empty (the default) keeps the cluster fully in-process.
 	// Non-empty, it fixes Workers to len(WorkerAddrs) and makes the engine
@@ -95,12 +90,6 @@ func (c Config) withDefaults() Config {
 	c.Rates = c.Rates.Or(cost.Production())
 	if c.MaxStageRetries <= 0 {
 		c.MaxStageRetries = c.Workers + 2
-	}
-	if c.RetryBackoffBaseSec <= 0 {
-		c.RetryBackoffBaseSec = 0.05
-	}
-	if c.RetryBackoffCapSec <= 0 {
-		c.RetryBackoffCapSec = 1.0
 	}
 	if c.DialTimeoutSec <= 0 {
 		c.DialTimeoutSec = 2.0

@@ -76,8 +76,6 @@ type Metrics struct {
 	// Stages is the number of un-interleaved stages of the executed plan
 	// (0 for the local engine).
 	Stages int
-	// StageBytes maps plan stages to the bytes shuffled into them.
-	StageBytes map[int]int64
 	// Retries counts stage attempts repeated after worker failures.
 	Retries int
 	// RecoveryBytes is the share of CommBytes spent re-partitioning dead
@@ -171,12 +169,6 @@ func (m *Metrics) Add(other Metrics) {
 	m.NetDelaysInjected += other.NetDelaysInjected
 	if other.Stages > m.Stages {
 		m.Stages = other.Stages
-	}
-	if m.StageBytes == nil {
-		m.StageBytes = make(map[int]int64)
-	}
-	for k, v := range other.StageBytes {
-		m.StageBytes[k] += v
 	}
 	byStage := make(map[int]int, len(m.PerStage))
 	for i, s := range m.PerStage {
@@ -735,7 +727,6 @@ func (e *Engine) metricsDelta(before, after dist.Snapshot, wall float64, stages 
 		Shuffles:      after.Shuffles - before.Shuffles,
 		FLOPs:         flops,
 		Stages:        stages,
-		StageBytes:    stageBytes,
 		PerStage:      perStage,
 		Retries:       after.Retries - before.Retries,
 		RecoveryBytes: after.RecoveryBytes - before.RecoveryBytes,

@@ -386,9 +386,9 @@ func TestPlanCacheReuseAndInvalidation(t *testing.T) {
 
 func TestMetricsAdd(t *testing.T) {
 	a := Metrics{WallSeconds: 1, ModelSeconds: 2, CommBytes: 10, CommEvents: 1, FLOPs: 5, Stages: 3,
-		StageBytes: map[int]int64{1: 10}}
+		PerStage: []StageMetrics{{Stage: 1, CommBytes: 10}}}
 	b := Metrics{WallSeconds: 2, ModelSeconds: 1, CommBytes: 20, CommEvents: 2, FLOPs: 7, Stages: 2,
-		StageBytes: map[int]int64{1: 5, 2: 20}}
+		PerStage: []StageMetrics{{Stage: 1, CommBytes: 5}, {Stage: 2, CommBytes: 20}}}
 	a.Add(b)
 	if a.WallSeconds != 3 || a.ModelSeconds != 3 || a.CommBytes != 30 || a.CommEvents != 3 || a.FLOPs != 12 {
 		t.Errorf("Add wrong: %+v", a)
@@ -396,8 +396,8 @@ func TestMetricsAdd(t *testing.T) {
 	if a.Stages != 3 {
 		t.Errorf("Stages = %d, want max 3", a.Stages)
 	}
-	if a.StageBytes[1] != 15 || a.StageBytes[2] != 20 {
-		t.Errorf("StageBytes = %v", a.StageBytes)
+	if len(a.PerStage) != 2 || a.PerStage[0].CommBytes != 15 || a.PerStage[1].CommBytes != 20 {
+		t.Errorf("PerStage = %+v", a.PerStage)
 	}
 	var zero Metrics
 	zero.Add(b)

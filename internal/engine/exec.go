@@ -132,6 +132,12 @@ func (e *Engine) execute(ctx context.Context, plan *core.Plan, sig string, param
 	return stats, e.commitAssignments(plan, st.vals)
 }
 
+// Stage retry backoff, in modelled seconds.
+const (
+	stageRetryBaseSec = 0.05
+	stageRetryCapSec  = 1.0
+)
+
 // runStage executes one stage's ops, retrying on injected worker failures
 // with capped exponential backoff. Each failed attempt recovers the stage's
 // inputs from lineage (session instances and earlier stages' values) before
@@ -139,7 +145,9 @@ func (e *Engine) execute(ctx context.Context, plan *core.Plan, sig string, param
 // so a retried stage reproduces the exact blocks of a fault-free run. With a
 // checkpointer attached, recovery additionally restores the newest valid
 // on-disk snapshot and replays only the stages after it (the recovery ladder
-// of restoreAndReplay), instead of relying on the full lineage.
+// of restoreAndReplay), instead of relying on the full lineage. The backoff
+// before retry n is charged as modelled stall: stageRetryBaseSec · 2^n,
+// capped at stageRetryCapSec.
 func (e *Engine) runStage(ctx context.Context, st *execState, stage int) error {
 	cfg := e.cluster.Config()
 	ops := st.byStage[stage]
@@ -181,7 +189,7 @@ func (e *Engine) runStage(ctx context.Context, st *execState, stage int) error {
 		if rerr != nil {
 			return rerr
 		}
-		backoff := retry.Policy{BaseSec: cfg.RetryBackoffBaseSec, CapSec: cfg.RetryBackoffCapSec}.Backoff(attempt)
+		backoff := retry.Policy{BaseSec: stageRetryBaseSec, CapSec: stageRetryCapSec}.Backoff(attempt)
 		e.cluster.Net().AddStall(backoff)
 		e.cluster.Net().AddRetry()
 		e.metrics.Counter("fault.retries").Inc()

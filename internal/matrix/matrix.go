@@ -15,14 +15,8 @@ import (
 	"fmt"
 )
 
-// Common errors returned by block and grid operations.
-var (
-	// ErrShape is returned when operand dimensions are incompatible.
-	ErrShape = errors.New("matrix: incompatible shapes")
-	// ErrDivZero is returned by cell-wise division when the divisor has a
-	// zero cell and strict checking is enabled.
-	ErrDivZero = errors.New("matrix: cell-wise division by zero")
-)
+// ErrShape is returned when operand dimensions are incompatible.
+var ErrShape = errors.New("matrix: incompatible shapes")
 
 // Block is a sub-matrix, the base computing unit in DMac.
 //

@@ -363,19 +363,19 @@ func (r *Registry) Snapshot() MetricsSnapshot {
 	if len(r.counterVecs) > 0 {
 		snap.CounterVecs = make(map[string][]LabeledCounterSnapshot, len(r.counterVecs))
 		for name, v := range r.counterVecs {
-			snap.CounterVecs[name] = v.snapshot()
+			snap.CounterVecs[name] = v.Snapshot()
 		}
 	}
 	if len(r.gaugeVecs) > 0 {
 		snap.GaugeVecs = make(map[string][]LabeledGaugeSnapshot, len(r.gaugeVecs))
 		for name, v := range r.gaugeVecs {
-			snap.GaugeVecs[name] = v.snapshot()
+			snap.GaugeVecs[name] = v.Snapshot()
 		}
 	}
 	if len(r.histVecs) > 0 {
 		snap.HistogramVecs = make(map[string][]LabeledHistogramSnapshot, len(r.histVecs))
 		for name, v := range r.histVecs {
-			snap.HistogramVecs[name] = v.snapshot()
+			snap.HistogramVecs[name] = v.Snapshot()
 		}
 	}
 	return snap

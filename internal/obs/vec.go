@@ -194,7 +194,11 @@ func sortedKeys[T any](m map[string]T) []string {
 	return keys
 }
 
-func (v *CounterVec) snapshot() []LabeledCounterSnapshot {
+// Snapshot copies the family's children, ordered by label values.
+func (v *CounterVec) Snapshot() []LabeledCounterSnapshot {
+	if v == nil {
+		return nil
+	}
 	v.mu.RLock()
 	defer v.mu.RUnlock()
 	out := make([]LabeledCounterSnapshot, 0, len(v.children))
@@ -205,7 +209,11 @@ func (v *CounterVec) snapshot() []LabeledCounterSnapshot {
 	return out
 }
 
-func (v *GaugeVec) snapshot() []LabeledGaugeSnapshot {
+// Snapshot copies the family's children, ordered by label values.
+func (v *GaugeVec) Snapshot() []LabeledGaugeSnapshot {
+	if v == nil {
+		return nil
+	}
 	v.mu.RLock()
 	defer v.mu.RUnlock()
 	out := make([]LabeledGaugeSnapshot, 0, len(v.children))
@@ -216,7 +224,11 @@ func (v *GaugeVec) snapshot() []LabeledGaugeSnapshot {
 	return out
 }
 
-func (v *HistogramVec) snapshot() []LabeledHistogramSnapshot {
+// Snapshot copies the family's children, ordered by label values.
+func (v *HistogramVec) Snapshot() []LabeledHistogramSnapshot {
+	if v == nil {
+		return nil
+	}
 	v.mu.RLock()
 	defer v.mu.RUnlock()
 	out := make([]LabeledHistogramSnapshot, 0, len(v.children))

@@ -35,7 +35,7 @@ func TestVecNilAndMismatchedAreNoOps(t *testing.T) {
 	r := NewRegistry()
 	v := r.CounterVec("c", "tenant")
 	v.With("a", "extra").Inc() // wrong arity: no-op child
-	if len(v.snapshot()) != 0 {
+	if len(v.Snapshot()) != 0 {
 		t.Fatal("mismatched label count created a child")
 	}
 }
@@ -47,7 +47,7 @@ func TestLabelKeyUnambiguous(t *testing.T) {
 	v := r.CounterVec("c", "a", "b")
 	v.With("x:", "y").Inc()
 	v.With("x", ":y").Inc()
-	if n := len(v.snapshot()); n != 2 {
+	if n := len(v.Snapshot()); n != 2 {
 		t.Fatalf("aliased children: got %d, want 2", n)
 	}
 }
@@ -57,7 +57,7 @@ func TestHistogramVecSharesBounds(t *testing.T) {
 	v := r.HistogramVec("lat", []float64{1, 2, 4}, "tenant")
 	v.With("a").Observe(1.5)
 	v.With("b").Observe(3)
-	snap := v.snapshot()
+	snap := v.Snapshot()
 	if len(snap) != 2 {
 		t.Fatalf("children = %d, want 2", len(snap))
 	}
@@ -89,7 +89,7 @@ func TestVecConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 	var total int64
-	for _, ch := range cv.snapshot() {
+	for _, ch := range cv.Snapshot() {
 		total += ch.Value
 	}
 	if total != 8*500 {

@@ -53,9 +53,6 @@ func NewExecutor(parallelism int, mem *MemTracker) *Executor {
 	}
 }
 
-// Parallelism returns the number of local threads (L).
-func (e *Executor) Parallelism() int { return e.parallelism }
-
 // Mem returns the executor's memory tracker.
 func (e *Executor) Mem() *MemTracker { return e.mem }
 

@@ -32,11 +32,8 @@ type jobCacheItem struct {
 	bytes int64
 }
 
-// newJobCache bounds the cache by total input bytes (<= 0 means 64 MiB).
+// newJobCache bounds the cache by total input bytes.
 func newJobCache(maxBytes int64) *jobCache {
-	if maxBytes <= 0 {
-		maxBytes = 64 << 20
-	}
 	return &jobCache{maxBytes: maxBytes, entries: make(map[string]*list.Element)}
 }
 

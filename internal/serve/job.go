@@ -10,8 +10,9 @@
 // tenant is under quota, runs the program via engine.RunCtx under a per-job
 // context with deadline and cancellation, and publishes the result. Every
 // transition is observable: per-job root spans parent the engine's stage
-// spans, and the metrics registry carries queue depth, queue wait, admission
-// rejections and per-tenant bytes/FLOPs.
+// spans, and the labeled serve.tenant.* metric families count every submit,
+// start, finish and rejection once, per tenant, beside queue depth, queue
+// wait, run time and bytes/FLOPs.
 package serve
 
 import (

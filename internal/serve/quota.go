@@ -44,15 +44,12 @@ func (q TenantQuota) withDefaults(def TenantQuota) TenantQuota {
 }
 
 // tenantState is one tenant's live accounting, guarded by the service mutex.
+// Its cumulative counts live in the serve.tenant.* metric families.
 type tenantState struct {
 	quota        TenantQuota
 	queued       int
 	running      int
 	runningBytes int64
-	// cumulative, exported through Stats
-	submitted int64
-	completed int64
-	rejected  int64
 }
 
 // canRun reports whether the tenant may start a job of the given price now.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"net/http/httptest"
 	"runtime"
 	"sort"
@@ -720,5 +721,224 @@ func TestNoGoroutineOutlivesStop(t *testing.T) {
 	}
 	if g := leftBehind(); g != "" {
 		t.Errorf("after a forced stop, a goroutine outlives Stop:\n%s", g)
+	}
+}
+
+// TestLifecycleLedger drives every way a job ends — done, failed, cancelled
+// while running, cancelled while queued, shed at Stop — and every rejection
+// reason across two tenants, then holds /v1/stats to the job table and to the
+// labeled serve.tenant.* families in the metrics registry.
+func TestLifecycleLedger(t *testing.T) {
+	opts := testOptions()
+	opts.Slots = 1
+	opts.QueueCapacity = 2
+	opts.DefaultQuota = TenantQuota{MaxConcurrent: 1, MaxQueued: 100}
+	opts.Quotas = map[string]TenantQuota{"b": {MaxConcurrent: 1, MaxQueued: 1}}
+	s := newTestService(t, opts)
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+
+	submit := func(spec JobSpec) string {
+		t.Helper()
+		st, err := s.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st.ID
+	}
+	reject := func(spec JobSpec) {
+		t.Helper()
+		var rej *Rejection
+		if _, err := s.Submit(spec); !errors.As(err, &rej) {
+			t.Fatalf("submit for %s: %v, want a rejection", spec.Tenant, err)
+		}
+	}
+	wait := func(id string, want State) {
+		t.Helper()
+		if st, err := s.Wait(ctx, id); err != nil || st.State != want {
+			t.Fatalf("job %s: %+v, %v; want %s", id, st, err, want)
+		}
+	}
+	waitRunning := func(id string) {
+		t.Helper()
+		for deadline := time.Now().Add(30 * time.Second); ; runtime.Gosched() {
+			st, err := s.Status(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.State == StateRunning {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("job %s never started: %s", id, st.State)
+			}
+		}
+	}
+	gram := func(tenant string) JobSpec {
+		return JobSpec{Tenant: tenant, Workload: "gram", Params: workload.Params{"rows": 24, "cols": 16}}
+	}
+	slow := func(tenant string) JobSpec {
+		return JobSpec{Tenant: tenant, Workload: "pagerank", Params: workload.Params{"nodes": 256, "iters": 500, "seed": 8}}
+	}
+
+	// Done, one per tenant; failed, a program asked for an output it never
+	// assigns.
+	wait(submit(gram("a")), StateDone)
+	wait(submit(gram("b")), StateDone)
+	built, err := workload.DefaultRegistry().Build("gram", 8, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wait(submit(JobSpec{Tenant: "b", Program: built.Program, Inputs: built.Inputs, Outputs: []string{"nope"}}), StateFailed)
+
+	// One slot: a's slow job runs, the next two fill the queue.
+	run := submit(slow("a"))
+	waitRunning(run)
+	queuedB := submit(slow("b"))
+	queuedA := submit(slow("a"))
+	reject(gram("a")) // queue_full
+	reject(gram("b")) // tenant_quota: b already has its one queued job
+	if st, err := s.Cancel(queuedA); err != nil || st.State != StateCanceled {
+		t.Fatalf("cancel while queued: %+v, %v", st, err)
+	}
+	if _, err := s.Cancel(run); err != nil {
+		t.Fatal(err)
+	}
+	wait(run, StateCanceled)
+	waitRunning(queuedB)
+	shed := submit(slow("a"))
+
+	// A forced stop: draining first, so b's next job is refused, then the
+	// deadline passes, shedding a's queued job and cancelling b's running one.
+	stopCtx, expire := context.WithCancel(context.Background())
+	stopped := make(chan error, 1)
+	go func() { stopped <- s.Stop(stopCtx) }()
+	for !s.Draining() {
+		runtime.Gosched()
+	}
+	reject(gram("b")) // draining
+	expire()
+	if err := <-stopped; err == nil {
+		t.Fatal("forced stop reported a clean drain")
+	}
+	wait(queuedB, StateCanceled)
+	wait(shed, StateCanceled)
+
+	// The job table.
+	byState := map[State]int64{}
+	type tenantCount struct{ jobs, terminal int64 }
+	byTenant := map[string]*tenantCount{"a": {}, "b": {}}
+	for _, st := range s.ListJobs("", "") {
+		byState[st.State]++
+		tc := byTenant[st.Tenant]
+		tc.jobs++
+		if st.State.Terminal() {
+			tc.terminal++
+		}
+	}
+	if byState[StateDone] != 2 || byState[StateFailed] != 1 || byState[StateCanceled] != 4 || len(byState) != 3 {
+		t.Fatalf("job table states: %v", byState)
+	}
+
+	// The labeled families.
+	snap := s.Metrics().Snapshot()
+	famSubmitted := map[string]int64{}
+	for _, c := range snap.CounterVecs["serve.tenant.jobs.submitted"] {
+		famSubmitted[c.Labels["tenant"]] += c.Value
+	}
+	famFinished, famByState := map[string]int64{}, map[State]int64{}
+	for _, c := range snap.CounterVecs["serve.tenant.jobs.finished"] {
+		famFinished[c.Labels["tenant"]] += c.Value
+		famByState[State(c.Labels["state"])] += c.Value
+	}
+	famRejected, famReasons := map[string]int64{}, map[string]int64{}
+	for _, c := range snap.CounterVecs["serve.tenant.rejected"] {
+		famRejected[c.Labels["tenant"]] += c.Value
+		famReasons[c.Labels["tenant"]+"/"+c.Labels["reason"]] += c.Value
+	}
+	wantReasons := map[string]int64{"a/queue_full": 1, "b/tenant_quota": 1, "b/draining": 1}
+	if len(famReasons) != len(wantReasons) {
+		t.Errorf("rejections by tenant/reason: %v, want %v", famReasons, wantReasons)
+	}
+	for k, n := range wantReasons {
+		if famReasons[k] != n {
+			t.Errorf("rejections by tenant/reason: %v, want %v", famReasons, wantReasons)
+		}
+	}
+	merge := func(family string) obs.HistogramSnapshot {
+		var m obs.HistogramSnapshot
+		for _, h := range snap.HistogramVecs[family] {
+			if m.Counts == nil {
+				m.Bounds, m.Counts = h.Hist.Bounds, make([]int64, len(h.Hist.Counts))
+			}
+			for i, c := range h.Hist.Counts {
+				m.Counts[i] += c
+			}
+			m.Count += h.Hist.Count
+			m.Sum += h.Hist.Sum
+		}
+		return m
+	}
+	queueFam, runFam := merge("serve.tenant.queue.wait.seconds"), merge("serve.tenant.job.run.seconds")
+
+	// /v1/stats against both.
+	st := s.Stats()
+	var jobs int64
+	for _, tc := range byTenant {
+		jobs += tc.jobs
+	}
+	if st.Submitted != jobs || st.Submitted != famSubmitted["a"]+famSubmitted["b"] {
+		t.Errorf("Submitted %d, job table %d, families %v", st.Submitted, jobs, famSubmitted)
+	}
+	for _, c := range []struct {
+		state State
+		got   int64
+	}{{StateDone, st.Completed}, {StateFailed, st.Failed}, {StateCanceled, st.Canceled}} {
+		if c.got != byState[c.state] || c.got != famByState[c.state] {
+			t.Errorf("%s: stats %d, job table %d, family %d", c.state, c.got, byState[c.state], famByState[c.state])
+		}
+	}
+	if st.Rejected != 3 || st.Rejected != famRejected["a"]+famRejected["b"] {
+		t.Errorf("Rejected %d, families %v", st.Rejected, famRejected)
+	}
+	if st.QueueDepth != 0 || st.Running != 0 {
+		t.Errorf("after Stop: queue depth %d, running %d", st.QueueDepth, st.Running)
+	}
+	if len(st.Tenants) != 2 {
+		t.Errorf("tenants: %+v", st.Tenants)
+	}
+	for name, tc := range byTenant {
+		ts := st.Tenants[name]
+		if ts.Submitted != tc.jobs || ts.Submitted != famSubmitted[name] ||
+			ts.Completed != tc.terminal || ts.Completed != famFinished[name] ||
+			ts.Rejected != famRejected[name] ||
+			ts.Queued != 0 || ts.Running != 0 || ts.RunningBytes != 0 {
+			t.Errorf("tenant %s: stats %+v, job table %+v, families submitted %d finished %d rejected %d",
+				name, ts, *tc, famSubmitted[name], famFinished[name], famRejected[name])
+		}
+	}
+	// Five jobs started: both done, the failed one and both cancelled while
+	// running.
+	relEq := func(a, b float64) bool { return math.Abs(a-b) <= 1e-12*math.Max(math.Abs(a), math.Abs(b)) }
+	for _, c := range []struct {
+		name          string
+		count         int64
+		sum           float64
+		p50, p95, p99 float64
+		fam           obs.HistogramSnapshot
+	}{
+		{"queue wait", st.QueueWaitCount, st.QueueWaitSum, st.QueueWaitP50Sec, st.QueueWaitP95Sec, st.QueueWaitP99Sec, queueFam},
+		{"run", st.RunCount, st.RunSum, st.RunP50Sec, st.RunP95Sec, st.RunP99Sec, runFam},
+	} {
+		if c.count != 5 || c.count != c.fam.Count {
+			t.Errorf("%s count %d, family %d, want 5", c.name, c.count, c.fam.Count)
+		}
+		if !relEq(c.sum, c.fam.Sum) {
+			t.Errorf("%s sum %v, family %v", c.name, c.sum, c.fam.Sum)
+		}
+		if c.p50 != c.fam.Quantile(0.50) || c.p95 != c.fam.Quantile(0.95) || c.p99 != c.fam.Quantile(0.99) {
+			t.Errorf("%s quantiles %v/%v/%v, family %v/%v/%v", c.name, c.p50, c.p95, c.p99,
+				c.fam.Quantile(0.50), c.fam.Quantile(0.95), c.fam.Quantile(0.99))
+		}
 	}
 }

@@ -8,7 +8,7 @@ import (
 
 // Per-tenant SLO tracking: every terminal job (done or failed; canceled jobs
 // are client decisions and don't consume budget) is classified good or bad
-// against the tenant's objectives — failed jobs and jobs whose end-to-end
+// against the service's objectives — failed jobs and jobs whose end-to-end
 // latency (queue + run) exceeds the latency objective are bad — and
 // aggregated into rolling windows. The tracker reports, per tenant and per
 // window, the error rate, the slow rate, and the burn rate: the ratio of the
@@ -17,9 +17,8 @@ import (
 // multi-window burn rates (fast 5m window for pages, slow 1h window for
 // tickets) are the standard SRE alerting signal.
 
-// SLOConfig is one tenant's service-level objectives. Zero values fall back
-// to the service default (Options.SLO), whose own zero values fall back to
-// the built-in defaults.
+// SLOConfig is the service-level objective every tenant is held to. Zero
+// values fall back to the built-in defaults.
 type SLOConfig struct {
 	// Objective is the target fraction of good jobs, e.g. 0.99.
 	Objective float64
@@ -33,13 +32,7 @@ const (
 	defaultSLOLatencySec = 5.0
 )
 
-func (c SLOConfig) withDefaults(def SLOConfig) SLOConfig {
-	if c.Objective <= 0 || c.Objective >= 1 {
-		c.Objective = def.Objective
-	}
-	if c.LatencySec <= 0 {
-		c.LatencySec = def.LatencySec
-	}
+func (c SLOConfig) withDefaults() SLOConfig {
 	if c.Objective <= 0 || c.Objective >= 1 {
 		c.Objective = defaultSLOObjective
 	}
@@ -74,46 +67,36 @@ type sloBucket struct {
 	latencySum float64
 }
 
-type sloSeries struct {
-	cfg     SLOConfig
-	buckets [sloRingLen]sloBucket
-}
+type sloSeries [sloRingLen]sloBucket
 
 // sloTracker aggregates per-tenant SLO windows. All methods are safe for
 // concurrent use; now is injectable for deterministic window tests.
 type sloTracker struct {
 	mu      sync.Mutex
-	def     SLOConfig
-	configs map[string]SLOConfig
+	cfg     SLOConfig
 	now     func() time.Time
 	tenants map[string]*sloSeries
 }
 
-func newSLOTracker(def SLOConfig, configs map[string]SLOConfig) *sloTracker {
+func newSLOTracker(cfg SLOConfig) *sloTracker {
 	return &sloTracker{
-		def:     def.withDefaults(SLOConfig{Objective: defaultSLOObjective, LatencySec: defaultSLOLatencySec}),
-		configs: configs,
+		cfg:     cfg.withDefaults(),
 		now:     time.Now,
 		tenants: make(map[string]*sloSeries),
 	}
-}
-
-func (t *sloTracker) series(tenant string) *sloSeries {
-	s, ok := t.tenants[tenant]
-	if !ok {
-		s = &sloSeries{cfg: t.configs[tenant].withDefaults(t.def)}
-		t.tenants[tenant] = s
-	}
-	return s
 }
 
 // record classifies one terminal job into the tenant's current bucket.
 func (t *sloTracker) record(tenant string, latencySec float64, failed bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	s := t.series(tenant)
+	s, ok := t.tenants[tenant]
+	if !ok {
+		s = new(sloSeries)
+		t.tenants[tenant] = s
+	}
 	epoch := t.now().Unix() / sloBucketSec
-	b := &s.buckets[epoch%sloRingLen]
+	b := &s[epoch%sloRingLen]
 	if b.epoch != epoch {
 		*b = sloBucket{epoch: epoch}
 	}
@@ -122,7 +105,7 @@ func (t *sloTracker) record(tenant string, latencySec float64, failed bool) {
 	switch {
 	case failed:
 		b.errors++
-	case latencySec > s.cfg.LatencySec:
+	case latencySec > t.cfg.LatencySec:
 		b.slow++
 	}
 }
@@ -170,16 +153,16 @@ func (t *sloTracker) snapshot() SLOSnapshot {
 	for _, name := range names {
 		s := t.tenants[name]
 		ten := TenantSLO{
-			Objective:           s.cfg.Objective,
-			LatencyObjectiveSec: s.cfg.LatencySec,
+			Objective:           t.cfg.Objective,
+			LatencyObjectiveSec: t.cfg.LatencySec,
 			Windows:             make(map[string]SLOWindow, len(sloWindows)),
 		}
 		for _, w := range sloWindows {
 			var win SLOWindow
 			win.WindowSec = float64(w.Buckets * sloBucketSec)
 			var latencySum float64
-			for i := range s.buckets {
-				b := &s.buckets[i]
+			for i := range s {
+				b := &s[i]
 				if b.epoch <= nowEpoch-int64(w.Buckets) || b.epoch > nowEpoch {
 					continue
 				}
@@ -194,7 +177,7 @@ func (t *sloTracker) snapshot() SLOSnapshot {
 				win.SlowRate = float64(win.Slow) / n
 				win.BadRate = float64(win.Errors+win.Slow) / n
 				win.MeanLatencySec = latencySum / n
-				win.BurnRate = win.BadRate / (1 - s.cfg.Objective)
+				win.BurnRate = win.BadRate / (1 - t.cfg.Objective)
 			}
 			ten.Windows[w.Name] = win
 		}

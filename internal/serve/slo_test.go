@@ -15,8 +15,8 @@ type fixedClock struct{ t time.Time }
 func (c *fixedClock) now() time.Time          { return c.t }
 func (c *fixedClock) advance(d time.Duration) { c.t = c.t.Add(d) }
 
-func newTestTracker(def SLOConfig, configs map[string]SLOConfig) (*sloTracker, *fixedClock) {
-	tr := newSLOTracker(def, configs)
+func newTestTracker(cfg SLOConfig) (*sloTracker, *fixedClock) {
+	tr := newSLOTracker(cfg)
 	clk := &fixedClock{t: time.Unix(1_000_000, 0)}
 	tr.now = clk.now
 	return tr, clk
@@ -25,17 +25,17 @@ func newTestTracker(def SLOConfig, configs map[string]SLOConfig) (*sloTracker, *
 func almostEq(a, b float64) bool { return math.Abs(a-b) < 1e-12 }
 
 func TestSLODefaults(t *testing.T) {
-	cfg := SLOConfig{}.withDefaults(SLOConfig{})
+	cfg := SLOConfig{}.withDefaults()
 	if cfg.Objective != defaultSLOObjective || cfg.LatencySec != defaultSLOLatencySec {
 		t.Fatalf("built-in defaults not applied: %+v", cfg)
 	}
-	cfg = SLOConfig{}.withDefaults(SLOConfig{Objective: 0.9, LatencySec: 2})
+	cfg = SLOConfig{Objective: 0.9, LatencySec: 2}.withDefaults()
 	if cfg.Objective != 0.9 || cfg.LatencySec != 2 {
-		t.Fatalf("service default not applied: %+v", cfg)
+		t.Fatalf("configured objective not kept: %+v", cfg)
 	}
 	// Out-of-range objectives fall through to the default.
-	cfg = SLOConfig{Objective: 1.5}.withDefaults(SLOConfig{Objective: 0.95, LatencySec: 3})
-	if cfg.Objective != 0.95 {
+	cfg = SLOConfig{Objective: 1.5, LatencySec: 3}.withDefaults()
+	if cfg.Objective != defaultSLOObjective || cfg.LatencySec != 3 {
 		t.Fatalf("out-of-range objective kept: %+v", cfg)
 	}
 }
@@ -43,7 +43,7 @@ func TestSLODefaults(t *testing.T) {
 func TestSLOBurnRateMath(t *testing.T) {
 	// Objective 0.9 → error budget 0.1. 10 jobs, 1 failed, 1 slow →
 	// bad rate 0.2 → burn rate 2.0 in both windows.
-	tr, _ := newTestTracker(SLOConfig{Objective: 0.9, LatencySec: 1.0}, nil)
+	tr, _ := newTestTracker(SLOConfig{Objective: 0.9, LatencySec: 1.0})
 	for i := 0; i < 8; i++ {
 		tr.record("a", 0.5, false)
 	}
@@ -77,7 +77,7 @@ func TestSLOBurnRateMath(t *testing.T) {
 // TestSLOFailedNotDoubleCounted: a failed job that is also over the latency
 // objective is bad once (as an error), not twice.
 func TestSLOFailedNotDoubleCounted(t *testing.T) {
-	tr, _ := newTestTracker(SLOConfig{Objective: 0.9, LatencySec: 1.0}, nil)
+	tr, _ := newTestTracker(SLOConfig{Objective: 0.9, LatencySec: 1.0})
 	tr.record("a", 50.0, true)
 	w := tr.snapshot().Tenants["a"].Windows["5m"]
 	if w.Errors != 1 || w.Slow != 0 || !almostEq(w.BadRate, 1.0) {
@@ -88,7 +88,7 @@ func TestSLOFailedNotDoubleCounted(t *testing.T) {
 // TestSLOWindowExpiry: events age out of the 5m window but remain in the 1h
 // window, then age out of both.
 func TestSLOWindowExpiry(t *testing.T) {
-	tr, clk := newTestTracker(SLOConfig{Objective: 0.99, LatencySec: 5}, nil)
+	tr, clk := newTestTracker(SLOConfig{Objective: 0.99, LatencySec: 5})
 	tr.record("a", 0.1, true)
 
 	win := func(name string) SLOWindow { return tr.snapshot().Tenants["a"].Windows[name] }
@@ -113,7 +113,7 @@ func TestSLOWindowExpiry(t *testing.T) {
 // TestSLORingReuse: a bucket slot reused a full ring period later must not
 // leak the stale epoch's counts into the new window.
 func TestSLORingReuse(t *testing.T) {
-	tr, clk := newTestTracker(SLOConfig{Objective: 0.99, LatencySec: 5}, nil)
+	tr, clk := newTestTracker(SLOConfig{Objective: 0.99, LatencySec: 5})
 	tr.record("a", 0.1, true)
 	// Advance exactly one ring period: the new record lands in the same slot.
 	clk.advance(sloRingLen * sloBucketSec * time.Second)
@@ -124,24 +124,18 @@ func TestSLORingReuse(t *testing.T) {
 	}
 }
 
-// TestSLOPerTenantConfig: per-tenant overrides beat the service default, and
-// tenants are tracked independently.
-func TestSLOPerTenantConfig(t *testing.T) {
-	tr, _ := newTestTracker(
-		SLOConfig{Objective: 0.99, LatencySec: 5},
-		map[string]SLOConfig{"strict": {Objective: 0.999, LatencySec: 0.1}},
-	)
-	tr.record("strict", 0.5, false) // slow under strict's 0.1s objective
-	tr.record("lax", 0.5, false)    // fine under the 5s default
+// TestSLOTenantsIndependent: tenants are tracked in separate windows under
+// the one service objective.
+func TestSLOTenantsIndependent(t *testing.T) {
+	tr, _ := newTestTracker(SLOConfig{Objective: 0.99, LatencySec: 1})
+	tr.record("slow", 2, false) // over the 1s objective
+	tr.record("fast", 0.5, false)
 	snap := tr.snapshot()
-	if w := snap.Tenants["strict"].Windows["5m"]; w.Slow != 1 || !almostEq(w.BurnRate, 1.0/0.001) {
-		t.Fatalf("strict window: %+v", w)
+	if w := snap.Tenants["slow"].Windows["5m"]; w.Count != 1 || w.Slow != 1 || !almostEq(w.BurnRate, 1.0/0.01) {
+		t.Fatalf("slow window: %+v", w)
 	}
-	if w := snap.Tenants["lax"].Windows["5m"]; w.Slow != 0 || w.BurnRate != 0 {
-		t.Fatalf("lax window: %+v", w)
-	}
-	if snap.Tenants["strict"].Objective != 0.999 || snap.Tenants["lax"].Objective != 0.99 {
-		t.Fatalf("objectives: %+v", snap.Tenants)
+	if w := snap.Tenants["fast"].Windows["5m"]; w.Count != 1 || w.Slow != 0 || w.BurnRate != 0 {
+		t.Fatalf("fast window: %+v", w)
 	}
 }
 

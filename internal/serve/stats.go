@@ -1,6 +1,10 @@
 package serve
 
-import "time"
+import (
+	"time"
+
+	"dmac/internal/obs"
+)
 
 // CacheStats summarizes one shared cache for /v1/stats.
 type CacheStats struct {
@@ -36,14 +40,15 @@ type Stats struct {
 	Canceled  int64 `json:"canceled"`
 	Rejected  int64 `json:"rejected"`
 
-	// QueueWaitCount/Sum summarize the queue-wait histogram (seconds); the
-	// full distribution lives in the metrics registry.
+	// QueueWaitCount/Sum and RunCount/Sum summarize the per-tenant queue-wait
+	// and run-time histogram families (seconds) over all tenants; the full
+	// distributions live in the metrics registry.
 	QueueWaitCount int64   `json:"queue_wait_count"`
 	QueueWaitSum   float64 `json:"queue_wait_sum_sec"`
 	RunCount       int64   `json:"run_count"`
 	RunSum         float64 `json:"run_sum_sec"`
 
-	// Quantiles estimated from the server-side histograms by linear
+	// Quantiles estimated from the same merged histograms by linear
 	// interpolation within buckets (obs.Histogram.Quantile), so clients and
 	// benches read latency percentiles from the service instead of
 	// recomputing them from raw samples.
@@ -60,6 +65,8 @@ type Stats struct {
 }
 
 // Stats snapshots the service for /v1/stats and the bench load generator.
+// Live state comes from the service; every count, sum and quantile is
+// derived from the labeled serve.tenant.* families.
 func (s *Service) Stats() Stats {
 	ph, pm, pe := s.shared.Stats()
 	jh, jm, je, jb := s.jobCache.stats()
@@ -68,40 +75,75 @@ func (s *Service) Stats() Stats {
 		PlanCache: CacheStats{Hits: ph, Misses: pm, Entries: pe},
 		JobCache:  CacheStats{Hits: jh, Misses: jm, Entries: je, Bytes: jb},
 		Tenants:   make(map[string]TenantStats),
-
-		Submitted:      s.cSubmitted.Value(),
-		Completed:      s.cCompleted.Value(),
-		Failed:         s.cFailed.Value(),
-		Canceled:       s.cCanceled.Value(),
-		Rejected:       s.cRejected.Value(),
-		QueueWaitCount: s.hQueueWait.Count(),
-		QueueWaitSum:   s.hQueueWait.Sum(),
-		RunCount:       s.hRunSeconds.Count(),
-		RunSum:         s.hRunSeconds.Sum(),
-
-		QueueWaitP50Sec: s.hQueueWait.Quantile(0.50),
-		QueueWaitP95Sec: s.hQueueWait.Quantile(0.95),
-		QueueWaitP99Sec: s.hQueueWait.Quantile(0.99),
-		RunP50Sec:       s.hRunSeconds.Quantile(0.50),
-		RunP95Sec:       s.hRunSeconds.Quantile(0.95),
-		RunP99Sec:       s.hRunSeconds.Quantile(0.99),
 	}
+
+	submitted := sumBy(s.vSubmitted.Snapshot(), "tenant")
+	rejected := sumBy(s.vRejected.Snapshot(), "tenant")
+	finished := s.vFinished.Snapshot()
+	completed, byState := sumBy(finished, "tenant"), sumBy(finished, "state")
+	st.Submitted, st.Rejected = sumAll(submitted), sumAll(rejected)
+	st.Completed = byState[string(StateDone)]
+	st.Failed = byState[string(StateFailed)]
+	st.Canceled = byState[string(StateCanceled)]
+
+	wait := mergeHistograms(s.vQueueWait.Snapshot())
+	st.QueueWaitCount, st.QueueWaitSum = wait.Count, wait.Sum
+	st.QueueWaitP50Sec, st.QueueWaitP95Sec, st.QueueWaitP99Sec = wait.Quantile(0.50), wait.Quantile(0.95), wait.Quantile(0.99)
+	run := mergeHistograms(s.vRunSeconds.Snapshot())
+	st.RunCount, st.RunSum = run.Count, run.Sum
+	st.RunP50Sec, st.RunP95Sec, st.RunP99Sec = run.Quantile(0.50), run.Quantile(0.95), run.Quantile(0.99)
+
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st.Draining = s.draining
 	st.SlotsTotal = len(s.slots)
 	st.SlotsFree = len(s.freeSlots)
 	st.QueueDepth = s.q.size
-	st.Running = s.running
+	st.Running = s.runningLocked()
 	for name, ts := range s.tenants {
 		st.Tenants[name] = TenantStats{
 			Queued:       ts.queued,
 			Running:      ts.running,
 			RunningBytes: ts.runningBytes,
-			Submitted:    ts.submitted,
-			Completed:    ts.completed,
-			Rejected:     ts.rejected,
+			Submitted:    submitted[name],
+			Completed:    completed[name],
+			Rejected:     rejected[name],
 		}
 	}
 	return st
+}
+
+// sumBy totals a counter family's children by the value of one label.
+func sumBy(children []obs.LabeledCounterSnapshot, label string) map[string]int64 {
+	out := make(map[string]int64)
+	for _, c := range children {
+		out[c.Labels[label]] += c.Value
+	}
+	return out
+}
+
+func sumAll(byLabel map[string]int64) int64 {
+	var n int64
+	for _, v := range byLabel {
+		n += v
+	}
+	return n
+}
+
+// mergeHistograms folds a histogram family's children into one distribution.
+// Bucket counts add exactly, so its quantiles are those of one histogram that
+// saw every observation.
+func mergeHistograms(children []obs.LabeledHistogramSnapshot) obs.HistogramSnapshot {
+	var m obs.HistogramSnapshot
+	for _, c := range children {
+		if m.Counts == nil {
+			m.Bounds, m.Counts = c.Hist.Bounds, make([]int64, len(c.Hist.Counts))
+		}
+		for i, n := range c.Hist.Counts {
+			m.Counts[i] += n
+		}
+		m.Count += c.Hist.Count
+		m.Sum += c.Hist.Sum
+	}
+	return m
 }
