@@ -17,8 +17,12 @@ import (
 //     flips scheme and transposition, extract reads b);
 //   - within a stage no operator communicates across its boundary: every
 //     communicating operator's inputs live in an earlier stage.
+//
+// It reads the operators' Stage fields only, never the stage index
+// AssignStages kept: a check must not trust what it checks.
 func (p *Plan) Check() error {
 	produced := make([]bool, len(p.Values))
+	stageOf := make([]int, len(p.Values))
 	for i, op := range p.Ops {
 		for _, in := range op.Inputs {
 			if in < 0 || int(in) >= len(p.Values) {
@@ -36,6 +40,7 @@ func (p *Plan) Check() error {
 				return fmt.Errorf("core: value v%d produced twice", op.Output)
 			}
 			produced[op.Output] = true
+			stageOf[op.Output] = op.Stage
 			out := p.Values[op.Output]
 			if !out.Pinned() {
 				return fmt.Errorf("core: op %d output v%d has unfinalized scheme", i, op.Output)
@@ -55,10 +60,7 @@ func (p *Plan) Check() error {
 	for i, op := range p.Ops {
 		maxIn := 0
 		for _, in := range op.Inputs {
-			s := p.stageOfValue(in)
-			if s > maxIn {
-				maxIn = s
-			}
+			maxIn = max(maxIn, stageOf[in])
 		}
 		if len(op.Inputs) == 0 {
 			continue
@@ -71,15 +73,6 @@ func (p *Plan) Check() error {
 		}
 	}
 	return nil
-}
-
-func (p *Plan) stageOfValue(id ValueID) int {
-	for _, op := range p.Ops {
-		if op.Output == id {
-			return op.Stage
-		}
-	}
-	return 0
 }
 
 func (p *Plan) checkOpSchemes(i int, op *Op) error {

@@ -64,7 +64,7 @@ func TestFusedOperatorPlan(t *testing.T) {
 		if s := plan.Value(id).Scheme; s != dep.Col {
 			t.Errorf("input %d is %s, want every input column-partitioned", i, plan.Value(id))
 		}
-		if s := plan.stageOfValue(id); s > op.Stage {
+		if s := plan.ValueStage(id); s > op.Stage {
 			t.Errorf("input %d is ready at stage %d, the operator runs at %d", i, s, op.Stage)
 		}
 	}

@@ -152,10 +152,23 @@ type Plan struct {
 	NodeValue map[dep.MatrixID]ValueID
 	// Stages is the number of un-interleaved stages after AssignStages.
 	Stages int
+	// stageOps groups Ops by stage in plan order (stageOps[s-1] holds stage
+	// s's) and valueStage is the stage each value is produced in; both are
+	// set by AssignStages.
+	stageOps   [][]*Op
+	valueStage []int
 }
 
 // Value returns the value record for an ID.
 func (p *Plan) Value(id ValueID) *Value { return p.Values[id] }
+
+// StageOps returns the operators of stage s (1-based) in plan order. Running
+// stages in ascending order, each in this order, is a valid topological order
+// of the plan.
+func (p *Plan) StageOps(s int) []*Op { return p.stageOps[s-1] }
+
+// ValueStage returns the stage that produces value id.
+func (p *Plan) ValueStage(id ValueID) int { return p.valueStage[id] }
 
 // TotalCommBytes returns the estimated communication of the whole plan.
 func (p *Plan) TotalCommBytes() int64 {
@@ -225,15 +238,19 @@ func (p *Plan) finalizeFlexible() {
 // AssignStages divides the plan into un-interleaved stages (Section 5.2):
 // network communication happens only between stages, so a communication
 // operator publishes its output into the next stage, while local operators
-// stay in the stage of their latest input. It returns the stage count.
+// stay in the stage of their latest input. Every stage 1..Stages holds an
+// operator: the first operator is a leaf, and each later one lands at most one
+// stage past its latest input; a plan with no operators has no stages. It
+// returns the stage count and keeps the stage index (StageOps, ValueStage) on
+// the plan.
 func (p *Plan) AssignStages() int {
-	valueStage := make([]int, len(p.Values))
-	maxStage := 1
+	p.valueStage = make([]int, len(p.Values))
+	p.stageOps = nil
 	for _, op := range p.Ops {
 		in := 1
 		for _, id := range op.Inputs {
-			if valueStage[id] > in {
-				in = valueStage[id]
+			if p.valueStage[id] > in {
+				in = p.valueStage[id]
 			}
 		}
 		stage := in
@@ -245,14 +262,15 @@ func (p *Plan) AssignStages() int {
 		}
 		op.Stage = stage
 		if op.Output >= 0 {
-			valueStage[op.Output] = stage
+			p.valueStage[op.Output] = stage
 		}
-		if stage > maxStage {
-			maxStage = stage
+		if stage > len(p.stageOps) {
+			p.stageOps = append(p.stageOps, nil)
 		}
+		p.stageOps[stage-1] = append(p.stageOps[stage-1], op)
 	}
-	p.Stages = maxStage
-	return maxStage
+	p.Stages = len(p.stageOps)
+	return p.Stages
 }
 
 // licenseInPlace decides, once per plan, which cell-wise operators may write

@@ -127,11 +127,9 @@ type Cluster struct {
 	// histograms. Atomic so enabling observability never races with a run.
 	tracer  atomic.Pointer[obs.Tracer]
 	metrics atomic.Pointer[obs.Registry]
-	// curStage is the stage the engine is currently executing (set by
-	// BeginStage), used to attribute FLOPs of operators that do not carry an
-	// explicit stage argument. curAttempt is the execution attempt, used to
-	// attribute transport failures and gate first-attempt network faults.
-	curStage   atomic.Int64
+	// curAttempt is the execution attempt of the current stage (set by
+	// BeginStage), used to attribute transport failures and gate
+	// first-attempt network faults.
 	curAttempt atomic.Int64
 
 	// transport is the active data plane of the collectives (the fault
@@ -230,18 +228,12 @@ func (c *Cluster) traceComm(stage int, name string, bytes int64, attrs ...obs.At
 	}
 }
 
-// stage returns the stage to attribute an operator without an explicit
-// stage argument to: the stage the engine is currently executing.
-func (c *Cluster) stage() int { return int(c.curStage.Load()) }
-
-// addFLOPs attributes estimated arithmetic to a stage.
-func (c *Cluster) addFLOPs(stage int, f float64) { c.net.AddStageFLOPs(stage, f) }
-
 // Config returns the effective configuration.
 func (c *Cluster) Config() Config { return c.cfg }
 
-// NetStats accumulates communication and compute statistics. All methods
-// are safe for concurrent use.
+// NetStats accumulates communication and compute statistics as run-wide
+// totals; the engine attributes them to stages by differencing snapshots
+// around each stage's work. All methods are safe for concurrent use.
 type NetStats struct {
 	mu            sync.Mutex
 	bytes         int64
@@ -249,9 +241,6 @@ type NetStats struct {
 	broadcasts    int
 	shuffles      int
 	flops         float64
-	stageBytes    map[int]int64
-	stageEvents   map[int]int
-	stageFLOPs    map[int]float64
 	recoveryBytes int64
 	retries       int
 	stallSec      float64
@@ -277,12 +266,6 @@ type Snapshot struct {
 	Shuffles   int
 	// FLOPs is the estimated arithmetic performed.
 	FLOPs float64
-	// StageBytes maps stage index to bytes moved into that stage.
-	StageBytes map[int]int64
-	// StageEvents maps stage index to communication events feeding it.
-	StageEvents map[int]int
-	// StageFLOPs maps stage index to arithmetic attributed to it.
-	StageFLOPs map[int]float64
 	// RecoveryBytes is the share of Bytes moved to re-partition dead
 	// workers' blocks across survivors after failures.
 	RecoveryBytes int64
@@ -313,7 +296,7 @@ type Snapshot struct {
 }
 
 // addCommLocked is the shared body of the communication recorders.
-func (n *NetStats) addCommLocked(stage int, bytes int64, broadcast bool) {
+func (n *NetStats) addCommLocked(bytes int64, broadcast bool) {
 	n.bytes += bytes
 	n.commEvents++
 	if broadcast {
@@ -321,60 +304,39 @@ func (n *NetStats) addCommLocked(stage int, bytes int64, broadcast bool) {
 	} else {
 		n.shuffles++
 	}
-	if n.stageBytes == nil {
-		n.stageBytes = make(map[int]int64)
-	}
-	n.stageBytes[stage] += bytes
-	if n.stageEvents == nil {
-		n.stageEvents = make(map[int]int)
-	}
-	n.stageEvents[stage]++
 }
 
-// AddComm records a shuffle-style communication of the given bytes feeding
-// the given stage.
-func (n *NetStats) AddComm(stage int, bytes int64) {
+// AddComm records a shuffle-style communication of the given bytes.
+func (n *NetStats) AddComm(bytes int64) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.addCommLocked(stage, bytes, false)
+	n.addCommLocked(bytes, false)
 }
 
-// AddBroadcast records a replication event of the given bytes feeding the
-// given stage. It counts toward CommEvents like any communication but is
-// tallied separately, so strategy choices (broadcast vs repartition) are
-// countable.
-func (n *NetStats) AddBroadcast(stage int, bytes int64) {
+// AddBroadcast records a replication event of the given bytes. It counts
+// toward CommEvents like any communication but is tallied separately, so
+// strategy choices (broadcast vs repartition) are countable.
+func (n *NetStats) AddBroadcast(bytes int64) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.addCommLocked(stage, bytes, true)
+	n.addCommLocked(bytes, true)
 }
 
-// AddFLOPs records estimated arithmetic work not attributed to a stage.
+// AddFLOPs records estimated arithmetic work.
 func (n *NetStats) AddFLOPs(f float64) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.flops += f
 }
 
-// AddStageFLOPs records estimated arithmetic work attributed to a stage.
-func (n *NetStats) AddStageFLOPs(stage int, f float64) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.flops += f
-	if n.stageFLOPs == nil {
-		n.stageFLOPs = make(map[int]float64)
-	}
-	n.stageFLOPs[stage] += f
-}
-
 // AddRecovery records the recovery shuffle that re-partitions a dead
 // worker's blocks across survivors: the bytes count as ordinary
-// communication feeding the given stage (one shuffle event), and are
-// additionally attributed as recovery cost.
-func (n *NetStats) AddRecovery(stage int, bytes int64) {
+// communication (one shuffle event), and are additionally attributed as
+// recovery cost.
+func (n *NetStats) AddRecovery(bytes int64) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.addCommLocked(stage, bytes, false)
+	n.addCommLocked(bytes, false)
 	n.recoveryBytes += bytes
 }
 
@@ -431,27 +393,12 @@ func (n *NetStats) AddNetDelay() {
 func (n *NetStats) Snapshot() Snapshot {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	sb := make(map[int]int64, len(n.stageBytes))
-	for k, v := range n.stageBytes {
-		sb[k] = v
-	}
-	se := make(map[int]int, len(n.stageEvents))
-	for k, v := range n.stageEvents {
-		se[k] = v
-	}
-	sf := make(map[int]float64, len(n.stageFLOPs))
-	for k, v := range n.stageFLOPs {
-		sf[k] = v
-	}
 	return Snapshot{
 		Bytes:               n.bytes,
 		CommEvents:          n.commEvents,
 		Broadcasts:          n.broadcasts,
 		Shuffles:            n.shuffles,
 		FLOPs:               n.flops,
-		StageBytes:          sb,
-		StageEvents:         se,
-		StageFLOPs:          sf,
 		RecoveryBytes:       n.recoveryBytes,
 		Retries:             n.retries,
 		StallSec:            n.stallSec,
@@ -468,8 +415,8 @@ func (n *NetStats) Snapshot() Snapshot {
 func (n *NetStats) Reset() {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.bytes, n.commEvents, n.flops, n.stageBytes = 0, 0, 0, nil
-	n.broadcasts, n.shuffles, n.stageEvents, n.stageFLOPs = 0, 0, nil, nil
+	n.bytes, n.commEvents, n.flops = 0, 0, 0
+	n.broadcasts, n.shuffles = 0, 0
 	n.recoveryBytes, n.retries, n.stallSec = 0, 0, 0
 	n.corruptInj, n.corruptDet = 0, 0
 	n.wireBytes, n.wireFrames, n.netDrops, n.netDelays = 0, 0, 0, 0

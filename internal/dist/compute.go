@@ -63,7 +63,7 @@ func (c *Cluster) Multiply(ctx context.Context, a, b *DistMatrix, strategy MulSt
 		return nil, fmt.Errorf("dist: %s requires schemes (%s,%s), got (%s,%s)",
 			strategy, want[0], want[1], a.Scheme, b.Scheme)
 	}
-	c.addFLOPs(stage, cost.MulFLOPs(a.Grid.NNZ(), b.Grid.NNZ(), a.Cols()))
+	c.net.AddFLOPs(cost.MulFLOPs(a.Grid.NNZ(), b.Grid.NNZ(), a.Cols()))
 	if err := c.opFault(); err != nil {
 		return nil, err
 	}
@@ -94,7 +94,7 @@ func (c *Cluster) Multiply(ctx context.Context, a, b *DistMatrix, strategy MulSt
 		if err := c.commFailure(werr, stage); err != nil {
 			return nil, err
 		}
-		c.net.AddComm(stage, workers*out.Bytes())
+		c.net.AddComm(workers * out.Bytes())
 		c.traceComm(stage, "cpmm-shuffle", workers*out.Bytes(),
 			obs.String("strategy", "CPMM"), obs.String("to_scheme", outScheme.String()),
 			obs.Int64("workers", workers))
@@ -107,8 +107,8 @@ func (c *Cluster) Multiply(ctx context.Context, a, b *DistMatrix, strategy MulSt
 // Cells evaluates a cell-wise tree over identically placed matrices — a single
 // cell-wise, scalar or element-wise function operator is a tree of one link —
 // with no communication; the result keeps the inputs' scheme. The tree's
-// parameters must be bound. It charges the current stage, link by link, what
-// the operators cost one at a time (cost.CellLinkFLOPs, a scalar link over
+// parameters must be bound. It charges, link by link, what the operators cost
+// one at a time (cost.CellLinkFLOPs, a scalar link over
 // the stored elements of its operand).
 //
 // overwrite names the input whose blocks receive the result, -1 for none. The
@@ -146,7 +146,7 @@ func (c *Cluster) Cells(t *matrix.CellTree, ins []*DistMatrix, overwrite int) (*
 		return nil, err
 	}
 	for j, l := range t.Links {
-		c.addFLOPs(c.stage(), cost.CellLinkFLOPs(l.Kind, a.Rows(), a.Cols(), float64(nnz[j])))
+		c.net.AddFLOPs(cost.CellLinkFLOPs(l.Kind, a.Rows(), a.Cols(), float64(nnz[j])))
 	}
 	return &DistMatrix{Grid: grid, Scheme: a.Scheme, trans: a.trans}, nil
 }
@@ -162,7 +162,7 @@ func (c *Cluster) collect(ctx context.Context, stage int) error {
 		return err
 	}
 	bytes := 8 * int64(c.AliveWorkers())
-	c.net.AddComm(stage, bytes)
+	c.net.AddComm(bytes)
 	c.traceComm(stage, "collect", bytes)
 	c.chargeWire(stage, "collect", wire, wireS)
 	return nil
@@ -171,7 +171,7 @@ func (c *Cluster) collect(ctx context.Context, stage int) error {
 // Sum computes the sum of all cells: local partials plus a tiny driver
 // collect (8 bytes per alive worker).
 func (c *Cluster) Sum(ctx context.Context, a *DistMatrix, stage int) (float64, error) {
-	c.addFLOPs(stage, cost.SumFLOPs(float64(a.Grid.NNZ())))
+	c.net.AddFLOPs(cost.SumFLOPs(float64(a.Grid.NNZ())))
 	if err := c.collect(ctx, stage); err != nil {
 		return 0, err
 	}
@@ -180,7 +180,7 @@ func (c *Cluster) Sum(ctx context.Context, a *DistMatrix, stage int) (float64, e
 
 // Norm2 computes the Frobenius norm with the same collect cost as Sum.
 func (c *Cluster) Norm2(ctx context.Context, a *DistMatrix, stage int) (float64, error) {
-	c.addFLOPs(stage, cost.Norm2FLOPs(float64(a.Grid.NNZ())))
+	c.net.AddFLOPs(cost.Norm2FLOPs(float64(a.Grid.NNZ())))
 	if err := c.collect(ctx, stage); err != nil {
 		return 0, err
 	}

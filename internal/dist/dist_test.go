@@ -65,8 +65,8 @@ func TestPartitionChargesMatrixSize(t *testing.T) {
 	if s.Bytes != g.MemBytes() {
 		t.Errorf("bytes = %d, want |A| = %d", s.Bytes, g.MemBytes())
 	}
-	if s.CommEvents != 1 || s.StageBytes[1] != g.MemBytes() {
-		t.Errorf("events=%d stageBytes=%v", s.CommEvents, s.StageBytes)
+	if s.CommEvents != 1 || s.Shuffles != 1 {
+		t.Errorf("events=%d shuffles=%d, want 1/1", s.CommEvents, s.Shuffles)
 	}
 	if _, err := c.Partition(context.Background(), m, dep.Broadcast, 1); err == nil {
 		t.Error("partition to broadcast must fail")
@@ -372,8 +372,8 @@ func TestModelTime(t *testing.T) {
 		LocalParallelism: 2,
 		Rates:            cost.Rates{BandwidthBytesPerSec: 1000, ShuffleLatencySec: 0.5, FlopsPerSecPerThread: 100},
 	})
-	c.Net().AddComm(1, 2000) // 2 s transfer + 0.5 s latency
-	c.Net().AddFLOPs(1600)   // 1600 / (4*2*100) = 2 s
+	c.Net().AddComm(2000)  // 2 s transfer + 0.5 s latency
+	c.Net().AddFLOPs(1600) // 1600 / (4*2*100) = 2 s
 	want := 2.0 + 0.5 + 2.0
 	if got := modelSec(c); math.Abs(got-want) > 1e-9 {
 		t.Errorf("model time = %v, want %v", got, want)
@@ -395,7 +395,7 @@ func TestStragglerInjection(t *testing.T) {
 	c1 := NewCluster(slow)
 	for _, c := range []*Cluster{c0, c1} {
 		c.Net().AddFLOPs(1600) // 2 s at full speed
-		c.Net().AddComm(1, 2000)
+		c.Net().AddComm(2000)
 	}
 	// Compute triples; network is unaffected.
 	want := 3*2.0 + 2.0 + 0.5
@@ -415,21 +415,22 @@ func TestStragglerInjection(t *testing.T) {
 
 func TestNetStatsResetAndString(t *testing.T) {
 	n := &NetStats{}
-	n.AddComm(1, 100)
-	n.AddComm(2, 50)
+	n.AddComm(100)
+	first := n.Snapshot()
+	n.AddComm(50)
 	n.AddFLOPs(10)
 	s := n.Snapshot()
 	if s.Bytes != 150 || s.CommEvents != 2 || s.FLOPs != 10 {
 		t.Errorf("snapshot = %+v", s)
 	}
-	if s.StageBytes[1] != 100 || s.StageBytes[2] != 50 {
-		t.Errorf("stage bytes = %v", s.StageBytes)
+	if first.Bytes != 100 || s.Bytes-first.Bytes != 50 {
+		t.Errorf("bytes %d then %d, want 100 then 150", first.Bytes, s.Bytes)
 	}
 	if n.String() == "" {
 		t.Error("empty String")
 	}
 	n.Reset()
-	if s := n.Snapshot(); s.Bytes != 0 || s.CommEvents != 0 || s.FLOPs != 0 || len(s.StageBytes) != 0 {
+	if s := n.Snapshot(); s.Bytes != 0 || s.CommEvents != 0 || s.FLOPs != 0 {
 		t.Errorf("after reset: %+v", s)
 	}
 }

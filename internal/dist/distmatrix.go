@@ -199,7 +199,7 @@ func (c *Cluster) MaterializedGrid(m *DistMatrix) *matrix.Grid {
 
 // Partition repartitions the matrix to a Row or Col scheme, charging |A| to
 // the network (the repartition shuffle of the partition extended operator).
-// stage attributes the traffic in per-stage statistics. The transport moves
+// stage tags the transport frames and the comm span. The transport moves
 // the blocks first — a canceled context or an unreachable worker aborts the
 // collective before anything is charged to the model.
 func (c *Cluster) Partition(ctx context.Context, m *DistMatrix, scheme dep.Scheme, stage int) (*DistMatrix, error) {
@@ -218,7 +218,7 @@ func (c *Cluster) Partition(ctx context.Context, m *DistMatrix, scheme dep.Schem
 	if err := c.commFailure(err, stage); err != nil {
 		return nil, err
 	}
-	c.net.AddComm(stage, m.Bytes())
+	c.net.AddComm(m.Bytes())
 	c.traceComm(stage, "partition", m.Bytes(),
 		obs.String("from_scheme", m.Scheme.String()), obs.String("to_scheme", scheme.String()))
 	c.verifyTransfer(m, stage, "partition")
@@ -239,7 +239,7 @@ func (c *Cluster) Broadcast(ctx context.Context, m *DistMatrix, stage int) (*Dis
 		return nil, err
 	}
 	replicas := int64(c.AliveWorkers())
-	c.net.AddBroadcast(stage, replicas*m.Bytes())
+	c.net.AddBroadcast(replicas * m.Bytes())
 	c.traceComm(stage, "broadcast", replicas*m.Bytes(),
 		obs.String("from_scheme", m.Scheme.String()), obs.Int64("replicas", replicas))
 	c.verifyTransfer(m, stage, "broadcast")
@@ -270,7 +270,7 @@ func (c *Cluster) Extract(m *DistMatrix, scheme dep.Scheme) (*DistMatrix, error)
 // charged here, when the transpose logically happens, so stage accounting is
 // independent of whether the view is ever realized.
 func (c *Cluster) Transpose(m *DistMatrix) *DistMatrix {
-	c.addFLOPs(c.stage(), cost.TransposeFLOPs(float64(m.Grid.NNZ())))
+	c.net.AddFLOPs(cost.TransposeFLOPs(float64(m.Grid.NNZ())))
 	return &DistMatrix{Grid: m.Grid, Scheme: m.Scheme.Opposite(), trans: !m.trans}
 }
 
@@ -286,12 +286,12 @@ func (c *Cluster) ShuffleTranspose(ctx context.Context, m *DistMatrix, stage int
 	if err := c.commFailure(err, stage); err != nil {
 		return nil, err
 	}
-	c.net.AddComm(stage, m.Bytes())
+	c.net.AddComm(m.Bytes())
 	c.traceComm(stage, "shuffle-transpose", m.Bytes(),
 		obs.String("from_scheme", m.Scheme.String()))
 	c.verifyTransfer(m, stage, "shuffle-transpose")
 	c.chargeWire(stage, "shuffle-transpose", wire, wireS)
-	c.addFLOPs(stage, cost.TransposeFLOPs(float64(m.Grid.NNZ())))
+	c.net.AddFLOPs(cost.TransposeFLOPs(float64(m.Grid.NNZ())))
 	if m.trans {
 		// The stored grid already is the transpose of the view; the shuffle
 		// materializes it as-is.

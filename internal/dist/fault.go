@@ -322,7 +322,6 @@ func (c *Cluster) BeginStage(stage, attempt int) error {
 	if c.faultErr != nil {
 		return c.faultErr
 	}
-	c.curStage.Store(int64(stage))
 	c.curAttempt.Store(int64(attempt))
 	c.faultMu.Lock()
 	defer c.faultMu.Unlock()
@@ -434,7 +433,7 @@ func (c *Cluster) verifyTransfer(m *DistMatrix, stage int, op string) {
 			continue
 		}
 		refetch := m.BlockBytes(bi, bj)
-		c.net.AddComm(stage, refetch)
+		c.net.AddComm(refetch)
 		c.traceComm(stage, "corrupt-refetch", refetch,
 			obs.String("op", op), obs.Int64("worker", int64(ev.Worker)),
 			obs.Int64("block_row", int64(bi)), obs.Int64("block_col", int64(bj)))
@@ -442,12 +441,12 @@ func (c *Cluster) verifyTransfer(m *DistMatrix, stage int, op string) {
 }
 
 // ChargeRecovery records a lineage-recovery shuffle after the given worker
-// died: the bytes are charged to the network as ordinary communication
-// feeding the stage, attributed separately as recovery cost, and — when
-// observability is attached — surfaced as a "recovery" comm span and
+// died: the bytes are charged to the network as ordinary communication,
+// attributed separately as recovery cost, and — when observability is
+// attached — surfaced as a "recovery" comm span (tagged with the stage) and
 // fault counters.
 func (c *Cluster) ChargeRecovery(stage, worker int, bytes int64) {
-	c.net.AddRecovery(stage, bytes)
+	c.net.AddRecovery(bytes)
 	c.traceComm(stage, "recovery", bytes, obs.Int64("worker", int64(worker)))
 	if m := c.metrics.Load(); m != nil {
 		m.Counter("fault.recovery.bytes").Add(bytes)

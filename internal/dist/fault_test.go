@@ -129,7 +129,7 @@ func TestWorkerBytes(t *testing.T) {
 
 func TestNetStatsRecoveryAccounting(t *testing.T) {
 	var n NetStats
-	n.AddRecovery(2, 100)
+	n.AddRecovery(100)
 	n.AddRetry()
 	n.AddStall(0.5)
 	s := n.Snapshot()
@@ -138,9 +138,6 @@ func TestNetStatsRecoveryAccounting(t *testing.T) {
 	}
 	if s.CommEvents != 1 {
 		t.Errorf("commEvents = %d, want 1 (recovery is one shuffle)", s.CommEvents)
-	}
-	if s.StageBytes[2] != 100 {
-		t.Errorf("stageBytes[2] = %d, want 100", s.StageBytes[2])
 	}
 	if s.Retries != 1 || s.StallSec != 0.5 {
 		t.Errorf("retries=%d stall=%v, want 1/0.5", s.Retries, s.StallSec)

@@ -20,11 +20,11 @@ func TestNetStatsConcurrent(t *testing.T) {
 			for i := 0; i < perG; i++ {
 				switch i % 6 {
 				case 0:
-					n.AddComm(g%3, 10)
+					n.AddComm(10)
 				case 1:
 					n.AddFLOPs(1)
 				case 2:
-					n.AddRecovery(g%3, 5)
+					n.AddRecovery(5)
 				case 3:
 					n.AddRetry()
 				case 4:
@@ -50,13 +50,6 @@ func TestNetStatsConcurrent(t *testing.T) {
 	if s.Retries != goroutines*hits(3) {
 		t.Errorf("retries = %d, want %d", s.Retries, goroutines*hits(3))
 	}
-	var stageTotal int64
-	for _, b := range s.StageBytes {
-		stageTotal += b
-	}
-	if stageTotal != s.Bytes {
-		t.Errorf("stage bytes sum %d != total bytes %d", stageTotal, s.Bytes)
-	}
 	n.Reset()
 	if after := n.Snapshot(); after.Bytes != 0 || after.FLOPs != 0 || after.Retries != 0 {
 		t.Errorf("Reset left state: %+v", after)
@@ -77,7 +70,7 @@ func TestNetStatsConcurrentReset(t *testing.T) {
 					n.Reset()
 					continue
 				}
-				n.AddComm(i%4, 1)
+				n.AddComm(1)
 				n.AddStall(0.0001)
 				_ = n.Snapshot()
 			}

@@ -9,14 +9,15 @@ import (
 	"dmac/internal/matrix"
 )
 
-// transportGoldenStats runs a fixed collective sequence — partition,
-// broadcast, shuffle-transpose, CPMM multiply, sum — and returns the
-// cluster's accumulated statistics. The pinned test below asserts the exact
-// numbers this produced before the Transport interface existed, so the
-// in-process transport is provably charge-identical to the direct-copy code
-// it replaced.
-func transportGoldenStats(t *testing.T, c *Cluster) Snapshot {
+// transportGoldenStats runs a fixed collective sequence over three stages —
+// partition and broadcast, shuffle-transpose, CPMM multiply and sum — and
+// returns the cluster's accumulated statistics after each stage (the last
+// entry is the run's total). The pinned test below asserts the exact numbers
+// this produced before the Transport interface existed, so the in-process
+// transport is provably charge-identical to the direct-copy code it replaced.
+func transportGoldenStats(t *testing.T, c *Cluster) []Snapshot {
 	t.Helper()
+	var after []Snapshot
 	ctx := context.Background()
 	g := matrix.NewDenseGrid(12, 10, 4)
 	for i := 0; i < 12; i++ {
@@ -32,9 +33,11 @@ func transportGoldenStats(t *testing.T, c *Cluster) Snapshot {
 	if _, err := c.Broadcast(ctx, m, 1); err != nil {
 		t.Fatal(err)
 	}
+	after = append(after, c.Net().Snapshot())
 	if _, err := c.ShuffleTranspose(ctx, rowed, 2); err != nil {
 		t.Fatal(err)
 	}
+	after = append(after, c.Net().Snapshot())
 	ga := matrix.NewDenseGrid(8, 8, 4)
 	gb := matrix.NewDenseGrid(8, 8, 4)
 	for i := 0; i < 8; i++ {
@@ -50,7 +53,7 @@ func transportGoldenStats(t *testing.T, c *Cluster) Snapshot {
 	if _, err := c.Sum(ctx, out, 3); err != nil {
 		t.Fatal(err)
 	}
-	return c.Net().Snapshot()
+	return append(after, c.Net().Snapshot())
 }
 
 // TestInprocTransportChargesPinned pins the in-process transport to the
@@ -59,7 +62,8 @@ func transportGoldenStats(t *testing.T, c *Cluster) Snapshot {
 // cost model, not a refactor.
 func TestInprocTransportChargesPinned(t *testing.T) {
 	c := NewCluster(Config{Workers: 4, LocalParallelism: 2})
-	s := transportGoldenStats(t, c)
+	stages := transportGoldenStats(t, c)
+	s := stages[len(stages)-1]
 	if s.Bytes != 7840 {
 		t.Errorf("Bytes = %d, want 7840", s.Bytes)
 	}
@@ -69,17 +73,16 @@ func TestInprocTransportChargesPinned(t *testing.T) {
 	if s.FLOPs != 1208 {
 		t.Errorf("FLOPs = %v, want 1208", s.FLOPs)
 	}
-	wantStageBytes := map[int]int64{1: 4800, 2: 960, 3: 2080}
-	for st, want := range wantStageBytes {
-		if s.StageBytes[st] != want {
-			t.Errorf("StageBytes[%d] = %d, want %d", st, s.StageBytes[st], want)
+	wantBytes, wantEvents := []int64{4800, 960, 2080}, []int{2, 1, 2}
+	var prev Snapshot
+	for i, cur := range stages {
+		if got := cur.Bytes - prev.Bytes; got != wantBytes[i] {
+			t.Errorf("stage %d bytes = %d, want %d", i+1, got, wantBytes[i])
 		}
-	}
-	wantStageEvents := map[int]int{1: 2, 2: 1, 3: 2}
-	for st, want := range wantStageEvents {
-		if s.StageEvents[st] != want {
-			t.Errorf("StageEvents[%d] = %d, want %d", st, s.StageEvents[st], want)
+		if got := cur.CommEvents - prev.CommEvents; got != wantEvents[i] {
+			t.Errorf("stage %d events = %d, want %d", i+1, got, wantEvents[i])
 		}
+		prev = cur
 	}
 	// The in-process transport moves nothing: measured wire traffic is zero,
 	// and that zero is what keeps the model untouched by the transport layer.

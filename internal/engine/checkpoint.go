@@ -35,13 +35,16 @@ type CheckpointPolicy struct {
 	// disables the fixed-interval trigger.
 	Interval int
 	// CostModel checkpoints after a stage once the modelled cost of
-	// recomputing the stages since the last checkpoint (their attributed
-	// FLOPs and communication, priced by the cluster's cost model) exceeds
-	// the modelled cost of writing the snapshot — the bytes of the live
-	// grids that neither the session nor an earlier snapshot of the run
-	// already holds, at the cost model's storage rate. This is the
-	// dependency-cost analogue of the classic checkpoint-interval rule: pay
-	// the write when a failure would cost more than the write does.
+	// recomputing the stages since the last checkpoint exceeds the modelled
+	// cost of writing the snapshot — the bytes of the live grids that
+	// neither the session nor an earlier snapshot of the run already holds,
+	// at the cost model's storage rate. This is the dependency-cost analogue
+	// of the classic checkpoint-interval rule: pay the write when a failure
+	// would cost more than the write does. A stage's cost is the modelled
+	// compute and network seconds of its stage record when it completes: its
+	// attempts and the recovery after its failures. Replays of earlier
+	// stages book to those stages' records, which were already counted, so
+	// a replay does not count again.
 	CostModel bool
 }
 
@@ -571,16 +574,17 @@ func (e *Engine) loadCheckpoint(w writtenCkpt, sig string) (*restoredCkpt, error
 // newest candidate — then walks this run's checkpoints newest first,
 // skipping any whose manifest, block files or session references fail
 // verification, and installs the first valid snapshot; then it replays the
-// stages between the snapshot and the failed stage (no fault injection:
-// replayed ops re-run deterministically, their communication and arithmetic
-// charged as recomputation cost). With no valid checkpoint it replays the
-// full lineage — every stage before the failure. The value table is rebuilt
-// from the snapshot and the replay alone — nothing computed before the
-// failure survives in memory — so a value the snapshot wrongly left out fails
-// the run instead of being silently served. It returns how many stages were
-// replayed.
-func (e *Engine) restoreAndReplay(ctx context.Context, st *execState, failStage int) (int, error) {
+// stages between the snapshot and the failed stage through runStageOnce (no
+// fault injection: replayed ops re-run deterministically, their communication
+// and arithmetic booked to the stage they recompute). With no valid
+// checkpoint it replays the full lineage — every stage before the failure.
+// The value table is rebuilt from the snapshot and the replay alone — nothing
+// computed before the failure survives in memory — so a value the snapshot
+// wrongly left out fails the run instead of being silently served. The
+// ladder's own time up to the replay books to the failed stage.
+func (e *Engine) restoreAndReplay(ctx context.Context, st *execState, failStage int) error {
 	c := e.ckpt
+	win := e.window()
 	e.joinSnapshot()
 	if c.testPreRestore != nil {
 		c.testPreRestore()
@@ -617,16 +621,14 @@ func (e *Engine) restoreAndReplay(ctx context.Context, st *execState, failStage 
 	for id := range st.vals {
 		st.vals[id] = vals[id]
 	}
+	e.book(st, failStage, win)
 	span := e.tracer.Start("ckpt", "restore", e.tracer.Scope(),
 		obs.Int64("fail_stage", int64(failStage)), obs.Int64("from_stage", int64(from)))
 	replayed := 0
-	for _, s := range st.stages {
-		if s <= from || s >= failStage {
-			continue
-		}
-		if err := e.runOps(ctx, st.plan, s, st.byStage[s], st.vals, st.params); err != nil {
+	for s := max(from, 0) + 1; s < failStage; s++ {
+		if err := e.runStageOnce(ctx, st, s, replay); err != nil {
 			e.tracer.End(span, obs.String("error", err.Error()))
-			return replayed, fmt.Errorf("engine: replaying stage %d after restore: %w", s, err)
+			return fmt.Errorf("engine: replaying stage %d after restore: %w", s, err)
 		}
 		replayed++
 	}
@@ -634,5 +636,5 @@ func (e *Engine) restoreAndReplay(ctx context.Context, st *execState, failStage 
 	e.metrics.Counter("ckpt.restore.count").Inc()
 	e.metrics.Counter("ckpt.replay.stages").Add(int64(replayed))
 	c.replayed += replayed
-	return replayed, nil
+	return nil
 }

@@ -68,6 +68,61 @@ func checkGNMFResult(t *testing.T, label string, e *Engine, wantW, wantH *matrix
 	}
 }
 
+// truncateNewestBlockFile cuts the first block file of the run's newest
+// checkpoint in half, as a crash mid-write leaves it.
+func truncateNewestBlockFile(t *testing.T) func(*checkpointer) {
+	return func(c *checkpointer) {
+		if len(c.written) == 0 {
+			t.Fatal("no checkpoints written before the fault")
+		}
+		newest := c.written[len(c.written)-1]
+		ents, err := os.ReadDir(newest.dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ent := range ents {
+			if filepath.Ext(ent.Name()) != ".dmgr" {
+				continue
+			}
+			path := filepath.Join(newest.dir, ent.Name())
+			blob, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, blob[:len(blob)/2], 0o644); err != nil {
+				t.Fatal(err)
+			}
+			return
+		}
+		t.Fatal("newest checkpoint holds no block files")
+	}
+}
+
+// tearNewestManifest leaves half a JSON document in the newest checkpoint's
+// manifest, as a crash mid-write (pre-rename) does.
+func tearNewestManifest(t *testing.T) func(*checkpointer) {
+	return func(c *checkpointer) {
+		newest := c.written[len(c.written)-1]
+		path := filepath.Join(newest.dir, "manifest.json")
+		blob, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, blob[:len(blob)/2], 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// deleteCheckpointDir deletes the whole checkpoint directory.
+func deleteCheckpointDir(t *testing.T) func(*checkpointer) {
+	return func(c *checkpointer) {
+		if err := os.RemoveAll(c.dir); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestCheckpointReplayCountsPinned is the metrics-pinned recovery test: with
 // a checkpoint every 2 stages and a kill at the last stage, recovery replays
 // exactly the stages between the newest checkpoint and the failure; with the
@@ -156,32 +211,7 @@ func TestRecoveryLadderTruncatedBlockFile(t *testing.T) {
 	// the stage right before the failure and recovery replays nothing;
 	// damaging the newest makes the ladder restore the one before it, leaving
 	// exactly 1 stage to replay — the pinned count that proves the skip.
-	tamper := func(c *checkpointer) {
-		if len(c.written) == 0 {
-			t.Fatal("no checkpoints written before the fault")
-		}
-		newest := c.written[len(c.written)-1]
-		ents, err := os.ReadDir(newest.dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, ent := range ents {
-			if filepath.Ext(ent.Name()) != ".dmgr" {
-				continue
-			}
-			path := filepath.Join(newest.dir, ent.Name())
-			blob, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(path, blob[:len(blob)/2], 0o644); err != nil {
-				t.Fatal(err)
-			}
-			return
-		}
-		t.Fatal("newest checkpoint holds no block files")
-	}
-	m, e := runGNMFCheckpointed(t, t.TempDir(), CheckpointPolicy{Interval: 1}, last, tamper)
+	m, e := runGNMFCheckpointed(t, t.TempDir(), CheckpointPolicy{Interval: 1}, last, truncateNewestBlockFile(t))
 	if m.StagesReplayed != 1 {
 		t.Errorf("StagesReplayed = %d, want 1 (newest checkpoint skipped)", m.StagesReplayed)
 	}
@@ -194,19 +224,7 @@ func TestRecoveryLadderTornManifest(t *testing.T) {
 	stages := ckptStages(t)
 	last := stages[len(stages)-1]
 	wantW, wantH := wantGNMF(t)
-	tamper := func(c *checkpointer) {
-		newest := c.written[len(c.written)-1]
-		path := filepath.Join(newest.dir, "manifest.json")
-		blob, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Half a JSON document, as a crash mid-write (pre-rename) leaves.
-		if err := os.WriteFile(path, blob[:len(blob)/2], 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	m, e := runGNMFCheckpointed(t, t.TempDir(), CheckpointPolicy{Interval: 1}, last, tamper)
+	m, e := runGNMFCheckpointed(t, t.TempDir(), CheckpointPolicy{Interval: 1}, last, tearNewestManifest(t))
 	if m.StagesReplayed != 1 {
 		t.Errorf("StagesReplayed = %d, want 1 (torn manifest skipped)", m.StagesReplayed)
 	}
@@ -220,13 +238,7 @@ func TestRecoveryLadderDirectoryDeleted(t *testing.T) {
 	n := len(stages)
 	last := stages[n-1]
 	wantW, wantH := wantGNMF(t)
-	dir := t.TempDir()
-	tamper := func(c *checkpointer) {
-		if err := os.RemoveAll(dir); err != nil {
-			t.Fatal(err)
-		}
-	}
-	m, e := runGNMFCheckpointed(t, dir, CheckpointPolicy{Interval: 1}, last, tamper)
+	m, e := runGNMFCheckpointed(t, t.TempDir(), CheckpointPolicy{Interval: 1}, last, deleteCheckpointDir(t))
 	if m.StagesReplayed != n-1 {
 		t.Errorf("StagesReplayed = %d, want %d (full lineage after dir loss)", m.StagesReplayed, n-1)
 	}

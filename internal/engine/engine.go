@@ -128,18 +128,20 @@ type Metrics struct {
 type StageMetrics struct {
 	// Stage is the 1-based un-interleaved stage index.
 	Stage int
-	// WallSeconds is the measured wall-clock time of the stage (all
-	// attempts, recovery included).
+	// WallSeconds is the measured wall-clock time of the stage: every
+	// attempt, the recovery after its failures, and every replay of it after
+	// a later stage's restore (a replay books to the stage it re-runs).
 	WallSeconds float64
 	// ComputeSeconds is the modelled local compute time of the stage: its
 	// attributed FLOPs spread over all workers and threads, times the
 	// straggler slowdown.
 	ComputeSeconds float64
 	// NetworkSeconds is the modelled (virtual) network time of the
-	// communication feeding the stage: bytes over bandwidth plus per-event
-	// shuffle latency.
+	// communication charged to the stage: bytes over bandwidth plus
+	// per-event shuffle latency.
 	NetworkSeconds float64
-	// CommBytes and CommEvents count the communication feeding the stage.
+	// CommBytes and CommEvents count the communication charged to the
+	// stage, its recovery shuffles included.
 	CommBytes  int64
 	CommEvents int
 	// FLOPs is the arithmetic attributed to the stage.
@@ -668,56 +670,13 @@ func (e *Engine) Plan(p *expr.Program) (*core.Plan, error) {
 }
 
 func (e *Engine) metricsDelta(before, after dist.Snapshot, wall float64, stages int, stats execStats) Metrics {
-	stageWall := stats.stageWall
 	cfg := e.cluster.Config()
 	bytes := after.Bytes - before.Bytes
 	events := after.CommEvents - before.CommEvents
 	flops := after.FLOPs - before.FLOPs
 	stall := after.StallSec - before.StallSec
-	threads, slowdown := cfg.Workers*cfg.LocalParallelism, cfg.MaxSlowdown()
-	model := cfg.Rates.ComputeSec(flops, threads, slowdown) + cfg.Rates.NetworkSec(bytes, events) + stall
-	stageBytes := make(map[int]int64)
-	for k, v := range after.StageBytes {
-		if d := v - before.StageBytes[k]; d > 0 {
-			stageBytes[k] = d
-		}
-	}
-	// Per-stage attribution: every stage that moved bytes, saw an event,
-	// computed, or measured wall time gets a row, with virtual network time
-	// and local compute time reported separately.
-	stageSet := make(map[int]bool)
-	for k := range stageBytes {
-		stageSet[k] = true
-	}
-	for k, v := range after.StageEvents {
-		if v-before.StageEvents[k] > 0 {
-			stageSet[k] = true
-		}
-	}
-	for k, v := range after.StageFLOPs {
-		if v-before.StageFLOPs[k] > 0 {
-			stageSet[k] = true
-		}
-	}
-	for k := range stageWall {
-		stageSet[k] = true
-	}
-	perStage := make([]StageMetrics, 0, len(stageSet))
-	for k := range stageSet {
-		db := stageBytes[k]
-		de := after.StageEvents[k] - before.StageEvents[k]
-		df := after.StageFLOPs[k] - before.StageFLOPs[k]
-		perStage = append(perStage, StageMetrics{
-			Stage:          k,
-			WallSeconds:    stageWall[k],
-			ComputeSeconds: cfg.Rates.ComputeSec(df, threads, slowdown),
-			NetworkSeconds: cfg.Rates.NetworkSec(db, de),
-			CommBytes:      db,
-			CommEvents:     de,
-			FLOPs:          df,
-		})
-	}
-	sort.Slice(perStage, func(i, j int) bool { return perStage[i].Stage < perStage[j].Stage })
+	model := cfg.Rates.ComputeSec(flops, cfg.Workers*cfg.LocalParallelism, cfg.MaxSlowdown()) +
+		cfg.Rates.NetworkSec(bytes, events) + stall
 	return Metrics{
 		WallSeconds:   wall,
 		ModelSeconds:  model,
@@ -727,7 +686,7 @@ func (e *Engine) metricsDelta(before, after dist.Snapshot, wall float64, stages 
 		Shuffles:      after.Shuffles - before.Shuffles,
 		FLOPs:         flops,
 		Stages:        stages,
-		PerStage:      perStage,
+		PerStage:      stats.perStage,
 		Retries:       after.Retries - before.Retries,
 		RecoveryBytes: after.RecoveryBytes - before.RecoveryBytes,
 

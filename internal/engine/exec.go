@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"strconv"
 	"time"
 
@@ -17,29 +16,53 @@ import (
 )
 
 // execState is the live state of one plan execution: the value table the
-// stages fill in, the stage structure, and everything the checkpoint/restore
+// stages fill in, the stage ledger, and everything the checkpoint/restore
 // machinery needs to rebuild or replay parts of it.
 type execState struct {
 	plan *core.Plan
 	// sig is the plan signature of this run, stamped into checkpoint
 	// manifests so a stale snapshot (different session, different plan) can
 	// never be restored into this execution.
-	sig        string
-	vals       []*dist.DistMatrix
-	valueStage []int
-	stages     []int
-	byStage    map[int][]*core.Op
-	params     map[string]float64
+	sig    string
+	vals   []*dist.DistMatrix
+	params map[string]float64
+	// ledger holds one record per stage (ledger[s-1] is stage s's): every
+	// window of the run that charges NetStats is booked into exactly one of
+	// them, so the records partition the run's totals.
+	ledger []StageMetrics
 }
 
-// execStats is what execute reports beyond success: per-stage wall time and
-// the durability counters of the run.
+// execStats is what execute reports beyond success: the stage ledger and the
+// durability counters of the run.
 type execStats struct {
-	stageWall             map[int]float64
+	perStage              []StageMetrics
 	checkpointBytes       int64
 	checkpointSeconds     float64
 	checkpointWaitSeconds float64
 	stagesReplayed        int
+}
+
+// window is an open stretch of the stage ledger: the network statistics and
+// the clock when it opened.
+type window struct {
+	net   dist.Snapshot
+	start time.Time
+}
+
+func (e *Engine) window() window { return window{e.cluster.Net().Snapshot(), time.Now()} }
+
+// book closes w into stage's record: the wall time since w opened and what
+// NetStats charged meanwhile, with the record's modelled seconds re-priced
+// from its totals.
+func (e *Engine) book(st *execState, stage int, w window) {
+	net, cfg := e.cluster.Net().Snapshot(), e.cluster.Config()
+	r := &st.ledger[stage-1]
+	r.WallSeconds += time.Since(w.start).Seconds()
+	r.FLOPs += net.FLOPs - w.net.FLOPs
+	r.CommBytes += net.Bytes - w.net.Bytes
+	r.CommEvents += net.CommEvents - w.net.CommEvents
+	r.ComputeSeconds = cfg.Rates.ComputeSec(r.FLOPs, cfg.Workers*cfg.LocalParallelism, cfg.MaxSlowdown())
+	r.NetworkSeconds = cfg.Rates.NetworkSec(r.CommBytes, r.CommEvents)
 }
 
 // execute materializes a validated plan on the cluster stage by stage, then
@@ -50,9 +73,10 @@ type execStats struct {
 // so running stages in ascending order (keeping the plan's op order within a
 // stage) is a valid topological order, and a failed stage can be retried in
 // isolation once its inputs are recovered.
-// It returns the measured wall-clock seconds of each executed stage (all
-// attempts and recovery included) for per-stage metrics attribution, plus the
-// run's durability counters.
+// It returns the run's stage ledger: each stage's wall time, FLOPs, bytes,
+// events and modelled seconds over all its attempts, the recovery after its
+// failures and its replays. Charges made after the last stage (the local
+// transposes of commitAssignments) book to the last stage.
 //
 // Between stages the run's context is observed: cancellation or an expired
 // deadline aborts cleanly with the context's error (mid-stage, the executor's
@@ -65,31 +89,18 @@ type execStats struct {
 // flight.
 func (e *Engine) execute(ctx context.Context, plan *core.Plan, sig string, params map[string]float64) (stats execStats, err error) {
 	st := &execState{
-		plan:    plan,
-		sig:     sig,
-		vals:    make([]*dist.DistMatrix, len(plan.Values)),
-		byStage: make(map[int][]*core.Op),
-		params:  params,
+		plan:   plan,
+		sig:    sig,
+		vals:   make([]*dist.DistMatrix, len(plan.Values)),
+		params: params,
+		ledger: make([]StageMetrics, plan.Stages),
 	}
-	for _, op := range plan.Ops {
-		if _, ok := st.byStage[op.Stage]; !ok {
-			st.stages = append(st.stages, op.Stage)
-		}
-		st.byStage[op.Stage] = append(st.byStage[op.Stage], op)
+	for i := range st.ledger {
+		st.ledger[i].Stage = i + 1
 	}
-	sort.Ints(st.stages)
-	st.valueStage = make([]int, len(plan.Values))
-	for i := range st.valueStage {
-		st.valueStage[i] = -1
-	}
-	for _, op := range plan.Ops {
-		if op.Output >= 0 {
-			st.valueStage[op.Output] = op.Stage
-		}
-	}
+	stats.perStage = st.ledger
 	e.joinSnapshot()
 	e.ckpt.beginRun()
-	stats.stageWall = make(map[int]float64, len(st.stages))
 	if e.ckpt != nil {
 		defer func() {
 			e.joinSnapshot()
@@ -99,37 +110,41 @@ func (e *Engine) execute(ctx context.Context, plan *core.Plan, sig string, param
 			stats.stagesReplayed = e.ckpt.replayed
 		}()
 	}
-	for i, s := range st.stages {
+	for s := 1; s <= plan.Stages; s++ {
 		if err := ctx.Err(); err != nil {
 			return stats, fmt.Errorf("engine: run cancelled before stage %d: %w", s, err)
 		}
 		span := e.tracer.Start("engine", fmt.Sprintf("stage %d", s), e.tracer.Scope(),
-			obs.Int64("stage", int64(s)), obs.Int64("ops", int64(len(st.byStage[s]))))
+			obs.Int64("stage", int64(s)), obs.Int64("ops", int64(len(plan.StageOps(s)))))
 		prev := e.tracer.SetScope(span)
-		netBefore := e.cluster.Net().Snapshot()
-		start := time.Now()
 		err := e.runStage(ctx, st, s)
-		stats.stageWall[s] = time.Since(start).Seconds()
 		e.tracer.SetScope(prev)
 		e.tracer.End(span)
 		if err != nil {
 			return stats, err
 		}
+		rec := st.ledger[s-1]
 		if e.metrics != nil {
 			e.metrics.HistogramVec("engine.stage.seconds", obs.SecondsBuckets, "stage").
-				With(strconv.Itoa(s)).Observe(stats.stageWall[s])
+				With(strconv.Itoa(s)).Observe(rec.WallSeconds)
 		}
-		if e.ckpt != nil && i < len(st.stages)-1 {
-			cfg, net := e.cluster.Config(), e.cluster.Net().Snapshot()
-			e.ckpt.noteStage(cfg.Rates.ComputeSec(net.FLOPs-netBefore.FLOPs, cfg.Workers*cfg.LocalParallelism, cfg.MaxSlowdown()) +
-				cfg.Rates.NetworkSec(net.Bytes-netBefore.Bytes, net.CommEvents-netBefore.CommEvents))
+		if e.ckpt != nil && s < plan.Stages {
+			e.ckpt.noteStage(rec.ComputeSeconds + rec.NetworkSeconds)
 			if live := e.liveAfter(st, s); e.shouldCheckpoint(live) {
 				e.startSnapshot(st, s, span, live)
 			}
 		}
 	}
+	// What folding back charges (commitAssignments' local transposes) books
+	// to the last stage, so the records still partition the run's totals. A
+	// plan with no stages has no values to fold back.
+	w := e.window()
 	e.cacheLeafInstances(plan, st.vals)
-	return stats, e.commitAssignments(plan, st.vals)
+	err = e.commitAssignments(plan, st.vals)
+	if plan.Stages > 0 {
+		e.book(st, plan.Stages, w)
+	}
+	return stats, err
 }
 
 // Stage retry backoff, in modelled seconds.
@@ -138,11 +153,11 @@ const (
 	stageRetryCapSec  = 1.0
 )
 
-// runStage executes one stage's ops, retrying on injected worker failures
-// with capped exponential backoff. Each failed attempt recovers the stage's
-// inputs from lineage (session instances and earlier stages' values) before
-// the retry; the ops themselves are deterministic functions of their inputs,
-// so a retried stage reproduces the exact blocks of a fault-free run. With a
+// runStage executes one stage, retrying on injected worker failures with
+// capped exponential backoff. Each failed attempt recovers the stage's inputs
+// from lineage (session instances and earlier stages' values) before the
+// retry; the ops themselves are deterministic functions of their inputs, so a
+// retried stage reproduces the exact blocks of a fault-free run. With a
 // checkpointer attached, recovery additionally restores the newest valid
 // on-disk snapshot and replays only the stages after it (the recovery ladder
 // of restoreAndReplay), instead of relying on the full lineage. The backoff
@@ -150,22 +165,11 @@ const (
 // capped at stageRetryCapSec.
 func (e *Engine) runStage(ctx context.Context, st *execState, stage int) error {
 	cfg := e.cluster.Config()
-	ops := st.byStage[stage]
 	for attempt := 0; ; attempt++ {
 		span := e.tracer.Start("engine", "attempt", e.tracer.Scope(),
 			obs.Int64("stage", int64(stage)), obs.Int64("attempt", int64(attempt)))
 		prev := e.tracer.SetScope(span)
-		err := e.cluster.BeginStage(stage, attempt)
-		if err == nil {
-			err = e.runOps(ctx, st.plan, stage, ops, st.vals, st.params)
-		}
-		if err == nil {
-			// An armed task kill that no operator of this stage consumed
-			// still fails the attempt.
-			if f := e.cluster.TakeFault(); f != nil {
-				err = f
-			}
-		}
+		err := e.runStageOnce(ctx, st, stage, attempt)
 		e.tracer.SetScope(prev)
 		if err == nil {
 			e.tracer.End(span)
@@ -182,7 +186,7 @@ func (e *Engine) runStage(ctx context.Context, st *execState, stage int) error {
 		e.recoverStage(st, stage, wf)
 		var rerr error
 		if e.ckpt != nil {
-			_, rerr = e.restoreAndReplay(ctx, st, stage)
+			rerr = e.restoreAndReplay(ctx, st, stage)
 		}
 		e.tracer.SetScope(prev)
 		e.tracer.End(rec)
@@ -196,24 +200,51 @@ func (e *Engine) runStage(ctx context.Context, st *execState, stage int) error {
 	}
 }
 
+// replay is runStageOnce's attempt for a stage re-run after a restore.
+const replay = -1
+
+// runStageOnce is the only code that runs a stage's ops: a first attempt, a
+// retry, or a replay after a restore. Whatever its window charges (wall time,
+// FLOPs, bytes, events) is booked to stage's record. An attempt first arms the
+// fault plan's events for it (BeginStage) and fails on an armed task kill that
+// no operator consumed; a replay arms nothing, so its ops re-run exactly as
+// they did before the failure.
+func (e *Engine) runStageOnce(ctx context.Context, st *execState, stage, attempt int) error {
+	defer e.book(st, stage, e.window())
+	if attempt == replay {
+		return e.runOps(ctx, st, stage)
+	}
+	if err := e.cluster.BeginStage(stage, attempt); err != nil {
+		return err
+	}
+	if err := e.runOps(ctx, st, stage); err != nil {
+		return err
+	}
+	if f := e.cluster.TakeFault(); f != nil {
+		return f
+	}
+	return nil
+}
+
 // recoverStage performs lineage-based recovery after a worker failure: the
 // stage's inputs — values materialized by earlier stages plus the session
 // instances its leaf ops read — lose the dead worker's blocks, which must be
 // re-fetched from lineage and re-partitioned across survivors. The dead
 // worker's share is measured against pre-failure ownership (before the kill
 // takes effect), then the worker is removed and the recovery shuffle is
-// charged.
+// charged — all of it booked to the failed stage.
 func (e *Engine) recoverStage(st *execState, stage int, wf *dist.WorkerFailure) {
+	defer e.book(st, stage, e.window())
 	var bytes int64
 	seen := make(map[core.ValueID]bool)
-	for _, op := range st.byStage[stage] {
+	for _, op := range st.plan.StageOps(stage) {
 		if op.Kind == core.OpLoad || op.Kind == core.OpVar {
 			if inst, err := e.leafInstance(op, st.plan); err == nil {
 				bytes += e.cluster.WorkerBytes(inst, wf.Worker)
 			}
 		}
 		for _, id := range op.Inputs {
-			if id < 0 || seen[id] || st.vals[id] == nil || st.valueStage[id] >= stage {
+			if id < 0 || seen[id] || st.vals[id] == nil || st.plan.ValueStage(id) >= stage {
 				continue
 			}
 			seen[id] = true
@@ -261,10 +292,11 @@ func (e *Engine) opSpan(plan *core.Plan, stage int, op *core.Op) obs.SpanID {
 	return e.tracer.Start("op", name, e.tracer.Scope(), attrs...)
 }
 
-// runOps executes one stage's ops in plan order against the shared value
+// runOps executes one stage's ops in plan order against the run's value
 // table, one "op" span and one time-histogram sample per operator.
-func (e *Engine) runOps(ctx context.Context, plan *core.Plan, stage int, ops []*core.Op, vals []*dist.DistMatrix, params map[string]float64) error {
-	for i, op := range ops {
+func (e *Engine) runOps(ctx context.Context, st *execState, stage int) error {
+	plan, vals := st.plan, st.vals
+	for i, op := range plan.StageOps(stage) {
 		var (
 			out *dist.DistMatrix
 			err error
@@ -289,7 +321,7 @@ func (e *Engine) runOps(ctx context.Context, plan *core.Plan, stage int, ops []*
 		case core.OpExtract:
 			out, err = e.cluster.Extract(vals[op.Inputs[0]], plan.Value(op.Output).Scheme)
 		case core.OpCompute:
-			out, err = e.compute(ctx, plan, op, vals, params)
+			out, err = e.compute(ctx, plan, op, vals, st.params)
 		default:
 			e.tracer.SetScope(prevScope)
 			e.tracer.End(span)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -135,6 +136,22 @@ func TestProgramSignatureDiscriminates(t *testing.T) {
 	}
 }
 
+// cancelAt is a context cancelled at its n-th Err call: a cancel that lands
+// at a fixed point of a run instead of racing it. Err may be called from the
+// executor's workers, hence the atomic count.
+type cancelAt struct {
+	context.Context
+	n     int64
+	calls atomic.Int64
+}
+
+func (c *cancelAt) Err() error {
+	if c.calls.Add(1) < c.n {
+		return nil
+	}
+	return context.Canceled
+}
+
 // TestRunCtxCancelSurfacesCanceled covers cancellation propagation: a job
 // cancelled while its multi-stage program runs must fail with an error that
 // wraps context.Canceled, not a bare stage failure — that is how callers
@@ -143,17 +160,10 @@ func TestRunCtxCancelSurfacesCanceled(t *testing.T) {
 	e := New(DMac, testConfig(), tBS)
 	bindGNMF(t, e)
 	prog := gnmfProgram(0.3)
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(5 * time.Millisecond)
-		cancel()
-	}()
-	var err error
-	for i := 0; i < 100000; i++ {
-		if _, err = e.RunCtx(ctx, prog, nil); err != nil {
-			break
-		}
-	}
+	// The engine asks once before each of GNMF's five stages, so the third
+	// call falls mid-run whatever the executor asks in between.
+	ctx := &cancelAt{Context: context.Background(), n: 3}
+	_, err := e.RunCtx(ctx, prog, nil)
 	if err == nil {
 		t.Fatal("run never observed the cancellation")
 	}
