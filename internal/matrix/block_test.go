@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -426,7 +427,11 @@ func (op ScalarOp) apply(x, c float64) float64 {
 }
 
 // TestOperatorLoopsMatchPerCell checks every operator's block loop against
-// its per-cell definition, bit for bit, on dense and sparse operands.
+// its per-cell definition, bit for bit, on dense and sparse operands; then
+// the loops themselves, applyInto and countNonZero, at every feature level
+// (featureLevels): every length from 0 to 17 and 1,023 to 1,025 (the vector
+// loops' groups of 8 and 32 and the Go tail), into a fresh destination and
+// over either operand, on operands drawn from cellPayloads.
 func TestOperatorLoopsMatchPerCell(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	a, b := randDense(rng, 9, 7), randDense(rng, 9, 7)
@@ -479,6 +484,94 @@ func TestOperatorLoopsMatchPerCell(t *testing.T) {
 						t.Fatalf("op %v sparse=%v at (%d,%d): got %v, per-cell %v", op, blk.IsSparse(), i, j, g, want)
 					}
 				}
+			}
+		}
+	}
+
+	defer func(f cpuFeatures) { cpu = f }(cpu)
+	lengths := []int{1023, 1024, 1025}
+	for n := 0; n <= 17; n++ {
+		lengths = append(lengths, n)
+	}
+	draw := func(n int) []float64 {
+		x := make([]float64, n)
+		for i := range x {
+			x[i] = rng.NormFloat64()
+			if rng.Intn(2) == 0 {
+				x[i] = cellPayloads[rng.Intn(len(cellPayloads))]
+			}
+		}
+		return x
+	}
+	// same reports whether got is the per-cell result want of x op y, bit
+	// for bit; where both operands are NaN and op commutes, the compiler may
+	// have made either the first source of the per-cell definition, so the
+	// quiet form of either payload is the result.
+	same := func(got, want, x, y float64, commutes bool) bool {
+		g := math.Float64bits(got)
+		if g == math.Float64bits(want) {
+			return true
+		}
+		const quiet = 1 << 51
+		return commutes && math.IsNaN(x) && math.IsNaN(y) &&
+			(g == math.Float64bits(x)|quiet || g == math.Float64bits(y)|quiet)
+	}
+	const unwritten = -12345.5
+	nan := cellPayloads[4]
+	for _, f := range featureLevels() {
+		cpu = f
+		for _, n := range lengths {
+			a, b := draw(n), draw(n)
+			for _, op := range []BinOp{OpAdd, OpSub, OpCellMul, OpCellDiv} {
+				for _, into := range []string{"fresh", "over a", "over b"} {
+					x, y, dst := slices.Clone(a), slices.Clone(b), make([]float64, n)
+					switch into {
+					case "fresh":
+						for i := range dst {
+							dst[i] = unwritten
+						}
+					case "over a":
+						dst = x
+					default:
+						dst = y
+					}
+					op.applyInto(dst, x, y)
+					for i, g := range dst {
+						if !same(g, op.apply(a[i], b[i]), a[i], b[i], op == OpAdd || op == OpCellMul) {
+							t.Fatalf("cpu=%+v n=%d op %v %s: cell %d is %x, per-cell %x of %x, %x", f, n, op, into, i,
+								math.Float64bits(g), math.Float64bits(op.apply(a[i], b[i])), math.Float64bits(a[i]), math.Float64bits(b[i]))
+						}
+					}
+				}
+			}
+			for _, op := range []ScalarOp{ScalarMul, ScalarAdd, ScalarSub, ScalarDiv, ScalarRSub, ScalarRDiv} {
+				for _, c := range []float64{2.5, nan, math.Copysign(0, -1)} {
+					for _, inPlace := range []bool{false, true} {
+						x, dst := slices.Clone(a), make([]float64, n)
+						for i := range dst {
+							dst[i] = unwritten
+						}
+						if inPlace {
+							dst = x
+						}
+						op.applyInto(dst, x, c)
+						for i, g := range dst {
+							if !same(g, op.apply(a[i], c), a[i], c, op == ScalarMul || op == ScalarAdd) {
+								t.Fatalf("cpu=%+v n=%d op %v c=%x in place=%v: cell %d is %x, per-cell %x of %x", f, n, op, math.Float64bits(c), inPlace, i,
+									math.Float64bits(g), math.Float64bits(op.apply(a[i], c)), math.Float64bits(a[i]))
+							}
+						}
+					}
+				}
+			}
+			want := int64(0)
+			for _, v := range a {
+				if v != 0 {
+					want++
+				}
+			}
+			if got := countNonZero(a); got != want {
+				t.Fatalf("cpu=%+v n=%d: countNonZero %d, per-cell %d", f, n, got, want)
 			}
 		}
 	}

@@ -293,8 +293,13 @@ func (e *cellEval) arg(a CellArg, n, lo, level, side int) []float64 {
 	return tmp
 }
 
+// countNonZero counts the cells of x that are not zero, NaN included. On
+// AVX-512 the whole groups of eight are counted by countNonZeroAVX512.
 func countNonZero(x []float64) int64 {
 	var n int64
+	if k := len(x) &^ 7; k > 0 && cpu.avx512 {
+		n, x = countNonZeroAVX512(&x[0], k), x[k:]
+	}
 	for _, v := range x {
 		if v != 0 {
 			n++

@@ -1,6 +1,7 @@
 package matrix
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -113,11 +114,14 @@ var cellPayloads = []float64{
 // by link, bit for bit and block kind for block kind: random trees of every
 // operator over dense, sparse and empty inputs of chunk-crossing and ragged
 // shapes carrying the payloads above, evaluated fresh and over one of their
-// own dense inputs.
+// own dense inputs, at every feature level (featureLevels) — the reference
+// runs the operator loops the evaluator does, so each level holds its own.
 func FuzzFusedCells(f *testing.F) {
 	for seed := int64(0); seed < 24; seed++ {
 		f.Add(seed)
 	}
+	defer func(c cpuFeatures) { cpu = c }(cpu)
+	levels := featureLevels()
 	shapes := [][2]int{{1, 1}, {3, 7}, {1, cellChunk}, {33, 40}, {5, 411}, {64, 64}, {0, 4}}
 	f.Fuzz(func(t *testing.T, seed int64) {
 		rng := rand.New(rand.NewSource(seed))
@@ -169,75 +173,135 @@ func FuzzFusedCells(f *testing.F) {
 				dense = append(dense, i)
 			}
 		}
-
-		// The reference: every link a block kernel, every value a block.
-		vals := make([]Block, len(tree.Links))
-		arg := func(a CellArg) Block {
-			if a.Link {
-				return vals[a.Idx]
-			}
-			return ins[a.Idx]
-		}
-		wantNNZ := make([]int64, len(tree.Links)+1)
-		for j, l := range tree.Links {
-			switch l.Kind {
-			case LinkBin:
-				v, err := Cellwise(l.BinOp, arg(l.A), arg(l.B))
-				if err != nil {
-					t.Fatal(err)
-				}
-				vals[j] = v
-			case LinkScalar:
-				wantNNZ[j] = int64(arg(l.A).NNZ())
-				vals[j] = Scalar(l.ScalarOp, arg(l.A), l.Const)
-			default:
-				vals[j] = ApplyBlock(l.UFunc, arg(l.A))
-			}
-		}
-		want := vals[len(vals)-1]
-		wantNNZ[len(tree.Links)] = int64(want.NNZ())
-
-		var dst *DenseBlock
+		into := -1
 		if len(dense) > 0 && rng.Intn(2) == 0 {
-			dst = ins[dense[rng.Intn(len(dense))]].(*DenseBlock)
+			into = dense[rng.Intn(len(dense))]
 		}
-		nnz := make([]int64, len(tree.Links)+1)
-		got, err := tree.EvalBlock(ins, dst, nnz)
-		if err != nil {
-			t.Fatal(err)
-		}
-		describe := func() string {
-			return tree.Format(func(i int) string {
-				if ins[i].IsSparse() {
-					return "s"
-				}
-				return "d"
-			})
-		}
-		if got.IsSparse() != want.IsSparse() {
-			t.Fatalf("%s %dx%d: result sparse=%v, link by link sparse=%v", describe(), rows, cols, got.IsSparse(), want.IsSparse())
-		}
-		if gs, ok := got.(*CSCBlock); ok {
-			ws := want.(*CSCBlock)
-			if len(gs.RowIdx) != len(ws.RowIdx) || sameBits(gs.Values, ws.Values) >= 0 {
-				t.Fatalf("%s %dx%d: sparse result differs from link by link", describe(), rows, cols)
+		orig := ins
+		for _, level := range levels {
+			cpu = level
+			ins := make([]Block, len(orig))
+			for i, b := range orig {
+				ins[i] = b.Clone()
 			}
-			for k := range gs.RowIdx {
-				if gs.RowIdx[k] != ws.RowIdx[k] {
-					t.Fatalf("%s %dx%d: sparse pattern differs from link by link", describe(), rows, cols)
-				}
-			}
-		} else if i := sameBits(got.Dense().Data, want.Dense().Data); i >= 0 {
-			t.Fatalf("%s %dx%d in place=%v: cell %d is %x, link by link %x", describe(), rows, cols, dst != nil, i,
-				math.Float64bits(got.Dense().Data[i]), math.Float64bits(want.Dense().Data[i]))
-		}
-		if allDense := len(dense) == len(ins); dst != nil && allDense != (got == Block(dst)) {
-			t.Fatalf("%s: all inputs dense=%v but destination used=%v", describe(), allDense, got == Block(dst))
-		}
-		for j := range nnz {
-			if nnz[j] != wantNNZ[j] {
-				t.Fatalf("%s %dx%d: counts %v, link by link %v", describe(), rows, cols, nnz, wantNNZ)
-			}
+			checkFused(t, tree, ins, into)
 		}
 	})
+}
+
+// checkFused evaluates tree over ins — into input into when that is not -1 —
+// and compares the result and the counts with the block kernels composed
+// link by link.
+func checkFused(t *testing.T, tree *CellTree, ins []Block, into int) {
+	rows, cols := ins[0].Rows(), ins[0].Cols()
+
+	// The reference: every link a block kernel, every value a block.
+	vals := make([]Block, len(tree.Links))
+	arg := func(a CellArg) Block {
+		if a.Link {
+			return vals[a.Idx]
+		}
+		return ins[a.Idx]
+	}
+	wantNNZ := make([]int64, len(tree.Links)+1)
+	for j, l := range tree.Links {
+		switch l.Kind {
+		case LinkBin:
+			v, err := Cellwise(l.BinOp, arg(l.A), arg(l.B))
+			if err != nil {
+				t.Fatal(err)
+			}
+			vals[j] = v
+		case LinkScalar:
+			wantNNZ[j] = int64(arg(l.A).NNZ())
+			vals[j] = Scalar(l.ScalarOp, arg(l.A), l.Const)
+		default:
+			vals[j] = ApplyBlock(l.UFunc, arg(l.A))
+		}
+	}
+	want := vals[len(vals)-1]
+	wantNNZ[len(tree.Links)] = int64(want.NNZ())
+
+	var dst *DenseBlock
+	if into >= 0 {
+		dst = ins[into].(*DenseBlock)
+	}
+	nnz := make([]int64, len(tree.Links)+1)
+	got, err := tree.EvalBlock(ins, dst, nnz)
+	if err != nil {
+		t.Fatal(err)
+	}
+	describe := func() string {
+		return fmt.Sprintf("cpu=%+v ", cpu) + tree.Format(func(i int) string {
+			if ins[i].IsSparse() {
+				return "s"
+			}
+			return "d"
+		})
+	}
+	if got.IsSparse() != want.IsSparse() {
+		t.Fatalf("%s %dx%d: result sparse=%v, link by link sparse=%v", describe(), rows, cols, got.IsSparse(), want.IsSparse())
+	}
+	if gs, ok := got.(*CSCBlock); ok {
+		ws := want.(*CSCBlock)
+		if len(gs.RowIdx) != len(ws.RowIdx) || sameBits(gs.Values, ws.Values) >= 0 {
+			t.Fatalf("%s %dx%d: sparse result differs from link by link", describe(), rows, cols)
+		}
+		for k := range gs.RowIdx {
+			if gs.RowIdx[k] != ws.RowIdx[k] {
+				t.Fatalf("%s %dx%d: sparse pattern differs from link by link", describe(), rows, cols)
+			}
+		}
+	} else if i := sameBits(got.Dense().Data, want.Dense().Data); i >= 0 {
+		t.Fatalf("%s %dx%d in place=%v: cell %d is %x, link by link %x", describe(), rows, cols, dst != nil, i,
+			math.Float64bits(got.Dense().Data[i]), math.Float64bits(want.Dense().Data[i]))
+	}
+	allDense := true
+	for _, b := range ins {
+		allDense = allDense && !b.IsSparse()
+	}
+	if dst != nil && allDense != (got == Block(dst)) {
+		t.Fatalf("%s: all inputs dense=%v but destination used=%v", describe(), allDense, got == Block(dst))
+	}
+	for j := range nnz {
+		if nnz[j] != wantNNZ[j] {
+			t.Fatalf("%s %dx%d: counts %v, link by link %v", describe(), rows, cols, nnz, wantNNZ)
+		}
+	}
+}
+
+// BenchmarkCellTreeGNMF times GNMF's H update (H * WᵀV) / WᵀWH with its
+// counts, as Executor.Cells runs it, over one block of each GNMF workload of
+// the benchmark ledger — gnmf (64 × 1632) and gnmf_ckpt (32 × 408) — written
+// over its last input as the in-place licence has it, at every feature level
+// (featureLevels: the Go loops, then the AVX-512 ones).
+func BenchmarkCellTreeGNMF(b *testing.B) {
+	defer func(c cpuFeatures) { cpu = c }(cpu)
+	tree := gnmfTree()
+	for _, sh := range []struct {
+		name       string
+		rows, cols int
+	}{{"gnmf", gnmfK, gnmfBlock}, {"gnmf_ckpt", 32, 408}} {
+		rng := rand.New(rand.NewSource(int64(sh.cols)))
+		ins := []Block{randDense(rng, sh.rows, sh.cols), randDense(rng, sh.rows, sh.cols), randDense(rng, sh.rows, sh.cols)}
+		dst := ins[2].(*DenseBlock)
+		nnz := make([]int64, len(tree.Links)+1)
+		for _, level := range featureLevels() {
+			name := "go"
+			if level.avx512 {
+				name = "avx512"
+			} else if level.avx {
+				continue // the cell-wise loops have no AVX form
+			}
+			b.Run(sh.name+"/"+name, func(b *testing.B) {
+				cpu = level
+				for i := 0; i < b.N; i++ {
+					if _, err := tree.EvalBlock(ins, dst, nnz); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(sh.rows*sh.cols)*float64(b.N)/b.Elapsed().Seconds()/1e9, "Gcells/s")
+			})
+		}
+	}
 }

@@ -42,15 +42,7 @@ func (d *DenseBlock) At(i, j int) float64 { return d.Data[i*d.cols+j] }
 func (d *DenseBlock) Set(i, j int, v float64) { d.Data[i*d.cols+j] = v }
 
 // NNZ counts the non-zero elements by scanning the data.
-func (d *DenseBlock) NNZ() int {
-	n := 0
-	for _, v := range d.Data {
-		if v != 0 {
-			n++
-		}
-	}
-	return n
-}
+func (d *DenseBlock) NNZ() int { return int(countNonZero(d.Data)) }
 
 // MemBytes implements the dense branch of the paper's block memory model.
 func (d *DenseBlock) MemBytes() int64 { return DenseMemBytes(d.rows, d.cols) }

@@ -27,10 +27,10 @@ import (
 // when it is on the right). Where a lane vector y of the result — a row of
 // dst, a column accumulator — can take all its non-zeros from one list of
 // (index, value) entries in ascending index, it gathers them: from a stored
-// column of the CSC block, or from a row of its row view (rowView), laid out
-// by one counting pass. The other forms, and thin ones for which the view
-// costs more than it saves, sweep the stored columns and scatter each entry
-// into the lane vector it names. Whatever is not contiguous as stored — a
+// column of the CSC block, or from a row of its row layout (rowLayout), laid
+// out by one counting pass the first time a product asks and kept with the
+// block. The other form, A*S^T, sweeps the stored columns and scatters each
+// entry into the lane vector it names. Whatever is not contiguous as stored — a
 // transposed dense operand, or dst itself when its columns are the lanes —
 // is transposed into scratch once per product rather than read by stride
 // once per non-zero. A product large enough is cut into strips of disjoint
@@ -114,25 +114,17 @@ const (
 	// second worker first pays around 2M: a 64-lane W^T*V against a
 	// 1632-wide block takes the same time at one and two workers at 1.7M
 	// (GNMF's 1 %) and a third less from 2.1M up (BenchmarkMulAddGNMFBlocks
-	// and a density sweep, 2-vCPU AVX-512 host). V*H^T, whose row view is
-	// built on one worker before the strips start, gained nothing from a
-	// second up to 13M.
+	// and a density sweep, 2-vCPU AVX-512 host). V*H^T, whose row view was
+	// then built on one worker before the strips started, gained nothing
+	// from a second up to 13M.
 	spParMin = 1 << 21
-	// spScatterParMin is spParMin for the column sweeps (mulAddSDScatter,
-	// mulAddDSScatter), whose axpys load and store their result lanes once an
-	// entry: there a second worker pays from 2^18, as before the register
-	// gather. On a gnmf block A*V^T runs a quarter faster on two workers at
-	// 64 lanes (1.7M; medians 1.8 and 1.35 ms) and a sixth at 16 (0.43M), and
-	// V*w at one to three lanes a fifth to two fifths faster at 30 % density
-	// (BenchmarkMulAddSparseLanes and a density sweep).
+	// spScatterParMin is spParMin for the column sweep (mulAddDSScatter),
+	// whose axpys load and store their result lanes once an entry: there a
+	// second worker pays from 2^18, as before the register gather. On a gnmf
+	// block A*V^T runs a quarter faster on two workers at 64 lanes (1.7M;
+	// medians 1.8 and 1.35 ms) and a sixth at 16 (0.43M)
+	// (BenchmarkMulAddSparseLanes).
 	spScatterParMin = 1 << 18
-	// sdRowViewMin is the fewest lanes for which an untransposed sparse x
-	// dense product walks a row view of A (newRowView) instead of sweeping its
-	// columns: building the view costs about what a one-lane sweep does. On a
-	// gnmf block V*w and V*H^T ran up to 20 % slower through the view at one
-	// and two lanes, and run 5-18 % faster at four and 15-49 % from eight
-	// (BenchmarkMulAddSparseLanes, 2-vCPU AVX-512 host).
-	sdRowViewMin = 4
 	// dsRowDotMax is the largest row count n of op(A) for which an
 	// untransposed dense x CSC product runs as n row-dot passes over the CSC
 	// operand instead of packing a transposed A panel for one lane-wide
@@ -184,10 +176,9 @@ func (sp *scratchPools[T]) put(bp *[]T) {
 }
 
 // The sparse kernels' scratch: spScratchPools the float64 buffers they pack
-// into and accumulate in (transposed operands, column and row accumulators, a
-// row view's values), spIndexPools the int32 ones (a row view's pointers and
-// column indices, column-boundary marks, the CSC builder's counters).
-// Steady-state products allocate nothing.
+// into and accumulate in (transposed operands, column and row accumulators),
+// spIndexPools the int32 ones (column-boundary marks, the CSC builder's
+// counters). Steady-state products allocate nothing.
 var (
 	spScratchPools scratchPools[float64]
 	spIndexPools   scratchPools[int32]
@@ -338,52 +329,7 @@ func unpackTrans(dst, buf []float64, ld, r0, rw, c0, cw int) {
 	}
 }
 
-// rowView is a run of a CSC block's stored columns laid out by rows in
-// pooled scratch: row k holds (col[x], val[x]) for x in [ptr[k], ptr[k+1]),
-// in ascending column — the order in which a sweep over the stored columns
-// meets them. Hand the scratch back with release.
-type rowView struct {
-	ptr, col []int32
-	val      []float64
-	ip       *[]int32
-	vp       *[]float64
-}
-
-// newRowView lays the stored columns [c0, c1) of a out by rows, column
-// indices counted from c0: one counting pass over their row indices and one
-// fill pass over their entries.
-func newRowView(a *CSCBlock, c0, c1 int) rowView {
-	lo, hi := a.ColPtr[c0], a.ColPtr[c1]
-	m, nnz := a.rows, int(hi-lo)
-	ip := spIndexPools.get(m + 2 + nnz)
-	vp := spScratchPools.get(nnz)
-	ptr, col, val := (*ip)[:m+2], (*ip)[m+2:], *vp
-	// Counts are taken two slots up so that, after the prefix sum, ptr[k+1]
-	// is the fill cursor of row k and ends as the start of row k+1.
-	clear(ptr)
-	for _, k := range a.RowIdx[lo:hi] {
-		ptr[k+2]++
-	}
-	for k := 2; k < len(ptr); k++ {
-		ptr[k] += ptr[k-1]
-	}
-	for j := c0; j < c1; j++ {
-		for idx := a.ColPtr[j]; idx < a.ColPtr[j+1]; idx++ {
-			k := a.RowIdx[idx]
-			x := ptr[k+1]
-			ptr[k+1] = x + 1
-			col[x], val[x] = int32(j-c0), a.Values[idx]
-		}
-	}
-	return rowView{ptr: ptr[:m+1], col: col, val: val, ip: ip, vp: vp}
-}
-
-func (v rowView) release() {
-	spIndexPools.put(v.ip)
-	spScratchPools.put(v.vp)
-}
-
-// spPanelRows is how many rows of a dense operand, lanes wide, a row-view
+// spPanelRows is how many rows of a dense operand, lanes wide, a row-layout
 // product packs and reads at a time: spPanelBytes of them, at least eight,
 // and all of them if there are fewer. A row of the view reads the rows of
 // the dense operand its entries name, anywhere in the panel, so the panel
@@ -423,26 +369,14 @@ func cscRowRange(rowIdx []int32, lo, hi, r0, r1 int32) (int32, int32) {
 
 // mulAddSD computes dst += op(A)*op(B) with sparse A (CSC) and dense B:
 // dst[i,:] += op(A)[i,k] * op(B)[k,:] in ascending k for each i. Row i of
-// op(A) is stored column i of A when aT, and row i of A's row view
+// op(A) is stored column i of A when aT, and row i of A's row layout
 // otherwise; each gathers into dst's row i from the rows of op(B), read
-// row-major (a transposed B packed once). The row view is built and op(B)
+// row-major (a transposed B packed once). The row layout is cut and op(B)
 // packed panel by panel of A's columns (spPanelRows), each panel's entries
-// of a row following the previous panel's. Below sdRowViewMin lanes an
-// untransposed A is swept by columns instead (mulAddSDScatter). Strips own
-// disjoint result rows.
+// of a row following the previous panel's. Strips own disjoint result rows.
 func mulAddSD(dst *DenseBlock, a *CSCBlock, b *DenseBlock, aT, bT bool) {
-	n, p := dst.rows, dst.cols
+	p := dst.cols
 	if len(a.Values) == 0 || p == 0 {
-		return
-	}
-	if !aT && p < sdRowViewMin {
-		if step, strips := spStrips(n, len(a.Values)*p, spScatterParMin); strips > 1 {
-			parallelStrips(strips, strips, func(s int) {
-				mulAddSDScatter(dst, a, b, bT, s*step, min(n, (s+1)*step))
-			})
-			return
-		}
-		mulAddSDScatter(dst, a, b, bT, 0, n)
 		return
 	}
 	if aT {
@@ -457,12 +391,13 @@ func mulAddSD(dst *DenseBlock, a *CSCBlock, b *DenseBlock, aT, bT bool) {
 		return
 	}
 	panel := spPanelRows(a.cols, p)
+	rows := a.rowLayout(panel)
 	var xp *[]float64
 	if bT {
 		xp = spScratchPools.get(panel * p)
 		defer spScratchPools.put(xp)
 	}
-	for c0 := 0; c0 < a.cols; c0 += panel {
+	for q, c0 := 0, 0; c0 < a.cols; q, c0 = q+1, c0+panel {
 		c1 := min(a.cols, c0+panel)
 		if a.ColPtr[c0] == a.ColPtr[c1] {
 			continue
@@ -472,9 +407,7 @@ func mulAddSD(dst *DenseBlock, a *CSCBlock, b *DenseBlock, aT, bT bool) {
 			x = (*xp)[:(c1-c0)*p]
 			packTrans(x, b.Data, b.cols, 0, p, c0, c1-c0)
 		}
-		rv := newRowView(a, c0, c1)
-		mulAddSDRows(dst, x, rv.ptr, rv.col, rv.val)
-		rv.release()
+		mulAddSDRows(dst, x, rows.rowPtr(q), rows.col, rows.val)
 	}
 }
 
@@ -498,45 +431,6 @@ func mulAddSDStrip(dst *DenseBlock, x []float64, ptr, idx []int32, val []float64
 	for i := i0; i < i1; i++ {
 		lo, hi := ptr[i], ptr[i+1]
 		gather(dst.Data[i*p:(i+1)*p], x, idx[lo:hi], val[lo:hi], false)
-	}
-}
-
-// mulAddSDScatter is the untransposed-A form of mulAddSD below sdRowViewMin
-// lanes, for result rows [i0, i1): stored column k of A scatters row k of
-// op(B) into the rows of dst it names, of which the strip takes those in its
-// range. Rows of op(B) are needed in order, so a transposed B is packed
-// spPanel rows at a time.
-func mulAddSDScatter(dst *DenseBlock, a *CSCBlock, b *DenseBlock, bT bool, i0, i1 int) {
-	p := dst.cols
-	whole := i0 == 0 && i1 == dst.rows
-	var panel []float64
-	if bT {
-		pp := spScratchPools.get(min(spPanel, a.cols) * p)
-		defer spScratchPools.put(pp)
-		panel = *pp
-	}
-	for c0 := 0; c0 < a.cols; c0 += spPanel {
-		cw := min(spPanel, a.cols-c0)
-		if a.ColPtr[c0] == a.ColPtr[c0+cw] {
-			continue
-		}
-		x := panel
-		if bT {
-			packTrans(panel, b.Data, b.cols, 0, p, c0, cw)
-		} else {
-			x = b.Data[c0*p:]
-		}
-		for c := 0; c < cw; c++ {
-			lo, hi := a.ColPtr[c0+c], a.ColPtr[c0+c+1]
-			if !whole {
-				lo, hi = cscRowRange(a.RowIdx, lo, hi, int32(i0), int32(i1))
-			}
-			xr := x[c*p : (c+1)*p]
-			for idx := lo; idx < hi; idx++ {
-				r := int(a.RowIdx[idx])
-				axpy(a.Values[idx], xr, dst.Data[r*p:(r+1)*p])
-			}
-		}
 	}
 }
 
@@ -673,8 +567,9 @@ func mulAddDSGather(dst *DenseBlock, x []float64, b *CSCBlock, j0, j1 int) {
 // are transposed into scratch and back so that each is contiguous; rows of
 // op(A)^T are needed in order, so an untransposed A is packed spPanel rows
 // at a time. (Walking a row view of B instead, as mulAddSD does, made A*V^T
-// on a gnmf block 30-160 % slower at every lane count: the axpys still go
-// through memory, and the view costs what they do.)
+// on a gnmf block 30-160 % slower at every lane count when the view was
+// built per product: the axpys still go through memory, and the view cost
+// what they do.)
 func mulAddDSScatter(dst *DenseBlock, a *DenseBlock, aT bool, b *CSCBlock, j0, j1 int) {
 	n, p := dst.rows, dst.cols
 	whole := j0 == 0 && j1 == p
@@ -762,7 +657,7 @@ func addTileGo(d []float64, ld int, acc []float64, n, cw, i0 int) {
 //	NN: for every stored B[k,j], scatter column k of A into dst column j.
 //	NT: outer products — column k of A times column k of B (CSR row of opB).
 //	TN: stored column i of A is logical row i of op(A); chase its (k, av)
-//	    entries into row k of B, read from a row view (mulAddSSTN).
+//	    entries into row k of B, read from its row layout (mulAddSSTN).
 //	TT: stored column i of A is logical row i of op(A); chase its (k, av)
 //	    entries into stored column k of B (logical row k of op(B)).
 func mulAddSS(dst *DenseBlock, a, b *CSCBlock, aT, bT bool) {
@@ -811,18 +706,21 @@ func mulAddSS(dst *DenseBlock, a, b *CSCBlock, aT, bT bool) {
 // stored column of the other, and here that column would be row k of B, which
 // CSC does not store. Merging every column pair instead costs cols_a * cols_b
 // merges whatever the blocks hold — a thousand per product of two 32-wide
-// blocks to perform a few dozen multiply-adds — so B's rows are first laid
-// out once (newRowView), and row i of the result is then the row-wise
-// product: every stored (k, av) of A[:,i], in ascending k, adds av * B[k,:]
-// into an accumulator row that started at zero, and the row is added into
-// dst over all its columns — the sums, and the += 0 on cells no pair
-// reaches, of the merge kept as refMulAddSS in mul_sparse_test.go (NaN
-// payloads aside, see the file comment).
+// blocks to perform a few dozen multiply-adds — so B is read by rows, from
+// its row layout in one panel (rowLayout), and row i of the result is the
+// row-wise product: every stored (k, av) of A[:,i], in ascending k, adds
+// av * B[k,:] into an accumulator row that started at zero, and the row is
+// added into dst over all its columns — the sums, and the += 0 on cells no
+// pair reaches, of the merge kept as refMulAddSS in mul_sparse_test.go (NaN
+// payloads aside, see the file comment). A B with no columns leaves dst,
+// which then has none either, alone.
 func mulAddSSTN(dst *DenseBlock, a, b *CSCBlock) {
 	n, p := dst.rows, dst.cols
-	rv := newRowView(b, 0, b.cols)
-	defer rv.release()
-	ptr, col, val := rv.ptr, rv.col, rv.val
+	if p == 0 {
+		return
+	}
+	rows := b.rowLayout(b.cols)
+	ptr, col, val := rows.rowPtr(0), rows.col, rows.val
 	accp := spScratchPools.get(p)
 	defer spScratchPools.put(accp)
 	acc := *accp

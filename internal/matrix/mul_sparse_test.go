@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"os"
+	"sync/atomic"
 	"testing"
 )
 
@@ -253,9 +254,10 @@ func sameBits(x, y []float64) int {
 }
 
 // featureLevels lists the CPU feature sets a test forces in turn so that
-// every fallback of the sparse kernels runs: none (the Go loops), AVX alone
-// (axpyAVX under the Go gather and transposes) and, on top, AVX-512 (the
-// register gather and transposes), each only where the host has it.
+// every fallback of the sparse and cell-wise kernels runs: none (the Go
+// loops), AVX alone (axpyAVX under the Go gather and transposes) and, on
+// top, AVX-512 (the register gather and transposes, the cell-wise vector
+// loops), each only where the host has it.
 func featureLevels() []cpuFeatures {
 	levels := []cpuFeatures{{}}
 	if cpu.avx {
@@ -276,7 +278,7 @@ func spFanOut(sparseLeft, aT, bT bool, n, p, nnz int) (strips int, sweep bool) {
 	if !sparseLeft {
 		total, lanes = p, n
 	}
-	sweep = sparseLeft && !aT && p < sdRowViewMin || !sparseLeft && bT
+	sweep = !sparseLeft && bT
 	parMin := spParMin
 	if sweep {
 		parMin = spScatterParMin
@@ -291,9 +293,8 @@ func spFanOut(sparseLeft, aT, bT bool, n, p, nnz int) (strips int, sweep bool) {
 // every feature level (featureLevels), and worker counts that cut the lanes
 // into one to seven strips. Every product that clears its kernel's fan-out
 // threshold (spFanOut) runs at all those worker counts: among them the
-// column sweeps' of the 200-deep shapes and of the three-lane 2000 x 300
-// one, and the gathers' of the last two shapes, with GNMF's W^T*V
-// at 64 lanes and V*H^T at 32.
+// column sweep's of the 200-deep shapes, and the gathers' of the last two
+// shapes, with GNMF's W^T*V at 64 lanes and V*H^T at 32.
 func TestSparseDenseBitIdentical(t *testing.T) {
 	defer SetKernelWorkers(SetKernelWorkers(1))
 	defer func(f cpuFeatures) { cpu = f }(cpu)
@@ -315,11 +316,10 @@ func TestSparseDenseBitIdentical(t *testing.T) {
 	// The most strips a product was cut into, by sparse side and kernel kind.
 	fanned := map[[2]bool]int{}
 	defer func() {
-		for _, left := range []bool{true, false} {
-			for _, sweep := range []bool{true, false} {
-				if k := fanned[[2]bool{left, sweep}]; k < 4 {
-					t.Errorf("sparseLeft=%v sweep=%v: the table cut a product into at most %d strips; up to four went untested", left, sweep, k)
-				}
+		// A sparse left operand is always gathered.
+		for _, kind := range [][2]bool{{true, false}, {false, true}, {false, false}} {
+			if k := fanned[kind]; k < 4 {
+				t.Errorf("sparseLeft=%v sweep=%v: the table cut a product into at most %d strips; up to four went untested", kind[0], kind[1], k)
 			}
 		}
 	}()
@@ -445,9 +445,9 @@ func TestSparseDenseLanesBitIdentical(t *testing.T) {
 
 // TestSparseDenseConcurrentCallers drives the lane strips of both kernels
 // from several goroutines at once, as the executor's block tasks do; under
-// -race it pins the pooled scratch, the shared packed operands and row views
-// and the strip ownership as race-free. Every product is cut into strips:
-// all eight forms at 64 x 656, and the thin column sweep of V*w at three
+// -race it pins the pooled scratch, the shared packed operands and row
+// layouts and the strip ownership as race-free. Every product is cut into
+// strips: all eight forms at 64 x 656, and the thin gather of V*w at three
 // lanes.
 func TestSparseDenseConcurrentCallers(t *testing.T) {
 	defer SetKernelWorkers(SetKernelWorkers(4))
@@ -480,7 +480,7 @@ func TestSparseDenseConcurrentCallers(t *testing.T) {
 		}
 	}
 	for _, bT := range []bool{false, true} {
-		add(true, false, bT, 2000, 300, 3)
+		add(true, false, bT, 2000, 1800, 3)
 	}
 	const callers = 8
 	errs := make(chan string, callers)
@@ -509,10 +509,11 @@ func TestSparseDenseConcurrentCallers(t *testing.T) {
 }
 
 // TestSparseDenseAllocFree verifies that steady-state sparse x dense products
-// allocate nothing on the caller's own strip: packed operands, row views, the
-// transposed dst and the column accumulators all come from the scratch
-// pools, on the register gather's passes (64, 32, 8 lanes and a masked tail)
-// as on its fallback, and on the thin column sweep. (A fanned-out product
+// allocate nothing on the caller's own strip: packed operands, the transposed
+// dst and the column accumulators all come from the scratch pools, and the
+// row layout the first product built is the block's own, on the register
+// gather's passes (64, 32, 8 lanes and a masked tail) as on its fallback, at
+// two lanes as at 64, and on the column sweep. (A fanned-out product
 // additionally allocates its strip job, like the GEMM's.)
 func TestSparseDenseAllocFree(t *testing.T) {
 	if raceEnabled {
@@ -542,6 +543,91 @@ func TestSparseDenseAllocFree(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestRowLayoutBuiltOnce makes the first product on one cold block from eight
+// goroutines at once: the block's row layout is built once, and every result
+// is the reference loops' to the bit. Under -race it pins the layout's
+// publication to the readers that did not build it.
+func TestRowLayoutBuiltOnce(t *testing.T) {
+	defer SetKernelWorkers(SetKernelWorkers(2))
+	rng := rand.New(rand.NewSource(20))
+	const n, m, p = 300, 200, 16
+	a, b := spOperands(rng, true, n, m, p, false, true, 0.1, true)
+	want := NewDense(n, p)
+	refMulAddSD(want, a.(*CSCBlock), b.(*DenseBlock), false, true)
+	var builds atomic.Int64
+	testRowLayoutBuilt = func() { builds.Add(1) }
+	defer func() { testRowLayoutBuilt = nil }()
+	const callers = 8
+	start := make(chan struct{})
+	errs := make(chan string, callers)
+	for g := 0; g < callers; g++ {
+		go func() {
+			<-start
+			got := NewDense(n, p)
+			if err := MulAddTransInto(got, a, b, false, true); err != nil {
+				errs <- err.Error()
+				return
+			}
+			if i := sameBits(got.Data, want.Data); i >= 0 {
+				errs <- fmt.Sprintf("element %d is %v, reference %v", i, got.Data[i], want.Data[i])
+				return
+			}
+			errs <- ""
+		}()
+	}
+	close(start)
+	for g := 0; g < callers; g++ {
+		if msg := <-errs; msg != "" {
+			t.Error(msg)
+		}
+	}
+	if k := builds.Load(); k != 1 {
+		t.Errorf("%d callers built the row layout %d times, want once", callers, k)
+	}
+}
+
+// TestRowLayoutFollowsWidth multiplies one block, untransposed on the left,
+// at 64 lanes, then 3, then 64 again: every product is the reference's to the
+// bit, and the block keeps one layout, in panels of the width its last
+// product asked for (three panels at 64 lanes, one at 3).
+func TestRowLayoutFollowsWidth(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	const n, m = 40, 2*1024 + 5
+	a := sparseWithGaps(rng, n, m, 0.05)
+	for _, lanes := range []int{64, 3, 64} {
+		b := randDense(rng, m, lanes)
+		got := dstOnEntry(rng, n, lanes)
+		want := got.Clone().(*DenseBlock)
+		refMulAddSD(want, a, b, false, false)
+		if err := MulAddTransInto(got, a, b, false, false); err != nil {
+			t.Fatal(err)
+		}
+		if i := sameBits(got.Data, want.Data); i >= 0 {
+			t.Fatalf("%d lanes: element %d is %v, reference %v", lanes, i, got.Data[i], want.Data[i])
+		}
+		if l := a.byRow.Load(); l == nil || l.panel != spPanelRows(m, lanes) {
+			t.Fatalf("%d lanes: layout %+v, want panels of %d columns", lanes, l, spPanelRows(m, lanes))
+		}
+	}
+}
+
+// TestRowLayoutNotInherited: a block made from one that has a row layout —
+// by Clone, Transpose, Scale or a sparse Scalar — starts without one.
+func TestRowLayoutNotInherited(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	s := randSparse(rng, 30, 20, 0.3)
+	if s.rowLayout(s.cols) == nil || s.byRow.Load() == nil {
+		t.Fatal("no row layout kept")
+	}
+	for name, d := range map[string]Block{
+		"Clone": s.Clone(), "Transpose": s.Transpose(), "Scale": s.Scale(2), "Scalar": Scalar(ScalarMul, s, 2),
+	} {
+		if d.(*CSCBlock).byRow.Load() != nil {
+			t.Errorf("%s carries its source's row layout", name)
 		}
 	}
 }
@@ -890,7 +976,7 @@ func BenchmarkMulAddSparseLanes(b *testing.B) {
 		{"sd-nn", true, false, false}, {"sd-tn", true, true, false}, {"sd-nt", true, false, true},
 		{"ds-tn", false, true, false}, {"ds-nt", false, false, true},
 	} {
-		for _, lanes := range []int{1, 2, 4, 8, 16, 64} {
+		for _, lanes := range []int{1, 2, 3, 4, 8, 16, 64} {
 			// The dense operand is stored lanes x 1632 when it is a
 			// transposed right operand or an untransposed left one.
 			d := randDense(rng, gnmfBlock, lanes)
@@ -905,6 +991,20 @@ func BenchmarkMulAddSparseLanes(b *testing.B) {
 				b.Run(fmt.Sprintf("%s/lanes=%d/workers=%d", form.name, lanes, workers), func(b *testing.B) {
 					defer SetKernelWorkers(SetKernelWorkers(workers))
 					benchMulAdd(b, dst, x, y, form.aT, form.bT)
+				})
+				if !form.sparseLeft || form.aT {
+					continue
+				}
+				// A block multiplied once: its row layout is built by the
+				// product.
+				b.Run(fmt.Sprintf("%s/lanes=%d/workers=%d/cold", form.name, lanes, workers), func(b *testing.B) {
+					defer SetKernelWorkers(SetKernelWorkers(workers))
+					for i := 0; i < b.N; i++ {
+						v.byRow.Store(nil)
+						if err := MulAddTransInto(dst, x, y, form.aT, form.bT); err != nil {
+							b.Fatal(err)
+						}
+					}
 				})
 			}
 		}

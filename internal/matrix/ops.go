@@ -30,9 +30,15 @@ func (op BinOp) String() string {
 }
 
 // applyInto computes dst[i] = a[i] op b[i] with one tight loop per operator:
-// the operator is decided once per block, not once per cell.
+// the operator is decided once per block, not once per cell. dst may alias a
+// or b. On AVX-512 the whole groups of eight cells run in binOpAVX512, each
+// lane the Go loop's operation, and the Go loop takes the last len(dst)%8.
 func (op BinOp) applyInto(dst, a, b []float64) {
 	a, b = a[:len(dst)], b[:len(dst)]
+	if k := len(dst) &^ 7; k > 0 && cpu.avx512 {
+		binOpAVX512(op, &dst[0], &a[0], &b[0], k)
+		dst, a, b = dst[k:], a[k:], b[k:]
+	}
 	switch op {
 	case OpAdd:
 		for i := range dst {
@@ -133,9 +139,15 @@ func (op ScalarOp) String() string {
 }
 
 // applyInto computes dst[i] = x[i] op c (c op x[i] for the reversed
-// operators) with one tight loop per operator; dst may alias x.
+// operators) with one tight loop per operator; dst may alias x. On AVX-512
+// the whole groups of eight cells run in scalarOpAVX512, as BinOp.applyInto's
+// do.
 func (op ScalarOp) applyInto(dst, x []float64, c float64) {
 	x = x[:len(dst)]
+	if k := len(dst) &^ 7; k > 0 && cpu.avx512 {
+		scalarOpAVX512(op, &dst[0], &x[0], c, k)
+		dst, x = dst[k:], x[k:]
+	}
 	switch op {
 	case ScalarMul:
 		for i := range dst {

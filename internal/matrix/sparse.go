@@ -3,6 +3,8 @@ package matrix
 import (
 	"fmt"
 	"sort"
+	"sync"
+	"sync/atomic"
 )
 
 // CSCBlock is a sparse sub-matrix in Compressed Sparse Column format
@@ -10,6 +12,13 @@ import (
 // the offset in RowIdx/Values where column j starts, RowIdx holds the row
 // index of each stored element, and Values holds the element values. Stored
 // elements within a column are ordered by row index.
+//
+// A CSC block is immutable once built: its arrays are written only by the
+// code that makes it (NewCSC, Transpose, Clone, Scale, the sparse Cellwise
+// and Scalar) before the block is handed out, and never after its first
+// product. So the row layout a product derives from it (rowLayout) is built
+// once and kept with the block, and a block made from another starts
+// without one.
 type CSCBlock struct {
 	rows, cols int
 	// ColPtr has cols+1 entries; column j occupies [ColPtr[j], ColPtr[j+1]).
@@ -18,6 +27,93 @@ type CSCBlock struct {
 	RowIdx []int32
 	// Values holds the stored element values.
 	Values []float64
+
+	// byRow is the row layout for the panel width last asked for, nil until
+	// a product asks; rowMu serialises its builds.
+	byRow atomic.Pointer[rowLayout]
+	rowMu sync.Mutex
+}
+
+// rowLayout is a CSC block's stored entries laid out by rows, a panel of
+// stored columns at a time: in panel q, the columns [q*panel,
+// min(cols, (q+1)*panel)), row k holds (col[x], val[x]) for x in
+// [ptr[k], ptr[k+1]) of ptr = rowPtr(q), in ascending column — the order in
+// which a sweep over the panel's stored columns meets them — with columns
+// counted from the panel's first. A panel's entries occupy the positions its
+// columns' entries occupy in the block, so col and val hold NNZ elements and
+// ptr rows+1 a panel: NNZ*12 + panels*(rows+1)*4 bytes, which MemBytes (the
+// paper's model of the block) leaves out, as it leaves out kernel scratch.
+type rowLayout struct {
+	panel, rows int
+	ptr, col    []int32
+	val         []float64
+}
+
+// rowPtr returns the row pointers of panel q.
+func (l *rowLayout) rowPtr(q int) []int32 { return l.ptr[q*(l.rows+1):][:l.rows+1] }
+
+// testRowLayoutBuilt, when set by a test, is called on every layout build.
+var testRowLayoutBuilt func()
+
+// rowLayout returns s laid out by rows in panels of panel >= 1 columns. It is
+// built on first use, once however many block tasks ask at the same time,
+// and again only when a product asks for another panel width, which then
+// replaces it.
+func (s *CSCBlock) rowLayout(panel int) *rowLayout {
+	if l := s.byRow.Load(); l != nil && l.panel == panel {
+		return l
+	}
+	s.rowMu.Lock()
+	defer s.rowMu.Unlock()
+	l := s.byRow.Load()
+	if l == nil || l.panel != panel {
+		l = newRowLayout(s, panel)
+		s.byRow.Store(l)
+	}
+	return l
+}
+
+// newRowLayout lays s out by rows in panels of panel columns, in arrays of
+// their exact size: per panel one counting pass over its row indices and one
+// fill pass over its entries, backwards, so that each row fills from its end
+// and lists its entries in ascending column.
+func newRowLayout(s *CSCBlock, panel int) *rowLayout {
+	if testRowLayoutBuilt != nil {
+		testRowLayoutBuilt()
+	}
+	m, panels := s.rows, (s.cols+panel-1)/panel
+	l := &rowLayout{
+		panel: panel,
+		rows:  m,
+		ptr:   make([]int32, panels*(m+1)),
+		col:   make([]int32, len(s.RowIdx)),
+		val:   make([]float64, len(s.Values)),
+	}
+	for q := 0; q < panels; q++ {
+		c0, c1 := q*panel, min(s.cols, (q+1)*panel)
+		lo, hi := s.ColPtr[c0], s.ColPtr[c1]
+		// ptr[k] counts row k's entries, the prefix sum makes it the end of
+		// row k, and the fill walks it down to the row's start.
+		ptr := l.rowPtr(q)
+		for _, k := range s.RowIdx[lo:hi] {
+			ptr[k]++
+		}
+		end := lo
+		for k, c := range ptr[:m] {
+			end += c
+			ptr[k] = end
+		}
+		ptr[m] = hi
+		for j := c1 - 1; j >= c0; j-- {
+			for idx := s.ColPtr[j+1] - 1; idx >= s.ColPtr[j]; idx-- {
+				k := s.RowIdx[idx]
+				x := ptr[k] - 1
+				ptr[k] = x
+				l.col[x], l.val[x] = int32(j-c0), s.Values[idx]
+			}
+		}
+	}
+	return l
 }
 
 // Coord is a single (row, col, value) entry, used to build sparse blocks.
