@@ -377,8 +377,8 @@ func (e *Engine) SetAblation(disablePullUp, disableReassign, disableCPMM bool) {
 }
 
 // New creates an engine. blockSize is the block side used for all matrices
-// in the session (pick with sched.ChooseBlockSize); cfg configures the
-// simulated cluster.
+// in the session (pick with sched.ChooseBlockSize) until a bind into the empty
+// session sets another (see Bind); cfg configures the simulated cluster.
 func New(planner Planner, cfg dist.Config, blockSize int) *Engine {
 	if blockSize <= 0 {
 		blockSize = 256
@@ -446,11 +446,14 @@ func (e *Engine) Cluster() *dist.Cluster { return e.cluster }
 // BlockSize returns the session block size.
 func (e *Engine) BlockSize() int { return e.blockSize }
 
-// Bind registers an input matrix under a name. The grid must use the
-// session block size. Bound data starts hash-partitioned, like a fresh load
-// in the paper; program Load/Var leaves with this name resolve to it.
+// Bind registers an input matrix under a name. A bind into an empty session
+// (after New or Reset) makes the grid's block size the session's; every
+// later grid must use it. Bound data starts hash-partitioned, like a fresh
+// load in the paper; program Load/Var leaves with this name resolve to it.
 func (e *Engine) Bind(name string, g *matrix.Grid) error {
-	if g.BlockSize() != e.blockSize {
+	if len(e.vars) == 0 {
+		e.blockSize = g.BlockSize()
+	} else if g.BlockSize() != e.blockSize {
 		return fmt.Errorf("engine: %s has block size %d, session uses %d", name, g.BlockSize(), e.blockSize)
 	}
 	e.vars[name] = &varState{

@@ -77,6 +77,54 @@ func TestEngineReuseAcrossJobs(t *testing.T) {
 	}
 }
 
+// TestBindAdoptsBlockSize: a bind into an empty session — after New, and
+// again after Reset — makes the grid's block size the session's, a later bind
+// at another size is refused, and the run is bit-identical to an engine
+// built at that size.
+func TestBindAdoptsBlockSize(t *testing.T) {
+	e := New(DMac, testConfig(), tBS)
+	for i, bs := range []int{tBS + 2, tBS - 3} {
+		if i > 0 {
+			e.Reset()
+		}
+		fresh := New(DMac, testConfig(), bs)
+		for _, eng := range []*Engine{e, fresh} {
+			rng := rand.New(rand.NewSource(int64(bs)))
+			for _, in := range []struct {
+				name string
+				g    *matrix.Grid
+			}{
+				{"V", randSparseGrid(rng, tRows, tCols, bs, 0.2)},
+				{"W", randDenseGrid(rng, tRows, tK, bs)},
+				{"H", randDenseGrid(rng, tK, tCols, bs)},
+			} {
+				if err := eng.Bind(in.name, in.g); err != nil {
+					t.Fatalf("block %d: bind %s: %v", bs, in.name, err)
+				}
+			}
+		}
+		if e.BlockSize() != bs {
+			t.Errorf("session block size %d after binding block-%d grids, want %d", e.BlockSize(), bs, bs)
+		}
+		if err := e.Bind("X", matrix.NewDenseGrid(tK, tK, bs+1)); err == nil {
+			t.Errorf("block %d session accepted a block-%d grid", bs, bs+1)
+		}
+		prog := gnmfProgram(0.2)
+		for _, eng := range []*Engine{e, fresh} {
+			if _, err := eng.Run(prog, nil); err != nil {
+				t.Fatalf("block %d: %v", bs, err)
+			}
+		}
+		for _, name := range []string{"W", "H"} {
+			got, _ := e.Grid(name)
+			want, _ := fresh.Grid(name)
+			if !matrix.GridEqual(got, want, 0) {
+				t.Errorf("block %d: %s diverged from an engine built at that size", bs, name)
+			}
+		}
+	}
+}
+
 // TestSharedPlanCacheAcrossEngines checks the cross-engine plan cache: a
 // second engine submitting a structurally identical but freshly built program
 // reuses the first engine's plan (no regeneration) and still computes

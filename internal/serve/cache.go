@@ -2,16 +2,16 @@ package serve
 
 import (
 	"container/list"
-	"fmt"
 	"sync"
 
 	"dmac/internal/workload"
 )
 
 // jobCache is a bounded-bytes LRU of built registry jobs keyed by
-// (workload, block size, canonical params). Registry builds are deterministic
-// pure functions of that key, and nothing mutates a BuiltJob after
-// construction — Bind wraps each input grid in a fresh DistMatrix and
+// (workload, canonical params). Within one service a job's block size is a
+// pure function of the same two (Service.jobBlockSize), registry builds are
+// deterministic pure functions of that key, and nothing mutates a BuiltJob
+// after construction — Bind wraps each input grid in a fresh DistMatrix and
 // materialization replaces grid pointers instead of rewriting blocks — so one
 // cached build can be bound into any number of concurrent engines. Repeat
 // tenants re-submitting the same parameterized workload skip both the
@@ -38,8 +38,8 @@ func newJobCache(maxBytes int64) *jobCache {
 }
 
 // jobCacheKey canonicalizes a registry build request.
-func jobCacheKey(name string, blockSize int, params workload.Params) string {
-	return fmt.Sprintf("%s|%d|%s", name, blockSize, params.Key())
+func jobCacheKey(name string, params workload.Params) string {
+	return name + "|" + params.Key()
 }
 
 func (c *jobCache) get(key string) *workload.BuiltJob {

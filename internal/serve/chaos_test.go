@@ -14,8 +14,9 @@ import (
 // TestServeChaos runs many concurrent jobs from several tenants against
 // engines whose clusters inject worker kills and block corruption. The
 // contract under fire: every job either completes with a result
-// bit-identical to a fault-free single-job run, or surfaces a typed error
-// (a *dist.WorkerFailure after retries are exhausted) — never a hang, never
+// bit-identical to a fault-free single-job run at the job's block size, or
+// surfaces a typed error (a *dist.WorkerFailure after retries are
+// exhausted) — never a hang, never
 // another tenant's data. Run under -race this also audits the shared caches
 // and the engine pool for cross-job interference.
 func TestServeChaos(t *testing.T) {
@@ -46,12 +47,13 @@ func TestServeChaos(t *testing.T) {
 		{"bob", "blend", workload.Params{"n": 32, "k": 6, "seed": 3}},
 	}
 	ids := make([]string, len(jobs))
+	sizes := make([]int, len(jobs))
 	for i, jb := range jobs {
 		st, err := s.Submit(JobSpec{Tenant: jb.tenant, Workload: jb.workload, Params: jb.params})
 		if err != nil {
 			t.Fatalf("submit %d: %v", i, err)
 		}
-		ids[i] = st.ID
+		ids[i], sizes[i] = st.ID, st.BlockSize
 	}
 
 	// Fault-free oracles, computed once per distinct (workload, params).
@@ -61,12 +63,12 @@ func TestServeChaos(t *testing.T) {
 	}
 	clean := testOptions()
 	oracles := make(map[string]oracle)
-	for _, jb := range jobs {
+	for i, jb := range jobs {
 		key := jb.workload + "|" + jb.params.Key()
 		if _, ok := oracles[key]; ok {
 			continue
 		}
-		g, sc := soloRun(t, clean, jb.workload, jb.params)
+		g, sc := soloRun(t, clean, jb.workload, jb.params, sizes[i])
 		oracles[key] = oracle{grids: g, scalars: sc}
 	}
 

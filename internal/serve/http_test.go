@@ -89,6 +89,10 @@ func TestHTTPLifecycle(t *testing.T) {
 	if final.State != StateDone {
 		t.Fatalf("final state %s: %s", final.State, final.Error)
 	}
+	// Eq. 3 for the 48-node graph on 4 workers x 2 threads: sqrt(48*48/8).
+	if final.BlockSize != 16 {
+		t.Errorf("block_size = %d, want 16", final.BlockSize)
+	}
 	out, ok := final.Outputs["rank"]
 	if !ok {
 		t.Fatal("result did not include the rank output")

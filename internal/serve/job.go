@@ -92,8 +92,10 @@ type JobStatus struct {
 	Faulted  bool    `json:"worker_fault,omitempty"`
 	QueueSec float64 `json:"queue_sec"`
 	RunSec   float64 `json:"run_sec"`
+	// BlockSize is the block side the job's matrices are cut into.
+	BlockSize int `json:"block_size"`
 	// EstBytes is the admission-control price of the job under the block
-	// memory model.
+	// memory model, at BlockSize.
 	EstBytes int64 `json:"est_bytes"`
 	// Iterations actually completed.
 	Iterations int                `json:"iterations"`
@@ -119,11 +121,12 @@ type Result struct {
 // by the service mutex; outputs/scalars/metrics are written once by the
 // running goroutine before the terminal transition and only read afterwards.
 type job struct {
-	id       string
-	spec     JobSpec
-	built    *workload.BuiltJob
-	estBytes int64
-	priority int
+	id        string
+	spec      JobSpec
+	built     *workload.BuiltJob
+	blockSize int
+	estBytes  int64
+	priority  int
 
 	state       State
 	err         error
@@ -154,15 +157,16 @@ func (j *job) releaseInputs() {
 
 func (j *job) status() JobStatus {
 	st := JobStatus{
-		ID:       j.id,
-		Tenant:   j.spec.Tenant,
-		Workload: j.spec.Workload,
-		State:    j.state,
-		Priority: j.priority,
-		Canceled: j.canceled,
-		Deadline: j.deadlined,
-		Faulted:  j.faulted,
-		EstBytes: j.estBytes,
+		ID:        j.id,
+		Tenant:    j.spec.Tenant,
+		Workload:  j.spec.Workload,
+		State:     j.state,
+		Priority:  j.priority,
+		Canceled:  j.canceled,
+		Deadline:  j.deadlined,
+		Faulted:   j.faulted,
+		BlockSize: j.blockSize,
+		EstBytes:  j.estBytes,
 	}
 	if j.err != nil {
 		st.Error = j.err.Error()

@@ -52,7 +52,7 @@ func (s *Service) Submit(spec JobSpec) (JobStatus, error) {
 	if err != nil {
 		return JobStatus{}, err
 	}
-	est := built.EstimatedBytes(s.opts.BlockSize)
+	est := built.EstimatedBytes()
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -89,6 +89,7 @@ func (s *Service) Submit(spec JobSpec) (JobStatus, error) {
 		id:        fmt.Sprintf("job-%06d", s.nextID),
 		spec:      spec,
 		built:     built,
+		blockSize: built.BlockSize,
 		estBytes:  est,
 		priority:  spec.Priority,
 		state:     StateQueued,
@@ -108,14 +109,15 @@ func (s *Service) Submit(spec JobSpec) (JobStatus, error) {
 }
 
 // buildSpec materializes the job's inputs and program: registry jobs resolve
-// through the built-input cache, programmatic jobs are validated and wrapped.
+// through the built-input cache at their own block size (jobBlockSize),
+// programmatic jobs are validated and wrapped at their inputs' one block size.
 func (s *Service) buildSpec(spec JobSpec) (*workload.BuiltJob, error) {
 	if spec.Workload != "" {
-		key := jobCacheKey(spec.Workload, s.opts.BlockSize, spec.Params)
+		key := jobCacheKey(spec.Workload, spec.Params)
 		if b := s.jobCache.get(key); b != nil {
 			return b, nil
 		}
-		b, err := s.opts.Registry.Build(spec.Workload, s.opts.BlockSize, spec.Params)
+		b, err := s.opts.Registry.BuildSized(spec.Workload, s.jobBlockSize, spec.Params)
 		if err != nil {
 			return nil, err
 		}
@@ -130,11 +132,21 @@ func (s *Service) buildSpec(spec JobSpec) (*workload.BuiltJob, error) {
 	}
 	b := &workload.BuiltJob{
 		Inputs:     spec.Inputs,
+		BlockSize:  s.opts.BlockSize,
 		Program:    spec.Program,
 		Iterations: spec.Iterations,
 		Params:     spec.Params,
 		Outputs:    spec.Outputs,
 		Scalars:    spec.Scalars,
+	}
+	first := ""
+	for name, g := range spec.Inputs {
+		if first == "" {
+			first, b.BlockSize = name, g.BlockSize()
+		} else if g.BlockSize() != b.BlockSize {
+			return nil, fmt.Errorf("serve: inputs %s and %s have block sizes %d and %d; a job runs at one",
+				first, name, b.BlockSize, g.BlockSize())
+		}
 	}
 	if b.Iterations < 1 {
 		b.Iterations = 1

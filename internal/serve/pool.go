@@ -106,9 +106,10 @@ func (s *Service) dispatcher() {
 }
 
 // runJob executes one job on a leased slot: reset the session, bind the
-// built inputs, run the program for its iterations under the job context,
-// and publish the terminal state. The job's root span parents every engine
-// stage span emitted on the slot's tracer.
+// built inputs (the first bind sets the session to the job's block size), run
+// the program for its iterations under the job context, and publish the
+// terminal state. The job's root span parents every engine stage span emitted
+// on the slot's tracer.
 func (s *Service) runJob(j *job, slot *engineSlot) {
 	defer s.wg.Done()
 	deadline := j.spec.Deadline
@@ -139,6 +140,7 @@ func (s *Service) runJob(j *job, slot *engineSlot) {
 		obs.String("job", j.id),
 		obs.String("tenant", j.spec.Tenant),
 		obs.String("workload", j.spec.Workload),
+		obs.Int64("block_size", int64(j.blockSize)),
 		obs.Int64("est_bytes", j.estBytes))
 	prev := slot.tracer.SetScope(root)
 	var total engine.Metrics

@@ -12,15 +12,20 @@ import (
 	"dmac/internal/dist"
 	"dmac/internal/engine"
 	"dmac/internal/obs"
+	"dmac/internal/sched"
 	"dmac/internal/workload"
 )
 
 // Options configures a Service. Zero values pick serving-appropriate
 // defaults.
 type Options struct {
-	// Planner, Cluster and BlockSize configure every engine slot.
-	Planner   engine.Planner
-	Cluster   dist.Config
+	// Planner and Cluster configure every engine slot.
+	Planner engine.Planner
+	Cluster dist.Config
+	// BlockSize is the floor on a job's block side (default 8). A registry
+	// job is cut at the paper's Eq. 3 pick for its largest matrix on
+	// Cluster (sched.ChooseBlockSize), or at BlockSize when that is larger;
+	// a programmatic job runs at its inputs' block size.
 	BlockSize int
 	// Slots is the engine-pool size: the maximum number of concurrently
 	// running jobs (default 2). NewService builds the pool once.
@@ -185,6 +190,14 @@ func NewService(opts Options) (*Service, error) {
 	s.slotGaugesLocked()
 	go s.dispatcher()
 	return s, nil
+}
+
+// jobBlockSize is the block side of a registry job whose largest matrix is
+// rows x cols: Eq. 3 on the slots' cluster, floored at Options.BlockSize. The
+// pool is fixed at NewService, so every slot's cluster has the same shape.
+func (s *Service) jobBlockSize(rows, cols int) int {
+	c := s.slots[0].e.Cluster()
+	return max(s.opts.BlockSize, sched.ChooseBlockSize(rows, cols, c.LocalParallelism(), c.Workers()))
 }
 
 // Registry returns the service's workload registry.

@@ -45,15 +45,46 @@ func newTestService(t *testing.T, opts Options) *Service {
 	return s
 }
 
-// soloRun executes the same registry workload on a standalone engine — the
-// differential oracle served results must match bit-for-bit.
-func soloRun(t *testing.T, opts Options, name string, params workload.Params) (map[string]*matrix.Grid, map[string]float64) {
+// foreverJob is a programmatic job that never ends on its own: a Gram
+// program run for as many iterations as an int32 holds. It holds its slot
+// until a deadline, a cancel or a forced stop ends it, so a test built on it
+// assumes nothing about how long a job takes.
+func foreverJob(t *testing.T, tenant string) JobSpec {
 	t.Helper()
-	built, err := workload.DefaultRegistry().Build(name, opts.BlockSize, params)
+	built, err := workload.DefaultRegistry().Build("gram", 8, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := engine.New(opts.Planner, opts.Cluster, opts.BlockSize)
+	return JobSpec{Tenant: tenant, Program: built.Program, Inputs: built.Inputs, Iterations: math.MaxInt32}
+}
+
+// waitRunning polls, without sleeping, until the job has been dispatched.
+func waitRunning(t *testing.T, s *Service, id string) {
+	t.Helper()
+	for deadline := time.Now().Add(30 * time.Second); ; runtime.Gosched() {
+		st, err := s.Status(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.State == StateRunning {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("job %s never started: %s", id, st.State)
+		}
+	}
+}
+
+// soloRun executes the same registry workload at block size bs on a
+// standalone engine — the differential oracle served results must match
+// bit-for-bit.
+func soloRun(t *testing.T, opts Options, name string, params workload.Params, bs int) (map[string]*matrix.Grid, map[string]float64) {
+	t.Helper()
+	built, err := workload.DefaultRegistry().Build(name, bs, params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := engine.New(opts.Planner, opts.Cluster, bs)
 	for n, g := range built.Inputs {
 		if err := e.Bind(n, g); err != nil {
 			t.Fatal(err)
@@ -83,7 +114,7 @@ func soloRun(t *testing.T, opts Options, name string, params workload.Params) (m
 
 // TestTwoTenantsIsolatedResults is the headline acceptance test: two tenants
 // submit different jobs concurrently and each gets exactly the result a
-// dedicated single-job engine would have produced.
+// dedicated single-job engine at the job's block size would have produced.
 func TestTwoTenantsIsolatedResults(t *testing.T) {
 	opts := testOptions()
 	s := newTestService(t, opts)
@@ -99,12 +130,13 @@ func TestTwoTenantsIsolatedResults(t *testing.T) {
 		{"bob", "pagerank", workload.Params{"nodes": 48, "iters": 2, "seed": 3}},
 	}
 	ids := make([]string, len(jobs))
+	sizes := make([]int, len(jobs))
 	for i, jb := range jobs {
 		st, err := s.Submit(JobSpec{Tenant: jb.tenant, Workload: jb.workload, Params: jb.params})
 		if err != nil {
 			t.Fatalf("submit %d: %v", i, err)
 		}
-		ids[i] = st.ID
+		ids[i], sizes[i] = st.ID, st.BlockSize
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
@@ -120,7 +152,7 @@ func TestTwoTenantsIsolatedResults(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantGrids, wantScalars := soloRun(t, opts, jobs[i].workload, jobs[i].params)
+		wantGrids, wantScalars := soloRun(t, opts, jobs[i].workload, jobs[i].params, sizes[i])
 		for name, want := range wantGrids {
 			got := res.Grids[name]
 			if got == nil || !matrix.GridEqual(got, want, 0) {
@@ -247,12 +279,11 @@ func TestCancelQueuedAndRunning(t *testing.T) {
 	opts.Slots = 1
 	s := newTestService(t, opts)
 
-	slow := workload.Params{"nodes": 256, "iters": 200, "seed": 9}
-	running, err := s.Submit(JobSpec{Tenant: "t", Workload: "pagerank", Params: slow})
+	running, err := s.Submit(foreverJob(t, "t"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	queued, err := s.Submit(JobSpec{Tenant: "t", Workload: "pagerank", Params: slow})
+	queued, err := s.Submit(foreverJob(t, "t"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,17 +298,7 @@ func TestCancelQueuedAndRunning(t *testing.T) {
 	}
 
 	// Wait for the first to actually start, then cancel it mid-run.
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		st, err = s.Status(running.ID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.State == StateRunning || st.State.Terminal() || time.Now().After(deadline) {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitRunning(t, s, running.ID)
 	if _, err := s.Cancel(running.ID); err != nil {
 		t.Fatal(err)
 	}
@@ -296,15 +317,13 @@ func TestCancelQueuedAndRunning(t *testing.T) {
 }
 
 // TestJobDeadline: a job's per-run deadline expires mid-flight and surfaces
-// as a failed job marked deadline_exceeded.
+// as a failed job marked deadline_exceeded. The job never ends on its own, so
+// only the deadline can end it.
 func TestJobDeadline(t *testing.T) {
 	s := newTestService(t, testOptions())
-	st, err := s.Submit(JobSpec{
-		Tenant:   "t",
-		Workload: "pagerank",
-		Params:   workload.Params{"nodes": 256, "iters": 200, "seed": 4},
-		Deadline: 20 * time.Millisecond,
-	})
+	spec := foreverJob(t, "t")
+	spec.Deadline = 20 * time.Millisecond
+	st, err := s.Submit(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,10 +390,9 @@ func TestStopForceCancels(t *testing.T) {
 	opts.Slots = 1
 	opts.DefaultQuota = TenantQuota{MaxConcurrent: 1, MaxQueued: 100}
 	s := newTestService(t, opts)
-	slow := workload.Params{"nodes": 256, "iters": 500, "seed": 8}
 	var ids []string
 	for i := 0; i < 3; i++ {
-		st, err := s.Submit(JobSpec{Tenant: "t", Workload: "pagerank", Params: slow})
+		st, err := s.Submit(foreverJob(t, "t"))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -460,6 +478,109 @@ func TestProgrammaticJob(t *testing.T) {
 	}
 }
 
+// TestRegistryJobBlockSize: a registry job is cut at the paper's Eq. 3 pick
+// for its largest matrix on the service's cluster, or at Options.BlockSize
+// when that is larger. Its status, root span and outputs carry the size, and
+// its result is bit-identical to a single-job engine at that size.
+func TestRegistryJobBlockSize(t *testing.T) {
+	params := workload.Params{"nodes": 256, "iters": 2, "seed": 3}
+	for _, c := range []struct{ floor, want int }{
+		{8, 90},    // Eq. 3 on 4 workers x 2 threads: sqrt(256*256/8) = 90.5
+		{128, 128}, // Eq. 3 below the floor
+	} {
+		opts := testOptions()
+		opts.BlockSize = c.floor
+		s := newTestService(t, opts)
+		st, err := s.Submit(JobSpec{Tenant: "t", Workload: "pagerank", Params: params})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.BlockSize != c.want {
+			t.Errorf("floor %d: submitted at block size %d, want %d", c.floor, st.BlockSize, c.want)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+		defer cancel()
+		if fin, err := s.Wait(ctx, st.ID); err != nil || fin.State != StateDone || fin.BlockSize != c.want {
+			t.Fatalf("floor %d: %+v, %v; want done at block size %d", c.floor, fin, err, c.want)
+		}
+		res, err := s.Result(st.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _ := soloRun(t, opts, "pagerank", params, c.want)
+		if got := res.Grids["rank"]; got.BlockSize() != c.want || !matrix.GridEqual(got, want["rank"], 0) {
+			t.Errorf("floor %d: rank at block size %d, or diverged from a single-job engine at %d", c.floor, got.BlockSize(), c.want)
+		}
+		spans, err := s.JobTrace(st.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sp := range spans {
+			if sp.Cat == "serve" && sp.Name == "job" {
+				if a, ok := sp.Attr("block_size"); !ok || a.Int != int64(c.want) {
+					t.Errorf("floor %d: root span block_size %+v, want %d", c.floor, a, c.want)
+				}
+			}
+		}
+	}
+}
+
+// TestProgrammaticJobAtItsInputsBlockSize: a programmatic job whose inputs use
+// a block size other than Options.BlockSize is served at theirs.
+func TestProgrammaticJobAtItsInputsBlockSize(t *testing.T) {
+	opts := testOptions()
+	s := newTestService(t, opts)
+	built, err := workload.DefaultRegistry().Build("gram", 5, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := s.Submit(JobSpec{Tenant: "t", Program: built.Program, Inputs: built.Inputs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.BlockSize != 5 {
+		t.Errorf("submitted at block size %d, want its inputs' 5", st.BlockSize)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	if fin, err := s.Wait(ctx, st.ID); err != nil || fin.State != StateDone {
+		t.Fatalf("%v / %+v", err, fin)
+	}
+	res, err := s.Result(st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := soloRun(t, opts, "gram", nil, 5)
+	if !matrix.GridEqual(res.Grids["G"], want["G"], 0) {
+		t.Error("G diverged from a single-job engine at block size 5")
+	}
+}
+
+// TestProgrammaticJobMixedBlockSizes: inputs at two block sizes are a
+// validation error at Submit — not an admission rejection, and no job is
+// queued to fail at bind on a slot.
+func TestProgrammaticJobMixedBlockSizes(t *testing.T) {
+	s := newTestService(t, testOptions())
+	reg := workload.DefaultRegistry()
+	a, err := reg.Build("blend", 5, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := reg.Build("blend", 6, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = s.Submit(JobSpec{Tenant: "t", Program: a.Program,
+		Inputs: map[string]*matrix.Grid{"A": a.Inputs["A"], "B": b.Inputs["B"]}})
+	var rej *Rejection
+	if err == nil || errors.As(err, &rej) {
+		t.Fatalf("mixed block sizes: %v, want a validation error", err)
+	}
+	if n := len(s.ListJobs("", "")); n != 0 || s.Stats().Submitted != 0 {
+		t.Errorf("a refused job was recorded: %d jobs, %d submitted", n, s.Stats().Submitted)
+	}
+}
+
 // TestTerminalJobReleasesInputs: a job drops its inputs and program at every
 // terminal transition — finished, canceled while queued, shed by a forced
 // stop — while its status, result and trace still read back.
@@ -500,12 +621,11 @@ func TestTerminalJobReleasesInputs(t *testing.T) {
 		t.Errorf("trace after release: %d spans, %v", len(spans), err)
 	}
 
-	// One slot, one running job per tenant: the first slow job runs, the
-	// rest queue.
-	slow := workload.Params{"nodes": 256, "iters": 500, "seed": 8}
+	// One slot, one running job per tenant: the first job, which never ends
+	// on its own, runs, and the rest queue behind it.
 	var ids []string
 	for i := 0; i < 3; i++ {
-		st, err := s.Submit(JobSpec{Tenant: "t", Workload: "pagerank", Params: slow})
+		st, err := s.Submit(foreverJob(t, "t"))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -517,8 +637,10 @@ func TestTerminalJobReleasesInputs(t *testing.T) {
 	if !released(ids[2]) {
 		t.Error("a job canceled while queued still holds its inputs")
 	}
-	stopCtx, stopCancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer stopCancel()
+	// An expired drain deadline: Stop sheds the queued job and cancels the
+	// running one at once.
+	stopCtx, stopCancel := context.WithCancel(context.Background())
+	stopCancel()
 	if err := s.Stop(stopCtx); err == nil {
 		t.Fatal("forced stop should report shed/canceled jobs")
 	}
@@ -669,9 +791,9 @@ func TestNoGoroutineOutlivesStop(t *testing.T) {
 		opts.DefaultQuota = TenantQuota{MaxConcurrent: 1, MaxQueued: 100}
 		return newTestService(t, opts)
 	}
-	submit := func(s *Service, params workload.Params) string {
+	submit := func(s *Service, spec JobSpec) string {
 		t.Helper()
-		st, err := s.Submit(JobSpec{Tenant: "t", Workload: "pagerank", Params: params})
+		st, err := s.Submit(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -681,7 +803,7 @@ func TestNoGoroutineOutlivesStop(t *testing.T) {
 	// A clean drain: every admitted job finishes before Stop returns.
 	s := newService()
 	for i := 0; i < 3; i++ {
-		submit(s, workload.Params{"nodes": 32, "iters": 3, "seed": float64(i)})
+		submit(s, JobSpec{Tenant: "t", Workload: "pagerank", Params: workload.Params{"nodes": 32, "iters": 3, "seed": float64(i)}})
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
@@ -695,20 +817,8 @@ func TestNoGoroutineOutlivesStop(t *testing.T) {
 	// A forced stop: the drain deadline has already passed, so Stop sheds the
 	// queued job and cancels the running one at once.
 	s = newService()
-	slow := workload.Params{"nodes": 256, "iters": 500, "seed": 8}
-	running, queued := submit(s, slow), submit(s, slow)
-	for deadline := time.Now().Add(30 * time.Second); ; runtime.Gosched() {
-		st, err := s.Status(running)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.State == StateRunning {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("job never started: %s", st.State)
-		}
-	}
+	running, queued := submit(s, foreverJob(t, "t")), submit(s, foreverJob(t, "t"))
+	waitRunning(t, s, running)
 	expired, expire := context.WithCancel(context.Background())
 	expire()
 	if err := s.Stop(expired); err == nil {
@@ -759,27 +869,10 @@ func TestLifecycleLedger(t *testing.T) {
 			t.Fatalf("job %s: %+v, %v; want %s", id, st, err, want)
 		}
 	}
-	waitRunning := func(id string) {
-		t.Helper()
-		for deadline := time.Now().Add(30 * time.Second); ; runtime.Gosched() {
-			st, err := s.Status(id)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if st.State == StateRunning {
-				return
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("job %s never started: %s", id, st.State)
-			}
-		}
-	}
 	gram := func(tenant string) JobSpec {
 		return JobSpec{Tenant: tenant, Workload: "gram", Params: workload.Params{"rows": 24, "cols": 16}}
 	}
-	slow := func(tenant string) JobSpec {
-		return JobSpec{Tenant: tenant, Workload: "pagerank", Params: workload.Params{"nodes": 256, "iters": 500, "seed": 8}}
-	}
+	slow := func(tenant string) JobSpec { return foreverJob(t, tenant) }
 
 	// Done, one per tenant; failed, a program asked for an output it never
 	// assigns.
@@ -793,7 +886,7 @@ func TestLifecycleLedger(t *testing.T) {
 
 	// One slot: a's slow job runs, the next two fill the queue.
 	run := submit(slow("a"))
-	waitRunning(run)
+	waitRunning(t, s, run)
 	queuedB := submit(slow("b"))
 	queuedA := submit(slow("a"))
 	reject(gram("a")) // queue_full
@@ -805,7 +898,7 @@ func TestLifecycleLedger(t *testing.T) {
 		t.Fatal(err)
 	}
 	wait(run, StateCanceled)
-	waitRunning(queuedB)
+	waitRunning(t, s, queuedB)
 	shed := submit(slow("a"))
 
 	// A forced stop: draining first, so b's next job is refused, then the

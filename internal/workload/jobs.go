@@ -53,13 +53,15 @@ func (p Params) Key() string {
 
 // BuiltJob is a job materialized by a registry builder: seeded deterministic
 // inputs, the program to run against them, and the outputs a client reads
-// back. Everything is a pure function of (blockSize, params), so two builds
-// with the same arguments are bit-identical — which is what lets the serve
-// layer cache built jobs across tenants and differentially verify served
-// results against isolated runs.
+// back. Everything is a pure function of the block size and the params, so
+// two builds with the same arguments are bit-identical — which is what lets
+// the serve layer cache built jobs across tenants and differentially verify
+// served results against isolated runs.
 type BuiltJob struct {
-	// Inputs are the matrices bound into the session before the first run.
-	Inputs map[string]*matrix.Grid
+	// Inputs are the matrices bound into the session before the first run,
+	// every one cut into blocks of side BlockSize.
+	Inputs    map[string]*matrix.Grid
+	BlockSize int
 	// Program is the (re)executed program; Iterations is how many times.
 	Program    *expr.Program
 	Iterations int
@@ -81,24 +83,31 @@ func (b *BuiltJob) InputBytes() int64 {
 }
 
 // EstimatedBytes prices the job for admission control with the planner's
-// block memory model (Eq. 2): the bound inputs at their realized size plus
-// every non-leaf program value at its worst-case estimated footprint, times
-// the iteration count's live set (two generations: the values being computed
-// and the session instances they replace).
-func (b *BuiltJob) EstimatedBytes(blockSize int) int64 {
+// block memory model (Eq. 2) at the job's block size: the bound inputs at
+// their realized size plus every non-leaf program value at its worst-case
+// estimated footprint, times the iteration count's live set (two
+// generations: the values being computed and the session instances they
+// replace).
+func (b *BuiltJob) EstimatedBytes() int64 {
 	total := b.InputBytes()
 	var perIter int64
 	for _, n := range b.Program.Nodes() {
 		if n.Kind == expr.KindLoad || n.Kind == expr.KindVar || n.Kind.IsAggregate() {
 			continue
 		}
-		perIter += cost.GridBytes(n.Rows, n.Cols, n.Sparsity, blockSize)
+		perIter += cost.GridBytes(n.Rows, n.Cols, n.Sparsity, b.BlockSize)
 	}
 	return total + 2*perIter
 }
 
-// Builder materializes a job for one block size and parameter set.
-type Builder func(blockSize int, params Params) (*BuiltJob, error)
+// BlockSizer picks a job's block side from the dimensions of its largest
+// matrix. Registry.Build sizes every job at one fixed side; the job service
+// applies the paper's Eq. 3 (sched.ChooseBlockSize) above its floor.
+type BlockSizer func(rows, cols int) int
+
+// Builder materializes a job from its parameters, asking size once, for its
+// largest matrix, for the block side of every input.
+type Builder func(size BlockSizer, params Params) (*BuiltJob, error)
 
 // RegistryEntry is one named, describable served workload.
 type RegistryEntry struct {
@@ -146,13 +155,19 @@ func (r *Registry) Names() []string {
 	return append([]string(nil), r.order...)
 }
 
-// Build resolves and materializes a named workload.
+// Build resolves and materializes a named workload at a fixed block size.
 func (r *Registry) Build(name string, blockSize int, params Params) (*BuiltJob, error) {
+	return r.BuildSized(name, func(int, int) int { return blockSize }, params)
+}
+
+// BuildSized resolves and materializes a named workload at the block size
+// size picks for it.
+func (r *Registry) BuildSized(name string, size BlockSizer, params Params) (*BuiltJob, error) {
 	e, ok := r.Lookup(name)
 	if !ok {
 		return nil, fmt.Errorf("workload: unknown workload %q", name)
 	}
-	return e.Build(blockSize, params)
+	return e.Build(size, params)
 }
 
 // DefaultRegistry returns the registry of bundled served workloads. Each is
@@ -168,7 +183,7 @@ func DefaultRegistry() *Registry {
 	return r
 }
 
-func buildPageRank(blockSize int, params Params) (*BuiltJob, error) {
+func buildPageRank(size BlockSizer, params Params) (*BuiltJob, error) {
 	nodes := params.Int("nodes", 64, 16, 4096)
 	iters := params.Int("iters", 3, 1, 200)
 	seed := int64(params.Get("seed", 1))
@@ -176,6 +191,7 @@ func buildPageRank(blockSize int, params Params) (*BuiltJob, error) {
 	if degree < 1 {
 		degree = 1
 	}
+	blockSize := size(nodes, nodes)
 	adj := PowerLawGraph(seed, nodes, degree, blockSize)
 	link := RowNormalize(adj)
 	rank := DenseRandom(seed+1, 1, nodes, blockSize)
@@ -197,15 +213,17 @@ func buildPageRank(blockSize int, params Params) (*BuiltJob, error) {
 
 	return &BuiltJob{
 		Inputs:     map[string]*matrix.Grid{"link": link, "rank": rank, "D": d},
+		BlockSize:  blockSize,
 		Program:    p,
 		Iterations: iters,
 		Outputs:    []string{"rank"},
 	}, nil
 }
 
-func buildGram(blockSize int, params Params) (*BuiltJob, error) {
+func buildGram(size BlockSizer, params Params) (*BuiltJob, error) {
 	rows := params.Int("rows", 48, 8, 4096)
 	cols := params.Int("cols", 32, 8, 4096)
+	blockSize := size(rows, cols)
 	seed := int64(params.Get("seed", 2))
 	sparsity := params.Get("sparsity", 0.2)
 	if sparsity <= 0 || sparsity > 1 {
@@ -222,6 +240,7 @@ func buildGram(blockSize int, params Params) (*BuiltJob, error) {
 
 	return &BuiltJob{
 		Inputs:     map[string]*matrix.Grid{"V": v},
+		BlockSize:  blockSize,
 		Program:    p,
 		Iterations: 1,
 		Outputs:    []string{"G"},
@@ -229,11 +248,12 @@ func buildGram(blockSize int, params Params) (*BuiltJob, error) {
 	}, nil
 }
 
-func buildBlend(blockSize int, params Params) (*BuiltJob, error) {
+func buildBlend(size BlockSizer, params Params) (*BuiltJob, error) {
 	n := params.Int("n", 48, 8, 4096)
 	k := params.Int("k", 8, 2, 512)
 	iters := params.Int("iters", 1, 1, 50)
 	seed := int64(params.Get("seed", 3))
+	blockSize := size(n, n)
 	a := DenseRandom(seed, n, k, blockSize)
 	b := DenseRandom(seed+1, k, n, blockSize)
 
@@ -246,6 +266,7 @@ func buildBlend(blockSize int, params Params) (*BuiltJob, error) {
 
 	return &BuiltJob{
 		Inputs:     map[string]*matrix.Grid{"A": a, "B": b},
+		BlockSize:  blockSize,
 		Program:    p,
 		Iterations: iters,
 		Outputs:    []string{"C"},

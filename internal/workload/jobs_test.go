@@ -29,12 +29,51 @@ func TestDefaultRegistryBuildsAllWorkloads(t *testing.T) {
 		if len(job.Outputs) == 0 {
 			t.Errorf("%s: no outputs", name)
 		}
-		if got := job.EstimatedBytes(8); got <= job.InputBytes() {
+		if job.BlockSize != 8 {
+			t.Errorf("%s: BlockSize = %d, want the 8 it was built at", name, job.BlockSize)
+		}
+		if got := job.EstimatedBytes(); got <= job.InputBytes() {
 			t.Errorf("%s: EstimatedBytes = %d, want > input bytes %d", name, got, job.InputBytes())
 		}
 	}
 	if _, err := r.Build("nope", 8, nil); err == nil {
 		t.Error("unknown workload should error")
+	}
+}
+
+// TestBuildersAskTheSizerOnce pins how a builder sizes its job: it asks the
+// sizer once, with the dimensions of its largest matrix, and cuts every input
+// at the answer.
+func TestBuildersAskTheSizerOnce(t *testing.T) {
+	r := DefaultRegistry()
+	for _, c := range []struct {
+		name       string
+		params     Params
+		rows, cols int
+	}{
+		{"pagerank", Params{"nodes": 100}, 100, 100},
+		{"gram", Params{"rows": 60, "cols": 20}, 60, 20},
+		{"blend", Params{"n": 40, "k": 6}, 40, 40},
+	} {
+		var asked [][2]int
+		job, err := r.BuildSized(c.name, func(rows, cols int) int {
+			asked = append(asked, [2]int{rows, cols})
+			return 13
+		}, c.params)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if len(asked) != 1 || asked[0] != [2]int{c.rows, c.cols} {
+			t.Errorf("%s asked the sizer for %v, want once for %dx%d", c.name, asked, c.rows, c.cols)
+		}
+		if job.BlockSize != 13 {
+			t.Errorf("%s: BlockSize = %d, want 13", c.name, job.BlockSize)
+		}
+		for in, g := range job.Inputs {
+			if g.BlockSize() != 13 {
+				t.Errorf("%s: input %s has block size %d, want 13", c.name, in, g.BlockSize())
+			}
+		}
 	}
 }
 

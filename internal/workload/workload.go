@@ -114,36 +114,58 @@ func PowerLawGraph(seed int64, nodes int, avgDegree float64, blockSize int) *mat
 
 // RowNormalize returns a copy of the adjacency matrix with every non-empty
 // row scaled to sum to 1 — the link matrix of the PageRank program (Code 2).
+// Each row sums its entries in increasing column order, whatever the block
+// size. A sparse block is copied and its values divided in place; a dense
+// one becomes a sparse block of its non-zeros.
 func RowNormalize(g *matrix.Grid) *matrix.Grid {
-	rows, cols := g.Rows(), g.Cols()
-	sums := make([]float64, rows)
-	coords := make([]matrix.Coord, 0, g.NNZ())
+	bs := g.BlockSize()
+	sums := make([]float64, g.Rows())
 	for bi := 0; bi < g.BlockRows(); bi++ {
 		for bj := 0; bj < g.BlockCols(); bj++ {
-			r0, c0 := bi*g.BlockSize(), bj*g.BlockSize()
-			b := g.Block(bi, bj)
-			switch t := b.(type) {
+			r0 := bi * bs
+			switch b := g.Block(bi, bj).(type) {
 			case *matrix.CSCBlock:
-				t.EachNZ(func(i, j int, v float64) {
-					sums[r0+i] += v
-					coords = append(coords, matrix.Coord{Row: r0 + i, Col: c0 + j, Val: v})
-				})
+				// Column-major storage meets each row's entries in column order.
+				for k, v := range b.Values {
+					sums[r0+int(b.RowIdx[k])] += v
+				}
 			default:
 				for i := 0; i < b.Rows(); i++ {
 					for j := 0; j < b.Cols(); j++ {
 						if v := b.At(i, j); v != 0 {
 							sums[r0+i] += v
-							coords = append(coords, matrix.Coord{Row: r0 + i, Col: c0 + j, Val: v})
 						}
 					}
 				}
 			}
 		}
 	}
-	for k := range coords {
-		if s := sums[coords[k].Row]; s != 0 {
-			coords[k].Val /= s
+	out := g.Clone()
+	for bi := 0; bi < out.BlockRows(); bi++ {
+		for bj := 0; bj < out.BlockCols(); bj++ {
+			r0 := bi * bs
+			switch b := out.Block(bi, bj).(type) {
+			case *matrix.CSCBlock:
+				for k := range b.Values {
+					if s := sums[r0+int(b.RowIdx[k])]; s != 0 {
+						b.Values[k] /= s
+					}
+				}
+			default:
+				var coords []matrix.Coord
+				for i := 0; i < b.Rows(); i++ {
+					for j := 0; j < b.Cols(); j++ {
+						if v := b.At(i, j); v != 0 {
+							if s := sums[r0+i]; s != 0 {
+								v /= s
+							}
+							coords = append(coords, matrix.Coord{Row: i, Col: j, Val: v})
+						}
+					}
+				}
+				out.SetBlock(bi, bj, matrix.NewCSC(b.Rows(), b.Cols(), coords))
+			}
 		}
 	}
-	return matrix.FromCoords(rows, cols, g.BlockSize(), coords)
+	return out
 }

@@ -223,6 +223,73 @@ func TestPowerLawGraphMatchesReference(t *testing.T) {
 	}
 }
 
+// refRowNormalize is the direct form of RowNormalize: collect every entry,
+// divide it by its row's sum and rebuild the grid through FromCoords.
+// RowNormalize must reproduce it bit for bit.
+func refRowNormalize(g *matrix.Grid) *matrix.Grid {
+	rows, cols := g.Rows(), g.Cols()
+	sums := make([]float64, rows)
+	coords := make([]matrix.Coord, 0, g.NNZ())
+	for bi := 0; bi < g.BlockRows(); bi++ {
+		for bj := 0; bj < g.BlockCols(); bj++ {
+			r0, c0 := bi*g.BlockSize(), bj*g.BlockSize()
+			b := g.Block(bi, bj)
+			switch t := b.(type) {
+			case *matrix.CSCBlock:
+				t.EachNZ(func(i, j int, v float64) {
+					sums[r0+i] += v
+					coords = append(coords, matrix.Coord{Row: r0 + i, Col: c0 + j, Val: v})
+				})
+			default:
+				for i := 0; i < b.Rows(); i++ {
+					for j := 0; j < b.Cols(); j++ {
+						if v := b.At(i, j); v != 0 {
+							sums[r0+i] += v
+							coords = append(coords, matrix.Coord{Row: r0 + i, Col: c0 + j, Val: v})
+						}
+					}
+				}
+			}
+		}
+	}
+	for k := range coords {
+		if s := sums[coords[k].Row]; s != 0 {
+			coords[k].Val /= s
+		}
+	}
+	return matrix.FromCoords(rows, cols, g.BlockSize(), coords)
+}
+
+// TestRowNormalizeMatchesReference pins RowNormalize to the reference over
+// several seeds and block sizes, the served PageRank's Eq. 3 picks among
+// them: the same block types, the same stored entries and the same value
+// bits. A graph's entries are all 1, so its row sums are exact in any order;
+// the random-valued sparse input is the one that pins the summation order,
+// and a dense input takes the other branch.
+func TestRowNormalizeMatchesReference(t *testing.T) {
+	for _, bs := range []int{4, 7, 32, 45, 181, 1024} {
+		for seed := int64(1); seed <= 5; seed++ {
+			for _, g := range []*matrix.Grid{
+				PowerLawGraph(seed, 1024, 8, bs),
+				SparseUniform(seed, 300, 200, bs, 0.05),
+				DenseRandom(seed, 40, 30, bs),
+			} {
+				got, want := RowNormalize(g), refRowNormalize(g)
+				for bi := 0; bi < want.BlockRows(); bi++ {
+					for bj := 0; bj < want.BlockCols(); bj++ {
+						w := want.Block(bi, bj).(*matrix.CSCBlock)
+						b, ok := got.Block(bi, bj).(*matrix.CSCBlock)
+						if !ok || !slices.Equal(b.ColPtr, w.ColPtr) || !slices.Equal(b.RowIdx, w.RowIdx) ||
+							!slices.EqualFunc(b.Values, w.Values, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }) {
+							t.Fatalf("%dx%d, block %d, seed %d: block (%d,%d) differs from the reference", g.Rows(), g.Cols(), bs, seed, bi, bj)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestRowNormalize(t *testing.T) {
 	g := PowerLawGraph(13, 120, 5, 32)
 	link := RowNormalize(g)
