@@ -15,3 +15,7 @@ func scalarOpAVX512(op ScalarOp, dst, x *float64, c float64, n int) {
 func countNonZeroAVX512(x *float64, n int) int64 {
 	panic("matrix: countNonZeroAVX512 without AVX-512 support")
 }
+
+func expAVX512(f UFunc, dst, x *float64, n int) int {
+	panic("matrix: expAVX512 without AVX-512 support")
+}
