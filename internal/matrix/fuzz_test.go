@@ -133,3 +133,51 @@ func FuzzMulKernels(f *testing.F) {
 		}
 	})
 }
+
+// FuzzRowVec drives the row-vector product from one byte a stored column:
+// byte j%32 is column j's length, so the fuzzer moves the windows of
+// rowDotAVX512's groups of eight across its 16-entry boundary, and seed
+// draws the rows, the values (zeros of both signs, infinities and NaN among
+// them), the vector and dst. Every row count of the row-dot path, n = 1-4, is
+// held to refMulAddDSRowDot bit for bit at every feature level.
+func FuzzRowVec(f *testing.F) {
+	f.Add([]byte{1, 2, 1, 0, 1, 1, 2, 1, 3}, int64(1))
+	f.Add([]byte{2, 2, 2, 2, 2, 2, 2, 2}, int64(2)) // 16 entries: the short path's last
+	f.Add([]byte{2, 2, 2, 2, 2, 2, 2, 3}, int64(3)) // 17: the long path's first
+	f.Add([]byte{0, 0, 16, 0, 0, 0, 0, 1, 31}, int64(4))
+	f.Add([]byte{31, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 9}, int64(5))
+	f.Add(make([]byte, 17), int64(6))
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 1, 2, 0, 1, 1, 0, 2, 1}, int64(7)) // an all-empty group
+	f.Add([]byte{6, 5, 4, 0, 1, 0, 0, 0, 9, 7}, int64(8))                   // long columns in a short window
+	f.Fuzz(func(t *testing.T, lens []byte, seed int64) {
+		if len(lens) == 0 || len(lens) > 4096 {
+			return
+		}
+		defer func(c cpuFeatures) { cpu = c }(cpu)
+		rng := rand.New(rand.NewSource(seed))
+		cols := make([]int, len(lens))
+		for j, l := range lens {
+			cols[j] = int(l % 32)
+		}
+		m := 32 + rng.Intn(40)
+		special := rng.Intn(2) == 0
+		b := rowVecBlock(rng, m, cols, special)
+		for n := 1; n <= dsRowDotMax; n++ {
+			a := rowVecDense(rng, n, m, special)
+			entry := dstOnEntry(rng, n, len(cols))
+			want := entry.Clone().(*DenseBlock)
+			refMulAddDSRowDot(want, a, b)
+			for _, lv := range featureLevels() {
+				cpu = lv
+				got := entry.Clone().(*DenseBlock)
+				if err := MulAddTransInto(got, a, b, false, false); err != nil {
+					t.Fatal(err)
+				}
+				if i := sameBits(got.Data, want.Data); i >= 0 {
+					t.Fatalf("%dx%dx%d nnz=%d level %+v: element %d is %v, reference %v",
+						n, m, len(cols), b.NNZ(), lv, i, got.Data[i], want.Data[i])
+				}
+			}
+		}
+	})
+}

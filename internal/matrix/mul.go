@@ -42,20 +42,22 @@ import (
 // added — float64(x*y), which forbids a compiler the fused multiply-add it
 // would otherwise emit on arm64 — so the sparse kernels give the same bits
 // on every architecture; only the dense x dense GEMM fuses (gemm.go). On
-// AVX-512 a whole entry list runs in registers (gather), and the transposes
-// move 8x8 blocks through registers (packTransLd, addTile); sparse_amd64.s.
+// AVX-512 a whole entry list runs in registers (gather), a row-dot sums
+// eight result columns a register (rowDotAVX512), and the transposes move
+// 8x8 blocks through registers (packTransLd, addTile); sparse_amd64.s.
 //
 // A block partition leaves CSC blocks with a stored entry or two per column,
 // and for those a second rule holds: a path costs what the block stores, not
 // what it could — no branch per column or column pair. The sparse x sparse
-// A^T*B (mulAddSSTN) and the row-vector product (mulAddDSRowDotFlat)
-// walk the stored entries once; the sums they form are again exactly those of
-// the loops they replaced (refMulAddSS, refMulAddDSRowDot), with one
-// exception no value depends on: both accumulate in a scratch row where the
-// loops used a register, and when two NaNs of different payloads meet in a
-// sum the payload that survives follows the operand order the compiler gave
-// the add, which differs between the two (and, for the loops themselves,
-// between a plain and a -race build). NaN results are NaN in the same cells.
+// A^T*B (mulAddSSTN) and the row-vector product (rowDotAVX512, and
+// mulAddDSRowDotFlat without AVX-512) walk the stored entries once; the sums
+// they form are again exactly those of the loops they replaced (refMulAddSS,
+// refMulAddDSRowDot), with one exception no value depends on: mulAddSSTN and
+// mulAddDSRowDotFlat accumulate in a scratch row where the loops used a
+// register, and when two NaNs of different payloads meet in a sum the payload
+// that survives follows the operand order the compiler gave the add, which
+// differs between the two (and, for the loops themselves, between a plain and
+// a -race build). NaN results are NaN in the same cells.
 
 // KernelVersion identifies the arithmetic of the multiply kernels: results
 // are bit-identical across kernels, worker counts and transports of one
@@ -134,12 +136,15 @@ const (
 	dsRowDotMax = 4
 	// dsRowDotFlat is the average number of stored entries per column of the
 	// CSC operand below which a row-dot walks the entries flat (a mark array
-	// carries the column boundaries) instead of column by column. A column
-	// loop that runs 0-3 times mispredicts its exit on almost every column
-	// and that is then the whole cost; from a few entries a column up it
-	// accumulates in a register and skips the flat walk's accumulator row.
-	// dmacbench -kernels pins the two sides: ds-rowvec-hyper (~1.25 entries
-	// a column, a block-partitioned graph) and ds-rowvec (10 a column).
+	// carries the column boundaries) instead of column by column. It chooses
+	// between the two Go forms only, where AVX-512 is missing: with it,
+	// rowDotAVX512 takes the groups of eight columns and the column loop the
+	// rest. A column loop that runs 0-3 times mispredicts its exit on almost
+	// every column and that is then the whole cost; from a few entries a
+	// column up it accumulates in a register and skips the flat walk's
+	// accumulator row. BenchmarkMulAddDSRowVecHyper (~1.25 entries a column,
+	// a block-partitioned graph) and BenchmarkMulAddDSRowVec (10 a column)
+	// pin the two sides under DMAC_MATRIX_NOASM=1.
 	dsRowDotFlat = 4
 	// dsColTile is how many result columns the dense x CSC kernel
 	// accumulates before adding them into dst, so that dst is written a
@@ -226,6 +231,11 @@ func axpyNZ(alpha float64, x, y []float64) {
 	}
 }
 
+// errSparseIndex is what a sparse x dense product panics with when a stored
+// index names a row outside the dense operand it reads, whichever kernel and
+// feature level runs it.
+const errSparseIndex = "matrix: sparse index outside its dense operand"
+
 // gather adds a list of entries into the lane vector y, w = len(y) lanes:
 // entry e adds vals[e] * x[rows[e]*w:][:w], in list order, each product
 // rounded before it is added — the axpy sequence, which it runs where
@@ -244,14 +254,18 @@ func gather(y, x []float64, rows []int32, vals []float64, fromZero bool) {
 	vals = vals[:len(rows)]
 	if cpu.avx512 {
 		if !gatherAVX512(&y[0], &x[0], &rows[0], &vals[0], len(rows), w, len(x)/w, !fromZero) {
-			panic("matrix: sparse index outside its dense operand")
+			panic(errSparseIndex)
 		}
 		return
 	}
 	if fromZero {
 		clear(y)
 	}
+	xrows := uint(len(x) / w)
 	for e, r := range rows {
+		if uint(r) >= xrows {
+			panic(errSparseIndex)
+		}
 		axpy(vals[e], x[int(r)*w:(int(r)+1)*w], y)
 	}
 }
@@ -483,21 +497,41 @@ func mulAddDS(dst *DenseBlock, a *DenseBlock, b *CSCBlock, aT, bT bool) {
 // mulAddDSRowDot computes dst += A*B row by row: dst[i,j] gains the dot
 // product of dense row i with stored column j of B, one pass over B per row.
 // Each dot starts at zero, takes its products in stored order and is added
-// into dst once. A B of fewer than dsRowDotFlat stored entries per column
-// takes the flat form, which does the same without a loop per column.
+// into dst once. On AVX-512 the whole groups of eight columns run in
+// rowDotAVX512, one column a lane, and the last p%8 in the column loop;
+// elsewhere a B of fewer than dsRowDotFlat stored entries per column takes
+// the flat form, which does the same without a loop per column. A stored row
+// index outside A's row panics on every path.
 func mulAddDSRowDot(dst *DenseBlock, a *DenseBlock, b *CSCBlock) {
-	p, lda := dst.cols, a.cols
-	if len(b.Values) < dsRowDotFlat*p {
+	p, lda, nnz := dst.cols, a.cols, len(b.Values)
+	j0 := 0
+	switch {
+	case cpu.avx512 && p >= 8 && lda > 0 && nnz > 0:
+		j0 = p &^ 7
+		_ = b.ColPtr[j0] // the last column bound the groups read
+		rowIdx := b.RowIdx[:nnz]
+		for i := 0; i < dst.rows; i++ {
+			drow := dst.Data[i*p : (i+1)*p]
+			arow := a.Data[i*lda : (i+1)*lda]
+			if !rowDotAVX512(&drow[0], &arow[0], &b.ColPtr[0], &rowIdx[0], &b.Values[0], j0/8, nnz, lda) {
+				panic(errSparseIndex)
+			}
+		}
+	case nnz < dsRowDotFlat*p:
 		mulAddDSRowDotFlat(dst, a, b)
 		return
 	}
 	for i := 0; i < dst.rows; i++ {
 		drow := dst.Data[i*p : (i+1)*p]
 		arow := a.Data[i*lda : (i+1)*lda]
-		for j := 0; j < b.cols; j++ {
+		for j := j0; j < b.cols; j++ {
 			s := 0.0
 			for idx := b.ColPtr[j]; idx < b.ColPtr[j+1]; idx++ {
-				s += float64(arow[b.RowIdx[idx]] * b.Values[idx])
+				r := uint(b.RowIdx[idx]) // a negative index wraps above len(arow)
+				if r >= uint(len(arow)) {
+					panic(errSparseIndex)
+				}
+				s += float64(arow[r] * b.Values[idx])
 			}
 			drow[j] += s
 		}
@@ -531,7 +565,11 @@ func mulAddDSRowDotFlat(dst *DenseBlock, a *DenseBlock, b *CSCBlock) {
 		j := int32(0)
 		for idx, v := range b.Values {
 			j += mark[idx]
-			acc[j] += float64(arow[rowIdx[idx]] * v)
+			r := uint(rowIdx[idx])
+			if r >= uint(len(arow)) {
+				panic(errSparseIndex)
+			}
+			acc[j] += float64(arow[r] * v)
 		}
 		drow := dst.Data[i*p : (i+1)*p]
 		for j, s := range acc {

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"os"
+	"slices"
 	"sync/atomic"
 	"testing"
 )
@@ -745,41 +746,248 @@ func TestSparseSparseBitIdentical(t *testing.T) {
 	}
 }
 
-// TestRowVecBitIdentical holds both forms of mulAddDSRowDot to the column
-// loop kept as refMulAddDSRowDot, bit for bit, for every row count that takes
-// the row-dot path and on both sides of the dsRowDotFlat crossover.
+// TestRowVecBitIdentical holds mulAddDSRowDot to the column loop kept as
+// refMulAddDSRowDot, bit for bit, at every feature level (featureLevels): the
+// AVX-512 lane kernel (rowDotAVX512, its short-window and long-window paths)
+// with the column loop on the last p%8 columns, and, without AVX-512, the two
+// Go forms either side of the dsRowDotFlat crossover. Every row count that
+// takes the row-dot path runs: random blocks from empty to 30 % of the
+// cells; one group of eight columns whose window holds 0, 1, 8, 9, 15, 16,
+// 17 or 40 entries, in one column, spread evenly or at random; widths 1-17
+// and 1023-1025. Entries sit at rows 0 and m-1, the vector and the stored
+// values carry zeros of both signs, infinities and NaN, and dst zeros of
+// both signs (dstOnEntry).
 func TestRowVecBitIdentical(t *testing.T) {
+	host := cpu
+	defer func() { cpu = host }()
+	levels := featureLevels()
 	rng := rand.New(rand.NewSource(16))
-	var flat, byColumn bool
+	var flat, byColumn, short, long bool
+	check := func(name string, a *DenseBlock, b *CSCBlock) {
+		t.Helper()
+		entry := dstOnEntry(rng, a.rows, b.cols)
+		want := entry.Clone().(*DenseBlock)
+		refMulAddDSRowDot(want, a, b)
+		for _, lv := range levels {
+			cpu = lv
+			got := entry.Clone().(*DenseBlock)
+			if err := MulAddTransInto(got, a, b, false, false); err != nil {
+				t.Fatal(err)
+			}
+			if i := sameBits(got.Data, want.Data); i >= 0 {
+				t.Fatalf("%s %dx%dx%d nnz=%d level %+v: element %d is %v, reference %v",
+					name, a.rows, a.cols, b.cols, b.NNZ(), lv, i, got.Data[i], want.Data[i])
+			}
+			switch {
+			case lv.avx512:
+				s, l := rowVecWindows(b)
+				short, long = short || s, long || l
+			case b.NNZ() >= dsRowDotFlat*b.cols:
+				byColumn = true
+			default:
+				flat = true
+			}
+		}
+	}
 	for n := 1; n <= dsRowDotMax; n++ {
 		for _, sh := range [][2]int{{1, 1}, {5, 2}, {40, 31}, {32, 32}, {32, 33}, {200, 145}, {1632, 1632}, {7, 300}} {
 			m, p := sh[0], sh[1]
 			for _, perCol := range []float64{0, 0.7, 1.25, dsRowDotFlat - 0.5, dsRowDotFlat + 0.5, 10, 0.3 * float64(m)} {
 				for _, special := range []bool{false, true} {
-					b := hyperSparse(rng, m, p, perCol, special)
-					if b.NNZ() >= dsRowDotFlat*p {
-						byColumn = true
-					} else {
-						flat = true
-					}
-					a := dstOnEntry(rng, n, m) // zeros of both signs in the vector too
-					entry := dstOnEntry(rng, n, p)
-					want := entry.Clone().(*DenseBlock)
-					refMulAddDSRowDot(want, a, b)
-					if err := MulAddTransInto(entry, a, b, false, false); err != nil {
-						t.Fatal(err)
-					}
-					if i := sameBits(entry.Data, want.Data); i >= 0 {
-						t.Fatalf("%dx%dx%d perCol=%v special=%v nnz=%d: element %d is %v, reference %v",
-							n, m, p, perCol, special, b.NNZ(), i, entry.Data[i], want.Data[i])
+					check(fmt.Sprintf("perCol=%v special=%v", perCol, special),
+						rowVecDense(rng, n, m, special), hyperSparse(rng, m, p, perCol, special))
+				}
+			}
+		}
+		// One group of eight between two others and a 3-column tail.
+		const m = 64
+		for _, window := range []int{0, 1, 8, 9, 15, 16, 17, 40} {
+			for spread := 0; spread < 3; spread++ {
+				lens := make([]int, 8*3+3)
+				for j := range lens {
+					lens[j] = rng.Intn(3)
+				}
+				group := lens[8:16]
+				clear(group)
+				for e := 0; e < window; e++ {
+					switch spread {
+					case 0:
+						group[5]++
+					case 1:
+						group[e%8]++
+					default:
+						group[rng.Intn(8)]++
 					}
 				}
+				for _, special := range []bool{false, true} {
+					check(fmt.Sprintf("window=%d spread=%d special=%v", window, spread, special),
+						rowVecDense(rng, n, m, special), rowVecBlock(rng, m, lens, special))
+				}
+			}
+		}
+		for _, p := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 1023, 1024, 1025} {
+			lens := make([]int, p)
+			for j := range lens {
+				if lens[j] = rng.Intn(4); rng.Intn(16) == 0 {
+					lens[j] = rng.Intn(m)
+				}
+			}
+			for _, special := range []bool{false, true} {
+				check(fmt.Sprintf("p=%d special=%v", p, special),
+					rowVecDense(rng, n, m, special), rowVecBlock(rng, m, lens, special))
 			}
 		}
 	}
 	if !flat || !byColumn {
-		t.Errorf("the table ran flat=%v byColumn=%v: one form of the row-dot went untested", flat, byColumn)
+		t.Errorf("the table ran flat=%v byColumn=%v: a Go form of the row-dot went untested", flat, byColumn)
 	}
+	if host.avx512 && (!short || !long) {
+		t.Errorf("the table ran short=%v long=%v windows: a path of rowDotAVX512 went untested", short, long)
+	}
+}
+
+// TestSparseIndexOutsideDenseOperand builds CSC blocks directly with one
+// stored row index outside the dense operand it addresses — just past it,
+// far past it, negative — and runs every path that reads a dense operand by
+// stored index at every feature level: the row-vector product (AVX-512
+// short and long windows, the column-loop tail, the Go flat and column
+// forms), the lane-wide gather of a dense x CSC product with A plain and
+// transposed, and the gather of a transposed CSC x dense one with B plain and
+// transposed. Each must panic with errSparseIndex rather than read past the
+// operand or return; a valid product run after each must still match its
+// reference bit for bit, so nothing the panic cut short is left behind in
+// the pooled scratch.
+func TestSparseIndexOutsideDenseOperand(t *testing.T) {
+	defer func(f cpuFeatures) { cpu = f }(cpu)
+	rng := rand.New(rand.NewSource(18))
+	const m = 40
+	cases := []struct {
+		name    string
+		n, p    int // result rows and columns
+		lens    func(j int) int
+		bad     int // the stored entry whose row index goes bad
+		sparseA bool
+		aT, bT  bool
+	}{
+		{name: "rowvec short window", n: 1, p: 24, lens: func(j int) int { return 1 + j%2 }, bad: 20},
+		{name: "rowvec long window", n: 2, p: 24, lens: func(j int) int { return 3 + j%2 }, bad: 45},
+		{name: "rowvec first entry", n: 1, p: 16, lens: func(j int) int { return j % 3 }, bad: 0},
+		{name: "rowvec tail", n: 3, p: 19, lens: func(j int) int { return 1 }, bad: 18},
+		{name: "rowvec flat", n: 4, p: 6, lens: func(j int) int { return j % 2 }, bad: 2},
+		{name: "rowvec columns", n: 1, p: 5, lens: func(j int) int { return 6 }, bad: 29},
+		{name: "lanes A", n: 8, p: 12, lens: func(j int) int { return 2 }, bad: 11},
+		{name: "lanes At", n: 9, p: 12, lens: func(j int) int { return 2 }, bad: 23, aT: true},
+		{name: "sparse At B", n: 12, p: 8, lens: func(j int) int { return 2 }, bad: 5, sparseA: true, aT: true},
+		{name: "sparse At Bt", n: 12, p: 3, lens: func(j int) int { return 2 }, bad: 17, sparseA: true, aT: true, bT: true},
+	}
+	for _, lv := range featureLevels() {
+		cpu = lv
+		for _, c := range cases {
+			// The sparse operand has m rows, indexing the dense operand's m
+			// rows (of op(A)^T for a dense A, of op(B) for a dense B), and
+			// one stored column per row of op(sparse) the product reads.
+			cols := c.p
+			if c.sparseA {
+				cols = c.n
+			}
+			lens := make([]int, cols)
+			for j := range lens {
+				lens[j] = c.lens(j)
+			}
+			for _, row := range []int32{m, m + 1000, -1, math.MaxInt32} {
+				s := rowVecBlock(rng, m, lens, false)
+				var a, b Block = randDense(rng, c.n, m), s
+				if c.aT {
+					a = randDense(rng, m, c.n)
+				}
+				if c.sparseA {
+					a, b = s, randDense(rng, m, c.p)
+					if c.bT {
+						b = randDense(rng, c.p, m)
+					}
+				}
+				dst := dstOnEntry(rng, c.n, c.p)
+				want := dst.Clone().(*DenseBlock)
+				if c.sparseA {
+					refMulAddSD(want, s, b.(*DenseBlock), c.aT, c.bT)
+				} else {
+					refMulAddDS(want, a.(*DenseBlock), s, c.aT, c.bT)
+				}
+				good := s.RowIdx[c.bad]
+				s.RowIdx[c.bad] = row
+				got := func() (v any) {
+					defer func() { v = recover() }()
+					_ = MulAddTransInto(dst.Clone().(*DenseBlock), a, b, c.aT, c.bT)
+					return nil
+				}()
+				if got != errSparseIndex {
+					t.Fatalf("%s, level %+v, row index %d of %d: recovered %v, want the panic %q", c.name, lv, row, m, got, errSparseIndex)
+				}
+				s.RowIdx[c.bad] = good
+				if err := MulAddTransInto(dst, a, b, c.aT, c.bT); err != nil {
+					t.Fatal(err)
+				}
+				if i := sameBits(dst.Data, want.Data); i >= 0 {
+					t.Fatalf("%s, level %+v: after the panic element %d is %v, reference %v", c.name, lv, i, dst.Data[i], want.Data[i])
+				}
+			}
+		}
+	}
+}
+
+// rowVecWindows reports whether some group of eight columns of b, as
+// rowDotAVX512 cuts it, holds at most 16 stored entries (its short path) and
+// whether some group holds more (its long one).
+func rowVecWindows(b *CSCBlock) (short, long bool) {
+	for j := 0; j+8 <= b.cols; j += 8 {
+		if b.ColPtr[j+8]-b.ColPtr[j] <= 16 {
+			short = true
+		} else {
+			long = true
+		}
+	}
+	return short, long
+}
+
+// rowVecBlock returns an m x len(lens) CSC block whose column j holds
+// lens[j] <= m entries at distinct ascending rows, with an entry at row 0
+// and one at row m-1 when it stores any. special plants zeros of both signs,
+// infinities of both signs and NaN among the values.
+func rowVecBlock(rng *rand.Rand, m int, lens []int, special bool) *CSCBlock {
+	b := &CSCBlock{rows: m, cols: len(lens), ColPtr: make([]int32, len(lens)+1)}
+	for j, k := range lens {
+		rows := rng.Perm(m)[:k]
+		slices.Sort(rows)
+		for _, r := range rows {
+			b.RowIdx = append(b.RowIdx, int32(r))
+			b.Values = append(b.Values, rng.NormFloat64())
+		}
+		b.ColPtr[j+1] = int32(len(b.RowIdx))
+	}
+	if nnz := len(b.RowIdx); nnz > 0 {
+		// The smallest row of the first stored column and the largest of the
+		// last: setting them keeps every column ascending.
+		b.RowIdx[0], b.RowIdx[nnz-1] = 0, int32(m-1)
+		if special {
+			for _, v := range []float64{0, math.Copysign(0, -1), posInf, -posInf, posInf - posInf} {
+				b.Values[rng.Intn(nnz)] = v
+			}
+		}
+	}
+	return b
+}
+
+// rowVecDense returns the n x m dense operand of a row-vector product:
+// dstOnEntry's values and zeros of both signs and, when special, infinities
+// of both signs and NaN.
+func rowVecDense(rng *rand.Rand, n, m int, special bool) *DenseBlock {
+	a := dstOnEntry(rng, n, m)
+	if special {
+		for _, v := range []float64{posInf, -posInf, posInf - posInf} {
+			a.Data[rng.Intn(len(a.Data))] = v
+		}
+	}
+	return a
 }
 
 // TestSparseSparseConcurrentCallers runs the TN product and both forms of the
@@ -1042,6 +1250,50 @@ func BenchmarkMulAddDSRowVecHyper(b *testing.B) {
 		}
 	}
 	b.ReportMetric(2*float64(nnz)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+}
+
+// BenchmarkMulAddRowVecBlocks times PageRank's rank %*% link over one block
+// row of link, go (the flat Go walk) against avx512 (rowDotAVX512): at
+// pagerank_wire's blocks, a 60 000-node graph cut 6 x 6 into 10 606-wide
+// blocks of 1.26 stored entries a column, and at a serve_mix pagerank job's,
+// 1 024 nodes of degree 8 cut into 181-wide blocks (about 1.33 a column).
+func BenchmarkMulAddRowVecBlocks(b *testing.B) {
+	defer func(c cpuFeatures) { cpu = c }(cpu)
+	for _, sh := range []struct {
+		name   string
+		n      int
+		perCol float64
+	}{{"pagerank_wire", 10606, 1.26}, {"serve_mix", 181, 1.33}} {
+		const blocks = 6
+		rng := rand.New(rand.NewSource(int64(sh.n)))
+		rank := randDense(rng, 1, sh.n)
+		var links [blocks]*CSCBlock
+		nnz := 0
+		for i := range links {
+			links[i] = hyperSparse(rng, sh.n, sh.n, sh.perCol, false)
+			nnz += links[i].NNZ()
+		}
+		dst := NewDense(1, sh.n)
+		for _, level := range featureLevels() {
+			name := "go"
+			if level.avx512 {
+				name = "avx512"
+			} else if level.avx {
+				continue // the row-dot has no AVX form
+			}
+			b.Run(sh.name+"/"+name, func(b *testing.B) {
+				cpu = level
+				for i := 0; i < b.N; i++ {
+					for _, link := range links {
+						if err := MulAddTransInto(dst, rank, link, false, false); err != nil {
+							b.Fatal(err)
+						}
+					}
+				}
+				b.ReportMetric(2*float64(nnz)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+			})
+		}
+	}
 }
 
 // BenchmarkMulAddSSTN is serve_mix's gram job, t(V) %*% V with V 512 x 128 at

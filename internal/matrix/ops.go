@@ -197,14 +197,18 @@ func (op ScalarOp) SparsityPreserving(c float64) bool {
 // blocks stay sparse when the operation preserves zeros; otherwise the
 // result densifies.
 func Scalar(op ScalarOp, a Block, c float64) Block {
-	if s, ok := a.(*CSCBlock); ok && op.SparsityPreserving(c) {
-		out := s.Clone().(*CSCBlock)
-		op.applyInto(out.Values, out.Values, c)
+	if s, ok := a.(*CSCBlock); ok {
+		if op.SparsityPreserving(c) {
+			out := s.Clone().(*CSCBlock)
+			op.applyInto(out.Values, out.Values, c)
+			return out
+		}
+		out := s.Dense()
+		op.applyInto(out.Data, out.Data, c)
 		return out
 	}
-	d := a.Dense()
 	out := NewDense(a.Rows(), a.Cols())
-	op.applyInto(out.Data, d.Data, c)
+	op.applyInto(out.Data, a.Dense().Data, c)
 	return out
 }
 

@@ -328,3 +328,146 @@ addLoop:
 	JNZ     addLoop
 	VZEROUPPER
 	RET
+
+// func rowDotAVX512(drow, arow *float64, colPtr, rowIdx *int32, vals *float64, groups, nnz, lda int) (ok bool)
+//
+// For each of the groups groups of eight columns j = 8g ... 8g+7 of the CSC
+// block (colPtr, rowIdx, vals; nnz stored entries): drow[j] += s, where s
+// starts at +0 and adds, in stored order, each entry's rounded product
+// arow[rowIdx[e]] * vals[e] — the column loop of refMulAddDSRowDot, lane c of
+// a ZMM register holding column 8g+c. Step t of a group takes entry
+// colPtr[j]+t of every column longer than t (a mask) and adds its product
+// with one masked VADDPD. Every operation has the first source the compiled
+// column loop gives it (arow of the product, s of both sums), so a NaN keeps
+// the same payload too.
+//
+// A group whose entries number at most 16 loads them contiguously, gathers
+// only arow (one VGATHERDPD for up to eight entries, two for more) and deals
+// the products out to the steps with VPERMI2PD; a longer one gathers each
+// step's row indices, values and arow. A group's column bounds are checked
+// against [0, nnz] before any of its row indices is read, and each row index
+// against [0, lda) before a value or arow is read for it, compared unsigned;
+// a failed check returns ok = false with drow written up to the group in
+// flight. groups >= 1 and nnz >= 1.
+TEXT ·rowDotAVX512(SB), NOSPLIT, $0-65
+	MOVQ drow+0(FP), DI
+	MOVQ arow+8(FP), SI
+	MOVQ colPtr+16(FP), R8
+	MOVQ rowIdx+24(FP), R9
+	MOVQ vals+32(FP), R10
+	MOVQ groups+40(FP), R11
+	MOVQ nnz+48(FP), R12
+	MOVQ lda+56(FP), R13
+	// Row indices are int32: a dense row wider than 2^31 bounds none of them.
+	MOVQ    $0x80000000, AX
+	CMPQ    R13, AX
+	CMOVQHI AX, R13
+	VPBROADCASTQ R12, Z31 // nnz
+	VPBROADCASTQ R13, Z30 // lda, 64-bit lanes
+	VPBROADCASTD R13, Z29 // lda, 32-bit lanes
+	MOVL         $1, AX
+	VPBROADCASTQ AX, Z28  // 1 in every lane: the step
+
+group:
+	// Z0 and Z1 hold the eight columns' first and end entries, 64 bits a
+	// lane; AX and BX the group's window [colPtr[j], colPtr[j+8]).
+	VPMOVSXDQ (R8), Z0
+	VPMOVSXDQ 4(R8), Z1
+	VPCMPUQ   $6, Z31, Z0, K1
+	VPCMPUQ   $6, Z31, Z1, K2
+	KORTESTW  K1, K2
+	JNZ       bad
+	MOVLQSX   (R8), AX
+	MOVLQSX   32(R8), BX
+	VPXORQ    Z2, Z2, Z2 // the eight sums
+	MOVQ      BX, CX
+	SUBQ      AX, CX
+	JZ        fold
+	CMPQ      CX, $16
+	JA        long
+
+	// Up to 16 entries: K1 selects them in a 16-lane load of row indices
+	// (Z3) and K1, K4 in the two 8-lane loads of values (Z4, Z5).
+	MOVL      $1, DX
+	SHLL      CX, DX
+	DECL      DX
+	KMOVW     DX, K1
+	VMOVDQU32.Z (R9)(AX*4), K1, Z3
+	VPCMPUD   $5, Z29, Z3, K1, K2
+	KORTESTW  K2, K2
+	JNZ       bad
+	KSHIFTRW  $8, K1, K4
+	VMOVUPD.Z (R10)(AX*8), K1, Z4
+	VPXORQ    Z6, Z6, Z6
+	KMOVW     K1, K2
+	VGATHERDPD (SI)(Y3*8), K2, Z6
+	VMULPD    Z4, Z6, Z6 // the products of entries 0-7, arow first
+	CMPQ      CX, $8
+	JBE       steps
+	VMOVUPD.Z 64(R10)(AX*8), K4, Z5
+	VEXTRACTI64X4 $1, Z3, Y7
+	VPXORQ    Z8, Z8, Z8
+	VGATHERDPD (SI)(Y7*8), K4, Z8
+	VMULPD    Z5, Z8, Z8 // entries 8-15
+
+steps:
+	// Z10 and Z11 count each column's entries from the window's start:
+	// Z10 the next one, Z11 the end. Lane c of a step adds the product of
+	// window entry Z10[c], which VPERMI2PD takes from Z6:Z8 by its low four
+	// bits.
+	VPBROADCASTQ AX, Z9
+	VPSUBQ    Z9, Z0, Z10
+	VPSUBQ    Z9, Z1, Z11
+
+step:
+	VPCMPQ    $1, Z11, Z10, K1
+	KORTESTW  K1, K1
+	JZ        fold
+	VMOVDQA64 Z10, Z12
+	VPERMI2PD Z8, Z6, Z12
+	VADDPD    Z12, Z2, K1, Z2
+	VPADDQ    Z28, Z10, Z10
+	JMP       step
+
+long:
+	// More than 16 entries (or a window that runs backwards): each step
+	// gathers its row indices (Y3), checks them, then its values (Z4) and
+	// arow (Z6), the entries being Z10's.
+	VMOVDQA64 Z0, Z10
+
+longStep:
+	VPCMPQ    $1, Z1, Z10, K1
+	KORTESTW  K1, K1
+	JZ        fold
+	KMOVW     K1, K2
+	VPGATHERQD (R9)(Z10*4), K2, Y3
+	VPMOVSXDQ Y3, Z3
+	VPCMPUQ   $5, Z30, Z3, K1, K2
+	KORTESTW  K2, K2
+	JNZ       bad
+	KMOVW     K1, K2
+	VGATHERQPD (R10)(Z10*8), K2, Z4
+	KMOVW     K1, K2
+	VGATHERQPD (SI)(Z3*8), K2, Z6
+	VMULPD    Z4, Z6, Z6
+	VADDPD    Z6, Z2, K1, Z2
+	VPADDQ    Z28, Z10, Z10
+	JMP       longStep
+
+fold:
+	// drow[j:j+8] += s, s the first source as the compiled loop has it; an
+	// empty column adds +0.
+	VADDPD  (DI), Z2, Z13
+	VMOVUPD Z13, (DI)
+	ADDQ    $64, DI
+	ADDQ    $32, R8
+	DECQ    R11
+	JNZ     group
+	VZEROUPPER
+	MOVB    $1, ok+64(FP)
+	RET
+
+bad:
+	VZEROUPPER
+	MOVB $0, ok+64(FP)
+	RET

@@ -98,6 +98,26 @@ func TestApplyBlockSparseAndDense(t *testing.T) {
 	}
 }
 
+// TestScalarSparseDensifiesOnce pins Scalar on a CSC block with a densifying
+// operation to one block and its data, the dense copy it works over in place,
+// as ApplyBlock does; the cells are those of the operation on the dense block.
+func TestScalarSparseDensifiesOnce(t *testing.T) {
+	s := NewCSC(3, 3, []Coord{{0, 0, 4}, {2, 1, math.Copysign(0, -1)}, {1, 2, posInf}})
+	for _, op := range []ScalarOp{ScalarAdd, ScalarSub, ScalarRSub, ScalarRDiv} {
+		got := Scalar(op, s, 1.5)
+		if got.IsSparse() {
+			t.Fatalf("%s 1.5 of a sparse block stayed sparse", op)
+		}
+		want := Scalar(op, s.Dense(), 1.5)
+		if i := sameBits(got.Dense().Data, want.Dense().Data); i >= 0 {
+			t.Errorf("%s 1.5 of a sparse block: cell %d is %v, dense %v", op, i, got.Dense().Data[i], want.Dense().Data[i])
+		}
+		if n := testing.AllocsPerRun(20, func() { Scalar(op, s, 1.5) }); n != 2 {
+			t.Errorf("%s 1.5 of a sparse block: %v allocations, want 2", op, n)
+		}
+	}
+}
+
 func TestApplyGrid(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	g := randGridDense(rng, 9, 7, 4)
