@@ -54,7 +54,7 @@ func run() int {
 	plannerName := flag.String("planner", "dmac", "engine: dmac | systemml | local")
 	workers := flag.Int("workers", 4, "simulated cluster workers per engine slot")
 	workerAddrs := flag.String("worker-addrs", "", "comma-separated dmacworker addresses; when set, the data plane is real TCP to these workers (list order is worker index) and -workers is ignored")
-	blockSize := flag.Int("block", 64, "floor on a served job's block size (each job takes Eq. 3's pick for its largest matrix when that is larger)")
+	blockSize := flag.Int("block", 64, "floor on a served job's block size (each job takes Eq. 3's pick for its largest matrix, on as many threads as its expected entries pay for, when that is larger)")
 	slots := flag.Int("slots", 2, "engine pool size = max concurrently running jobs")
 	queueCap := flag.Int("queue", 32, "admission queue capacity across all tenants")
 	maxConcurrent := flag.Int("tenant-concurrent", 2, "default per-tenant concurrent-job quota")

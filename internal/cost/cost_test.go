@@ -121,3 +121,28 @@ func TestGridBytesMatchesEq2(t *testing.T) {
 		t.Errorf("dense: %d, want %d", got, want)
 	}
 }
+
+// TestTaskThreads: one thread per MinTaskEntries of expected entries, rounded
+// down, at least one and at most the cluster's threads.
+func TestTaskThreads(t *testing.T) {
+	for _, c := range []struct {
+		name       string
+		rows, cols int
+		density    float64
+		threads    int
+		want       int
+	}{
+		{"nothing stored", 100, 100, 0, 32, 1},
+		{"under one task's worth", 1024, 1024, 8.0 / 1024, 32, 1},
+		{"one task's worth exactly", 1, MinTaskEntries, 1, 32, 1},
+		{"rounded down", 300, 300, 1, 32, 90000 / MinTaskEntries},
+		{"capped at the threads", 4096, 4096, 1, 32, 32},
+		{"paid for every thread exactly", 32, MinTaskEntries, 1, 32, 32},
+		{"NaN density", 100, 100, math.NaN(), 32, 1},
+		{"no threads", 4096, 4096, 1, 0, 1},
+	} {
+		if got := TaskThreads(c.rows, c.cols, c.density, c.threads); got != c.want {
+			t.Errorf("%s: TaskThreads(%d, %d, %v, %d) = %d, want %d", c.name, c.rows, c.cols, c.density, c.threads, got, c.want)
+		}
+	}
+}

@@ -89,9 +89,10 @@ func TestHTTPLifecycle(t *testing.T) {
 	if final.State != StateDone {
 		t.Fatalf("final state %s: %s", final.State, final.Error)
 	}
-	// Eq. 3 for the 48-node graph on 4 workers x 2 threads: sqrt(48*48/8).
-	if final.BlockSize != 16 {
-		t.Errorf("block_size = %d, want 16", final.BlockSize)
+	// The 48-node graph's 48 x 3 = 144 expected entries pay for one task
+	// (cost.MinTaskEntries), so Eq. 3 on one thread keeps it whole.
+	if final.BlockSize != 48 {
+		t.Errorf("block_size = %d, want 48", final.BlockSize)
 	}
 	out, ok := final.Outputs["rank"]
 	if !ok {
@@ -131,12 +132,17 @@ func TestHTTPQuotaRejection(t *testing.T) {
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 
-	// Slow enough that the single slot stays busy across the submit loop;
-	// the 2s deadline keeps cleanup quick.
-	slow := `{"tenant":"greedy","workload":"pagerank","params":{"nodes":256,"iters":2000},"deadline_sec":2}`
+	// The single slot stays busy until the end of the test, so the first
+	// submit below is queued and the second is over quota.
+	busy, err := s.Submit(foreverJob(t, "greedy"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Cancel(busy.ID)
+	job := `{"tenant":"greedy","workload":"pagerank","params":{"nodes":256,"iters":2000},"deadline_sec":2}`
 	var saw429 bool
 	for i := 0; i < 5; i++ {
-		resp, _, er := postJob(t, srv.URL, slow)
+		resp, _, er := postJob(t, srv.URL, job)
 		if resp.StatusCode == http.StatusTooManyRequests {
 			saw429 = true
 			if resp.Header.Get("Retry-After") == "" {
@@ -169,11 +175,13 @@ func TestHTTPCancelAndValidation(t *testing.T) {
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 
-	slow := `{"tenant":"t","workload":"pagerank","params":{"nodes":256,"iters":200}}`
-	if resp, _, _ := postJob(t, srv.URL, slow); resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("first submit = %d", resp.StatusCode)
+	// The single slot stays busy until the end of the test.
+	busy, err := s.Submit(foreverJob(t, "t"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	_, jr, _ := postJob(t, srv.URL, slow) // queued behind the first
+	defer s.Cancel(busy.ID)
+	_, jr, _ := postJob(t, srv.URL, `{"tenant":"t","workload":"pagerank","params":{"nodes":256,"iters":200}}`) // queued behind the busy job
 	if jr.ID == "" {
 		t.Fatal("second submit not accepted")
 	}

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"dmac/internal/obs"
-	"dmac/internal/workload"
 )
 
 // runJobToDone submits a small registry workload and waits for completion.
@@ -208,14 +207,13 @@ func TestTraceEndpoint(t *testing.T) {
 		t.Fatalf("unknown trace = %d, want 404", code)
 	}
 
-	// Not finished: with one slot and MaxConcurrent 1, the second slow job
-	// is deterministically queued behind the first.
-	slow := workload.Params{"nodes": 256, "iters": 200, "seed": 9}
-	running, err := s.Submit(JobSpec{Tenant: "t", Workload: "pagerank", Params: slow})
+	// Not finished: with one slot and MaxConcurrent 1, the second job is
+	// queued behind the first, which only the cancel below ends.
+	running, err := s.Submit(foreverJob(t, "t"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	queued, err := s.Submit(JobSpec{Tenant: "t", Workload: "pagerank", Params: slow})
+	queued, err := s.Submit(foreverJob(t, "t"))
 	if err != nil {
 		t.Fatal(err)
 	}

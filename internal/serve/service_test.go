@@ -14,10 +14,12 @@ import (
 	"testing"
 	"time"
 
+	"dmac/internal/cost"
 	"dmac/internal/dist"
 	"dmac/internal/engine"
 	"dmac/internal/matrix"
 	"dmac/internal/obs"
+	"dmac/internal/sched"
 	"dmac/internal/workload"
 )
 
@@ -479,37 +481,62 @@ func TestProgrammaticJob(t *testing.T) {
 }
 
 // TestRegistryJobBlockSize: a registry job is cut at the paper's Eq. 3 pick
-// for its largest matrix on the service's cluster, or at Options.BlockSize
-// when that is larger. Its status, root span and outputs carry the size, and
-// its result is bit-identical to a single-job engine at that size.
+// for its largest matrix on as many of the service's threads as that
+// matrix's expected entries pay for (one per cost.MinTaskEntries = 8 192),
+// or at Options.BlockSize when that is larger. The cases cover each bound
+// binding on a cluster of 4 workers x 2 threads. The job's status, root span
+// and outputs carry the size, and its result is bit-identical to a
+// single-job engine at that size.
 func TestRegistryJobBlockSize(t *testing.T) {
-	params := workload.Params{"nodes": 256, "iters": 2, "seed": 3}
-	for _, c := range []struct{ floor, want int }{
-		{8, 90},    // Eq. 3 on 4 workers x 2 threads: sqrt(256*256/8) = 90.5
-		{128, 128}, // Eq. 3 below the floor
+	for _, c := range []struct {
+		why      string
+		workload string
+		params   workload.Params
+		floor    int
+		want     int
+	}{
+		// 262 144 entries pay for all 8 threads; Eq. 3 gives
+		// sqrt(512*512/8) = 181, under the floor.
+		{"floor", "blend", workload.Params{"n": 512, "k": 8, "seed": 4}, 200, 200},
+		// 256 x 3 = 768 entries pay for one task: the whole graph, where
+		// Eq. 3 alone would cut at sqrt(256*256/8) = 90.
+		{"work, one task", "pagerank", workload.Params{"nodes": 256, "iters": 2, "seed": 3}, 8, 256},
+		// 512 x 128 x 0.5 = 32 768 entries pay for 4 tasks:
+		// sqrt(512*128/4) = 128, where Eq. 3 alone would cut at 90.
+		{"work, four tasks", "gram", workload.Params{"rows": 512, "cols": 128, "sparsity": 0.5, "seed": 5}, 8, 128},
+		// A dense 512 x 512 V pays for all 8 threads: Eq. 3's
+		// sqrt(512*512/8) = 181.
+		{"Eq. 3", "gram", workload.Params{"rows": 512, "cols": 512, "sparsity": 1, "seed": 6}, 8, 181},
 	} {
 		opts := testOptions()
 		opts.BlockSize = c.floor
 		s := newTestService(t, opts)
-		st, err := s.Submit(JobSpec{Tenant: "t", Workload: "pagerank", Params: params})
+		st, err := s.Submit(JobSpec{Tenant: "t", Workload: c.workload, Params: c.params})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if st.BlockSize != c.want {
-			t.Errorf("floor %d: submitted at block size %d, want %d", c.floor, st.BlockSize, c.want)
+			t.Errorf("%s binds: submitted at block size %d, want %d", c.why, st.BlockSize, c.want)
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 		defer cancel()
 		if fin, err := s.Wait(ctx, st.ID); err != nil || fin.State != StateDone || fin.BlockSize != c.want {
-			t.Fatalf("floor %d: %+v, %v; want done at block size %d", c.floor, fin, err, c.want)
+			t.Fatalf("%s binds: %+v, %v; want done at block size %d", c.why, fin, err, c.want)
 		}
 		res, err := s.Result(st.ID)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, _ := soloRun(t, opts, "pagerank", params, c.want)
-		if got := res.Grids["rank"]; got.BlockSize() != c.want || !matrix.GridEqual(got, want["rank"], 0) {
-			t.Errorf("floor %d: rank at block size %d, or diverged from a single-job engine at %d", c.floor, got.BlockSize(), c.want)
+		want, wantScalars := soloRun(t, opts, c.workload, c.params, c.want)
+		for name, g := range want {
+			if got := res.Grids[name]; got.BlockSize() != c.want || !matrix.GridEqual(got, g, 0) {
+				t.Errorf("%s binds: %s at block size %d, or diverged from a single-job engine at %d", c.why, name, got.BlockSize(), c.want)
+			}
+		}
+		for name, v := range wantScalars {
+			if got := res.Scalars[name]; math.Float64bits(got) != math.Float64bits(v) {
+				t.Errorf("%s binds: scalar %s = %v, single-job engine %v", c.why, name, got, v)
+			}
 		}
 		spans, err := s.JobTrace(st.ID)
 		if err != nil {
@@ -518,10 +545,69 @@ func TestRegistryJobBlockSize(t *testing.T) {
 		for _, sp := range spans {
 			if sp.Cat == "serve" && sp.Name == "job" {
 				if a, ok := sp.Attr("block_size"); !ok || a.Int != int64(c.want) {
-					t.Errorf("floor %d: root span block_size %+v, want %d", c.floor, a, c.want)
+					t.Errorf("%s binds: root span block_size %+v, want %d", c.why, a, c.want)
 				}
 			}
 		}
+	}
+}
+
+// TestJobBlockSizeProperties sweeps the sizing rule over shapes and
+// densities on a 4 x 2 cluster with floor 8: the side is never below the
+// floor or Eq. 3's pick and never above the larger dimension, never grows
+// as the entries grow, and is Eq. 3's pick once the entries pay for every
+// thread (8 x cost.MinTaskEntries).
+func TestJobBlockSizeProperties(t *testing.T) {
+	opts := testOptions()
+	s := newTestService(t, opts)
+	threads := opts.Cluster.Workers * opts.Cluster.LocalParallelism
+	dims := []int{8, 16, 48, 100, 256, 1000, 1024, 4096}
+	densities := []float64{0, 1e-5, 1e-4, 1e-3, 0.003, 0.01, 0.03, 0.05, 0.1, 0.2, 0.5, 0.99, 1}
+	for _, rows := range dims {
+		for _, cols := range dims {
+			eq3 := max(opts.BlockSize, sched.ChooseBlockSize(rows, cols, opts.Cluster.LocalParallelism, opts.Cluster.Workers))
+			prev := math.MaxInt
+			for _, d := range densities {
+				side := s.jobBlockSize(rows, cols, d)
+				if side < opts.BlockSize || side < eq3 || side > max(rows, cols) {
+					t.Errorf("%dx%d at %g: side %d outside [max(floor %d, Eq. 3 %d), %d]", rows, cols, d, side, opts.BlockSize, eq3, max(rows, cols))
+				}
+				if side > prev {
+					t.Errorf("%dx%d: side grew from %d to %d as density rose to %g", rows, cols, prev, side, d)
+				}
+				prev = side
+				if cost.EstNNZ(rows, cols, d) >= float64(threads*cost.MinTaskEntries) && side != eq3 {
+					t.Errorf("%dx%d at %g: side %d, want Eq. 3's %d once every thread is paid for", rows, cols, d, side, eq3)
+				}
+			}
+		}
+	}
+}
+
+// TestSubmitDegreeBeyondNodes: a PageRank request whose degree no graph of
+// its size can have is served on the complete graph, whole, not a panic in
+// Submit's build (1e13 x 64 edges once overflowed the edge reservation).
+func TestSubmitDegreeBeyondNodes(t *testing.T) {
+	opts := testOptions()
+	s := newTestService(t, opts)
+	params := workload.Params{"nodes": 64, "degree": 1e13, "iters": 2}
+	st, err := s.Submit(JobSpec{Tenant: "t", Workload: "pagerank", Params: params})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	// 64 x 63 entries pay for one task: one 64-wide block.
+	if fin, err := s.Wait(ctx, st.ID); err != nil || fin.State != StateDone || fin.BlockSize != 64 {
+		t.Fatalf("%+v, %v; want done at block size 64", fin, err)
+	}
+	res, err := s.Result(st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := soloRun(t, opts, "pagerank", params, 64)
+	if !matrix.GridEqual(res.Grids["rank"], want["rank"], 0) {
+		t.Error("rank diverged from a single-job engine at block size 64")
 	}
 }
 

@@ -101,9 +101,12 @@ func (b *BuiltJob) EstimatedBytes() int64 {
 }
 
 // BlockSizer picks a job's block side from the dimensions of its largest
-// matrix. Registry.Build sizes every job at one fixed side; the job service
-// applies the paper's Eq. 3 (sched.ChooseBlockSize) above its floor.
-type BlockSizer func(rows, cols int) int
+// matrix and that matrix's expected density, derived from the params and
+// never from generated data, so the side stays a function of (workload,
+// params). Registry.Build sizes every job at one fixed side; the job service
+// applies the paper's Eq. 3 (sched.ChooseBlockSize) on as many threads as the
+// matrix's entries pay for (cost.TaskThreads), above its floor.
+type BlockSizer func(rows, cols int, density float64) int
 
 // Builder materializes a job from its parameters, asking size once, for its
 // largest matrix, for the block side of every input.
@@ -157,7 +160,7 @@ func (r *Registry) Names() []string {
 
 // Build resolves and materializes a named workload at a fixed block size.
 func (r *Registry) Build(name string, blockSize int, params Params) (*BuiltJob, error) {
-	return r.BuildSized(name, func(int, int) int { return blockSize }, params)
+	return r.BuildSized(name, func(int, int, float64) int { return blockSize }, params)
 }
 
 // BuildSized resolves and materializes a named workload at the block size
@@ -188,10 +191,10 @@ func buildPageRank(size BlockSizer, params Params) (*BuiltJob, error) {
 	iters := params.Int("iters", 3, 1, 200)
 	seed := int64(params.Get("seed", 1))
 	degree := params.Get("degree", 3)
-	if degree < 1 {
+	if !(degree >= 1) { // also NaN
 		degree = 1
 	}
-	blockSize := size(nodes, nodes)
+	blockSize := size(nodes, nodes, min(degree, float64(nodes-1))/float64(nodes))
 	adj := PowerLawGraph(seed, nodes, degree, blockSize)
 	link := RowNormalize(adj)
 	rank := DenseRandom(seed+1, 1, nodes, blockSize)
@@ -223,12 +226,12 @@ func buildPageRank(size BlockSizer, params Params) (*BuiltJob, error) {
 func buildGram(size BlockSizer, params Params) (*BuiltJob, error) {
 	rows := params.Int("rows", 48, 8, 4096)
 	cols := params.Int("cols", 32, 8, 4096)
-	blockSize := size(rows, cols)
 	seed := int64(params.Get("seed", 2))
 	sparsity := params.Get("sparsity", 0.2)
-	if sparsity <= 0 || sparsity > 1 {
+	if !(sparsity > 0 && sparsity <= 1) { // also NaN
 		sparsity = 0.2
 	}
+	blockSize := size(rows, cols, sparsity)
 	v := SparseUniform(seed, rows, cols, blockSize, sparsity)
 
 	real := float64(v.NNZ()) / (float64(rows) * float64(cols))
@@ -253,7 +256,7 @@ func buildBlend(size BlockSizer, params Params) (*BuiltJob, error) {
 	k := params.Int("k", 8, 2, 512)
 	iters := params.Int("iters", 1, 1, 50)
 	seed := int64(params.Get("seed", 3))
-	blockSize := size(n, n)
+	blockSize := size(n, n, 1)
 	a := DenseRandom(seed, n, k, blockSize)
 	b := DenseRandom(seed+1, k, n, blockSize)
 

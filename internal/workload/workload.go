@@ -93,19 +93,24 @@ func PowerLawGraph(seed int64, nodes int, avgDegree float64, blockSize int) *mat
 	}
 	scale := avgDegree * float64(nodes) / sum
 	// Rounding and the floor of one edge add under one edge a node to the
-	// avgDegree x nodes the scaled degrees sum to.
-	coords := make([]matrix.Coord, 0, int(avgDegree*float64(nodes))+nodes)
+	// avgDegree x nodes the scaled degrees sum to; no node has more than
+	// nodes-1 targets, however large avgDegree.
+	reserve := min(max(avgDegree, 0), float64(nodes-1))*float64(nodes) + float64(nodes)
+	coords := make([]matrix.Coord, 0, int(reserve))
+	// stamp[j] == i+1 marks j as a target of node i already: one array for
+	// every node, never cleared.
+	stamp := make([]int32, nodes)
 	for i := 0; i < nodes; i++ {
-		deg := min(max(int(raw[i]*scale+0.5), 1), nodes-1)
-		// A map per node: clear costs a map's capacity, which never shrinks,
-		// so one shared map would pay for the largest hub at every later node.
-		targets := make(map[int]bool, deg)
-		for len(targets) < deg {
+		// Clamped in float: a degree past int's range must not wrap.
+		deg := int(min(max(raw[i]*scale+0.5, 1), float64(nodes-1)))
+		mark := int32(i + 1)
+		for picked := 0; picked < deg; {
 			j := rng.Intn(nodes)
-			if j == i || targets[j] {
+			if j == i || stamp[j] == mark {
 				continue
 			}
-			targets[j] = true
+			stamp[j] = mark
+			picked++
 			coords = append(coords, matrix.Coord{Row: i, Col: j, Val: 1})
 		}
 	}

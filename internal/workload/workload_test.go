@@ -116,8 +116,8 @@ func TestPowerLawGraphProperties(t *testing.T) {
 	}
 }
 
-// refPowerLawGraph is PowerLawGraph as it stood while one map, cleared per
-// node, held the targets: the generator the faster one must reproduce edge
+// refPowerLawGraph is PowerLawGraph as it stood while a map held each node's
+// targets: the generator the node-stamped marker array must reproduce edge
 // for edge.
 func refPowerLawGraph(seed int64, nodes int, avgDegree float64, blockSize int) *matrix.Grid {
 	const alpha = 2.1
@@ -196,20 +196,27 @@ var refGraphDigests = []string{
 }
 
 // TestPowerLawGraphMatchesReference pins the graph of every seed the
-// benchmark draws, at the sizes of its serve_mix jobs and of pagerank_wire:
-// the same stored entries in the same blocks, so the same comm_bytes. The
-// small sizes compare against the reference generator directly; the
-// 60 000-node graphs against its recorded digests.
+// benchmark draws, at the sizes of its serve_mix jobs and of pagerank_wire,
+// and of the served jobs the tests and CI submit: the same stored entries in
+// the same blocks, so the same comm_bytes. The small sizes compare against
+// the reference generator directly, among them degrees past nodes-1 (the
+// complete graph); the 60 000-node graphs against its recorded digests.
 func TestPowerLawGraphMatchesReference(t *testing.T) {
-	for _, sz := range [][2]int{{1, 4}, {2, 4}, {1024, 32}} {
-		nodes, bs := sz[0], sz[1]
+	for _, sz := range []struct {
+		nodes, bs int
+		degree    float64
+	}{
+		{1, 4, 8}, {2, 4, 8}, {48, 16, 3}, {64, 64, 3}, {64, 16, 100},
+		{256, 90, 3}, {600, 7, 4}, {1024, 32, 8}, {1024, 1024, 8},
+	} {
+		nodes, bs := sz.nodes, sz.bs
 		for seed := int64(1); seed <= 10; seed++ {
-			got, want := PowerLawGraph(seed, nodes, 8, bs), refPowerLawGraph(seed, nodes, 8, bs)
+			got, want := PowerLawGraph(seed, nodes, sz.degree, bs), refPowerLawGraph(seed, nodes, sz.degree, bs)
 			for bi := 0; bi < want.BlockRows(); bi++ {
 				for bj := 0; bj < want.BlockCols(); bj++ {
 					g, w := got.Block(bi, bj).(*matrix.CSCBlock), want.Block(bi, bj).(*matrix.CSCBlock)
 					if !slices.Equal(g.ColPtr, w.ColPtr) || !slices.Equal(g.RowIdx, w.RowIdx) || !slices.Equal(g.Values, w.Values) {
-						t.Fatalf("%d nodes, seed %d: block (%d,%d) differs from the reference generator's", nodes, seed, bi, bj)
+						t.Fatalf("%d nodes, degree %g, seed %d: block (%d,%d) differs from the reference generator's", nodes, sz.degree, seed, bi, bj)
 					}
 				}
 			}
