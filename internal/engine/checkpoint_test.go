@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -229,6 +230,40 @@ func TestRecoveryLadderTornManifest(t *testing.T) {
 		t.Errorf("StagesReplayed = %d, want 1 (torn manifest skipped)", m.StagesReplayed)
 	}
 	checkGNMFResult(t, "torn manifest", e, wantW, wantH)
+}
+
+// A NaN is a value, not corruption: a snapshot holding one must verify and be
+// restored like any other. PageRank with a NaN in D carries it into the
+// teleport term and the new rank; with a snapshot after every stage and a
+// kill at the last stage, the newest snapshot is restored and nothing is
+// replayed, and the result matches the fault-free run bit for bit.
+func TestRecoveryLadderRestoresNaNSnapshot(t *testing.T) {
+	const nanAt = 3
+	nanApp := pageRankApp
+	nanApp.bind = func(t *testing.T, e *Engine) {
+		bindPageRank(t, e)
+		d := mustGrid(t, e, "D").ToDense()
+		d[nanAt] = math.NaN()
+		if err := e.Bind("D", matrix.FromDense(1, tNodes, tBS, d)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stages := nanApp.stagesOf(t)
+	_, want := nanApp.run(t, "", CheckpointPolicy{}, 0, nil)
+	m, e := nanApp.run(t, t.TempDir(), CheckpointPolicy{Interval: 1}, stages[len(stages)-1], nil)
+	if m.StagesReplayed != 0 || m.Retries != 1 {
+		t.Errorf("StagesReplayed = %d, Retries = %d, want 0 and 1 (the newest snapshot restored)",
+			m.StagesReplayed, m.Retries)
+	}
+	got, wantRank := mustGrid(t, e, "rank").ToDense(), mustGrid(t, want, "rank").ToDense()
+	if !math.IsNaN(got[nanAt]) {
+		t.Errorf("rank[%d] = %v, want the NaN D carries", nanAt, got[nanAt])
+	}
+	for i := range got {
+		if math.Float64bits(got[i]) != math.Float64bits(wantRank[i]) {
+			t.Fatalf("rank[%d] = %#x, want %#x (fault-free run)", i, math.Float64bits(got[i]), math.Float64bits(wantRank[i]))
+		}
+	}
 }
 
 // The whole checkpoint directory disappearing (operator cleanup, disk

@@ -22,10 +22,6 @@ import (
 // the workers and the cached schemes, not of how a block product is computed.
 var signaturePrefix = fmt.Sprintf("ps1;rw%d|", rewrite.Version)
 
-// SignaturePrefix returns the version prefix of every ProgramSignature;
-// exported for cache-invalidation regression tests.
-func SignaturePrefix() string { return signaturePrefix }
-
 // ProgramSignature serializes the structure of a program into a canonical
 // string: every node in construction order with its kind, operands (with
 // transpose flags), shapes, sparsity estimates and scalar payloads, plus the

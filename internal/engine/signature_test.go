@@ -25,7 +25,7 @@ func signatureProgram() *expr.Program {
 // the rewriter existed) must miss in a shared PlanCache.
 func TestProgramSignatureVersionPrefix(t *testing.T) {
 	sig := ProgramSignature(signatureProgram())
-	prefix := SignaturePrefix()
+	prefix := signaturePrefix
 	if !strings.HasPrefix(sig, prefix) {
 		t.Fatalf("signature %q lacks prefix %q", sig, prefix)
 	}

@@ -81,31 +81,11 @@ func (d *DenseBlock) Scale(alpha float64) Block {
 	return out
 }
 
-// ScaleInPlace multiplies every element by alpha in place.
-func (d *DenseBlock) ScaleInPlace(alpha float64) {
-	for i := range d.Data {
-		d.Data[i] *= alpha
-	}
-}
-
-// AddScalarInPlace adds alpha to every element in place.
-func (d *DenseBlock) AddScalarInPlace(alpha float64) {
-	for i := range d.Data {
-		d.Data[i] += alpha
-	}
-}
-
-// Zero resets all elements to 0; used when a block is recycled through the
-// result buffer pool.
+// Zero resets all elements to 0, for callers that reuse a block as an
+// accumulator across products. Blocks are never recycled between tasks.
 func (d *DenseBlock) Zero() {
 	clear(d.Data)
 }
-
-// CapBytes returns the footprint of the full backing array, including any
-// slack capacity left by buffer-pool reuse. The pool accounts recycled blocks
-// at CapBytes so charges stay consistent when a large pooled block serves a
-// smaller request.
-func (d *DenseBlock) CapBytes() int64 { return 8 * int64(cap(d.Data)) }
 
 // Sum returns the sum of all elements.
 func (d *DenseBlock) Sum() float64 {

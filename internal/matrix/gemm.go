@@ -209,7 +209,7 @@ func gemmStrided(c []float64, ldc, n, p int, a []float64, lda int, aT bool, b []
 			}
 			if parallel {
 				k0, j0 := k0, j0 // the loop variables would move to the heap for the serial path too
-				parallelStrips(iStrips, workers, func(s int) {
+				Parallel(iStrips, workers, func(s int) {
 					abufp := gemmABufPool.Get().(*[]float64)
 					gemmStrip(kern, c, ldc, s*mc, min(mc, n-s*mc), j0, jw, a, lda, aT, k0, kd, *abufp, bbuf)
 					gemmABufPool.Put(abufp)

@@ -431,7 +431,7 @@ func mulAddSD(dst *DenseBlock, a *CSCBlock, b *DenseBlock, aT, bT bool) {
 func mulAddSDRows(dst *DenseBlock, x []float64, ptr, idx []int32, val []float64) {
 	n := dst.rows
 	if step, strips := spStrips(n, len(val)*dst.cols, spParMin); strips > 1 {
-		parallelStrips(strips, strips, func(s int) {
+		Parallel(strips, strips, func(s int) {
 			mulAddSDStrip(dst, x, ptr, idx, val, s*step, min(n, (s+1)*step))
 		})
 		return
@@ -467,7 +467,7 @@ func mulAddDS(dst *DenseBlock, a *DenseBlock, b *CSCBlock, aT, bT bool) {
 	}
 	if bT {
 		if step, strips := spStrips(p, len(b.Values)*n, spScatterParMin); strips > 1 {
-			parallelStrips(strips, strips, func(s int) {
+			Parallel(strips, strips, func(s int) {
 				mulAddDSScatter(dst, a, aT, b, s*step, min(p, (s+1)*step))
 			})
 			return
@@ -486,7 +486,7 @@ func mulAddDS(dst *DenseBlock, a *DenseBlock, b *CSCBlock, aT, bT bool) {
 	}
 	if step, strips := spStrips(p, len(b.Values)*n, spParMin); strips > 1 {
 		x := x // captured by reference, the reassigned x would move to the heap on the serial path too
-		parallelStrips(strips, strips, func(s int) {
+		Parallel(strips, strips, func(s int) {
 			mulAddDSGather(dst, x, b, s*step, min(p, (s+1)*step))
 		})
 		return

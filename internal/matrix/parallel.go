@@ -6,17 +6,19 @@ import (
 	"sync/atomic"
 )
 
-// Intra-op parallelism for the block kernels.
+// The process's one worker pool.
 //
-// One multiply is split into independent strip tasks (the packed GEMM's MC
+// Every parallel loop of the process runs on a single shared worker pool:
+// the block executor's task batches (sched.Executor.ForEachErr) and, inside
+// their tasks, the strips one multiply is split into (the packed GEMM's MC
 // row strips, the sparse x dense kernels' lane strips: always disjoint result
-// rows or columns) executed by a single shared worker pool. The pool is bounded and
-// long-lived: goroutines are spawned lazily up to the requested worker count
-// and then reused for every subsequent kernel call, so steady-state
-// multiplications start no goroutines. The submitting goroutine always
-// participates in its own job, which makes the scheme deadlock-free even
-// when kernels nest under the block executor's own task pool: a busy pool
-// merely means the caller computes its strips itself.
+// rows or columns). The pool is bounded and long-lived: goroutines are
+// spawned lazily up to the requested participant count and then reused for
+// every subsequent loop, so steady-state batches and multiplications start no
+// goroutines. The submitting goroutine always participates in its own loop
+// and helpers are only offered, never waited for, which makes the scheme
+// deadlock-free when kernel strips nest inside a block task: a busy pool
+// merely means the caller computes its share itself.
 //
 // Every strip takes the scratch it packs into from a sync.Pool for the
 // duration of that strip, so the pooled packing stays race-free while shared
@@ -25,8 +27,9 @@ import (
 // products in exactly the serial order: results are bit-identical to the
 // single-worker kernel at every worker count.
 
-// maxKernelWorkers bounds the shared pool. It intentionally exceeds any real
-// core count so worker-scaling experiments can oversubscribe a small machine.
+// maxKernelWorkers bounds the shared pool's helpers. It intentionally exceeds
+// any real core count so worker-scaling experiments can oversubscribe a small
+// machine.
 const maxKernelWorkers = 64
 
 // kernelWorkers is the target intra-op parallelism of one block multiply.
@@ -57,20 +60,20 @@ func SetKernelWorkers(n int) int {
 // KernelWorkers returns the current intra-op parallelism of block multiplies.
 func KernelWorkers() int { return int(kernelWorkers.Load()) }
 
-// stripJob is one parallel strip sweep: tasks [0, n) claimed off an atomic
-// counter by every participant (the caller plus any pool workers that pick
-// the job up).
-type stripJob struct {
+// poolJob is one parallel loop: tasks [0, n) claimed off an atomic counter
+// by every participant (the caller plus any pool helpers that pick the job
+// up).
+type poolJob struct {
 	n    int32
 	next atomic.Int32
 	wg   sync.WaitGroup
-	// fn computes strip i.
+	// fn runs task i.
 	fn func(i int)
 }
 
-// run claims strips until the job is exhausted; a stale pickup of a finished
+// run claims tasks until the job is exhausted; a stale pickup of a finished
 // job claims nothing and so touches no state.
-func (j *stripJob) run() {
+func (j *poolJob) run() {
 	for i := j.next.Add(1) - 1; i < j.n; i = j.next.Add(1) - 1 {
 		j.fn(int(i))
 		j.wg.Done()
@@ -78,50 +81,57 @@ func (j *stripJob) run() {
 }
 
 var (
-	gemmPoolOnce    sync.Once
-	gemmJobs        chan *stripJob
-	gemmPoolWorkers atomic.Int32
+	poolOnce    sync.Once
+	poolJobs    chan *poolJob
+	poolWorkers atomic.Int32
 )
 
-// ensureGemmWorkers lazily grows the shared pool so at least n helper
-// goroutines exist (bounded by maxKernelWorkers). Workers are never torn
+// ensurePoolWorkers lazily grows the shared pool so at least n helper
+// goroutines exist (bounded by maxKernelWorkers). Helpers are never torn
 // down; an idle pool costs only parked goroutines.
-func ensureGemmWorkers(n int) {
-	gemmPoolOnce.Do(func() {
-		gemmJobs = make(chan *stripJob, maxKernelWorkers)
+func ensurePoolWorkers(n int) {
+	poolOnce.Do(func() {
+		// A slot per possible helper: an offer is dropped only when the
+		// queue already holds as many pickups as there can be helpers.
+		poolJobs = make(chan *poolJob, maxKernelWorkers)
 	})
-	for int(gemmPoolWorkers.Load()) < n {
-		id := gemmPoolWorkers.Add(1)
+	for int(poolWorkers.Load()) < n {
+		id := poolWorkers.Add(1)
 		if id > maxKernelWorkers {
-			gemmPoolWorkers.Add(-1)
+			poolWorkers.Add(-1)
 			return
 		}
 		go func() {
-			for j := range gemmJobs {
+			for j := range poolJobs {
 				j.run()
 			}
 		}()
 	}
 }
 
-// parallelStrips runs fn(i) for every strip i in [0, n) across at most
-// `workers` participants and blocks until all strips completed. Helper
-// pickups are best-effort (non-blocking sends): under pool contention the
-// caller simply computes more strips itself.
-func parallelStrips(n, workers int, fn func(i int)) {
-	j := &stripJob{n: int32(n), fn: fn}
-	j.wg.Add(n)
-	helpers := workers - 1
-	if helpers > n-1 {
-		helpers = n - 1
+// Parallel runs fn(i) for every i in [0, n) across at most `workers`
+// participants, the caller and up to min(workers, n)-1 pool helpers (at most
+// maxKernelWorkers), and blocks until every call returned. Helper offers are
+// best-effort (non-blocking sends): under pool contention the caller simply
+// runs more of the tasks itself. With one participant the caller runs the
+// loop without touching the pool. fn may itself call Parallel.
+func Parallel(n, workers int, fn func(i int)) {
+	if workers <= 1 || n <= 1 {
+		for i := 0; i < n; i++ {
+			fn(i)
+		}
+		return
 	}
-	ensureGemmWorkers(helpers)
+	j := &poolJob{n: int32(n), fn: fn}
+	j.wg.Add(n)
+	helpers := min(workers, n) - 1
+	ensurePoolWorkers(helpers)
 offer:
 	for h := 0; h < helpers; h++ {
 		select {
-		case gemmJobs <- j:
+		case poolJobs <- j:
 		default:
-			break offer // pool saturated; the caller computes the rest
+			break offer // pool saturated; the caller runs the rest
 		}
 	}
 	j.run()

@@ -23,10 +23,12 @@ import (
 //	  CSC:   nnz u64, colPtr (cols+1) u32, rowIdx nnz u32, values nnz f64
 //	  version 2 only: crc u32 — CRC32C over the block's kind byte and payload
 //
-// The format round-trips block representations exactly. Version 2 adds a
-// per-block CRC32C so checkpointed session variables detect on-disk
-// corruption end to end: a reader of a version-2 stream verifies every block
-// before trusting it and fails with ErrChecksum on a mismatch.
+// The format round-trips block representations and values exactly, bit for
+// bit: NaN payloads, infinities and -0 are values, and the reader checks
+// structure, not values. Version 2 adds a per-block CRC32C so checkpointed
+// session variables detect on-disk corruption end to end: a reader of a
+// version-2 stream verifies every block before trusting it and fails with
+// ErrChecksum on a mismatch.
 
 const (
 	binaryMagic = "DMGR"
@@ -429,11 +431,6 @@ func readBlock(r io.Reader, rows, cols int) (matrix.Block, error) {
 		data, err := readFloat64s(r, int(elems))
 		if err != nil {
 			return nil, err
-		}
-		for _, v := range data {
-			if math.IsNaN(v) {
-				return nil, fmt.Errorf("NaN in dense block")
-			}
 		}
 		d := matrix.NewDense(rows, cols)
 		copy(d.Data, data)

@@ -2,7 +2,10 @@ package mio
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -163,6 +166,90 @@ func TestBinaryRoundTripKeepsCSCStorage(t *testing.T) {
 			t.Errorf("%dx%d grid: encode(decode(x)) differs from x", g.Rows(), g.Cols())
 		}
 	}
+}
+
+// specialValues are the values a reader must not mistake for corruption: two
+// NaN payloads, both infinities and -0.
+var specialValues = []float64{
+	math.NaN(),
+	math.Float64frombits(0xFFF800000000BEEF),
+	math.Inf(1),
+	math.Inf(-1),
+	math.Copysign(0, -1),
+}
+
+// TestBinaryRoundTripSpecialValues: dense and CSC blocks holding NaNs,
+// infinities and -0 come back bit for bit from both format versions, on the
+// host encoder and the portable one.
+func TestBinaryRoundTripSpecialValues(t *testing.T) {
+	g := matrix.NewGrid(6, 6, 3)
+	dense := matrix.NewDense(3, 3)
+	copy(dense.Data[2:], specialValues)
+	g.SetBlock(0, 0, dense)
+	coords := make([]matrix.Coord, len(specialValues))
+	for i, v := range specialValues {
+		coords[i] = matrix.Coord{Row: i % 3, Col: i / 2, Val: v}
+	}
+	g.SetBlock(1, 1, matrix.NewCSC(3, 3, coords))
+	for _, version := range []struct {
+		name  string
+		write func(*bytes.Buffer, *matrix.Grid) error
+	}{
+		{"v1", func(w *bytes.Buffer, g *matrix.Grid) error { return WriteGrid(w, g) }},
+		{"v2", func(w *bytes.Buffer, g *matrix.Grid) error { return WriteGridChecked(w, g) }},
+	} {
+		t.Run(version.name, func(t *testing.T) {
+			bothEncoderPaths(t, func(t *testing.T) {
+				var buf bytes.Buffer
+				if err := version.write(&buf, g); err != nil {
+					t.Fatal(err)
+				}
+				got, err := ReadGrid(&buf)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for bi := 0; bi < 2; bi++ {
+					for bj := 0; bj < 2; bj++ {
+						if err := sameBlockBits(g.Block(bi, bj), got.Block(bi, bj)); err != "" {
+							t.Errorf("block (%d,%d): %s", bi, bj, err)
+						}
+					}
+				}
+			})
+		})
+	}
+}
+
+// sameBlockBits compares two blocks' representation and stored values bit
+// for bit, returning what differs or "".
+func sameBlockBits(want, got matrix.Block) string {
+	var wv, gv []float64
+	switch w := want.(type) {
+	case *matrix.DenseBlock:
+		g, ok := got.(*matrix.DenseBlock)
+		if !ok {
+			return "dense block decoded as sparse"
+		}
+		wv, gv = w.Data, g.Data
+	case *matrix.CSCBlock:
+		g, ok := got.(*matrix.CSCBlock)
+		if !ok {
+			return "sparse block decoded as dense"
+		}
+		if !slices.Equal(w.ColPtr, g.ColPtr) || !slices.Equal(w.RowIdx, g.RowIdx) {
+			return fmt.Sprintf("structure %v %v, want %v %v", g.ColPtr, g.RowIdx, w.ColPtr, w.RowIdx)
+		}
+		wv, gv = w.Values, g.Values
+	}
+	if len(wv) != len(gv) {
+		return fmt.Sprintf("%d values, want %d", len(gv), len(wv))
+	}
+	for i := range wv {
+		if math.Float64bits(wv[i]) != math.Float64bits(gv[i]) {
+			return fmt.Sprintf("value %d = %#x, want %#x", i, math.Float64bits(gv[i]), math.Float64bits(wv[i]))
+		}
+	}
+	return ""
 }
 
 func TestBinaryErrors(t *testing.T) {

@@ -16,13 +16,14 @@ import (
 // holds: one grid of k x k near-empty blocks (one stored entry a block on
 // average) against one such block, at the sides Eq. 3 alone gives
 // serve_mix's jobs, on an executor of one thread and of eight (serve_mix's
-// local parallelism, which adds the task queue and a goroutine per thread to
-// every batch). rowvec is PageRank's rank %*% link at side 181 (k² products
-// into k result blocks); sstn is Gram's t(V) %*% V at side 45 (k³ products
-// into k² result blocks, each product folding a dense result block). With
-// next to no arithmetic, ns/product is the fixed cost of a product:
-// acquiring and zeroing its share of a result block, entering the kernel,
-// dispatch and the fold. cpu-ns/product is the process's CPU time
+// local parallelism, at which every batch is also offered to up to seven
+// helpers of the shared worker pool, and those that pick it up claim tasks
+// beside the caller). rowvec is PageRank's rank %*% link at side 181 (k²
+// products into k result blocks); sstn is Gram's t(V) %*% V at side 45 (k³
+// products into k² result blocks, each product folding a dense result
+// block). With next to no arithmetic, ns/product is the fixed cost of a
+// product: allocating and zeroing its share of a result block, entering the
+// kernel, dispatch and the fold. cpu-ns/product is the process's CPU time
 // (getrusage) over the products, what the eight-thread runs cost however
 // many cores run them. cost.MinTaskEntries is derived from it and the
 // per-entry cost of BenchmarkMulAddRowVecBlocks and BenchmarkMulAddSSTN.

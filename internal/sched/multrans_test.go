@@ -158,61 +158,3 @@ func TestMulTransKernelMetrics(t *testing.T) {
 		expect(name, "", "histogram")
 	}
 }
-
-// TestBufferPoolBestFit: with two pooled blocks of different capacity, a
-// request that fits the smaller one must not consume the larger one.
-func TestBufferPoolBestFit(t *testing.T) {
-	mem := NewMemTracker()
-	p := NewBufferPool(4, mem)
-	big := p.Acquire(10, 10)
-	small := p.Acquire(4, 4)
-	p.Release(big)
-	p.Release(small)
-	got := p.Acquire(2, 8) // needs 16; small fits exactly
-	if cap(got.Data) != 16 {
-		t.Errorf("best fit picked cap %d, want 16", cap(got.Data))
-	}
-	// The big block must still be pooled for a big request.
-	big2 := p.Acquire(10, 10)
-	if cap(big2.Data) != 100 {
-		t.Errorf("large request got cap %d, want pooled 100", cap(big2.Data))
-	}
-}
-
-// TestBufferPoolAccountingBalance: memory accounting must return to zero
-// through any acquire/release/detach sequence, including oversized reuse
-// where the logical size is smaller than the backing array.
-func TestBufferPoolAccountingBalance(t *testing.T) {
-	mem := NewMemTracker()
-	p := NewBufferPool(2, mem)
-	b1 := p.Acquire(8, 8)
-	p.Release(b1)
-	// Oversized reuse: logical 2x2 on a 64-slot backing array.
-	b2 := p.Acquire(2, 2)
-	if cap(b2.Data) != 64 {
-		t.Fatalf("expected oversized reuse, got cap %d", cap(b2.Data))
-	}
-	if got, want := mem.Current(), b2.CapBytes(); got != want {
-		t.Errorf("accounted bytes after oversized acquire = %d, want %d", got, want)
-	}
-	p.Release(b2)
-	if got, want := mem.Current(), b2.CapBytes(); got != want {
-		t.Errorf("accounted bytes while pooled = %d, want %d", got, want)
-	}
-	b3 := p.Acquire(8, 8)
-	d := p.Detach(b3)
-	if d != b3 {
-		t.Error("Detach must return the same block")
-	}
-	if got := mem.Current(); got != 0 {
-		t.Errorf("accounted bytes after detach = %d, want 0", got)
-	}
-	// Dropped release (pool full) must also balance.
-	x1, x2, x3 := p.Acquire(3, 3), p.Acquire(3, 3), p.Acquire(3, 3)
-	p.Release(x1)
-	p.Release(x2)
-	p.Release(x3) // dropped: maxIdle = 2
-	if got, want := mem.Current(), x1.CapBytes()+x2.CapBytes(); got != want {
-		t.Errorf("accounted bytes with full pool = %d, want %d", got, want)
-	}
-}

@@ -1,16 +1,16 @@
 // Package sched implements DMac's local execution strategy (Section 5.3):
 // a block-based executor that splits matrix operations into per-result-block
-// tasks, runs them on a fixed pool of worker threads, and recycles result
-// blocks through a buffer pool. Two aggregation strategies for block
-// multiplication are provided — the paper's In-Place approach and the
-// traditional Buffer approach it is compared against in Figure 7.
+// tasks and runs them on a fixed pool of worker threads, the process's one
+// long-lived worker pool (matrix.Parallel) that the kernels' strips also run
+// on. Two aggregation strategies for block multiplication are provided — the
+// paper's In-Place approach and the traditional Buffer approach it is
+// compared against in Figure 7.
 package sched
 
 import (
 	"context"
 	"fmt"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -20,11 +20,12 @@ import (
 )
 
 // Executor runs block tasks on a fixed number of local threads. It models
-// the per-worker execution flow of Figure 4: a task queue drained by L
-// threads, each acquiring result blocks from a shared buffer pool.
+// the per-worker execution flow of Figure 4: each batch is a task queue (an
+// atomic counter) drained by up to L participants, the calling goroutine and
+// helpers from the shared worker pool. Result blocks are allocated per task
+// and charged to the memory tracker.
 type Executor struct {
 	parallelism int
-	pool        *BufferPool
 	mem         *MemTracker
 	// tracer and metrics observe task batches when set (see SetObserver);
 	// atomic so enabling observability never races with running batches.
@@ -37,27 +38,20 @@ type Executor struct {
 }
 
 // NewExecutor creates an executor with the given local parallelism (L in the
-// paper). If parallelism <= 0, runtime.NumCPU() is used. The memory tracker
-// may be nil, in which case a private one is created.
+// paper). If parallelism <= 0, runtime.GOMAXPROCS(0) is used. The memory
+// tracker may be nil, in which case a private one is created.
 func NewExecutor(parallelism int, mem *MemTracker) *Executor {
 	if parallelism <= 0 {
-		parallelism = runtime.NumCPU()
+		parallelism = runtime.GOMAXPROCS(0)
 	}
 	if mem == nil {
 		mem = NewMemTracker()
 	}
-	return &Executor{
-		parallelism: parallelism,
-		mem:         mem,
-		pool:        NewBufferPool(2*parallelism, mem),
-	}
+	return &Executor{parallelism: parallelism, mem: mem}
 }
 
 // Mem returns the executor's memory tracker.
 func (e *Executor) Mem() *MemTracker { return e.mem }
-
-// Pool returns the executor's result buffer pool.
-func (e *Executor) Pool() *BufferPool { return e.pool }
 
 // SetObserver attaches a span tracer and a metrics registry to the
 // executor. Every subsequent task batch (ForEach/ForEachErr) emits one
@@ -92,8 +86,8 @@ func (e *Executor) Context() context.Context {
 }
 
 // ForEach runs fn(i) for i in [0, n) on the executor's threads. It blocks
-// until all tasks complete. Tasks are pulled from a shared queue, matching
-// the task-queue model of Figure 4.
+// until all tasks complete. Tasks are claimed in order by every participant,
+// matching the task-queue model of Figure 4.
 func (e *Executor) ForEach(n int, fn func(i int)) {
 	e.ForEachErr(n, func(i int) error {
 		fn(i)
@@ -102,13 +96,15 @@ func (e *Executor) ForEach(n int, fn func(i int)) {
 }
 
 // ForEachErr runs fn(i) for i in [0, n) on the executor's threads and
-// returns the first error any task produced. Once a task fails, remaining
-// queued tasks are cancelled (drained without running) — the task-level
-// cancellation a failed stage attempt needs so a worker death doesn't
-// compute the rest of the stage for nothing. Tasks already running are
-// allowed to finish. Workers also observe the executor's context (see
-// SetContext) between tasks: a cancelled context aborts the batch the same
-// way a failed task does, and its error is returned.
+// returns the first error any task produced. The batch runs on the shared
+// worker pool (matrix.Parallel) with min(parallelism, n) participants, the
+// caller among them, so the pool's helper cap bounds it too. Once a task
+// fails, remaining tasks are cancelled (claimed without running) — the
+// task-level cancellation a failed stage attempt needs so a worker death
+// doesn't compute the rest of the stage for nothing. Tasks already running
+// are allowed to finish. Participants also observe the executor's context
+// (see SetContext) between tasks: a cancelled context aborts the batch the
+// same way a failed task does, and its error is returned.
 func (e *Executor) ForEachErr(n int, fn func(i int) error) error {
 	if n <= 0 {
 		return nil
@@ -146,51 +142,23 @@ func (e *Executor) ForEachErr(n int, fn func(i int) error) error {
 			}
 		}()
 	}
-	if workers == 1 {
-		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			if err := fn(i); err != nil {
-				return err
-			}
+	var firstErr atomic.Pointer[error]
+	matrix.Parallel(n, workers, func(i int) {
+		if firstErr.Load() != nil {
+			return // cancelled: a task already failed
 		}
-		return nil
+		err := ctx.Err()
+		if err == nil {
+			err = fn(i)
+		}
+		if err != nil {
+			firstErr.CompareAndSwap(nil, &err)
+		}
+	})
+	if p := firstErr.Load(); p != nil {
+		return *p
 	}
-	queue := make(chan int, n)
-	for i := 0; i < n; i++ {
-		queue <- i
-	}
-	close(queue)
-	var failed atomic.Bool
-	var firstErr error
-	var errMu sync.Mutex
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for i := range queue {
-				if failed.Load() {
-					continue // drain cancelled tasks without running them
-				}
-				err := ctx.Err()
-				if err == nil {
-					err = fn(i)
-				}
-				if err != nil {
-					errMu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					errMu.Unlock()
-					failed.Store(true)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	return firstErr
+	return nil
 }
 
 // MulStrategy selects the local aggregation strategy for blocked matrix
@@ -289,7 +257,8 @@ func (e *Executor) mulInPlace(a, b *matrix.Grid, aT, bT bool) *matrix.Grid {
 	e.ForEach(brows*bcols, func(idx int) {
 		bi, bj := idx/bcols, idx%bcols
 		r, c := out.BlockDims(bi, bj)
-		dst := e.pool.Acquire(r, c)
+		dst := matrix.NewDense(r, c)
+		e.mem.Add(dst.MemBytes())
 		for k := 0; k < inner; k++ {
 			// Accumulate directly into the result block: no intermediate
 			// product blocks exist at any point.
@@ -297,10 +266,7 @@ func (e *Executor) mulInPlace(a, b *matrix.Grid, aT, bT bool) *matrix.Grid {
 				panic(err) // shapes were validated by MulTrans
 			}
 		}
-		// The block leaves the pool and becomes part of the result.
-		final := e.pool.Detach(dst)
-		e.mem.Add(final.CapBytes())
-		out.SetBlock(bi, bj, final)
+		out.SetBlock(bi, bj, dst)
 	})
 	return out
 }

@@ -299,39 +299,6 @@ func TestMemTrackerConcurrentPeak(t *testing.T) {
 	}
 }
 
-func TestBufferPoolReuse(t *testing.T) {
-	mem := NewMemTracker()
-	p := NewBufferPool(2, mem)
-	b1 := p.Acquire(4, 4)
-	b1.Set(0, 0, 7)
-	p.Release(b1)
-	if p.Idle() != 1 {
-		t.Fatalf("idle = %d, want 1", p.Idle())
-	}
-	b2 := p.Acquire(4, 4)
-	if b2.At(0, 0) != 0 {
-		t.Error("reused block was not zeroed")
-	}
-	// Smaller block may reuse a larger backing array.
-	p.Release(b2)
-	b3 := p.Acquire(2, 2)
-	if b3.Rows() != 2 || b3.Cols() != 2 {
-		t.Error("wrong shape from pool")
-	}
-	p.Release(b3)
-	// Pool caps idle blocks at maxIdle.
-	a, b, c := p.Acquire(3, 3), p.Acquire(3, 3), p.Acquire(3, 3)
-	p.Release(a)
-	p.Release(b)
-	p.Release(c)
-	if p.Idle() > 2 {
-		t.Errorf("idle = %d, want <= 2", p.Idle())
-	}
-	if mem.Current() < 0 {
-		t.Errorf("negative accounted memory: %d", mem.Current())
-	}
-}
-
 func TestChooseBlockSizeEq3(t *testing.T) {
 	// Paper example (Section 6.3): 4-node cluster, K=4, L=8. For
 	// LiveJournal-sized square matrices (~4.85M nodes) the threshold is
