@@ -31,6 +31,7 @@ import (
 	"dmac/internal/matrix"
 	"dmac/internal/obs"
 	"dmac/internal/rewrite"
+	"dmac/internal/sched"
 )
 
 // Planner selects the planning mode of an engine.
@@ -249,6 +250,10 @@ type Engine struct {
 	// how process-level deadlines reach sessions driven through
 	// context-oblivious call sites (the bundled applications).
 	baseCtx context.Context
+	// pool is the engine's result buffer pool: installed on the executor for
+	// each run, it owns the dense result blocks the run allocates until
+	// reclaim finds them unreachable or Grid hands them to a caller.
+	pool *sched.BlockPool
 }
 
 type planCacheEntry struct {
@@ -273,13 +278,41 @@ func (e *Engine) SetSharedPlanCache(pc *PlanCache) { e.shared = pc }
 // objects would otherwise pin plans forever), and the base context installed
 // by the previous owner. The cluster, observers, ablation flags, checkpoint
 // configuration and the shared plan cache survive — they are the engine's
-// infrastructure, not session state.
+// infrastructure, not session state. Every result block the session held
+// and no caller was handed goes back to the block pool for the next job.
 func (e *Engine) Reset() {
 	e.vars = make(map[string]*varState)
 	e.scalars = make(map[string]float64)
 	e.planCache = nil
 	e.rewriteCache = nil
 	e.baseCtx = nil
+	e.reclaim()
+}
+
+// reclaim returns to the block pool every result block it owns that no
+// session variable reaches — any instance, views included, matched by block
+// identity, so grids shared by partitions and views and blocks an in-place
+// operator wrote are kept while anything holds them. It runs after a run has
+// returned (no snapshot is in flight then, execute joins the writer on every
+// path) and on Reset; a block a caller holds was disowned by Grid.
+func (e *Engine) reclaim() {
+	if e.pool.Owned() == 0 {
+		return
+	}
+	live := make(map[*matrix.DenseBlock]bool)
+	for _, vs := range e.vars {
+		for _, inst := range vs.instances {
+			g := inst.Grid
+			for bi := 0; bi < g.BlockRows(); bi++ {
+				for bj := 0; bj < g.BlockCols(); bj++ {
+					if d, ok := g.Block(bi, bj).(*matrix.DenseBlock); ok {
+						live[d] = true
+					}
+				}
+			}
+		}
+	}
+	e.pool.Reclaim(live)
 }
 
 // SetRewriter attaches (or with nil, detaches) the algebraic rewrite pass:
@@ -406,6 +439,7 @@ func New(planner Planner, cfg dist.Config, blockSize int) *Engine {
 		blockSize: blockSize,
 		vars:      make(map[string]*varState),
 		scalars:   make(map[string]float64),
+		pool:      sched.NewBlockPool(),
 	}
 }
 
@@ -480,8 +514,20 @@ func (e *Engine) SetScalar(name string, v float64) { e.scalars[name] = v }
 // Grid returns a materialized session variable's data for verification and
 // export, and whether the variable exists. Instances are probed in a fixed
 // scheme order so repeated calls (and repeated runs) always return the same
-// instance — map iteration order must not leak into results.
+// instance — map iteration order must not leak into results. The grid is the
+// caller's from then on: its blocks leave the block pool for good, so no
+// later run reuses them, whatever the session does with the variable.
 func (e *Engine) Grid(name string) (*matrix.Grid, bool) {
+	g, ok := e.varGrid(name)
+	if ok {
+		e.pool.Disown(g)
+	}
+	return g, ok
+}
+
+// varGrid is Grid without the hand-over: the variable's grid, still the
+// session's.
+func (e *Engine) varGrid(name string) (*matrix.Grid, bool) {
 	vs, ok := e.vars[name]
 	if !ok {
 		return nil, false
@@ -561,9 +607,16 @@ func (e *Engine) RunCtx(ctx context.Context, p *expr.Program, params map[string]
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	// The run takes its result blocks from the engine's pool; once it has
+	// returned, whatever it left unreachable goes back to the free list.
 	exec := e.cluster.Executor()
 	exec.SetContext(ctx)
-	defer exec.SetContext(nil)
+	exec.SetPool(e.pool)
+	defer func() {
+		exec.SetPool(nil)
+		exec.SetContext(nil)
+		e.reclaim()
+	}()
 	// The rewrite pass (when attached) canonicalizes the program first;
 	// everything downstream — the local interpreter, plan generation, both
 	// plan caches and execution — sees the rewritten program. Caches stay

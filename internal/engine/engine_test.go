@@ -45,10 +45,15 @@ func randSparseGrid(rng *rand.Rand, rows, cols, bs int, s float64) *matrix.Grid 
 // gnmfProgram builds one full GNMF iteration (Code 1): the H update followed
 // by the W update.
 func gnmfProgram(vSparsity float64) *expr.Program {
+	return gnmfProgramDims(tRows, tCols, tK, vSparsity)
+}
+
+// gnmfProgramDims is gnmfProgram for V rows x cols and factor size k.
+func gnmfProgramDims(rows, cols, k int, vSparsity float64) *expr.Program {
 	p := expr.NewProgram()
-	V := p.Var("V", tRows, tCols, vSparsity)
-	W := p.Var("W", tRows, tK, 1)
-	H := p.Var("H", tK, tCols, 1)
+	V := p.Var("V", rows, cols, vSparsity)
+	W := p.Var("W", rows, k, 1)
+	H := p.Var("H", k, cols, 1)
 	// H = H * (Wᵀ V) / (Wᵀ W H)
 	WtV := p.Mul(W.T(), V)
 	WtW := p.Mul(W.T(), W)

@@ -82,7 +82,8 @@ func (d *DenseBlock) Scale(alpha float64) Block {
 }
 
 // Zero resets all elements to 0, for callers that reuse a block as an
-// accumulator across products. Blocks are never recycled between tasks.
+// accumulator: the executor's result buffer pool clears a recycled block
+// with it before a product accumulates into it.
 func (d *DenseBlock) Zero() {
 	clear(d.Data)
 }

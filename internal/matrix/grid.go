@@ -27,6 +27,21 @@ type Grid struct {
 // start as empty sparse blocks; use SetBlock or the From* constructors to
 // fill them.
 func NewGrid(rows, cols, blockSize int) *Grid {
+	g := NewGridSlots(rows, cols, blockSize)
+	for bi := 0; bi < g.brows; bi++ {
+		for bj := 0; bj < g.bcols; bj++ {
+			r, c := g.BlockDims(bi, bj)
+			g.blocks[bi*g.bcols+bj] = NewCSCEmpty(r, c)
+		}
+	}
+	return g
+}
+
+// NewGridSlots creates a rows x cols grid whose block slots are still empty,
+// for a producer that sets every block itself (SetBlock) and hands the grid
+// out through Filled. It spares such a producer the placeholder blocks
+// NewGrid would build only for SetBlock to drop.
+func NewGridSlots(rows, cols, blockSize int) *Grid {
 	if blockSize <= 0 {
 		panic(fmt.Sprintf("matrix: non-positive block size %d", blockSize))
 	}
@@ -38,10 +53,16 @@ func NewGrid(rows, cols, blockSize int) *Grid {
 		bcols: blocksFor(cols, blockSize),
 	}
 	g.blocks = make([]Block, g.brows*g.bcols)
-	for bi := 0; bi < g.brows; bi++ {
-		for bj := 0; bj < g.bcols; bj++ {
-			r, c := g.BlockDims(bi, bj)
-			g.blocks[bi*g.bcols+bj] = NewCSCEmpty(r, c)
+	return g
+}
+
+// Filled returns g once every block slot holds a block. An empty slot is a
+// producer's bug (a NewGridSlots grid with a block never set) and panics
+// here, before the grid reaches anyone who reads it.
+func (g *Grid) Filled() *Grid {
+	for k, b := range g.blocks {
+		if b == nil {
+			panic(fmt.Sprintf("matrix: block (%d,%d) of a %dx%d grid was never set", k/g.bcols, k%g.bcols, g.rows, g.cols))
 		}
 	}
 	return g
@@ -49,7 +70,7 @@ func NewGrid(rows, cols, blockSize int) *Grid {
 
 // NewDenseGrid creates a grid whose blocks are zeroed dense blocks.
 func NewDenseGrid(rows, cols, blockSize int) *Grid {
-	g := NewGrid(rows, cols, blockSize)
+	g := NewGridSlots(rows, cols, blockSize)
 	for bi := 0; bi < g.brows; bi++ {
 		for bj := 0; bj < g.bcols; bj++ {
 			r, c := g.BlockDims(bi, bj)

@@ -203,11 +203,11 @@ func ApplyBlock(f UFunc, b Block) Block {
 
 // ApplyGrid applies f to every block of a grid.
 func ApplyGrid(f UFunc, g *Grid) *Grid {
-	out := NewGrid(g.Rows(), g.Cols(), g.BlockSize())
+	out := NewGridSlots(g.Rows(), g.Cols(), g.BlockSize())
 	for bi := 0; bi < g.BlockRows(); bi++ {
 		for bj := 0; bj < g.BlockCols(); bj++ {
 			out.SetBlock(bi, bj, ApplyBlock(f, g.Block(bi, bj)))
 		}
 	}
-	return out
+	return out.Filled()
 }

@@ -47,8 +47,9 @@ const (
 	// maxDim keeps int conversions of dimensions safe on 32-bit platforms.
 	maxDim = 1<<31 - 1
 	// maxEmptyGridBytes caps the estimated footprint of the empty grid a
-	// header implies (block headers plus per-block column-pointer arrays),
-	// which matrix.NewGrid allocates before any payload byte is validated.
+	// header implies (block headers plus per-block column-pointer arrays):
+	// the reader allocates the grid's slot array before any payload byte is
+	// validated, and a payload of empty blocks builds the rest.
 	maxEmptyGridBytes = 1 << 28
 	// maxBlocks caps the block count a header may imply: constructing the
 	// empty grid costs time and memory per block, and a hostile header must
@@ -314,7 +315,7 @@ func ReadGrid(r io.Reader) (*matrix.Grid, error) {
 	if err := boundEmptyGrid(rows, cols, bs); err != nil {
 		return nil, err
 	}
-	g := matrix.NewGrid(int(rows), int(cols), int(bs))
+	g := matrix.NewGridSlots(int(rows), int(cols), int(bs))
 	checked := version == binaryVersionChecked
 	for bi := 0; bi < g.BlockRows(); bi++ {
 		for bj := 0; bj < g.BlockCols(); bj++ {
@@ -326,7 +327,7 @@ func ReadGrid(r io.Reader) (*matrix.Grid, error) {
 			g.SetBlock(bi, bj, blk)
 		}
 	}
-	return g, nil
+	return g.Filled(), nil
 }
 
 // boundEmptyGrid rejects headers whose empty grid alone (before any payload

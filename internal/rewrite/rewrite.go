@@ -156,7 +156,7 @@ func (rw *Rewriter) Rewrite(src *expr.Program) (*Result, error) {
 	res.Program = fused
 	res.Decisions = append(res.Decisions, decisions...)
 	res.CostAfter = ProgramCost(fused)
-	res.Changed = FormatProgram(src) != FormatProgram(fused)
+	res.Changed = !sameFormat(src, fused)
 	return res, nil
 }
 
@@ -210,7 +210,7 @@ func (rw *Rewriter) rewriteOnce(src *expr.Program) (res *Result, err error) {
 	}
 	return &Result{
 		Program:    ps.out,
-		Changed:    FormatProgram(src) != FormatProgram(ps.out),
+		Changed:    !sameFormat(src, ps.out),
 		Decisions:  ps.decisions,
 		CostBefore: ProgramCost(src),
 		CostAfter:  ProgramCost(ps.out),

@@ -1,0 +1,201 @@
+package sched
+
+import (
+	"math"
+	"math/rand"
+	"testing"
+
+	"dmac/internal/matrix"
+)
+
+// dirty fills every block on p's free list with NaN, so a task that reuses
+// one without clearing or overwriting every cell cannot give the right bits.
+func dirty(p *BlockPool) {
+	for _, l := range p.free {
+		for _, b := range l {
+			for i := range b.Data {
+				b.Data[i] = math.NaN()
+			}
+		}
+	}
+}
+
+func denseBlocks(g *matrix.Grid) map[*matrix.DenseBlock]bool {
+	out := make(map[*matrix.DenseBlock]bool)
+	for bi := 0; bi < g.BlockRows(); bi++ {
+		for bj := 0; bj < g.BlockCols(); bj++ {
+			if d, ok := g.Block(bi, bj).(*matrix.DenseBlock); ok {
+				out[d] = true
+			}
+		}
+	}
+	return out
+}
+
+// sameBits reports whether two grids hold the same values bit for bit (NaN
+// included, which GridEqual's tolerance test lets through).
+func sameBits(a, b *matrix.Grid) bool {
+	if a.Rows() != b.Rows() || a.Cols() != b.Cols() {
+		return false
+	}
+	da, db := a.ToDense(), b.ToDense()
+	for i := range da {
+		if math.Float64bits(da[i]) != math.Float64bits(db[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+func freeBytes(p *BlockPool) int64 {
+	var n int64
+	for _, l := range p.free {
+		for _, b := range l {
+			n += b.MemBytes()
+		}
+	}
+	return n
+}
+
+// TestBlockPoolReusesResultBlocks runs each result path twice under one
+// pool, reclaiming everything between the runs and poisoning the free list:
+// the second run must take every result block from the first run's release
+// and still give the bits of an executor without a pool, and the memory
+// tracker must charge both runs alike.
+func TestBlockPoolReusesResultBlocks(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	a := randGrid(rng, 23, 17, 5, 0.3)
+	b := randGrid(rng, 17, 19, 5, 1)
+	c := randGrid(rng, 23, 19, 5, 1)
+	d := randGrid(rng, 23, 19, 5, 1)
+	tree := &matrix.CellTree{Inputs: 2, Links: []matrix.CellLink{
+		{Kind: matrix.LinkBin, BinOp: matrix.OpCellMul, A: matrix.CellInput(0), B: matrix.CellInput(1)},
+		{Kind: matrix.LinkFunc, UFunc: matrix.FuncSigmoid, A: matrix.CellValue(0)},
+	}}
+	paths := map[string]func(e *Executor) (*matrix.Grid, error){
+		"in-place": func(e *Executor) (*matrix.Grid, error) { return e.MulTrans(a, b, false, false, InPlace) },
+		"buffer":   func(e *Executor) (*matrix.Grid, error) { return e.MulTrans(a, b, false, false, Buffer) },
+		"trans":    func(e *Executor) (*matrix.Grid, error) { return e.MulTrans(b, a, true, true, InPlace) },
+		"cells": func(e *Executor) (*matrix.Grid, error) {
+			g, _, err := e.Cells(tree, []*matrix.Grid{c, d}, -1)
+			return g, err
+		},
+	}
+	for name, run := range paths {
+		want, err := run(NewExecutor(3, nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := NewExecutor(3, nil)
+		p := NewBlockPool()
+		e.SetPool(p)
+		first, err := run(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		charged := e.Mem().Current()
+		owned := denseBlocks(first)
+		if p.Owned() != len(owned) {
+			t.Fatalf("%s: pool owns %d blocks, the result has %d", name, p.Owned(), len(owned))
+		}
+		p.Reclaim(nil)
+		dirty(p)
+		second, err := run(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for blk := range denseBlocks(second) {
+			if !owned[blk] {
+				t.Errorf("%s: a result block was allocated although the free list held one of its shape", name)
+				break
+			}
+		}
+		if !sameBits(second, want) {
+			t.Errorf("%s: a reused block changed the result's bits", name)
+		}
+		if got := e.Mem().Current() - charged; got != charged {
+			t.Errorf("%s: the memory tracker charged %d bytes for a pooled run, %d for a fresh one", name, got, charged)
+		}
+	}
+}
+
+// TestBlockPoolHoldsOneRelease pins the free list's bound: after a Reclaim
+// it holds exactly what that Reclaim released, and a leftover of an earlier
+// release that no task took is gone.
+func TestBlockPoolHoldsOneRelease(t *testing.T) {
+	p := NewBlockPool()
+	x, y, z := p.take(4, 4, false), p.take(4, 4, false), p.take(2, 3, false)
+	p.Reclaim(map[*matrix.DenseBlock]bool{z: true})
+	if p.Owned() != 1 || freeBytes(p) != x.MemBytes()+y.MemBytes() {
+		t.Fatalf("first reclaim: %d owned, %d free bytes; want z owned, x and y free", p.Owned(), freeBytes(p))
+	}
+	u := p.take(4, 4, true)
+	if u != x && u != y {
+		t.Fatal("take allocated although a block of its shape was free")
+	}
+	for _, v := range u.Data {
+		if v != 0 {
+			t.Fatal("take(zero) handed back a block that was not cleared")
+		}
+	}
+	p.Reclaim(nil)
+	if p.Owned() != 0 || freeBytes(p) != u.MemBytes()+z.MemBytes() {
+		t.Fatalf("second reclaim: %d owned, %d free bytes; want only u and z free", p.Owned(), freeBytes(p))
+	}
+}
+
+// TestBlockPoolDisownedNeverReused: a block handed out of the pool's keeping
+// is never released into the free list, reachable or not.
+func TestBlockPoolDisownedNeverReused(t *testing.T) {
+	e := NewExecutor(2, nil)
+	p := NewBlockPool()
+	e.SetPool(p)
+	rng := rand.New(rand.NewSource(5))
+	g, err := e.MulTrans(randGrid(rng, 9, 6, 4, 1), randGrid(rng, 6, 7, 4, 1), false, false, InPlace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Disown(g)
+	p.Reclaim(nil)
+	if p.Owned() != 0 || freeBytes(p) != 0 {
+		t.Fatalf("after Disown and Reclaim: %d owned, %d free bytes; want none", p.Owned(), freeBytes(p))
+	}
+}
+
+// TestBlockPoolOnlyWhileInstalled: an executor with no pool installed — every
+// caller outside an engine run — allocates result blocks nothing owns.
+func TestBlockPoolOnlyWhileInstalled(t *testing.T) {
+	e := NewExecutor(2, nil)
+	p := NewBlockPool()
+	e.SetPool(p)
+	e.SetPool(nil)
+	rng := rand.New(rand.NewSource(6))
+	if _, err := e.MulTrans(randGrid(rng, 9, 6, 4, 1), randGrid(rng, 6, 7, 4, 1), false, false, InPlace); err != nil {
+		t.Fatal(err)
+	}
+	if p.Owned() != 0 {
+		t.Fatalf("a removed pool owns %d blocks", p.Owned())
+	}
+}
+
+// TestResultGridsHoldOnlyTheirBlocks: PageRank's rank %*% link shape, a row
+// vector times a 6 x 6 grid of blocks, allocates its result grid (the grid
+// and its slot array), each of the six result blocks (header and payload)
+// and a fixed handful for the task batch — no placeholder block for the
+// result to replace.
+func TestResultGridsHoldOnlyTheirBlocks(t *testing.T) {
+	const bs, k = 8, 6
+	rng := rand.New(rand.NewSource(1))
+	a := randGrid(rng, 1, k*bs, bs, 1)
+	b := randGrid(rng, k*bs, k*bs, bs, 0.2)
+	e := NewExecutor(1, nil)
+	const batch = 10
+	allocs := testing.AllocsPerRun(50, func() {
+		if _, err := e.MulTrans(a, b, false, false, InPlace); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if want := float64(2 + 2*k + batch); allocs > want {
+		t.Errorf("row vector x %dx%d blocks: %v allocations, want at most %v", k, k, allocs, want)
+	}
+}

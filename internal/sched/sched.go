@@ -4,7 +4,9 @@
 // long-lived worker pool (matrix.Parallel) that the kernels' strips also run
 // on. Two aggregation strategies for block multiplication are provided — the
 // paper's In-Place approach and the traditional Buffer approach it is
-// compared against in Figure 7.
+// compared against in Figure 7. The paper's result buffer pool is BlockPool:
+// an engine installs its own for the length of a run, and the run's dense
+// result blocks come from it and go back to it once nothing reaches them.
 package sched
 
 import (
@@ -22,8 +24,9 @@ import (
 // Executor runs block tasks on a fixed number of local threads. It models
 // the per-worker execution flow of Figure 4: each batch is a task queue (an
 // atomic counter) drained by up to L participants, the calling goroutine and
-// helpers from the shared worker pool. Result blocks are allocated per task
-// and charged to the memory tracker.
+// helpers from the shared worker pool. Each task takes its dense result block
+// from the installed BlockPool (SetPool), or allocates it when none is
+// installed, and charges it to the memory tracker either way.
 type Executor struct {
 	parallelism int
 	mem         *MemTracker
@@ -35,6 +38,8 @@ type Executor struct {
 	// nil means context.Background(). Atomic for the same reason the
 	// observers are.
 	ctx atomic.Pointer[context.Context]
+	// pool supplies dense result blocks when set (see SetPool).
+	pool atomic.Pointer[BlockPool]
 }
 
 // NewExecutor creates an executor with the given local parallelism (L in the
@@ -77,6 +82,27 @@ func (e *Executor) SetContext(ctx context.Context) {
 	e.ctx.Store(&ctx)
 }
 
+// SetPool installs the block pool every subsequent result block is taken
+// from; nil restores plain allocation. Like SetContext it is run-scoped: an
+// engine installs its pool for one run and removes it after, so callers
+// outside a run get fresh blocks that nothing owns.
+func (e *Executor) SetPool(p *BlockPool) { e.pool.Store(p) }
+
+// result returns a rows x cols dense block for a task's result, charged to
+// the memory tracker: from the installed pool, or fresh when there is none.
+// zero clears a reused block, for tasks that accumulate into it; a fresh
+// block is zero already.
+func (e *Executor) result(rows, cols int, zero bool) *matrix.DenseBlock {
+	var b *matrix.DenseBlock
+	if p := e.pool.Load(); p != nil {
+		b = p.take(rows, cols, zero)
+	} else {
+		b = matrix.NewDense(rows, cols)
+	}
+	e.mem.Add(b.MemBytes())
+	return b
+}
+
 // Context returns the context task batches currently observe.
 func (e *Executor) Context() context.Context {
 	if p := e.ctx.Load(); p != nil {
@@ -106,10 +132,14 @@ func (e *Executor) ForEach(n int, fn func(i int)) {
 // (see SetContext) between tasks: a cancelled context aborts the batch the
 // same way a failed task does, and its error is returned.
 func (e *Executor) ForEachErr(n int, fn func(i int) error) error {
+	return e.forEach(e.Context(), n, fn)
+}
+
+// forEach is ForEachErr under an explicit context.
+func (e *Executor) forEach(ctx context.Context, n int, fn func(i int) error) error {
 	if n <= 0 {
 		return nil
 	}
-	ctx := e.Context()
 	workers := e.parallelism
 	if workers > n {
 		workers = n
@@ -213,14 +243,20 @@ func (e *Executor) MulTrans(a, b *matrix.Grid, aT, bT bool, strategy MulStrategy
 	if m != nil {
 		start = time.Now()
 	}
-	var out *matrix.Grid
+	var (
+		out *matrix.Grid
+		err error
+	)
 	switch strategy {
 	case InPlace:
-		out = e.mulInPlace(a, b, aT, bT)
+		out, err = e.mulInPlace(a, b, aT, bT)
 	case Buffer:
-		out = e.mulBuffer(a, b, aT, bT)
+		out, err = e.mulBuffer(a, b, aT, bT)
 	default:
 		return nil, fmt.Errorf("sched: unknown multiplication strategy %d", strategy)
+	}
+	if err != nil {
+		return nil, err
 	}
 	if m != nil {
 		elapsed := time.Since(start).Seconds()
@@ -244,21 +280,23 @@ func gridDims(g *matrix.Grid, t bool) (rows, cols int) {
 }
 
 // mulInPlace: one task per result block; each task accumulates its full
-// inner-dimension sum into a single owned block.
-func (e *Executor) mulInPlace(a, b *matrix.Grid, aT, bT bool) *matrix.Grid {
+// inner-dimension sum into a single result block, cleared first when the
+// pool hands back a used one, so every element sums the same products in the
+// same order into a zero. A cancelled context stops the batch and is
+// returned.
+func (e *Executor) mulInPlace(a, b *matrix.Grid, aT, bT bool) (*matrix.Grid, error) {
 	aRows, _ := gridDims(a, aT)
 	_, bCols := gridDims(b, bT)
-	out := matrix.NewGrid(aRows, bCols, a.BlockSize())
+	out := matrix.NewGridSlots(aRows, bCols, a.BlockSize())
 	brows, bcols := out.BlockRows(), out.BlockCols()
 	inner := a.BlockCols()
 	if aT {
 		inner = a.BlockRows()
 	}
-	e.ForEach(brows*bcols, func(idx int) {
+	err := e.ForEachErr(brows*bcols, func(idx int) error {
 		bi, bj := idx/bcols, idx%bcols
 		r, c := out.BlockDims(bi, bj)
-		dst := matrix.NewDense(r, c)
-		e.mem.Add(dst.MemBytes())
+		dst := e.result(r, c, true)
 		for k := 0; k < inner; k++ {
 			// Accumulate directly into the result block: no intermediate
 			// product blocks exist at any point.
@@ -267,8 +305,12 @@ func (e *Executor) mulInPlace(a, b *matrix.Grid, aT, bT bool) *matrix.Grid {
 			}
 		}
 		out.SetBlock(bi, bj, dst)
+		return nil
 	})
-	return out
+	if err != nil {
+		return nil, err
+	}
+	return out.Filled(), nil
 }
 
 // gridBlock returns the block at logical block coordinates (bi, bj) of
@@ -281,18 +323,20 @@ func gridBlock(g *matrix.Grid, bi, bj int, t bool) matrix.Block {
 }
 
 // mulBuffer: one task per (bi, k, bj) block product; all intermediate blocks
-// are buffered and aggregated afterwards.
-func (e *Executor) mulBuffer(a, b *matrix.Grid, aT, bT bool) *matrix.Grid {
+// are buffered and aggregated afterwards. The intermediates are always fresh
+// (the Figure 7 baseline's cost); only the aggregated result blocks come
+// from the pool.
+func (e *Executor) mulBuffer(a, b *matrix.Grid, aT, bT bool) (*matrix.Grid, error) {
 	aRows, _ := gridDims(a, aT)
 	_, bCols := gridDims(b, bT)
-	out := matrix.NewGrid(aRows, bCols, a.BlockSize())
+	out := matrix.NewGridSlots(aRows, bCols, a.BlockSize())
 	brows, bcols := out.BlockRows(), out.BlockCols()
 	inner := a.BlockCols()
 	if aT {
 		inner = a.BlockRows()
 	}
 	intermediates := make([]*matrix.DenseBlock, brows*bcols*inner)
-	e.ForEach(brows*bcols*inner, func(idx int) {
+	err := e.ForEachErr(brows*bcols*inner, func(idx int) error {
 		bi := idx / (bcols * inner)
 		rem := idx % (bcols * inner)
 		bj, k := rem/inner, rem%inner
@@ -303,26 +347,34 @@ func (e *Executor) mulBuffer(a, b *matrix.Grid, aT, bT bool) *matrix.Grid {
 			panic(err)
 		}
 		intermediates[idx] = prod
+		return nil
 	})
-	// Aggregation pass: sum the buffered products per result block.
-	e.ForEach(brows*bcols, func(idx int) {
-		bi, bj := idx/bcols, idx%bcols
-		r, c := out.BlockDims(bi, bj)
-		dst := matrix.NewDense(r, c)
-		e.mem.Add(dst.MemBytes())
-		for k := 0; k < inner; k++ {
-			prod := intermediates[(bi*bcols+bj)*inner+k]
-			for i, v := range prod.Data {
-				dst.Data[i] += v
+	if err == nil {
+		// Aggregation pass: sum the buffered products per result block.
+		err = e.ForEachErr(brows*bcols, func(idx int) error {
+			bi, bj := idx/bcols, idx%bcols
+			r, c := out.BlockDims(bi, bj)
+			dst := e.result(r, c, true)
+			for k := 0; k < inner; k++ {
+				prod := intermediates[(bi*bcols+bj)*inner+k]
+				for i, v := range prod.Data {
+					dst.Data[i] += v
+				}
 			}
-		}
-		out.SetBlock(bi, bj, dst)
-	})
+			out.SetBlock(bi, bj, dst)
+			return nil
+		})
+	}
 	// The intermediates become garbage only after aggregation completes.
 	for _, p := range intermediates {
-		e.mem.Sub(p.MemBytes())
+		if p != nil {
+			e.mem.Sub(p.MemBytes())
+		}
 	}
-	return out
+	if err != nil {
+		return nil, err
+	}
+	return out.Filled(), nil
 }
 
 // Cells evaluates a cell-wise tree over grids of one shape and block size, one
@@ -332,7 +384,10 @@ func (e *Executor) mulBuffer(a, b *matrix.Grid, aT, bT bool) *matrix.Grid {
 //
 // overwrite names the input whose blocks receive the result in place, -1 for
 // none: the caller must own that grid outright and drop it afterwards. Only
-// blocks evaluated densely are reused; any other gets a fresh block.
+// blocks evaluated densely are reused; any other gets a result block of its
+// own — from the pool when every input block is dense (the evaluator writes
+// each of its cells, so a used one needs no clearing), from the evaluator
+// otherwise.
 //
 // The result's NNZ is counted by the tasks as they write and seeded into the
 // grid. nnz has an entry per link: for a scalar link, the stored elements of
@@ -356,25 +411,31 @@ func (e *Executor) Cells(t *matrix.CellTree, ins []*matrix.Grid, overwrite int) 
 				a.Rows(), a.Cols(), a.BlockSize(), b.Rows(), b.Cols(), b.BlockSize())
 		}
 	}
-	out = matrix.NewGrid(a.Rows(), a.Cols(), a.BlockSize())
+	out = matrix.NewGridSlots(a.Rows(), a.Cols(), a.BlockSize())
 	counts := make([]atomic.Int64, len(t.Links)+1)
 	bcols := a.BlockCols()
 	err = e.ForEachErr(a.BlockRows()*bcols, func(idx int) error {
 		bi, bj := idx/bcols, idx%bcols
 		blocks := make([]matrix.Block, len(ins))
+		dense := true
 		for i, g := range ins {
 			blocks[i] = g.Block(bi, bj)
+			_, ok := blocks[i].(*matrix.DenseBlock)
+			dense = dense && ok
 		}
 		var dst *matrix.DenseBlock
 		if overwrite >= 0 {
 			dst, _ = blocks[overwrite].(*matrix.DenseBlock)
+		}
+		if dst == nil && dense {
+			dst = e.result(blocks[0].Rows(), blocks[0].Cols(), false)
 		}
 		local := make([]int64, len(counts))
 		blk, err := t.EvalBlock(blocks, dst, local)
 		if err != nil {
 			return err
 		}
-		if dst == nil || blk != matrix.Block(dst) {
+		if blk != matrix.Block(dst) {
 			e.mem.Add(blk.MemBytes())
 		}
 		for j, n := range local {
@@ -393,24 +454,28 @@ func (e *Executor) Cells(t *matrix.CellTree, ins []*matrix.Grid, overwrite int) 
 		nnz[j] = counts[j].Load()
 	}
 	out.SeedNNZ(int(counts[len(t.Links)].Load()))
-	return out, nnz, nil
+	return out.Filled(), nnz, nil
 }
 
 // Transpose transposes a grid in parallel (a purely local operation: this is
 // what makes the Transpose dependency communication-free). Each call counts
 // against exec.transpose.count when metrics are attached, which is how tests
-// verify that the fused multiply path materializes no transposed grid.
+// verify that the fused multiply path materializes no transposed grid. It
+// always runs to the end, whatever the executor's context: a lazy view is
+// realized in place (dist.Cluster.MaterializedGrid), and a half-transposed
+// grid must never take the view's place.
 func (e *Executor) Transpose(a *matrix.Grid) *matrix.Grid {
 	if m := e.metrics.Load(); m != nil {
 		m.Counter("exec.transpose.count").Inc()
 	}
-	out := matrix.NewGrid(a.Cols(), a.Rows(), a.BlockSize())
+	out := matrix.NewGridSlots(a.Cols(), a.Rows(), a.BlockSize())
 	bcols := a.BlockCols()
-	e.ForEach(a.BlockRows()*bcols, func(idx int) {
+	e.forEach(context.Background(), a.BlockRows()*bcols, func(idx int) error {
 		bi, bj := idx/bcols, idx%bcols
 		blk := a.Block(bi, bj).Transpose()
 		e.mem.Add(blk.MemBytes())
 		out.SetBlock(bj, bi, blk)
+		return nil
 	})
-	return out
+	return out.Filled()
 }
