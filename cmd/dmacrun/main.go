@@ -103,8 +103,8 @@ func writeFile(path string, write func(*os.File) error) error {
 
 func run(ctx context.Context, app string, planner dmac.Planner, iters, scale, workers, k int, checkpointDir string, rewrite bool, tracer *dmac.Tracer, registry *dmac.MetricsRegistry) (*dmac.AppResult, error) {
 	cfg := dmac.ClusterConfig{Workers: workers, LocalParallelism: 8}
-	newSession := func(bs int) *dmac.Session {
-		s := dmac.NewSession(planner, cfg, bs)
+	newSession := func() *dmac.Session {
+		s := dmac.NewSession(planner, cfg, 0)
 		s.SetBaseContext(ctx)
 		if rewrite {
 			s.SetRewriter(dmac.NewRewriter())
@@ -122,38 +122,35 @@ func run(ctx context.Context, app string, planner dmac.Planner, iters, scale, wo
 	switch app {
 	case "gnmf":
 		movies, users := dmac.Netflix.Movies/scale, dmac.Netflix.Users/scale
-		bs := dmac.ChooseBlockSize(movies, users, 8, workers)
-		s := newSession(bs)
-		_, _, v := dmac.Netflix.Scaled(scale, bs)
+		s := newSession()
+		_, _, v := dmac.Netflix.Scaled(scale, s.BlockSizeFor(movies, users, dmac.Netflix.Sparsity))
 		fmt.Printf("GNMF on %dx%d ratings, k=%d, %s\n", movies, users, k, planner)
 		return dmac.GNMF(s, v, k, iters, 42)
 	case "pagerank":
 		spec, _ := dmac.GraphByName("soc-pokec")
 		nodes := spec.ScaledNodes(scale)
-		bs := dmac.ChooseBlockSize(nodes, nodes, 8, workers)
-		s := newSession(bs)
+		s := newSession()
 		fmt.Printf("PageRank on soc-pokec/%d (%d nodes), %s\n", scale, nodes, planner)
-		return dmac.PageRank(s, spec.Generate(scale, bs).Adjacency, iters, 7)
+		g := spec.Generate(scale, s.BlockSizeFor(nodes, nodes, spec.AvgDegree()/float64(nodes)))
+		return dmac.PageRank(s, g.Adjacency, iters, 7)
 	case "linreg":
-		rows, cols := 800000/scale, 500
-		bs := dmac.ChooseBlockSize(rows, cols, 8, workers)
-		s := newSession(bs)
-		v := dmac.SparseUniform(3, rows, cols, bs, 10.0/float64(cols))
+		rows, cols, sparsity := 800000/scale, 500, 10.0/500
+		s := newSession()
+		bs := s.BlockSizeFor(rows, cols, sparsity)
+		v := dmac.SparseUniform(3, rows, cols, bs, sparsity)
 		y := dmac.DenseRandom(4, rows, 1, bs)
 		fmt.Printf("LinReg on %dx%d, %s\n", rows, cols, planner)
 		return dmac.LinReg(s, v, y, 1e-6, iters, 5)
 	case "cf":
 		movies, users := dmac.Netflix.Movies/scale, dmac.Netflix.Users/scale
-		bs := dmac.ChooseBlockSize(movies, users, 8, workers)
-		s := newSession(bs)
-		_, _, r := dmac.Netflix.Scaled(scale, bs)
+		s := newSession()
+		_, _, r := dmac.Netflix.Scaled(scale, s.BlockSizeFor(movies, users, dmac.Netflix.Sparsity))
 		fmt.Printf("CF on %dx%d ratings, %s\n", movies, users, planner)
 		return dmac.CF(s, r)
 	case "svd":
 		movies, users := dmac.Netflix.Movies/scale, dmac.Netflix.Users/scale
-		bs := dmac.ChooseBlockSize(movies, users, 8, workers)
-		s := newSession(bs)
-		_, _, v := dmac.Netflix.Scaled(scale, bs)
+		s := newSession()
+		_, _, v := dmac.Netflix.Scaled(scale, s.BlockSizeFor(movies, users, dmac.Netflix.Sparsity))
 		fmt.Printf("SVD on %dx%d ratings, rank %d, %s\n", movies, users, k, planner)
 		res, sv, err := dmac.SVD(s, v, k, 11)
 		if err != nil {

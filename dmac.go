@@ -13,8 +13,9 @@
 //
 // Quick start:
 //
-//	s := dmac.NewSession(dmac.PlannerDMac, dmac.ClusterConfig{Workers: 4}, 64)
-//	v := dmac.SparseUniform(1, 1000, 500, 64, 0.01)
+//	s := dmac.NewSession(dmac.PlannerDMac, dmac.ClusterConfig{Workers: 4}, 0)
+//	bs := s.BlockSizeFor(1000, 500, 0.01) // Eq. 3 on this cluster
+//	v := dmac.SparseUniform(1, 1000, 500, bs, 0.01)
 //	s.Bind("V", v)
 //	p := dmac.NewProgram()
 //	V := p.Var("V", 1000, 500, 0.01)
@@ -37,7 +38,6 @@ import (
 	"dmac/internal/matrix"
 	"dmac/internal/obs"
 	"dmac/internal/rewrite"
-	"dmac/internal/sched"
 	"dmac/internal/workload"
 )
 
@@ -207,8 +207,8 @@ const (
 )
 
 // NewSession creates a session with the given planner over a simulated
-// cluster. blockSize is the block side used for all matrices in the session
-// (see ChooseBlockSize).
+// cluster. blockSize is the session's block side until the first bind sets
+// its data's; Session.BlockSizeFor picks the side to cut data at.
 func NewSession(p Planner, cfg ClusterConfig, blockSize int) *Session {
 	return engine.New(p, cfg, blockSize)
 }
@@ -232,13 +232,6 @@ func FromDense(rows, cols, blockSize int, data []float64) *Grid {
 // FromCoords builds a sparse grid from coordinates.
 func FromCoords(rows, cols, blockSize int, coords []Coord) *Grid {
 	return matrix.FromCoords(rows, cols, blockSize, coords)
-}
-
-// ChooseBlockSize implements the automatic block-size selection of Eq. 3 in
-// the paper: as large as possible while giving every thread of every worker
-// at least one task.
-func ChooseBlockSize(rows, cols, localParallelism, workers int) int {
-	return sched.ChooseBlockSize(rows, cols, localParallelism, workers)
 }
 
 // Dataset generators (deterministic; see internal/workload).

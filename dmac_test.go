@@ -65,8 +65,14 @@ func TestPublicAPIQuickstart(t *testing.T) {
 
 // TestFacadeHelpers covers the re-exported constructors and registries.
 func TestFacadeHelpers(t *testing.T) {
-	if got := dmac.ChooseBlockSize(1000, 1000, 8, 4); got < 1 || got > 1000 {
-		t.Errorf("ChooseBlockSize = %d", got)
+	// Eq. 3 on the session's 4 x 8 threads for a dense matrix that pays for
+	// all of them; one whole block for 1 000 entries, which pay for one.
+	s := dmac.NewSession(dmac.PlannerDMac, dmac.ClusterConfig{Workers: 4, LocalParallelism: 8}, 0)
+	if got := s.BlockSizeFor(1000, 1000, 1); got != 176 {
+		t.Errorf("BlockSizeFor(1000, 1000, 1) = %d, want sqrt(1e6 / 32) = 176", got)
+	}
+	if got := s.BlockSizeFor(1000, 1000, 0.001); got != 1000 {
+		t.Errorf("BlockSizeFor(1000, 1000, 0.001) = %d, want 1000", got)
 	}
 	g := dmac.FromDense(2, 2, 2, []float64{1, 2, 3, 4})
 	if g.At(1, 0) != 3 {

@@ -18,12 +18,15 @@ func main() {
 
 	movies := dmac.Netflix.Movies / *scale
 	users := dmac.Netflix.Users / *scale
-	bs := dmac.ChooseBlockSize(movies, users, 8, 4)
 	fmt.Printf("GNMF on %dx%d ratings (sparsity %.3f), k=%d, %d iterations\n\n",
 		movies, users, dmac.Netflix.Sparsity, *k, *iters)
 
+	bs := 0 // the DMac session's pick, kept for every planner
 	for _, planner := range []dmac.Planner{dmac.PlannerDMac, dmac.PlannerSystemMLS, dmac.PlannerLocal} {
-		s := dmac.NewSession(planner, dmac.ScaledConfig(4, 8), bs)
+		s := dmac.NewSession(planner, dmac.ScaledConfig(4, 8), 0)
+		if bs == 0 {
+			bs = s.BlockSizeFor(movies, users, dmac.Netflix.Sparsity)
+		}
 		_, _, v := dmac.Netflix.Scaled(*scale, bs)
 		res, err := dmac.GNMF(s, v, *k, *iters, 42)
 		if err != nil {

@@ -19,12 +19,15 @@ func main() {
 	flag.Parse()
 
 	sparsity := float64(*nnzPerRow) / float64(*cols)
-	bs := dmac.ChooseBlockSize(*rows, *cols, 8, 4)
 	fmt.Printf("CG linear regression: V %dx%d (%.4f sparse), %d iterations\n\n",
 		*rows, *cols, sparsity, *iters)
 
+	bs := 0 // the DMac session's pick, kept for every planner
 	for _, planner := range []dmac.Planner{dmac.PlannerDMac, dmac.PlannerSystemMLS} {
-		s := dmac.NewSession(planner, dmac.ScaledConfig(4, 8), bs)
+		s := dmac.NewSession(planner, dmac.ScaledConfig(4, 8), 0)
+		if bs == 0 {
+			bs = s.BlockSizeFor(*rows, *cols, sparsity)
+		}
 		v := dmac.SparseUniform(3, *rows, *cols, bs, sparsity)
 		y := dmac.DenseRandom(4, *rows, 1, bs)
 		res, err := dmac.LinReg(s, v, y, 1e-6, *iters, 5)

@@ -18,12 +18,14 @@ func main() {
 	lr := flag.Float64("lr", 0.5, "learning rate")
 	flag.Parse()
 
-	bs := dmac.ChooseBlockSize(*n, *d, 8, 4)
-	v, y, _ := dmac.LabeledData(17, *n, *d, bs, 0.05)
 	fmt.Printf("logistic regression: %d points, %d features, %d steps\n\n", *n, *d, *iters)
 
+	var v, y *dmac.Grid // cut at the DMac session's pick, kept for every planner
 	for _, planner := range []dmac.Planner{dmac.PlannerDMac, dmac.PlannerSystemMLS} {
-		s := dmac.NewSession(planner, dmac.ScaledConfig(4, 8), bs)
+		s := dmac.NewSession(planner, dmac.ScaledConfig(4, 8), 0)
+		if v == nil {
+			v, y, _ = dmac.LabeledData(17, *n, *d, s.BlockSizeFor(*n, *d, 0.05), 0.05)
+		}
 		res, err := dmac.LogReg(s, v.Clone(), y.Clone(), *lr, 1e-4, *iters, 3)
 		if err != nil {
 			log.Fatal(err)

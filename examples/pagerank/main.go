@@ -23,13 +23,16 @@ func main() {
 		log.Fatalf("unknown graph %q", *graph)
 	}
 	nodes := spec.ScaledNodes(*scale)
-	bs := dmac.ChooseBlockSize(nodes, nodes, 8, 4)
 	fmt.Printf("PageRank on %s stand-in: %d nodes (paper: %d), %d iterations\n\n",
 		spec.Name, nodes, spec.PaperNodes, *iters)
 
 	var ranks []float64
+	bs := 0 // the DMac session's pick, kept for every planner
 	for _, planner := range []dmac.Planner{dmac.PlannerDMac, dmac.PlannerSystemMLS} {
-		s := dmac.NewSession(planner, dmac.ScaledConfig(4, 8), bs)
+		s := dmac.NewSession(planner, dmac.ScaledConfig(4, 8), 0)
+		if bs == 0 {
+			bs = s.BlockSizeFor(nodes, nodes, spec.AvgDegree()/float64(nodes))
+		}
 		adj := spec.Generate(*scale, bs).Adjacency
 		res, err := dmac.PageRank(s, adj, *iters, 7)
 		if err != nil {

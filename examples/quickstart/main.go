@@ -11,17 +11,14 @@ import (
 )
 
 func main() {
-	const (
-		rows, cols = 2000, 800
-		sparsity   = 0.01
-		workers    = 4
-		threads    = 8
-	)
-	bs := dmac.ChooseBlockSize(rows, cols, threads, workers)
-	fmt.Printf("block size chosen by Eq. 3: %d\n\n", bs)
-
+	const rows, cols, sparsity = 2000, 800, 0.01
+	bs := 0 // the DMac session's pick, kept for every planner
 	for _, planner := range []dmac.Planner{dmac.PlannerDMac, dmac.PlannerSystemMLS} {
-		s := dmac.NewSession(planner, dmac.ScaledConfig(workers, threads), bs)
+		s := dmac.NewSession(planner, dmac.ScaledConfig(4, 8), 0)
+		if bs == 0 {
+			bs = s.BlockSizeFor(rows, cols, sparsity)
+			fmt.Printf("block size chosen by Eq. 3 on the session's cluster: %d\n\n", bs)
+		}
 		v := dmac.SparseUniform(1, rows, cols, bs, sparsity)
 		if err := s.Bind("V", v); err != nil {
 			log.Fatal(err)

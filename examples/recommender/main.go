@@ -19,13 +19,16 @@ func main() {
 
 	movies := dmac.Netflix.Movies / *scale
 	users := dmac.Netflix.Users / *scale
-	bs := dmac.ChooseBlockSize(movies, users, 8, 4)
 	fmt.Printf("CF on %d items x %d users (sparsity %.3f)\n\n", movies, users, dmac.Netflix.Sparsity)
 
 	var predictions *dmac.Grid
 	var ratings *dmac.Grid
+	bs := 0 // the DMac session's pick, kept for every planner
 	for _, planner := range []dmac.Planner{dmac.PlannerDMac, dmac.PlannerSystemMLS} {
-		s := dmac.NewSession(planner, dmac.ScaledConfig(4, 8), bs)
+		s := dmac.NewSession(planner, dmac.ScaledConfig(4, 8), 0)
+		if bs == 0 {
+			bs = s.BlockSizeFor(movies, users, dmac.Netflix.Sparsity)
+		}
 		_, _, r := dmac.Netflix.Scaled(*scale, bs)
 		res, err := dmac.CF(s, r)
 		if err != nil {

@@ -17,11 +17,14 @@ func main() {
 
 	movies := dmac.Netflix.Movies / *scale
 	users := dmac.Netflix.Users / *scale
-	bs := dmac.ChooseBlockSize(movies, users, 8, 4)
 	fmt.Printf("Lanczos SVD on %dx%d ratings, rank %d\n\n", movies, users, *rank)
 
+	bs := 0 // the DMac session's pick, kept for every planner
 	for _, planner := range []dmac.Planner{dmac.PlannerDMac, dmac.PlannerSystemMLS} {
-		s := dmac.NewSession(planner, dmac.ScaledConfig(4, 8), bs)
+		s := dmac.NewSession(planner, dmac.ScaledConfig(4, 8), 0)
+		if bs == 0 {
+			bs = s.BlockSizeFor(movies, users, dmac.Netflix.Sparsity)
+		}
 		_, _, v := dmac.Netflix.Scaled(*scale, bs)
 		res, sv, err := dmac.SVD(s, v, *rank, 11)
 		if err != nil {

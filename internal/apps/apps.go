@@ -3,11 +3,11 @@
 // PageRank (Code 2), Collaborative Filtering (Code 3), Linear Regression via
 // conjugate gradient (Code 4) and SVD via the Lanczos algorithm (Code 5).
 //
-// Each application binds its inputs, then runs one or more programs per
-// iteration; driver-side scalars (alpha, beta, ...) flow between programs as
-// parameters, exactly as the Scala driver does in the paper's codes. The
-// same application code runs on any engine (DMac, SystemML-S, Local), which
-// is what the comparative experiments exercise.
+// Each application binds its inputs (those it generates cut at its data's
+// block side), then runs programs per iteration; driver-side scalars flow
+// between programs as parameters, exactly as the Scala driver does in the
+// paper's codes. The same application code runs on any engine (DMac,
+// SystemML-S, Local), which is what the comparative experiments exercise.
 package apps
 
 import (

@@ -312,3 +312,43 @@ func TestResultTotal(t *testing.T) {
 		t.Errorf("Total = %+v", tot)
 	}
 }
+
+// TestAppsCutGeneratedInputsAtTheDataSide runs every application that
+// generates inputs of its own (factors, rank and teleport vectors, weights,
+// Lanczos vectors) on a fresh session created without a block side, with
+// data cut at 37: each binds its generated inputs at the data's side and
+// gives the bits of a session created at 37.
+func TestAppsCutGeneratedInputsAtTheDataSide(t *testing.T) {
+	const side = 37
+	v := workload.SparseUniform(8, 100, 80, side, 0.2)
+	y := workload.DenseRandom(9, 100, 1, side)
+	lv, ly, _ := LabeledData(10, 100, 80, side, 0.2)
+	adj := workload.PowerLawGraph(11, 90, 5, side)
+	cases := []struct {
+		name, out string
+		run       func(e *engine.Engine) error
+	}{
+		{"GNMF", "H", func(e *engine.Engine) error { _, err := GNMF(e, v.Clone(), 6, 2, 1); return err }},
+		{"PageRank", "rank", func(e *engine.Engine) error { _, err := PageRank(e, adj.Clone(), 2, 2); return err }},
+		{"LinReg", "w", func(e *engine.Engine) error { _, err := LinReg(e, v.Clone(), y.Clone(), 1e-6, 2, 3); return err }},
+		{"LogReg", "w", func(e *engine.Engine) error { _, err := LogReg(e, lv.Clone(), ly.Clone(), 0.5, 1e-4, 2, 4); return err }},
+		{"SVD", "vc", func(e *engine.Engine) error { _, _, err := SVD(e, v.Clone(), 4, 5); return err }},
+	}
+	cfg := dist.Config{Workers: 4, LocalParallelism: 2}
+	for _, app := range cases {
+		fresh, ref := engine.New(engine.DMac, cfg, 0), engine.New(engine.DMac, cfg, side)
+		for _, e := range []*engine.Engine{fresh, ref} {
+			if err := app.run(e); err != nil {
+				t.Fatalf("%s: %v", app.name, err)
+			}
+		}
+		if fresh.BlockSize() != side {
+			t.Errorf("%s: session block size %d after binding side-%d data", app.name, fresh.BlockSize(), side)
+		}
+		got, _ := fresh.Grid(app.out)
+		want, _ := ref.Grid(app.out)
+		if got == nil || want == nil || got.BlockSize() != side || !matrix.GridEqual(got, want, 0) {
+			t.Errorf("%s: %s differs from a session created at side %d", app.name, app.out, side)
+		}
+	}
+}

@@ -16,7 +16,7 @@ import (
 // for the given number of iterations. v is the input (movies x users in the
 // Netflix experiments); W and H are initialized from the seed.
 func GNMF(e *engine.Engine, v *matrix.Grid, k, iterations int, seed int64) (*Result, error) {
-	bs := e.BlockSize()
+	bs := v.BlockSize()
 	w := workload.DenseRandom(seed, v.Rows(), k, bs)
 	h := workload.DenseRandom(seed+1, k, v.Cols(), bs)
 	if err := bindAll(e, map[string]*matrix.Grid{"V": v, "W": w, "H": h}); err != nil {

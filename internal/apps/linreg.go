@@ -28,7 +28,7 @@ func LinReg(e *engine.Engine, v, y *matrix.Grid, lambda float64, iterations int,
 		return nil, fmt.Errorf("apps: y must be %dx1, got %dx%d", v.Rows(), y.Rows(), y.Cols())
 	}
 	n, d := v.Rows(), v.Cols()
-	bs := e.BlockSize()
+	bs := v.BlockSize()
 	w := workload.DenseRandom(seed, d, 1, bs)
 	if err := bindAll(e, map[string]*matrix.Grid{"V": v, "y": y, "w": w}); err != nil {
 		return nil, err

@@ -27,7 +27,7 @@ func LogReg(e *engine.Engine, v, y *matrix.Grid, lr, lambda float64, iterations 
 		return nil, fmt.Errorf("apps: y must be %dx1, got %dx%d", v.Rows(), y.Rows(), y.Cols())
 	}
 	n, d := v.Rows(), v.Cols()
-	bs := e.BlockSize()
+	bs := v.BlockSize()
 	w := matrix.ScalarGrid(matrix.ScalarMul, workload.DenseRandom(seed, d, 1, bs), 0.01)
 	if err := bindAll(e, map[string]*matrix.Grid{"V": v, "y": y, "w": w}); err != nil {
 		return nil, err

@@ -15,7 +15,7 @@ import (
 // raw graph; it is row-normalized here.
 func PageRank(e *engine.Engine, adjacency *matrix.Grid, iterations int, seed int64) (*Result, error) {
 	n := adjacency.Rows()
-	bs := e.BlockSize()
+	bs := adjacency.BlockSize()
 	link := workload.RowNormalize(adjacency)
 	rank := workload.DenseRandom(seed, 1, n, bs)
 	// Normalize the random initial ranks to a distribution so the iteration

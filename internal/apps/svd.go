@@ -25,7 +25,7 @@ func SVD(e *engine.Engine, v *matrix.Grid, rank int, seed int64) (*Result, []flo
 	if rank < 1 || rank > d {
 		return nil, nil, fmt.Errorf("apps: rank %d out of range [1, %d]", rank, d)
 	}
-	bs := e.BlockSize()
+	bs := v.BlockSize()
 	// vc starts as a random unit vector; vp starts as zero.
 	vc := workload.DenseRandom(seed, d, 1, bs)
 	norm := math.Sqrt(matrix.FrobeniusSqGrid(vc))

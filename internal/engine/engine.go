@@ -24,6 +24,7 @@ import (
 	"time"
 
 	"dmac/internal/core"
+	"dmac/internal/cost"
 	"dmac/internal/dep"
 	"dmac/internal/dist"
 	"dmac/internal/dist/transport"
@@ -409,13 +410,10 @@ func (e *Engine) SetAblation(disablePullUp, disableReassign, disableCPMM bool) {
 	e.planCache = nil
 }
 
-// New creates an engine. blockSize is the block side used for all matrices
-// in the session (pick with sched.ChooseBlockSize) until a bind into the empty
-// session sets another (see Bind); cfg configures the simulated cluster.
+// New creates an engine. blockSize is the session's block side until a bind
+// into the empty session sets another (see Bind; BlockSizeFor picks one for
+// the data); cfg configures the simulated cluster.
 func New(planner Planner, cfg dist.Config, blockSize int) *Engine {
-	if blockSize <= 0 {
-		blockSize = 256
-	}
 	if planner == Local {
 		cfg.Workers = 1
 		cfg.WorkerAddrs = nil
@@ -477,8 +475,19 @@ func (e *Engine) Planner() Planner { return e.planner }
 // Cluster exposes the underlying simulated cluster.
 func (e *Engine) Cluster() *dist.Cluster { return e.cluster }
 
-// BlockSize returns the session block size.
+// BlockSize returns the session block size (0 until a bind sets one, when
+// New was given none).
 func (e *Engine) BlockSize() int { return e.blockSize }
+
+// BlockSizeFor is the paper's block-size selection (§5.3) for a rows x cols
+// matrix of the given expected density: Eq. 3 on as many of the cluster's L·K
+// threads (K = 1 on a Local engine) as the matrix's entries pay for
+// (cost.TaskThreads). It reads only the cluster's fixed shape, so it may be
+// called while the session runs.
+func (e *Engine) BlockSizeFor(rows, cols int, density float64) int {
+	threads := cost.TaskThreads(rows, cols, density, e.cluster.LocalParallelism()*e.cluster.Workers())
+	return sched.ChooseBlockSize(rows, cols, threads, 1)
+}
 
 // Bind registers an input matrix under a name. A bind into an empty session
 // (after New or Reset) makes the grid's block size the session's; every

@@ -9,13 +9,13 @@ import (
 
 // jobCache is a bounded-bytes LRU of built registry jobs keyed by
 // (workload, canonical params). Within one service a job's block size is a
-// pure function of the same two (Service.jobBlockSize), registry builds are
-// deterministic pure functions of that key, and nothing mutates a BuiltJob
-// after construction — Bind wraps each input grid in a fresh DistMatrix and
-// materialization replaces grid pointers instead of rewriting blocks — so one
-// cached build can be bound into any number of concurrent engines. Repeat
-// tenants re-submitting the same parameterized workload skip both the
-// generator and the per-grid partitioning cost.
+// pure function of the same two (Engine.BlockSizeFor on the slots' one
+// cluster shape), registry builds are pure functions of that key, and
+// nothing mutates a BuiltJob after construction — Bind wraps each input grid
+// in a fresh DistMatrix and materialization replaces grid pointers instead of
+// rewriting blocks — so one cached build can be bound into any number of
+// concurrent engines. Repeat tenants re-submitting the same parameterized
+// workload skip both the generator and the per-grid partitioning cost.
 type jobCache struct {
 	mu       sync.Mutex
 	maxBytes int64

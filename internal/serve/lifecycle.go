@@ -109,15 +109,18 @@ func (s *Service) Submit(spec JobSpec) (JobStatus, error) {
 }
 
 // buildSpec materializes the job's inputs and program: registry jobs resolve
-// through the built-input cache at their own block size (jobBlockSize),
-// programmatic jobs are validated and wrapped at their inputs' one block size.
+// through the built-input cache at the side a slot's engine picks, above
+// Options.BlockSize; programmatic jobs are wrapped at their inputs' one side.
 func (s *Service) buildSpec(spec JobSpec) (*workload.BuiltJob, error) {
 	if spec.Workload != "" {
 		key := jobCacheKey(spec.Workload, spec.Params)
 		if b := s.jobCache.get(key); b != nil {
 			return b, nil
 		}
-		b, err := s.opts.Registry.BuildSized(spec.Workload, s.jobBlockSize, spec.Params)
+		size := func(rows, cols int, density float64) int {
+			return max(s.opts.BlockSize, s.slots[0].e.BlockSizeFor(rows, cols, density))
+		}
+		b, err := s.opts.Registry.BuildSized(spec.Workload, size, spec.Params)
 		if err != nil {
 			return nil, err
 		}

@@ -9,11 +9,9 @@ import (
 	"sync"
 	"time"
 
-	"dmac/internal/cost"
 	"dmac/internal/dist"
 	"dmac/internal/engine"
 	"dmac/internal/obs"
-	"dmac/internal/sched"
 	"dmac/internal/workload"
 )
 
@@ -24,10 +22,9 @@ type Options struct {
 	Planner engine.Planner
 	Cluster dist.Config
 	// BlockSize is the floor on a job's block side (default 8). A registry
-	// job is cut at the paper's Eq. 3 pick for its largest matrix
-	// (sched.ChooseBlockSize) on as many of Cluster's threads as that
-	// matrix's expected entries pay for (cost.TaskThreads), or at BlockSize
-	// when that is larger; a programmatic job runs at its inputs' block size.
+	// job is cut at the side a slot's engine picks for its largest matrix
+	// (Engine.BlockSizeFor), or at BlockSize when that is larger; a
+	// programmatic job runs at its inputs' block size.
 	BlockSize int
 	// Slots is the engine-pool size: the maximum number of concurrently
 	// running jobs (default 2). NewService builds the pool once.
@@ -192,19 +189,6 @@ func NewService(opts Options) (*Service, error) {
 	s.slotGaugesLocked()
 	go s.dispatcher()
 	return s, nil
-}
-
-// jobBlockSize is the block side of a registry job whose largest matrix is
-// rows x cols at the given expected density: Eq. 3 on as many of the slots'
-// L·K threads as the matrix's entries pay for (cost.TaskThreads), floored at
-// Options.BlockSize. A job too small to feed every thread runs on fewer,
-// whole blocks; one with L·K·cost.MinTaskEntries entries or more keeps
-// Eq. 3's pick. The pool is fixed at NewService, so every slot's cluster has
-// the same shape.
-func (s *Service) jobBlockSize(rows, cols int, density float64) int {
-	c := s.slots[0].e.Cluster()
-	threads := cost.TaskThreads(rows, cols, density, c.LocalParallelism()*c.Workers())
-	return max(s.opts.BlockSize, sched.ChooseBlockSize(rows, cols, threads, 1))
 }
 
 // Registry returns the service's workload registry.

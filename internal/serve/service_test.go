@@ -14,12 +14,10 @@ import (
 	"testing"
 	"time"
 
-	"dmac/internal/cost"
 	"dmac/internal/dist"
 	"dmac/internal/engine"
 	"dmac/internal/matrix"
 	"dmac/internal/obs"
-	"dmac/internal/sched"
 	"dmac/internal/workload"
 )
 
@@ -546,38 +544,6 @@ func TestRegistryJobBlockSize(t *testing.T) {
 			if sp.Cat == "serve" && sp.Name == "job" {
 				if a, ok := sp.Attr("block_size"); !ok || a.Int != int64(c.want) {
 					t.Errorf("%s binds: root span block_size %+v, want %d", c.why, a, c.want)
-				}
-			}
-		}
-	}
-}
-
-// TestJobBlockSizeProperties sweeps the sizing rule over shapes and
-// densities on a 4 x 2 cluster with floor 8: the side is never below the
-// floor or Eq. 3's pick and never above the larger dimension, never grows
-// as the entries grow, and is Eq. 3's pick once the entries pay for every
-// thread (8 x cost.MinTaskEntries).
-func TestJobBlockSizeProperties(t *testing.T) {
-	opts := testOptions()
-	s := newTestService(t, opts)
-	threads := opts.Cluster.Workers * opts.Cluster.LocalParallelism
-	dims := []int{8, 16, 48, 100, 256, 1000, 1024, 4096}
-	densities := []float64{0, 1e-5, 1e-4, 1e-3, 0.003, 0.01, 0.03, 0.05, 0.1, 0.2, 0.5, 0.99, 1}
-	for _, rows := range dims {
-		for _, cols := range dims {
-			eq3 := max(opts.BlockSize, sched.ChooseBlockSize(rows, cols, opts.Cluster.LocalParallelism, opts.Cluster.Workers))
-			prev := math.MaxInt
-			for _, d := range densities {
-				side := s.jobBlockSize(rows, cols, d)
-				if side < opts.BlockSize || side < eq3 || side > max(rows, cols) {
-					t.Errorf("%dx%d at %g: side %d outside [max(floor %d, Eq. 3 %d), %d]", rows, cols, d, side, opts.BlockSize, eq3, max(rows, cols))
-				}
-				if side > prev {
-					t.Errorf("%dx%d: side grew from %d to %d as density rose to %g", rows, cols, prev, side, d)
-				}
-				prev = side
-				if cost.EstNNZ(rows, cols, d) >= float64(threads*cost.MinTaskEntries) && side != eq3 {
-					t.Errorf("%dx%d at %g: side %d, want Eq. 3's %d once every thread is paid for", rows, cols, d, side, eq3)
 				}
 			}
 		}

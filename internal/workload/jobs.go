@@ -104,8 +104,8 @@ func (b *BuiltJob) EstimatedBytes() int64 {
 // matrix and that matrix's expected density, derived from the params and
 // never from generated data, so the side stays a function of (workload,
 // params). Registry.Build sizes every job at one fixed side; the job service
-// applies the paper's Eq. 3 (sched.ChooseBlockSize) on as many threads as the
-// matrix's entries pay for (cost.TaskThreads), above its floor.
+// asks a slot's engine (Engine.BlockSizeFor: the paper's Eq. 3 on as many
+// threads as the matrix's entries pay for), above its floor.
 type BlockSizer func(rows, cols int, density float64) int
 
 // Builder materializes a job from its parameters, asking size once, for its
