@@ -119,6 +119,10 @@ type Metrics struct {
 	// charged as stall. Both leave results untouched by construction.
 	NetDropsInjected  int
 	NetDelaysInjected int
+	// SubnormalsFlushed counts the result elements the block executor stored
+	// as zero because they were subnormal (sched's result rule), summed over
+	// the run's stages: zero unless a value fell below 2⁻¹⁰²².
+	SubnormalsFlushed int64
 	// PerStage attributes the run to its stages, separating measured wall
 	// time, modelled local compute time and modelled network time — the
 	// per-stage decomposition the run-level ModelSeconds folds together.
@@ -171,6 +175,7 @@ func (m *Metrics) Add(other Metrics) {
 	m.WireFrames += other.WireFrames
 	m.NetDropsInjected += other.NetDropsInjected
 	m.NetDelaysInjected += other.NetDelaysInjected
+	m.SubnormalsFlushed += other.SubnormalsFlushed
 	if other.Stages > m.Stages {
 		m.Stages = other.Stages
 	}
@@ -612,7 +617,7 @@ func (e *Engine) SetBaseContext(ctx context.Context) { e.baseCtx = ctx }
 // the execution cleanly — between stages at the engine level, and between
 // block tasks inside a stage (the executor's workers observe the same
 // context) — returning the context's error. A nil context means Background.
-func (e *Engine) RunCtx(ctx context.Context, p *expr.Program, params map[string]float64) (Metrics, error) {
+func (e *Engine) RunCtx(ctx context.Context, p *expr.Program, params map[string]float64) (m Metrics, err error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -621,10 +626,14 @@ func (e *Engine) RunCtx(ctx context.Context, p *expr.Program, params map[string]
 	exec := e.cluster.Executor()
 	exec.SetContext(ctx)
 	exec.SetPool(e.pool)
+	flushed := exec.Flushed()
 	defer func() {
 		exec.SetPool(nil)
 		exec.SetContext(nil)
 		e.reclaim()
+		if err == nil {
+			m.SubnormalsFlushed = exec.Flushed() - flushed
+		}
 	}()
 	// The rewrite pass (when attached) canonicalizes the program first;
 	// everything downstream — the local interpreter, plan generation, both
@@ -714,7 +723,7 @@ func (e *Engine) RunCtx(ctx context.Context, p *expr.Program, params map[string]
 	}
 	wall := time.Since(start).Seconds()
 	after := e.cluster.Net().Snapshot()
-	m := e.metricsDelta(before, after, wall, plan.Stages, stats)
+	m = e.metricsDelta(before, after, wall, plan.Stages, stats)
 	e.tracer.End(runSpan, obs.Int64("comm_bytes", m.CommBytes))
 	return m, nil
 }

@@ -2,6 +2,7 @@ package matrix
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 )
@@ -209,12 +210,30 @@ var cellScratch sync.Pool
 // stored-element count (Block.NNZ) of every scalar link's operand to that
 // link's entry, and of the result to the last.
 func (t *CellTree) EvalBlock(ins []Block, dst *DenseBlock, nnz []int64) (Block, error) {
+	out, _, err := t.eval(ins, dst, nnz, false)
+	return out, err
+}
+
+// EvalResult is EvalBlock under the result rule of the block executor: the
+// value of every link — the result, and each operand a later link reads —
+// has its subnormal elements stored as zeros of their sign (FlushSubnormals)
+// as soon as it is computed, a chunk at a time while the chunk is in L1, so
+// before a later link reads it or its non-zeros are counted. The result and
+// the counts are therefore those of the links run as separate operators,
+// each result flushed: fusing a tree changes no bit. It also returns how many
+// elements it flushed. Inputs other than dst are read, never written.
+func (t *CellTree) EvalResult(ins []Block, dst *DenseBlock, nnz []int64) (Block, int64, error) {
+	return t.eval(ins, dst, nnz, true)
+}
+
+// eval is EvalBlock, and with flush EvalResult.
+func (t *CellTree) eval(ins []Block, dst *DenseBlock, nnz []int64, flush bool) (Block, int64, error) {
 	if len(ins) != t.Inputs {
-		return nil, fmt.Errorf("%w: cell tree over %d inputs given %d blocks", ErrShape, t.Inputs, len(ins))
+		return nil, 0, fmt.Errorf("%w: cell tree over %d inputs given %d blocks", ErrShape, t.Inputs, len(ins))
 	}
 	for _, b := range ins[1:] {
 		if err := checkSameShape(ins[0], b); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 	}
 	var buf [4][]float64
@@ -222,17 +241,17 @@ func (t *CellTree) EvalBlock(ins []Block, dst *DenseBlock, nnz []int64) (Block, 
 	for _, b := range ins {
 		d, ok := b.(*DenseBlock)
 		if !ok {
-			return t.evalLinks(ins, nnz)
+			return t.evalLinks(ins, nnz, flush)
 		}
 		data = append(data, d.Data)
 	}
 	if dst == nil {
 		dst = NewDense(ins[0].Rows(), ins[0].Cols())
 	} else if err := checkSameShape(dst, ins[0]); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	root := len(t.Links) - 1
-	e := cellEval{t: t, data: data, nnz: nnz, chunk: min(cellChunk, len(dst.Data))}
+	e := cellEval{t: t, data: data, nnz: nnz, flush: flush, chunk: min(cellChunk, len(dst.Data))}
 	if need := 2 * (t.depth(root) - 1) * e.chunk; need > 0 {
 		sp, _ := cellScratch.Get().(*[]float64)
 		if sp == nil || cap(*sp) < need {
@@ -249,7 +268,7 @@ func (t *CellTree) EvalBlock(ins []Block, dst *DenseBlock, nnz []int64) (Block, 
 			nnz[len(t.Links)] += countNonZero(out)
 		}
 	}
-	return dst, nil
+	return dst, e.flushed, nil
 }
 
 // cellEval is the state of one dense EvalBlock.
@@ -257,6 +276,10 @@ type cellEval struct {
 	t    *CellTree
 	data [][]float64 // the inputs' payloads
 	nnz  []int64
+	// flush holds every link's value to the result rule; flushed counts the
+	// elements it stored as zero.
+	flush   bool
+	flushed int64
 	// scratch holds two chunk temporaries per tree level below the root —
 	// the values of a link's two operands.
 	scratch []float64
@@ -278,6 +301,9 @@ func (e *cellEval) link(j int, out []float64, lo, level int) {
 		l.ScalarOp.applyInto(out, a, l.Const)
 	default:
 		l.UFunc.applyInto(out, a)
+	}
+	if e.flush {
+		e.flushed += int64(FlushSubnormals(out))
 	}
 }
 
@@ -308,9 +334,48 @@ func countNonZero(x []float64) int64 {
 	return n
 }
 
+// FlushSubnormals stores every subnormal element of x — a non-zero of
+// magnitude below 2⁻¹⁰²² — as a zero of the same sign, and returns how many it
+// stored. NaNs, infinities, zeros and normal values keep their bits. It is the
+// result rule of the block executor (sched): a result block never holds a
+// subnormal, since on x86 every arithmetic instruction that reads or produces
+// one takes a microcode assist. On AVX-512 the whole groups of eight are
+// flushed by flushSubnormalsAVX512, which writes a group back only when it
+// holds a subnormal; the Go loop is its reference.
+func FlushSubnormals(x []float64) int {
+	n := 0
+	if k := len(x) &^ 7; k > 0 && cpu.avx512 {
+		n, x = int(flushSubnormalsAVX512(&x[0], k)), x[k:]
+	}
+	const sign = 1 << 63
+	for i, v := range x {
+		// The magnitude's bits less one are below 2⁵²-1 for exactly the
+		// subnormals: zero wraps around, and a normal has an exponent.
+		if b := math.Float64bits(v); (b&^sign)-1 < 1<<52-1 {
+			x[i] = math.Float64frombits(b & sign)
+			n++
+		}
+	}
+	return n
+}
+
+// flushBlock is FlushSubnormals over a block's stored elements.
+func flushBlock(b Block) int {
+	switch b := b.(type) {
+	case *DenseBlock:
+		return FlushSubnormals(b.Data)
+	case *CSCBlock:
+		return FlushSubnormals(b.Values)
+	}
+	return 0
+}
+
 // evalLinks evaluates the tree link by link over whole blocks with the block
-// kernels: the path of a block with a sparse input.
-func (t *CellTree) evalLinks(ins []Block, nnz []int64) (Block, error) {
+// kernels: the path of a block with a sparse input. With flush, each link's
+// value — a block of its own — is flushed before a later link reads it; a
+// sparse one keeps its pattern, a flushed element stored as a zero.
+func (t *CellTree) evalLinks(ins []Block, nnz []int64, flush bool) (Block, int64, error) {
+	var flushed int64
 	vals := make([]Block, len(t.Links))
 	arg := func(a CellArg) Block {
 		if a.Link {
@@ -323,7 +388,7 @@ func (t *CellTree) evalLinks(ins []Block, nnz []int64) (Block, error) {
 		case LinkBin:
 			v, err := Cellwise(l.BinOp, arg(l.A), arg(l.B))
 			if err != nil {
-				return nil, err
+				return nil, 0, err
 			}
 			vals[j] = v
 		case LinkScalar:
@@ -335,10 +400,13 @@ func (t *CellTree) evalLinks(ins []Block, nnz []int64) (Block, error) {
 		default:
 			vals[j] = ApplyBlock(l.UFunc, arg(l.A))
 		}
+		if flush {
+			flushed += int64(flushBlock(vals[j]))
+		}
 	}
 	out := vals[len(vals)-1]
 	if nnz != nil {
 		nnz[len(t.Links)] += int64(out.NNZ())
 	}
-	return out, nil
+	return out, flushed, nil
 }

@@ -16,6 +16,10 @@ func countNonZeroAVX512(x *float64, n int) int64 {
 	panic("matrix: countNonZeroAVX512 without AVX-512 support")
 }
 
+func flushSubnormalsAVX512(x *float64, n int) int64 {
+	panic("matrix: flushSubnormalsAVX512 without AVX-512 support")
+}
+
 func expAVX512(f UFunc, dst, x *float64, n int) int {
 	panic("matrix: expAVX512 without AVX-512 support")
 }

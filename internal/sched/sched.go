@@ -7,6 +7,16 @@
 // compared against in Figure 7. The paper's result buffer pool is BlockPool:
 // an engine installs its own for the length of a run, and the run's dense
 // result blocks come from it and go back to it once nothing reaches them.
+//
+// Every result block a task returns follows one rule: it holds no subnormal.
+// A multiply task flushes its block once the last product is in, while the
+// block is still in cache, and a cell-wise task evaluates its tree with
+// matrix.CellTree.EvalResult, which flushes each chunk as it is computed;
+// either way matrix.FlushSubnormals stores a subnormal as the zero of its sign
+// and leaves every other value alone. Only values below 2⁻¹⁰²² change, while
+// on x86 every instruction that reads or produces one takes a microcode
+// assist: GNMF's multiplicative update drives H into that range, and every
+// later product reading H would pay for it.
 package sched
 
 import (
@@ -40,6 +50,8 @@ type Executor struct {
 	ctx atomic.Pointer[context.Context]
 	// pool supplies dense result blocks when set (see SetPool).
 	pool atomic.Pointer[BlockPool]
+	// flushed counts the result elements the result rule stored as zero.
+	flushed atomic.Int64
 }
 
 // NewExecutor creates an executor with the given local parallelism (L in the
@@ -101,6 +113,23 @@ func (e *Executor) result(rows, cols int, zero bool) *matrix.DenseBlock {
 	}
 	e.mem.Add(b.MemBytes())
 	return b
+}
+
+// Flushed returns how many result elements the executor has stored as zero
+// because they were subnormal, over its lifetime; a run's share is the
+// difference across it.
+func (e *Executor) Flushed() int64 { return e.flushed.Load() }
+
+// noteFlushed counts n elements a task flushed, under exec.subnormals.flushed
+// too when metrics are attached.
+func (e *Executor) noteFlushed(n int64) {
+	if n == 0 {
+		return
+	}
+	e.flushed.Add(n)
+	if m := e.metrics.Load(); m != nil {
+		m.Counter("exec.subnormals.flushed").Add(n)
+	}
 }
 
 // Context returns the context task batches currently observe.
@@ -282,8 +311,8 @@ func gridDims(g *matrix.Grid, t bool) (rows, cols int) {
 // mulInPlace: one task per result block; each task accumulates its full
 // inner-dimension sum into a single result block, cleared first when the
 // pool hands back a used one, so every element sums the same products in the
-// same order into a zero. A cancelled context stops the batch and is
-// returned.
+// same order into a zero, and flushes it. A cancelled context stops the
+// batch and is returned.
 func (e *Executor) mulInPlace(a, b *matrix.Grid, aT, bT bool) (*matrix.Grid, error) {
 	aRows, _ := gridDims(a, aT)
 	_, bCols := gridDims(b, bT)
@@ -304,6 +333,7 @@ func (e *Executor) mulInPlace(a, b *matrix.Grid, aT, bT bool) (*matrix.Grid, err
 				panic(err) // shapes were validated by MulTrans
 			}
 		}
+		e.noteFlushed(int64(matrix.FlushSubnormals(dst.Data)))
 		out.SetBlock(bi, bj, dst)
 		return nil
 	})
@@ -325,7 +355,7 @@ func gridBlock(g *matrix.Grid, bi, bj int, t bool) matrix.Block {
 // mulBuffer: one task per (bi, k, bj) block product; all intermediate blocks
 // are buffered and aggregated afterwards. The intermediates are always fresh
 // (the Figure 7 baseline's cost); only the aggregated result blocks come
-// from the pool.
+// from the pool, and only they are flushed.
 func (e *Executor) mulBuffer(a, b *matrix.Grid, aT, bT bool) (*matrix.Grid, error) {
 	aRows, _ := gridDims(a, aT)
 	_, bCols := gridDims(b, bT)
@@ -361,6 +391,7 @@ func (e *Executor) mulBuffer(a, b *matrix.Grid, aT, bT bool) (*matrix.Grid, erro
 					dst.Data[i] += v
 				}
 			}
+			e.noteFlushed(int64(matrix.FlushSubnormals(dst.Data)))
 			out.SetBlock(bi, bj, dst)
 			return nil
 		})
@@ -378,7 +409,9 @@ func (e *Executor) mulBuffer(a, b *matrix.Grid, aT, bT bool) (*matrix.Grid, erro
 }
 
 // Cells evaluates a cell-wise tree over grids of one shape and block size, one
-// task and one pass per block (matrix.CellTree.EvalBlock). It is the only
+// task and one pass per block (matrix.CellTree.EvalResult: the result rule
+// holds for every link's value, so a fused tree gives the bits its links run
+// one by one would). It is the only
 // entry point for cell-wise work: a single +, *c or sigmoid is a tree of one
 // link. The tree's parameters must be bound.
 //
@@ -431,10 +464,11 @@ func (e *Executor) Cells(t *matrix.CellTree, ins []*matrix.Grid, overwrite int) 
 			dst = e.result(blocks[0].Rows(), blocks[0].Cols(), false)
 		}
 		local := make([]int64, len(counts))
-		blk, err := t.EvalBlock(blocks, dst, local)
+		blk, flushed, err := t.EvalResult(blocks, dst, local)
 		if err != nil {
 			return err
 		}
+		e.noteFlushed(flushed)
 		if blk != matrix.Block(dst) {
 			e.mem.Add(blk.MemBytes())
 		}
