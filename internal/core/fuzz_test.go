@@ -3,6 +3,8 @@ package core
 import (
 	"math/rand"
 	"testing"
+
+	"dmac/internal/dep"
 )
 
 func TestFuzzPlansValidAndCheaperThanBaseline(t *testing.T) {
@@ -38,6 +40,39 @@ func TestFuzzPlansValidAndCheaperThanBaseline(t *testing.T) {
 		if plan.TotalCommBytes() > base.TotalCommBytes() {
 			t.Errorf("seed %d: DMac comm %d > baseline %d\nDMac:\n%s\nbaseline:\n%s",
 				seed, plan.TotalCommBytes(), base.TotalCommBytes(), plan, base)
+		}
+		// The single-machine reference's plan: one stage, nothing moved,
+		// every value hash-placed and one transpose per transposed read.
+		local, err := GenerateLocal(prog)
+		if err != nil {
+			t.Fatalf("seed %d: GenerateLocal: %v", seed, err)
+		}
+		if err := local.Check(); err != nil {
+			t.Fatalf("seed %d: invalid local plan: %v\n%s", seed, err, local)
+		}
+		if local.Stages > 1 || local.TotalCommBytes() != 0 {
+			t.Errorf("seed %d: local plan has %d stages, %d comm bytes\n%s", seed, local.Stages, local.TotalCommBytes(), local)
+		}
+		transposedReads, transposes := 0, 0
+		for _, n := range prog.Nodes() {
+			for _, in := range n.Inputs {
+				if in.Transposed {
+					transposedReads++
+				}
+			}
+		}
+		for _, op := range local.Ops {
+			if op.Kind == OpTranspose {
+				transposes++
+			}
+		}
+		if transposes != transposedReads {
+			t.Errorf("seed %d: local plan has %d transposes for %d transposed reads", seed, transposes, transposedReads)
+		}
+		for _, v := range local.Values {
+			if v.Scheme != dep.SchemeNone {
+				t.Errorf("seed %d: local plan value %s is not hash-placed", seed, v)
+			}
 		}
 		// Ablations also produce valid plans.
 		seedBest := int64(-1)

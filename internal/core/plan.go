@@ -5,7 +5,9 @@
 // multiplies (Section 5.1) comes from internal/cost. It also contains the
 // SystemML-S baseline planner used for the controlled comparison of
 // Section 6: the same strategy space and the same runtime, but no
-// matrix-dependency analysis.
+// matrix-dependency analysis; and the one-stage, communication-free plan of
+// the single-machine reference (GenerateLocal), which runs on that runtime
+// too.
 package core
 
 import (
@@ -30,7 +32,8 @@ type Value struct {
 	// logical matrix.
 	Transposed bool
 	// Scheme is the distribution scheme of the stored data. SchemeNone
-	// denotes hash-partitioned data (fresh loads; SystemML-S outputs).
+	// denotes hash-partitioned data (fresh loads; every value of a Local
+	// plan).
 	Scheme dep.Scheme
 	// flexible lists the schemes this value may still be pinned to; nil once
 	// pinned. Only CPMM outputs start flexible (r|c).
@@ -140,8 +143,9 @@ type Op struct {
 }
 
 // Plan is an executable plan: operators in execution order over a store of
-// physical values. Produced by the DMac planner (Generate) or the
-// SystemML-S baseline planner (GenerateSystemMLS).
+// physical values. Produced by the DMac planner (Generate), the
+// SystemML-S baseline planner (GenerateSystemMLS) or the single-machine
+// reference's (GenerateLocal).
 type Plan struct {
 	Program *expr.Program
 	Workers int

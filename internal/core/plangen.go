@@ -49,6 +49,45 @@ func GenerateSystemMLS(p *expr.Program, cfg Config) (*Plan, error) {
 	return generate(p, cfg, true)
 }
 
+// GenerateLocal builds the plan of the single-machine reference ("R" in the
+// paper's figures): every value hash-placed on one worker, every program
+// operator one OpCompute with strategy Local, and one local transpose per
+// transposed input edge, so every transposed read pays its own transpose.
+// Nothing communicates and no operator is licensed to overwrite an input, so
+// the plan is one stage and stays the unlicensed reference the planners'
+// results are compared against.
+func GenerateLocal(p *expr.Program) (*Plan, error) {
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
+	g := newGen(p, Config{Workers: 1}, false)
+	for _, idx := range p.OperatorOrder() {
+		n := p.Nodes()[idx]
+		if n.Kind == expr.KindLoad || n.Kind == expr.KindVar {
+			if err := g.emit(n); err != nil {
+				return nil, err
+			}
+			continue
+		}
+		op := &Op{Kind: OpCompute, Node: n, Strategy: Local, ScalarName: g.scalarName[n.ID], Output: -1}
+		for _, in := range n.Inputs {
+			src, dtype := g.plan.Value(g.plan.NodeValue[in.Node.ID]), dep.Reference
+			if in.Transposed {
+				src, dtype = g.localTranspose(src), dep.Transpose
+			}
+			op.Inputs = append(op.Inputs, src.ID)
+			op.InDeps = append(op.InDeps, dtype)
+		}
+		if !n.Kind.IsAggregate() {
+			op.Output = g.newValue(n.ID, false, dep.SchemeNone, nil).ID
+			g.plan.NodeValue[n.ID] = op.Output
+		}
+		g.addOp(op)
+	}
+	g.plan.AssignStages()
+	return g.plan, nil
+}
+
 func generate(p *expr.Program, cfg Config, baseline bool) (*Plan, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -56,6 +95,19 @@ func generate(p *expr.Program, cfg Config, baseline bool) (*Plan, error) {
 	if cfg.Workers < 1 {
 		return nil, fmt.Errorf("core: need at least 1 worker, got %d", cfg.Workers)
 	}
+	g := newGen(p, cfg, baseline)
+	for _, idx := range p.OperatorOrder() {
+		if err := g.emit(p.Nodes()[idx]); err != nil {
+			return nil, err
+		}
+	}
+	g.plan.finalizeFlexible()
+	g.plan.AssignStages()
+	g.plan.licenseInPlace()
+	return g.plan, nil
+}
+
+func newGen(p *expr.Program, cfg Config, baseline bool) *gen {
 	g := &gen{
 		plan: &Plan{
 			Program:   p,
@@ -69,15 +121,7 @@ func generate(p *expr.Program, cfg Config, baseline bool) (*Plan, error) {
 	for _, so := range p.ScalarOuts() {
 		g.scalarName[so.Node.ID] = so.Name
 	}
-	for _, idx := range p.OperatorOrder() {
-		if err := g.emit(p.Nodes()[idx]); err != nil {
-			return nil, err
-		}
-	}
-	g.plan.finalizeFlexible()
-	g.plan.AssignStages()
-	g.plan.licenseInPlace()
-	return g.plan, nil
+	return g
 }
 
 // inputRecord remembers an input event that was satisfied through a
@@ -117,7 +161,10 @@ func (g *gen) newValue(m dep.MatrixID, transposed bool, scheme dep.Scheme, flexi
 	return v
 }
 
+// addOp appends op to the plan. No operator overwrites an input until
+// licenseInPlace grants it.
 func (g *gen) addOp(op *Op) int {
+	op.InPlace = -1
 	g.plan.Ops = append(g.plan.Ops, op)
 	return len(g.plan.Ops) - 1
 }

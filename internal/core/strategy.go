@@ -38,6 +38,9 @@ const (
 	AggCol
 	// AggBcast computes a driver aggregate over a broadcast input.
 	AggBcast
+	// Local runs any operator on one worker over hash-placed operands: the
+	// single-machine reference's only strategy (GenerateLocal).
+	Local
 )
 
 // String names the strategy as in the paper.
@@ -63,6 +66,8 @@ func (s Strategy) String() string {
 		return "agg(c)"
 	case AggBcast:
 		return "agg(b)"
+	case Local:
+		return "local"
 	default:
 		return fmt.Sprintf("Strategy(%d)", int(s))
 	}

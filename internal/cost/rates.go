@@ -2,7 +2,7 @@
 // delivers per second (Rates), how work turns into modelled seconds, what
 // each operator kind costs in floating-point operations, and how many bytes
 // a matrix occupies. Every layer that prices work — the planner's |A|, the
-// rewriter's chain DP, the cluster's and the local engine's charges, the
+// rewriter's chain DP, the cluster's charges (every engine's), the
 // kernel metrics, the checkpoint trigger, admission control, the baselines
 // and the figure harness — calls these functions and holds no constant of
 // its own, so calibrating the model is a change to this package alone.

@@ -177,6 +177,11 @@ func NewCluster(cfg Config) *Cluster {
 // Workers returns the number of simulated workers.
 func (c *Cluster) Workers() int { return c.cfg.Workers }
 
+// whole is the one-worker rule: on a cluster of one worker every matrix is
+// whole on that worker, so hash-placed operands need no alignment and an
+// aggregate needs no driver collect.
+func (c *Cluster) whole() bool { return c.cfg.Workers == 1 }
+
 // LocalParallelism returns the threads per worker.
 func (c *Cluster) LocalParallelism() int { return c.cfg.LocalParallelism }
 

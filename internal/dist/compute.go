@@ -27,6 +27,9 @@ const (
 	// column slice of A with its row slice of B, and the partials are
 	// shuffled and summed into the requested output scheme (cost N x |C|).
 	CPMM
+	// Local: A(-) x B(-) -> C(-) on a one-worker cluster, where every
+	// hash-placed matrix is whole; the single-machine reference's multiply.
+	Local
 )
 
 // String names the strategy.
@@ -38,6 +41,8 @@ func (s MulStrategy) String() string {
 		return "RMM2"
 	case CPMM:
 		return "CPMM"
+	case Local:
+		return "Local"
 	default:
 		return fmt.Sprintf("MulStrategy(%d)", int(s))
 	}
@@ -56,6 +61,11 @@ func (c *Cluster) Multiply(ctx context.Context, a, b *DistMatrix, strategy MulSt
 		want = [2]dep.Scheme{dep.Row, dep.Broadcast}
 	case CPMM:
 		want = [2]dep.Scheme{dep.Col, dep.Row}
+	case Local:
+		if !c.whole() {
+			return nil, fmt.Errorf("dist: Local multiplication on %d workers", c.cfg.Workers)
+		}
+		want = [2]dep.Scheme{dep.SchemeNone, dep.SchemeNone}
 	default:
 		return nil, fmt.Errorf("dist: unknown multiplication strategy %d", strategy)
 	}
@@ -106,10 +116,11 @@ func (c *Cluster) Multiply(ctx context.Context, a, b *DistMatrix, strategy MulSt
 
 // Cells evaluates a cell-wise tree over identically placed matrices — a single
 // cell-wise, scalar or element-wise function operator is a tree of one link —
-// with no communication; the result keeps the inputs' scheme. The tree's
-// parameters must be bound. It charges, link by link, what the operators cost
-// one at a time (cost.CellLinkFLOPs, a scalar link over
-// the stored elements of its operand).
+// with no communication; the result keeps the inputs' scheme. Hash-placed
+// inputs are identically placed only on one worker. The tree's parameters
+// must be bound. It charges, link by link, what the operators cost one at a
+// time (cost.CellLinkFLOPs, a scalar link over the stored elements of its
+// operand).
 //
 // overwrite names the input whose blocks receive the result, -1 for none. The
 // caller vouches that nothing else can reach that matrix and must drop it.
@@ -125,7 +136,7 @@ func (c *Cluster) Cells(t *matrix.CellTree, ins []*DistMatrix, overwrite int) (*
 		}
 		mixed = mixed || a.trans != b.trans
 	}
-	if !a.Scheme.Valid() {
+	if !a.Scheme.Valid() && !c.whole() {
 		return nil, fmt.Errorf("dist: cellwise on scheme %s", a.Scheme)
 	}
 	if err := c.opFault(); err != nil {
@@ -153,8 +164,12 @@ func (c *Cluster) Cells(t *matrix.CellTree, ins []*DistMatrix, overwrite int) (*
 
 // collect charges a tiny driver collect (8 bytes per alive worker) for an
 // aggregate operator; on the wire it gathers one aggregate frame per alive
-// worker.
+// worker. On one worker the aggregate is already whole there: nothing is
+// sent or charged.
 func (c *Cluster) collect(ctx context.Context, stage int) error {
+	if c.whole() {
+		return nil
+	}
 	sent := time.Now()
 	wire, err := c.transport.Collect(ctx, stage, c.aliveList())
 	wireS := time.Since(sent).Seconds()

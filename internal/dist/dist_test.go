@@ -358,6 +358,80 @@ func TestAggregates(t *testing.T) {
 	}
 }
 
+// TestOneWorkerClusterHasNoNetwork: on one worker every matrix is whole on
+// that worker — aggregates collect nothing, hash-placed operands combine
+// cell-wise and multiply with Local — and a local transpose is charged as on
+// any cluster.
+func TestOneWorkerClusterHasNoNetwork(t *testing.T) {
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(11))
+	g := randGrid(rng, 6, 6, 3, 1)
+	one := matrix.FromDense(1, 1, 1, []float64{7})
+	for _, workers := range []int{1, 2, 4} {
+		c := NewCluster(Config{Workers: workers, LocalParallelism: 2})
+		m := NewDistMatrix(g, dep.Row)
+		if _, err := c.Sum(ctx, m, 1); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Norm2(ctx, m, 1); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Value(ctx, NewDistMatrix(one, dep.Row), 1); err != nil {
+			t.Fatal(err)
+		}
+		wantBytes, wantEvents := int64(3*8*workers), 3
+		if workers == 1 {
+			wantBytes, wantEvents = 0, 0
+		}
+		if s := c.Net().Snapshot(); s.Bytes != wantBytes || s.CommEvents != wantEvents {
+			t.Errorf("%d workers: aggregates charged %d bytes in %d events, want %d in %d",
+				workers, s.Bytes, s.CommEvents, wantBytes, wantEvents)
+		}
+	}
+
+	add := oneLink(matrix.CellLink{Kind: matrix.LinkBin, BinOp: matrix.OpAdd})
+	hash := NewDistMatrix(g, dep.SchemeNone)
+	single, pair := NewCluster(Config{Workers: 1}), NewCluster(Config{Workers: 2})
+	out, err := single.Cells(add, []*DistMatrix{hash, hash}, -1)
+	if err != nil {
+		t.Fatalf("hash-placed cell-wise on one worker: %v", err)
+	}
+	if want, _ := matrix.CellwiseGrid(matrix.OpAdd, g, g); out.Scheme != dep.SchemeNone || !matrix.GridEqual(out.Grid, want, 0) {
+		t.Errorf("hash-placed cell-wise on one worker: %s, wrong values or scheme", out)
+	}
+	if _, err := pair.Cells(add, []*DistMatrix{hash, hash}, -1); err == nil {
+		t.Error("hash-placed cell-wise on two workers must fail")
+	}
+
+	prod, err := single.Multiply(ctx, hash, single.Transpose(hash), Local, dep.SchemeNone, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want, _ := matrix.MulGrid(g, g.Transpose()); prod.Scheme != dep.SchemeNone || !matrix.GridEqual(prod.Grid, want, 1e-12) {
+		t.Errorf("Local product %s differs from the serial one", prod)
+	}
+	if _, err := single.Multiply(ctx, hash, NewDistMatrix(g, dep.Row), Local, dep.SchemeNone, 1); err == nil {
+		t.Error("Local multiplication of a row-partitioned operand must fail")
+	}
+	if _, err := pair.Multiply(ctx, hash, hash, Local, dep.SchemeNone, 1); err == nil {
+		t.Error("Local multiplication on two workers must fail")
+	}
+	if s := single.Net().Snapshot(); s.Bytes != 0 || s.CommEvents != 0 {
+		t.Errorf("one worker moved %d bytes in %d events", s.Bytes, s.CommEvents)
+	}
+
+	// The transpose that folds a transposed assignment back into the session
+	// costs a Local engine what it costs DMac's cluster.
+	four := NewCluster(Config{Workers: 4})
+	before1, before4 := single.Net().Snapshot().FLOPs, four.Net().Snapshot().FLOPs
+	single.Transpose(hash)
+	four.Transpose(NewDistMatrix(g, dep.Row))
+	d1, d4 := single.Net().Snapshot().FLOPs-before1, four.Net().Snapshot().FLOPs-before4
+	if want := cost.TransposeFLOPs(float64(g.NNZ())); d1 != want || d4 != want {
+		t.Errorf("transpose charged %v FLOPs on one worker, %v on four, want %v", d1, d4, want)
+	}
+}
+
 // modelSec prices a cluster's accumulated statistics the way the engine
 // prices a run.
 func modelSec(c *Cluster) float64 {

@@ -8,7 +8,12 @@
 //     with core.GenerateSystemMLS — no dependency analysis, every operator
 //     repartitions its inputs.
 //   - Local: the single-machine in-memory reference ("R" in the paper's
-//     figures): the whole program runs on one worker, no communication.
+//     figures): plans with core.GenerateLocal — one worker, every value
+//     hash-placed, one stage, no communication.
+//
+// All three run their plans on one stage runner (execute): stage records,
+// spans, per-operator metrics and cancellation between stages are the same
+// for every engine.
 //
 // An Engine owns a session: named variables materialized by previous Run
 // calls (with their schemes) and named driver scalars produced by aggregate
@@ -76,7 +81,7 @@ type Metrics struct {
 	// FLOPs is the estimated arithmetic performed.
 	FLOPs float64
 	// Stages is the number of un-interleaved stages of the executed plan
-	// (0 for the local engine).
+	// (1 for the local engine).
 	Stages int
 	// Retries counts stage attempts repeated after worker failures.
 	Retries int
@@ -126,7 +131,7 @@ type Metrics struct {
 	// PerStage attributes the run to its stages, separating measured wall
 	// time, modelled local compute time and modelled network time — the
 	// per-stage decomposition the run-level ModelSeconds folds together.
-	// Sorted by stage; empty for the local engine.
+	// Sorted by stage; one record for the local engine.
 	PerStage []StageMetrics
 }
 
@@ -636,13 +641,10 @@ func (e *Engine) RunCtx(ctx context.Context, p *expr.Program, params map[string]
 		}
 	}()
 	// The rewrite pass (when attached) canonicalizes the program first;
-	// everything downstream — the local interpreter, plan generation, both
-	// plan caches and execution — sees the rewritten program. Caches stay
-	// keyed by the caller's Program pointer.
+	// everything downstream — plan generation, both plan caches and
+	// execution — sees the rewritten program. Caches stay keyed by the
+	// caller's Program pointer.
 	rp := e.rewritten(p)
-	if e.planner == Local {
-		return e.runLocal(rp, params)
-	}
 	sig := e.planSignature(rp)
 	var plan *core.Plan
 	source := "miss"
@@ -668,15 +670,7 @@ func (e *Engine) RunCtx(ctx context.Context, p *expr.Program, params map[string]
 			e.metrics.Counter("plan.cache.shared.hits").Inc()
 		} else {
 			var err error
-			cfg := e.planConfig()
-			switch e.planner {
-			case DMac:
-				plan, err = core.Generate(rp, cfg)
-			case SystemMLS:
-				plan, err = core.GenerateSystemMLS(rp, cfg)
-			default:
-				return Metrics{}, fmt.Errorf("engine: unknown planner %d", e.planner)
-			}
+			plan, err = e.generate(rp)
 			if err != nil {
 				return Metrics{}, err
 			}
@@ -732,14 +726,21 @@ func (e *Engine) RunCtx(ctx context.Context, p *expr.Program, params map[string]
 // current session, without executing it (the dmacplan explain path). Like
 // Run, it plans the rewritten program when a rewriter is attached.
 func (e *Engine) Plan(p *expr.Program) (*core.Plan, error) {
-	rp := e.rewritten(p)
+	return e.generate(e.rewritten(p))
+}
+
+// generate plans a (rewritten) program against the session with the
+// engine's planner: the one place the three planners part ways.
+func (e *Engine) generate(rp *expr.Program) (*core.Plan, error) {
 	switch e.planner {
 	case DMac:
 		return core.Generate(rp, e.planConfig())
 	case SystemMLS:
 		return core.GenerateSystemMLS(rp, e.planConfig())
+	case Local:
+		return core.GenerateLocal(rp)
 	default:
-		return nil, fmt.Errorf("engine: planner %s has no distributed plan", e.planner)
+		return nil, fmt.Errorf("engine: unknown planner %d", e.planner)
 	}
 }
 

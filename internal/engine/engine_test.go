@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"dmac/internal/cost"
 	"dmac/internal/dep"
 	"dmac/internal/dist"
 	"dmac/internal/expr"
@@ -263,29 +264,46 @@ func TestScalarParamsAndAggregates(t *testing.T) {
 	}
 }
 
+// TestTransposedAssignment: Y := Xᵀ stores Y as declared, 12 x 20 with
+// Y[i][j] = X[j][i], on every planner — whether X is a bare leaf the session
+// holds only hash-placed or a value the program computes — and every planner
+// charges the same transpose for it.
 func TestTransposedAssignment(t *testing.T) {
-	e := New(DMac, testConfig(), 4)
-	rng := rand.New(rand.NewSource(9))
-	a := randDenseGrid(rng, 8, 12, 4)
-	if err := e.Bind("A", a.Clone()); err != nil {
-		t.Fatal(err)
-	}
-	p := expr.NewProgram()
-	av := p.Var("A", 8, 12, 1)
-	doubled := p.Scalar(matrix.ScalarMul, av, 2)
-	p.Assign("At2", doubled.T())
-	if _, err := e.Run(p, nil); err != nil {
-		t.Fatal(err)
-	}
-	g, ok := e.Grid("At2")
-	if !ok {
-		t.Fatal("At2 missing")
-	}
-	if g.Rows() != 12 || g.Cols() != 8 {
-		t.Fatalf("At2 shape %dx%d", g.Rows(), g.Cols())
-	}
-	if math.Abs(g.At(5, 2)-2*a.At(2, 5)) > 1e-12 {
-		t.Error("transposed assignment wrong values")
+	const bs = 4
+	x := randDenseGrid(rand.New(rand.NewSource(3)), 20, 12, bs)
+	for _, planner := range []Planner{DMac, SystemMLS, Local} {
+		for _, computed := range []bool{false, true} {
+			e := New(planner, testConfig(), bs)
+			if err := e.Bind("X", x.Clone()); err != nil {
+				t.Fatal(err)
+			}
+			p := expr.NewProgram()
+			src, scale := p.Var("X", 20, 12, 1), 1.0
+			if computed {
+				src, scale = p.Scalar(matrix.ScalarMul, src, 2), 2
+			}
+			p.Assign("Y", src.T())
+			m, err := e.Run(p, nil)
+			if err != nil {
+				t.Fatalf("%s computed=%v: %v", planner, computed, err)
+			}
+			// Folding Xᵀ back is the bare leaf's only work, charged alike.
+			if want := cost.TransposeFLOPs(float64(x.NNZ())); !computed && m.FLOPs != want {
+				t.Errorf("%s: Y := Xᵀ charged %v FLOPs, want %v", planner, m.FLOPs, want)
+			}
+			y, _ := e.Grid("Y")
+			if y.Rows() != 12 || y.Cols() != 20 {
+				t.Errorf("%s computed=%v: Y is %dx%d, declared 12x20", planner, computed, y.Rows(), y.Cols())
+				continue
+			}
+			for i := 0; i < 12; i++ {
+				for j := 0; j < 20; j++ {
+					if got, want := y.At(i, j), scale*x.At(j, i); got != want {
+						t.Fatalf("%s computed=%v: Y[%d][%d] = %v, want %v", planner, computed, i, j, got, want)
+					}
+				}
+			}
+		}
 	}
 }
 
@@ -327,8 +345,14 @@ func TestPlannerStringsAndPlanExplain(t *testing.T) {
 		t.Errorf("GNMF plan has %d stages", plan.Stages)
 	}
 	eLocal := New(Local, testConfig(), tBS)
-	if _, err := eLocal.Plan(gnmfProgram(0.3)); err == nil {
-		t.Error("local engine should not produce distributed plans")
+	bindGNMF(t, eLocal)
+	local, err := eLocal.Plan(gnmfProgram(0.3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if local.Stages != 1 || local.TotalCommBytes() != 0 {
+		t.Errorf("local GNMF plan has %d stages and %d comm bytes, want one stage and none",
+			local.Stages, local.TotalCommBytes())
 	}
 }
 

@@ -416,6 +416,8 @@ func (e *Engine) compute(ctx context.Context, plan *core.Plan, op *core.Op, vals
 			strat = dist.RMM2
 		case core.CPMM:
 			strat = dist.CPMM
+		case core.Local:
+			strat = dist.Local
 		default:
 			return nil, fmt.Errorf("multiplication with strategy %s", op.Strategy)
 		}
@@ -467,35 +469,39 @@ func (e *Engine) compute(ctx context.Context, plan *core.Plan, op *core.Op, vals
 }
 
 // commitAssignments folds the program's assignments into the session. Every
-// materialized instance of the assigned matrix is kept, so the next program
-// execution sees all cached schemes (this is how DMac reuses, e.g., both
-// W(r) and W(b) across GNMF iterations).
+// materialized instance of the assigned matrix with a concrete scheme is
+// kept, so the next program execution sees all cached schemes (this is how
+// DMac reuses, e.g., both W(r) and W(b) across GNMF iterations). A matrix held
+// only hash-placed — always, on the Local engine — keeps its primary value.
+// Either way an instance stored transposed to the assigned orientation is
+// transposed locally (no communication) before it is kept.
 func (e *Engine) commitAssignments(plan *core.Plan, vals []*dist.DistMatrix) error {
 	for _, a := range plan.Program.Assignments() {
 		node := a.Ref.Node
 		instances := make(map[dep.Scheme]*dist.DistMatrix)
 		for _, v := range plan.Values {
 			dm := vals[v.ID]
-			if v.Matrix != node.ID || dm == nil {
+			if v.Matrix != node.ID || dm == nil || v.Scheme == dep.SchemeNone {
 				continue
 			}
 			if v.Transposed != a.Ref.Transposed {
-				// The cached instance is the transpose of what the program
-				// assigns; transpose locally (free) to store the assigned
-				// orientation.
 				dm = e.cluster.Transpose(dm)
 			}
-			if _, ok := instances[dm.Scheme]; !ok && dm.Scheme != dep.SchemeNone {
+			if _, ok := instances[dm.Scheme]; !ok {
 				instances[dm.Scheme] = dm
 			}
 		}
 		if len(instances) == 0 {
-			// Fall back to the primary value even if hash-partitioned.
+			// Fall back to the primary value, hash-placed and untransposed.
 			id, ok := plan.NodeValue[node.ID]
 			if !ok || vals[id] == nil {
 				return fmt.Errorf("engine: assignment %q has no materialized value", a.Name)
 			}
-			instances[vals[id].Scheme] = vals[id]
+			dm := vals[id]
+			if a.Ref.Transposed {
+				dm = e.cluster.Transpose(dm)
+			}
+			instances[dm.Scheme] = dm
 		}
 		rows, cols := a.Ref.Rows(), a.Ref.Cols()
 		e.vars[a.Name] = &varState{rows: rows, cols: cols, instances: instances}

@@ -25,7 +25,8 @@
 // Every structural rule is gated on the pass's own cost model (ProgramCost)
 // being non-increasing, and the differential harness in this package proves
 // rewritten and unrewritten programs produce numerically equal results on
-// both the Local and DMac engines. Rewriting is deterministic and idempotent:
+// both the Local and DMac engines, which plan differently and run on the same
+// stage runner. Rewriting is deterministic and idempotent:
 // rewriting a rewritten program is a fixed point (the fuzz target checks
 // signature stability).
 package rewrite
