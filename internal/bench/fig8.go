@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"time"
@@ -53,7 +54,7 @@ func Fig8(graphName string, scaleDenominator int, blockSizes []int) ([]Fig8Point
 		exec := sched.NewExecutor(DefaultLocalParallelism, mem)
 		mem.Add(2 * adj.MemBytes())
 		start := time.Now()
-		out, err := exec.MulTrans(adj, adj, false, false, sched.InPlace)
+		out, err := exec.MulTrans(context.Background(), adj, adj, false, false, sched.InPlace)
 		if err != nil {
 			return nil, 0, fmt.Errorf("bench: fig8 bs=%d: %w", bs, err)
 		}

@@ -140,6 +140,19 @@ type Op struct {
 	// InPlace is the index into Inputs of the value a cell-wise OpCompute may
 	// overwrite with its result, -1 for none (see licenseInPlace).
 	InPlace int
+	// After lists, by position in StageOps(Stage), the operators of the same
+	// stage this one waits for: the producers of its inputs and, unless it
+	// runs a kernel (Kernel), the previous operator of the stage that does
+	// not. Set by AssignStages.
+	After []int
+}
+
+// Kernel reports whether the operator runs block kernels of its own: a
+// multiplication or a cell-wise operator. Only kernels overlap inside a
+// stage; leaves, transposes, extracts, partitions, broadcasts and aggregates
+// keep plan order among themselves (After).
+func (op *Op) Kernel() bool {
+	return op.Kind == OpCompute && (op.Node.Kind == expr.KindMul || op.Node.Kind.IsCellwise())
 }
 
 // Plan is an executable plan: operators in execution order over a store of
@@ -245,8 +258,8 @@ func (p *Plan) finalizeFlexible() {
 // stay in the stage of their latest input. Every stage 1..Stages holds an
 // operator: the first operator is a leaf, and each later one lands at most one
 // stage past its latest input; a plan with no operators has no stages. It
-// returns the stage count and keeps the stage index (StageOps, ValueStage) on
-// the plan.
+// returns the stage count and keeps the stage index (StageOps, ValueStage) and
+// each stage's operator graph (Op.After) on the plan.
 func (p *Plan) AssignStages() int {
 	p.valueStage = make([]int, len(p.Values))
 	p.stageOps = nil
@@ -274,7 +287,36 @@ func (p *Plan) AssignStages() int {
 		p.stageOps[stage-1] = append(p.stageOps[stage-1], op)
 	}
 	p.Stages = len(p.stageOps)
+	p.linkStages()
 	return p.Stages
+}
+
+// linkStages derives the edges of each stage's operator graph (Op.After),
+// once per plan, so a cached plan carries them: an edge from the producer of
+// every value to each operator of the same stage that reads it, and a chain
+// through the operators that run no kernel, in plan order.
+func (p *Plan) linkStages() {
+	pos := make([]int, len(p.Values))
+	for _, ops := range p.stageOps {
+		chain := -1
+		for j, op := range ops {
+			op.After = nil
+			for _, id := range op.Inputs {
+				if p.valueStage[id] == op.Stage {
+					op.After = append(op.After, pos[id])
+				}
+			}
+			if !op.Kernel() {
+				if chain >= 0 {
+					op.After = append(op.After, chain)
+				}
+				chain = j
+			}
+			if op.Output >= 0 {
+				pos[op.Output] = j
+			}
+		}
+	}
 }
 
 // licenseInPlace decides, once per plan, which cell-wise operators may write

@@ -12,6 +12,7 @@
 package dist
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -217,14 +218,15 @@ func (c *Cluster) Tracer() *obs.Tracer { return c.tracer.Load() }
 func (c *Cluster) Metrics() *obs.Registry { return c.metrics.Load() }
 
 // traceComm records one communication event in the tracer and the metrics
-// registry: a zero-duration "comm" span with the exact charged bytes, a
-// per-kind event counter, and byte histograms. It must be called by every
-// code path that charges communication to NetStats, with the same byte
-// count, so trace totals and network totals agree exactly.
-func (c *Cluster) traceComm(stage int, name string, bytes int64, attrs ...obs.Attr) {
+// registry: a zero-duration "comm" span with the exact charged bytes, under
+// the span ctx carries, a per-kind event counter, and byte histograms. It
+// must be called by every code path that charges communication to NetStats,
+// with the same byte count, so trace totals and network totals agree
+// exactly.
+func (c *Cluster) traceComm(ctx context.Context, stage int, name string, bytes int64, attrs ...obs.Attr) {
 	if tr := c.tracer.Load(); tr.Enabled() {
 		base := []obs.Attr{obs.Int64("stage", int64(stage)), obs.Int64("bytes", bytes)}
-		tr.Event("comm", name, tr.Scope(), append(base, attrs...)...)
+		tr.Event("comm", name, tr.Parent(ctx), append(base, attrs...)...)
 	}
 	if m := c.metrics.Load(); m != nil {
 		m.Counter("comm." + name + ".events").Inc()

@@ -73,13 +73,13 @@ func (c *Cluster) Multiply(ctx context.Context, a, b *DistMatrix, strategy MulSt
 		return nil, fmt.Errorf("dist: %s requires schemes (%s,%s), got (%s,%s)",
 			strategy, want[0], want[1], a.Scheme, b.Scheme)
 	}
-	c.net.AddFLOPs(cost.MulFLOPs(a.Grid.NNZ(), b.Grid.NNZ(), a.Cols()))
-	if err := c.opFault(); err != nil {
+	c.addFLOPs(ctx, cost.MulFLOPs(a.Grid.NNZ(), b.Grid.NNZ(), a.Cols()))
+	if err := c.opFault(ctx); err != nil {
 		return nil, err
 	}
 	// Transpose views are fused into the multiply kernels: the stored grids
 	// are read by stride, no transposed copy is allocated.
-	grid, err := c.exec.MulTrans(a.Grid, b.Grid, a.trans, b.trans, sched.InPlace)
+	grid, err := c.exec.MulTrans(ctx, a.Grid, b.Grid, a.trans, b.trans, sched.InPlace)
 	if err != nil {
 		return nil, err
 	}
@@ -93,6 +93,9 @@ func (c *Cluster) Multiply(ctx context.Context, a, b *DistMatrix, strategy MulSt
 		if outScheme != dep.Row && outScheme != dep.Col {
 			return nil, fmt.Errorf("dist: CPMM output scheme %s", outScheme)
 		}
+		if err := collectiveTurn(ctx); err != nil {
+			return nil, err
+		}
 		// Shuffled aggregation of the per-worker partial products, across
 		// the workers still alive: every alive worker ships its partial of
 		// each output block to the block's owner.
@@ -105,11 +108,11 @@ func (c *Cluster) Multiply(ctx context.Context, a, b *DistMatrix, strategy MulSt
 			return nil, err
 		}
 		c.net.AddComm(workers * out.Bytes())
-		c.traceComm(stage, "cpmm-shuffle", workers*out.Bytes(),
+		c.traceComm(ctx, stage, "cpmm-shuffle", workers*out.Bytes(),
 			obs.String("strategy", "CPMM"), obs.String("to_scheme", outScheme.String()),
 			obs.Int64("workers", workers))
-		c.verifyTransfer(out, stage, "cpmm-shuffle")
-		c.chargeWire(stage, "cpmm-shuffle", wire, wireS)
+		c.verifyTransfer(ctx, out, stage, "cpmm-shuffle")
+		c.chargeWire(ctx, stage, "cpmm-shuffle", wire, wireS)
 	}
 	return out, nil
 }
@@ -124,7 +127,8 @@ func (c *Cluster) Multiply(ctx context.Context, a, b *DistMatrix, strategy MulSt
 //
 // overwrite names the input whose blocks receive the result, -1 for none. The
 // caller vouches that nothing else can reach that matrix and must drop it.
-func (c *Cluster) Cells(t *matrix.CellTree, ins []*DistMatrix, overwrite int) (*DistMatrix, error) {
+// Every other input is only read: other operators may be reading it too.
+func (c *Cluster) Cells(ctx context.Context, t *matrix.CellTree, ins []*DistMatrix, overwrite int) (*DistMatrix, error) {
 	if len(ins) == 0 {
 		return nil, fmt.Errorf("dist: cellwise without inputs")
 	}
@@ -139,27 +143,28 @@ func (c *Cluster) Cells(t *matrix.CellTree, ins []*DistMatrix, overwrite int) (*
 	if !a.Scheme.Valid() && !c.whole() {
 		return nil, fmt.Errorf("dist: cellwise on scheme %s", a.Scheme)
 	}
-	if err := c.opFault(); err != nil {
+	if err := c.opFault(ctx); err != nil {
 		return nil, err
 	}
 	// Cell-wise operators commute with transposition: views in one
 	// orientation combine on their stored grids and the result stays a view.
-	// Mixed orientations force the views to materialize first.
+	// Mixed orientations transpose each view into a grid of the operator's
+	// own; the view itself is left as it is.
 	grids := make([]*matrix.Grid, len(ins))
 	for i, m := range ins {
-		if mixed {
-			c.MaterializedGrid(m)
-		}
 		grids[i] = m.Grid
+		if mixed && m.trans {
+			grids[i] = c.exec.Transpose(ctx, m.Grid)
+		}
 	}
-	grid, nnz, err := c.exec.Cells(t, grids, overwrite)
+	grid, nnz, err := c.exec.Cells(ctx, t, grids, overwrite)
 	if err != nil {
 		return nil, err
 	}
 	for j, l := range t.Links {
-		c.net.AddFLOPs(cost.CellLinkFLOPs(l.Kind, a.Rows(), a.Cols(), float64(nnz[j])))
+		c.addFLOPs(ctx, cost.CellLinkFLOPs(l.Kind, a.Rows(), a.Cols(), float64(nnz[j])))
 	}
-	return &DistMatrix{Grid: grid, Scheme: a.Scheme, trans: a.trans}, nil
+	return &DistMatrix{Grid: grid, Scheme: a.Scheme, trans: a.trans && !mixed}, nil
 }
 
 // collect charges a tiny driver collect (8 bytes per alive worker) for an
@@ -170,6 +175,9 @@ func (c *Cluster) collect(ctx context.Context, stage int) error {
 	if c.whole() {
 		return nil
 	}
+	if err := collectiveTurn(ctx); err != nil {
+		return err
+	}
 	sent := time.Now()
 	wire, err := c.transport.Collect(ctx, stage, c.aliveList())
 	wireS := time.Since(sent).Seconds()
@@ -178,15 +186,15 @@ func (c *Cluster) collect(ctx context.Context, stage int) error {
 	}
 	bytes := 8 * int64(c.AliveWorkers())
 	c.net.AddComm(bytes)
-	c.traceComm(stage, "collect", bytes)
-	c.chargeWire(stage, "collect", wire, wireS)
+	c.traceComm(ctx, stage, "collect", bytes)
+	c.chargeWire(ctx, stage, "collect", wire, wireS)
 	return nil
 }
 
 // Sum computes the sum of all cells: local partials plus a tiny driver
 // collect (8 bytes per alive worker).
 func (c *Cluster) Sum(ctx context.Context, a *DistMatrix, stage int) (float64, error) {
-	c.net.AddFLOPs(cost.SumFLOPs(float64(a.Grid.NNZ())))
+	c.addFLOPs(ctx, cost.SumFLOPs(float64(a.Grid.NNZ())))
 	if err := c.collect(ctx, stage); err != nil {
 		return 0, err
 	}
@@ -195,7 +203,7 @@ func (c *Cluster) Sum(ctx context.Context, a *DistMatrix, stage int) (float64, e
 
 // Norm2 computes the Frobenius norm with the same collect cost as Sum.
 func (c *Cluster) Norm2(ctx context.Context, a *DistMatrix, stage int) (float64, error) {
-	c.net.AddFLOPs(cost.Norm2FLOPs(float64(a.Grid.NNZ())))
+	c.addFLOPs(ctx, cost.Norm2FLOPs(float64(a.Grid.NNZ())))
 	if err := c.collect(ctx, stage); err != nil {
 		return 0, err
 	}
@@ -207,7 +215,7 @@ func (c *Cluster) Value(ctx context.Context, a *DistMatrix, stage int) (float64,
 	if a.Rows() != 1 || a.Cols() != 1 {
 		return 0, fmt.Errorf("dist: value() on %dx%d matrix", a.Rows(), a.Cols())
 	}
-	if err := c.opFault(); err != nil {
+	if err := c.opFault(ctx); err != nil {
 		return 0, err
 	}
 	if err := c.collect(ctx, stage); err != nil {

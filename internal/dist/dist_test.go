@@ -95,14 +95,14 @@ func TestExtractAndTransposeAreFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	g := randGrid(rng, 10, 14, 4, 0.3)
 	b := NewDistMatrix(g, dep.Broadcast)
-	r, err := c.Extract(b, dep.Row)
+	r, err := c.Extract(context.Background(), b, dep.Row)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r.Scheme != dep.Row {
 		t.Errorf("extract scheme = %s", r.Scheme)
 	}
-	tr := c.Transpose(r)
+	tr := c.Transpose(context.Background(), r)
 	if tr.Scheme != dep.Col {
 		t.Errorf("transpose scheme = %s, want c", tr.Scheme)
 	}
@@ -112,10 +112,10 @@ func TestExtractAndTransposeAreFree(t *testing.T) {
 	if got := c.Net().Snapshot().Bytes; got != 0 {
 		t.Errorf("local ops moved %d bytes", got)
 	}
-	if _, err := c.Extract(r, dep.Col); err == nil {
+	if _, err := c.Extract(context.Background(), r, dep.Col); err == nil {
 		t.Error("extract from non-broadcast must fail")
 	}
-	if _, err := c.Extract(b, dep.Broadcast); err == nil {
+	if _, err := c.Extract(context.Background(), b, dep.Broadcast); err == nil {
 		t.Error("extract to broadcast must fail")
 	}
 }
@@ -217,7 +217,7 @@ func TestCellwiseAndScalar(t *testing.T) {
 	mul := oneLink(matrix.CellLink{Kind: matrix.LinkBin, BinOp: matrix.OpCellMul})
 	add := oneLink(matrix.CellLink{Kind: matrix.LinkBin, BinOp: matrix.OpAdd})
 	double := oneLink(matrix.CellLink{Kind: matrix.LinkScalar, ScalarOp: matrix.ScalarMul, Const: 2})
-	out, err := c.Cells(mul, []*DistMatrix{a, b}, -1)
+	out, err := c.Cells(context.Background(), mul, []*DistMatrix{a, b}, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,23 +231,23 @@ func TestCellwiseAndScalar(t *testing.T) {
 	if got := c.Net().Snapshot().Bytes; got != 0 {
 		t.Errorf("cellwise moved %d bytes", got)
 	}
-	if _, err := c.Cells(add, []*DistMatrix{a, NewDistMatrix(gb, dep.Row)}, -1); err == nil {
+	if _, err := c.Cells(context.Background(), add, []*DistMatrix{a, NewDistMatrix(gb, dep.Row)}, -1); err == nil {
 		t.Error("mismatched schemes must fail")
 	}
-	if _, err := c.Cells(add, []*DistMatrix{NewDistMatrix(ga, dep.SchemeNone), NewDistMatrix(gb, dep.SchemeNone)}, -1); err == nil {
+	if _, err := c.Cells(context.Background(), add, []*DistMatrix{NewDistMatrix(ga, dep.SchemeNone), NewDistMatrix(gb, dep.SchemeNone)}, -1); err == nil {
 		t.Error("hash scheme cellwise must fail")
 	}
-	if _, err := c.Cells(add, []*DistMatrix{a, NewDistMatrix(randGrid(rng, 9, 8, 3, 1), dep.Col)}, -1); !errors.Is(err, matrix.ErrShape) {
+	if _, err := c.Cells(context.Background(), add, []*DistMatrix{a, NewDistMatrix(randGrid(rng, 9, 8, 3, 1), dep.Col)}, -1); !errors.Is(err, matrix.ErrShape) {
 		t.Errorf("mismatched shapes: %v, want ErrShape", err)
 	}
-	sc, err := c.Cells(double, []*DistMatrix{a}, -1)
+	sc, err := c.Cells(context.Background(), double, []*DistMatrix{a}, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !matrix.GridEqual(sc.Grid, matrix.ScalarGrid(matrix.ScalarMul, ga, 2), 0) {
 		t.Error("scalar result wrong")
 	}
-	if _, err := c.Cells(double, []*DistMatrix{NewDistMatrix(ga, dep.SchemeNone)}, -1); err == nil {
+	if _, err := c.Cells(context.Background(), double, []*DistMatrix{NewDistMatrix(ga, dep.SchemeNone)}, -1); err == nil {
 		t.Error("scalar on hash scheme must fail")
 	}
 
@@ -261,7 +261,7 @@ func TestCellwiseAndScalar(t *testing.T) {
 		{Kind: matrix.LinkBin, BinOp: matrix.OpAdd, A: matrix.CellValue(2), B: matrix.CellValue(3)},
 	}}
 	before := c.Net().Snapshot().FLOPs
-	fused, err := c.Cells(tree, []*DistMatrix{a, b, a}, -1)
+	fused, err := c.Cells(context.Background(), tree, []*DistMatrix{a, b, a}, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,20 +293,47 @@ func TestCellsTransposeViews(t *testing.T) {
 	prod, _ := matrix.CellwiseGrid(matrix.OpCellMul, ga, gb)
 	want, _ := matrix.CellwiseGrid(matrix.OpSub, prod.Transpose(), gc)
 
-	view := func(g *matrix.Grid) *DistMatrix { return c.Transpose(NewDistMatrix(g, dep.Row)) }
-	mixed, err := c.Cells(tree, []*DistMatrix{view(ga), view(gb), NewDistMatrix(gc, dep.Col)}, -1)
+	view := func(g *matrix.Grid) *DistMatrix { return c.Transpose(context.Background(), NewDistMatrix(g, dep.Row)) }
+	mixed, err := c.Cells(context.Background(), tree, []*DistMatrix{view(ga), view(gb), NewDistMatrix(gc, dep.Col)}, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if mixed.Trans() || !matrix.GridEqual(mixed.Grid, want, 0) {
 		t.Errorf("mixed orientations: view=%v, or wrong result", mixed.Trans())
 	}
-	same, err := c.Cells(tree, []*DistMatrix{view(ga), view(gb), view(gc.Transpose())}, -1)
+	same, err := c.Cells(context.Background(), tree, []*DistMatrix{view(ga), view(gb), view(gc.Transpose())}, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !same.Trans() || same.Scheme != dep.Col || !matrix.GridEqual(c.MaterializedGrid(same), want, 0) {
 		t.Errorf("one orientation: view=%v scheme=%s, or wrong result", same.Trans(), same.Scheme)
+	}
+}
+
+// TestCellsLeavesItsInputsAlone: a cell-wise operator over mixed
+// orientations transposes its views into grids of its own. The inputs stay
+// the views they were — other operators of the stage may be reading them at
+// the same time.
+func TestCellsLeavesItsInputsAlone(t *testing.T) {
+	c := testCluster()
+	rng := rand.New(rand.NewSource(11))
+	ga, gb := randGrid(rng, 6, 9, 3, 1), randGrid(rng, 9, 6, 3, 1)
+	view := c.Transpose(context.Background(), NewDistMatrix(ga, dep.Row))
+	plain := NewDistMatrix(gb, dep.Col)
+	add := oneLink(matrix.CellLink{Kind: matrix.LinkBin, BinOp: matrix.OpAdd})
+	out, err := c.Cells(context.Background(), add, []*DistMatrix{view, plain}, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := matrix.CellwiseGrid(matrix.OpAdd, ga.Transpose(), gb)
+	if out.Trans() || !matrix.GridEqual(out.Grid, want, 0) {
+		t.Errorf("mixed orientations: view=%v, or wrong result", out.Trans())
+	}
+	if !view.Trans() || view.Grid != ga {
+		t.Errorf("the view input was rewritten: Trans()=%v, grid replaced=%v", view.Trans(), view.Grid != ga)
+	}
+	if plain.Trans() || plain.Grid != gb {
+		t.Errorf("the plain input was rewritten")
 	}
 }
 
@@ -320,7 +347,7 @@ func TestCellsConsumesTaskFault(t *testing.T) {
 	g := randGrid(rand.New(rand.NewSource(9)), 6, 6, 3, 1)
 	in := []*DistMatrix{NewDistMatrix(g, dep.Row)}
 	sqrt := oneLink(matrix.CellLink{Kind: matrix.LinkFunc, UFunc: matrix.FuncAbs})
-	_, err := c.Cells(sqrt, in, -1)
+	_, err := c.Cells(context.Background(), sqrt, in, -1)
 	var wf *WorkerFailure
 	if !errors.As(err, &wf) || wf.Worker != 1 || wf.Kind != FaultKillTask {
 		t.Fatalf("Cells = %v, want worker-1 task kill", err)
@@ -328,7 +355,7 @@ func TestCellsConsumesTaskFault(t *testing.T) {
 	if got := c.Net().Snapshot().FLOPs; got != 0 {
 		t.Errorf("failed operator charged %v flops", got)
 	}
-	if _, err := c.Cells(sqrt, in, -1); err != nil {
+	if _, err := c.Cells(context.Background(), sqrt, in, -1); err != nil {
 		t.Errorf("fault fired twice: %v", err)
 	}
 }
@@ -392,18 +419,18 @@ func TestOneWorkerClusterHasNoNetwork(t *testing.T) {
 	add := oneLink(matrix.CellLink{Kind: matrix.LinkBin, BinOp: matrix.OpAdd})
 	hash := NewDistMatrix(g, dep.SchemeNone)
 	single, pair := NewCluster(Config{Workers: 1}), NewCluster(Config{Workers: 2})
-	out, err := single.Cells(add, []*DistMatrix{hash, hash}, -1)
+	out, err := single.Cells(context.Background(), add, []*DistMatrix{hash, hash}, -1)
 	if err != nil {
 		t.Fatalf("hash-placed cell-wise on one worker: %v", err)
 	}
 	if want, _ := matrix.CellwiseGrid(matrix.OpAdd, g, g); out.Scheme != dep.SchemeNone || !matrix.GridEqual(out.Grid, want, 0) {
 		t.Errorf("hash-placed cell-wise on one worker: %s, wrong values or scheme", out)
 	}
-	if _, err := pair.Cells(add, []*DistMatrix{hash, hash}, -1); err == nil {
+	if _, err := pair.Cells(context.Background(), add, []*DistMatrix{hash, hash}, -1); err == nil {
 		t.Error("hash-placed cell-wise on two workers must fail")
 	}
 
-	prod, err := single.Multiply(ctx, hash, single.Transpose(hash), Local, dep.SchemeNone, 1)
+	prod, err := single.Multiply(ctx, hash, single.Transpose(context.Background(), hash), Local, dep.SchemeNone, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -424,8 +451,8 @@ func TestOneWorkerClusterHasNoNetwork(t *testing.T) {
 	// costs a Local engine what it costs DMac's cluster.
 	four := NewCluster(Config{Workers: 4})
 	before1, before4 := single.Net().Snapshot().FLOPs, four.Net().Snapshot().FLOPs
-	single.Transpose(hash)
-	four.Transpose(NewDistMatrix(g, dep.Row))
+	single.Transpose(context.Background(), hash)
+	four.Transpose(context.Background(), NewDistMatrix(g, dep.Row))
 	d1, d4 := single.Net().Snapshot().FLOPs-before1, four.Net().Snapshot().FLOPs-before4
 	if want := cost.TransposeFLOPs(float64(g.NNZ())); d1 != want || d4 != want {
 		t.Errorf("transpose charged %v FLOPs on one worker, %v on four, want %v", d1, d4, want)

@@ -191,7 +191,7 @@ func (c *Cluster) LoadImbalance(m *DistMatrix) float64 {
 // materialization itself adds no model cost.
 func (c *Cluster) MaterializedGrid(m *DistMatrix) *matrix.Grid {
 	if m.trans {
-		m.Grid = c.exec.Transpose(m.Grid)
+		m.Grid = c.exec.Transpose(context.Background(), m.Grid)
 		m.trans = false
 	}
 	return m.Grid
@@ -206,7 +206,10 @@ func (c *Cluster) Partition(ctx context.Context, m *DistMatrix, scheme dep.Schem
 	if scheme != dep.Row && scheme != dep.Col {
 		return nil, fmt.Errorf("dist: partition to invalid scheme %s", scheme)
 	}
-	if err := c.opFault(); err != nil {
+	if err := c.opFault(ctx); err != nil {
+		return nil, err
+	}
+	if err := collectiveTurn(ctx); err != nil {
 		return nil, err
 	}
 	out := &DistMatrix{Grid: m.Grid, Scheme: scheme, trans: m.trans}
@@ -219,10 +222,10 @@ func (c *Cluster) Partition(ctx context.Context, m *DistMatrix, scheme dep.Schem
 		return nil, err
 	}
 	c.net.AddComm(m.Bytes())
-	c.traceComm(stage, "partition", m.Bytes(),
+	c.traceComm(ctx, stage, "partition", m.Bytes(),
 		obs.String("from_scheme", m.Scheme.String()), obs.String("to_scheme", scheme.String()))
-	c.verifyTransfer(m, stage, "partition")
-	c.chargeWire(stage, "partition", wire, wireS)
+	c.verifyTransfer(ctx, m, stage, "partition")
+	c.chargeWire(ctx, stage, "partition", wire, wireS)
 	return out, nil
 }
 
@@ -232,6 +235,9 @@ func (c *Cluster) Partition(ctx context.Context, m *DistMatrix, scheme dep.Schem
 // once and the alive workers forward it around the ring, so no single link
 // carries the whole fan-out.
 func (c *Cluster) Broadcast(ctx context.Context, m *DistMatrix, stage int) (*DistMatrix, error) {
+	if err := collectiveTurn(ctx); err != nil {
+		return nil, err
+	}
 	sent := time.Now()
 	wire, err := c.transport.Ring(ctx, "broadcast", stage, m.ringXfers(), c.aliveList())
 	wireS := time.Since(sent).Seconds()
@@ -240,23 +246,23 @@ func (c *Cluster) Broadcast(ctx context.Context, m *DistMatrix, stage int) (*Dis
 	}
 	replicas := int64(c.AliveWorkers())
 	c.net.AddBroadcast(replicas * m.Bytes())
-	c.traceComm(stage, "broadcast", replicas*m.Bytes(),
+	c.traceComm(ctx, stage, "broadcast", replicas*m.Bytes(),
 		obs.String("from_scheme", m.Scheme.String()), obs.Int64("replicas", replicas))
-	c.verifyTransfer(m, stage, "broadcast")
-	c.chargeWire(stage, "broadcast", wire, wireS)
+	c.verifyTransfer(ctx, m, stage, "broadcast")
+	c.chargeWire(ctx, stage, "broadcast", wire, wireS)
 	return &DistMatrix{Grid: m.Grid, Scheme: dep.Broadcast, trans: m.trans}, nil
 }
 
 // Extract locally filters a broadcast replica down to a Row or Col
 // partition; no communication (the extract extended operator).
-func (c *Cluster) Extract(m *DistMatrix, scheme dep.Scheme) (*DistMatrix, error) {
+func (c *Cluster) Extract(ctx context.Context, m *DistMatrix, scheme dep.Scheme) (*DistMatrix, error) {
 	if m.Scheme != dep.Broadcast {
 		return nil, fmt.Errorf("dist: extract from scheme %s", m.Scheme)
 	}
 	if scheme != dep.Row && scheme != dep.Col {
 		return nil, fmt.Errorf("dist: extract to invalid scheme %s", scheme)
 	}
-	if err := c.opFault(); err != nil {
+	if err := c.opFault(ctx); err != nil {
 		return nil, err
 	}
 	return &DistMatrix{Grid: m.Grid, Scheme: scheme, trans: m.trans}, nil
@@ -269,8 +275,8 @@ func (c *Cluster) Extract(m *DistMatrix, scheme dep.Scheme) (*DistMatrix, error)
 // and other consumers materialize it on demand. The modelled FLOPs are
 // charged here, when the transpose logically happens, so stage accounting is
 // independent of whether the view is ever realized.
-func (c *Cluster) Transpose(m *DistMatrix) *DistMatrix {
-	c.net.AddFLOPs(cost.TransposeFLOPs(float64(m.Grid.NNZ())))
+func (c *Cluster) Transpose(ctx context.Context, m *DistMatrix) *DistMatrix {
+	c.addFLOPs(ctx, cost.TransposeFLOPs(float64(m.Grid.NNZ())))
 	return &DistMatrix{Grid: m.Grid, Scheme: m.Scheme.Opposite(), trans: !m.trans}
 }
 
@@ -278,6 +284,9 @@ func (c *Cluster) Transpose(m *DistMatrix) *DistMatrix {
 // materializes the transpose (SystemML-S pays |A| for it). On the wire each
 // block travels once, to the owner of its transposed coordinates.
 func (c *Cluster) ShuffleTranspose(ctx context.Context, m *DistMatrix, stage int) (*DistMatrix, error) {
+	if err := collectiveTurn(ctx); err != nil {
+		return nil, err
+	}
 	// The move set is m's blocks re-homed under the transposed placement.
 	view := &DistMatrix{Grid: m.Grid, Scheme: m.Scheme.Opposite(), trans: !m.trans}
 	sent := time.Now()
@@ -287,15 +296,15 @@ func (c *Cluster) ShuffleTranspose(ctx context.Context, m *DistMatrix, stage int
 		return nil, err
 	}
 	c.net.AddComm(m.Bytes())
-	c.traceComm(stage, "shuffle-transpose", m.Bytes(),
+	c.traceComm(ctx, stage, "shuffle-transpose", m.Bytes(),
 		obs.String("from_scheme", m.Scheme.String()))
-	c.verifyTransfer(m, stage, "shuffle-transpose")
-	c.chargeWire(stage, "shuffle-transpose", wire, wireS)
-	c.net.AddFLOPs(cost.TransposeFLOPs(float64(m.Grid.NNZ())))
+	c.verifyTransfer(ctx, m, stage, "shuffle-transpose")
+	c.chargeWire(ctx, stage, "shuffle-transpose", wire, wireS)
+	c.addFLOPs(ctx, cost.TransposeFLOPs(float64(m.Grid.NNZ())))
 	if m.trans {
 		// The stored grid already is the transpose of the view; the shuffle
 		// materializes it as-is.
 		return &DistMatrix{Grid: m.Grid, Scheme: m.Scheme.Opposite()}, nil
 	}
-	return &DistMatrix{Grid: c.exec.Transpose(m.Grid), Scheme: m.Scheme.Opposite()}, nil
+	return &DistMatrix{Grid: c.exec.Transpose(ctx, m.Grid), Scheme: m.Scheme.Opposite()}, nil
 }

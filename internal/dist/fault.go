@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"context"
 	"fmt"
 	"hash/fnv"
 	"sort"
@@ -369,14 +370,6 @@ func (c *Cluster) TakeFault() *WorkerFailure {
 	return f
 }
 
-// opFault adapts TakeFault to the error-returning cluster operators.
-func (c *Cluster) opFault() error {
-	if f := c.TakeFault(); f != nil {
-		return f
-	}
-	return nil
-}
-
 // takeCorrupt consumes the corruption faults armed for the current stage
 // attempt.
 func (c *Cluster) takeCorrupt() []FaultEvent {
@@ -411,7 +404,7 @@ func (c *Cluster) victimBlock(m *DistMatrix, worker int) (int, int) {
 // its source, charging the repeat transfer to the network; results therefore
 // stay bit-identical to a fault-free run while every corruption is detected
 // and accounted (NetStats CorruptionsInjected/CorruptionsDetected).
-func (c *Cluster) verifyTransfer(m *DistMatrix, stage int, op string) {
+func (c *Cluster) verifyTransfer(ctx context.Context, m *DistMatrix, stage int, op string) {
 	for _, ev := range c.takeCorrupt() {
 		bi, bj := c.victimBlock(m, ev.Worker)
 		blk := m.StoredBlock(bi, bj)
@@ -434,7 +427,7 @@ func (c *Cluster) verifyTransfer(m *DistMatrix, stage int, op string) {
 		}
 		refetch := m.BlockBytes(bi, bj)
 		c.net.AddComm(refetch)
-		c.traceComm(stage, "corrupt-refetch", refetch,
+		c.traceComm(ctx, stage, "corrupt-refetch", refetch,
 			obs.String("op", op), obs.Int64("worker", int64(ev.Worker)),
 			obs.Int64("block_row", int64(bi)), obs.Int64("block_col", int64(bj)))
 	}
@@ -447,7 +440,7 @@ func (c *Cluster) verifyTransfer(m *DistMatrix, stage int, op string) {
 // fault counters.
 func (c *Cluster) ChargeRecovery(stage, worker int, bytes int64) {
 	c.net.AddRecovery(bytes)
-	c.traceComm(stage, "recovery", bytes, obs.Int64("worker", int64(worker)))
+	c.traceComm(context.Background(), stage, "recovery", bytes, obs.Int64("worker", int64(worker)))
 	if m := c.metrics.Load(); m != nil {
 		m.Counter("fault.recovery.bytes").Add(bytes)
 	}

@@ -214,13 +214,13 @@ func (m *DistMatrix) ringXfers() []BlockXfer {
 // tells a slow scatter from a slow ring. The in-process transport reports
 // zero and charges nothing, so modelled accounting stays byte-for-byte what
 // it was before transports existed.
-func (c *Cluster) chargeWire(stage int, op string, w Wire, seconds float64) {
+func (c *Cluster) chargeWire(ctx context.Context, stage int, op string, w Wire, seconds float64) {
 	if w.Bytes == 0 && w.Frames == 0 {
 		return
 	}
 	c.net.AddWire(w.Bytes, w.Frames)
 	if tr := c.tracer.Load(); tr.Enabled() {
-		tr.Event("net", op, tr.Scope(),
+		tr.Event("net", op, tr.Parent(ctx),
 			obs.Int64("stage", int64(stage)),
 			obs.Int64("wire_bytes", w.Bytes),
 			obs.Int64("frames", w.Frames),

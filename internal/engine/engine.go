@@ -143,6 +143,10 @@ type StageMetrics struct {
 	// attempt, the recovery after its failures, and every replay of it after
 	// a later stage's restore (a replay books to the stage it re-runs).
 	WallSeconds float64
+	// OpSeconds is the sum of the wall times of the stage's operators over
+	// the same attempts and replays. Independent operators overlap, so it
+	// exceeds WallSeconds by the time they shared the cores.
+	OpSeconds float64
 	// ComputeSeconds is the modelled local compute time of the stage: its
 	// attributed FLOPs spread over all workers and threads, times the
 	// straggler slowdown.
@@ -197,6 +201,7 @@ func (m *Metrics) Add(other Metrics) {
 		}
 		dst := &m.PerStage[i]
 		dst.WallSeconds += s.WallSeconds
+		dst.OpSeconds += s.OpSeconds
 		dst.ComputeSeconds += s.ComputeSeconds
 		dst.NetworkSeconds += s.NetworkSeconds
 		dst.CommBytes += s.CommBytes
@@ -216,8 +221,8 @@ type varState struct {
 //
 // Concurrency contract: an Engine is a session and must be driven by at most
 // one goroutine at a time — Bind, Run/RunCtx, Reset, Grid and the setters all
-// touch unsynchronized session state (and RunCtx installs the run's context
-// on the cluster's executor for its duration). Run engines in parallel by
+// touch unsynchronized session state (and RunCtx installs the engine's block
+// pool on the cluster's executor for its duration). Run engines in parallel by
 // giving each goroutine its own Engine; the serve job service does exactly
 // that with a pool of engines, sharing only the concurrency-safe pieces (the
 // metrics registry and the shared PlanCache) across them.
@@ -265,6 +270,8 @@ type Engine struct {
 	// each run, it owns the dense result blocks the run allocates until
 	// reclaim finds them unreachable or Grid hands them to a caller.
 	pool *sched.BlockPool
+	// stage runs the operators of the current stage (runOps).
+	stage stageRun
 }
 
 type planCacheEntry struct {
@@ -629,12 +636,10 @@ func (e *Engine) RunCtx(ctx context.Context, p *expr.Program, params map[string]
 	// The run takes its result blocks from the engine's pool; once it has
 	// returned, whatever it left unreachable goes back to the free list.
 	exec := e.cluster.Executor()
-	exec.SetContext(ctx)
 	exec.SetPool(e.pool)
 	flushed := exec.Flushed()
 	defer func() {
 		exec.SetPool(nil)
-		exec.SetContext(nil)
 		e.reclaim()
 		if err == nil {
 			m.SubnormalsFlushed = exec.Flushed() - flushed

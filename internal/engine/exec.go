@@ -140,7 +140,7 @@ func (e *Engine) execute(ctx context.Context, plan *core.Plan, sig string, param
 	// plan with no stages has no values to fold back.
 	w := e.window()
 	e.cacheLeafInstances(plan, st.vals)
-	err = e.commitAssignments(plan, st.vals)
+	err = e.commitAssignments(ctx, plan, st.vals)
 	if plan.Stages > 0 {
 		e.book(st, plan.Stages, w)
 	}
@@ -256,10 +256,11 @@ func (e *Engine) recoverStage(st *execState, stage int, wf *dist.WorkerFailure) 
 	}
 }
 
-// opSpan opens the span of one plan operator: name from the operator kind
-// (plus the program node's label where there is one), attributes carrying
-// stage, strategy and the dependency types satisfied on its input edges.
-func (e *Engine) opSpan(plan *core.Plan, stage int, op *core.Op) obs.SpanID {
+// opSpan opens the span of one plan operator under parent: name from the
+// operator kind (plus the program node's label where there is one),
+// attributes carrying stage, strategy and the dependency types satisfied on
+// its input edges.
+func (e *Engine) opSpan(plan *core.Plan, stage int, op *core.Op, parent obs.SpanID) obs.SpanID {
 	if !e.tracer.Enabled() {
 		return 0
 	}
@@ -289,63 +290,33 @@ func (e *Engine) opSpan(plan *core.Plan, stage int, op *core.Op) obs.SpanID {
 	if op.Output >= 0 {
 		attrs = append(attrs, obs.String("out_scheme", plan.Value(op.Output).Scheme.String()))
 	}
-	return e.tracer.Start("op", name, e.tracer.Scope(), attrs...)
+	return e.tracer.Start("op", name, parent, attrs...)
 }
 
-// runOps executes one stage's ops in plan order against the run's value
-// table, one "op" span and one time-histogram sample per operator.
-func (e *Engine) runOps(ctx context.Context, st *execState, stage int) error {
+// dispatch runs one plan operator against the run's value table on the
+// cluster; ctx carries the operator's span and turn (see stageRun).
+func (e *Engine) dispatch(ctx context.Context, st *execState, op *core.Op) (*dist.DistMatrix, error) {
 	plan, vals := st.plan, st.vals
-	for i, op := range plan.StageOps(stage) {
-		var (
-			out *dist.DistMatrix
-			err error
-		)
-		span := e.opSpan(plan, stage, op)
-		prevScope := e.tracer.SetScope(span)
-		opStart := time.Now()
-		switch op.Kind {
-		case core.OpLoad, core.OpVar:
-			out, err = e.leafInstance(op, plan)
-		case core.OpPartition:
-			out, err = e.cluster.Partition(ctx, vals[op.Inputs[0]], plan.Value(op.Output).Scheme, op.Stage)
-		case core.OpBroadcast:
-			out, err = e.cluster.Broadcast(ctx, vals[op.Inputs[0]], op.Stage)
-		case core.OpTranspose:
-			if op.CommBytes > 0 {
-				// Baseline transpose job: shuffle-based.
-				out, err = e.cluster.ShuffleTranspose(ctx, vals[op.Inputs[0]], op.Stage)
-			} else {
-				out = e.cluster.Transpose(vals[op.Inputs[0]])
-			}
-		case core.OpExtract:
-			out, err = e.cluster.Extract(vals[op.Inputs[0]], plan.Value(op.Output).Scheme)
-		case core.OpCompute:
-			out, err = e.compute(ctx, plan, op, vals, st.params)
-		default:
-			e.tracer.SetScope(prevScope)
-			e.tracer.End(span)
-			return fmt.Errorf("engine: stage %d op %d has unexpected kind %v", stage, i, op.Kind)
+	switch op.Kind {
+	case core.OpLoad, core.OpVar:
+		return e.leafInstance(op, plan)
+	case core.OpPartition:
+		return e.cluster.Partition(ctx, vals[op.Inputs[0]], plan.Value(op.Output).Scheme, op.Stage)
+	case core.OpBroadcast:
+		return e.cluster.Broadcast(ctx, vals[op.Inputs[0]], op.Stage)
+	case core.OpTranspose:
+		if op.CommBytes > 0 {
+			// Baseline transpose job: shuffle-based.
+			return e.cluster.ShuffleTranspose(ctx, vals[op.Inputs[0]], op.Stage)
 		}
-		e.tracer.SetScope(prevScope)
-		if e.metrics != nil {
-			e.metrics.Histogram("op."+op.Kind.String()+".seconds", obs.SecondsBuckets).
-				Observe(time.Since(opStart).Seconds())
-			e.metrics.Counter("op." + op.Kind.String() + ".count").Inc()
-		}
-		if err != nil {
-			e.tracer.End(span, obs.String("error", err.Error()))
-			return fmt.Errorf("engine: stage %d op %d (%s): %w", stage, i, op.Kind, err)
-		}
-		e.tracer.End(span)
-		if op.Output >= 0 {
-			if out == nil {
-				return fmt.Errorf("engine: stage %d op %d produced no value", stage, i)
-			}
-			vals[op.Output] = out
-		}
+		return e.cluster.Transpose(ctx, vals[op.Inputs[0]]), nil
+	case core.OpExtract:
+		return e.cluster.Extract(ctx, vals[op.Inputs[0]], plan.Value(op.Output).Scheme)
+	case core.OpCompute:
+		return e.compute(ctx, plan, op, vals, st.params)
+	default:
+		return nil, fmt.Errorf("unexpected operator kind %v", op.Kind)
 	}
-	return nil
 }
 
 // cacheLeafInstances merges the repartitioned instances of input variables
@@ -435,7 +406,7 @@ func (e *Engine) compute(ctx context.Context, plan *core.Plan, op *core.Op, vals
 		for i := range ins {
 			ins[i] = in(i)
 		}
-		out, err := e.cluster.Cells(tree, ins, op.InPlace)
+		out, err := e.cluster.Cells(ctx, tree, ins, op.InPlace)
 		if err == nil && op.InPlace >= 0 {
 			// The input's blocks now hold the result: nothing may reach
 			// them under the old identity.
@@ -475,7 +446,7 @@ func (e *Engine) compute(ctx context.Context, plan *core.Plan, op *core.Op, vals
 // only hash-placed — always, on the Local engine — keeps its primary value.
 // Either way an instance stored transposed to the assigned orientation is
 // transposed locally (no communication) before it is kept.
-func (e *Engine) commitAssignments(plan *core.Plan, vals []*dist.DistMatrix) error {
+func (e *Engine) commitAssignments(ctx context.Context, plan *core.Plan, vals []*dist.DistMatrix) error {
 	for _, a := range plan.Program.Assignments() {
 		node := a.Ref.Node
 		instances := make(map[dep.Scheme]*dist.DistMatrix)
@@ -485,7 +456,7 @@ func (e *Engine) commitAssignments(plan *core.Plan, vals []*dist.DistMatrix) err
 				continue
 			}
 			if v.Transposed != a.Ref.Transposed {
-				dm = e.cluster.Transpose(dm)
+				dm = e.cluster.Transpose(ctx, dm)
 			}
 			if _, ok := instances[dm.Scheme]; !ok {
 				instances[dm.Scheme] = dm
@@ -499,7 +470,7 @@ func (e *Engine) commitAssignments(plan *core.Plan, vals []*dist.DistMatrix) err
 			}
 			dm := vals[id]
 			if a.Ref.Transposed {
-				dm = e.cluster.Transpose(dm)
+				dm = e.cluster.Transpose(ctx, dm)
 			}
 			instances[dm.Scheme] = dm
 		}

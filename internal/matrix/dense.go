@@ -56,13 +56,19 @@ func (d *DenseBlock) Dense() *DenseBlock { return d }
 // Transpose returns a new dense block that is the transpose of d.
 func (d *DenseBlock) Transpose() Block {
 	t := NewDense(d.cols, d.rows)
+	d.TransposeInto(t)
+	return t
+}
+
+// TransposeInto writes the transpose of d into t, which must be d.Cols() x
+// d.Rows(); every element of t is written.
+func (d *DenseBlock) TransposeInto(t *DenseBlock) {
 	for i := 0; i < d.rows; i++ {
 		row := d.Data[i*d.cols : (i+1)*d.cols]
 		for j, v := range row {
 			t.Data[j*d.rows+i] = v
 		}
 	}
-	return t
 }
 
 // Clone returns a deep copy of d.

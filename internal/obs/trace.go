@@ -11,6 +11,7 @@
 package obs
 
 import (
+	"context"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -176,7 +177,8 @@ func (t *Tracer) Event(cat, name string, parent SpanID, attrs ...Attr) {
 
 // SetScope sets the tracer's current scope span — the parent that
 // lower-layer spans (dist comm events, sched batches) attach to when the
-// engine executes operators sequentially — and returns the previous scope.
+// context they run under carries no span of its own (see Parent) — and
+// returns the previous scope.
 func (t *Tracer) SetScope(id SpanID) SpanID {
 	if t == nil {
 		return 0
@@ -190,6 +192,29 @@ func (t *Tracer) Scope() SpanID {
 		return 0
 	}
 	return SpanID(t.scope.Load())
+}
+
+// spanKey is the context key of the span ContextWithSpan installs.
+type spanKey struct{}
+
+// ContextWithSpan returns a copy of ctx that names id as the parent of the
+// spans started by work done under it (Tracer.Parent). Operators that run
+// concurrently each carry their own span this way, where one tracer scope
+// could name only one of them.
+func ContextWithSpan(ctx context.Context, id SpanID) context.Context {
+	return context.WithValue(ctx, spanKey{}, id)
+}
+
+// Parent returns the span a lower layer parents its spans under: the one ctx
+// carries (ContextWithSpan), or the current scope when it carries none.
+func (t *Tracer) Parent(ctx context.Context) SpanID {
+	if t == nil {
+		return 0
+	}
+	if id, ok := ctx.Value(spanKey{}).(SpanID); ok {
+		return id
+	}
+	return t.Scope()
 }
 
 // Spans returns a copy of the finished spans in completion order.

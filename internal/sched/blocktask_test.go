@@ -3,6 +3,7 @@
 package sched
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"syscall"
@@ -57,9 +58,9 @@ func BenchmarkBlockTaskFixedCost(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					var err error
 					if form.name == "rowvec" {
-						_, err = e.MulTrans(rank, v, false, false, InPlace)
+						_, err = e.MulTrans(context.Background(), rank, v, false, false, InPlace)
 					} else {
-						_, err = e.MulTrans(v, v, true, false, InPlace)
+						_, err = e.MulTrans(context.Background(), v, v, true, false, InPlace)
 					}
 					if err != nil {
 						b.Fatal(err)

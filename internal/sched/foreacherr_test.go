@@ -11,7 +11,7 @@ import (
 func TestForEachErrReturnsFirstError(t *testing.T) {
 	e := NewExecutor(4, nil)
 	sentinel := errors.New("boom")
-	err := e.ForEachErr(100, func(i int) error {
+	err := e.ForEachErr(context.Background(), 100, func(i int) error {
 		if i == 17 {
 			return sentinel
 		}
@@ -20,7 +20,7 @@ func TestForEachErrReturnsFirstError(t *testing.T) {
 	if !errors.Is(err, sentinel) {
 		t.Errorf("ForEachErr = %v, want sentinel", err)
 	}
-	if err := e.ForEachErr(100, func(int) error { return nil }); err != nil {
+	if err := e.ForEachErr(context.Background(), 100, func(int) error { return nil }); err != nil {
 		t.Errorf("ForEachErr with no failures = %v", err)
 	}
 }
@@ -29,7 +29,7 @@ func TestForEachErrCancelsRemainingTasks(t *testing.T) {
 	e := NewExecutor(2, nil)
 	const n = 10000
 	var ran atomic.Int32
-	err := e.ForEachErr(n, func(i int) error {
+	err := e.ForEachErr(context.Background(), n, func(i int) error {
 		ran.Add(1)
 		if i == 0 {
 			return fmt.Errorf("task %d failed", i)
@@ -50,7 +50,7 @@ func TestForEachErrCancelsRemainingTasks(t *testing.T) {
 func TestForEachErrSequentialStopsAtError(t *testing.T) {
 	e := NewExecutor(1, nil)
 	var ran int
-	err := e.ForEachErr(100, func(i int) error {
+	err := e.ForEachErr(context.Background(), 100, func(i int) error {
 		ran++
 		if i == 5 {
 			return errors.New("stop")
@@ -68,10 +68,9 @@ func TestForEachErrObservesContext(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		e := NewExecutor(workers, nil)
 		ctx, cancel := context.WithCancel(context.Background())
-		e.SetContext(ctx)
 		const n = 10000
 		var ran atomic.Int32
-		err := e.ForEachErr(n, func(i int) error {
+		err := e.ForEachErr(ctx, n, func(i int) error {
 			if ran.Add(1) == 5 {
 				cancel()
 			}
@@ -83,10 +82,9 @@ func TestForEachErrObservesContext(t *testing.T) {
 		if got := ran.Load(); got > n/2 {
 			t.Errorf("workers=%d: %d of %d tasks ran after cancellation", workers, got, n)
 		}
-		// Restoring the background context makes batches run normally again.
-		e.SetContext(nil)
-		if err := e.ForEachErr(10, func(int) error { return nil }); err != nil {
-			t.Errorf("workers=%d: ForEachErr after SetContext(nil) = %v", workers, err)
+		// The cancellation belongs to the batch: the next one runs normally.
+		if err := e.ForEachErr(context.Background(), 10, func(int) error { return nil }); err != nil {
+			t.Errorf("workers=%d: ForEachErr after a cancelled batch = %v", workers, err)
 		}
 	}
 }
@@ -96,9 +94,8 @@ func TestForEachErrExpiredDeadline(t *testing.T) {
 	e := NewExecutor(4, nil)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	e.SetContext(ctx)
 	var ran atomic.Int32
-	err := e.ForEachErr(100, func(i int) error {
+	err := e.ForEachErr(ctx, 100, func(i int) error {
 		ran.Add(1)
 		return nil
 	})
@@ -133,8 +130,8 @@ func TestForEachNested(t *testing.T) {
 func TestForEachErrNestedPropagates(t *testing.T) {
 	e := NewExecutor(4, nil)
 	sentinel := errors.New("inner boom")
-	err := e.ForEachErr(8, func(i int) error {
-		return e.ForEachErr(8, func(j int) error {
+	err := e.ForEachErr(context.Background(), 8, func(i int) error {
+		return e.ForEachErr(context.Background(), 8, func(j int) error {
 			if i == 3 && j == 4 {
 				return sentinel
 			}

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
@@ -50,7 +51,7 @@ func TestMulTransMatchesMaterialized(t *testing.T) {
 			}
 			for _, s := range []MulStrategy{InPlace, Buffer} {
 				e := NewExecutor(2, nil)
-				got, err := e.MulTrans(a, b, combo.aT, combo.bT, s)
+				got, err := e.MulTrans(context.Background(), a, b, combo.aT, combo.bT, s)
 				if err != nil {
 					t.Fatalf("strategy %v: %v", s, err)
 				}
@@ -70,10 +71,10 @@ func TestMulTransShapeErrors(t *testing.T) {
 	b := randGrid(rng, 6, 5, 2, 1)
 	e := NewExecutor(1, nil)
 	// a (6x4) * b (6x5) mismatches untransposed but works as t(a)*b.
-	if _, err := e.MulTrans(a, b, false, false, InPlace); err == nil {
+	if _, err := e.MulTrans(context.Background(), a, b, false, false, InPlace); err == nil {
 		t.Error("expected shape error for untransposed mismatch")
 	}
-	if _, err := e.MulTrans(a, b, true, false, InPlace); err != nil {
+	if _, err := e.MulTrans(context.Background(), a, b, true, false, InPlace); err != nil {
 		t.Errorf("t(a)*b should be valid: %v", err)
 	}
 }
@@ -97,7 +98,7 @@ func TestKernelMulFlopsMatchModel(t *testing.T) {
 	e := NewExecutor(2, nil)
 	reg := obs.NewRegistry()
 	e.SetObserver(nil, reg)
-	if _, err := e.MulTrans(a, b, false, false, InPlace); err != nil {
+	if _, err := e.MulTrans(context.Background(), a, b, false, false, InPlace); err != nil {
 		t.Fatal(err)
 	}
 	got, want := reg.Snapshot().Counters["kernel.mul.flops"], cost.MulFLOPs(a.NNZ(), b.NNZ(), 10)
@@ -116,7 +117,7 @@ func TestMulTransKernelMetrics(t *testing.T) {
 	e := NewExecutor(2, nil)
 	reg := obs.NewRegistry()
 	e.SetObserver(nil, reg)
-	if _, err := e.MulTrans(a, b, false, false, InPlace); err != nil {
+	if _, err := e.MulTrans(context.Background(), a, b, false, false, InPlace); err != nil {
 		t.Fatal(err)
 	}
 	snap := reg.Snapshot()

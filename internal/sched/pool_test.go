@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -73,11 +74,17 @@ func TestBlockPoolReusesResultBlocks(t *testing.T) {
 		{Kind: matrix.LinkFunc, UFunc: matrix.FuncSigmoid, A: matrix.CellValue(0)},
 	}}
 	paths := map[string]func(e *Executor) (*matrix.Grid, error){
-		"in-place": func(e *Executor) (*matrix.Grid, error) { return e.MulTrans(a, b, false, false, InPlace) },
-		"buffer":   func(e *Executor) (*matrix.Grid, error) { return e.MulTrans(a, b, false, false, Buffer) },
-		"trans":    func(e *Executor) (*matrix.Grid, error) { return e.MulTrans(b, a, true, true, InPlace) },
+		"in-place": func(e *Executor) (*matrix.Grid, error) {
+			return e.MulTrans(context.Background(), a, b, false, false, InPlace)
+		},
+		"buffer": func(e *Executor) (*matrix.Grid, error) {
+			return e.MulTrans(context.Background(), a, b, false, false, Buffer)
+		},
+		"trans": func(e *Executor) (*matrix.Grid, error) {
+			return e.MulTrans(context.Background(), b, a, true, true, InPlace)
+		},
 		"cells": func(e *Executor) (*matrix.Grid, error) {
-			g, _, err := e.Cells(tree, []*matrix.Grid{c, d}, -1)
+			g, _, err := e.Cells(context.Background(), tree, []*matrix.Grid{c, d}, -1)
 			return g, err
 		},
 	}
@@ -151,7 +158,7 @@ func TestBlockPoolDisownedNeverReused(t *testing.T) {
 	p := NewBlockPool()
 	e.SetPool(p)
 	rng := rand.New(rand.NewSource(5))
-	g, err := e.MulTrans(randGrid(rng, 9, 6, 4, 1), randGrid(rng, 6, 7, 4, 1), false, false, InPlace)
+	g, err := e.MulTrans(context.Background(), randGrid(rng, 9, 6, 4, 1), randGrid(rng, 6, 7, 4, 1), false, false, InPlace)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +177,7 @@ func TestBlockPoolOnlyWhileInstalled(t *testing.T) {
 	e.SetPool(p)
 	e.SetPool(nil)
 	rng := rand.New(rand.NewSource(6))
-	if _, err := e.MulTrans(randGrid(rng, 9, 6, 4, 1), randGrid(rng, 6, 7, 4, 1), false, false, InPlace); err != nil {
+	if _, err := e.MulTrans(context.Background(), randGrid(rng, 9, 6, 4, 1), randGrid(rng, 6, 7, 4, 1), false, false, InPlace); err != nil {
 		t.Fatal(err)
 	}
 	if p.Owned() != 0 {
@@ -191,7 +198,7 @@ func TestResultGridsHoldOnlyTheirBlocks(t *testing.T) {
 	e := NewExecutor(1, nil)
 	const batch = 10
 	allocs := testing.AllocsPerRun(50, func() {
-		if _, err := e.MulTrans(a, b, false, false, InPlace); err != nil {
+		if _, err := e.MulTrans(context.Background(), a, b, false, false, InPlace); err != nil {
 			t.Fatal(err)
 		}
 	})

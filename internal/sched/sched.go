@@ -44,10 +44,6 @@ type Executor struct {
 	// atomic so enabling observability never races with running batches.
 	tracer  atomic.Pointer[obs.Tracer]
 	metrics atomic.Pointer[obs.Registry]
-	// ctx is the cancellation context task batches observe (see SetContext);
-	// nil means context.Background(). Atomic for the same reason the
-	// observers are.
-	ctx atomic.Pointer[context.Context]
 	// pool supplies dense result blocks when set (see SetPool).
 	pool atomic.Pointer[BlockPool]
 	// flushed counts the result elements the result rule stored as zero.
@@ -80,23 +76,9 @@ func (e *Executor) SetObserver(t *obs.Tracer, m *obs.Registry) {
 	e.metrics.Store(m)
 }
 
-// SetContext installs the context every subsequent task batch observes:
-// workers check it between tasks, so cancelling it (or its deadline passing)
-// aborts a batch at the next task boundary and ForEachErr returns the
-// context's error. Tasks already running are allowed to finish — block tasks
-// are short, which makes the boundary check a clean and prompt cancellation
-// point. A nil context restores context.Background() (never cancelled).
-func (e *Executor) SetContext(ctx context.Context) {
-	if ctx == nil {
-		e.ctx.Store(nil)
-		return
-	}
-	e.ctx.Store(&ctx)
-}
-
 // SetPool installs the block pool every subsequent result block is taken
-// from; nil restores plain allocation. Like SetContext it is run-scoped: an
-// engine installs its pool for one run and removes it after, so callers
+// from; nil restores plain allocation. It is run-scoped: an engine installs
+// its pool for one run and removes it after, so callers
 // outside a run get fresh blocks that nothing owns.
 func (e *Executor) SetPool(p *BlockPool) { e.pool.Store(p) }
 
@@ -132,19 +114,11 @@ func (e *Executor) noteFlushed(n int64) {
 	}
 }
 
-// Context returns the context task batches currently observe.
-func (e *Executor) Context() context.Context {
-	if p := e.ctx.Load(); p != nil {
-		return *p
-	}
-	return context.Background()
-}
-
 // ForEach runs fn(i) for i in [0, n) on the executor's threads. It blocks
 // until all tasks complete. Tasks are claimed in order by every participant,
 // matching the task-queue model of Figure 4.
 func (e *Executor) ForEach(n int, fn func(i int)) {
-	e.ForEachErr(n, func(i int) error {
+	e.ForEachErr(context.Background(), n, func(i int) error {
 		fn(i)
 		return nil
 	})
@@ -157,15 +131,12 @@ func (e *Executor) ForEach(n int, fn func(i int)) {
 // fails, remaining tasks are cancelled (claimed without running) — the
 // task-level cancellation a failed stage attempt needs so a worker death
 // doesn't compute the rest of the stage for nothing. Tasks already running
-// are allowed to finish. Participants also observe the executor's context
-// (see SetContext) between tasks: a cancelled context aborts the batch the
-// same way a failed task does, and its error is returned.
-func (e *Executor) ForEachErr(n int, fn func(i int) error) error {
-	return e.forEach(e.Context(), n, fn)
-}
-
-// forEach is ForEachErr under an explicit context.
-func (e *Executor) forEach(ctx context.Context, n int, fn func(i int) error) error {
+// are allowed to finish. Participants also observe ctx between tasks: once it
+// is cancelled (or its deadline passes) the batch aborts at the next task
+// boundary the same way, and ForEachErr returns the context's error — block
+// tasks are short, which makes the boundary a prompt cancellation point. The
+// batch span parents under the span ctx carries (obs.Tracer.Parent).
+func (e *Executor) ForEachErr(ctx context.Context, n int, fn func(i int) error) error {
 	if n <= 0 {
 		return nil
 	}
@@ -180,7 +151,7 @@ func (e *Executor) forEach(ctx context.Context, n int, fn func(i int) error) err
 	// costs one atomic load.
 	if tr := e.tracer.Load(); tr.Enabled() {
 		batchStart := time.Now()
-		batch := tr.Start("sched", "batch", tr.Scope(),
+		batch := tr.Start("sched", "batch", tr.Parent(ctx),
 			obs.Int64("tasks", int64(n)), obs.Int64("workers", int64(workers)))
 		var waitNs, computeNs atomic.Int64
 		inner := fn
@@ -255,10 +226,11 @@ func (s MulStrategy) String() string {
 // 5.1). Transposition is fused into the block
 // kernels: logical block (bi, bk) of a transposed grid is stored block
 // (bk, bi) read by stride, so no transposed grid or block is ever
-// materialized on the multiply path. When a metrics registry is attached the
-// achieved GFLOPS of the whole multiply is recorded under kernel.mul.* and
+// materialized on the multiply path. The task batches observe ctx and hang
+// their spans under the span it carries. When a metrics registry is attached
+// the achieved GFLOPS of the whole multiply is recorded under kernel.mul.* and
 // the current intra-op parallelism under the kernel.workers gauge.
-func (e *Executor) MulTrans(a, b *matrix.Grid, aT, bT bool, strategy MulStrategy) (*matrix.Grid, error) {
+func (e *Executor) MulTrans(ctx context.Context, a, b *matrix.Grid, aT, bT bool, strategy MulStrategy) (*matrix.Grid, error) {
 	aRows, aCols := gridDims(a, aT)
 	bRows, bCols := gridDims(b, bT)
 	if aCols != bRows {
@@ -278,9 +250,9 @@ func (e *Executor) MulTrans(a, b *matrix.Grid, aT, bT bool, strategy MulStrategy
 	)
 	switch strategy {
 	case InPlace:
-		out, err = e.mulInPlace(a, b, aT, bT)
+		out, err = e.mulInPlace(ctx, a, b, aT, bT)
 	case Buffer:
-		out, err = e.mulBuffer(a, b, aT, bT)
+		out, err = e.mulBuffer(ctx, a, b, aT, bT)
 	default:
 		return nil, fmt.Errorf("sched: unknown multiplication strategy %d", strategy)
 	}
@@ -313,7 +285,7 @@ func gridDims(g *matrix.Grid, t bool) (rows, cols int) {
 // pool hands back a used one, so every element sums the same products in the
 // same order into a zero, and flushes it. A cancelled context stops the
 // batch and is returned.
-func (e *Executor) mulInPlace(a, b *matrix.Grid, aT, bT bool) (*matrix.Grid, error) {
+func (e *Executor) mulInPlace(ctx context.Context, a, b *matrix.Grid, aT, bT bool) (*matrix.Grid, error) {
 	aRows, _ := gridDims(a, aT)
 	_, bCols := gridDims(b, bT)
 	out := matrix.NewGridSlots(aRows, bCols, a.BlockSize())
@@ -322,7 +294,7 @@ func (e *Executor) mulInPlace(a, b *matrix.Grid, aT, bT bool) (*matrix.Grid, err
 	if aT {
 		inner = a.BlockRows()
 	}
-	err := e.ForEachErr(brows*bcols, func(idx int) error {
+	err := e.ForEachErr(ctx, brows*bcols, func(idx int) error {
 		bi, bj := idx/bcols, idx%bcols
 		r, c := out.BlockDims(bi, bj)
 		dst := e.result(r, c, true)
@@ -356,7 +328,7 @@ func gridBlock(g *matrix.Grid, bi, bj int, t bool) matrix.Block {
 // are buffered and aggregated afterwards. The intermediates are always fresh
 // (the Figure 7 baseline's cost); only the aggregated result blocks come
 // from the pool, and only they are flushed.
-func (e *Executor) mulBuffer(a, b *matrix.Grid, aT, bT bool) (*matrix.Grid, error) {
+func (e *Executor) mulBuffer(ctx context.Context, a, b *matrix.Grid, aT, bT bool) (*matrix.Grid, error) {
 	aRows, _ := gridDims(a, aT)
 	_, bCols := gridDims(b, bT)
 	out := matrix.NewGridSlots(aRows, bCols, a.BlockSize())
@@ -366,7 +338,7 @@ func (e *Executor) mulBuffer(a, b *matrix.Grid, aT, bT bool) (*matrix.Grid, erro
 		inner = a.BlockRows()
 	}
 	intermediates := make([]*matrix.DenseBlock, brows*bcols*inner)
-	err := e.ForEachErr(brows*bcols*inner, func(idx int) error {
+	err := e.ForEachErr(ctx, brows*bcols*inner, func(idx int) error {
 		bi := idx / (bcols * inner)
 		rem := idx % (bcols * inner)
 		bj, k := rem/inner, rem%inner
@@ -381,7 +353,7 @@ func (e *Executor) mulBuffer(a, b *matrix.Grid, aT, bT bool) (*matrix.Grid, erro
 	})
 	if err == nil {
 		// Aggregation pass: sum the buffered products per result block.
-		err = e.ForEachErr(brows*bcols, func(idx int) error {
+		err = e.ForEachErr(ctx, brows*bcols, func(idx int) error {
 			bi, bj := idx/bcols, idx%bcols
 			r, c := out.BlockDims(bi, bj)
 			dst := e.result(r, c, true)
@@ -424,8 +396,9 @@ func (e *Executor) mulBuffer(a, b *matrix.Grid, aT, bT bool) (*matrix.Grid, erro
 //
 // The result's NNZ is counted by the tasks as they write and seeded into the
 // grid. nnz has an entry per link: for a scalar link, the stored elements of
-// its operand (what cost.ScalarFLOPs charges).
-func (e *Executor) Cells(t *matrix.CellTree, ins []*matrix.Grid, overwrite int) (out *matrix.Grid, nnz []int64, err error) {
+// its operand (what cost.ScalarFLOPs charges). The batch observes ctx and
+// hangs its span under the span it carries.
+func (e *Executor) Cells(ctx context.Context, t *matrix.CellTree, ins []*matrix.Grid, overwrite int) (out *matrix.Grid, nnz []int64, err error) {
 	if err := t.Validate(); err != nil {
 		return nil, nil, err
 	}
@@ -447,7 +420,7 @@ func (e *Executor) Cells(t *matrix.CellTree, ins []*matrix.Grid, overwrite int) 
 	out = matrix.NewGridSlots(a.Rows(), a.Cols(), a.BlockSize())
 	counts := make([]atomic.Int64, len(t.Links)+1)
 	bcols := a.BlockCols()
-	err = e.ForEachErr(a.BlockRows()*bcols, func(idx int) error {
+	err = e.ForEachErr(ctx, a.BlockRows()*bcols, func(idx int) error {
 		bi, bj := idx/bcols, idx%bcols
 		blocks := make([]matrix.Block, len(ins))
 		dense := true
@@ -492,22 +465,31 @@ func (e *Executor) Cells(t *matrix.CellTree, ins []*matrix.Grid, overwrite int) 
 }
 
 // Transpose transposes a grid in parallel (a purely local operation: this is
-// what makes the Transpose dependency communication-free). Each call counts
-// against exec.transpose.count when metrics are attached, which is how tests
-// verify that the fused multiply path materializes no transposed grid. It
-// always runs to the end, whatever the executor's context: a lazy view is
+// what makes the Transpose dependency communication-free). Dense result
+// blocks come from the installed pool like every other result block. Each
+// call counts against exec.transpose.count when metrics are attached, which
+// is how tests verify that the fused multiply path materializes no
+// transposed grid. Its batch span parents under the span ctx carries, but it
+// always runs to the end, whatever ctx's cancellation: a lazy view is
 // realized in place (dist.Cluster.MaterializedGrid), and a half-transposed
 // grid must never take the view's place.
-func (e *Executor) Transpose(a *matrix.Grid) *matrix.Grid {
+func (e *Executor) Transpose(ctx context.Context, a *matrix.Grid) *matrix.Grid {
 	if m := e.metrics.Load(); m != nil {
 		m.Counter("exec.transpose.count").Inc()
 	}
 	out := matrix.NewGridSlots(a.Cols(), a.Rows(), a.BlockSize())
 	bcols := a.BlockCols()
-	e.forEach(context.Background(), a.BlockRows()*bcols, func(idx int) error {
+	e.ForEachErr(context.WithoutCancel(ctx), a.BlockRows()*bcols, func(idx int) error {
 		bi, bj := idx/bcols, idx%bcols
-		blk := a.Block(bi, bj).Transpose()
-		e.mem.Add(blk.MemBytes())
+		var blk matrix.Block
+		if d, ok := a.Block(bi, bj).(*matrix.DenseBlock); ok {
+			t := e.result(d.Cols(), d.Rows(), false)
+			d.TransposeInto(t)
+			blk = t
+		} else {
+			blk = a.Block(bi, bj).Transpose()
+			e.mem.Add(blk.MemBytes())
+		}
 		out.SetBlock(bj, bi, blk)
 		return nil
 	})

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -61,7 +62,7 @@ func TestMulStrategiesMatchReference(t *testing.T) {
 	}
 	for _, s := range []MulStrategy{InPlace, Buffer} {
 		e := NewExecutor(4, nil)
-		got, err := e.MulTrans(a, b, false, false, s)
+		got, err := e.MulTrans(context.Background(), a, b, false, false, s)
 		if err != nil {
 			t.Fatalf("%v: %v", s, err)
 		}
@@ -73,13 +74,13 @@ func TestMulStrategiesMatchReference(t *testing.T) {
 
 func TestMulErrors(t *testing.T) {
 	e := NewExecutor(2, nil)
-	if _, err := e.MulTrans(matrix.NewDenseGrid(2, 3, 2), matrix.NewDenseGrid(2, 3, 2), false, false, InPlace); err == nil {
+	if _, err := e.MulTrans(context.Background(), matrix.NewDenseGrid(2, 3, 2), matrix.NewDenseGrid(2, 3, 2), false, false, InPlace); err == nil {
 		t.Error("expected inner-dimension error")
 	}
-	if _, err := e.MulTrans(matrix.NewDenseGrid(2, 3, 2), matrix.NewDenseGrid(3, 2, 3), false, false, InPlace); err == nil {
+	if _, err := e.MulTrans(context.Background(), matrix.NewDenseGrid(2, 3, 2), matrix.NewDenseGrid(3, 2, 3), false, false, InPlace); err == nil {
 		t.Error("expected block-size error")
 	}
-	if _, err := e.MulTrans(matrix.NewDenseGrid(2, 3, 2), matrix.NewDenseGrid(3, 2, 2), false, false, MulStrategy(42)); err == nil {
+	if _, err := e.MulTrans(context.Background(), matrix.NewDenseGrid(2, 3, 2), matrix.NewDenseGrid(3, 2, 2), false, false, MulStrategy(42)); err == nil {
 		t.Error("expected unknown-strategy error")
 	}
 }
@@ -93,12 +94,12 @@ func TestInPlaceUsesLessPeakMemoryThanBuffer(t *testing.T) {
 
 	memIP := NewMemTracker()
 	eIP := NewExecutor(2, memIP)
-	if _, err := eIP.MulTrans(a, b, false, false, InPlace); err != nil {
+	if _, err := eIP.MulTrans(context.Background(), a, b, false, false, InPlace); err != nil {
 		t.Fatal(err)
 	}
 	memBuf := NewMemTracker()
 	eBuf := NewExecutor(2, memBuf)
-	if _, err := eBuf.MulTrans(a, b, false, false, Buffer); err != nil {
+	if _, err := eBuf.MulTrans(context.Background(), a, b, false, false, Buffer); err != nil {
 		t.Fatal(err)
 	}
 	if memIP.Peak() >= memBuf.Peak() {
@@ -113,7 +114,7 @@ func TestCellwiseAndScalarParallel(t *testing.T) {
 	e := NewExecutor(4, nil)
 	mul := &matrix.CellTree{Inputs: 2, Links: []matrix.CellLink{
 		{Kind: matrix.LinkBin, BinOp: matrix.OpCellMul, A: matrix.CellInput(0), B: matrix.CellInput(1)}}}
-	got, _, err := e.Cells(mul, []*matrix.Grid{a, b}, -1)
+	got, _, err := e.Cells(context.Background(), mul, []*matrix.Grid{a, b}, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,18 +122,18 @@ func TestCellwiseAndScalarParallel(t *testing.T) {
 	if !matrix.GridEqual(got, want, 0) {
 		t.Error("parallel cellwise differs from sequential")
 	}
-	if _, _, err := e.Cells(mul, []*matrix.Grid{a, matrix.NewDenseGrid(15, 14, 4)}, -1); !errors.Is(err, matrix.ErrShape) {
+	if _, _, err := e.Cells(context.Background(), mul, []*matrix.Grid{a, matrix.NewDenseGrid(15, 14, 4)}, -1); !errors.Is(err, matrix.ErrShape) {
 		t.Errorf("mismatched shapes: %v, want ErrShape", err)
 	}
-	if _, _, err := e.Cells(mul, []*matrix.Grid{a, matrix.NewDenseGrid(15, 15, 5)}, -1); !errors.Is(err, matrix.ErrShape) {
+	if _, _, err := e.Cells(context.Background(), mul, []*matrix.Grid{a, matrix.NewDenseGrid(15, 15, 5)}, -1); !errors.Is(err, matrix.ErrShape) {
 		t.Errorf("mismatched block sizes: %v, want ErrShape", err)
 	}
-	if _, _, err := e.Cells(mul, []*matrix.Grid{a}, -1); !errors.Is(err, matrix.ErrShape) {
+	if _, _, err := e.Cells(context.Background(), mul, []*matrix.Grid{a}, -1); !errors.Is(err, matrix.ErrShape) {
 		t.Errorf("missing input: %v, want ErrShape", err)
 	}
 	triple := &matrix.CellTree{Inputs: 1, Links: []matrix.CellLink{
 		{Kind: matrix.LinkScalar, ScalarOp: matrix.ScalarMul, Const: 3, A: matrix.CellInput(0)}}}
-	sc, nnz, err := e.Cells(triple, []*matrix.Grid{a}, -1)
+	sc, nnz, err := e.Cells(context.Background(), triple, []*matrix.Grid{a}, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +146,7 @@ func TestCellwiseAndScalarParallel(t *testing.T) {
 	}
 	named := &matrix.CellTree{Inputs: 1, Links: []matrix.CellLink{
 		{Kind: matrix.LinkScalar, ScalarOp: matrix.ScalarMul, Param: "alpha", A: matrix.CellInput(0)}}}
-	if _, _, err := e.Cells(named, []*matrix.Grid{a}, -1); err == nil {
+	if _, _, err := e.Cells(context.Background(), named, []*matrix.Grid{a}, -1); err == nil {
 		t.Error("an unbound parameter must fail")
 	}
 }
@@ -169,7 +170,7 @@ func TestCellsOverwrite(t *testing.T) {
 			target.SetBlock(3, 2, sp.Block(3, 2))
 		}
 		keepA, keepTarget := a.Clone(), target.Clone()
-		want, _, err := e.Cells(tree, []*matrix.Grid{a, b, target}, -1)
+		want, _, err := e.Cells(context.Background(), tree, []*matrix.Grid{a, b, target}, -1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -177,7 +178,7 @@ func TestCellsOverwrite(t *testing.T) {
 			t.Fatal("an evaluation without a licence wrote an input")
 		}
 		memBefore := e.Mem().Current()
-		got, _, err := e.Cells(tree, []*matrix.Grid{a, b, target}, 2)
+		got, _, err := e.Cells(context.Background(), tree, []*matrix.Grid{a, b, target}, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -227,9 +228,15 @@ func TestCellsSeedsNNZ(t *testing.T) {
 				a.SetBlock(0, 0, a.Block(0, 0).Dense()) // one dense block among the sparse
 			}
 			for name, run := range map[string]func() (*matrix.Grid, []int64, error){
-				"abs":          func() (*matrix.Grid, []int64, error) { return e.Cells(abs, []*matrix.Grid{a}, -1) },
-				"sign(a*b+1)":  func() (*matrix.Grid, []int64, error) { return e.Cells(prodPlus, []*matrix.Grid{a, b}, -1) },
-				"sign(a*a+1)!": func() (*matrix.Grid, []int64, error) { return e.Cells(prodPlus, []*matrix.Grid{a.Clone(), a}, 0) },
+				"abs": func() (*matrix.Grid, []int64, error) {
+					return e.Cells(context.Background(), abs, []*matrix.Grid{a}, -1)
+				},
+				"sign(a*b+1)": func() (*matrix.Grid, []int64, error) {
+					return e.Cells(context.Background(), prodPlus, []*matrix.Grid{a, b}, -1)
+				},
+				"sign(a*a+1)!": func() (*matrix.Grid, []int64, error) {
+					return e.Cells(context.Background(), prodPlus, []*matrix.Grid{a.Clone(), a}, 0)
+				},
 			} {
 				got, _, err := run()
 				if err != nil {
@@ -253,7 +260,7 @@ func TestTransposeParallel(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	a := randGrid(rng, 21, 13, 4, 0.3)
 	e := NewExecutor(4, nil)
-	got := e.Transpose(a)
+	got := e.Transpose(context.Background(), a)
 	if !matrix.GridEqual(got, a.Transpose(), 0) {
 		t.Error("parallel transpose differs from sequential")
 	}
@@ -356,11 +363,11 @@ func TestQuickStrategiesAgree(t *testing.T) {
 		a := randGrid(rng, n, m, bs, 0.5)
 		b := randGrid(rng, m, p, bs, 0.5)
 		e := NewExecutor(3, nil)
-		r1, err := e.MulTrans(a, b, false, false, InPlace)
+		r1, err := e.MulTrans(context.Background(), a, b, false, false, InPlace)
 		if err != nil {
 			return false
 		}
-		r2, err := e.MulTrans(a, b, false, false, Buffer)
+		r2, err := e.MulTrans(context.Background(), a, b, false, false, Buffer)
 		if err != nil {
 			return false
 		}

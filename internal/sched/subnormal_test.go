@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -69,7 +70,7 @@ func TestResultRule(t *testing.T) {
 				}
 				want, n := flushedCells(ref)
 				before := e.Flushed()
-				got, err := e.MulTrans(a, bb, false, bT, strategy)
+				got, err := e.MulTrans(context.Background(), a, bb, false, bT, strategy)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -95,7 +96,7 @@ func TestResultRule(t *testing.T) {
 		for _, overwrite := range []int{-1, 0} {
 			xs := x.Clone()
 			before := e.Flushed()
-			got, _, err := e.Cells(mul, []*matrix.Grid{xs, y}, overwrite)
+			got, _, err := e.Cells(context.Background(), mul, []*matrix.Grid{xs, y}, overwrite)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"context"
 	"errors"
 	"sync/atomic"
 	"testing"
@@ -22,7 +23,7 @@ func TestForEachErrTraced(t *testing.T) {
 	tr.SetScope(root)
 	const n = 64
 	var ran atomic.Int64
-	err := e.ForEachErr(n, func(i int) error {
+	err := e.ForEachErr(context.Background(), n, func(i int) error {
 		// Workers emit nested spans of their own; under -race this verifies
 		// tracer internals against the batch span bookkeeping.
 		id := tr.Start("sched", "task", tr.Scope(), obs.Int64("i", int64(i)))
@@ -90,7 +91,7 @@ func TestForEachErrTracedError(t *testing.T) {
 	e := NewExecutor(4, nil)
 	e.SetObserver(tr, nil)
 	boom := errors.New("boom")
-	err := e.ForEachErr(16, func(i int) error {
+	err := e.ForEachErr(context.Background(), 16, func(i int) error {
 		if i == 7 {
 			return boom
 		}
@@ -115,7 +116,7 @@ func TestForEachErrTracedError(t *testing.T) {
 func TestForEachErrUntracedUnchanged(t *testing.T) {
 	e := NewExecutor(4, nil)
 	var ran atomic.Int64
-	if err := e.ForEachErr(32, func(i int) error { ran.Add(1); return nil }); err != nil {
+	if err := e.ForEachErr(context.Background(), 32, func(i int) error { ran.Add(1); return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if ran.Load() != 32 {

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -79,7 +80,7 @@ func TestForEachNestedKernelStrips(t *testing.T) {
 		out := make([]*matrix.Grid, len(products))
 		e.ForEach(len(products), func(i int) {
 			p := products[i]
-			g, err := e.MulTrans(p.a, p.b, p.aT, p.bT, InPlace)
+			g, err := e.MulTrans(context.Background(), p.a, p.b, p.aT, p.bT, InPlace)
 			if err != nil {
 				t.Errorf("product %d: %v", i, err)
 				return
