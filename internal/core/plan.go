@@ -170,10 +170,11 @@ type Plan struct {
 	// Stages is the number of un-interleaved stages after AssignStages.
 	Stages int
 	// stageOps groups Ops by stage in plan order (stageOps[s-1] holds stage
-	// s's) and valueStage is the stage each value is produced in; both are
-	// set by AssignStages.
-	stageOps   [][]*Op
-	valueStage []int
+	// s's), uses is the def-use table and keeps its fold-back (Keeps): all
+	// set by AssignStages, and read-only after, like the plan PlanCache shares.
+	stageOps [][]*Op
+	uses     []use
+	keeps    []Keep
 }
 
 // Value returns the value record for an ID.
@@ -185,7 +186,7 @@ func (p *Plan) Value(id ValueID) *Value { return p.Values[id] }
 func (p *Plan) StageOps(s int) []*Op { return p.stageOps[s-1] }
 
 // ValueStage returns the stage that produces value id.
-func (p *Plan) ValueStage(id ValueID) int { return p.valueStage[id] }
+func (p *Plan) ValueStage(id ValueID) int { return p.uses[id].stage }
 
 // TotalCommBytes returns the estimated communication of the whole plan.
 func (p *Plan) TotalCommBytes() int64 {
@@ -194,51 +195,6 @@ func (p *Plan) TotalCommBytes() int64 {
 		t += op.CommBytes
 	}
 	return t
-}
-
-// LiveAfter returns, in ascending ID order, the values materialized by stages
-// up to and including stage that anything after that stage can still read: an
-// input of an operator in a later stage, or a value the session keeps when
-// the run ends — every instance of an assigned matrix, and every
-// scheme-carrying, untransposed instance of an input variable the program
-// does not reassign (the instances a run caches back into the session). It is
-// the set a run restored to the end of stage needs in order to finish exactly
-// as an uninterrupted one would; every other value is dead by then.
-func (p *Plan) LiveAfter(stage int) []ValueID {
-	assigned := make(map[string]bool)
-	kept := make(map[dep.MatrixID]bool)
-	for _, a := range p.Program.Assignments() {
-		assigned[a.Name] = true
-		kept[a.Ref.Node.ID] = true
-	}
-	cached := make(map[dep.MatrixID]bool)
-	produced := make([]bool, len(p.Values))
-	read := make([]bool, len(p.Values))
-	for _, op := range p.Ops {
-		if (op.Kind == OpLoad || op.Kind == OpVar) && !assigned[op.Node.Name] {
-			cached[op.Node.ID] = true
-		}
-		if op.Stage <= stage {
-			if op.Output >= 0 {
-				produced[op.Output] = true
-			}
-			continue
-		}
-		for _, id := range op.Inputs {
-			read[id] = true
-		}
-	}
-	var live []ValueID
-	for _, v := range p.Values {
-		if !produced[v.ID] {
-			continue
-		}
-		if read[v.ID] || kept[v.Matrix] ||
-			(cached[v.Matrix] && !v.Transposed && v.Scheme != dep.SchemeNone) {
-			live = append(live, v.ID)
-		}
-	}
-	return live
 }
 
 // finalizeFlexible pins any still-flexible value to its first allowed scheme
@@ -258,17 +214,16 @@ func (p *Plan) finalizeFlexible() {
 // stay in the stage of their latest input. Every stage 1..Stages holds an
 // operator: the first operator is a leaf, and each later one lands at most one
 // stage past its latest input; a plan with no operators has no stages. It
-// returns the stage count and keeps the stage index (StageOps, ValueStage) and
-// each stage's operator graph (Op.After) on the plan.
+// returns the stage count and keeps the stage index (StageOps), the def-use
+// table (ValueStage, LiveAfter, StageInputs, Keeps) and each stage's operator
+// graph (Op.After) on the plan.
 func (p *Plan) AssignStages() int {
-	p.valueStage = make([]int, len(p.Values))
+	p.uses = make([]use, len(p.Values))
 	p.stageOps = nil
 	for _, op := range p.Ops {
 		in := 1
 		for _, id := range op.Inputs {
-			if p.valueStage[id] > in {
-				in = p.valueStage[id]
-			}
+			in = max(in, p.uses[id].stage)
 		}
 		stage := in
 		// An operator that communicates — an extended partition/broadcast
@@ -278,85 +233,22 @@ func (p *Plan) AssignStages() int {
 			stage = in + 1
 		}
 		op.Stage = stage
-		if op.Output >= 0 {
-			p.valueStage[op.Output] = stage
-		}
 		if stage > len(p.stageOps) {
 			p.stageOps = append(p.stageOps, nil)
+		}
+		for _, id := range op.Inputs {
+			u := &p.uses[id]
+			u.readers, u.last = append(u.readers, op), max(u.last, stage)
+		}
+		if op.Output >= 0 {
+			p.uses[op.Output].stage, p.uses[op.Output].at = stage, len(p.stageOps[stage-1])
 		}
 		p.stageOps[stage-1] = append(p.stageOps[stage-1], op)
 	}
 	p.Stages = len(p.stageOps)
+	p.keep()
 	p.linkStages()
 	return p.Stages
-}
-
-// linkStages derives the edges of each stage's operator graph (Op.After),
-// once per plan, so a cached plan carries them: an edge from the producer of
-// every value to each operator of the same stage that reads it, and a chain
-// through the operators that run no kernel, in plan order.
-func (p *Plan) linkStages() {
-	pos := make([]int, len(p.Values))
-	for _, ops := range p.stageOps {
-		chain := -1
-		for j, op := range ops {
-			op.After = nil
-			for _, id := range op.Inputs {
-				if p.valueStage[id] == op.Stage {
-					op.After = append(op.After, pos[id])
-				}
-			}
-			if !op.Kernel() {
-				if chain >= 0 {
-					op.After = append(op.After, chain)
-				}
-				chain = j
-			}
-			if op.Output >= 0 {
-				pos[op.Output] = j
-			}
-		}
-	}
-}
-
-// licenseInPlace decides, once per plan, which cell-wise operators may write
-// their result into the blocks of an input instead of fresh ones. An input
-// qualifies when it is the untransposed result of a multiplication of the
-// operator's own stage, this read is the only one in the plan, and the
-// program assigns its matrix to no variable. Such a value is dead the moment
-// the operator has read it: no later stage reads it, so no snapshot holds it
-// and the session never sees it; and it is dense, as every product is. A
-// retry of the stage runs the multiplication again before the operator. The
-// first qualifying input wins.
-func (p *Plan) licenseInPlace() {
-	reads := make([]int, len(p.Values))
-	producer := make([]*Op, len(p.Values))
-	for _, op := range p.Ops {
-		op.InPlace = -1
-		for _, id := range op.Inputs {
-			reads[id]++
-		}
-		if op.Output >= 0 {
-			producer[op.Output] = op
-		}
-	}
-	assigned := make(map[dep.MatrixID]bool)
-	for _, a := range p.Program.Assignments() {
-		assigned[a.Ref.Node.ID] = true
-	}
-	for _, op := range p.Ops {
-		if op.Kind != OpCompute || !op.Node.Kind.IsCellwise() {
-			continue
-		}
-		for i, id := range op.Inputs {
-			v, from := p.Values[id], producer[id]
-			if from.Kind == OpCompute && from.Node.Kind == expr.KindMul && from.Stage == op.Stage &&
-				!v.Transposed && reads[id] == 1 && !assigned[v.Matrix] {
-				op.InPlace = i
-				break
-			}
-		}
-	}
 }
 
 // String renders the plan as a table: one operator per line with its stage,

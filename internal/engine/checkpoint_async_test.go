@@ -29,7 +29,7 @@ import (
 // attached, and Interval-1 checkpointing into a temp directory.
 func (a ckptApp) observed(t *testing.T, cfg dist.Config) (*Engine, *obs.Tracer, *obs.Registry) {
 	t.Helper()
-	e := New(DMac, cfg, tBS)
+	e := New(a.planner, cfg, tBS)
 	a.bind(t, e)
 	tr, reg := obs.NewTracer(), obs.NewRegistry()
 	e.SetObserver(tr, reg)
@@ -278,13 +278,34 @@ func paramProgram() *expr.Program {
 	return p
 }
 
+// gnmfParamProgram is GNMF's H update with its denominator Wᵀ·(step·V),
+// step a parameter. The scaling of V reads the V(c) that Wᵀ·V reads and
+// follows it in the plan, so it starts on a helper as soon as Wᵀ·V has
+// begun, and a run without the parameter fails it there.
+func gnmfParamProgram() *expr.Program {
+	p := expr.NewProgram()
+	v := p.Var("V", tRows, tCols, 0.3)
+	w := p.Var("W", tRows, tK, 1)
+	h := p.Var("H", tK, tCols, 1)
+	wtv := p.Mul(w.T(), v)
+	sv := p.ScalarParam(matrix.ScalarMul, v, "step")
+	p.Assign("H", p.CellDiv(p.CellMul(h, wtv), p.Mul(w.T(), sv)))
+	return p
+}
+
 // However a run ends — success, a failed stage, cancellation — the snapshot
 // in flight is finished, not abandoned, and no goroutine of the run is left:
-// Run never returns with a writer behind it. Each case holds a snapshot until
-// the run's last join, the one on execute's way out. The cancellation comes
-// from the engine goroutine itself, as it waits for the first snapshot, so
-// the boundary that observes it — the one before stage 3 — is not a race.
+// Run never returns with a writer behind it, nor a stage runner's helper
+// (engine.(*stageRun).help) behind a stage. PageRank's stages are chains,
+// which never start a helper; GNMF's independent products overlap, and its
+// failing run fails an operator on a helper, beside Wᵀ·V. Each case holds a
+// snapshot until the run's last join, the one on execute's way out. A
+// cancellation comes from the engine goroutine itself, as it waits for an
+// earlier snapshot, so the boundary that observes it — the one before stage 3
+// of PageRank, before stage 5 of GNMF — is not a race.
 func TestNoGoroutineOutlivesRun(t *testing.T) {
+	// Helpers start only with a second P to run on.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	// leftBehind returns the stack of a goroutine other than this one that is
 	// still inside the engine or its grid I/O once Run has returned, or "".
 	// Counting goroutines instead would also count the executor's and the
@@ -309,26 +330,36 @@ func TestNoGoroutineOutlivesRun(t *testing.T) {
 			}
 		}
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
+	// cancel cancels the run of the case at hand.
+	var cancel context.CancelFunc
+	cancelAt := func(stage int) func(int) {
+		return func(waitingFor int) {
+			if waitingFor == stage {
+				cancel()
+			}
+		}
+	}
+	failed := func(err error) bool { return err != nil && strings.Contains(err.Error(), "missing parameter") }
 	for _, tc := range []struct {
 		name     string
+		app      ckptApp
 		prog     *expr.Program
 		hold     []int // the snapshots after these stages stay unwritten until waited for, the last until the run returns
 		atWait   func(waitingFor int)
 		want     func(err error) bool
 		wantSnap int64
 	}{
-		{"success", pageRankProgram(), []int{2}, func(int) {}, func(err error) bool { return err == nil }, 2},
-		{"failed stage", paramProgram(), []int{1}, func(int) {},
-			func(err error) bool { return err != nil && strings.Contains(err.Error(), "missing parameter") }, 1},
-		{"cancelled", pageRankProgram(), []int{1, 2}, func(waitingFor int) {
-			if waitingFor == 1 {
-				cancel()
-			}
-		}, func(err error) bool { return errors.Is(err, context.Canceled) }, 2},
+		{"success", pageRankApp, pageRankProgram(), []int{2}, func(int) {}, func(err error) bool { return err == nil }, 2},
+		{"failed stage", pageRankApp, paramProgram(), []int{1}, func(int) {}, failed, 1},
+		{"cancelled", pageRankApp, pageRankProgram(), []int{1, 2}, cancelAt(1),
+			func(err error) bool { return errors.Is(err, context.Canceled) }, 2},
+		{"gnmf failed stage", gnmfApp, gnmfParamProgram(), []int{1}, func(int) {}, failed, 1},
+		{"gnmf cancelled", gnmfApp, gnmfProgram(0.3), []int{3, 4}, cancelAt(3),
+			func(err error) bool { return errors.Is(err, context.Canceled) }, 4},
 	} {
-		e, _, reg := pageRankApp.observed(t, testConfig())
+		ctx, stop := context.WithCancel(context.Background())
+		cancel = stop
+		e, _, reg := tc.app.observed(t, testConfig())
 		holdSnapshot(e.ckpt, tc.hold...)
 		release := e.ckpt.testPreWait
 		e.ckpt.testPreWait = func(waitingFor int) {
@@ -336,6 +367,7 @@ func TestNoGoroutineOutlivesRun(t *testing.T) {
 			release(waitingFor)
 		}
 		_, err := e.RunCtx(ctx, tc.prog, nil)
+		stop()
 		if !tc.want(err) {
 			t.Errorf("%s: Run returned %v", tc.name, err)
 		}

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io/fs"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -18,12 +19,12 @@ import (
 )
 
 // ckptApp is one program the dependency-aware checkpoint tests run: how to
-// build it, how to bind its inputs, and which variables it assigns.
+// build it, how to bind its inputs, and the planner that runs it.
 type ckptApp struct {
-	name string
-	prog func() *expr.Program
-	bind func(t *testing.T, e *Engine)
-	outs []string
+	name    string
+	prog    func() *expr.Program
+	bind    func(t *testing.T, e *Engine)
+	planner Planner
 }
 
 const tNodes = 40 // pagerank graph size
@@ -57,15 +58,31 @@ func bindPageRank(t *testing.T, e *Engine) {
 
 var (
 	gnmfApp = ckptApp{"gnmf", func() *expr.Program { return gnmfProgram(0.3) },
-		func(t *testing.T, e *Engine) { bindGNMF(t, e) }, []string{"W", "H"}}
-	pageRankApp = ckptApp{"pagerank", pageRankProgram, bindPageRank, []string{"rank"}}
+		func(t *testing.T, e *Engine) { bindGNMF(t, e) }, DMac}
+	pageRankApp = ckptApp{"pagerank", pageRankProgram, bindPageRank, DMac}
 	ckptApps    = []ckptApp{gnmfApp, pageRankApp}
 )
+
+// randomApp is core.RandomProgram's program for seed, its leaves bound to
+// dense grids of block size 4, on planner.
+func randomApp(seed int64, planner Planner) ckptApp {
+	rng := rand.New(rand.NewSource(seed))
+	prog, _ := core.RandomProgram(rng)
+	data := denseLeafData(rng, prog, 4)
+	return ckptApp{fmt.Sprintf("seed %d on %s", seed, planner), func() *expr.Program { return prog },
+		func(t *testing.T, e *Engine) {
+			for name, g := range data {
+				if err := e.Bind(name, g.Clone()); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}, planner}
+}
 
 // stagesOf lists the distinct stages of the app's plan, ascending.
 func (a ckptApp) stagesOf(t *testing.T) []int {
 	t.Helper()
-	e := New(DMac, testConfig(), tBS)
+	e := New(a.planner, testConfig(), tBS)
 	a.bind(t, e)
 	plan, err := e.Plan(a.prog())
 	if err != nil {
@@ -97,7 +114,7 @@ func (a ckptApp) runOn(t *testing.T, cfg dist.Config, dir string, policy Checkpo
 			{Stage: faultStage, Worker: 1, Attempt: 0, Kind: dist.FaultKillBoundary},
 		}}
 	}
-	e := New(DMac, cfg, tBS)
+	e := New(a.planner, cfg, tBS)
 	a.bind(t, e)
 	if dir != "" {
 		if err := e.SetCheckpoint(dir, policy); err != nil {
@@ -114,40 +131,79 @@ func (a ckptApp) runOn(t *testing.T, cfg dist.Config, dir string, policy Checkpo
 	return m, e
 }
 
+// checkSame holds every variable and scalar the program writes to the
+// bits of the fault-free run's.
 func (a ckptApp) checkSame(t *testing.T, label string, got, want *Engine) {
 	t.Helper()
-	for _, name := range a.outs {
-		if !matrix.GridEqual(mustGrid(t, got, name), mustGrid(t, want, name), 0) {
-			t.Errorf("%s: %s is not bit-identical to the fault-free run", label, name)
+	prog := a.prog()
+	for _, as := range prog.Assignments() {
+		if !sameBits(mustGrid(t, got, as.Name), mustGrid(t, want, as.Name)) {
+			t.Errorf("%s: %s is not bit-identical to the fault-free run", label, as.Name)
+		}
+	}
+	for _, so := range prog.ScalarOuts() {
+		g, _ := got.Scalar(so.Name)
+		w, _ := want.Scalar(so.Name)
+		if math.Float64bits(g) != math.Float64bits(w) {
+			t.Errorf("%s: scalar %s = %v, the fault-free run's %v", label, so.Name, g, w)
 		}
 	}
 }
 
+// restoreSeeds are the core.RandomProgram seeds TestDifferentialRestoreEveryStage
+// restores on top of the golden programs: every seed below 3,000 whose DMac
+// and SystemML-S live sets, on a session that holds its inputs hash-placed,
+// leave out the hash-placed instance of an assigned input the session does
+// not keep, and ten more.
+var restoreSeeds = []int64{
+	753, 1019, 1356, 1447, 2033, 2048, 2070, 2099, 2237, 2276, 2504, 2715, 2955,
+	0, 1, 2, 3, 4, 5, 6, 2072, 2278, 2506,
+}
+
 // TestDifferentialRestoreEveryStage kills a worker at every stage of both
-// golden programs under checkpoint intervals 1 and 2. Restore rebuilds the
-// value table from the snapshot alone, so a live set that missed a value
-// would fail the run; the results must be bit-identical to the fault-free
-// run, and the replay counts are the ones the write-everything checkpointer
-// produced: the stages strictly between the newest snapshot and the failure.
+// golden programs under checkpoint intervals 1 and 2, and of random programs
+// on DMac and SystemML-S at interval 1. Restore rebuilds the value table from
+// the snapshot alone, so a live set that missed a value would fail the run;
+// the results must be bit-identical to the fault-free run, and the replay
+// counts are the ones the write-everything checkpointer produced: the stages
+// strictly between the newest snapshot and the failure.
 func TestDifferentialRestoreEveryStage(t *testing.T) {
+	type restoreCase struct {
+		app       ckptApp
+		intervals []int
+	}
+	var cases []restoreCase
 	for _, a := range ckptApps {
-		stages := a.stagesOf(t)
-		_, want := a.run(t, "", CheckpointPolicy{}, 0, nil)
-		for _, interval := range []int{1, 2} {
-			for pos, stage := range stages {
-				label := fmt.Sprintf("%s interval %d kill at stage %d", a.name, interval, stage)
-				m, e := a.run(t, t.TempDir(), CheckpointPolicy{Interval: interval}, stage, nil)
-				// pos stages completed before the kill; snapshots sit after
-				// every interval-th of them.
-				if wantReplay := pos % interval; m.StagesReplayed != wantReplay {
-					t.Errorf("%s: StagesReplayed = %d, want %d", label, m.StagesReplayed, wantReplay)
-				}
-				if m.Retries != 1 {
-					t.Errorf("%s: Retries = %d, want 1", label, m.Retries)
-				}
-				a.checkSame(t, label, e, want)
-			}
+		cases = append(cases, restoreCase{a, []int{1, 2}})
+	}
+	for _, seed := range restoreSeeds {
+		for _, planner := range []Planner{DMac, SystemMLS} {
+			cases = append(cases, restoreCase{randomApp(seed, planner), []int{1}})
 		}
+	}
+	for _, c := range cases {
+		// The runs wait on the file system more than they compute.
+		t.Run(c.app.name, func(t *testing.T) {
+			t.Parallel()
+			a := c.app
+			stages := a.stagesOf(t)
+			_, want := a.run(t, "", CheckpointPolicy{}, 0, nil)
+			for _, interval := range c.intervals {
+				for pos, stage := range stages {
+					label := fmt.Sprintf("%s interval %d kill at stage %d", a.name, interval, stage)
+					m, e := a.run(t, t.TempDir(), CheckpointPolicy{Interval: interval}, stage, nil)
+					// pos stages completed before the kill; snapshots sit
+					// after every interval-th of them.
+					if wantReplay := pos % interval; m.StagesReplayed != wantReplay {
+						t.Errorf("%s: StagesReplayed = %d, want %d", label, m.StagesReplayed, wantReplay)
+					}
+					if m.Retries != 1 {
+						t.Errorf("%s: Retries = %d, want 1", label, m.Retries)
+					}
+					a.checkSame(t, label, e, want)
+				}
+			}
+		})
 	}
 }
 

@@ -76,7 +76,7 @@ func (e *Engine) book(st *execState, stage int, w window) {
 // It returns the run's stage ledger: each stage's wall time, FLOPs, bytes,
 // events and modelled seconds over all its attempts, the recovery after its
 // failures and its replays. Charges made after the last stage (the local
-// transposes of commitAssignments) book to the last stage.
+// transposes of foldBack) book to the last stage.
 //
 // Between stages the run's context is observed: cancellation or an expired
 // deadline aborts cleanly with the context's error (mid-stage, the executor's
@@ -135,12 +135,11 @@ func (e *Engine) execute(ctx context.Context, plan *core.Plan, sig string, param
 			}
 		}
 	}
-	// What folding back charges (commitAssignments' local transposes) books
-	// to the last stage, so the records still partition the run's totals. A
-	// plan with no stages has no values to fold back.
+	// What folding back charges (its local transposes) books to the last
+	// stage, so the records still partition the run's totals. A plan with no
+	// stages has no values to fold back.
 	w := e.window()
-	e.cacheLeafInstances(plan, st.vals)
-	err = e.commitAssignments(ctx, plan, st.vals)
+	err = e.foldBack(ctx, st)
 	if plan.Stages > 0 {
 		e.book(st, plan.Stages, w)
 	}
@@ -236,19 +235,16 @@ func (e *Engine) runStageOnce(ctx context.Context, st *execState, stage, attempt
 func (e *Engine) recoverStage(st *execState, stage int, wf *dist.WorkerFailure) {
 	defer e.book(st, stage, e.window())
 	var bytes int64
-	seen := make(map[core.ValueID]bool)
 	for _, op := range st.plan.StageOps(stage) {
 		if op.Kind == core.OpLoad || op.Kind == core.OpVar {
 			if inst, err := e.leafInstance(op, st.plan); err == nil {
 				bytes += e.cluster.WorkerBytes(inst, wf.Worker)
 			}
 		}
-		for _, id := range op.Inputs {
-			if id < 0 || seen[id] || st.vals[id] == nil || st.plan.ValueStage(id) >= stage {
-				continue
-			}
-			seen[id] = true
-			bytes += e.cluster.WorkerBytes(st.vals[id], wf.Worker)
+	}
+	for _, id := range st.plan.StageInputs(stage) {
+		if dm := st.vals[id]; dm != nil {
+			bytes += e.cluster.WorkerBytes(dm, wf.Worker)
 		}
 	}
 	if e.cluster.KillWorker(wf.Worker) {
@@ -316,40 +312,6 @@ func (e *Engine) dispatch(ctx context.Context, st *execState, op *core.Op) (*dis
 		return e.compute(ctx, plan, op, vals, st.params)
 	default:
 		return nil, fmt.Errorf("unexpected operator kind %v", op.Kind)
-	}
-}
-
-// cacheLeafInstances merges the repartitioned instances of input variables
-// back into the session, modelling Spark's RDD cache: once DMac has, e.g.,
-// the Column scheme of the link matrix, later iterations reference it
-// without communication (Section 6.4). Variables reassigned by this program
-// are skipped — their data changed, so assignment handles them.
-func (e *Engine) cacheLeafInstances(plan *core.Plan, vals []*dist.DistMatrix) {
-	assigned := make(map[string]bool)
-	for _, a := range plan.Program.Assignments() {
-		assigned[a.Name] = true
-	}
-	for _, op := range plan.Ops {
-		if op.Kind != core.OpLoad && op.Kind != core.OpVar {
-			continue
-		}
-		name := op.Node.Name
-		if assigned[name] {
-			continue
-		}
-		vs := e.vars[name]
-		if vs == nil {
-			continue
-		}
-		for _, v := range plan.Values {
-			dm := vals[v.ID]
-			if dm == nil || v.Matrix != op.Node.ID || v.Transposed || v.Scheme == dep.SchemeNone {
-				continue
-			}
-			if _, ok := vs.instances[v.Scheme]; !ok {
-				vs.instances[v.Scheme] = dm
-			}
-		}
 	}
 }
 
@@ -439,43 +401,32 @@ func (e *Engine) compute(ctx context.Context, plan *core.Plan, op *core.Op, vals
 	}
 }
 
-// commitAssignments folds the program's assignments into the session. Every
-// materialized instance of the assigned matrix with a concrete scheme is
-// kept, so the next program execution sees all cached schemes (this is how
-// DMac reuses, e.g., both W(r) and W(b) across GNMF iterations). A matrix held
-// only hash-placed — always, on the Local engine — keeps its primary value.
-// Either way an instance stored transposed to the assigned orientation is
-// transposed locally (no communication) before it is kept.
-func (e *Engine) commitAssignments(ctx context.Context, plan *core.Plan, vals []*dist.DistMatrix) error {
-	for _, a := range plan.Program.Assignments() {
-		node := a.Ref.Node
-		instances := make(map[dep.Scheme]*dist.DistMatrix)
-		for _, v := range plan.Values {
-			dm := vals[v.ID]
-			if v.Matrix != node.ID || dm == nil || v.Scheme == dep.SchemeNone {
-				continue
+// foldBack hands the session what the plan keeps when a run ends
+// (core.Plan.Keeps). An instance stored transposed to its variable is
+// transposed first and charged like any transpose, even where the variable
+// already holds that scheme and drops it.
+func (e *Engine) foldBack(ctx context.Context, st *execState) error {
+	for _, k := range st.plan.Keeps() {
+		vs := e.vars[k.Var]
+		if k.Assign {
+			vs = &varState{rows: k.Ref.Rows(), cols: k.Ref.Cols(), instances: make(map[dep.Scheme]*dist.DistMatrix)}
+		}
+		for _, id := range k.Values {
+			dm := st.vals[id]
+			if dm == nil {
+				return fmt.Errorf("engine: %q has no materialized value v%d", k.Var, id)
 			}
-			if v.Transposed != a.Ref.Transposed {
+			if st.plan.Value(id).Transposed != k.Ref.Transposed {
 				dm = e.cluster.Transpose(ctx, dm)
 			}
-			if _, ok := instances[dm.Scheme]; !ok {
-				instances[dm.Scheme] = dm
+			if _, ok := vs.instances[dm.Scheme]; !ok {
+				vs.instances[dm.Scheme] = dm
 			}
 		}
-		if len(instances) == 0 {
-			// Fall back to the primary value, hash-placed and untransposed.
-			id, ok := plan.NodeValue[node.ID]
-			if !ok || vals[id] == nil {
-				return fmt.Errorf("engine: assignment %q has no materialized value", a.Name)
-			}
-			dm := vals[id]
-			if a.Ref.Transposed {
-				dm = e.cluster.Transpose(ctx, dm)
-			}
-			instances[dm.Scheme] = dm
+		if len(vs.instances) == 0 {
+			return fmt.Errorf("engine: assignment %q has no materialized value", k.Var)
 		}
-		rows, cols := a.Ref.Rows(), a.Ref.Cols()
-		e.vars[a.Name] = &varState{rows: rows, cols: cols, instances: instances}
+		e.vars[k.Var] = vs
 	}
 	return nil
 }
