@@ -136,10 +136,12 @@ func FuzzMulKernels(f *testing.F) {
 
 // FuzzRowVec drives the row-vector product from one byte a stored column:
 // byte j%32 is column j's length, so the fuzzer moves the windows of
-// rowDotAVX512's groups of eight across its 16-entry boundary, and seed
-// draws the rows, the values (zeros of both signs, infinities and NaN among
-// them), the vector and dst. Every row count of the row-dot path, n = 1-4, is
-// held to refMulAddDSRowDot bit for bit at every feature level.
+// rowDotAVX512's groups of eight across its 16-entry boundary and the short
+// path's others (seeded: a longest column of rowDotFixedSteps and one more,
+// windows of 8 and 9 entries), and seed draws the rows, the values (zeros of
+// both signs, infinities and NaN among them), the vector and dst. Every row
+// count of the row-dot path, n = 1-4, is held to refMulAddDSRowDot bit for
+// bit at every feature level.
 func FuzzRowVec(f *testing.F) {
 	f.Add([]byte{1, 2, 1, 0, 1, 1, 2, 1, 3}, int64(1))
 	f.Add([]byte{2, 2, 2, 2, 2, 2, 2, 2}, int64(2)) // 16 entries: the short path's last
@@ -149,6 +151,11 @@ func FuzzRowVec(f *testing.F) {
 	f.Add(make([]byte, 17), int64(6))
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 1, 2, 0, 1, 1, 0, 2, 1}, int64(7)) // an all-empty group
 	f.Add([]byte{6, 5, 4, 0, 1, 0, 0, 0, 9, 7}, int64(8))                   // long columns in a short window
+	f.Add([]byte{4, 1, 0, 2, 3, 1, 0, 1}, int64(9))                         // longest column 4: the fixed steps alone
+	f.Add([]byte{1, 5, 2, 0, 1, 3, 0, 1}, int64(10))                        // longest 5: the loop after them
+	f.Add([]byte{5, 5, 2, 1, 1, 1, 1, 0}, int64(11))                        // longest 5 in a full window
+	f.Add([]byte{1, 1, 1, 1, 1, 1, 1, 1}, int64(12))                        // 8 entries: an empty second half
+	f.Add([]byte{2, 1, 1, 1, 1, 1, 1, 1}, int64(13))                        // 9: one entry in it
 	f.Fuzz(func(t *testing.T, lens []byte, seed int64) {
 		if len(lens) == 0 || len(lens) > 4096 {
 			return

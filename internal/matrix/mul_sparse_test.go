@@ -753,18 +753,22 @@ func TestSparseSparseBitIdentical(t *testing.T) {
 // Go forms either side of the dsRowDotFlat crossover. Every row count that
 // takes the row-dot path runs: random blocks from empty to 30 % of the
 // cells; one group of eight columns whose window holds 0, 1, 8, 9, 15, 16,
-// 17 or 40 entries, in one column, spread evenly or at random; widths 1-17
-// and 1023-1025. Entries sit at rows 0 and m-1, the vector and the stored
-// values carry zeros of both signs, infinities and NaN, and dst zeros of
-// both signs (dstOnEntry).
+// 17 or 40 entries, in one column, spread evenly or at random; one short
+// window whose longest column is rowDotFixedSteps (the short path's fixed
+// steps alone) or one more (the loop after them); widths 1-17 and 1023-1025.
+// The table fails if any of these boundaries went unrun. Entries sit at rows
+// 0 and m-1, the vector and the stored values carry zeros of both signs,
+// infinities and NaN, and dst zeros of both signs (dstOnEntry).
 func TestRowVecBitIdentical(t *testing.T) {
 	host := cpu
 	defer func() { cpu = host }()
 	levels := featureLevels()
 	rng := rand.New(rand.NewSource(16))
 	var flat, byColumn, short, long bool
+	var seen rowVecBounds
 	check := func(name string, a *DenseBlock, b *CSCBlock) {
 		t.Helper()
+		seen.add(b)
 		entry := dstOnEntry(rng, a.rows, b.cols)
 		want := entry.Clone().(*DenseBlock)
 		refMulAddDSRowDot(want, a, b)
@@ -825,6 +829,28 @@ func TestRowVecBitIdentical(t *testing.T) {
 				}
 			}
 		}
+		for _, longest := range []int{rowDotFixedSteps, rowDotFixedSteps + 1} {
+			for rep := 0; rep < 3; rep++ {
+				lens := make([]int, 8*3+3)
+				for j := range lens {
+					lens[j] = rng.Intn(3)
+				}
+				group := lens[8:16]
+				top := rng.Intn(8)
+				window := longest
+				for c := range group {
+					if c != top {
+						group[c] = min(rng.Intn(longest), 16-window)
+						window += group[c]
+					}
+				}
+				group[top] = longest
+				for _, special := range []bool{false, true} {
+					check(fmt.Sprintf("longest=%d window=%d special=%v", longest, window, special),
+						rowVecDense(rng, n, m, special), rowVecBlock(rng, m, lens, special))
+				}
+			}
+		}
 		for _, p := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 1023, 1024, 1025} {
 			lens := make([]int, p)
 			for j := range lens {
@@ -843,6 +869,9 @@ func TestRowVecBitIdentical(t *testing.T) {
 	}
 	if host.avx512 && (!short || !long) {
 		t.Errorf("the table ran short=%v long=%v windows: a path of rowDotAVX512 went untested", short, long)
+	}
+	if seen != (rowVecBounds{true, true, true, true}) {
+		t.Errorf("the table ran the short path's boundaries %+v: one of rowDotAVX512's went untested", seen)
 	}
 }
 
@@ -947,6 +976,33 @@ func rowVecWindows(b *CSCBlock) (short, long bool) {
 		}
 	}
 	return short, long
+}
+
+// rowDotFixedSteps is the number of steps rowDotAVX512's short path runs
+// before it tests for the end of a group (the ROWSTEPs in sparse_amd64.s).
+const rowDotFixedSteps = 4
+
+// rowVecBounds records which boundaries of rowDotAVX512's short path the
+// groups of eight columns of some block reached: a window whose longest
+// column is rowDotFixedSteps (fixed) or one more (tail), and a window of
+// exactly 8 or 9 entries, either side of the second half of its products.
+type rowVecBounds struct{ fixed, tail, eight, nine bool }
+
+func (s *rowVecBounds) add(b *CSCBlock) {
+	for j := 0; j+8 <= b.cols; j += 8 {
+		window := b.ColPtr[j+8] - b.ColPtr[j]
+		if window > 16 {
+			continue
+		}
+		var longest int32
+		for c := j; c < j+8; c++ {
+			longest = max(longest, b.ColPtr[c+1]-b.ColPtr[c])
+		}
+		s.fixed = s.fixed || longest == rowDotFixedSteps
+		s.tail = s.tail || longest == rowDotFixedSteps+1
+		s.eight = s.eight || window == 8
+		s.nine = s.nine || window == 9
+	}
 }
 
 // rowVecBlock returns an m x len(lens) CSC block whose column j holds
@@ -1228,8 +1284,11 @@ func BenchmarkMulAddDSRowVec(b *testing.B) {
 }
 
 // BenchmarkMulAddDSRowVecHyper is pagerank_wire's rank %*% link block product:
-// a 10 606-wide block of a 60 000-node graph cut 6 x 6, 1.26 stored entries a
-// column, the six blocks of a block row in turn.
+// a 10 606-wide block of a 60 000-node graph cut 6 x 6, the six blocks of a
+// block row in turn. hyperSparse at 1.26 leaves every third column empty and
+// gives the others 1 or 2 entries, about 0.84 stored entries a column; the
+// ledger's link holds 1.33, Poisson (BenchmarkMulAddRowVecBlocks'
+// pagerank_wire_poisson).
 func BenchmarkMulAddDSRowVecHyper(b *testing.B) {
 	const n, blocks = 10606, 6
 	rng := rand.New(rand.NewSource(6))
@@ -1252,25 +1311,43 @@ func BenchmarkMulAddDSRowVecHyper(b *testing.B) {
 	b.ReportMetric(2*float64(nnz)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
 }
 
-// BenchmarkMulAddRowVecBlocks times PageRank's rank %*% link over one block
-// row of link, go (the flat Go walk) against avx512 (rowDotAVX512): at
-// pagerank_wire's blocks, a 60 000-node graph cut 6 x 6 into 10 606-wide
-// blocks of 1.26 stored entries a column, and at a serve_mix pagerank job's,
-// 1 024 nodes of degree 8 cut into 181-wide blocks (about 1.33 a column).
+// BenchmarkMulAddRowVecBlocks times PageRank's rank %*% link over link's
+// blocks, go (the flat Go walk) against avx512 (rowDotAVX512). pagerank_wire
+// and serve_mix take one block row built by hyperSparse: pagerank_wire's
+// 10 606-wide blocks of a 60 000-node graph cut 6 x 6, about 0.84 stored
+// entries a column, and a serve_mix pagerank job's 1 024 nodes of degree 8 cut
+// into 181-wide blocks, about 0.89. hyperSparse leaves every third column
+// empty and gives the others 1 or 2 entries, so no group of eight runs more
+// than two steps. pagerank_wire_poisson walks 36 distinct 10 606-wide blocks
+// whose coordinates are uniform at random: Poisson columns of 1.33 entries on
+// average, the column law workload.PowerLawGraph gives the ledger's link.
 func BenchmarkMulAddRowVecBlocks(b *testing.B) {
 	defer func(c cpuFeatures) { cpu = c }(cpu)
 	for _, sh := range []struct {
-		name   string
-		n      int
-		perCol float64
-	}{{"pagerank_wire", 10606, 1.26}, {"serve_mix", 181, 1.33}} {
-		const blocks = 6
+		name    string
+		n       int
+		perCol  float64
+		blocks  int
+		poisson bool
+	}{
+		{"pagerank_wire", 10606, 1.26, 6, false},
+		{"serve_mix", 181, 1.33, 6, false},
+		{"pagerank_wire_poisson", 10606, 1.33, 36, true},
+	} {
 		rng := rand.New(rand.NewSource(int64(sh.n)))
 		rank := randDense(rng, 1, sh.n)
-		var links [blocks]*CSCBlock
+		links := make([]*CSCBlock, sh.blocks)
 		nnz := 0
 		for i := range links {
-			links[i] = hyperSparse(rng, sh.n, sh.n, sh.perCol, false)
+			if sh.poisson {
+				coords := make([]Coord, int(sh.perCol*float64(sh.n)+0.5))
+				for k := range coords {
+					coords[k] = Coord{Row: rng.Intn(sh.n), Col: rng.Intn(sh.n), Val: rng.NormFloat64()}
+				}
+				links[i] = NewCSC(sh.n, sh.n, coords)
+			} else {
+				links[i] = hyperSparse(rng, sh.n, sh.n, sh.perCol, false)
+			}
 			nnz += links[i].NNZ()
 		}
 		dst := NewDense(1, sh.n)

@@ -329,6 +329,16 @@ addLoop:
 	VZEROUPPER
 	RET
 
+// ROWSTEP is one step of rowDotAVX512's short path: every lane whose column
+// has an entry left (Z10 < Z11, K1) adds the product of window entry Z10 to
+// its sum in Z2, and every lane moves on one entry.
+#define ROWSTEP \
+	VPCMPQ    $1, Z11, Z10, K1; \
+	VMOVDQA64 Z10, Z12; \
+	VPERMI2PD Z8, Z6, Z12; \
+	VADDPD    Z12, Z2, K1, Z2; \
+	VPADDQ    Z28, Z10, Z10
+
 // func rowDotAVX512(drow, arow *float64, colPtr, rowIdx *int32, vals *float64, groups, nnz, lda int) (ok bool)
 //
 // For each of the groups groups of eight columns j = 8g ... 8g+7 of the CSC
@@ -342,8 +352,9 @@ addLoop:
 // the same payload too.
 //
 // A group whose entries number at most 16 loads them contiguously, gathers
-// only arow (one VGATHERDPD for up to eight entries, two for more) and deals
-// the products out to the steps with VPERMI2PD; a longer one gathers each
+// only arow (two VGATHERDPD, the second under the mask of entries 8-15) and
+// deals the products out to the steps with VPERMI2PD, the first four
+// (ROWSTEP) with no test for the end between them; a longer one gathers each
 // step's row indices, values and arow. A group's column bounds are checked
 // against [0, nnz] before any of its row indices is read, and each row index
 // against [0, lda) before a value or arow is read for it, compared unsigned;
@@ -402,22 +413,29 @@ group:
 	KMOVW     K1, K2
 	VGATHERDPD (SI)(Y3*8), K2, Z6
 	VMULPD    Z4, Z6, Z6 // the products of entries 0-7, arow first
-	CMPQ      CX, $8
-	JBE       steps
+	// Entries 8-15 under K4, with no branch on the window's length: an empty
+	// K4 loads nothing, and its zero products are never taken.
 	VMOVUPD.Z 64(R10)(AX*8), K4, Z5
 	VEXTRACTI64X4 $1, Z3, Y7
 	VPXORQ    Z8, Z8, Z8
 	VGATHERDPD (SI)(Y7*8), K4, Z8
 	VMULPD    Z5, Z8, Z8 // entries 8-15
 
-steps:
 	// Z10 and Z11 count each column's entries from the window's start:
 	// Z10 the next one, Z11 the end. Lane c of a step adds the product of
 	// window entry Z10[c], which VPERMI2PD takes from Z6:Z8 by its low four
-	// bits.
+	// bits. Where a group's steps end depends on its longest column, a
+	// branch no predictor learns, so the first four steps run with no test
+	// between them (rowDotFixedSteps in the tests): a lane whose column has
+	// ended is masked off and adds nothing. Only the rare longer columns
+	// reach the loop.
 	VPBROADCASTQ AX, Z9
 	VPSUBQ    Z9, Z0, Z10
 	VPSUBQ    Z9, Z1, Z11
+	ROWSTEP
+	ROWSTEP
+	ROWSTEP
+	ROWSTEP
 
 step:
 	VPCMPQ    $1, Z11, Z10, K1
