@@ -48,9 +48,6 @@ type CheckpointPolicy struct {
 	CostModel bool
 }
 
-// Enabled reports whether the policy ever triggers a write.
-func (p CheckpointPolicy) Enabled() bool { return p.Interval > 0 || p.CostModel }
-
 // Validate rejects policies that would behave silently oddly.
 func (p CheckpointPolicy) Validate() error {
 	if p.Interval < 0 {

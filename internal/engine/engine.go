@@ -24,6 +24,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -236,28 +237,24 @@ type Engine struct {
 	disablePullUp   bool
 	disableReassign bool
 	disableCPMM     bool
-	// planCache memoizes generated plans per program: iterative algorithms
-	// run the same Program object every iteration, and once the session
-	// schemes stabilize the plan is identical. Keyed by the Program pointer
-	// and validated against a signature of the session schemes the program
-	// reads.
-	planCache map[*expr.Program]planCacheEntry
+	// plans holds generated plans under the key of what each was made from
+	// (planInput): iterative algorithms stop replanning once the session
+	// schemes settle, and engines sharing one cache (SetSharedPlanCache)
+	// reuse each other's plans for structurally identical programs.
+	plans     *PlanCache
 	cacheHits int
 	cacheMiss int
-	// shared, when set, is a plan cache shared across engines: keyed by the
-	// full plan signature (program structure + session signature), it lets
-	// this engine reuse plans generated by other engines for structurally
-	// identical programs — the cross-job layer of the serve subsystem.
-	shared *PlanCache
 	// tracer and metrics observe execution when set (SetObserver); both are
 	// valid nil (no-op) receivers.
 	tracer  *obs.Tracer
 	metrics *obs.Registry
 	// rewriter, when set, canonicalizes every program through the algebraic
-	// rewrite pass before planning and execution (SetRewriter); rewriteCache
-	// memoizes its output per Program pointer, mirroring planCache.
-	rewriter     *rewrite.Rewriter
-	rewriteCache map[*expr.Program]*rewrite.Result
+	// rewrite pass before planning and execution (SetRewriter).
+	rewriter *rewrite.Rewriter
+	// forms memoizes, per caller's Program pointer, the program the engine
+	// plans and runs and its signature (form): a program is rewritten and
+	// serialized once a session.
+	forms map[*expr.Program]*programForm
 	// ckpt is the engine's checkpoint manager (nil without SetCheckpoint):
 	// runs snapshot live values to disk under its policy and recover from the
 	// newest valid snapshot instead of replaying the whole lineage.
@@ -274,35 +271,49 @@ type Engine struct {
 	stage stageRun
 }
 
-type planCacheEntry struct {
+// programForm is what the engine plans and runs for a caller's program: the
+// program itself without a rewriter, otherwise the rewrite pass's output,
+// with its ProgramSignature and the sorted names of the session variables it
+// reads (its Var leaves, the only names the planner looks up).
+type programForm struct {
+	prog *expr.Program
 	sig  string
-	plan *core.Plan
+	vars []string
+	// input is the part of the plan-cache key after sig that planInput wrote
+	// last for this program, and cfg and key the config and key it gave.
+	input string
+	cfg   core.Config
+	key   string
 }
 
-// PlanCacheStats reports how many Run calls reused a cached plan versus
-// regenerated one. Plans served by a shared cache (SetSharedPlanCache) count
-// as hits: the engine did not regenerate them.
+// PlanCacheStats reports how many of this engine's Run calls reused a cached
+// plan versus generated one. A plan another engine put in a shared cache
+// (SetSharedPlanCache) counts as a hit: this engine did not generate it.
 func (e *Engine) PlanCacheStats() (hits, misses int) { return e.cacheHits, e.cacheMiss }
 
-// SetSharedPlanCache attaches a plan cache shared with other engines (nil
-// detaches). On a local plan-cache miss the engine consults it by full plan
-// signature before regenerating, and publishes freshly generated plans into
-// it. The cache is safe for concurrent use, so one PlanCache may back a whole
-// pool of engines.
-func (e *Engine) SetSharedPlanCache(pc *PlanCache) { e.shared = pc }
+// SetSharedPlanCache makes pc the engine's plan cache, shared with the other
+// engines it is handed to; nil gives the engine a private cache again. Every
+// run looks its plan up there and puts a plan it generates there. The cache
+// is safe for concurrent use, so one PlanCache may back a whole pool of
+// engines.
+func (e *Engine) SetSharedPlanCache(pc *PlanCache) {
+	if pc == nil {
+		pc = NewPlanCache(0)
+	}
+	e.plans = pc
+}
 
 // Reset clears the session for reuse by an unrelated job: bound variables,
-// driver scalars, the pointer-keyed plan cache (finished jobs' Program
-// objects would otherwise pin plans forever), and the base context installed
-// by the previous owner. The cluster, observers, ablation flags, checkpoint
-// configuration and the shared plan cache survive — they are the engine's
+// driver scalars, the per-program memo (finished jobs' Program objects would
+// otherwise be pinned forever), and the base context installed by the
+// previous owner. The cluster, observers, ablation flags, checkpoint
+// configuration and the plan cache survive — they are the engine's
 // infrastructure, not session state. Every result block the session held
 // and no caller was handed goes back to the block pool for the next job.
 func (e *Engine) Reset() {
 	e.vars = make(map[string]*varState)
 	e.scalars = make(map[string]float64)
-	e.planCache = nil
-	e.rewriteCache = nil
+	e.forms = nil
 	e.baseCtx = nil
 	e.reclaim()
 }
@@ -336,29 +347,46 @@ func (e *Engine) reclaim() {
 // SetRewriter attaches (or with nil, detaches) the algebraic rewrite pass:
 // every program handed to Run/RunCtx/Plan is rewritten first, and planning,
 // caching and execution all see the rewritten program. Changing the rewriter
-// invalidates cached plans and rewrites.
+// clears the per-program memo; the plan cache key records whether the pass
+// ran.
 func (e *Engine) SetRewriter(r *rewrite.Rewriter) {
 	e.rewriter = r
-	e.planCache = nil
-	e.rewriteCache = nil
+	e.forms = nil
 }
 
 // Rewriter returns the attached rewriter (nil when rewriting is off).
 func (e *Engine) Rewriter() *rewrite.Rewriter { return e.rewriter }
 
-// rewritten resolves the program the engine actually plans and executes:
-// the input itself without a rewriter, otherwise the memoized output of the
-// rewrite pass. On a fresh rewrite it records the decisions as span events
-// under an "engine/rewrite" span and feeds the rewrite counters. A rewrite
+// form resolves, once per Program pointer and session, the program the
+// engine plans and executes for p and its signature (programForm).
+func (e *Engine) form(p *expr.Program) *programForm {
+	if f, ok := e.forms[p]; ok {
+		return f
+	}
+	f := &programForm{prog: p}
+	if e.rewriter != nil {
+		f.prog = e.rewrite(p)
+	}
+	f.sig = ProgramSignature(f.prog)
+	for _, n := range f.prog.Nodes() {
+		if n.Kind == expr.KindVar {
+			f.vars = append(f.vars, n.Name)
+		}
+	}
+	sort.Strings(f.vars)
+	f.vars = slices.Compact(f.vars)
+	if e.forms == nil {
+		e.forms = make(map[*expr.Program]*programForm)
+	}
+	e.forms[p] = f
+	return f
+}
+
+// rewrite runs the rewrite pass on p, recording the decisions as span events
+// under an "engine/rewrite" span and feeding the rewrite counters. A rewrite
 // failure (a rewriter bug, not a user error) falls back to the unrewritten
 // program rather than failing the run.
-func (e *Engine) rewritten(p *expr.Program) *expr.Program {
-	if e.rewriter == nil {
-		return p
-	}
-	if res, ok := e.rewriteCache[p]; ok {
-		return res.Program
-	}
+func (e *Engine) rewrite(p *expr.Program) *expr.Program {
 	span := e.tracer.Start("engine", "rewrite", e.tracer.Scope())
 	res, err := e.rewriter.Rewrite(p)
 	if err != nil {
@@ -383,48 +411,16 @@ func (e *Engine) rewritten(p *expr.Program) *expr.Program {
 			obs.Float64("cost_before", res.CostBefore),
 			obs.Float64("cost_after", res.CostAfter))
 	}
-	if e.rewriteCache == nil {
-		e.rewriteCache = make(map[*expr.Program]*rewrite.Result)
-	}
-	e.rewriteCache[p] = res
 	return res.Program
 }
 
-// planSignature captures everything outside the program that plan
-// generation depends on: the cached schemes of the variables the program
-// reads, the worker count, the ablation flags, and whether (and under which
-// rule version) the rewrite pass canonicalized the program. Nothing about the
-// host or the kernels enters it: a plan is a function of the program, the
-// workers and the cached schemes.
-func (e *Engine) planSignature(p *expr.Program) string {
-	rw := 0
-	if e.rewriter != nil {
-		rw = rewrite.Version
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "w=%d;pu=%v;ra=%v;cp=%v;rw=%d;",
-		e.cluster.Workers(), e.disablePullUp, e.disableReassign, e.disableCPMM, rw)
-	for _, n := range p.Nodes() {
-		if n.Kind != expr.KindLoad && n.Kind != expr.KindVar {
-			continue
-		}
-		fmt.Fprintf(&b, "%s:", n.Name)
-		for _, s := range e.VarSchemes(n.Name) {
-			b.WriteString(s.String())
-		}
-		b.WriteByte(';')
-	}
-	return b.String()
-}
-
 // SetAblation toggles the planner heuristics for ablation studies: Pull-Up
-// Broadcast, Re-assignment, and the CPMM strategy. Changing the flags
-// invalidates cached plans.
+// Broadcast, Re-assignment, and the CPMM strategy. The plan cache key
+// records the flags.
 func (e *Engine) SetAblation(disablePullUp, disableReassign, disableCPMM bool) {
 	e.disablePullUp = disablePullUp
 	e.disableReassign = disableReassign
 	e.disableCPMM = disableCPMM
-	e.planCache = nil
 }
 
 // New creates an engine. blockSize is the session's block side until a bind
@@ -454,6 +450,7 @@ func New(planner Planner, cfg dist.Config, blockSize int) *Engine {
 		blockSize: blockSize,
 		vars:      make(map[string]*varState),
 		scalars:   make(map[string]float64),
+		plans:     NewPlanCache(0),
 		pool:      sched.NewBlockPool(),
 	}
 }
@@ -584,36 +581,55 @@ func (e *Engine) VarSchemes(name string) []dep.Scheme {
 	return out
 }
 
-// planConfig builds the planner view of the current session.
-func (e *Engine) planConfig() core.Config {
-	vars := make(map[string][]dep.Scheme, len(e.vars))
-	for name := range e.vars {
-		schemes := e.VarSchemes(name)
-		concrete := schemes[:0:0]
-		for _, s := range schemes {
-			if s != dep.SchemeNone {
-				concrete = append(concrete, s)
-			}
-		}
-		if len(concrete) > 0 {
-			vars[name] = concrete
-		}
+// planInput is what the planner is given for f against the current session
+// — the planner kind, whether the rewrite pass ran, and the core.Config of
+// the session schemes of the variables f reads — and the key the plan is
+// cached under: f's signature followed by all of that, written in a fixed
+// order. A plan is a function of exactly these (Algorithm 1), so one key is
+// one plan, whichever engine or Program object asks. While the session part
+// stays as it was, f's config and key are reused rather than built again.
+func (e *Engine) planInput(f *programForm) (core.Config, string) {
+	var b strings.Builder
+	fmt.Fprintf(&b, "pl=%d;rw=%v;w=%d;pu=%v;ra=%v;cp=%v;", int(e.planner), e.rewriter != nil,
+		e.cluster.Workers(), e.disablePullUp, e.disableReassign, e.disableCPMM)
+	schemes := make([][]dep.Scheme, len(f.vars))
+	for i, name := range f.vars {
 		// Variables cached only hash-partitioned are left out: the planner
 		// treats unknown variables as hash-partitioned already.
+		schemes[i] = slices.DeleteFunc(e.VarSchemes(name), func(s dep.Scheme) bool { return s == dep.SchemeNone })
+		if len(schemes[i]) == 0 {
+			continue
+		}
+		fmt.Fprintf(&b, "%q:", name)
+		for _, s := range schemes[i] {
+			b.WriteString(s.String())
+		}
+		b.WriteByte(';')
 	}
-	return core.Config{
-		Workers:         e.cluster.Workers(),
-		Vars:            vars,
-		DisablePullUp:   e.disablePullUp,
-		DisableReassign: e.disableReassign,
-		DisableCPMM:     e.disableCPMM,
+	if input := b.String(); input != f.input {
+		f.input, f.key = input, f.sig+"|"+input
+		f.cfg = core.Config{
+			Workers:         e.cluster.Workers(),
+			Vars:            make(map[string][]dep.Scheme, len(f.vars)),
+			DisablePullUp:   e.disablePullUp,
+			DisableReassign: e.disableReassign,
+			DisableCPMM:     e.disableCPMM,
+		}
+		for i, name := range f.vars {
+			if len(schemes[i]) > 0 {
+				f.cfg.Vars[name] = schemes[i]
+			}
+		}
 	}
+	return f.cfg, f.key
 }
 
 // Run plans and executes a program against the session. params provides the
 // values of named scalar parameters (expr.ScalarParam). On success the
 // program's assignments update the session variables and its scalar outputs
-// update the session scalars.
+// update the session scalars. The engine reads p's structure once a session
+// (form), so a program must not be extended after it has run: build a new
+// one.
 func (e *Engine) Run(p *expr.Program, params map[string]float64) (Metrics, error) {
 	return e.RunCtx(e.baseCtx, p, params)
 }
@@ -646,53 +662,27 @@ func (e *Engine) RunCtx(ctx context.Context, p *expr.Program, params map[string]
 		}
 	}()
 	// The rewrite pass (when attached) canonicalizes the program first;
-	// everything downstream — plan generation, both plan caches and
-	// execution — sees the rewritten program. Caches stay keyed by the
-	// caller's Program pointer.
-	rp := e.rewritten(p)
-	sig := e.planSignature(rp)
-	var plan *core.Plan
-	source := "miss"
-	if entry, ok := e.planCache[p]; ok && entry.sig == sig {
-		plan = entry.plan
+	// everything downstream — plan generation, the plan cache and execution
+	// — sees the rewritten program, so equivalent but differently written
+	// jobs share one cache entry.
+	f := e.form(p)
+	cfg, key := e.planInput(f)
+	plan := e.plans.Get(key)
+	source := "hit"
+	if plan != nil {
 		e.cacheHits++
-		source = "hit"
 		e.metrics.Counter("plan.cache.hits").Inc()
 	} else {
-		// On a local miss, try the shared cache before regenerating: another
-		// engine may have planned a structurally identical program already.
-		// The shared key uses the canonical *rewritten* program, so
-		// equivalent-but-differently-written jobs converge on one entry.
-		fullSig := ""
-		if e.shared != nil {
-			fullSig = ProgramSignature(rp) + "|" + sig
-			plan = e.shared.Get(fullSig)
+		source = "miss"
+		if plan, err = e.generate(f.prog, cfg); err != nil {
+			return Metrics{}, err
 		}
-		if plan != nil {
-			e.cacheHits++
-			source = "shared"
-			e.metrics.Counter("plan.cache.hits").Inc()
-			e.metrics.Counter("plan.cache.shared.hits").Inc()
-		} else {
-			var err error
-			plan, err = e.generate(rp)
-			if err != nil {
-				return Metrics{}, err
-			}
-			if err := plan.Check(); err != nil {
-				return Metrics{}, err
-			}
-			e.cacheMiss++
-			e.metrics.Counter("plan.cache.misses").Inc()
-			if e.shared != nil {
-				e.shared.Put(fullSig, plan)
-				e.metrics.Counter("plan.cache.shared.misses").Inc()
-			}
+		if err := plan.Check(); err != nil {
+			return Metrics{}, err
 		}
-		if e.planCache == nil {
-			e.planCache = make(map[*expr.Program]planCacheEntry)
-		}
-		e.planCache[p] = planCacheEntry{sig: sig, plan: plan}
+		e.cacheMiss++
+		e.metrics.Counter("plan.cache.misses").Inc()
+		e.plans.Put(key, plan)
 	}
 	before := e.cluster.Net().Snapshot()
 	// The run span parents under the tracer's current scope, so a caller that
@@ -706,7 +696,7 @@ func (e *Engine) RunCtx(ctx context.Context, p *expr.Program, params map[string]
 		obs.String("plan_cache", source))
 	prevScope := e.tracer.SetScope(runSpan)
 	start := time.Now()
-	stats, err := e.execute(ctx, plan, sig, params)
+	stats, err := e.execute(ctx, plan, f.input, params)
 	e.tracer.SetScope(prevScope)
 	if err != nil {
 		// A run aborted by its context must surface as that context's error:
@@ -731,17 +721,19 @@ func (e *Engine) RunCtx(ctx context.Context, p *expr.Program, params map[string]
 // current session, without executing it (the dmacplan explain path). Like
 // Run, it plans the rewritten program when a rewriter is attached.
 func (e *Engine) Plan(p *expr.Program) (*core.Plan, error) {
-	return e.generate(e.rewritten(p))
+	f := e.form(p)
+	cfg, _ := e.planInput(f)
+	return e.generate(f.prog, cfg)
 }
 
-// generate plans a (rewritten) program against the session with the
-// engine's planner: the one place the three planners part ways.
-func (e *Engine) generate(rp *expr.Program) (*core.Plan, error) {
+// generate plans a (rewritten) program under cfg with the engine's planner:
+// the one place the three planners part ways.
+func (e *Engine) generate(rp *expr.Program, cfg core.Config) (*core.Plan, error) {
 	switch e.planner {
 	case DMac:
-		return core.Generate(rp, e.planConfig())
+		return core.Generate(rp, cfg)
 	case SystemMLS:
-		return core.GenerateSystemMLS(rp, e.planConfig())
+		return core.GenerateSystemMLS(rp, cfg)
 	case Local:
 		return core.GenerateLocal(rp)
 	default:

@@ -20,9 +20,9 @@ import (
 // machinery needs to rebuild or replay parts of it.
 type execState struct {
 	plan *core.Plan
-	// sig is the plan signature of this run, stamped into checkpoint
-	// manifests so a stale snapshot (different session, different plan) can
-	// never be restored into this execution.
+	// sig is the session part of the plan's cache key (planInput), stamped
+	// into checkpoint manifests so a stale snapshot (different session,
+	// different plan) can never be restored into this execution.
 	sig    string
 	vals   []*dist.DistMatrix
 	params map[string]float64

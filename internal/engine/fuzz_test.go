@@ -174,13 +174,20 @@ func evalDirect(p *expr.Program, inputs map[string]*matrix.Grid, params map[stri
 // TestFuzzExecutionEquivalence runs random programs on all three engines —
 // twice each, so session scheme caching is exercised — and holds each to
 // evalDirect: output grids bit for bit, scalars within a summation-order
-// tolerance.
+// tolerance. The three engines of a seed share one PlanCache, and the second
+// run is of a rebuilt copy of the program, so plans come from the cache by
+// signature; each engine's FLOPs and communication must equal those of an
+// engine of its planner with a private cache running the same two programs.
 func TestFuzzExecutionEquivalence(t *testing.T) {
 	const bs = 4
 	cfg := dist.Config{Workers: 3, LocalParallelism: 2}
+	served := 0
 	for seed := int64(0); seed < 200; seed++ {
-		rng := rand.New(rand.NewSource(seed + 5000))
-		prog, data, outs, scalars := randomExecProgram(rng, bs)
+		build := func() (*expr.Program, map[string]*matrix.Grid, []string, []string) {
+			return randomExecProgram(rand.New(rand.NewSource(seed+5000)), bs)
+		}
+		prog, data, outs, scalars := build()
+		rebuilt, _, _, _ := build()
 		if err := prog.Validate(); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -188,18 +195,36 @@ func TestFuzzExecutionEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: reference: %v", seed, err)
 		}
+		shared := NewPlanCache(0)
 		for _, planner := range []Planner{Local, DMac, SystemMLS} {
-			e := New(planner, cfg, bs)
-			for name, g := range data {
-				if err := e.Bind(name, g.Clone()); err != nil {
-					t.Fatalf("seed %d %s: %v", seed, planner, err)
+			run := func(pc *PlanCache) (*Engine, Metrics) {
+				e := New(planner, cfg, bs)
+				if pc != nil {
+					e.SetSharedPlanCache(pc)
 				}
-			}
-			for iter := 0; iter < 2; iter++ {
-				if _, err := e.Run(prog, nil); err != nil {
-					t.Fatalf("seed %d %s iter %d: %v\nprogram nodes: %d", seed, planner, iter, err, len(prog.Nodes()))
+				for name, g := range data {
+					if err := e.Bind(name, g.Clone()); err != nil {
+						t.Fatalf("seed %d %s: %v", seed, planner, err)
+					}
 				}
+				var total Metrics
+				for iter, p := range []*expr.Program{prog, rebuilt} {
+					m, err := e.Run(p, nil)
+					if err != nil {
+						t.Fatalf("seed %d %s iter %d: %v\nprogram nodes: %d", seed, planner, iter, err, len(p.Nodes()))
+					}
+					total.Add(m)
+				}
+				return e, total
 			}
+			e, got := run(shared)
+			_, want := run(nil)
+			if got.FLOPs != want.FLOPs || got.CommBytes != want.CommBytes || got.CommEvents != want.CommEvents {
+				t.Errorf("seed %d: %s under the shared cache did %g FLOPs, %d B in %d events; its own plans %g FLOPs, %d B in %d events",
+					seed, planner, got.FLOPs, got.CommBytes, got.CommEvents, want.FLOPs, want.CommBytes, want.CommEvents)
+			}
+			hits, _ := e.PlanCacheStats()
+			served += hits
 			for _, name := range outs {
 				g, ok := e.Grid(name)
 				if !ok {
@@ -219,5 +244,8 @@ func TestFuzzExecutionEquivalence(t *testing.T) {
 				}
 			}
 		}
+	}
+	if served == 0 {
+		t.Error("no run was served a cached plan")
 	}
 }

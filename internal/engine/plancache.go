@@ -14,11 +14,11 @@ import (
 
 // signaturePrefix versions every program signature. The "ps" component is
 // the serialization format; the "rw" component is the rewrite-pass rule
-// version (rewrite.Version). Because the shared plan cache keys on the
-// signature of the canonical *rewritten* program, a binary with a different
-// rewrite-rule set must never be served an entry produced under the old one
-// — bumping either component makes every stale key miss. The multiply-kernel
-// generation is deliberately absent: a plan is a function of the program,
+// version (rewrite.Version). Because the plan cache keys on the signature of
+// the canonical *rewritten* program, a binary with a different rewrite-rule
+// set must never be served an entry produced under the old one — bumping
+// either component makes every stale key miss. The multiply-kernel generation
+// is deliberately absent: a plan is a function of the planner, the program,
 // the workers and the cached schemes, not of how a block product is computed.
 var signaturePrefix = fmt.Sprintf("ps1;rw%d|", rewrite.Version)
 
@@ -27,8 +27,8 @@ var signaturePrefix = fmt.Sprintf("ps1;rw%d|", rewrite.Version)
 // transpose flags), shapes, sparsity estimates and scalar payloads, plus the
 // program's assignments and scalar outputs. Two structurally identical
 // programs — even distinct *expr.Program objects built by different jobs —
-// share a signature, which is what lets a shared PlanCache hand a plan
-// generated for one job to another.
+// share a signature, which is what lets a PlanCache hand a plan generated
+// for one job to another.
 //
 // Node IDs are program-local construction indices, so they are stable across
 // identical rebuilds and safe to embed.
@@ -87,14 +87,14 @@ func ProgramSignature(p *expr.Program) string {
 	return b.String()
 }
 
-// PlanCache is a bounded LRU of generated plans shared across engines, keyed
-// by the full plan signature (program structure plus the per-engine session
-// signature: worker count, ablation flags and cached variable schemes). A
-// fleet of engines serving many tenants submits structurally identical
-// programs over and over — fresh *expr.Program objects every time, which the
-// per-engine pointer-keyed cache can never hit — and the shared cache lets
-// any engine reuse a plan another engine already generated for the same
-// signature.
+// PlanCache is a bounded LRU of generated plans, keyed by what a plan is made
+// from (the engine's planInput): the rewritten program's ProgramSignature,
+// the planner, whether the rewrite pass ran, the worker count, the ablation
+// flags and the cached schemes of the variables the program reads. Every
+// engine owns one; SetSharedPlanCache lets a fleet of engines serving many
+// tenants share one, so structurally identical programs — fresh
+// *expr.Program objects every time — reuse a plan any engine of the same
+// planner already generated.
 //
 // Plans are immutable after generation (the engine only reads Ops, Values and
 // the embedded program), so sharing one *core.Plan across engines running on
@@ -114,8 +114,8 @@ type planCacheItem struct {
 	plan *core.Plan
 }
 
-// NewPlanCache creates a shared plan cache holding at most capacity plans
-// (<= 0 means a default of 128).
+// NewPlanCache creates a plan cache holding at most capacity plans (<= 0
+// means a default of 128).
 func NewPlanCache(capacity int) *PlanCache {
 	if capacity <= 0 {
 		capacity = 128

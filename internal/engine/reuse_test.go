@@ -171,6 +171,39 @@ func TestSharedPlanCacheAcrossEngines(t *testing.T) {
 	}
 }
 
+// TestSharedPlanCacheKeepsPlannersApart: a DMac, a SystemML-S and a Local
+// engine that share one PlanCache each run their own planner's plan on GNMF —
+// the same program against the same session schemes — so each moves and
+// computes exactly what an engine with a private cache of the same planner
+// does.
+func TestSharedPlanCacheKeepsPlannersApart(t *testing.T) {
+	run := func(planner Planner, pc *PlanCache) Metrics {
+		t.Helper()
+		e := New(planner, testConfig(), tBS)
+		if pc != nil {
+			e.SetSharedPlanCache(pc)
+		}
+		bindGNMF(t, e)
+		var total Metrics
+		for i := 0; i < 2; i++ {
+			m, err := e.Run(gnmfProgram(0.3), nil)
+			if err != nil {
+				t.Fatalf("%s: %v", planner, err)
+			}
+			total.Add(m)
+		}
+		return total
+	}
+	shared := NewPlanCache(16)
+	for _, planner := range []Planner{DMac, SystemMLS, Local} {
+		got, want := run(planner, shared), run(planner, nil)
+		if got.CommBytes != want.CommBytes || got.FLOPs != want.FLOPs {
+			t.Errorf("%s under a shared cache moved %d B and %g FLOPs, its own plan %d B and %g FLOPs",
+				planner, got.CommBytes, got.FLOPs, want.CommBytes, want.FLOPs)
+		}
+	}
+}
+
 // TestProgramSignatureDiscriminates pins the signature's sensitivity: a
 // rebuilt identical program shares it, while changed shapes, constants or
 // assignment names do not.

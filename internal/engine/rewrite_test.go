@@ -212,7 +212,7 @@ func TestEngineRewriteCacheReuse(t *testing.T) {
 	if got := reg.Snapshot().Counters["rewrite.programs"]; got != 1 {
 		t.Fatalf("rewrite.programs = %d after first run, want 1", got)
 	}
-	if _, ok := e.rewriteCache[p]; !ok {
+	if _, ok := e.forms[p]; !ok {
 		t.Fatal("rewrite result not memoized")
 	}
 	if _, err := e.Run(p, nil); err != nil {
@@ -222,7 +222,7 @@ func TestEngineRewriteCacheReuse(t *testing.T) {
 		t.Fatalf("rewrite.programs = %d after second run, want 1 (memoized)", got)
 	}
 	e.Reset()
-	if e.rewriteCache != nil {
+	if e.forms != nil {
 		t.Fatal("Reset did not clear the rewrite memo")
 	}
 	e.SetRewriter(nil)

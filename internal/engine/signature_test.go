@@ -96,8 +96,9 @@ func TestProgramSignatureEncodesFusedTree(t *testing.T) {
 }
 
 // Two engines sharing one PlanCache, one with the rewriter attached and one
-// without, must never cross-serve plans: the planSignature embeds whether
-// the rewrite pass ran, so the same program yields distinct cache keys.
+// without, must never cross-serve plans: the plan cache key (planInput)
+// records whether the rewrite pass ran, so the same program yields distinct
+// cache keys.
 func TestSharedCacheRewriterIsolation(t *testing.T) {
 	const bs = 4
 	pc := NewPlanCache(16)
@@ -140,23 +141,29 @@ func TestSharedCacheRewriterIsolation(t *testing.T) {
 	}
 }
 
-// The planSignature must distinguish rewriter-on from rewriter-off sessions
-// directly, independent of any program content.
+// planKey is the key e caches p's plan under against its current session.
+func planKey(e *Engine, p *expr.Program) string {
+	_, key := e.planInput(e.form(p))
+	return key
+}
+
+// The plan cache key must distinguish rewriter-on from rewriter-off sessions
+// directly, even where the pass leaves the program as it was.
 func TestPlanSignatureEncodesRewriter(t *testing.T) {
 	p := signatureProgram()
 	off := New(DMac, dist.Config{Workers: 2}, 4)
 	on := New(DMac, dist.Config{Workers: 2}, 4)
 	on.SetRewriter(rewrite.New())
-	if off.planSignature(p) == on.planSignature(p) {
-		t.Fatalf("plan signatures identical with and without rewriter: %q", off.planSignature(p))
+	if planKey(off, p) == planKey(on, p) {
+		t.Fatalf("plan keys identical with and without rewriter: %q", planKey(off, p))
 	}
 }
 
-// TestPlanIndependentOfKernelConfig: a plan is a function of the program, the
-// workers and the cached schemes (Algorithm 1). Neither the block size nor
-// the kernel worker count of the host may reach the plan or its cache key,
-// even for a dense product whose blocks are as large as the kernels get.
-// Plan only; nothing runs.
+// TestPlanIndependentOfKernelConfig: a plan is a function of the planner,
+// the program, the workers and the cached schemes (Algorithm 1). Neither the
+// block size nor the kernel worker count of the host may reach the plan or
+// its cache key, even for a dense product whose blocks are as large as the
+// kernels get. Plan only; nothing runs.
 func TestPlanIndependentOfKernelConfig(t *testing.T) {
 	defer matrix.SetKernelWorkers(matrix.KernelWorkers())
 	prog := func() *expr.Program {
@@ -174,13 +181,13 @@ func TestPlanIndependentOfKernelConfig(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sig, text := e.planSignature(p), pl.String()
+			sig, text := planKey(e, p), pl.String()
 			if sig0 == "" {
 				sig0, plan0 = sig, text
 				continue
 			}
 			if sig != sig0 {
-				t.Errorf("kernel workers %d, block size %d: plan signature %q, want %q", kw, bs, sig, sig0)
+				t.Errorf("kernel workers %d, block size %d: plan key %q, want %q", kw, bs, sig, sig0)
 			}
 			if text != plan0 {
 				t.Errorf("kernel workers %d, block size %d: plan\n%s\nwant\n%s", kw, bs, text, plan0)

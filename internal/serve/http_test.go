@@ -44,7 +44,7 @@ func getJSON(t *testing.T, url string, v any) int {
 	return resp.StatusCode
 }
 
-// TestHTTPLifecycle exercises the whole JSON API: submit, poll to done,
+// TestHTTPLifecycle exercises the whole JSON API: submit, wait for done,
 // fetch the result summary, and read service stats.
 func TestHTTPLifecycle(t *testing.T) {
 	s := newTestService(t, testOptions())
@@ -70,21 +70,14 @@ func TestHTTPLifecycle(t *testing.T) {
 		t.Fatalf("submit response: %+v", jr)
 	}
 
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	if _, err := s.Wait(ctx, jr.ID); err != nil {
+		t.Fatalf("job did not finish: %v", err)
+	}
 	var final JobResponse
-	deadline := time.Now().Add(time.Minute)
-	for {
-		var poll JobResponse
-		if code := getJSON(t, srv.URL+"/v1/jobs/"+jr.ID+"?include=result", &poll); code != http.StatusOK {
-			t.Fatalf("status = %d", code)
-		}
-		if poll.State.Terminal() {
-			final = poll
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("job did not finish over HTTP")
-		}
-		time.Sleep(5 * time.Millisecond)
+	if code := getJSON(t, srv.URL+"/v1/jobs/"+jr.ID+"?include=result", &final); code != http.StatusOK {
+		t.Fatalf("status = %d", code)
 	}
 	if final.State != StateDone {
 		t.Fatalf("final state %s: %s", final.State, final.Error)
