@@ -253,7 +253,7 @@ type Engine struct {
 	rewriter *rewrite.Rewriter
 	// forms memoizes, per caller's Program pointer, the program the engine
 	// plans and runs and its signature (form): a program is rewritten and
-	// serialized once a session.
+	// serialized once a session, and again when it has grown since.
 	forms map[*expr.Program]*programForm
 	// ckpt is the engine's checkpoint manager (nil without SetCheckpoint):
 	// runs snapshot live values to disk under its policy and recover from the
@@ -279,6 +279,8 @@ type programForm struct {
 	prog *expr.Program
 	sig  string
 	vars []string
+	// size is the caller's program's Size when the form was made.
+	size int
 	// input is the part of the plan-cache key after sig that planInput wrote
 	// last for this program, and cfg and key the config and key it gave.
 	input string
@@ -357,13 +359,14 @@ func (e *Engine) SetRewriter(r *rewrite.Rewriter) {
 // Rewriter returns the attached rewriter (nil when rewriting is off).
 func (e *Engine) Rewriter() *rewrite.Rewriter { return e.rewriter }
 
-// form resolves, once per Program pointer and session, the program the
-// engine plans and executes for p and its signature (programForm).
+// form resolves, once per Program pointer and session and again whenever p
+// has grown, the program the engine plans and executes for p and its
+// signature (programForm).
 func (e *Engine) form(p *expr.Program) *programForm {
-	if f, ok := e.forms[p]; ok {
+	if f, ok := e.forms[p]; ok && f.size == p.Size() {
 		return f
 	}
-	f := &programForm{prog: p}
+	f := &programForm{prog: p, size: p.Size()}
 	if e.rewriter != nil {
 		f.prog = e.rewrite(p)
 	}
@@ -627,9 +630,7 @@ func (e *Engine) planInput(f *programForm) (core.Config, string) {
 // Run plans and executes a program against the session. params provides the
 // values of named scalar parameters (expr.ScalarParam). On success the
 // program's assignments update the session variables and its scalar outputs
-// update the session scalars. The engine reads p's structure once a session
-// (form), so a program must not be extended after it has run: build a new
-// one.
+// update the session scalars.
 func (e *Engine) Run(p *expr.Program, params map[string]float64) (Metrics, error) {
 	return e.RunCtx(e.baseCtx, p, params)
 }

@@ -3,12 +3,15 @@ package engine
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"dmac/internal/expr"
 	"dmac/internal/matrix"
+	"dmac/internal/rewrite"
 )
 
 // TestEngineReuseAcrossJobs is the engine-reuse regression test: a session
@@ -23,7 +26,7 @@ func TestEngineReuseAcrossJobs(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Poison the session with everything a sloppy pool would leak: a scalar,
-	// a cancelled base context, and the (pointer-keyed) plan cache warmed.
+	// a cancelled base context, and the plan cache warmed.
 	reused.SetScalar("leak", 123)
 	poisoned, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -257,5 +260,66 @@ func TestRunCtxCancelSurfacesCanceled(t *testing.T) {
 	defer dcancel()
 	if _, err := e.RunCtx(dctx, prog, nil); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("expired deadline returned %v, want context.DeadlineExceeded", err)
+	}
+}
+
+// TestGrownProgramRunsAsItStands: a program extended after it has run is
+// planned and run as it now stands, on DMac and Local, with and without the
+// rewriter. GNMF runs twice; an assignment appended then is made by the
+// third run, and one that reads a variable the program never read before by
+// the fourth.
+func TestGrownProgramRunsAsItStands(t *testing.T) {
+	for _, planner := range []Planner{DMac, Local} {
+		for _, rw := range []bool{false, true} {
+			label := fmt.Sprintf("%s rewrite=%v", planner, rw)
+			e := New(planner, testConfig(), tBS)
+			if rw {
+				e.SetRewriter(rewrite.New())
+			}
+			bindGNMF(t, e)
+			p := gnmfProgram(0.3)
+			run := func() {
+				if _, err := e.Run(p, nil); err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+			}
+			run()
+			run()
+			var W expr.Ref
+			for _, n := range p.Nodes() {
+				if n.Kind == expr.KindVar && n.Name == "W" {
+					W = expr.Ref{Node: n}
+				}
+			}
+			p.Assign("Z", p.Scalar(matrix.ScalarMul, W, 2))
+			w := peek(t, e, "W")
+			run()
+			z, ok := e.varGrid("Z")
+			if !ok {
+				t.Fatalf("%s: the assignment appended after two runs was not made", label)
+			}
+			if !sameBits(z, matrix.ScalarGrid(matrix.ScalarMul, w, 2)) {
+				t.Errorf("%s: Z is not 2·W", label)
+			}
+
+			u := randDenseGrid(rand.New(rand.NewSource(8)), tRows, tK, tBS)
+			if err := e.Bind("U", u); err != nil {
+				t.Fatal(err)
+			}
+			p.Assign("Y", p.Add(p.Var("U", tRows, tK, 1), W))
+			w = peek(t, e, "W")
+			run()
+			y, ok := e.varGrid("Y")
+			if !ok {
+				t.Fatalf("%s: the assignment reading a new variable was not made", label)
+			}
+			want, err := matrix.CellwiseGrid(matrix.OpAdd, u, w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameBits(y, want) {
+				t.Errorf("%s: Y is not U + W", label)
+			}
+		}
 	}
 }

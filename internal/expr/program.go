@@ -45,6 +45,11 @@ func (p *Program) Assignments() []Assignment { return p.assigns }
 // ScalarOuts returns the scalar outputs of the program.
 func (p *Program) ScalarOuts() []ScalarOut { return p.scalars }
 
+// Size counts the program's nodes, assignments and scalar outputs. A
+// program only grows, so two reads that agree saw the same program: it is
+// how a reader that memoises per program notices one that was extended.
+func (p *Program) Size() int { return len(p.nodes) + len(p.assigns) + len(p.scalars) }
+
 func (p *Program) add(n *Node) Ref {
 	n.ID = dep.MatrixID(len(p.nodes))
 	p.nodes = append(p.nodes, n)

@@ -13,9 +13,9 @@ import (
 // one without clearing or overwriting every cell cannot give the right bits.
 func dirty(p *BlockPool) {
 	for _, l := range p.free {
-		for _, b := range l {
-			for i := range b.Data {
-				b.Data[i] = math.NaN()
+		for _, f := range l {
+			for i := range f.b.Data {
+				f.b.Data[i] = math.NaN()
 			}
 		}
 	}
@@ -51,24 +51,28 @@ func sameBits(a, b *matrix.Grid) bool {
 func freeBytes(p *BlockPool) int64 {
 	var n int64
 	for _, l := range p.free {
-		for _, b := range l {
-			n += b.MemBytes()
+		for _, f := range l {
+			n += f.b.MemBytes()
 		}
 	}
 	return n
 }
 
 // TestBlockPoolReusesResultBlocks runs each result path twice under one
-// pool, reclaiming everything between the runs and poisoning the free list:
-// the second run must take every result block from the first run's release
-// and still give the bits of an executor without a pool, and the memory
-// tracker must charge both runs alike.
+// pool, with a product of other block shapes between them, as a served slot
+// runs another job between two of one kind. Everything is reclaimed after
+// each of the three, and the free list is poisoned before the second run:
+// it must take every result block from the first run's release, kept across
+// the other product's, and still give the bits of an executor without a
+// pool, and the memory tracker must charge both runs alike.
 func TestBlockPoolReusesResultBlocks(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	a := randGrid(rng, 23, 17, 5, 0.3)
 	b := randGrid(rng, 17, 19, 5, 1)
 	c := randGrid(rng, 23, 19, 5, 1)
 	d := randGrid(rng, 23, 19, 5, 1)
+	// Block side 6 gives no block shape the side-5 grids above give.
+	oa, ob := randGrid(rng, 13, 9, 6, 1), randGrid(rng, 9, 14, 6, 0.5)
 	tree := &matrix.CellTree{Inputs: 2, Links: []matrix.CellLink{
 		{Kind: matrix.LinkBin, BinOp: matrix.OpCellMul, A: matrix.CellInput(0), B: matrix.CellInput(1)},
 		{Kind: matrix.LinkFunc, UFunc: matrix.FuncSigmoid, A: matrix.CellValue(0)},
@@ -106,7 +110,12 @@ func TestBlockPoolReusesResultBlocks(t *testing.T) {
 			t.Fatalf("%s: pool owns %d blocks, the result has %d", name, p.Owned(), len(owned))
 		}
 		p.Reclaim(nil)
+		if _, err := e.MulTrans(context.Background(), oa, ob, false, false, InPlace); err != nil {
+			t.Fatal(err)
+		}
+		p.Reclaim(nil)
 		dirty(p)
+		before := e.Mem().Current()
 		second, err := run(e)
 		if err != nil {
 			t.Fatal(err)
@@ -120,16 +129,28 @@ func TestBlockPoolReusesResultBlocks(t *testing.T) {
 		if !sameBits(second, want) {
 			t.Errorf("%s: a reused block changed the result's bits", name)
 		}
-		if got := e.Mem().Current() - charged; got != charged {
+		if got := e.Mem().Current() - before; got != charged {
 			t.Errorf("%s: the memory tracker charged %d bytes for a pooled run, %d for a fresh one", name, got, charged)
 		}
 	}
 }
 
-// TestBlockPoolHoldsOneRelease pins the free list's bound: after a Reclaim
-// it holds exactly what that Reclaim released, and a leftover of an earlier
-// release that no task took is gone.
-func TestBlockPoolHoldsOneRelease(t *testing.T) {
+// freeSet is the set of blocks on p's free list.
+func freeSet(p *BlockPool) map[*matrix.DenseBlock]bool {
+	out := make(map[*matrix.DenseBlock]bool)
+	for _, l := range p.free {
+		for _, f := range l {
+			out[f.b] = true
+		}
+	}
+	return out
+}
+
+// TestBlockPoolKeepsEarlierReleases pins the free list's bound: a Reclaim
+// keeps the whole of its own release and, of what earlier releases left
+// untaken, the newest releases' blocks while they fit in the largest
+// release seen; the oldest go first.
+func TestBlockPoolKeepsEarlierReleases(t *testing.T) {
 	p := NewBlockPool()
 	x, y, z := p.take(4, 4, false), p.take(4, 4, false), p.take(2, 3, false)
 	p.Reclaim(map[*matrix.DenseBlock]bool{z: true})
@@ -145,9 +166,61 @@ func TestBlockPoolHoldsOneRelease(t *testing.T) {
 			t.Fatal("take(zero) handed back a block that was not cleared")
 		}
 	}
+	leftover := x
+	if u == x {
+		leftover = y
+	}
+	// The second release (u and z) is smaller than the first, so the
+	// first's leftover fits beside it.
 	p.Reclaim(nil)
-	if p.Owned() != 0 || freeBytes(p) != u.MemBytes()+z.MemBytes() {
-		t.Fatalf("second reclaim: %d owned, %d free bytes; want only u and z free", p.Owned(), freeBytes(p))
+	if free := freeSet(p); p.Owned() != 0 || len(free) != 3 || !free[u] || !free[z] || !free[leftover] {
+		t.Fatalf("second reclaim: %d owned, %d free blocks; want u, z and the first release's leftover free", p.Owned(), len(free))
+	}
+	if got := p.take(4, 4, false); got != u {
+		t.Fatal("take did not hand back the newest free block of its shape")
+	}
+	p.Reclaim(nil)
+
+	// Three releases of one size each, of three other shapes: a release of
+	// shape B keeps shape A's blocks while they fit in the largest release,
+	// and the oldest go first once they do not.
+	q := NewBlockPool()
+	release := func(rows, cols int) []*matrix.DenseBlock {
+		bs := []*matrix.DenseBlock{q.take(rows, cols, false), q.take(rows, cols, false)}
+		q.Reclaim(nil)
+		return bs
+	}
+	a := release(8, 4)
+	b := release(4, 8)
+	if free := freeSet(q); len(free) != 4 || !free[a[0]] || !free[a[1]] || !free[b[0]] || !free[b[1]] {
+		t.Fatalf("a release of shape B dropped shape A's free blocks: %d free, want 4", len(free))
+	}
+	c := release(2, 16)
+	free := freeSet(q)
+	if free[a[0]] || free[a[1]] {
+		t.Error("the oldest release outlived a newer one past the bound")
+	}
+	if len(free) != 4 || !free[b[0]] || !free[b[1]] || !free[c[0]] || !free[c[1]] {
+		t.Errorf("third release: %d free blocks, want the second and third releases' 4", len(free))
+	}
+	if freeBytes(q) > 2*q.keep {
+		t.Errorf("the free list holds %d bytes, past twice the largest release (%d)", freeBytes(q), q.keep)
+	}
+
+	// The newest release that does not fit whole loses only the blocks the
+	// bound asks for: two 256-byte blocks, then a 128-byte release beside
+	// them, then another, which leaves room for one of the two.
+	r := NewBlockPool()
+	two := []*matrix.DenseBlock{r.take(8, 4, false), r.take(8, 4, false)}
+	r.Reclaim(nil)
+	one := r.take(2, 8, false)
+	r.Reclaim(nil)
+	last := r.take(4, 4, false)
+	r.Reclaim(nil)
+	free = freeSet(r)
+	if len(free) != 3 || !free[one] || !free[last] || free[two[0]] == free[two[1]] {
+		t.Errorf("partial drop: %d free blocks (first release's: %v, %v), want one of the first release's two beside the later two",
+			len(free), free[two[0]], free[two[1]])
 	}
 }
 

@@ -54,7 +54,8 @@ type errorResponse struct {
 //
 //	POST   /v1/jobs            submit a registry workload
 //	GET    /v1/jobs            list jobs (?tenant= and ?state= filters)
-//	GET    /v1/jobs/{id}       job status (?include=result adds output summaries)
+//	GET    /v1/jobs/{id}       job status (?include=result adds output summaries;
+//	                           410 once the result's grids were evicted)
 //	GET    /v1/jobs/{id}/trace Chrome-trace JSON from the flight recorder
 //	DELETE /v1/jobs/{id}       cancel
 //	GET    /v1/stats           service statistics
@@ -223,11 +224,14 @@ func (s *Service) handleStatus(w http.ResponseWriter, r *http.Request) {
 	}
 	resp := JobResponse{JobStatus: st}
 	if r.URL.Query().Get("include") == "result" && st.State == StateDone {
-		if res, err := s.Result(id); err == nil {
-			resp.Outputs = make(map[string]OutputSummary, len(res.Grids))
-			for name, g := range res.Grids {
-				resp.Outputs[name] = summarize(g)
-			}
+		res, err := s.Result(id)
+		if err != nil { // a done job's one Result error: ErrResultEvicted
+			writeJSON(w, http.StatusGone, errorResponse{Error: err.Error()})
+			return
+		}
+		resp.Outputs = make(map[string]OutputSummary, len(res.Grids))
+		for name, g := range res.Grids {
+			resp.Outputs[name] = summarize(g)
 		}
 	}
 	writeJSON(w, http.StatusOK, resp)

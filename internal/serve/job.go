@@ -143,6 +143,10 @@ type job struct {
 
 	result  *Result
 	metrics engine.Metrics
+	// resultBytes is the bytes of result's grids while the service keeps
+	// them; evicted is set once it has dropped them (retainLocked).
+	resultBytes int64
+	evicted     bool
 }
 
 // releaseInputs drops the job's references to its inputs and program at its
@@ -220,3 +224,8 @@ var ErrUnknownJob = fmt.Errorf("serve: unknown job")
 // ErrNotFinished is returned by Result for jobs that have not reached a
 // terminal state.
 var ErrNotFinished = fmt.Errorf("serve: job not finished")
+
+// ErrResultEvicted is returned by Result for a finished job whose output
+// grids the service no longer keeps: later results pushed them past the
+// retention budget. Its status and scalars stay.
+var ErrResultEvicted = fmt.Errorf("serve: job result evicted")

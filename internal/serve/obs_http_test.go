@@ -15,17 +15,7 @@ import (
 // runJobToDone submits a small registry workload and waits for completion.
 func runJobToDone(t *testing.T, s *Service, tenant string) JobStatus {
 	t.Helper()
-	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-	defer cancel()
-	st, err := s.Submit(JobSpec{Tenant: tenant, Workload: "gram"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fin, err := s.Wait(ctx, st.ID)
-	if err != nil || fin.State != StateDone {
-		t.Fatalf("job %s: %v / %+v", st.ID, err, fin)
-	}
-	return fin
+	return runDone(t, s, JobSpec{Tenant: tenant, Workload: "gram"})
 }
 
 // TestMetricsEndpoint: GET /metrics serves Prometheus text exposition with

@@ -194,9 +194,9 @@ func (s *Service) runJob(j *job, slot *engineSlot) {
 }
 
 // finishJob ends a run: it stores the run's result and metrics, flags a
-// failure caused by the deadline or a lost worker, settles the job, returns
-// the slot to the pool, records the run in the tenant's run families, and
-// feeds the SLO tracker.
+// failure caused by the deadline or a lost worker, settles the job, keeps
+// its result within the retention budget, returns the slot to the pool,
+// records the run in the tenant's run families, and feeds the SLO tracker.
 func (s *Service) finishJob(j *job, slot *engineSlot, state State, runErr error, res *Result, total engine.Metrics, iters int) {
 	s.mu.Lock()
 	j.result = res
@@ -208,6 +208,9 @@ func (s *Service) finishJob(j *job, slot *engineSlot, state State, runErr error,
 		j.faulted = errors.As(runErr, &wf)
 	}
 	s.settleLocked(j, state, runErr)
+	if res != nil {
+		s.retainLocked(j)
+	}
 	s.freeSlots = append(s.freeSlots, slot)
 	s.slotGaugesLocked()
 	runSec := j.finished.Sub(j.started).Seconds()
@@ -225,4 +228,29 @@ func (s *Service) finishJob(j *job, slot *engineSlot, state State, runErr error,
 		s.slo.record(j.spec.Tenant, latency, state == StateFailed)
 	}
 	close(j.done)
+}
+
+// retainLocked keeps a done job's result grids and evicts the oldest kept
+// results' grids until the rest fit in the retention budget. The newest
+// result is never evicted, so one larger than the budget is kept until the
+// next job finishes. An evicted job keeps its record, status, scalars and
+// trace; its Result returns ErrResultEvicted from then on. The grids a
+// client already holds stay the client's: eviction replaces the job's
+// Result rather than editing it.
+func (s *Service) retainLocked(j *job) {
+	for _, g := range j.result.Grids {
+		j.resultBytes += g.MemBytes()
+	}
+	s.retained = append(s.retained, j)
+	s.retainedBytes += j.resultBytes
+	for len(s.retained) > 1 && s.retainedBytes > s.resultBudget {
+		old := s.retained[0]
+		s.retained[0] = nil
+		s.retained = s.retained[1:]
+		s.retainedBytes -= old.resultBytes
+		old.result = &Result{Scalars: old.result.Scalars}
+		old.resultBytes, old.evicted = 0, true
+		s.cEvicted.Inc()
+	}
+	s.gRetained.Set(float64(s.retainedBytes))
 }

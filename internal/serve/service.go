@@ -69,10 +69,12 @@ type Options struct {
 }
 
 // Bounds of the two caches every engine slot shares: plans by signature,
-// and built registry inputs by total bytes.
+// and built registry inputs by total bytes. Finished results' grids are kept
+// for Result up to resultBudgetBytes, the oldest evicted first (retainLocked).
 const (
 	sharedPlanEntries = 128
 	jobCacheBytes     = 64 << 20
+	resultBudgetBytes = 16 << 20
 )
 
 func (o Options) withDefaults() Options {
@@ -125,6 +127,12 @@ type Service struct {
 	nextID    int64
 	draining  bool
 	closed    bool
+	// retained holds the done jobs whose result grids are kept, in the order
+	// they finished, and retainedBytes those grids' bytes, at most
+	// resultBudget beside the newest result.
+	retained      []*job
+	retainedBytes int64
+	resultBudget  int64
 
 	wg             sync.WaitGroup
 	dispatcherDone chan struct{}
@@ -141,6 +149,8 @@ type Service struct {
 	vFLOPs      *obs.CounterVec   // tenant
 	vJobGFLOPS  *obs.HistogramVec // tenant
 	vSlots      *obs.GaugeVec     // state: total | free
+	gRetained   *obs.Gauge        // serve.results.retained.bytes
+	cEvicted    *obs.Counter      // serve.results.evicted
 }
 
 var latencyBounds = []float64{
@@ -161,6 +171,7 @@ func NewService(opts Options) (*Service, error) {
 		slo:            newSLOTracker(opts.SLO),
 		flight:         newFlightRecorder(opts.FlightRecorderJobs),
 		jobs:           make(map[string]*job),
+		resultBudget:   resultBudgetBytes,
 		tenants:        make(map[string]*tenantState),
 		dispatcherDone: make(chan struct{}),
 	}
@@ -177,6 +188,8 @@ func NewService(opts Options) (*Service, error) {
 	s.vFLOPs = m.CounterVec("serve.tenant.flops", "tenant")
 	s.vJobGFLOPS = m.HistogramVec("serve.tenant.job.gflops", obs.GFLOPSBuckets, "tenant")
 	s.vSlots = m.GaugeVec("serve.slots", "state")
+	s.gRetained = m.Gauge("serve.results.retained.bytes")
+	s.cEvicted = m.Counter("serve.results.evicted")
 
 	for id := 0; id < opts.Slots; id++ {
 		slot, err := s.newSlot(id)
@@ -216,7 +229,9 @@ func (s *Service) Status(id string) (JobStatus, error) {
 	return j.status(), nil
 }
 
-// Result returns a finished job's output grids and scalars.
+// Result returns a finished job's output grids and scalars. Once later
+// results have pushed its grids out of the service's keeping, it returns
+// ErrResultEvicted; the job's status, scalars included, stays.
 func (s *Service) Result(id string) (*Result, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -229,6 +244,9 @@ func (s *Service) Result(id string) (*Result, error) {
 	}
 	if j.err != nil {
 		return nil, j.err
+	}
+	if j.evicted {
+		return nil, ErrResultEvicted
 	}
 	return j.result, nil
 }

@@ -59,6 +59,11 @@ type Stats struct {
 	RunP95Sec       float64 `json:"run_p95_sec"`
 	RunP99Sec       float64 `json:"run_p99_sec"`
 
+	// ResultsRetainedBytes is the bytes of the finished results' grids the
+	// service keeps for Result: at most its retention budget beside the
+	// newest result.
+	ResultsRetainedBytes int64 `json:"results_retained_bytes"`
+
 	PlanCache CacheStats             `json:"plan_cache"`
 	JobCache  CacheStats             `json:"job_cache"`
 	Tenants   map[string]TenantStats `json:"tenants"`
@@ -100,6 +105,7 @@ func (s *Service) Stats() Stats {
 	st.SlotsFree = len(s.freeSlots)
 	st.QueueDepth = s.q.size
 	st.Running = s.runningLocked()
+	st.ResultsRetainedBytes = s.retainedBytes
 	for name, ts := range s.tenants {
 		st.Tenants[name] = TenantStats{
 			Queued:       ts.queued,
