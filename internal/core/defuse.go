@@ -128,6 +128,53 @@ func (p *Plan) linkStages() {
 	}
 }
 
+// reach derives each broadcast's Reach from the def-use table, once per plan.
+func (p *Plan) reach() {
+	for _, op := range p.Ops {
+		if op.Kind == OpBroadcast {
+			to, ok := p.holders(op.Output, nil)
+			if !ok || len(to) == 0 {
+				to = nil
+			}
+			op.Reach = to
+		}
+	}
+}
+
+// holders appends to to the values whose holders read broadcast value id
+// (see Op.Reach), following lazy transposes to their readers. It reports
+// false when every worker needs the copy: the value is kept, so the session's
+// (b) instance must be everywhere, or a reader of another kind reads it.
+func (p *Plan) holders(id ValueID, to []ValueID) ([]ValueID, bool) {
+	u := &p.uses[id]
+	if u.kept {
+		return nil, false
+	}
+	for _, r := range u.readers {
+		var h ValueID
+		switch {
+		case r.Kind == OpCompute && r.Strategy == RMM1 && r.Inputs[0] == id && r.Inputs[1] != id:
+			h = r.Inputs[1]
+		case r.Kind == OpCompute && r.Strategy == RMM2 && r.Inputs[1] == id && r.Inputs[0] != id:
+			h = r.Inputs[0]
+		case r.Kind == OpExtract:
+			h = r.Output
+		case r.Kind == OpTranspose && r.CommBytes == 0:
+			var ok bool
+			if to, ok = p.holders(r.Output, to); !ok {
+				return nil, false
+			}
+			continue
+		default:
+			return nil, false
+		}
+		if !slices.Contains(to, h) {
+			to = append(to, h)
+		}
+	}
+	return to, true
+}
+
 // licenseInPlace decides, once per plan, which cell-wise operators may write
 // their result into the blocks of an input instead of fresh ones. An input
 // qualifies when it is the untransposed result of a multiplication of the

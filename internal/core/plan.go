@@ -76,7 +76,7 @@ const (
 	OpCompute
 	// OpPartition repartitions a value to a Row or Col scheme (shuffle).
 	OpPartition
-	// OpBroadcast replicates a value to every worker.
+	// OpBroadcast replicates a value to the workers that read it (Op.Reach).
 	OpBroadcast
 	// OpTranspose locally transposes a value (Row <-> Col, or Broadcast).
 	OpTranspose
@@ -145,6 +145,14 @@ type Op struct {
 	// runs a kernel (Kernel), the previous operator of the stage that does
 	// not. Set by AssignStages.
 	After []int
+	// Reach lists, for a broadcast, the values whose holders read its copy:
+	// the (c) partner of each RMM1 and the (r) partner of each RMM2 that
+	// reads it, and the output of each extract from it, through its lazy
+	// transposes. Nil means every worker: the broadcast or a view of it is
+	// kept, or another kind of operator reads it. Like After it names no
+	// worker, since one cached plan serves every block size; the engine
+	// resolves it to workers when it runs the broadcast. Set by AssignStages.
+	Reach []ValueID
 }
 
 // Kernel reports whether the operator runs block kernels of its own: a
@@ -215,8 +223,8 @@ func (p *Plan) finalizeFlexible() {
 // operator: the first operator is a leaf, and each later one lands at most one
 // stage past its latest input; a plan with no operators has no stages. It
 // returns the stage count and keeps the stage index (StageOps), the def-use
-// table (ValueStage, LiveAfter, StageInputs, Keeps) and each stage's operator
-// graph (Op.After) on the plan.
+// table (ValueStage, LiveAfter, StageInputs, Keeps), each stage's operator
+// graph (Op.After) and each broadcast's reach (Op.Reach) on the plan.
 func (p *Plan) AssignStages() int {
 	p.uses = make([]use, len(p.Values))
 	p.stageOps = nil
@@ -248,6 +256,7 @@ func (p *Plan) AssignStages() int {
 	p.Stages = len(p.stageOps)
 	p.keep()
 	p.linkStages()
+	p.reach()
 	return p.Stages
 }
 

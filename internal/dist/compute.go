@@ -50,8 +50,9 @@ func (s MulStrategy) String() string {
 
 // Multiply runs a distributed multiplication with the given strategy and
 // the classical block kernel. The operand schemes must match the strategy's
-// requirements; the output scheme for CPMM is outScheme (Row or Col),
-// ignored for RMM1/RMM2.
+// requirements, and a replicated operand must have reached every worker its
+// partner's blocks are on; the output scheme for CPMM is outScheme (Row or
+// Col), ignored for RMM1/RMM2.
 func (c *Cluster) Multiply(ctx context.Context, a, b *DistMatrix, strategy MulStrategy, outScheme dep.Scheme, stage int) (*DistMatrix, error) {
 	var want [2]dep.Scheme
 	switch strategy {
@@ -72,6 +73,18 @@ func (c *Cluster) Multiply(ctx context.Context, a, b *DistMatrix, strategy MulSt
 	if a.Scheme != want[0] || b.Scheme != want[1] {
 		return nil, fmt.Errorf("dist: %s requires schemes (%s,%s), got (%s,%s)",
 			strategy, want[0], want[1], a.Scheme, b.Scheme)
+	}
+	// The replicated operand must reach every worker its partner's blocks
+	// are on: RMM1 runs by B's block-columns, RMM2 by A's block-rows.
+	var reach error
+	switch strategy {
+	case RMM1:
+		reach = c.readsWithin(a, b)
+	case RMM2:
+		reach = c.readsWithin(b, a)
+	}
+	if reach != nil {
+		return nil, fmt.Errorf("dist: %s: %w", strategy, reach)
 	}
 	c.addFLOPs(ctx, cost.MulFLOPs(a.Grid.NNZ(), b.Grid.NNZ(), a.Cols()))
 	if err := c.opFault(ctx); err != nil {
@@ -133,6 +146,13 @@ func (c *Cluster) Cells(ctx context.Context, t *matrix.CellTree, ins []*DistMatr
 		return nil, fmt.Errorf("dist: cellwise without inputs")
 	}
 	a := ins[0]
+	for _, m := range ins {
+		// Only the plan's multiplications and extracts read a narrowed
+		// broadcast; a result here would claim to be everywhere.
+		if m.reach != nil {
+			return nil, fmt.Errorf("dist: cellwise on a broadcast that reaches only workers %v", m.reach)
+		}
+	}
 	mixed := false
 	for _, b := range ins[1:] {
 		if a.Scheme != b.Scheme {

@@ -190,7 +190,7 @@ func TestCorruptionAcrossHandoffKinds(t *testing.T) {
 	if err := c.BeginStage(1, 0); err != nil {
 		t.Fatal(err)
 	}
-	c.Broadcast(context.Background(), NewDistMatrix(a, dep.SchemeNone), 1)
+	c.Broadcast(context.Background(), NewDistMatrix(a, dep.SchemeNone), 1, nil)
 	if err := c.BeginStage(2, 0); err != nil {
 		t.Fatal(err)
 	}

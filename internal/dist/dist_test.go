@@ -78,7 +78,7 @@ func TestBroadcastChargesNTimes(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	g := randGrid(rng, 12, 12, 4, 1)
 	m := NewDistMatrix(g, dep.Row)
-	out, err := c.Broadcast(context.Background(), m, 2)
+	out, err := c.Broadcast(context.Background(), m, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package dist
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"dmac/internal/cost"
@@ -28,6 +29,10 @@ type DistMatrix struct {
 	// demand by Cluster.MaterializedGrid for consumers that need the blocks
 	// laid out logically.
 	trans bool
+	// reach lists, for a broadcast replica, the workers it was copied to by
+	// nominal placement (see Holders), nil for every worker; Cluster.receivers
+	// resolves them to their current owners.
+	reach []int
 }
 
 // NewDistMatrix wraps a grid with a placement scheme.
@@ -61,6 +66,11 @@ func (m *DistMatrix) Cols() int {
 
 // Trans reports whether the matrix is an unmaterialized transpose view.
 func (m *DistMatrix) Trans() bool { return m.trans }
+
+// Reach returns the workers, by nominal placement, a broadcast replica was
+// copied to, nil when it is everywhere (every matrix that is not a narrowed
+// broadcast). The slice is the matrix's and must not be modified.
+func (m *DistMatrix) Reach() []int { return m.reach }
 
 // Bytes returns the actual block memory footprint, which is what the
 // instrumented network charges for moving the matrix. For a transpose view
@@ -115,7 +125,7 @@ func (m *DistMatrix) BlockBytes(bi, bj int) int64 {
 
 // Owner returns the worker a block is placed on under the matrix's scheme:
 // block-rows round-robin for Row, block-columns for Col, hash of the block
-// coordinates for hash placement. Broadcast replicas live everywhere
+// coordinates for hash placement. Broadcast replicas live on every receiver
 // (worker 0 is reported). Block coordinates are logical, so a transpose view
 // places block (bi, bj) exactly where the materialized transpose would.
 // Blocks whose nominal owner has been killed are deterministically
@@ -136,12 +146,76 @@ func (c *Cluster) Owner(m *DistMatrix, bi, bj int) int {
 	return c.reassignIfDead(w)
 }
 
+// Holders returns, in ascending order, the workers a rows x cols matrix cut
+// at blockSize places blocks on under a Row or Col scheme, by nominal
+// placement: Owner's round-robin before dead workers' blocks are reassigned.
+// A broadcast read only next to such a matrix needs to reach these workers.
+func (c *Cluster) Holders(scheme dep.Scheme, rows, cols, blockSize int) ([]int, error) {
+	var side int
+	switch scheme {
+	case dep.Row:
+		side = rows
+	case dep.Col:
+		side = cols
+	default:
+		return nil, fmt.Errorf("dist: holders under scheme %s", scheme)
+	}
+	n := min((side+blockSize-1)/blockSize, c.cfg.Workers)
+	out := make([]int, n)
+	for w := range out {
+		out[w] = w
+	}
+	return out, nil
+}
+
+// receivers returns, in ascending order, the alive workers holding a copy of
+// the matrix: for a broadcast replica, the current owners of the workers it
+// reaches (every alive worker for a full one); for any other matrix, every
+// alive worker, which is where its reach of nil puts it.
+func (c *Cluster) receivers(m *DistMatrix) []int {
+	if m.reach == nil {
+		return c.aliveList()
+	}
+	out := make([]int, 0, len(m.reach))
+	for _, w := range m.reach {
+		out = append(out, c.reassignIfDead(w))
+	}
+	slices.Sort(out)
+	return slices.Compact(out)
+}
+
+// readsWithin is the receiver check of a narrowed broadcast b: every block of
+// part, the matrix whose blocks b is read next to, must be owned by one of
+// b's receivers. A reader placed outside them would read a copy that was
+// never sent.
+func (c *Cluster) readsWithin(b, part *DistMatrix) error {
+	if b.reach == nil {
+		return nil
+	}
+	to := c.receivers(b)
+	for bi := 0; bi < part.BlockRows(); bi++ {
+		for bj := 0; bj < part.BlockCols(); bj++ {
+			if w := c.Owner(part, bi, bj); !slices.Contains(to, w) {
+				return fmt.Errorf("dist: block (%d,%d) of a %s matrix is on worker %d, outside the broadcast's receivers %v",
+					bi, bj, part.Scheme, w, to)
+			}
+		}
+	}
+	return nil
+}
+
 // WorkerBytes returns the bytes of the matrix's blocks placed on the given
 // worker — the data lost (and re-fetched from lineage) when that worker
-// dies. Broadcast replicas cost nothing to lose: every survivor already
-// holds a full copy.
+// dies. A full broadcast costs nothing to lose: every survivor already holds
+// a copy. A narrowed one costs |A| when the worker was a receiver, the copy
+// the survivor inheriting its blocks needs, and nothing otherwise; the
+// survivor is a receiver from then on, since receivers resolves the reach
+// under current liveness.
 func (c *Cluster) WorkerBytes(m *DistMatrix, w int) int64 {
 	if m.Scheme == dep.Broadcast {
+		if m.reach != nil && slices.Contains(c.receivers(m), w) {
+			return m.Bytes()
+		}
 		return 0
 	}
 	var total int64
@@ -229,32 +303,54 @@ func (c *Cluster) Partition(ctx context.Context, m *DistMatrix, scheme dep.Schem
 	return out, nil
 }
 
-// Broadcast replicates the matrix on every alive worker, charging N x |A|
-// for a full cluster and proportionally less once workers have been lost.
-// On the wire the replication is a ring: the coordinator sends each block
-// once and the alive workers forward it around the ring, so no single link
-// carries the whole fan-out.
-func (c *Cluster) Broadcast(ctx context.Context, m *DistMatrix, stage int) (*DistMatrix, error) {
+// Broadcast replicates the matrix on the workers its readers run on. to
+// lists them by nominal placement (Holders), nil for every worker; each
+// receives a copy at its current owner (receivers), so a worker lost before
+// the broadcast is stood in for by the survivor holding its blocks. The
+// charge is |A| per receiver: N x |A| for a full broadcast on a full cluster,
+// the price Eq. 1 plans every broadcast at, and less for a narrowed one or
+// once workers have been lost. On the wire the replication is a ring over
+// the receivers: the coordinator sends each block once and each receiver
+// forwards it to the next, so no single link carries the whole fan-out.
+func (c *Cluster) Broadcast(ctx context.Context, m *DistMatrix, stage int, to []int) (*DistMatrix, error) {
 	if err := collectiveTurn(ctx); err != nil {
 		return nil, err
 	}
+	out := &DistMatrix{Grid: m.Grid, Scheme: dep.Broadcast, trans: m.trans, reach: c.narrow(to)}
+	hops := c.receivers(out)
 	sent := time.Now()
-	wire, err := c.transport.Ring(ctx, "broadcast", stage, m.ringXfers(), c.aliveList())
+	wire, err := c.transport.Ring(ctx, "broadcast", stage, m.ringXfers(), hops)
 	wireS := time.Since(sent).Seconds()
 	if err := c.commFailure(err, stage); err != nil {
 		return nil, err
 	}
-	replicas := int64(c.AliveWorkers())
+	replicas := int64(len(hops))
 	c.net.AddBroadcast(replicas * m.Bytes())
 	c.traceComm(ctx, stage, "broadcast", replicas*m.Bytes(),
 		obs.String("from_scheme", m.Scheme.String()), obs.Int64("replicas", replicas))
 	c.verifyTransfer(ctx, m, stage, "broadcast")
 	c.chargeWire(ctx, stage, "broadcast", wire, wireS)
-	return &DistMatrix{Grid: m.Grid, Scheme: dep.Broadcast, trans: m.trans}, nil
+	return out, nil
+}
+
+// narrow returns a broadcast's reach as Broadcast stores it: to sorted and
+// without repeats, or nil when it names every worker.
+func (c *Cluster) narrow(to []int) []int {
+	if to == nil {
+		return nil
+	}
+	reach := slices.Clone(to)
+	slices.Sort(reach)
+	reach = slices.Compact(reach)
+	if len(reach) == c.cfg.Workers {
+		return nil
+	}
+	return reach
 }
 
 // Extract locally filters a broadcast replica down to a Row or Col
-// partition; no communication (the extract extended operator).
+// partition; no communication (the extract extended operator). Every block
+// of the partition must land on one of the replica's receivers.
 func (c *Cluster) Extract(ctx context.Context, m *DistMatrix, scheme dep.Scheme) (*DistMatrix, error) {
 	if m.Scheme != dep.Broadcast {
 		return nil, fmt.Errorf("dist: extract from scheme %s", m.Scheme)
@@ -262,22 +358,26 @@ func (c *Cluster) Extract(ctx context.Context, m *DistMatrix, scheme dep.Scheme)
 	if scheme != dep.Row && scheme != dep.Col {
 		return nil, fmt.Errorf("dist: extract to invalid scheme %s", scheme)
 	}
+	out := &DistMatrix{Grid: m.Grid, Scheme: scheme, trans: m.trans}
+	if err := c.readsWithin(m, out); err != nil {
+		return nil, err
+	}
 	if err := c.opFault(ctx); err != nil {
 		return nil, err
 	}
-	return &DistMatrix{Grid: m.Grid, Scheme: scheme, trans: m.trans}, nil
+	return out, nil
 }
 
 // Transpose locally transposes the matrix; the scheme flips between Row and
 // Col (Broadcast and hash placements stay as they are). No communication
 // (the transpose extended operator). The result is a lazy view sharing the
-// operand's blocks: downstream multiplications fuse it into their kernels,
-// and other consumers materialize it on demand. The modelled FLOPs are
+// operand's blocks (and a broadcast's reach): downstream multiplications fuse
+// it into their kernels, and other consumers materialize it on demand. The modelled FLOPs are
 // charged here, when the transpose logically happens, so stage accounting is
 // independent of whether the view is ever realized.
 func (c *Cluster) Transpose(ctx context.Context, m *DistMatrix) *DistMatrix {
 	c.addFLOPs(ctx, cost.TransposeFLOPs(float64(m.Grid.NNZ())))
-	return &DistMatrix{Grid: m.Grid, Scheme: m.Scheme.Opposite(), trans: !m.trans}
+	return &DistMatrix{Grid: m.Grid, Scheme: m.Scheme.Opposite(), trans: !m.trans, reach: m.reach}
 }
 
 // ShuffleTranspose is the baseline transpose job: a full shuffle that

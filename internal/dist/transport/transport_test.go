@@ -340,7 +340,7 @@ func TestTCPClusterChargesMatchModel(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := c.Broadcast(ctx, m, 1); err != nil {
+		if _, err := c.Broadcast(ctx, m, 1, nil); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := c.ShuffleTranspose(ctx, rowed, 2); err != nil {
@@ -389,7 +389,7 @@ func TestClusterTimesEachTransportCall(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < 2; i++ {
-			if _, err := c.Broadcast(ctx, m, 2); err != nil {
+			if _, err := c.Broadcast(ctx, m, 2, nil); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -30,7 +30,7 @@ func transportGoldenStats(t *testing.T, c *Cluster) []Snapshot {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Broadcast(ctx, m, 1); err != nil {
+	if _, err := c.Broadcast(ctx, m, 1, nil); err != nil {
 		t.Fatal(err)
 	}
 	after = append(after, c.Net().Snapshot())
@@ -111,7 +111,7 @@ func TestCollectivesHonorCanceledContext(t *testing.T) {
 	if _, err := c.Partition(ctx, m, dep.Row, 1); !errors.Is(err, context.Canceled) {
 		t.Errorf("Partition under canceled ctx = %v, want context.Canceled", err)
 	}
-	if _, err := c.Broadcast(ctx, m, 1); !errors.Is(err, context.Canceled) {
+	if _, err := c.Broadcast(ctx, m, 1, nil); !errors.Is(err, context.Canceled) {
 		t.Errorf("Broadcast under canceled ctx = %v, want context.Canceled", err)
 	}
 	rowed := NewDistMatrix(g, dep.Row)

@@ -299,7 +299,11 @@ func (e *Engine) dispatch(ctx context.Context, st *execState, op *core.Op) (*dis
 	case core.OpPartition:
 		return e.cluster.Partition(ctx, vals[op.Inputs[0]], plan.Value(op.Output).Scheme, op.Stage)
 	case core.OpBroadcast:
-		return e.cluster.Broadcast(ctx, vals[op.Inputs[0]], op.Stage)
+		to, err := e.reach(plan, op)
+		if err != nil {
+			return nil, err
+		}
+		return e.cluster.Broadcast(ctx, vals[op.Inputs[0]], op.Stage, to)
 	case core.OpTranspose:
 		if op.CommBytes > 0 {
 			// Baseline transpose job: shuffle-based.
@@ -313,6 +317,30 @@ func (e *Engine) dispatch(ctx context.Context, st *execState, op *core.Op) (*dis
 	default:
 		return nil, fmt.Errorf("unexpected operator kind %v", op.Kind)
 	}
+}
+
+// reach resolves a broadcast's reach (core.Op.Reach) to the workers its
+// readers run on: the union of each value's holders (Cluster.Holders) when
+// cut at the session block size. Nil — every worker — for a reach of nil.
+func (e *Engine) reach(plan *core.Plan, op *core.Op) ([]int, error) {
+	if op.Reach == nil {
+		return nil, nil
+	}
+	var to []int
+	for _, id := range op.Reach {
+		v := plan.Value(id)
+		n := plan.Program.Nodes()[v.Matrix]
+		rows, cols := n.Rows, n.Cols
+		if v.Transposed {
+			rows, cols = cols, rows
+		}
+		h, err := e.cluster.Holders(v.Scheme, rows, cols, e.blockSize)
+		if err != nil {
+			return nil, err
+		}
+		to = append(to, h...)
+	}
+	return to, nil
 }
 
 // leafInstance resolves an OpLoad/OpVar to a session instance with the
@@ -415,6 +443,11 @@ func (e *Engine) foldBack(ctx context.Context, st *execState) error {
 			dm := st.vals[id]
 			if dm == nil {
 				return fmt.Errorf("engine: %q has no materialized value v%d", k.Var, id)
+			}
+			if dm.Reach() != nil {
+				// A kept (b) instance must be everywhere: the next run's
+				// readers may sit on any worker (core.Plan.holders).
+				return fmt.Errorf("engine: %q would keep v%d, a broadcast on workers %v only", k.Var, id, dm.Reach())
 			}
 			if st.plan.Value(id).Transposed != k.Ref.Transposed {
 				dm = e.cluster.Transpose(ctx, dm)

@@ -89,7 +89,7 @@ func TestServeChaos(t *testing.T) {
 			}
 			want := oracles[jobs[i].workload+"|"+jobs[i].params.Key()]
 			for name, wg := range want.grids {
-				if got := res.Grids[name]; got == nil || !matrix.GridEqual(got, wg, 0) {
+				if got := res.Grids[name]; got == nil || !gridBits(got, wg) {
 					t.Errorf("job %d (%s/%s): output %s diverged from fault-free run",
 						i, jobs[i].tenant, jobs[i].workload, name)
 				}

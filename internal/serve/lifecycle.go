@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"dmac/internal/workload"
@@ -170,9 +171,10 @@ func (s *Service) buildSpec(spec JobSpec) (*workload.BuiltJob, error) {
 // settleLocked is the one terminal transition of a job, whichever way it
 // ends: a finished run (finishJob), a cancel while queued, a shed at Stop. It
 // releases the tenant's live accounting, stamps the state, error and finish
-// time, counts the job once in serve.tenant.jobs.finished, drops its inputs
-// and logs it. A queued job is off the queue already; the caller closes
-// j.done once the mutex is released.
+// time, counts the job once in serve.tenant.jobs.finished, drops its inputs,
+// logs it and forgets the oldest finished jobs past the record bound. A
+// queued job is off the queue already; the caller closes j.done once the
+// mutex is released.
 func (s *Service) settleLocked(j *job, state State, err error) {
 	ts := s.tenants[j.spec.Tenant]
 	if j.state == StateRunning {
@@ -200,6 +202,27 @@ func (s *Service) settleLocked(j *job, state State, err error) {
 		s.logger.Warn("job finished", append(attrs, "error", st.Error)...)
 	} else {
 		s.logger.Info("job finished", attrs...)
+	}
+	s.finished = append(s.finished, j)
+	s.forgetLocked()
+}
+
+// forgetLocked drops the oldest finished jobs' records, and any result grids
+// still kept for them, while the service holds more than jobLimit records. A
+// forgotten job answers ErrUnknownJob (HTTP 404) from then on. Queued and
+// running jobs are never forgotten, so they alone may hold the table past
+// the bound.
+func (s *Service) forgetLocked() {
+	for len(s.jobs) > s.jobLimit && len(s.finished) > 0 {
+		old := s.finished[0]
+		s.finished[0] = nil
+		s.finished = s.finished[1:]
+		delete(s.jobs, old.id)
+		if i := slices.Index(s.retained, old); i >= 0 {
+			s.retained = slices.Delete(s.retained, i, i+1)
+			s.retainedBytes -= old.resultBytes
+			s.gRetained.Set(float64(s.retainedBytes))
+		}
 	}
 }
 

@@ -194,9 +194,10 @@ func (s *Service) runJob(j *job, slot *engineSlot) {
 }
 
 // finishJob ends a run: it stores the run's result and metrics, flags a
-// failure caused by the deadline or a lost worker, settles the job, keeps
-// its result within the retention budget, returns the slot to the pool,
-// records the run in the tenant's run families, and feeds the SLO tracker.
+// failure caused by the deadline or a lost worker, keeps its result within
+// the retention budget, settles the job (which may forget it), returns the
+// slot to the pool, records the run in the tenant's run families, and feeds
+// the SLO tracker.
 func (s *Service) finishJob(j *job, slot *engineSlot, state State, runErr error, res *Result, total engine.Metrics, iters int) {
 	s.mu.Lock()
 	j.result = res
@@ -207,10 +208,10 @@ func (s *Service) finishJob(j *job, slot *engineSlot, state State, runErr error,
 		j.deadlined = errors.Is(runErr, context.DeadlineExceeded)
 		j.faulted = errors.As(runErr, &wf)
 	}
-	s.settleLocked(j, state, runErr)
 	if res != nil {
 		s.retainLocked(j)
 	}
+	s.settleLocked(j, state, runErr)
 	s.freeSlots = append(s.freeSlots, slot)
 	s.slotGaugesLocked()
 	runSec := j.finished.Sub(j.started).Seconds()

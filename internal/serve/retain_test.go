@@ -10,24 +10,8 @@ import (
 	"testing"
 	"time"
 
-	"dmac/internal/matrix"
 	"dmac/internal/workload"
 )
-
-// gridBits reports whether two grids hold the same values bit for bit, NaN
-// included (GridEqual's tolerance test lets a NaN through).
-func gridBits(a, b *matrix.Grid) bool {
-	if a.Rows() != b.Rows() || a.Cols() != b.Cols() {
-		return false
-	}
-	da, db := a.ToDense(), b.ToDense()
-	for i := range da {
-		if math.Float64bits(da[i]) != math.Float64bits(db[i]) {
-			return false
-		}
-	}
-	return true
-}
 
 // runDone submits a job, waits for it and fails the test unless it is done.
 func runDone(t *testing.T, s *Service, spec JobSpec) JobStatus {
@@ -204,5 +188,108 @@ func TestSlotInterleavesJobTypes(t *testing.T) {
 				t.Errorf("%s: scalar %s = %v, a fresh engine gives %v", label, name, got, want)
 			}
 		}
+	}
+}
+
+// setJobLimit shrinks the service's job-record bound for a test.
+func setJobLimit(s *Service, n int) {
+	s.mu.Lock()
+	s.jobLimit = n
+	s.mu.Unlock()
+}
+
+// TestJobRecordsForgetOldestFinishedFirst: past the record bound the service
+// forgets the oldest finished job, and only it; a forgotten job is unknown
+// (404), while a remembered one whose result was evicted answers 410 for the
+// result and 200 for its status. A queued or running job is never forgotten,
+// however far past the bound they alone hold the table.
+func TestJobRecordsForgetOldestFinishedFirst(t *testing.T) {
+	opts := testOptions()
+	opts.Slots = 1
+	s := newTestService(t, opts)
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	setJobLimit(s, 2)
+	setResultBudget(s, 1)
+
+	var ids []string
+	for seed := 1; seed <= 4; seed++ {
+		ids = append(ids, runDone(t, s, gramSpec(float64(seed))).ID)
+		for i, id := range ids {
+			_, err := s.Status(id)
+			if known := i >= len(ids)-2; known != (err == nil) {
+				t.Fatalf("after job %d: job %d Status err = %v, want known=%v", len(ids), i+1, err, known)
+			}
+			if err != nil && !errors.Is(err, ErrUnknownJob) {
+				t.Fatalf("job %d: Status err = %v, want ErrUnknownJob", i+1, err)
+			}
+		}
+	}
+	if _, err := s.Result(ids[0]); !errors.Is(err, ErrUnknownJob) {
+		t.Errorf("Result of a forgotten job = %v, want ErrUnknownJob", err)
+	}
+	for _, c := range []struct {
+		url  string
+		want int
+	}{
+		{"/v1/jobs/" + ids[1], http.StatusNotFound},
+		{"/v1/jobs/" + ids[1] + "?include=result", http.StatusNotFound},
+		{"/v1/jobs/" + ids[2], http.StatusOK},
+		{"/v1/jobs/" + ids[2] + "?include=result", http.StatusGone},
+		{"/v1/jobs/" + ids[3] + "?include=result", http.StatusOK},
+	} {
+		if code := getJSON(t, srv.URL+c.url, nil); code != c.want {
+			t.Errorf("GET %s = %d, want %d", c.url, code, c.want)
+		}
+	}
+	if got := len(s.ListJobs("", "")); got != 2 {
+		t.Errorf("%d jobs listed, want the 2 remembered", got)
+	}
+
+	setJobLimit(s, 1)
+	running, err := s.Submit(foreverJob(t, "alice"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitRunning(t, s, running.ID)
+	queued, err := s.Submit(gramSpec(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	canceled, err := s.Submit(gramSpec(6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Cancel(canceled.ID); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []string{running.ID, queued.ID} {
+		if st, err := s.Status(id); err != nil || st.State.Terminal() {
+			t.Errorf("live job %s: %+v, %v; want it remembered and live", id, st, err)
+		}
+	}
+	for _, id := range append(ids, canceled.ID) {
+		if _, err := s.Status(id); !errors.Is(err, ErrUnknownJob) {
+			t.Errorf("finished job %s: Status err = %v, want forgotten past the bound", id, err)
+		}
+	}
+	if _, err := s.Cancel(running.ID); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	if st, err := s.Wait(ctx, queued.ID); err != nil || st.State != StateDone {
+		t.Fatalf("queued job: %+v, %v", st, err)
+	}
+	if _, err := s.Status(running.ID); !errors.Is(err, ErrUnknownJob) {
+		t.Errorf("the canceled running job: Status err = %v, want forgotten", err)
+	}
+	res, err := s.Result(queued.ID)
+	if err != nil {
+		t.Fatalf("the newest job: Result err = %v, want its result", err)
+	}
+	// The forgotten jobs' kept results left the budget with them.
+	if got, want := s.Stats().ResultsRetainedBytes, res.Grids["G"].MemBytes(); got != want {
+		t.Errorf("%d result bytes kept, want the one remembered result's %d", got, want)
 	}
 }

@@ -3,7 +3,6 @@ package serve
 import (
 	"context"
 	"fmt"
-	"io"
 	"log/slog"
 	"sort"
 	"sync"
@@ -70,11 +69,14 @@ type Options struct {
 
 // Bounds of the two caches every engine slot shares: plans by signature,
 // and built registry inputs by total bytes. Finished results' grids are kept
-// for Result up to resultBudgetBytes, the oldest evicted first (retainLocked).
+// for Result up to resultBudgetBytes, the oldest evicted first (retainLocked),
+// and finished jobs' records up to jobRecords jobs in all, the oldest
+// forgotten first (forgetLocked).
 const (
 	sharedPlanEntries = 128
 	jobCacheBytes     = 64 << 20
 	resultBudgetBytes = 16 << 20
+	jobRecords        = 1024
 )
 
 func (o Options) withDefaults() Options {
@@ -97,10 +99,19 @@ func (o Options) withDefaults() Options {
 		o.Metrics = obs.NewRegistry()
 	}
 	if o.Logger == nil {
-		o.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
+		o.Logger = slog.New(discardHandler{})
 	}
 	return o
 }
+
+// discardHandler is the default Logger's handler. It enables no level, so a
+// log call returns before it formats its record.
+type discardHandler struct{}
+
+func (discardHandler) Enabled(context.Context, slog.Level) bool  { return false }
+func (discardHandler) Handle(context.Context, slog.Record) error { return nil }
+func (d discardHandler) WithAttrs([]slog.Attr) slog.Handler      { return d }
+func (d discardHandler) WithGroup(string) slog.Handler           { return d }
 
 // Service is the multi-tenant job service. See the package comment for the
 // life of a job. All methods are safe for concurrent use.
@@ -133,6 +144,11 @@ type Service struct {
 	retained      []*job
 	retainedBytes int64
 	resultBudget  int64
+	// finished holds the terminal jobs still in jobs, in the order they
+	// settled; forgetting them oldest first holds jobs to jobLimit records,
+	// or to the queued and running jobs alone when those are more.
+	finished []*job
+	jobLimit int
 
 	wg             sync.WaitGroup
 	dispatcherDone chan struct{}
@@ -172,6 +188,7 @@ func NewService(opts Options) (*Service, error) {
 		flight:         newFlightRecorder(opts.FlightRecorderJobs),
 		jobs:           make(map[string]*job),
 		resultBudget:   resultBudgetBytes,
+		jobLimit:       jobRecords,
 		tenants:        make(map[string]*tenantState),
 		dispatcherDone: make(chan struct{}),
 	}
@@ -262,7 +279,10 @@ func (s *Service) Wait(ctx context.Context, id string) (JobStatus, error) {
 	}
 	select {
 	case <-j.done:
-		return s.Status(id)
+		// The record may be forgotten by now; j is still the job.
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return j.status(), nil
 	case <-ctx.Done():
 		return JobStatus{}, ctx.Err()
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"log/slog"
 	"math"
 	"net/http/httptest"
 	"runtime"
@@ -155,7 +156,7 @@ func TestTwoTenantsIsolatedResults(t *testing.T) {
 		wantGrids, wantScalars := soloRun(t, opts, jobs[i].workload, jobs[i].params, sizes[i])
 		for name, want := range wantGrids {
 			got := res.Grids[name]
-			if got == nil || !matrix.GridEqual(got, want, 0) {
+			if got == nil || !gridBits(got, want) {
 				t.Errorf("job %d (%s): output %s diverged from single-job engine", i, jobs[i].workload, name)
 			}
 		}
@@ -527,7 +528,7 @@ func TestRegistryJobBlockSize(t *testing.T) {
 		}
 		want, wantScalars := soloRun(t, opts, c.workload, c.params, c.want)
 		for name, g := range want {
-			if got := res.Grids[name]; got.BlockSize() != c.want || !matrix.GridEqual(got, g, 0) {
+			if got := res.Grids[name]; got.BlockSize() != c.want || !gridBits(got, g) {
 				t.Errorf("%s binds: %s at block size %d, or diverged from a single-job engine at %d", c.why, name, got.BlockSize(), c.want)
 			}
 		}
@@ -572,7 +573,7 @@ func TestSubmitDegreeBeyondNodes(t *testing.T) {
 		t.Fatal(err)
 	}
 	want, _ := soloRun(t, opts, "pagerank", params, 64)
-	if !matrix.GridEqual(res.Grids["rank"], want["rank"], 0) {
+	if !gridBits(res.Grids["rank"], want["rank"]) {
 		t.Error("rank diverged from a single-job engine at block size 64")
 	}
 }
@@ -603,7 +604,7 @@ func TestProgrammaticJobAtItsInputsBlockSize(t *testing.T) {
 		t.Fatal(err)
 	}
 	want, _ := soloRun(t, opts, "gram", nil, 5)
-	if !matrix.GridEqual(res.Grids["G"], want["G"], 0) {
+	if !gridBits(res.Grids["G"], want["G"]) {
 		t.Error("G diverged from a single-job engine at block size 5")
 	}
 }
@@ -1084,6 +1085,17 @@ func TestLifecycleLedger(t *testing.T) {
 		if c.p50 != c.fam.Quantile(0.50) || c.p95 != c.fam.Quantile(0.95) || c.p99 != c.fam.Quantile(0.99) {
 			t.Errorf("%s quantiles %v/%v/%v, family %v/%v/%v", c.name, c.p50, c.p95, c.p99,
 				c.fam.Quantile(0.50), c.fam.Quantile(0.95), c.fam.Quantile(0.99))
+		}
+	}
+}
+
+// TestDefaultLoggerFormatsNothing: the default logger enables no level, so
+// the lifecycle's log calls return before formatting a record.
+func TestDefaultLoggerFormatsNothing(t *testing.T) {
+	l := Options{}.withDefaults().Logger
+	for _, level := range []slog.Level{slog.LevelDebug, slog.LevelInfo, slog.LevelWarn, slog.LevelError} {
+		if l.Enabled(context.Background(), level) {
+			t.Errorf("the default logger enables %s", level)
 		}
 	}
 }

@@ -49,10 +49,10 @@ func TestSlotResultSurvivesLaterJobs(t *testing.T) {
 	}
 	want, _ := soloRun(t, opts, "blend", workload.Params{"n": 32, "k": 6, "iters": 2, "seed": 1}, st.BlockSize)
 	for name, g := range first.Grids {
-		if !matrix.GridEqual(g, kept[name], 0) {
+		if !gridBits(g, kept[name]) {
 			t.Errorf("output %s of the first job changed while later jobs ran on its slot", name)
 		}
-		if !matrix.GridEqual(g, want[name], 0) {
+		if !gridBits(g, want[name]) {
 			t.Errorf("output %s of the first job differs from a dedicated engine's", name)
 		}
 	}
