@@ -97,6 +97,28 @@ func TestFacadeHelpers(t *testing.T) {
 	}
 }
 
+// TestRewriterWithConfig: a rewriter whose config disables chain reordering
+// leaves (AB)C as written, where NewRewriter reorders it to A(BC).
+func TestRewriterWithConfig(t *testing.T) {
+	p := dmac.NewProgram()
+	a, b, c := p.Var("A", 96, 6, 1), p.Var("B", 6, 96, 1), p.Var("C", 96, 6, 1)
+	p.Assign("out", p.Mul(p.Mul(a, b), c))
+	off := dmac.NewRewriterWithConfig(dmac.RewriterConfig{DisableChainReorder: true})
+	for _, rw := range []*dmac.Rewriter{dmac.NewRewriter(), off} {
+		res, err := rw.Rewrite(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reordered := false
+		for _, d := range res.Decisions {
+			reordered = reordered || d.Rule == "chain-reorder"
+		}
+		if reordered != (rw != off) {
+			t.Errorf("chain reordering disabled = %v, but reordered = %v", rw == off, reordered)
+		}
+	}
+}
+
 // TestFacadeIO exercises the re-exported I/O helpers.
 func TestFacadeIO(t *testing.T) {
 	g := dmac.SparseUniform(1, 20, 15, 8, 0.1)

@@ -347,7 +347,7 @@ func TestAppsCutGeneratedInputsAtTheDataSide(t *testing.T) {
 		}
 		got, _ := fresh.Grid(app.out)
 		want, _ := ref.Grid(app.out)
-		if got == nil || want == nil || got.BlockSize() != side || !matrix.GridEqual(got, want, 0) {
+		if got == nil || want == nil || got.BlockSize() != side || matrix.BitDiff(got, want) != "" {
 			t.Errorf("%s: %s differs from a session created at side %d", app.name, app.out, side)
 		}
 	}

@@ -117,7 +117,7 @@ func CheckpointSweep(ctx context.Context, dir string, intervals []int, iters int
 			WaitSec:        t.CheckpointWaitSeconds,
 			RecoveryBytes:  t.RecoveryBytes,
 			ModelSec:       t.ModelSeconds,
-			Match:          gok && matrix.GridEqual(got, wantRank, 0),
+			Match:          gok && matrix.BitDiff(got, wantRank) == "",
 		})
 	}
 	return rows, killStage, nil

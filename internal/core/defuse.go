@@ -92,18 +92,6 @@ func (p *Plan) LiveAfter(stage int) []ValueID {
 	return live
 }
 
-// StageInputs returns, in ascending ID order, the values stage s reads that
-// earlier stages produced: what a failure in s loses from lineage.
-func (p *Plan) StageInputs(s int) []ValueID {
-	var in []ValueID
-	for id, u := range p.uses {
-		if u.stage < s && slices.ContainsFunc(u.readers, func(r *Op) bool { return r.Stage == s }) {
-			in = append(in, ValueID(id))
-		}
-	}
-	return in
-}
-
 // linkStages derives the edges of each stage's operator graph (Op.After),
 // once per plan, so a cached plan carries them: an edge from the producer of
 // every value to each operator of the same stage that reads it, and a chain

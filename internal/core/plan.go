@@ -223,8 +223,8 @@ func (p *Plan) finalizeFlexible() {
 // operator: the first operator is a leaf, and each later one lands at most one
 // stage past its latest input; a plan with no operators has no stages. It
 // returns the stage count and keeps the stage index (StageOps), the def-use
-// table (ValueStage, LiveAfter, StageInputs, Keeps), each stage's operator
-// graph (Op.After) and each broadcast's reach (Op.Reach) on the plan.
+// table (ValueStage, LiveAfter, Keeps), each stage's operator graph
+// (Op.After) and each broadcast's reach (Op.Reach) on the plan.
 func (p *Plan) AssignStages() int {
 	p.uses = make([]use, len(p.Values))
 	p.stageOps = nil

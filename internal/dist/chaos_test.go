@@ -173,7 +173,7 @@ func runChaosCell(base *engine.Engine, wl chaosWorkload, cp chaosPlan, checkpoin
 	for _, name := range wl.outputs {
 		got, ok1 := e.Grid(name)
 		want, ok2 := base.Grid(name)
-		match = match && ok1 && ok2 && matrix.GridEqual(got, want, 0)
+		match = match && ok1 && ok2 && matrix.BitDiff(got, want) == ""
 	}
 	for _, name := range wl.scalars {
 		got, ok1 := e.Scalar(name)

@@ -105,7 +105,7 @@ func TestScriptedCorruptionDetected(t *testing.T) {
 	if s.Bytes <= cs.Bytes {
 		t.Errorf("corrupted run moved %d bytes, clean run %d: re-fetches not charged", s.Bytes, cs.Bytes)
 	}
-	if !matrix.GridEqual(g, pristine, 0) {
+	if matrix.BitDiff(g, pristine) != "" {
 		t.Error("corruption damaged the stored grid; bit-flips must hit only the in-transit copy")
 	}
 }

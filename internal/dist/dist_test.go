@@ -225,7 +225,7 @@ func TestCellwiseAndScalar(t *testing.T) {
 		t.Errorf("cellwise scheme %s", out.Scheme)
 	}
 	want, _ := matrix.CellwiseGrid(matrix.OpCellMul, ga, gb)
-	if !matrix.GridEqual(out.Grid, want, 0) {
+	if matrix.BitDiff(out.Grid, want) != "" {
 		t.Error("cellwise result wrong")
 	}
 	if got := c.Net().Snapshot().Bytes; got != 0 {
@@ -244,7 +244,7 @@ func TestCellwiseAndScalar(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !matrix.GridEqual(sc.Grid, matrix.ScalarGrid(matrix.ScalarMul, ga, 2), 0) {
+	if matrix.BitDiff(sc.Grid, matrix.ScalarGrid(matrix.ScalarMul, ga, 2)) != "" {
 		t.Error("scalar result wrong")
 	}
 	if _, err := c.Cells(context.Background(), double, []*DistMatrix{NewDistMatrix(ga, dep.SchemeNone)}, -1); err == nil {
@@ -272,7 +272,7 @@ func TestCellwiseAndScalar(t *testing.T) {
 	ref, _ := matrix.CellwiseGrid(matrix.OpAdd,
 		matrix.ApplyGrid(matrix.FuncSqrt, matrix.ApplyGrid(matrix.FuncAbs, want)),
 		matrix.ScalarGrid(matrix.ScalarMul, ga, 2))
-	if !matrix.GridEqual(fused.Grid, ref, 0) {
+	if matrix.BitDiff(fused.Grid, ref) != "" {
 		t.Error("tree result differs from its links composed")
 	}
 	if got, scan := fused.Grid.NNZ(), matrix.ScalarGrid(matrix.ScalarMul, fused.Grid, 1).NNZ(); got != scan {
@@ -298,14 +298,14 @@ func TestCellsTransposeViews(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mixed.Trans() || !matrix.GridEqual(mixed.Grid, want, 0) {
+	if mixed.Trans() || matrix.BitDiff(mixed.Grid, want) != "" {
 		t.Errorf("mixed orientations: view=%v, or wrong result", mixed.Trans())
 	}
 	same, err := c.Cells(context.Background(), tree, []*DistMatrix{view(ga), view(gb), view(gc.Transpose())}, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !same.Trans() || same.Scheme != dep.Col || !matrix.GridEqual(c.MaterializedGrid(same), want, 0) {
+	if !same.Trans() || same.Scheme != dep.Col || matrix.BitDiff(c.MaterializedGrid(same), want) != "" {
 		t.Errorf("one orientation: view=%v scheme=%s, or wrong result", same.Trans(), same.Scheme)
 	}
 }
@@ -326,7 +326,7 @@ func TestCellsLeavesItsInputsAlone(t *testing.T) {
 		t.Fatal(err)
 	}
 	want, _ := matrix.CellwiseGrid(matrix.OpAdd, ga.Transpose(), gb)
-	if out.Trans() || !matrix.GridEqual(out.Grid, want, 0) {
+	if out.Trans() || matrix.BitDiff(out.Grid, want) != "" {
 		t.Errorf("mixed orientations: view=%v, or wrong result", out.Trans())
 	}
 	if !view.Trans() || view.Grid != ga {
@@ -423,7 +423,7 @@ func TestOneWorkerClusterHasNoNetwork(t *testing.T) {
 	if err != nil {
 		t.Fatalf("hash-placed cell-wise on one worker: %v", err)
 	}
-	if want, _ := matrix.CellwiseGrid(matrix.OpAdd, g, g); out.Scheme != dep.SchemeNone || !matrix.GridEqual(out.Grid, want, 0) {
+	if want, _ := matrix.CellwiseGrid(matrix.OpAdd, g, g); out.Scheme != dep.SchemeNone || matrix.BitDiff(out.Grid, want) != "" {
 		t.Errorf("hash-placed cell-wise on one worker: %s, wrong values or scheme", out)
 	}
 	if _, err := pair.Cells(context.Background(), add, []*DistMatrix{hash, hash}, -1); err == nil {

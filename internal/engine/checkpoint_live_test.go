@@ -137,7 +137,7 @@ func (a ckptApp) checkSame(t *testing.T, label string, got, want *Engine) {
 	t.Helper()
 	prog := a.prog()
 	for _, as := range prog.Assignments() {
-		if !sameBits(mustGrid(t, got, as.Name), mustGrid(t, want, as.Name)) {
+		if matrix.BitDiff(mustGrid(t, got, as.Name), mustGrid(t, want, as.Name)) != "" {
 			t.Errorf("%s: %s is not bit-identical to the fault-free run", label, as.Name)
 		}
 	}

@@ -244,7 +244,7 @@ func TestStageRunnerDeterministic(t *testing.T) {
 			for rep := 0; rep < repeats; rep++ {
 				got := run()
 				for name, g := range want {
-					if !sameBits(got.grids[name], g) {
+					if matrix.BitDiff(got.grids[name], g) != "" {
 						t.Fatalf("%s at %d Ps, repeat %d: %s differs from the direct evaluation", label, procs, rep, name)
 					}
 				}

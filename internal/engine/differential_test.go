@@ -137,7 +137,7 @@ func TestDifferentialEnginesUnderChaos(t *testing.T) {
 					if !matrix.GridEqual(got.grids[name], g, 1e-9) {
 						t.Errorf("%s: output %s differs from local reference", label, name)
 					}
-					if !matrix.GridEqual(got.grids[name], clean.grids[name], 0) {
+					if matrix.BitDiff(got.grids[name], clean.grids[name]) != "" {
 						t.Errorf("%s: output %s moved relative to the fault-free run", label, name)
 					}
 				}

@@ -377,7 +377,7 @@ func TestStragglerSlowsComputeNotComm(t *testing.T) {
 	if slow.CommBytes != base.CommBytes || slow.FLOPs != base.FLOPs {
 		t.Error("straggler changed communication or work accounting")
 	}
-	if !matrix.GridEqual(hBase, hSlow, 0) {
+	if matrix.BitDiff(hBase, hSlow) != "" {
 		t.Error("straggler changed results")
 	}
 }

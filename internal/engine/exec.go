@@ -225,13 +225,15 @@ func (e *Engine) runStageOnce(ctx context.Context, st *execState, stage, attempt
 	return nil
 }
 
-// recoverStage performs lineage-based recovery after a worker failure: the
-// stage's inputs — values materialized by earlier stages plus the session
-// instances its leaf ops read — lose the dead worker's blocks, which must be
-// re-fetched from lineage and re-partitioned across survivors. The dead
-// worker's share is measured against pre-failure ownership (before the kill
-// takes effect), then the worker is removed and the recovery shuffle is
-// charged — all of it booked to the failed stage.
+// recoverStage performs lineage-based recovery after a worker failure: every
+// value live across the failed stage (the plan's LiveAfter of the stage
+// before: what earlier stages materialized and this stage or a later one
+// reads or the session keeps) and the session instances the stage's leaf ops
+// read lose the dead worker's blocks, which must be re-fetched from lineage
+// and re-partitioned across survivors. The dead worker's share is measured
+// against pre-failure ownership (before the kill takes effect), then the
+// worker is removed and the recovery shuffle is charged — all of it booked
+// to the failed stage.
 func (e *Engine) recoverStage(st *execState, stage int, wf *dist.WorkerFailure) {
 	defer e.book(st, stage, e.window())
 	var bytes int64
@@ -242,7 +244,7 @@ func (e *Engine) recoverStage(st *execState, stage int, wf *dist.WorkerFailure) 
 			}
 		}
 	}
-	for _, id := range st.plan.StageInputs(stage) {
+	for _, id := range st.plan.LiveAfter(stage - 1) {
 		if dm := st.vals[id]; dm != nil {
 			bytes += e.cluster.WorkerBytes(dm, wf.Worker)
 		}

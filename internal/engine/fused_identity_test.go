@@ -39,14 +39,14 @@ func fusedCases(bs int) []fusedCase {
 		}}
 	}
 	served := func(name string, p workload.Params) fusedCase {
-		return fusedCase{name: "job/" + name, exact: true, run: func(e *engine.Engine) (map[string]float64, engine.Metrics, error) {
+		b, err := workload.DefaultRegistry().Build(name, bs, p)
+		if err != nil {
+			panic(err) // fixed registry jobs at fixed parameters
+		}
+		return fusedCase{name: "job/" + name, outs: b.Outputs, exact: true, run: func(e *engine.Engine) (map[string]float64, engine.Metrics, error) {
 			var total engine.Metrics
-			b, err := workload.DefaultRegistry().Build(name, bs, p)
-			if err != nil {
-				return nil, total, err
-			}
 			for n, g := range b.Inputs {
-				if err := e.Bind(n, g); err != nil {
+				if err := e.Bind(n, g.Clone()); err != nil {
 					return nil, total, err
 				}
 			}
@@ -60,13 +60,6 @@ func fusedCases(bs int) []fusedCase {
 			sc := map[string]float64{}
 			for _, n := range b.Scalars {
 				sc[n], _ = e.Scalar(n)
-			}
-			for _, n := range b.Outputs {
-				g, ok := e.Grid(n)
-				if !ok {
-					return nil, total, fmt.Errorf("output %s missing", n)
-				}
-				sc["bits:"+n] = gridDigest(g)
 			}
 			return sc, total, nil
 		}}
@@ -91,18 +84,6 @@ func fusedCases(bs int) []fusedCase {
 		served("gram", workload.Params{"rows": 32, "cols": 16, "sparsity": 0.2}),
 		served("blend", workload.Params{"n": 32, "k": 4, "iters": 2}),
 	}
-}
-
-// gridDigest folds the bit pattern of every cell into one float64-typed
-// word (FNV-1a), so a grid rides in a scalar map.
-func gridDigest(g *matrix.Grid) float64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < g.Rows(); i++ {
-		for j := 0; j < g.Cols(); j++ {
-			h = (h ^ math.Float64bits(g.At(i, j))) * 1099511628211
-		}
-	}
-	return math.Float64frombits(h)
 }
 
 // loopbackWorkers starts n in-process TCP workers and returns their
@@ -180,8 +161,8 @@ func TestFusedResultsBitIdentical(t *testing.T) {
 					continue
 				}
 				for name, g := range got.grids {
-					if d, w := gridDigest(g), gridDigest(ref.grids[name]); math.Float64bits(d) != math.Float64bits(w) {
-						t.Errorf("%s: %s is not bit-identical to the unfused run", label, name)
+					if d := matrix.BitDiff(g, ref.grids[name]); d != "" {
+						t.Errorf("%s: %s is not bit-identical to the unfused run: %s", label, name, d)
 					}
 				}
 				for name, v := range got.scalars {

@@ -23,22 +23,6 @@ import (
 // the engine's own contracts: the plan's licence to write a result in place,
 // stage retry, and the background snapshot writer.
 
-// sameGridBits reports the first cell at which two grids differ in bit
-// pattern — NaN payloads and the sign of zero included — or "".
-func sameGridBits(a, b *matrix.Grid) string {
-	if a.Rows() != b.Rows() || a.Cols() != b.Cols() {
-		return fmt.Sprintf("shape %dx%d vs %dx%d", a.Rows(), a.Cols(), b.Rows(), b.Cols())
-	}
-	for i := 0; i < a.Rows(); i++ {
-		for j := 0; j < a.Cols(); j++ {
-			if x, y := a.At(i, j), b.At(i, j); math.Float64bits(x) != math.Float64bits(y) {
-				return fmt.Sprintf("cell (%d,%d): %v vs %v", i, j, x, y)
-			}
-		}
-	}
-	return ""
-}
-
 // inPlaceOps returns the plan's operators licensed to overwrite an input.
 func inPlaceOps(plan *core.Plan) []*core.Op {
 	var ops []*core.Op
@@ -152,7 +136,7 @@ func TestInPlaceLicence(t *testing.T) {
 			t.Fatalf("%s on Local: %v", tc.name, err)
 		}
 		for _, a := range p.Assignments() {
-			if diff := sameGridBits(mustGrid(t, e, a.Name), mustGrid(t, ref, a.Name)); diff != "" {
+			if diff := matrix.BitDiff(mustGrid(t, e, a.Name), mustGrid(t, ref, a.Name)); diff != "" {
 				t.Errorf("%s: %s differs from the Local engine's: %s", tc.name, a.Name, diff)
 			}
 		}
@@ -233,7 +217,7 @@ func TestInPlaceWriteSurvivesRetries(t *testing.T) {
 				t.Errorf("stage %d %s: no stage was retried", stage, kind)
 			}
 			for _, name := range []string{"W", "H"} {
-				if diff := sameGridBits(mustGrid(t, e, name), mustGrid(t, plain, name)); diff != "" {
+				if diff := matrix.BitDiff(mustGrid(t, e, name), mustGrid(t, plain, name)); diff != "" {
 					t.Errorf("stage %d %s: %s differs from the fault-free unfused run: %s", stage, kind, name, diff)
 				}
 			}
@@ -289,7 +273,7 @@ func TestFusedOperatorConsumesTaskKill(t *testing.T) {
 	if !consumed {
 		t.Error("no fused operator span carries the kill")
 	}
-	if diff := sameGridBits(mustGrid(t, got, "Y"), mustGrid(t, want, "Y")); diff != "" {
+	if diff := matrix.BitDiff(mustGrid(t, got, "Y"), mustGrid(t, want, "Y")); diff != "" {
 		t.Errorf("Y after the retry differs from the fault-free run: %s", diff)
 	}
 }
@@ -368,7 +352,7 @@ func TestSnapshotHeldAcrossInPlaceWrite(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, name := range []string{"W", "H"} {
-		if diff := sameGridBits(mustGrid(t, e, name), mustGrid(t, plain, name)); diff != "" {
+		if diff := matrix.BitDiff(mustGrid(t, e, name), mustGrid(t, plain, name)); diff != "" {
 			t.Errorf("%s differs from the unfused run without checkpoints: %s", name, diff)
 		}
 	}

@@ -230,7 +230,7 @@ func TestFuzzExecutionEquivalence(t *testing.T) {
 				if !ok {
 					t.Fatalf("seed %d %s: output %s missing", seed, planner, name)
 				}
-				if !sameBits(g, wantGrids[name]) {
+				if matrix.BitDiff(g, wantGrids[name]) != "" {
 					t.Errorf("seed %d: %s output %s differs from the direct evaluation", seed, planner, name)
 				}
 			}

@@ -13,20 +13,6 @@ import (
 	"dmac/internal/matrix"
 )
 
-// sameBits reports whether two grids hold the same values bit for bit.
-func sameBits(a, b *matrix.Grid) bool {
-	if a.Rows() != b.Rows() || a.Cols() != b.Cols() {
-		return false
-	}
-	da, db := a.ToDense(), b.ToDense()
-	for i := range da {
-		if math.Float64bits(da[i]) != math.Float64bits(db[i]) {
-			return false
-		}
-	}
-	return true
-}
-
 // peek deep-copies a session variable's grid without handing it out of the
 // engine (Grid would take its blocks out of the pool): what a test may keep
 // and compare while the engine runs on.
@@ -107,7 +93,7 @@ func TestBlockPoolWarmDifferential(t *testing.T) {
 					t.Fatalf("%s: warm: %v", label, err)
 				}
 				for _, a := range prog.Assignments() {
-					if !sameBits(peek(t, warm, a.Name), peek(t, fresh, a.Name)) {
+					if matrix.BitDiff(peek(t, warm, a.Name), peek(t, fresh, a.Name)) != "" {
 						t.Errorf("%s: %s differs from a fresh engine's", label, a.Name)
 					}
 					if rng.Intn(3) == 0 {
@@ -123,7 +109,7 @@ func TestBlockPoolWarmDifferential(t *testing.T) {
 					}
 				}
 				for _, x := range exports {
-					if !sameBits(x.got, x.want) {
+					if matrix.BitDiff(x.got, x.want) != "" {
 						t.Fatalf("%s: the grid exported at %s changed", label, x.label)
 					}
 				}
@@ -178,7 +164,7 @@ func TestBlockPoolCheckpointRecovery(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, name := range []string{"W", "H"} {
-			if !sameBits(peek(t, e, name), peek(t, ref, name)) {
+			if matrix.BitDiff(peek(t, e, name), peek(t, ref, name)) != "" {
 				t.Errorf("run %d: %s is not bit-identical to the fault-free run", i, name)
 			}
 		}

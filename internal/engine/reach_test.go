@@ -1,7 +1,9 @@
 package engine
 
 import (
+	"context"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"dmac/internal/core"
@@ -130,21 +132,23 @@ func narrowedAcrossStages(t *testing.T, faults dist.FaultPlan) (*Engine, Metrics
 
 // TestNarrowedBroadcastSurvivesReceiverLoss kills a worker at the boundary of
 // the stage that reads a narrowed broadcast sent the stage before. Losing its
-// one receiver, worker 0, costs the replica's |A| on top of the dead worker's
-// share of the CPMM operands the stage re-reads, and the survivor taking
-// worker 0's blocks reads the copy; losing worker 2, which holds no copy,
+// one receiver, worker 0, costs the replica's |A| and the one block of the
+// A(r) the session keeps on top of the dead worker's share of the CPMM
+// operands the stage re-reads, and the survivor taking worker 0's blocks
+// reads the copy; losing worker 2, which holds no copy and no block of A,
 // costs only its operand share. Both results are bit-identical to the
 // fault-free run's.
 func TestNarrowedBroadcastSurvivesReceiverLoss(t *testing.T) {
 	clean, _ := narrowedAcrossStages(t, dist.FaultPlan{})
 	want, _ := clean.Grid("Y")
 	replica := int64(matrix.DenseMemBytes(8, 32))
+	kept := replica // A(r), one 8×32 block on worker 0
 	operands := (matrix.DenseMemBytes(32, 2048) + matrix.DenseMemBytes(2048, 32)) / 4
 	for _, tc := range []struct {
 		worker   int
 		recovery int64
 	}{
-		{0, replica + operands},
+		{0, replica + kept + operands},
 		{2, operands},
 	} {
 		faults := dist.FaultPlan{Events: []dist.FaultEvent{{Stage: 3, Worker: tc.worker, Kind: dist.FaultKillBoundary}}}
@@ -155,7 +159,7 @@ func TestNarrowedBroadcastSurvivesReceiverLoss(t *testing.T) {
 		if m.RecoveryBytes != tc.recovery {
 			t.Errorf("kill %d: recovery charged %d B, want %d", tc.worker, m.RecoveryBytes, tc.recovery)
 		}
-		if got, _ := e.Grid("Y"); !sameBits(got, want) {
+		if got, _ := e.Grid("Y"); matrix.BitDiff(got, want) != "" {
 			t.Errorf("kill %d: Y differs from the fault-free run's", tc.worker)
 		}
 	}
@@ -205,4 +209,60 @@ func TestRandomProgramsNarrowWithinReceivers(t *testing.T) {
 		t.Error("no broadcast was narrowed: the test exercises nothing")
 	}
 	t.Logf("%d narrowed broadcasts", narrowed)
+}
+
+// TestRecoveryChargesEveryLiveValue kills worker 0 at stage 3 of GNMF's
+// second iteration planned without CPMM, where V's two instances, W(r) and
+// the transposed Wᵀ(b) — a replica narrowed to workers 0 and 1 — are live
+// across the stage but read only after it. Recovery charges the dead worker's
+// share of every value in LiveAfter(2) (the stage reads no leaf instance), as
+// a twin session run through the iteration's first two stages measures them.
+func TestRecoveryChargesEveryLiveValue(t *testing.T) {
+	const bs, stage, worker = 32, 3, 0
+	prog := gnmfProgram(0.3)
+	session := func() *Engine {
+		e := New(DMac, testConfig(), bs)
+		e.SetAblation(false, false, true)
+		rng := rand.New(rand.NewSource(42))
+		for name, g := range map[string]*matrix.Grid{ // drawn in this order
+			"V": randSparseGrid(rng, tRows, tCols, bs, 0.3), "W": randDenseGrid(rng, tRows, tK, bs), "H": randDenseGrid(rng, tK, tCols, bs),
+		} {
+			if err := e.Bind(name, g); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := e.Run(prog, nil); err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	twin := session()
+	plan, err := twin.Plan(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := &execState{plan: plan, vals: make([]*dist.DistMatrix, len(plan.Values)), ledger: make([]StageMetrics, plan.Stages)}
+	for s := 1; s < stage; s++ {
+		if err := twin.runStageOnce(context.Background(), st, s, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var want, unread int64
+	for _, id := range plan.LiveAfter(stage - 1) {
+		b := twin.cluster.WorkerBytes(st.vals[id], worker)
+		want += b
+		if !slices.ContainsFunc(plan.StageOps(stage), func(op *core.Op) bool { return slices.Contains(op.Inputs, id) }) {
+			unread += b
+		}
+	}
+	if unread == 0 {
+		t.Fatal("worker 0 holds nothing of the values live across stage 3 but not read in it: the test exercises nothing")
+	}
+	e := session()
+	cfg := testConfig()
+	cfg.Faults = dist.FaultPlan{Events: []dist.FaultEvent{{Stage: stage, Worker: worker, Kind: dist.FaultKillBoundary}}}
+	e.cluster = dist.NewCluster(cfg) // the kill fires in the second iteration only
+	if m, err := e.Run(prog, nil); err != nil || m.Retries != 1 || m.RecoveryBytes != want {
+		t.Errorf("%d retries charging %d B (%v), want 1 charging %d (%d of it for values stage 3 does not read)", m.Retries, m.RecoveryBytes, err, want, unread)
+	}
 }

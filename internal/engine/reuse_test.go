@@ -74,7 +74,7 @@ func TestEngineReuseAcrossJobs(t *testing.T) {
 	for _, name := range []string{"W", "H"} {
 		got, ok1 := reused.Grid(name)
 		want, ok2 := fresh.Grid(name)
-		if !ok1 || !ok2 || !matrix.GridEqual(got, want, 0) {
+		if !ok1 || !ok2 || matrix.BitDiff(got, want) != "" {
 			t.Errorf("%s diverged between reused and fresh engine", name)
 		}
 	}
@@ -121,7 +121,7 @@ func TestBindAdoptsBlockSize(t *testing.T) {
 		for _, name := range []string{"W", "H"} {
 			got, _ := e.Grid(name)
 			want, _ := fresh.Grid(name)
-			if !matrix.GridEqual(got, want, 0) {
+			if matrix.BitDiff(got, want) != "" {
 				t.Errorf("block %d: %s diverged from an engine built at that size", bs, name)
 			}
 		}
@@ -168,7 +168,7 @@ func TestSharedPlanCacheAcrossEngines(t *testing.T) {
 	for _, name := range []string{"W", "H"} {
 		got, ok1 := e2.Grid(name)
 		want, ok2 := solo.Grid(name)
-		if !ok1 || !ok2 || !matrix.GridEqual(got, want, 0) {
+		if !ok1 || !ok2 || matrix.BitDiff(got, want) != "" {
 			t.Errorf("%s diverged under the shared plan cache", name)
 		}
 	}
@@ -298,7 +298,7 @@ func TestGrownProgramRunsAsItStands(t *testing.T) {
 			if !ok {
 				t.Fatalf("%s: the assignment appended after two runs was not made", label)
 			}
-			if !sameBits(z, matrix.ScalarGrid(matrix.ScalarMul, w, 2)) {
+			if matrix.BitDiff(z, matrix.ScalarGrid(matrix.ScalarMul, w, 2)) != "" {
 				t.Errorf("%s: Z is not 2·W", label)
 			}
 
@@ -317,7 +317,7 @@ func TestGrownProgramRunsAsItStands(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !sameBits(y, want) {
+			if matrix.BitDiff(y, want) != "" {
 				t.Errorf("%s: Y is not U + W", label)
 			}
 		}

@@ -131,7 +131,7 @@ func TestResultBlocksHoldNoSubnormals(t *testing.T) {
 			got := runGNMF(c.planner, planted, c.fused)
 			label := fmt.Sprintf("gnmf planted=%v %s fused=%v", planted, c.planner, c.fused)
 			for name, g := range ref.grids {
-				if !sameBits(got.grids[name], g) {
+				if matrix.BitDiff(got.grids[name], g) != "" {
 					t.Errorf("%s: %s differs from Local's", label, name)
 				}
 			}
@@ -193,7 +193,7 @@ func TestResultBlocksHoldNoSubnormals(t *testing.T) {
 			}
 		}
 		for name, g := range exports[Local] {
-			if !sameBits(exports[DMac][name], g) {
+			if matrix.BitDiff(exports[DMac][name], g) != "" {
 				t.Errorf("seed %d scale %g: %s differs between DMac and Local", seed, scale, name)
 			}
 		}

@@ -67,7 +67,7 @@ func TestDenseTranspose(t *testing.T) {
 		}
 	}
 	// Double transpose is identity.
-	if !Equal(d, tr.Transpose(), 0) {
+	if bitDiff(d, tr.Transpose()) != "" {
 		t.Error("double transpose is not identity")
 	}
 }
@@ -143,7 +143,7 @@ func TestCSCDenseRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	s := randSparse(rng, 13, 7, 0.3)
 	d := s.Dense()
-	if !Equal(s, d, 0) {
+	if bitDiff(s, d) != "" {
 		t.Error("Dense() does not match CSC contents")
 	}
 	// Rebuild CSC from the dense coords and compare.
@@ -156,7 +156,7 @@ func TestCSCDenseRoundTrip(t *testing.T) {
 		}
 	}
 	s2 := NewCSC(13, 7, coords)
-	if !Equal(s, s2, 0) {
+	if bitDiff(s, s2) != "" {
 		t.Error("CSC -> dense -> CSC round trip mismatch")
 	}
 }
@@ -175,7 +175,7 @@ func TestCSCTranspose(t *testing.T) {
 			}
 		}
 	}
-	if !Equal(s, tr.Transpose(), 0) {
+	if bitDiff(s, tr.Transpose()) != "" {
 		t.Error("double transpose is not identity")
 	}
 	if tr.(*CSCBlock).NNZ() != s.NNZ() {
@@ -265,7 +265,7 @@ func TestCellwiseDense(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", c.op, err)
 		}
-		if !Equal(got, NewDenseData(2, 2, c.want), 1e-15) {
+		if !near(got, NewDenseData(2, 2, c.want), 1e-15) {
 			t.Errorf("%v: got %v, want %v", c.op, got.Dense().Data, c.want)
 		}
 	}

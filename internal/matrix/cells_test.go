@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -242,19 +243,11 @@ func checkFused(t *testing.T, tree *CellTree, ins []Block, into int) {
 	if got.IsSparse() != want.IsSparse() {
 		t.Fatalf("%s %dx%d: result sparse=%v, link by link sparse=%v", describe(), rows, cols, got.IsSparse(), want.IsSparse())
 	}
-	if gs, ok := got.(*CSCBlock); ok {
-		ws := want.(*CSCBlock)
-		if len(gs.RowIdx) != len(ws.RowIdx) || sameBits(gs.Values, ws.Values) >= 0 {
-			t.Fatalf("%s %dx%d: sparse result differs from link by link", describe(), rows, cols)
-		}
-		for k := range gs.RowIdx {
-			if gs.RowIdx[k] != ws.RowIdx[k] {
-				t.Fatalf("%s %dx%d: sparse pattern differs from link by link", describe(), rows, cols)
-			}
-		}
-	} else if i := sameBits(got.Dense().Data, want.Dense().Data); i >= 0 {
-		t.Fatalf("%s %dx%d in place=%v: cell %d is %x, link by link %x", describe(), rows, cols, dst != nil, i,
-			math.Float64bits(got.Dense().Data[i]), math.Float64bits(want.Dense().Data[i]))
+	if gs, ok := got.(*CSCBlock); ok && !slices.Equal(gs.RowIdx, want.(*CSCBlock).RowIdx) {
+		t.Fatalf("%s %dx%d: sparse pattern differs from link by link", describe(), rows, cols)
+	}
+	if d := bitDiff(got, want); d != "" {
+		t.Fatalf("%s %dx%d in place=%v: got vs link by link %s", describe(), rows, cols, dst != nil, d)
 	}
 	allDense := true
 	for _, b := range ins {

@@ -61,10 +61,7 @@ func sameCSC(got, want *CSCBlock) string {
 	case cap(got.RowIdx) != len(got.RowIdx) || cap(got.Values) != len(got.Values):
 		return fmt.Sprintf("RowIdx/Values hold %d entries in arrays of %d/%d", len(got.Values), cap(got.RowIdx), cap(got.Values))
 	}
-	if i := sameBits(got.Values, want.Values); i >= 0 {
-		return fmt.Sprintf("value %d is %v, want %v", i, got.Values[i], want.Values[i])
-	}
-	return ""
+	return bitDiff(got, want)
 }
 
 // TestNewCSCMatchesSortBuilder holds the counting-pass builder to the

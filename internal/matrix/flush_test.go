@@ -120,7 +120,7 @@ func FuzzFlushSubnormals(f *testing.F) {
 		for _, level := range levels[1:] {
 			cpu = level
 			got := slices.Clone(x)
-			if n := FlushSubnormals(got); n != wantN || sameBits(got, want) >= 0 {
+			if n := FlushSubnormals(got); n != wantN || bitDiff(NewDenseData(1, len(got), got), NewDenseData(1, len(want), want)) != "" {
 				t.Fatalf("cpu=%+v bits %#x at %d: %d flushed, Go loop %d; got %x, Go loop %x",
 					level, bits, int(lane)%len(x), n, wantN, got, want)
 			}
@@ -237,15 +237,14 @@ func TestEvalResultFlushesEveryLink(t *testing.T) {
 			if got.IsSparse() != want.IsSparse() {
 				t.Fatalf("%s: result sparse=%v, link by link %v", label, got.IsSparse(), want.IsSparse())
 			}
-			gd, wd := got.Dense().Data, want.Dense().Data
-			if i := sameBits(gd, wd); i >= 0 {
-				t.Fatalf("%s: cell %d is %#x, flushed link by link %#x", label, i, math.Float64bits(gd[i]), math.Float64bits(wd[i]))
+			if d := bitDiff(got, want); d != "" {
+				t.Fatalf("%s: got vs flushed link by link %s", label, d)
 			}
 			if n != wantFlushed || !slices.Equal(nnz, wantNNZ) {
 				t.Fatalf("%s: flushed %d counts %v, link by link %d %v", label, n, nnz, wantFlushed, wantNNZ)
 			}
 			for i, b := range ins {
-				if i != into && sameBits(b.Dense().Data, orig[i].Dense().Data) >= 0 {
+				if i != into && bitDiff(b, orig[i]) != "" {
 					t.Fatalf("%s: input %d written", label, i)
 				}
 			}

@@ -89,7 +89,7 @@ func FuzzMulKernels(f *testing.F) {
 		if err := MulAddTransInto(serial, a, b, aT, bT); err != nil {
 			t.Fatalf("serial: %v", err)
 		}
-		if !Equal(serial, want, 1e-9) {
+		if !near(serial, want, 1e-9) {
 			t.Fatalf("serial kernel differs from oracle (%dx%dx%d aT=%v bT=%v)", n, m, p, aT, bT)
 		}
 
@@ -103,8 +103,8 @@ func FuzzMulKernels(f *testing.F) {
 					t.Fatalf("pure-Go kernel: %v", err)
 				}
 			})
-			if i := sameBits(serial.Data, ref.Data); i >= 0 {
-				t.Fatalf("micro-kernel %s not bit-identical to the pure-Go one at %d (%dx%dx%d aT=%v bT=%v)", gemmKern.name, i, n, m, p, aT, bT)
+			if d := bitDiff(serial, ref); d != "" {
+				t.Fatalf("micro-kernel %s not bit-identical to the pure-Go one at %s (%dx%dx%d aT=%v bT=%v)", gemmKern.name, d, n, m, p, aT, bT)
 			}
 		} else {
 			ref := NewDense(n, p)
@@ -116,8 +116,8 @@ func FuzzMulKernels(f *testing.F) {
 			default:
 				refMulAddDS(ref, a.(*DenseBlock), b.(*CSCBlock), aT, bT)
 			}
-			if i := sameBits(serial.Data, ref.Data); i >= 0 {
-				t.Fatalf("sparse kernel not bit-identical to its reference loop at %d (%dx%dx%d aT=%v bT=%v aSparse=%v bSparse=%v density=%v)", i, n, m, p, aT, bT, aSparse, bSparse, density)
+			if d := bitDiff(serial, ref); d != "" {
+				t.Fatalf("sparse kernel not bit-identical to its reference loop at %s (%dx%dx%d aT=%v bT=%v aSparse=%v bSparse=%v density=%v)", d, n, m, p, aT, bT, aSparse, bSparse, density)
 			}
 		}
 
@@ -126,10 +126,8 @@ func FuzzMulKernels(f *testing.F) {
 		if err := MulAddTransInto(par, a, b, aT, bT); err != nil {
 			t.Fatalf("parallel: %v", err)
 		}
-		for i := range par.Data {
-			if par.Data[i] != serial.Data[i] {
-				t.Fatalf("parallel result not bit-identical to serial (%dx%dx%d aT=%v bT=%v)", n, m, p, aT, bT)
-			}
+		if d := bitDiff(par, serial); d != "" {
+			t.Fatalf("parallel result not bit-identical to serial at %s (%dx%dx%d aT=%v bT=%v)", d, n, m, p, aT, bT)
 		}
 	})
 }
@@ -180,9 +178,9 @@ func FuzzRowVec(f *testing.F) {
 				if err := MulAddTransInto(got, a, b, false, false); err != nil {
 					t.Fatal(err)
 				}
-				if i := sameBits(got.Data, want.Data); i >= 0 {
-					t.Fatalf("%dx%dx%d nnz=%d level %+v: element %d is %v, reference %v",
-						n, m, len(cols), b.NNZ(), lv, i, got.Data[i], want.Data[i])
+				if d := bitDiff(got, want); d != "" {
+					t.Fatalf("%dx%dx%d nnz=%d level %+v: got vs reference %s",
+						n, m, len(cols), b.NNZ(), lv, d)
 				}
 			}
 		}

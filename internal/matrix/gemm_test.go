@@ -1,6 +1,7 @@
 package matrix
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
@@ -59,7 +60,7 @@ func TestMulAddTransDifferential(t *testing.T) {
 			t.Fatalf("iter %d (%dx%dx%d aT=%v bT=%v): %v", iter, n, m, p, aT, bT, err)
 		}
 		want := refMulTrans(a, b, aT, bT)
-		if !Equal(dst, want, 1e-9) {
+		if !near(dst, want, 1e-9) {
 			t.Fatalf("iter %d: kernel (aKind=%d bKind=%d %dx%dx%d aT=%v bT=%v) differs from oracle",
 				iter, aKind, bKind, n, m, p, aT, bT)
 		}
@@ -83,7 +84,7 @@ func TestMulAddTransAccumulates(t *testing.T) {
 	for i := range want.Data {
 		want.Data[i]++
 	}
-	if !Equal(dst, want, 1e-9) {
+	if !near(dst, want, 1e-9) {
 		t.Error("fused NT kernel does not accumulate into dst")
 	}
 }
@@ -170,9 +171,9 @@ func TestGemmKernelsBitIdentical(t *testing.T) {
 			for _, kern := range kernels {
 				for _, workers := range []int{1, 2, 3, 7} {
 					got := run(kern, workers)
-					if i := sameBits(got.Data, want.Data); i >= 0 {
-						t.Fatalf("%s %dx%dx%d aT=%v bT=%v special=%v workers=%d: element %d is %v, pure-Go kernel %v",
-							kern.name, n, m, p, aT, bT, special, workers, i, got.Data[i], want.Data[i])
+					if d := bitDiff(got, want); d != "" {
+						t.Fatalf("%s %dx%dx%d aT=%v bT=%v special=%v workers=%d: got vs pure-Go kernel %s",
+							kern.name, n, m, p, aT, bT, special, workers, d)
 					}
 				}
 			}
@@ -226,15 +227,16 @@ func plantFusedSpecials(rng *rand.Rand, d *DenseBlock) {
 	}
 }
 
-// sameBitsOrNaN is sameBits up to NaN payloads: the first index at which x
-// and y differ by bit pattern and are not both NaN, or -1.
-func sameBitsOrNaN(x, y []float64) int {
-	for i := range x {
-		if math.Float64bits(x[i]) != math.Float64bits(y[i]) && !(math.IsNaN(x[i]) && math.IsNaN(y[i])) {
-			return i
+// sameBitsOrNaN is bitDiff up to NaN payloads: the first cell at which x
+// and y differ by bit pattern and are not both NaN, or "".
+func sameBitsOrNaN(x, y Block) string {
+	xd, yd := x.Dense().Data, y.Dense().Data
+	for i := range xd {
+		if math.Float64bits(xd[i]) != math.Float64bits(yd[i]) && !(math.IsNaN(xd[i]) && math.IsNaN(yd[i])) {
+			return fmt.Sprintf("element %d: %v (%#x) vs %v (%#x)", i, xd[i], math.Float64bits(xd[i]), yd[i], math.Float64bits(yd[i]))
 		}
 	}
-	return -1
+	return ""
 }
 
 // TestGemmFusedReference holds every micro-kernel the CPU offers, at 1, 2, 3
@@ -284,7 +286,7 @@ func TestGemmFusedReference(t *testing.T) {
 				plantFusedSpecials(rng, a)
 				plantFusedSpecials(rng, b)
 			}
-			same := sameBits
+			same := bitDiff
 			if payloads {
 				same = sameBitsOrNaN
 			}
@@ -293,9 +295,8 @@ func TestGemmFusedReference(t *testing.T) {
 			check := func(what string, got *DenseBlock, packed bool) {
 				want := entry.Clone().(*DenseBlock)
 				refGemm(want, a, b, aT, bT, packed, true)
-				if i := same(got.Data, want.Data); i >= 0 {
-					t.Fatalf("%s %dx%dx%d aT=%v bT=%v payloads=%v: element %d is %v (%#x), fused reference %v (%#x)",
-						what, n, m, p, aT, bT, payloads, i, got.Data[i], math.Float64bits(got.Data[i]), want.Data[i], math.Float64bits(want.Data[i]))
+				if d := same(got, want); d != "" {
+					t.Fatalf("%s %dx%dx%d aT=%v bT=%v payloads=%v: got vs fused reference %s", what, n, m, p, aT, bT, payloads, d)
 				}
 			}
 			for _, kern := range kernels {

@@ -2,6 +2,7 @@ package matrix
 
 import (
 	"fmt"
+	"math"
 	"sync/atomic"
 )
 
@@ -88,7 +89,7 @@ func FromDense(rows, cols, blockSize int, data []float64) *Grid {
 	g := NewDenseGrid(rows, cols, blockSize)
 	for i := 0; i < rows; i++ {
 		for j := 0; j < cols; j++ {
-			if v := data[i*cols+j]; v != 0 {
+			if v := data[i*cols+j]; math.Float64bits(v) != 0 {
 				g.blocks[(i/blockSize)*g.bcols+j/blockSize].(*DenseBlock).Set(i%blockSize, j%blockSize, v)
 			}
 		}
@@ -289,22 +290,6 @@ func (g *Grid) ToDense() []float64 {
 		}
 	}
 	return out
-}
-
-// GridEqual reports whether two grids represent the same logical matrix
-// within tol, regardless of block size or representation.
-func GridEqual(a, b *Grid, tol float64) bool {
-	if a.rows != b.rows || a.cols != b.cols {
-		return false
-	}
-	da, db := a.ToDense(), b.ToDense()
-	for i := range da {
-		d := da[i] - db[i]
-		if d > tol || d < -tol {
-			return false
-		}
-	}
-	return true
 }
 
 // MulGrid returns the naive sequential product a*b; it is the reference

@@ -69,7 +69,7 @@ func TestGridTransposeRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	if !GridEqual(g, tr.Transpose(), 0) {
+	if BitDiff(g, tr.Transpose()) != "" {
 		t.Error("double transpose is not identity")
 	}
 }

@@ -245,15 +245,6 @@ func spOperands(rng *rand.Rand, sparseLeft bool, n, m, p int, aT, bT bool, densi
 	return dense(ar, ac), sparse(br, bc)
 }
 
-func sameBits(x, y []float64) int {
-	for i := range x {
-		if math.Float64bits(x[i]) != math.Float64bits(y[i]) {
-			return i
-		}
-	}
-	return -1
-}
-
 // featureLevels lists the CPU feature sets a test forces in turn so that
 // every fallback of the sparse and cell-wise kernels runs: none (the Go
 // loops), AVX alone (axpyAVX under the Go gather and transposes) and, on
@@ -364,9 +355,9 @@ func TestSparseDenseBitIdentical(t *testing.T) {
 							if err := MulAddTransInto(got, a, b, aT, bT); err != nil {
 								t.Fatal(err)
 							}
-							if i := sameBits(got.Data, want.Data); i >= 0 {
-								t.Fatalf("%dx%dx%d sparseLeft=%v aT=%v bT=%v density=%v special=%v cpu=%+v workers=%d: element %d is %v, reference %v",
-									n, m, p, sparseLeft, aT, bT, v.density, v.special, f, workers, i, got.Data[i], want.Data[i])
+							if d := bitDiff(got, want); d != "" {
+								t.Fatalf("%dx%dx%d sparseLeft=%v aT=%v bT=%v density=%v special=%v cpu=%+v workers=%d: got vs reference %s",
+									n, m, p, sparseLeft, aT, bT, v.density, v.special, f, workers, d)
 							}
 						}
 					}
@@ -434,9 +425,9 @@ func TestSparseDenseLanesBitIdentical(t *testing.T) {
 					if err := MulAddTransInto(got, a, b, aT, bT); err != nil {
 						t.Fatal(err)
 					}
-					if i := sameBits(got.Data, want.Data); i >= 0 {
-						t.Fatalf("%d lanes %dx%dx%d sparseLeft=%v aT=%v bT=%v cpu=%+v: element %d is %v, reference %v",
-							lanes, n, depth, p, sparseLeft, aT, bT, f, i, got.Data[i], want.Data[i])
+					if d := bitDiff(got, want); d != "" {
+						t.Fatalf("%d lanes %dx%dx%d sparseLeft=%v aT=%v bT=%v cpu=%+v: got vs reference %s",
+							lanes, n, depth, p, sparseLeft, aT, bT, f, d)
 					}
 				}
 			}
@@ -494,8 +485,8 @@ func TestSparseDenseConcurrentCallers(t *testing.T) {
 					errs <- err.Error()
 					return
 				}
-				if i := sameBits(got.Data, pr.want.Data); i >= 0 {
-					errs <- fmt.Sprintf("aT=%v bT=%v: element %d differs under concurrent callers", pr.aT, pr.bT, i)
+				if d := bitDiff(got, pr.want); d != "" {
+					errs <- fmt.Sprintf("aT=%v bT=%v: %s differs under concurrent callers", pr.aT, pr.bT, d)
 					return
 				}
 			}
@@ -573,8 +564,8 @@ func TestRowLayoutBuiltOnce(t *testing.T) {
 				errs <- err.Error()
 				return
 			}
-			if i := sameBits(got.Data, want.Data); i >= 0 {
-				errs <- fmt.Sprintf("element %d is %v, reference %v", i, got.Data[i], want.Data[i])
+			if d := bitDiff(got, want); d != "" {
+				errs <- fmt.Sprintf("got vs reference %s", d)
 				return
 			}
 			errs <- ""
@@ -607,8 +598,8 @@ func TestRowLayoutFollowsWidth(t *testing.T) {
 		if err := MulAddTransInto(got, a, b, false, false); err != nil {
 			t.Fatal(err)
 		}
-		if i := sameBits(got.Data, want.Data); i >= 0 {
-			t.Fatalf("%d lanes: element %d is %v, reference %v", lanes, i, got.Data[i], want.Data[i])
+		if d := bitDiff(got, want); d != "" {
+			t.Fatalf("%d lanes: got vs reference %s", lanes, d)
 		}
 		if l := a.byRow.Load(); l == nil || l.panel != spPanelRows(m, lanes) {
 			t.Fatalf("%d lanes: layout %+v, want panels of %d columns", lanes, l, spPanelRows(m, lanes))
@@ -735,9 +726,9 @@ func TestSparseSparseBitIdentical(t *testing.T) {
 						if err := MulAddTransInto(entry, op[0], op[1], aT, bT); err != nil {
 							t.Fatal(err)
 						}
-						if i := sameBits(entry.Data, want.Data); i >= 0 {
-							t.Fatalf("%dx%dx%d aT=%v bT=%v fill=%v special=%v self=%v nnz=%d,%d: element %d is %v, reference %v",
-								n, m, p, aT, bT, fill, special, op[0] == op[1], op[0].NNZ(), op[1].NNZ(), i, entry.Data[i], want.Data[i])
+						if d := bitDiff(entry, want); d != "" {
+							t.Fatalf("%dx%dx%d aT=%v bT=%v fill=%v special=%v self=%v nnz=%d,%d: got vs reference %s",
+								n, m, p, aT, bT, fill, special, op[0] == op[1], op[0].NNZ(), op[1].NNZ(), d)
 						}
 					}
 				}
@@ -778,9 +769,9 @@ func TestRowVecBitIdentical(t *testing.T) {
 			if err := MulAddTransInto(got, a, b, false, false); err != nil {
 				t.Fatal(err)
 			}
-			if i := sameBits(got.Data, want.Data); i >= 0 {
-				t.Fatalf("%s %dx%dx%d nnz=%d level %+v: element %d is %v, reference %v",
-					name, a.rows, a.cols, b.cols, b.NNZ(), lv, i, got.Data[i], want.Data[i])
+			if d := bitDiff(got, want); d != "" {
+				t.Fatalf("%s %dx%dx%d nnz=%d level %+v: got vs reference %s",
+					name, a.rows, a.cols, b.cols, b.NNZ(), lv, d)
 			}
 			switch {
 			case lv.avx512:
@@ -956,8 +947,8 @@ func TestSparseIndexOutsideDenseOperand(t *testing.T) {
 				if err := MulAddTransInto(dst, a, b, c.aT, c.bT); err != nil {
 					t.Fatal(err)
 				}
-				if i := sameBits(dst.Data, want.Data); i >= 0 {
-					t.Fatalf("%s, level %+v: after the panic element %d is %v, reference %v", c.name, lv, i, dst.Data[i], want.Data[i])
+				if d := bitDiff(dst, want); d != "" {
+					t.Fatalf("%s, level %+v: after the panic got vs reference %s", c.name, lv, d)
 				}
 			}
 		}
@@ -1085,8 +1076,8 @@ func TestSparseSparseConcurrentCallers(t *testing.T) {
 					errs <- err.Error()
 					return
 				}
-				if i := sameBits(got.Data, pr.want.Data); i >= 0 {
-					errs <- fmt.Sprintf("product %d: element %d differs under concurrent callers", (g+r)%len(products), i)
+				if d := bitDiff(got, pr.want); d != "" {
+					errs <- fmt.Sprintf("product %d: %s differs under concurrent callers", (g+r)%len(products), d)
 					return
 				}
 			}

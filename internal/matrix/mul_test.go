@@ -48,7 +48,7 @@ func TestMulKernelsAgainstReference(t *testing.T) {
 				t.Fatal(err)
 			}
 			want := refMul(c.a, c.b)
-			if !Equal(got, want, 1e-10) {
+			if !near(got, want, 1e-10) {
 				t.Errorf("kernel result differs from reference")
 			}
 		})
@@ -90,14 +90,14 @@ func TestMulIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !Equal(got, a, 1e-12) {
+	if !near(got, a, 1e-12) {
 		t.Error("A * I != A")
 	}
 	got2, err := mulBlocks(id, a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !Equal(got2, a, 1e-12) {
+	if !near(got2, a, 1e-12) {
 		t.Error("I * A != A")
 	}
 }
@@ -130,7 +130,7 @@ func TestPropertyTransposeOfProduct(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !Equal(ab.Transpose(), btat, 1e-9) {
+		if !near(ab.Transpose(), btat, 1e-9) {
 			t.Fatalf("seed %d: (AB)^T != B^T A^T", seed)
 		}
 	}
@@ -156,7 +156,7 @@ func TestPropertyMulAssociative(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !Equal(abc1, abc2, 1e-8) {
+		if !near(abc1, abc2, 1e-8) {
 			t.Fatalf("seed %d: associativity violated", seed)
 		}
 	}
@@ -184,7 +184,7 @@ func TestPropertyMulDistributive(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !Equal(lhs, rhs, 1e-9) {
+		if !near(lhs, rhs, 1e-9) {
 			t.Fatalf("seed %d: distributivity violated", seed)
 		}
 	}

@@ -212,22 +212,6 @@ func Scalar(op ScalarOp, a Block, c float64) Block {
 	return out
 }
 
-// Equal reports whether two blocks have the same shape and all cells within
-// tol of each other.
-func Equal(a, b Block, tol float64) bool {
-	if a.Rows() != b.Rows() || a.Cols() != b.Cols() {
-		return false
-	}
-	da, db := a.Dense(), b.Dense()
-	for i := range da.Data {
-		d := da.Data[i] - db.Data[i]
-		if d > tol || d < -tol {
-			return false
-		}
-	}
-	return true
-}
-
 // Sum returns the sum of all elements of a block.
 func Sum(b Block) float64 {
 	switch t := b.(type) {

@@ -45,11 +45,8 @@ func TestParallelMatchesSerialBitIdentical(t *testing.T) {
 				if err := MulAddTransInto(got, a, b, aT, bT); err != nil {
 					t.Fatal(err)
 				}
-				for i := range got.Data {
-					if got.Data[i] != want.Data[i] {
-						t.Fatalf("%dx%dx%d aT=%v bT=%v workers=%d: element %d differs: %v vs %v",
-							n, m, p, aT, bT, w, i, got.Data[i], want.Data[i])
-					}
+				if d := bitDiff(got, want); d != "" {
+					t.Fatalf("%dx%dx%d aT=%v bT=%v workers=%d: got vs serial %s", n, m, p, aT, bT, w, d)
 				}
 			}
 		}
@@ -81,11 +78,9 @@ func TestParallelConcurrentCallers(t *testing.T) {
 				errs <- err.Error()
 				return
 			}
-			for i := range got.Data {
-				if got.Data[i] != want.Data[i] {
-					errs <- "parallel result differs from serial under concurrent callers"
-					return
-				}
+			if d := bitDiff(got, want); d != "" {
+				errs <- "parallel result differs from serial under concurrent callers at " + d
+				return
 			}
 			errs <- ""
 		}()

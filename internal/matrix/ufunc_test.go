@@ -109,8 +109,8 @@ func TestScalarSparseDensifiesOnce(t *testing.T) {
 			t.Fatalf("%s 1.5 of a sparse block stayed sparse", op)
 		}
 		want := Scalar(op, s.Dense(), 1.5)
-		if i := sameBits(got.Dense().Data, want.Dense().Data); i >= 0 {
-			t.Errorf("%s 1.5 of a sparse block: cell %d is %v, dense %v", op, i, got.Dense().Data[i], want.Dense().Data[i])
+		if d := bitDiff(got, want); d != "" {
+			t.Errorf("%s 1.5 of a sparse block: got vs dense %s", op, d)
 		}
 		if n := testing.AllocsPerRun(20, func() { Scalar(op, s, 1.5) }); n != 2 {
 			t.Errorf("%s 1.5 of a sparse block: %v allocations, want 2", op, n)

@@ -77,7 +77,7 @@ func FuzzReadGrid(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-parse: %v", err)
 		}
-		if !matrix.GridEqual(g, g2, 0) {
+		if matrix.BitDiff(g, g2) != "" {
 			t.Fatal("re-encoded grid differs")
 		}
 	})

@@ -2,7 +2,7 @@ package mio
 
 import (
 	"bytes"
-	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"slices"
@@ -27,7 +27,7 @@ func TestMatrixMarketCoordinateRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !matrix.GridEqual(g, got, 0) {
+	if matrix.BitDiff(g, got) != "" {
 		t.Error("coordinate round trip mismatch")
 	}
 }
@@ -45,7 +45,7 @@ func TestMatrixMarketArrayRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !matrix.GridEqual(g, got, 0) {
+	if matrix.BitDiff(g, got) != "" {
 		t.Error("array round trip mismatch")
 	}
 }
@@ -107,37 +107,54 @@ func TestMatrixMarketErrors(t *testing.T) {
 	}
 }
 
-func TestBinaryRoundTripMixed(t *testing.T) {
-	// A grid with both sparse and dense blocks.
-	g := workload.SparseUniform(3, 30, 30, 10, 0.05)
-	g.SetBlock(1, 1, matrix.NewDenseData(10, 10, func() []float64 {
-		d := make([]float64, 100)
-		rng := rand.New(rand.NewSource(9))
-		for i := range d {
-			d[i] = rng.NormFloat64()
-		}
-		return d
-	}()))
+// formats are the two binary format versions: the legacy one, which stays
+// readable for old checkpoints and exports, and the checked one. ReadGrid
+// tells them apart itself.
+var formats = []struct {
+	name  string
+	write func(io.Writer, *matrix.Grid) error
+}{{"v1", WriteGrid}, {"v2", WriteGridChecked}}
+
+// checkRoundTrip writes g with write, reads it back and holds the result to
+// g's block size, each block's representation (a CSC block's structure
+// included) and g's bits.
+func checkRoundTrip(t *testing.T, write func(io.Writer, *matrix.Grid) error, g *matrix.Grid) {
+	t.Helper()
 	var buf bytes.Buffer
-	if err := WriteGrid(&buf, g); err != nil {
+	if err := write(&buf, g); err != nil {
 		t.Fatal(err)
 	}
 	got, err := ReadGrid(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !matrix.GridEqual(g, got, 0) {
-		t.Error("binary round trip mismatch")
-	}
-	// Representations are preserved exactly.
-	if got.Block(0, 0).IsSparse() != g.Block(0, 0).IsSparse() {
-		t.Error("sparse block representation lost")
-	}
-	if got.Block(1, 1).IsSparse() {
-		t.Error("dense block representation lost")
-	}
 	if got.BlockSize() != g.BlockSize() {
-		t.Error("block size lost")
+		t.Fatalf("block size %d, want %d", got.BlockSize(), g.BlockSize())
+	}
+	for bi := 0; bi < g.BlockRows(); bi++ {
+		for bj := 0; bj < g.BlockCols(); bj++ {
+			w, sparse := g.Block(bi, bj).(*matrix.CSCBlock)
+			b, ok := got.Block(bi, bj).(*matrix.CSCBlock)
+			if sparse != ok || sparse && (!slices.Equal(w.ColPtr, b.ColPtr) || !slices.Equal(w.RowIdx, b.RowIdx)) {
+				t.Errorf("block (%d,%d) is stored unlike the one written", bi, bj)
+			}
+		}
+	}
+	if d := matrix.BitDiff(g, got); d != "" {
+		t.Errorf("%dx%d grid read back differs at %s", g.Rows(), g.Cols(), d)
+	}
+}
+
+// TestBinaryRoundTripMixed: a grid of sparse blocks and a dense one, and a
+// dense grid with ragged edge blocks, come back from both formats.
+func TestBinaryRoundTripMixed(t *testing.T) {
+	mixed := workload.SparseUniform(3, 30, 30, 10, 0.05)
+	mixed.SetBlock(1, 1, workload.DenseRandom(9, 10, 10, 10).Block(0, 0))
+	for _, f := range formats {
+		t.Run(f.name, func(t *testing.T) {
+			checkRoundTrip(t, f.write, mixed)
+			checkRoundTrip(t, f.write, workload.DenseRandom(7, 12, 9, 5))
+		})
 	}
 }
 
@@ -191,65 +208,11 @@ func TestBinaryRoundTripSpecialValues(t *testing.T) {
 		coords[i] = matrix.Coord{Row: i % 3, Col: i / 2, Val: v}
 	}
 	g.SetBlock(1, 1, matrix.NewCSC(3, 3, coords))
-	for _, version := range []struct {
-		name  string
-		write func(*bytes.Buffer, *matrix.Grid) error
-	}{
-		{"v1", func(w *bytes.Buffer, g *matrix.Grid) error { return WriteGrid(w, g) }},
-		{"v2", func(w *bytes.Buffer, g *matrix.Grid) error { return WriteGridChecked(w, g) }},
-	} {
-		t.Run(version.name, func(t *testing.T) {
-			bothEncoderPaths(t, func(t *testing.T) {
-				var buf bytes.Buffer
-				if err := version.write(&buf, g); err != nil {
-					t.Fatal(err)
-				}
-				got, err := ReadGrid(&buf)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for bi := 0; bi < 2; bi++ {
-					for bj := 0; bj < 2; bj++ {
-						if err := sameBlockBits(g.Block(bi, bj), got.Block(bi, bj)); err != "" {
-							t.Errorf("block (%d,%d): %s", bi, bj, err)
-						}
-					}
-				}
-			})
+	for _, f := range formats {
+		t.Run(f.name, func(t *testing.T) {
+			bothEncoderPaths(t, func(t *testing.T) { checkRoundTrip(t, f.write, g) })
 		})
 	}
-}
-
-// sameBlockBits compares two blocks' representation and stored values bit
-// for bit, returning what differs or "".
-func sameBlockBits(want, got matrix.Block) string {
-	var wv, gv []float64
-	switch w := want.(type) {
-	case *matrix.DenseBlock:
-		g, ok := got.(*matrix.DenseBlock)
-		if !ok {
-			return "dense block decoded as sparse"
-		}
-		wv, gv = w.Data, g.Data
-	case *matrix.CSCBlock:
-		g, ok := got.(*matrix.CSCBlock)
-		if !ok {
-			return "sparse block decoded as dense"
-		}
-		if !slices.Equal(w.ColPtr, g.ColPtr) || !slices.Equal(w.RowIdx, g.RowIdx) {
-			return fmt.Sprintf("structure %v %v, want %v %v", g.ColPtr, g.RowIdx, w.ColPtr, w.RowIdx)
-		}
-		wv, gv = w.Values, g.Values
-	}
-	if len(wv) != len(gv) {
-		return fmt.Sprintf("%d values, want %d", len(gv), len(wv))
-	}
-	for i := range wv {
-		if math.Float64bits(wv[i]) != math.Float64bits(gv[i]) {
-			return fmt.Sprintf("value %d = %#x, want %#x", i, math.Float64bits(gv[i]), math.Float64bits(wv[i]))
-		}
-	}
-	return ""
 }
 
 func TestBinaryErrors(t *testing.T) {
@@ -297,7 +260,7 @@ func TestQuickBinaryRoundTrip(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return matrix.GridEqual(g, got, 0)
+		return matrix.BitDiff(g, got) == ""
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)

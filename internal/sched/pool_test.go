@@ -33,21 +33,6 @@ func denseBlocks(g *matrix.Grid) map[*matrix.DenseBlock]bool {
 	return out
 }
 
-// sameBits reports whether two grids hold the same values bit for bit (NaN
-// included, which GridEqual's tolerance test lets through).
-func sameBits(a, b *matrix.Grid) bool {
-	if a.Rows() != b.Rows() || a.Cols() != b.Cols() {
-		return false
-	}
-	da, db := a.ToDense(), b.ToDense()
-	for i := range da {
-		if math.Float64bits(da[i]) != math.Float64bits(db[i]) {
-			return false
-		}
-	}
-	return true
-}
-
 func freeBytes(p *BlockPool) int64 {
 	var n int64
 	for _, l := range p.free {
@@ -126,7 +111,7 @@ func TestBlockPoolReusesResultBlocks(t *testing.T) {
 				break
 			}
 		}
-		if !sameBits(second, want) {
+		if matrix.BitDiff(second, want) != "" {
 			t.Errorf("%s: a reused block changed the result's bits", name)
 		}
 		if got := e.Mem().Current() - before; got != charged {

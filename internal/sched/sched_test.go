@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 	"sync/atomic"
 	"testing"
@@ -119,7 +118,7 @@ func TestCellwiseAndScalarParallel(t *testing.T) {
 		t.Fatal(err)
 	}
 	want, _ := matrix.CellwiseGrid(matrix.OpCellMul, a, b)
-	if !matrix.GridEqual(got, want, 0) {
+	if matrix.BitDiff(got, want) != "" {
 		t.Error("parallel cellwise differs from sequential")
 	}
 	if _, _, err := e.Cells(context.Background(), mul, []*matrix.Grid{a, matrix.NewDenseGrid(15, 14, 4)}, -1); !errors.Is(err, matrix.ErrShape) {
@@ -138,7 +137,7 @@ func TestCellwiseAndScalarParallel(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantSc := matrix.ScalarGrid(matrix.ScalarMul, a, 3)
-	if !matrix.GridEqual(sc, wantSc, 0) {
+	if matrix.BitDiff(sc, wantSc) != "" {
 		t.Error("parallel scalar differs from sequential")
 	}
 	if nnz[0] != int64(a.NNZ()) {
@@ -174,7 +173,7 @@ func TestCellsOverwrite(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !matrix.GridEqual(target, keepTarget, 0) {
+		if matrix.BitDiff(target, keepTarget) != "" {
 			t.Fatal("an evaluation without a licence wrote an input")
 		}
 		memBefore := e.Mem().Current()
@@ -182,14 +181,11 @@ func TestCellsOverwrite(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if d := matrix.BitDiff(got, want); d != "" {
+			t.Fatalf("mixed=%v: in place vs fresh %s", mixed, d)
+		}
 		for bi := 0; bi < got.BlockRows(); bi++ {
 			for bj := 0; bj < got.BlockCols(); bj++ {
-				g, w := got.Block(bi, bj).Dense(), want.Block(bi, bj).Dense()
-				for i := range g.Data {
-					if math.Float64bits(g.Data[i]) != math.Float64bits(w.Data[i]) {
-						t.Fatalf("mixed=%v block (%d,%d) cell %d: in place %v, fresh %v", mixed, bi, bj, i, g.Data[i], w.Data[i])
-					}
-				}
 				reused := got.Block(bi, bj) == target.Block(bi, bj)
 				if dense := !keepTarget.Block(bi, bj).IsSparse(); reused != dense {
 					t.Errorf("mixed=%v block (%d,%d): reused=%v, input dense=%v", mixed, bi, bj, reused, dense)
@@ -199,7 +195,7 @@ func TestCellsOverwrite(t *testing.T) {
 		if !mixed && e.Mem().Current() != memBefore {
 			t.Errorf("in-place evaluation accounted %d new bytes", e.Mem().Current()-memBefore)
 		}
-		if !matrix.GridEqual(a, keepA, 0) {
+		if matrix.BitDiff(a, keepA) != "" {
 			t.Error("in-place evaluation wrote an input it had no licence for")
 		}
 		if got.NNZ() != want.NNZ() {
@@ -261,7 +257,7 @@ func TestTransposeParallel(t *testing.T) {
 	a := randGrid(rng, 21, 13, 4, 0.3)
 	e := NewExecutor(4, nil)
 	got := e.Transpose(context.Background(), a)
-	if !matrix.GridEqual(got, a.Transpose(), 0) {
+	if matrix.BitDiff(got, a.Transpose()) != "" {
 		t.Error("parallel transpose differs from sequential")
 	}
 }

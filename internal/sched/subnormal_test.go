@@ -3,7 +3,6 @@ package sched
 import (
 	"context"
 	"fmt"
-	"math"
 	"math/rand"
 	"testing"
 
@@ -25,9 +24,10 @@ func tinyGrid(rng *rand.Rand, rows, cols, bs int, sparsity float64) *matrix.Grid
 
 // flushedCells flushes a dense copy of g's cells and returns it with the
 // number of subnormals it held.
-func flushedCells(g *matrix.Grid) ([]float64, int64) {
+func flushedCells(g *matrix.Grid) (*matrix.Grid, int64) {
 	d := g.ToDense()
-	return d, int64(matrix.FlushSubnormals(d))
+	n := matrix.FlushSubnormals(d)
+	return matrix.FromDense(g.Rows(), g.Cols(), g.BlockSize(), d), int64(n)
 }
 
 // TestResultRule: every result block a task returns holds no subnormal —
@@ -41,12 +41,10 @@ func TestResultRule(t *testing.T) {
 	e := NewExecutor(3, nil)
 	reg := obs.NewRegistry()
 	e.SetObserver(nil, reg)
-	check := func(label string, got *matrix.Grid, want []float64, flushed int64, before int64) {
+	check := func(label string, got, want *matrix.Grid, flushed int64, before int64) {
 		t.Helper()
-		for i, v := range got.ToDense() {
-			if math.Float64bits(v) != math.Float64bits(want[i]) {
-				t.Fatalf("%s: cell %d is %#x, flushed reference %#x", label, i, math.Float64bits(v), math.Float64bits(want[i]))
-			}
+		if d := matrix.BitDiff(got, want); d != "" {
+			t.Fatalf("%s: got vs flushed reference %s", label, d)
 		}
 		if n := e.Flushed() - before; n != flushed {
 			t.Fatalf("%s: executor flushed %d, the reference holds %d subnormals", label, n, flushed)
@@ -105,7 +103,7 @@ func TestResultRule(t *testing.T) {
 			if got.Block(0, 0).IsSparse() != (sparsity < 1) {
 				t.Fatalf("%s: result sparse=%v", label, got.Block(0, 0).IsSparse())
 			}
-			if overwrite < 0 && !matrix.GridEqual(xs, x, 0) {
+			if overwrite < 0 && matrix.BitDiff(xs, x) != "" {
 				t.Fatalf("%s: an input was written", label)
 			}
 			total += n

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"math"
 	"math/rand"
 	"runtime"
 	"strconv"
@@ -104,11 +103,8 @@ func TestForEachNestedKernelStrips(t *testing.T) {
 				return
 			}
 			for i := range products {
-				g, w := got[i].ToDense(), want[i].ToDense()
-				for k := range w {
-					if math.Float64bits(g[k]) != math.Float64bits(w[k]) {
-						t.Fatalf("product %d, cell %d: %v, want %v (serial)", i, k, g[k], w[k])
-					}
+				if d := matrix.BitDiff(got[i], want[i]); d != "" {
+					t.Fatalf("product %d: got vs serial %s", i, d)
 				}
 			}
 		})

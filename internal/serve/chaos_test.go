@@ -88,16 +88,8 @@ func TestServeChaos(t *testing.T) {
 				t.Fatal(err)
 			}
 			want := oracles[jobs[i].workload+"|"+jobs[i].params.Key()]
-			for name, wg := range want.grids {
-				if got := res.Grids[name]; got == nil || !gridBits(got, wg) {
-					t.Errorf("job %d (%s/%s): output %s diverged from fault-free run",
-						i, jobs[i].tenant, jobs[i].workload, name)
-				}
-			}
-			for name, wv := range want.scalars {
-				if got := res.Scalars[name]; got != wv {
-					t.Errorf("job %d: scalar %s = %v, want %v", i, name, got, wv)
-				}
+			if d := resultDiff(res, want.grids, want.scalars); d != "" {
+				t.Errorf("job %d (%s/%s) diverged from the fault-free run: %s", i, jobs[i].tenant, jobs[i].workload, d)
 			}
 		case StateFailed:
 			// Acceptable only as a typed worker-failure after retries.

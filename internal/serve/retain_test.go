@@ -178,15 +178,8 @@ func TestSlotInterleavesJobTypes(t *testing.T) {
 			t.Fatalf("%s: %v", label, err)
 		}
 		grids, scalars := soloRun(t, opts, j.name, j.params, st.BlockSize)
-		for name, want := range grids {
-			if g, ok := res.Grids[name]; !ok || !gridBits(g, want) {
-				t.Errorf("%s: output %s differs from a fresh engine's", label, name)
-			}
-		}
-		for name, want := range scalars {
-			if got := res.Scalars[name]; math.Float64bits(got) != math.Float64bits(want) {
-				t.Errorf("%s: scalar %s = %v, a fresh engine gives %v", label, name, got, want)
-			}
+		if d := resultDiff(res, grids, scalars); d != "" {
+			t.Errorf("%s differs from a fresh engine's: %s", label, d)
 		}
 	}
 }

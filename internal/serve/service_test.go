@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"log/slog"
 	"math"
 	"net/http/httptest"
@@ -113,6 +114,24 @@ func soloRun(t *testing.T, opts Options, name string, params workload.Params, bs
 	return grids, scalars
 }
 
+// resultDiff holds a served result to a reference run's outputs, grids by
+// matrix.BitDiff and scalars by bits, and returns the first difference or "".
+func resultDiff(res *Result, grids map[string]*matrix.Grid, scalars map[string]float64) string {
+	for name, want := range grids {
+		if got := res.Grids[name]; got == nil {
+			return "no output " + name
+		} else if d := matrix.BitDiff(got, want); d != "" {
+			return "output " + name + " at " + d
+		}
+	}
+	for name, want := range scalars {
+		if got := res.Scalars[name]; math.Float64bits(got) != math.Float64bits(want) {
+			return fmt.Sprintf("scalar %s = %v, want %v", name, got, want)
+		}
+	}
+	return ""
+}
+
 // TestTwoTenantsIsolatedResults is the headline acceptance test: two tenants
 // submit different jobs concurrently and each gets exactly the result a
 // dedicated single-job engine at the job's block size would have produced.
@@ -154,16 +173,8 @@ func TestTwoTenantsIsolatedResults(t *testing.T) {
 			t.Fatal(err)
 		}
 		wantGrids, wantScalars := soloRun(t, opts, jobs[i].workload, jobs[i].params, sizes[i])
-		for name, want := range wantGrids {
-			got := res.Grids[name]
-			if got == nil || !gridBits(got, want) {
-				t.Errorf("job %d (%s): output %s diverged from single-job engine", i, jobs[i].workload, name)
-			}
-		}
-		for name, want := range wantScalars {
-			if got := res.Scalars[name]; got != want {
-				t.Errorf("job %d: scalar %s = %v, want %v", i, name, got, want)
-			}
+		if d := resultDiff(res, wantGrids, wantScalars); d != "" {
+			t.Errorf("job %d (%s) diverged from a single-job engine: %s", i, jobs[i].workload, d)
 		}
 	}
 
@@ -527,14 +538,12 @@ func TestRegistryJobBlockSize(t *testing.T) {
 			t.Fatal(err)
 		}
 		want, wantScalars := soloRun(t, opts, c.workload, c.params, c.want)
-		for name, g := range want {
-			if got := res.Grids[name]; got.BlockSize() != c.want || !gridBits(got, g) {
-				t.Errorf("%s binds: %s at block size %d, or diverged from a single-job engine at %d", c.why, name, got.BlockSize(), c.want)
-			}
+		if d := resultDiff(res, want, wantScalars); d != "" {
+			t.Errorf("%s binds: diverged from a single-job engine at %d: %s", c.why, c.want, d)
 		}
-		for name, v := range wantScalars {
-			if got := res.Scalars[name]; math.Float64bits(got) != math.Float64bits(v) {
-				t.Errorf("%s binds: scalar %s = %v, single-job engine %v", c.why, name, got, v)
+		for name, got := range res.Grids {
+			if got.BlockSize() != c.want {
+				t.Errorf("%s binds: %s at block size %d, want %d", c.why, name, got.BlockSize(), c.want)
 			}
 		}
 		spans, err := s.JobTrace(st.ID)
@@ -573,7 +582,7 @@ func TestSubmitDegreeBeyondNodes(t *testing.T) {
 		t.Fatal(err)
 	}
 	want, _ := soloRun(t, opts, "pagerank", params, 64)
-	if !gridBits(res.Grids["rank"], want["rank"]) {
+	if matrix.BitDiff(res.Grids["rank"], want["rank"]) != "" {
 		t.Error("rank diverged from a single-job engine at block size 64")
 	}
 }
@@ -604,7 +613,7 @@ func TestProgrammaticJobAtItsInputsBlockSize(t *testing.T) {
 		t.Fatal(err)
 	}
 	want, _ := soloRun(t, opts, "gram", nil, 5)
-	if !gridBits(res.Grids["G"], want["G"]) {
+	if matrix.BitDiff(res.Grids["G"], want["G"]) != "" {
 		t.Error("G diverged from a single-job engine at block size 5")
 	}
 }

@@ -107,7 +107,7 @@ func TestBuildDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 		for in, g := range a.Inputs {
-			if !matrix.GridEqual(g, b.Inputs[in], 0) {
+			if matrix.BitDiff(g, b.Inputs[in]) != "" {
 				t.Errorf("%s: rebuild changed input %s", name, in)
 			}
 		}

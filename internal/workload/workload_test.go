@@ -15,11 +15,11 @@ import (
 func TestSparseUniformDeterministicAndSized(t *testing.T) {
 	a := SparseUniform(7, 100, 200, 32, 0.05)
 	b := SparseUniform(7, 100, 200, 32, 0.05)
-	if !matrix.GridEqual(a, b, 0) {
+	if matrix.BitDiff(a, b) != "" {
 		t.Error("same seed must reproduce the same matrix")
 	}
 	c := SparseUniform(8, 100, 200, 32, 0.05)
-	if matrix.GridEqual(a, c, 0) {
+	if matrix.BitDiff(a, c) == "" {
 		t.Error("different seeds should differ")
 	}
 	want := int(0.05 * 100 * 200)
@@ -95,7 +95,7 @@ func TestPowerLawGraphProperties(t *testing.T) {
 		}
 	}
 	// Determinism.
-	if !matrix.GridEqual(g, PowerLawGraph(11, nodes, avgDeg, 64), 0) {
+	if matrix.BitDiff(g, PowerLawGraph(11, nodes, avgDeg, 64)) != "" {
 		t.Error("graph generation not deterministic")
 	}
 	// Degree skew: the max out-degree should clearly exceed the average.
@@ -286,11 +286,13 @@ func TestRowNormalizeMatchesReference(t *testing.T) {
 					for bj := 0; bj < want.BlockCols(); bj++ {
 						w := want.Block(bi, bj).(*matrix.CSCBlock)
 						b, ok := got.Block(bi, bj).(*matrix.CSCBlock)
-						if !ok || !slices.Equal(b.ColPtr, w.ColPtr) || !slices.Equal(b.RowIdx, w.RowIdx) ||
-							!slices.EqualFunc(b.Values, w.Values, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }) {
-							t.Fatalf("%dx%d, block %d, seed %d: block (%d,%d) differs from the reference", g.Rows(), g.Cols(), bs, seed, bi, bj)
+						if !ok || !slices.Equal(b.ColPtr, w.ColPtr) || !slices.Equal(b.RowIdx, w.RowIdx) {
+							t.Fatalf("%dx%d, block %d, seed %d: block (%d,%d) is stored unlike the reference", g.Rows(), g.Cols(), bs, seed, bi, bj)
 						}
 					}
+				}
+				if d := matrix.BitDiff(got, want); d != "" {
+					t.Fatalf("%dx%d, block %d, seed %d: differs from the reference at %s", g.Rows(), g.Cols(), bs, seed, d)
 				}
 			}
 		}
