@@ -2,6 +2,7 @@ package dist_test
 
 import (
 	"fmt"
+	"math"
 	"path/filepath"
 	"testing"
 
@@ -178,7 +179,9 @@ func runChaosCell(base *engine.Engine, wl chaosWorkload, cp chaosPlan, checkpoin
 	for _, name := range wl.scalars {
 		got, ok1 := e.Scalar(name)
 		want, ok2 := base.Scalar(name)
-		match = match && ok1 && ok2 && got == want
+		// By bits, as the grids are: a NaN matches only its own payload and
+		// −0 does not pass for +0.
+		match = match && ok1 && ok2 && math.Float64bits(got) == math.Float64bits(want)
 	}
 	t := res.Total()
 	return chaosCell{

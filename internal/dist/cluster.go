@@ -143,6 +143,8 @@ type Cluster struct {
 	faultMu sync.Mutex
 	// dead is the set of permanently lost workers.
 	dead map[int]bool
+	// run counts BeginRun calls: the 1-based index of the current run.
+	run int
 	// pending is an armed task-kill fault waiting to surface from the next
 	// cluster operator of the current stage attempt.
 	pending *WorkerFailure

@@ -35,6 +35,7 @@ func TestFaultPlanValidate(t *testing.T) {
 		{"rate above one", FaultPlan{Rate: 1.5}, "Rate"},
 		{"negative corrupt rate", FaultPlan{CorruptRate: -1}, "CorruptRate"},
 		{"corrupt rate above one", FaultPlan{CorruptRate: 2}, "CorruptRate"},
+		{"negative run", FaultPlan{Events: []FaultEvent{{Run: -1}}}, "Run"},
 		{"negative stage", FaultPlan{Events: []FaultEvent{{Stage: -1}}}, "Stage"},
 		{"negative worker", FaultPlan{Events: []FaultEvent{{Worker: -2}}}, "Worker"},
 		{"negative attempt", FaultPlan{Events: []FaultEvent{{Attempt: -1}}}, "Attempt"},

@@ -78,6 +78,10 @@ func (k FaultKind) String() string {
 // FaultEvent is one scripted fault: at the given stage, on the given retry
 // attempt (0 = the first execution), the given worker fails or stalls.
 type FaultEvent struct {
+	// Run is the 1-based index of the cluster's run (BeginRun) the fault
+	// fires in; 0 fires it in every run that reaches Stage, so a kill lands
+	// in the first of them (its worker is dead in the rest).
+	Run int
 	// Stage is the 1-based stage index the fault fires at.
 	Stage int
 	// Worker is the victim worker index.
@@ -155,7 +159,7 @@ func (p FaultPlan) injectsNet() bool {
 }
 
 // Validate rejects plans that would behave silently oddly: probabilities
-// outside [0, 1], negative delays, and events naming negative stages,
+// outside [0, 1], negative delays, and events naming negative runs, stages,
 // workers or attempts. Cluster setup records the verdict and the first
 // BeginStage surfaces it, so a malformed plan fails a run with a descriptive
 // error instead of injecting nothing (or hashing garbage).
@@ -179,6 +183,8 @@ func (p FaultPlan) Validate() error {
 	}
 	for i, ev := range p.Events {
 		switch {
+		case ev.Run < 0:
+			return fmt.Errorf("dist: fault event %d has negative Run %d", i, ev.Run)
 		case ev.Stage < 0:
 			return fmt.Errorf("dist: fault event %d has negative Stage %d", i, ev.Stage)
 		case ev.Worker < 0:
@@ -236,6 +242,7 @@ func hashUnit(seed int64, stage, worker int) float64 {
 
 // eventsAt lists the faults the plan fires for one stage attempt on a
 // cluster of the given size, scripted events first, in deterministic order.
+// BeginStage drops the scripted events meant for another run.
 func (p FaultPlan) eventsAt(stage, attempt, workers int) []FaultEvent {
 	var out []FaultEvent
 	for _, ev := range p.Events {
@@ -309,6 +316,15 @@ func (f *WorkerFailure) Error() string {
 // Unwrap makes every worker failure match errors.Is(err, ErrWorkerLost).
 func (f *WorkerFailure) Unwrap() error { return ErrWorkerLost }
 
+// BeginRun marks the start of one run, an execution of a whole plan: the
+// stages up to the next BeginRun belong to it, and scripted events with a
+// Run index fire only in that run.
+func (c *Cluster) BeginRun() {
+	c.faultMu.Lock()
+	c.run++
+	c.faultMu.Unlock()
+}
+
 // BeginStage marks the start of one execution attempt of a stage and injects
 // the faults the configured plan scripts for it. Delay faults are charged
 // immediately as stalled time; a boundary kill is returned as a
@@ -317,8 +333,9 @@ func (f *WorkerFailure) Unwrap() error { return ErrWorkerLost }
 // is armed and fires at the stage's next block hand-off (unconsumed
 // corruptions are disarmed at the next BeginStage — a stage that moves no
 // blocks gives a bit-flip nothing to damage). An invalid fault plan
-// (FaultPlan.Validate) fails here with its descriptive error. Faults naming
-// dead workers, or whose kill victim is the last survivor, are ignored.
+// (FaultPlan.Validate) fails here with its descriptive error. Scripted
+// events of another run, faults naming dead workers, and kills whose victim
+// is the last survivor are ignored.
 func (c *Cluster) BeginStage(stage, attempt int) error {
 	if c.faultErr != nil {
 		return c.faultErr
@@ -331,7 +348,7 @@ func (c *Cluster) BeginStage(stage, attempt int) error {
 	c.netArmed = nil
 	var boundary *WorkerFailure
 	for _, ev := range c.cfg.Faults.eventsAt(stage, attempt, c.cfg.Workers) {
-		if ev.Worker < 0 || ev.Worker >= c.cfg.Workers || c.dead[ev.Worker] {
+		if (ev.Run != 0 && ev.Run != c.run) || ev.Worker < 0 || ev.Worker >= c.cfg.Workers || c.dead[ev.Worker] {
 			continue
 		}
 		switch ev.Kind {

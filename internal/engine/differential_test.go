@@ -170,3 +170,46 @@ func TestDifferentialEnginesUnderChaos(t *testing.T) {
 		}
 	}
 }
+
+// TestFaultFiresInItsRun: a scripted kill with a Run index fires at its stage
+// of that run only — here stage 3 of GNMF's third iteration, on one engine
+// and one cluster, though the two runs before it reach stage 3 too — and the
+// session still ends bit-identical to the fault-free one.
+func TestFaultFiresInItsRun(t *testing.T) {
+	const iters, run, stage, worker = 4, 3, 3, 1
+	session := func(faults dist.FaultPlan) (*Engine, []Metrics) {
+		cfg := testConfig()
+		cfg.Faults = faults
+		e := New(DMac, cfg, tBS)
+		bindGNMF(t, e)
+		var ms []Metrics
+		for i := 0; i < iters; i++ {
+			m, err := e.Run(gnmfProgram(0.3), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ms = append(ms, m)
+		}
+		return e, ms
+	}
+	base, _ := session(dist.FaultPlan{})
+	e, ms := session(dist.FaultPlan{Events: []dist.FaultEvent{{Run: run, Stage: stage, Worker: worker, Kind: dist.FaultKillBoundary}}})
+	for i, m := range ms {
+		if m.Stages < stage {
+			t.Fatalf("iteration %d ran %d stages: the kill at stage %d exercises nothing", i+1, m.Stages, stage)
+		}
+		if (m.Retries > 0) != (i+1 == run) {
+			t.Errorf("iteration %d: %d retries, want some in iteration %d only", i+1, m.Retries, run)
+		}
+	}
+	if dead := e.Cluster().DeadWorkers(); len(dead) != 1 || dead[0] != worker {
+		t.Errorf("dead workers %v, want [%d]", dead, worker)
+	}
+	for _, name := range []string{"W", "H"} {
+		got, _ := e.Grid(name)
+		want, _ := base.Grid(name)
+		if d := matrix.BitDiff(got, want); d != "" {
+			t.Errorf("%s differs from the fault-free run at %s", name, d)
+		}
+	}
+}

@@ -99,6 +99,7 @@ func (e *Engine) execute(ctx context.Context, plan *core.Plan, sig string, param
 		st.ledger[i].Stage = i + 1
 	}
 	stats.perStage = st.ledger
+	e.cluster.BeginRun()
 	e.joinSnapshot()
 	e.ckpt.beginRun()
 	if e.ckpt != nil {

@@ -220,8 +220,10 @@ func TestRandomProgramsNarrowWithinReceivers(t *testing.T) {
 func TestRecoveryChargesEveryLiveValue(t *testing.T) {
 	const bs, stage, worker = 32, 3, 0
 	prog := gnmfProgram(0.3)
-	session := func() *Engine {
-		e := New(DMac, testConfig(), bs)
+	session := func(faults dist.FaultPlan) *Engine {
+		cfg := testConfig()
+		cfg.Faults = faults
+		e := New(DMac, cfg, bs)
 		e.SetAblation(false, false, true)
 		rng := rand.New(rand.NewSource(42))
 		for name, g := range map[string]*matrix.Grid{ // drawn in this order
@@ -236,7 +238,7 @@ func TestRecoveryChargesEveryLiveValue(t *testing.T) {
 		}
 		return e
 	}
-	twin := session()
+	twin := session(dist.FaultPlan{})
 	plan, err := twin.Plan(prog)
 	if err != nil {
 		t.Fatal(err)
@@ -258,10 +260,7 @@ func TestRecoveryChargesEveryLiveValue(t *testing.T) {
 	if unread == 0 {
 		t.Fatal("worker 0 holds nothing of the values live across stage 3 but not read in it: the test exercises nothing")
 	}
-	e := session()
-	cfg := testConfig()
-	cfg.Faults = dist.FaultPlan{Events: []dist.FaultEvent{{Stage: stage, Worker: worker, Kind: dist.FaultKillBoundary}}}
-	e.cluster = dist.NewCluster(cfg) // the kill fires in the second iteration only
+	e := session(dist.FaultPlan{Events: []dist.FaultEvent{{Run: 2, Stage: stage, Worker: worker, Kind: dist.FaultKillBoundary}}})
 	if m, err := e.Run(prog, nil); err != nil || m.Retries != 1 || m.RecoveryBytes != want {
 		t.Errorf("%d retries charging %d B (%v), want 1 charging %d (%d of it for values stage 3 does not read)", m.Retries, m.RecoveryBytes, err, want, unread)
 	}

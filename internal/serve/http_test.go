@@ -224,16 +224,9 @@ func TestHTTPDraining(t *testing.T) {
 		defer cancel()
 		stopped <- s.Stop(ctx)
 	}()
-	var sawDraining bool
-	for i := 0; i < 2000; i++ {
-		if code := getJSON(t, srv.URL+"/healthz", nil); code == http.StatusServiceUnavailable {
-			sawDraining = true
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if !sawDraining {
-		t.Error("healthz never reported draining")
+	<-s.drainStarted
+	if code := getJSON(t, srv.URL+"/healthz", nil); code != http.StatusServiceUnavailable {
+		t.Errorf("healthz = %d once the drain began, want 503", code)
 	}
 	resp, _, _ := postJob(t, srv.URL, `{"tenant":"t","workload":"gram"}`)
 	if resp.StatusCode != http.StatusServiceUnavailable && resp.StatusCode != http.StatusBadRequest {

@@ -269,7 +269,10 @@ func (s *Service) Stop(ctx context.Context) error {
 		<-s.dispatcherDone
 		return nil
 	}
-	s.draining = true
+	if !s.draining {
+		s.draining = true
+		close(s.drainStarted)
+	}
 	s.cond.Broadcast()
 	watchDone := make(chan struct{})
 	go func() {

@@ -68,13 +68,16 @@ type Options struct {
 }
 
 // Bounds of the two caches every engine slot shares: plans by signature,
-// and built registry inputs by total bytes. Finished results' grids are kept
-// for Result up to resultBudgetBytes, the oldest evicted first (retainLocked),
-// and finished jobs' records up to jobRecords jobs in all, the oldest
-// forgotten first (forgetLocked).
+// and built registry inputs by total bytes, each admitted on its key's
+// second request (the cache remembers up to jobCacheSeenKeys keys requested
+// once). Finished results' grids are kept for Result up to
+// resultBudgetBytes, the oldest evicted first (retainLocked), and finished
+// jobs' records up to jobRecords jobs in all, the oldest forgotten first
+// (forgetLocked).
 const (
 	sharedPlanEntries = 128
 	jobCacheBytes     = 64 << 20
+	jobCacheSeenKeys  = 4096
 	resultBudgetBytes = 16 << 20
 	jobRecords        = 1024
 )
@@ -138,6 +141,9 @@ type Service struct {
 	nextID    int64
 	draining  bool
 	closed    bool
+	// drainStarted is closed when Stop begins draining, the moment
+	// admission closes.
+	drainStarted chan struct{}
 	// retained holds the done jobs whose result grids are kept, in the order
 	// they finished, and retainedBytes those grids' bytes, at most
 	// resultBudget beside the newest result.
@@ -191,6 +197,7 @@ func NewService(opts Options) (*Service, error) {
 		jobLimit:       jobRecords,
 		tenants:        make(map[string]*tenantState),
 		dispatcherDone: make(chan struct{}),
+		drainStarted:   make(chan struct{}),
 	}
 	s.cond = sync.NewCond(&s.mu)
 	m := opts.Metrics

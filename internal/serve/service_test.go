@@ -371,14 +371,11 @@ func TestStopDrains(t *testing.T) {
 		defer wg.Done()
 		stopErr = s.Stop(ctx)
 	}()
-	// Admission closes promptly even while jobs drain.
+	// Admission closes as the drain begins, even while jobs drain.
+	<-s.drainStarted
 	var rej *Rejection
-	for i := 0; i < 1000; i++ {
-		_, err := s.Submit(JobSpec{Tenant: "t", Workload: "gram"})
-		if errors.As(err, &rej) || err != nil && err.Error() == "serve: service stopped" {
-			break
-		}
-		time.Sleep(time.Millisecond)
+	if _, err := s.Submit(JobSpec{Tenant: "t", Workload: "gram"}); !errors.As(err, &rej) && (err == nil || err.Error() != "serve: service stopped") {
+		t.Errorf("submit after the drain began: %v, want a draining rejection", err)
 	}
 	wg.Wait()
 	if stopErr != nil {
