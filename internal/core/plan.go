@@ -13,6 +13,7 @@ package core
 import (
 	"fmt"
 	"strings"
+	"sync/atomic"
 
 	"dmac/internal/dep"
 	"dmac/internal/expr"
@@ -153,6 +154,24 @@ type Op struct {
 	// worker, since one cached plan serves every block size; the engine
 	// resolves it to workers when it runs the broadcast. Set by AssignStages.
 	Reach []ValueID
+
+	label atomic.Pointer[string] // Label's value once made
+}
+
+// Label names the operator in traces: its kind, then its program node's
+// label where it has one ("compute m0ᵀ %*% m0"). It is formatted on first
+// use and kept, so every run of a cached plan, on any engine, shares one
+// string; concurrent first uses may each format it, and store the same text.
+func (op *Op) Label() string {
+	if l := op.label.Load(); l != nil {
+		return *l
+	}
+	l := op.Kind.String()
+	if op.Node != nil {
+		l += " " + op.Node.Label()
+	}
+	op.label.Store(&l)
+	return l
 }
 
 // Kernel reports whether the operator runs block kernels of its own: a

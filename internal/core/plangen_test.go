@@ -2,6 +2,7 @@ package core
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"dmac/internal/cost"
@@ -417,5 +418,41 @@ func TestBaselineTransposedReadPaysExtra(t *testing.T) {
 	if base.TotalCommBytes() <= dmac.TotalCommBytes() {
 		t.Errorf("baseline %d should exceed DMac %d (transpose + repartition)",
 			base.TotalCommBytes(), dmac.TotalCommBytes())
+	}
+}
+
+// TestOpLabelsSharedAcrossGoroutines: engines running one cached plan name
+// its operators concurrently (run it under -race); every caller reads the
+// operator's kind and its node's label, and later calls the kept string.
+func TestOpLabelsSharedAcrossGoroutines(t *testing.T) {
+	plan, err := Generate(gnmfFullIteration(), gnmfConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	labels := make([][]string, 4)
+	var wg sync.WaitGroup
+	for g := range labels {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, op := range plan.Ops {
+				labels[g] = append(labels[g], op.Label())
+			}
+		}()
+	}
+	wg.Wait()
+	for i, op := range plan.Ops {
+		want := op.Kind.String()
+		if op.Node != nil {
+			want += " " + op.Node.Label()
+		}
+		for g := range labels {
+			if labels[g][i] != want {
+				t.Fatalf("goroutine %d, op %d: %q, want %q", g, i, labels[g][i], want)
+			}
+		}
+		if a := testing.AllocsPerRun(10, func() { _ = op.Label() }); a != 0 {
+			t.Fatalf("op %d: a named operator's Label allocates %v times", i, a)
+		}
 	}
 }

@@ -227,8 +227,8 @@ func (c *Cluster) Metrics() *obs.Registry { return c.metrics.Load() }
 // exactly.
 func (c *Cluster) traceComm(ctx context.Context, stage int, name string, bytes int64, attrs ...obs.Attr) {
 	if tr := c.tracer.Load(); tr.Enabled() {
-		base := []obs.Attr{obs.Int64("stage", int64(stage)), obs.Int64("bytes", bytes)}
-		tr.Event("comm", name, tr.Parent(ctx), append(base, attrs...)...)
+		all := append(make([]obs.Attr, 0, 2+len(attrs)), obs.Int64("stage", int64(stage)), obs.Int64("bytes", bytes))
+		tr.Event("comm", name, tr.Parent(ctx), append(all, attrs...)...)
 	}
 	if m := c.metrics.Load(); m != nil {
 		m.Counter("comm." + name + ".events").Inc()

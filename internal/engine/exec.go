@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"time"
 
@@ -115,7 +116,7 @@ func (e *Engine) execute(ctx context.Context, plan *core.Plan, sig string, param
 		if err := ctx.Err(); err != nil {
 			return stats, fmt.Errorf("engine: run cancelled before stage %d: %w", s, err)
 		}
-		span := e.tracer.Start("engine", fmt.Sprintf("stage %d", s), e.tracer.Scope(),
+		span := e.tracer.Start("engine", stageName(s), e.tracer.Scope(),
 			obs.Int64("stage", int64(s)), obs.Int64("ops", int64(len(plan.StageOps(s)))))
 		prev := e.tracer.SetScope(span)
 		err := e.runStage(ctx, st, s)
@@ -258,38 +259,66 @@ func (e *Engine) recoverStage(st *execState, stage int, wf *dist.WorkerFailure) 
 // opSpan opens the span of one plan operator under parent: name from the
 // operator kind (plus the program node's label where there is one),
 // attributes carrying stage, strategy and the dependency types satisfied on
-// its input edges.
+// its input edges. Naming formats nothing: the name is the operator's cached
+// Label and every key and value a constant, so a traced operator costs one
+// allocation: its attributes, gathered on the stack and cloned to size.
 func (e *Engine) opSpan(plan *core.Plan, stage int, op *core.Op, parent obs.SpanID) obs.SpanID {
 	if !e.tracer.Enabled() {
 		return 0
 	}
-	name := op.Kind.String()
-	if op.Node != nil {
-		name += " " + op.Node.Label()
-	}
-	attrs := []obs.Attr{
+	var buf [8]obs.Attr
+	attrs := append(buf[:0],
 		obs.Int64("stage", int64(stage)),
-		obs.String("kind", op.Kind.String()),
-	}
+		obs.String("kind", op.Kind.String()))
 	if op.Kind == core.OpCompute {
 		attrs = append(attrs, obs.String("strategy", op.Strategy.String()))
-		if t := op.Node.Cells(); t != nil {
-			inPlace := int64(0)
+		if n := op.Node; n.Kind.IsCellwise() {
+			// len(n.Cells().Links), without the tree Cells builds for an
+			// unfused kind's one link
+			links, inPlace := int64(1), int64(0)
+			if n.Kind == expr.KindFused {
+				links = int64(len(n.Tree.Links))
+			}
 			if op.InPlace >= 0 {
 				inPlace = 1
 			}
-			attrs = append(attrs, obs.Int64("links", int64(len(t.Links))), obs.Int64("in_place", inPlace))
+			attrs = append(attrs, obs.Int64("links", links), obs.Int64("in_place", inPlace))
 		}
 	}
 	for j, d := range op.InDeps {
 		if d != dep.NoDependency {
-			attrs = append(attrs, obs.String(fmt.Sprintf("dep_in%d", j), d.String()))
+			attrs = append(attrs, obs.String(depInKey(j), d.String()))
 		}
 	}
 	if op.Output >= 0 {
 		attrs = append(attrs, obs.String("out_scheme", plan.Value(op.Output).Scheme.String()))
 	}
-	return e.tracer.Start("op", name, parent, attrs...)
+	return e.tracer.Start("op", op.Label(), parent, slices.Clone(attrs)...)
+}
+
+// stageNames and depInKeys spell the stage span names and operator
+// dependency keys of the first stages and input edges, so that tracing them
+// formats nothing; later ones are built with strconv.
+var (
+	stageNames = [...]string{"stage 0", "stage 1", "stage 2", "stage 3", "stage 4", "stage 5", "stage 6", "stage 7",
+		"stage 8", "stage 9", "stage 10", "stage 11", "stage 12", "stage 13", "stage 14", "stage 15"}
+	depInKeys = [...]string{"dep_in0", "dep_in1", "dep_in2", "dep_in3", "dep_in4", "dep_in5", "dep_in6", "dep_in7"}
+)
+
+// stageName is the span name of stage s.
+func stageName(s int) string {
+	if s >= 0 && s < len(stageNames) {
+		return stageNames[s]
+	}
+	return "stage " + strconv.Itoa(s)
+}
+
+// depInKey is the attribute key of the dependency on input edge j.
+func depInKey(j int) string {
+	if j < len(depInKeys) {
+		return depInKeys[j]
+	}
+	return "dep_in" + strconv.Itoa(j)
 }
 
 // dispatch runs one plan operator against the run's value table on the

@@ -330,3 +330,41 @@ func TestLocalKernelFlopsMatchCharges(t *testing.T) {
 		t.Errorf("kernel.mul.flops = %d, Metrics.FLOPs = %v: the multiply share of a run's charges and the kernel metric disagree", got, m.FLOPs)
 	}
 }
+
+// TestOpSpanFormatsNothing: once an operator of a cached plan has been
+// named, opening its span allocates its one attribute slice: the name is
+// the operator's kept Label, and stage names and dep_inN keys are constants,
+// so nothing is formatted.
+func TestOpSpanFormatsNothing(t *testing.T) {
+	e := New(DMac, testConfig(), tBS)
+	tr := obs.NewTracer()
+	e.SetObserver(tr, nil)
+	bindGNMF(t, e)
+	plan, err := e.Plan(gnmfProgram(0.3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	deps := 0
+	for _, op := range plan.Ops {
+		op.Label()
+		open := func() {
+			tr.End(e.opSpan(plan, op.Stage, op, 0))
+			tr.Reset()
+		}
+		open()
+		if a := testing.AllocsPerRun(50, open); a > 1 {
+			t.Errorf("op span %q: %v allocations, want at most 1", op.Label(), a)
+		}
+		tr.End(e.opSpan(plan, op.Stage, op, 0))
+		if _, ok := tr.Spans()[0].Attr("dep_in0"); ok {
+			deps++
+		}
+		tr.Reset()
+	}
+	if deps == 0 {
+		t.Fatal("no operator span carried a dependency attribute")
+	}
+	if a := testing.AllocsPerRun(10, func() { _, _ = stageName(3), depInKey(1) }); a != 0 {
+		t.Errorf("stage and dependency names: %v allocations", a)
+	}
+}

@@ -11,6 +11,18 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
 
+// SetClock replaces the tracer's clock with fn, which must return
+// nanoseconds since the tracer's epoch, so golden traces have fixed
+// timestamps.
+func (t *Tracer) SetClock(fn func() int64) {
+	if t == nil {
+		return
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.clock = fn
+}
+
 // goldenSpans builds a small fixed trace under a deterministic clock: a run
 // span holding one stage, one operator with a comm event, and a sched batch.
 func goldenSpans() []Span {

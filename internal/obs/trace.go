@@ -101,28 +101,19 @@ type Tracer struct {
 	// deterministic golden output.
 	clock  func() int64
 	nextID atomic.Int64
-	open   map[SpanID]*Span
-	done   []Span
-	scope  atomic.Int64
+	// open holds the started spans by value and done the finished ones;
+	// Reset empties both and keeps their storage, so a tracer drained after
+	// every job (the job service's slots) stops allocating for them.
+	open  map[SpanID]Span
+	done  []Span
+	scope atomic.Int64
 }
 
 // NewTracer creates an enabled tracer with a monotonic wall clock.
 func NewTracer() *Tracer {
-	t := &Tracer{epoch: time.Now(), open: make(map[SpanID]*Span)}
+	t := &Tracer{epoch: time.Now(), open: make(map[SpanID]Span)}
 	t.clock = func() int64 { return time.Since(t.epoch).Nanoseconds() }
 	return t
-}
-
-// SetClock replaces the tracer's clock with fn, which must return
-// nanoseconds since the tracer's epoch. Used by tests to make timestamps
-// deterministic.
-func (t *Tracer) SetClock(fn func() int64) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.clock = fn
 }
 
 // Enabled reports whether spans are being recorded. Hot paths guard
@@ -139,7 +130,7 @@ func (t *Tracer) Start(cat, name string, parent SpanID, attrs ...Attr) SpanID {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	now := t.clock()
-	t.open[id] = &Span{ID: id, Parent: parent, Cat: cat, Name: name, Start: now, End: now, Attrs: attrs}
+	t.open[id] = Span{ID: id, Parent: parent, Cat: cat, Name: name, Start: now, End: now, Attrs: attrs}
 	return id
 }
 
@@ -159,7 +150,7 @@ func (t *Tracer) End(id SpanID, attrs ...Attr) {
 	delete(t.open, id)
 	sp.End = t.clock()
 	sp.Attrs = append(sp.Attrs, attrs...)
-	t.done = append(t.done, *sp)
+	t.done = append(t.done, sp)
 }
 
 // Event records a zero-duration span (a point event carrying a payload,
@@ -240,14 +231,15 @@ func (t *Tracer) Len() int {
 }
 
 // Reset drops all recorded spans (open spans included) and clears the
-// scope.
+// scope. It keeps the storage the spans took for the spans to come.
 func (t *Tracer) Reset() {
 	if t == nil {
 		return
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.done = nil
-	t.open = make(map[SpanID]*Span)
+	clear(t.done)
+	t.done = t.done[:0]
+	clear(t.open)
 	t.scope.Store(0)
 }

@@ -3,7 +3,9 @@ package serve
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"dmac/internal/workload"
@@ -119,47 +121,70 @@ func TestJobCacheRemembersABoundedSet(t *testing.T) {
 	}
 }
 
-// TestConcurrentFirstSubmissions: several first submissions of one key race
-// through the cache (run it under -race). Each builds, one of the builds is
-// kept, and every result has the same bits.
+// TestConcurrentFirstSubmissions: first submissions of one key that
+// overlap share one registry build (run it under -race). The builder is held
+// until every submission waits on it, so each run sees the overlap: one
+// build, every result with its bits, and the key admitted, since the
+// doorkeeper counts the requests the build served, as it counts sequential
+// ones.
 func TestConcurrentFirstSubmissions(t *testing.T) {
-	opts := testOptions()
-	opts.DefaultQuota = TenantQuota{MaxConcurrent: 2, MaxQueued: 16}
-	s := newTestService(t, opts)
-	const n = 6
-	spec := gramSpec(9)
-	results := make([]*Result, n)
-	var wg sync.WaitGroup
-	for i := range results {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			st, err := s.Submit(spec)
-			if err == nil {
-				_, err = s.Wait(context.Background(), st.ID)
-			}
-			if err == nil {
-				results[i], err = s.Result(st.ID)
-			}
-			if err != nil {
-				t.Error(err)
-			}
-		}()
-	}
-	wg.Wait()
-	if t.Failed() {
-		return
-	}
-	for i, res := range results[1:] {
-		if d := resultDiff(res, results[0].Grids, results[0].Scalars); d != "" {
-			t.Errorf("submission %d: %s", i+2, d)
+	for _, n := range []int{2, 6} {
+		opts := testOptions()
+		opts.DefaultQuota = TenantQuota{MaxConcurrent: 2, MaxQueued: 16}
+		gram, _ := workload.DefaultRegistry().Lookup("gram")
+		var builds atomic.Int32
+		release := make(chan struct{})
+		opts.Registry = workload.NewRegistry()
+		opts.Registry.Register("gram", gram.Description, func(size workload.BlockSizer, p workload.Params) (*workload.BuiltJob, error) {
+			builds.Add(1)
+			<-release
+			return gram.Build(size, p)
+		})
+		s := newTestService(t, opts)
+		spec := gramSpec(9)
+		key := jobCacheKey(spec.Workload, spec.Params)
+		results := make([]*Result, n)
+		var wg sync.WaitGroup
+		for i := range results {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				st, err := s.Submit(spec)
+				if err == nil {
+					_, err = s.Wait(context.Background(), st.ID)
+				}
+				if err == nil {
+					results[i], err = s.Result(st.ID)
+				}
+				if err != nil {
+					t.Error(err)
+				}
+			}()
 		}
-	}
-	if c := jobCacheStats(s); c.Entries != 1 || c.Hits+c.Misses != n {
-		t.Errorf("%+v after %d submissions of one key, want one entry and %d lookups", c, n, n)
-	}
-	runDone(t, s, spec)
-	if c := jobCacheStats(s); c.Hits == 0 {
-		t.Errorf("%+v: the key's next request missed", c)
+		// Every submission shares the build, or (were builds not shared)
+		// runs its own.
+		for s.jobCache.waiting(key) < n && int(builds.Load()) < n {
+			runtime.Gosched()
+		}
+		close(release)
+		wg.Wait()
+		if t.Failed() {
+			return
+		}
+		for i, res := range results[1:] {
+			if d := resultDiff(res, results[0].Grids, results[0].Scalars); d != "" {
+				t.Errorf("n=%d, submission %d: %s", n, i+2, d)
+			}
+		}
+		if b := builds.Load(); b != 1 {
+			t.Errorf("%d concurrent first submissions built %d times, want once", n, b)
+		}
+		if c := jobCacheStats(s); c.Entries != 1 || c.Hits != 0 || c.Misses != int64(n) {
+			t.Errorf("%+v after %d concurrent submissions of one key, want one entry and %d misses", c, n, n)
+		}
+		runDone(t, s, spec)
+		if c := jobCacheStats(s); c.Hits != 1 || builds.Load() != 1 {
+			t.Errorf("%+v after %d builds: the key's next request did not hit", c, builds.Load())
+		}
 	}
 }

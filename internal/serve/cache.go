@@ -2,6 +2,7 @@ package serve
 
 import (
 	"container/list"
+	"errors"
 	"hash/maphash"
 	"sync"
 
@@ -26,6 +27,11 @@ import (
 // leaves it when its build is admitted. Lookups stay by the full key, so a
 // hash collision can at worst admit a one-shot build, never serve the wrong
 // one.
+//
+// Concurrent requests for a key not in the cache share one build (building
+// holds the build in flight). The doorkeeper counts requests, not builds: a
+// build that served two requests is offered twice, so it is admitted just as
+// the second of two sequential requests' builds would be.
 type jobCache struct {
 	mu       sync.Mutex
 	maxBytes int64
@@ -36,7 +42,20 @@ type jobCache struct {
 	misses   int64
 	seed     maphash.Seed
 	seen     map[uint64]struct{}
+	building map[string]*jobBuild
 }
+
+// jobBuild is one registry build in flight and the requests waiting on it.
+type jobBuild struct {
+	done     chan struct{} // closed when job and err are set
+	job      *workload.BuiltJob
+	err      error
+	requests int
+}
+
+// errBuildAborted is what the requests sharing a build get when the build
+// panicked instead of returning.
+var errBuildAborted = errors.New("serve: job build aborted")
 
 type jobCacheItem struct {
 	key   string
@@ -51,6 +70,7 @@ func newJobCache(maxBytes int64) *jobCache {
 		entries:  make(map[string]*list.Element),
 		seed:     maphash.MakeSeed(),
 		seen:     make(map[uint64]struct{}),
+		building: make(map[string]*jobBuild),
 	}
 }
 
@@ -59,32 +79,53 @@ func jobCacheKey(name string, params workload.Params) string {
 	return name + "|" + params.Key()
 }
 
-func (c *jobCache) get(key string) *workload.BuiltJob {
+// getOrBuild returns key's cached build, or else the build in flight for
+// key, or else runs build and offers its result to the cache once for every
+// request that shared it. Every request counts as one lookup: a hit when the
+// cache held the key, a miss otherwise.
+func (c *jobCache) getOrBuild(key string, build func() (*workload.BuiltJob, error)) (*workload.BuiltJob, error) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.entries[key]
-	if !ok {
-		c.misses++
-		return nil
+	if el, ok := c.entries[key]; ok {
+		c.hits++
+		c.lru.MoveToFront(el)
+		c.mu.Unlock()
+		return el.Value.(jobCacheItem).job, nil
 	}
-	c.hits++
-	c.lru.MoveToFront(el)
-	return el.Value.(jobCacheItem).job
+	c.misses++
+	if b, ok := c.building[key]; ok {
+		b.requests++
+		c.mu.Unlock()
+		<-b.done
+		return b.job, b.err
+	}
+	b := &jobBuild{done: make(chan struct{}), err: errBuildAborted, requests: 1}
+	c.building[key] = b
+	c.mu.Unlock()
+	defer func() {
+		c.mu.Lock()
+		delete(c.building, key)
+		for i := 0; b.err == nil && i < b.requests; i++ {
+			c.offerLocked(key, b.job)
+		}
+		c.mu.Unlock()
+		close(b.done)
+	}()
+	b.job, b.err = build()
+	return b.job, b.err
 }
 
-// put offers a fresh build of key to the cache, which keeps it only if the
-// key was built before (see jobCache).
-func (c *jobCache) put(key string, j *workload.BuiltJob) {
+// offerLocked is one request's offer of a build of key: the key's first
+// request records its hash and drops the build, a later one admits it, and
+// once it is admitted further offers change nothing.
+func (c *jobCache) offerLocked(key string, j *workload.BuiltJob) {
+	if _, ok := c.entries[key]; ok {
+		return
+	}
 	b := j.InputBytes()
 	if b > c.maxBytes {
 		return // larger than the whole cache: never admit
 	}
 	h := maphash.String(c.seed, key)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.entries[key]; ok {
-		return
-	}
 	if _, ok := c.seen[h]; !ok {
 		if len(c.seen) >= jobCacheSeenKeys {
 			clear(c.seen)

@@ -114,19 +114,12 @@ func (s *Service) Submit(spec JobSpec) (JobStatus, error) {
 // Options.BlockSize; programmatic jobs are wrapped at their inputs' one side.
 func (s *Service) buildSpec(spec JobSpec) (*workload.BuiltJob, error) {
 	if spec.Workload != "" {
-		key := jobCacheKey(spec.Workload, spec.Params)
-		if b := s.jobCache.get(key); b != nil {
-			return b, nil
-		}
 		size := func(rows, cols int, density float64) int {
 			return max(s.opts.BlockSize, s.slots[0].e.BlockSizeFor(rows, cols, density))
 		}
-		b, err := s.opts.Registry.BuildSized(spec.Workload, size, spec.Params)
-		if err != nil {
-			return nil, err
-		}
-		s.jobCache.put(key, b)
-		return b, nil
+		return s.jobCache.getOrBuild(jobCacheKey(spec.Workload, spec.Params), func() (*workload.BuiltJob, error) {
+			return s.opts.Registry.BuildSized(spec.Workload, size, spec.Params)
+		})
 	}
 	if spec.Program == nil {
 		return nil, fmt.Errorf("serve: job names no workload and carries no program")

@@ -186,8 +186,12 @@ func (s *Service) runJob(j *job, slot *engineSlot) {
 
 	// Drain the slot tracer into the flight recorder: the slot ran only this
 	// job since the last drain, so these spans are exactly its tree. Draining
-	// per job also keeps a long-lived slot's tracer memory bounded.
-	s.flight.record(j.id, slot.tracer.Spans())
+	// per job also keeps a long-lived slot's tracer memory bounded; Reset
+	// keeps its storage for the slot's next job.
+	if s.beforeDrain != nil {
+		s.beforeDrain(j.id, slot.tracer.Spans())
+	}
+	s.flight.record(j.id, slot.tracer.Pack())
 	slot.tracer.Reset()
 
 	s.finishJob(j, slot, state, runErr, res, total, iters)

@@ -156,6 +156,11 @@ type Service struct {
 	finished []*job
 	jobLimit int
 
+	// beforeDrain, when set, sees each job's spans as its slot's tracer
+	// holds them just before runJob packs them into the flight recorder.
+	// Set by tests before the first submission.
+	beforeDrain func(id string, spans []obs.Span)
+
 	wg             sync.WaitGroup
 	dispatcherDone chan struct{}
 
@@ -213,6 +218,7 @@ func NewService(opts Options) (*Service, error) {
 	s.vJobGFLOPS = m.HistogramVec("serve.tenant.job.gflops", obs.GFLOPSBuckets, "tenant")
 	s.vSlots = m.GaugeVec("serve.slots", "state")
 	s.gRetained = m.Gauge("serve.results.retained.bytes")
+	s.flight.gauge = m.Gauge("serve.traces.retained.bytes")
 	s.cEvicted = m.Counter("serve.results.evicted")
 
 	for id := 0; id < opts.Slots; id++ {
@@ -230,17 +236,6 @@ func NewService(opts Options) (*Service, error) {
 
 // Registry returns the service's workload registry.
 func (s *Service) Registry() *workload.Registry { return s.opts.Registry }
-
-// Tracers returns the per-slot tracers (for trace export and tests).
-func (s *Service) Tracers() []*obs.Tracer {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	trs := make([]*obs.Tracer, len(s.slots))
-	for i, sl := range s.slots {
-		trs[i] = sl.tracer
-	}
-	return trs
-}
 
 // Status returns a snapshot of the job.
 func (s *Service) Status(id string) (JobStatus, error) {

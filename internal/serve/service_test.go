@@ -767,7 +767,7 @@ func TestStatsExposeSlots(t *testing.T) {
 	const statsKeys = "canceled completed draining failed job_cache plan_cache " +
 		"queue_depth queue_wait_count queue_wait_p50_sec queue_wait_p95_sec queue_wait_p99_sec queue_wait_sum_sec " +
 		"rejected results_retained_bytes run_count run_p50_sec run_p95_sec run_p99_sec run_sum_sec running " +
-		"slots_free slots_total submitted tenants uptime_sec"
+		"slots_free slots_total submitted tenants traces_retained_bytes uptime_sec"
 	opts := testOptions()
 	opts.Metrics = obs.NewRegistry()
 	s := newTestService(t, opts)

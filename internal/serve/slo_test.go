@@ -139,8 +139,9 @@ func TestSLOTenantsIndependent(t *testing.T) {
 	}
 }
 
-func testSpans(name string) []obs.Span {
-	return []obs.Span{{Name: name, Cat: "test"}}
+// testSpans is one span named name, packed as the recorder keeps it.
+func testSpans(name string) []byte {
+	return obs.PackSpans([]obs.Span{{Name: name, Cat: "test"}})
 }
 
 func TestFlightRecorderRing(t *testing.T) {

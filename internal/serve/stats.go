@@ -63,6 +63,9 @@ type Stats struct {
 	// service keeps for Result: at most its retention budget beside the
 	// newest result.
 	ResultsRetainedBytes int64 `json:"results_retained_bytes"`
+	// TracesRetainedBytes is the bytes of the flight recorder's packed job
+	// traces: at most its ring of recent jobs, a few KB each.
+	TracesRetainedBytes int64 `json:"traces_retained_bytes"`
 
 	PlanCache CacheStats             `json:"plan_cache"`
 	JobCache  CacheStats             `json:"job_cache"`
@@ -80,6 +83,8 @@ func (s *Service) Stats() Stats {
 		PlanCache: CacheStats{Hits: ph, Misses: pm, Entries: pe},
 		JobCache:  CacheStats{Hits: jh, Misses: jm, Entries: je, Bytes: jb},
 		Tenants:   make(map[string]TenantStats),
+
+		TracesRetainedBytes: s.flight.retainedBytes(),
 	}
 
 	submitted := sumBy(s.vSubmitted.Snapshot(), "tenant")
