@@ -127,7 +127,7 @@ type Cluster struct {
 	// and the registry accumulates per-kind event counters and byte
 	// histograms. Atomic so enabling observability never races with a run.
 	tracer  atomic.Pointer[obs.Tracer]
-	metrics atomic.Pointer[obs.Registry]
+	metrics atomic.Pointer[clusterMetrics]
 	// curAttempt is the execution attempt of the current stage (set by
 	// BeginStage), used to attribute transport failures and gate
 	// first-attempt network faults.
@@ -203,7 +203,7 @@ func (c *Cluster) Net() *NetStats { return c.net }
 // reproduces NetStats.Bytes.
 func (c *Cluster) SetObserver(t *obs.Tracer, m *obs.Registry) {
 	c.tracer.Store(t)
-	c.metrics.Store(m)
+	c.metrics.Store(&clusterMetrics{reg: m})
 	c.exec.SetObserver(t, m)
 	if o, ok := c.base.(interface {
 		SetObserver(*obs.Tracer, *obs.Registry)
@@ -216,8 +216,52 @@ func (c *Cluster) SetObserver(t *obs.Tracer, m *obs.Registry) {
 // is a valid no-op receiver).
 func (c *Cluster) Tracer() *obs.Tracer { return c.tracer.Load() }
 
-// Metrics returns the attached metrics registry (nil when metrics are off).
-func (c *Cluster) Metrics() *obs.Registry { return c.metrics.Load() }
+// Metrics returns the attached metrics registry (nil when metrics are off;
+// a nil registry is a valid no-op receiver).
+func (c *Cluster) Metrics() *obs.Registry {
+	if m := c.metrics.Load(); m != nil {
+		return m.reg
+	}
+	return nil
+}
+
+// commKind is one of the cluster's communication primitives: the name of
+// its "comm" span, of its comm.<kind>.* metrics and, for the five that move
+// blocks over a transport, the op label of its net.wire.* metrics.
+type commKind uint8
+
+const (
+	commPartition commKind = iota
+	commBroadcast
+	commShuffleTranspose
+	commCPMMShuffle
+	commCollect
+	commRecovery
+	commCorruptRefetch
+	numCommKinds
+)
+
+var commKindNames = [numCommKinds]string{
+	"partition", "broadcast", "shuffle-transpose", "cpmm-shuffle", "collect", "recovery", "corrupt-refetch",
+}
+
+func (k commKind) String() string { return commKindNames[k] }
+
+// clusterMetrics holds the instruments of one attached registry: per comm
+// kind, its comm.<kind>.* metrics and its children of the net.wire.*
+// families, each set resolved on its first event (a kind that never happens
+// exports nothing) and held after it; a nil registry's are nil, no-op metrics.
+type clusterMetrics struct {
+	reg        *obs.Registry
+	comm, wire [numCommKinds]obs.Lazy[kindMetrics]
+}
+
+// kindMetrics are one comm kind's comm.<kind>.events, .bytes and
+// .bytes.hist, or its net.wire.frames, .bytes and .seconds children.
+type kindMetrics struct {
+	count, bytes *obs.Counter
+	hist         *obs.Histogram
+}
 
 // traceComm records one communication event in the tracer and the metrics
 // registry: a zero-duration "comm" span with the exact charged bytes, under
@@ -225,15 +269,20 @@ func (c *Cluster) Metrics() *obs.Registry { return c.metrics.Load() }
 // must be called by every code path that charges communication to NetStats,
 // with the same byte count, so trace totals and network totals agree
 // exactly.
-func (c *Cluster) traceComm(ctx context.Context, stage int, name string, bytes int64, attrs ...obs.Attr) {
+func (c *Cluster) traceComm(ctx context.Context, stage int, k commKind, bytes int64, attrs ...obs.Attr) {
 	if tr := c.tracer.Load(); tr.Enabled() {
 		all := append(make([]obs.Attr, 0, 2+len(attrs)), obs.Int64("stage", int64(stage)), obs.Int64("bytes", bytes))
-		tr.Event("comm", name, tr.Parent(ctx), append(all, attrs...)...)
+		tr.Event("comm", k.String(), tr.Parent(ctx), append(all, attrs...)...)
 	}
 	if m := c.metrics.Load(); m != nil {
-		m.Counter("comm." + name + ".events").Inc()
-		m.Counter("comm." + name + ".bytes").Add(bytes)
-		m.Histogram("comm."+name+".bytes.hist", obs.BytesBuckets).Observe(float64(bytes))
+		km := m.comm[k].Get(func() *kindMetrics {
+			prefix := "comm." + k.String()
+			events, total, hist := prefix+".events", prefix+".bytes", prefix+".bytes.hist"
+			return &kindMetrics{m.reg.Counter(events), m.reg.Counter(total), m.reg.Histogram(hist, obs.BytesBuckets)}
+		})
+		km.count.Inc()
+		km.bytes.Add(bytes)
+		km.hist.Observe(float64(bytes))
 	}
 }
 
@@ -244,21 +293,8 @@ func (c *Cluster) Config() Config { return c.cfg }
 // totals; the engine attributes them to stages by differencing snapshots
 // around each stage's work. All methods are safe for concurrent use.
 type NetStats struct {
-	mu            sync.Mutex
-	bytes         int64
-	commEvents    int
-	broadcasts    int
-	shuffles      int
-	flops         float64
-	recoveryBytes int64
-	retries       int
-	stallSec      float64
-	corruptInj    int
-	corruptDet    int
-	wireBytes     int64
-	wireFrames    int64
-	netDrops      int
-	netDelays     int
+	mu sync.Mutex
+	s  Snapshot
 }
 
 // Snapshot is a point-in-time copy of the statistics.
@@ -306,12 +342,12 @@ type Snapshot struct {
 
 // addCommLocked is the shared body of the communication recorders.
 func (n *NetStats) addCommLocked(bytes int64, broadcast bool) {
-	n.bytes += bytes
-	n.commEvents++
+	n.s.Bytes += bytes
+	n.s.CommEvents++
 	if broadcast {
-		n.broadcasts++
+		n.s.Broadcasts++
 	} else {
-		n.shuffles++
+		n.s.Shuffles++
 	}
 }
 
@@ -335,7 +371,7 @@ func (n *NetStats) AddBroadcast(bytes int64) {
 func (n *NetStats) AddFLOPs(f float64) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.flops += f
+	n.s.FLOPs += f
 }
 
 // AddRecovery records the recovery shuffle that re-partitions a dead
@@ -346,7 +382,7 @@ func (n *NetStats) AddRecovery(bytes int64) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.addCommLocked(bytes, false)
-	n.recoveryBytes += bytes
+	n.s.RecoveryBytes += bytes
 }
 
 // AddCorruption records one injected block corruption and whether the
@@ -354,9 +390,9 @@ func (n *NetStats) AddRecovery(bytes int64) {
 func (n *NetStats) AddCorruption(detected bool) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.corruptInj++
+	n.s.CorruptionsInjected++
 	if detected {
-		n.corruptDet++
+		n.s.CorruptionsDetected++
 	}
 }
 
@@ -364,7 +400,7 @@ func (n *NetStats) AddCorruption(detected bool) {
 func (n *NetStats) AddRetry() {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.retries++
+	n.s.Retries++
 }
 
 // AddStall records modelled stalled seconds (injected delays, retry
@@ -372,7 +408,7 @@ func (n *NetStats) AddRetry() {
 func (n *NetStats) AddStall(sec float64) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.stallSec += sec
+	n.s.StallSec += sec
 }
 
 // AddWire records measured transport traffic: bytes actually written to (or
@@ -380,55 +416,36 @@ func (n *NetStats) AddStall(sec float64) {
 func (n *NetStats) AddWire(bytes, frames int64) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.wireBytes += bytes
-	n.wireFrames += frames
+	n.s.WireBytes += bytes
+	n.s.WireFrames += frames
 }
 
 // AddNetDrop records one injected network drop (healed by retransmit).
 func (n *NetStats) AddNetDrop() {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.netDrops++
+	n.s.NetDropsInjected++
 }
 
 // AddNetDelay records one injected network delay.
 func (n *NetStats) AddNetDelay() {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.netDelays++
+	n.s.NetDelaysInjected++
 }
 
 // Snapshot returns a copy of the accumulated statistics.
 func (n *NetStats) Snapshot() Snapshot {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return Snapshot{
-		Bytes:               n.bytes,
-		CommEvents:          n.commEvents,
-		Broadcasts:          n.broadcasts,
-		Shuffles:            n.shuffles,
-		FLOPs:               n.flops,
-		RecoveryBytes:       n.recoveryBytes,
-		Retries:             n.retries,
-		StallSec:            n.stallSec,
-		CorruptionsInjected: n.corruptInj,
-		CorruptionsDetected: n.corruptDet,
-		WireBytes:           n.wireBytes,
-		WireFrames:          n.wireFrames,
-		NetDropsInjected:    n.netDrops,
-		NetDelaysInjected:   n.netDelays,
-	}
+	return n.s
 }
 
 // Reset clears the statistics.
 func (n *NetStats) Reset() {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.bytes, n.commEvents, n.flops = 0, 0, 0
-	n.broadcasts, n.shuffles = 0, 0
-	n.recoveryBytes, n.retries, n.stallSec = 0, 0, 0
-	n.corruptInj, n.corruptDet = 0, 0
-	n.wireBytes, n.wireFrames, n.netDrops, n.netDelays = 0, 0, 0, 0
+	n.s = Snapshot{}
 }
 
 // String summarizes the statistics.

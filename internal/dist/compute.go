@@ -121,11 +121,11 @@ func (c *Cluster) Multiply(ctx context.Context, a, b *DistMatrix, strategy MulSt
 			return nil, err
 		}
 		c.net.AddComm(workers * out.Bytes())
-		c.traceComm(ctx, stage, "cpmm-shuffle", workers*out.Bytes(),
+		c.traceComm(ctx, stage, commCPMMShuffle, workers*out.Bytes(),
 			obs.String("strategy", "CPMM"), obs.String("to_scheme", outScheme.String()),
 			obs.Int64("workers", workers))
-		c.verifyTransfer(ctx, out, stage, "cpmm-shuffle")
-		c.chargeWire(ctx, stage, "cpmm-shuffle", wire, wireS)
+		c.verifyTransfer(ctx, out, stage, commCPMMShuffle)
+		c.chargeWire(ctx, stage, commCPMMShuffle, wire, wireS)
 	}
 	return out, nil
 }
@@ -206,8 +206,8 @@ func (c *Cluster) collect(ctx context.Context, stage int) error {
 	}
 	bytes := 8 * int64(c.AliveWorkers())
 	c.net.AddComm(bytes)
-	c.traceComm(ctx, stage, "collect", bytes)
-	c.chargeWire(ctx, stage, "collect", wire, wireS)
+	c.traceComm(ctx, stage, commCollect, bytes)
+	c.chargeWire(ctx, stage, commCollect, wire, wireS)
 	return nil
 }
 

@@ -296,10 +296,10 @@ func (c *Cluster) Partition(ctx context.Context, m *DistMatrix, scheme dep.Schem
 		return nil, err
 	}
 	c.net.AddComm(m.Bytes())
-	c.traceComm(ctx, stage, "partition", m.Bytes(),
+	c.traceComm(ctx, stage, commPartition, m.Bytes(),
 		obs.String("from_scheme", m.Scheme.String()), obs.String("to_scheme", scheme.String()))
-	c.verifyTransfer(ctx, m, stage, "partition")
-	c.chargeWire(ctx, stage, "partition", wire, wireS)
+	c.verifyTransfer(ctx, m, stage, commPartition)
+	c.chargeWire(ctx, stage, commPartition, wire, wireS)
 	return out, nil
 }
 
@@ -326,10 +326,10 @@ func (c *Cluster) Broadcast(ctx context.Context, m *DistMatrix, stage int, to []
 	}
 	replicas := int64(len(hops))
 	c.net.AddBroadcast(replicas * m.Bytes())
-	c.traceComm(ctx, stage, "broadcast", replicas*m.Bytes(),
+	c.traceComm(ctx, stage, commBroadcast, replicas*m.Bytes(),
 		obs.String("from_scheme", m.Scheme.String()), obs.Int64("replicas", replicas))
-	c.verifyTransfer(ctx, m, stage, "broadcast")
-	c.chargeWire(ctx, stage, "broadcast", wire, wireS)
+	c.verifyTransfer(ctx, m, stage, commBroadcast)
+	c.chargeWire(ctx, stage, commBroadcast, wire, wireS)
 	return out, nil
 }
 
@@ -396,10 +396,10 @@ func (c *Cluster) ShuffleTranspose(ctx context.Context, m *DistMatrix, stage int
 		return nil, err
 	}
 	c.net.AddComm(m.Bytes())
-	c.traceComm(ctx, stage, "shuffle-transpose", m.Bytes(),
+	c.traceComm(ctx, stage, commShuffleTranspose, m.Bytes(),
 		obs.String("from_scheme", m.Scheme.String()))
-	c.verifyTransfer(ctx, m, stage, "shuffle-transpose")
-	c.chargeWire(ctx, stage, "shuffle-transpose", wire, wireS)
+	c.verifyTransfer(ctx, m, stage, commShuffleTranspose)
+	c.chargeWire(ctx, stage, commShuffleTranspose, wire, wireS)
 	c.addFLOPs(ctx, cost.TransposeFLOPs(float64(m.Grid.NNZ())))
 	if m.trans {
 		// The stored grid already is the transpose of the view; the shuffle

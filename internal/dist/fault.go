@@ -421,7 +421,7 @@ func (c *Cluster) victimBlock(m *DistMatrix, worker int) (int, int) {
 // its source, charging the repeat transfer to the network; results therefore
 // stay bit-identical to a fault-free run while every corruption is detected
 // and accounted (NetStats CorruptionsInjected/CorruptionsDetected).
-func (c *Cluster) verifyTransfer(ctx context.Context, m *DistMatrix, stage int, op string) {
+func (c *Cluster) verifyTransfer(ctx context.Context, m *DistMatrix, stage int, op commKind) {
 	for _, ev := range c.takeCorrupt() {
 		bi, bj := c.victimBlock(m, ev.Worker)
 		blk := m.StoredBlock(bi, bj)
@@ -430,11 +430,9 @@ func (c *Cluster) verifyTransfer(ctx context.Context, m *DistMatrix, stage int, 
 		enc[len(enc)/2] ^= 0x04
 		detected := mio.ChecksumBytes(enc) != want
 		c.net.AddCorruption(detected)
-		if mtr := c.metrics.Load(); mtr != nil {
-			mtr.Counter("fault.corrupt.injected").Inc()
-			if detected {
-				mtr.Counter("fault.corrupt.detected").Inc()
-			}
+		c.Metrics().Counter("fault.corrupt.injected").Inc()
+		if detected {
+			c.Metrics().Counter("fault.corrupt.detected").Inc()
 		}
 		if !detected {
 			// CRC32C detects every burst error shorter than 32 bits, so a
@@ -444,8 +442,8 @@ func (c *Cluster) verifyTransfer(ctx context.Context, m *DistMatrix, stage int, 
 		}
 		refetch := m.BlockBytes(bi, bj)
 		c.net.AddComm(refetch)
-		c.traceComm(ctx, stage, "corrupt-refetch", refetch,
-			obs.String("op", op), obs.Int64("worker", int64(ev.Worker)),
+		c.traceComm(ctx, stage, commCorruptRefetch, refetch,
+			obs.String("op", op.String()), obs.Int64("worker", int64(ev.Worker)),
 			obs.Int64("block_row", int64(bi)), obs.Int64("block_col", int64(bj)))
 	}
 }
@@ -457,10 +455,8 @@ func (c *Cluster) verifyTransfer(ctx context.Context, m *DistMatrix, stage int, 
 // fault counters.
 func (c *Cluster) ChargeRecovery(stage, worker int, bytes int64) {
 	c.net.AddRecovery(bytes)
-	c.traceComm(context.Background(), stage, "recovery", bytes, obs.Int64("worker", int64(worker)))
-	if m := c.metrics.Load(); m != nil {
-		m.Counter("fault.recovery.bytes").Add(bytes)
-	}
+	c.traceComm(context.Background(), stage, commRecovery, bytes, obs.Int64("worker", int64(worker)))
+	c.Metrics().Counter("fault.recovery.bytes").Add(bytes)
 }
 
 // KillWorker permanently removes a worker from the cluster. The last

@@ -126,16 +126,12 @@ func (t *netFaultTransport) charge(drops []int, delaySec float64) {
 	for range drops {
 		c.net.AddNetDrop()
 		c.net.AddStall(c.cfg.ShuffleLatencySec)
-		if m := c.metrics.Load(); m != nil {
-			m.Counter("fault.net.drops").Inc()
-		}
+		c.Metrics().Counter("fault.net.drops").Inc()
 	}
 	if delaySec > 0 {
 		c.net.AddNetDelay()
 		c.net.AddStall(delaySec)
-		if m := c.metrics.Load(); m != nil {
-			m.Counter("fault.net.delays").Inc()
-		}
+		c.Metrics().Counter("fault.net.delays").Inc()
 	}
 }
 

@@ -143,7 +143,7 @@ func (c *Cluster) SetTransport(t Transport) {
 	if o, ok := t.(interface {
 		SetObserver(*obs.Tracer, *obs.Registry)
 	}); ok {
-		o.SetObserver(c.tracer.Load(), c.metrics.Load())
+		o.SetObserver(c.tracer.Load(), c.Metrics())
 	}
 	if c.cfg.Faults.injectsNet() {
 		t = &netFaultTransport{inner: t, c: c}
@@ -214,22 +214,30 @@ func (m *DistMatrix) ringXfers() []BlockXfer {
 // tells a slow scatter from a slow ring. The in-process transport reports
 // zero and charges nothing, so modelled accounting stays byte-for-byte what
 // it was before transports existed.
-func (c *Cluster) chargeWire(ctx context.Context, stage int, op string, w Wire, seconds float64) {
+func (c *Cluster) chargeWire(ctx context.Context, stage int, k commKind, w Wire, seconds float64) {
 	if w.Bytes == 0 && w.Frames == 0 {
 		return
 	}
 	c.net.AddWire(w.Bytes, w.Frames)
 	if tr := c.tracer.Load(); tr.Enabled() {
-		tr.Event("net", op, tr.Parent(ctx),
+		tr.Event("net", k.String(), tr.Parent(ctx),
 			obs.Int64("stage", int64(stage)),
 			obs.Int64("wire_bytes", w.Bytes),
 			obs.Int64("frames", w.Frames),
 			obs.Float64("wire_s", seconds))
 	}
 	if m := c.metrics.Load(); m != nil {
-		m.CounterVec("net.wire.bytes", "op").With(op).Add(w.Bytes)
-		m.CounterVec("net.wire.frames", "op").With(op).Add(w.Frames)
-		m.HistogramVec("net.wire.seconds", obs.SecondsBuckets, "op").With(op).Observe(seconds)
+		km := m.wire[k].Get(func() *kindMetrics {
+			op := k.String()
+			return &kindMetrics{
+				m.reg.CounterVec("net.wire.frames", "op").With(op),
+				m.reg.CounterVec("net.wire.bytes", "op").With(op),
+				m.reg.HistogramVec("net.wire.seconds", obs.SecondsBuckets, "op").With(op),
+			}
+		})
+		km.count.Add(w.Frames)
+		km.bytes.Add(w.Bytes)
+		km.hist.Observe(seconds)
 	}
 }
 
@@ -247,9 +255,7 @@ func (c *Cluster) commFailure(err error, stage int) error {
 	}
 	var pd *PeerDown
 	if errors.As(err, &pd) {
-		if m := c.metrics.Load(); m != nil {
-			m.Counter("net.peer.down").Inc()
-		}
+		c.Metrics().Counter("net.peer.down").Inc()
 		return &WorkerFailure{
 			Worker:  pd.Worker,
 			Stage:   stage,

@@ -99,8 +99,27 @@ type TCP struct {
 	done  chan struct{}
 	once  sync.Once
 
-	obsMu   sync.Mutex
-	metrics *obs.Registry
+	// metrics holds the attached registry's counters (SetObserver).
+	metrics atomic.Pointer[tcpMetrics]
+}
+
+// tcpCounter is one of the transport's counters.
+type tcpCounter uint8
+
+const (
+	dialRetries tcpCounter = iota
+	crcRetransmits
+	heartbeatMisses
+	numTCPCounters
+)
+
+var tcpCounterNames = [numTCPCounters]string{"net.dial.retries", "net.crc.retransmits", "net.heartbeat.misses"}
+
+// tcpMetrics holds one registry's transport counters, each resolved on its
+// first count and held after it.
+type tcpMetrics struct {
+	reg      *obs.Registry
+	counters [numTCPCounters]obs.Lazy[obs.Counter]
 }
 
 // NewTCP creates the transport and starts one heartbeat loop per worker.
@@ -121,18 +140,13 @@ func (t *TCP) Name() string { return "tcp" }
 // SetObserver attaches the cluster's metric registry (the cluster forwards
 // its observer here when the transport is installed).
 func (t *TCP) SetObserver(_ *obs.Tracer, reg *obs.Registry) {
-	t.obsMu.Lock()
-	t.metrics = reg
-	t.obsMu.Unlock()
+	t.metrics.Store(&tcpMetrics{reg: reg})
 }
 
 // count bumps a transport counter if a registry is attached.
-func (t *TCP) count(name string, n int64) {
-	t.obsMu.Lock()
-	reg := t.metrics
-	t.obsMu.Unlock()
-	if reg != nil && n > 0 {
-		reg.Counter(name).Add(n)
+func (t *TCP) count(c tcpCounter, n int64) {
+	if m := t.metrics.Load(); m != nil && n > 0 {
+		m.counters[c].Get(func() *obs.Counter { return m.reg.Counter(tcpCounterNames[c]) }).Add(n)
 	}
 }
 
@@ -212,7 +226,7 @@ func (t *TCP) linkLocked(ctx context.Context, p *peer, w *dist.Wire) (*link, err
 		p.contacted.Store(true)
 		return nil
 	})
-	t.count("net.dial.retries", int64(attempts-1))
+	t.count(dialRetries, int64(attempts-1))
 	if err != nil {
 		return nil, err
 	}
@@ -353,7 +367,7 @@ func (t *TCP) putAll(ctx context.Context, p *peer, stage int, xfers []dist.Block
 		default:
 			// Damaged in transit; the same block goes again and the
 			// retransmitted bytes are honestly part of the wire total.
-			t.count("net.crc.retransmits", 1)
+			t.count(crcRetransmits, 1)
 			s.resends++
 			if err := send(s); err != nil {
 				return fail(err)
@@ -570,7 +584,7 @@ func (t *TCP) heartbeat(p *peer) {
 			continue
 		}
 		misses++
-		t.count("net.heartbeat.misses", 1)
+		t.count(heartbeatMisses, 1)
 		if p.contacted.Load() && misses >= t.cfg.HeartbeatMisses {
 			p.down(fmt.Errorf("transport: %d consecutive heartbeats unanswered by %s", misses, p.addr))
 			return

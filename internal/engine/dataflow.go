@@ -244,10 +244,7 @@ func (r *stageRun) exec(i int) error {
 		out, err = e.dispatch(ctx, r.st, op)
 	}
 	o.seconds = time.Since(start).Seconds()
-	if e.metrics != nil {
-		e.metrics.Histogram("op."+op.Kind.String()+".seconds", obs.SecondsBuckets).Observe(o.seconds)
-		e.metrics.Counter("op." + op.Kind.String() + ".count").Inc()
-	}
+	e.inst.observeOp(op.Kind, o.seconds)
 	if err != nil {
 		e.tracer.End(span, obs.String("error", err.Error()))
 		return fmt.Errorf("engine: stage %d op %d (%s): %w", r.stage, i, op.Kind, err)

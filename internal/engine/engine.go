@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
@@ -245,9 +246,11 @@ type Engine struct {
 	cacheHits int
 	cacheMiss int
 	// tracer and metrics observe execution when set (SetObserver); both are
-	// valid nil (no-op) receivers.
+	// valid nil (no-op) receivers. inst holds metrics' per-operator and
+	// per-stage instruments.
 	tracer  *obs.Tracer
 	metrics *obs.Registry
+	inst    *engineMetrics
 	// rewriter, when set, canonicalizes every program through the algebraic
 	// rewrite pass before planning and execution (SetRewriter).
 	rewriter *rewrite.Rewriter
@@ -403,8 +406,11 @@ func (e *Engine) rewrite(p *expr.Program) *expr.Program {
 				obs.String("detail", d.Detail),
 				obs.Float64("flops_saved", d.FLOPsSaved),
 				obs.Int64("bytes_saved", d.BytesSaved))
+			// A program is rewritten once a session, so the rule's counter
+			// is looked up by name.
+			applied := "rewrite.applied." + d.Rule
 			e.metrics.Counter("rewrite.applied").Inc()
-			e.metrics.Counter("rewrite.applied." + d.Rule).Inc()
+			e.metrics.Counter(applied).Inc()
 		}
 		e.metrics.Counter("rewrite.programs").Inc()
 		e.metrics.Counter("rewrite.predicted.flops_saved").Add(int64(res.FLOPsSaved()))
@@ -476,7 +482,53 @@ func (e *Engine) Close() error {
 func (e *Engine) SetObserver(t *obs.Tracer, m *obs.Registry) {
 	e.tracer = t
 	e.metrics = m
+	e.inst = &engineMetrics{reg: m}
 	e.cluster.SetObserver(t, m)
+}
+
+// engineMetrics holds the instruments a run observes per operator and per
+// stage, from one attached registry, each resolved on its first observation
+// and held after it (a nil registry's are nil, no-op metrics).
+type engineMetrics struct {
+	reg *obs.Registry
+	ops [core.OpReference + 1]obs.Lazy[opMetrics] // by core.OpKind
+	// stages holds engine.stage.seconds' child of stage s at s-1; only the
+	// goroutine running the engine's stages reads it.
+	stages []*obs.Histogram
+}
+
+type opMetrics struct {
+	seconds *obs.Histogram
+	count   *obs.Counter
+}
+
+// observeOp records one operator of kind k that ran for seconds in
+// op.<kind>.seconds and op.<kind>.count (nothing on a nil receiver).
+func (m *engineMetrics) observeOp(k core.OpKind, seconds float64) {
+	if m == nil {
+		return
+	}
+	om := m.ops[k].Get(func() *opMetrics {
+		prefix := "op." + k.String()
+		hist, count := prefix+".seconds", prefix+".count"
+		return &opMetrics{m.reg.Histogram(hist, obs.SecondsBuckets), m.reg.Counter(count)}
+	})
+	om.seconds.Observe(seconds)
+	om.count.Inc()
+}
+
+// observeStage records stage s's wall seconds (nothing on a nil receiver).
+func (m *engineMetrics) observeStage(s int, seconds float64) {
+	if m == nil {
+		return
+	}
+	for len(m.stages) < s {
+		m.stages = append(m.stages, nil)
+	}
+	if m.stages[s-1] == nil {
+		m.stages[s-1] = m.reg.HistogramVec("engine.stage.seconds", obs.SecondsBuckets, "stage").With(strconv.Itoa(s))
+	}
+	m.stages[s-1].Observe(seconds)
 }
 
 // Tracer returns the attached tracer (nil when tracing is off).

@@ -126,10 +126,7 @@ func (e *Engine) execute(ctx context.Context, plan *core.Plan, sig string, param
 			return stats, err
 		}
 		rec := st.ledger[s-1]
-		if e.metrics != nil {
-			e.metrics.HistogramVec("engine.stage.seconds", obs.SecondsBuckets, "stage").
-				With(strconv.Itoa(s)).Observe(rec.WallSeconds)
-		}
+		e.inst.observeStage(s, rec.WallSeconds)
 		if e.ckpt != nil && s < plan.Stages {
 			e.ckpt.noteStage(rec.ComputeSeconds + rec.NetworkSeconds)
 			if live := e.liveAfter(st, s); e.shouldCheckpoint(live) {

@@ -61,6 +61,29 @@ func TestWriteChromeTraceGolden(t *testing.T) {
 	}
 }
 
+// TestWriteMetricsJSONGolden pins the -metrics-out document byte for byte:
+// its keys (counters, counter_vecs, histogram_vecs, ...) are what scripts and
+// the serve smoke read.
+func TestWriteMetricsJSONGolden(t *testing.T) {
+	var buf bytes.Buffer
+	if err := WriteMetricsJSON(&buf, goldenRegistry().Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	golden := filepath.Join("testdata", "metrics.golden.json")
+	if *updateGolden {
+		if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("%v (run `go test ./internal/obs -run MetricsJSONGolden -update` to create it)", err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Errorf("metrics JSON differs from %s:\ngot:\n%s\nwant:\n%s", golden, buf.Bytes(), want)
+	}
+}
+
 func TestChromeTraceRoundTrip(t *testing.T) {
 	spans := goldenSpans()
 	var buf bytes.Buffer

@@ -207,123 +207,109 @@ func geometric(start, factor float64, n int) []float64 {
 // instrumented code never registers up front. All methods are safe for
 // concurrent use, and all methods on a nil *Registry return nil metrics —
 // which are themselves no-op receivers — so disabled metrics cost only nil
-// checks.
+// checks. Each kind's families live in one map, a plain metric under its
+// name and a labeled family beside it (familyKey), so that a plain metric and
+// a family of one name stay two metrics and collide at exposition.
 type Registry struct {
-	mu          sync.Mutex
-	counters    map[string]*Counter
-	gauges      map[string]*Gauge
-	hists       map[string]*Histogram
-	counterVecs map[string]*CounterVec
-	gaugeVecs   map[string]*GaugeVec
-	histVecs    map[string]*HistogramVec
+	mu         sync.Mutex
+	counters   map[familyKey]*CounterVec
+	gauges     map[familyKey]*GaugeVec
+	histograms map[familyKey]*HistogramVec
+}
+
+// familyKey names a registered family; labeled tells a family made by a
+// *Vec accessor from a plain metric's unlabeled one.
+type familyKey struct {
+	name    string
+	labeled bool
 }
 
 // NewRegistry creates an empty metrics registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		counters:    make(map[string]*Counter),
-		gauges:      make(map[string]*Gauge),
-		hists:       make(map[string]*Histogram),
-		counterVecs: make(map[string]*CounterVec),
-		gaugeVecs:   make(map[string]*GaugeVec),
-		histVecs:    make(map[string]*HistogramVec),
+		counters:   make(map[familyKey]*CounterVec),
+		gauges:     make(map[familyKey]*GaugeVec),
+		histograms: make(map[familyKey]*HistogramVec),
 	}
+}
+
+// family returns r's family of kind k under key, creating it with the given
+// bounds and label names on first use (later calls reuse the existing family
+// whatever their bounds and label names). A nil registry returns nil.
+func family[M, S any](r *Registry, k *kind[M, S], key familyKey, bounds []float64, labels []string) *Family[M, S] {
+	if r == nil {
+		return nil
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	fams := k.of(r)
+	f, ok := fams[key]
+	if !ok {
+		f = &Family[M, S]{
+			kind:     k,
+			labels:   append([]string(nil), labels...),
+			bounds:   append([]float64(nil), bounds...),
+			children: make(map[string]*child[M]),
+		}
+		fams[key] = f
+	}
+	return f
 }
 
 // Counter returns the named counter, creating it on first use. Nil registry
 // returns a nil (no-op) counter.
 func (r *Registry) Counter(name string) *Counter {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	c, ok := r.counters[name]
-	if !ok {
-		c = &Counter{}
-		r.counters[name] = c
-	}
-	return c
+	return family(r, counters, familyKey{name, false}, nil, nil).With()
 }
 
 // Gauge returns the named gauge, creating it on first use.
 func (r *Registry) Gauge(name string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	g, ok := r.gauges[name]
-	if !ok {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
+	return family(r, gauges, familyKey{name, false}, nil, nil).With()
 }
 
 // Histogram returns the named histogram, creating it with the given bounds
 // on first use (later calls reuse the existing buckets regardless of
 // bounds).
 func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	h, ok := r.hists[name]
-	if !ok {
-		h = newHistogram(bounds)
-		r.hists[name] = h
-	}
-	return h
+	return family(r, histograms, familyKey{name, false}, bounds, nil).With()
 }
 
 // CounterVec returns the named counter family with the given label names,
 // creating it on first use (later calls reuse the existing family regardless
 // of label names, matching Histogram's treatment of bounds).
 func (r *Registry) CounterVec(name string, labelNames ...string) *CounterVec {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	v, ok := r.counterVecs[name]
-	if !ok {
-		v = newCounterVec(labelNames)
-		r.counterVecs[name] = v
-	}
-	return v
+	return family(r, counters, familyKey{name, true}, nil, labelNames)
 }
 
 // GaugeVec returns the named gauge family, creating it on first use.
 func (r *Registry) GaugeVec(name string, labelNames ...string) *GaugeVec {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	v, ok := r.gaugeVecs[name]
-	if !ok {
-		v = newGaugeVec(labelNames)
-		r.gaugeVecs[name] = v
-	}
-	return v
+	return family(r, gauges, familyKey{name, true}, nil, labelNames)
 }
 
 // HistogramVec returns the named histogram family whose children share the
 // given bounds, creating it on first use.
 func (r *Registry) HistogramVec(name string, bounds []float64, labelNames ...string) *HistogramVec {
-	if r == nil {
-		return nil
+	return family(r, histograms, familyKey{name, true}, bounds, labelNames)
+}
+
+// Lazy holds a set of instruments resolved on first use: the first Get
+// calls resolve, and every later Get returns what it made with one atomic
+// load. Instrumented code keeps one per set of metrics it observes together,
+// in a struct made when a registry is attached, so an event neither builds a
+// metric name nor takes the registry's lock, and a metric never observed
+// never appears in a snapshot. Concurrent first calls may each resolve; one
+// result is kept, which is harmless because registry accessors return the
+// same metric for the same name.
+type Lazy[T any] struct{ p atomic.Pointer[T] }
+
+// Get returns the held instruments, calling resolve to make them first if
+// there are none yet.
+func (l *Lazy[T]) Get(resolve func() *T) *T {
+	if p := l.p.Load(); p != nil {
+		return p
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	v, ok := r.histVecs[name]
-	if !ok {
-		v = newHistogramVec(bounds, labelNames)
-		r.histVecs[name] = v
-	}
-	return v
+	l.p.CompareAndSwap(nil, resolve())
+	return l.p.Load()
 }
 
 // MetricsSnapshot is a point-in-time copy of every metric in a registry,
@@ -351,32 +337,24 @@ func (r *Registry) Snapshot() MetricsSnapshot {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for name, c := range r.counters {
-		snap.Counters[name] = c.Value()
-	}
-	for name, g := range r.gauges {
-		snap.Gauges[name] = g.Value()
-	}
-	for name, h := range r.hists {
-		snap.Histograms[name] = h.snapshot()
-	}
-	if len(r.counterVecs) > 0 {
-		snap.CounterVecs = make(map[string][]LabeledCounterSnapshot, len(r.counterVecs))
-		for name, v := range r.counterVecs {
-			snap.CounterVecs[name] = v.Snapshot()
-		}
-	}
-	if len(r.gaugeVecs) > 0 {
-		snap.GaugeVecs = make(map[string][]LabeledGaugeSnapshot, len(r.gaugeVecs))
-		for name, v := range r.gaugeVecs {
-			snap.GaugeVecs[name] = v.Snapshot()
-		}
-	}
-	if len(r.histVecs) > 0 {
-		snap.HistogramVecs = make(map[string][]LabeledHistogramSnapshot, len(r.histVecs))
-		for name, v := range r.histVecs {
-			snap.HistogramVecs[name] = v.Snapshot()
-		}
-	}
+	walk(r.counters, snap.Counters, &snap.CounterVecs, (*Counter).Value)
+	walk(r.gauges, snap.Gauges, &snap.GaugeVecs, (*Gauge).Value)
+	walk(r.histograms, snap.Histograms, &snap.HistogramVecs, (*Histogram).snapshot)
 	return snap
+}
+
+// walk copies one kind's families into a snapshot: a plain metric's value
+// into plain, a labeled family's children into *vecs (made on first use, so
+// a registry without families of the kind leaves it nil).
+func walk[M, S, V any](fams map[familyKey]*Family[M, S], plain map[string]V, vecs *map[string][]S, value func(*M) V) {
+	for key, f := range fams {
+		if !key.labeled {
+			plain[key.name] = value(f.With())
+			continue
+		}
+		if *vecs == nil {
+			*vecs = make(map[string][]S)
+		}
+		(*vecs)[key.name] = f.Snapshot()
+	}
 }

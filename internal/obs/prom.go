@@ -42,28 +42,9 @@ func promName(name string) string {
 	return "dmac_" + sanitizeName(name)
 }
 
-// escapeLabelValue applies the exposition-format escaping rules for label
+// labelValueEscaper applies the exposition-format escaping rules for label
 // values: backslash, double quote and newline.
-func escapeLabelValue(v string) string {
-	if !strings.ContainsAny(v, "\\\"\n") {
-		return v
-	}
-	var b strings.Builder
-	b.Grow(len(v) + 8)
-	for i := 0; i < len(v); i++ {
-		switch v[i] {
-		case '\\':
-			b.WriteString(`\\`)
-		case '"':
-			b.WriteString(`\"`)
-		case '\n':
-			b.WriteString(`\n`)
-		default:
-			b.WriteByte(v[i])
-		}
-	}
-	return b.String()
-}
+var labelValueEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
 
 // promLabels renders a label set as {k="v",...} with keys in sorted order;
 // empty sets render as nothing.
@@ -86,7 +67,7 @@ func promLabels(labels map[string]string, extra ...string) string {
 		first = false
 		b.WriteString(sanitizeName(k))
 		b.WriteString(`="`)
-		b.WriteString(escapeLabelValue(v))
+		labelValueEscaper.WriteString(&b, v)
 		b.WriteByte('"')
 	}
 	for _, k := range keys {
@@ -124,6 +105,63 @@ func writeHistogramSamples(w io.Writer, name string, labels map[string]string, h
 	return err
 }
 
+// promSample is one child of a family as the exposition writes it, under
+// the family's exposition name.
+type promSample interface {
+	writeProm(w io.Writer, name string) error
+}
+
+func (s LabeledCounterSnapshot) writeProm(w io.Writer, name string) error {
+	_, err := fmt.Fprintf(w, "%s%s %d\n", name, promLabels(s.Labels), s.Value)
+	return err
+}
+
+func (s LabeledGaugeSnapshot) writeProm(w io.Writer, name string) error {
+	_, err := fmt.Fprintf(w, "%s%s %s\n", name, promLabels(s.Labels), promFloat(s.Value))
+	return err
+}
+
+func (s LabeledHistogramSnapshot) writeProm(w io.Writer, name string) error {
+	return writeHistogramSamples(w, name, s.Labels, s.Hist)
+}
+
+// exposition collects the families of a scrape by exposition name, keeping
+// the first name two families share as the scrape's error.
+type exposition struct {
+	families  map[string]promFamily
+	collision error
+}
+
+type promFamily struct {
+	kind  string // "counter" | "gauge" | "histogram"
+	write func(w io.Writer, name string) error
+}
+
+// addKind adds one kind's plain metrics and labeled families to the
+// exposition, a plain metric as a family of one unlabeled child.
+func addKind[V any, S promSample](e *exposition, kind, suffix string, plain map[string]V, vecs map[string][]S, only func(V) S) {
+	add := func(name string, children []S) {
+		n := promName(name) + suffix
+		if prev, ok := e.families[n]; ok && e.collision == nil {
+			e.collision = fmt.Errorf("obs: %s is both a %s and a %s", n, prev.kind, kind)
+		}
+		e.families[n] = promFamily{kind: kind, write: func(w io.Writer, n string) error {
+			for _, ch := range children {
+				if err := ch.writeProm(w, n); err != nil {
+					return err
+				}
+			}
+			return nil
+		}}
+	}
+	for name, v := range plain {
+		add(name, []S{only(v)})
+	}
+	for name, children := range vecs {
+		add(name, children)
+	}
+}
+
 // WritePrometheus renders the snapshot in the Prometheus text exposition
 // format: one "# TYPE" header per family followed by its samples, families
 // sorted by exposition name, children in the snapshot's (deterministic)
@@ -132,83 +170,23 @@ func writeHistogramSamples(w io.Writer, name string, labels map[string]string, h
 // reported before anything is written: a scrape that silently kept one of
 // them would hide the other for good.
 func WritePrometheus(w io.Writer, snap MetricsSnapshot) error {
-	type family struct {
-		kind  string // "counter" | "gauge" | "histogram"
-		write func(io.Writer, string) error
+	e := &exposition{families: make(map[string]promFamily)}
+	addKind(e, "counter", "_total", snap.Counters, snap.CounterVecs,
+		func(v int64) LabeledCounterSnapshot { return LabeledCounterSnapshot{Value: v} })
+	addKind(e, "gauge", "", snap.Gauges, snap.GaugeVecs,
+		func(v float64) LabeledGaugeSnapshot { return LabeledGaugeSnapshot{Value: v} })
+	addKind(e, "histogram", "", snap.Histograms, snap.HistogramVecs,
+		func(h HistogramSnapshot) LabeledHistogramSnapshot { return LabeledHistogramSnapshot{Hist: h} })
+	if e.collision != nil {
+		return e.collision
 	}
-	families := make(map[string]family)
-	var collision error
-	add := func(name, kind string, write func(io.Writer, string) error) {
-		if prev, ok := families[name]; ok && collision == nil {
-			collision = fmt.Errorf("obs: %s is both a %s and a %s", name, prev.kind, kind)
-		}
-		families[name] = family{kind: kind, write: write}
-	}
-
-	for name, v := range snap.Counters {
-		v := v
-		add(promName(name)+"_total", "counter", func(w io.Writer, n string) error {
-			_, err := fmt.Fprintf(w, "%s %d\n", n, v)
-			return err
-		})
-	}
-	for name, children := range snap.CounterVecs {
-		children := children
-		add(promName(name)+"_total", "counter", func(w io.Writer, n string) error {
-			for _, ch := range children {
-				if _, err := fmt.Fprintf(w, "%s%s %d\n", n, promLabels(ch.Labels), ch.Value); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-	}
-	for name, v := range snap.Gauges {
-		v := v
-		add(promName(name), "gauge", func(w io.Writer, n string) error {
-			_, err := fmt.Fprintf(w, "%s %s\n", n, promFloat(v))
-			return err
-		})
-	}
-	for name, children := range snap.GaugeVecs {
-		children := children
-		add(promName(name), "gauge", func(w io.Writer, n string) error {
-			for _, ch := range children {
-				if _, err := fmt.Fprintf(w, "%s%s %s\n", n, promLabels(ch.Labels), promFloat(ch.Value)); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-	}
-	for name, hs := range snap.Histograms {
-		hs := hs
-		add(promName(name), "histogram", func(w io.Writer, n string) error {
-			return writeHistogramSamples(w, n, nil, hs)
-		})
-	}
-	for name, children := range snap.HistogramVecs {
-		children := children
-		add(promName(name), "histogram", func(w io.Writer, n string) error {
-			for _, ch := range children {
-				if err := writeHistogramSamples(w, n, ch.Labels, ch.Hist); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-	}
-
-	if collision != nil {
-		return collision
-	}
-	names := make([]string, 0, len(families))
-	for n := range families {
+	names := make([]string, 0, len(e.families))
+	for n := range e.families {
 		names = append(names, n)
 	}
 	sort.Strings(names)
 	for _, n := range names {
-		f := families[n]
+		f := e.families[n]
 		if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", n, f.kind); err != nil {
 			return err
 		}

@@ -6,18 +6,78 @@ import (
 	"sync"
 )
 
-// Labeled metric families. A *Vec is a family of metrics of one kind sharing
-// a name and a fixed set of label names; With resolves one child metric per
-// distinct label-value tuple, creating it on first use. Children are ordinary
-// *Counter/*Gauge/*Histogram values, so the hot path after resolution is
-// identical to unlabeled metrics — callers that observe repeatedly for the
-// same labels should hold the child, not re-resolve it.
+// Metric families. A Family is a set of metrics of one kind sharing a name
+// and a fixed set of label names; With resolves one child metric per
+// distinct label-value tuple, creating it on first use. CounterVec, GaugeVec
+// and HistogramVec are the family of each kind, and a plain Counter, Gauge or
+// Histogram in a Registry is the one child of a family with no labels.
+// Children are ordinary *Counter/*Gauge/*Histogram values, so the hot path
+// after resolution is the same for labeled and unlabeled metrics — callers
+// that observe repeatedly for the same labels should hold the child, not
+// re-resolve it.
 //
 // Like everything else in this package, nil receivers are valid no-ops:
 // a nil *CounterVec yields a nil *Counter from With, which itself ignores
 // Add. A With call whose value count does not match the family's label names
 // also yields the nil no-op metric (a forgiving contract, matching
 // Registry.Histogram's treatment of mismatched bounds).
+
+// Family is a set of metrics of type M keyed by label values; S is the
+// snapshot of one child.
+type Family[M, S any] struct {
+	kind     *kind[M, S]
+	labels   []string
+	bounds   []float64 // every histogram child's bucket bounds
+	mu       sync.RWMutex
+	children map[string]*child[M]
+}
+
+// CounterVec is a family of counters keyed by label values.
+type CounterVec = Family[Counter, LabeledCounterSnapshot]
+
+// GaugeVec is a family of gauges keyed by label values.
+type GaugeVec = Family[Gauge, LabeledGaugeSnapshot]
+
+// HistogramVec is a family of histograms keyed by label values; every child
+// shares the family's bucket bounds.
+type HistogramVec = Family[Histogram, LabeledHistogramSnapshot]
+
+type child[M any] struct {
+	values []string
+	m      *M
+}
+
+// kind is what a family needs of its metric type: how to make a child, how
+// to copy one into a snapshot, and where a registry keeps families of it.
+type kind[M, S any] struct {
+	make   func(bounds []float64) *M
+	sample func(labels map[string]string, m *M) S
+	of     func(*Registry) map[familyKey]*Family[M, S]
+}
+
+var (
+	counters = &kind[Counter, LabeledCounterSnapshot]{
+		make: func([]float64) *Counter { return new(Counter) },
+		sample: func(labels map[string]string, c *Counter) LabeledCounterSnapshot {
+			return LabeledCounterSnapshot{Labels: labels, Value: c.Value()}
+		},
+		of: func(r *Registry) map[familyKey]*CounterVec { return r.counters },
+	}
+	gauges = &kind[Gauge, LabeledGaugeSnapshot]{
+		make: func([]float64) *Gauge { return new(Gauge) },
+		sample: func(labels map[string]string, g *Gauge) LabeledGaugeSnapshot {
+			return LabeledGaugeSnapshot{Labels: labels, Value: g.Value()}
+		},
+		of: func(r *Registry) map[familyKey]*GaugeVec { return r.gauges },
+	}
+	histograms = &kind[Histogram, LabeledHistogramSnapshot]{
+		make: newHistogram,
+		sample: func(labels map[string]string, h *Histogram) LabeledHistogramSnapshot {
+			return LabeledHistogramSnapshot{Labels: labels, Hist: h.snapshot()}
+		},
+		of: func(r *Registry) map[familyKey]*HistogramVec { return r.histograms },
+	}
+)
 
 // labelKey builds an unambiguous map key from label values using
 // length-prefixed encoding (a plain separator join would collide when values
@@ -36,133 +96,52 @@ func labelKey(values []string) string {
 	return string(b)
 }
 
-// labelMap zips label names and values into the snapshot's map form.
-func labelMap(names, values []string) map[string]string {
-	m := make(map[string]string, len(names))
-	for i, n := range names {
-		m[n] = values[i]
-	}
-	return m
-}
-
-// CounterVec is a family of counters keyed by label values.
-type CounterVec struct {
-	names    []string
-	mu       sync.RWMutex
-	children map[string]*labeledCounter
-}
-
-type labeledCounter struct {
-	values []string
-	c      Counter
-}
-
-func newCounterVec(names []string) *CounterVec {
-	return &CounterVec{names: append([]string(nil), names...), children: make(map[string]*labeledCounter)}
-}
-
-// With returns the child counter for the given label values (one per label
-// name, in declaration order), creating it on first use.
-func (v *CounterVec) With(values ...string) *Counter {
-	if v == nil || len(values) != len(v.names) {
+// With returns the child metric for the given label values (one per label
+// name, in declaration order), creating it on first use; a histogram child
+// gets the family's bounds.
+func (f *Family[M, S]) With(values ...string) *M {
+	if f == nil || len(values) != len(f.labels) {
 		return nil
 	}
 	k := labelKey(values)
-	v.mu.RLock()
-	ch, ok := v.children[k]
-	v.mu.RUnlock()
+	f.mu.RLock()
+	ch, ok := f.children[k]
+	f.mu.RUnlock()
 	if !ok {
-		v.mu.Lock()
-		ch, ok = v.children[k]
+		f.mu.Lock()
+		ch, ok = f.children[k]
 		if !ok {
-			ch = &labeledCounter{values: append([]string(nil), values...)}
-			v.children[k] = ch
+			ch = &child[M]{values: append([]string(nil), values...), m: f.kind.make(f.bounds)}
+			f.children[k] = ch
 		}
-		v.mu.Unlock()
+		f.mu.Unlock()
 	}
-	return &ch.c
+	return ch.m
 }
 
-// GaugeVec is a family of gauges keyed by label values.
-type GaugeVec struct {
-	names    []string
-	mu       sync.RWMutex
-	children map[string]*labeledGauge
-}
-
-type labeledGauge struct {
-	values []string
-	g      Gauge
-}
-
-func newGaugeVec(names []string) *GaugeVec {
-	return &GaugeVec{names: append([]string(nil), names...), children: make(map[string]*labeledGauge)}
-}
-
-// With returns the child gauge for the given label values, creating it on
-// first use.
-func (v *GaugeVec) With(values ...string) *Gauge {
-	if v == nil || len(values) != len(v.names) {
+// Snapshot copies the family's children in a fixed order: by their
+// length-prefixed label keys.
+func (f *Family[M, S]) Snapshot() []S {
+	if f == nil {
 		return nil
 	}
-	k := labelKey(values)
-	v.mu.RLock()
-	ch, ok := v.children[k]
-	v.mu.RUnlock()
-	if !ok {
-		v.mu.Lock()
-		ch, ok = v.children[k]
-		if !ok {
-			ch = &labeledGauge{values: append([]string(nil), values...)}
-			v.children[k] = ch
+	f.mu.RLock()
+	defer f.mu.RUnlock()
+	keys := make([]string, 0, len(f.children))
+	for k := range f.children {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	out := make([]S, 0, len(keys))
+	for _, k := range keys {
+		ch := f.children[k]
+		labels := make(map[string]string, len(f.labels))
+		for i, name := range f.labels {
+			labels[name] = ch.values[i]
 		}
-		v.mu.Unlock()
+		out = append(out, f.kind.sample(labels, ch.m))
 	}
-	return &ch.g
-}
-
-// HistogramVec is a family of histograms keyed by label values; every child
-// shares the family's bucket bounds.
-type HistogramVec struct {
-	names    []string
-	bounds   []float64
-	mu       sync.RWMutex
-	children map[string]*labeledHistogram
-}
-
-type labeledHistogram struct {
-	values []string
-	h      *Histogram
-}
-
-func newHistogramVec(bounds []float64, names []string) *HistogramVec {
-	return &HistogramVec{
-		names:    append([]string(nil), names...),
-		bounds:   append([]float64(nil), bounds...),
-		children: make(map[string]*labeledHistogram),
-	}
-}
-
-// With returns the child histogram for the given label values, creating it
-// with the family's bounds on first use.
-func (v *HistogramVec) With(values ...string) *Histogram {
-	if v == nil || len(values) != len(v.names) {
-		return nil
-	}
-	k := labelKey(values)
-	v.mu.RLock()
-	ch, ok := v.children[k]
-	v.mu.RUnlock()
-	if !ok {
-		v.mu.Lock()
-		ch, ok = v.children[k]
-		if !ok {
-			ch = &labeledHistogram{values: append([]string(nil), values...), h: newHistogram(v.bounds)}
-			v.children[k] = ch
-		}
-		v.mu.Unlock()
-	}
-	return ch.h
+	return out
 }
 
 // LabeledCounterSnapshot is one counter child in a family snapshot.
@@ -181,60 +160,4 @@ type LabeledGaugeSnapshot struct {
 type LabeledHistogramSnapshot struct {
 	Labels map[string]string `json:"labels"`
 	Hist   HistogramSnapshot `json:"hist"`
-}
-
-// sortedKeys returns the children keys in deterministic order, so snapshots
-// and expositions are stable.
-func sortedKeys[T any](m map[string]T) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-// Snapshot copies the family's children, ordered by label values.
-func (v *CounterVec) Snapshot() []LabeledCounterSnapshot {
-	if v == nil {
-		return nil
-	}
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	out := make([]LabeledCounterSnapshot, 0, len(v.children))
-	for _, k := range sortedKeys(v.children) {
-		ch := v.children[k]
-		out = append(out, LabeledCounterSnapshot{Labels: labelMap(v.names, ch.values), Value: ch.c.Value()})
-	}
-	return out
-}
-
-// Snapshot copies the family's children, ordered by label values.
-func (v *GaugeVec) Snapshot() []LabeledGaugeSnapshot {
-	if v == nil {
-		return nil
-	}
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	out := make([]LabeledGaugeSnapshot, 0, len(v.children))
-	for _, k := range sortedKeys(v.children) {
-		ch := v.children[k]
-		out = append(out, LabeledGaugeSnapshot{Labels: labelMap(v.names, ch.values), Value: ch.g.Value()})
-	}
-	return out
-}
-
-// Snapshot copies the family's children, ordered by label values.
-func (v *HistogramVec) Snapshot() []LabeledHistogramSnapshot {
-	if v == nil {
-		return nil
-	}
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	out := make([]LabeledHistogramSnapshot, 0, len(v.children))
-	for _, k := range sortedKeys(v.children) {
-		ch := v.children[k]
-		out = append(out, LabeledHistogramSnapshot{Labels: labelMap(v.names, ch.values), Hist: ch.h.snapshot()})
-	}
-	return out
 }

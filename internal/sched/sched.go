@@ -43,7 +43,7 @@ type Executor struct {
 	// tracer and metrics observe task batches when set (see SetObserver);
 	// atomic so enabling observability never races with running batches.
 	tracer  atomic.Pointer[obs.Tracer]
-	metrics atomic.Pointer[obs.Registry]
+	metrics atomic.Pointer[execMetrics]
 	// pool supplies dense result blocks when set (see SetPool).
 	pool atomic.Pointer[BlockPool]
 	// flushed counts the result elements the result rule stored as zero.
@@ -73,7 +73,53 @@ func (e *Executor) Mem() *MemTracker { return e.mem }
 // argument may be nil to disable that half.
 func (e *Executor) SetObserver(t *obs.Tracer, m *obs.Registry) {
 	e.tracer.Store(t)
-	e.metrics.Store(m)
+	e.metrics.Store(&execMetrics{reg: m})
+}
+
+// execMetrics holds the executor's instruments from one attached registry,
+// each set resolved on its first event and held after it (a nil registry's
+// are nil, no-op metrics).
+type execMetrics struct {
+	reg        *obs.Registry
+	mul        obs.Lazy[mulMetrics]
+	gflops     obs.Lazy[obs.Histogram]
+	batch      obs.Lazy[[2]*obs.Histogram] // sched.batch.tasks, sched.batch.compute.seconds
+	flushed    obs.Lazy[obs.Counter]
+	transposes obs.Lazy[obs.Counter]
+}
+
+type mulMetrics struct {
+	count, flops *obs.Counter
+	workers      *obs.Gauge
+}
+
+// observeMul records one grid multiply of the given FLOPs that took elapsed
+// seconds; kernel.mul.gflops only when there is a rate to observe.
+func (m *execMetrics) observeMul(flops, elapsed float64) {
+	mm := m.mul.Get(func() *mulMetrics {
+		return &mulMetrics{m.reg.Counter("kernel.mul.count"), m.reg.Counter("kernel.mul.flops"), m.reg.Gauge("kernel.workers")}
+	})
+	mm.count.Inc()
+	mm.flops.Add(int64(flops))
+	mm.workers.Set(float64(matrix.KernelWorkers()))
+	if elapsed > 0 && flops > 0 {
+		m.gflops.Get(func() *obs.Histogram {
+			return m.reg.Histogram("kernel.mul.gflops", obs.GFLOPSBuckets)
+		}).Observe(flops / elapsed / 1e9)
+	}
+}
+
+// observeBatch records one traced batch of n tasks that computed for
+// seconds.
+func (m *execMetrics) observeBatch(n int, seconds float64) {
+	bm := m.batch.Get(func() *[2]*obs.Histogram {
+		return &[2]*obs.Histogram{
+			m.reg.Histogram("sched.batch.tasks", obs.TasksBuckets),
+			m.reg.Histogram("sched.batch.compute.seconds", obs.SecondsBuckets),
+		}
+	})
+	bm[0].Observe(float64(n))
+	bm[1].Observe(seconds)
 }
 
 // SetPool installs the block pool every subsequent result block is taken
@@ -110,7 +156,7 @@ func (e *Executor) noteFlushed(n int64) {
 	}
 	e.flushed.Add(n)
 	if m := e.metrics.Load(); m != nil {
-		m.Counter("exec.subnormals.flushed").Add(n)
+		m.flushed.Get(func() *obs.Counter { return m.reg.Counter("exec.subnormals.flushed") }).Add(n)
 	}
 }
 
@@ -167,8 +213,7 @@ func (e *Executor) ForEachErr(ctx context.Context, n int, fn func(i int) error) 
 				obs.Float64("queue_wait_s", float64(waitNs.Load())/1e9),
 				obs.Float64("compute_s", float64(computeNs.Load())/1e9))
 			if m := e.metrics.Load(); m != nil {
-				m.Histogram("sched.batch.tasks", obs.TasksBuckets).Observe(float64(n))
-				m.Histogram("sched.batch.compute.seconds", obs.SecondsBuckets).Observe(float64(computeNs.Load()) / 1e9)
+				m.observeBatch(n, float64(computeNs.Load())/1e9)
 			}
 		}()
 	}
@@ -260,14 +305,7 @@ func (e *Executor) MulTrans(ctx context.Context, a, b *matrix.Grid, aT, bT bool,
 		return nil, err
 	}
 	if m != nil {
-		elapsed := time.Since(start).Seconds()
-		flops := cost.MulFLOPs(a.NNZ(), b.NNZ(), aCols)
-		m.Counter("kernel.mul.count").Inc()
-		m.Counter("kernel.mul.flops").Add(int64(flops))
-		m.Gauge("kernel.workers").Set(float64(matrix.KernelWorkers()))
-		if elapsed > 0 && flops > 0 {
-			m.Histogram("kernel.mul.gflops", obs.GFLOPSBuckets).Observe(flops / elapsed / 1e9)
-		}
+		m.observeMul(cost.MulFLOPs(a.NNZ(), b.NNZ(), aCols), time.Since(start).Seconds())
 	}
 	return out, nil
 }
@@ -475,7 +513,7 @@ func (e *Executor) Cells(ctx context.Context, t *matrix.CellTree, ins []*matrix.
 // grid must never take the view's place.
 func (e *Executor) Transpose(ctx context.Context, a *matrix.Grid) *matrix.Grid {
 	if m := e.metrics.Load(); m != nil {
-		m.Counter("exec.transpose.count").Inc()
+		m.transposes.Get(func() *obs.Counter { return m.reg.Counter("exec.transpose.count") }).Inc()
 	}
 	out := matrix.NewGridSlots(a.Cols(), a.Rows(), a.BlockSize())
 	bcols := a.BlockCols()
