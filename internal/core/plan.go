@@ -113,9 +113,6 @@ func (k OpKind) String() string {
 	}
 }
 
-// IsComm reports whether the operator moves data across workers.
-func (k OpKind) IsComm() bool { return k == OpPartition || k == OpBroadcast }
-
 // Op is one operator of an execution plan.
 type Op struct {
 	// Kind discriminates the operator.
@@ -212,9 +209,6 @@ func (p *Plan) Value(id ValueID) *Value { return p.Values[id] }
 // of the plan.
 func (p *Plan) StageOps(s int) []*Op { return p.stageOps[s-1] }
 
-// ValueStage returns the stage that produces value id.
-func (p *Plan) ValueStage(id ValueID) int { return p.uses[id].stage }
-
 // TotalCommBytes returns the estimated communication of the whole plan.
 func (p *Plan) TotalCommBytes() int64 {
 	var t int64
@@ -242,7 +236,7 @@ func (p *Plan) finalizeFlexible() {
 // operator: the first operator is a leaf, and each later one lands at most one
 // stage past its latest input; a plan with no operators has no stages. It
 // returns the stage count and keeps the stage index (StageOps), the def-use
-// table (ValueStage, LiveAfter, Keeps), each stage's operator graph
+// table (LiveAfter, Keeps), each stage's operator graph
 // (Op.After) and each broadcast's reach (Op.Reach) on the plan.
 func (p *Plan) AssignStages() int {
 	p.uses = make([]use, len(p.Values))

@@ -396,9 +396,6 @@ func TestStrategyAndOpKindStrings(t *testing.T) {
 			t.Errorf("op kind %d missing name", k)
 		}
 	}
-	if !OpPartition.IsComm() || !OpBroadcast.IsComm() || OpTranspose.IsComm() || OpExtract.IsComm() {
-		t.Error("IsComm wrong")
-	}
 }
 
 func TestBaselineTransposedReadPaysExtra(t *testing.T) {

@@ -108,16 +108,6 @@ func TestCommunicationCategories(t *testing.T) {
 	if Partition.NeedsBroadcast() || Reference.NeedsBroadcast() {
 		t.Error("non-broadcast deps should not report NeedsBroadcast")
 	}
-	for _, ty := range []Type{TransposePartition, TransposeBroadcast, Transpose, ExtractTranspose} {
-		if !ty.NeedsTransposeStep() {
-			t.Errorf("%s should include a transpose step", ty)
-		}
-	}
-	for _, ty := range []Type{Partition, BroadcastDep, Reference, Extract} {
-		if ty.NeedsTransposeStep() {
-			t.Errorf("%s should not include a transpose step", ty)
-		}
-	}
 }
 
 func TestCostModelSituations(t *testing.T) {
@@ -139,39 +129,6 @@ func TestCostModelSituations(t *testing.T) {
 		if got := ty.Cost(size, n); got != n*size {
 			t.Errorf("%s cost = %d, want %d", ty, got, n*size)
 		}
-	}
-}
-
-func TestBetween(t *testing.T) {
-	out := OutEvent{Matrix: 1, Scheme: Row, Op: 0}
-	// Same matrix, consumer after producer.
-	ty, ok := Between(out, InEvent{Matrix: 1, Scheme: Col, Op: 2})
-	if !ok || ty != Partition {
-		t.Errorf("got (%s, %v), want (partition, true)", ty, ok)
-	}
-	// Transposed read.
-	ty, ok = Between(out, InEvent{Matrix: 1, Transposed: true, Scheme: Col, Op: 2})
-	if !ok || ty != Transpose {
-		t.Errorf("got (%s, %v), want (transpose, true)", ty, ok)
-	}
-	// Different matrix: no dependency.
-	if _, ok := Between(out, InEvent{Matrix: 2, Scheme: Col, Op: 2}); ok {
-		t.Error("dependency across different matrices")
-	}
-	// Producer after consumer: Precede fails.
-	if _, ok := Between(OutEvent{Matrix: 1, Scheme: Row, Op: 5}, InEvent{Matrix: 1, Scheme: Col, Op: 2}); ok {
-		t.Error("dependency must respect program order")
-	}
-}
-
-func TestEventStrings(t *testing.T) {
-	o := OutEvent{Matrix: 3, Scheme: Broadcast, Op: 1}
-	if o.String() != "Out(m3, b, op1)" {
-		t.Errorf("OutEvent string = %q", o)
-	}
-	i := InEvent{Matrix: 3, Transposed: true, Scheme: Row, Op: 2}
-	if i.String() != "In(m3ᵀ, r, op2)" {
-		t.Errorf("InEvent string = %q", i)
 	}
 }
 

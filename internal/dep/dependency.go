@@ -83,17 +83,6 @@ func (t Type) NeedsBroadcast() bool {
 	return t == BroadcastDep || t == TransposeBroadcast
 }
 
-// NeedsTransposeStep reports whether satisfying the dependency includes a
-// transpose of the produced matrix.
-func (t Type) NeedsTransposeStep() bool {
-	switch t {
-	case TransposePartition, TransposeBroadcast, Transpose, ExtractTranspose:
-		return true
-	default:
-		return false
-	}
-}
-
 // Classify maps an (output event, input event) pair onto its dependency
 // type, implementing Table 2. transposed states whether the consumed matrix
 // B is the transpose of the produced matrix A (B = Aᵀ); pOut is the scheme A

@@ -1,53 +1,8 @@
 package dep
 
-import "fmt"
-
 // MatrixID identifies a logical matrix value inside a program. Every
 // operator output (and every loaded input) gets a fresh ID; reading the
-// transpose of a matrix is expressed by the Transposed flag of the input
-// event rather than by a new ID, which is exactly what lets the analyzer
-// detect transpose dependencies.
+// transpose of a matrix is expressed by a transposed flag on the read rather
+// than by a new ID, which is exactly what lets the analyzer detect transpose
+// dependencies.
 type MatrixID int
-
-// OutEvent is Out(A, p, op): operator Op produced matrix A with scheme
-// Scheme (Section 3.1).
-type OutEvent struct {
-	Matrix MatrixID
-	Scheme Scheme
-	Op     int
-}
-
-// String formats the event in the paper's notation.
-func (e OutEvent) String() string {
-	return fmt.Sprintf("Out(m%d, %s, op%d)", e.Matrix, e.Scheme, e.Op)
-}
-
-// InEvent is In(B, p, op): operator Op requires matrix B with scheme Scheme,
-// where B is matrix Matrix or its transpose when Transposed is set.
-type InEvent struct {
-	Matrix     MatrixID
-	Transposed bool
-	Scheme     Scheme
-	Op         int
-}
-
-// String formats the event in the paper's notation.
-func (e InEvent) String() string {
-	t := ""
-	if e.Transposed {
-		t = "ᵀ"
-	}
-	return fmt.Sprintf("In(m%d%s, %s, op%d)", e.Matrix, t, e.Scheme, e.Op)
-}
-
-// Between classifies the matrix dependency of in on out per Definition 1:
-// the input matrix must be the output matrix or its transpose, and the
-// producing operator must precede the consuming one. It returns the
-// dependency type and whether a dependency exists at all.
-func Between(out OutEvent, in InEvent) (Type, bool) {
-	if out.Matrix != in.Matrix || out.Op > in.Op {
-		return NoDependency, false
-	}
-	t := Classify(in.Transposed, out.Scheme, in.Scheme)
-	return t, t != NoDependency
-}

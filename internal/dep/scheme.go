@@ -1,4 +1,4 @@
-// Package dep defines DMac's partition schemes, input/output events, and the
+// Package dep defines DMac's partition schemes, matrix identities, and the
 // eight matrix-dependency types of Table 2 in the paper, together with their
 // communication classification (Section 3).
 package dep

@@ -263,12 +263,25 @@ type kindMetrics struct {
 	hist         *obs.Histogram
 }
 
+// comm books one communication event of kind k: one charge holds its bytes,
+// the event, its side of the broadcast/shuffle split and, for a recovery
+// shuffle, the recovery share; traceComm records it with the same bytes, so
+// trace totals and charged totals agree exactly. Every comm site calls it.
+func (c *Cluster) comm(ctx context.Context, stage int, k commKind, bytes int64, attrs ...obs.Attr) {
+	s := Snapshot{Bytes: bytes, CommEvents: 1, Shuffles: 1}
+	switch k {
+	case commBroadcast:
+		s.Broadcasts, s.Shuffles = 1, 0
+	case commRecovery:
+		s.RecoveryBytes = bytes
+	}
+	c.charge(ctx, s)
+	c.traceComm(ctx, stage, k, bytes, attrs...)
+}
+
 // traceComm records one communication event in the tracer and the metrics
 // registry: a zero-duration "comm" span with the exact charged bytes, under
-// the span ctx carries, a per-kind event counter, and byte histograms. It
-// must be called by every code path that charges communication to NetStats,
-// with the same byte count, so trace totals and network totals agree
-// exactly.
+// the span ctx carries, a per-kind event counter, and byte histograms.
 func (c *Cluster) traceComm(ctx context.Context, stage int, k commKind, bytes int64, attrs ...obs.Attr) {
 	if tr := c.tracer.Load(); tr.Enabled() {
 		all := append(make([]obs.Attr, 0, 2+len(attrs)), obs.Int64("stage", int64(stage)), obs.Int64("bytes", bytes))
@@ -289,15 +302,18 @@ func (c *Cluster) traceComm(ctx context.Context, stage int, k commKind, bytes in
 // Config returns the effective configuration.
 func (c *Cluster) Config() Config { return c.cfg }
 
-// NetStats accumulates communication and compute statistics as run-wide
-// totals; the engine attributes them to stages by differencing snapshots
-// around each stage's work. All methods are safe for concurrent use.
+// NetStats accumulates communication and compute statistics as totals over
+// the cluster's life: every charge made under no Charger (see charge), and
+// each engine run's summed stage records once, when the run returns. All
+// methods are safe for concurrent use.
 type NetStats struct {
 	mu sync.Mutex
 	s  Snapshot
 }
 
-// Snapshot is a point-in-time copy of the statistics.
+// Snapshot is the unit of charge: one cost the cluster books (a comm event,
+// an operator's arithmetic, an injected stall), a stage's or a run's sum of
+// them, or a point-in-time copy of the statistics.
 type Snapshot struct {
 	// Bytes is the total data moved across workers (recovery included).
 	Bytes int64
@@ -340,98 +356,29 @@ type Snapshot struct {
 	NetDelaysInjected int
 }
 
-// addCommLocked is the shared body of the communication recorders.
-func (n *NetStats) addCommLocked(bytes int64, broadcast bool) {
-	n.s.Bytes += bytes
-	n.s.CommEvents++
-	if broadcast {
-		n.s.Broadcasts++
-	} else {
-		n.s.Shuffles++
-	}
+// Add folds another record into s, field by field.
+func (s *Snapshot) Add(o Snapshot) {
+	s.Bytes += o.Bytes
+	s.CommEvents += o.CommEvents
+	s.Broadcasts += o.Broadcasts
+	s.Shuffles += o.Shuffles
+	s.FLOPs += o.FLOPs
+	s.RecoveryBytes += o.RecoveryBytes
+	s.Retries += o.Retries
+	s.StallSec += o.StallSec
+	s.CorruptionsInjected += o.CorruptionsInjected
+	s.CorruptionsDetected += o.CorruptionsDetected
+	s.WireBytes += o.WireBytes
+	s.WireFrames += o.WireFrames
+	s.NetDropsInjected += o.NetDropsInjected
+	s.NetDelaysInjected += o.NetDelaysInjected
 }
 
-// AddComm records a shuffle-style communication of the given bytes.
-func (n *NetStats) AddComm(bytes int64) {
+// Add books a charge. It is the one method that changes the statistics.
+func (n *NetStats) Add(s Snapshot) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.addCommLocked(bytes, false)
-}
-
-// AddBroadcast records a replication event of the given bytes. It counts
-// toward CommEvents like any communication but is tallied separately, so
-// strategy choices (broadcast vs repartition) are countable.
-func (n *NetStats) AddBroadcast(bytes int64) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.addCommLocked(bytes, true)
-}
-
-// AddFLOPs records estimated arithmetic work.
-func (n *NetStats) AddFLOPs(f float64) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.s.FLOPs += f
-}
-
-// AddRecovery records the recovery shuffle that re-partitions a dead
-// worker's blocks across survivors: the bytes count as ordinary
-// communication (one shuffle event), and are additionally attributed as
-// recovery cost.
-func (n *NetStats) AddRecovery(bytes int64) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.addCommLocked(bytes, false)
-	n.s.RecoveryBytes += bytes
-}
-
-// AddCorruption records one injected block corruption and whether the
-// checksum verification at hand-off caught it.
-func (n *NetStats) AddCorruption(detected bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.s.CorruptionsInjected++
-	if detected {
-		n.s.CorruptionsDetected++
-	}
-}
-
-// AddRetry records one repeated stage attempt.
-func (n *NetStats) AddRetry() {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.s.Retries++
-}
-
-// AddStall records modelled stalled seconds (injected delays, retry
-// backoff).
-func (n *NetStats) AddStall(sec float64) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.s.StallSec += sec
-}
-
-// AddWire records measured transport traffic: bytes actually written to (or
-// relayed on) the wire and the frames that carried them.
-func (n *NetStats) AddWire(bytes, frames int64) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.s.WireBytes += bytes
-	n.s.WireFrames += frames
-}
-
-// AddNetDrop records one injected network drop (healed by retransmit).
-func (n *NetStats) AddNetDrop() {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.s.NetDropsInjected++
-}
-
-// AddNetDelay records one injected network delay.
-func (n *NetStats) AddNetDelay() {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.s.NetDelaysInjected++
+	n.s.Add(s)
 }
 
 // Snapshot returns a copy of the accumulated statistics.
@@ -439,13 +386,6 @@ func (n *NetStats) Snapshot() Snapshot {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	return n.s
-}
-
-// Reset clears the statistics.
-func (n *NetStats) Reset() {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.s = Snapshot{}
 }
 
 // String summarizes the statistics.

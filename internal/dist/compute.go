@@ -86,7 +86,7 @@ func (c *Cluster) Multiply(ctx context.Context, a, b *DistMatrix, strategy MulSt
 	if reach != nil {
 		return nil, fmt.Errorf("dist: %s: %w", strategy, reach)
 	}
-	c.addFLOPs(ctx, cost.MulFLOPs(a.Grid.NNZ(), b.Grid.NNZ(), a.Cols()))
+	c.charge(ctx, Snapshot{FLOPs: cost.MulFLOPs(a.Grid.NNZ(), b.Grid.NNZ(), a.Cols())})
 	if err := c.opFault(ctx); err != nil {
 		return nil, err
 	}
@@ -120,8 +120,7 @@ func (c *Cluster) Multiply(ctx context.Context, a, b *DistMatrix, strategy MulSt
 		if err := c.commFailure(werr, stage); err != nil {
 			return nil, err
 		}
-		c.net.AddComm(workers * out.Bytes())
-		c.traceComm(ctx, stage, commCPMMShuffle, workers*out.Bytes(),
+		c.comm(ctx, stage, commCPMMShuffle, workers*out.Bytes(),
 			obs.String("strategy", "CPMM"), obs.String("to_scheme", outScheme.String()),
 			obs.Int64("workers", workers))
 		c.verifyTransfer(ctx, out, stage, commCPMMShuffle)
@@ -182,7 +181,7 @@ func (c *Cluster) Cells(ctx context.Context, t *matrix.CellTree, ins []*DistMatr
 		return nil, err
 	}
 	for j, l := range t.Links {
-		c.addFLOPs(ctx, cost.CellLinkFLOPs(l.Kind, a.Rows(), a.Cols(), float64(nnz[j])))
+		c.charge(ctx, Snapshot{FLOPs: cost.CellLinkFLOPs(l.Kind, a.Rows(), a.Cols(), float64(nnz[j]))})
 	}
 	return &DistMatrix{Grid: grid, Scheme: a.Scheme, trans: a.trans && !mixed}, nil
 }
@@ -205,8 +204,7 @@ func (c *Cluster) collect(ctx context.Context, stage int) error {
 		return err
 	}
 	bytes := 8 * int64(c.AliveWorkers())
-	c.net.AddComm(bytes)
-	c.traceComm(ctx, stage, commCollect, bytes)
+	c.comm(ctx, stage, commCollect, bytes)
 	c.chargeWire(ctx, stage, commCollect, wire, wireS)
 	return nil
 }
@@ -214,7 +212,7 @@ func (c *Cluster) collect(ctx context.Context, stage int) error {
 // Sum computes the sum of all cells: local partials plus a tiny driver
 // collect (8 bytes per alive worker).
 func (c *Cluster) Sum(ctx context.Context, a *DistMatrix, stage int) (float64, error) {
-	c.addFLOPs(ctx, cost.SumFLOPs(float64(a.Grid.NNZ())))
+	c.charge(ctx, Snapshot{FLOPs: cost.SumFLOPs(float64(a.Grid.NNZ()))})
 	if err := c.collect(ctx, stage); err != nil {
 		return 0, err
 	}
@@ -223,7 +221,7 @@ func (c *Cluster) Sum(ctx context.Context, a *DistMatrix, stage int) (float64, e
 
 // Norm2 computes the Frobenius norm with the same collect cost as Sum.
 func (c *Cluster) Norm2(ctx context.Context, a *DistMatrix, stage int) (float64, error) {
-	c.addFLOPs(ctx, cost.Norm2FLOPs(float64(a.Grid.NNZ())))
+	c.charge(ctx, Snapshot{FLOPs: cost.Norm2FLOPs(float64(a.Grid.NNZ()))})
 	if err := c.collect(ctx, stage); err != nil {
 		return 0, err
 	}

@@ -58,7 +58,7 @@ func TestFaultPlanValidate(t *testing.T) {
 // with the validation error at the first stage.
 func TestInvalidPlanSurfacesAtBeginStage(t *testing.T) {
 	c := chaosCluster(FaultPlan{Rate: 2})
-	err := c.BeginStage(1, 0)
+	err := c.BeginStage(context.Background(), 1, 0)
 	if err == nil {
 		t.Fatal("BeginStage accepted an invalid fault plan")
 	}
@@ -79,11 +79,11 @@ func TestScriptedCorruptionDetected(t *testing.T) {
 	}}
 	c := chaosCluster(plan)
 	m := NewDistMatrix(g, dep.SchemeNone)
-	if err := c.BeginStage(1, 0); err != nil {
+	if err := c.BeginStage(context.Background(), 1, 0); err != nil {
 		t.Fatal(err)
 	}
 	clean := chaosCluster(FaultPlan{})
-	if err := clean.BeginStage(1, 0); err != nil {
+	if err := clean.BeginStage(context.Background(), 1, 0); err != nil {
 		t.Fatal(err)
 	}
 	mc := NewDistMatrix(pristine, dep.SchemeNone)
@@ -117,11 +117,11 @@ func TestScriptedCorruptionDetected(t *testing.T) {
 func TestUnconsumedCorruptionDisarmed(t *testing.T) {
 	plan := FaultPlan{Events: []FaultEvent{{Stage: 1, Worker: 0, Kind: FaultCorrupt}}}
 	c := chaosCluster(plan)
-	if err := c.BeginStage(1, 0); err != nil {
+	if err := c.BeginStage(context.Background(), 1, 0); err != nil {
 		t.Fatal(err)
 	}
 	// No transfer in stage 1; stage 2 does transfer.
-	if err := c.BeginStage(2, 0); err != nil {
+	if err := c.BeginStage(context.Background(), 2, 0); err != nil {
 		t.Fatal(err)
 	}
 	g := workload.DenseRandom(3, 20, 20, 10)
@@ -188,11 +188,11 @@ func TestCorruptionAcrossHandoffKinds(t *testing.T) {
 		{Stage: 2, Worker: 1, Kind: FaultCorrupt},
 	}}
 	c := chaosCluster(plan)
-	if err := c.BeginStage(1, 0); err != nil {
+	if err := c.BeginStage(context.Background(), 1, 0); err != nil {
 		t.Fatal(err)
 	}
 	c.Broadcast(context.Background(), NewDistMatrix(a, dep.SchemeNone), 1, nil)
-	if err := c.BeginStage(2, 0); err != nil {
+	if err := c.BeginStage(context.Background(), 2, 0); err != nil {
 		t.Fatal(err)
 	}
 	ac := NewDistMatrix(a, dep.Col)

@@ -270,7 +270,7 @@ func TestCellwiseAndScalar(t *testing.T) {
 		t.Errorf("tree charged %v flops, its links one at a time %v", got, wantFLOPs)
 	}
 	ref, _ := matrix.CellwiseGrid(matrix.OpAdd,
-		matrix.ApplyGrid(matrix.FuncSqrt, matrix.ApplyGrid(matrix.FuncAbs, want)),
+		applyGrid(matrix.FuncSqrt, applyGrid(matrix.FuncAbs, want)),
 		matrix.ScalarGrid(matrix.ScalarMul, ga, 2))
 	if matrix.BitDiff(fused.Grid, ref) != "" {
 		t.Error("tree result differs from its links composed")
@@ -341,7 +341,7 @@ func TestCellsLeavesItsInputsAlone(t *testing.T) {
 // or charges anything, and is consumed by it.
 func TestCellsConsumesTaskFault(t *testing.T) {
 	c := chaosCluster(FaultPlan{Events: []FaultEvent{{Stage: 2, Worker: 1, Attempt: 0, Kind: FaultKillTask}}})
-	if err := c.BeginStage(2, 0); err != nil {
+	if err := c.BeginStage(context.Background(), 2, 0); err != nil {
 		t.Fatal(err)
 	}
 	g := randGrid(rand.New(rand.NewSource(9)), 6, 6, 3, 1)
@@ -473,8 +473,8 @@ func TestModelTime(t *testing.T) {
 		LocalParallelism: 2,
 		Rates:            cost.Rates{BandwidthBytesPerSec: 1000, ShuffleLatencySec: 0.5, FlopsPerSecPerThread: 100},
 	})
-	c.Net().AddComm(2000)  // 2 s transfer + 0.5 s latency
-	c.Net().AddFLOPs(1600) // 1600 / (4*2*100) = 2 s
+	c.Net().Add(Snapshot{Bytes: 2000, CommEvents: 1, Shuffles: 1}) // 2 s transfer + 0.5 s latency
+	c.Net().Add(Snapshot{FLOPs: 1600})                             // 1600 / (4*2*100) = 2 s
 	want := 2.0 + 0.5 + 2.0
 	if got := modelSec(c); math.Abs(got-want) > 1e-9 {
 		t.Errorf("model time = %v, want %v", got, want)
@@ -495,8 +495,8 @@ func TestStragglerInjection(t *testing.T) {
 	c0 := NewCluster(base)
 	c1 := NewCluster(slow)
 	for _, c := range []*Cluster{c0, c1} {
-		c.Net().AddFLOPs(1600) // 2 s at full speed
-		c.Net().AddComm(2000)
+		c.Net().Add(Snapshot{FLOPs: 1600}) // 2 s at full speed
+		c.Net().Add(Snapshot{Bytes: 2000, CommEvents: 1, Shuffles: 1})
 	}
 	// Compute triples; network is unaffected.
 	want := 3*2.0 + 2.0 + 0.5
@@ -516,10 +516,10 @@ func TestStragglerInjection(t *testing.T) {
 
 func TestNetStatsResetAndString(t *testing.T) {
 	n := &NetStats{}
-	n.AddComm(100)
+	n.Add(Snapshot{Bytes: 100, CommEvents: 1, Shuffles: 1})
 	first := n.Snapshot()
-	n.AddComm(50)
-	n.AddFLOPs(10)
+	n.Add(Snapshot{Bytes: 50, CommEvents: 1, Shuffles: 1})
+	n.Add(Snapshot{FLOPs: 10})
 	s := n.Snapshot()
 	if s.Bytes != 150 || s.CommEvents != 2 || s.FLOPs != 10 {
 		t.Errorf("snapshot = %+v", s)
@@ -610,4 +610,15 @@ func TestDistMatrixString(t *testing.T) {
 	if m.String() != "3x4(r)" {
 		t.Errorf("String = %q", m.String())
 	}
+}
+
+// applyGrid applies f to every block of g.
+func applyGrid(f matrix.UFunc, g *matrix.Grid) *matrix.Grid {
+	out := matrix.NewGridSlots(g.Rows(), g.Cols(), g.BlockSize())
+	for bi := 0; bi < g.BlockRows(); bi++ {
+		for bj := 0; bj < g.BlockCols(); bj++ {
+			out.SetBlock(bi, bj, matrix.ApplyBlock(f, g.Block(bi, bj)))
+		}
+	}
+	return out.Filled()
 }

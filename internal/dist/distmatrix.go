@@ -229,36 +229,6 @@ func (c *Cluster) WorkerBytes(m *DistMatrix, w int) int64 {
 	return total
 }
 
-// LoadImbalance reports the skew of the matrix's stored bytes across
-// workers under its placement: max worker load divided by the mean. 1 means
-// perfectly balanced; real graph datasets with power-law degrees are skewed
-// under one-dimensional partitioning, which is the effect the paper points
-// to when measured block-size thresholds deviate slightly from Eq. 3
-// (Section 6.3). Broadcast replicas are balanced by construction.
-func (c *Cluster) LoadImbalance(m *DistMatrix) float64 {
-	if m.Scheme == dep.Broadcast {
-		return 1
-	}
-	loads := make([]int64, c.cfg.Workers)
-	for bi := 0; bi < m.BlockRows(); bi++ {
-		for bj := 0; bj < m.BlockCols(); bj++ {
-			loads[c.Owner(m, bi, bj)] += m.BlockBytes(bi, bj)
-		}
-	}
-	var max, total int64
-	for _, l := range loads {
-		total += l
-		if l > max {
-			max = l
-		}
-	}
-	if total == 0 {
-		return 1
-	}
-	mean := float64(total) / float64(c.cfg.Workers)
-	return float64(max) / mean
-}
-
 // MaterializedGrid returns the matrix's grid in its logical orientation,
 // realizing a lazy transpose view in place on first use. The modelled FLOPs
 // for the transpose were already charged when the view was created, so
@@ -295,8 +265,7 @@ func (c *Cluster) Partition(ctx context.Context, m *DistMatrix, scheme dep.Schem
 	if err := c.commFailure(err, stage); err != nil {
 		return nil, err
 	}
-	c.net.AddComm(m.Bytes())
-	c.traceComm(ctx, stage, commPartition, m.Bytes(),
+	c.comm(ctx, stage, commPartition, m.Bytes(),
 		obs.String("from_scheme", m.Scheme.String()), obs.String("to_scheme", scheme.String()))
 	c.verifyTransfer(ctx, m, stage, commPartition)
 	c.chargeWire(ctx, stage, commPartition, wire, wireS)
@@ -325,8 +294,7 @@ func (c *Cluster) Broadcast(ctx context.Context, m *DistMatrix, stage int, to []
 		return nil, err
 	}
 	replicas := int64(len(hops))
-	c.net.AddBroadcast(replicas * m.Bytes())
-	c.traceComm(ctx, stage, commBroadcast, replicas*m.Bytes(),
+	c.comm(ctx, stage, commBroadcast, replicas*m.Bytes(),
 		obs.String("from_scheme", m.Scheme.String()), obs.Int64("replicas", replicas))
 	c.verifyTransfer(ctx, m, stage, commBroadcast)
 	c.chargeWire(ctx, stage, commBroadcast, wire, wireS)
@@ -376,7 +344,7 @@ func (c *Cluster) Extract(ctx context.Context, m *DistMatrix, scheme dep.Scheme)
 // charged here, when the transpose logically happens, so stage accounting is
 // independent of whether the view is ever realized.
 func (c *Cluster) Transpose(ctx context.Context, m *DistMatrix) *DistMatrix {
-	c.addFLOPs(ctx, cost.TransposeFLOPs(float64(m.Grid.NNZ())))
+	c.charge(ctx, Snapshot{FLOPs: cost.TransposeFLOPs(float64(m.Grid.NNZ()))})
 	return &DistMatrix{Grid: m.Grid, Scheme: m.Scheme.Opposite(), trans: !m.trans, reach: m.reach}
 }
 
@@ -395,12 +363,11 @@ func (c *Cluster) ShuffleTranspose(ctx context.Context, m *DistMatrix, stage int
 	if err := c.commFailure(err, stage); err != nil {
 		return nil, err
 	}
-	c.net.AddComm(m.Bytes())
-	c.traceComm(ctx, stage, commShuffleTranspose, m.Bytes(),
+	c.comm(ctx, stage, commShuffleTranspose, m.Bytes(),
 		obs.String("from_scheme", m.Scheme.String()))
 	c.verifyTransfer(ctx, m, stage, commShuffleTranspose)
 	c.chargeWire(ctx, stage, commShuffleTranspose, wire, wireS)
-	c.addFLOPs(ctx, cost.TransposeFLOPs(float64(m.Grid.NNZ())))
+	c.charge(ctx, Snapshot{FLOPs: cost.TransposeFLOPs(float64(m.Grid.NNZ()))})
 	if m.trans {
 		// The stored grid already is the transpose of the view; the shuffle
 		// materializes it as-is.

@@ -138,11 +138,6 @@ type FaultPlan struct {
 	NetPartitionStage int
 }
 
-// Empty reports whether the plan injects nothing.
-func (p FaultPlan) Empty() bool {
-	return len(p.Events) == 0 && p.Rate <= 0 && p.CorruptRate <= 0 && !p.injectsNet()
-}
-
 // injectsNet reports whether the plan injects network faults, which is what
 // decides whether the cluster wraps its transport in the fault injector.
 func (p FaultPlan) injectsNet() bool {
@@ -295,7 +290,7 @@ func (errWorkerLost) Error() string { return "dist: worker lost" }
 // WorkerFailure is the error a stage attempt fails with when an injected (or,
 // in a real deployment, observed) fault kills a worker. The engine's execute
 // path recovers from it: the dead worker's blocks are re-partitioned across
-// survivors, the recovery shuffle is charged to NetStats, and the stage is
+// survivors, the recovery shuffle is charged to the stage, and the stage is
 // retried with capped exponential backoff.
 type WorkerFailure struct {
 	// Worker is the index of the dead worker.
@@ -327,7 +322,7 @@ func (c *Cluster) BeginRun() {
 
 // BeginStage marks the start of one execution attempt of a stage and injects
 // the faults the configured plan scripts for it. Delay faults are charged
-// immediately as stalled time; a boundary kill is returned as a
+// (through ctx, see charge) as stalled time; a boundary kill is returned as a
 // *WorkerFailure; a task kill is armed and surfaces from one of the stage's
 // operators (or at the stage's end if no operator consumed it); a corruption
 // is armed and fires at the stage's next block hand-off (unconsumed
@@ -336,7 +331,7 @@ func (c *Cluster) BeginRun() {
 // (FaultPlan.Validate) fails here with its descriptive error. Scripted
 // events of another run, faults naming dead workers, and kills whose victim
 // is the last survivor are ignored.
-func (c *Cluster) BeginStage(stage, attempt int) error {
+func (c *Cluster) BeginStage(ctx context.Context, stage, attempt int) error {
 	if c.faultErr != nil {
 		return c.faultErr
 	}
@@ -353,7 +348,7 @@ func (c *Cluster) BeginStage(stage, attempt int) error {
 		}
 		switch ev.Kind {
 		case FaultDelay:
-			c.net.AddStall(ev.DelaySec)
+			c.charge(ctx, Snapshot{StallSec: ev.DelaySec})
 		case FaultKillBoundary:
 			if boundary == nil && c.aliveLocked() > 1 {
 				boundary = &WorkerFailure{Worker: ev.Worker, Stage: stage, Attempt: attempt, Kind: ev.Kind}
@@ -420,7 +415,7 @@ func (c *Cluster) victimBlock(m *DistMatrix, worker int) (int, int) {
 // damaged copy (it is simply never installed) and re-fetches the block from
 // its source, charging the repeat transfer to the network; results therefore
 // stay bit-identical to a fault-free run while every corruption is detected
-// and accounted (NetStats CorruptionsInjected/CorruptionsDetected).
+// and accounted (Snapshot CorruptionsInjected/CorruptionsDetected).
 func (c *Cluster) verifyTransfer(ctx context.Context, m *DistMatrix, stage int, op commKind) {
 	for _, ev := range c.takeCorrupt() {
 		bi, bj := c.victimBlock(m, ev.Worker)
@@ -429,7 +424,11 @@ func (c *Cluster) verifyTransfer(ctx context.Context, m *DistMatrix, stage int, 
 		want := mio.BlockChecksum(blk)
 		enc[len(enc)/2] ^= 0x04
 		detected := mio.ChecksumBytes(enc) != want
-		c.net.AddCorruption(detected)
+		s := Snapshot{CorruptionsInjected: 1}
+		if detected {
+			s.CorruptionsDetected = 1
+		}
+		c.charge(ctx, s)
 		c.Metrics().Counter("fault.corrupt.injected").Inc()
 		if detected {
 			c.Metrics().Counter("fault.corrupt.detected").Inc()
@@ -441,21 +440,19 @@ func (c *Cluster) verifyTransfer(ctx context.Context, m *DistMatrix, stage int, 
 			continue
 		}
 		refetch := m.BlockBytes(bi, bj)
-		c.net.AddComm(refetch)
-		c.traceComm(ctx, stage, commCorruptRefetch, refetch,
+		c.comm(ctx, stage, commCorruptRefetch, refetch,
 			obs.String("op", op.String()), obs.Int64("worker", int64(ev.Worker)),
 			obs.Int64("block_row", int64(bi)), obs.Int64("block_col", int64(bj)))
 	}
 }
 
 // ChargeRecovery records a lineage-recovery shuffle after the given worker
-// died: the bytes are charged to the network as ordinary communication,
-// attributed separately as recovery cost, and — when observability is
-// attached — surfaced as a "recovery" comm span (tagged with the stage) and
-// fault counters.
-func (c *Cluster) ChargeRecovery(stage, worker int, bytes int64) {
-	c.net.AddRecovery(bytes)
-	c.traceComm(context.Background(), stage, commRecovery, bytes, obs.Int64("worker", int64(worker)))
+// died: the bytes are charged as ordinary communication, attributed
+// separately as recovery cost, and — when observability is attached —
+// surfaced as a "recovery" comm span (tagged with the stage) and fault
+// counters.
+func (c *Cluster) ChargeRecovery(ctx context.Context, stage, worker int, bytes int64) {
+	c.comm(ctx, stage, commRecovery, bytes, obs.Int64("worker", int64(worker)))
 	c.Metrics().Counter("fault.recovery.bytes").Add(bytes)
 }
 

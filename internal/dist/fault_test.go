@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -10,18 +11,6 @@ import (
 
 func chaosCluster(faults FaultPlan) *Cluster {
 	return NewCluster(Config{Workers: 4, LocalParallelism: 2, Faults: faults})
-}
-
-func TestFaultPlanEmpty(t *testing.T) {
-	if !(FaultPlan{}).Empty() {
-		t.Error("zero plan should be empty")
-	}
-	if (FaultPlan{Rate: 0.1}).Empty() {
-		t.Error("random plan should not be empty")
-	}
-	if (FaultPlan{Events: []FaultEvent{{Stage: 1}}}).Empty() {
-		t.Error("scripted plan should not be empty")
-	}
 }
 
 func TestRandomFaultPlanDeterministic(t *testing.T) {
@@ -128,10 +117,10 @@ func TestWorkerBytes(t *testing.T) {
 }
 
 func TestNetStatsRecoveryAccounting(t *testing.T) {
-	var n NetStats
-	n.AddRecovery(100)
-	n.AddRetry()
-	n.AddStall(0.5)
+	c := NewCluster(Config{Workers: 2, LocalParallelism: 1})
+	c.ChargeRecovery(context.Background(), 1, 0, 100)
+	c.Net().Add(Snapshot{Retries: 1, StallSec: 0.5})
+	n := c.Net()
 	s := n.Snapshot()
 	if s.Bytes != 100 || s.RecoveryBytes != 100 {
 		t.Errorf("bytes=%d recovery=%d, want 100/100", s.Bytes, s.RecoveryBytes)
@@ -153,7 +142,7 @@ func TestBeginStageBoundaryKill(t *testing.T) {
 	c := chaosCluster(FaultPlan{Events: []FaultEvent{
 		{Stage: 1, Worker: 2, Attempt: 0, Kind: FaultKillBoundary},
 	}})
-	err := c.BeginStage(1, 0)
+	err := c.BeginStage(context.Background(), 1, 0)
 	var wf *WorkerFailure
 	if !errors.As(err, &wf) {
 		t.Fatalf("BeginStage = %v, want *WorkerFailure", err)
@@ -163,7 +152,7 @@ func TestBeginStageBoundaryKill(t *testing.T) {
 	}
 	// The engine kills the worker on recovery; the event then stops firing.
 	c.KillWorker(2)
-	if err := c.BeginStage(1, 0); err != nil {
+	if err := c.BeginStage(context.Background(), 1, 0); err != nil {
 		t.Errorf("BeginStage after kill = %v, want nil (dead workers skipped)", err)
 	}
 }
@@ -172,7 +161,7 @@ func TestBeginStageTaskKillArmsPending(t *testing.T) {
 	c := chaosCluster(FaultPlan{Events: []FaultEvent{
 		{Stage: 2, Worker: 1, Attempt: 0, Kind: FaultKillTask},
 	}})
-	if err := c.BeginStage(2, 0); err != nil {
+	if err := c.BeginStage(context.Background(), 2, 0); err != nil {
 		t.Fatalf("BeginStage = %v, want nil (task kills surface later)", err)
 	}
 	f := c.TakeFault()
@@ -183,7 +172,7 @@ func TestBeginStageTaskKillArmsPending(t *testing.T) {
 		t.Errorf("TakeFault fired twice: %+v", again)
 	}
 	// Retries of the same stage do not re-fire an attempt-0 scripted event.
-	if err := c.BeginStage(2, 1); err != nil {
+	if err := c.BeginStage(context.Background(), 2, 1); err != nil {
 		t.Fatalf("BeginStage(attempt 1) = %v", err)
 	}
 	if f := c.TakeFault(); f != nil {
@@ -196,7 +185,7 @@ func TestBeginStageDelayChargesStall(t *testing.T) {
 		{Stage: 1, Worker: 0, Attempt: 0, Kind: FaultDelay, DelaySec: 0.25},
 	}})
 	before := c.Net().Snapshot().StallSec
-	if err := c.BeginStage(1, 0); err != nil {
+	if err := c.BeginStage(context.Background(), 1, 0); err != nil {
 		t.Fatalf("BeginStage = %v", err)
 	}
 	if got := c.Net().Snapshot().StallSec - before; got != 0.25 {
@@ -214,7 +203,7 @@ func TestBeginStageSparesLastSurvivor(t *testing.T) {
 	for _, w := range []int{0, 1, 2} {
 		c.KillWorker(w)
 	}
-	if err := c.BeginStage(1, 0); err != nil {
+	if err := c.BeginStage(context.Background(), 1, 0); err != nil {
 		t.Errorf("BeginStage = %v, want nil (last survivor spared)", err)
 	}
 }

@@ -121,16 +121,14 @@ func (t *netFaultTransport) decide(stage int, dests []int) (partition int, drops
 // charge records the injector's non-fatal verdicts against the model: the
 // delay and one retransmit round-trip (the configured per-shuffle latency)
 // per drop.
-func (t *netFaultTransport) charge(drops []int, delaySec float64) {
+func (t *netFaultTransport) charge(ctx context.Context, drops []int, delaySec float64) {
 	c := t.c
 	for range drops {
-		c.net.AddNetDrop()
-		c.net.AddStall(c.cfg.ShuffleLatencySec)
+		c.charge(ctx, Snapshot{NetDropsInjected: 1, StallSec: c.cfg.ShuffleLatencySec})
 		c.Metrics().Counter("fault.net.drops").Inc()
 	}
 	if delaySec > 0 {
-		c.net.AddNetDelay()
-		c.net.AddStall(delaySec)
+		c.charge(ctx, Snapshot{NetDelaysInjected: 1, StallSec: delaySec})
 		c.Metrics().Counter("fault.net.delays").Inc()
 	}
 }
@@ -159,7 +157,7 @@ func (t *netFaultTransport) Scatter(ctx context.Context, op string, stage int, x
 	if err != nil {
 		return w, err
 	}
-	t.charge(drops, delay)
+	t.charge(ctx, drops, delay)
 	for _, d := range drops {
 		var again []BlockXfer
 		for _, x := range xfers {
@@ -185,7 +183,7 @@ func (t *netFaultTransport) Ring(ctx context.Context, op string, stage int, bloc
 	if err != nil {
 		return w, err
 	}
-	t.charge(drops, delay)
+	t.charge(ctx, drops, delay)
 	for _, d := range drops {
 		// The hop lost its copy; re-send the blocks to it point-to-point.
 		again := make([]BlockXfer, len(blocks))
@@ -211,7 +209,7 @@ func (t *netFaultTransport) Collect(ctx context.Context, stage int, workers []in
 	if err != nil {
 		return w, err
 	}
-	t.charge(drops, delay)
+	t.charge(ctx, drops, delay)
 	for _, d := range drops {
 		rw, err := t.inner.Collect(ctx, stage, []int{d})
 		w.add(rw)

@@ -5,7 +5,8 @@ import (
 	"testing"
 )
 
-// TestNetStatsConcurrent hammers every NetStats method from many goroutines;
+// TestNetStatsConcurrent hammers NetStats with charges of every kind and
+// snapshots from many goroutines;
 // run with -race it proves the accounting layer is safe for the parallel
 // stage tasks and the fault injector that share it.
 func TestNetStatsConcurrent(t *testing.T) {
@@ -20,15 +21,15 @@ func TestNetStatsConcurrent(t *testing.T) {
 			for i := 0; i < perG; i++ {
 				switch i % 6 {
 				case 0:
-					n.AddComm(10)
+					n.Add(Snapshot{Bytes: 10, CommEvents: 1, Shuffles: 1})
 				case 1:
-					n.AddFLOPs(1)
+					n.Add(Snapshot{FLOPs: 1})
 				case 2:
-					n.AddRecovery(5)
+					n.Add(Snapshot{Bytes: 5, CommEvents: 1, Shuffles: 1, RecoveryBytes: 5})
 				case 3:
-					n.AddRetry()
+					n.Add(Snapshot{Retries: 1})
 				case 4:
-					n.AddStall(0.001)
+					n.Add(Snapshot{StallSec: 0.001})
 				case 5:
 					_ = n.Snapshot()
 				}
@@ -70,8 +71,8 @@ func TestNetStatsConcurrentReset(t *testing.T) {
 					n.Reset()
 					continue
 				}
-				n.AddComm(1)
-				n.AddStall(0.0001)
+				n.Add(Snapshot{Bytes: 1, CommEvents: 1, Shuffles: 1})
+				n.Add(Snapshot{StallSec: 0.0001})
 				_ = n.Snapshot()
 			}
 		}(g)

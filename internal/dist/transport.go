@@ -151,10 +151,6 @@ func (c *Cluster) SetTransport(t Transport) {
 	c.transport = t
 }
 
-// Transport returns the active data plane (the fault wrapper, when network
-// faults are configured).
-func (c *Cluster) Transport() Transport { return c.transport }
-
 // TransportName names the underlying transport ("inproc", "tcp"),
 // unwrapping the fault injector.
 func (c *Cluster) TransportName() string { return c.base.Name() }
@@ -208,8 +204,8 @@ func (m *DistMatrix) ringXfers() []BlockXfer {
 	return out
 }
 
-// chargeWire records measured wire traffic alongside the model: NetStats
-// wire totals, a "net" trace event, and the net.* labeled metric families.
+// chargeWire records measured wire traffic alongside the model: a charge of
+// the wire totals, a "net" trace event, and the net.* labeled metric families.
 // seconds is the wall time of the transport call that moved it, so a trace
 // tells a slow scatter from a slow ring. The in-process transport reports
 // zero and charges nothing, so modelled accounting stays byte-for-byte what
@@ -218,7 +214,7 @@ func (c *Cluster) chargeWire(ctx context.Context, stage int, k commKind, w Wire,
 	if w.Bytes == 0 && w.Frames == 0 {
 		return
 	}
-	c.net.AddWire(w.Bytes, w.Frames)
+	c.charge(ctx, Snapshot{WireBytes: w.Bytes, WireFrames: w.Frames})
 	if tr := c.tracer.Load(); tr.Enabled() {
 		tr.Event("net", k.String(), tr.Parent(ctx),
 			obs.Int64("stage", int64(stage)),

@@ -73,12 +73,16 @@ type peer struct {
 	contacted atomic.Bool // ever successfully contacted (gates heartbeat death)
 	dead      atomic.Bool
 	deadErr   atomic.Value // error
+	// downed is closed, once, when the peer is first marked dead.
+	downed   chan struct{}
+	downOnce sync.Once
 }
 
 // down marks the peer dead with its root cause.
 func (p *peer) down(err error) {
 	p.deadErr.Store(err)
 	p.dead.Store(true)
+	p.downOnce.Do(func() { close(p.downed) })
 }
 
 // downErr returns the stored death cause.
@@ -127,7 +131,7 @@ func NewTCP(cfg Config) *TCP {
 	cfg = cfg.withDefaults()
 	t := &TCP{cfg: cfg, done: make(chan struct{})}
 	for i, a := range cfg.Addrs {
-		t.peers = append(t.peers, &peer{index: i, addr: a})
+		t.peers = append(t.peers, &peer{index: i, addr: a, downed: make(chan struct{})})
 	}
 	for _, p := range t.peers {
 		go t.heartbeat(p)

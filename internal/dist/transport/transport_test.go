@@ -294,12 +294,10 @@ func TestHeartbeatMarksContactedPeerDead(t *testing.T) {
 		t.Fatal(err)
 	}
 	w0.Close()
-	deadline := time.Now().Add(5 * time.Second)
-	for !tr.peers[0].dead.Load() {
-		if time.Now().After(deadline) {
-			t.Fatal("heartbeat never marked the killed worker dead")
-		}
-		time.Sleep(10 * time.Millisecond)
+	select {
+	case <-tr.peers[0].downed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("heartbeat never marked the killed worker dead")
 	}
 	// Once dead, operations fail immediately without dial backoff.
 	start := time.Now()

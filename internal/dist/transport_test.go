@@ -173,7 +173,7 @@ func TestNetFaultPlanValidate(t *testing.T) {
 	}
 	// And a cluster constructed with such a plan fails its first BeginStage.
 	c := NewCluster(Config{Workers: 4, Faults: p})
-	if err := c.BeginStage(1, 0); err == nil {
+	if err := c.BeginStage(context.Background(), 1, 0); err == nil {
 		t.Error("BeginStage accepted invalid net-fault plan")
 	}
 }
@@ -187,7 +187,7 @@ func TestNetFaultPartition(t *testing.T) {
 		LocalParallelism: 2,
 		Faults:           FaultPlan{NetPartition: []int{2}},
 	})
-	if err := c.BeginStage(1, 0); err != nil {
+	if err := c.BeginStage(context.Background(), 1, 0); err != nil {
 		t.Fatal(err)
 	}
 	g := matrix.NewDenseGrid(12, 12, 4)
@@ -211,7 +211,7 @@ func TestNetFaultPartition(t *testing.T) {
 	if !c.KillWorker(2) {
 		t.Fatal("KillWorker(2) refused")
 	}
-	if err := c.BeginStage(1, 1); err != nil {
+	if err := c.BeginStage(context.Background(), 1, 1); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.Partition(context.Background(), m, dep.Row, 1); err != nil {
@@ -235,7 +235,7 @@ func TestNetFaultDropAndDelay(t *testing.T) {
 	})
 	clean := NewCluster(Config{Workers: 4, LocalParallelism: 2})
 	for _, c := range []*Cluster{faulty, clean} {
-		if err := c.BeginStage(1, 0); err != nil {
+		if err := c.BeginStage(context.Background(), 1, 0); err != nil {
 			t.Fatal(err)
 		}
 	}

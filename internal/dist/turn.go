@@ -2,19 +2,28 @@ package dist
 
 import "context"
 
+// A Charger takes the charges of the cluster calls made under a context that
+// carries it (WithCharger): an operator's Turn, or the record of a stage's
+// work that belongs to no operator.
+type Charger interface {
+	// Charge records one charge, with the charges before it, in order.
+	Charge(s Snapshot)
+}
+
 // Turn is one operator's place in the ordered turns of its stage. A stage
 // runner that overlaps the kernels of independent operators hands each
-// operator its own Turn through the context of its cluster calls (WithTurn),
-// and the cluster then does in plan order everything whose order shows:
+// operator its own Turn through the context of its cluster calls
+// (WithCharger), and the cluster then does in plan order everything whose
+// order shows:
 //
 //   - the fault check: an operator that takes the armed task kill does so
 //     before it calls Begun, so no later operator may have begun;
 //   - the collectives: transfers, corruption faults and network faults are
 //     consumed by the first collective in plan order, whatever the timing;
-//   - the modelled FLOPs: a float sum depends on the order of its terms, so
-//     an operator's charges go to its Turn, which applies them in plan order.
+//   - the charges: a float sum depends on the order of its terms, so an
+//     operator's charges go to its Turn, which applies them in plan order.
 //
-// Without a Turn (a plain context) every call runs and charges at once.
+// Without one (a plain context) every call runs and charges at once.
 type Turn interface {
 	// Begun reports that the operator has passed its fault check: the
 	// operator after it may begin. An operator that never calls it has begun
@@ -24,32 +33,37 @@ type Turn interface {
 	// finished. An error means an earlier operator failed: the attempt is
 	// over and the collective must not run.
 	Collective() error
-	// ChargeFLOPs records modelled arithmetic, to be added to NetStats once
-	// every earlier operator's charges are.
-	ChargeFLOPs(f float64)
+	// Charger takes the operator's charges, to be booked once every earlier
+	// operator's are.
+	Charger
 }
 
-type turnKey struct{}
+type chargerKey struct{}
 
-// WithTurn returns a copy of ctx that carries an operator's turn.
-func WithTurn(ctx context.Context, t Turn) context.Context {
-	return context.WithValue(ctx, turnKey{}, t)
+// WithCharger returns a copy of ctx whose cluster calls charge ch, and take
+// their turns from it when it is a Turn.
+func WithCharger(ctx context.Context, ch Charger) context.Context {
+	return context.WithValue(ctx, chargerKey{}, ch)
 }
 
 func turnOf(ctx context.Context) Turn {
-	t, _ := ctx.Value(turnKey{}).(Turn)
+	t, _ := ctx.Value(chargerKey{}).(Turn)
 	return t
 }
 
-// addFLOPs charges modelled arithmetic: to the operator's turn when ctx
-// carries one, to NetStats otherwise.
-func (c *Cluster) addFLOPs(ctx context.Context, f float64) {
-	if t := turnOf(ctx); t != nil {
-		t.ChargeFLOPs(f)
+// charge is the one path of every cost the cluster books: to the Charger ctx
+// carries, to NetStats otherwise.
+func (c *Cluster) charge(ctx context.Context, s Snapshot) {
+	if ch, ok := ctx.Value(chargerKey{}).(Charger); ok {
+		ch.Charge(s)
 		return
 	}
-	c.net.AddFLOPs(f)
+	c.net.Add(s)
 }
+
+// EndRun books a run's summed charges to NetStats, once, whichever way the
+// run returns: the charges were made under its stages' Chargers.
+func (c *Cluster) EndRun(total Snapshot) { c.charge(context.Background(), total) }
 
 // opFault takes the armed task fault, if any, as the operator's fault check;
 // an operator that passes it has begun.

@@ -581,7 +581,7 @@ func (e *Engine) loadCheckpoint(w writtenCkpt, sig string) (*restoredCkpt, error
 // ladder's own time up to the replay books to the failed stage.
 func (e *Engine) restoreAndReplay(ctx context.Context, st *execState, failStage int) error {
 	c := e.ckpt
-	win := e.window()
+	start := time.Now()
 	e.joinSnapshot()
 	if c.testPreRestore != nil {
 		c.testPreRestore()
@@ -618,7 +618,7 @@ func (e *Engine) restoreAndReplay(ctx context.Context, st *execState, failStage 
 	for id := range st.vals {
 		st.vals[id] = vals[id]
 	}
-	e.book(st, failStage, win)
+	st.ledger[failStage-1].since(start)
 	span := e.tracer.Start("ckpt", "restore", e.tracer.Scope(),
 		obs.Int64("fail_stage", int64(failStage)), obs.Int64("from_stage", int64(from)))
 	replayed := 0

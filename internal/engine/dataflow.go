@@ -14,7 +14,7 @@ import (
 )
 
 // runOps runs one attempt of a stage's operators as a dataflow graph and
-// books the sum of their wall times to the stage's record. Communication
+// books their records to the stage's. Communication
 // happens only between stages (§5.2); inside one, operators are ordered by
 // the data they pass (core.Op.After), so the kernels of independent ones —
 // GNMF's V·Hᵀ and H·Hᵀ, say — share the cores. Every operator gets one "op"
@@ -36,12 +36,9 @@ func (e *Engine) runOps(ctx context.Context, st *execState, stage int) error {
 	r.state = r.state[:len(ops)]
 	for i := range ops {
 		o := &r.state[i]
-		*o = opState{r: r, i: i, flops: o.flops[:0], turnOf: o.turnOf, turnCtx: o.turnCtx}
+		*o = opState{r: r, i: i, charges: o.charges[:0], turnOf: o.turnOf, turnCtx: o.turnCtx}
 	}
 	err := r.run()
-	for i := range r.state {
-		st.ledger[stage-1].OpSeconds += r.state[i].seconds
-	}
 	// Hold none of the run's values past it.
 	r.ctx, r.st, r.ops = nil, nil, nil
 	return err
@@ -52,9 +49,9 @@ func (e *Engine) runOps(ctx context.Context, st *execState, stage int) error {
 // has begun (passed its fault check, dist.Turn.Begun), which is what makes a
 // task kill land on the same operator as in a serial run, with no later one
 // started. Past that point only their kernels overlap: collectives run in
-// plan order and FLOPs reach NetStats in plan order (the dist.Turn each
-// operator carries), so the model numbers are those of a serial run to the
-// bit, under any interleaving.
+// plan order and the operators' records reach the stage's in plan order (the
+// dist.Turn each operator carries), so the model numbers are those of a
+// serial run to the bit, under any interleaving.
 //
 // The calling goroutine runs every operator it can, lowest index first. A
 // helper goroutine takes an operator only when it becomes ready while
@@ -81,21 +78,22 @@ type stageRun struct {
 	callerIdle bool
 	// failed is the index of the first failed operator, len(ops) while none
 	// has; finished counts the leading operators that have all finished,
-	// whose FLOPs are in NetStats up to the failed one.
+	// whose records are in the stage's up to the failed one.
 	failed, finished int
 	state            []opState
 	helpers          sync.WaitGroup
 }
 
-// opState is one operator of a stageRun, and its dist.Turn.
+// opState is one operator of a stageRun, its dist.Turn, and its record: the
+// charges it made, in order, and its wall seconds.
 type opState struct {
 	r           *stageRun
 	i           int
 	begun, done bool
 	err         error
-	// flops holds the operator's FLOPs charges in the order it made them;
-	// only its own goroutine appends, until it is done.
-	flops   []float64
+	// charges holds the operator's charges in the order it made them; only
+	// its own goroutine appends, until it is done.
+	charges []dist.Snapshot
 	seconds float64
 	// turnCtx is turnOf carrying this record as the operator's dist.Turn.
 	turnOf, turnCtx context.Context
@@ -134,7 +132,7 @@ func (o *opState) Collective() error {
 	return nil
 }
 
-func (o *opState) ChargeFLOPs(f float64) { o.flops = append(o.flops, f) }
+func (o *opState) Charge(s dist.Snapshot) { o.charges = append(o.charges, s) }
 
 // ready reports whether the next operator may start. r.mu is held.
 func (r *stageRun) ready() bool {
@@ -161,7 +159,7 @@ func (r *stageRun) claim() int {
 
 // finish records operator i's end: it has begun, and a failure stops new
 // starts. Every operator now finished along with all before it passes the
-// collective turn, and its FLOPs charges go to NetStats in plan order — none
+// collective turn, and its record goes to the stage's in plan order — none
 // of an operator after the first failed one. r.mu is held.
 func (r *stageRun) finish(i int, err error) {
 	o := &r.state[i]
@@ -170,12 +168,14 @@ func (r *stageRun) finish(i int, err error) {
 	if err != nil && i < r.failed {
 		r.failed = i
 	}
-	net := r.e.cluster.Net()
+	rec := &r.st.ledger[r.stage-1]
 	for ; r.finished < len(r.ops) && r.state[r.finished].done; r.finished++ {
 		if r.finished <= r.failed {
-			for _, f := range r.state[r.finished].flops {
-				net.AddFLOPs(f)
+			o := &r.state[r.finished]
+			for _, s := range o.charges {
+				rec.Charge(s)
 			}
+			rec.opSeconds += o.seconds
 		}
 	}
 	r.cond.Broadcast()
@@ -231,7 +231,7 @@ func (r *stageRun) exec(i int) error {
 	e, op, o := r.e, r.ops[i], &r.state[i]
 	span := e.opSpan(r.st.plan, r.stage, op, r.parent)
 	if o.turnOf != r.ctx {
-		o.turnOf, o.turnCtx = r.ctx, dist.WithTurn(r.ctx, o)
+		o.turnOf, o.turnCtx = r.ctx, dist.WithCharger(r.ctx, o)
 	}
 	ctx := o.turnCtx
 	if span != 0 {

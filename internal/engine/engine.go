@@ -163,9 +163,15 @@ type StageMetrics struct {
 	CommEvents int
 	// FLOPs is the arithmetic attributed to the stage.
 	FLOPs float64
+	// StallSec is the modelled stalled time booked to the stage: injected
+	// delays, network-fault stalls and the backoff before its retries.
+	// ComputeSeconds + NetworkSeconds + StallSec summed over the stages is
+	// the run's ModelSeconds.
+	StallSec float64
 }
 
-// Add accumulates other into m (for per-iteration totals).
+// Add accumulates other into m (for per-iteration totals), merging the stage
+// records by position: the records of a run are its stages in order.
 func (m *Metrics) Add(other Metrics) {
 	m.WallSeconds += other.WallSeconds
 	m.ModelSeconds += other.ModelSeconds
@@ -190,15 +196,9 @@ func (m *Metrics) Add(other Metrics) {
 	if other.Stages > m.Stages {
 		m.Stages = other.Stages
 	}
-	byStage := make(map[int]int, len(m.PerStage))
-	for i, s := range m.PerStage {
-		byStage[s.Stage] = i
-	}
-	for _, s := range other.PerStage {
-		i, ok := byStage[s.Stage]
-		if !ok {
+	for i, s := range other.PerStage {
+		if i == len(m.PerStage) {
 			m.PerStage = append(m.PerStage, s)
-			byStage[s.Stage] = len(m.PerStage) - 1
 			continue
 		}
 		dst := &m.PerStage[i]
@@ -209,8 +209,8 @@ func (m *Metrics) Add(other Metrics) {
 		dst.CommBytes += s.CommBytes
 		dst.CommEvents += s.CommEvents
 		dst.FLOPs += s.FLOPs
+		dst.StallSec += s.StallSec
 	}
-	sort.Slice(m.PerStage, func(i, j int) bool { return m.PerStage[i].Stage < m.PerStage[j].Stage })
 }
 
 // varState is a session variable: its instances per scheme.
@@ -737,7 +737,6 @@ func (e *Engine) RunCtx(ctx context.Context, p *expr.Program, params map[string]
 		e.metrics.Counter("plan.cache.misses").Inc()
 		e.plans.Put(key, plan)
 	}
-	before := e.cluster.Net().Snapshot()
 	// The run span parents under the tracer's current scope, so a caller that
 	// wraps runs in its own span (the serve job service's per-job root span)
 	// gets the engine's whole stage tree under it; with no scope set the run
@@ -764,8 +763,7 @@ func (e *Engine) RunCtx(ctx context.Context, p *expr.Program, params map[string]
 		return Metrics{}, err
 	}
 	wall := time.Since(start).Seconds()
-	after := e.cluster.Net().Snapshot()
-	m = e.metricsDelta(before, after, wall, plan.Stages, stats)
+	m = stats.metrics(e.cluster.Config(), wall, plan.Stages)
 	e.tracer.End(runSpan, obs.Int64("comm_bytes", m.CommBytes))
 	return m, nil
 }
@@ -794,36 +792,34 @@ func (e *Engine) generate(rp *expr.Program, cfg core.Config) (*core.Plan, error)
 	}
 }
 
-func (e *Engine) metricsDelta(before, after dist.Snapshot, wall float64, stages int, stats execStats) Metrics {
-	cfg := e.cluster.Config()
-	bytes := after.Bytes - before.Bytes
-	events := after.CommEvents - before.CommEvents
-	flops := after.FLOPs - before.FLOPs
-	stall := after.StallSec - before.StallSec
-	model := cfg.Rates.ComputeSec(flops, cfg.Workers*cfg.LocalParallelism, cfg.MaxSlowdown()) +
-		cfg.Rates.NetworkSec(bytes, events) + stall
+// metrics is a run's Metrics: its charges, the sum of its stage records,
+// priced under cfg, plus the checkpoint counters.
+func (stats execStats) metrics(cfg dist.Config, wall float64, stages int) Metrics {
+	c := stats.charged
+	model := cfg.Rates.ComputeSec(c.FLOPs, cfg.Workers*cfg.LocalParallelism, cfg.MaxSlowdown()) +
+		cfg.Rates.NetworkSec(c.Bytes, c.CommEvents) + c.StallSec
 	return Metrics{
 		WallSeconds:   wall,
 		ModelSeconds:  model,
-		CommBytes:     bytes,
-		CommEvents:    events,
-		Broadcasts:    after.Broadcasts - before.Broadcasts,
-		Shuffles:      after.Shuffles - before.Shuffles,
-		FLOPs:         flops,
+		CommBytes:     c.Bytes,
+		CommEvents:    c.CommEvents,
+		Broadcasts:    c.Broadcasts,
+		Shuffles:      c.Shuffles,
+		FLOPs:         c.FLOPs,
 		Stages:        stages,
 		PerStage:      stats.perStage,
-		Retries:       after.Retries - before.Retries,
-		RecoveryBytes: after.RecoveryBytes - before.RecoveryBytes,
+		Retries:       c.Retries,
+		RecoveryBytes: c.RecoveryBytes,
 
 		CheckpointBytes:       stats.checkpointBytes,
 		CheckpointSeconds:     stats.checkpointSeconds,
 		CheckpointWaitSeconds: stats.checkpointWaitSeconds,
 		StagesReplayed:        stats.stagesReplayed,
-		CorruptionsInjected:   after.CorruptionsInjected - before.CorruptionsInjected,
-		CorruptionsDetected:   after.CorruptionsDetected - before.CorruptionsDetected,
-		WireBytes:             after.WireBytes - before.WireBytes,
-		WireFrames:            after.WireFrames - before.WireFrames,
-		NetDropsInjected:      after.NetDropsInjected - before.NetDropsInjected,
-		NetDelaysInjected:     after.NetDelaysInjected - before.NetDelaysInjected,
+		CorruptionsInjected:   c.CorruptionsInjected,
+		CorruptionsDetected:   c.CorruptionsDetected,
+		WireBytes:             c.WireBytes,
+		WireFrames:            c.WireFrames,
+		NetDropsInjected:      c.NetDropsInjected,
+		NetDelaysInjected:     c.NetDelaysInjected,
 	}
 }

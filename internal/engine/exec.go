@@ -28,42 +28,56 @@ type execState struct {
 	vals   []*dist.DistMatrix
 	params map[string]float64
 	// ledger holds one record per stage (ledger[s-1] is stage s's): every
-	// window of the run that charges NetStats is booked into exactly one of
-	// them, so the records partition the run's totals.
-	ledger []StageMetrics
+	// charge of the run goes to exactly one of them, so the records sum to
+	// the run's totals.
+	ledger []stageRecord
 }
 
-// execStats is what execute reports beyond success: the stage ledger and the
-// durability counters of the run.
+// stageRecord is one stage's entry in the ledger: what it charged — its
+// operators' records, in plan order, and the work of no operator — and its
+// wall and operator seconds, over every attempt, recovery and replay.
+type stageRecord struct {
+	charged         dist.Snapshot
+	wall, opSeconds float64
+}
+
+// Charge books s to the stage: the dist.Charger of its work outside the
+// operators.
+func (r *stageRecord) Charge(s dist.Snapshot) { r.charged.Add(s) }
+
+// since books the wall time since start.
+func (r *stageRecord) since(start time.Time) { r.wall += time.Since(start).Seconds() }
+
+// metrics prices the record as stage's StageMetrics.
+func (r *stageRecord) metrics(stage int, cfg dist.Config) StageMetrics {
+	c := r.charged
+	return StageMetrics{
+		Stage:          stage,
+		WallSeconds:    r.wall,
+		OpSeconds:      r.opSeconds,
+		ComputeSeconds: cfg.Rates.ComputeSec(c.FLOPs, cfg.Workers*cfg.LocalParallelism, cfg.MaxSlowdown()),
+		NetworkSeconds: cfg.Rates.NetworkSec(c.Bytes, c.CommEvents),
+		StallSec:       c.StallSec,
+		CommBytes:      c.Bytes,
+		CommEvents:     c.CommEvents,
+		FLOPs:          c.FLOPs,
+	}
+}
+
+// charging returns ctx charging stage's record.
+func (st *execState) charging(ctx context.Context, stage int) context.Context {
+	return dist.WithCharger(ctx, &st.ledger[stage-1])
+}
+
+// execStats is what execute reports beyond success: the stage ledger, the
+// run's charges (the ledger's sum) and the durability counters of the run.
 type execStats struct {
 	perStage              []StageMetrics
+	charged               dist.Snapshot
 	checkpointBytes       int64
 	checkpointSeconds     float64
 	checkpointWaitSeconds float64
 	stagesReplayed        int
-}
-
-// window is an open stretch of the stage ledger: the network statistics and
-// the clock when it opened.
-type window struct {
-	net   dist.Snapshot
-	start time.Time
-}
-
-func (e *Engine) window() window { return window{e.cluster.Net().Snapshot(), time.Now()} }
-
-// book closes w into stage's record: the wall time since w opened and what
-// NetStats charged meanwhile, with the record's modelled seconds re-priced
-// from its totals.
-func (e *Engine) book(st *execState, stage int, w window) {
-	net, cfg := e.cluster.Net().Snapshot(), e.cluster.Config()
-	r := &st.ledger[stage-1]
-	r.WallSeconds += time.Since(w.start).Seconds()
-	r.FLOPs += net.FLOPs - w.net.FLOPs
-	r.CommBytes += net.Bytes - w.net.Bytes
-	r.CommEvents += net.CommEvents - w.net.CommEvents
-	r.ComputeSeconds = cfg.Rates.ComputeSec(r.FLOPs, cfg.Workers*cfg.LocalParallelism, cfg.MaxSlowdown())
-	r.NetworkSeconds = cfg.Rates.NetworkSec(r.CommBytes, r.CommEvents)
 }
 
 // execute materializes a validated plan on the cluster stage by stage, then
@@ -77,7 +91,8 @@ func (e *Engine) book(st *execState, stage int, w window) {
 // It returns the run's stage ledger: each stage's wall time, FLOPs, bytes,
 // events and modelled seconds over all its attempts, the recovery after its
 // failures and its replays. Charges made after the last stage (the local
-// transposes of foldBack) book to the last stage.
+// transposes of foldBack) book to the last stage. Whichever way it returns,
+// the ledger's sum is booked to NetStats, once.
 //
 // Between stages the run's context is observed: cancellation or an expired
 // deadline aborts cleanly with the context's error (mid-stage, the executor's
@@ -94,12 +109,17 @@ func (e *Engine) execute(ctx context.Context, plan *core.Plan, sig string, param
 		sig:    sig,
 		vals:   make([]*dist.DistMatrix, len(plan.Values)),
 		params: params,
-		ledger: make([]StageMetrics, plan.Stages),
+		ledger: make([]stageRecord, plan.Stages),
 	}
-	for i := range st.ledger {
-		st.ledger[i].Stage = i + 1
-	}
-	stats.perStage = st.ledger
+	cfg := e.cluster.Config()
+	defer func() {
+		stats.perStage = make([]StageMetrics, len(st.ledger))
+		for i := range st.ledger {
+			stats.perStage[i] = st.ledger[i].metrics(i+1, cfg)
+			stats.charged.Add(st.ledger[i].charged)
+		}
+		e.cluster.EndRun(stats.charged)
+	}()
 	e.cluster.BeginRun()
 	e.joinSnapshot()
 	e.ckpt.beginRun()
@@ -125,7 +145,7 @@ func (e *Engine) execute(ctx context.Context, plan *core.Plan, sig string, param
 		if err != nil {
 			return stats, err
 		}
-		rec := st.ledger[s-1]
+		rec := st.ledger[s-1].metrics(s, cfg)
 		e.inst.observeStage(s, rec.WallSeconds)
 		if e.ckpt != nil && s < plan.Stages {
 			e.ckpt.noteStage(rec.ComputeSeconds + rec.NetworkSeconds)
@@ -135,14 +155,13 @@ func (e *Engine) execute(ctx context.Context, plan *core.Plan, sig string, param
 		}
 	}
 	// What folding back charges (its local transposes) books to the last
-	// stage, so the records still partition the run's totals. A plan with no
+	// stage, so the records still sum to the run's totals. A plan with no
 	// stages has no values to fold back.
-	w := e.window()
-	err = e.foldBack(ctx, st)
 	if plan.Stages > 0 {
-		e.book(st, plan.Stages, w)
+		ctx = st.charging(ctx, plan.Stages)
+		defer st.ledger[plan.Stages-1].since(time.Now())
 	}
-	return stats, err
+	return stats, e.foldBack(ctx, st)
 }
 
 // Stage retry backoff, in modelled seconds.
@@ -159,8 +178,8 @@ const (
 // checkpointer attached, recovery additionally restores the newest valid
 // on-disk snapshot and replays only the stages after it (the recovery ladder
 // of restoreAndReplay), instead of relying on the full lineage. The backoff
-// before retry n is charged as modelled stall: stageRetryBaseSec · 2^n,
-// capped at stageRetryCapSec.
+// before retry n is charged to the stage as modelled stall:
+// stageRetryBaseSec · 2^n, capped at stageRetryCapSec.
 func (e *Engine) runStage(ctx context.Context, st *execState, stage int) error {
 	cfg := e.cluster.Config()
 	for attempt := 0; ; attempt++ {
@@ -181,7 +200,7 @@ func (e *Engine) runStage(ctx context.Context, st *execState, stage int) error {
 		rec := e.tracer.Start("engine", "recover", e.tracer.Scope(),
 			obs.Int64("stage", int64(stage)), obs.Int64("worker", int64(wf.Worker)))
 		prev = e.tracer.SetScope(rec)
-		e.recoverStage(st, stage, wf)
+		e.recoverStage(ctx, st, stage, wf)
 		var rerr error
 		if e.ckpt != nil {
 			rerr = e.restoreAndReplay(ctx, st, stage)
@@ -192,8 +211,7 @@ func (e *Engine) runStage(ctx context.Context, st *execState, stage int) error {
 			return rerr
 		}
 		backoff := retry.Policy{BaseSec: stageRetryBaseSec, CapSec: stageRetryCapSec}.Backoff(attempt)
-		e.cluster.Net().AddStall(backoff)
-		e.cluster.Net().AddRetry()
+		st.ledger[stage-1].Charge(dist.Snapshot{Retries: 1, StallSec: backoff})
 		e.metrics.Counter("fault.retries").Inc()
 	}
 }
@@ -202,17 +220,17 @@ func (e *Engine) runStage(ctx context.Context, st *execState, stage int) error {
 const replay = -1
 
 // runStageOnce is the only code that runs a stage's ops: a first attempt, a
-// retry, or a replay after a restore. Whatever its window charges (wall time,
-// FLOPs, bytes, events) is booked to stage's record. An attempt first arms the
+// retry, or a replay after a restore. Whatever it charges, and its wall time,
+// is booked to stage's record. An attempt first arms the
 // fault plan's events for it (BeginStage) and fails on an armed task kill that
 // no operator consumed; a replay arms nothing, so its ops re-run exactly as
 // they did before the failure.
 func (e *Engine) runStageOnce(ctx context.Context, st *execState, stage, attempt int) error {
-	defer e.book(st, stage, e.window())
+	defer st.ledger[stage-1].since(time.Now())
 	if attempt == replay {
 		return e.runOps(ctx, st, stage)
 	}
-	if err := e.cluster.BeginStage(stage, attempt); err != nil {
+	if err := e.cluster.BeginStage(st.charging(ctx, stage), stage, attempt); err != nil {
 		return err
 	}
 	if err := e.runOps(ctx, st, stage); err != nil {
@@ -233,8 +251,8 @@ func (e *Engine) runStageOnce(ctx context.Context, st *execState, stage, attempt
 // against pre-failure ownership (before the kill takes effect), then the
 // worker is removed and the recovery shuffle is charged — all of it booked
 // to the failed stage.
-func (e *Engine) recoverStage(st *execState, stage int, wf *dist.WorkerFailure) {
-	defer e.book(st, stage, e.window())
+func (e *Engine) recoverStage(ctx context.Context, st *execState, stage int, wf *dist.WorkerFailure) {
+	defer st.ledger[stage-1].since(time.Now())
 	var bytes int64
 	for _, op := range st.plan.StageOps(stage) {
 		if op.Kind == core.OpLoad || op.Kind == core.OpVar {
@@ -249,7 +267,7 @@ func (e *Engine) recoverStage(st *execState, stage int, wf *dist.WorkerFailure) 
 		}
 	}
 	if e.cluster.KillWorker(wf.Worker) {
-		e.cluster.ChargeRecovery(stage, wf.Worker, bytes)
+		e.cluster.ChargeRecovery(st.charging(ctx, stage), stage, wf.Worker, bytes)
 	}
 }
 

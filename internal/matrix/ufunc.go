@@ -49,34 +49,6 @@ func (f UFunc) String() string {
 // Valid reports whether f is a known function.
 func (f UFunc) Valid() bool { return f >= FuncSigmoid && f <= FuncSign }
 
-// Apply evaluates the function at x: the per-cell definition that
-// applyInto's loops are held to.
-func (f UFunc) Apply(x float64) float64 {
-	switch f {
-	case FuncSigmoid:
-		return 1 / (1 + math.Exp(-x))
-	case FuncExp:
-		return math.Exp(x)
-	case FuncLog:
-		return math.Log(x)
-	case FuncSqrt:
-		return math.Sqrt(x)
-	case FuncAbs:
-		return math.Abs(x)
-	case FuncSign:
-		switch {
-		case x > 0:
-			return 1
-		case x < 0:
-			return -1
-		default:
-			return 0
-		}
-	default:
-		panic("matrix: unknown UFunc")
-	}
-}
-
 // SparsityPreserving reports whether f maps zero to zero, allowing sparse
 // blocks to stay sparse.
 func (f UFunc) SparsityPreserving() bool {
@@ -199,15 +171,4 @@ func ApplyBlock(f UFunc, b Block) Block {
 	out := NewDense(b.Rows(), b.Cols())
 	f.applyInto(out.Data, b.Dense().Data)
 	return out
-}
-
-// ApplyGrid applies f to every block of a grid.
-func ApplyGrid(f UFunc, g *Grid) *Grid {
-	out := NewGridSlots(g.Rows(), g.Cols(), g.BlockSize())
-	for bi := 0; bi < g.BlockRows(); bi++ {
-		for bj := 0; bj < g.BlockCols(); bj++ {
-			out.SetBlock(bi, bj, ApplyBlock(f, g.Block(bi, bj)))
-		}
-	}
-	return out.Filled()
 }

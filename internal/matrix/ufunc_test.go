@@ -118,19 +118,6 @@ func TestScalarSparseDensifiesOnce(t *testing.T) {
 	}
 }
 
-func TestApplyGrid(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	g := randGridDense(rng, 9, 7, 4)
-	out := ApplyGrid(FuncExp, g)
-	for i := 0; i < 9; i++ {
-		for j := 0; j < 7; j++ {
-			if math.Abs(out.At(i, j)-math.Exp(g.At(i, j))) > 1e-12 {
-				t.Fatalf("exp mismatch at (%d,%d)", i, j)
-			}
-		}
-	}
-}
-
 // TestUFuncLoopsMatchPerCell checks every function's block loop against its
 // per-cell definition, bit for bit, on dense and sparse operands: random
 // values of both signs (log and sqrt of a negative are NaN), zeros and

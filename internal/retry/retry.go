@@ -91,9 +91,6 @@ func New(p Policy) *Backoff {
 // Attempt returns how many backoffs have been taken so far.
 func (b *Backoff) Attempt() int { return b.attempt }
 
-// SpentSec returns the total backoff seconds accumulated so far.
-func (b *Backoff) SpentSec() float64 { return b.spent }
-
 // Next returns the backoff to wait before the next retry, and whether the
 // sequence still has budget for it. Exhaustion (false) means the caller
 // should stop retrying: either MaxAttempts retries have been handed out or

@@ -115,8 +115,8 @@ func TestBudgetExhaustion(t *testing.T) {
 	if n != 3 {
 		t.Errorf("budget 0.8 allowed %d retries, want 3", n)
 	}
-	if b.SpentSec() > 0.8+1e-12 {
-		t.Errorf("spent %v exceeds budget", b.SpentSec())
+	if b.spent > 0.8+1e-12 {
+		t.Errorf("spent %v exceeds budget", b.spent)
 	}
 }
 

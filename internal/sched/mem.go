@@ -40,7 +40,3 @@ func (m *MemTracker) Reset() {
 	m.cur.Store(0)
 	m.peak.Store(0)
 }
-
-// ResetPeak sets the peak back to the current usage, keeping live data
-// accounted. Useful between benchmark phases.
-func (m *MemTracker) ResetPeak() { m.peak.Store(m.cur.Load()) }

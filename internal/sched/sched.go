@@ -160,16 +160,6 @@ func (e *Executor) noteFlushed(n int64) {
 	}
 }
 
-// ForEach runs fn(i) for i in [0, n) on the executor's threads. It blocks
-// until all tasks complete. Tasks are claimed in order by every participant,
-// matching the task-queue model of Figure 4.
-func (e *Executor) ForEach(n int, fn func(i int)) {
-	e.ForEachErr(context.Background(), n, func(i int) error {
-		fn(i)
-		return nil
-	})
-}
-
 // ForEachErr runs fn(i) for i in [0, n) on the executor's threads and
 // returns the first error any task produced. The batch runs on the shared
 // worker pool (matrix.Parallel) with min(parallelism, n) participants, the

@@ -277,10 +277,6 @@ func TestMemTracker(t *testing.T) {
 	if m.Peak() != 150 {
 		t.Fatal("peak should not move below previous high-water mark")
 	}
-	m.ResetPeak()
-	if m.Peak() != 60 {
-		t.Fatalf("ResetPeak: peak=%d, want 60", m.Peak())
-	}
 	m.Reset()
 	if m.Current() != 0 || m.Peak() != 0 {
 		t.Fatal("Reset did not zero tracker")
