@@ -58,7 +58,11 @@ type (
 	Planner = engine.Planner
 	// ClusterConfig describes the simulated cluster.
 	ClusterConfig = dist.Config
-	// Metrics reports the cost of one program execution.
+	// Metrics reports the cost of one program execution: what it charged
+	// (m.CommBytes, m.CommEvents, m.FLOPs, m.Retries, m.StallSec, … —
+	// promoted from the one charge record it embeds), priced as
+	// m.ModelSeconds, beside the measured wall time and checkpoint work,
+	// and the same charge record per stage in m.PerStage.
 	Metrics = engine.Metrics
 	// Plan is an executable plan (for explain-style inspection).
 	Plan = core.Plan

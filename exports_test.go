@@ -15,8 +15,8 @@ import (
 // testOnlyCeiling is how many exported declarations of internal/ no non-test
 // file references (allow-list aside). It may fall, never rise: a name that
 // only tests use is either dead code or belongs in its package's
-// export_test.go. The one left is matrix.Sparsity.
-const testOnlyCeiling = 1
+// export_test.go.
+const testOnlyCeiling = 0
 
 // testOnlyAllowed are exported names that no non-test file of this module
 // references on purpose.

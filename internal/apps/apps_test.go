@@ -304,8 +304,8 @@ func TestEigTridiag(t *testing.T) {
 
 func TestResultTotal(t *testing.T) {
 	r := &Result{PerIteration: []engine.Metrics{
-		{CommBytes: 10, WallSeconds: 1},
-		{CommBytes: 20, WallSeconds: 2},
+		{Snapshot: dist.Snapshot{CommBytes: 10}, WallSeconds: 1},
+		{Snapshot: dist.Snapshot{CommBytes: 20}, WallSeconds: 2},
 	}}
 	tot := r.Total()
 	if tot.CommBytes != 30 || tot.WallSeconds != 3 {

@@ -55,9 +55,9 @@ func TestTraceBytesMatchNetStats(t *testing.T) {
 		}
 		spanBytes += a.Int
 	}
-	if spanBytes != net.Bytes {
-		t.Fatalf("trace comm bytes = %d, NetStats.Bytes = %d (every charge site must trace)",
-			spanBytes, net.Bytes)
+	if spanBytes != net.CommBytes {
+		t.Fatalf("trace comm bytes = %d, NetStats.CommBytes = %d (every charge site must trace)",
+			spanBytes, net.CommBytes)
 	}
 	if commEvents != net.CommEvents {
 		t.Fatalf("trace comm events = %d, NetStats.CommEvents = %d", commEvents, net.CommEvents)
@@ -75,8 +75,8 @@ func TestTraceBytesMatchNetStats(t *testing.T) {
 		t.Fatal("trace JSON holds no events")
 	}
 	sum := obs.Summarize(obs.EventsToSpans(events))
-	if sum.TotalBytes != net.Bytes {
-		t.Fatalf("round-tripped trace bytes = %d, NetStats.Bytes = %d", sum.TotalBytes, net.Bytes)
+	if sum.TotalBytes != net.CommBytes {
+		t.Fatalf("round-tripped trace bytes = %d, NetStats.CommBytes = %d", sum.TotalBytes, net.CommBytes)
 	}
 }
 

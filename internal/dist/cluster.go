@@ -200,7 +200,7 @@ func (c *Cluster) Net() *NetStats { return c.net }
 // tracer attached, every communication primitive emits one "comm" span
 // (zero-duration, parented under the tracer's current scope) whose "bytes"
 // attribute is exactly what the instrumented network charged — summing them
-// reproduces NetStats.Bytes.
+// reproduces NetStats.CommBytes.
 func (c *Cluster) SetObserver(t *obs.Tracer, m *obs.Registry) {
 	c.tracer.Store(t)
 	c.metrics.Store(&clusterMetrics{reg: m})
@@ -268,7 +268,7 @@ type kindMetrics struct {
 // shuffle, the recovery share; traceComm records it with the same bytes, so
 // trace totals and charged totals agree exactly. Every comm site calls it.
 func (c *Cluster) comm(ctx context.Context, stage int, k commKind, bytes int64, attrs ...obs.Attr) {
-	s := Snapshot{Bytes: bytes, CommEvents: 1, Shuffles: 1}
+	s := Snapshot{CommBytes: bytes, CommEvents: 1, Shuffles: 1}
 	switch k {
 	case commBroadcast:
 		s.Broadcasts, s.Shuffles = 1, 0
@@ -315,8 +315,8 @@ type NetStats struct {
 // an operator's arithmetic, an injected stall), a stage's or a run's sum of
 // them, or a point-in-time copy of the statistics.
 type Snapshot struct {
-	// Bytes is the total data moved across workers (recovery included).
-	Bytes int64
+	// CommBytes is the total data moved across workers (recovery included).
+	CommBytes int64
 	// CommEvents counts shuffle/broadcast operations.
 	CommEvents int
 	// Broadcasts counts replication events (Broadcast dependency
@@ -327,7 +327,7 @@ type Snapshot struct {
 	Shuffles   int
 	// FLOPs is the estimated arithmetic performed.
 	FLOPs float64
-	// RecoveryBytes is the share of Bytes moved to re-partition dead
+	// RecoveryBytes is the share of CommBytes moved to re-partition dead
 	// workers' blocks across survivors after failures.
 	RecoveryBytes int64
 	// Retries counts stage attempts repeated after worker failures.
@@ -343,9 +343,9 @@ type Snapshot struct {
 	CorruptionsInjected int
 	CorruptionsDetected int
 	// WireBytes and WireFrames are the measured traffic the transport
-	// actually put on the wire (payload plus framing), as opposed to Bytes,
+	// actually put on the wire (payload plus framing), as opposed to CommBytes,
 	// which is the cost model's charge. Zero under the in-process transport;
-	// over TCP, WireBytes reconciles with Bytes up to framing overhead and
+	// over TCP, WireBytes reconciles with CommBytes up to framing overhead and
 	// retransmits.
 	WireBytes  int64
 	WireFrames int64
@@ -358,7 +358,7 @@ type Snapshot struct {
 
 // Add folds another record into s, field by field.
 func (s *Snapshot) Add(o Snapshot) {
-	s.Bytes += o.Bytes
+	s.CommBytes += o.CommBytes
 	s.CommEvents += o.CommEvents
 	s.Broadcasts += o.Broadcasts
 	s.Shuffles += o.Shuffles
@@ -391,5 +391,5 @@ func (n *NetStats) Snapshot() Snapshot {
 // String summarizes the statistics.
 func (n *NetStats) String() string {
 	s := n.Snapshot()
-	return fmt.Sprintf("net: %d bytes in %d comm ops, %.3g flops", s.Bytes, s.CommEvents, s.FLOPs)
+	return fmt.Sprintf("net: %d bytes in %d comm ops, %.3g flops", s.CommBytes, s.CommEvents, s.FLOPs)
 }

@@ -103,8 +103,8 @@ func TestScriptedCorruptionDetected(t *testing.T) {
 			s.CorruptionsDetected, s.CorruptionsInjected)
 	}
 	cs := clean.Net().Snapshot()
-	if s.Bytes <= cs.Bytes {
-		t.Errorf("corrupted run moved %d bytes, clean run %d: re-fetches not charged", s.Bytes, cs.Bytes)
+	if s.CommBytes <= cs.CommBytes {
+		t.Errorf("corrupted run moved %d bytes, clean run %d: re-fetches not charged", s.CommBytes, cs.CommBytes)
 	}
 	if matrix.BitDiff(g, pristine) != "" {
 		t.Error("corruption damaged the stored grid; bit-flips must hit only the in-transit copy")

@@ -62,8 +62,8 @@ func TestPartitionChargesMatrixSize(t *testing.T) {
 		t.Errorf("scheme = %s", out.Scheme)
 	}
 	s := c.Net().Snapshot()
-	if s.Bytes != g.MemBytes() {
-		t.Errorf("bytes = %d, want |A| = %d", s.Bytes, g.MemBytes())
+	if s.CommBytes != g.MemBytes() {
+		t.Errorf("bytes = %d, want |A| = %d", s.CommBytes, g.MemBytes())
 	}
 	if s.CommEvents != 1 || s.Shuffles != 1 {
 		t.Errorf("events=%d shuffles=%d, want 1/1", s.CommEvents, s.Shuffles)
@@ -85,7 +85,7 @@ func TestBroadcastChargesNTimes(t *testing.T) {
 	if out.Scheme != dep.Broadcast {
 		t.Errorf("scheme = %s", out.Scheme)
 	}
-	if got := c.Net().Snapshot().Bytes; got != 4*g.MemBytes() {
+	if got := c.Net().Snapshot().CommBytes; got != 4*g.MemBytes() {
 		t.Errorf("bytes = %d, want N|A| = %d", got, 4*g.MemBytes())
 	}
 }
@@ -109,7 +109,7 @@ func TestExtractAndTransposeAreFree(t *testing.T) {
 	if tr.Rows() != 14 || tr.Cols() != 10 {
 		t.Errorf("transpose shape %dx%d", tr.Rows(), tr.Cols())
 	}
-	if got := c.Net().Snapshot().Bytes; got != 0 {
+	if got := c.Net().Snapshot().CommBytes; got != 0 {
 		t.Errorf("local ops moved %d bytes", got)
 	}
 	if _, err := c.Extract(context.Background(), r, dep.Col); err == nil {
@@ -132,7 +132,7 @@ func TestShuffleTransposeCharges(t *testing.T) {
 	if out.Scheme != dep.Col {
 		t.Errorf("scheme = %s", out.Scheme)
 	}
-	if got := c.Net().Snapshot().Bytes; got != g.MemBytes() {
+	if got := c.Net().Snapshot().CommBytes; got != g.MemBytes() {
 		t.Errorf("bytes = %d, want %d", got, g.MemBytes())
 	}
 }
@@ -171,7 +171,7 @@ func TestMultiplyStrategiesCorrectAndAccounted(t *testing.T) {
 		if out.Scheme != tc.wantOut {
 			t.Errorf("%s: out scheme %s, want %s", tc.strategy, out.Scheme, tc.wantOut)
 		}
-		if got := c.Net().Snapshot().Bytes; got != tc.comm(out) {
+		if got := c.Net().Snapshot().CommBytes; got != tc.comm(out) {
 			t.Errorf("%s: comm %d, want %d", tc.strategy, got, tc.comm(out))
 		}
 		if c.Net().Snapshot().FLOPs <= 0 {
@@ -228,7 +228,7 @@ func TestCellwiseAndScalar(t *testing.T) {
 	if matrix.BitDiff(out.Grid, want) != "" {
 		t.Error("cellwise result wrong")
 	}
-	if got := c.Net().Snapshot().Bytes; got != 0 {
+	if got := c.Net().Snapshot().CommBytes; got != 0 {
 		t.Errorf("cellwise moved %d bytes", got)
 	}
 	if _, err := c.Cells(context.Background(), add, []*DistMatrix{a, NewDistMatrix(gb, dep.Row)}, -1); err == nil {
@@ -380,8 +380,8 @@ func TestAggregates(t *testing.T) {
 	}
 	// Each aggregate collected 8 bytes per worker.
 	s := c.Net().Snapshot()
-	if s.Bytes != 3*8*4 {
-		t.Errorf("aggregate bytes = %d, want %d", s.Bytes, 3*8*4)
+	if s.CommBytes != 3*8*4 {
+		t.Errorf("aggregate bytes = %d, want %d", s.CommBytes, 3*8*4)
 	}
 }
 
@@ -410,9 +410,9 @@ func TestOneWorkerClusterHasNoNetwork(t *testing.T) {
 		if workers == 1 {
 			wantBytes, wantEvents = 0, 0
 		}
-		if s := c.Net().Snapshot(); s.Bytes != wantBytes || s.CommEvents != wantEvents {
+		if s := c.Net().Snapshot(); s.CommBytes != wantBytes || s.CommEvents != wantEvents {
 			t.Errorf("%d workers: aggregates charged %d bytes in %d events, want %d in %d",
-				workers, s.Bytes, s.CommEvents, wantBytes, wantEvents)
+				workers, s.CommBytes, s.CommEvents, wantBytes, wantEvents)
 		}
 	}
 
@@ -443,8 +443,8 @@ func TestOneWorkerClusterHasNoNetwork(t *testing.T) {
 	if _, err := pair.Multiply(ctx, hash, hash, Local, dep.SchemeNone, 1); err == nil {
 		t.Error("Local multiplication on two workers must fail")
 	}
-	if s := single.Net().Snapshot(); s.Bytes != 0 || s.CommEvents != 0 {
-		t.Errorf("one worker moved %d bytes in %d events", s.Bytes, s.CommEvents)
+	if s := single.Net().Snapshot(); s.CommBytes != 0 || s.CommEvents != 0 {
+		t.Errorf("one worker moved %d bytes in %d events", s.CommBytes, s.CommEvents)
 	}
 
 	// The transpose that folds a transposed assignment back into the session
@@ -464,7 +464,7 @@ func TestOneWorkerClusterHasNoNetwork(t *testing.T) {
 func modelSec(c *Cluster) float64 {
 	cfg, s := c.Config(), c.Net().Snapshot()
 	return cfg.Rates.ComputeSec(s.FLOPs, cfg.Workers*cfg.LocalParallelism, cfg.MaxSlowdown()) +
-		cfg.Rates.NetworkSec(s.Bytes, s.CommEvents) + s.StallSec
+		cfg.Rates.NetworkSec(s.CommBytes, s.CommEvents) + s.StallSec
 }
 
 func TestModelTime(t *testing.T) {
@@ -473,8 +473,8 @@ func TestModelTime(t *testing.T) {
 		LocalParallelism: 2,
 		Rates:            cost.Rates{BandwidthBytesPerSec: 1000, ShuffleLatencySec: 0.5, FlopsPerSecPerThread: 100},
 	})
-	c.Net().Add(Snapshot{Bytes: 2000, CommEvents: 1, Shuffles: 1}) // 2 s transfer + 0.5 s latency
-	c.Net().Add(Snapshot{FLOPs: 1600})                             // 1600 / (4*2*100) = 2 s
+	c.Net().Add(Snapshot{CommBytes: 2000, CommEvents: 1, Shuffles: 1}) // 2 s transfer + 0.5 s latency
+	c.Net().Add(Snapshot{FLOPs: 1600})                                 // 1600 / (4*2*100) = 2 s
 	want := 2.0 + 0.5 + 2.0
 	if got := modelSec(c); math.Abs(got-want) > 1e-9 {
 		t.Errorf("model time = %v, want %v", got, want)
@@ -496,7 +496,7 @@ func TestStragglerInjection(t *testing.T) {
 	c1 := NewCluster(slow)
 	for _, c := range []*Cluster{c0, c1} {
 		c.Net().Add(Snapshot{FLOPs: 1600}) // 2 s at full speed
-		c.Net().Add(Snapshot{Bytes: 2000, CommEvents: 1, Shuffles: 1})
+		c.Net().Add(Snapshot{CommBytes: 2000, CommEvents: 1, Shuffles: 1})
 	}
 	// Compute triples; network is unaffected.
 	want := 3*2.0 + 2.0 + 0.5
@@ -516,22 +516,22 @@ func TestStragglerInjection(t *testing.T) {
 
 func TestNetStatsResetAndString(t *testing.T) {
 	n := &NetStats{}
-	n.Add(Snapshot{Bytes: 100, CommEvents: 1, Shuffles: 1})
+	n.Add(Snapshot{CommBytes: 100, CommEvents: 1, Shuffles: 1})
 	first := n.Snapshot()
-	n.Add(Snapshot{Bytes: 50, CommEvents: 1, Shuffles: 1})
+	n.Add(Snapshot{CommBytes: 50, CommEvents: 1, Shuffles: 1})
 	n.Add(Snapshot{FLOPs: 10})
 	s := n.Snapshot()
-	if s.Bytes != 150 || s.CommEvents != 2 || s.FLOPs != 10 {
+	if s.CommBytes != 150 || s.CommEvents != 2 || s.FLOPs != 10 {
 		t.Errorf("snapshot = %+v", s)
 	}
-	if first.Bytes != 100 || s.Bytes-first.Bytes != 50 {
-		t.Errorf("bytes %d then %d, want 100 then 150", first.Bytes, s.Bytes)
+	if first.CommBytes != 100 || s.CommBytes-first.CommBytes != 50 {
+		t.Errorf("bytes %d then %d, want 100 then 150", first.CommBytes, s.CommBytes)
 	}
 	if n.String() == "" {
 		t.Error("empty String")
 	}
 	n.Reset()
-	if s := n.Snapshot(); s.Bytes != 0 || s.CommEvents != 0 || s.FLOPs != 0 {
+	if s := n.Snapshot(); s.CommBytes != 0 || s.CommEvents != 0 || s.FLOPs != 0 {
 		t.Errorf("after reset: %+v", s)
 	}
 }

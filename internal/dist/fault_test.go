@@ -122,8 +122,8 @@ func TestNetStatsRecoveryAccounting(t *testing.T) {
 	c.Net().Add(Snapshot{Retries: 1, StallSec: 0.5})
 	n := c.Net()
 	s := n.Snapshot()
-	if s.Bytes != 100 || s.RecoveryBytes != 100 {
-		t.Errorf("bytes=%d recovery=%d, want 100/100", s.Bytes, s.RecoveryBytes)
+	if s.CommBytes != 100 || s.RecoveryBytes != 100 {
+		t.Errorf("bytes=%d recovery=%d, want 100/100", s.CommBytes, s.RecoveryBytes)
 	}
 	if s.CommEvents != 1 {
 		t.Errorf("commEvents = %d, want 1 (recovery is one shuffle)", s.CommEvents)

@@ -21,11 +21,11 @@ func TestNetStatsConcurrent(t *testing.T) {
 			for i := 0; i < perG; i++ {
 				switch i % 6 {
 				case 0:
-					n.Add(Snapshot{Bytes: 10, CommEvents: 1, Shuffles: 1})
+					n.Add(Snapshot{CommBytes: 10, CommEvents: 1, Shuffles: 1})
 				case 1:
 					n.Add(Snapshot{FLOPs: 1})
 				case 2:
-					n.Add(Snapshot{Bytes: 5, CommEvents: 1, Shuffles: 1, RecoveryBytes: 5})
+					n.Add(Snapshot{CommBytes: 5, CommEvents: 1, Shuffles: 1, RecoveryBytes: 5})
 				case 3:
 					n.Add(Snapshot{Retries: 1})
 				case 4:
@@ -42,8 +42,8 @@ func TestNetStatsConcurrent(t *testing.T) {
 	hits := func(r int) int { return (perG - r + 5) / 6 }
 	wantComm := int64(goroutines * hits(0) * 10)
 	wantRecovery := int64(goroutines * hits(2) * 5)
-	if s.Bytes != wantComm+wantRecovery {
-		t.Errorf("bytes = %d, want %d", s.Bytes, wantComm+wantRecovery)
+	if s.CommBytes != wantComm+wantRecovery {
+		t.Errorf("bytes = %d, want %d", s.CommBytes, wantComm+wantRecovery)
 	}
 	if s.RecoveryBytes != wantRecovery {
 		t.Errorf("recovery bytes = %d, want %d", s.RecoveryBytes, wantRecovery)
@@ -52,7 +52,7 @@ func TestNetStatsConcurrent(t *testing.T) {
 		t.Errorf("retries = %d, want %d", s.Retries, goroutines*hits(3))
 	}
 	n.Reset()
-	if after := n.Snapshot(); after.Bytes != 0 || after.FLOPs != 0 || after.Retries != 0 {
+	if after := n.Snapshot(); after.CommBytes != 0 || after.FLOPs != 0 || after.Retries != 0 {
 		t.Errorf("Reset left state: %+v", after)
 	}
 }
@@ -71,7 +71,7 @@ func TestNetStatsConcurrentReset(t *testing.T) {
 					n.Reset()
 					continue
 				}
-				n.Add(Snapshot{Bytes: 1, CommEvents: 1, Shuffles: 1})
+				n.Add(Snapshot{CommBytes: 1, CommEvents: 1, Shuffles: 1})
 				n.Add(Snapshot{StallSec: 0.0001})
 				_ = n.Snapshot()
 			}

@@ -22,8 +22,8 @@ func TestBroadcastToReceivers(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := c.Net().Snapshot()
-	if s.Bytes != 2*g.MemBytes() || s.Broadcasts != 1 {
-		t.Errorf("narrowed broadcast charged %d B in %d broadcasts, want 2|A| = %d in 1", s.Bytes, s.Broadcasts, 2*g.MemBytes())
+	if s.CommBytes != 2*g.MemBytes() || s.Broadcasts != 1 {
+		t.Errorf("narrowed broadcast charged %d B in %d broadcasts, want 2|A| = %d in 1", s.CommBytes, s.Broadcasts, 2*g.MemBytes())
 	}
 	if got := c.receivers(out); !slices.Equal(got, []int{0, 1}) || !slices.Equal(out.Reach(), []int{0, 1}) {
 		t.Errorf("receivers %v, reach %v, want [0 1] both", got, out.Reach())
@@ -35,7 +35,7 @@ func TestBroadcastToReceivers(t *testing.T) {
 	if full.Reach() != nil || !slices.Equal(c.receivers(full), []int{0, 1, 2, 3}) {
 		t.Errorf("a broadcast to every worker has reach %v, receivers %v; want nil, all four", full.Reach(), c.receivers(full))
 	}
-	if got := c.Net().Snapshot().Bytes - s.Bytes; got != 4*g.MemBytes() {
+	if got := c.Net().Snapshot().CommBytes - s.CommBytes; got != 4*g.MemBytes() {
 		t.Errorf("full broadcast charged %d B, want N|A| = %d", got, 4*g.MemBytes())
 	}
 	if tr := c.Transpose(ctx, out); !slices.Equal(tr.Reach(), []int{0, 1}) {

@@ -48,7 +48,7 @@ func TestTCPNarrowedBroadcastReachesOnlyReceivers(t *testing.T) {
 			t.Errorf("worker %d holds %d blocks, want %d", w, got, want)
 		}
 	}
-	charge := after.Bytes - before.Bytes
+	charge := after.CommBytes - before.CommBytes
 	if charge != 2*g.MemBytes() {
 		t.Errorf("model charged %d B, want 2|A| = %d", charge, 2*g.MemBytes())
 	}

@@ -350,15 +350,15 @@ func TestTCPClusterChargesMatchModel(t *testing.T) {
 		return c.Net().Snapshot()
 	}
 	ws, ls := run(wired), run(local)
-	if ws.Bytes != ls.Bytes || ws.CommEvents != ls.CommEvents || ws.Broadcasts != ls.Broadcasts || ws.Shuffles != ls.Shuffles {
+	if ws.CommBytes != ls.CommBytes || ws.CommEvents != ls.CommEvents || ws.Broadcasts != ls.Broadcasts || ws.Shuffles != ls.Shuffles {
 		t.Errorf("TCP model charges (%d B, %d ev, %d bc, %d sh) differ from inproc (%d B, %d ev, %d bc, %d sh)",
-			ws.Bytes, ws.CommEvents, ws.Broadcasts, ws.Shuffles, ls.Bytes, ls.CommEvents, ls.Broadcasts, ls.Shuffles)
+			ws.CommBytes, ws.CommEvents, ws.Broadcasts, ws.Shuffles, ls.CommBytes, ls.CommEvents, ls.Broadcasts, ls.Shuffles)
 	}
 	if ls.WireBytes != 0 || ls.WireFrames != 0 {
 		t.Errorf("inproc measured wire traffic: %d B / %d frames", ls.WireBytes, ls.WireFrames)
 	}
-	if ws.WireBytes <= ws.Bytes {
-		t.Errorf("TCP measured %d wire bytes, want more than the %d modeled payload bytes", ws.WireBytes, ws.Bytes)
+	if ws.WireBytes <= ws.CommBytes {
+		t.Errorf("TCP measured %d wire bytes, want more than the %d modeled payload bytes", ws.WireBytes, ws.CommBytes)
 	}
 	if ws.WireFrames == 0 {
 		t.Error("TCP measured no frames")

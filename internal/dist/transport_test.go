@@ -64,8 +64,8 @@ func TestInprocTransportChargesPinned(t *testing.T) {
 	c := NewCluster(Config{Workers: 4, LocalParallelism: 2})
 	stages := transportGoldenStats(t, c)
 	s := stages[len(stages)-1]
-	if s.Bytes != 7840 {
-		t.Errorf("Bytes = %d, want 7840", s.Bytes)
+	if s.CommBytes != 7840 {
+		t.Errorf("CommBytes = %d, want 7840", s.CommBytes)
 	}
 	if s.CommEvents != 5 || s.Broadcasts != 1 || s.Shuffles != 4 {
 		t.Errorf("events = %d (b=%d, s=%d), want 5 (1, 4)", s.CommEvents, s.Broadcasts, s.Shuffles)
@@ -76,7 +76,7 @@ func TestInprocTransportChargesPinned(t *testing.T) {
 	wantBytes, wantEvents := []int64{4800, 960, 2080}, []int{2, 1, 2}
 	var prev Snapshot
 	for i, cur := range stages {
-		if got := cur.Bytes - prev.Bytes; got != wantBytes[i] {
+		if got := cur.CommBytes - prev.CommBytes; got != wantBytes[i] {
 			t.Errorf("stage %d bytes = %d, want %d", i+1, got, wantBytes[i])
 		}
 		if got := cur.CommEvents - prev.CommEvents; got != wantEvents[i] {
@@ -128,8 +128,8 @@ func TestCollectivesHonorCanceledContext(t *testing.T) {
 	}
 
 	s := c.Net().Snapshot()
-	if s.Bytes != 0 || s.CommEvents != 0 {
-		t.Errorf("canceled collectives charged %d bytes / %d events, want none", s.Bytes, s.CommEvents)
+	if s.CommBytes != 0 || s.CommEvents != 0 {
+		t.Errorf("canceled collectives charged %d bytes / %d events, want none", s.CommBytes, s.CommEvents)
 	}
 }
 
@@ -255,9 +255,9 @@ func TestNetFaultDropAndDelay(t *testing.T) {
 	}
 	// Drops and delays never lose data: the model charges (bytes, events,
 	// FLOPs) are identical to the clean run.
-	if fs.Bytes != cs.Bytes || fs.CommEvents != cs.CommEvents || fs.FLOPs != cs.FLOPs {
+	if fs.CommBytes != cs.CommBytes || fs.CommEvents != cs.CommEvents || fs.FLOPs != cs.FLOPs {
 		t.Errorf("faulty charges (%d, %d, %v) differ from clean (%d, %d, %v)",
-			fs.Bytes, fs.CommEvents, fs.FLOPs, cs.Bytes, cs.CommEvents, cs.FLOPs)
+			fs.CommBytes, fs.CommEvents, fs.FLOPs, cs.CommBytes, cs.CommEvents, cs.FLOPs)
 	}
 }
 

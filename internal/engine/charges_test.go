@@ -39,16 +39,21 @@ func runGNMF(t *testing.T, planner engine.Planner, cfg dist.Config) (*engine.Eng
 	return e, res.PerIteration
 }
 
-// stageSums sums a run's stage records in stage order.
-func stageSums(m engine.Metrics) (bytes int64, events int, flops, stall, model float64) {
+// stageSum folds a run's stage records in stage order.
+func stageSum(m engine.Metrics) dist.Snapshot {
+	var sum dist.Snapshot
 	for _, s := range m.PerStage {
-		bytes += s.CommBytes
-		events += s.CommEvents
-		flops += s.FLOPs
-		stall += s.StallSec
-		model += s.ComputeSeconds + s.NetworkSeconds + s.StallSec
+		sum.Add(s.Snapshot)
 	}
-	return
+	return sum
+}
+
+// sameCharges reports whether a and b are the same record, floats to the
+// bit. Snapshot holds only comparable fields, and == compares floats by
+// value; the bits are compared apart, where -0 and NaN would show.
+func sameCharges(a, b dist.Snapshot) bool {
+	return a == b && math.Float64bits(a.FLOPs) == math.Float64bits(b.FLOPs) &&
+		math.Float64bits(a.StallSec) == math.Float64bits(b.StallSec)
 }
 
 // TestStallBookedToStages: under a plan that kills a task, stalls a stage
@@ -65,16 +70,27 @@ func TestStallBookedToStages(t *testing.T) {
 		t.Fatalf("%d retries, %d network delays: the plan must fire both", total.Retries, total.NetDelaysInjected)
 	}
 	// The first run's stall by stage: the boundary delay, the backoff before
-	// the killed stage's retry, the delayed traffic.
+	// the killed stage's retry, the delayed traffic. The retry and the
+	// recovery shuffle book to the stage whose task was killed.
 	want := []float64{0.25, 0.05, 0.125, 0, 0}
 	for i, s := range runs[0].PerStage {
 		if i >= len(want) || s.StallSec != want[i] {
 			t.Errorf("first run: stage %d stalled %v s, want %v", s.Stage, s.StallSec, want)
 		}
+		if killed := s.Stage == 2; (s.Retries == 1) != killed || (s.RecoveryBytes > 0) != killed {
+			t.Errorf("first run: stage %d booked %d retries and %d recovery bytes; want them on stage 2 only",
+				s.Stage, s.Retries, s.RecoveryBytes)
+		}
+	}
+	if m := runs[0]; m.Retries != 1 || m.RecoveryBytes == 0 {
+		t.Errorf("first run: %d retries, %d recovery bytes; want the one retry and its recovery", m.Retries, m.RecoveryBytes)
 	}
 	for i, m := range append(runs, total) {
-		_, _, _, stall, model := stageSums(m)
-		if stall == 0 {
+		var model float64
+		for _, s := range m.PerStage {
+			model += s.ComputeSeconds + s.NetworkSeconds + s.StallSec
+		}
+		if stageSum(m).StallSec == 0 {
 			t.Errorf("run %d: no stage booked stall", i)
 		}
 		if math.Abs(model-m.ModelSeconds) > 1e-12*m.ModelSeconds {
@@ -92,30 +108,15 @@ func TestStallBookedToStages(t *testing.T) {
 func TestChargesFoldExactly(t *testing.T) {
 	check := func(label string, e *engine.Engine, runs []engine.Metrics) {
 		t.Helper()
-		var total engine.Metrics
-		var stall float64
+		var total dist.Snapshot
 		for i, m := range runs {
-			bytes, events, flops, s, _ := stageSums(m)
-			if bytes != m.CommBytes || events != m.CommEvents || math.Float64bits(flops) != math.Float64bits(m.FLOPs) {
-				t.Errorf("%s run %d: stages sum to %d B, %d events, %v FLOPs; totals are %d B, %d events, %v FLOPs",
-					label, i, bytes, events, flops, m.CommBytes, m.CommEvents, m.FLOPs)
+			if sum := stageSum(m); !sameCharges(sum, m.Snapshot) {
+				t.Errorf("%s run %d: stages sum to %+v,\nthe run charged %+v", label, i, sum, m.Snapshot)
 			}
-			total.Add(m)
-			stall += s
+			total.Add(m.Snapshot)
 		}
-		got := e.Cluster().Net().Snapshot()
-		want := dist.Snapshot{
-			Bytes: total.CommBytes, CommEvents: total.CommEvents, Broadcasts: total.Broadcasts, Shuffles: total.Shuffles,
-			FLOPs: total.FLOPs, RecoveryBytes: total.RecoveryBytes, Retries: total.Retries, StallSec: stall,
-			CorruptionsInjected: total.CorruptionsInjected, CorruptionsDetected: total.CorruptionsDetected,
-			WireBytes: total.WireBytes, WireFrames: total.WireFrames,
-			NetDropsInjected: total.NetDropsInjected, NetDelaysInjected: total.NetDelaysInjected,
-		}
-		// Snapshot holds only comparable fields, and == compares floats by
-		// value; the bits are compared apart, where -0 and NaN would show.
-		if got != want || math.Float64bits(got.FLOPs) != math.Float64bits(want.FLOPs) ||
-			math.Float64bits(got.StallSec) != math.Float64bits(want.StallSec) {
-			t.Errorf("%s: NetStats %+v,\nthe runs sum to %+v", label, got, want)
+		if got := e.Cluster().Net().Snapshot(); !sameCharges(got, total) {
+			t.Errorf("%s: NetStats %+v,\nthe runs sum to %+v", label, got, total)
 		}
 	}
 

@@ -618,7 +618,7 @@ func (e *Engine) restoreAndReplay(ctx context.Context, st *execState, failStage 
 	for id := range st.vals {
 		st.vals[id] = vals[id]
 	}
-	st.ledger[failStage-1].since(start)
+	st.since(failStage, start)
 	span := e.tracer.Start("ckpt", "restore", e.tracer.Scope(),
 		obs.Int64("fail_stage", int64(failStage)), obs.Int64("from_stage", int64(from)))
 	replayed := 0

@@ -173,9 +173,9 @@ func (r *stageRun) finish(i int, err error) {
 		if r.finished <= r.failed {
 			o := &r.state[r.finished]
 			for _, s := range o.charges {
-				rec.Charge(s)
+				rec.Add(s)
 			}
-			rec.opSeconds += o.seconds
+			rec.OpSeconds += o.seconds
 		}
 	}
 	r.cond.Broadcast()

@@ -69,27 +69,23 @@ func (p Planner) String() string {
 	}
 }
 
-// Metrics reports the cost of one Run.
+// Metrics reports the cost of one Run: the run's charges, priced, and what
+// the engine measures beside them.
 type Metrics struct {
+	// Snapshot is what the run charged (bytes, events and their
+	// broadcast/shuffle split, FLOPs, recovery, retries, stall, corruptions,
+	// wire traffic, network faults): the sum of its stage records, booked to
+	// NetStats once when the run returns.
+	dist.Snapshot
 	// WallSeconds is the measured wall-clock time of the execution.
 	WallSeconds float64
 	// ModelSeconds is the deterministic modelled time: local compute spread
-	// over workers and threads plus network transfer and shuffle latency.
+	// over workers and threads plus network transfer and shuffle latency,
+	// plus the stall charged.
 	ModelSeconds float64
-	// CommBytes is the data moved across workers.
-	CommBytes int64
-	// CommEvents counts shuffle/broadcast operations.
-	CommEvents int
-	// FLOPs is the estimated arithmetic performed.
-	FLOPs float64
 	// Stages is the number of un-interleaved stages of the executed plan
 	// (1 for the local engine).
 	Stages int
-	// Retries counts stage attempts repeated after worker failures.
-	Retries int
-	// RecoveryBytes is the share of CommBytes spent re-partitioning dead
-	// workers' blocks across survivors after failures.
-	RecoveryBytes int64
 	// CheckpointBytes and CheckpointSeconds are the durability work of the
 	// run: bytes written to checkpoint snapshots and the time the background
 	// writer was busy writing them (zero without SetCheckpoint). The writer
@@ -106,34 +102,13 @@ type Metrics struct {
 	// recomputation a checkpoint saved — or, with no valid checkpoint, the
 	// full lineage it had to re-pay.
 	StagesReplayed int
-	// CorruptionsInjected and CorruptionsDetected count block corruptions
-	// fired by the fault injector and those caught by checksum verification
-	// at block hand-off; equal counts are the run's integrity invariant.
-	CorruptionsInjected int
-	CorruptionsDetected int
-	// Broadcasts and Shuffles split CommEvents by kind, so strategy choices
-	// (replicate vs repartition) are countable per run.
-	Broadcasts int
-	Shuffles   int
-	// WireBytes and WireFrames are the traffic the transport actually put on
-	// the wire (payload plus framing), measured rather than modelled. Zero
-	// for the in-process transport; over TCP they reconcile with CommBytes
-	// up to framing overhead and retransmits.
-	WireBytes  int64
-	WireFrames int64
-	// NetDropsInjected and NetDelaysInjected count network faults fired by
-	// the injector: frame drops healed by retransmit and scripted delays
-	// charged as stall. Both leave results untouched by construction.
-	NetDropsInjected  int
-	NetDelaysInjected int
 	// SubnormalsFlushed counts the result elements the block executor stored
 	// as zero because they were subnormal (sched's result rule), summed over
 	// the run's stages: zero unless a value fell below 2⁻¹⁰²².
 	SubnormalsFlushed int64
-	// PerStage attributes the run to its stages, separating measured wall
-	// time, modelled local compute time and modelled network time — the
-	// per-stage decomposition the run-level ModelSeconds folds together.
-	// Sorted by stage; one record for the local engine.
+	// PerStage is the stage ledger: one record per stage, in stage order
+	// (one for the local engine). Every charge of the run is booked to
+	// exactly one of them, so their Snapshots sum to the run's.
 	PerStage []StageMetrics
 }
 
@@ -141,6 +116,10 @@ type Metrics struct {
 type StageMetrics struct {
 	// Stage is the 1-based un-interleaved stage index.
 	Stage int
+	// Snapshot is what the stage charged: its operators' records in plan
+	// order, its recovery shuffles, the stall of its delays, network faults
+	// and retry backoff, and its retries.
+	dist.Snapshot
 	// WallSeconds is the measured wall-clock time of the stage: every
 	// attempt, the recovery after its failures, and every replay of it after
 	// a later stage's restore (a replay books to the stage it re-runs).
@@ -149,68 +128,51 @@ type StageMetrics struct {
 	// the same attempts and replays. Independent operators overlap, so it
 	// exceeds WallSeconds by the time they shared the cores.
 	OpSeconds float64
-	// ComputeSeconds is the modelled local compute time of the stage: its
-	// attributed FLOPs spread over all workers and threads, times the
-	// straggler slowdown.
-	ComputeSeconds float64
-	// NetworkSeconds is the modelled (virtual) network time of the
-	// communication charged to the stage: bytes over bandwidth plus
-	// per-event shuffle latency.
-	NetworkSeconds float64
-	// CommBytes and CommEvents count the communication charged to the
-	// stage, its recovery shuffles included.
-	CommBytes  int64
-	CommEvents int
-	// FLOPs is the arithmetic attributed to the stage.
-	FLOPs float64
-	// StallSec is the modelled stalled time booked to the stage: injected
-	// delays, network-fault stalls and the backoff before its retries.
+	// ComputeSeconds and NetworkSeconds price the stage's charges (price):
+	// its FLOPs spread over all workers and threads times the straggler
+	// slowdown, and its bytes over bandwidth plus per-event shuffle latency.
 	// ComputeSeconds + NetworkSeconds + StallSec summed over the stages is
 	// the run's ModelSeconds.
-	StallSec float64
+	ComputeSeconds float64
+	NetworkSeconds float64
+}
+
+// price is the modelled compute and network seconds of charges c under cfg:
+// the one place the engine prices a charge.
+func price(cfg dist.Config, c dist.Snapshot) (compute, network float64) {
+	return cfg.Rates.ComputeSec(c.FLOPs, cfg.Workers*cfg.LocalParallelism, cfg.MaxSlowdown()),
+		cfg.Rates.NetworkSec(c.CommBytes, c.CommEvents)
 }
 
 // Add accumulates other into m (for per-iteration totals), merging the stage
-// records by position: the records of a run are its stages in order.
+// records by position: the records of a run are its stages in order. The
+// merged records are a new slice, so a Metrics that shares m's never sees
+// the sum.
 func (m *Metrics) Add(other Metrics) {
+	m.Snapshot.Add(other.Snapshot)
 	m.WallSeconds += other.WallSeconds
 	m.ModelSeconds += other.ModelSeconds
-	m.CommBytes += other.CommBytes
-	m.CommEvents += other.CommEvents
-	m.FLOPs += other.FLOPs
-	m.Retries += other.Retries
-	m.RecoveryBytes += other.RecoveryBytes
-	m.Broadcasts += other.Broadcasts
-	m.Shuffles += other.Shuffles
+	m.Stages = max(m.Stages, other.Stages)
 	m.CheckpointBytes += other.CheckpointBytes
 	m.CheckpointSeconds += other.CheckpointSeconds
 	m.CheckpointWaitSeconds += other.CheckpointWaitSeconds
 	m.StagesReplayed += other.StagesReplayed
-	m.CorruptionsInjected += other.CorruptionsInjected
-	m.CorruptionsDetected += other.CorruptionsDetected
-	m.WireBytes += other.WireBytes
-	m.WireFrames += other.WireFrames
-	m.NetDropsInjected += other.NetDropsInjected
-	m.NetDelaysInjected += other.NetDelaysInjected
 	m.SubnormalsFlushed += other.SubnormalsFlushed
-	if other.Stages > m.Stages {
-		m.Stages = other.Stages
+	if len(other.PerStage) == 0 {
+		return
 	}
+	stages := make([]StageMetrics, max(len(m.PerStage), len(other.PerStage)))
+	copy(stages, m.PerStage)
 	for i, s := range other.PerStage {
-		if i == len(m.PerStage) {
-			m.PerStage = append(m.PerStage, s)
-			continue
-		}
-		dst := &m.PerStage[i]
+		dst := &stages[i]
+		dst.Stage = s.Stage
+		dst.Snapshot.Add(s.Snapshot)
 		dst.WallSeconds += s.WallSeconds
 		dst.OpSeconds += s.OpSeconds
 		dst.ComputeSeconds += s.ComputeSeconds
 		dst.NetworkSeconds += s.NetworkSeconds
-		dst.CommBytes += s.CommBytes
-		dst.CommEvents += s.CommEvents
-		dst.FLOPs += s.FLOPs
-		dst.StallSec += s.StallSec
 	}
+	m.PerStage = stages
 }
 
 // varState is a session variable: its instances per scheme.
@@ -748,7 +710,7 @@ func (e *Engine) RunCtx(ctx context.Context, p *expr.Program, params map[string]
 		obs.String("plan_cache", source))
 	prevScope := e.tracer.SetScope(runSpan)
 	start := time.Now()
-	stats, err := e.execute(ctx, plan, f.input, params)
+	m, err = e.execute(ctx, plan, f.input, params)
 	e.tracer.SetScope(prevScope)
 	if err != nil {
 		// A run aborted by its context must surface as that context's error:
@@ -762,8 +724,7 @@ func (e *Engine) RunCtx(ctx context.Context, p *expr.Program, params map[string]
 		e.tracer.End(runSpan, obs.String("error", err.Error()))
 		return Metrics{}, err
 	}
-	wall := time.Since(start).Seconds()
-	m = stats.metrics(e.cluster.Config(), wall, plan.Stages)
+	m.WallSeconds = time.Since(start).Seconds()
 	e.tracer.End(runSpan, obs.Int64("comm_bytes", m.CommBytes))
 	return m, nil
 }
@@ -789,37 +750,5 @@ func (e *Engine) generate(rp *expr.Program, cfg core.Config) (*core.Plan, error)
 		return core.GenerateLocal(rp)
 	default:
 		return nil, fmt.Errorf("engine: unknown planner %d", e.planner)
-	}
-}
-
-// metrics is a run's Metrics: its charges, the sum of its stage records,
-// priced under cfg, plus the checkpoint counters.
-func (stats execStats) metrics(cfg dist.Config, wall float64, stages int) Metrics {
-	c := stats.charged
-	model := cfg.Rates.ComputeSec(c.FLOPs, cfg.Workers*cfg.LocalParallelism, cfg.MaxSlowdown()) +
-		cfg.Rates.NetworkSec(c.Bytes, c.CommEvents) + c.StallSec
-	return Metrics{
-		WallSeconds:   wall,
-		ModelSeconds:  model,
-		CommBytes:     c.Bytes,
-		CommEvents:    c.CommEvents,
-		Broadcasts:    c.Broadcasts,
-		Shuffles:      c.Shuffles,
-		FLOPs:         c.FLOPs,
-		Stages:        stages,
-		PerStage:      stats.perStage,
-		Retries:       c.Retries,
-		RecoveryBytes: c.RecoveryBytes,
-
-		CheckpointBytes:       stats.checkpointBytes,
-		CheckpointSeconds:     stats.checkpointSeconds,
-		CheckpointWaitSeconds: stats.checkpointWaitSeconds,
-		StagesReplayed:        stats.stagesReplayed,
-		CorruptionsInjected:   c.CorruptionsInjected,
-		CorruptionsDetected:   c.CorruptionsDetected,
-		WireBytes:             c.WireBytes,
-		WireFrames:            c.WireFrames,
-		NetDropsInjected:      c.NetDropsInjected,
-		NetDelaysInjected:     c.NetDelaysInjected,
 	}
 }

@@ -414,10 +414,10 @@ func TestPlanCacheReuseAndInvalidation(t *testing.T) {
 }
 
 func TestMetricsAdd(t *testing.T) {
-	a := Metrics{WallSeconds: 1, ModelSeconds: 2, CommBytes: 10, CommEvents: 1, FLOPs: 5, Stages: 3,
-		PerStage: []StageMetrics{{Stage: 1, CommBytes: 10}}}
-	b := Metrics{WallSeconds: 2, ModelSeconds: 1, CommBytes: 20, CommEvents: 2, FLOPs: 7, Stages: 2,
-		PerStage: []StageMetrics{{Stage: 1, CommBytes: 5}, {Stage: 2, CommBytes: 20}}}
+	a := Metrics{Snapshot: dist.Snapshot{CommBytes: 10, CommEvents: 1, FLOPs: 5}, WallSeconds: 1, ModelSeconds: 2, Stages: 3,
+		PerStage: []StageMetrics{{Stage: 1, Snapshot: dist.Snapshot{CommBytes: 10}}}}
+	b := Metrics{Snapshot: dist.Snapshot{CommBytes: 20, CommEvents: 2, FLOPs: 7}, WallSeconds: 2, ModelSeconds: 1, Stages: 2,
+		PerStage: []StageMetrics{{Stage: 1, Snapshot: dist.Snapshot{CommBytes: 5}}, {Stage: 2, Snapshot: dist.Snapshot{CommBytes: 20}}}}
 	a.Add(b)
 	if a.WallSeconds != 3 || a.ModelSeconds != 3 || a.CommBytes != 30 || a.CommEvents != 3 || a.FLOPs != 12 {
 		t.Errorf("Add wrong: %+v", a)

@@ -29,55 +29,24 @@ type execState struct {
 	params map[string]float64
 	// ledger holds one record per stage (ledger[s-1] is stage s's): every
 	// charge of the run goes to exactly one of them, so the records sum to
-	// the run's totals.
-	ledger []stageRecord
+	// the run's totals. It becomes the run's Metrics.PerStage.
+	ledger []StageMetrics
 }
 
-// stageRecord is one stage's entry in the ledger: what it charged — its
-// operators' records, in plan order, and the work of no operator — and its
-// wall and operator seconds, over every attempt, recovery and replay.
-type stageRecord struct {
-	charged         dist.Snapshot
-	wall, opSeconds float64
-}
+// stageCharger is a ledger record as the dist.Charger of its stage's work
+// outside the operators.
+type stageCharger StageMetrics
 
-// Charge books s to the stage: the dist.Charger of its work outside the
-// operators.
-func (r *stageRecord) Charge(s dist.Snapshot) { r.charged.Add(s) }
-
-// since books the wall time since start.
-func (r *stageRecord) since(start time.Time) { r.wall += time.Since(start).Seconds() }
-
-// metrics prices the record as stage's StageMetrics.
-func (r *stageRecord) metrics(stage int, cfg dist.Config) StageMetrics {
-	c := r.charged
-	return StageMetrics{
-		Stage:          stage,
-		WallSeconds:    r.wall,
-		OpSeconds:      r.opSeconds,
-		ComputeSeconds: cfg.Rates.ComputeSec(c.FLOPs, cfg.Workers*cfg.LocalParallelism, cfg.MaxSlowdown()),
-		NetworkSeconds: cfg.Rates.NetworkSec(c.Bytes, c.CommEvents),
-		StallSec:       c.StallSec,
-		CommBytes:      c.Bytes,
-		CommEvents:     c.CommEvents,
-		FLOPs:          c.FLOPs,
-	}
-}
+func (r *stageCharger) Charge(s dist.Snapshot) { r.Add(s) }
 
 // charging returns ctx charging stage's record.
 func (st *execState) charging(ctx context.Context, stage int) context.Context {
-	return dist.WithCharger(ctx, &st.ledger[stage-1])
+	return dist.WithCharger(ctx, (*stageCharger)(&st.ledger[stage-1]))
 }
 
-// execStats is what execute reports beyond success: the stage ledger, the
-// run's charges (the ledger's sum) and the durability counters of the run.
-type execStats struct {
-	perStage              []StageMetrics
-	charged               dist.Snapshot
-	checkpointBytes       int64
-	checkpointSeconds     float64
-	checkpointWaitSeconds float64
-	stagesReplayed        int
+// since books the wall time since start to stage's record.
+func (st *execState) since(stage int, start time.Time) {
+	st.ledger[stage-1].WallSeconds += time.Since(start).Seconds()
 }
 
 // execute materializes a validated plan on the cluster stage by stage, then
@@ -88,9 +57,10 @@ type execStats struct {
 // so running stages in ascending order (keeping the plan's op order within a
 // stage) is a valid topological order, and a failed stage can be retried in
 // isolation once its inputs are recovered.
-// It returns the run's stage ledger: each stage's wall time, FLOPs, bytes,
-// events and modelled seconds over all its attempts, the recovery after its
-// failures and its replays. Charges made after the last stage (the local
+// It returns the run's Metrics but its wall time: the stage ledger (each
+// stage's charges, wall time and modelled seconds over all its attempts, the
+// recovery after its failures and its replays), its sum priced, and the
+// checkpoint counters. Charges made after the last stage (the local
 // transposes of foldBack) book to the last stage. Whichever way it returns,
 // the ledger's sum is booked to NetStats, once.
 //
@@ -103,22 +73,26 @@ type execStats struct {
 // selected snapshots of the values still live are handed to the background
 // writer; whichever way execute returns, it first waits for the one in
 // flight.
-func (e *Engine) execute(ctx context.Context, plan *core.Plan, sig string, params map[string]float64) (stats execStats, err error) {
+func (e *Engine) execute(ctx context.Context, plan *core.Plan, sig string, params map[string]float64) (m Metrics, err error) {
 	st := &execState{
 		plan:   plan,
 		sig:    sig,
 		vals:   make([]*dist.DistMatrix, len(plan.Values)),
 		params: params,
-		ledger: make([]stageRecord, plan.Stages),
+		ledger: make([]StageMetrics, plan.Stages),
 	}
 	cfg := e.cluster.Config()
 	defer func() {
-		stats.perStage = make([]StageMetrics, len(st.ledger))
 		for i := range st.ledger {
-			stats.perStage[i] = st.ledger[i].metrics(i+1, cfg)
-			stats.charged.Add(st.ledger[i].charged)
+			r := &st.ledger[i]
+			r.Stage = i + 1
+			r.ComputeSeconds, r.NetworkSeconds = price(cfg, r.Snapshot)
+			m.Snapshot.Add(r.Snapshot)
 		}
-		e.cluster.EndRun(stats.charged)
+		compute, network := price(cfg, m.Snapshot)
+		m.ModelSeconds = compute + network + m.StallSec
+		m.Stages, m.PerStage = plan.Stages, st.ledger
+		e.cluster.EndRun(m.Snapshot)
 	}()
 	e.cluster.BeginRun()
 	e.joinSnapshot()
@@ -126,15 +100,13 @@ func (e *Engine) execute(ctx context.Context, plan *core.Plan, sig string, param
 	if e.ckpt != nil {
 		defer func() {
 			e.joinSnapshot()
-			stats.checkpointBytes = e.ckpt.bytes
-			stats.checkpointSeconds = e.ckpt.seconds
-			stats.checkpointWaitSeconds = e.ckpt.waitSeconds
-			stats.stagesReplayed = e.ckpt.replayed
+			m.CheckpointBytes, m.CheckpointSeconds = e.ckpt.bytes, e.ckpt.seconds
+			m.CheckpointWaitSeconds, m.StagesReplayed = e.ckpt.waitSeconds, e.ckpt.replayed
 		}()
 	}
 	for s := 1; s <= plan.Stages; s++ {
 		if err := ctx.Err(); err != nil {
-			return stats, fmt.Errorf("engine: run cancelled before stage %d: %w", s, err)
+			return m, fmt.Errorf("engine: run cancelled before stage %d: %w", s, err)
 		}
 		span := e.tracer.Start("engine", stageName(s), e.tracer.Scope(),
 			obs.Int64("stage", int64(s)), obs.Int64("ops", int64(len(plan.StageOps(s)))))
@@ -143,12 +115,13 @@ func (e *Engine) execute(ctx context.Context, plan *core.Plan, sig string, param
 		e.tracer.SetScope(prev)
 		e.tracer.End(span)
 		if err != nil {
-			return stats, err
+			return m, err
 		}
-		rec := st.ledger[s-1].metrics(s, cfg)
+		rec := &st.ledger[s-1]
 		e.inst.observeStage(s, rec.WallSeconds)
 		if e.ckpt != nil && s < plan.Stages {
-			e.ckpt.noteStage(rec.ComputeSeconds + rec.NetworkSeconds)
+			compute, network := price(cfg, rec.Snapshot)
+			e.ckpt.noteStage(compute + network)
 			if live := e.liveAfter(st, s); e.shouldCheckpoint(live) {
 				e.startSnapshot(st, s, span, live)
 			}
@@ -159,9 +132,9 @@ func (e *Engine) execute(ctx context.Context, plan *core.Plan, sig string, param
 	// stages has no values to fold back.
 	if plan.Stages > 0 {
 		ctx = st.charging(ctx, plan.Stages)
-		defer st.ledger[plan.Stages-1].since(time.Now())
+		defer st.since(plan.Stages, time.Now())
 	}
-	return stats, e.foldBack(ctx, st)
+	return m, e.foldBack(ctx, st)
 }
 
 // Stage retry backoff, in modelled seconds.
@@ -211,7 +184,7 @@ func (e *Engine) runStage(ctx context.Context, st *execState, stage int) error {
 			return rerr
 		}
 		backoff := retry.Policy{BaseSec: stageRetryBaseSec, CapSec: stageRetryCapSec}.Backoff(attempt)
-		st.ledger[stage-1].Charge(dist.Snapshot{Retries: 1, StallSec: backoff})
+		st.ledger[stage-1].Add(dist.Snapshot{Retries: 1, StallSec: backoff})
 		e.metrics.Counter("fault.retries").Inc()
 	}
 }
@@ -226,7 +199,7 @@ const replay = -1
 // no operator consumed; a replay arms nothing, so its ops re-run exactly as
 // they did before the failure.
 func (e *Engine) runStageOnce(ctx context.Context, st *execState, stage, attempt int) error {
-	defer st.ledger[stage-1].since(time.Now())
+	defer st.since(stage, time.Now())
 	if attempt == replay {
 		return e.runOps(ctx, st, stage)
 	}
@@ -252,7 +225,7 @@ func (e *Engine) runStageOnce(ctx context.Context, st *execState, stage, attempt
 // worker is removed and the recovery shuffle is charged — all of it booked
 // to the failed stage.
 func (e *Engine) recoverStage(ctx context.Context, st *execState, stage int, wf *dist.WorkerFailure) {
-	defer st.ledger[stage-1].since(time.Now())
+	defer st.since(stage, time.Now())
 	var bytes int64
 	for _, op := range st.plan.StageOps(stage) {
 		if op.Kind == core.OpLoad || op.Kind == core.OpVar {

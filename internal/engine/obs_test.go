@@ -2,6 +2,7 @@ package engine
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -153,14 +154,29 @@ func TestMetricsPerStage(t *testing.T) {
 	if compute <= 0 {
 		t.Error("no stage reports modelled compute time")
 	}
-	// Metrics.Add must merge PerStage by stage, not concatenate.
+	// Metrics.Add must merge PerStage by stage, not concatenate, and must
+	// not write into the rows of a Metrics it was copied from.
+	before := slices.Clone(m.PerStage)
 	total := m
 	total.Add(m)
+	if !slices.Equal(m.PerStage, before) {
+		t.Fatalf("Add changed the rows of the Metrics it was copied from:\n%+v,\nwas %+v", m.PerStage, before)
+	}
 	if len(total.PerStage) != len(m.PerStage) {
 		t.Fatalf("Add grew PerStage to %d rows, want %d", len(total.PerStage), len(m.PerStage))
 	}
-	if total.PerStage[0].CommBytes != 2*m.PerStage[0].CommBytes {
-		t.Fatal("Add did not accumulate per-stage bytes")
+	moved := 0
+	for i, st := range m.PerStage {
+		if st.CommBytes == 0 {
+			continue
+		}
+		moved++
+		if got := total.PerStage[i].CommBytes; got != 2*st.CommBytes {
+			t.Errorf("stage %d: Add gave %d B, want 2 × %d", st.Stage, got, st.CommBytes)
+		}
+	}
+	if moved == 0 {
+		t.Error("no stage moved bytes: the merge is never tested")
 	}
 }
 

@@ -243,7 +243,7 @@ func TestRecoveryChargesEveryLiveValue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := &execState{plan: plan, vals: make([]*dist.DistMatrix, len(plan.Values)), ledger: make([]stageRecord, plan.Stages)}
+	st := &execState{plan: plan, vals: make([]*dist.DistMatrix, len(plan.Values)), ledger: make([]StageMetrics, plan.Stages)}
 	for s := 1; s < stage; s++ {
 		if err := twin.runStageOnce(context.Background(), st, s, 0); err != nil {
 			t.Fatal(err)

@@ -29,3 +29,12 @@ func (f UFunc) Apply(x float64) float64 {
 		panic("matrix: unknown UFunc")
 	}
 }
+
+// Sparsity returns NNZ / (rows*cols), the fraction of stored elements.
+func Sparsity(b Block) float64 {
+	cells := b.Rows() * b.Cols()
+	if cells == 0 {
+		return 0
+	}
+	return float64(b.NNZ()) / float64(cells)
+}

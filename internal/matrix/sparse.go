@@ -322,12 +322,3 @@ func (s *CSCBlock) Coords() []Coord {
 	s.EachNZ(func(i, j int, v float64) { out = append(out, Coord{Row: i, Col: j, Val: v}) })
 	return out
 }
-
-// Sparsity returns NNZ / (rows*cols), the fraction of stored elements.
-func Sparsity(b Block) float64 {
-	cells := b.Rows() * b.Cols()
-	if cells == 0 {
-		return 0
-	}
-	return float64(b.NNZ()) / float64(cells)
-}
