@@ -35,8 +35,7 @@ var testOnlyAllowed = map[string]bool{
 	"dist.Cluster.DeadWorkers":   true,
 	"dist.Cluster.TransportName": true,
 	"dist.Cluster.Net":           true,
-	"sched.Executor.Mem":         true,
-	"sched.MemTracker.Current":   true,
+	"sched.BlockPool.Bytes":      true,
 }
 
 // interfaceMethods are method names a type exports to satisfy an interface

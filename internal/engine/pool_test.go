@@ -11,6 +11,7 @@ import (
 	"dmac/internal/dist"
 	"dmac/internal/expr"
 	"dmac/internal/matrix"
+	"dmac/internal/sched"
 )
 
 // peek deep-copies a session variable's grid without handing it out of the
@@ -177,10 +178,11 @@ func TestBlockPoolCheckpointRecovery(t *testing.T) {
 // TestBlockPoolSteadyStateAllocation: once the pool is warm, a GNMF
 // iteration takes every result block from the blocks the iteration before
 // released. What the process allocates over a run must be under 5 % of the
-// result blocks the run takes (the memory tracker's charge). The factor is
-// thin enough that every dense block product stays below the packed GEMM,
-// whose per-P pooled pack buffers would otherwise be counted whenever a
-// goroutine lands on a P that has none.
+// result blocks the run takes, counted as the blocks a pool holds after the
+// same run started on an empty one. The factor is thin enough that every
+// dense block product stays below the packed GEMM, whose per-P pooled pack
+// buffers would otherwise be counted whenever a goroutine lands on a P that
+// has none.
 func TestBlockPoolSteadyStateAllocation(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation budgets mean nothing under the race detector")
@@ -207,16 +209,21 @@ func TestBlockPoolSteadyStateAllocation(t *testing.T) {
 		run()
 	}
 	const runs = 4
-	mem := e.Cluster().Executor().Mem()
-	charged := mem.Current()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < runs; i++ {
 		run()
 	}
 	runtime.ReadMemStats(&after)
-	taken := mem.Current() - charged
 	allocated := int64(after.TotalAlloc - before.TotalAlloc)
+	// A run on an empty pool takes every result block fresh and leaves the
+	// pool holding each one, live or released.
+	var taken int64
+	for i := 0; i < runs; i++ {
+		e.pool = sched.NewBlockPool()
+		run()
+		taken += e.pool.Bytes()
+	}
 	if taken <= 0 {
 		t.Fatal("the runs took no result blocks")
 	}

@@ -2,7 +2,6 @@ package matrix
 
 import (
 	"fmt"
-	"math"
 	"sync/atomic"
 )
 
@@ -81,17 +80,19 @@ func NewDenseGrid(rows, cols, blockSize int) *Grid {
 	return g
 }
 
-// FromDense builds a dense grid from a row-major rows x cols slice.
+// FromDense builds a dense grid from a row-major rows x cols slice, copying
+// each row of data into its block row one block-wide segment at a time.
 func FromDense(rows, cols, blockSize int, data []float64) *Grid {
 	if len(data) != rows*cols {
 		panic(fmt.Sprintf("matrix: data length %d != %d*%d", len(data), rows, cols))
 	}
 	g := NewDenseGrid(rows, cols, blockSize)
 	for i := 0; i < rows; i++ {
-		for j := 0; j < cols; j++ {
-			if v := data[i*cols+j]; math.Float64bits(v) != 0 {
-				g.blocks[(i/blockSize)*g.bcols+j/blockSize].(*DenseBlock).Set(i%blockSize, j%blockSize, v)
-			}
+		row, blocks := data[i*cols:(i+1)*cols], g.blocks[(i/blockSize)*g.bcols:]
+		r := i % blockSize
+		for bj := 0; bj < g.bcols; bj++ {
+			d := blocks[bj].(*DenseBlock)
+			copy(d.Data[r*d.cols:(r+1)*d.cols], row[bj*blockSize:])
 		}
 	}
 	return g
@@ -138,6 +139,18 @@ func FromCoords(rows, cols, blockSize int, coords []Coord) *Grid {
 		}
 	}
 	return g
+}
+
+// BlockOf maps each of n row (or column) indices to the block of side
+// blockSize it falls in: a table that spares a per-entry division.
+func BlockOf(n, blockSize int) []int32 {
+	out := make([]int32, n)
+	for b := 0; b*blockSize < n; b++ {
+		for i := b * blockSize; i < min(n, (b+1)*blockSize); i++ {
+			out[i] = int32(b)
+		}
+	}
+	return out
 }
 
 // Rows returns the logical row count.

@@ -181,6 +181,17 @@ func NewCSC(rows, cols int, coords []Coord) *CSCBlock {
 	return b
 }
 
+// NewCSCData wraps existing CSC arrays as a rows x cols block; they are used
+// directly, not copied, and the block owns them from then on. colPtr must
+// hold cols+1 non-decreasing offsets from 0 to len(rowIdx) == len(values),
+// and each column's row indices must be in [0, rows) and increasing.
+func NewCSCData(rows, cols int, colPtr, rowIdx []int32, values []float64) *CSCBlock {
+	if len(colPtr) != cols+1 || int(colPtr[cols]) != len(rowIdx) || len(rowIdx) != len(values) {
+		panic(fmt.Sprintf("matrix: CSC arrays of %d column pointers, %d row indices and %d values for %d columns", len(colPtr), len(rowIdx), len(values), cols))
+	}
+	return &CSCBlock{rows: rows, cols: cols, ColPtr: colPtr, RowIdx: rowIdx, Values: values}
+}
+
 // closeGaps finishes a build in which duplicates left column j holding
 // [ColPtr[j], end[j]) of its reserved range, n entries in all: the columns
 // are moved together into exactly-sized arrays.

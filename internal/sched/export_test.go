@@ -11,3 +11,6 @@ func (e *Executor) ForEach(n int, fn func(i int)) {
 		return nil
 	})
 }
+
+// Current returns the currently live byte count.
+func (m *MemTracker) Current() int64 { return m.cur.Load() }

@@ -6,7 +6,7 @@ import "sync/atomic"
 // block-model byte counts (matrix.MemBytes) of live data; the tracker keeps
 // the current total and the high-water mark. Using the paper's analytic
 // model instead of runtime heap statistics makes the memory experiments
-// (Figures 7 and 8b) deterministic.
+// (Figures 7 and 8b) deterministic. A nil tracker counts nothing.
 type MemTracker struct {
 	cur  atomic.Int64
 	peak atomic.Int64
@@ -17,6 +17,9 @@ func NewMemTracker() *MemTracker { return &MemTracker{} }
 
 // Add records bytes of newly live data and updates the high-water mark.
 func (m *MemTracker) Add(bytes int64) {
+	if m == nil {
+		return
+	}
 	now := m.cur.Add(bytes)
 	for {
 		p := m.peak.Load()
@@ -27,10 +30,11 @@ func (m *MemTracker) Add(bytes int64) {
 }
 
 // Sub records bytes of data that became dead.
-func (m *MemTracker) Sub(bytes int64) { m.cur.Add(-bytes) }
-
-// Current returns the currently live byte count.
-func (m *MemTracker) Current() int64 { return m.cur.Load() }
+func (m *MemTracker) Sub(bytes int64) {
+	if m != nil {
+		m.cur.Add(-bytes)
+	}
+}
 
 // Peak returns the high-water mark since creation or the last Reset.
 func (m *MemTracker) Peak() int64 { return m.peak.Load() }

@@ -95,6 +95,23 @@ func (p *BlockPool) Owned() int {
 	return len(p.owned)
 }
 
+// Bytes reports the bytes of the blocks the pool holds: the owned blocks
+// and the free list's.
+func (p *BlockPool) Bytes() int64 {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	var n int64
+	for b := range p.owned {
+		n += b.MemBytes()
+	}
+	for _, l := range p.free {
+		for _, f := range l {
+			n += f.b.MemBytes()
+		}
+	}
+	return n
+}
+
 // Reclaim moves the owned blocks that live does not hold to the free list
 // and drops them from the owned set. Of what earlier releases left on the
 // free list untaken, it keeps the newest blocks while their bytes fit in

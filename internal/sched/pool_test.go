@@ -82,14 +82,15 @@ func TestBlockPoolReusesResultBlocks(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e := NewExecutor(3, nil)
+		mem := NewMemTracker()
+		e := NewExecutor(3, mem)
 		p := NewBlockPool()
 		e.SetPool(p)
 		first, err := run(e)
 		if err != nil {
 			t.Fatal(err)
 		}
-		charged := e.Mem().Current()
+		charged := mem.Current()
 		owned := denseBlocks(first)
 		if p.Owned() != len(owned) {
 			t.Fatalf("%s: pool owns %d blocks, the result has %d", name, p.Owned(), len(owned))
@@ -100,7 +101,7 @@ func TestBlockPoolReusesResultBlocks(t *testing.T) {
 		}
 		p.Reclaim(nil)
 		dirty(p)
-		before := e.Mem().Current()
+		before := mem.Current()
 		second, err := run(e)
 		if err != nil {
 			t.Fatal(err)
@@ -114,7 +115,7 @@ func TestBlockPoolReusesResultBlocks(t *testing.T) {
 		if matrix.BitDiff(second, want) != "" {
 			t.Errorf("%s: a reused block changed the result's bits", name)
 		}
-		if got := e.Mem().Current() - before; got != charged {
+		if got := mem.Current() - before; got != charged {
 			t.Errorf("%s: the memory tracker charged %d bytes for a pooled run, %d for a fresh one", name, got, charged)
 		}
 	}

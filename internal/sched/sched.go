@@ -36,7 +36,7 @@ import (
 // atomic counter) drained by up to L participants, the calling goroutine and
 // helpers from the shared worker pool. Each task takes its dense result block
 // from the installed BlockPool (SetPool), or allocates it when none is
-// installed, and charges it to the memory tracker either way.
+// installed, and charges it to the memory tracker, if any, either way.
 type Executor struct {
 	parallelism int
 	mem         *MemTracker
@@ -52,19 +52,14 @@ type Executor struct {
 
 // NewExecutor creates an executor with the given local parallelism (L in the
 // paper). If parallelism <= 0, runtime.GOMAXPROCS(0) is used. The memory
-// tracker may be nil, in which case a private one is created.
+// tracker may be nil, in which case nothing is counted: only the memory
+// experiments (Figures 7 and 8b) read one, and they pass their own.
 func NewExecutor(parallelism int, mem *MemTracker) *Executor {
 	if parallelism <= 0 {
 		parallelism = runtime.GOMAXPROCS(0)
 	}
-	if mem == nil {
-		mem = NewMemTracker()
-	}
 	return &Executor{parallelism: parallelism, mem: mem}
 }
-
-// Mem returns the executor's memory tracker.
-func (e *Executor) Mem() *MemTracker { return e.mem }
 
 // SetObserver attaches a span tracer and a metrics registry to the
 // executor. Every subsequent task batch (ForEach/ForEachErr) emits one

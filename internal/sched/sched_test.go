@@ -159,7 +159,8 @@ func TestCellsOverwrite(t *testing.T) {
 		{Kind: matrix.LinkBin, BinOp: matrix.OpCellMul, A: matrix.CellInput(0), B: matrix.CellInput(1)},
 		{Kind: matrix.LinkBin, BinOp: matrix.OpCellDiv, A: matrix.CellValue(0), B: matrix.CellInput(2)},
 	}}
-	e := NewExecutor(3, nil)
+	mem := NewMemTracker()
+	e := NewExecutor(3, mem)
 	for _, mixed := range []bool{false, true} {
 		a, b := randGrid(rng, 15, 11, 4, 1), randGrid(rng, 15, 11, 4, 1)
 		target := randGrid(rng, 15, 11, 4, 1)
@@ -176,7 +177,7 @@ func TestCellsOverwrite(t *testing.T) {
 		if matrix.BitDiff(target, keepTarget) != "" {
 			t.Fatal("an evaluation without a licence wrote an input")
 		}
-		memBefore := e.Mem().Current()
+		memBefore := mem.Current()
 		got, _, err := e.Cells(context.Background(), tree, []*matrix.Grid{a, b, target}, 2)
 		if err != nil {
 			t.Fatal(err)
@@ -192,8 +193,8 @@ func TestCellsOverwrite(t *testing.T) {
 				}
 			}
 		}
-		if !mixed && e.Mem().Current() != memBefore {
-			t.Errorf("in-place evaluation accounted %d new bytes", e.Mem().Current()-memBefore)
+		if !mixed && mem.Current() != memBefore {
+			t.Errorf("in-place evaluation accounted %d new bytes", mem.Current()-memBefore)
 		}
 		if matrix.BitDiff(a, keepA) != "" {
 			t.Error("in-place evaluation wrote an input it had no licence for")

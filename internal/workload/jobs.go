@@ -195,8 +195,8 @@ func buildPageRank(size BlockSizer, params Params) (*BuiltJob, error) {
 		degree = 1
 	}
 	blockSize := size(nodes, nodes, min(degree, float64(nodes-1))/float64(nodes))
-	adj := PowerLawGraph(seed, nodes, degree, blockSize)
-	link := RowNormalize(adj)
+	link := PowerLawGraph(seed, nodes, degree, blockSize)
+	normalizeRows(link)
 	rank := DenseRandom(seed+1, 1, nodes, blockSize)
 	rank = matrix.ScalarGrid(matrix.ScalarMul, rank, 1/matrix.SumGrid(rank))
 	dData := make([]float64, nodes)

@@ -160,6 +160,7 @@ func TestPageRankDegreeBeyondNodes(t *testing.T) {
 // dimension above 300 are skipped, to keep each build small: the registry
 // clamps every dimension to at most 4 096 whatever it is given. The sizer is
 // the job service's rule, so the density a builder derives is exercised too.
+// Every input must match the staged generators' build bit for bit.
 func FuzzRegistryBuild(f *testing.F) {
 	f.Add(uint8(0), 64.0, 1e13, 3.0, 1.0) // a degree past nodes-1
 	f.Add(uint8(0), 48.0, 3.0, 2.0, 1.0)
@@ -216,6 +217,12 @@ func FuzzRegistryBuild(f *testing.F) {
 		}
 		if err := job.Program.Validate(); err != nil {
 			t.Errorf("%s %v: %v", name, params, err)
+		}
+		want := stagedInputs(name, job.BlockSize, params)
+		for in, g := range job.Inputs {
+			if d := gridDiff(g, want[in]); d != "" {
+				t.Errorf("%s %v: input %s differs from the staged build: %s", name, params, in, d)
+			}
 		}
 	})
 }

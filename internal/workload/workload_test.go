@@ -299,6 +299,53 @@ func TestRowNormalizeMatchesReference(t *testing.T) {
 	}
 }
 
+// FuzzGeneratorsMatchReference holds every generator to its staged
+// reference (reference_test.go) bit for bit: the same block kinds, column
+// pointers, row indices and value bits, and no two blocks sharing an array.
+// It covers sizes 1-300, block sizes from 1 to past the matrix, degrees past
+// nodes-1 and sparsities up to 1; the link a served PageRank normalizes in
+// place, and RowNormalize of random values and of a dense grid, are held to
+// stagedRowNormalize.
+func FuzzGeneratorsMatchReference(f *testing.F) {
+	f.Add(int64(1), uint16(47), uint16(31), uint16(15), 3.0, 0.2)
+	f.Add(int64(2), uint16(0), uint16(0), uint16(0), 8.0, 1.0)
+	f.Add(int64(3), uint16(63), uint16(9), uint16(400), 1e13, 0.05)
+	f.Add(int64(4), uint16(299), uint16(299), uint16(44), 8.0, 1.0)
+	f.Add(int64(5), uint16(180), uint16(2), uint16(6), math.Inf(1), 0.9)
+	f.Add(int64(-6), uint16(1), uint16(299), uint16(299), -2.0, 1e-3)
+	f.Add(int64(7), uint16(299), uint16(299), uint16(0), 2.0, 0.05)
+	f.Add(int64(8), uint16(299), uint16(199), uint16(31), 2.0, 0.002)
+	f.Fuzz(func(t *testing.T, seed int64, r, c, b uint16, degree, sparsity float64) {
+		if math.IsNaN(degree) || math.IsNaN(sparsity) {
+			t.Skip("a NaN degree or sparsity sizes no matrix")
+		}
+		rows, cols := 1+int(r)%300, 1+int(c)%300
+		bs := 1 + int(b)%(max(rows, cols)+20)
+		sparsity = min(math.Abs(sparsity), 1)
+		check := func(what string, got, want *matrix.Grid) {
+			t.Helper()
+			if d := gridDiff(got, want); d != "" {
+				t.Fatalf("%s, seed %d, %dx%d at block %d, degree %g, sparsity %g: %s", what, seed, rows, cols, bs, degree, sparsity, d)
+			}
+		}
+		adj := PowerLawGraph(seed, rows, degree, bs)
+		refAdj := stagedPowerLawGraph(seed, rows, degree, bs)
+		check("PowerLawGraph", adj, refAdj)
+		check("RowNormalize", RowNormalize(adj), stagedRowNormalize(refAdj))
+		normalizeRows(adj)
+		check("normalizeRows", adj, stagedRowNormalize(refAdj))
+		sparse := SparseUniform(seed, rows, cols, bs, sparsity)
+		refSparse := stagedSparseUniform(seed, rows, cols, bs, sparsity)
+		check("SparseUniform", sparse, refSparse)
+		check("RowNormalize of a random-valued grid", RowNormalize(sparse), stagedRowNormalize(refSparse))
+		check("Ratings", Ratings(seed, rows, cols, bs, sparsity), stagedRatings(seed, rows, cols, bs, sparsity))
+		dense := DenseRandom(seed, rows, cols, bs)
+		refDense := stagedDenseRandom(seed, rows, cols, bs)
+		check("DenseRandom", dense, refDense)
+		check("RowNormalize of a dense grid", RowNormalize(dense), stagedRowNormalize(refDense))
+	})
+}
+
 func TestRowNormalize(t *testing.T) {
 	g := PowerLawGraph(13, 120, 5, 32)
 	link := RowNormalize(g)
