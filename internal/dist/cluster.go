@@ -49,22 +49,10 @@ type Config struct {
 	// (dmacworker). Empty (the default) keeps the cluster fully in-process.
 	// Non-empty, it fixes Workers to len(WorkerAddrs) and makes the engine
 	// install the TCP transport, so every shuffle and broadcast moves real
-	// framed bytes to those processes alongside the cost model.
+	// framed bytes to those processes alongside the cost model. Its dial,
+	// I/O and heartbeat timeouts are transport.Config's defaults; a caller
+	// that needs others installs its own transport (Cluster.SetTransport).
 	WorkerAddrs []string
-	// DialTimeoutSec bounds one TCP dial attempt to a worker (dials are
-	// additionally retried with jittered backoff). Defaults to 2 s.
-	DialTimeoutSec float64
-	// IOTimeoutSec bounds each frame read/write on a worker connection; the
-	// run context's deadline tightens it further when sooner. Defaults to
-	// 10 s.
-	IOTimeoutSec float64
-	// HeartbeatIntervalSec is the period of the transport's liveness probe
-	// per worker. Defaults to 1 s.
-	HeartbeatIntervalSec float64
-	// HeartbeatMisses is how many consecutive unanswered heartbeats declare
-	// a worker dead (surfaced as a *WorkerFailure, recovered like any
-	// injected kill). Defaults to 3.
-	HeartbeatMisses int
 }
 
 // MaxSlowdown returns the largest injected slowdown (at least 1).
@@ -91,18 +79,6 @@ func (c Config) withDefaults() Config {
 	c.Rates = c.Rates.Or(cost.Production())
 	if c.MaxStageRetries <= 0 {
 		c.MaxStageRetries = c.Workers + 2
-	}
-	if c.DialTimeoutSec <= 0 {
-		c.DialTimeoutSec = 2.0
-	}
-	if c.IOTimeoutSec <= 0 {
-		c.IOTimeoutSec = 10.0
-	}
-	if c.HeartbeatIntervalSec <= 0 {
-		c.HeartbeatIntervalSec = 1.0
-	}
-	if c.HeartbeatMisses <= 0 {
-		c.HeartbeatMisses = 3
 	}
 	return c
 }
@@ -198,7 +174,7 @@ func (c *Cluster) Net() *NetStats { return c.net }
 // SetObserver attaches a span tracer and a metrics registry to the cluster
 // and its local executor. Either may be nil to disable that half. With a
 // tracer attached, every communication primitive emits one "comm" span
-// (zero-duration, parented under the tracer's current scope) whose "bytes"
+// (zero-duration, parented under the span its context carries) whose "bytes"
 // attribute is exactly what the instrumented network charged — summing them
 // reproduces NetStats.CommBytes.
 func (c *Cluster) SetObserver(t *obs.Tracer, m *obs.Registry) {

@@ -197,8 +197,9 @@ func (c *checkpointer) noteStage(modelCost float64) {
 	c.pendingCost += modelCost
 }
 
-// shouldCheckpoint applies the policy to a snapshot of the given live values.
-func (e *Engine) shouldCheckpoint(live []liveValue) bool {
+// shouldCheckpoint applies the policy to a snapshot of the given live values;
+// a wait it makes for the snapshot in flight is traced under parent.
+func (e *Engine) shouldCheckpoint(live []liveValue, parent obs.SpanID) bool {
 	c := e.ckpt
 	if c.policy.Interval > 0 && c.sinceLast >= c.policy.Interval {
 		return true
@@ -206,7 +207,7 @@ func (e *Engine) shouldCheckpoint(live []liveValue) bool {
 	if !c.policy.CostModel {
 		return false
 	}
-	e.joinSnapshot() // snapshotBytes reads files
+	e.joinSnapshot(parent) // snapshotBytes reads files
 	return c.pendingCost > cost.WriteSec(c.snapshotBytes(live))
 }
 
@@ -240,7 +241,7 @@ func (c *checkpointer) snapshotBytes(live []liveValue) int64 {
 // run's before it. An empty dir detaches checkpointing and restores the
 // engine's default recovery behaviour.
 func (e *Engine) SetCheckpoint(dir string, policy CheckpointPolicy) error {
-	e.joinSnapshot()
+	e.joinSnapshot(0)
 	if dir == "" {
 		e.ckpt = nil
 		return nil
@@ -306,7 +307,8 @@ type snapshot struct {
 	sig     string
 	live    []liveValue
 	scalars map[string]float64
-	// parent is the span of the stage that triggered the snapshot.
+	// parent is the span of the stage that triggered the snapshot: the
+	// writer's span parents under it.
 	parent obs.SpanID
 	// done is closed when the writer has finished the snapshot, written or
 	// failed.
@@ -317,13 +319,14 @@ type snapshot struct {
 // a writer goroutine and returns: the write overlaps the stages that follow.
 // At most one snapshot is in flight — a second submission first waits for the
 // first, which bounds the memory a slow disk can pin and shows up as wait
-// time — and joinSnapshot is how the run gets the writer's state back.
-func (e *Engine) startSnapshot(st *execState, stage int, parent obs.SpanID, live []liveValue) {
-	e.joinSnapshot()
+// time, traced under run — and joinSnapshot is how the run gets the writer's
+// state back. The write is traced under the span of stage, stageSpan.
+func (e *Engine) startSnapshot(st *execState, stage int, live []liveValue, run, stageSpan obs.SpanID) {
+	e.joinSnapshot(run)
 	c := e.ckpt
 	snap := &snapshot{
 		stage: stage, sig: st.sig, live: live, scalars: maps.Clone(e.scalars),
-		parent: parent, done: make(chan struct{}),
+		parent: stageSpan, done: make(chan struct{}),
 	}
 	c.sinceLast, c.pendingCost = 0, 0
 	c.inflight = snap
@@ -339,8 +342,9 @@ func (e *Engine) startSnapshot(st *execState, stage int, parent obs.SpanID, live
 // cost-model trigger, the next submission, beginRun, SetCheckpoint, Close —
 // and every return path of execute: a run never returns, not even failed or
 // cancelled, with a snapshot half-written behind it. Time spent blocked here
-// is the only time a snapshot costs the run (Metrics.CheckpointWaitSeconds).
-func (e *Engine) joinSnapshot() {
+// is the only time a snapshot costs the run (Metrics.CheckpointWaitSeconds),
+// and a blocking wait is traced under parent.
+func (e *Engine) joinSnapshot(parent obs.SpanID) {
 	c := e.ckpt
 	if c == nil || c.inflight == nil {
 		return
@@ -349,7 +353,7 @@ func (e *Engine) joinSnapshot() {
 	select {
 	case <-s.done:
 	default:
-		span := e.tracer.Start("ckpt", "wait", e.tracer.Scope(), obs.Int64("stage", int64(s.stage)))
+		span := e.tracer.Start("ckpt", "wait", parent, obs.Int64("stage", int64(s.stage)))
 		start := time.Now()
 		if c.testPreWait != nil {
 			c.testPreWait(s.stage)
@@ -578,11 +582,12 @@ func (e *Engine) loadCheckpoint(w writtenCkpt, sig string) (*restoredCkpt, error
 // The value table is rebuilt from the snapshot and the replay alone — nothing
 // computed before the failure survives in memory — so a value the snapshot
 // wrongly left out fails the run instead of being silently served. The
-// ladder's own time up to the replay books to the failed stage.
-func (e *Engine) restoreAndReplay(ctx context.Context, st *execState, failStage int) error {
+// ladder's own time up to the replay books to the failed stage. Its spans,
+// and the replayed ops', parent under parent.
+func (e *Engine) restoreAndReplay(ctx context.Context, st *execState, failStage int, parent obs.SpanID) error {
 	c := e.ckpt
 	start := time.Now()
-	e.joinSnapshot()
+	e.joinSnapshot(parent)
 	if c.testPreRestore != nil {
 		c.testPreRestore()
 	}
@@ -593,7 +598,7 @@ func (e *Engine) restoreAndReplay(ctx context.Context, st *execState, failStage 
 		if w.stage >= failStage {
 			continue
 		}
-		vspan := e.tracer.Start("ckpt", "verify", e.tracer.Scope(),
+		vspan := e.tracer.Start("ckpt", "verify", parent,
 			obs.Int64("stage", int64(w.stage)), obs.Int64("seq", int64(w.seq)))
 		r, err := e.loadCheckpoint(w, st.sig)
 		e.metrics.Counter("ckpt.verify.count").Inc()
@@ -619,11 +624,11 @@ func (e *Engine) restoreAndReplay(ctx context.Context, st *execState, failStage 
 		st.vals[id] = vals[id]
 	}
 	st.since(failStage, start)
-	span := e.tracer.Start("ckpt", "restore", e.tracer.Scope(),
+	span := e.tracer.Start("ckpt", "restore", parent,
 		obs.Int64("fail_stage", int64(failStage)), obs.Int64("from_stage", int64(from)))
 	replayed := 0
 	for s := max(from, 0) + 1; s < failStage; s++ {
-		if err := e.runStageOnce(ctx, st, s, replay); err != nil {
+		if err := e.runStageOnce(ctx, st, s, replay, parent); err != nil {
 			e.tracer.End(span, obs.String("error", err.Error()))
 			return fmt.Errorf("engine: replaying stage %d after restore: %w", s, err)
 		}

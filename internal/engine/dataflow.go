@@ -23,11 +23,11 @@ import (
 // A session runs one stage at a time, so the engine keeps one stageRun and
 // reuses it, operator records and turn contexts included: a steady run
 // allocates nothing to dispatch its operators.
-func (e *Engine) runOps(ctx context.Context, st *execState, stage int) error {
+func (e *Engine) runOps(ctx context.Context, st *execState, stage int, parent obs.SpanID) error {
 	ops := st.plan.StageOps(stage)
 	r := &e.stage
 	r.e, r.ctx, r.st, r.stage, r.ops = e, ctx, st, stage, ops
-	r.parent, r.limit = e.tracer.Scope(), runtime.GOMAXPROCS(0)
+	r.parent, r.limit = parent, runtime.GOMAXPROCS(0)
 	r.next, r.running, r.failed, r.finished = 0, 0, len(ops), 0
 	r.cond.L = &r.mu
 	if cap(r.state) < len(ops) {

@@ -326,14 +326,14 @@ func (e *Engine) Rewriter() *rewrite.Rewriter { return e.rewriter }
 
 // form resolves, once per Program pointer and session and again whenever p
 // has grown, the program the engine plans and executes for p and its
-// signature (programForm).
-func (e *Engine) form(p *expr.Program) *programForm {
+// signature (programForm). A rewrite it runs is traced under parent.
+func (e *Engine) form(p *expr.Program, parent obs.SpanID) *programForm {
 	if f, ok := e.forms[p]; ok && f.size == p.Size() {
 		return f
 	}
 	f := &programForm{prog: p, size: p.Size()}
 	if e.rewriter != nil {
-		f.prog = e.rewrite(p)
+		f.prog = e.rewrite(p, parent)
 	}
 	f.sig = ProgramSignature(f.prog)
 	for _, n := range f.prog.Nodes() {
@@ -351,11 +351,11 @@ func (e *Engine) form(p *expr.Program) *programForm {
 }
 
 // rewrite runs the rewrite pass on p, recording the decisions as span events
-// under an "engine/rewrite" span and feeding the rewrite counters. A rewrite
-// failure (a rewriter bug, not a user error) falls back to the unrewritten
-// program rather than failing the run.
-func (e *Engine) rewrite(p *expr.Program) *expr.Program {
-	span := e.tracer.Start("engine", "rewrite", e.tracer.Scope())
+// under an "engine/rewrite" span (a child of parent) and feeding the rewrite
+// counters. A rewrite failure (a rewriter bug, not a user error) falls back
+// to the unrewritten program rather than failing the run.
+func (e *Engine) rewrite(p *expr.Program, parent obs.SpanID) *expr.Program {
+	span := e.tracer.Start("engine", "rewrite", parent)
 	res, err := e.rewriter.Rewrite(p)
 	if err != nil {
 		e.metrics.Counter("rewrite.errors").Inc()
@@ -407,13 +407,7 @@ func New(planner Planner, cfg dist.Config, blockSize int) *Engine {
 		// Worker addresses turn the data plane real: blocks travel to the
 		// listed dmacworker processes over TCP. The cost model is unchanged —
 		// measured wire traffic lands next to it in Metrics.WireBytes.
-		c.SetTransport(transport.NewTCP(transport.Config{
-			Addrs:                cfg.WorkerAddrs,
-			DialTimeoutSec:       cfg.DialTimeoutSec,
-			IOTimeoutSec:         cfg.IOTimeoutSec,
-			HeartbeatIntervalSec: cfg.HeartbeatIntervalSec,
-			HeartbeatMisses:      cfg.HeartbeatMisses,
-		}))
+		c.SetTransport(transport.NewTCP(transport.Config{Addrs: cfg.WorkerAddrs}))
 	}
 	return &Engine{
 		planner:   planner,
@@ -430,7 +424,7 @@ func New(planner Planner, cfg dist.Config, blockSize int) *Engine {
 // heartbeat loops when worker addresses are configured; a no-op for the
 // in-process data plane).
 func (e *Engine) Close() error {
-	e.joinSnapshot()
+	e.joinSnapshot(0)
 	return e.cluster.Close()
 }
 
@@ -679,8 +673,12 @@ func (e *Engine) RunCtx(ctx context.Context, p *expr.Program, params map[string]
 	// The rewrite pass (when attached) canonicalizes the program first;
 	// everything downstream — plan generation, the plan cache and execution
 	// — sees the rewritten program, so equivalent but differently written
-	// jobs share one cache entry.
-	f := e.form(p)
+	// jobs share one cache entry. Its span and the run's parent under the
+	// span ctx carries, so a caller that wraps runs in its own span (the
+	// serve job service's per-job root span) gets the rewrite and the
+	// engine's whole stage tree under it; with none the run is a root span.
+	parent := e.tracer.Parent(ctx)
+	f := e.form(p, parent)
 	cfg, key := e.planInput(f)
 	plan := e.plans.Get(key)
 	source := "hit"
@@ -699,19 +697,13 @@ func (e *Engine) RunCtx(ctx context.Context, p *expr.Program, params map[string]
 		e.metrics.Counter("plan.cache.misses").Inc()
 		e.plans.Put(key, plan)
 	}
-	// The run span parents under the tracer's current scope, so a caller that
-	// wraps runs in its own span (the serve job service's per-job root span)
-	// gets the engine's whole stage tree under it; with no scope set the run
-	// stays a root span as before.
-	runSpan := e.tracer.Start("engine", "run", e.tracer.Scope(),
+	runSpan := e.tracer.Start("engine", "run", parent,
 		obs.String("planner", e.planner.String()),
 		obs.Int64("stages", int64(plan.Stages)),
 		obs.Int64("ops", int64(len(plan.Ops))),
 		obs.String("plan_cache", source))
-	prevScope := e.tracer.SetScope(runSpan)
 	start := time.Now()
-	m, err = e.execute(ctx, plan, f.input, params)
-	e.tracer.SetScope(prevScope)
+	m, err = e.execute(ctx, plan, f.input, params, runSpan)
 	if err != nil {
 		// A run aborted by its context must surface as that context's error:
 		// callers (the serve job service above all) discriminate cancellation
@@ -733,7 +725,7 @@ func (e *Engine) RunCtx(ctx context.Context, p *expr.Program, params map[string]
 // current session, without executing it (the dmacplan explain path). Like
 // Run, it plans the rewritten program when a rewriter is attached.
 func (e *Engine) Plan(p *expr.Program) (*core.Plan, error) {
-	f := e.form(p)
+	f := e.form(p, 0)
 	cfg, _ := e.planInput(f)
 	return e.generate(f.prog, cfg)
 }

@@ -73,7 +73,7 @@ func (st *execState) since(stage int, start time.Time) {
 // selected snapshots of the values still live are handed to the background
 // writer; whichever way execute returns, it first waits for the one in
 // flight.
-func (e *Engine) execute(ctx context.Context, plan *core.Plan, sig string, params map[string]float64) (m Metrics, err error) {
+func (e *Engine) execute(ctx context.Context, plan *core.Plan, sig string, params map[string]float64, run obs.SpanID) (m Metrics, err error) {
 	st := &execState{
 		plan:   plan,
 		sig:    sig,
@@ -95,11 +95,11 @@ func (e *Engine) execute(ctx context.Context, plan *core.Plan, sig string, param
 		e.cluster.EndRun(m.Snapshot)
 	}()
 	e.cluster.BeginRun()
-	e.joinSnapshot()
+	e.joinSnapshot(run)
 	e.ckpt.beginRun()
 	if e.ckpt != nil {
 		defer func() {
-			e.joinSnapshot()
+			e.joinSnapshot(run)
 			m.CheckpointBytes, m.CheckpointSeconds = e.ckpt.bytes, e.ckpt.seconds
 			m.CheckpointWaitSeconds, m.StagesReplayed = e.ckpt.waitSeconds, e.ckpt.replayed
 		}()
@@ -108,11 +108,9 @@ func (e *Engine) execute(ctx context.Context, plan *core.Plan, sig string, param
 		if err := ctx.Err(); err != nil {
 			return m, fmt.Errorf("engine: run cancelled before stage %d: %w", s, err)
 		}
-		span := e.tracer.Start("engine", stageName(s), e.tracer.Scope(),
+		span := e.tracer.Start("engine", stageName(s), run,
 			obs.Int64("stage", int64(s)), obs.Int64("ops", int64(len(plan.StageOps(s)))))
-		prev := e.tracer.SetScope(span)
-		err := e.runStage(ctx, st, s)
-		e.tracer.SetScope(prev)
+		err := e.runStage(ctx, st, s, span)
 		e.tracer.End(span)
 		if err != nil {
 			return m, err
@@ -122,8 +120,8 @@ func (e *Engine) execute(ctx context.Context, plan *core.Plan, sig string, param
 		if e.ckpt != nil && s < plan.Stages {
 			compute, network := price(cfg, rec.Snapshot)
 			e.ckpt.noteStage(compute + network)
-			if live := e.liveAfter(st, s); e.shouldCheckpoint(live) {
-				e.startSnapshot(st, s, span, live)
+			if live := e.liveAfter(st, s); e.shouldCheckpoint(live, run) {
+				e.startSnapshot(st, s, live, run, span)
 			}
 		}
 	}
@@ -152,15 +150,14 @@ const (
 // on-disk snapshot and replays only the stages after it (the recovery ladder
 // of restoreAndReplay), instead of relying on the full lineage. The backoff
 // before retry n is charged to the stage as modelled stall:
-// stageRetryBaseSec · 2^n, capped at stageRetryCapSec.
-func (e *Engine) runStage(ctx context.Context, st *execState, stage int) error {
+// stageRetryBaseSec · 2^n, capped at stageRetryCapSec. Its attempt and
+// recover spans parent under the stage's span.
+func (e *Engine) runStage(ctx context.Context, st *execState, stage int, parent obs.SpanID) error {
 	cfg := e.cluster.Config()
 	for attempt := 0; ; attempt++ {
-		span := e.tracer.Start("engine", "attempt", e.tracer.Scope(),
+		span := e.tracer.Start("engine", "attempt", parent,
 			obs.Int64("stage", int64(stage)), obs.Int64("attempt", int64(attempt)))
-		prev := e.tracer.SetScope(span)
-		err := e.runStageOnce(ctx, st, stage, attempt)
-		e.tracer.SetScope(prev)
+		err := e.runStageOnce(ctx, st, stage, attempt, span)
 		if err == nil {
 			e.tracer.End(span)
 			return nil
@@ -170,15 +167,13 @@ func (e *Engine) runStage(ctx context.Context, st *execState, stage int) error {
 		if !errors.As(err, &wf) || attempt >= cfg.MaxStageRetries {
 			return err
 		}
-		rec := e.tracer.Start("engine", "recover", e.tracer.Scope(),
+		rec := e.tracer.Start("engine", "recover", parent,
 			obs.Int64("stage", int64(stage)), obs.Int64("worker", int64(wf.Worker)))
-		prev = e.tracer.SetScope(rec)
-		e.recoverStage(ctx, st, stage, wf)
+		e.recoverStage(ctx, st, stage, wf, rec)
 		var rerr error
 		if e.ckpt != nil {
-			rerr = e.restoreAndReplay(ctx, st, stage)
+			rerr = e.restoreAndReplay(ctx, st, stage, rec)
 		}
-		e.tracer.SetScope(prev)
 		e.tracer.End(rec)
 		if rerr != nil {
 			return rerr
@@ -197,16 +192,16 @@ const replay = -1
 // is booked to stage's record. An attempt first arms the
 // fault plan's events for it (BeginStage) and fails on an armed task kill that
 // no operator consumed; a replay arms nothing, so its ops re-run exactly as
-// they did before the failure.
-func (e *Engine) runStageOnce(ctx context.Context, st *execState, stage, attempt int) error {
+// they did before the failure. The ops' spans parent under parent.
+func (e *Engine) runStageOnce(ctx context.Context, st *execState, stage, attempt int, parent obs.SpanID) error {
 	defer st.since(stage, time.Now())
 	if attempt == replay {
-		return e.runOps(ctx, st, stage)
+		return e.runOps(ctx, st, stage, parent)
 	}
 	if err := e.cluster.BeginStage(st.charging(ctx, stage), stage, attempt); err != nil {
 		return err
 	}
-	if err := e.runOps(ctx, st, stage); err != nil {
+	if err := e.runOps(ctx, st, stage, parent); err != nil {
 		return err
 	}
 	if f := e.cluster.TakeFault(); f != nil {
@@ -223,8 +218,8 @@ func (e *Engine) runStageOnce(ctx context.Context, st *execState, stage, attempt
 // and re-partitioned across survivors. The dead worker's share is measured
 // against pre-failure ownership (before the kill takes effect), then the
 // worker is removed and the recovery shuffle is charged — all of it booked
-// to the failed stage.
-func (e *Engine) recoverStage(ctx context.Context, st *execState, stage int, wf *dist.WorkerFailure) {
+// to the failed stage, its comm event traced under the recover span.
+func (e *Engine) recoverStage(ctx context.Context, st *execState, stage int, wf *dist.WorkerFailure, span obs.SpanID) {
 	defer st.since(stage, time.Now())
 	var bytes int64
 	for _, op := range st.plan.StageOps(stage) {
@@ -240,7 +235,11 @@ func (e *Engine) recoverStage(ctx context.Context, st *execState, stage int, wf 
 		}
 	}
 	if e.cluster.KillWorker(wf.Worker) {
-		e.cluster.ChargeRecovery(st.charging(ctx, stage), stage, wf.Worker, bytes)
+		ctx = st.charging(ctx, stage)
+		if span != 0 {
+			ctx = obs.ContextWithSpan(ctx, span)
+		}
+		e.cluster.ChargeRecovery(ctx, stage, wf.Worker, bytes)
 	}
 }
 

@@ -245,7 +245,7 @@ func TestRecoveryChargesEveryLiveValue(t *testing.T) {
 	}
 	st := &execState{plan: plan, vals: make([]*dist.DistMatrix, len(plan.Values)), ledger: make([]StageMetrics, plan.Stages)}
 	for s := 1; s < stage; s++ {
-		if err := twin.runStageOnce(context.Background(), st, s, 0); err != nil {
+		if err := twin.runStageOnce(context.Background(), st, s, 0, 0); err != nil {
 			t.Fatal(err)
 		}
 	}

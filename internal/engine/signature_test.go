@@ -143,7 +143,7 @@ func TestSharedCacheRewriterIsolation(t *testing.T) {
 
 // planKey is the key e caches p's plan under against its current session.
 func planKey(e *Engine, p *expr.Program) string {
-	_, key := e.planInput(e.form(p))
+	_, key := e.planInput(e.form(p, 0))
 	return key
 }
 

@@ -43,13 +43,11 @@ func TestEngineRecoversFromKilledTCPWorker(t *testing.T) {
 
 	ref := New(Local, dist.Config{Workers: 1, LocalParallelism: 2}, bs)
 	defer ref.Close()
-	e := New(DMac, dist.Config{
-		WorkerAddrs:      addrs,
-		LocalParallelism: 2,
-		DialTimeoutSec:   0.5,
-		IOTimeoutSec:     2,
-	}, bs)
+	// The engine's TCP data plane, with timeouts shorter than its defaults
+	// so the dead worker is found quickly.
+	e := New(DMac, dist.Config{Workers: len(addrs), LocalParallelism: 2}, bs)
 	defer e.Close()
+	e.Cluster().SetTransport(transport.NewTCP(transport.Config{Addrs: addrs, DialTimeoutSec: 0.5, IOTimeoutSec: 2}))
 	for name, g := range data {
 		if err := ref.Bind(name, g.Clone()); err != nil {
 			t.Fatal(err)

@@ -456,7 +456,9 @@ func readBlock(r io.Reader, rows, cols int) (matrix.Block, error) {
 		if err != nil {
 			return nil, err
 		}
-		// Validate structure before trusting it.
+		// Validate structure before trusting it: the arrays become the
+		// block's own, so they must be what the writer writes, each column's
+		// rows in range and strictly increasing.
 		if colPtr[0] != 0 || colPtr[cols] != int32(nnz) {
 			return nil, fmt.Errorf("corrupt column pointers")
 		}
@@ -465,17 +467,19 @@ func readBlock(r io.Reader, rows, cols int) (matrix.Block, error) {
 				return nil, fmt.Errorf("non-monotonic column pointers")
 			}
 		}
-		coords := make([]matrix.Coord, 0, nnz)
 		for c := 0; c < cols; c++ {
-			for k := colPtr[c]; k < colPtr[c+1]; k++ {
-				ri := int(rowIdx[k])
-				if ri < 0 || ri >= rows {
+			prev := int32(-1)
+			for _, ri := range rowIdx[colPtr[c]:colPtr[c+1]] {
+				if ri < 0 || int(ri) >= rows {
 					return nil, fmt.Errorf("row index %d out of range", ri)
 				}
-				coords = append(coords, matrix.Coord{Row: ri, Col: c, Val: values[k]})
+				if ri <= prev {
+					return nil, fmt.Errorf("column %d: row %d after row %d", c, ri, prev)
+				}
+				prev = ri
 			}
 		}
-		return matrix.NewCSC(rows, cols, coords), nil
+		return matrix.NewCSCData(rows, cols, colPtr, rowIdx, values), nil
 	default:
 		return nil, fmt.Errorf("unknown block kind %d", kind[0])
 	}

@@ -173,18 +173,27 @@ func BenchmarkEncodeBlock(b *testing.B) {
 }
 
 func BenchmarkReadGrid(b *testing.B) {
-	g := workload.DenseRandom(6, 32, 12004, 1024)
-	var buf bytes.Buffer
-	if err := WriteGridChecked(&buf, g); err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(buf.Len()))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		got, err := ReadGrid(bytes.NewReader(buf.Bytes()))
-		if err != nil {
+	for _, tc := range []struct {
+		name string
+		g    *matrix.Grid
+	}{
+		{"dense", workload.DenseRandom(6, 32, 12004, 1024)},
+		{"sparse", workload.SparseUniform(6, 2048, 2048, 512, 0.05)},
+	} {
+		var buf bytes.Buffer
+		if err := WriteGridChecked(&buf, tc.g); err != nil {
 			b.Fatal(err)
 		}
-		benchSink += got.Rows()
+		b.Run(tc.name, func(b *testing.B) {
+			b.SetBytes(int64(buf.Len()))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				got, err := ReadGrid(bytes.NewReader(buf.Bytes()))
+				if err != nil {
+					b.Fatal(err)
+				}
+				benchSink += got.Rows()
+			}
+		})
 	}
 }

@@ -12,6 +12,7 @@ import (
 // and random garbage must all produce an error or a valid grid — never a
 // panic, and never an allocation the input does not pay for (the reader
 // bounds header-implied allocations and grows payload buffers incrementally).
+// A parsed CSC block's rows increase strictly down every column.
 // Valid inputs that parse must re-encode — to the same bytes whether the
 // encoder hands out the payload's own memory or converts it through scratch —
 // and re-parse to the same matrix.
@@ -56,10 +57,27 @@ func FuzzReadGrid(f *testing.F) {
 		if err != nil {
 			return
 		}
-		// A parsed grid must be internally consistent and must round-trip
-		// through the checked encoder.
+		// A parsed grid must be internally consistent — every CSC column's
+		// rows strictly increasing — and must round-trip through the checked
+		// encoder.
 		if g.Rows() <= 0 || g.Cols() <= 0 || g.BlockSize() <= 0 {
 			t.Fatalf("parsed grid with bad dims %dx%d/bs=%d", g.Rows(), g.Cols(), g.BlockSize())
+		}
+		for bi := 0; bi < g.BlockRows(); bi++ {
+			for bj := 0; bj < g.BlockCols(); bj++ {
+				s, ok := g.Block(bi, bj).(*matrix.CSCBlock)
+				if !ok {
+					continue
+				}
+				for c := 0; c < s.Cols(); c++ {
+					col := s.RowIdx[s.ColPtr[c]:s.ColPtr[c+1]]
+					for k := 1; k < len(col); k++ {
+						if col[k] <= col[k-1] {
+							t.Fatalf("block (%d,%d) column %d: row %d after row %d", bi, bj, c, col[k], col[k-1])
+						}
+					}
+				}
+			}
 		}
 		var buf bytes.Buffer
 		if err := WriteGridChecked(&buf, g); err != nil {

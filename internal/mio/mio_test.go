@@ -158,9 +158,8 @@ func TestBinaryRoundTripMixed(t *testing.T) {
 	}
 }
 
-// TestBinaryRoundTripKeepsCSCStorage: a decoded sparse block is rebuilt by
-// matrix.NewCSC from its stored entries, and must come back with the column
-// pointers, row indices and values it was written with — encoding the decoded
+// TestBinaryRoundTripKeepsCSCStorage: a decoded sparse block takes the column
+// pointers, row indices and values it was written with as its own — encoding the decoded
 // grid gives the same bytes, for hypersparse and well-filled blocks alike.
 func TestBinaryRoundTripKeepsCSCStorage(t *testing.T) {
 	for _, g := range []*matrix.Grid{
@@ -237,6 +236,32 @@ func TestBinaryErrors(t *testing.T) {
 	bad[4] = 99
 	if _, err := ReadGrid(bytes.NewReader(bad)); err == nil {
 		t.Error("expected version error")
+	}
+}
+
+// TestBinaryRejectsUnorderedRows: the writer stores each column's rows
+// strictly increasing, so a stream with a repeated or out-of-order row in a
+// column is corrupt, in either format version, and is refused rather than
+// summed or sorted into a block.
+func TestBinaryRejectsUnorderedRows(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		rows []int32
+	}{
+		{"repeated", []int32{1, 1}},
+		{"out of order", []int32{2, 1}},
+	} {
+		g := matrix.NewGrid(4, 4, 4)
+		g.SetBlock(0, 0, matrix.NewCSCData(4, 4, []int32{0, 0, 2, 2, 2}, tc.rows, []float64{1, 2}))
+		for _, f := range formats {
+			var buf bytes.Buffer
+			if err := f.write(&buf, g); err != nil {
+				t.Fatal(err)
+			}
+			if got, err := ReadGrid(&buf); err == nil {
+				t.Errorf("%s rows, %s: decoded to %v, want an error", tc.name, f.name, got.Block(0, 0))
+			}
+		}
 	}
 }
 

@@ -17,8 +17,8 @@ import (
 	"time"
 )
 
-// SpanID identifies a span within one Tracer. 0 means "no span" (used for
-// roots and for the scope when none is set).
+// SpanID identifies a span within one Tracer. 0 means "no span": the parent
+// of a root.
 type SpanID int64
 
 // AttrKind discriminates the payload of an Attr.
@@ -104,9 +104,8 @@ type Tracer struct {
 	// open holds the started spans by value and done the finished ones;
 	// Reset empties both and keeps their storage, so a tracer drained after
 	// every job (the job service's slots) stops allocating for them.
-	open  map[SpanID]Span
-	done  []Span
-	scope atomic.Int64
+	open map[SpanID]Span
+	done []Span
 }
 
 // NewTracer creates an enabled tracer with a monotonic wall clock.
@@ -166,46 +165,41 @@ func (t *Tracer) Event(cat, name string, parent SpanID, attrs ...Attr) {
 	t.done = append(t.done, Span{ID: id, Parent: parent, Cat: cat, Name: name, Start: now, End: now, Attrs: attrs})
 }
 
-// SetScope sets the tracer's current scope span — the parent that
-// lower-layer spans (dist comm events, sched batches) attach to when the
-// context they run under carries no span of its own (see Parent) — and
-// returns the previous scope.
-func (t *Tracer) SetScope(id SpanID) SpanID {
-	if t == nil {
-		return 0
-	}
-	return SpanID(t.scope.Swap(int64(id)))
-}
-
-// Scope returns the current scope span (0 if none).
-func (t *Tracer) Scope() SpanID {
-	if t == nil {
-		return 0
-	}
-	return SpanID(t.scope.Load())
-}
-
-// spanKey is the context key of the span ContextWithSpan installs.
+// spanKey is the context key under which a spanCtx answers for itself.
 type spanKey struct{}
 
+// spanCtx is the context ContextWithSpan returns: one allocation, and a
+// lookup that boxes nothing.
+type spanCtx struct {
+	context.Context
+	id SpanID
+}
+
+func (c *spanCtx) Value(key any) any {
+	if key == (spanKey{}) {
+		return c
+	}
+	return c.Context.Value(key)
+}
+
 // ContextWithSpan returns a copy of ctx that names id as the parent of the
-// spans started by work done under it (Tracer.Parent). Operators that run
-// concurrently each carry their own span this way, where one tracer scope
-// could name only one of them.
+// spans started by work done under it (Tracer.Parent). It is the one way a
+// span's parent reaches a lower layer: operators that run concurrently, and
+// sessions that share a tracer, each carry their own.
 func ContextWithSpan(ctx context.Context, id SpanID) context.Context {
-	return context.WithValue(ctx, spanKey{}, id)
+	return &spanCtx{ctx, id}
 }
 
 // Parent returns the span a lower layer parents its spans under: the one ctx
-// carries (ContextWithSpan), or the current scope when it carries none.
+// carries (ContextWithSpan), or 0 — a root — when it carries none.
 func (t *Tracer) Parent(ctx context.Context) SpanID {
 	if t == nil {
 		return 0
 	}
-	if id, ok := ctx.Value(spanKey{}).(SpanID); ok {
-		return id
+	if c, ok := ctx.Value(spanKey{}).(*spanCtx); ok {
+		return c.id
 	}
-	return t.Scope()
+	return 0
 }
 
 // Spans returns a copy of the finished spans in completion order.
@@ -230,8 +224,8 @@ func (t *Tracer) Len() int {
 	return len(t.done)
 }
 
-// Reset drops all recorded spans (open spans included) and clears the
-// scope. It keeps the storage the spans took for the spans to come.
+// Reset drops all recorded spans (open spans included). It keeps the
+// storage the spans took for the spans to come.
 func (t *Tracer) Reset() {
 	if t == nil {
 		return
@@ -241,5 +235,4 @@ func (t *Tracer) Reset() {
 	clear(t.done)
 	t.done = t.done[:0]
 	clear(t.open)
-	t.scope.Store(0)
 }

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"context"
 	"sync"
 	"testing"
 )
@@ -26,11 +27,8 @@ func TestNilTracerIsNoOp(t *testing.T) {
 	}
 	tr.End(id)
 	tr.Event("comm", "shuffle", 0)
-	if got := tr.SetScope(7); got != 0 {
-		t.Fatalf("nil tracer SetScope = %d, want 0", got)
-	}
-	if got := tr.Scope(); got != 0 {
-		t.Fatalf("nil tracer Scope = %d, want 0", got)
+	if got := tr.Parent(ContextWithSpan(context.Background(), 7)); got != 0 {
+		t.Fatalf("nil tracer Parent = %d, want 0", got)
 	}
 	if tr.Spans() != nil || tr.Len() != 0 {
 		t.Fatal("nil tracer has spans")
@@ -77,22 +75,40 @@ func TestTracerSpansAndParents(t *testing.T) {
 	}
 }
 
-func TestTracerScope(t *testing.T) {
+// TestTracerParent: a span's parent is the one its context carries, the
+// innermost when several are stacked, whatever other values wrap it; a
+// context that carries none parents a root. Naming one costs one allocation,
+// and reading it none.
+func TestTracerParent(t *testing.T) {
 	tr := NewTracer()
-	if tr.Scope() != 0 {
-		t.Fatal("fresh tracer has a scope")
+	bg := context.Background()
+	if got := tr.Parent(bg); got != 0 {
+		t.Fatalf("Parent(Background) = %d, want 0", got)
 	}
-	prev := tr.SetScope(5)
-	if prev != 0 || tr.Scope() != 5 {
-		t.Fatalf("SetScope(5): prev=%d scope=%d", prev, tr.Scope())
+	ctx := ContextWithSpan(bg, 5)
+	if got := tr.Parent(ctx); got != 5 {
+		t.Fatalf("Parent = %d, want 5", got)
 	}
-	prev = tr.SetScope(9)
-	if prev != 5 || tr.Scope() != 9 {
-		t.Fatalf("SetScope(9): prev=%d scope=%d", prev, tr.Scope())
+	type key struct{}
+	inner := context.WithValue(ContextWithSpan(ctx, 9), key{}, "v")
+	if got := tr.Parent(inner); got != 9 {
+		t.Fatalf("Parent under a value = %d, want 9", got)
 	}
-	tr.Reset()
-	if tr.Scope() != 0 {
-		t.Fatal("Reset did not clear scope")
+	if inner.Value(key{}) != "v" {
+		t.Fatal("a span context hides the values under it")
+	}
+	// IDs past 255 are where boxing a SpanID into an interface allocates.
+	const id = SpanID(1 << 20)
+	var sink context.Context
+	if n := testing.AllocsPerRun(100, func() { sink = ContextWithSpan(bg, id) }); n != 1 {
+		t.Errorf("ContextWithSpan allocates %v times, want 1", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if tr.Parent(sink) != id {
+			t.Fatal("Parent lost the span")
+		}
+	}); n != 0 {
+		t.Errorf("Parent allocates %v times, want 0", n)
 	}
 }
 
@@ -125,7 +141,6 @@ func TestTracerReset(t *testing.T) {
 func TestTracerConcurrentUse(t *testing.T) {
 	tr := NewTracer()
 	root := tr.Start("engine", "run", 0)
-	tr.SetScope(root)
 	const goroutines = 8
 	const perG = 50
 	var wg sync.WaitGroup
@@ -134,7 +149,7 @@ func TestTracerConcurrentUse(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perG; i++ {
-				id := tr.Start("sched", "batch", tr.Scope(), Int64("i", int64(i)))
+				id := tr.Start("sched", "batch", root, Int64("i", int64(i)))
 				tr.Event("comm", "shuffle", id, Int64("bytes", 8))
 				tr.End(id)
 			}

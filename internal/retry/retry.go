@@ -1,6 +1,6 @@
 // Package retry is the shared backoff policy of the runtime: capped
-// exponential backoff with optional deterministic jitter and a total-budget
-// cap. Two very different consumers share it. The engine's stage retry uses
+// exponential backoff with optional deterministic jitter and an attempt cap.
+// Two very different consumers share it. The engine's stage retry uses
 // the deterministic (jitter-free) Backoff schedule to price modelled stall
 // time — the differential harnesses depend on the same plan always costing
 // the same modelled seconds. The wire transport uses a jittered schedule
@@ -16,8 +16,8 @@ import (
 )
 
 // Policy describes a backoff schedule. The zero value is usable and falls
-// back to the package defaults (50 ms base, 1 s cap, unlimited attempts and
-// budget, no jitter).
+// back to the package defaults (50 ms base, 1 s cap, unlimited attempts, no
+// jitter).
 type Policy struct {
 	// BaseSec is the backoff before the first retry; it doubles per attempt.
 	BaseSec float64
@@ -30,10 +30,6 @@ type Policy struct {
 	// MaxAttempts caps how many attempts Do makes (and how many Next calls a
 	// Backoff allows). 0 means unlimited.
 	MaxAttempts int
-	// BudgetSec caps the total backoff a Backoff (or Do loop) may accumulate
-	// across attempts; once the next backoff would exceed the remaining
-	// budget the retry sequence is exhausted. 0 means unlimited.
-	BudgetSec float64
 	// Seed drives the jitter stream, so a seeded policy retries identically
 	// across runs. Ignored when Jitter is 0.
 	Seed int64
@@ -69,13 +65,12 @@ func (p Policy) Backoff(attempt int) float64 {
 }
 
 // Backoff is the stateful retry sequence of one operation: it tracks the
-// attempt count, the jitter stream, and the remaining budget. Not safe for
-// concurrent use; each retried operation gets its own Backoff.
+// attempt count and the jitter stream. Not safe for concurrent use; each
+// retried operation gets its own Backoff.
 type Backoff struct {
 	p       Policy
 	rng     *rand.Rand
 	attempt int
-	spent   float64
 }
 
 // New starts a retry sequence under the policy.
@@ -88,13 +83,9 @@ func New(p Policy) *Backoff {
 	return b
 }
 
-// Attempt returns how many backoffs have been taken so far.
-func (b *Backoff) Attempt() int { return b.attempt }
-
 // Next returns the backoff to wait before the next retry, and whether the
-// sequence still has budget for it. Exhaustion (false) means the caller
-// should stop retrying: either MaxAttempts retries have been handed out or
-// the budget cannot pay for the next wait.
+// sequence allows it. Exhaustion (false) means the caller should stop
+// retrying: MaxAttempts retries have been handed out.
 func (b *Backoff) Next() (float64, bool) {
 	if b.p.MaxAttempts > 0 && b.attempt >= b.p.MaxAttempts {
 		return 0, false
@@ -104,15 +95,11 @@ func (b *Backoff) Next() (float64, bool) {
 		// Uniform over [1-J, 1+J] times nominal, from the seeded stream.
 		d *= 1 - b.p.Jitter + 2*b.p.Jitter*b.rng.Float64()
 	}
-	if b.p.BudgetSec > 0 && b.spent+d > b.p.BudgetSec {
-		return 0, false
-	}
 	b.attempt++
-	b.spent += d
 	return d, true
 }
 
-// Do runs op, retrying with real (jittered, budgeted) sleeping while it
+// Do runs op, retrying with real (jittered) sleeping while it
 // fails. It stops and returns the last error when the policy is exhausted,
 // and returns the context's error as soon as ctx is done — a sleep in
 // progress is interrupted. This is the transport-dial retry loop.

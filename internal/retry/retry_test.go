@@ -95,31 +95,6 @@ func TestCapAppliesBeforeJitterScale(t *testing.T) {
 	}
 }
 
-// TestBudgetExhaustion verifies the total-backoff budget: once the next
-// wait cannot be paid for, Next reports exhaustion, and the spent total
-// never exceeds the budget.
-func TestBudgetExhaustion(t *testing.T) {
-	// 0.1 + 0.2 + 0.4 = 0.7 fits a 0.8 budget; the next 0.8 does not.
-	b := New(Policy{BaseSec: 0.1, CapSec: 10, BudgetSec: 0.8})
-	var n int
-	for {
-		_, ok := b.Next()
-		if !ok {
-			break
-		}
-		n++
-		if n > 100 {
-			t.Fatal("budget never exhausted")
-		}
-	}
-	if n != 3 {
-		t.Errorf("budget 0.8 allowed %d retries, want 3", n)
-	}
-	if b.spent > 0.8+1e-12 {
-		t.Errorf("spent %v exceeds budget", b.spent)
-	}
-}
-
 func TestMaxAttemptsExhaustion(t *testing.T) {
 	b := New(Policy{BaseSec: 0.01, CapSec: 1, MaxAttempts: 2})
 	if _, ok := b.Next(); !ok {

@@ -63,7 +63,7 @@ func NewExecutor(parallelism int, mem *MemTracker) *Executor {
 
 // SetObserver attaches a span tracer and a metrics registry to the
 // executor. Every subsequent task batch (ForEach/ForEachErr) emits one
-// "sched" span under the tracer's current scope, splitting the batch into
+// "sched" span under the span its context carries, splitting the batch into
 // queue-wait and compute time, and feeds the batch-size histogram. Either
 // argument may be nil to disable that half.
 func (e *Executor) SetObserver(t *obs.Tracer, m *obs.Registry) {

@@ -11,7 +11,7 @@ import (
 
 // TestForEachErrTraced checks the batch span the executor emits around a
 // traced ForEachErr: task count, queue-wait/compute split, and parenting
-// under the tracer's current scope. Run under -race this also exercises the
+// under the span its context carries. Run under -race this also exercises the
 // tracer from all pool workers at once.
 func TestForEachErrTraced(t *testing.T) {
 	tr := obs.NewTracer()
@@ -20,13 +20,12 @@ func TestForEachErrTraced(t *testing.T) {
 	e.SetObserver(tr, reg)
 
 	root := tr.Start("engine", "op", 0)
-	tr.SetScope(root)
 	const n = 64
 	var ran atomic.Int64
-	err := e.ForEachErr(context.Background(), n, func(i int) error {
+	err := e.ForEachErr(obs.ContextWithSpan(context.Background(), root), n, func(i int) error {
 		// Workers emit nested spans of their own; under -race this verifies
 		// tracer internals against the batch span bookkeeping.
-		id := tr.Start("sched", "task", tr.Scope(), obs.Int64("i", int64(i)))
+		id := tr.Start("sched", "task", root, obs.Int64("i", int64(i)))
 		ran.Add(1)
 		tr.End(id)
 		return nil
@@ -53,7 +52,7 @@ func TestForEachErrTraced(t *testing.T) {
 		t.Fatal("no batch span recorded")
 	}
 	if batch.Parent != root {
-		t.Fatalf("batch parented to %d, want scope %d", batch.Parent, root)
+		t.Fatalf("batch parented to %d, want the context's %d", batch.Parent, root)
 	}
 	if a, ok := batch.Attr("tasks"); !ok || a.Int != n {
 		t.Fatalf("tasks attr = %+v, want %d", a, n)

@@ -1,7 +1,9 @@
 package serve
 
 import (
+	"maps"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -56,6 +58,65 @@ func TestJobTraceIsTheSlotsSpans(t *testing.T) {
 	}
 	if got := s.Stats().TracesRetainedBytes; got != want {
 		t.Errorf("traces_retained_bytes = %d, want the packed traces' %d", got, want)
+	}
+}
+
+// TestJobSpanTree pins the shape of one served job's trace: the job's root
+// span, under it each iteration's run and the rewrite pass, and the engine's
+// stage tree under each run. Edges are (span, parent) kinds, "-" for a root;
+// IDs are not compared.
+func TestJobSpanTree(t *testing.T) {
+	s := newTestService(t, testOptions())
+	st := runDone(t, s, JobSpec{Tenant: "alice", Workload: "pagerank",
+		Params: workload.Params{"nodes": 48, "iters": 2, "seed": 3}})
+	spans, err := s.JobTrace(st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kind := make(map[obs.SpanID]string, len(spans))
+	for _, sp := range spans {
+		name := sp.Name
+		if sp.Cat == "engine" && strings.HasPrefix(name, "stage ") {
+			name = "stage N"
+		}
+		kind[sp.ID] = sp.Cat + "/" + name
+	}
+	got := make(map[string]int)
+	for _, sp := range spans {
+		parent := "-"
+		if sp.Parent != 0 {
+			var ok bool
+			if parent, ok = kind[sp.Parent]; !ok {
+				parent = "?"
+			}
+		}
+		got[kind[sp.ID]+" < "+parent]++
+	}
+	want := map[string]int{
+		"comm/broadcast < op/broadcast":                             2,
+		"comm/partition < op/partition":                             2,
+		"engine/attempt < engine/stage N":                           4,
+		"engine/rewrite < serve/job":                                1,
+		"engine/run < serve/job":                                    2,
+		"engine/stage N < engine/run":                               4,
+		"op/broadcast < engine/attempt":                             2,
+		"op/compute (m3 *c(0.85)) + (m2 *c(0.15)) < engine/attempt": 2,
+		"op/compute m1 %*% m0 < engine/attempt":                     2,
+		"op/partition < engine/attempt":                             2,
+		"op/var var(D) < engine/attempt":                            2,
+		"op/var var(link) < engine/attempt":                         2,
+		"op/var var(rank) < engine/attempt":                         2,
+		"rewrite/fuse-cellwise < engine/rewrite":                    1,
+		"rewrite/sparsity-refine < engine/rewrite":                  1,
+		"sched/batch < op/compute (m3 *c(0.85)) + (m2 *c(0.15))":    2,
+		"sched/batch < op/compute m1 %*% m0":                        2,
+		"serve/job < -":                                             1,
+	}
+	if !maps.Equal(got, want) {
+		t.Errorf("span tree %v, want %v", got, want)
+	}
+	if len(spans) != 36 {
+		t.Errorf("%d spans, want 36", len(spans))
 	}
 }
 

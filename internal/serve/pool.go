@@ -14,9 +14,8 @@ import (
 	"dmac/internal/rewrite"
 )
 
-// engineSlot is one reusable engine plus its private tracer (a tracer's
-// active scope is a single slot of state, so concurrent jobs must not share
-// one).
+// engineSlot is one reusable engine plus its private tracer: a job's trace is
+// what its slot's tracer holds when the job ends, drained by runJob.
 type engineSlot struct {
 	id     int
 	e      *engine.Engine
@@ -108,8 +107,8 @@ func (s *Service) dispatcher() {
 // runJob executes one job on a leased slot: reset the session, bind the
 // built inputs (the first bind sets the session to the job's block size), run
 // the program for its iterations under the job context, and publish the
-// terminal state. The job's root span parents every engine stage span emitted
-// on the slot's tracer.
+// terminal state. The job's root span, carried by the context every run
+// takes, parents the runs' span trees.
 func (s *Service) runJob(j *job, slot *engineSlot) {
 	defer s.wg.Done()
 	deadline := j.spec.Deadline
@@ -142,7 +141,7 @@ func (s *Service) runJob(j *job, slot *engineSlot) {
 		obs.String("workload", j.spec.Workload),
 		obs.Int64("block_size", int64(j.blockSize)),
 		obs.Int64("est_bytes", j.estBytes))
-	prev := slot.tracer.SetScope(root)
+	ctx = obs.ContextWithSpan(ctx, root)
 	var total engine.Metrics
 	iters := 0
 	params := map[string]float64(j.spec.Params)
@@ -155,7 +154,6 @@ func (s *Service) runJob(j *job, slot *engineSlot) {
 		total.Add(m)
 		iters++
 	}
-	slot.tracer.SetScope(prev)
 
 	state := StateDone
 	var res *Result
