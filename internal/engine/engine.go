@@ -276,7 +276,8 @@ func (e *Engine) SetSharedPlanCache(pc *PlanCache) {
 // previous owner. The cluster, observers, ablation flags, checkpoint
 // configuration and the plan cache survive — they are the engine's
 // infrastructure, not session state. Every result block the session held
-// and no caller was handed goes back to the block pool for the next job.
+// and no caller was handed goes back to the block pool for the next job, as
+// a run's overwritten variables' blocks go back before its stages (RunCtx).
 func (e *Engine) Reset() {
 	e.vars = make(map[string]*varState)
 	e.scalars = make(map[string]float64)
@@ -288,9 +289,11 @@ func (e *Engine) Reset() {
 // reclaim returns to the block pool every result block it owns that no
 // session variable reaches — any instance, views included, matched by block
 // identity, so grids shared by partitions and views and blocks an in-place
-// operator wrote are kept while anything holds them. It runs after a run has
-// returned (no snapshot is in flight then, execute joins the writer on every
-// path) and on Reset; a block a caller holds was disowned by Grid.
+// operator wrote are kept while anything holds them. It runs at three points,
+// none with a snapshot in flight (execute joins the writer on every path):
+// in RunCtx once the plan is made and the variables the run overwrites
+// without reading are dropped, after a run has returned, and on Reset. A
+// block a caller holds was disowned by Grid.
 func (e *Engine) reclaim() {
 	if e.pool.Owned() == 0 {
 		return
@@ -348,6 +351,14 @@ func (e *Engine) form(p *expr.Program, parent obs.SpanID) *programForm {
 	}
 	e.forms[p] = f
 	return f
+}
+
+// reads reports whether the program reads session variable name through a
+// leaf: a Var (f.vars) or a Load.
+func (f *programForm) reads(name string) bool {
+	return slices.Contains(f.vars, name) || slices.ContainsFunc(f.prog.Nodes(), func(n *expr.Node) bool {
+		return n.Kind == expr.KindLoad && n.Name == name
+	})
 }
 
 // rewrite runs the rewrite pass on p, recording the decisions as span events
@@ -638,7 +649,10 @@ func (e *Engine) planInput(f *programForm) (core.Config, string) {
 // Run plans and executes a program against the session. params provides the
 // values of named scalar parameters (expr.ScalarParam). On success the
 // program's assignments update the session variables and its scalar outputs
-// update the session scalars.
+// update the session scalars. A variable the program assigns but reads
+// nowhere is dropped once the plan is made, before any stage runs: a run
+// that fails or is cancelled after that leaves it unbound, never holding its
+// old value or part of a new one.
 func (e *Engine) Run(p *expr.Program, params map[string]float64) (Metrics, error) {
 	return e.RunCtx(e.baseCtx, p, params)
 }
@@ -654,6 +668,8 @@ func (e *Engine) SetBaseContext(ctx context.Context) { e.baseCtx = ctx }
 // the execution cleanly — between stages at the engine level, and between
 // block tasks inside a stage (the executor's workers observe the same
 // context) — returning the context's error. A nil context means Background.
+// As with Run, an aborted run leaves the variables the program overwrites
+// without reading unbound.
 func (e *Engine) RunCtx(ctx context.Context, p *expr.Program, params map[string]float64) (m Metrics, err error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -696,6 +712,21 @@ func (e *Engine) RunCtx(ctx context.Context, p *expr.Program, params map[string]
 		e.cacheMiss++
 		e.metrics.Counter("plan.cache.misses").Inc()
 		e.plans.Put(key, plan)
+	}
+	// What the run overwrites without reading is dead once its plan is
+	// made: dropped now, its blocks nothing else reaches go back to the pool
+	// and become the run's first result blocks, instead of sitting beside
+	// them until the run returns. A run that fails from here on leaves those
+	// variables unbound.
+	dropped := false
+	for _, k := range plan.Keeps() {
+		if _, bound := e.vars[k.Var]; bound && k.Assign && !f.reads(k.Var) {
+			delete(e.vars, k.Var)
+			dropped = true
+		}
+	}
+	if dropped {
+		e.reclaim()
 	}
 	runSpan := e.tracer.Start("engine", "run", parent,
 		obs.String("planner", e.planner.String()),

@@ -305,14 +305,44 @@ func gemmPack(buf []float64, w int, src []float64, ld int, lanesAreRows bool, l0
 		}
 		return
 	}
-	// Step by step, so that src is read a whole row at a time.
-	for k := 0; k < kw; k++ {
-		row := src[(k0+k)*ld+l0:][:lw]
-		for lp := 0; lp < lw; lp += w {
-			copy(buf[lp*kw+k*w:], row[lp:min(lp+w, lw)])
+	// gemmPackSteps steps at a time, panel by panel: each panel's run of
+	// buf is written whole while src is read from that many rows, not all
+	// kw (whose stride may alias in the cache: a 512-wide block's rows are
+	// 4 KiB apart). A full panel of the micro-kernels' widths takes each
+	// step as one fixed-size array rather than through a copy call; the
+	// ragged panel is copied.
+	full := lw - lw%w
+	for kt := 0; kt < kw; kt += gemmPackSteps {
+		kn := min(gemmPackSteps, kw-kt)
+		for lp := 0; lp < full; lp += w {
+			dst, lanes := buf[lp*kw+kt*w:][:kn*w], src[(k0+kt)*ld+l0+lp:]
+			switch w {
+			case 16:
+				for k := 0; k < kn; k++ {
+					*(*[16]float64)(dst[k*16:]) = *(*[16]float64)(lanes[k*ld:])
+				}
+			case 8:
+				for k := 0; k < kn; k++ {
+					*(*[8]float64)(dst[k*8:]) = *(*[8]float64)(lanes[k*ld:])
+				}
+			default:
+				for k := 0; k < kn; k++ {
+					copy(dst[k*w:(k+1)*w], lanes[k*ld:])
+				}
+			}
+		}
+	}
+	if full < lw {
+		for k := 0; k < kw; k++ {
+			row := src[(k0+k)*ld+l0:][:lw]
+			copy(buf[full*kw+k*w:], row[full:])
 		}
 	}
 }
+
+// gemmPackSteps is how many k steps gemmPack moves across every panel
+// before the next: 16 rows of src, and for a 16-lane panel 2 KiB of buf.
+const gemmPackSteps = 16
 
 // gemmMacro sweeps the packed strips with the register micro-kernel. The
 // B micro-panel is held innermost-loop-invariant (L1) while A micro-panels

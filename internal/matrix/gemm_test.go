@@ -485,6 +485,14 @@ func BenchmarkMulAddDDThin(b *testing.B) {
 	benchGemmShape(b, 64, 1632, 64, false, true)
 }
 
+// BenchmarkMulAddDDGNMFPanel is gnmf_ckpt's (WᵀW)·H block at k = 32: a
+// 32 x 32 factor times a 32 x 408 block, at one kernel worker. Its packing
+// is the B panel's straight copy as much as the micro-kernel.
+func BenchmarkMulAddDDGNMFPanel(b *testing.B) {
+	defer SetKernelWorkers(SetKernelWorkers(1))
+	benchGemmShape(b, 32, 32, 408, false, false)
+}
+
 // BenchmarkMulAddDDRagged measures shapes the register tile pads: a row
 // vector and three rows against a 512-wide block, and cubes one past a tile
 // multiple.

@@ -27,9 +27,12 @@ import (
 // products in exactly the serial order: results are bit-identical to the
 // single-worker kernel at every worker count.
 
-// maxKernelWorkers bounds the shared pool's helpers. It intentionally exceeds
-// any real core count so worker-scaling experiments can oversubscribe a small
-// machine.
+// maxKernelWorkers bounds the workers a multiply's strips are cut for
+// (SetKernelWorkers) and the shared pool's helpers. Strips may outnumber the
+// cores, so a worker-scaling experiment cuts as many as it asks for with the
+// same bits, but no loop runs more participants than GOMAXPROCS (Parallel):
+// more would only queue for the same cores, each holding its own packing
+// scratch.
 const maxKernelWorkers = 64
 
 // kernelWorkers is the target intra-op parallelism of one block multiply.
@@ -109,14 +112,20 @@ func ensurePoolWorkers(n int) {
 	}
 }
 
-// Parallel runs fn(i) for every i in [0, n) across at most `workers`
-// participants, the caller and up to min(workers, n)-1 pool helpers (at most
-// maxKernelWorkers), and blocks until every call returned. Helper offers are
-// best-effort (non-blocking sends): under pool contention the caller simply
-// runs more of the tasks itself. With one participant the caller runs the
-// loop without touching the pool. fn may itself call Parallel.
+// Parallel runs fn(i) for every i in [0, n) across at most min(workers, n,
+// GOMAXPROCS) participants, the caller and the rest pool helpers (at most
+// maxKernelWorkers), and blocks until every call returned. How a caller cuts
+// its work follows workers, not the participants, so results do not depend
+// on the core count. Helper offers are best-effort (non-blocking sends):
+// under pool contention the caller simply runs more of the tasks itself.
+// With one participant the caller runs the loop without touching the pool.
+// fn may itself call Parallel.
 func Parallel(n, workers int, fn func(i int)) {
-	if workers <= 1 || n <= 1 {
+	workers = min(workers, n)
+	if workers > 1 {
+		workers = min(workers, runtime.GOMAXPROCS(0))
+	}
+	if workers <= 1 {
 		for i := 0; i < n; i++ {
 			fn(i)
 		}
@@ -124,7 +133,7 @@ func Parallel(n, workers int, fn func(i int)) {
 	}
 	j := &poolJob{n: int32(n), fn: fn}
 	j.wg.Add(n)
-	helpers := min(workers, n) - 1
+	helpers := workers - 1
 	ensurePoolWorkers(helpers)
 offer:
 	for h := 0; h < helpers; h++ {

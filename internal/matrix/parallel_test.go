@@ -2,6 +2,8 @@ package matrix
 
 import (
 	"math/rand"
+	"runtime"
+	"sync/atomic"
 	"testing"
 )
 
@@ -104,5 +106,30 @@ func TestSetKernelWorkersClamps(t *testing.T) {
 	}
 	if prev := SetKernelWorkers(3); prev != maxKernelWorkers {
 		t.Fatalf("Set returned %d, want previous %d", prev, maxKernelWorkers)
+	}
+}
+
+// TestParallelParticipantsCapAtGOMAXPROCS: a loop offered 32 workers runs
+// at most GOMAXPROCS participants, whatever it is offered. Every task yields
+// its processor a few times while it counts itself running, so a helper the
+// scheduler switches to enters a task of its own; only the cap keeps the
+// count at the cores.
+func TestParallelParticipantsCapAtGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		var running, peak atomic.Int32
+		Parallel(256, 32, func(int) {
+			n := running.Add(1)
+			for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+			}
+			for k := 0; k < 4; k++ {
+				runtime.Gosched()
+			}
+			running.Add(-1)
+		})
+		if p := peak.Load(); p > int32(procs) {
+			t.Errorf("GOMAXPROCS %d: %d participants ran tasks at once", procs, p)
+		}
 	}
 }

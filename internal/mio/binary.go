@@ -371,40 +371,57 @@ func readBlockChecked(r io.Reader, rows, cols int, checked bool) (matrix.Block, 
 	return blk, nil
 }
 
-// readChunkElems bounds how many elements each incremental read step
-// allocates, so buffer growth tracks bytes actually present in the input.
+// readChunkElems bounds how many elements each incremental read step reads,
+// so buffer growth tracks bytes actually present in the input.
 const readChunkElems = 64 * 1024
 
-// readFloat64s reads n little-endian float64s, growing the destination
-// incrementally so a lying header cannot force an up-front allocation larger
-// than the real input.
+// readFloat64s reads n little-endian float64s into an array of exactly n,
+// which the caller keeps as its block's own (readLE).
 func readFloat64s(r io.Reader, n int) ([]float64, error) {
-	out := make([]float64, 0, minInt(n, readChunkElems))
-	buf := make([]byte, 8*minInt(n, readChunkElems))
-	for len(out) < n {
-		step := minInt(n-len(out), readChunkElems)
-		if _, err := io.ReadFull(r, buf[:8*step]); err != nil {
-			return nil, err
-		}
-		for i := 0; i < step; i++ {
-			out = append(out, math.Float64frombits(binary.LittleEndian.Uint64(buf[8*i:])))
-		}
-	}
-	return out, nil
+	return readLE(r, n, 8, float64Bytes, func(b []byte) float64 {
+		return math.Float64frombits(binary.LittleEndian.Uint64(b))
+	})
 }
 
 // readInt32s is readFloat64s for little-endian int32s.
 func readInt32s(r io.Reader, n int) ([]int32, error) {
-	out := make([]int32, 0, minInt(n, readChunkElems))
-	buf := make([]byte, 4*minInt(n, readChunkElems))
-	for len(out) < n {
-		step := minInt(n-len(out), readChunkElems)
-		if _, err := io.ReadFull(r, buf[:4*step]); err != nil {
-			return nil, err
+	return readLE(r, n, 4, int32Bytes, func(b []byte) int32 {
+		return int32(binary.LittleEndian.Uint32(b))
+	})
+}
+
+// readLE reads n little-endian values of size bytes each a chunk at a time,
+// straight into the returned array on a little-endian host (through native,
+// the array's memory as bytes) and through decode otherwise. The array
+// starts at one chunk and doubles, never past n, as chunks arrive: a lying
+// header cannot force an allocation larger than a chunk and twice the real
+// input, and the array ends exactly n long.
+func readLE[T float64 | int32](r io.Reader, n, size int, native func([]T) []byte, decode func([]byte) T) ([]T, error) {
+	out := make([]T, minInt(n, readChunkElems))
+	var buf []byte
+	for done := 0; done < n; {
+		if done == len(out) {
+			grown := make([]T, minInt(n, 2*len(out)))
+			copy(grown, out)
+			out = grown
 		}
-		for i := 0; i < step; i++ {
-			out = append(out, int32(binary.LittleEndian.Uint32(buf[4*i:])))
+		dst := out[done:minInt(len(out), done+readChunkElems)]
+		if nativeLE {
+			if _, err := io.ReadFull(r, native(dst)); err != nil {
+				return nil, err
+			}
+		} else {
+			if buf == nil {
+				buf = make([]byte, size*minInt(n, readChunkElems))
+			}
+			if _, err := io.ReadFull(r, buf[:size*len(dst)]); err != nil {
+				return nil, err
+			}
+			for i := range dst {
+				dst[i] = decode(buf[size*i:])
+			}
 		}
+		done += len(dst)
 	}
 	return out, nil
 }
@@ -433,9 +450,7 @@ func readBlock(r io.Reader, rows, cols int) (matrix.Block, error) {
 		if err != nil {
 			return nil, err
 		}
-		d := matrix.NewDense(rows, cols)
-		copy(d.Data, data)
-		return d, nil
+		return matrix.NewDenseData(rows, cols, data), nil
 	case 1:
 		var nnz uint64
 		if err := binary.Read(r, binary.LittleEndian, &nnz); err != nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"io"
+	"runtime"
 	"testing"
 
 	"dmac/internal/matrix"
@@ -128,6 +129,70 @@ func TestWriteGridCheckedAllocs(t *testing.T) {
 		})
 		if allocs > 6 {
 			t.Errorf("WriteGridChecked allocated %.0f objects for a 9-block grid, want <= 6", allocs)
+		}
+	})
+}
+
+// TestReadGridBlocksOwnTheirArrays: on both decoder paths a block read back
+// holds exactly its values — a dense block's Data and a CSC block's three
+// arrays are as long as their capacity — for blocks within one read chunk
+// and blocks of several, whose arrays the reader grows as chunks arrive. A
+// dense grid of one-chunk blocks costs its values and a few hundred bytes a
+// block, not a second copy of them.
+func TestReadGridBlocksOwnTheirArrays(t *testing.T) {
+	bothEncoderPaths(t, func(t *testing.T) {
+		for gi, g := range []*matrix.Grid{
+			workload.DenseRandom(8, 300, 310, 300),         // 90,000-value blocks: two chunks
+			workload.SparseUniform(9, 600, 600, 600, 0.25), // ~90,000 entries: two chunks
+			workload.DenseRandom(10, 32, 4096, 1024),       // one chunk a block
+			workload.SparseUniform(11, 200, 200, 64, 0.1),
+		} {
+			var buf bytes.Buffer
+			if err := WriteGridChecked(&buf, g); err != nil {
+				t.Fatal(err)
+			}
+			got, err := ReadGrid(bytes.NewReader(buf.Bytes()))
+			if err != nil {
+				t.Fatalf("grid %d: %v", gi, err)
+			}
+			if d := matrix.BitDiff(got, g); d != "" {
+				t.Fatalf("grid %d: read back %s", gi, d)
+			}
+			for bi := 0; bi < got.BlockRows(); bi++ {
+				for bj := 0; bj < got.BlockCols(); bj++ {
+					switch b := got.Block(bi, bj).(type) {
+					case *matrix.DenseBlock:
+						if len(b.Data) != cap(b.Data) {
+							t.Errorf("grid %d block (%d,%d): Data len %d cap %d", gi, bi, bj, len(b.Data), cap(b.Data))
+						}
+					case *matrix.CSCBlock:
+						if len(b.ColPtr) != cap(b.ColPtr) || len(b.RowIdx) != cap(b.RowIdx) || len(b.Values) != cap(b.Values) {
+							t.Errorf("grid %d block (%d,%d): CSC arrays len/cap %d/%d %d/%d %d/%d", gi, bi, bj,
+								len(b.ColPtr), cap(b.ColPtr), len(b.RowIdx), cap(b.RowIdx), len(b.Values), cap(b.Values))
+						}
+					}
+				}
+			}
+		}
+		g := workload.DenseRandom(12, 32, 4096, 1024)
+		var buf bytes.Buffer
+		if err := WriteGridChecked(&buf, g); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := ReadGrid(bytes.NewReader(buf.Bytes())); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		allocated, values := int64(after.TotalAlloc-before.TotalAlloc), g.MemBytes()
+		// The portable path adds one chunk-sized byte buffer a block.
+		limit := values + values/8 + 8*readChunkElems*int64(g.BlockRows()*g.BlockCols())
+		if nativeLE {
+			limit = values + values/8
+		}
+		if allocated > limit {
+			t.Errorf("reading %d bytes of dense values allocated %d bytes, want at most %d", values, allocated, limit)
 		}
 	})
 }

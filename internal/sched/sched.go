@@ -157,11 +157,11 @@ func (e *Executor) noteFlushed(n int64) {
 
 // ForEachErr runs fn(i) for i in [0, n) on the executor's threads and
 // returns the first error any task produced. The batch runs on the shared
-// worker pool (matrix.Parallel) with min(parallelism, n) participants, the
-// caller among them, so the pool's helper cap bounds it too. Once a task
-// fails, remaining tasks are cancelled (claimed without running) — the
-// task-level cancellation a failed stage attempt needs so a worker death
-// doesn't compute the rest of the stage for nothing. Tasks already running
+// worker pool (matrix.Parallel) with at most min(parallelism, n, GOMAXPROCS)
+// participants, the caller among them. Once a task fails, remaining tasks
+// are cancelled (claimed without running) — the task-level cancellation a
+// failed stage attempt needs so a worker death doesn't compute the rest of
+// the stage for nothing. Tasks already running
 // are allowed to finish. Participants also observe ctx between tasks: once it
 // is cancelled (or its deadline passes) the batch aborts at the next task
 // boundary the same way, and ForEachErr returns the context's error — block

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"slices"
 	"sync"
 
 	"dmac/internal/obs"
@@ -34,7 +35,9 @@ func newFlightRecorder(capacity int) *flightRecorder {
 	if capacity <= 0 {
 		capacity = defaultFlightRecorderJobs
 	}
-	return &flightRecorder{capacity: capacity, traces: make(map[string][]byte)}
+	// Sized for capacity jobs, and evicting by moving the order down, the
+	// recorder allocates nothing of its own once it is full.
+	return &flightRecorder{capacity: capacity, order: make([]string, 0, capacity), traces: make(map[string][]byte, capacity)}
 }
 
 // record stores one job's packed spans, evicting the oldest recorded job
@@ -50,7 +53,7 @@ func (f *flightRecorder) record(id string, packed []byte) {
 	} else {
 		for len(f.order) >= f.capacity {
 			evict := f.order[0]
-			f.order = f.order[1:]
+			f.order = slices.Delete(f.order, 0, 1)
 			f.bytes -= int64(len(f.traces[evict]))
 			delete(f.traces, evict)
 		}

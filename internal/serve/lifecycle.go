@@ -208,8 +208,7 @@ func (s *Service) settleLocked(j *job, state State, err error) {
 func (s *Service) forgetLocked() {
 	for len(s.jobs) > s.jobLimit && len(s.finished) > 0 {
 		old := s.finished[0]
-		s.finished[0] = nil
-		s.finished = s.finished[1:]
+		s.finished = slices.Delete(s.finished, 0, 1)
 		delete(s.jobs, old.id)
 		if i := slices.Index(s.retained, old); i >= 0 {
 			s.retained = slices.Delete(s.retained, i, i+1)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"time"
 
 	"dmac/internal/dist"
@@ -248,8 +249,7 @@ func (s *Service) retainLocked(j *job) {
 	s.retainedBytes += j.resultBytes
 	for len(s.retained) > 1 && s.retainedBytes > s.resultBudget {
 		old := s.retained[0]
-		s.retained[0] = nil
-		s.retained = s.retained[1:]
+		s.retained = slices.Delete(s.retained, 0, 1)
 		s.retainedBytes -= old.resultBytes
 		old.result = &Result{Scalars: old.result.Scalars}
 		old.resultBytes, old.evicted = 0, true

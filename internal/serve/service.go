@@ -147,6 +147,11 @@ type Service struct {
 	// retained holds the done jobs whose result grids are kept, in the order
 	// they finished, and retainedBytes those grids' bytes, at most
 	// resultBudget beside the newest result.
+	//
+	// jobs, retained and finished are sized for jobRecords jobs when the
+	// service starts, and retained and finished drop their oldest entry by
+	// moving the rest down: none of them grows while a steady service runs,
+	// so a job allocates the same whichever job it is.
 	retained      []*job
 	retainedBytes int64
 	resultBudget  int64
@@ -197,7 +202,9 @@ func NewService(opts Options) (*Service, error) {
 		logger:         opts.Logger,
 		slo:            newSLOTracker(opts.SLO),
 		flight:         newFlightRecorder(opts.FlightRecorderJobs),
-		jobs:           make(map[string]*job),
+		jobs:           make(map[string]*job, jobRecords),
+		retained:       make([]*job, 0, jobRecords),
+		finished:       make([]*job, 0, jobRecords),
 		resultBudget:   resultBudgetBytes,
 		jobLimit:       jobRecords,
 		tenants:        make(map[string]*tenantState),
