@@ -11,12 +11,15 @@ import (
 // later-input graph that stages are cut on (§5.2) and lineage recovery and
 // caching walk (§6.4). The producer is StageOps(stage)[at]; readers are in
 // plan order, once per input edge, and last is the latest stage among them
-// (0 for none); kept marks a value among the Values of the plan's Keeps.
+// (0 for none); kept marks a value among the Values of the plan's Keeps, and
+// whole one of them that some variable keeps with no complete instance (a
+// partition or a hash-placed one) beside it.
 type use struct {
 	stage, at int
 	readers   []*Op
 	last      int
 	kept      bool
+	whole     bool
 }
 
 // Keep is one session variable a run writes when it ends: its fold-back.
@@ -66,8 +69,14 @@ func (p *Plan) keep() {
 		if id, ok := p.NodeValue[k.Ref.Node.ID]; ok && k.Assign && len(k.Values) == 0 {
 			k.Values = []ValueID{id}
 		}
+		// An input variable still holds the complete instance it had (Bind's
+		// hash-placed one, or one a run kept); an assigned one holds what its
+		// Keep has. A broadcast kept with only broadcasts beside it is the
+		// variable's one copy, so it must be everywhere.
+		whole := k.Assign && !slices.ContainsFunc(k.Values, func(id ValueID) bool { return p.Values[id].Scheme != dep.Broadcast })
 		for _, id := range k.Values {
 			p.uses[id].kept = true
+			p.uses[id].whole = p.uses[id].whole || whole
 		}
 	}
 }
@@ -116,12 +125,20 @@ func (p *Plan) linkStages() {
 	}
 }
 
-// reach derives each broadcast's Reach from the def-use table, once per plan.
+// reach derives, once per plan, the Reach of each broadcast and of each leaf
+// that reads a session (b) instance from the def-use table.
 func (p *Plan) reach() {
 	for _, op := range p.Ops {
-		if op.Kind == OpBroadcast {
-			to, ok := p.holders(op.Output, nil)
+		switch {
+		case op.Kind == OpBroadcast:
+			to, ok := p.holders(op.Output, nil, false)
 			if !ok || len(to) == 0 {
+				to = nil
+			}
+			op.Reach = to
+		case (op.Kind == OpLoad || op.Kind == OpVar) && p.Values[op.Output].Scheme == dep.Broadcast:
+			to, ok := p.holders(op.Output, []ValueID{}, true)
+			if !ok {
 				to = nil
 			}
 			op.Reach = to
@@ -130,12 +147,14 @@ func (p *Plan) reach() {
 }
 
 // holders appends to to the values whose holders read broadcast value id
-// (see Op.Reach), following lazy transposes to their readers. It reports
-// false when every worker needs the copy: the value is kept, so the session's
-// (b) instance must be everywhere, or a reader of another kind reads it.
-func (p *Plan) holders(id ValueID, to []ValueID) ([]ValueID, bool) {
+// (see Op.Reach), following lazy transposes to their readers. With forwards,
+// a reader that sends the copy on (a partition, a broadcast or a shuffled
+// transpose) adds none: any one holder serves it. It reports false when every
+// worker needs the copy: a variable keeps the value as its only complete copy
+// (use.whole), or a reader of another kind reads it.
+func (p *Plan) holders(id ValueID, to []ValueID, forwards bool) ([]ValueID, bool) {
 	u := &p.uses[id]
-	if u.kept {
+	if u.whole {
 		return nil, false
 	}
 	for _, r := range u.readers {
@@ -149,9 +168,11 @@ func (p *Plan) holders(id ValueID, to []ValueID) ([]ValueID, bool) {
 			h = r.Output
 		case r.Kind == OpTranspose && r.CommBytes == 0:
 			var ok bool
-			if to, ok = p.holders(r.Output, to); !ok {
+			if to, ok = p.holders(r.Output, to, forwards); !ok {
 				return nil, false
 			}
+			continue
+		case forwards && (r.Kind == OpPartition || r.Kind == OpBroadcast || r.Kind == OpTranspose):
 			continue
 		default:
 			return nil, false

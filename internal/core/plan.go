@@ -68,7 +68,8 @@ type OpKind int
 
 // Plan operator kinds.
 const (
-	// OpLoad materializes a loaded input matrix hash-partitioned.
+	// OpLoad binds a loaded input matrix into the plan: hash-partitioned when
+	// fresh, otherwise a session instance of its name, as OpVar does.
 	OpLoad OpKind = iota
 	// OpVar binds a session variable instance (materialized by a previous
 	// program) into the plan.
@@ -146,10 +147,15 @@ type Op struct {
 	// Reach lists, for a broadcast, the values whose holders read its copy:
 	// the (c) partner of each RMM1 and the (r) partner of each RMM2 that
 	// reads it, and the output of each extract from it, through its lazy
-	// transposes. Nil means every worker: the broadcast or a view of it is
-	// kept, or another kind of operator reads it. Like After it names no
-	// worker, since one cached plan serves every block size; the engine
-	// resolves it to workers when it runs the broadcast. Set by AssignStages.
+	// transposes. Nil means every worker: a variable keeps the broadcast, or
+	// a view of it, with no complete instance beside it, or another kind of
+	// operator reads it. For a leaf that reads a session (b) instance it lists
+	// the values whose holders read that instance the same way, where an
+	// operator that sends the copy on reads it from any one holder; empty
+	// means no reader needs it on any worker. Like After it names no worker,
+	// since one cached plan serves every block size; the engine resolves it
+	// to workers when it runs the broadcast or checks the session's replica
+	// before the run. Set by AssignStages.
 	Reach []ValueID
 
 	label atomic.Pointer[string] // Label's value once made

@@ -172,21 +172,22 @@ func (g *gen) addOp(op *Op) int {
 // emit plans a single program node.
 func (g *gen) emit(n *expr.Node) error {
 	switch n.Kind {
-	case expr.KindLoad:
-		// Loaded inputs start hash-partitioned (SchemeNone): reading them
-		// with any concrete scheme pays an initial shuffle.
-		v := g.newValue(n.ID, false, dep.SchemeNone, nil)
-		g.addOp(&Op{Kind: OpLoad, Node: n, Output: v.ID})
-		g.plan.NodeValue[n.ID] = v.ID
-		return nil
-	case expr.KindVar:
+	case expr.KindLoad, expr.KindVar:
+		// A leaf reads the session's instances of its variable, one leaf per
+		// scheme. A fresh load, or a variable held only hash-placed, starts
+		// hash-partitioned (SchemeNone): reading it with any concrete scheme
+		// pays an initial shuffle.
+		kind := OpVar
+		if n.Kind == expr.KindLoad {
+			kind = OpLoad
+		}
 		schemes := g.cfg.Vars[n.Name]
 		if len(schemes) == 0 {
 			schemes = []dep.Scheme{dep.SchemeNone}
 		}
 		for i, s := range schemes {
 			v := g.newValue(n.ID, false, s, nil)
-			g.addOp(&Op{Kind: OpVar, Node: n, Output: v.ID})
+			g.addOp(&Op{Kind: kind, Node: n, Output: v.ID})
 			if i == 0 {
 				g.plan.NodeValue[n.ID] = v.ID
 			}

@@ -42,7 +42,9 @@ func reachOf(plan *Plan, op *Op) [][2]int {
 
 // TestBroadcastReach derives a broadcast's reach from its readers: an RMM1's
 // (c) partner; an RMM2's (r) partner; an extract's output, through a lazy
-// transpose; and every worker once the session keeps the broadcast.
+// transpose; the same for a broadcast the session keeps beside a complete
+// instance, and for the leaf that reads it back; and every worker once a
+// variable keeps the broadcast as its only instance.
 func TestBroadcastReach(t *testing.T) {
 	cfg := Config{Workers: 4, Vars: map[string][]dep.Scheme{"L": {dep.Col}, "r": {dep.Col}, "R": {dep.Row}}}
 
@@ -84,7 +86,8 @@ func TestBroadcastReach(t *testing.T) {
 		t.Errorf("gram: reach %v, want the extract's output and the RMM1's partner\n%s", reachOf(plan, op), plan)
 	}
 
-	// Blend's A %*% B: A is an input, so the session keeps A(b).
+	// Blend's A %*% B: A is an input, so the session keeps A(b) beside the
+	// hash-placed A it holds, and A(b) reaches B(c), as unkept ones do.
 	p = expr.NewProgram()
 	a, b := p.Var("A", 256, 32, 1), p.Var("B", 32, 256, 1)
 	p.Assign("C", p.Mul(a, b))
@@ -92,7 +95,61 @@ func TestBroadcastReach(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if op := broadcastOf(t, plan); op.Reach != nil {
-		t.Errorf("a kept broadcast has reach %v, want every worker\n%s", reachOf(plan, op), plan)
+	bc := [][2]int{{int(b.Node.ID), int(dep.Col)}}
+	if got := reachOf(plan, broadcastOf(t, plan)); !slices.Equal(got, bc) {
+		t.Errorf("blend: kept A(b) has reach %v, want B(c) %v\n%s", got, bc, plan)
 	}
+	// The next run reads the kept A(b) through a leaf with the same reach.
+	plan, err = Generate(p, Config{Workers: 4, Vars: map[string][]dep.Scheme{"A": {dep.Broadcast}, "B": {dep.Col}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := reachOf(plan, leafOf(t, plan, "A")); !slices.Equal(got, bc) {
+		t.Errorf("blend, second run: the A(b) leaf has reach %v, want B(c) %v\n%s", got, bc, plan)
+	}
+
+	// Y = A keeps A(b) as Y's only instance: it must reach every worker, and
+	// so must a session's A(b) the program keeps that way.
+	p = expr.NewProgram()
+	a, b = p.Var("A", 256, 32, 1), p.Var("B", 32, 256, 1)
+	p.Assign("Y", a)
+	p.Assign("C", p.Mul(a, b))
+	plan, err = Generate(p, Config{Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if op := broadcastOf(t, plan); op.Reach != nil {
+		t.Errorf("a broadcast kept as Y's only instance has reach %v, want every worker\n%s", reachOf(plan, op), plan)
+	}
+	plan, err = Generate(p, Config{Workers: 4, Vars: map[string][]dep.Scheme{"A": {dep.Broadcast}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if op := leafOf(t, plan, "A"); op.Reach != nil {
+		t.Errorf("an A(b) leaf kept as Y's only instance has reach %v, want every worker\n%s", reachOf(plan, op), plan)
+	}
+
+	// SystemML-S only sends a session A(b) on: its leaf needs no worker.
+	p = expr.NewProgram()
+	a, b = p.Var("A", 256, 32, 1), p.Var("B", 32, 256, 1)
+	p.Assign("C", p.Mul(a, b))
+	plan, err = GenerateSystemMLS(p, Config{Workers: 4, Vars: map[string][]dep.Scheme{"A": {dep.Broadcast}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if op := leafOf(t, plan, "A"); op.Reach == nil || len(op.Reach) != 0 {
+		t.Errorf("SystemML-S: the A(b) leaf has reach %v, want none\n%s", reachOf(plan, op), plan)
+	}
+}
+
+// leafOf returns the plan's leaf of variable name that reads a (b) instance.
+func leafOf(t *testing.T, plan *Plan, name string) *Op {
+	t.Helper()
+	for _, op := range plan.Ops {
+		if (op.Kind == OpVar || op.Kind == OpLoad) && op.Node.Name == name && plan.Value(op.Output).Scheme == dep.Broadcast {
+			return op
+		}
+	}
+	t.Fatalf("no %s(b) leaf in\n%s", name, plan)
+	return nil
 }

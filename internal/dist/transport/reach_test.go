@@ -14,7 +14,9 @@ import (
 // and the measured wire traffic is exactly that payload plus the ring's
 // framing — per hop a RING frame (header, stage, hop count, the addresses of
 // the hops still to go, block count, and per block its coordinates, CRC,
-// length and kind byte) and a RING_OK ack.
+// length and kind byte) and a RING_OK ack. A second run then reads the
+// replica, as a session keeps it, next to a partner whose one block-column
+// is on worker 0, a receiver: it rings nothing and charges no byte.
 func TestTCPNarrowedBroadcastReachesOnlyReceivers(t *testing.T) {
 	workers := make([]*Worker, 4)
 	addrs := make([]string, 4)
@@ -37,7 +39,8 @@ func TestTCPNarrowedBroadcastReachesOnlyReceivers(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := c.Net().Snapshot()
-	if _, err := c.Broadcast(ctx, m, 2, to); err != nil {
+	replica, err := c.Broadcast(ctx, m, 2, to)
+	if err != nil {
 		t.Fatal(err)
 	}
 	after := c.Net().Snapshot()
@@ -66,5 +69,21 @@ func TestTCPNarrowedBroadcastReachesOnlyReceivers(t *testing.T) {
 	}
 	if frames := after.WireFrames - before.WireFrames; frames != 2*int64(len(hops)) {
 		t.Errorf("%d frames on the wire, want a RING and a RING_OK per receiver: %d", frames, 2*len(hops))
+	}
+
+	c.BeginRun()
+	partner := dist.NewDistMatrix(matrix.NewDenseGrid(8, 4, 4), dep.Col)
+	if _, err := c.Multiply(ctx, replica, partner, dist.RMM1, dep.SchemeNone, 1); err != nil {
+		t.Fatalf("second run: %v", err)
+	}
+	end := c.Net().Snapshot()
+	if end.CommBytes != after.CommBytes || end.WireBytes != after.WireBytes || end.WireFrames != after.WireFrames {
+		t.Errorf("second run charged %d B and sent %d B in %d frames, want none",
+			end.CommBytes-after.CommBytes, end.WireBytes-after.WireBytes, end.WireFrames-after.WireFrames)
+	}
+	for w, want := range []int{blocks, 0, blocks, 0} {
+		if got := workers[w].BlockCount(); got != want {
+			t.Errorf("after the second run worker %d holds %d blocks, want %d", w, got, want)
+		}
 	}
 }

@@ -239,7 +239,7 @@ type Engine struct {
 // programForm is what the engine plans and runs for a caller's program: the
 // program itself without a rewriter, otherwise the rewrite pass's output,
 // with its ProgramSignature and the sorted names of the session variables it
-// reads (its Var leaves, the only names the planner looks up).
+// reads (its Var and Load leaves, the names the planner looks up).
 type programForm struct {
 	prog *expr.Program
 	sig  string
@@ -340,7 +340,7 @@ func (e *Engine) form(p *expr.Program, parent obs.SpanID) *programForm {
 	}
 	f.sig = ProgramSignature(f.prog)
 	for _, n := range f.prog.Nodes() {
-		if n.Kind == expr.KindVar {
+		if n.Kind == expr.KindVar || n.Kind == expr.KindLoad {
 			f.vars = append(f.vars, n.Name)
 		}
 	}
@@ -354,12 +354,8 @@ func (e *Engine) form(p *expr.Program, parent obs.SpanID) *programForm {
 }
 
 // reads reports whether the program reads session variable name through a
-// leaf: a Var (f.vars) or a Load.
-func (f *programForm) reads(name string) bool {
-	return slices.Contains(f.vars, name) || slices.ContainsFunc(f.prog.Nodes(), func(n *expr.Node) bool {
-		return n.Kind == expr.KindLoad && n.Name == name
-	})
-}
+// leaf.
+func (f *programForm) reads(name string) bool { return slices.Contains(f.vars, name) }
 
 // rewrite runs the rewrite pass on p, recording the decisions as span events
 // under an "engine/rewrite" span (a child of parent) and feeding the rewrite
@@ -695,30 +691,44 @@ func (e *Engine) RunCtx(ctx context.Context, p *expr.Program, params map[string]
 	// engine's whole stage tree under it; with none the run is a root span.
 	parent := e.tracer.Parent(ctx)
 	f := e.form(p, parent)
-	cfg, key := e.planInput(f)
-	plan := e.plans.Get(key)
-	source := "hit"
-	if plan != nil {
+	// A plan that reads a kept broadcast replica beyond its reach drops the
+	// replica and is made again, from the schemes the session has left.
+	var plan *core.Plan
+	source, dropped := "", false
+	for {
+		cfg, key := e.planInput(f)
+		source = "hit"
+		if plan = e.plans.Get(key); plan == nil {
+			source = "miss"
+			if plan, err = e.generate(f.prog, cfg); err != nil {
+				return Metrics{}, err
+			}
+			if err := plan.Check(); err != nil {
+				return Metrics{}, err
+			}
+			e.plans.Put(key, plan)
+		}
+		narrow, err := e.dropNarrowReplicas(plan)
+		if err != nil {
+			return Metrics{}, err
+		}
+		if !narrow {
+			break
+		}
+		dropped = true
+	}
+	if source == "hit" {
 		e.cacheHits++
 		e.metrics.Counter("plan.cache.hits").Inc()
 	} else {
-		source = "miss"
-		if plan, err = e.generate(f.prog, cfg); err != nil {
-			return Metrics{}, err
-		}
-		if err := plan.Check(); err != nil {
-			return Metrics{}, err
-		}
 		e.cacheMiss++
 		e.metrics.Counter("plan.cache.misses").Inc()
-		e.plans.Put(key, plan)
 	}
 	// What the run overwrites without reading is dead once its plan is
 	// made: dropped now, its blocks nothing else reaches go back to the pool
 	// and become the run's first result blocks, instead of sitting beside
 	// them until the run returns. A run that fails from here on leaves those
 	// variables unbound.
-	dropped := false
 	for _, k := range plan.Keeps() {
 		if _, bound := e.vars[k.Var]; bound && k.Assign && !f.reads(k.Var) {
 			delete(e.vars, k.Var)
@@ -754,11 +764,20 @@ func (e *Engine) RunCtx(ctx context.Context, p *expr.Program, params map[string]
 
 // Plan returns the plan the engine would execute for a program against the
 // current session, without executing it (the dmacplan explain path). Like
-// Run, it plans the rewritten program when a rewriter is attached.
+// Run, it plans the rewritten program when a rewriter is attached, and drops
+// a kept broadcast replica the plan reads beyond its reach and plans again.
 func (e *Engine) Plan(p *expr.Program) (*core.Plan, error) {
 	f := e.form(p, 0)
-	cfg, _ := e.planInput(f)
-	return e.generate(f.prog, cfg)
+	for {
+		cfg, _ := e.planInput(f)
+		plan, err := e.generate(f.prog, cfg)
+		if err != nil {
+			return nil, err
+		}
+		if narrow, err := e.dropNarrowReplicas(plan); err != nil || !narrow {
+			return plan, err
+		}
+	}
 }
 
 // generate plans a (rewritten) program under cfg with the engine's planner:

@@ -338,14 +338,15 @@ func (e *Engine) dispatch(ctx context.Context, st *execState, op *core.Op) (*dis
 	}
 }
 
-// reach resolves a broadcast's reach (core.Op.Reach) to the workers its
-// readers run on: the union of each value's holders (Cluster.Holders) when
-// cut at the session block size. Nil — every worker — for a reach of nil.
+// reach resolves a broadcast's or a leaf's reach (core.Op.Reach) to the
+// workers its readers run on: the union of each value's holders
+// (Cluster.Holders) when cut at the session block size. Nil — every worker —
+// for a reach of nil; empty for an empty one.
 func (e *Engine) reach(plan *core.Plan, op *core.Op) ([]int, error) {
 	if op.Reach == nil {
 		return nil, nil
 	}
-	var to []int
+	to := []int{}
 	for _, id := range op.Reach {
 		v := plan.Value(id)
 		n := plan.Program.Nodes()[v.Matrix]
@@ -360,6 +361,39 @@ func (e *Engine) reach(plan *core.Plan, op *core.Op) ([]int, error) {
 		to = append(to, h...)
 	}
 	return to, nil
+}
+
+// dropNarrowReplicas drops every kept broadcast replica a (b) leaf of plan
+// reads beyond its reach: a worker the leaf's readers run on (reach) that
+// the replica was never sent to. The variable keeps the complete instance
+// the replica was broadcast from (foldBack keeps no narrowed replica without
+// one), so a plan made again broadcasts from it to the readers it has. It
+// reports whether it dropped one, which changes the session's schemes and so
+// the plan.
+func (e *Engine) dropNarrowReplicas(plan *core.Plan) (bool, error) {
+	dropped := false
+	for _, op := range plan.Ops {
+		if (op.Kind != core.OpVar && op.Kind != core.OpLoad) || plan.Value(op.Output).Scheme != dep.Broadcast {
+			continue
+		}
+		vs := e.vars[op.Node.Name]
+		if vs == nil || vs.instances[dep.Broadcast] == nil {
+			continue
+		}
+		has := vs.instances[dep.Broadcast].Reach()
+		if has == nil {
+			continue
+		}
+		need, err := e.reach(plan, op)
+		if err != nil {
+			return false, err
+		}
+		if need == nil || slices.ContainsFunc(need, func(w int) bool { return !slices.Contains(has, w) }) {
+			delete(vs.instances, dep.Broadcast)
+			dropped = true
+		}
+	}
+	return dropped, nil
 }
 
 // leafInstance resolves an OpLoad/OpVar to a session instance with the
@@ -451,7 +485,10 @@ func (e *Engine) compute(ctx context.Context, plan *core.Plan, op *core.Op, vals
 // foldBack hands the session what the plan keeps when a run ends
 // (core.Plan.Keeps). An instance stored transposed to its variable is
 // transposed first and charged like any transpose, even where the variable
-// already holds that scheme and drops it.
+// already holds that scheme and drops it. A broadcast replica keeps its
+// reach, beside the complete instance a later run broadcasts from again when
+// its readers need more (dropNarrowReplicas); the plan narrows no replica a
+// variable keeps alone, and one kept alone is refused.
 func (e *Engine) foldBack(ctx context.Context, st *execState) error {
 	for _, k := range st.plan.Keeps() {
 		vs := e.vars[k.Var]
@@ -463,11 +500,6 @@ func (e *Engine) foldBack(ctx context.Context, st *execState) error {
 			if dm == nil {
 				return fmt.Errorf("engine: %q has no materialized value v%d", k.Var, id)
 			}
-			if dm.Reach() != nil {
-				// A kept (b) instance must be everywhere: the next run's
-				// readers may sit on any worker (core.Plan.holders).
-				return fmt.Errorf("engine: %q would keep v%d, a broadcast on workers %v only", k.Var, id, dm.Reach())
-			}
 			if st.plan.Value(id).Transposed != k.Ref.Transposed {
 				dm = e.cluster.Transpose(ctx, dm)
 			}
@@ -477,6 +509,9 @@ func (e *Engine) foldBack(ctx context.Context, st *execState) error {
 		}
 		if len(vs.instances) == 0 {
 			return fmt.Errorf("engine: assignment %q has no materialized value", k.Var)
+		}
+		if b := vs.instances[dep.Broadcast]; b != nil && b.Reach() != nil && len(vs.instances) == 1 {
+			return fmt.Errorf("engine: %q would keep only a broadcast on workers %v", k.Var, b.Reach())
 		}
 		e.vars[k.Var] = vs
 	}

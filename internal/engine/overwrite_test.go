@@ -112,6 +112,37 @@ func TestOverwriteTakesTheOldValuesBlocks(t *testing.T) {
 	})
 }
 
+// reloadProgram is S = 2 * load(S): it reads S through a load and assigns
+// it.
+func reloadProgram() *expr.Program {
+	p := expr.NewProgram()
+	p.Assign("S", p.Scalar(matrix.ScalarMul, p.Load("S", oM, oN, 1), 2))
+	return p
+}
+
+// TestLoadReadsWhatTheSessionHolds: after S = A %*% B, which DMac and
+// SystemML-S keep only under the schemes the run made, S = 2 * load(S) plans
+// its load from those instances as it plans a Var, and runs twice with no
+// rebind, with the bits of the Local engine's runs.
+func TestLoadReadsWhatTheSessionHolds(t *testing.T) {
+	ref := New(Local, testConfig(), oBS)
+	bindMM(t, ref, 5)
+	for _, p := range []*expr.Program{mmProgram(), reloadProgram(), reloadProgram()} {
+		mustRun(t, ref, p)
+	}
+	want := peek(t, ref, "S")
+	eachOverwriteEngine(t, func(t *testing.T, mk func() *Engine) {
+		e := mk()
+		bindMM(t, e, 5)
+		for _, p := range []*expr.Program{mmProgram(), reloadProgram(), reloadProgram()} {
+			mustRun(t, e, p)
+		}
+		if d := matrix.BitDiff(peek(t, e, "S"), want); d != "" {
+			t.Errorf("S differs from the Local engine's: %s", d)
+		}
+	})
+}
+
 // TestOverwriteKeepsWhatIsReached: a variable the program also reads — as a
 // session variable or as a load — is not dropped, and neither are the
 // blocks of a variable that shares them with the one overwritten. Every run
@@ -120,11 +151,6 @@ func TestOverwriteKeepsWhatIsReached(t *testing.T) {
 	accumulate := func() *expr.Program { // S = S + A %*% B
 		p := expr.NewProgram()
 		p.Assign("S", p.Add(p.Var("S", oM, oN, 1), p.Mul(p.Var("A", oM, oK, 1), p.Var("B", oK, oN, 1))))
-		return p
-	}
-	reload := func() *expr.Program { // S = 2 * load(S)
-		p := expr.NewProgram()
-		p.Assign("S", p.Scalar(matrix.ScalarMul, p.Load("S", oM, oN, 1), 2))
 		return p
 	}
 	shared := func() *expr.Program { // S = A %*% B; T = S
@@ -141,11 +167,11 @@ func TestOverwriteKeepsWhatIsReached(t *testing.T) {
 		run := func(p *expr.Program) func(*Engine) error {
 			return func(e *Engine) error { _, err := e.Run(p, nil); return err }
 		}
-		// A load reads only a hash-placed instance, which a bind makes.
+		// A bind of S's own grid makes a hash-placed S sharing its blocks.
 		rebindS := func(e *Engine) error { return e.Bind("S", peek(t, e, "S")) }
 		steps := []func(*Engine) error{
 			run(mmProgram()), run(accumulate()), run(accumulate()),
-			rebindS, run(reload()), rebindS, run(reload()),
+			rebindS, run(reloadProgram()), rebindS, run(reloadProgram()),
 			run(shared()), run(mmProgram()), run(mmProgram()),
 		}
 		var tBefore *matrix.Grid

@@ -292,10 +292,20 @@ func TestGemmFusedReference(t *testing.T) {
 			}
 			entry := dstOnEntry(rng, n, p)
 			entry.Data[rng.Intn(len(entry.Data))] = -0x1p-1060
+			// The reference of the shape and flags, unpacked and packed,
+			// computed once on first use: every kernel and worker count is
+			// held to the same product.
+			var refs [2]*DenseBlock
 			check := func(what string, got *DenseBlock, packed bool) {
-				want := entry.Clone().(*DenseBlock)
-				refGemm(want, a, b, aT, bT, packed, true)
-				if d := same(got, want); d != "" {
+				i := 0
+				if packed {
+					i = 1
+				}
+				if refs[i] == nil {
+					refs[i] = entry.Clone().(*DenseBlock)
+					refGemm(refs[i], a, b, aT, bT, packed, true)
+				}
+				if d := same(got, refs[i]); d != "" {
 					t.Fatalf("%s %dx%dx%d aT=%v bT=%v payloads=%v: got vs fused reference %s", what, n, m, p, aT, bT, payloads, d)
 				}
 			}

@@ -79,40 +79,38 @@ var (
 	}
 )
 
-// labelKey builds an unambiguous map key from label values using
+// appendLabelKey appends to b an unambiguous map key for label values, in
 // length-prefixed encoding (a plain separator join would collide when values
 // contain the separator).
-func labelKey(values []string) string {
-	n := 0
-	for _, v := range values {
-		n += len(v) + 8
-	}
-	b := make([]byte, 0, n)
+func appendLabelKey(b []byte, values []string) []byte {
 	for _, v := range values {
 		b = strconv.AppendInt(b, int64(len(v)), 10)
 		b = append(b, ':')
 		b = append(b, v...)
 	}
-	return string(b)
+	return b
 }
 
 // With returns the child metric for the given label values (one per label
 // name, in declaration order), creating it on first use; a histogram child
-// gets the family's bounds.
+// gets the family's bounds. Finding an existing child allocates nothing for
+// keys up to the stack buffer's size: the lookup converts the key bytes
+// without copying them, and only a new child's key is made a string.
 func (f *Family[M, S]) With(values ...string) *M {
 	if f == nil || len(values) != len(f.labels) {
 		return nil
 	}
-	k := labelKey(values)
+	var buf [128]byte
+	k := appendLabelKey(buf[:0], values)
 	f.mu.RLock()
-	ch, ok := f.children[k]
+	ch, ok := f.children[string(k)]
 	f.mu.RUnlock()
 	if !ok {
 		f.mu.Lock()
-		ch, ok = f.children[k]
+		ch, ok = f.children[string(k)]
 		if !ok {
 			ch = &child[M]{values: append([]string(nil), values...), m: f.kind.make(f.bounds)}
-			f.children[k] = ch
+			f.children[string(k)] = ch
 		}
 		f.mu.Unlock()
 	}

@@ -52,6 +52,27 @@ func TestLabelKeyUnambiguous(t *testing.T) {
 	}
 }
 
+// TestWithExistingChildAllocatesNothing: resolving a child that exists, of
+// a one- and a three-label family, allocates nothing; a key past the stack
+// buffer still finds the same child.
+func TestWithExistingChildAllocatesNothing(t *testing.T) {
+	r := NewRegistry()
+	one := r.CounterVec("one", "tenant")
+	three := r.HistogramVec("three", SecondsBuckets, "tenant", "workload", "state")
+	first, second := one.With("alice"), three.With("alice", "gram", "done")
+	if a := testing.AllocsPerRun(100, func() {
+		if one.With("alice") != first || three.With("alice", "gram", "done") != second {
+			t.Fatal("With resolved another child")
+		}
+	}); a != 0 {
+		t.Errorf("With on existing children allocates %.0f times, want 0", a)
+	}
+	long := string(make([]byte, 300))
+	if one.With(long) != one.With(long) || one.With(long) == first {
+		t.Error("a long label value does not resolve to one child of its own")
+	}
+}
+
 func TestHistogramVecSharesBounds(t *testing.T) {
 	r := NewRegistry()
 	v := r.HistogramVec("lat", []float64{1, 2, 4}, "tenant")

@@ -177,8 +177,12 @@ func (s *Service) handleTrace(w http.ResponseWriter, r *http.Request) {
 
 func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req SubmitRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: fmt.Sprintf("bad request body: %v", err)})
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, submitBodyBytes)).Decode(&req); err != nil {
+		code := http.StatusBadRequest
+		if tooLarge := (*http.MaxBytesError)(nil); errors.As(err, &tooLarge) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeJSON(w, code, errorResponse{Error: fmt.Sprintf("bad request body: %v", err)})
 		return
 	}
 	if req.Workload == "" {

@@ -205,6 +205,31 @@ func TestHTTPCancelAndValidation(t *testing.T) {
 	}
 }
 
+// TestHTTPOversizedBody: a submit body is read up to submitBodyBytes. One
+// byte more is answered 413 and submits nothing; a job padded to exactly the
+// bound is accepted.
+func TestHTTPOversizedBody(t *testing.T) {
+	s := newTestService(t, testOptions())
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	job := `{"tenant":"t","workload":"gram","params":{"rows":64,"cols":16}}`
+	pad := func(n int) string { return string(bytes.Repeat([]byte{' '}, n-len(job))) + job }
+	resp, _, er := postJob(t, srv.URL, pad(submitBodyBytes+1))
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("a body of %d bytes = %d (%s), want 413", submitBodyBytes+1, resp.StatusCode, er.Error)
+	}
+	if st := s.Stats(); st.Submitted != 0 {
+		t.Errorf("an oversized body submitted %d jobs", st.Submitted)
+	}
+	resp, jr, er := postJob(t, srv.URL, pad(submitBodyBytes))
+	if resp.StatusCode != http.StatusAccepted || jr.ID == "" {
+		t.Fatalf("a body of exactly %d bytes = %d (%s), want 202", submitBodyBytes, resp.StatusCode, er.Error)
+	}
+	if _, err := s.Wait(context.Background(), jr.ID); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestHTTPDraining: during Stop, /healthz flips to 503 and submits are shed
 // with a draining error.
 func TestHTTPDraining(t *testing.T) {

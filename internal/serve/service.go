@@ -73,13 +73,14 @@ type Options struct {
 // once). Finished results' grids are kept for Result up to
 // resultBudgetBytes, the oldest evicted first (retainLocked), and finished
 // jobs' records up to jobRecords jobs in all, the oldest forgotten first
-// (forgetLocked).
+// (forgetLocked). A POST /v1/jobs body is read up to submitBodyBytes.
 const (
 	sharedPlanEntries = 128
 	jobCacheBytes     = 64 << 20
 	jobCacheSeenKeys  = 4096
 	resultBudgetBytes = 16 << 20
 	jobRecords        = 1024
+	submitBodyBytes   = 1 << 20
 )
 
 func (o Options) withDefaults() Options {
