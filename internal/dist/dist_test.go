@@ -73,7 +73,11 @@ func TestPartitionChargesMatrixSize(t *testing.T) {
 	}
 }
 
-func TestBroadcastChargesNTimes(t *testing.T) {
+// TestBroadcastSparesOwners: a full broadcast of a Row matrix reaches every
+// worker and charges each block once per receiver that does not own it —
+// 3 x 4 blocks, each on one of the four receivers, so (N−1)|A| = 3|A|. A
+// broadcast replica broadcast again has no owner to spare: N|A|.
+func TestBroadcastSparesOwners(t *testing.T) {
 	c := testCluster()
 	rng := rand.New(rand.NewSource(2))
 	g := randGrid(rng, 12, 12, 4, 1)
@@ -85,8 +89,14 @@ func TestBroadcastChargesNTimes(t *testing.T) {
 	if out.Scheme != dep.Broadcast {
 		t.Errorf("scheme = %s", out.Scheme)
 	}
-	if got := c.Net().Snapshot().CommBytes; got != 4*g.MemBytes() {
-		t.Errorf("bytes = %d, want N|A| = %d", got, 4*g.MemBytes())
+	if got := c.Net().Snapshot().CommBytes; got != 3*g.MemBytes() {
+		t.Errorf("bytes = %d, want (N−1)|A| = %d", got, 3*g.MemBytes())
+	}
+	if _, err := c.Broadcast(context.Background(), out, 3, nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.Net().Snapshot().CommBytes; got != 7*g.MemBytes() {
+		t.Errorf("re-broadcast replica charged %d B, want N|A| = %d", got-3*g.MemBytes(), 4*g.MemBytes())
 	}
 }
 

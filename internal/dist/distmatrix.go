@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"slices"
@@ -210,7 +211,8 @@ func (c *Cluster) readsWithin(b, part *DistMatrix) error {
 // a copy. A narrowed one costs |A| when the worker was a receiver, the copy
 // the survivor inheriting its blocks needs, and nothing otherwise; the
 // survivor is a receiver from then on, since receivers resolves the reach
-// under current liveness.
+// under current liveness. That copy is re-fetched whole: Broadcast's owner
+// rule, which spares a receiver the blocks it owns, does not apply to it.
 func (c *Cluster) WorkerBytes(m *DistMatrix, w int) int64 {
 	if m.Scheme == dep.Broadcast {
 		if m.reach != nil && slices.Contains(c.receivers(m), w) {
@@ -275,30 +277,91 @@ func (c *Cluster) Partition(ctx context.Context, m *DistMatrix, scheme dep.Schem
 // Broadcast replicates the matrix on the workers its readers run on. to
 // lists them by nominal placement (Holders), nil for every worker; each
 // receives a copy at its current owner (receivers), so a worker lost before
-// the broadcast is stood in for by the survivor holding its blocks. The
-// charge is |A| per receiver: N x |A| for a full broadcast on a full cluster,
-// the price Eq. 1 plans every broadcast at, and less for a narrowed one or
-// once workers have been lost. On the wire the replication is a ring over
-// the receivers: the coordinator sends each block once and each receiver
-// forwards it to the next, so no single link carries the whole fan-out.
+// the broadcast is stood in for by the survivor holding its blocks. A
+// partitioned source (Row, Col or hash placed, transpose views included) is
+// gathered: each block goes only to the receivers other than its owner
+// (Owner, the survivor when the nominal owner is dead), which holds it
+// already, so a full broadcast on a full cluster charges (N−1) x |A| where
+// Eq. 1 plans N x |A|. A broadcast replica read again is copied whole to
+// every receiver, |A| each. On the wire the blocks are grouped by owner and
+// each group is one ring over the receivers less that owner: the
+// coordinator sends each block once and each receiver forwards it to the
+// next, so no single link carries the whole fan-out. The groups ring one
+// after another, each in ascending worker order; rotated rings run at once
+// could wait on each other's forward links in a cycle.
 func (c *Cluster) Broadcast(ctx context.Context, m *DistMatrix, stage int, to []int) (*DistMatrix, error) {
 	if err := collectiveTurn(ctx); err != nil {
 		return nil, err
 	}
 	out := &DistMatrix{Grid: m.Grid, Scheme: dep.Broadcast, trans: m.trans, reach: c.narrow(to)}
-	hops := c.receivers(out)
+	recv := c.receivers(out)
+	xfers, bytes := c.gatherXfers(m, recv)
 	sent := time.Now()
-	wire, err := c.transport.Ring(ctx, "broadcast", stage, m.ringXfers(), hops)
-	wireS := time.Since(sent).Seconds()
-	if err := c.commFailure(err, stage); err != nil {
-		return nil, err
+	var wire Wire
+	for len(xfers) > 0 {
+		owner := xfers[0].To
+		n := 1
+		for n < len(xfers) && xfers[n].To == owner {
+			n++
+		}
+		group := xfers[:n]
+		xfers = xfers[n:]
+		for i := range group {
+			group[i].To = -1
+		}
+		// The ring's hops are recv less the owner, in place: the owner is
+		// taken out for the ring and put back after it.
+		hops := recv
+		at := slices.Index(recv, owner)
+		if at >= 0 {
+			hops = slices.Delete(recv, at, at+1)
+		}
+		rw, err := c.transport.Ring(ctx, "broadcast", stage, group, hops)
+		if at >= 0 {
+			recv = slices.Insert(hops, at, owner)
+		}
+		wire.add(rw)
+		if err := c.commFailure(err, stage); err != nil {
+			return nil, err
+		}
 	}
-	replicas := int64(len(hops))
-	c.comm(ctx, stage, commBroadcast, replicas*m.Bytes(),
-		obs.String("from_scheme", m.Scheme.String()), obs.Int64("replicas", replicas))
+	wireS := time.Since(sent).Seconds()
+	c.comm(ctx, stage, commBroadcast, bytes,
+		obs.String("from_scheme", m.Scheme.String()), obs.Int64("replicas", int64(len(recv))))
 	c.verifyTransfer(ctx, m, stage, commBroadcast)
 	c.chargeWire(ctx, stage, commBroadcast, wire, wireS)
 	return out, nil
+}
+
+// gatherXfers lists m's blocks for a broadcast to the receivers recv,
+// ordered by owner ascending and by coordinates within an owner, with the
+// charge: each block's bytes once per receiver other than its owner. To
+// holds the block's owner, -1 for every block of a broadcast replica, which
+// no receiver is spared; Broadcast cuts the groups out by it and resets it
+// before handing a group to the ring. A block whose owner is recv's only
+// receiver goes nowhere and is left out.
+func (c *Cluster) gatherXfers(m *DistMatrix, recv []int) ([]BlockXfer, int64) {
+	br, bc := m.BlockRows(), m.BlockCols()
+	out := make([]BlockXfer, 0, br*bc)
+	var bytes int64
+	for bi := 0; bi < br; bi++ {
+		for bj := 0; bj < bc; bj++ {
+			owner, copies := -1, len(recv)
+			if m.Scheme != dep.Broadcast {
+				owner = c.Owner(m, bi, bj)
+				if slices.Contains(recv, owner) {
+					copies--
+				}
+			}
+			if copies == 0 {
+				continue
+			}
+			bytes += int64(copies) * m.BlockBytes(bi, bj)
+			out = append(out, BlockXfer{Bi: bi, Bj: bj, To: owner, Block: m.StoredBlock(bi, bj)})
+		}
+	}
+	slices.SortStableFunc(out, func(a, b BlockXfer) int { return cmp.Compare(a.To, b.To) })
+	return out, bytes
 }
 
 // narrow returns a broadcast's reach as Broadcast stores it: to sorted and

@@ -10,8 +10,12 @@ import (
 )
 
 // TestBroadcastToReceivers: a broadcast to a strict subset of the workers
-// charges |A| per receiver and records them; a list naming every worker, in
-// any order and with repeats, is a full broadcast.
+// charges each block once per receiver that does not own it and records the
+// receivers; a list naming every worker, in any order and with repeats, is a
+// full broadcast. The Row matrix has three equal block-rows on workers 0, 1
+// and 2: to {0, 1}, block-rows 0 and 1 go to the other receiver and
+// block-row 2 to both, 4/3 |A|; to all four, each block-row goes to three,
+// 3|A|.
 func TestBroadcastToReceivers(t *testing.T) {
 	ctx := context.Background()
 	c := testCluster()
@@ -22,8 +26,8 @@ func TestBroadcastToReceivers(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := c.Net().Snapshot()
-	if s.CommBytes != 2*g.MemBytes() || s.Broadcasts != 1 {
-		t.Errorf("narrowed broadcast charged %d B in %d broadcasts, want 2|A| = %d in 1", s.CommBytes, s.Broadcasts, 2*g.MemBytes())
+	if s.CommBytes != 4*g.MemBytes()/3 || s.Broadcasts != 1 {
+		t.Errorf("narrowed broadcast charged %d B in %d broadcasts, want 4/3 |A| = %d in 1", s.CommBytes, s.Broadcasts, 4*g.MemBytes()/3)
 	}
 	if got := c.receivers(out); !slices.Equal(got, []int{0, 1}) || !slices.Equal(out.Reach(), []int{0, 1}) {
 		t.Errorf("receivers %v, reach %v, want [0 1] both", got, out.Reach())
@@ -35,8 +39,8 @@ func TestBroadcastToReceivers(t *testing.T) {
 	if full.Reach() != nil || !slices.Equal(c.receivers(full), []int{0, 1, 2, 3}) {
 		t.Errorf("a broadcast to every worker has reach %v, receivers %v; want nil, all four", full.Reach(), c.receivers(full))
 	}
-	if got := c.Net().Snapshot().CommBytes - s.CommBytes; got != 4*g.MemBytes() {
-		t.Errorf("full broadcast charged %d B, want N|A| = %d", got, 4*g.MemBytes())
+	if got := c.Net().Snapshot().CommBytes - s.CommBytes; got != 3*g.MemBytes() {
+		t.Errorf("full broadcast charged %d B, want (N−1)|A| = %d", got, 3*g.MemBytes())
 	}
 	if tr := c.Transpose(ctx, out); !slices.Equal(tr.Reach(), []int{0, 1}) {
 		t.Errorf("a transpose view of the replica has reach %v, want the replica's [0 1]", tr.Reach())

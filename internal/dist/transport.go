@@ -37,7 +37,10 @@ type Transport interface {
 	Scatter(ctx context.Context, op string, stage int, xfers []BlockXfer) (Wire, error)
 	// Ring replicates the blocks onto every listed worker by ring
 	// forwarding: the coordinator sends each block to the first hop, each
-	// hop forwards to the next. hops is the alive-worker ring order.
+	// hop forwards to the next. hops is the ring order, ascending over
+	// alive workers; a broadcast rings once per owner of its blocks and
+	// reuses hops' array between rings, so Ring keeps neither argument past
+	// its return.
 	Ring(ctx context.Context, op string, stage int, blocks []BlockXfer, hops []int) (Wire, error)
 	// Collect gathers a small driver-side aggregate (8 bytes) from each
 	// listed worker.
@@ -186,19 +189,6 @@ func (c *Cluster) scatterXfers(m *DistMatrix, copies int) []BlockXfer {
 			for bj := 0; bj < bc; bj++ {
 				out = append(out, BlockXfer{Bi: bi, Bj: bj, To: c.Owner(m, bi, bj), Block: m.StoredBlock(bi, bj)})
 			}
-		}
-	}
-	return out
-}
-
-// ringXfers lists m's blocks once each (destination filled per hop by the
-// transport) — the payload of a ring broadcast.
-func (m *DistMatrix) ringXfers() []BlockXfer {
-	br, bc := m.BlockRows(), m.BlockCols()
-	out := make([]BlockXfer, 0, br*bc)
-	for bi := 0; bi < br; bi++ {
-		for bj := 0; bj < bc; bj++ {
-			out = append(out, BlockXfer{Bi: bi, Bj: bj, To: -1, Block: m.StoredBlock(bi, bj)})
 		}
 	}
 	return out

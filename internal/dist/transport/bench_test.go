@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"dmac/internal/dep"
 	"dmac/internal/dist"
 	"dmac/internal/matrix"
 )
@@ -12,7 +13,7 @@ import (
 // 60000-node graph as 6 dense 10606x1 blocks, 4 loopback workers — so the
 // wire layer can be timed without the benchmark ledger around it:
 //
-//	go test -run '^$' -bench 'Ring|Scatter' -benchmem ./internal/dist/transport
+//	go test -run '^$' -bench 'Ring|Scatter|Broadcast' -benchmem ./internal/dist/transport
 
 const (
 	benchWorkers = 4
@@ -71,6 +72,24 @@ func BenchmarkScatter(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := tr.Scatter(ctx, "partition", i+1, xfers); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkBroadcast is the rank vector's full broadcast as a run makes it,
+// through the cluster: its six block-columns sit on workers 0, 1, 2, 3, 0, 1,
+// so it is four rings, one per owner, each over the other three workers.
+func BenchmarkBroadcast(b *testing.B) {
+	tr, _ := benchCluster(b)
+	c := dist.NewCluster(dist.Config{Workers: benchWorkers, LocalParallelism: 1})
+	c.SetTransport(tr)
+	rank := dist.NewDistMatrix(matrix.NewDenseGrid(1, benchBlocks*benchRows, benchRows), dep.Col)
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := c.Broadcast(ctx, rank, 1, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -10,11 +10,12 @@ import (
 )
 
 // TestTCPNarrowedBroadcastReachesOnlyReceivers rings a broadcast to two of
-// four TCP workers: only those two store its blocks, the model charges 2|A|,
-// and the measured wire traffic is exactly that payload plus the ring's
-// framing — per hop a RING frame (header, stage, hop count, the addresses of
-// the hops still to go, block count, and per block its coordinates, CRC,
-// length and kind byte) and a RING_OK ack. A second run then reads the
+// four TCP workers. The Row matrix's three block-rows (two blocks each) are
+// on workers 0, 1 and 2; each goes only to the receivers that do not own it,
+// one ring per owner: block-row 0 to worker 2, block-row 1 to 0 and 2,
+// block-row 2 to worker 0. So only the two receivers store blocks, four
+// each, the model charges 4/3 |A|, and the measured wire traffic is exactly
+// that payload plus the rings' framing (ringFraming). A second run then reads the
 // replica, as a session keeps it, next to a partner whose one block-column
 // is on worker 0, a receiver: it rings nothing and charges no byte.
 func TestTCPNarrowedBroadcastReachesOnlyReceivers(t *testing.T) {
@@ -44,31 +45,26 @@ func TestTCPNarrowedBroadcastReachesOnlyReceivers(t *testing.T) {
 		t.Fatal(err)
 	}
 	after := c.Net().Snapshot()
-	hops := []int{0, 2} // the ring's order: ascending
-	blocks := g.BlockRows() * g.BlockCols()
-	for w, want := range []int{blocks, 0, blocks, 0} {
+	// One ring per owner, each in ascending order over the receivers less
+	// the owner.
+	groups := []ringGroup{{hops: []int{2}, blocks: 2}, {hops: []int{0, 2}, blocks: 2}, {hops: []int{0}, blocks: 2}}
+	stored := []int{4, 0, 4, 0}
+	for w, want := range stored {
 		if got := workers[w].BlockCount(); got != want {
 			t.Errorf("worker %d holds %d blocks, want %d", w, got, want)
 		}
 	}
 	charge := after.CommBytes - before.CommBytes
-	if charge != 2*g.MemBytes() {
-		t.Errorf("model charged %d B, want 2|A| = %d", charge, 2*g.MemBytes())
+	if charge != 4*g.MemBytes()/3 {
+		t.Errorf("model charged %d B, want 4/3 |A| = %d", charge, 4*g.MemBytes()/3)
 	}
-	var framing int64
-	for i := range hops {
-		framing += frameHdrLen + 4 + 2 + 4 + int64(blocks)*(smallPayload+1)
-		for _, h := range hops[i+1:] {
-			framing += 2 + int64(len(addrs[h]))
-		}
-		framing += frameHdrLen + smallPayload // the hop's RING_OK
-	}
+	framing, frames := ringFraming(addrs, groups)
 	wire := after.WireBytes - before.WireBytes
 	if wire-framing != charge {
 		t.Errorf("wire %d B minus framing %d B = %d B, want the model's %d B", wire, framing, wire-framing, charge)
 	}
-	if frames := after.WireFrames - before.WireFrames; frames != 2*int64(len(hops)) {
-		t.Errorf("%d frames on the wire, want a RING and a RING_OK per receiver: %d", frames, 2*len(hops))
+	if got := after.WireFrames - before.WireFrames; got != frames {
+		t.Errorf("%d frames on the wire, want a RING and a RING_OK per hop of each ring: %d", got, frames)
 	}
 
 	c.BeginRun()
@@ -81,9 +77,34 @@ func TestTCPNarrowedBroadcastReachesOnlyReceivers(t *testing.T) {
 		t.Errorf("second run charged %d B and sent %d B in %d frames, want none",
 			end.CommBytes-after.CommBytes, end.WireBytes-after.WireBytes, end.WireFrames-after.WireFrames)
 	}
-	for w, want := range []int{blocks, 0, blocks, 0} {
+	for w, want := range stored {
 		if got := workers[w].BlockCount(); got != want {
 			t.Errorf("after the second run worker %d holds %d blocks, want %d", w, got, want)
 		}
 	}
+}
+
+// ringGroup is one ring of a broadcast: its hops, in ring order, and the
+// number of blocks it carries.
+type ringGroup struct {
+	hops   []int
+	blocks int
+}
+
+// ringFraming is the wire overhead of a broadcast's rings beyond the block
+// bytes, and their frame count: per hop a RING frame (header, stage, hop
+// count, the addresses of the hops still to go, block count, and per block
+// its coordinates, CRC, length and kind byte) and a RING_OK ack.
+func ringFraming(addrs []string, groups []ringGroup) (bytes, frames int64) {
+	for _, g := range groups {
+		for i := range g.hops {
+			bytes += frameHdrLen + 4 + 2 + 4 + int64(g.blocks)*(smallPayload+1)
+			for _, h := range g.hops[i+1:] {
+				bytes += 2 + int64(len(addrs[h]))
+			}
+			bytes += frameHdrLen + smallPayload // the hop's RING_OK
+			frames += 2
+		}
+	}
+	return bytes, frames
 }

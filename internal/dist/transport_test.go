@@ -14,7 +14,8 @@ import (
 // returns the cluster's accumulated statistics after each stage (the last
 // entry is the run's total). The pinned test below asserts the exact numbers
 // this produced before the Transport interface existed, so the in-process
-// transport is provably charge-identical to the direct-copy code it replaced.
+// transport is provably charge-identical to the direct-copy code it
+// replaced, with the broadcast priced by the owner rule.
 func transportGoldenStats(t *testing.T, c *Cluster) []Snapshot {
 	t.Helper()
 	var after []Snapshot
@@ -59,13 +60,15 @@ func transportGoldenStats(t *testing.T, c *Cluster) []Snapshot {
 // TestInprocTransportChargesPinned pins the in-process transport to the
 // exact NetStats charges the pre-transport direct-copy code produced for the
 // same collective sequence. Any change to these numbers is a change to the
-// cost model, not a refactor.
+// cost model, not a refactor. |A| is 12 x 10 x 8 = 960 B: stage 1 is the
+// partition's |A| and the full broadcast's 3|A| (each block to the three
+// receivers that do not own it), 3840 B.
 func TestInprocTransportChargesPinned(t *testing.T) {
 	c := NewCluster(Config{Workers: 4, LocalParallelism: 2})
 	stages := transportGoldenStats(t, c)
 	s := stages[len(stages)-1]
-	if s.CommBytes != 7840 {
-		t.Errorf("CommBytes = %d, want 7840", s.CommBytes)
+	if s.CommBytes != 6880 {
+		t.Errorf("CommBytes = %d, want 6880", s.CommBytes)
 	}
 	if s.CommEvents != 5 || s.Broadcasts != 1 || s.Shuffles != 4 {
 		t.Errorf("events = %d (b=%d, s=%d), want 5 (1, 4)", s.CommEvents, s.Broadcasts, s.Shuffles)
@@ -73,7 +76,7 @@ func TestInprocTransportChargesPinned(t *testing.T) {
 	if s.FLOPs != 1208 {
 		t.Errorf("FLOPs = %v, want 1208", s.FLOPs)
 	}
-	wantBytes, wantEvents := []int64{4800, 960, 2080}, []int{2, 1, 2}
+	wantBytes, wantEvents := []int64{3840, 960, 2080}, []int{2, 1, 2}
 	var prev Snapshot
 	for i, cur := range stages {
 		if got := cur.CommBytes - prev.CommBytes; got != wantBytes[i] {

@@ -50,6 +50,16 @@ func keptSession(t *testing.T, planner Planner, rewriter bool, cfg dist.Config) 
 	return e
 }
 
+// keptAToB is what broadcasting the hash-placed A to the holders of B's
+// block-columns, workers 0 to 2, charges. A's block (bi, bj) is on worker
+// (bi·4 + bj) mod 4 = bj, so its block-columns 0 to 2 go to the two
+// receivers that do not own them and block-column 3, 4 wide and on worker 3,
+// to all three: 2·(|A| − |A₃|) + 3·|A₃| = 104,448 B where 3·|A| is 153,600.
+func keptAToB() int64 {
+	a3 := matrix.DenseMemBytes(keptShapes["A"][0], 4)
+	return 2*(keptBytes("A")-a3) + 3*a3
+}
+
 // keptVar is a Var leaf of one of the kept-replica matrices.
 func keptVar(p *expr.Program, name string) expr.Ref {
 	return p.Var(name, keptShapes[name][0], keptShapes[name][1], 1)
@@ -92,12 +102,14 @@ func replicaReach(t *testing.T, e *Engine, name string) []int {
 }
 
 // TestKeptReplicaReachesOnlyReaders runs S = A %*% B three times: the first
-// run broadcasts A to the holders of B's block-columns only and partitions B,
-// (holders of B)·|A| + |B|, while its plan still estimates N·|A| + |B|; the
-// session keeps A(b) with that reach beside the hash-placed A, and the later
-// runs read it as it is and charge nothing. SystemML-S sends A on from the
-// kept replica every run, to the same three workers, and keeps the replica
-// it read. S is Local's bit for bit.
+// run broadcasts A to the holders of B's block-columns only, each block to
+// those that do not own it, and partitions B, keptAToB() + |B|, while its
+// plan still estimates N·|A| + |B|;
+// the session keeps A(b) with that reach beside the hash-placed A, and the
+// later runs read it as it is and charge nothing. SystemML-S does the same
+// in its first run, then sends A on from the kept replica every run, whole,
+// to the same three workers, 3·|A| + |B|, and keeps the replica it read. S
+// is Local's bit for bit.
 func TestKeptReplicaReachesOnlyReaders(t *testing.T) {
 	for _, rw := range []bool{false, true} {
 		e := keptSession(t, DMac, rw, testConfig())
@@ -114,7 +126,7 @@ func TestKeptReplicaReachesOnlyReaders(t *testing.T) {
 			m := keptRun(t, e, ref, p, "S", fmt.Sprintf("rewriter %v, run %d", rw, run))
 			want := int64(0)
 			if run == 1 {
-				want = 3*keptBytes("A") + keptBytes("B")
+				want = keptAToB() + keptBytes("B")
 			}
 			if m.CommBytes != want {
 				t.Errorf("rewriter %v, run %d charged %d B, want %d", rw, run, m.CommBytes, want)
@@ -128,7 +140,11 @@ func TestKeptReplicaReachesOnlyReaders(t *testing.T) {
 		var first *dist.DistMatrix
 		for run := 1; run <= 3; run++ {
 			m := keptRun(t, e, ref, p, "S", fmt.Sprintf("SystemML-S, rewriter %v, run %d", rw, run))
-			if want := 3*keptBytes("A") + keptBytes("B"); m.CommBytes != want {
+			want := 3*keptBytes("A") + keptBytes("B")
+			if run == 1 {
+				want = keptAToB() + keptBytes("B")
+			}
+			if m.CommBytes != want {
 				t.Errorf("SystemML-S, rewriter %v, run %d charged %d B, want %d", rw, run, m.CommBytes, want)
 			}
 			if run == 1 {
@@ -142,7 +158,8 @@ func TestKeptReplicaReachesOnlyReaders(t *testing.T) {
 
 // TestKeptReplicaOverTCP runs S = A %*% B twice over a loopback TCP data
 // plane: the first run rings A to the three workers holding B's
-// block-columns and charges what the in-process plane does, and the second
+// block-columns, each block to those that do not own it, and charges what
+// the in-process plane does, keptAToB() + |B|, and the second
 // reads the replica the session kept and sends nothing.
 func TestKeptReplicaOverTCP(t *testing.T) {
 	addrs := make([]string, 4)
@@ -162,7 +179,7 @@ func TestKeptReplicaOverTCP(t *testing.T) {
 	ref := keptSession(t, Local, false, testConfig())
 	p := keptMul("S", "A", "B")
 	m := keptRun(t, e, ref, p, "S", "run 1")
-	if want := 3*keptBytes("A") + keptBytes("B"); m.CommBytes != want || m.WireBytes <= m.CommBytes {
+	if want := keptAToB() + keptBytes("B"); m.CommBytes != want || m.WireBytes <= m.CommBytes {
 		t.Errorf("run 1 charged %d B and sent %d B, want %d charged and more sent", m.CommBytes, m.WireBytes, want)
 	}
 	if m = keptRun(t, e, ref, p, "S", "run 2"); m.CommBytes != 0 || m.WireBytes != 0 || m.WireFrames != 0 {
@@ -173,14 +190,15 @@ func TestKeptReplicaOverTCP(t *testing.T) {
 // TestKeptReplicaTooNarrowIsRebroadcast: after S = A %*% B has kept A(b) on
 // workers 0 to 2, T = A %*% C reads A next to C's five block-columns, on all
 // four workers. The run drops the narrow replica and plans again, so it
-// broadcasts A from the hash-placed instance to all four, 4·|A| and nothing
-// else (C(c) is the session's from W = E %*% C), and keeps that replica.
+// broadcasts A from the hash-placed instance to all four, each block to the
+// three that do not own it, 3·|A| and nothing else (C(c) is the session's from W = E %*% C), and keeps that
+// replica.
 // U = A + A extracts A(r) from the narrow replica on workers 0 and 1, within
 // its reach, and charges nothing; U = A + X, X(c) the session's from
 // Z = G %*% X, would extract A(c) on all four: its run drops the replica too
 // and partitions A instead, |A|. Y = A, S = A %*% B would keep A(b) as Y's
 // only instance, which must be everywhere: its run drops the narrow replica
-// and broadcasts A to all four workers, 4·|A|. No run meets the receiver
+// and broadcasts A to all four workers, 3·|A|. No run meets the receiver
 // check of Multiply or Extract, and every result is Local's.
 func TestKeptReplicaTooNarrowIsRebroadcast(t *testing.T) {
 	for _, rw := range []bool{false, true} {
@@ -191,8 +209,8 @@ func TestKeptReplicaTooNarrowIsRebroadcast(t *testing.T) {
 		tr := obs.NewTracer()
 		e.SetObserver(tr, nil)
 		m := keptRun(t, e, ref, keptMul("T", "A", "C"), "T", fmt.Sprintf("rewriter %v: T = A %%*%% C", rw))
-		if want := 4 * keptBytes("A"); m.CommBytes != want {
-			t.Errorf("rewriter %v: T = A %%*%% C charged %d B, want 4·|A| = %d", rw, m.CommBytes, want)
+		if want := 3 * keptBytes("A"); m.CommBytes != want {
+			t.Errorf("rewriter %v: T = A %%*%% C charged %d B, want 3·|A| = %d", rw, m.CommBytes, want)
 		}
 		var rings []int64
 		for _, s := range tr.Spans() {
@@ -237,8 +255,8 @@ func TestKeptReplicaTooNarrowIsRebroadcast(t *testing.T) {
 		p.Assign("Y", a)
 		p.Assign("S", p.Mul(a, keptVar(p, "B")))
 		m = keptRun(t, e, ref, p, "Y", fmt.Sprintf("rewriter %v: Y = A, S = A %%*%% B", rw))
-		if want := 4 * keptBytes("A"); m.CommBytes != want {
-			t.Errorf("rewriter %v: Y = A, S = A %%*%% B charged %d B, want 4·|A| = %d", rw, m.CommBytes, want)
+		if want := 3 * keptBytes("A"); m.CommBytes != want {
+			t.Errorf("rewriter %v: Y = A, S = A %%*%% B charged %d B, want 3·|A| = %d", rw, m.CommBytes, want)
 		}
 		if got := replicaReach(t, e, "Y"); got != nil || len(e.vars["Y"].instances) != 1 {
 			t.Errorf("rewriter %v: Y holds %v, its A(b) reaching %v; want only A(b), on every worker", rw, e.VarSchemes("Y"), got)

@@ -20,15 +20,20 @@ import (
 // service slot does — 4 workers, the rewrite pass, each job cut at
 // max(32, BlockSizeFor) — at the parameters of the serve_mix benchmark. Each
 // is cut into fewer blocks than there are workers, so its broadcasts ring only
-// to the workers its readers run on, and the jobs charge exactly:
+// to the workers its readers run on, and each block only to those of them
+// that do not own it. The jobs charge exactly:
 //
-//   - pagerank: rank(b) reaches worker 0 only, 8,192 B an iteration instead
-//     of 32,768;
-//   - gram: Vᵀ(b), read by its RMM1 and its extract on worker 0, 39,828 B
-//     instead of 4 × 39,828;
+//   - pagerank: rank(b) reaches worker 0 only, which owns rank's one block,
+//     so it moves nothing, where every worker would be sent 32,768 B an
+//     iteration;
+//   - gram: Vᵀ(b), read by its RMM1 and its extract on worker 0, sends
+//     worker 0 the block on worker 1, 20,744 B of Vᵀ's 41,368 B, instead of
+//     4 × 41,368;
 //   - blend: A(b), kept for iteration 2 beside the hash-placed A, reaches
-//     workers 0 to 2, the holders of B's three block-columns, 3 × 65,536 B
-//     instead of 4 ×, and iteration 2 reads the session's replica as it is.
+//     workers 0 to 2, the holders of B's three block-columns, which also hold
+//     A's three block-rows: each goes to the two receivers that do not own
+//     it, 2 × 65,536 B instead of 4 ×, and iteration 2 reads the session's
+//     replica as it is.
 //
 // The plans' estimates still price every broadcast at N·|A|, so they bound
 // what the jobs charge.
@@ -38,9 +43,9 @@ func TestServedJobsChargeOnlyTheirReaders(t *testing.T) {
 		params workload.Params
 		want   int64
 	}{
-		{"pagerank", workload.Params{"nodes": 1024, "iters": 5, "degree": 8}, 151616},
-		{"gram", workload.Params{"rows": 512, "cols": 128, "sparsity": 0.05}, 41400},
-		{"blend", workload.Params{"n": 256, "k": 32, "iters": 2}, 262208},
+		{"pagerank", workload.Params{"nodes": 1024, "iters": 5, "degree": 8}, 110656},
+		{"gram", workload.Params{"rows": 512, "cols": 128, "sparsity": 0.05}, 20776},
+		{"blend", workload.Params{"n": 256, "k": 32, "iters": 2}, 196672},
 	} {
 		e := New(DMac, dist.ScaledConfig(4, 8), 32)
 		e.SetRewriter(rewrite.New())

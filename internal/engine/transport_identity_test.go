@@ -12,7 +12,10 @@ import (
 // the DMac planner) to the exact NetStats totals the engine produced before
 // the Transport interface existed. The in-process transport must be
 // charge-invisible: same bytes, same events, same FLOPs, zero measured wire
-// traffic, same numeric result.
+// traffic, same numeric result, with each broadcast priced by the owner
+// rule: each of the three iterations broadcasts rank (1 x 48, 384 B, six
+// block-columns on workers 0, 1, 2, 3, 0, 1) to all four workers, and each
+// block skips its owner, 3 x 384 B.
 func TestEngineChargesPinnedUnderTransport(t *testing.T) {
 	reg := workload.DefaultRegistry()
 	built, err := reg.Build("pagerank", 8, workload.Params{"nodes": 48, "iters": 3})
@@ -33,8 +36,8 @@ func TestEngineChargesPinnedUnderTransport(t *testing.T) {
 		}
 		total.Add(m)
 	}
-	if total.CommBytes != 9216 {
-		t.Errorf("CommBytes = %d, want 9216", total.CommBytes)
+	if total.CommBytes != 8064 {
+		t.Errorf("CommBytes = %d, want 8064", total.CommBytes)
 	}
 	if total.CommEvents != 8 || total.Broadcasts != 3 || total.Shuffles != 5 {
 		t.Errorf("events = %d (b=%d, s=%d), want 8 (3, 5)", total.CommEvents, total.Broadcasts, total.Shuffles)
