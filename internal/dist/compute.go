@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"time"
 
 	"dmac/internal/cost"
 	"dmac/internal/dep"
@@ -25,7 +24,9 @@ const (
 	RMM2
 	// CPMM: A(c) x B(r); worker w computes the partial product of its
 	// column slice of A with its row slice of B, and the partials are
-	// shuffled and summed into the requested output scheme (cost N x |C|).
+	// shuffled and summed into the requested output scheme. Eq. 1 plans
+	// N x |C|; an owner keeps its own partial, so the shuffle moves
+	// (N-1) x |C| on a full cluster.
 	CPMM
 	// Local: A(-) x B(-) -> C(-) on a one-worker cluster, where every
 	// hash-placed matrix is whole; the single-machine reference's multiply.
@@ -106,25 +107,15 @@ func (c *Cluster) Multiply(ctx context.Context, a, b *DistMatrix, strategy MulSt
 		if outScheme != dep.Row && outScheme != dep.Col {
 			return nil, fmt.Errorf("dist: CPMM output scheme %s", outScheme)
 		}
-		if err := collectiveTurn(ctx); err != nil {
-			return nil, err
-		}
-		// Shuffled aggregation of the per-worker partial products, across
-		// the workers still alive: every alive worker ships its partial of
-		// each output block to the block's owner.
-		workers := int64(c.AliveWorkers())
 		out.Scheme = outScheme
-		sent := time.Now()
-		wire, werr := c.transport.Scatter(ctx, "cpmm-shuffle", stage, c.scatterXfers(out, int(workers)))
-		wireS := time.Since(sent).Seconds()
-		if err := c.commFailure(werr, stage); err != nil {
+		xfers, bytes, senders := c.shuffleXfers(a, out)
+		err := c.collective(ctx, stage, commCPMMShuffle, bytes, out, func() (Wire, error) {
+			return c.transport.Scatter(ctx, "cpmm-shuffle", stage, xfers)
+		}, obs.String("strategy", "CPMM"), obs.String("to_scheme", outScheme.String()),
+			obs.Int64("senders", int64(senders)))
+		if err != nil {
 			return nil, err
 		}
-		c.comm(ctx, stage, commCPMMShuffle, workers*out.Bytes(),
-			obs.String("strategy", "CPMM"), obs.String("to_scheme", outScheme.String()),
-			obs.Int64("workers", workers))
-		c.verifyTransfer(ctx, out, stage, commCPMMShuffle)
-		c.chargeWire(ctx, stage, commCPMMShuffle, wire, wireS)
 	}
 	return out, nil
 }
@@ -186,34 +177,48 @@ func (c *Cluster) Cells(ctx context.Context, t *matrix.CellTree, ins []*DistMatr
 	return &DistMatrix{Grid: grid, Scheme: a.Scheme, trans: a.trans && !mixed}, nil
 }
 
-// collect charges a tiny driver collect (8 bytes per alive worker) for an
-// aggregate operator; on the wire it gathers one aggregate frame per alive
-// worker. On one worker the aggregate is already whole there: nothing is
-// sent or charged.
-func (c *Cluster) collect(ctx context.Context, stage int) error {
+// shuffleXfers is the CPMM shuffle's move list, with its charge and the
+// number of senders: the senders are the alive owners of a's block-columns,
+// each holding a partial of every block of out, and each ships its partial
+// to the block's owner unless it is that owner. A block is charged its bytes
+// once per sender other than its owner: (N-1) x |C| on a full cluster.
+func (c *Cluster) shuffleXfers(a, out *DistMatrix) ([]BlockXfer, int64, int) {
+	senders := c.owners(a)
+	br, bc := out.BlockRows(), out.BlockCols()
+	xfers := make([]BlockXfer, 0, br*bc*len(senders))
+	var bytes int64
+	for _, s := range senders {
+		for bi := 0; bi < br; bi++ {
+			for bj := 0; bj < bc; bj++ {
+				if to := c.Owner(out, bi, bj); to != s {
+					xfers = append(xfers, BlockXfer{Bi: bi, Bj: bj, From: s, To: to, Block: out.StoredBlock(bi, bj)})
+					bytes += out.BlockBytes(bi, bj)
+				}
+			}
+		}
+	}
+	return xfers, bytes, len(senders)
+}
+
+// collect gathers an aggregate of a at the driver: 8 bytes from each worker
+// that owns a block of a, or from one receiver of a broadcast replica, which
+// each of them holds whole. On one worker the aggregate is already whole
+// there: nothing is sent or charged.
+func (c *Cluster) collect(ctx context.Context, a *DistMatrix, stage int) error {
 	if c.whole() {
 		return nil
 	}
-	if err := collectiveTurn(ctx); err != nil {
-		return err
-	}
-	sent := time.Now()
-	wire, err := c.transport.Collect(ctx, stage, c.aliveList())
-	wireS := time.Since(sent).Seconds()
-	if err := c.commFailure(err, stage); err != nil {
-		return err
-	}
-	bytes := 8 * int64(c.AliveWorkers())
-	c.comm(ctx, stage, commCollect, bytes)
-	c.chargeWire(ctx, stage, commCollect, wire, wireS)
-	return nil
+	from := c.owners(a)
+	return c.collective(ctx, stage, commCollect, 8*int64(len(from)), nil, func() (Wire, error) {
+		return c.transport.Collect(ctx, stage, from)
+	})
 }
 
 // Sum computes the sum of all cells: local partials plus a tiny driver
-// collect (8 bytes per alive worker).
+// collect (8 bytes per worker holding a block).
 func (c *Cluster) Sum(ctx context.Context, a *DistMatrix, stage int) (float64, error) {
 	c.charge(ctx, Snapshot{FLOPs: cost.SumFLOPs(float64(a.Grid.NNZ()))})
-	if err := c.collect(ctx, stage); err != nil {
+	if err := c.collect(ctx, a, stage); err != nil {
 		return 0, err
 	}
 	return matrix.SumGrid(a.Grid), nil
@@ -222,7 +227,7 @@ func (c *Cluster) Sum(ctx context.Context, a *DistMatrix, stage int) (float64, e
 // Norm2 computes the Frobenius norm with the same collect cost as Sum.
 func (c *Cluster) Norm2(ctx context.Context, a *DistMatrix, stage int) (float64, error) {
 	c.charge(ctx, Snapshot{FLOPs: cost.Norm2FLOPs(float64(a.Grid.NNZ()))})
-	if err := c.collect(ctx, stage); err != nil {
+	if err := c.collect(ctx, a, stage); err != nil {
 		return 0, err
 	}
 	return math.Sqrt(matrix.FrobeniusSqGrid(a.Grid)), nil
@@ -236,7 +241,7 @@ func (c *Cluster) Value(ctx context.Context, a *DistMatrix, stage int) (float64,
 	if err := c.opFault(ctx); err != nil {
 		return 0, err
 	}
-	if err := c.collect(ctx, stage); err != nil {
+	if err := c.collect(ctx, a, stage); err != nil {
 		return 0, err
 	}
 	return a.Grid.At(0, 0), nil

@@ -76,7 +76,9 @@ func TestPartitionChargesMatrixSize(t *testing.T) {
 // TestBroadcastSparesOwners: a full broadcast of a Row matrix reaches every
 // worker and charges each block once per receiver that does not own it —
 // 3 x 4 blocks, each on one of the four receivers, so (N−1)|A| = 3|A|. A
-// broadcast replica broadcast again has no owner to spare: N|A|.
+// broadcast replica broadcast again goes only to the receivers that do not
+// hold it: nowhere for a full replica, the two workers it missed (2|A|) for
+// one narrowed to workers 0 and 1.
 func TestBroadcastSparesOwners(t *testing.T) {
 	c := testCluster()
 	rng := rand.New(rand.NewSource(2))
@@ -95,8 +97,20 @@ func TestBroadcastSparesOwners(t *testing.T) {
 	if _, err := c.Broadcast(context.Background(), out, 3, nil); err != nil {
 		t.Fatal(err)
 	}
-	if got := c.Net().Snapshot().CommBytes; got != 7*g.MemBytes() {
-		t.Errorf("re-broadcast replica charged %d B, want N|A| = %d", got-3*g.MemBytes(), 4*g.MemBytes())
+	if got := c.Net().Snapshot().CommBytes; got != 3*g.MemBytes() {
+		t.Errorf("re-broadcast full replica charged %d B, want 0", got-3*g.MemBytes())
+	}
+	c = testCluster()
+	narrow, err := c.Broadcast(context.Background(), m, 2, []int{0, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := c.Net().Snapshot().CommBytes
+	if _, err := c.Broadcast(context.Background(), narrow, 3, nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.Net().Snapshot().CommBytes - before; got != 2*g.MemBytes() {
+		t.Errorf("re-broadcast of a replica on workers 0 and 1 charged %d B, want 2|A| = %d", got, 2*g.MemBytes())
 	}
 }
 
@@ -164,8 +178,13 @@ func TestMultiplyStrategiesCorrectAndAccounted(t *testing.T) {
 	}{
 		{RMM1, dep.Broadcast, dep.Col, dep.SchemeNone, dep.Col, func(*DistMatrix) int64 { return 0 }},
 		{RMM2, dep.Row, dep.Broadcast, dep.SchemeNone, dep.Row, func(*DistMatrix) int64 { return 0 }},
-		{CPMM, dep.Col, dep.Row, dep.Row, dep.Row, func(o *DistMatrix) int64 { return 4 * o.Bytes() }},
-		{CPMM, dep.Col, dep.Row, dep.Col, dep.Col, func(o *DistMatrix) int64 { return 4 * o.Bytes() }},
+		// A's three block-columns are on workers 0-2, which hold the
+		// partials; each ships its own to every block owned by another. A
+		// Col output's blocks are all on a sender: 2|C| = 2 x 1440 B. A Row
+		// output's last block-row (3 x 12, 288 B) is on worker 3, which
+		// holds no partial and gets all three: 2|C| + 288 B.
+		{CPMM, dep.Col, dep.Row, dep.Row, dep.Row, func(*DistMatrix) int64 { return 3168 }},
+		{CPMM, dep.Col, dep.Row, dep.Col, dep.Col, func(*DistMatrix) int64 { return 2880 }},
 	}
 	for _, tc := range cases {
 		c := testCluster()
@@ -388,10 +407,12 @@ func TestAggregates(t *testing.T) {
 	if _, err := c.Value(context.Background(), m, 1); err == nil {
 		t.Error("Value on non-1x1 must fail")
 	}
-	// Each aggregate collected 8 bytes per worker.
+	// Each aggregate collected 8 bytes from the one worker holding its
+	// operand: m's one block is on worker 0, and a replica needs only one
+	// of its receivers.
 	s := c.Net().Snapshot()
-	if s.CommBytes != 3*8*4 {
-		t.Errorf("aggregate bytes = %d, want %d", s.CommBytes, 3*8*4)
+	if s.CommBytes != 3*8 {
+		t.Errorf("aggregate bytes = %d, want %d", s.CommBytes, 3*8)
 	}
 }
 
@@ -416,7 +437,9 @@ func TestOneWorkerClusterHasNoNetwork(t *testing.T) {
 		if _, err := c.Value(ctx, NewDistMatrix(one, dep.Row), 1); err != nil {
 			t.Fatal(err)
 		}
-		wantBytes, wantEvents := int64(3*8*workers), 3
+		// Sum and Norm2 collect from the owners of m's two block-rows,
+		// Value from the owner of its one block: 8 B each.
+		wantBytes, wantEvents := int64((2+2+1)*8), 3
 		if workers == 1 {
 			wantBytes, wantEvents = 0, 0
 		}

@@ -5,7 +5,6 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"time"
 
 	"dmac/internal/cost"
 	"dmac/internal/dep"
@@ -185,6 +184,26 @@ func (c *Cluster) receivers(m *DistMatrix) []int {
 	return slices.Compact(out)
 }
 
+// owners returns, in ascending order, the workers that own a block of m:
+// under the owner rule, the only workers that have a part of m to send. A
+// broadcast replica is whole on each of its receivers, so its first one
+// alone has all of it.
+func (c *Cluster) owners(m *DistMatrix) []int {
+	if m.Scheme == dep.Broadcast {
+		return c.receivers(m)[:1]
+	}
+	out := make([]int, 0, c.cfg.Workers)
+	for bi := 0; bi < m.BlockRows() && len(out) < c.cfg.Workers; bi++ {
+		for bj := 0; bj < m.BlockCols(); bj++ {
+			if w := c.Owner(m, bi, bj); !slices.Contains(out, w) {
+				out = append(out, w)
+			}
+		}
+	}
+	slices.Sort(out)
+	return out
+}
+
 // readsWithin is the receiver check of a narrowed broadcast b: every block of
 // part, the matrix whose blocks b is read next to, must be owned by one of
 // b's receivers. A reader placed outside them would read a copy that was
@@ -255,101 +274,98 @@ func (c *Cluster) Partition(ctx context.Context, m *DistMatrix, scheme dep.Schem
 	if err := c.opFault(ctx); err != nil {
 		return nil, err
 	}
-	if err := collectiveTurn(ctx); err != nil {
-		return nil, err
-	}
 	out := &DistMatrix{Grid: m.Grid, Scheme: scheme, trans: m.trans}
-	// Destinations are the owners under the new scheme — where the shuffle
-	// puts each block.
-	sent := time.Now()
-	wire, err := c.transport.Scatter(ctx, "partition", stage, c.scatterXfers(out, 1))
-	wireS := time.Since(sent).Seconds()
-	if err := c.commFailure(err, stage); err != nil {
+	xfers := c.scatterXfers(out)
+	err := c.collective(ctx, stage, commPartition, m.Bytes(), m, func() (Wire, error) {
+		return c.transport.Scatter(ctx, "partition", stage, xfers)
+	}, obs.String("from_scheme", m.Scheme.String()), obs.String("to_scheme", scheme.String()))
+	if err != nil {
 		return nil, err
 	}
-	c.comm(ctx, stage, commPartition, m.Bytes(),
-		obs.String("from_scheme", m.Scheme.String()), obs.String("to_scheme", scheme.String()))
-	c.verifyTransfer(ctx, m, stage, commPartition)
-	c.chargeWire(ctx, stage, commPartition, wire, wireS)
 	return out, nil
 }
 
 // Broadcast replicates the matrix on the workers its readers run on. to
 // lists them by nominal placement (Holders), nil for every worker; each
 // receives a copy at its current owner (receivers), so a worker lost before
-// the broadcast is stood in for by the survivor holding its blocks. A
-// partitioned source (Row, Col or hash placed, transpose views included) is
-// gathered: each block goes only to the receivers other than its owner
-// (Owner, the survivor when the nominal owner is dead), which holds it
-// already, so a full broadcast on a full cluster charges (N−1) x |A| where
-// Eq. 1 plans N x |A|. A broadcast replica read again is copied whole to
-// every receiver, |A| each. On the wire the blocks are grouped by owner and
-// each group is one ring over the receivers less that owner: the
+// the broadcast is stood in for by the survivor holding its blocks. A block
+// goes only to the receivers that do not hold it already: a partitioned
+// source's (Row, Col or hash placed, transpose views included) to every
+// receiver but its owner (Owner, the survivor when the nominal owner is
+// dead), so a full broadcast on a full cluster charges (N−1) x |A| where
+// Eq. 1 plans N x |A|; a broadcast replica's to the receivers outside its
+// own. On the wire the blocks are grouped by the worker they are sent from
+// and each group is one ring over the receivers less that worker: the
 // coordinator sends each block once and each receiver forwards it to the
 // next, so no single link carries the whole fan-out. The groups ring one
 // after another, each in ascending worker order; rotated rings run at once
 // could wait on each other's forward links in a cycle.
 func (c *Cluster) Broadcast(ctx context.Context, m *DistMatrix, stage int, to []int) (*DistMatrix, error) {
-	if err := collectiveTurn(ctx); err != nil {
-		return nil, err
-	}
 	out := &DistMatrix{Grid: m.Grid, Scheme: dep.Broadcast, trans: m.trans, reach: c.narrow(to)}
 	recv := c.receivers(out)
+	replicas := len(recv)
+	if m.Scheme == dep.Broadcast {
+		held := c.receivers(m)
+		recv = slices.DeleteFunc(recv, func(w int) bool { return slices.Contains(held, w) })
+	}
 	xfers, bytes := c.gatherXfers(m, recv)
-	sent := time.Now()
+	err := c.collective(ctx, stage, commBroadcast, bytes, m, func() (Wire, error) {
+		return c.rings(ctx, stage, xfers, recv)
+	}, obs.String("from_scheme", m.Scheme.String()), obs.Int64("replicas", int64(replicas)))
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// rings hands a broadcast's move list to the transport, one ring per group
+// of blocks sent from one worker, over recv less that worker.
+func (c *Cluster) rings(ctx context.Context, stage int, xfers []BlockXfer, recv []int) (Wire, error) {
 	var wire Wire
 	for len(xfers) > 0 {
-		owner := xfers[0].To
+		from := xfers[0].From
 		n := 1
-		for n < len(xfers) && xfers[n].To == owner {
+		for n < len(xfers) && xfers[n].From == from {
 			n++
 		}
 		group := xfers[:n]
 		xfers = xfers[n:]
-		for i := range group {
-			group[i].To = -1
-		}
-		// The ring's hops are recv less the owner, in place: the owner is
+		// The ring's hops are recv less the sender, in place: the sender is
 		// taken out for the ring and put back after it.
 		hops := recv
-		at := slices.Index(recv, owner)
+		at := slices.Index(recv, from)
 		if at >= 0 {
 			hops = slices.Delete(recv, at, at+1)
 		}
 		rw, err := c.transport.Ring(ctx, "broadcast", stage, group, hops)
 		if at >= 0 {
-			recv = slices.Insert(hops, at, owner)
+			recv = slices.Insert(hops, at, from)
 		}
 		wire.add(rw)
-		if err := c.commFailure(err, stage); err != nil {
-			return nil, err
+		if err != nil {
+			return wire, err
 		}
 	}
-	wireS := time.Since(sent).Seconds()
-	c.comm(ctx, stage, commBroadcast, bytes,
-		obs.String("from_scheme", m.Scheme.String()), obs.Int64("replicas", int64(len(recv))))
-	c.verifyTransfer(ctx, m, stage, commBroadcast)
-	c.chargeWire(ctx, stage, commBroadcast, wire, wireS)
-	return out, nil
+	return wire, nil
 }
 
-// gatherXfers lists m's blocks for a broadcast to the receivers recv,
-// ordered by owner ascending and by coordinates within an owner, with the
-// charge: each block's bytes once per receiver other than its owner. To
-// holds the block's owner, -1 for every block of a broadcast replica, which
-// no receiver is spared; Broadcast cuts the groups out by it and resets it
-// before handing a group to the ring. A block whose owner is recv's only
-// receiver goes nowhere and is left out.
+// gatherXfers lists m's blocks for a broadcast to the receivers recv that do
+// not hold m already, ordered by the worker each is sent from, ascending,
+// and by coordinates within it, with the charge: each block's bytes once
+// per receiver other than its sender. From is a partitioned source's owner,
+// -1 for every block of a broadcast replica, which recv lists none of the
+// holders of. A block whose sender is recv's only receiver goes nowhere and
+// is left out.
 func (c *Cluster) gatherXfers(m *DistMatrix, recv []int) ([]BlockXfer, int64) {
 	br, bc := m.BlockRows(), m.BlockCols()
 	out := make([]BlockXfer, 0, br*bc)
 	var bytes int64
 	for bi := 0; bi < br; bi++ {
 		for bj := 0; bj < bc; bj++ {
-			owner, copies := -1, len(recv)
+			from, copies := -1, len(recv)
 			if m.Scheme != dep.Broadcast {
-				owner = c.Owner(m, bi, bj)
-				if slices.Contains(recv, owner) {
+				from = c.Owner(m, bi, bj)
+				if slices.Contains(recv, from) {
 					copies--
 				}
 			}
@@ -357,10 +373,10 @@ func (c *Cluster) gatherXfers(m *DistMatrix, recv []int) ([]BlockXfer, int64) {
 				continue
 			}
 			bytes += int64(copies) * m.BlockBytes(bi, bj)
-			out = append(out, BlockXfer{Bi: bi, Bj: bj, To: owner, Block: m.StoredBlock(bi, bj)})
+			out = append(out, BlockXfer{Bi: bi, Bj: bj, From: from, To: -1, Block: m.StoredBlock(bi, bj)})
 		}
 	}
-	slices.SortStableFunc(out, func(a, b BlockXfer) int { return cmp.Compare(a.To, b.To) })
+	slices.SortStableFunc(out, func(a, b BlockXfer) int { return cmp.Compare(a.From, b.From) })
 	return out, bytes
 }
 
@@ -415,21 +431,15 @@ func (c *Cluster) Transpose(ctx context.Context, m *DistMatrix) *DistMatrix {
 // materializes the transpose (SystemML-S pays |A| for it). On the wire each
 // block travels once, to the owner of its transposed coordinates.
 func (c *Cluster) ShuffleTranspose(ctx context.Context, m *DistMatrix, stage int) (*DistMatrix, error) {
-	if err := collectiveTurn(ctx); err != nil {
-		return nil, err
-	}
 	// The move set is m's blocks re-homed under the transposed placement.
 	view := &DistMatrix{Grid: m.Grid, Scheme: m.Scheme.Opposite(), trans: !m.trans}
-	sent := time.Now()
-	wire, err := c.transport.Scatter(ctx, "shuffle-transpose", stage, c.scatterXfers(view, 1))
-	wireS := time.Since(sent).Seconds()
-	if err := c.commFailure(err, stage); err != nil {
+	xfers := c.scatterXfers(view)
+	err := c.collective(ctx, stage, commShuffleTranspose, m.Bytes(), m, func() (Wire, error) {
+		return c.transport.Scatter(ctx, "shuffle-transpose", stage, xfers)
+	}, obs.String("from_scheme", m.Scheme.String()))
+	if err != nil {
 		return nil, err
 	}
-	c.comm(ctx, stage, commShuffleTranspose, m.Bytes(),
-		obs.String("from_scheme", m.Scheme.String()))
-	c.verifyTransfer(ctx, m, stage, commShuffleTranspose)
-	c.chargeWire(ctx, stage, commShuffleTranspose, wire, wireS)
 	c.charge(ctx, Snapshot{FLOPs: cost.TransposeFLOPs(float64(m.Grid.NNZ()))})
 	if m.trans {
 		// The stored grid already is the transpose of the view; the shuffle

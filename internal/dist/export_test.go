@@ -9,6 +9,13 @@ func (n *NetStats) Reset() {
 	n.s = Snapshot{}
 }
 
+// AliveWorkers returns the number of workers still in the cluster.
+func (c *Cluster) AliveWorkers() int {
+	c.faultMu.Lock()
+	defer c.faultMu.Unlock()
+	return c.aliveLocked()
+}
+
 // LoadImbalance reports the skew of the matrix's stored bytes across
 // workers under its placement: max worker load divided by the mean. 1 means
 // perfectly balanced; real graph datasets with power-law degrees are skewed

@@ -474,13 +474,6 @@ func (c *Cluster) KillWorker(w int) bool {
 	return true
 }
 
-// AliveWorkers returns the number of workers still in the cluster.
-func (c *Cluster) AliveWorkers() int {
-	c.faultMu.Lock()
-	defer c.faultMu.Unlock()
-	return c.aliveLocked()
-}
-
 func (c *Cluster) aliveLocked() int {
 	return c.cfg.Workers - len(c.dead)
 }

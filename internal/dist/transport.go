@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"time"
 
 	"dmac/internal/matrix"
 	"dmac/internal/obs"
@@ -38,9 +39,9 @@ type Transport interface {
 	// Ring replicates the blocks onto every listed worker by ring
 	// forwarding: the coordinator sends each block to the first hop, each
 	// hop forwards to the next. hops is the ring order, ascending over
-	// alive workers; a broadcast rings once per owner of its blocks and
-	// reuses hops' array between rings, so Ring keeps neither argument past
-	// its return.
+	// alive workers; a broadcast rings once per worker its blocks are sent
+	// from and reuses hops' array between rings, so Ring keeps neither
+	// argument past its return.
 	Ring(ctx context.Context, op string, stage int, blocks []BlockXfer, hops []int) (Wire, error)
 	// Collect gathers a small driver-side aggregate (8 bytes) from each
 	// listed worker.
@@ -66,11 +67,14 @@ func (w *Wire) add(other Wire) {
 
 // BlockXfer is one block hand-off of a collective: the block (in its stored
 // orientation — the receiver applies any pending transpose), its logical
-// coordinates, and the destination worker.
+// coordinates, the worker that holds what is sent (-1 where the collective
+// names none: a block of a broadcast replica, which each of its holders has
+// whole, and a repartition's) and the worker it goes to (-1 for a ring,
+// which hands it to every hop).
 type BlockXfer struct {
-	Bi, Bj int
-	To     int
-	Block  matrix.Block
+	Bi, Bj   int
+	From, To int
+	Block    matrix.Block
 }
 
 // PeerDown reports a transport peer that is unreachable or failed
@@ -176,19 +180,42 @@ func (c *Cluster) aliveList() []int {
 	return out
 }
 
+// collective runs one collective in the operator's turn: send hands its
+// move list to the transport, and bytes, the list's charge, is booked as one
+// comm event of kind k, after which the receivers verify the blocks of m
+// they got (nil for a collect, which moves none). A scatter or a collect
+// that moves nothing still makes its one transport call, which the network
+// fault injector judges like any other; a broadcast rings once per sender,
+// so not at all.
+func (c *Cluster) collective(ctx context.Context, stage int, k commKind, bytes int64, m *DistMatrix, send func() (Wire, error), attrs ...obs.Attr) error {
+	if err := collectiveTurn(ctx); err != nil {
+		return err
+	}
+	sent := time.Now()
+	wire, err := send()
+	wireS := time.Since(sent).Seconds()
+	if err := c.commFailure(err, stage); err != nil {
+		return err
+	}
+	c.comm(ctx, stage, k, bytes, attrs...)
+	if m != nil {
+		c.verifyTransfer(ctx, m, stage, k)
+	}
+	c.chargeWire(ctx, stage, k, wire, wireS)
+	return nil
+}
+
 // scatterXfers lists the block hand-offs that place m's blocks on their
-// owners under m's scheme — the move set of a repartition or a materialized
-// shuffle. copies > 1 replays the set per sending worker (the CPMM partial
-// aggregation, where every alive worker ships its own partial of each
-// block).
-func (c *Cluster) scatterXfers(m *DistMatrix, copies int) []BlockXfer {
+// owners under m's scheme, the move list of a repartition or a shuffled
+// transpose. Both send every block and name no sender: the owner rule would
+// find a hash-placed block in place only by its nominal placement, and
+// erase the repartition SystemML-S pays for.
+func (c *Cluster) scatterXfers(m *DistMatrix) []BlockXfer {
 	br, bc := m.BlockRows(), m.BlockCols()
-	out := make([]BlockXfer, 0, br*bc*copies)
-	for copy := 0; copy < copies; copy++ {
-		for bi := 0; bi < br; bi++ {
-			for bj := 0; bj < bc; bj++ {
-				out = append(out, BlockXfer{Bi: bi, Bj: bj, To: c.Owner(m, bi, bj), Block: m.StoredBlock(bi, bj)})
-			}
+	out := make([]BlockXfer, 0, br*bc)
+	for bi := 0; bi < br; bi++ {
+		for bj := 0; bj < bc; bj++ {
+			out = append(out, BlockXfer{Bi: bi, Bj: bj, From: -1, To: c.Owner(m, bi, bj), Block: m.StoredBlock(bi, bj)})
 		}
 	}
 	return out

@@ -62,13 +62,17 @@ func transportGoldenStats(t *testing.T, c *Cluster) []Snapshot {
 // same collective sequence. Any change to these numbers is a change to the
 // cost model, not a refactor. |A| is 12 x 10 x 8 = 960 B: stage 1 is the
 // partition's |A| and the full broadcast's 3|A| (each block to the three
-// receivers that do not own it), 3840 B.
+// receivers that do not own it), 3840 B. Stage 3 is the CPMM shuffle of a
+// 2 x 2-block product |C| = 512 B, whose two senders (the owners of A's two
+// block-columns, workers 0 and 1) each own one block-row of the Row output
+// and ship their partial of the other, |C| in all, and the sum's collect
+// from those two owners, 16 B: 528 B.
 func TestInprocTransportChargesPinned(t *testing.T) {
 	c := NewCluster(Config{Workers: 4, LocalParallelism: 2})
 	stages := transportGoldenStats(t, c)
 	s := stages[len(stages)-1]
-	if s.CommBytes != 6880 {
-		t.Errorf("CommBytes = %d, want 6880", s.CommBytes)
+	if s.CommBytes != 5328 {
+		t.Errorf("CommBytes = %d, want 5328", s.CommBytes)
 	}
 	if s.CommEvents != 5 || s.Broadcasts != 1 || s.Shuffles != 4 {
 		t.Errorf("events = %d (b=%d, s=%d), want 5 (1, 4)", s.CommEvents, s.Broadcasts, s.Shuffles)
@@ -76,7 +80,7 @@ func TestInprocTransportChargesPinned(t *testing.T) {
 	if s.FLOPs != 1208 {
 		t.Errorf("FLOPs = %v, want 1208", s.FLOPs)
 	}
-	wantBytes, wantEvents := []int64{3840, 960, 2080}, []int{2, 1, 2}
+	wantBytes, wantEvents := []int64{3840, 960, 528}, []int{2, 1, 2}
 	var prev Snapshot
 	for i, cur := range stages {
 		if got := cur.CommBytes - prev.CommBytes; got != wantBytes[i] {

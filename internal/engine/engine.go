@@ -742,6 +742,7 @@ func (e *Engine) RunCtx(ctx context.Context, p *expr.Program, params map[string]
 		obs.String("planner", e.planner.String()),
 		obs.Int64("stages", int64(plan.Stages)),
 		obs.Int64("ops", int64(len(plan.Ops))),
+		obs.Int64("plan_comm_bytes", plan.TotalCommBytes()),
 		obs.String("plan_cache", source))
 	start := time.Now()
 	m, err = e.execute(ctx, plan, f.input, params, runSpan)

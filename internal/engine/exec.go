@@ -484,11 +484,13 @@ func (e *Engine) compute(ctx context.Context, plan *core.Plan, op *core.Op, vals
 
 // foldBack hands the session what the plan keeps when a run ends
 // (core.Plan.Keeps). An instance stored transposed to its variable is
-// transposed first and charged like any transpose, even where the variable
-// already holds that scheme and drops it. A broadcast replica keeps its
-// reach, beside the complete instance a later run broadcasts from again when
-// its readers need more (dropNarrowReplicas); the plan narrows no replica a
-// variable keeps alone, and one kept alone is refused.
+// transposed first and charged like any transpose, unless the variable
+// already holds the scheme the transpose would give: the first instance of a
+// scheme is the one kept, and a later one is neither made nor charged. A
+// broadcast replica keeps its reach, beside the complete instance a later
+// run broadcasts from again when its readers need more
+// (dropNarrowReplicas); the plan narrows no replica a variable keeps alone,
+// and one kept alone is refused.
 func (e *Engine) foldBack(ctx context.Context, st *execState) error {
 	for _, k := range st.plan.Keeps() {
 		vs := e.vars[k.Var]
@@ -500,12 +502,18 @@ func (e *Engine) foldBack(ctx context.Context, st *execState) error {
 			if dm == nil {
 				return fmt.Errorf("engine: %q has no materialized value v%d", k.Var, id)
 			}
-			if st.plan.Value(id).Transposed != k.Ref.Transposed {
+			flip := st.plan.Value(id).Transposed != k.Ref.Transposed
+			scheme := dm.Scheme
+			if flip {
+				scheme = scheme.Opposite()
+			}
+			if _, ok := vs.instances[scheme]; ok {
+				continue
+			}
+			if flip {
 				dm = e.cluster.Transpose(ctx, dm)
 			}
-			if _, ok := vs.instances[dm.Scheme]; !ok {
-				vs.instances[dm.Scheme] = dm
-			}
+			vs.instances[scheme] = dm
 		}
 		if len(vs.instances) == 0 {
 			return fmt.Errorf("engine: assignment %q has no materialized value", k.Var)

@@ -107,9 +107,9 @@ func replicaReach(t *testing.T, e *Engine, name string) []int {
 // plan still estimates N·|A| + |B|;
 // the session keeps A(b) with that reach beside the hash-placed A, and the
 // later runs read it as it is and charge nothing. SystemML-S does the same
-// in its first run, then sends A on from the kept replica every run, whole,
-// to the same three workers, 3·|A| + |B|, and keeps the replica it read. S
-// is Local's bit for bit.
+// in its first run, then sends A on from the kept replica every run to the
+// same three workers, which hold it already, so only B's partition is
+// charged, |B|, and keeps the replica it read. S is Local's bit for bit.
 func TestKeptReplicaReachesOnlyReaders(t *testing.T) {
 	for _, rw := range []bool{false, true} {
 		e := keptSession(t, DMac, rw, testConfig())
@@ -140,7 +140,7 @@ func TestKeptReplicaReachesOnlyReaders(t *testing.T) {
 		var first *dist.DistMatrix
 		for run := 1; run <= 3; run++ {
 			m := keptRun(t, e, ref, p, "S", fmt.Sprintf("SystemML-S, rewriter %v, run %d", rw, run))
-			want := 3*keptBytes("A") + keptBytes("B")
+			want := keptBytes("B")
 			if run == 1 {
 				want = keptAToB() + keptBytes("B")
 			}

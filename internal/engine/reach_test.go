@@ -28,12 +28,15 @@ import (
 //     iteration;
 //   - gram: Vᵀ(b), read by its RMM1 and its extract on worker 0, sends
 //     worker 0 the block on worker 1, 20,744 B of Vᵀ's 41,368 B, instead of
-//     4 × 41,368;
+//     4 × 41,368, and its aggregate collects 8 B from worker 0, the one
+//     owner of its operand's block, where all four workers would send 32;
 //   - blend: A(b), kept for iteration 2 beside the hash-placed A, reaches
 //     workers 0 to 2, the holders of B's three block-columns, which also hold
 //     A's three block-rows: each goes to the two receivers that do not own
 //     it, 2 × 65,536 B instead of 4 ×, and iteration 2 reads the session's
-//     replica as it is.
+//     replica as it is; besides one 65,536 B partition, each iteration's
+//     aggregate collects 8 B from each of the three owners of its
+//     operand's block-rows, 24 B.
 //
 // The plans' estimates still price every broadcast at N·|A|, so they bound
 // what the jobs charge.
@@ -44,8 +47,8 @@ func TestServedJobsChargeOnlyTheirReaders(t *testing.T) {
 		want   int64
 	}{
 		{"pagerank", workload.Params{"nodes": 1024, "iters": 5, "degree": 8}, 110656},
-		{"gram", workload.Params{"rows": 512, "cols": 128, "sparsity": 0.05}, 20776},
-		{"blend", workload.Params{"n": 256, "k": 32, "iters": 2}, 196672},
+		{"gram", workload.Params{"rows": 512, "cols": 128, "sparsity": 0.05}, 20752},
+		{"blend", workload.Params{"n": 256, "k": 32, "iters": 2}, 196656},
 	} {
 		e := New(DMac, dist.ScaledConfig(4, 8), 32)
 		e.SetRewriter(rewrite.New())
