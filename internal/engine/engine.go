@@ -175,10 +175,13 @@ func (m *Metrics) Add(other Metrics) {
 	m.PerStage = stages
 }
 
-// varState is a session variable: its instances per scheme.
+// varState is a session variable: its instances per scheme, and the grid
+// Bind gave it (nil once a run assigns the variable), which its hash-placed
+// instance holds.
 type varState struct {
 	rows, cols int
 	instances  map[dep.Scheme]*dist.DistMatrix
+	bound      *matrix.Grid
 }
 
 // Engine runs matrix programs and maintains the session between runs.
@@ -270,7 +273,7 @@ func (e *Engine) SetSharedPlanCache(pc *PlanCache) {
 	e.plans = pc
 }
 
-// Reset clears the session for reuse by an unrelated job: bound variables,
+// Reset clears the session for reuse by the next job: bound variables,
 // driver scalars, the per-program memo (finished jobs' Program objects would
 // otherwise be pinned forever), and the base context installed by the
 // previous owner. The cluster, observers, ablation flags, checkpoint
@@ -278,6 +281,8 @@ func (e *Engine) SetSharedPlanCache(pc *PlanCache) {
 // infrastructure, not session state. Every result block the session held
 // and no caller was handed goes back to the block pool for the next job, as
 // a run's overwritten variables' blocks go back before its stages (RunCtx).
+// A next job that binds the same grids as an earlier one may take back
+// where that job left them: Placement before Reset, Place after Bind.
 func (e *Engine) Reset() {
 	e.vars = make(map[string]*varState)
 	e.scalars = make(map[string]float64)
@@ -537,6 +542,7 @@ func (e *Engine) Bind(name string, g *matrix.Grid) error {
 		instances: map[dep.Scheme]*dist.DistMatrix{
 			dep.SchemeNone: dist.NewDistMatrix(g, dep.SchemeNone),
 		},
+		bound: g,
 	}
 	return nil
 }

@@ -29,15 +29,18 @@ func TestOneShotJobsStayOutOfTheJobCache(t *testing.T) {
 }
 
 // TestJobCacheAdmitsOnSecondRequest: a key's first build is dropped, its
-// second is kept, and its third request is served from the cache with the
-// same result bits as the two builds before it.
+// second is kept, and its third request is served from the cache, with its
+// inputs where the second left them on the one slot, and the same result
+// bits as the two builds before it.
 func TestJobCacheAdmitsOnSecondRequest(t *testing.T) {
-	s := newTestService(t, testOptions())
+	opts := testOptions()
+	opts.Slots = 1
+	s := newTestService(t, opts)
 	spec := gramSpec(7)
 	want := []CacheStats{
 		{Misses: 1},
 		{Misses: 2, Entries: 1},
-		{Hits: 1, Misses: 2, Entries: 1},
+		{Hits: 1, Misses: 2, Entries: 1, Placed: 1},
 	}
 	var first *Result
 	for i, w := range want {

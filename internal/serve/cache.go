@@ -6,6 +6,7 @@ import (
 	"hash/maphash"
 	"sync"
 
+	"dmac/internal/engine"
 	"dmac/internal/workload"
 )
 
@@ -32,12 +33,18 @@ import (
 // holds the build in flight). The doorkeeper counts requests, not builds: a
 // build that served two requests is offered twice, so it is admitted just as
 // the second of two sequential requests' builds would be.
+//
+// A cached build also owns where each slot's engine left its inputs
+// (engine.Placement): the next job of the key on that slot binds the same
+// grids and restores their partitions and broadcast replicas instead of
+// moving them again. A placement is kept per slot, since each slot's engine
+// is its own cluster, and it leaves the cache with its build.
 type jobCache struct {
 	mu       sync.Mutex
 	maxBytes int64
 	bytes    int64
 	entries  map[string]*list.Element
-	lru      list.List // of jobCacheItem, front = most recent
+	lru      list.List // of *jobCacheItem, front = most recent
 	hits     int64
 	misses   int64
 	seed     maphash.Seed
@@ -61,6 +68,9 @@ type jobCacheItem struct {
 	key   string
 	job   *workload.BuiltJob
 	bytes int64
+	// placed holds, by slot ID, the placement of job's inputs the slot's
+	// last clean run of it left.
+	placed map[int]engine.Placement
 }
 
 // newJobCache bounds the cache by total input bytes.
@@ -89,7 +99,7 @@ func (c *jobCache) getOrBuild(key string, build func() (*workload.BuiltJob, erro
 		c.hits++
 		c.lru.MoveToFront(el)
 		c.mu.Unlock()
-		return el.Value.(jobCacheItem).job, nil
+		return el.Value.(*jobCacheItem).job, nil
 	}
 	c.misses++
 	if b, ok := c.building[key]; ok {
@@ -134,14 +144,49 @@ func (c *jobCache) offerLocked(key string, j *workload.BuiltJob) {
 		return
 	}
 	delete(c.seen, h)
-	c.entries[key] = c.lru.PushFront(jobCacheItem{key: key, job: j, bytes: b})
+	c.entries[key] = c.lru.PushFront(&jobCacheItem{key: key, job: j, bytes: b})
 	c.bytes += b
 	for c.bytes > c.maxBytes {
 		oldest := c.lru.Back()
-		it := oldest.Value.(jobCacheItem)
+		it := oldest.Value.(*jobCacheItem)
 		c.lru.Remove(oldest)
 		delete(c.entries, it.key)
 		c.bytes -= it.bytes
+	}
+}
+
+// itemLocked returns key's cache entry when it holds build j. c.mu is held.
+func (c *jobCache) itemLocked(key string, j *workload.BuiltJob) *jobCacheItem {
+	if el, ok := c.entries[key]; ok {
+		if it := el.Value.(*jobCacheItem); it.job == j {
+			return it
+		}
+	}
+	return nil
+}
+
+// placement returns the placement slot left for build j of key, while the
+// cache holds that build.
+func (c *jobCache) placement(key string, j *workload.BuiltJob, slot int) (engine.Placement, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if it := c.itemLocked(key, j); it != nil {
+		p, ok := it.placed[slot]
+		return p, ok
+	}
+	return engine.Placement{}, false
+}
+
+// place records p as where slot left build j of key, while the cache holds
+// that build; a build the cache does not hold keeps nothing.
+func (c *jobCache) place(key string, j *workload.BuiltJob, slot int, p engine.Placement) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if it := c.itemLocked(key, j); it != nil {
+		if it.placed == nil {
+			it.placed = make(map[int]engine.Placement)
+		}
+		it.placed[slot] = p
 	}
 }
 

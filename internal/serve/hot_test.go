@@ -10,7 +10,7 @@ func TestHotGramJobAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation budgets mean nothing under the race detector")
 	}
-	const pinned = 235
+	const pinned = 228
 	s := newTestService(t, testOptions())
 	spec := gramSpec(1)
 	for i := 0; i < 3; i++ { // the third submission is a cache hit

@@ -124,6 +124,7 @@ type job struct {
 	id        string
 	spec      JobSpec
 	built     *workload.BuiltJob
+	cacheKey  string // the job cache's key of a registry job, "" otherwise
 	blockSize int
 	estBytes  int64
 	priority  int

@@ -49,7 +49,11 @@ func (s *Service) Submit(spec JobSpec) (JobStatus, error) {
 	if spec.Priority > PriorityLow {
 		spec.Priority = PriorityLow
 	}
-	built, err := s.buildSpec(spec)
+	key := ""
+	if spec.Workload != "" {
+		key = jobCacheKey(spec.Workload, spec.Params)
+	}
+	built, err := s.buildSpec(spec, key)
 	if err != nil {
 		return JobStatus{}, err
 	}
@@ -90,6 +94,7 @@ func (s *Service) Submit(spec JobSpec) (JobStatus, error) {
 		id:        fmt.Sprintf("job-%06d", s.nextID),
 		spec:      spec,
 		built:     built,
+		cacheKey:  key,
 		blockSize: built.BlockSize,
 		estBytes:  est,
 		priority:  spec.Priority,
@@ -110,14 +115,15 @@ func (s *Service) Submit(spec JobSpec) (JobStatus, error) {
 }
 
 // buildSpec materializes the job's inputs and program: registry jobs resolve
-// through the built-input cache at the side a slot's engine picks, above
-// Options.BlockSize; programmatic jobs are wrapped at their inputs' one side.
-func (s *Service) buildSpec(spec JobSpec) (*workload.BuiltJob, error) {
+// through the built-input cache, under key, at the side a slot's engine
+// picks, above Options.BlockSize; programmatic jobs are wrapped at their
+// inputs' one side.
+func (s *Service) buildSpec(spec JobSpec, key string) (*workload.BuiltJob, error) {
 	if spec.Workload != "" {
 		size := func(rows, cols int, density float64) int {
 			return max(s.opts.BlockSize, s.slots[0].e.BlockSizeFor(rows, cols, density))
 		}
-		return s.jobCache.getOrBuild(jobCacheKey(spec.Workload, spec.Params), func() (*workload.BuiltJob, error) {
+		return s.jobCache.getOrBuild(key, func() (*workload.BuiltJob, error) {
 			return s.opts.Registry.BuildSized(spec.Workload, size, spec.Params)
 		})
 	}

@@ -106,10 +106,13 @@ func (s *Service) dispatcher() {
 }
 
 // runJob executes one job on a leased slot: reset the session, bind the
-// built inputs (the first bind sets the session to the job's block size), run
+// built inputs (the first bind sets the session to the job's block size),
+// restore where this slot left them when the job cache holds the build, run
 // the program for its iterations under the job context, and publish the
-// terminal state. The job's root span, carried by the context every run
-// takes, parents the runs' span trees.
+// terminal state. A clean run (done, no stage retried) leaves the cache the
+// slot's placement of the build's inputs for the key's next job there. The
+// job's root span, carried by the context every run takes, parents the runs'
+// span trees.
 func (s *Service) runJob(j *job, slot *engineSlot) {
 	defer s.wg.Done()
 	deadline := j.spec.Deadline
@@ -134,6 +137,9 @@ func (s *Service) runJob(j *job, slot *engineSlot) {
 			runErr = fmt.Errorf("serve: bind %s: %w", name, err)
 			break
 		}
+	}
+	if p, ok := s.jobCache.placement(j.cacheKey, j.built, slot.id); ok && runErr == nil && e.Place(p) > 0 {
+		s.cPlaced.Inc()
 	}
 
 	root := slot.tracer.Start("serve", "job", 0,
@@ -180,6 +186,8 @@ func (s *Service) runJob(j *job, slot *engineSlot) {
 		if errors.Is(runErr, context.Canceled) {
 			state = StateCanceled
 		}
+	} else if j.cacheKey != "" && total.Retries == 0 {
+		s.jobCache.place(j.cacheKey, j.built, slot.id, e.Placement())
 	}
 	slot.tracer.End(root, obs.String("state", string(state)), obs.Int64("iterations", int64(iters)))
 

@@ -184,6 +184,7 @@ type Service struct {
 	vSlots      *obs.GaugeVec     // state: total | free
 	gRetained   *obs.Gauge        // serve.results.retained.bytes
 	cEvicted    *obs.Counter      // serve.results.evicted
+	cPlaced     *obs.Counter      // serve.job_cache.placed
 }
 
 var latencyBounds = []float64{
@@ -228,6 +229,7 @@ func NewService(opts Options) (*Service, error) {
 	s.gRetained = m.Gauge("serve.results.retained.bytes")
 	s.flight.gauge = m.Gauge("serve.traces.retained.bytes")
 	s.cEvicted = m.Counter("serve.results.evicted")
+	s.cPlaced = m.Counter("serve.job_cache.placed")
 
 	for id := 0; id < opts.Slots; id++ {
 		slot, err := s.newSlot(id)

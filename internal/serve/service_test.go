@@ -762,12 +762,15 @@ func TestJobRootSpans(t *testing.T) {
 // TestStatsExposeSlots pins the pool shape the service reports: /v1/stats
 // has exactly the keys below, slots_total and slots_free among them and both
 // Slots whenever no job runs; /metrics has exactly the total and free
-// children of dmac_serve_slots.
+// children of dmac_serve_slots. Once a job has started from where its slot
+// left its cached inputs, job_cache has exactly the keys below and counts it
+// as placed.
 func TestStatsExposeSlots(t *testing.T) {
 	const statsKeys = "canceled completed draining failed job_cache plan_cache " +
 		"queue_depth queue_wait_count queue_wait_p50_sec queue_wait_p95_sec queue_wait_p99_sec queue_wait_sum_sec " +
 		"rejected results_retained_bytes run_count run_p50_sec run_p95_sec run_p99_sec run_sum_sec running " +
 		"slots_free slots_total submitted tenants traces_retained_bytes uptime_sec"
+	const jobCacheKeys = "bytes entries hits misses placed"
 	opts := testOptions()
 	opts.Metrics = obs.NewRegistry()
 	s := newTestService(t, opts)
@@ -815,6 +818,26 @@ func TestStatsExposeSlots(t *testing.T) {
 	check("idle")
 	runJobToDone(t, s, "t")
 	check("after a job")
+	runJobToDone(t, s, "t")
+	runJobToDone(t, s, "t")
+	check("after a placed job")
+	var st struct {
+		JobCache map[string]float64 `json:"job_cache"`
+	}
+	if err := json.Unmarshal([]byte(get("/v1/stats")), &st); err != nil {
+		t.Fatal(err)
+	}
+	keys := make([]string, 0, len(st.JobCache))
+	for k := range st.JobCache {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	if got := strings.Join(keys, " "); got != jobCacheKeys {
+		t.Errorf("/v1/stats job_cache keys\n got %s\nwant %s", got, jobCacheKeys)
+	}
+	if st.JobCache["placed"] != 1 {
+		t.Errorf("job_cache counts %v jobs placed, want 1", st.JobCache["placed"])
+	}
 }
 
 // TestNoGoroutineOutlivesStop: once Stop returns, no goroutine of the service

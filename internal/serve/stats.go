@@ -12,6 +12,9 @@ type CacheStats struct {
 	Misses  int64 `json:"misses"`
 	Entries int   `json:"entries"`
 	Bytes   int64 `json:"bytes,omitempty"`
+	// Placed counts the jobs that started with their cached inputs where
+	// their slot had left them (job cache only).
+	Placed int64 `json:"placed,omitempty"`
 }
 
 // TenantStats is one tenant's live and cumulative accounting.
@@ -81,7 +84,7 @@ func (s *Service) Stats() Stats {
 	st := Stats{
 		UptimeSec: time.Since(s.start).Seconds(),
 		PlanCache: CacheStats{Hits: ph, Misses: pm, Entries: pe},
-		JobCache:  CacheStats{Hits: jh, Misses: jm, Entries: je, Bytes: jb},
+		JobCache:  CacheStats{Hits: jh, Misses: jm, Entries: je, Bytes: jb, Placed: s.cPlaced.Value()},
 		Tenants:   make(map[string]TenantStats),
 
 		TracesRetainedBytes: s.flight.retainedBytes(),
