@@ -108,7 +108,9 @@ func (c *Cluster) Multiply(ctx context.Context, a, b *DistMatrix, strategy MulSt
 			return nil, fmt.Errorf("dist: CPMM output scheme %s", outScheme)
 		}
 		out.Scheme = outScheme
-		xfers, bytes, senders := c.shuffleXfers(a, out)
+		mv := takeMoves()
+		defer mv.release()
+		xfers, bytes, senders := c.shuffleXfers(mv, a, out)
 		err := c.collective(ctx, stage, commCPMMShuffle, bytes, out, func() (Wire, error) {
 			return c.transport.Scatter(ctx, "cpmm-shuffle", stage, xfers)
 		}, obs.String("strategy", "CPMM"), obs.String("to_scheme", outScheme.String()),
@@ -119,6 +121,10 @@ func (c *Cluster) Multiply(ctx context.Context, a, b *DistMatrix, strategy MulSt
 	}
 	return out, nil
 }
+
+// cellsOnStack is the most inputs, and links, whose grids and counts Cells
+// gathers on its stack.
+const cellsOnStack = 8
 
 // Cells evaluates a cell-wise tree over identically placed matrices — a single
 // cell-wise, scalar or element-wise function operator is a tree of one link —
@@ -160,14 +166,24 @@ func (c *Cluster) Cells(ctx context.Context, t *matrix.CellTree, ins []*DistMatr
 	// orientation combine on their stored grids and the result stays a view.
 	// Mixed orientations transpose each view into a grid of the operator's
 	// own; the view itself is left as it is.
-	grids := make([]*matrix.Grid, len(ins))
-	for i, m := range ins {
-		grids[i] = m.Grid
-		if mixed && m.trans {
-			grids[i] = c.exec.Transpose(ctx, m.Grid)
-		}
+	var gbuf [cellsOnStack]*matrix.Grid
+	var nbuf [cellsOnStack]int64
+	grids, nnz := gbuf[:0], nbuf[:0]
+	if len(ins) > len(gbuf) {
+		grids = make([]*matrix.Grid, 0, len(ins))
 	}
-	grid, nnz, err := c.exec.Cells(ctx, t, grids, overwrite)
+	if len(t.Links) > len(nbuf) {
+		nnz = make([]int64, 0, len(t.Links))
+	}
+	nnz = nnz[:len(t.Links)]
+	for _, m := range ins {
+		g := m.Grid
+		if mixed && m.trans {
+			g = c.exec.Transpose(ctx, m.Grid)
+		}
+		grids = append(grids, g)
+	}
+	grid, err := c.exec.Cells(ctx, t, grids, overwrite, nnz)
 	if err != nil {
 		return nil, err
 	}
@@ -177,15 +193,16 @@ func (c *Cluster) Cells(ctx context.Context, t *matrix.CellTree, ins []*DistMatr
 	return &DistMatrix{Grid: grid, Scheme: a.Scheme, trans: a.trans && !mixed}, nil
 }
 
-// shuffleXfers is the CPMM shuffle's move list, with its charge and the
+// shuffleXfers is the CPMM shuffle's move list, built in mv, with its charge and the
 // number of senders: the senders are the alive owners of a's block-columns,
 // each holding a partial of every block of out, and each ships its partial
 // to the block's owner unless it is that owner. A block is charged its bytes
 // once per sender other than its owner: (N-1) x |C| on a full cluster.
-func (c *Cluster) shuffleXfers(a, out *DistMatrix) ([]BlockXfer, int64, int) {
-	senders := c.owners(a)
+func (c *Cluster) shuffleXfers(mv *moves, a, out *DistMatrix) ([]BlockXfer, int64, int) {
+	mv.held = c.owners(mv.held, a)
+	senders := mv.held
 	br, bc := out.BlockRows(), out.BlockCols()
-	xfers := make([]BlockXfer, 0, br*bc*len(senders))
+	xfers := mv.xfers
 	var bytes int64
 	for _, s := range senders {
 		for bi := 0; bi < br; bi++ {
@@ -197,6 +214,7 @@ func (c *Cluster) shuffleXfers(a, out *DistMatrix) ([]BlockXfer, int64, int) {
 			}
 		}
 	}
+	mv.xfers = xfers
 	return xfers, bytes, len(senders)
 }
 
@@ -208,7 +226,10 @@ func (c *Cluster) collect(ctx context.Context, a *DistMatrix, stage int) error {
 	if c.whole() {
 		return nil
 	}
-	from := c.owners(a)
+	mv := takeMoves()
+	defer mv.release()
+	mv.held = c.owners(mv.held, a)
+	from := mv.held
 	return c.collective(ctx, stage, commCollect, 8*int64(len(from)), nil, func() (Wire, error) {
 		return c.transport.Collect(ctx, stage, from)
 	})

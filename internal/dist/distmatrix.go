@@ -150,6 +150,8 @@ func (c *Cluster) Owner(m *DistMatrix, bi, bj int) int {
 // at blockSize places blocks on under a Row or Col scheme, by nominal
 // placement: Owner's round-robin before dead workers' blocks are reassigned.
 // A broadcast read only next to such a matrix needs to reach these workers.
+// They are the first workers, as many as the blocks along the scheme's side
+// or all of them; the list is shared and must not be modified.
 func (c *Cluster) Holders(scheme dep.Scheme, rows, cols, blockSize int) ([]int, error) {
 	var side int
 	switch scheme {
@@ -160,39 +162,34 @@ func (c *Cluster) Holders(scheme dep.Scheme, rows, cols, blockSize int) ([]int, 
 	default:
 		return nil, fmt.Errorf("dist: holders under scheme %s", scheme)
 	}
-	n := min((side+blockSize-1)/blockSize, c.cfg.Workers)
-	out := make([]int, n)
-	for w := range out {
-		out[w] = w
-	}
-	return out, nil
+	return c.ids[:min((side+blockSize-1)/blockSize, c.cfg.Workers)], nil
 }
 
-// receivers returns, in ascending order, the alive workers holding a copy of
-// the matrix: for a broadcast replica, the current owners of the workers it
-// reaches (every alive worker for a full one); for any other matrix, every
-// alive worker, which is where its reach of nil puts it.
-func (c *Cluster) receivers(m *DistMatrix) []int {
+// receivers appends to dst, in ascending order, the alive workers holding a
+// copy of the matrix: for a broadcast replica, the current owners of the
+// workers it reaches (every alive worker for a full one); for any other
+// matrix, every alive worker, which is where its reach of nil puts it.
+func (c *Cluster) receivers(dst []int, m *DistMatrix) []int {
 	if m.reach == nil {
-		return c.aliveList()
+		return c.aliveList(dst)
 	}
-	out := make([]int, 0, len(m.reach))
+	at := len(dst)
 	for _, w := range m.reach {
-		out = append(out, c.reassignIfDead(w))
+		dst = append(dst, c.reassignIfDead(w))
 	}
-	slices.Sort(out)
-	return slices.Compact(out)
+	slices.Sort(dst[at:])
+	return dst[:at+len(slices.Compact(dst[at:]))]
 }
 
-// owners returns, in ascending order, the workers that own a block of m:
-// under the owner rule, the only workers that have a part of m to send. A
-// broadcast replica is whole on each of its receivers, so its first one
-// alone has all of it.
-func (c *Cluster) owners(m *DistMatrix) []int {
+// owners returns in dst's array, in ascending order, the workers that own a
+// block of m: under the owner rule, the only workers that have a part of m
+// to send. A broadcast replica is whole on each of its receivers, so its
+// first one alone has all of it.
+func (c *Cluster) owners(dst []int, m *DistMatrix) []int {
 	if m.Scheme == dep.Broadcast {
-		return c.receivers(m)[:1]
+		return c.receivers(dst[:0], m)[:1]
 	}
-	out := make([]int, 0, c.cfg.Workers)
+	out := dst[:0]
 	for bi := 0; bi < m.BlockRows() && len(out) < c.cfg.Workers; bi++ {
 		for bj := 0; bj < m.BlockCols(); bj++ {
 			if w := c.Owner(m, bi, bj); !slices.Contains(out, w) {
@@ -212,7 +209,7 @@ func (c *Cluster) readsWithin(b, part *DistMatrix) error {
 	if b.reach == nil {
 		return nil
 	}
-	to := c.receivers(b)
+	to := c.receivers(nil, b)
 	for bi := 0; bi < part.BlockRows(); bi++ {
 		for bj := 0; bj < part.BlockCols(); bj++ {
 			if w := c.Owner(part, bi, bj); !slices.Contains(to, w) {
@@ -234,7 +231,7 @@ func (c *Cluster) readsWithin(b, part *DistMatrix) error {
 // rule, which spares a receiver the blocks it owns, does not apply to it.
 func (c *Cluster) WorkerBytes(m *DistMatrix, w int) int64 {
 	if m.Scheme == dep.Broadcast {
-		if m.reach != nil && slices.Contains(c.receivers(m), w) {
+		if m.reach != nil && slices.Contains(c.receivers(nil, m), w) {
 			return m.Bytes()
 		}
 		return 0
@@ -275,7 +272,9 @@ func (c *Cluster) Partition(ctx context.Context, m *DistMatrix, scheme dep.Schem
 		return nil, err
 	}
 	out := &DistMatrix{Grid: m.Grid, Scheme: scheme, trans: m.trans}
-	xfers := c.scatterXfers(out)
+	mv := takeMoves()
+	defer mv.release()
+	xfers := c.scatterXfers(mv, out)
 	err := c.collective(ctx, stage, commPartition, m.Bytes(), m, func() (Wire, error) {
 		return c.transport.Scatter(ctx, "partition", stage, xfers)
 	}, obs.String("from_scheme", m.Scheme.String()), obs.String("to_scheme", scheme.String()))
@@ -302,13 +301,17 @@ func (c *Cluster) Partition(ctx context.Context, m *DistMatrix, scheme dep.Schem
 // could wait on each other's forward links in a cycle.
 func (c *Cluster) Broadcast(ctx context.Context, m *DistMatrix, stage int, to []int) (*DistMatrix, error) {
 	out := &DistMatrix{Grid: m.Grid, Scheme: dep.Broadcast, trans: m.trans, reach: c.narrow(to)}
-	recv := c.receivers(out)
+	mv := takeMoves()
+	defer mv.release()
+	mv.recv = c.receivers(mv.recv, out)
+	recv := mv.recv
 	replicas := len(recv)
 	if m.Scheme == dep.Broadcast {
-		held := c.receivers(m)
+		mv.held = c.receivers(mv.held, m)
+		held := mv.held
 		recv = slices.DeleteFunc(recv, func(w int) bool { return slices.Contains(held, w) })
 	}
-	xfers, bytes := c.gatherXfers(m, recv)
+	xfers, bytes := c.gatherXfers(mv, m, recv)
 	err := c.collective(ctx, stage, commBroadcast, bytes, m, func() (Wire, error) {
 		return c.rings(ctx, stage, xfers, recv)
 	}, obs.String("from_scheme", m.Scheme.String()), obs.Int64("replicas", int64(replicas)))
@@ -349,16 +352,16 @@ func (c *Cluster) rings(ctx context.Context, stage int, xfers []BlockXfer, recv 
 	return wire, nil
 }
 
-// gatherXfers lists m's blocks for a broadcast to the receivers recv that do
+// gatherXfers lists in mv m's blocks for a broadcast to the receivers recv that do
 // not hold m already, ordered by the worker each is sent from, ascending,
 // and by coordinates within it, with the charge: each block's bytes once
 // per receiver other than its sender. From is a partitioned source's owner,
 // -1 for every block of a broadcast replica, which recv lists none of the
 // holders of. A block whose sender is recv's only receiver goes nowhere and
 // is left out.
-func (c *Cluster) gatherXfers(m *DistMatrix, recv []int) ([]BlockXfer, int64) {
+func (c *Cluster) gatherXfers(mv *moves, m *DistMatrix, recv []int) ([]BlockXfer, int64) {
 	br, bc := m.BlockRows(), m.BlockCols()
-	out := make([]BlockXfer, 0, br*bc)
+	out := mv.xfers
 	var bytes int64
 	for bi := 0; bi < br; bi++ {
 		for bj := 0; bj < bc; bj++ {
@@ -377,13 +380,14 @@ func (c *Cluster) gatherXfers(m *DistMatrix, recv []int) ([]BlockXfer, int64) {
 		}
 	}
 	slices.SortStableFunc(out, func(a, b BlockXfer) int { return cmp.Compare(a.From, b.From) })
+	mv.xfers = out
 	return out, bytes
 }
 
 // narrow returns a broadcast's reach as Broadcast stores it: to sorted and
 // without repeats, or nil when it names every worker.
 func (c *Cluster) narrow(to []int) []int {
-	if to == nil {
+	if to == nil || slices.Equal(to, c.ids) {
 		return nil
 	}
 	reach := slices.Clone(to)
@@ -433,7 +437,9 @@ func (c *Cluster) Transpose(ctx context.Context, m *DistMatrix) *DistMatrix {
 func (c *Cluster) ShuffleTranspose(ctx context.Context, m *DistMatrix, stage int) (*DistMatrix, error) {
 	// The move set is m's blocks re-homed under the transposed placement.
 	view := &DistMatrix{Grid: m.Grid, Scheme: m.Scheme.Opposite(), trans: !m.trans}
-	xfers := c.scatterXfers(view)
+	mv := takeMoves()
+	defer mv.release()
+	xfers := c.scatterXfers(mv, view)
 	err := c.collective(ctx, stage, commShuffleTranspose, m.Bytes(), m, func() (Wire, error) {
 		return c.transport.Scatter(ctx, "shuffle-transpose", stage, xfers)
 	}, obs.String("from_scheme", m.Scheme.String()))

@@ -29,15 +29,15 @@ func TestBroadcastToReceivers(t *testing.T) {
 	if s.CommBytes != 4*g.MemBytes()/3 || s.Broadcasts != 1 {
 		t.Errorf("narrowed broadcast charged %d B in %d broadcasts, want 4/3 |A| = %d in 1", s.CommBytes, s.Broadcasts, 4*g.MemBytes()/3)
 	}
-	if got := c.receivers(out); !slices.Equal(got, []int{0, 1}) || !slices.Equal(out.Reach(), []int{0, 1}) {
+	if got := c.receivers(nil, out); !slices.Equal(got, []int{0, 1}) || !slices.Equal(out.Reach(), []int{0, 1}) {
 		t.Errorf("receivers %v, reach %v, want [0 1] both", got, out.Reach())
 	}
 	full, err := c.Broadcast(ctx, m, 1, []int{3, 2, 1, 0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if full.Reach() != nil || !slices.Equal(c.receivers(full), []int{0, 1, 2, 3}) {
-		t.Errorf("a broadcast to every worker has reach %v, receivers %v; want nil, all four", full.Reach(), c.receivers(full))
+	if full.Reach() != nil || !slices.Equal(c.receivers(nil, full), []int{0, 1, 2, 3}) {
+		t.Errorf("a broadcast to every worker has reach %v, receivers %v; want nil, all four", full.Reach(), c.receivers(nil, full))
 	}
 	if got := c.Net().Snapshot().CommBytes - s.CommBytes; got != 3*g.MemBytes() {
 		t.Errorf("full broadcast charged %d B, want (N−1)|A| = %d", got, 3*g.MemBytes())
@@ -146,7 +146,7 @@ func TestNarrowedBroadcastRecovery(t *testing.T) {
 		t.Fatal("kill refused")
 	}
 	heir := c.Owner(NewDistMatrix(bc, dep.Col), 0, 1)
-	if got := c.receivers(narrow); !slices.Contains(got, heir) || slices.Contains(got, 1) {
+	if got := c.receivers(nil, narrow); !slices.Contains(got, heir) || slices.Contains(got, 1) {
 		t.Errorf("after losing worker 1 the receivers are %v, want worker 1's heir %d and not 1", got, heir)
 	}
 	if _, err := c.Multiply(ctx, narrow, NewDistMatrix(bc, dep.Col), RMM1, dep.SchemeNone, 2); err != nil {

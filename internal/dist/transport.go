@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"dmac/internal/matrix"
@@ -166,18 +167,38 @@ func (c *Cluster) TransportName() string { return c.base.Name() }
 // Safe to call on a cluster using the in-process transport.
 func (c *Cluster) Close() error { return c.base.Close() }
 
-// aliveList returns the alive workers in ascending order — the ring order
-// of broadcasts and the destination set of collects.
-func (c *Cluster) aliveList() []int {
+// aliveList appends the alive workers to dst in ascending order — the ring
+// order of broadcasts and the destination set of collects.
+func (c *Cluster) aliveList(dst []int) []int {
 	c.faultMu.Lock()
 	defer c.faultMu.Unlock()
-	out := make([]int, 0, c.aliveLocked())
 	for w := 0; w < c.cfg.Workers; w++ {
 		if !c.dead[w] {
-			out = append(out, w)
+			dst = append(dst, w)
 		}
 	}
-	return out
+	return dst
+}
+
+// moves is the scratch of one collective: its move list and the worker lists
+// it is built from. Collectives take one from movesFree and give it back
+// when the transport has returned (no transport keeps a move list past its
+// call), so a steady run builds its move lists without allocating.
+type moves struct {
+	xfers      []BlockXfer
+	recv, held []int
+}
+
+var movesFree = sync.Pool{New: func() any { return new(moves) }}
+
+func takeMoves() *moves { return movesFree.Get().(*moves) }
+
+// release empties mv, dropping its references to blocks, and returns it to
+// movesFree.
+func (mv *moves) release() {
+	clear(mv.xfers)
+	mv.xfers, mv.recv, mv.held = mv.xfers[:0], mv.recv[:0], mv.held[:0]
+	movesFree.Put(mv)
 }
 
 // collective runs one collective in the operator's turn: send hands its
@@ -205,19 +226,20 @@ func (c *Cluster) collective(ctx context.Context, stage int, k commKind, bytes i
 	return nil
 }
 
-// scatterXfers lists the block hand-offs that place m's blocks on their
+// scatterXfers lists in mv the block hand-offs that place m's blocks on their
 // owners under m's scheme, the move list of a repartition or a shuffled
 // transpose. Both send every block and name no sender: the owner rule would
 // find a hash-placed block in place only by its nominal placement, and
 // erase the repartition SystemML-S pays for.
-func (c *Cluster) scatterXfers(m *DistMatrix) []BlockXfer {
+func (c *Cluster) scatterXfers(mv *moves, m *DistMatrix) []BlockXfer {
 	br, bc := m.BlockRows(), m.BlockCols()
-	out := make([]BlockXfer, 0, br*bc)
+	out := mv.xfers
 	for bi := 0; bi < br; bi++ {
 		for bj := 0; bj < bc; bj++ {
 			out = append(out, BlockXfer{Bi: bi, Bj: bj, From: -1, To: c.Owner(m, bi, bj), Block: m.StoredBlock(bi, bj)})
 		}
 	}
+	mv.xfers = out
 	return out
 }
 

@@ -94,3 +94,20 @@ func BenchmarkBroadcast(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkRingEqualBytes is one ring carrying all six blocks over three
+// hops: each block reaches three workers, as in BenchmarkBroadcast's four
+// owner rings, so the two move the same wire bytes in one ring and in four.
+// BenchmarkRing's four hops move a third more.
+func BenchmarkRingEqualBytes(b *testing.B) {
+	tr, xfers := benchCluster(b)
+	hops := []int{1, 2, 3}
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := tr.Ring(ctx, "broadcast", i+1, xfers, hops); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -94,7 +94,12 @@ type link struct {
 	wbuf [frameHdrLen + smallPayload]byte // one outgoing block-less frame
 	rbuf [smallPayload]byte               // the fixed fields last read
 	hdr  []byte                           // a hop's rebuilt RING header
-	vec  net.Buffers                      // a block's fields plus its first bytes, forwarded in one write
+	// vec is a block's fields plus its first bytes, forwarded in one write,
+	// over vecs. WriteTo consumes the slice it is called on, down to no
+	// capacity, so it is rebuilt from vecs before every write: an append to
+	// what WriteTo left would allocate a new array each time.
+	vec  net.Buffers
+	vecs [2][]byte
 }
 
 func newLink(conn net.Conn) *link {

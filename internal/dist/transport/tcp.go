@@ -66,9 +66,10 @@ type peer struct {
 	index int
 	addr  string
 
-	mu   sync.Mutex // serializes frames on link and guards link and out
+	mu   sync.Mutex // serializes frames on link and guards link, out and rest
 	link *link      // nil until dialed and after a failure
 	out  frameOut   // the PUT or RING frame being sent
+	rest []string   // the hops after this one of the RING being sent
 
 	contacted atomic.Bool // ever successfully contacted (gates heartbeat death)
 	dead      atomic.Bool
@@ -395,10 +396,6 @@ func (t *TCP) Ring(ctx context.Context, op string, stage int, blocks []dist.Bloc
 			return w, fmt.Errorf("transport: ring through unknown worker %d", h)
 		}
 	}
-	rest := make([]string, 0, len(hops)-1)
-	for _, h := range hops[1:] {
-		rest = append(rest, t.peers[h].addr)
-	}
 	p := t.peers[hops[0]]
 
 	// The locked round-trip to the first hop. On an I/O failure the cause is
@@ -413,10 +410,14 @@ func (t *TCP) Ring(ctx context.Context, op string, stage int, blocks []dist.Bloc
 		if err != nil {
 			return peerDown(p, err)
 		}
-		p.out.begin(fRing, ringHdrCap(rest, len(blocks)))
+		p.rest = p.rest[:0]
+		for _, h := range hops[1:] {
+			p.rest = append(p.rest, t.peers[h].addr)
+		}
+		p.out.begin(fRing, ringHdrCap(p.rest, len(blocks)))
 		p.out.u32(stage)
-		p.out.u16(len(rest))
-		for _, h := range rest {
+		p.out.u16(len(p.rest))
+		for _, h := range p.rest {
 			p.out.str(h)
 		}
 		p.out.u32(len(blocks))

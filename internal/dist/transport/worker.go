@@ -467,7 +467,8 @@ func (w *Worker) readBody(up *link, n int, down *link, pre []byte) ([]byte, erro
 		m, err := up.br.Read(buf[off:])
 		if m > 0 && down != nil {
 			// pre lives in up's scratch, which Read does not touch.
-			down.vec = append(down.vec[:0], pre, buf[off:off+m])
+			down.vecs = [2][]byte{pre, buf[off : off+m]}
+			down.vec = down.vecs[:]
 			pre = nil
 			if _, err := down.vec.WriteTo(down.conn); err != nil {
 				w.recycle(buf)

@@ -27,7 +27,6 @@ import (
 	"slices"
 	"sort"
 	"strconv"
-	"strings"
 	"time"
 
 	"dmac/internal/core"
@@ -235,8 +234,15 @@ type Engine struct {
 	// each run, it owns the dense result blocks the run allocates until
 	// reclaim finds them unreachable or Grid hands them to a caller.
 	pool *sched.BlockPool
-	// stage runs the operators of the current stage (runOps).
-	stage stageRun
+	// st is the state of the current plan execution (execute), stage
+	// runs the operators of the current stage (runOps), live is reclaim's
+	// set of the blocks the session reaches, and keyBuf is where planInput
+	// writes the session part of the plan-cache key: each kept and reused
+	// from run to run.
+	st     execState
+	stage  stageRun
+	live   map[*matrix.DenseBlock]bool
+	keyBuf []byte
 }
 
 // programForm is what the engine plans and runs for a caller's program: the
@@ -303,7 +309,10 @@ func (e *Engine) reclaim() {
 	if e.pool.Owned() == 0 {
 		return
 	}
-	live := make(map[*matrix.DenseBlock]bool)
+	if e.live == nil {
+		e.live = make(map[*matrix.DenseBlock]bool)
+	}
+	live := e.live
 	for _, vs := range e.vars {
 		for _, inst := range vs.instances {
 			g := inst.Grid
@@ -317,6 +326,7 @@ func (e *Engine) reclaim() {
 		}
 	}
 	e.pool.Reclaim(live)
+	clear(live) // kept empty, so it holds no block between reclaims
 }
 
 // SetRewriter attaches (or with nil, detaches) the algebraic rewrite pass:
@@ -610,28 +620,41 @@ func (e *Engine) VarSchemes(name string) []dep.Scheme {
 // the session schemes of the variables f reads — and the key the plan is
 // cached under: f's signature followed by all of that, written in a fixed
 // order. A plan is a function of exactly these (Algorithm 1), so one key is
-// one plan, whichever engine or Program object asks. While the session part
-// stays as it was, f's config and key are reused rather than built again.
+// one plan, whichever engine or Program object asks. The session part is
+// written into the engine's key buffer; while it stays as it was, f's config
+// and key are reused rather than built again.
 func (e *Engine) planInput(f *programForm) (core.Config, string) {
-	var b strings.Builder
-	fmt.Fprintf(&b, "pl=%d;rw=%v;w=%d;pu=%v;ra=%v;cp=%v;", int(e.planner), e.rewriter != nil,
-		e.cluster.Workers(), e.disablePullUp, e.disableReassign, e.disableCPMM)
-	schemes := make([][]dep.Scheme, len(f.vars))
-	for i, name := range f.vars {
+	b := append(e.keyBuf[:0], "pl="...)
+	b = strconv.AppendInt(b, int64(e.planner), 10)
+	b = strconv.AppendBool(append(b, ";rw="...), e.rewriter != nil)
+	b = strconv.AppendInt(append(b, ";w="...), int64(e.cluster.Workers()), 10)
+	b = strconv.AppendBool(append(b, ";pu="...), e.disablePullUp)
+	b = strconv.AppendBool(append(b, ";ra="...), e.disableReassign)
+	b = strconv.AppendBool(append(b, ";cp="...), e.disableCPMM)
+	b = append(b, ';')
+	for _, name := range f.vars {
 		// Variables cached only hash-partitioned are left out: the planner
 		// treats unknown variables as hash-partitioned already.
-		schemes[i] = slices.DeleteFunc(e.VarSchemes(name), func(s dep.Scheme) bool { return s == dep.SchemeNone })
-		if len(schemes[i]) == 0 {
+		at := len(b)
+		b = append(strconv.AppendQuote(b, name), ':')
+		named := len(b)
+		if vs := e.vars[name]; vs != nil {
+			for _, s := range plannedSchemes {
+				if _, ok := vs.instances[s]; ok {
+					b = append(b, s.String()...)
+				}
+			}
+		}
+		if len(b) == named {
+			b = b[:at]
 			continue
 		}
-		fmt.Fprintf(&b, "%q:", name)
-		for _, s := range schemes[i] {
-			b.WriteString(s.String())
-		}
-		b.WriteByte(';')
+		b = append(b, ';')
 	}
-	if input := b.String(); input != f.input {
-		f.input, f.key = input, f.sig+"|"+input
+	e.keyBuf = b
+	if string(b) != f.input {
+		f.input = string(b)
+		f.key = f.sig + "|" + f.input
 		f.cfg = core.Config{
 			Workers:         e.cluster.Workers(),
 			Vars:            make(map[string][]dep.Scheme, len(f.vars)),
@@ -639,14 +662,18 @@ func (e *Engine) planInput(f *programForm) (core.Config, string) {
 			DisableReassign: e.disableReassign,
 			DisableCPMM:     e.disableCPMM,
 		}
-		for i, name := range f.vars {
-			if len(schemes[i]) > 0 {
-				f.cfg.Vars[name] = schemes[i]
+		for _, name := range f.vars {
+			if schemes := slices.DeleteFunc(e.VarSchemes(name), func(s dep.Scheme) bool { return s == dep.SchemeNone }); len(schemes) > 0 {
+				f.cfg.Vars[name] = schemes
 			}
 		}
 	}
 	return f.cfg, f.key
 }
+
+// plannedSchemes are the schemes of a session variable the planner is told
+// of, in the order VarSchemes lists them.
+var plannedSchemes = [...]dep.Scheme{dep.Row, dep.Col, dep.Broadcast}
 
 // Run plans and executes a program against the session. params provides the
 // values of named scalar parameters (expr.ScalarParam). On success the
@@ -744,12 +771,15 @@ func (e *Engine) RunCtx(ctx context.Context, p *expr.Program, params map[string]
 	if dropped {
 		e.reclaim()
 	}
-	runSpan := e.tracer.Start("engine", "run", parent,
-		obs.String("planner", e.planner.String()),
-		obs.Int64("stages", int64(plan.Stages)),
-		obs.Int64("ops", int64(len(plan.Ops))),
-		obs.Int64("plan_comm_bytes", plan.TotalCommBytes()),
-		obs.String("plan_cache", source))
+	var runSpan obs.SpanID
+	if e.tracer.Enabled() {
+		runSpan = e.tracer.Start("engine", "run", parent,
+			obs.String("planner", e.planner.String()),
+			obs.Int64("stages", int64(plan.Stages)),
+			obs.Int64("ops", int64(len(plan.Ops))),
+			obs.Int64("plan_comm_bytes", plan.TotalCommBytes()),
+			obs.String("plan_cache", source))
+	}
 	start := time.Now()
 	m, err = e.execute(ctx, plan, f.input, params, runSpan)
 	if err != nil {

@@ -18,7 +18,10 @@ import (
 
 // execState is the live state of one plan execution: the value table the
 // stages fill in, the stage ledger, and everything the checkpoint/restore
-// machinery needs to rebuild or replay parts of it.
+// machinery needs to rebuild or replay parts of it. A session runs one plan
+// at a time, so the engine keeps one and reuses it, value table and stage
+// contexts included; only the ledger is made anew, since the caller keeps
+// it as Metrics.PerStage.
 type execState struct {
 	plan *core.Plan
 	// sig is the session part of the plan's cache key (planInput), stamped
@@ -31,17 +34,34 @@ type execState struct {
 	// charge of the run goes to exactly one of them, so the records sum to
 	// the run's totals. It becomes the run's Metrics.PerStage.
 	ledger []StageMetrics
+	// stageCtxs[s-1] is base charging stage s's record (charging); they are
+	// kept from run to run while runs come under the same context.
+	base      context.Context
+	stageCtxs []context.Context
 }
 
-// stageCharger is a ledger record as the dist.Charger of its stage's work
-// outside the operators.
-type stageCharger StageMetrics
+// stageCharger is the dist.Charger of a stage's work outside the operators:
+// it books to the stage's record in the current run's ledger.
+type stageCharger struct {
+	st    *execState
+	stage int
+}
 
-func (r *stageCharger) Charge(s dist.Snapshot) { r.Add(s) }
+func (c *stageCharger) Charge(s dist.Snapshot) { c.st.ledger[c.stage-1].Add(s) }
 
 // charging returns ctx charging stage's record.
 func (st *execState) charging(ctx context.Context, stage int) context.Context {
-	return dist.WithCharger(ctx, (*stageCharger)(&st.ledger[stage-1]))
+	if ctx != st.base {
+		st.base = ctx
+		clear(st.stageCtxs)
+	}
+	for len(st.stageCtxs) < stage {
+		st.stageCtxs = append(st.stageCtxs, nil)
+	}
+	if st.stageCtxs[stage-1] == nil {
+		st.stageCtxs[stage-1] = dist.WithCharger(ctx, &stageCharger{st, stage})
+	}
+	return st.stageCtxs[stage-1]
 }
 
 // since books the wall time since start to stage's record.
@@ -74,13 +94,13 @@ func (st *execState) since(stage int, start time.Time) {
 // writer; whichever way execute returns, it first waits for the one in
 // flight.
 func (e *Engine) execute(ctx context.Context, plan *core.Plan, sig string, params map[string]float64, run obs.SpanID) (m Metrics, err error) {
-	st := &execState{
-		plan:   plan,
-		sig:    sig,
-		vals:   make([]*dist.DistMatrix, len(plan.Values)),
-		params: params,
-		ledger: make([]StageMetrics, plan.Stages),
+	st := &e.st
+	st.plan, st.sig, st.params = plan, sig, params
+	if cap(st.vals) < len(plan.Values) {
+		st.vals = make([]*dist.DistMatrix, len(plan.Values))
 	}
+	st.vals = st.vals[:len(plan.Values)]
+	st.ledger = make([]StageMetrics, plan.Stages)
 	cfg := e.cluster.Config()
 	defer func() {
 		for i := range st.ledger {
@@ -93,6 +113,9 @@ func (e *Engine) execute(ctx context.Context, plan *core.Plan, sig string, param
 		m.ModelSeconds = compute + network + m.StallSec
 		m.Stages, m.PerStage = plan.Stages, st.ledger
 		e.cluster.EndRun(m.Snapshot)
+		// Hold none of the run's values past it.
+		clear(st.vals)
+		st.plan, st.params, st.ledger = nil, nil, nil
 	}()
 	e.cluster.BeginRun()
 	e.joinSnapshot(run)
@@ -108,8 +131,11 @@ func (e *Engine) execute(ctx context.Context, plan *core.Plan, sig string, param
 		if err := ctx.Err(); err != nil {
 			return m, fmt.Errorf("engine: run cancelled before stage %d: %w", s, err)
 		}
-		span := e.tracer.Start("engine", stageName(s), run,
-			obs.Int64("stage", int64(s)), obs.Int64("ops", int64(len(plan.StageOps(s)))))
+		var span obs.SpanID
+		if e.tracer.Enabled() {
+			span = e.tracer.Start("engine", stageName(s), run,
+				obs.Int64("stage", int64(s)), obs.Int64("ops", int64(len(plan.StageOps(s)))))
+		}
 		err := e.runStage(ctx, st, s, span)
 		e.tracer.End(span)
 		if err != nil {
@@ -155,8 +181,11 @@ const (
 func (e *Engine) runStage(ctx context.Context, st *execState, stage int, parent obs.SpanID) error {
 	cfg := e.cluster.Config()
 	for attempt := 0; ; attempt++ {
-		span := e.tracer.Start("engine", "attempt", parent,
-			obs.Int64("stage", int64(stage)), obs.Int64("attempt", int64(attempt)))
+		var span obs.SpanID
+		if e.tracer.Enabled() {
+			span = e.tracer.Start("engine", "attempt", parent,
+				obs.Int64("stage", int64(stage)), obs.Int64("attempt", int64(attempt)))
+		}
 		err := e.runStageOnce(ctx, st, stage, attempt, span)
 		if err == nil {
 			e.tracer.End(span)
@@ -340,8 +369,10 @@ func (e *Engine) dispatch(ctx context.Context, st *execState, op *core.Op) (*dis
 
 // reach resolves a broadcast's or a leaf's reach (core.Op.Reach) to the
 // workers its readers run on: the union of each value's holders
-// (Cluster.Holders) when cut at the session block size. Nil — every worker —
-// for a reach of nil; empty for an empty one.
+// (Cluster.Holders) when cut at the session block size, which, the holders
+// being the first workers, is the longest of them. Nil — every worker — for
+// a reach of nil; empty for an empty one. The list is shared and must not be
+// modified.
 func (e *Engine) reach(plan *core.Plan, op *core.Op) ([]int, error) {
 	if op.Reach == nil {
 		return nil, nil
@@ -358,7 +389,9 @@ func (e *Engine) reach(plan *core.Plan, op *core.Op) ([]int, error) {
 		if err != nil {
 			return nil, err
 		}
-		to = append(to, h...)
+		if len(h) > len(to) {
+			to = h
+		}
 	}
 	return to, nil
 }
@@ -445,9 +478,10 @@ func (e *Engine) compute(ctx context.Context, plan *core.Plan, op *core.Op, vals
 		if err != nil {
 			return nil, err
 		}
-		ins := make([]*dist.DistMatrix, len(op.Inputs))
-		for i := range ins {
-			ins[i] = in(i)
+		var ibuf [8]*dist.DistMatrix // Cells keeps none of ins
+		ins := ibuf[:0]
+		for i := range op.Inputs {
+			ins = append(ins, in(i))
 		}
 		out, err := e.cluster.Cells(ctx, tree, ins, op.InPlace)
 		if err == nil && op.InPlace >= 0 {
@@ -495,33 +529,50 @@ func (e *Engine) foldBack(ctx context.Context, st *execState) error {
 	for _, k := range st.plan.Keeps() {
 		vs := e.vars[k.Var]
 		if k.Assign {
-			vs = &varState{rows: k.Ref.Rows(), cols: k.Ref.Cols(), instances: make(map[dep.Scheme]*dist.DistMatrix)}
+			// The variable's old state takes the new value: nothing holds
+			// a session variable's state but the session.
+			if vs == nil {
+				vs = &varState{instances: make(map[dep.Scheme]*dist.DistMatrix)}
+			}
+			clear(vs.instances)
+			vs.rows, vs.cols, vs.bound = k.Ref.Rows(), k.Ref.Cols(), nil
 		}
-		for _, id := range k.Values {
-			dm := st.vals[id]
-			if dm == nil {
-				return fmt.Errorf("engine: %q has no materialized value v%d", k.Var, id)
+		if err := e.keep(ctx, st, k, vs); err != nil {
+			if k.Assign {
+				delete(e.vars, k.Var) // a half-made value is no value
 			}
-			flip := st.plan.Value(id).Transposed != k.Ref.Transposed
-			scheme := dm.Scheme
-			if flip {
-				scheme = scheme.Opposite()
-			}
-			if _, ok := vs.instances[scheme]; ok {
-				continue
-			}
-			if flip {
-				dm = e.cluster.Transpose(ctx, dm)
-			}
-			vs.instances[scheme] = dm
-		}
-		if len(vs.instances) == 0 {
-			return fmt.Errorf("engine: assignment %q has no materialized value", k.Var)
-		}
-		if b := vs.instances[dep.Broadcast]; b != nil && b.Reach() != nil && len(vs.instances) == 1 {
-			return fmt.Errorf("engine: %q would keep only a broadcast on workers %v", k.Var, b.Reach())
+			return err
 		}
 		e.vars[k.Var] = vs
+	}
+	return nil
+}
+
+// keep adds to vs the instances of k, foldBack's work for one variable.
+func (e *Engine) keep(ctx context.Context, st *execState, k core.Keep, vs *varState) error {
+	for _, id := range k.Values {
+		dm := st.vals[id]
+		if dm == nil {
+			return fmt.Errorf("engine: %q has no materialized value v%d", k.Var, id)
+		}
+		flip := st.plan.Value(id).Transposed != k.Ref.Transposed
+		scheme := dm.Scheme
+		if flip {
+			scheme = scheme.Opposite()
+		}
+		if _, ok := vs.instances[scheme]; ok {
+			continue
+		}
+		if flip {
+			dm = e.cluster.Transpose(ctx, dm)
+		}
+		vs.instances[scheme] = dm
+	}
+	if len(vs.instances) == 0 {
+		return fmt.Errorf("engine: assignment %q has no materialized value", k.Var)
+	}
+	if b := vs.instances[dep.Broadcast]; b != nil && b.Reach() != nil && len(vs.instances) == 1 {
+		return fmt.Errorf("engine: %q would keep only a broadcast on workers %v", k.Var, b.Reach())
 	}
 	return nil
 }

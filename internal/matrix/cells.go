@@ -82,12 +82,18 @@ func (t *CellTree) Validate() error {
 	if len(t.Links) == 0 {
 		return fmt.Errorf("matrix: cell tree without links")
 	}
-	reads := make([]int, len(t.Links))
+	var rbuf [8]int
+	reads := rbuf[:0]
+	if len(t.Links) > len(rbuf) {
+		reads = make([]int, 0, len(t.Links))
+	}
+	reads = reads[:len(t.Links)]
 	for j, l := range t.Links {
-		args := []CellArg{l.A}
+		args := [2]CellArg{l.A}
+		nargs := 1
 		switch l.Kind {
 		case LinkBin:
-			args = append(args, l.B)
+			args[1], nargs = l.B, 2
 		case LinkScalar:
 		case LinkFunc:
 			if !l.UFunc.Valid() {
@@ -96,7 +102,7 @@ func (t *CellTree) Validate() error {
 		default:
 			return fmt.Errorf("matrix: cell tree link %d: unknown kind %d", j, l.Kind)
 		}
-		for _, a := range args {
+		for _, a := range args[:nargs] {
 			switch {
 			case a.Link && (a.Idx < 0 || a.Idx >= j):
 				return fmt.Errorf("matrix: cell tree link %d reads link %d", j, a.Idx)
@@ -187,8 +193,10 @@ func (t *CellTree) format(j int, input func(i int) string) string {
 // result stay in L1 between links.
 const cellChunk = 1024
 
-// cellScratch recycles the evaluator's chunk temporaries between block tasks.
-var cellScratch sync.Pool
+// cellEvals recycles the evaluator's state — the inputs' payloads and the
+// chunk temporaries — between block tasks, so a dense block evaluates
+// without allocating.
+var cellEvals = sync.Pool{New: func() any { return new(cellEval) }}
 
 // EvalBlock evaluates the tree over one block of every input and returns the
 // result block. ins must be the tree's inputs in order, all of one shape, and
@@ -236,37 +244,46 @@ func (t *CellTree) eval(ins []Block, dst *DenseBlock, nnz []int64, flush bool) (
 			return nil, 0, err
 		}
 	}
-	var buf [4][]float64
-	data := buf[:0]
 	for _, b := range ins {
-		d, ok := b.(*DenseBlock)
-		if !ok {
+		if _, ok := b.(*DenseBlock); !ok {
 			return t.evalLinks(ins, nnz, flush)
 		}
-		data = append(data, d.Data)
 	}
 	if dst == nil {
 		dst = NewDense(ins[0].Rows(), ins[0].Cols())
 	} else if err := checkSameShape(dst, ins[0]); err != nil {
 		return nil, 0, err
 	}
-	root := len(t.Links) - 1
-	e := cellEval{t: t, data: data, nnz: nnz, flush: flush, chunk: min(cellChunk, len(dst.Data))}
-	if need := 2 * (t.depth(root) - 1) * e.chunk; need > 0 {
-		sp, _ := cellScratch.Get().(*[]float64)
-		if sp == nil || cap(*sp) < need {
-			s := make([]float64, need)
-			sp = &s
+	e := cellEvals.Get().(*cellEval)
+	defer e.release()
+	e.t, e.flush, e.flushed, e.chunk = t, flush, 0, min(cellChunk, len(dst.Data))
+	if e.count = nnz != nil; e.count {
+		// The counts go to e's own slots and are added to nnz at the end,
+		// so the caller's slice stays where the caller put it.
+		if cap(e.nnz) < len(t.Links) {
+			e.nnz = make([]int64, len(t.Links))
 		}
-		defer cellScratch.Put(sp)
-		e.scratch = (*sp)[:need]
+		e.nnz = e.nnz[:len(t.Links)]
+		clear(e.nnz)
+	}
+	for _, b := range ins {
+		e.data = append(e.data, b.(*DenseBlock).Data)
+	}
+	root := len(t.Links) - 1
+	if need := 2 * (t.depth(root) - 1) * e.chunk; cap(e.scratch) < need {
+		e.scratch = make([]float64, need)
+	} else {
+		e.scratch = e.scratch[:need]
 	}
 	for lo := 0; lo < len(dst.Data); lo += e.chunk {
 		out := dst.Data[lo:min(lo+e.chunk, len(dst.Data))]
 		e.link(root, out, lo, 0)
-		if nnz != nil {
+		if e.count {
 			nnz[len(t.Links)] += countNonZero(out)
 		}
+	}
+	for j, n := range e.nnz {
+		nnz[j] += n
 	}
 	return dst, e.flushed, nil
 }
@@ -275,7 +292,9 @@ func (t *CellTree) eval(ins []Block, dst *DenseBlock, nnz []int64, flush bool) (
 type cellEval struct {
 	t    *CellTree
 	data [][]float64 // the inputs' payloads
-	nnz  []int64
+	// count asks for nnz counts, one per link, kept in nnz until the end.
+	count bool
+	nnz   []int64
 	// flush holds every link's value to the result rule; flushed counts the
 	// elements it stored as zero.
 	flush   bool
@@ -284,6 +303,14 @@ type cellEval struct {
 	// the values of a link's two operands.
 	scratch []float64
 	chunk   int
+}
+
+// release drops what the evaluation referred to and returns e to cellEvals,
+// keeping its storage.
+func (e *cellEval) release() {
+	clear(e.data)
+	e.t, e.data, e.nnz = nil, e.data[:0], e.nnz[:0]
+	cellEvals.Put(e)
 }
 
 // link evaluates link j at level (the root is level 0) over the cells
@@ -295,7 +322,7 @@ func (e *cellEval) link(j int, out []float64, lo, level int) {
 	case LinkBin:
 		l.BinOp.applyInto(out, a, e.arg(l.B, len(out), lo, level, 1))
 	case LinkScalar:
-		if e.nnz != nil {
+		if e.count {
 			e.nnz[j] += countNonZero(a)
 		}
 		l.ScalarOp.applyInto(out, a, l.Const)

@@ -195,7 +195,12 @@ func gemmStrided(c []float64, ldc, n, p int, a []float64, lda int, aT bool, b []
 	bbufp := gemmBBufPool.Get().(*[]float64)
 	bbuf := *bbufp
 	var abufp *[]float64
-	if !parallel {
+	var job *gemmJob
+	if parallel {
+		job = gemmJobs.Get().(*gemmJob)
+		job.kern, job.c, job.ldc, job.n, job.mc = kern, c, ldc, n, mc
+		job.a, job.lda, job.aT, job.bbuf = a, lda, aT, bbuf
+	} else {
 		abufp = gemmABufPool.Get().(*[]float64)
 	}
 	for j0 := 0; j0 < p; j0 += gemmNC {
@@ -208,12 +213,8 @@ func gemmStrided(c []float64, ldc, n, p int, a []float64, lda int, aT bool, b []
 				gemmPackB(bbuf[k*jwPacked:], kern.nr, b, ldb, bT, k0+k, min(gemmKC, kd-k), j0, jw)
 			}
 			if parallel {
-				k0, j0 := k0, j0 // the loop variables would move to the heap for the serial path too
-				Parallel(iStrips, workers, func(s int) {
-					abufp := gemmABufPool.Get().(*[]float64)
-					gemmStrip(kern, c, ldc, s*mc, min(mc, n-s*mc), j0, jw, a, lda, aT, k0, kd, *abufp, bbuf)
-					gemmABufPool.Put(abufp)
-				})
+				job.j0, job.jw, job.k0, job.kd = j0, jw, k0, kd
+				Parallel(iStrips, workers, job.strip)
 				continue
 			}
 			for i0 := 0; i0 < n; i0 += mc {
@@ -224,7 +225,40 @@ func gemmStrided(c []float64, ldc, n, p int, a []float64, lda int, aT bool, b []
 	if abufp != nil {
 		gemmABufPool.Put(abufp)
 	}
+	if job != nil {
+		job.c, job.a, job.bbuf = nil, nil, nil
+		gemmJobs.Put(job)
+	}
 	gemmBBufPool.Put(bbufp)
+}
+
+// gemmJob is what the strips of one parallel gemmStrided arena fill share.
+// Jobs are reused, each with its strip bound once, so a fill hands Parallel
+// a func value without making one.
+type gemmJob struct {
+	kern           gemmKernel
+	c              []float64
+	ldc, n, mc     int
+	a              []float64
+	lda            int
+	aT             bool
+	j0, jw, k0, kd int
+	bbuf           []float64
+	strip          func(s int) // run, bound when the job was made
+}
+
+var gemmJobs = sync.Pool{New: func() any {
+	j := new(gemmJob)
+	j.strip = j.run
+	return j
+}}
+
+// run is strip s of the fill: result rows [s·mc, s·mc+mc), packed through
+// an A buffer of its own.
+func (j *gemmJob) run(s int) {
+	abufp := gemmABufPool.Get().(*[]float64)
+	gemmStrip(j.kern, j.c, j.ldc, s*j.mc, min(j.mc, j.n-s*j.mc), j.j0, j.jw, j.a, j.lda, j.aT, j.k0, j.kd, *abufp, j.bbuf)
+	gemmABufPool.Put(abufp)
 }
 
 // gemmStrip adds to result rows [i0, i0+iw) of the column strip [j0, j0+jw)

@@ -63,29 +63,61 @@ func SetKernelWorkers(n int) int {
 // KernelWorkers returns the current intra-op parallelism of block multiplies.
 func KernelWorkers() int { return int(kernelWorkers.Load()) }
 
-// poolJob is one parallel loop: tasks [0, n) claimed off an atomic counter
-// by every participant (the caller plus any pool helpers that pick the job
-// up).
+// poolJob is a parallel loop: tasks [0, n) claimed by every participant (the
+// caller plus any pool helpers that pick the job up). Jobs are reused, one
+// loop after another, so a helper's pickup names the loop it was offered
+// (poolOffer): a stale pickup, of a loop already finished, claims nothing and
+// so touches no state, whichever loop the job runs by then.
 type poolJob struct {
-	n    int32
-	next atomic.Int32
-	wg   sync.WaitGroup
+	// state holds the loop's generation in its high 32 bits and the next
+	// unclaimed task in its low 32: a claim is one compare-and-swap that
+	// fails once the job has moved on to another loop.
+	state atomic.Uint64
+	n     atomic.Int32
+	wg    sync.WaitGroup
 	// fn runs task i.
 	fn func(i int)
 }
 
-// run claims tasks until the job is exhausted; a stale pickup of a finished
-// job claims nothing and so touches no state.
-func (j *poolJob) run() {
-	for i := j.next.Add(1) - 1; i < j.n; i = j.next.Add(1) - 1 {
-		j.fn(int(i))
+// poolOffer is a job offered to the helpers for the loop of generation gen.
+type poolOffer struct {
+	j   *poolJob
+	gen uint32
+}
+
+// poolJobFree recycles jobs between loops.
+var poolJobFree = sync.Pool{New: func() any { return new(poolJob) }}
+
+// begin starts the job's next loop, of n tasks running fn, and returns its
+// generation. The generation moves first, so a stale pickup stops before it
+// could read the new loop's task count.
+func (j *poolJob) begin(n int, fn func(i int)) uint32 {
+	gen := uint32(j.state.Load()>>32) + 1
+	j.state.Store(uint64(gen) << 32)
+	j.fn = fn
+	j.wg.Add(n)
+	j.n.Store(int32(n))
+	return gen
+}
+
+// run claims tasks of the loop of generation gen until it is exhausted.
+func (j *poolJob) run(gen uint32) {
+	for {
+		s := j.state.Load()
+		if uint32(s>>32) != gen || int32(uint32(s)) >= j.n.Load() {
+			return
+		}
+		if !j.state.CompareAndSwap(s, s+1) {
+			continue
+		}
+		j.fn(int(uint32(s)))
 		j.wg.Done()
 	}
 }
 
 var (
 	poolOnce    sync.Once
-	poolJobs    chan *poolJob
+	poolJobs    chan poolOffer
 	poolWorkers atomic.Int32
 )
 
@@ -96,7 +128,7 @@ func ensurePoolWorkers(n int) {
 	poolOnce.Do(func() {
 		// A slot per possible helper: an offer is dropped only when the
 		// queue already holds as many pickups as there can be helpers.
-		poolJobs = make(chan *poolJob, maxKernelWorkers)
+		poolJobs = make(chan poolOffer, maxKernelWorkers)
 	})
 	for int(poolWorkers.Load()) < n {
 		id := poolWorkers.Add(1)
@@ -105,8 +137,8 @@ func ensurePoolWorkers(n int) {
 			return
 		}
 		go func() {
-			for j := range poolJobs {
-				j.run()
+			for o := range poolJobs {
+				o.j.run(o.gen)
 			}
 		}()
 	}
@@ -131,18 +163,20 @@ func Parallel(n, workers int, fn func(i int)) {
 		}
 		return
 	}
-	j := &poolJob{n: int32(n), fn: fn}
-	j.wg.Add(n)
+	j := poolJobFree.Get().(*poolJob)
+	gen := j.begin(n, fn)
 	helpers := workers - 1
 	ensurePoolWorkers(helpers)
 offer:
 	for h := 0; h < helpers; h++ {
 		select {
-		case poolJobs <- j:
+		case poolJobs <- poolOffer{j, gen}:
 		default:
 			break offer // pool saturated; the caller runs the rest
 		}
 	}
-	j.run()
+	j.run(gen)
 	j.wg.Wait()
+	j.fn = nil
+	poolJobFree.Put(j)
 }

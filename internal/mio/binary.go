@@ -70,24 +70,38 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // BlockChecksum returns the CRC32C of a block's binary encoding — the same
 // checksum a version-2 stream stores after the block. The distributed
 // runtime uses it to verify blocks at shuffle hand-off without serializing
-// them to disk.
+// them to disk: the sum runs over BlockSegments' pieces, which on a
+// little-endian host are the block's own arrays.
 func BlockChecksum(b matrix.Block) uint32 {
-	scratch := encScratch.Get().(*[encChunkBytes]byte)
-	defer encScratch.Put(scratch)
-	cw := crcWriter{w: io.Discard}
-	// writeBlock only fails on writer errors; Discard never errors.
-	_ = writeBlock(&cw, scratch[:], b)
-	return cw.sum
+	var head [BlockHeadLen]byte
+	var segs [3][]byte
+	n, pieces, _ := BlockSegments(b, head[:], segs[:0])
+	sum := updateSmall(0, head[:n])
+	for _, p := range pieces {
+		sum = crc32.Update(sum, castagnoli, p)
+	}
+	return sum
+}
+
+// updateSmall is crc32.Update over castagnoli a byte at a time, for a few
+// bytes: crc32.Update's slice escapes to the heap, and a block's head stays
+// on the stack.
+func updateSmall(crc uint32, p []byte) uint32 {
+	crc = ^crc
+	for _, v := range p {
+		crc = castagnoli[byte(crc)^v] ^ crc>>8
+	}
+	return ^crc
 }
 
 // EncodeBlock returns the binary encoding of one block (kind byte plus
 // payload) — the bytes a shuffle hand-off of the block would move, and the
 // bytes BlockChecksum covers.
 func EncodeBlock(b matrix.Block) []byte {
-	scratch := encScratch.Get().(*[encChunkBytes]byte)
-	defer encScratch.Put(scratch)
+	enc := encoders.Get().(*encoder)
+	defer encoders.Put(enc)
 	buf := bytes.NewBuffer(make([]byte, 0, encodedLen(b)))
-	_ = writeBlock(buf, scratch[:], b)
+	_ = writeBlock(buf, enc.scratch[:], b)
 	return buf.Bytes()
 }
 
@@ -149,31 +163,34 @@ func WriteGridChecked(w io.Writer, g *matrix.Grid) error {
 }
 
 func writeGrid(w io.Writer, g *matrix.Grid, version uint64) error {
-	bw := bufio.NewWriter(w)
+	enc := encoders.Get().(*encoder)
+	defer encoders.Put(enc)
+	bw := enc.bw
+	bw.Reset(w)
+	// The pooled writer must not keep the caller's writer reachable.
+	defer bw.Reset(nil)
 	if _, err := bw.WriteString(binaryMagic); err != nil {
 		return err
 	}
 	var word [8]byte
-	hdr := []uint64{version, uint64(g.Rows()), uint64(g.Cols()), uint64(g.BlockSize())}
+	hdr := [...]uint64{version, uint64(g.Rows()), uint64(g.Cols()), uint64(g.BlockSize())}
 	for _, v := range hdr {
 		binary.LittleEndian.PutUint64(word[:], v)
 		if _, err := bw.Write(word[:]); err != nil {
 			return err
 		}
 	}
-	scratch := encScratch.Get().(*[encChunkBytes]byte)
-	defer encScratch.Put(scratch)
-	cw := crcWriter{w: bw}
+	cw := &enc.cw
 	for bi := 0; bi < g.BlockRows(); bi++ {
 		for bj := 0; bj < g.BlockCols(); bj++ {
 			if version != binaryVersionChecked {
-				if err := writeBlock(bw, scratch[:], g.Block(bi, bj)); err != nil {
+				if err := writeBlock(bw, enc.scratch[:], g.Block(bi, bj)); err != nil {
 					return err
 				}
 				continue
 			}
 			cw.sum = 0
-			if err := writeBlock(&cw, scratch[:], g.Block(bi, bj)); err != nil {
+			if err := writeBlock(cw, enc.scratch[:], g.Block(bi, bj)); err != nil {
 				return err
 			}
 			binary.LittleEndian.PutUint32(word[:4], cw.sum)
@@ -202,7 +219,21 @@ func (c *crcWriter) Write(p []byte) (int, error) {
 // block size.
 const encChunkBytes = 32 << 10
 
-var encScratch = sync.Pool{New: func() any { return new([encChunkBytes]byte) }}
+// encoder is what writing a grid or a block works with: the chunk scratch,
+// the buffered writer in front of the destination and the CRC tee over it.
+// Writers take one from encoders and give it back, so writing a grid
+// allocates nothing however many files are written.
+type encoder struct {
+	scratch [encChunkBytes]byte
+	bw      *bufio.Writer
+	cw      crcWriter
+}
+
+var encoders = sync.Pool{New: func() any {
+	enc := &encoder{bw: bufio.NewWriter(nil)}
+	enc.cw.w = enc.bw
+	return enc
+}}
 
 // nativePieceBytes bounds one Write of a payload's own bytes (see native.go):
 // a checksummed stream reads every piece twice, once for the CRC and once for
@@ -210,7 +241,7 @@ var encScratch = sync.Pool{New: func() any { return new([encChunkBytes]byte) }}
 const nativePieceBytes = 256 << 10
 
 // writeBlock encodes one block (kind byte plus payload) through buf, an
-// encScratch buffer, so encoding allocates nothing however large the block
+// encoder's scratch, so encoding allocates nothing however large the block
 // is.
 func writeBlock(w io.Writer, buf []byte, b matrix.Block) error {
 	t, ok := b.(*matrix.CSCBlock)

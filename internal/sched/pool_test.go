@@ -73,7 +73,7 @@ func TestBlockPoolReusesResultBlocks(t *testing.T) {
 			return e.MulTrans(context.Background(), b, a, true, true, InPlace)
 		},
 		"cells": func(e *Executor) (*matrix.Grid, error) {
-			g, _, err := e.Cells(context.Background(), tree, []*matrix.Grid{c, d}, -1)
+			g, err := e.Cells(context.Background(), tree, []*matrix.Grid{c, d}, -1, nil)
 			return g, err
 		},
 	}

@@ -23,6 +23,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -202,23 +203,49 @@ func (e *Executor) ForEachErr(ctx context.Context, n int, fn func(i int) error) 
 			}
 		}()
 	}
-	var firstErr atomic.Pointer[error]
-	matrix.Parallel(n, workers, func(i int) {
-		if firstErr.Load() != nil {
-			return // cancelled: a task already failed
-		}
-		err := ctx.Err()
-		if err == nil {
-			err = fn(i)
-		}
-		if err != nil {
-			firstErr.CompareAndSwap(nil, &err)
-		}
-	})
-	if p := firstErr.Load(); p != nil {
-		return *p
+	b := batches.Get().(*batch)
+	b.ctx, b.fn = ctx, fn
+	matrix.Parallel(n, workers, b.task)
+	var err error
+	if p := b.firstErr.Load(); p != nil {
+		err = *p
 	}
-	return nil
+	b.ctx, b.fn = nil, nil
+	b.firstErr.Store(nil)
+	batches.Put(b)
+	return err
+}
+
+// batch is the state of one ForEachErr call. Batches are reused, each with
+// its task bound once, so a call hands the pool a func value without making
+// one.
+type batch struct {
+	ctx      context.Context
+	fn       func(i int) error
+	firstErr atomic.Pointer[error]
+	task     func(i int) // run, bound when the batch was made
+}
+
+var batches = sync.Pool{New: func() any {
+	b := new(batch)
+	b.task = b.run
+	return b
+}}
+
+// run is task i of the batch, skipped once a task has failed (the batch is
+// cancelled) or the batch's context is done.
+func (b *batch) run(i int) {
+	if b.firstErr.Load() != nil {
+		return
+	}
+	err := b.ctx.Err()
+	if err == nil {
+		err = b.fn(i)
+	}
+	if err != nil {
+		first := err // declared here, so only a failure moves it to the heap
+		b.firstErr.CompareAndSwap(nil, &first)
+	}
 }
 
 // MulStrategy selects the local aggregation strategy for blocked matrix
@@ -312,30 +339,55 @@ func (e *Executor) mulInPlace(ctx context.Context, a, b *matrix.Grid, aT, bT boo
 	aRows, _ := gridDims(a, aT)
 	_, bCols := gridDims(b, bT)
 	out := matrix.NewGridSlots(aRows, bCols, a.BlockSize())
-	brows, bcols := out.BlockRows(), out.BlockCols()
 	inner := a.BlockCols()
 	if aT {
 		inner = a.BlockRows()
 	}
-	err := e.ForEachErr(ctx, brows*bcols, func(idx int) error {
-		bi, bj := idx/bcols, idx%bcols
-		r, c := out.BlockDims(bi, bj)
-		dst := e.result(r, c, true)
-		for k := 0; k < inner; k++ {
-			// Accumulate directly into the result block: no intermediate
-			// product blocks exist at any point.
-			if err := matrix.MulAddTransInto(dst, gridBlock(a, bi, k, aT), gridBlock(b, k, bj, bT), aT, bT); err != nil {
-				panic(err) // shapes were validated by MulTrans
-			}
-		}
-		e.noteFlushed(int64(matrix.FlushSubnormals(dst.Data)))
-		out.SetBlock(bi, bj, dst)
-		return nil
-	})
+	r := mulRuns.Get().(*mulRun)
+	r.e, r.a, r.b, r.aT, r.bT, r.out, r.inner = e, a, b, aT, bT, out, inner
+	err := e.ForEachErr(ctx, out.BlockRows()*out.BlockCols(), r.task)
+	*r = mulRun{task: r.task}
+	mulRuns.Put(r)
 	if err != nil {
 		return nil, err
 	}
 	return out.Filled(), nil
+}
+
+// mulRun is the state of one in-place multiply. Runs are reused, each with
+// its task bound once, so a multiply hands ForEachErr a func value without
+// making one.
+type mulRun struct {
+	e      *Executor
+	a, b   *matrix.Grid
+	aT, bT bool
+	out    *matrix.Grid
+	inner  int
+	task   func(idx int) error // run, bound when the run was made
+}
+
+var mulRuns = sync.Pool{New: func() any {
+	r := new(mulRun)
+	r.task = r.run
+	return r
+}}
+
+// run computes result block idx, in row-major block order.
+func (r *mulRun) run(idx int) error {
+	bcols := r.out.BlockCols()
+	bi, bj := idx/bcols, idx%bcols
+	rows, cols := r.out.BlockDims(bi, bj)
+	dst := r.e.result(rows, cols, true)
+	for k := 0; k < r.inner; k++ {
+		// Accumulate directly into the result block: no intermediate
+		// product blocks exist at any point.
+		if err := matrix.MulAddTransInto(dst, gridBlock(r.a, bi, k, r.aT), gridBlock(r.b, k, bj, r.bT), r.aT, r.bT); err != nil {
+			panic(err) // shapes were validated by MulTrans
+		}
+	}
+	r.e.noteFlushed(int64(matrix.FlushSubnormals(dst.Data)))
+	r.out.SetBlock(bi, bj, dst)
+	return nil
 }
 
 // gridBlock returns the block at logical block coordinates (bi, bj) of
@@ -418,73 +470,130 @@ func (e *Executor) mulBuffer(ctx context.Context, a, b *matrix.Grid, aT, bT bool
 // otherwise.
 //
 // The result's NNZ is counted by the tasks as they write and seeded into the
-// grid. nnz has an entry per link: for a scalar link, the stored elements of
-// its operand (what cost.ScalarFLOPs charges). The batch observes ctx and
-// hangs its span under the span it carries.
-func (e *Executor) Cells(ctx context.Context, t *matrix.CellTree, ins []*matrix.Grid, overwrite int) (out *matrix.Grid, nnz []int64, err error) {
+// grid. nnz, when not nil, has an entry per link and receives, for a scalar
+// link, the stored elements of its operand (what cost.ScalarFLOPs charges).
+// The batch observes ctx and hangs its span under the span it carries.
+func (e *Executor) Cells(ctx context.Context, t *matrix.CellTree, ins []*matrix.Grid, overwrite int, nnz []int64) (*matrix.Grid, error) {
 	if err := t.Validate(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if len(ins) != t.Inputs {
-		return nil, nil, fmt.Errorf("%w: cell tree over %d inputs given %d grids", matrix.ErrShape, t.Inputs, len(ins))
+		return nil, fmt.Errorf("%w: cell tree over %d inputs given %d grids", matrix.ErrShape, t.Inputs, len(ins))
+	}
+	if nnz != nil && len(nnz) != len(t.Links) {
+		return nil, fmt.Errorf("sched: %d nnz entries for a cell tree of %d links", len(nnz), len(t.Links))
 	}
 	for _, l := range t.Links {
 		if l.Param != "" {
-			return nil, nil, fmt.Errorf("sched: cell tree parameter %q is unbound", l.Param)
+			return nil, fmt.Errorf("sched: cell tree parameter %q is unbound", l.Param)
 		}
 	}
 	a := ins[0]
 	for _, b := range ins[1:] {
 		if a.Rows() != b.Rows() || a.Cols() != b.Cols() || a.BlockSize() != b.BlockSize() {
-			return nil, nil, fmt.Errorf("%w: %dx%d/bs=%d vs %dx%d/bs=%d", matrix.ErrShape,
+			return nil, fmt.Errorf("%w: %dx%d/bs=%d vs %dx%d/bs=%d", matrix.ErrShape,
 				a.Rows(), a.Cols(), a.BlockSize(), b.Rows(), b.Cols(), b.BlockSize())
 		}
 	}
-	out = matrix.NewGridSlots(a.Rows(), a.Cols(), a.BlockSize())
-	counts := make([]atomic.Int64, len(t.Links)+1)
-	bcols := a.BlockCols()
-	err = e.ForEachErr(ctx, a.BlockRows()*bcols, func(idx int) error {
-		bi, bj := idx/bcols, idx%bcols
-		blocks := make([]matrix.Block, len(ins))
-		dense := true
-		for i, g := range ins {
-			blocks[i] = g.Block(bi, bj)
-			_, ok := blocks[i].(*matrix.DenseBlock)
-			dense = dense && ok
-		}
-		var dst *matrix.DenseBlock
-		if overwrite >= 0 {
-			dst, _ = blocks[overwrite].(*matrix.DenseBlock)
-		}
-		if dst == nil && dense {
-			dst = e.result(blocks[0].Rows(), blocks[0].Cols(), false)
-		}
-		local := make([]int64, len(counts))
-		blk, flushed, err := t.EvalResult(blocks, dst, local)
-		if err != nil {
-			return err
-		}
-		e.noteFlushed(flushed)
-		if blk != matrix.Block(dst) {
-			e.mem.Add(blk.MemBytes())
-		}
-		for j, n := range local {
-			if n != 0 {
-				counts[j].Add(n)
-			}
-		}
-		out.SetBlock(bi, bj, blk)
-		return nil
-	})
-	if err != nil {
-		return nil, nil, err
+	c := cellsRuns.Get().(*cellsRun)
+	defer c.release()
+	out := matrix.NewGridSlots(a.Rows(), a.Cols(), a.BlockSize())
+	c.e, c.t, c.ins, c.out, c.overwrite = e, t, append(c.ins, ins...), out, overwrite
+	if cap(c.counts) < len(t.Links)+1 {
+		c.counts = make([]atomic.Int64, len(t.Links)+1)
 	}
-	nnz = make([]int64, len(t.Links))
+	c.counts = c.counts[:len(t.Links)+1]
+	if err := e.ForEachErr(ctx, a.BlockRows()*a.BlockCols(), c.task); err != nil {
+		return nil, err
+	}
 	for j := range nnz {
-		nnz[j] = counts[j].Load()
+		nnz[j] = c.counts[j].Load()
 	}
-	out.SeedNNZ(int(counts[len(t.Links)].Load()))
-	return out.Filled(), nnz, nil
+	out.SeedNNZ(int(c.counts[len(t.Links)].Load()))
+	return out.Filled(), nil
+}
+
+// cellsRun is the state of one Cells call. Runs are reused, each with its
+// task bound once, and a task gathers its blocks and counts on its stack, so
+// a tree of up to cellsOnStack inputs and links evaluates without
+// allocating.
+type cellsRun struct {
+	e *Executor
+	t *matrix.CellTree
+	// ins is the call's inputs, copied into the run's own storage.
+	ins       []*matrix.Grid
+	out       *matrix.Grid
+	overwrite int
+	// counts sums the tasks' nnz counts: one per link and the result's.
+	counts []atomic.Int64
+	task   func(idx int) error // run, bound when the run was made
+}
+
+// cellsOnStack is the most inputs, and links plus one, a Cells task gathers
+// on its stack.
+const cellsOnStack = 8
+
+var cellsRuns = sync.Pool{New: func() any {
+	c := new(cellsRun)
+	c.task = c.run
+	return c
+}}
+
+// release drops what the call referred to and returns c to cellsRuns.
+func (c *cellsRun) release() {
+	for i := range c.counts {
+		c.counts[i].Store(0)
+	}
+	clear(c.ins)
+	c.e, c.t, c.ins, c.out = nil, nil, c.ins[:0], nil
+	cellsRuns.Put(c)
+}
+
+// run evaluates result block idx, in row-major block order.
+func (c *cellsRun) run(idx int) error {
+	e, ins := c.e, c.ins
+	bcols := ins[0].BlockCols()
+	bi, bj := idx/bcols, idx%bcols
+	var bbuf [cellsOnStack]matrix.Block
+	blocks := bbuf[:0]
+	if len(ins) > len(bbuf) {
+		blocks = make([]matrix.Block, 0, len(ins))
+	}
+	dense := true
+	for _, g := range ins {
+		b := g.Block(bi, bj)
+		_, ok := b.(*matrix.DenseBlock)
+		dense = dense && ok
+		blocks = append(blocks, b)
+	}
+	var dst *matrix.DenseBlock
+	if c.overwrite >= 0 {
+		dst, _ = blocks[c.overwrite].(*matrix.DenseBlock)
+	}
+	if dst == nil && dense {
+		dst = e.result(blocks[0].Rows(), blocks[0].Cols(), false)
+	}
+	var lbuf [cellsOnStack]int64
+	local := lbuf[:0]
+	if len(c.counts) > len(lbuf) {
+		local = make([]int64, 0, len(c.counts))
+	}
+	local = local[:len(c.counts)]
+	blk, flushed, err := c.t.EvalResult(blocks, dst, local)
+	if err != nil {
+		return err
+	}
+	e.noteFlushed(flushed)
+	if blk != matrix.Block(dst) {
+		e.mem.Add(blk.MemBytes())
+	}
+	for j, n := range local {
+		if n != 0 {
+			c.counts[j].Add(n)
+		}
+	}
+	c.out.SetBlock(bi, bj, blk)
+	return nil
 }
 
 // Transpose transposes a grid in parallel (a purely local operation: this is

@@ -113,7 +113,7 @@ func TestCellwiseAndScalarParallel(t *testing.T) {
 	e := NewExecutor(4, nil)
 	mul := &matrix.CellTree{Inputs: 2, Links: []matrix.CellLink{
 		{Kind: matrix.LinkBin, BinOp: matrix.OpCellMul, A: matrix.CellInput(0), B: matrix.CellInput(1)}}}
-	got, _, err := e.Cells(context.Background(), mul, []*matrix.Grid{a, b}, -1)
+	got, err := e.Cells(context.Background(), mul, []*matrix.Grid{a, b}, -1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,18 +121,19 @@ func TestCellwiseAndScalarParallel(t *testing.T) {
 	if matrix.BitDiff(got, want) != "" {
 		t.Error("parallel cellwise differs from sequential")
 	}
-	if _, _, err := e.Cells(context.Background(), mul, []*matrix.Grid{a, matrix.NewDenseGrid(15, 14, 4)}, -1); !errors.Is(err, matrix.ErrShape) {
+	if _, err := e.Cells(context.Background(), mul, []*matrix.Grid{a, matrix.NewDenseGrid(15, 14, 4)}, -1, nil); !errors.Is(err, matrix.ErrShape) {
 		t.Errorf("mismatched shapes: %v, want ErrShape", err)
 	}
-	if _, _, err := e.Cells(context.Background(), mul, []*matrix.Grid{a, matrix.NewDenseGrid(15, 15, 5)}, -1); !errors.Is(err, matrix.ErrShape) {
+	if _, err := e.Cells(context.Background(), mul, []*matrix.Grid{a, matrix.NewDenseGrid(15, 15, 5)}, -1, nil); !errors.Is(err, matrix.ErrShape) {
 		t.Errorf("mismatched block sizes: %v, want ErrShape", err)
 	}
-	if _, _, err := e.Cells(context.Background(), mul, []*matrix.Grid{a}, -1); !errors.Is(err, matrix.ErrShape) {
+	if _, err := e.Cells(context.Background(), mul, []*matrix.Grid{a}, -1, nil); !errors.Is(err, matrix.ErrShape) {
 		t.Errorf("missing input: %v, want ErrShape", err)
 	}
 	triple := &matrix.CellTree{Inputs: 1, Links: []matrix.CellLink{
 		{Kind: matrix.LinkScalar, ScalarOp: matrix.ScalarMul, Const: 3, A: matrix.CellInput(0)}}}
-	sc, nnz, err := e.Cells(context.Background(), triple, []*matrix.Grid{a}, -1)
+	nnz := make([]int64, 1)
+	sc, err := e.Cells(context.Background(), triple, []*matrix.Grid{a}, -1, nnz)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +146,7 @@ func TestCellwiseAndScalarParallel(t *testing.T) {
 	}
 	named := &matrix.CellTree{Inputs: 1, Links: []matrix.CellLink{
 		{Kind: matrix.LinkScalar, ScalarOp: matrix.ScalarMul, Param: "alpha", A: matrix.CellInput(0)}}}
-	if _, _, err := e.Cells(context.Background(), named, []*matrix.Grid{a}, -1); err == nil {
+	if _, err := e.Cells(context.Background(), named, []*matrix.Grid{a}, -1, nil); err == nil {
 		t.Error("an unbound parameter must fail")
 	}
 }
@@ -170,7 +171,7 @@ func TestCellsOverwrite(t *testing.T) {
 			target.SetBlock(3, 2, sp.Block(3, 2))
 		}
 		keepA, keepTarget := a.Clone(), target.Clone()
-		want, _, err := e.Cells(context.Background(), tree, []*matrix.Grid{a, b, target}, -1)
+		want, err := e.Cells(context.Background(), tree, []*matrix.Grid{a, b, target}, -1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -178,7 +179,7 @@ func TestCellsOverwrite(t *testing.T) {
 			t.Fatal("an evaluation without a licence wrote an input")
 		}
 		memBefore := mem.Current()
-		got, _, err := e.Cells(context.Background(), tree, []*matrix.Grid{a, b, target}, 2)
+		got, err := e.Cells(context.Background(), tree, []*matrix.Grid{a, b, target}, 2, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -224,18 +225,18 @@ func TestCellsSeedsNNZ(t *testing.T) {
 			if sparsity < 1 {
 				a.SetBlock(0, 0, a.Block(0, 0).Dense()) // one dense block among the sparse
 			}
-			for name, run := range map[string]func() (*matrix.Grid, []int64, error){
-				"abs": func() (*matrix.Grid, []int64, error) {
-					return e.Cells(context.Background(), abs, []*matrix.Grid{a}, -1)
+			for name, run := range map[string]func() (*matrix.Grid, error){
+				"abs": func() (*matrix.Grid, error) {
+					return e.Cells(context.Background(), abs, []*matrix.Grid{a}, -1, nil)
 				},
-				"sign(a*b+1)": func() (*matrix.Grid, []int64, error) {
-					return e.Cells(context.Background(), prodPlus, []*matrix.Grid{a, b}, -1)
+				"sign(a*b+1)": func() (*matrix.Grid, error) {
+					return e.Cells(context.Background(), prodPlus, []*matrix.Grid{a, b}, -1, nil)
 				},
-				"sign(a*a+1)!": func() (*matrix.Grid, []int64, error) {
-					return e.Cells(context.Background(), prodPlus, []*matrix.Grid{a.Clone(), a}, 0)
+				"sign(a*a+1)!": func() (*matrix.Grid, error) {
+					return e.Cells(context.Background(), prodPlus, []*matrix.Grid{a.Clone(), a}, 0, nil)
 				},
 			} {
-				got, _, err := run()
+				got, err := run()
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -94,7 +94,7 @@ func TestResultRule(t *testing.T) {
 		for _, overwrite := range []int{-1, 0} {
 			xs := x.Clone()
 			before := e.Flushed()
-			got, _, err := e.Cells(context.Background(), mul, []*matrix.Grid{xs, y}, overwrite)
+			got, err := e.Cells(context.Background(), mul, []*matrix.Grid{xs, y}, overwrite, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

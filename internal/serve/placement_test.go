@@ -455,3 +455,59 @@ func TestPlacementPerSlot(t *testing.T) {
 		t.Errorf("the build holds placements of slots %v, want [0 1]", slots)
 	}
 }
+
+// TestDispatchLeasesThePlacedSlot: with both slots idle, a job whose cached
+// build one slot left placed runs on that slot, though the other was freed
+// later, so every job of the key after the one that cached its build starts
+// placed.
+func TestDispatchLeasesThePlacedSlot(t *testing.T) {
+	opts := testOptions()
+	opts.Slots = 2
+	s := newTestService(t, opts)
+	spec, other := placementSpecs()[2], placementSpecs()[4]
+	runDone(t, s, spec) // records the key
+	runDone(t, s, spec) // caches the build and leaves it placed on its slot
+	// The key's next job holds its slot while a job of another key takes
+	// the other; the other slot is then freed last.
+	var mu sync.Mutex
+	release := map[string]chan struct{}{}
+	hold := func(id string) chan struct{} {
+		mu.Lock()
+		defer mu.Unlock()
+		if release[id] == nil {
+			release[id] = make(chan struct{})
+		}
+		return release[id]
+	}
+	arrive := make(chan string)
+	s.beforeDrain = func(id string, _ []obs.Span) {
+		arrive <- id
+		<-hold(id)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	var ids []string
+	for _, sp := range []JobSpec{spec, other} {
+		st, err := s.Submit(sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, st.ID)
+	}
+	for range ids {
+		<-arrive
+	}
+	for _, id := range ids {
+		close(hold(id))
+		if st, err := s.Wait(ctx, id); err != nil || st.State != StateDone {
+			t.Fatalf("job %s: state %s, err %v", id, st.State, err)
+		}
+	}
+	s.beforeDrain = nil
+	for round := 0; round < 3; round++ {
+		runDone(t, s, spec)
+	}
+	if c := jobCacheStats(s); c.Placed != 4 {
+		t.Errorf("%d jobs of the key started placed, want the 4 after the one that cached its build", c.Placed)
+	}
+}

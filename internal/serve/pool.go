@@ -70,7 +70,9 @@ func (s *Service) dispatchableLocked() bool {
 }
 
 // dispatcher is the single scheduling goroutine: it leases slots to runnable
-// jobs in priority-then-FIFO order, skipping tenants at their quota.
+// jobs in priority-then-FIFO order, skipping tenants at their quota. A job
+// takes the free slot its key's cached build was left placed on, if any
+// (leaseLocked).
 func (s *Service) dispatcher() {
 	defer close(s.dispatcherDone)
 	s.mu.Lock()
@@ -82,11 +84,10 @@ func (s *Service) dispatcher() {
 		if s.closed {
 			return
 		}
-		slot := s.freeSlots[len(s.freeSlots)-1]
-		s.freeSlots = s.freeSlots[:len(s.freeSlots)-1]
 		j := s.q.pop(func(j *job) bool {
 			return s.tenants[j.spec.Tenant].canRun(j.estBytes)
 		})
+		slot := s.leaseLocked(j)
 		ts := s.tenants[j.spec.Tenant]
 		ts.queued--
 		ts.running++
@@ -103,6 +104,25 @@ func (s *Service) dispatcher() {
 		s.wg.Add(1)
 		go s.runJob(j, slot)
 	}
+}
+
+// leaseLocked takes a free slot for j: one whose engine left j's cached
+// build placed (jobCache.placement), so that j restores it instead of moving
+// its inputs again, and otherwise the slot freed last. It never waits for a
+// busy slot.
+func (s *Service) leaseLocked(j *job) *engineSlot {
+	at := len(s.freeSlots) - 1
+	if j.cacheKey != "" {
+		for i, slot := range s.freeSlots {
+			if _, ok := s.jobCache.placement(j.cacheKey, j.built, slot.id); ok {
+				at = i
+				break
+			}
+		}
+	}
+	slot := s.freeSlots[at]
+	s.freeSlots = slices.Delete(s.freeSlots, at, at+1)
+	return slot
 }
 
 // runJob executes one job on a leased slot: reset the session, bind the
