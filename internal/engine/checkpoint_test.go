@@ -240,7 +240,7 @@ func TestRecoveryLadderTornManifest(t *testing.T) {
 func TestRecoveryLadderRestoresNaNSnapshot(t *testing.T) {
 	const nanAt = 3
 	nanApp := pageRankApp
-	nanApp.bind = func(t *testing.T, e *Engine) {
+	nanApp.bind = func(t testing.TB, e *Engine) {
 		bindPageRank(t, e)
 		d := mustGrid(t, e, "D").ToDense()
 		d[nanAt] = math.NaN()
@@ -312,7 +312,7 @@ func TestCheckpointDirDeletedBetweenRuns(t *testing.T) {
 	checkGNMFResult(t, "dir deleted between runs", e, mustGrid(t, ref, "W"), mustGrid(t, ref, "H"))
 }
 
-func mustGrid(t *testing.T, e *Engine, name string) *matrix.Grid {
+func mustGrid(t testing.TB, e *Engine, name string) *matrix.Grid {
 	t.Helper()
 	g, ok := e.Grid(name)
 	if !ok {

@@ -225,8 +225,8 @@ func (r *stageRun) help(i int) {
 	}
 }
 
-// exec runs operator i under its span and turn and stores its output.
-// Cancellation stops it before it starts.
+// exec runs operator i under its span and turn and stores its output and
+// what producing it charged. Cancellation stops it before it starts.
 func (r *stageRun) exec(i int) error {
 	e, op, o := r.e, r.ops[i], &r.state[i]
 	span := e.opSpan(r.st.plan, r.stage, op, r.parent)
@@ -255,6 +255,11 @@ func (r *stageRun) exec(i int) error {
 			return fmt.Errorf("engine: stage %d op %d produced no value", r.stage, i)
 		}
 		r.st.vals[op.Output] = out
+		var made dist.Snapshot
+		for _, c := range o.charges {
+			made.Add(c)
+		}
+		r.st.made[op.Output] = made
 	}
 	return nil
 }

@@ -93,7 +93,7 @@ func refGNMFIteration(v, w, h *matrix.Grid) (*matrix.Grid, *matrix.Grid) {
 	return newH, newW
 }
 
-func bindGNMF(t *testing.T, e *Engine) (v, w, h *matrix.Grid) {
+func bindGNMF(t testing.TB, e *Engine) (v, w, h *matrix.Grid) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(42))
 	v = randSparseGrid(rng, tRows, tCols, tBS, 0.3)

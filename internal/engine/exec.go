@@ -30,6 +30,10 @@ type execState struct {
 	sig    string
 	vals   []*dist.DistMatrix
 	params map[string]float64
+	// made[id] is what the operator that produced value id charged, as it
+	// ran this run: a snapshot recomputes a value on restore instead of
+	// writing it only when that moved no bytes and costs less than the write.
+	made []dist.Snapshot
 	// ledger holds one record per stage (ledger[s-1] is stage s's): every
 	// charge of the run goes to exactly one of them, so the records sum to
 	// the run's totals. It becomes the run's Metrics.PerStage.
@@ -100,6 +104,11 @@ func (e *Engine) execute(ctx context.Context, plan *core.Plan, sig string, param
 		st.vals = make([]*dist.DistMatrix, len(plan.Values))
 	}
 	st.vals = st.vals[:len(plan.Values)]
+	if cap(st.made) < len(plan.Values) {
+		st.made = make([]dist.Snapshot, len(plan.Values))
+	}
+	st.made = st.made[:len(plan.Values)]
+	clear(st.made)
 	st.ledger = make([]StageMetrics, plan.Stages)
 	cfg := e.cluster.Config()
 	defer func() {

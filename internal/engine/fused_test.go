@@ -283,15 +283,19 @@ func TestFusedOperatorConsumesTaskKill(t *testing.T) {
 // in-place write is held unwritten while that stage runs, and what it then
 // puts on disk is, byte for byte, what an unhindered run writes — the write
 // touched nothing a snapshot can reach. The results are the unfused run's.
+// The cluster's arithmetic is priced so slow that no snapshot derives a
+// value: every grid the snapshots hold is on disk for the comparison.
 func TestSnapshotHeldAcrossInPlaceWrite(t *testing.T) {
-	_, plan := fusedGNMF(t, testConfig())
+	cfg := testConfig()
+	cfg.FlopsPerSecPerThread = 1
+	_, plan := fusedGNMF(t, cfg)
 	licensed := inPlaceOps(plan)
 	if len(licensed) == 0 {
 		t.Fatalf("the fused GNMF plan writes nothing in place\n%s", plan)
 	}
 	stage := licensed[0].Stage
 	snapshots := func(hold bool) (map[string][]byte, *Engine) {
-		e, _ := fusedGNMF(t, testConfig())
+		e, _ := fusedGNMF(t, cfg)
 		dir := t.TempDir()
 		if err := e.SetCheckpoint(dir, CheckpointPolicy{Interval: 1}); err != nil {
 			t.Fatal(err)

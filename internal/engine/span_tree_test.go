@@ -84,7 +84,7 @@ func holdEverySnapshot(c *checkpointer, onWait func()) {
 // with the rewriter on, a snapshot after every stage, a task kill in stage 2
 // and a boundary kill in stage 3 of the first run. Every span kind the engine
 // emits appears — run, stage, attempt, recover, the checkpoint ladder's
-// verify/restore/wait/write, operators, comm events, task batches and the
+// verify/derive/restore/wait/write, operators, comm events, task batches and the
 // rewrite pass with its decisions — each under the parent it has always had.
 func TestSpanTree(t *testing.T) {
 	cfg := testConfig()
@@ -109,6 +109,7 @@ func TestSpanTree(t *testing.T) {
 	}
 	spans := tr.Spans()
 	want := map[string]int{
+		"ckpt/derive < ckpt/verify":                  1,
 		"ckpt/restore < engine/recover":              2,
 		"ckpt/verify < engine/recover":               2,
 		"ckpt/wait < engine/recover":                 2,
@@ -129,7 +130,9 @@ func TestSpanTree(t *testing.T) {
 		"op/compute (m2 * m3) / m5 < engine/attempt": 2,
 		"op/compute m0 %*% m6ᵀ < engine/attempt":     2,
 		"op/compute m1 %*% m8 < engine/attempt":      2,
+		"op/compute m1ᵀ %*% m0 < ckpt/derive":        1,
 		"op/compute m1ᵀ %*% m0 < engine/attempt":     2,
+		"op/compute m1ᵀ %*% m1 < ckpt/derive":        1,
 		"op/compute m1ᵀ %*% m1 < engine/attempt":     2,
 		"op/compute m4 %*% m2 < engine/attempt":      2,
 		"op/compute m6 %*% m6ᵀ < engine/attempt":     2,
@@ -145,16 +148,16 @@ func TestSpanTree(t *testing.T) {
 		"sched/batch < op/compute (m2 * m3) / m5":    2,
 		"sched/batch < op/compute m0 %*% m6ᵀ":        2,
 		"sched/batch < op/compute m1 %*% m8":         2,
-		"sched/batch < op/compute m1ᵀ %*% m0":        2,
-		"sched/batch < op/compute m1ᵀ %*% m1":        2,
+		"sched/batch < op/compute m1ᵀ %*% m0":        3,
+		"sched/batch < op/compute m1ᵀ %*% m1":        3,
 		"sched/batch < op/compute m4 %*% m2":         2,
 		"sched/batch < op/compute m6 %*% m6ᵀ":        2,
 	}
 	if got := spanEdges(spans); !maps.Equal(got, want) {
 		t.Errorf("span tree differs:%s", edgeDiff(got, want))
 	}
-	if len(spans) != 112 {
-		t.Errorf("%d spans, want 112", len(spans))
+	if len(spans) != 117 {
+		t.Errorf("%d spans, want 117", len(spans))
 	}
 }
 

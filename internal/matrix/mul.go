@@ -3,7 +3,6 @@ package matrix
 import (
 	"fmt"
 	"math/bits"
-	"sync"
 )
 
 // Block multiplication kernels. MulAddTransInto is the In-Place primitive of
@@ -162,13 +161,13 @@ const (
 // scratchPools holds pooled scratch slices of one element type, one pool per
 // power-of-two capacity so that a small request never draws, outgrows and
 // drops a large buffer.
-type scratchPools[T any] [bits.UintSize]sync.Pool
+type scratchPools[T any] [bits.UintSize]sharedPool[[]T]
 
 // get returns a pooled buffer of n elements with unspecified contents; hand
 // it back with put.
 func (sp *scratchPools[T]) get(n int) *[]T {
 	class := bits.Len(uint(max(n, 1) - 1)) // smallest class with 1<<class >= n
-	if bp, _ := sp[class].Get().(*[]T); bp != nil {
+	if bp := sp[class].get(); bp != nil {
 		*bp = (*bp)[:n]
 		return bp
 	}
@@ -177,7 +176,7 @@ func (sp *scratchPools[T]) get(n int) *[]T {
 }
 
 func (sp *scratchPools[T]) put(bp *[]T) {
-	sp[bits.Len(uint(cap(*bp)))-1].Put(bp)
+	sp[bits.Len(uint(cap(*bp)))-1].put(bp)
 }
 
 // The sparse kernels' scratch: spScratchPools the float64 buffers they pack

@@ -26,23 +26,24 @@ func TestForEachErrReturnsFirstError(t *testing.T) {
 }
 
 // TestForEachErrCancelsRemainingTasks fails task 0 and counts how many of
-// the rest still run. Every other task first waits for task 0 to be about
-// to return its error, so a participant descheduled between claiming
-// task 0 and failing it cannot let the other run the queue meanwhile: the
-// only window left is between task 0's return and the executor recording
-// the error.
+// the rest still run. Every other task first waits until the batch has
+// recorded task 0's error (the executor's testFailed seam), so neither a
+// participant descheduled between claiming task 0 and failing it nor one
+// between task 0's return and the record can let the other run the queue
+// meanwhile: a task claimed before the record is the most that runs beside
+// task 0.
 func TestForEachErrCancelsRemainingTasks(t *testing.T) {
 	e := NewExecutor(2, nil)
 	const n = 10000
 	var ran atomic.Int32
-	failing := make(chan struct{})
+	recorded := make(chan struct{})
+	e.testFailed = func() { close(recorded) }
 	err := e.ForEachErr(context.Background(), n, func(i int) error {
 		ran.Add(1)
 		if i == 0 {
-			close(failing)
 			return fmt.Errorf("task %d failed", i)
 		}
-		<-failing
+		<-recorded
 		return nil
 	})
 	if err == nil {

@@ -49,6 +49,10 @@ type Executor struct {
 	pool atomic.Pointer[BlockPool]
 	// flushed counts the result elements the result rule stored as zero.
 	flushed atomic.Int64
+	// testFailed, when set (tests only, before any batch runs), runs on the
+	// participant that records a batch's first error, right after it is
+	// recorded — the seam the cancellation test orders its tasks with.
+	testFailed func()
 }
 
 // NewExecutor creates an executor with the given local parallelism (L in the
@@ -204,13 +208,13 @@ func (e *Executor) ForEachErr(ctx context.Context, n int, fn func(i int) error) 
 		}()
 	}
 	b := batches.Get().(*batch)
-	b.ctx, b.fn = ctx, fn
+	b.ctx, b.fn, b.failed = ctx, fn, e.testFailed
 	matrix.Parallel(n, workers, b.task)
 	var err error
 	if p := b.firstErr.Load(); p != nil {
 		err = *p
 	}
-	b.ctx, b.fn = nil, nil
+	b.ctx, b.fn, b.failed = nil, nil, nil
 	b.firstErr.Store(nil)
 	batches.Put(b)
 	return err
@@ -224,6 +228,7 @@ type batch struct {
 	fn       func(i int) error
 	firstErr atomic.Pointer[error]
 	task     func(i int) // run, bound when the batch was made
+	failed   func()      // Executor.testFailed
 }
 
 var batches = sync.Pool{New: func() any {
@@ -244,7 +249,9 @@ func (b *batch) run(i int) {
 	}
 	if err != nil {
 		first := err // declared here, so only a failure moves it to the heap
-		b.firstErr.CompareAndSwap(nil, &first)
+		if b.firstErr.CompareAndSwap(nil, &first) && b.failed != nil {
+			b.failed()
+		}
 	}
 }
 
