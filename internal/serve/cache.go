@@ -37,8 +37,9 @@ import (
 // A cached build also owns where each slot's engine left its inputs
 // (engine.Placement): the next job of the key on that slot binds the same
 // grids and restores their partitions and broadcast replicas instead of
-// moving them again. A placement is kept per slot, since each slot's engine
-// is its own cluster, and it leaves the cache with its build.
+// moving them again, and runs its program without rewriting and signing it
+// again. A placement is kept per slot, since each slot's engine is its own
+// cluster, and it leaves the cache with its build.
 type jobCache struct {
 	mu       sync.Mutex
 	maxBytes int64
