@@ -170,14 +170,18 @@ var (
 	// qualified is a reference to a package-level name or a type's member,
 	// optionally followed by call arguments or a composite literal.
 	qualified = regexp.MustCompile(`^([a-z][a-z0-9]*)\.([A-Za-z_]\w*)(?:\.([A-Za-z_]\w*))?(?:[({].*)?$`)
-	heading   = regexp.MustCompile(`^(#+)\s+(.*)$`)
+	// bare is a type's member named without its package, Type.Member.
+	bare    = regexp.MustCompile(`^([A-Z]\w*)\.([A-Za-z_]\w*)(?:[({].*)?$`)
+	heading = regexp.MustCompile(`^(#+)\s+(.*)$`)
 )
 
 // TestDocsNameOnlyWhatExists resolves every backticked pkg.Name and
 // pkg.Type.Member in DESIGN.md and README.md whose pkg is a package of this
-// repository against that package's declarations. Dotted lower-case names
-// are metric names, not identifiers, and are exempt; so is every subsection
-// titled "History", where the narratives of deleted code live.
+// repository against that package's declarations, and every bare
+// Type.Member whose Type some package declares with members against the
+// members of the types of that name. Dotted lower-case names are metric
+// names, not identifiers, and are exempt; so is every subsection titled
+// "History", where the narratives of deleted code live.
 func TestDocsNameOnlyWhatExists(t *testing.T) {
 	decls := repoDecls(t)
 	checked := 0
@@ -211,6 +215,13 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 				continue
 			}
 			for _, span := range codeSpan.FindAllStringSubmatch(text, -1) {
+				if m := bare.FindStringSubmatch(span[1]); m != nil && typeNamed(decls, m[1]) {
+					checked++
+					if !memberOfAny(decls, m[1], m[2]) {
+						t.Errorf("%s:%d: `%s` names no member of a type %s", doc, line, span[1], m[1])
+					}
+					continue
+				}
 				m := qualified.FindStringSubmatch(span[1])
 				if m == nil || decls[m[1]] == nil {
 					continue
@@ -248,6 +259,26 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 func hasAnyMember(p *pkgDecls, name string) bool {
 	for _, ms := range p.members {
 		if ms[name] {
+			return true
+		}
+	}
+	return false
+}
+
+// typeNamed reports whether some package declares a type typ with members.
+func typeNamed(decls map[string]*pkgDecls, typ string) bool {
+	for _, p := range decls {
+		if len(p.members[typ]) > 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// memberOfAny reports whether a type typ of some package has member name.
+func memberOfAny(decls map[string]*pkgDecls, typ, name string) bool {
+	for pkg := range decls {
+		if hasMember(decls, pkg, typ, name, 0) {
 			return true
 		}
 	}

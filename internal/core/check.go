@@ -16,7 +16,9 @@ import (
 //     with the operator kinds (partition -> r/c, broadcast -> b, transpose
 //     flips scheme and transposition, extract reads b);
 //   - within a stage no operator communicates across its boundary: every
-//     communicating operator's inputs live in an earlier stage.
+//     communicating operator's inputs live in an earlier stage;
+//   - only a broadcast or a (b) leaf carries a reach (Op.Reach), and it
+//     lists distinct workers of the plan in ascending order.
 //
 // It reads the operators' Stage fields only, never the stage index
 // AssignStages kept: a check must not trust what it checks.
@@ -48,6 +50,14 @@ func (p *Plan) Check() error {
 		}
 		if err := p.checkOpSchemes(i, op); err != nil {
 			return err
+		}
+		if op.Reach != nil && op.Kind != OpBroadcast && !p.readsReplica(op) {
+			return fmt.Errorf("core: %s op %d carries a reach %v", op.Kind, i, op.Reach)
+		}
+		for j, w := range op.Reach {
+			if w < 0 || w >= p.Workers || (j > 0 && w <= op.Reach[j-1]) {
+				return fmt.Errorf("core: op %d reaches workers %v, not ascending distinct workers of %d", i, op.Reach, p.Workers)
+			}
 		}
 	}
 	for i, ok := range produced {

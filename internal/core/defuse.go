@@ -129,21 +129,65 @@ func (p *Plan) linkStages() {
 // that reads a session (b) instance from the def-use table.
 func (p *Plan) reach() {
 	for _, op := range p.Ops {
+		op.Reach = nil
 		switch {
 		case op.Kind == OpBroadcast:
-			to, ok := p.holders(op.Output, nil, false)
-			if !ok || len(to) == 0 {
-				to = nil
+			if vals, ok := p.holders(op.Output, nil, false); ok && len(vals) > 0 {
+				op.Reach = p.workers(vals)
 			}
-			op.Reach = to
-		case (op.Kind == OpLoad || op.Kind == OpVar) && p.Values[op.Output].Scheme == dep.Broadcast:
-			to, ok := p.holders(op.Output, []ValueID{}, true)
-			if !ok {
-				to = nil
+		case p.readsReplica(op):
+			if vals, ok := p.holders(op.Output, []ValueID{}, true); ok {
+				op.Reach = p.workers(vals)
 			}
-			op.Reach = to
 		}
 	}
+}
+
+// workers returns, in ascending order, the workers that hold a block of one
+// of vals cut at the plan's block size: empty for no value, nil when that is
+// every worker or the plan has no block size.
+func (p *Plan) workers(vals []ValueID) []int {
+	bs, on, out := p.blockSize, make([]bool, p.Workers), []int{}
+	for _, id := range vals {
+		v := p.Values[id]
+		n := p.Program.Nodes()[v.Matrix]
+		rows, cols := n.Rows, n.Cols
+		if v.Transposed {
+			rows, cols = cols, rows
+		}
+		for bi := 0; bs > 0 && bi*bs < rows && len(out) < p.Workers; bi++ {
+			for bj := 0; bj*bs < cols && len(out) < p.Workers; bj++ {
+				if w := dep.Owner(v.Scheme, bi, bj, (cols+bs-1)/bs, p.Workers); !on[w] {
+					on[w], out = true, append(out, w)
+				}
+			}
+		}
+	}
+	if len(vals) > 0 && (bs < 1 || len(out) == p.Workers) {
+		return nil
+	}
+	slices.Sort(out)
+	return out
+}
+
+// tooNarrow lists the variables of the plan's (b) leaves whose replica, on
+// the workers replicas lists, misses one the leaf's Op.Reach names.
+func (p *Plan) tooNarrow(replicas map[string][]int) []string {
+	var out []string
+	for _, op := range p.Ops {
+		if !p.readsReplica(op) {
+			continue
+		}
+		if has, ok := replicas[op.Node.Name]; ok && (op.Reach == nil || slices.ContainsFunc(op.Reach, func(w int) bool { return !slices.Contains(has, w) })) {
+			out = append(out, op.Node.Name)
+		}
+	}
+	return out
+}
+
+// readsReplica reports whether op is a leaf reading a session (b) instance.
+func (p *Plan) readsReplica(op *Op) bool {
+	return (op.Kind == OpLoad || op.Kind == OpVar) && p.Values[op.Output].Scheme == dep.Broadcast
 }
 
 // holders appends to to the values whose holders read broadcast value id

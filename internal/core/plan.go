@@ -144,19 +144,16 @@ type Op struct {
 	// runs a kernel (Kernel), the previous operator of the stage that does
 	// not. Set by AssignStages.
 	After []int
-	// Reach lists, for a broadcast, the values whose holders read its copy:
-	// the (c) partner of each RMM1 and the (r) partner of each RMM2 that
-	// reads it, and the output of each extract from it, through its lazy
-	// transposes. Nil means every worker: a variable keeps the broadcast, or
-	// a view of it, with no complete instance beside it, or another kind of
-	// operator reads it. For a leaf that reads a session (b) instance it lists
-	// the values whose holders read that instance the same way, where an
-	// operator that sends the copy on reads it from any one holder; empty
-	// means no reader needs it on any worker. Like After it names no worker,
-	// since one cached plan serves every block size; the engine resolves it
-	// to workers when it runs the broadcast or checks the session's replica
-	// before the run. Set by AssignStages.
-	Reach []ValueID
+	// Reach lists, in ascending order, the workers a broadcast's copy must
+	// reach: those holding a block, at the plan's block size (dep.Owner), of
+	// the (c) partner of an RMM1 or the (r) partner of an RMM2 reading it, or
+	// of an extract's output, through lazy transposes. Nil means every
+	// worker: the readers run on all of them, the plan has no block size, a
+	// variable keeps the copy with no complete instance beside it, or another
+	// kind of operator reads it. A leaf reading a session (b) instance lists
+	// the workers that instance must reach the same way, where a reader that
+	// sends the copy on needs no worker; empty means none. Set by AssignStages.
+	Reach []int
 
 	label atomic.Pointer[string] // Label's value once made
 }
@@ -199,12 +196,18 @@ type Plan struct {
 	NodeValue map[dep.MatrixID]ValueID
 	// Stages is the number of un-interleaved stages after AssignStages.
 	Stages int
+	// TooNarrow lists the variables whose kept replica (Config.Replicas)
+	// misses a worker its readers run on: the plan broadcasts from their
+	// complete instances instead, and a run drops those replicas first.
+	TooNarrow []string
 	// stageOps groups Ops by stage in plan order (stageOps[s-1] holds stage
 	// s's), uses is the def-use table and keeps its fold-back (Keeps): all
 	// set by AssignStages, and read-only after, like the plan PlanCache shares.
 	stageOps [][]*Op
 	uses     []use
 	keeps    []Keep
+	// blockSize is Config.BlockSize, the block side Reach places values at.
+	blockSize int
 }
 
 // Value returns the value record for an ID.

@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
 	"dmac/internal/cost"
 	"dmac/internal/dep"
@@ -27,6 +29,14 @@ type Config struct {
 	// DisableCPMM removes the CPMM strategy from the candidate set, for
 	// ablating the strategy space.
 	DisableCPMM bool
+	// BlockSize is the session's block side (Eq. 3), which places every
+	// value's blocks (dep.Owner) and so gives each broadcast its Op.Reach; 0
+	// places nothing, and every broadcast reaches every worker.
+	BlockSize int
+	// Replicas lists the workers each variable's kept (b) instance was
+	// copied to, for one copied to fewer than every worker. A plan whose
+	// readers need more passes it over (Plan.TooNarrow).
+	Replicas map[string][]int
 }
 
 // Generate builds a communication-efficient execution plan for a matrix
@@ -88,6 +98,9 @@ func GenerateLocal(p *expr.Program) (*Plan, error) {
 	return g.plan, nil
 }
 
+// generate plans p under cfg, again without each kept replica too narrow
+// for its readers (Config.Replicas) until none is: the one place a plan is
+// made twice.
 func generate(p *expr.Program, cfg Config, baseline bool) (*Plan, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -95,16 +108,28 @@ func generate(p *expr.Program, cfg Config, baseline bool) (*Plan, error) {
 	if cfg.Workers < 1 {
 		return nil, fmt.Errorf("core: need at least 1 worker, got %d", cfg.Workers)
 	}
-	g := newGen(p, cfg, baseline)
-	for _, idx := range p.OperatorOrder() {
-		if err := g.emit(p.Nodes()[idx]); err != nil {
-			return nil, err
+	var passed []string
+	for {
+		g := newGen(p, cfg, baseline)
+		for _, idx := range p.OperatorOrder() {
+			if err := g.emit(p.Nodes()[idx]); err != nil {
+				return nil, err
+			}
+		}
+		g.plan.finalizeFlexible()
+		g.plan.AssignStages()
+		g.plan.licenseInPlace()
+		narrow := g.plan.tooNarrow(cfg.Replicas)
+		if len(narrow) == 0 {
+			g.plan.TooNarrow = passed
+			return g.plan, nil
+		}
+		passed = append(passed, narrow...)
+		cfg.Vars = maps.Clone(cfg.Vars)
+		for _, name := range narrow {
+			cfg.Vars[name] = slices.DeleteFunc(slices.Clone(cfg.Vars[name]), func(s dep.Scheme) bool { return s == dep.Broadcast })
 		}
 	}
-	g.plan.finalizeFlexible()
-	g.plan.AssignStages()
-	g.plan.licenseInPlace()
-	return g.plan, nil
 }
 
 func newGen(p *expr.Program, cfg Config, baseline bool) *gen {
@@ -113,6 +138,7 @@ func newGen(p *expr.Program, cfg Config, baseline bool) *gen {
 			Program:   p,
 			Workers:   cfg.Workers,
 			NodeValue: make(map[dep.MatrixID]ValueID),
+			blockSize: cfg.BlockSize,
 		},
 		cfg:        cfg,
 		baseline:   baseline,

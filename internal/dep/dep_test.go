@@ -1,6 +1,7 @@
 package dep
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -186,5 +187,62 @@ func TestQuickReferenceIffExactMatch(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
+	}
+}
+
+// holders lists, in ascending order, the workers that own a block of a
+// br x bc block grid placed under s on n workers.
+func holders(s Scheme, br, bc, n int) []int {
+	on := make([]bool, n)
+	for bi := 0; bi < br; bi++ {
+		for bj := 0; bj < bc; bj++ {
+			on[Owner(s, bi, bj, bc, n)] = true
+		}
+	}
+	var out []int
+	for w, ok := range on {
+		if ok {
+			out = append(out, w)
+		}
+	}
+	return out
+}
+
+// TestOwner: a Row (Col) matrix of k block-rows (block-columns) is placed on
+// workers 0…min(k, N)−1, a hash-placed one by its blocks' row-major index;
+// a transposed view places block (bi, bj) where the stored matrix, under the
+// opposite scheme, places block (bj, bi).
+func TestOwner(t *testing.T) {
+	for _, tc := range []struct {
+		scheme Scheme
+		br, bc int
+		want   []int
+	}{
+		{Row, 2, 25, []int{0, 1}},
+		{Row, 3, 1, []int{0, 1, 2}},
+		{Col, 25, 1, []int{0}},
+		{Col, 1, 10, []int{0, 1, 2, 3}},
+		{SchemeNone, 1, 3, []int{0, 1, 2}},
+		{SchemeNone, 3, 1, []int{0, 1, 2}},
+		{SchemeNone, 2, 2, []int{0, 1, 2, 3}},
+	} {
+		if got := holders(tc.scheme, tc.br, tc.bc, 4); !slices.Equal(got, tc.want) {
+			t.Errorf("%s, %dx%d blocks on 4 workers: holders %v, want %v", tc.scheme, tc.br, tc.bc, got, tc.want)
+		}
+	}
+	if w := Owner(SchemeNone, 2, 3, 5, 4); w != (2*5+3)%4 {
+		t.Errorf("hash owner of block (2,3) of 5 block-columns is %d, want %d", w, (2*5+3)%4)
+	}
+	if w := Owner(Broadcast, 3, 2, 5, 4); w != 0 {
+		t.Errorf("a broadcast replica's block is owned by %d, want 0", w)
+	}
+	// A 3 x 5 block Col matrix and its transposed view, 5 x 3 blocks under
+	// Row: every block lies in one place.
+	for bi := 0; bi < 3; bi++ {
+		for bj := 0; bj < 5; bj++ {
+			if stored, view := Owner(Col, bi, bj, 5, 4), Owner(Row, bj, bi, 3, 4); stored != view {
+				t.Errorf("block (%d,%d) is on worker %d, its transposed view's (%d,%d) on %d", bi, bj, stored, bj, bi, view)
+			}
+		}
 	}
 }

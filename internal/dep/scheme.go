@@ -77,3 +77,20 @@ func Oppose(pi, pj Scheme) bool {
 func Contain(pi, pj Scheme) bool {
 	return pi == Broadcast && (pj == Row || pj == Col)
 }
+
+// Owner returns the nominal worker of block (bi, bj) of a matrix of bc
+// block-columns placed under s on n workers: bi mod n for Row, bj mod n for
+// Col, (bi·bc + bj) mod n for hash placement (SchemeNone), and 0 for a
+// Broadcast replica (whole on each worker it reaches; a re-homing shuffle
+// collects its blocks there).
+func Owner(s Scheme, bi, bj, bc, n int) int {
+	switch s {
+	case Row:
+		return bi % n
+	case Col:
+		return bj % n
+	case Broadcast:
+		return 0
+	}
+	return (bi*bc + bj) % n
+}

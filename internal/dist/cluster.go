@@ -97,8 +97,6 @@ type Cluster struct {
 	cfg  Config
 	exec *sched.Executor
 	net  *NetStats
-	// ids lists the workers 0, 1, …, Workers-1 (Holders hands out prefixes).
-	ids []int
 
 	// tracer and metrics observe the cluster when set (see SetObserver):
 	// every shuffle/broadcast emits a "comm" span carrying its byte count,
@@ -150,10 +148,6 @@ func NewCluster(cfg Config) *Cluster {
 		exec:     sched.NewExecutor(cfg.Workers*cfg.LocalParallelism, nil),
 		net:      &NetStats{},
 		faultErr: cfg.Faults.ValidateFor(cfg.Workers),
-		ids:      make([]int, cfg.Workers),
-	}
-	for w := range c.ids {
-		c.ids[w] = w
 	}
 	c.SetTransport(nil)
 	return c

@@ -30,7 +30,7 @@ type DistMatrix struct {
 	// laid out logically.
 	trans bool
 	// reach lists, for a broadcast replica, the workers it was copied to by
-	// nominal placement (see Holders), nil for every worker; Cluster.receivers
+	// nominal placement (dep.Owner), nil for every worker; Cluster.receivers
 	// resolves them to their current owners.
 	reach []int
 }
@@ -69,8 +69,14 @@ func (m *DistMatrix) Trans() bool { return m.trans }
 
 // Reach returns the workers, by nominal placement, a broadcast replica was
 // copied to, nil when it is everywhere (every matrix that is not a narrowed
-// broadcast). The slice is the matrix's and must not be modified.
-func (m *DistMatrix) Reach() []int { return m.reach }
+// broadcast) and for a nil matrix. The slice is the matrix's and must not be
+// modified.
+func (m *DistMatrix) Reach() []int {
+	if m == nil {
+		return nil
+	}
+	return m.reach
+}
 
 // Bytes returns the actual block memory footprint, which is what the
 // instrumented network charges for moving the matrix. For a transpose view
@@ -123,46 +129,13 @@ func (m *DistMatrix) BlockBytes(bi, bj int) int64 {
 	return m.Grid.Block(bi, bj).MemBytes()
 }
 
-// Owner returns the worker a block is placed on under the matrix's scheme:
-// block-rows round-robin for Row, block-columns for Col, hash of the block
-// coordinates for hash placement. Broadcast replicas live on every receiver
-// (worker 0 is reported). Block coordinates are logical, so a transpose view
-// places block (bi, bj) exactly where the materialized transpose would.
-// Blocks whose nominal owner has been killed are deterministically
-// re-assigned across the surviving workers.
+// Owner returns the worker a block is placed on under the matrix's scheme
+// (dep.Owner). Block coordinates are logical, so a transpose view places
+// block (bi, bj) exactly where the materialized transpose would. Blocks whose
+// nominal owner has been killed are deterministically re-assigned across the
+// surviving workers.
 func (c *Cluster) Owner(m *DistMatrix, bi, bj int) int {
-	k := c.cfg.Workers
-	var w int
-	switch m.Scheme {
-	case dep.Row:
-		w = bi % k
-	case dep.Col:
-		w = bj % k
-	case dep.Broadcast:
-		w = 0
-	default: // hash placement
-		w = (bi*m.BlockCols() + bj) % k
-	}
-	return c.reassignIfDead(w)
-}
-
-// Holders returns, in ascending order, the workers a rows x cols matrix cut
-// at blockSize places blocks on under a Row or Col scheme, by nominal
-// placement: Owner's round-robin before dead workers' blocks are reassigned.
-// A broadcast read only next to such a matrix needs to reach these workers.
-// They are the first workers, as many as the blocks along the scheme's side
-// or all of them; the list is shared and must not be modified.
-func (c *Cluster) Holders(scheme dep.Scheme, rows, cols, blockSize int) ([]int, error) {
-	var side int
-	switch scheme {
-	case dep.Row:
-		side = rows
-	case dep.Col:
-		side = cols
-	default:
-		return nil, fmt.Errorf("dist: holders under scheme %s", scheme)
-	}
-	return c.ids[:min((side+blockSize-1)/blockSize, c.cfg.Workers)], nil
+	return c.reassignIfDead(dep.Owner(m.Scheme, bi, bj, m.BlockCols(), c.cfg.Workers))
 }
 
 // receivers appends to dst, in ascending order, the alive workers holding a
@@ -285,7 +258,7 @@ func (c *Cluster) Partition(ctx context.Context, m *DistMatrix, scheme dep.Schem
 }
 
 // Broadcast replicates the matrix on the workers its readers run on. to
-// lists them by nominal placement (Holders), nil for every worker; each
+// lists them by nominal placement (core.Op.Reach), nil for every worker; each
 // receives a copy at its current owner (receivers), so a worker lost before
 // the broadcast is stood in for by the survivor holding its blocks. A block
 // goes only to the receivers that do not hold it already: a partitioned
@@ -385,11 +358,8 @@ func (c *Cluster) gatherXfers(mv *moves, m *DistMatrix, recv []int) ([]BlockXfer
 }
 
 // narrow returns a broadcast's reach as Broadcast stores it: to sorted and
-// without repeats, or nil when it names every worker.
+// without repeats, or nil when it is nil or names every worker.
 func (c *Cluster) narrow(to []int) []int {
-	if to == nil || slices.Equal(to, c.ids) {
-		return nil
-	}
 	reach := slices.Clone(to)
 	slices.Sort(reach)
 	reach = slices.Compact(reach)

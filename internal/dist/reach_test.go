@@ -47,30 +47,6 @@ func TestBroadcastToReceivers(t *testing.T) {
 	}
 }
 
-// TestHolders: a Row (Col) matrix of n block-rows (block-columns) is placed on
-// workers 0…min(n, N)−1.
-func TestHolders(t *testing.T) {
-	c := testCluster()
-	for _, tc := range []struct {
-		scheme     dep.Scheme
-		rows, cols int
-		want       []int
-	}{
-		{dep.Row, 8, 100, []int{0, 1}},
-		{dep.Row, 9, 1, []int{0, 1, 2}},
-		{dep.Col, 100, 4, []int{0}},
-		{dep.Col, 1, 40, []int{0, 1, 2, 3}},
-	} {
-		got, err := c.Holders(tc.scheme, tc.rows, tc.cols, 4)
-		if err != nil || !slices.Equal(got, tc.want) {
-			t.Errorf("Holders(%s, %d, %d) = %v, %v; want %v", tc.scheme, tc.rows, tc.cols, got, err, tc.want)
-		}
-	}
-	if _, err := c.Holders(dep.Broadcast, 8, 8, 4); err == nil {
-		t.Error("holders of a broadcast scheme must fail")
-	}
-}
-
 // TestReadersStayOnReceivers is the receiver check: RMM1, RMM2 and an
 // extract refuse a narrowed replica whose partner has a block on a worker it
 // never reached, and accept one that reached them all; a cell-wise operator

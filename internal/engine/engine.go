@@ -245,6 +245,8 @@ type Engine struct {
 	stage  stageRun
 	live   map[*matrix.DenseBlock]bool
 	keyBuf []byte
+	// ranStages, set only by tests, sees a run's plan and values after its stages.
+	ranStages func(*core.Plan, []*dist.DistMatrix)
 }
 
 // programForm is what the engine plans and runs for a caller's program: the
@@ -620,17 +622,18 @@ func (e *Engine) VarSchemes(name string) []dep.Scheme {
 
 // planInput is what the planner is given for f against the current session
 // — the planner kind, whether the rewrite pass ran, and the core.Config of
-// the session schemes of the variables f reads — and the key the plan is
-// cached under: f's signature followed by all of that, written in a fixed
-// order. A plan is a function of exactly these (Algorithm 1), so one key is
-// one plan, whichever engine or Program object asks. The session part is
-// written into the engine's key buffer; while it stays as it was, f's config
-// and key are reused rather than built again.
+// the workers, the block size, and the schemes and replica reach of the
+// variables f reads — and the key the plan is cached under: f's signature
+// followed by all of that, in a fixed order. A plan is a function of exactly
+// these (Algorithm 1), so one key is one plan, whichever engine or Program
+// object asks. The session part is written into the engine's key buffer;
+// while it stays as it was, f's config and key are reused.
 func (e *Engine) planInput(f *programForm) (core.Config, string) {
 	b := append(e.keyBuf[:0], "pl="...)
 	b = strconv.AppendInt(b, int64(e.planner), 10)
 	b = strconv.AppendBool(append(b, ";rw="...), e.rewriter != nil)
 	b = strconv.AppendInt(append(b, ";w="...), int64(e.cluster.Workers()), 10)
+	b = strconv.AppendInt(append(b, ";bs="...), int64(e.blockSize), 10)
 	b = strconv.AppendBool(append(b, ";pu="...), e.disablePullUp)
 	b = strconv.AppendBool(append(b, ";ra="...), e.disableReassign)
 	b = strconv.AppendBool(append(b, ";cp="...), e.disableCPMM)
@@ -646,6 +649,9 @@ func (e *Engine) planInput(f *programForm) (core.Config, string) {
 				if _, ok := vs.instances[s]; ok {
 					b = append(b, s.String()...)
 				}
+			}
+			for _, w := range vs.instances[dep.Broadcast].Reach() {
+				b = strconv.AppendInt(append(b, '@'), int64(w), 10)
 			}
 		}
 		if len(b) == named {
@@ -664,10 +670,17 @@ func (e *Engine) planInput(f *programForm) (core.Config, string) {
 			DisablePullUp:   e.disablePullUp,
 			DisableReassign: e.disableReassign,
 			DisableCPMM:     e.disableCPMM,
+			BlockSize:       e.blockSize,
 		}
 		for _, name := range f.vars {
 			if schemes := slices.DeleteFunc(e.VarSchemes(name), func(s dep.Scheme) bool { return s == dep.SchemeNone }); len(schemes) > 0 {
 				f.cfg.Vars[name] = schemes
+			}
+			if vs := e.vars[name]; vs != nil && vs.instances[dep.Broadcast].Reach() != nil {
+				if f.cfg.Replicas == nil {
+					f.cfg.Replicas = make(map[string][]int)
+				}
+				f.cfg.Replicas[name] = vs.instances[dep.Broadcast].Reach()
 			}
 		}
 	}
@@ -675,7 +688,7 @@ func (e *Engine) planInput(f *programForm) (core.Config, string) {
 }
 
 // plannedSchemes are the schemes of a session variable the planner is told
-// of, in the order VarSchemes lists them.
+// of, and a placement records, in the order VarSchemes lists them.
 var plannedSchemes = [...]dep.Scheme{dep.Row, dep.Col, dep.Broadcast}
 
 // Run plans and executes a program against the session. params provides the
@@ -727,31 +740,9 @@ func (e *Engine) RunCtx(ctx context.Context, p *expr.Program, params map[string]
 	// engine's whole stage tree under it; with none the run is a root span.
 	parent := e.tracer.Parent(ctx)
 	f := e.form(p, parent)
-	// A plan that reads a kept broadcast replica beyond its reach drops the
-	// replica and is made again, from the schemes the session has left.
-	var plan *core.Plan
-	source, dropped := "", false
-	for {
-		cfg, key := e.planInput(f)
-		source = "hit"
-		if plan = e.plans.Get(key); plan == nil {
-			source = "miss"
-			if plan, err = e.generate(f.prog, cfg); err != nil {
-				return Metrics{}, err
-			}
-			if err := plan.Check(); err != nil {
-				return Metrics{}, err
-			}
-			e.plans.Put(key, plan)
-		}
-		narrow, err := e.dropNarrowReplicas(plan)
-		if err != nil {
-			return Metrics{}, err
-		}
-		if !narrow {
-			break
-		}
-		dropped = true
+	plan, source, err := e.plan(f, e.plans)
+	if err != nil {
+		return Metrics{}, err
 	}
 	if source == "hit" {
 		e.cacheHits++
@@ -759,6 +750,12 @@ func (e *Engine) RunCtx(ctx context.Context, p *expr.Program, params map[string]
 	} else {
 		e.cacheMiss++
 		e.metrics.Counter("plan.cache.misses").Inc()
+	}
+	// A kept replica too narrow for the plan goes now: foldBack keeps the
+	// wider one the run broadcasts from the complete instance.
+	dropped := len(plan.TooNarrow) > 0
+	for _, name := range plan.TooNarrow {
+		delete(e.vars[name].instances, dep.Broadcast)
 	}
 	// What the run overwrites without reading is dead once its plan is
 	// made: dropped now, its blocks nothing else reaches go back to the pool
@@ -803,34 +800,37 @@ func (e *Engine) RunCtx(ctx context.Context, p *expr.Program, params map[string]
 }
 
 // Plan returns the plan the engine would execute for a program against the
-// current session, without executing it (the dmacplan explain path). Like
-// Run, it plans the rewritten program when a rewriter is attached, and drops
-// a kept broadcast replica the plan reads beyond its reach and plans again.
+// current session, rewritten when a rewriter is attached, without executing
+// it (the dmacplan explain path) or changing the session or the plan cache.
 func (e *Engine) Plan(p *expr.Program) (*core.Plan, error) {
-	f := e.form(p, 0)
-	for {
-		cfg, _ := e.planInput(f)
-		plan, err := e.generate(f.prog, cfg)
-		if err != nil {
-			return nil, err
-		}
-		if narrow, err := e.dropNarrowReplicas(plan); err != nil || !narrow {
-			return plan, err
-		}
-	}
+	plan, _, err := e.plan(e.form(p, 0), nil)
+	return plan, err
 }
 
-// generate plans a (rewritten) program under cfg with the engine's planner:
-// the one place the three planners part ways.
-func (e *Engine) generate(rp *expr.Program, cfg core.Config) (*core.Plan, error) {
+// plan returns f's checked plan against the current session (planInput),
+// and "hit" from cache or "miss", made by the engine's planner (the one place
+// the three planners part ways) and put there; a nil cache never hits.
+func (e *Engine) plan(f *programForm, cache *PlanCache) (plan *core.Plan, source string, err error) {
+	cfg, key := e.planInput(f)
+	if plan = cache.Get(key); plan != nil {
+		return plan, "hit", nil
+	}
 	switch e.planner {
 	case DMac:
-		return core.Generate(rp, cfg)
+		plan, err = core.Generate(f.prog, cfg)
 	case SystemMLS:
-		return core.GenerateSystemMLS(rp, cfg)
+		plan, err = core.GenerateSystemMLS(f.prog, cfg)
 	case Local:
-		return core.GenerateLocal(rp)
+		plan, err = core.GenerateLocal(f.prog)
 	default:
-		return nil, fmt.Errorf("engine: unknown planner %d", e.planner)
+		err = fmt.Errorf("engine: unknown planner %d", e.planner)
 	}
+	if err == nil {
+		err = plan.Check()
+	}
+	if err != nil {
+		return nil, "", err
+	}
+	cache.Put(key, plan)
+	return plan, "miss", nil
 }

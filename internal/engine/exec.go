@@ -160,6 +160,9 @@ func (e *Engine) execute(ctx context.Context, plan *core.Plan, sig string, param
 			}
 		}
 	}
+	if e.ranStages != nil {
+		e.ranStages(plan, st.vals)
+	}
 	// What folding back charges (its local transposes) books to the last
 	// stage, so the records still sum to the run's totals. A plan with no
 	// stages has no values to fold back.
@@ -356,11 +359,7 @@ func (e *Engine) dispatch(ctx context.Context, st *execState, op *core.Op) (*dis
 	case core.OpPartition:
 		return e.cluster.Partition(ctx, vals[op.Inputs[0]], plan.Value(op.Output).Scheme, op.Stage)
 	case core.OpBroadcast:
-		to, err := e.reach(plan, op)
-		if err != nil {
-			return nil, err
-		}
-		return e.cluster.Broadcast(ctx, vals[op.Inputs[0]], op.Stage, to)
+		return e.cluster.Broadcast(ctx, vals[op.Inputs[0]], op.Stage, op.Reach)
 	case core.OpTranspose:
 		if op.CommBytes > 0 {
 			// Baseline transpose job: shuffle-based.
@@ -374,68 +373,6 @@ func (e *Engine) dispatch(ctx context.Context, st *execState, op *core.Op) (*dis
 	default:
 		return nil, fmt.Errorf("unexpected operator kind %v", op.Kind)
 	}
-}
-
-// reach resolves a broadcast's or a leaf's reach (core.Op.Reach) to the
-// workers its readers run on: the union of each value's holders
-// (Cluster.Holders) when cut at the session block size, which, the holders
-// being the first workers, is the longest of them. Nil — every worker — for
-// a reach of nil; empty for an empty one. The list is shared and must not be
-// modified.
-func (e *Engine) reach(plan *core.Plan, op *core.Op) ([]int, error) {
-	if op.Reach == nil {
-		return nil, nil
-	}
-	to := []int{}
-	for _, id := range op.Reach {
-		v := plan.Value(id)
-		n := plan.Program.Nodes()[v.Matrix]
-		rows, cols := n.Rows, n.Cols
-		if v.Transposed {
-			rows, cols = cols, rows
-		}
-		h, err := e.cluster.Holders(v.Scheme, rows, cols, e.blockSize)
-		if err != nil {
-			return nil, err
-		}
-		if len(h) > len(to) {
-			to = h
-		}
-	}
-	return to, nil
-}
-
-// dropNarrowReplicas drops every kept broadcast replica a (b) leaf of plan
-// reads beyond its reach: a worker the leaf's readers run on (reach) that
-// the replica was never sent to. The variable keeps the complete instance
-// the replica was broadcast from (foldBack keeps no narrowed replica without
-// one), so a plan made again broadcasts from it to the readers it has. It
-// reports whether it dropped one, which changes the session's schemes and so
-// the plan.
-func (e *Engine) dropNarrowReplicas(plan *core.Plan) (bool, error) {
-	dropped := false
-	for _, op := range plan.Ops {
-		if (op.Kind != core.OpVar && op.Kind != core.OpLoad) || plan.Value(op.Output).Scheme != dep.Broadcast {
-			continue
-		}
-		vs := e.vars[op.Node.Name]
-		if vs == nil || vs.instances[dep.Broadcast] == nil {
-			continue
-		}
-		has := vs.instances[dep.Broadcast].Reach()
-		if has == nil {
-			continue
-		}
-		need, err := e.reach(plan, op)
-		if err != nil {
-			return false, err
-		}
-		if need == nil || slices.ContainsFunc(need, func(w int) bool { return !slices.Contains(has, w) }) {
-			delete(vs.instances, dep.Broadcast)
-			dropped = true
-		}
-	}
-	return dropped, nil
 }
 
 // leafInstance resolves an OpLoad/OpVar to a session instance with the
@@ -531,9 +468,9 @@ func (e *Engine) compute(ctx context.Context, plan *core.Plan, op *core.Op, vals
 // already holds the scheme the transpose would give: the first instance of a
 // scheme is the one kept, and a later one is neither made nor charged. A
 // broadcast replica keeps its reach, beside the complete instance a later
-// run broadcasts from again when its readers need more
-// (dropNarrowReplicas); the plan narrows no replica a variable keeps alone,
-// and one kept alone is refused.
+// run broadcasts from again when its readers need more (core.Plan.TooNarrow);
+// the plan narrows no replica a variable keeps alone, and one kept alone is
+// refused.
 func (e *Engine) foldBack(ctx context.Context, st *execState) error {
 	for _, k := range st.plan.Keeps() {
 		vs := e.vars[k.Var]

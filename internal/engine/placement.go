@@ -3,7 +3,6 @@ package engine
 import (
 	"slices"
 
-	"dmac/internal/dep"
 	"dmac/internal/dist"
 	"dmac/internal/expr"
 	"dmac/internal/matrix"
@@ -54,9 +53,6 @@ type placedInstance struct {
 	inst  dist.DistMatrix
 }
 
-// placedSchemes are the schemes a placement records.
-var placedSchemes = [...]dep.Scheme{dep.Row, dep.Col, dep.Broadcast}
-
 // Placement records where the session's bound grids lie now (see
 // Placement): the partitions and broadcast replicas of each bound variable
 // that share its bound grid's blocks, copied, and the session's program
@@ -67,7 +63,7 @@ func (e *Engine) Placement() Placement {
 		p.forms = append(p.forms, placedForm{prog, f})
 	}
 	for name, vs := range e.vars {
-		for _, s := range placedSchemes {
+		for _, s := range plannedSchemes {
 			if inst := vs.instances[s]; inst != nil && vs.bound != nil && inst.Grid == vs.bound && !inst.Trans() {
 				p.placed = append(p.placed, placedInstance{name: name, bound: vs.bound, inst: *inst})
 			}
