@@ -358,15 +358,21 @@ func (c *Cluster) gatherXfers(mv *moves, m *DistMatrix, recv []int) ([]BlockXfer
 }
 
 // narrow returns a broadcast's reach as Broadcast stores it: to sorted and
-// without repeats, or nil when it is nil or names every worker.
+// without repeats, or nil when it is nil or names every worker. A to already
+// so, as core.Op.Reach is, is kept as it is: nothing writes through a reach.
 func (c *Cluster) narrow(to []int) []int {
-	reach := slices.Clone(to)
-	slices.Sort(reach)
-	reach = slices.Compact(reach)
-	if len(reach) == c.cfg.Workers {
+	for i := 1; i < len(to); i++ {
+		if to[i] <= to[i-1] {
+			to = slices.Clone(to)
+			slices.Sort(to)
+			to = slices.Compact(to)
+			break
+		}
+	}
+	if len(to) == c.cfg.Workers {
 		return nil
 	}
-	return reach
+	return to
 }
 
 // Extract locally filters a broadcast replica down to a Row or Col

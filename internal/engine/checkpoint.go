@@ -100,14 +100,14 @@ type ckptManifest struct {
 //
 // Derive, when set, replaces both: the value is recomputed on restore by
 // the plan operator that produces it — the one whose Output it is — reading
-// input k of that operator as Derive[k] says (ckptInput). A snapshot derives
-// a value only when its grid would otherwise be written by this snapshot —
-// the session does not hold it and no file of the run has it — every member
-// sharing that grid is derivable, and the operator moved no bytes when it
-// ran, plans none, and reads only members or views of a member's grid. The
-// price rule decides the rest: the operator's FLOPs, as it charged them and
-// priced like any charge (engine.price), must cost less than cost.WriteSec of
-// the grid.
+// input k of that operator as Derive[k] says (ckptInput), in a sub-stage of
+// the stage runner (Engine.derive). A snapshot derives a value only when its
+// grid would otherwise be written by this snapshot — the session does not
+// hold it and no file of the run has it — every member sharing that grid is
+// derivable, and the operator moved no bytes when it ran, plans none, and
+// reads only members or views of a member's grid. The price rule decides the
+// rest: the operator's FLOPs, as it charged them and priced like any charge
+// (engine.price), must cost less than cost.WriteSec of the grid.
 //
 // Scheme and Trans restore the value's own placement and lazy-transpose state
 // whichever the kind.
@@ -125,9 +125,8 @@ type ckptValue struct {
 // over the grid of member Of — the input itself, or a member of the same
 // logical matrix sharing its grid (a lazy transpose, extract or broadcast
 // view) — with lazy-transpose state Trans, and the plan's placement of the
-// input. A member Of that is derived itself is produced by an earlier
-// operator, so restoring derived members in plan order finds every input
-// ready.
+// input. A derived member Of is the input itself, made by an earlier
+// operator of the derivation, which the reading operator waits for.
 type ckptInput struct {
 	Of    int  `json:"of"`
 	Trans bool `json:"trans,omitempty"`
@@ -137,16 +136,8 @@ type ckptInput struct {
 // compute (not one overwriting an input), transpose or extract that reads
 // at least one input and plans no communication.
 func derivableOp(op *core.Op) bool {
-	switch op.Kind {
-	case core.OpTranspose, core.OpExtract:
-	case core.OpCompute:
-		if op.InPlace >= 0 {
-			return false
-		}
-	default:
-		return false
-	}
-	return op.Output >= 0 && len(op.Inputs) > 0 && op.CommBytes == 0
+	local := op.Kind == core.OpTranspose || op.Kind == core.OpExtract || op.Kind == core.OpCompute && op.InPlace < 0
+	return local && op.Output >= 0 && len(op.Inputs) > 0 && op.CommBytes == 0
 }
 
 // producers indexes, by value ID, the position in plan.Ops of the operator
@@ -417,14 +408,14 @@ func (e *Engine) markDerived(st *execState, live []liveValue) {
 		stored[j] = v.held.name != "" || at[v.id] < 0 || !derivableOp(plan.Ops[at[v.id]]) || !cheap(v)
 	}
 	// source finds the member whose grid input id, held as dm, is read over:
-	// its own value if that is a member, else the first member of its
+	// its own value if that is a member, else the first stored member of its
 	// logical matrix sharing its grid in an orientation viewTrans gives back.
 	source := func(id core.ValueID, dm *dist.DistMatrix) (int, bool) {
 		if j, ok := member[id]; ok && (stored[j] || done[j]) {
 			return j, true
 		}
 		for j, v := range live {
-			if v.grid == dm.Grid && (stored[j] || done[j]) && plan.Value(v.id).Matrix == plan.Value(id).Matrix &&
+			if v.grid == dm.Grid && stored[j] && plan.Value(v.id).Matrix == plan.Value(id).Matrix &&
 				dm.Trans() == viewTrans(plan, v.id, v.trans, id) {
 				return j, true
 			}
@@ -691,15 +682,11 @@ type restoredCkpt struct {
 	// checkpointer.files: relative to the checkpoint directory.
 	files map[string]*matrix.Grid
 	// derived lists the members still to recompute (Engine.derive), in plan
-	// order.
-	derived []derivedMember
-}
-
-// derivedMember is a derived member of a restore candidate and the position
-// in the plan's Ops of the operator producing it.
-type derivedMember struct {
-	ckptValue
-	op int
+	// order: ops are their producers, and after[i] the places in derived of
+	// the members ops[i] reads.
+	derived []ckptValue
+	ops     []*core.Op
+	after   [][]int
 }
 
 // loadCheckpoint validates one restore candidate: the manifest must parse and
@@ -715,10 +702,10 @@ type derivedMember struct {
 // running plan that moves no bytes (derivableOp), and name one source per
 // input of it, each a member of the input's logical matrix resolved before
 // it — read, named, or derived by an earlier operator — viewed in the
-// orientation and shape the plan gives the input. Its recomputation is left
-// to the ladder (Engine.derive).
+// orientation and shape the plan gives the input; a derived input is read as
+// its producer makes it. Its recomputation is left to the ladder
+// (Engine.derive).
 func (e *Engine) loadCheckpoint(w writtenCkpt, st *execState) (*restoredCkpt, error) {
-	sig := st.sig
 	blob, err := os.ReadFile(filepath.Join(w.dir, "manifest.json"))
 	if err != nil {
 		return nil, fmt.Errorf("manifest: %w", err)
@@ -730,7 +717,7 @@ func (e *Engine) loadCheckpoint(w writtenCkpt, st *execState) (*restoredCkpt, er
 	if man.Version != manifestVersion {
 		return nil, fmt.Errorf("manifest version %d, want %d", man.Version, manifestVersion)
 	}
-	if man.PlanSig != sig || man.Stage != w.stage {
+	if man.PlanSig != st.sig || man.Stage != w.stage {
 		return nil, fmt.Errorf("manifest describes a different run (stage %d, sig %q)", man.Stage, man.PlanSig)
 	}
 	r := &restoredCkpt{
@@ -752,7 +739,7 @@ func (e *Engine) loadCheckpoint(w writtenCkpt, st *execState) (*restoredCkpt, er
 			if op := at[v.ID]; op < 0 || !derivableOp(st.plan.Ops[op]) {
 				return nil, fmt.Errorf("value %d: no operator produces it without moving bytes", v.ID)
 			}
-			r.derived = append(r.derived, derivedMember{v, at[v.ID]})
+			r.derived = append(r.derived, v)
 			continue
 		}
 		var g *matrix.Grid
@@ -781,101 +768,103 @@ func (e *Engine) loadCheckpoint(w writtenCkpt, st *execState) (*restoredCkpt, er
 		}
 		r.vals[v.ID] = dist.NewDistMatrixView(g, dep.Scheme(v.Scheme), v.Trans)
 	}
-	slices.SortFunc(r.derived, func(a, b derivedMember) int { return cmp.Compare(a.op, b.op) })
+	slices.SortFunc(r.derived, func(a, b ckptValue) int { return cmp.Compare(at[a.ID], at[b.ID]) })
 	trans := make(map[int]bool, len(man.Values)) // the resolved members' view states
 	for id, dm := range r.vals {
 		trans[id] = dm.Trans()
 	}
-	for _, d := range r.derived {
-		if err := r.checkDerive(st.plan, d, trans); err != nil {
+	pos := make(map[int]int, len(r.derived)) // the derived members' places in r.derived
+	for i, d := range r.derived {
+		after, err := r.checkDerive(st.plan, d, at[d.ID], trans, pos)
+		if err != nil {
 			return nil, fmt.Errorf("value %d: %w", d.ID, err)
 		}
-		trans[d.ID] = d.Trans
+		trans[d.ID], pos[d.ID] = d.Trans, i
+		r.ops = append(r.ops, st.plan.Ops[at[d.ID]])
+		r.after = append(r.after, after)
 	}
 	return r, nil
 }
 
-// checkDerive checks one derived member against the running plan, given the
-// view states of the members resolved before it: each input of its operator
-// is read over one of them of the input's logical matrix, in the orientation
-// viewTrans gives, and in the input's shape — over a member read or named,
-// that member's grid; over a derived one, the grid its plan value has.
-func (r *restoredCkpt) checkDerive(plan *core.Plan, d derivedMember, trans map[int]bool) error {
-	op := plan.Ops[d.op]
+// checkDerive checks derived member d, produced by plan.Ops[i], given the view
+// states of the members resolved before it and the places in r.derived of the
+// derived ones, and returns the places of those its operator waits for. Each
+// input of the operator is read over one of them of the input's logical
+// matrix, in the orientation viewTrans gives: over a member read or named,
+// that member's grid in the input's shape; over a derived member only if the
+// input is that member, as its producer makes it.
+func (r *restoredCkpt) checkDerive(plan *core.Plan, d ckptValue, i int, trans map[int]bool, pos map[int]int) ([]int, error) {
+	op := plan.Ops[i]
 	if len(d.Derive) != len(op.Inputs) {
-		return fmt.Errorf("derived from %d inputs, op %d (%s) reads %d", len(d.Derive), d.op, op.Kind, len(op.Inputs))
+		return nil, fmt.Errorf("derived from %d inputs, op %d (%s) reads %d", len(d.Derive), i, op.Kind, len(op.Inputs))
 	}
+	var after []int
 	for k, in := range d.Derive {
 		id := op.Inputs[k]
 		ofTrans, ok := trans[in.Of]
 		of := core.ValueID(in.Of)
 		if !ok || plan.Value(of).Matrix != plan.Value(id).Matrix {
-			return fmt.Errorf("input %d of op %d is not over a member of its matrix restored before it", k, d.op)
+			return nil, fmt.Errorf("input %d of op %d is not over a member of its matrix restored before it", k, i)
 		}
 		if in.Trans != viewTrans(plan, of, ofTrans, id) {
-			return fmt.Errorf("input %d of op %d is read transposed the wrong way", k, d.op)
+			return nil, fmt.Errorf("input %d of op %d is read transposed the wrong way", k, i)
 		}
-		var rows, cols int
-		if src := r.vals[in.Of]; src != nil {
-			rows, cols = src.Grid.Rows(), src.Grid.Cols()
-		} else if rows, cols = valueDims(plan, of); ofTrans {
-			rows, cols = cols, rows
+		p, overDerived := pos[in.Of]
+		if _, derived := pos[int(id)]; overDerived || derived {
+			if of != id {
+				return nil, fmt.Errorf("input %d of op %d and the member it is read over are not one derived member", k, i)
+			}
+			after = append(after, p)
+			continue
 		}
+		src := r.vals[in.Of]
+		rows, cols := src.Grid.Rows(), src.Grid.Cols()
 		if in.Trans {
 			rows, cols = cols, rows
 		}
 		if wr, wc := valueDims(plan, id); rows != wr || cols != wc {
-			return fmt.Errorf("input %d of op %d is %dx%d, the plan's is %dx%d", k, d.op, rows, cols, wr, wc)
+			return nil, fmt.Errorf("input %d of op %d is %dx%d, the plan's is %dx%d", k, i, rows, cols, wr, wc)
 		}
 	}
-	return nil
+	return after, nil
 }
 
-// deriveCharger collects the charges of one derived member's operator.
-type deriveCharger struct{ dist.Snapshot }
-
-func (c *deriveCharger) Charge(s dist.Snapshot) { c.Add(s) }
-
-// derive recomputes a verified candidate's derived members in plan order
-// through the ordinary operator path (dispatch), each input rebuilt over its
-// member's grid, and books their charges to failStage's record: FLOPs only —
-// an operator that moves a byte, or that does not give back the placement
-// the snapshot recorded, fails the candidate. The inputs it installs in the
-// value table are the caller's to clear. Its spans parent under parent.
+// derive recomputes a verified candidate's derived members as a sub-stage of
+// the stage runner (runOps), each input that is not derived itself installed
+// as a view over its member's grid, and books the sub-stage's records to
+// failStage's. What is derivation's own is checked on the sub-stage's record
+// after it: an operator that moved a byte, or that does not give back the
+// placement the snapshot recorded, fails the candidate. The derived grids go
+// into r.vals; the inputs it installs in the value table are the caller's to
+// clear. Its spans parent under parent.
 func (e *Engine) derive(ctx context.Context, st *execState, r *restoredCkpt, failStage int, parent obs.SpanID) error {
 	if len(r.derived) == 0 {
 		return nil
 	}
-	span := e.tracer.Start("ckpt", "derive", parent, obs.Int64("values", int64(len(r.derived))))
-	for _, v := range r.derived {
-		op := st.plan.Ops[v.op]
+	for i, v := range r.derived {
 		for k, in := range v.Derive {
-			id := op.Inputs[k]
-			st.vals[id] = dist.NewDistMatrixView(r.vals[in.Of].Grid, st.plan.Value(id).Scheme, in.Trans)
+			if src := r.vals[in.Of]; src != nil {
+				id := r.ops[i].Inputs[k]
+				st.vals[id] = dist.NewDistMatrixView(src.Grid, st.plan.Value(id).Scheme, in.Trans)
+			}
 		}
-		var ch deriveCharger
-		octx := dist.WithCharger(ctx, &ch)
-		ospan := e.opSpan(st.plan, op.Stage, op, span)
-		if ospan != 0 {
-			octx = obs.ContextWithSpan(octx, ospan)
-		}
-		out, err := e.dispatch(octx, st, op)
-		e.tracer.End(ospan)
-		st.ledger[failStage-1].Add(ch.Snapshot)
+	}
+	span := e.tracer.Start("ckpt", "derive", parent, obs.Int64("values", int64(len(r.derived))))
+	err := e.runOps(ctx, st, r.ops, r.after, failStage, span)
+	for i := 0; err == nil && i < len(r.derived); i++ {
+		v := r.derived[i]
+		out, made := st.vals[v.ID], st.made[v.ID]
 		switch {
-		case err != nil:
-		case ch.CommBytes != 0 || ch.CommEvents != 0:
-			err = fmt.Errorf("derivation moved %d bytes", ch.CommBytes)
-		case out == nil || out.Scheme != dep.Scheme(v.Scheme) || out.Trans() != v.Trans:
-			err = fmt.Errorf("derivation does not give the snapshotted placement")
+		case made.CommBytes != 0 || made.CommEvents != 0:
+			err = fmt.Errorf("value %d: derivation moved %d bytes", v.ID, made.CommBytes)
+		case out.Scheme != dep.Scheme(v.Scheme) || out.Trans() != v.Trans:
+			err = fmt.Errorf("value %d: derivation does not give the snapshotted placement", v.ID)
 		}
-		if err != nil {
-			err = fmt.Errorf("value %d: %w", v.ID, err)
-			e.tracer.End(span, obs.String("error", err.Error()))
-			return err
-		}
-		st.made[v.ID] = ch.Snapshot
 		r.vals[v.ID] = out
+	}
+	if err != nil {
+		e.tracer.End(span, obs.String("error", err.Error()))
+		return err
 	}
 	e.tracer.End(span)
 	return nil
@@ -887,10 +876,11 @@ func (e *Engine) derive(ctx context.Context, st *execState, r *restoredCkpt, fai
 // skipping any whose manifest, block files, session references or
 // derivations fail verification, and installs the first valid snapshot:
 // its files and session references first, then its derived members
-// recomputed in plan order (derive, charged to failStage); then it replays the
-// stages between the snapshot and the failed stage through runStageOnce (no
-// fault injection: replayed ops re-run deterministically, their communication
-// and arithmetic booked to the stage they recompute). With no valid
+// recomputed by their producers as a sub-stage of the stage runner, booked to
+// failStage (derive); then it replays the stages between the snapshot and
+// the failed stage through runStageOnce (no fault injection: replayed ops
+// re-run deterministically, their communication and arithmetic booked to the
+// stage they recompute). With no valid
 // checkpoint it replays the full lineage — every stage before the failure.
 // The value table is rebuilt from the snapshot and the replay alone — nothing
 // computed before the failure survives in memory — so a value the snapshot

@@ -146,7 +146,9 @@ func TestDerivedInputSessionGridChanged(t *testing.T) {
 // every grid is written. Both restore from the snapshot right before the
 // kill; the derived run's failed stage books exactly the FLOPs the derived
 // members' operators charged in the fault-free run on top, and not one byte
-// more — every other record, and every other field, is the same.
+// more — every other record, and every other field, is the same. Each derived
+// member's operator is booked like any other: the derived run counts one
+// more compute operator per derived member.
 func TestDerivationChargesFailedStage(t *testing.T) {
 	stages := ckptStages(t)
 	kill := stages[2]
@@ -154,7 +156,7 @@ func TestDerivationChargesFailedStage(t *testing.T) {
 	slow.FlopsPerSecPerThread = 1
 	_, clean, _ := gnmfApp.derivedRun(t, testConfig(), CheckpointPolicy{Interval: 1}, 0, nil)
 	m, e, derived := gnmfApp.derivedRun(t, testConfig(), CheckpointPolicy{Interval: 1}, kill, nil)
-	written, _, none := gnmfApp.derivedRun(t, slow, CheckpointPolicy{Interval: 1}, kill, nil)
+	written, we, none := gnmfApp.derivedRun(t, slow, CheckpointPolicy{Interval: 1}, kill, nil)
 	if derived != 1 || none != 0 {
 		t.Fatalf("%d and %d derivations, want 1 and 0", derived, none)
 	}
@@ -174,6 +176,11 @@ func TestDerivationChargesFailedStage(t *testing.T) {
 		if got != want {
 			t.Errorf("stage %d: charged %+v, want %+v", m.PerStage[i].Stage, got, want)
 		}
+	}
+	members := len(derivedMembers(mans[slices.IndexFunc(mans, func(m ckptManifest) bool { return m.Stage == stages[1] })]))
+	ops := func(e *Engine) int64 { return e.metrics.Counter("op.compute.count").Value() }
+	if got, want := ops(e)-ops(we), int64(members); got != want {
+		t.Errorf("the derived run counts %d more compute operators than the written one, want %d, one per derived member", got, want)
 	}
 }
 

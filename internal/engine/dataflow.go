@@ -13,20 +13,21 @@ import (
 	"dmac/internal/obs"
 )
 
-// runOps runs one attempt of a stage's operators as a dataflow graph and
-// books their records to the stage's. Communication
-// happens only between stages (§5.2); inside one, operators are ordered by
-// the data they pass (core.Op.After), so the kernels of independent ones —
-// GNMF's V·Hᵀ and H·Hᵀ, say — share the cores. Every operator gets one "op"
-// span under the attempt span and one time-histogram sample.
+// runOps runs one attempt of operators ops as a dataflow graph and books
+// their records to ledger row row: a stage's, or for a derivation the failed
+// stage's (Engine.derive). ops[i] waits for the operators at the positions
+// after[i] lists, or with after nil at those of its own core.Op.After, as a
+// stage's carry them. Communication happens only between stages (§5.2);
+// inside one, operators are ordered by the data they pass, so the kernels of
+// independent ones — GNMF's V·Hᵀ and H·Hᵀ, say — share the cores. Every
+// operator gets one "op" span under parent and one time-histogram sample.
 //
-// A session runs one stage at a time, so the engine keeps one stageRun and
-// reuses it, operator records and turn contexts included: a steady run
-// allocates nothing to dispatch its operators.
-func (e *Engine) runOps(ctx context.Context, st *execState, stage int, parent obs.SpanID) error {
-	ops := st.plan.StageOps(stage)
+// A session runs one stage or derivation at a time, so the engine keeps one
+// stageRun and reuses it, operator records and turn contexts included: a
+// steady run allocates nothing to dispatch its operators.
+func (e *Engine) runOps(ctx context.Context, st *execState, ops []*core.Op, after [][]int, row int, parent obs.SpanID) error {
 	r := &e.stage
-	r.e, r.ctx, r.st, r.stage, r.ops = e, ctx, st, stage, ops
+	r.e, r.ctx, r.st, r.row, r.ops, r.after = e, ctx, st, row, ops, after
 	r.parent, r.limit = parent, runtime.GOMAXPROCS(0)
 	r.next, r.running, r.failed, r.finished = 0, 0, len(ops), 0
 	r.cond.L = &r.mu
@@ -40,18 +41,19 @@ func (e *Engine) runOps(ctx context.Context, st *execState, stage int, parent ob
 	}
 	err := r.run()
 	// Hold none of the run's values past it.
-	r.ctx, r.st, r.ops = nil, nil, nil
+	r.ctx, r.st, r.ops, r.after = nil, nil, nil, nil
 	return err
 }
 
-// stageRun runs one attempt of one stage. Operators begin in plan order: one
-// starts once the operators it waits for have finished and the one before it
-// has begun (passed its fault check, dist.Turn.Begun), which is what makes a
-// task kill land on the same operator as in a serial run, with no later one
-// started. Past that point only their kernels overlap: collectives run in
-// plan order and the operators' records reach the stage's in plan order (the
-// dist.Turn each operator carries), so the model numbers are those of a
-// serial run to the bit, under any interleaving.
+// stageRun runs one attempt of a stage, or of a derivation, which it runs as
+// a sub-stage. Operators begin in plan order: one starts once the operators
+// it waits for have finished and the one before it has begun (passed its
+// fault check, dist.Turn.Begun), which is what makes a task kill land on the
+// same operator as in a serial run, with no later one started. Past that
+// point only their kernels overlap: collectives run in plan order and the
+// operators' records reach the row's in plan order (the dist.Turn each
+// operator carries), so the model numbers are those of a serial run to the
+// bit, under any interleaving.
 //
 // The calling goroutine runs every operator it can, lowest index first. A
 // helper goroutine takes an operator only when it becomes ready while
@@ -64,8 +66,9 @@ type stageRun struct {
 	e      *Engine
 	ctx    context.Context
 	st     *execState
-	stage  int
+	row    int
 	ops    []*core.Op
+	after  [][]int
 	parent obs.SpanID
 	limit  int
 
@@ -78,7 +81,7 @@ type stageRun struct {
 	callerIdle bool
 	// failed is the index of the first failed operator, len(ops) while none
 	// has; finished counts the leading operators that have all finished,
-	// whose records are in the stage's up to the failed one.
+	// whose records are in the row's up to the failed one.
 	failed, finished int
 	state            []opState
 	helpers          sync.WaitGroup
@@ -142,7 +145,11 @@ func (r *stageRun) ready() bool {
 	if r.next > 0 && !r.state[r.next-1].begun {
 		return false
 	}
-	for _, d := range r.ops[r.next].After {
+	after := r.ops[r.next].After
+	if r.after != nil {
+		after = r.after[r.next]
+	}
+	for _, d := range after {
 		if !r.state[d].done {
 			return false
 		}
@@ -159,8 +166,8 @@ func (r *stageRun) claim() int {
 
 // finish records operator i's end: it has begun, and a failure stops new
 // starts. Every operator now finished along with all before it passes the
-// collective turn, and its record goes to the stage's in plan order — none
-// of an operator after the first failed one. r.mu is held.
+// collective turn, and its record goes to the row's in plan order — none of
+// an operator after the first failed one. r.mu is held.
 func (r *stageRun) finish(i int, err error) {
 	o := &r.state[i]
 	o.begun, o.done, o.err = true, true, err
@@ -168,7 +175,7 @@ func (r *stageRun) finish(i int, err error) {
 	if err != nil && i < r.failed {
 		r.failed = i
 	}
-	rec := &r.st.ledger[r.stage-1]
+	rec := &r.st.ledger[r.row-1]
 	for ; r.finished < len(r.ops) && r.state[r.finished].done; r.finished++ {
 		if r.finished <= r.failed {
 			o := &r.state[r.finished]
@@ -229,7 +236,7 @@ func (r *stageRun) help(i int) {
 // what producing it charged. Cancellation stops it before it starts.
 func (r *stageRun) exec(i int) error {
 	e, op, o := r.e, r.ops[i], &r.state[i]
-	span := e.opSpan(r.st.plan, r.stage, op, r.parent)
+	span := e.opSpan(r.st.plan, op, r.parent)
 	if o.turnOf != r.ctx {
 		o.turnOf, o.turnCtx = r.ctx, dist.WithCharger(r.ctx, o)
 	}
@@ -247,12 +254,12 @@ func (r *stageRun) exec(i int) error {
 	e.inst.observeOp(op.Kind, o.seconds)
 	if err != nil {
 		e.tracer.End(span, obs.String("error", err.Error()))
-		return fmt.Errorf("engine: stage %d op %d (%s): %w", r.stage, i, op.Kind, err)
+		return fmt.Errorf("engine: stage %d op %d (%s): %w", op.Stage, i, op.Kind, err)
 	}
 	e.tracer.End(span)
 	if op.Output >= 0 {
 		if out == nil {
-			return fmt.Errorf("engine: stage %d op %d produced no value", r.stage, i)
+			return fmt.Errorf("engine: stage %d op %d produced no value", op.Stage, i)
 		}
 		r.st.vals[op.Output] = out
 		var made dist.Snapshot

@@ -341,7 +341,7 @@ func (e *Engine) reclaim() {
 // ran.
 func (e *Engine) SetRewriter(r *rewrite.Rewriter) {
 	e.rewriter = r
-	e.forms = nil
+	clear(e.forms)
 }
 
 // Rewriter returns the attached rewriter (nil when rewriting is off).
@@ -366,9 +366,6 @@ func (e *Engine) form(p *expr.Program, parent obs.SpanID) *programForm {
 	}
 	sort.Strings(f.vars)
 	f.vars = slices.Compact(f.vars)
-	if e.forms == nil {
-		e.forms = make(map[*expr.Program]*programForm)
-	}
 	e.forms[p] = f
 	return f
 }
@@ -443,6 +440,7 @@ func New(planner Planner, cfg dist.Config, blockSize int) *Engine {
 		vars:      make(map[string]*varState),
 		scalars:   make(map[string]float64),
 		plans:     NewPlanCache(0),
+		forms:     make(map[*expr.Program]*programForm),
 		pool:      sched.NewBlockPool(),
 	}
 }

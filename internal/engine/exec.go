@@ -237,12 +237,12 @@ const replay = -1
 func (e *Engine) runStageOnce(ctx context.Context, st *execState, stage, attempt int, parent obs.SpanID) error {
 	defer st.since(stage, time.Now())
 	if attempt == replay {
-		return e.runOps(ctx, st, stage, parent)
+		return e.runOps(ctx, st, st.plan.StageOps(stage), nil, stage, parent)
 	}
 	if err := e.cluster.BeginStage(st.charging(ctx, stage), stage, attempt); err != nil {
 		return err
 	}
-	if err := e.runOps(ctx, st, stage, parent); err != nil {
+	if err := e.runOps(ctx, st, st.plan.StageOps(stage), nil, stage, parent); err != nil {
 		return err
 	}
 	if f := e.cluster.TakeFault(); f != nil {
@@ -290,13 +290,13 @@ func (e *Engine) recoverStage(ctx context.Context, st *execState, stage int, wf 
 // its input edges. Naming formats nothing: the name is the operator's cached
 // Label and every key and value a constant, so a traced operator costs one
 // allocation: its attributes, gathered on the stack and cloned to size.
-func (e *Engine) opSpan(plan *core.Plan, stage int, op *core.Op, parent obs.SpanID) obs.SpanID {
+func (e *Engine) opSpan(plan *core.Plan, op *core.Op, parent obs.SpanID) obs.SpanID {
 	if !e.tracer.Enabled() {
 		return 0
 	}
 	var buf [8]obs.Attr
 	attrs := append(buf[:0],
-		obs.Int64("stage", int64(stage)),
+		obs.Int64("stage", int64(op.Stage)),
 		obs.String("kind", op.Kind.String()))
 	if op.Kind == core.OpCompute {
 		attrs = append(attrs, obs.String("strategy", op.Strategy.String()))

@@ -364,14 +364,14 @@ func TestOpSpanFormatsNothing(t *testing.T) {
 	for _, op := range plan.Ops {
 		op.Label()
 		open := func() {
-			tr.End(e.opSpan(plan, op.Stage, op, 0))
+			tr.End(e.opSpan(plan, op, 0))
 			tr.Reset()
 		}
 		open()
 		if a := testing.AllocsPerRun(50, open); a > 1 {
 			t.Errorf("op span %q: %v allocations, want at most 1", op.Label(), a)
 		}
-		tr.End(e.opSpan(plan, op.Stage, op, 0))
+		tr.End(e.opSpan(plan, op, 0))
 		if _, ok := tr.Spans()[0].Attr("dep_in0"); ok {
 			deps++
 		}

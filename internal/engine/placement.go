@@ -81,9 +81,6 @@ func (e *Engine) Placement() Placement {
 func (e *Engine) Place(p Placement) int {
 	for _, pf := range p.forms {
 		if _, ok := e.forms[pf.prog]; !ok && p.rewriter == e.rewriter {
-			if e.forms == nil {
-				e.forms = make(map[*expr.Program]*programForm, len(p.forms))
-			}
 			e.forms[pf.prog] = pf.form
 		}
 	}
